@@ -34,6 +34,11 @@ Rules (``DET00x``):
   bucket layout is backend-specific and permuted by the chaos
   scheduler, so reading it re-introduces exactly the schedule-order
   dependence the ``SAN101`` sanitizer exists to catch.
+* **DET008** — no metric or resource name formatted per event: inside an
+  ``obs.enabled`` / ``flows.enabled`` guarded block of ``repro.sim``,
+  ``repro.net`` or ``repro.engine`` no string is formatted (f-string,
+  ``%``, ``.format``), except under a nested ``if ... is None:`` — the
+  branch that binds the instrument once.
 
 Run standalone (CI does)::
 
@@ -458,6 +463,65 @@ class SchedulerInternalsRule(LintRule):
             )
 
 
+class HookNameFormatRule(LintRule):
+    code = "DET008"
+    title = "metric or resource name formatted inside a guarded hot hook"
+
+    def applies_to(self, path: Path) -> bool:
+        parts = path.parts
+        if "repro" not in parts:
+            return False
+        rest = parts[parts.index("repro") + 1:]
+        return bool(rest) and rest[0] in ("sim", "net", "engine")
+
+    @staticmethod
+    def _is_formatted(node: ast.AST) -> bool:
+        """An f-string with a field, ``"..." % x`` or ``"...".format(x)``."""
+        if isinstance(node, ast.JoinedStr):
+            return any(isinstance(v, ast.FormattedValue) for v in node.values)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+            template: ast.AST = node.left
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "format"):
+            template = node.func.value
+        else:
+            return False
+        return isinstance(template, ast.Constant) and isinstance(template.value, str)
+
+    def _formatted(self, node: ast.AST) -> Iterable[ast.expr]:
+        """Formatted strings under ``node``; the body of an ``if <x> is
+        None:`` (the branch that binds once) is exempt."""
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Compare) and (
+            isinstance(node.test.ops[0], ast.Is)
+            and isinstance(node.test.comparators[0], ast.Constant)
+            and node.test.comparators[0].value is None
+        ):
+            children: Iterable[ast.AST] = node.orelse
+        elif isinstance(node, ast.expr) and self._is_formatted(node):
+            yield node
+            return
+        else:
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            yield from self._formatted(child)
+
+    def check(self, tree: ast.Module, path: Path) -> Iterable[Tuple[int, str]]:
+        seen: Set[Tuple[int, int]] = set()  # nested guards walk a statement twice
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.If) and ObsGuardRule._guards(node.test)):
+                continue
+            for stmt in node.body:
+                for arg in self._formatted(stmt):
+                    if (arg.lineno, arg.col_offset) not in seen:
+                        seen.add((arg.lineno, arg.col_offset))
+                        yield (
+                            arg.lineno,
+                            "name formatted inside an enabled-guarded hook, once "
+                            "per event; resolve the instrument (or format the "
+                            "label) once under `if ... is None:` and reuse it",
+                        )
+
+
 #: The rule registry, in execution (and documentation) order.
 RULES: Tuple[LintRule, ...] = (
     WallClockRule(),
@@ -467,6 +531,7 @@ RULES: Tuple[LintRule, ...] = (
     ObsGuardRule(),
     ListenerLifecycleRule(),
     SchedulerInternalsRule(),
+    HookNameFormatRule(),
 )
 
 

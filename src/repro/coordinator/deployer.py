@@ -425,8 +425,13 @@ class Deployment:
         self._process._add_callback(lambda event: setattr(event, "_defused", True))
         return self._process
 
-    def finish(self) -> ExecutionReport:
-        """Collect the report of a :meth:`start`-ed query after the run."""
+    def finish(self, freeze: bool = True) -> ExecutionReport:
+        """Collect the report of a :meth:`start`-ed query after the run.
+
+        ``freeze=False`` publishes the RP statistics but leaves
+        ``report.metrics`` unset, for a session that freezes the registry
+        once for all its deployments (a freeze copies the whole registry).
+        """
         process = self._process
         if process is None:
             raise QueryExecutionError("deployment was never started")
@@ -438,7 +443,7 @@ class Deployment:
         if not process.ok:
             raise process.value
         result, finished_at = process.value
-        return self._report(result, finished_at, self._stop_token)
+        return self._report(result, finished_at, self._stop_token, freeze)
 
     def teardown(self) -> None:
         """Release the deployment's resources back to the environment.
@@ -527,14 +532,16 @@ class Deployment:
         result: List[Any],
         finished_at: float,
         stop_token: Optional[StopToken],
+        freeze: bool = True,
     ) -> ExecutionReport:
         assert self.start_time is not None
         rp_statistics = {rp_id: snapshot(rp) for rp_id, rp in self.rps.items()}
-        if self.env.obs.enabled:
+        obs = self.env.obs
+        if obs.enabled:
             # Unify RP-level monitoring with the obs registry: the metrics
             # snapshot then carries the per-RP operator/stream counters.
             for stats in rp_statistics.values():
-                stats.publish(self.env.obs.metrics)
+                stats.publish(obs.metrics)
         return ExecutionReport(
             result=result,
             duration=finished_at - self.start_time,
@@ -545,7 +552,7 @@ class Deployment:
             source_switches=self.env.torus.source_switches,
             stopped=stop_token.stopped if stop_token else False,
             rp_statistics=rp_statistics,
-            metrics=self.env.obs.snapshot() if self.env.obs.enabled else None,
+            metrics=obs.snapshot() if freeze and obs.enabled else None,
         )
 
     def _wire(self) -> None:

@@ -198,8 +198,7 @@ class AdaptiveController:
             detector.remove_listener(self._on_health)
 
         outcomes: List[QueryOutcome] = []
-        for entry in session._entries:
-            report = entry.deployment.finish()
+        for entry, report in zip(session._entries, session._finish_all()):
             assert entry.deployment.start_time is not None
             total = entry.deployment.start_time + report.duration - t0
             outcomes.append(QueryOutcome(

@@ -255,12 +255,25 @@ class MultiQuerySession:
             outcomes=[
                 QueryOutcome(
                     label=entry.label,
-                    report=entry.deployment.finish(),
+                    report=report,
                     payload_bytes=entry.payload_bytes,
                 )
-                for entry in self._entries
+                for entry, report in zip(self._entries, self._finish_all())
             ]
         )
+
+    def _finish_all(self) -> List[ExecutionReport]:
+        """Every query's report, in submission order.  The registry is
+        frozen once, after all RP statistics are published, and shared: one
+        freeze per report made an observed session quadratic in its queries.
+        """
+        reports = [entry.deployment.finish(freeze=False) for entry in self._entries]
+        obs = self.env.obs
+        if obs.enabled:
+            frozen = obs.snapshot()
+            for report in reports:
+                report.metrics = frozen
+        return reports
 
     def teardown(self) -> None:
         """Tear down every deployment (nodes return to the CNDBs)."""

@@ -31,6 +31,14 @@ from repro.net.channels import Channel
 from repro.sim import Store
 
 
+def _stream_counters(obs, direction: str, stream_id: str):
+    """The (bytes, buffers) counters of one stream end in the obs registry."""
+    return (
+        obs.metrics.counter(f"stream.bytes_{direction}[{stream_id}]"),
+        obs.metrics.counter(f"stream.buffers_{direction}[{stream_id}]"),
+    )
+
+
 class SenderDriver:
     """Marshals an object stream and sends it over one channel."""
 
@@ -58,6 +66,7 @@ class SenderDriver:
         self._tokens = Store(ctx.sim, capacity=2, name=f"{stream_id}.send-tokens")
         self._outbox = Store(ctx.sim, name=f"{stream_id}.outbox")
         self._pending_since: Optional[float] = None
+        self._counters = None  # obs counters, bound by the first observed buffer
         # The transmit sub-process, exposed so RP termination can reach it
         # (it is detached from the driver's own process).
         self.transmit_process = None
@@ -135,15 +144,18 @@ class SenderDriver:
             # (CPU contention included) is the serialize component.
             flows.hop(
                 buffer, "sender.marshal", sim.now,
-                resource=f"cpu[{self.ctx.node.node_id}]",
+                resource=self.ctx.cpu.name,
                 serialize=sim.now - marshal_start,
             )
         yield self._outbox.put(buffer)
         self.bytes_sent += buffer.nbytes
         self.buffers_sent += 1
         if obs.enabled:
-            obs.add(f"stream.bytes_sent[{self.stream_id}]", buffer.nbytes)
-            obs.add(f"stream.buffers_sent[{self.stream_id}]")
+            counters = self._counters
+            if counters is None:
+                counters = self._counters = _stream_counters(obs, "sent", self.stream_id)
+            counters[0].add(buffer.nbytes)
+            counters[1].add()
 
     def _transmit(self):
         """Send marshaled buffers in order, returning tokens on completion."""
@@ -169,6 +181,7 @@ class ReceiverDriver:
         self.stream_id = stream_id
         self.bytes_received = 0
         self.buffers_received = 0
+        self._counters = None  # as SenderDriver._counters
 
     def run(self):
         """Driver main process: drain inbox, de-marshal, emit objects + EOS."""
@@ -194,7 +207,7 @@ class ReceiverDriver:
             if flows.enabled:
                 flows.hop(
                     buffer, "receiver.demarshal", sim.now,
-                    resource=f"cpu[{self.ctx.node.node_id}]",
+                    resource=self.ctx.cpu.name,
                     processing=sim.now - demarshal_start,
                 )
                 flows.complete(buffer, sim.now)
@@ -202,10 +215,15 @@ class ReceiverDriver:
             yield self.inbox.release()
             self.bytes_received += buffer.nbytes
             self.buffers_received += 1
-            obs = self.ctx.sim.obs
+            obs = sim.obs
             if obs.enabled:
-                obs.add(f"stream.bytes_received[{self.stream_id}]", buffer.nbytes)
-                obs.add(f"stream.buffers_received[{self.stream_id}]")
+                counters = self._counters
+                if counters is None:
+                    counters = self._counters = _stream_counters(
+                        obs, "received", self.stream_id
+                    )
+                counters[0].add(buffer.nbytes)
+                counters[1].add()
             for obj in objects:
                 yield self.output.put(obj)
         yield self.output.put(END_OF_STREAM)

@@ -180,6 +180,7 @@ class LatencyChannel(Channel):
         super().__init__(sim, source, destination, deliver)
         self.params = params
         self.jitter = jitter or Jitter()
+        self._wire_name: Optional[str] = None  # hop resource label, formatted once
 
     def send(self, buffer: WireBuffer):
         latency = self.params.ethernet.switch_latency
@@ -188,10 +189,13 @@ class LatencyChannel(Channel):
         yield self.sim.timeout(cost)
         flows = self.sim.obs.flows
         if flows.enabled:
+            if self._wire_name is None:
+                self._wire_name = (
+                    f"wire[{self.source.node_id}->{self.destination.node_id}]"
+                )
             flows.hop(
                 buffer, "latency.wire", self.sim.now,
-                resource=f"wire[{self.source.node_id}->{self.destination.node_id}]",
-                wire=cost,
+                resource=self._wire_name, wire=cost,
             )
         yield self.deliver.put(buffer)
         if flows.enabled:

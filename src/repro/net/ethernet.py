@@ -222,6 +222,7 @@ class TcpStreamConnection:
         self.io_index = fabric.bluegene.pset_of(dst_compute_index)
         self.pset_id = self.io_index
         self._open = False
+        self._stream_bytes = None  # obs counter, bound by the first observed buffer
         self._window = Store(
             fabric.sim,
             capacity=fabric.params.tcp.window_segments,
@@ -296,13 +297,19 @@ class TcpStreamConnection:
         if flows.enabled:
             flows.hop(
                 buffer, "eth.nic", fabric.sim.now,
-                resource=f"nic[{self.source_host.node_id}]", wire=cost,
+                resource=nic_req.resource.name, wire=cost,
             )
         fabric.bytes_ingress += buffer.nbytes
-        if fabric.sim.obs.enabled:
-            fabric.sim.obs.add("ethernet.ingress_bytes", buffer.nbytes)
-            fabric.sim.obs.add("ethernet.wire_bytes", wire_bytes)
-            fabric.sim.obs.add(f"stream.tcp_bytes[{self.stream_id}]", buffer.nbytes)
+        obs = fabric.sim.obs
+        if obs.enabled:
+            obs.add("ethernet.ingress_bytes", buffer.nbytes)
+            obs.add("ethernet.wire_bytes", wire_bytes)
+            stream_bytes = self._stream_bytes
+            if stream_bytes is None:
+                stream_bytes = self._stream_bytes = obs.metrics.counter(
+                    f"stream.tcp_bytes[{self.stream_id}]"
+                )
+            stream_bytes.add(buffer.nbytes)
         fabric.sim.process(
             self._forward(buffer, wire_bytes),
             name=f"tcp-forward[{self.stream_id}#{buffer.buffer_id}]",
@@ -339,7 +346,7 @@ class TcpStreamConnection:
         if flows.enabled:
             flows.hop(
                 buffer, "eth.ioproxy", fabric.sim.now,
-                resource=f"io-proxy[{self.io_index}]", processing=cost,
+                resource=proxy_req.resource.name, processing=cost,
             )
         # Tree network from the I/O node into its pset.
         with fabric.tree_link(self.pset_id).request() as tree_req:
@@ -349,7 +356,7 @@ class TcpStreamConnection:
         if flows.enabled:
             flows.hop(
                 buffer, "eth.tree", fabric.sim.now,
-                resource=f"tree[{self.pset_id}]", wire=cost,
+                resource=tree_req.resource.name, wire=cost,
             )
         # Receive processing on the destination compute node's co-processor:
         # the CNK socket path is slow (compute_receive_rate) and pays the

@@ -26,7 +26,7 @@ traffic through a's co-processor.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.hardware.bluegene import BlueGene
 from repro.net.jitter import Jitter
@@ -155,9 +155,14 @@ class TorusNetwork:
         self._links: Dict[Tuple[int, int], Resource] = {}
         self._link_slowdown: Dict[Tuple[int, int], float] = {}
         self._coprocessors: Dict[int, Resource] = {}
+        self._forward_stages: Dict[int, str] = {}
         self._last_source: Dict[int, Optional[str]] = {}
         self._stream_windows: Dict[str, Store] = {}
         self._active_streams: Dict[int, set] = {}
+        # stream id / node -> its counter in the obs registry, resolved by
+        # the first observed buffer of the stream (source switch at the node).
+        self._stream_bytes: Dict[str, Any] = {}
+        self._node_switches: Dict[int, Any] = {}
         # Statistics for experiment reports.
         self.bytes_on_wire = 0
         self.buffers_delivered = 0
@@ -185,6 +190,7 @@ class TorusNetwork:
             self._coprocessors[node_index] = Resource(
                 self.sim, capacity=1, name=f"coproc[{node_index}]"
             )
+            self._forward_stages[node_index] = f"torus.forward[{node_index}]"
         return self._coprocessors[node_index]
 
     def link(self, a: int, b: int) -> Resource:
@@ -316,7 +322,7 @@ class TorusNetwork:
             # the injection itself is wire time.
             flows.hop(
                 buffer, "torus.inject", self.sim.now,
-                resource=f"coproc[{src}]", wire=cost,
+                resource=coproc_req.resource.name, wire=cost,
             )
         self.bytes_on_wire += buffer.nbytes
         obs = self.sim.obs
@@ -330,7 +336,12 @@ class TorusNetwork:
             obs.add("torus.payload_bytes", buffer.nbytes)
             obs.add("torus.wire_bytes", padded)
             obs.add("torus.buffers_sent")
-            obs.add(f"stream.torus_bytes[{buffer.stream_id}]", buffer.nbytes)
+            stream_bytes = self._stream_bytes.get(buffer.stream_id)
+            if stream_bytes is None:
+                stream_bytes = self._stream_bytes[buffer.stream_id] = obs.metrics.counter(
+                    f"stream.torus_bytes[{buffer.stream_id}]"
+                )
+            stream_bytes.add(buffer.nbytes)
         # The remaining hops proceed asynchronously (cut-through across
         # buffers: the sender may inject buffer k+1 while k is forwarded).
         self.sim.process(
@@ -362,8 +373,8 @@ class TorusNetwork:
                 # One hop per intermediate node: the wait for its (possibly
                 # busy) co-processor is exactly the Figure 7A/8 contention.
                 flows.hop(
-                    buffer, f"torus.forward[{node}]", self.sim.now,
-                    resource=f"coproc[{node}]", wire=cost,
+                    buffer, self._forward_stages[node], self.sim.now,
+                    resource=coproc_req.resource.name, wire=cost,
                 )
         receive_work = self.params.receive_time(buffer.nbytes) if not buffer.eos else 0.0
         yield from self._receive(buffer, path[-1], receive_work, deliver)
@@ -392,16 +403,22 @@ class TorusNetwork:
             previous = self._last_source.get(node)
             if previous is not None and previous != buffer.source:
                 self.source_switches += 1  # diagnostic only; cost is rate-based
-                if self.sim.obs.enabled:
-                    self.sim.obs.add("torus.source_switches")
-                    self.sim.obs.add(f"torus.source_switches[node={node}]")
+                obs = self.sim.obs
+                if obs.enabled:
+                    obs.add("torus.source_switches")
+                    switches = self._node_switches.get(node)
+                    if switches is None:
+                        switches = self._node_switches[node] = obs.metrics.counter(
+                            f"torus.source_switches[node={node}]"
+                        )
+                    switches.add()
             self._last_source[node] = buffer.source
             cost = self.jitter.apply(cost)
             yield self.sim.timeout(cost)
             if flows.enabled:
                 flows.hop(
                     buffer, "torus.receive", self.sim.now,
-                    resource=f"coproc[{node}]", processing=cost,
+                    resource=coproc_req.resource.name, processing=cost,
                 )
             # Depositing into a full receive buffer blocks the co-processor:
             # this is the back-pressure that stalls upstream senders.

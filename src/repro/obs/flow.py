@@ -30,13 +30,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.util.stats import percentile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.message import WireBuffer
     from repro.obs.metrics import MetricsRegistry
+
+
+#: The four duration components of a hop, in :class:`Hop` field order.
+_COMPONENTS = ("serialize", "queue_wait", "wire", "processing")
 
 
 class Hop(NamedTuple):
@@ -73,6 +77,9 @@ class Hop(NamedTuple):
         return self.serialize + self.wire + self.processing
 
 
+_new_hop = tuple.__new__
+
+
 @dataclass
 class FlowRecord:
     """The causal history of one wire buffer over virtual time."""
@@ -99,16 +106,19 @@ class FlowRecord:
             raise ValueError(f"flow {self.flow_id} has not completed")
         return self.delivered - self.birth
 
+    def _component_sums(self) -> Tuple[float, float, float, float]:
+        """(serialize, queue_wait, wire, processing) summed over all hops."""
+        serialize = queue_wait = wire = processing = 0.0
+        for _, _, _, _, hop_serialize, hop_queue_wait, hop_wire, hop_processing in self.hops:
+            serialize += hop_serialize
+            queue_wait += hop_queue_wait
+            wire += hop_wire
+            processing += hop_processing
+        return serialize, queue_wait, wire, processing
+
     def component_totals(self) -> Dict[str, float]:
         """Summed duration per component over all hops."""
-        totals = {"serialize": 0.0, "queue_wait": 0.0, "wire": 0.0,
-                  "processing": 0.0}
-        for hop in self.hops:
-            totals["serialize"] += hop.serialize
-            totals["queue_wait"] += hop.queue_wait
-            totals["wire"] += hop.wire
-            totals["processing"] += hop.processing
-        return totals
+        return dict(zip(_COMPONENTS, self._component_sums()))
 
 
 class NullFlowRecorder:
@@ -234,14 +244,8 @@ class FlowRecorder(NullFlowRecorder):
         if buffer.buffer_id in self._in_flight:
             return  # already begun (defensive: re-sent buffer)
         self._in_flight[buffer.buffer_id] = FlowRecord(
-            flow_id=next(self._flow_ids),
-            buffer_id=buffer.buffer_id,
-            stream_id=buffer.stream_id,
-            source=buffer.source,
-            nbytes=buffer.nbytes,
-            birth=now,
-            eos=buffer.eos,
-            _last_ts=now,
+            next(self._flow_ids), buffer.buffer_id, buffer.stream_id,
+            buffer.source, buffer.nbytes, now, buffer.eos, _last_ts=now,
         )
 
     def hop(self, buffer: "WireBuffer", stage: str, now: float,
@@ -269,10 +273,9 @@ class FlowRecorder(NullFlowRecorder):
             wire *= scale
             processing *= scale
             queue_wait = 0.0
-        record.hops.append(Hop(
-            stage=stage, resource=resource, start=start, end=now,
-            serialize=serialize, queue_wait=queue_wait, wire=wire,
-            processing=processing,
+        # tuple.__new__ skips the Python-level __new__ NamedTuple generates.
+        record.hops.append(_new_hop(
+            Hop, (stage, resource, start, now, serialize, queue_wait, wire, processing)
         ))
         record._last_ts = now
 
@@ -284,9 +287,8 @@ class FlowRecorder(NullFlowRecorder):
         if now > record._last_ts:
             # Close any trailing gap so hops always sum to the latency.
             record.hops.append(Hop(
-                stage="deliver.tail", resource=None, start=record._last_ts,
-                end=now, serialize=0.0, queue_wait=now - record._last_ts,
-                wire=0.0, processing=0.0,
+                "deliver.tail", None, record._last_ts, now,
+                0.0, now - record._last_ts, 0.0, 0.0,
             ))
             record._last_ts = now
         record.delivered = now
@@ -377,14 +379,19 @@ class FlowRecorder(NullFlowRecorder):
 
         Gauges (not counters) so repeated publishes are idempotent.
         """
-        per_stream: Dict[str, List[FlowRecord]] = {}
+        per_stream: Dict[str, Tuple[List[float], List[float]]] = {}
         for record in self._completed:
             if record.eos:
                 continue
-            per_stream.setdefault(record.stream_id, []).append(record)
-        for stream_id, records in per_stream.items():
-            latencies = [r.latency for r in records]
-            metrics.set_gauge(f"flow.completed[{stream_id}]", len(records))
+            entry = per_stream.get(record.stream_id)
+            if entry is None:
+                entry = per_stream[record.stream_id] = ([], [0.0, 0.0, 0.0, 0.0])
+            latencies, totals = entry
+            latencies.append(record.latency)
+            for index, value in enumerate(record._component_sums()):
+                totals[index] += value
+        for stream_id, (latencies, totals) in per_stream.items():
+            metrics.set_gauge(f"flow.completed[{stream_id}]", len(latencies))
             metrics.set_gauge(
                 f"flow.latency.mean[{stream_id}]",
                 sum(latencies) / len(latencies),
@@ -394,10 +401,5 @@ class FlowRecorder(NullFlowRecorder):
                     f"flow.latency.{tag}[{stream_id}]",
                     percentile(latencies, q),
                 )
-            totals = {"serialize": 0.0, "queue_wait": 0.0, "wire": 0.0,
-                      "processing": 0.0}
-            for record in records:
-                for component, value in record.component_totals().items():
-                    totals[component] += value
-            for component, value in totals.items():
+            for component, value in zip(_COMPONENTS, totals):
                 metrics.set_gauge(f"flow.time.{component}[{stream_id}]", value)

@@ -15,6 +15,14 @@ The hub fans each observation out to
   utilization/queue-depth statistics),
 
 either of which may be the null implementation independently.
+
+Per-event hooks work on **bound instruments**: the first hook a resource or
+store raises resolves its registry instruments (formatting their names once)
+and parks them on the entity's private ``_bound`` slot; later hooks touch
+those objects directly.  Instruments are still created on first use, in the
+order name-keyed calls would create them, so no output can tell.  The hub is
+the kernel's own observer and reads its private fields (``sim._now``,
+``resource._users``) rather than pay a property call per event.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 from repro.obs.flow import NULL_FLOWS, FlowRecorder, NullFlowRecorder
 from repro.obs.live import NULL_LIVE, NullLiveSampler
-from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
+from repro.obs.metrics import Counter, MetricsRegistry, MetricsSnapshot
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,6 +55,36 @@ class NullInstrumentation:
 
 #: Shared disabled instrumentation (one instance serves every simulator).
 NULL_OBS = NullInstrumentation()
+
+
+class _ResourceInstruments:
+    """The registry instruments of one resource.
+
+    Built by its first hook — always an acquire, since a wait needs a full
+    resource — so the first three are created in the name-keyed order; the
+    contended-path counters are resolved when they first fire.
+    """
+
+    __slots__ = ("key", "track", "acquires", "busy", "queue", "waits", "withdrawals")
+
+    def __init__(self, key: str, metrics: MetricsRegistry, now: float) -> None:
+        self.key = key
+        self.track = f"resource:{key}"
+        self.acquires = metrics.counter(f"resource.acquires[{key}]")
+        self.busy = metrics.time_weighted(f"resource.busy[{key}]", start_ts=now)
+        self.queue = metrics.time_weighted(f"resource.queue[{key}]", start_ts=now)
+        self.waits: Optional[Counter] = None
+        self.withdrawals: Optional[Counter] = None
+
+
+class _StoreInstruments:
+    """The level series and trace track of one store."""
+
+    __slots__ = ("track", "level")
+
+    def __init__(self, key: str, metrics: MetricsRegistry, now: float) -> None:
+        self.track = f"store:{key}"
+        self.level = metrics.time_weighted(f"store.level[{key}]", start_ts=now)
 
 
 class Instrumentation(NullInstrumentation):
@@ -73,12 +111,17 @@ class Instrumentation(NullInstrumentation):
     def __init__(self, tracer: Optional[NullTracer] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  flows: Optional[NullFlowRecorder] = None,
-                 live: Optional[NullLiveSampler] = None):
+                 live: Optional[NullLiveSampler] = None) -> None:
         self.tracer: NullTracer = Tracer() if tracer is None else tracer
         self.metrics: MetricsRegistry = metrics if metrics is not None else MetricsRegistry()
         self.flows: NullFlowRecorder = FlowRecorder() if flows is None else flows
         self.live: NullLiveSampler = NULL_LIVE if live is None else live
         self.sim: Optional["Simulator"] = None
+        # Kernel counters, bound on first use (keeps the first-use key order).
+        self._events: Optional[Counter] = None
+        self._timeouts: Optional[Counter] = None
+        self._started: Optional[Counter] = None
+        self._finished: Optional[Counter] = None
         if self.live.enabled:
             self.live.bind(self)
 
@@ -89,18 +132,24 @@ class Instrumentation(NullInstrumentation):
     # ------------------------------------------------------------------
     # Kernel hooks (sim.core / sim.events)
     # ------------------------------------------------------------------
+    def _bind(self, holder: object, attr: str, name: str) -> Counter:
+        """Resolve counter ``name`` on its first use; park it on ``holder``."""
+        counter = self.metrics.counter(name)
+        setattr(holder, attr, counter)
+        return counter
+
     def on_step(self, event: "Event", now: float) -> None:
         # Close live windows before the event executes or is counted, so
         # a window holds exactly the activity before its end boundary.
         if self.live.enabled:
             self.live.on_step(now)
-        self.metrics.add("sim.events_processed")
+        (self._events or self._bind(self, "_events", "sim.events_processed")).value += 1.0
 
     def on_timeout(self, timeout: "Timeout") -> None:
-        self.metrics.add("sim.timeouts_created")
+        (self._timeouts or self._bind(self, "_timeouts", "sim.timeouts_created")).value += 1.0
 
     def on_process_created(self, process: "Process") -> None:
-        self.metrics.add("sim.processes_started")
+        (self._started or self._bind(self, "_started", "sim.processes_started")).value += 1.0
         if self.tracer.enabled:
             self.tracer.span_begin(
                 process.sim.now, f"process:{process.name}", process.name,
@@ -108,7 +157,7 @@ class Instrumentation(NullInstrumentation):
             )
 
     def on_process_finished(self, process: "Process", ok: bool) -> None:
-        self.metrics.add("sim.processes_finished")
+        (self._finished or self._bind(self, "_finished", "sim.processes_finished")).value += 1.0
         if not ok:
             self.metrics.add("sim.processes_failed")
         if self.tracer.enabled:
@@ -128,50 +177,57 @@ class Instrumentation(NullInstrumentation):
     # ------------------------------------------------------------------
     # Resource hooks (sim.resources)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _resource_key(resource: "Resource") -> str:
-        return resource.name or f"resource@{id(resource):#x}"
-
-    def on_resource_wait(self, resource: "Resource") -> None:
-        key = self._resource_key(resource)
-        now = resource.sim.now
-        self.metrics.add(f"resource.waits[{key}]")
-        self.metrics.update_series(f"resource.queue[{key}]", now, resource.queue_length)
-
-    def on_resource_acquire(self, resource: "Resource", request: "Request") -> None:
-        key = self._resource_key(resource)
-        now = resource.sim.now
+    def _bind_resource(self, resource: "Resource", now: float) -> _ResourceInstruments:
+        key = resource.name or f"resource@{id(resource):#x}"
         if self.live.enabled:
             self.live.note_capacity(key, resource.capacity)
-        self.metrics.add(f"resource.acquires[{key}]")
-        self.metrics.update_series(f"resource.busy[{key}]", now, resource.count)
-        self.metrics.update_series(f"resource.queue[{key}]", now, resource.queue_length)
+        bound = resource._bound = _ResourceInstruments(key, self.metrics, now)
+        return bound
+
+    def on_resource_wait(self, resource: "Resource") -> None:
+        now = resource.sim._now
+        bound = resource._bound or self._bind_resource(resource, now)
+        (bound.waits or self._bind(bound, "waits", f"resource.waits[{bound.key}]")).value += 1.0
+        bound.queue.update(now, len(resource._waiting))
+
+    def on_resource_acquire(self, resource: "Resource", request: "Request") -> None:
+        now = resource.sim._now
+        bound = resource._bound or self._bind_resource(resource, now)
+        bound.acquires.value += 1.0
+        bound.busy.update(now, len(resource._users))
+        bound.queue.update(now, len(resource._waiting))
         if self.tracer.enabled:
-            self.tracer.span_begin(now, f"resource:{key}", "hold", ident=id(request))
+            self.tracer.span_begin(now, bound.track, "hold", ident=id(request))
 
     def on_resource_release(self, resource: "Resource", request: "Request") -> None:
-        key = self._resource_key(resource)
-        now = resource.sim.now
-        self.metrics.update_series(f"resource.busy[{key}]", now, resource.count)
+        now = resource.sim._now
+        bound = resource._bound or self._bind_resource(resource, now)
+        bound.busy.update(now, len(resource._users))
         if self.tracer.enabled:
-            self.tracer.span_end(now, f"resource:{key}", "hold", ident=id(request))
+            self.tracer.span_end(now, bound.track, "hold", ident=id(request))
 
     def on_resource_withdraw(self, resource: "Resource") -> None:
-        key = self._resource_key(resource)
-        self.metrics.add(f"resource.withdrawals[{key}]")
-        self.metrics.update_series(
-            f"resource.queue[{key}]", resource.sim.now, resource.queue_length
-        )
+        now = resource.sim._now
+        bound = resource._bound or self._bind_resource(resource, now)
+        (
+            bound.withdrawals
+            or self._bind(bound, "withdrawals", f"resource.withdrawals[{bound.key}]")
+        ).value += 1.0
+        bound.queue.update(now, len(resource._waiting))
 
     # ------------------------------------------------------------------
     # Store hooks (sim.resources)
     # ------------------------------------------------------------------
     def on_store_level(self, store: "Store") -> None:
-        key = store.name or f"store@{id(store):#x}"
-        now = store.sim.now
-        self.metrics.update_series(f"store.level[{key}]", now, store.size)
+        now = store.sim._now
+        bound = store._bound
+        if bound is None:
+            key = store.name or f"store@{id(store):#x}"
+            bound = store._bound = _StoreInstruments(key, self.metrics, now)
+        size = len(store._items)
+        bound.level.update(now, size)
         if self.tracer.enabled:
-            self.tracer.counter(now, f"store:{key}", "size", store.size)
+            self.tracer.counter(now, bound.track, "size", size)
 
     # ------------------------------------------------------------------
     # Direct instruments for the models (torus / ethernet / drivers)

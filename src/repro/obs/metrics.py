@@ -9,6 +9,10 @@ queue depth" mean what they do in queueing theory, not "mean over samples".
 Names are flat strings; per-entity series use the ``group[key]`` convention
 (``resource.busy[coproc[1]]``), which keeps the registry a plain dictionary
 and makes summaries greppable.
+
+Names are the public key; a hook that fires per event resolves its
+instrument once (``registry.counter(name)``) and then touches the object
+directly — the bound-instrument contract in ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -67,8 +71,12 @@ class TimeWeightedStat:
         """Record that the level changed to ``value`` at time ``now``."""
         dt = now - self._last_ts
         if dt > 0.0:
-            self.integral += self.current * dt
-            self.dwell[self.current] = self.dwell.get(self.current, 0.0) + dt
+            current = self.current
+            self.integral += current * dt
+            try:
+                self.dwell[current] += dt
+            except KeyError:
+                self.dwell[current] = dt
         self._last_ts = now
         self.current = value
         if value > self.maximum:
@@ -166,7 +174,10 @@ class MetricsRegistry:
     # Convenience mutators
     # ------------------------------------------------------------------
     def add(self, name: str, amount: float = 1.0) -> None:
-        self.counter(name).add(amount)
+        try:
+            self.counters[name].value += amount
+        except KeyError:
+            self.counter(name).value += amount
 
     def set_gauge(self, name: str, value: float) -> None:
         self.gauge(name).set(value)

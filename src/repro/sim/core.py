@@ -204,7 +204,9 @@ class Simulator:
         must stay semantically identical to step().
         """
         scheduler = self._scheduler
-        obs = self.obs
+        # The hub is fixed for the simulator's life, so the enabled check
+        # (and the bound hook) is resolved once per run, not once per event.
+        on_step = self.obs.on_step if self.obs.enabled else None
         times = scheduler._times
         buckets = scheduler._buckets
         dispatched = 0
@@ -239,8 +241,8 @@ class Simulator:
                             ni += 1
                         else:
                             break
-                        if obs.enabled:
-                            obs.on_step(event, when)
+                        if on_step is not None:
+                            on_step(event, when)
                         callbacks = event.callbacks
                         event.callbacks = None
                         if len(callbacks) == 1:
@@ -266,7 +268,7 @@ class Simulator:
     def _run_drain(self) -> float:
         """Drain a generic scheduler through its pop() interface."""
         pop = self._scheduler.pop
-        obs = self.obs
+        on_step = self.obs.on_step if self.obs.enabled else None
         dispatched = 0
         try:
             while True:
@@ -278,8 +280,8 @@ class Simulator:
                     raise SimulationError("event scheduled in the past (scheduler bug)")
                 self._now = when
                 dispatched += 1
-                if obs.enabled:
-                    obs.on_step(event, when)
+                if on_step is not None:
+                    on_step(event, when)
                 callbacks = event.callbacks
                 event.callbacks = None
                 if len(callbacks) == 1:

@@ -229,48 +229,52 @@ class Process(Event):
                     target.callbacks.remove(self._resume)
                 except ValueError:
                     pass
-        self._target = None
         sim = self.sim
-        sim._active_process = self
-        try:
-            if event._ok:
-                next_event = self._generator.send(event._value)
-            else:
-                # Mark the failure as handled: it is being delivered.
-                event._defused = True
-                next_event = self._generator.throw(event._value)
-        except StopIteration as stop:
+        # One pass per event handed to the generator: a yielded event that is
+        # already processed (a join on a finished process) is delivered at
+        # once by going round again — a loop, not recursion, so any number
+        # of them may follow each other.
+        while True:
+            self._target = None
+            sim._active_process = self
+            try:
+                if event._ok:
+                    next_event = self._generator.send(event._value)
+                else:
+                    # Mark the failure as handled: it is being delivered.
+                    event._defused = True
+                    next_event = self._generator.throw(event._value)
+            except StopIteration as stop:
+                sim._active_process = None
+                self._ok = True
+                self._value = stop.value
+                sim._push(sim._now, _NORMAL, self)
+                if sim.obs.enabled:
+                    sim.obs.on_process_finished(self, ok=True)
+                return
+            except BaseException as exc:  # noqa: BLE001 - process bodies may raise anything
+                sim._active_process = None
+                self._ok = False
+                self._value = exc
+                sim._push(sim._now, _NORMAL, self)
+                if sim.obs.enabled:
+                    sim.obs.on_process_finished(self, ok=False)
+                return
             sim._active_process = None
-            self._ok = True
-            self._value = stop.value
-            sim._push(sim._now, _NORMAL, self)
-            if sim.obs.enabled:
-                sim.obs.on_process_finished(self, ok=True)
-            return
-        except BaseException as exc:  # noqa: BLE001 - process bodies may raise anything
-            sim._active_process = None
-            self._ok = False
-            self._value = exc
-            sim._push(sim._now, _NORMAL, self)
-            if sim.obs.enabled:
-                sim.obs.on_process_finished(self, ok=False)
-            return
-        sim._active_process = None
-        if not isinstance(next_event, Event):
-            raise SimulationError(
-                f"process {self.name!r} yielded a non-event: {next_event!r}"
-            )
-        if next_event.sim is not sim:
-            raise SimulationError(
-                f"process {self.name!r} yielded an event from another simulator"
-            )
-        self._target = next_event
-        callbacks = next_event.callbacks
-        if callbacks is None:
-            # Already processed: run immediately at the current time.
-            self._resume(next_event)
-        else:
-            callbacks.append(self._resume)
+            if not isinstance(next_event, Event):
+                raise SimulationError(
+                    f"process {self.name!r} yielded a non-event: {next_event!r}"
+                )
+            if next_event.sim is not sim:
+                raise SimulationError(
+                    f"process {self.name!r} yielded an event from another simulator"
+                )
+            self._target = next_event
+            callbacks = next_event.callbacks
+            if callbacks is not None:
+                callbacks.append(self._resume)
+                return
+            event = next_event
 
     def __repr__(self) -> str:
         state = "finished" if self.triggered else "alive"

@@ -16,12 +16,13 @@ Two primitives cover everything the network and engine models need:
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, List
+from typing import TYPE_CHECKING, Any, Deque, List, Optional
 
 from repro.sim.events import _NORMAL, _PENDING, Event
 from repro.util.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.instrument import _ResourceInstruments, _StoreInstruments
     from repro.sim.core import Simulator
 
 
@@ -77,7 +78,7 @@ class StorePut(Event):
 class Resource:
     """A device with ``capacity`` identical slots and a FIFO wait queue."""
 
-    __slots__ = ("sim", "capacity", "name", "_users", "_waiting")
+    __slots__ = ("sim", "capacity", "name", "_users", "_waiting", "_bound")
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "") -> None:
         if capacity < 1:
@@ -87,6 +88,8 @@ class Resource:
         self.name = name
         self._users: List[Request] = []
         self._waiting: Deque[Request] = deque()
+        # Metric instruments, parked here by the obs hub's first hook.
+        self._bound: Optional["_ResourceInstruments"] = None
 
     @property
     def count(self) -> int:
@@ -160,7 +163,7 @@ class Resource:
 class Store:
     """A bounded FIFO buffer of items shared between processes."""
 
-    __slots__ = ("sim", "capacity", "name", "_items", "_putters", "_getters")
+    __slots__ = ("sim", "capacity", "name", "_items", "_putters", "_getters", "_bound")
 
     def __init__(self, sim: "Simulator", capacity: float = float("inf"), name: str = "") -> None:
         if capacity < 1:
@@ -171,6 +174,7 @@ class Store:
         self._items: Deque[Any] = deque()
         self._putters: Deque[StorePut] = deque()  # events carrying the item to add
         self._getters: Deque[Event] = deque()
+        self._bound: Optional["_StoreInstruments"] = None  # see Resource._bound
 
     @property
     def size(self) -> int:

@@ -171,6 +171,72 @@ class TestSlotsRuleCoverage:
         assert [d.code for d in lint_file(path)] == ["DET005"]
 
 
+class TestHookNameFormatRule:
+    """DET008: no name formatted per event inside a guarded hot hook."""
+
+    #: The seeded defect: the per-event hooks as they were before the
+    #: bound-instrument rewrite, one formatted name per observation.
+    SEEDED = textwrap.dedent(
+        """
+        def emit(self, buffer, node):
+            obs = self.sim.obs
+            flows = obs.flows
+            if obs.enabled:
+                obs.add(f"stream.bytes_sent[{self.stream_id}]", buffer.nbytes)
+                obs.add("stream.bytes[%s]" % self.stream_id)
+                obs.record_level("io[{}]".format(node), 1)
+            if flows.enabled:
+                flows.hop(buffer, "torus.inject", 1.0, resource=f"coproc[{node}]")
+        """
+    )
+
+    def test_fires_on_every_formatting_style(self, tmp_path):
+        for package in ("sim", "net", "engine"):
+            findings = lint_file(write_hot_file(tmp_path, self.SEEDED, package))
+            assert [d.code for d in findings] == ["DET008"] * 4
+            assert [d.line for d in findings] == [6, 7, 8, 10]
+
+    def test_bind_once_branch_and_constant_names_pass(self, tmp_path):
+        source = textwrap.dedent(
+            """
+            def emit(self, buffer):
+                obs = self.sim.obs
+                if obs.enabled:
+                    obs.add("torus.buffers_sent")
+                    counter = self._counter
+                    if counter is None:
+                        counter = self._counter = obs.metrics.counter(
+                            f"stream.bytes_sent[{self.stream_id}]"
+                        )
+                    counter.add(buffer.nbytes)
+                if obs.flows.enabled:
+                    obs.flows.hop(buffer, "torus.inject", 1.0, resource=self.coproc.name)
+            """
+        )
+        assert lint_file(write_hot_file(tmp_path, source, package="net")) == []
+
+    def test_formatting_outside_a_guard_or_a_hot_package_passes(self, tmp_path):
+        source = textwrap.dedent(
+            """
+            def open_stream(self, sim):
+                sim.process(self.run(), name=f"send[{self.stream_id}]")
+            """
+        )
+        assert lint_file(write_hot_file(tmp_path, source, package="engine")) == []
+        cold = write_hot_file(tmp_path, self.SEEDED, package="coordinator")
+        assert lint_file(cold) == []
+
+    def test_suppression(self, tmp_path):
+        source = textwrap.dedent(
+            """
+            def connect(self, obs, index):
+                if obs.enabled:
+                    obs.record_level(f"io[{index}]", 1)  # lint: disable=DET008
+            """
+        )
+        assert lint_file(write_hot_file(tmp_path, source, package="net")) == []
+
+
 class TestSuppressions:
     def test_line_suppression(self, tmp_path):
         source = textwrap.dedent(
@@ -243,5 +309,5 @@ class TestCLI:
     def test_rule_registry_is_complete(self):
         assert [rule.code for rule in RULES] == [
             "DET001", "DET002", "DET003", "DET004", "DET005",
-            "DET006", "DET007",
+            "DET006", "DET007", "DET008",
         ]

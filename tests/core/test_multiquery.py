@@ -137,3 +137,69 @@ class TestContentionDemo:
         # The table renders both baselines and ratios.
         table = result.format_table()
         assert "ratio" in table and "qA" in table and "qB" in table
+
+
+class TestObservedSessionScales:
+    """An observed session freezes the registry once, not once per query."""
+
+    @staticmethod
+    def _observed_session(queries: int):
+        from repro.core.experiments.scale import scale_config, scale_stream_query
+        from repro.engine.settings import ExecutionSettings
+        from repro.hardware.environment import shared_template
+        from repro.obs import Instrumentation
+        from repro.obs.tracer import NULL_TRACER
+
+        settings = ExecutionSettings(mpi_buffer_bytes=10_000, double_buffering=True)
+        plan = compile_plan(scale_stream_query(10_000, 1), settings=settings)
+        env = shared_template(scale_config((8, 8, 8))).fork(
+            seed=0, obs=Instrumentation(tracer=NULL_TRACER)
+        )
+        session = MultiQuerySession(env, settings=settings)
+        for _ in range(queries):
+            session.submit(plan, payload_bytes=10_000)
+        return session
+
+    def test_registry_is_frozen_once_and_shared(self, monkeypatch):
+        from repro.obs.metrics import MetricsRegistry
+
+        calls = []
+        original = MetricsRegistry.snapshot
+
+        def counting(registry, now):
+            calls.append(now)
+            return original(registry, now)
+
+        monkeypatch.setattr(MetricsRegistry, "snapshot", counting)
+        session = self._observed_session(64)
+        result = session.run()
+        session.teardown()
+        assert len(calls) == 1
+        reports = [outcome.report for outcome in result.outcomes]
+        assert all(report.result == [1] for report in reports)
+        frozen = reports[0].metrics
+        assert frozen is not None and all(r.metrics is frozen for r in reports)
+        # The shared snapshot carries every query's RP statistics and flows.
+        for label in ("q0", "q63"):
+            assert frozen.gauges[f"rp.{label}/a@1.bytes_sent"] == 10_000
+            assert frozen.gauges[f"flow.completed[{label}/a@1->{label}/b@2]"] == 1
+
+    def test_cost_grows_linearly_with_the_queries(self):
+        import time
+
+        def run_once(queries: int) -> float:
+            session = self._observed_session(queries)
+            started = time.perf_counter()
+            session.run()
+            elapsed = time.perf_counter() - started
+            session.teardown()
+            return elapsed
+
+        run_once(8)  # warm the shared template and the route memo
+        # Interleaved, fastest of four: a drift in machine speed reaches both.
+        small, large = float("inf"), float("inf")
+        for _ in range(4):
+            small = min(small, run_once(32))
+            large = min(large, run_once(64))
+        # Freezing per report made this 4x and worse; linear is 2x.
+        assert large < 3.0 * small

@@ -241,3 +241,45 @@ class TestProcess:
         assert proc.is_alive
         sim.run()
         assert not proc.is_alive
+
+    def test_joining_thousands_of_finished_processes_in_a_row(self, sim):
+        # Every child is finished and processed by the time the parent joins
+        # it, so each join is delivered at once; that used to recurse once
+        # per join and die with RecursionError near a thousand.
+        def child(k):
+            yield sim.timeout(1.0)
+            return k
+
+        def parent():
+            kids = [sim.process(child(k)) for k in range(3000)]
+            yield sim.timeout(2.0)
+            total = 0
+            for kid in kids:
+                total += yield kid
+            return total, sim.now
+
+        proc = sim.process(parent())
+        sim.run()
+        assert proc.value == (sum(range(3000)), 2.0)
+
+    def test_processed_events_are_delivered_in_yield_order(self, sim):
+        # The immediate-delivery loop keeps the dispatch order of the
+        # recursive form: values and failures arrive in the order yielded.
+        done = sim.event().succeed("a")
+        failed = sim.event().fail(KeyError("b"))
+        failed._defused = True
+        sim.run()
+        seen = []
+
+        def body():
+            seen.append((yield done))
+            try:
+                yield failed
+            except KeyError as error:
+                seen.append(error.args[0])
+            seen.append((yield done))
+            return len(seen)
+
+        proc = sim.process(body())
+        sim.run()
+        assert seen == ["a", "b", "a"] and proc.value == 3
