@@ -38,7 +38,13 @@ Rules (``DET00x``):
   ``obs.enabled`` / ``flows.enabled`` guarded block of ``repro.sim``,
   ``repro.net`` or ``repro.engine`` no string is formatted (f-string,
   ``%``, ``.format``), except under a nested ``if ... is None:`` — the
-  branch that binds the instrument once.
+  branch that binds the instrument once; nor may the ``name=`` of a
+  ``.process(...)`` call in a generator body be a formatted string.
+* **DET009** — in ``repro.sim``/``repro.net``/``repro.engine`` the event
+  returned by ``request()``/``put()``/``get()`` is yielded or guard-tested
+  (``.callbacks``) before any ``.process(`` or ``.interrupt(`` call: those
+  schedule urgent events, the one thing a synchronously delivered grant
+  (see docs/performance.md) would overtake.
 
 Run standalone (CI does)::
 
@@ -521,6 +527,77 @@ class HookNameFormatRule(LintRule):
                             "label) once under `if ... is None:` and reuse it",
                         )
 
+        # Sibling check: a generator that spawns a process on every pass
+        # must not format its name there (only the tracer and the sanitizer
+        # census ever read it).
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef) or not any(
+                isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(func)
+            ):
+                continue
+            for node in ast.walk(func):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "process"):
+                    continue
+                for keyword in node.keywords:
+                    if keyword.arg == "name" and self._is_formatted(keyword.value):
+                        yield (
+                            keyword.value.lineno,
+                            "process name formatted on every pass through a "
+                            "generator body; format it once, or only under "
+                            "`... if tracer.enabled else <constant>`",
+                        )
+
+
+class EagerGrantWindowRule(LintRule):
+    code = "DET009"
+    title = "urgent event scheduled between creating a kernel event and waiting on it"
+
+    #: ``(method, positional arguments)`` of the calls that may hand their
+    #: event back already processed (sim.resources).
+    CREATORS = {("request", 0), ("get", 0), ("put", 1)}
+    #: Calls scheduling an *urgent* event, which a queued grant runs after.
+    URGENT = ("process", "interrupt")
+
+    applies_to = HookNameFormatRule.applies_to
+
+    def _created(self, value: Optional[ast.AST], target: Optional[ast.AST]) -> Optional[str]:
+        """The variable bound to a freshly created kernel event, if any."""
+        if (isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute)
+                and (value.func.attr, len(value.args)) in self.CREATORS
+                and isinstance(target, ast.Name)):
+            return target.id
+        return None
+
+    def check(self, tree: ast.Module, path: Path) -> Iterable[Tuple[int, str]]:
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            pending: Dict[str, int] = {}  # event variable -> line it was created on
+            nodes = [n for n in ast.walk(func) if hasattr(n, "lineno")]
+            for node in sorted(nodes, key=lambda n: (n.lineno, n.col_offset)):
+                bound = []
+                if isinstance(node, ast.Assign):
+                    bound = [self._created(node.value, node.targets[0])]
+                elif isinstance(node, ast.With):
+                    bound = [self._created(i.context_expr, i.optional_vars) for i in node.items]
+                elif isinstance(node, (ast.Yield, ast.Attribute)) and isinstance(
+                    node.value, ast.Name
+                ) and getattr(node, "attr", "callbacks") == "callbacks":
+                    pending.pop(node.value.id, None)  # waited on, or guard-tested
+                elif pending and isinstance(node, ast.Call) and isinstance(
+                    node.func, ast.Attribute
+                ) and node.func.attr in self.URGENT:
+                    name, line = next(iter(pending.items()))
+                    yield (
+                        node.lineno,
+                        f".{node.func.attr}() between creating event {name!r} "
+                        f"(line {line}) and waiting on it: a grant delivered "
+                        "synchronously would overtake the urgent event a queued "
+                        "grant runs after; yield (or guard-test) the event first",
+                    )
+                pending.update((name, node.lineno) for name in bound if name)
+
 
 #: The rule registry, in execution (and documentation) order.
 RULES: Tuple[LintRule, ...] = (
@@ -532,6 +609,7 @@ RULES: Tuple[LintRule, ...] = (
     ListenerLifecycleRule(),
     SchedulerInternalsRule(),
     HookNameFormatRule(),
+    EagerGrantWindowRule(),
 )
 
 

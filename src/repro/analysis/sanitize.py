@@ -388,8 +388,9 @@ def assert_quiescent(
     Call at harness end, after the final ``sim.run()`` returned and every
     deployment was torn down.  Checks, environment-wide:
 
-    * ``SAN204`` — carrier registrations left in the torus; flow records
-      still in flight on a drained simulator (their streams closed without
+    * ``SAN204`` — carrier registrations left in the torus; buffers, or
+      flow records, still in flight on a drained simulator (the latter:
+      streams closed without
       :meth:`~repro.obs.flow.FlowRecorder.drop_stream`);
     * ``SAN205`` — per-node occupancy differing from the template's
       pristine state (somebody acquired a slot and never released it);
@@ -420,6 +421,14 @@ def assert_quiescent(
             f"stream {stream_id!r} is still registered at torus node "
             f"{node} with no deployment left to own it",
         ))
+    if drained:
+        for stream_id, count in env.torus.in_flight_census():
+            report.add(_san(
+                "SAN204",
+                f"{count} buffer(s) of stream {stream_id!r} never returned "
+                f"their torus window slot (stuck in flight on a drained "
+                f"simulator)",
+            ))
     flows = env.obs.flows
     if flows.enabled and drained and flows.in_flight_count:
         for stream_id, count in sorted(flows.in_flight_streams().items()):

@@ -45,7 +45,8 @@ class ExecutionContext:
         """
         cost = self.env.jitter.apply(baseline_seconds * self._scale)
         with self.cpu.request() as req:
-            yield req
+            if req.callbacks is not None:  # else granted synchronously
+                yield req
             yield self.sim.timeout(cost)
         self.cpu_busy_time += cost
 

@@ -50,6 +50,7 @@ class Inbox:
         for _ in range(slots):
             self._tokens.put(None)
         self._items = Store(sim, name=f"{name}.items")
+        self._put_name = f"{name}.put"
         self._closed = False
 
     def put(self, buffer: WireBuffer) -> "Event":
@@ -58,15 +59,19 @@ class Inbox:
         Returns a process-event so network models can ``yield deliver.put(b)``
         uniformly for stores and inboxes.
         """
-        return self.sim.process(self._put(buffer), name=f"{self.name}.put")
+        return self.sim.process(self._put(buffer), name=self._put_name)
 
     def _put(self, buffer: WireBuffer):
         if self._closed:
             return
-        yield self._tokens.get()
+        slot = self._tokens.get()
+        if slot.callbacks is not None:  # else handed over synchronously
+            yield slot
         if self._closed:
             return  # the slot is moot: the receiver died while we waited
-        yield self._items.put(buffer)
+        deposited = self._items.put(buffer)
+        if deposited.callbacks is not None:
+            yield deposited
 
     def close(self) -> None:
         """Discard deposits after the receiving driver has been terminated.

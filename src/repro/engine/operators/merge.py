@@ -29,7 +29,10 @@ class Merge(Operator):
         done = sim.event()
         state = {"live": len(self.inputs)}
         forwarders = [
-            sim.process(self._forward(store, state, done), name=f"merge-in[{i}]")
+            sim.process(
+                self._forward(store, state, done),
+                name=f"merge-in[{i}]",  # lint: disable=DET008 (once per input)
+            )
             for i, store in enumerate(self.inputs)
         ]
         yield done

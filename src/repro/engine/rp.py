@@ -277,7 +277,7 @@ class RunningProcess:
             self._cancelled = True
             # No subscriber left: stop producing and cascade upstream.
             for proc in self._processes:
-                if proc.is_alive and proc is not None:
+                if proc is not None and proc.is_alive:
                     proc.interrupt("no subscribers left")
                     proc._add_callback(lambda event: setattr(event, "_defused", True))
             live = [

@@ -347,7 +347,7 @@ class Environment:
         an uncontended latency path for the remaining low-volume pairings.
         """
         if source.cluster == BLUEGENE and destination.cluster == BLUEGENE:
-            return MpiChannel(self.sim, source, destination, deliver, self.torus)
+            return MpiChannel(self.sim, source, destination, deliver, self.torus, stream_id)
         if source.cluster == BACKEND and destination.cluster == BLUEGENE:
             return TcpChannel(self.sim, source, destination, deliver, self.fabric, stream_id)
         return LatencyChannel(self.sim, source, destination, deliver, self.params, self.jitter)

@@ -87,12 +87,15 @@ class MpiChannel(Channel):
         destination: Node,
         deliver: Store,
         torus: TorusNetwork,
+        stream_id: Optional[str] = None,
     ):
         if source.kind is not NodeKind.BG_COMPUTE or destination.kind is not NodeKind.BG_COMPUTE:
             raise NetworkError("MpiChannel endpoints must be BlueGene compute nodes")
         super().__init__(sim, source, destination, deliver)
         self.torus = torus
-        self._stream_id = f"mpi:{source.index}->{destination.index}:{id(self)}"
+        # Registering under the id the buffers carry lets the torus free the
+        # stream's window when the channel closes.
+        self._stream_id = stream_id or f"mpi:{source.index}->{destination.index}:{id(self)}"
         self._open = False
 
     def open(self):

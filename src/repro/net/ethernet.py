@@ -282,12 +282,17 @@ class TcpStreamConnection:
         segments = max(1, -(-buffer.nbytes // params.tcp.segment_bytes))
         flows = fabric.sim.obs.flows
         # Flow control: wait for a window slot before occupying the NIC.
-        yield self._window.get()
+        slot = self._window.get()
+        # Here and below: an event that comes back processed was granted
+        # synchronously (sim.resources); there is nothing to wait for.
+        if slot.callbacks is not None:
+            yield slot
         if flows.enabled:
             flows.hop(buffer, "tcp.window", fabric.sim.now)
         # Sending host: socket/kernel cost plus NIC serialization.
         with fabric.nic(self.source_host).request() as nic_req:
-            yield nic_req
+            if nic_req.callbacks is not None:
+                yield nic_req
             cost = (
                 segments * params.tcp.per_segment_overhead
                 + wire_bytes / params.ethernet.nic_rate
@@ -312,7 +317,9 @@ class TcpStreamConnection:
             stream_bytes.add(buffer.nbytes)
         fabric.sim.process(
             self._forward(buffer, wire_bytes),
-            name=f"tcp-forward[{self.stream_id}#{buffer.buffer_id}]",
+            # Only the tracer tells one buffer's process from the next.
+            name=f"tcp-forward[{self.stream_id}#{buffer.buffer_id}]"
+            if obs.tracer.enabled else "tcp-forward",
         )
 
     def _forward(self, buffer: WireBuffer, wire_bytes: float):
@@ -323,7 +330,8 @@ class TcpStreamConnection:
         # Shared switch uplink into the BlueGene I/O drawer; goodput shrinks
         # with the number of distinct external hosts on the ingress.
         with fabric._uplink.request() as uplink_req:
-            yield uplink_req
+            if uplink_req.callbacks is not None:
+                yield uplink_req
             rate = (
                 params.ethernet.uplink_rate
                 * fabric._uplink_efficiency()
@@ -339,7 +347,8 @@ class TcpStreamConnection:
         # I/O-node TCP proxy: service rate shrinks with connection sharing
         # and with the distinct hosts connected to this I/O node.
         with fabric.io_proxy(self.io_index).request() as proxy_req:
-            yield proxy_req
+            if proxy_req.callbacks is not None:
+                yield proxy_req
             rate = fabric._io_service_rate(self.io_index)
             cost = fabric.jitter.apply(params.io_node.per_buffer_overhead + wire_bytes / rate)
             yield fabric.sim.timeout(cost)
@@ -350,7 +359,8 @@ class TcpStreamConnection:
             )
         # Tree network from the I/O node into its pset.
         with fabric.tree_link(self.pset_id).request() as tree_req:
-            yield tree_req
+            if tree_req.callbacks is not None:
+                yield tree_req
             cost = fabric.jitter.apply(buffer.nbytes / params.io_node.tree_rate)
             yield fabric.sim.timeout(cost)
         if flows.enabled:
@@ -369,4 +379,6 @@ class TcpStreamConnection:
         )
         fabric.buffers_forwarded += 1
         # End-to-end delivery acknowledged: reopen one window slot.
-        yield self._window.put(None)
+        freed = self._window.put(None)
+        if freed.callbacks is not None:
+            yield freed

@@ -158,6 +158,7 @@ class TorusNetwork:
         self._forward_stages: Dict[int, str] = {}
         self._last_source: Dict[int, Optional[str]] = {}
         self._stream_windows: Dict[str, Store] = {}
+        self._in_flight: Dict[str, int] = {}  # stream id -> buffers being forwarded
         self._active_streams: Dict[int, set] = {}
         # stream id / node -> its counter in the obs registry, resolved by
         # the first observed buffer of the stream (source switch at the node).
@@ -243,6 +244,20 @@ class TorusNetwork:
         streams = self._active_streams.get(node)
         if streams is not None:
             streams.discard(stream_id)
+        self._release_stream(stream_id)
+
+    def _release_stream(self, stream_id: str) -> None:
+        """Forget a closed stream's window and counter once none of its
+        buffers is in flight (MPI close does not drain: the last delivery
+        may be what frees them)."""
+        if stream_id not in self._in_flight:
+            self._stream_windows.pop(stream_id, None)
+            self._stream_bytes.pop(stream_id, None)
+
+    def in_flight_census(self) -> List[Tuple[str, int]]:
+        """``(stream_id, buffers in flight)`` of every stream with any,
+        sorted; on a drained simulator each is a lost buffer (``SAN204``)."""
+        return sorted(self._in_flight.items())
 
     def active_stream_census(self) -> List[Tuple[int, str]]:
         """Every still-registered ``(node, stream_id)``, sorted.
@@ -302,16 +317,22 @@ class TorusNetwork:
         flows = self.sim.obs.flows
         # Shallow-FIFO back-pressure: stall if too many of this stream's
         # buffers are still travelling or waiting at a busy co-processor.
-        yield self._stream_window(buffer.stream_id).get()
+        slot = self._stream_window(buffer.stream_id).get()
+        # Here and below: an event that comes back processed was granted
+        # synchronously (sim.resources); there is nothing to wait for.
+        if slot.callbacks is not None:
+            yield slot
         if flows.enabled:
             flows.hop(buffer, "torus.window", self.sim.now)
         wire = self.params.handling_time(buffer.nbytes) if not buffer.eos else 0.0
         # Injection: sending co-processor streams the packets onto the first
         # link; both are occupied for the buffer's handling time.
         with self.coprocessor(src).request() as coproc_req:
-            yield coproc_req
+            if coproc_req.callbacks is not None:
+                yield coproc_req
             with self.link(path[0], path[1]).request() as link_req:
-                yield link_req
+                if link_req.callbacks is not None:
+                    yield link_req
                 occupancy = self.params.injection_overhead + wire
                 if self._link_slowdown:
                     occupancy *= self._link_slowdown.get((path[0], path[1]), 1.0)
@@ -346,8 +367,11 @@ class TorusNetwork:
         # buffers: the sender may inject buffer k+1 while k is forwarded).
         self.sim.process(
             self._forward(buffer, path, wire, deliver),
-            name=f"torus-forward[{buffer.stream_id}#{buffer.buffer_id}]",
+            # Only the tracer tells one buffer's process from the next.
+            name=f"torus-forward[{buffer.stream_id}#{buffer.buffer_id}]"
+            if obs.tracer.enabled else "torus-forward",
         )
+        self._in_flight[buffer.stream_id] = self._in_flight.get(buffer.stream_id, 0) + 1
 
     def _forward(self, buffer: WireBuffer, path: List[int], wire: float, deliver: Store):
         """Forward ``buffer`` hop by hop and deliver it at the destination."""
@@ -359,9 +383,11 @@ class TorusNetwork:
         for position in range(1, len(path) - 1):
             node = path[position]
             with self.coprocessor(node).request() as coproc_req:
-                yield coproc_req
+                if coproc_req.callbacks is not None:
+                    yield coproc_req
                 with self.link(path[position], path[position + 1]).request() as link_req:
-                    yield link_req
+                    if link_req.callbacks is not None:
+                        yield link_req
                     occupancy = self.params.forward_overhead + wire
                     if self._link_slowdown:
                         occupancy *= self._link_slowdown.get(
@@ -379,7 +405,16 @@ class TorusNetwork:
         receive_work = self.params.receive_time(buffer.nbytes) if not buffer.eos else 0.0
         yield from self._receive(buffer, path[-1], receive_work, deliver)
         # Delivery complete: free one in-flight slot of this stream.
-        yield self._stream_window(buffer.stream_id).put(None)
+        freed = self._stream_window(buffer.stream_id).put(None)
+        if freed.callbacks is not None:
+            yield freed
+        left = self._in_flight[buffer.stream_id] - 1
+        if left:
+            self._in_flight[buffer.stream_id] = left
+        else:
+            del self._in_flight[buffer.stream_id]
+            if buffer.stream_id not in self._active_streams.get(path[-1], ()):
+                self._release_stream(buffer.stream_id)
 
     def receive_at(self, buffer: WireBuffer, node: int, receive_work: float, deliver: Store):
         """Receive processing for a buffer arriving from *outside* the torus.
@@ -396,7 +431,8 @@ class TorusNetwork:
         """Receive processing at the destination co-processor."""
         flows = self.sim.obs.flows
         with self.coprocessor(node).request() as coproc_req:
-            yield coproc_req
+            if coproc_req.callbacks is not None:
+                yield coproc_req
             cost = self.params.receive_overhead + receive_work
             if not buffer.eos:
                 cost += self._switch_cost(node)
@@ -422,7 +458,9 @@ class TorusNetwork:
                 )
             # Depositing into a full receive buffer blocks the co-processor:
             # this is the back-pressure that stalls upstream senders.
-            yield deliver.put(buffer)
+            deposited = deliver.put(buffer)
+            if deposited.callbacks is not None:
+                yield deposited
             if flows.enabled:
                 flows.hop(buffer, "torus.deliver", self.sim.now)
         self.buffers_delivered += 1

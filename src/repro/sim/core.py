@@ -32,7 +32,7 @@ from typing import Any, Generator, Iterable, Optional, Union
 
 from repro.obs.instrument import NULL_OBS, NullInstrumentation
 from repro.sim.events import _NORMAL, _URGENT, AllOf, AnyOf, Event, Process, Timeout
-from repro.sim.scheduler import EventScheduler, make_scheduler
+from repro.sim.scheduler import _BUSY, EventScheduler, make_scheduler
 from repro.util.errors import SimulationError
 
 _INF = float("inf")
@@ -53,6 +53,8 @@ class Simulator:
         "_now",
         "_scheduler",
         "_push",
+        "_inst",
+        "_done",
         "_active_process",
         "obs",
         "events_dispatched",
@@ -69,7 +71,20 @@ class Simulator:
         # (Event.succeed, Timeout.__init__, Resource grants, Store handoffs)
         # call ``sim._push(when, rank, event)`` directly, so the backend is
         # one attribute load away from the hot path.
-        self._push = self._scheduler.push
+        self._push = (
+            self._scheduler.push if self._scheduler.batched else self._push_tracked
+        )
+        # Pending view (sim.scheduler) of the instant being dispatched.  When
+        # ``_inst[1][-1] is None and _inst[0][-1] is None`` nothing else is
+        # pending at ``now`` and the event being dispatched had one callback:
+        # a grant made now would be the next event dispatched, so
+        # Resource.request / Store.put / Store.get return it already
+        # processed.  ``_BUSY`` outside a dispatch and under other events.
+        self._inst: Any = _BUSY
+        done = self._done = Event(self)  # what a synchronous Store.put returns
+        done.callbacks = None
+        done._ok = True
+        done._value = None
         self._active_process: Optional[Process] = None
         #: Events dispatched over this simulator's lifetime.  Counted by the
         #: drain loops themselves (no obs hook needed), so throughput
@@ -131,6 +146,13 @@ class Simulator:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""
         return self._scheduler.next_time()
 
+    def _push_tracked(self, when: float, rank: int, event: Event) -> None:
+        """``_push`` of a non-batched backend, whose pending view is a
+        constant taken when the dispatch began: a push at ``now`` flips it."""
+        if when == self._now:
+            self._inst = _BUSY
+        self._scheduler.push(when, rank, event)
+
     def step(self) -> None:
         """Process exactly one event.
 
@@ -152,8 +174,12 @@ class Simulator:
         event.callbacks = None
         if len(callbacks) == 1:
             # Most events have exactly one waiter (the process that yielded
-            # them); skip the loop machinery for that case.
-            callbacks[0](event)
+            # them); only then may a grant be synchronous (see ``_inst``).
+            self._inst = self._scheduler._pending_view(when)
+            try:
+                callbacks[0](event)
+            finally:
+                self._inst = _BUSY
         else:
             for callback in callbacks:
                 callback(event)
@@ -170,28 +196,25 @@ class Simulator:
             The simulated time when the run stopped.
         """
         if until is None:
-            if self._scheduler.batched:
-                return self._run_batched()
-            return self._run_drain()
-        if until < self._now:
+            horizon = _INF
+        elif until < self._now:
             raise SimulationError(f"cannot run until {until!r}, already at {self._now!r}")
-        scheduler = self._scheduler
-        step = self.step
-        while True:
-            when = scheduler.next_time()
-            if when == _INF:
-                break
-            if when > until:
-                self._now = until
-                return until
-            step()
-        # The queue drained before reaching ``until``: the clock still
-        # advances to the requested horizon.
-        if until > self._now:
-            self._now = until
+        else:
+            horizon = until
+        if self._scheduler.batched:
+            self._run_batched(horizon)
+        else:
+            next_time = self._scheduler.next_time
+            while True:
+                when = next_time()
+                if when == _INF or when > horizon:
+                    break
+                self.step()
+        if until is not None:
+            self._now = until  # stopped at the horizon, or drained before it
         return self._now
 
-    def _run_batched(self) -> float:
+    def _run_batched(self, horizon: float) -> None:
         """Drain a batched (calendar-queue) scheduler bucket-at-a-time.
 
         One bucket holds every event of one distinct timestamp; the loop
@@ -213,10 +236,12 @@ class Simulator:
         try:
             while times:
                 when = times[0]
+                if when > horizon:
+                    break
                 if when < self._now:
                     raise SimulationError("event scheduled in the past (scheduler bug)")
                 self._now = when
-                bucket = buckets[when]
+                bucket = self._inst = buckets[when]  # its own pending view
                 urgent = bucket[0]
                 normal = bucket[1]
                 # The cursors live in locals for the drain: callbacks only
@@ -248,8 +273,10 @@ class Simulator:
                         if len(callbacks) == 1:
                             callbacks[0](event)
                         else:
+                            self._inst = _BUSY
                             for callback in callbacks:
                                 callback(event)
+                            self._inst = bucket
                         if event._ok is False and not event._defused:
                             exc = event._value
                             raise SimulationError(
@@ -262,41 +289,8 @@ class Simulator:
                 del buckets[when]
                 heappop(times)
         finally:
+            self._inst = _BUSY
             self.events_dispatched += dispatched
-        return self._now
-
-    def _run_drain(self) -> float:
-        """Drain a generic scheduler through its pop() interface."""
-        pop = self._scheduler.pop
-        on_step = self.obs.on_step if self.obs.enabled else None
-        dispatched = 0
-        try:
-            while True:
-                entry = pop()
-                if entry is None:
-                    break
-                when, event = entry
-                if when < self._now:
-                    raise SimulationError("event scheduled in the past (scheduler bug)")
-                self._now = when
-                dispatched += 1
-                if on_step is not None:
-                    on_step(event, when)
-                callbacks = event.callbacks
-                event.callbacks = None
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    for callback in callbacks:
-                        callback(event)
-                if event._ok is False and not event._defused:
-                    exc = event._value
-                    raise SimulationError(
-                        f"unhandled failure in simulation: {exc!r}"
-                    ) from exc
-        finally:
-            self.events_dispatched += dispatched
-        return self._now
 
     def run_process(self, generator: Generator, name: str = "") -> Any:
         """Start ``generator`` as a process, run to completion, return its value.

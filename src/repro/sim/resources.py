@@ -75,10 +75,15 @@ class StorePut(Event):
         self.item = item
 
 
+#: The waiter queues of a store or resource that never had a waiter (most
+#: never do); the first waiter swaps in a real deque.
+_NO_WAITERS: Any = ()
+
+
 class Resource:
     """A device with ``capacity`` identical slots and a FIFO wait queue."""
 
-    __slots__ = ("sim", "capacity", "name", "_users", "_waiting", "_bound")
+    __slots__ = ("sim", "capacity", "name", "_users", "_waiting", "_token", "_bound")
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "") -> None:
         if capacity < 1:
@@ -87,7 +92,9 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._users: List[Request] = []
-        self._waiting: Deque[Request] = deque()
+        self._waiting: Deque[Request] = _NO_WAITERS
+        # What every synchronous grant returns if only one slot exists.
+        self._token: Optional[Request] = None
         # Metric instruments, parked here by the obs hub's first hook.
         self._bound: Optional["_ResourceInstruments"] = None
 
@@ -102,21 +109,40 @@ class Resource:
         return len(self._waiting)
 
     def request(self) -> Request:
-        """Ask for a slot; the returned event triggers when it is granted."""
-        req = Request(self)
-        if len(self._users) < self.capacity:
-            self._users.append(req)
-            # Inlined req.succeed(req): grant immediately at the current time.
-            req._ok = True
-            req._value = req
-            sim = self.sim
-            sim._push(sim._now, _NORMAL, req)
+        """Ask for a slot; the returned event triggers when it is granted
+        (already processed if granted at a quiescent instant, ``sim._inst``)."""
+        sim = self.sim
+        users = self._users
+        if len(users) < self.capacity:
+            inst = sim._inst
+            if inst[1][-1] is None and inst[0][-1] is None:
+                req = self._token or self._granted()
+            else:
+                req = Request(self)
+                # Inlined req.succeed(req): grant at the current time.
+                req._ok = True
+                req._value = req
+                sim._push(sim._now, _NORMAL, req)
+            users.append(req)
             if sim.obs.enabled:
                 sim.obs.on_resource_acquire(self, req)
         else:
+            req = Request(self)
+            if self._waiting is _NO_WAITERS:
+                self._waiting = deque()
             self._waiting.append(req)
-            if self.sim.obs.enabled:
-                self.sim.obs.on_resource_wait(self)
+            if sim.obs.enabled:
+                sim.obs.on_resource_wait(self)
+        return req
+
+    def _granted(self) -> Request:
+        """A processed request; shared from then on if only one can be held."""
+        req = Request(self)
+        req.callbacks = None
+        req._ok = True
+        req._value = req
+        if self.capacity == 1:
+            self._token = req
         return req
 
     def release(self, request: Request) -> None:
@@ -145,10 +171,9 @@ class Resource:
                 sim.obs.on_resource_acquire(self, nxt)
 
     def _withdraw(self, request: Request) -> None:
-        try:
-            self._waiting.remove(request)
-        except ValueError:
+        if request not in self._waiting:
             return
+        self._waiting.remove(request)
         if self.sim.obs.enabled:
             self.sim.obs.on_resource_withdraw(self)
 
@@ -172,8 +197,8 @@ class Store:
         self.capacity = capacity
         self.name = name
         self._items: Deque[Any] = deque()
-        self._putters: Deque[StorePut] = deque()  # events carrying the item to add
-        self._getters: Deque[Event] = deque()
+        self._putters: Deque[StorePut] = _NO_WAITERS  # events carrying the item to add
+        self._getters: Deque[Event] = _NO_WAITERS
         self._bound: Optional["_StoreInstruments"] = None  # see Resource._bound
 
     @property
@@ -187,25 +212,34 @@ class Store:
         return len(self._getters)
 
     def put(self, item: Any) -> Event:
-        """Add ``item``; the returned event triggers once there is room."""
+        """Add ``item``; the returned event triggers once there is room
+        (already processed if there is at a quiescent instant, ``sim._inst``)."""
         sim = self.sim
-        event = StorePut(sim, item)
         if len(self._items) < self.capacity and not self._putters:
             self._items.append(item)
-            # Inlined event.succeed(): room is available right now.
-            event._ok = True
-            event._value = None
-            sim._push(sim._now, _NORMAL, event)
+            inst = sim._inst
+            if inst[1][-1] is None and inst[0][-1] is None:
+                event = sim._done
+            else:
+                event = StorePut(sim, item)
+                # Inlined event.succeed(): room is available right now.
+                event._ok = True
+                event._value = None
+                sim._push(sim._now, _NORMAL, event)
             if self._getters:
                 self._serve_getters()
             if sim.obs.enabled:
                 sim.obs.on_store_level(self)
         else:
+            event = StorePut(sim, item)
+            if self._putters is _NO_WAITERS:
+                self._putters = deque()
             self._putters.append(event)
         return event
 
     def get(self) -> Event:
-        """Remove the oldest item; the event's value is the item."""
+        """Remove the oldest item; the event's value is the item (handed
+        over already processed at a quiescent instant, as for :meth:`put`)."""
         sim = self.sim
         event = Event(sim)
         items = self._items
@@ -213,12 +247,18 @@ class Store:
             # Inlined event.succeed(item): an item is available right now.
             event._ok = True
             event._value = items.popleft()
-            sim._push(sim._now, _NORMAL, event)
+            inst = sim._inst
+            if inst[1][-1] is None and inst[0][-1] is None:
+                event.callbacks = None
+            else:
+                sim._push(sim._now, _NORMAL, event)
             if self._putters:
                 self._serve_putters()
             if sim.obs.enabled:
                 sim.obs.on_store_level(self)
         else:
+            if self._getters is _NO_WAITERS:
+                self._getters = deque()
             self._getters.append(event)
         return event
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.util.errors import SimulationError
 
@@ -53,6 +53,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.events import Event
 
 _INF = float("inf")
+
+# A *pending view* is what a drain loop publishes on ``sim._inst`` while it
+# dispatches an event: a pair of sequences (urgent, normal) whose last slot
+# is ``None`` exactly when no event of that rank is pending at the current
+# instant.  A calendar bucket is one; other backends publish these constants.
+_BUSY = ((0,), (0,))
+_IDLE = ((None,), (None,))
 
 
 class EventScheduler:
@@ -65,6 +72,11 @@ class EventScheduler:
     __slots__ = ()
 
     batched = False
+
+    def _pending_view(self, when: float) -> Any:
+        """The pending view of instant ``when``, asked right after a pop
+        (later pushes reach it through ``Simulator._push_tracked``)."""
+        return _BUSY if self.next_time() == when else _IDLE
 
     def push(self, when: float, rank: int, event: "Event") -> None:
         """Enqueue ``event`` at ``when`` with tie-break ``rank``."""
@@ -123,7 +135,9 @@ class CalendarQueue(EventScheduler):
     Events are never removed from a bucket's lists; the cursors advance
     over them and the whole bucket is dropped once both lists are
     exhausted.  Because ``_URGENT == 0`` and ``_NORMAL == 1``, the rank a
-    caller passes to :meth:`push` indexes the bucket directly.
+    caller passes to :meth:`push` indexes the bucket directly.  Each list
+    starts with a consumed ``None`` slot (cursors start at 1), so the bucket
+    is its own pending view: nothing pending iff both lists end in ``None``.
     """
 
     __slots__ = ("_buckets", "_times")
@@ -142,10 +156,13 @@ class CalendarQueue(EventScheduler):
         try:
             self._buckets[when][rank].append(event)
         except KeyError:
-            bucket = [[], [], 0, 0]
+            bucket = [[None], [None], 1, 1]
             bucket[rank].append(event)
             self._buckets[when] = bucket
             heappush(self._times, when)
+
+    def _pending_view(self, when: float) -> list:
+        return self._buckets[when]
 
     def pop(self) -> Optional[Tuple[float, "Event"]]:
         times = self._times

@@ -237,6 +237,94 @@ class TestHookNameFormatRule:
         assert lint_file(write_hot_file(tmp_path, source, package="net")) == []
 
 
+class TestProcessNameFormatRule:
+    """DET008, sibling check: no process name formatted per pass of a generator."""
+
+    def test_fires_on_a_per_buffer_process_name(self, tmp_path):
+        source = textwrap.dedent(
+            """
+            def send(self, buffer):
+                yield self.window.get()
+                self.sim.process(
+                    self._forward(buffer),
+                    name=f"forward[{buffer.stream_id}#{buffer.buffer_id}]",
+                )
+            """
+        )
+        for package in ("net", "engine"):
+            findings = lint_file(write_hot_file(tmp_path, source, package))
+            assert [(d.code, d.line) for d in findings] == [("DET008", 6)]
+
+    def test_tracer_only_and_constant_names_pass(self, tmp_path):
+        source = textwrap.dedent(
+            """
+            def send(self, buffer):
+                yield self.window.get()
+                self.sim.process(
+                    self._forward(buffer),
+                    name=f"forward[{buffer.buffer_id}]"
+                    if self.sim.obs.tracer.enabled else "forward",
+                )
+                self.sim.process(self._ack(buffer), name=self._ack_name)
+            """
+        )
+        assert lint_file(write_hot_file(tmp_path, source, package="net")) == []
+
+
+class TestEagerGrantWindowRule:
+    """DET009: nothing urgent between creating a kernel event and waiting on it."""
+
+    #: The seeded defect: each function spawns or interrupts inside the one
+    #: window where a synchronous grant and a queued grant would disagree.
+    SEEDED = textwrap.dedent(
+        """
+        def send(self, buffer):
+            slot = self.window.get()
+            self.sim.process(self._forward(buffer))
+            yield slot
+
+        def stop(self, victim):
+            with self.cpu.request() as req:
+                victim.interrupt("stop")
+                yield req
+
+        def deposit(self, buffer):
+            done = self.inbox.put(buffer)
+            self.sim.process(self._ack(buffer))
+            if done.callbacks is not None:
+                yield done
+        """
+    )
+
+    def test_fires_on_spawn_and_interrupt_inside_the_window(self, tmp_path):
+        for package in ("sim", "net", "engine"):
+            findings = lint_file(write_hot_file(tmp_path, self.SEEDED, package))
+            assert [(d.code, d.line) for d in findings] == [
+                ("DET009", 4), ("DET009", 9), ("DET009", 14),
+            ]
+
+    def test_waiting_first_or_other_calls_pass(self, tmp_path):
+        source = textwrap.dedent(
+            """
+            def send(self, buffer):
+                slot = self.window.get()
+                if slot.callbacks is not None:
+                    yield slot
+                counter = self._counters.get(buffer.stream_id)
+                self.sim.process(self._forward(buffer))
+                with self.cpu.request() as req:
+                    yield req
+                    self.peer.interrupt("go")
+                other = self.feed.put(buffer)
+                self.cpu.release(req)
+                yield other
+            """
+        )
+        assert lint_file(write_hot_file(tmp_path, source, package="net")) == []
+        cold = write_hot_file(tmp_path, self.SEEDED, package="coordinator")
+        assert lint_file(cold) == []
+
+
 class TestSuppressions:
     def test_line_suppression(self, tmp_path):
         source = textwrap.dedent(
@@ -309,5 +397,5 @@ class TestCLI:
     def test_rule_registry_is_complete(self):
         assert [rule.code for rule in RULES] == [
             "DET001", "DET002", "DET003", "DET004", "DET005",
-            "DET006", "DET007", "DET008",
+            "DET006", "DET007", "DET008", "DET009",
         ]

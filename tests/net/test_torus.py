@@ -332,3 +332,56 @@ class TestStreamRegistry:
         assert torus._switch_cost(0) == pytest.approx(penalty)
         torus.register_stream(0, "c")
         assert torus._switch_cost(0) == pytest.approx(2 * penalty)
+
+
+class TestStreamStateIsFreed:
+    """Per-stream state (window store, byte counter) dies with its stream."""
+
+    def test_redeploying_a_query_leaves_no_window_behind(self):
+        from repro.coordinator.deployer import Deployer
+        from repro.core.experiments.fig8 import SEQUENTIAL, merge_query
+        from repro.hardware.environment import EnvironmentConfig, shared_template
+        from repro.scsql.plan import compile_plan
+
+        env = shared_template(EnvironmentConfig()).fork(seed=3)
+        deployer = Deployer(env)
+        plan = compile_plan(merge_query(30_000, 4, *SEQUENTIAL))
+        for generation in range(6):
+            deployment = deployer.deploy(deployer.place(plan), rp_prefix=f"q+r{generation}/")
+            assert deployment.run().result == [8]
+            deployment.teardown()
+            assert env.torus._stream_windows == {} and env.torus._stream_bytes == {}
+            assert env.torus.in_flight_census() == []
+
+    def test_a_generation_killed_mid_flight_is_freed_once_it_drained(self):
+        from repro.coordinator.deployer import Deployer
+        from repro.core.experiments.fig8 import SEQUENTIAL, merge_query
+        from repro.hardware.environment import EnvironmentConfig, shared_template
+        from repro.scsql.plan import compile_plan
+
+        env = shared_template(EnvironmentConfig()).fork(seed=3)
+        deployer = Deployer(env)
+        plan = compile_plan(merge_query(300_000, 4, *SEQUENTIAL))
+        deployment = deployer.deploy(deployer.place(plan), rp_prefix="q/")
+        deployment.start()
+        env.sim.run(until=0.005)
+        assert env.torus.in_flight_census()  # buffers are travelling
+        deployment.teardown()
+        env.sim.run()
+        assert env.torus._stream_windows == {} and env.torus.in_flight_census() == []
+
+    def test_mpi_close_does_not_drop_the_window_under_a_flying_buffer(self):
+        sim, torus = make_torus()
+        inbox = Store(sim)
+
+        def sender():
+            torus.register_stream(0, "s")
+            for _ in range(3):
+                yield from torus.send(WireBuffer.data("s", "bg:26", 1000, []), 26, 0, inbox)
+            torus.unregister_stream(0, "s")  # local completion: two still fly
+            assert "s" in torus._stream_windows
+
+        sim.process(sender())
+        sim.run()
+        assert inbox.size == 3
+        assert torus._stream_windows == {} and torus.in_flight_census() == []

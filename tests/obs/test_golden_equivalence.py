@@ -14,6 +14,13 @@ and under a full ``Instrumentation()``, the digest of
 must equal ``golden_obs.json``.  Re-record (only when an output change is
 intended and reviewed) with ``python tests/obs/test_golden_equivalence.py``.
 
+PR 13 re-recorded the file once: the kernel now delivers an uncontended
+grant synchronously instead of scheduling it, so ``sim.events_processed``
+fell — and nothing else may ever tell the two kernels apart, which
+``test_only_the_event_count_tells_the_kernels_apart`` keeps checking
+against the same code under a scheduler that queues every grant (that run
+reproduced the PR 12 file digest for digest before the re-record).
+
 Two host-dependent values are normalised: the module-global wire-buffer id
 counter is restarted for each run, and the ``id()``-derived span idents of
 the trace records are dropped.
@@ -40,6 +47,8 @@ from repro.obs.export import (
     utilization_summary,
 )
 from repro.obs.tracer import NULL_TRACER
+from repro.sim import scheduler_override
+from tests.sim.test_eager_grants import NeverQuiescent
 
 GOLDEN_PATH = Path(__file__).with_name("golden_obs.json")
 
@@ -134,6 +143,20 @@ def test_outputs_match_the_recorded_golden(golden, name, mode):
         assert measured[kind] == recorded[kind], (
             f"{kind} output of {name} under {mode} instrumentation changed"
         )
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", POINTS)
+def test_only_the_event_count_tells_the_kernels_apart(name, mode):
+    eager = observe_point(name, mode)
+    with scheduler_override(NeverQuiescent):  # every grant queued, as before PR 13
+        queued = observe_point(name, mode)
+    for kind in ("flows", "jsonl"):
+        assert eager[kind] == queued[kind], kind
+    for kind in ("snapshot", "text", "prometheus"):
+        pairs = zip(eager[kind].splitlines(), queued[kind].splitlines(), strict=True)
+        changed = [pair for pair in pairs if pair[0] != pair[1]]
+        assert len(changed) == 1 and "events_processed" in changed[0][0], (kind, changed)
 
 
 def test_golden_covers_what_it_claims(golden):

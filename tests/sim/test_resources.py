@@ -173,3 +173,55 @@ class TestStore:
         store.put("x")
         store.put("y")
         assert store.size == 2
+
+
+class TestWaiterQueuesAreLazy:
+    """A store or resource that never had a waiter never builds a deque."""
+
+    def test_queues_start_as_the_shared_sentinel(self, sim):
+        from collections import deque
+
+        from repro.sim.resources import _NO_WAITERS
+
+        resource, store = Resource(sim), Store(sim, capacity=1)
+        assert resource._waiting is store._getters is store._putters is _NO_WAITERS
+        assert (resource.queue_length, store.pending_gets) == (0, 0)
+        held = resource.request()
+        resource.release(held)
+        resource.release(held)  # a second release withdraws from the sentinel
+        store.put(1)
+        store.get()
+        assert resource._waiting is store._getters is store._putters is _NO_WAITERS
+        held, waiting = resource.request(), resource.request()
+        store.get()  # waits: the store is empty
+        assert (resource.queue_length, store.pending_gets) == (1, 1)
+        store.put(2)  # serves the getter
+        store.put(3)
+        store.put(4)  # waits: the store is full
+        assert [type(q) for q in (resource._waiting, store._getters, store._putters)] == [
+            deque, deque, deque
+        ]
+        resource.release(held)
+        assert resource._users == [waiting]
+
+    def test_a_session_allocates_none_at_submit(self):
+        import gc
+
+        from repro.core.experiments.scale import scale_config, scale_stream_query
+        from repro.core.multiquery import MultiQuerySession
+        from repro.hardware.environment import shared_template
+        from repro.scsql.plan import compile_plan
+        from repro.sim.resources import _NO_WAITERS
+
+        env = shared_template(scale_config((8, 8, 8))).fork(seed=0)
+        session = MultiQuerySession(env)
+        plan = compile_plan(scale_stream_query(10_000, 1))
+        for _ in range(64):
+            session.submit(plan, payload_bytes=10_000)
+        stores = [o for o in gc.get_objects() if isinstance(o, Store) and o.sim is env.sim]
+        assert len(stores) > 64 * 8
+        for store in stores:
+            assert store._getters is _NO_WAITERS and store._putters is _NO_WAITERS
+        result = session.run()
+        assert len(result.outcomes) == 64
+        session.teardown()
