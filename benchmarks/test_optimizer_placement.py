@@ -16,7 +16,7 @@ intra-BlueGene merge workload, where the rules of thumb do not apply.
 
 import pytest
 
-from repro.coordinator import ClientManager, CoordinatorRegistry
+from repro.coordinator import Deployer, SelectorPlacement
 from repro.coordinator.allocation import KnowledgeBasedSelector
 from repro.core.experiments.ablations import automatic_inbound_query
 from repro.engine import ExecutionSettings
@@ -42,12 +42,12 @@ INBOUND_PAYLOAD = INBOUND_N * 3_000_000 * 5
 def run_query(text, payload, placer_kind, settings):
     env = Environment()
     graph = QueryCompiler(env).compile_select(parse_query(text))
-    coordinators = None
+    strategy = None
     if placer_kind == "knowledge":
-        coordinators = CoordinatorRegistry(env, KnowledgeBasedSelector())
+        strategy = SelectorPlacement(KnowledgeBasedSelector())
     elif placer_kind == "cost":
         CostBasedPlacer(env, settings).place(graph)
-    report = ClientManager(env, coordinators).execute(graph, settings)
+    report = Deployer(env).run(graph, strategy, settings)
     return payload * 8 / report.duration / 1e6
 
 

@@ -16,7 +16,7 @@ Run:  python examples/optimize_placement.py
 """
 
 from repro import CostBasedPlacer, Environment, ExecutionSettings
-from repro.coordinator import ClientManager, CoordinatorRegistry
+from repro.coordinator import Deployer, SelectorPlacement
 from repro.coordinator.allocation import KnowledgeBasedSelector
 from repro.core.experiments.ablations import automatic_inbound_query
 from repro.scsql.compiler import QueryCompiler
@@ -41,13 +41,13 @@ def scsql_queries():
 def measure(query_text, payload_bytes, placer, settings):
     env = Environment()
     graph = QueryCompiler(env).compile_select(parse_query(query_text))
-    coordinators = None
+    strategy = None
     chosen = None
     if placer == "knowledge":
-        coordinators = CoordinatorRegistry(env, KnowledgeBasedSelector())
+        strategy = SelectorPlacement(KnowledgeBasedSelector())
     elif placer == "cost-based":
         chosen = CostBasedPlacer(env, settings).place(graph)
-    report = ClientManager(env, coordinators).execute(graph, settings)
+    report = Deployer(env).run(graph, strategy, settings)
     mbps = payload_bytes * 8 / report.duration / 1e6
     return mbps, chosen, report
 

@@ -24,7 +24,7 @@ Quick start::
 See :mod:`repro.core.experiments` for the figure reproductions.
 """
 
-from repro.coordinator import ClientManager, ExecutionReport, QueryGraph, SPDef
+from repro.coordinator import ExecutionReport, QueryGraph, SPDef
 from repro.core import BandwidthResult, measure_query_bandwidth
 from repro.engine import ExecutionSettings
 from repro.hardware import (
@@ -48,7 +48,6 @@ __all__ = [
     "BlueGeneConfig",
     "ExecutionSettings",
     "NetworkParams",
-    "ClientManager",
     "ExecutionReport",
     "QueryGraph",
     "SPDef",

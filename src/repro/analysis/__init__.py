@@ -4,8 +4,9 @@ Two halves:
 
 * :mod:`repro.analysis.verifier` — proves a compiled
   :class:`~repro.scsql.plan.DeploymentPlan` deployable (or rejects it with
-  coded diagnostics) by replaying placement against a CNDB snapshot, and
-  warns where the cost model shows a topology link-bound.
+  coded diagnostics) by running the deployer's placement resolver against
+  a CNDB snapshot, and warns where the cost model shows a topology
+  link-bound.
 * :mod:`repro.analysis.lint` — AST lints keeping the simulation kernel
   deterministic (no wall clock, no global RNG, no set-order dependence,
   ``__slots__`` events, guarded obs hooks).

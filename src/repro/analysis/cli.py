@@ -21,8 +21,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
-from repro.analysis.snapshot import EnvironmentSnapshot
-from repro.analysis.verifier import PlanVerifier
+from repro.analysis.verifier import verify_plan
 from repro.scsql.ast import CreateFunction
 from repro.scsql.compiler import FunctionDef
 from repro.scsql.parser import parse
@@ -89,8 +88,7 @@ def _verify_statements(
         except QueryError as exc:
             reports.append(_compile_failure(label, exc))
             continue
-        verifier = PlanVerifier(EnvironmentSnapshot.from_config())
-        reports.append(verifier.verify(plan, label=label))
+        reports.append(verify_plan(plan, label=label))
     return reports
 
 

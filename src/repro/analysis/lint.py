@@ -45,6 +45,11 @@ Rules (``DET00x``):
   (``.callbacks``) before any ``.process(`` or ``.interrupt(`` call: those
   schedule urgent events, the one thing a synchronously delivered grant
   (see docs/performance.md) would overtake.
+* **DET010** — the CNDB round-robin cursor (``_rr_cursor``) is touched
+  only by ``repro.hardware`` and the placement resolver
+  (``repro.coordinator.resolver``), whose walk saves and rewinds it
+  atomically; a second writer is how a failed deployment used to shift
+  every later placement.
 
 Run standalone (CI does)::
 
@@ -435,6 +440,10 @@ class ListenerLifecycleRule(LintRule):
 
 
 class SchedulerInternalsRule(LintRule):
+    """Private attributes only their owning code may touch: this rule keeps
+    the scheduler backends' queue layout inside ``repro.sim``, its subclass
+    the CNDB cursor inside ``repro.hardware`` and the placement resolver."""
+
     code = "DET007"
     title = "reliance on raw scheduler internals outside the kernel"
     hot_path_only = False
@@ -442,15 +451,21 @@ class SchedulerInternalsRule(LintRule):
     #: Private queue-layout attributes of the scheduler backends.  Their
     #: same-instant bucket order is backend-specific (and permuted by the
     #: chaos ShuffleScheduler); only the kernel itself may walk them.
-    INTERNALS = ("_heap", "_buckets", "_times", "_next_seq")
+    INTERNALS: Tuple[str, ...] = ("_heap", "_buckets", "_times", "_next_seq")
+    #: Path prefixes below ``repro/`` that own the attributes.
+    OWNERS: Tuple[Tuple[str, ...], ...] = (("sim",),)
+    MESSAGE = (
+        "access to scheduler internal .{attr}: same-instant bucket layout is "
+        "backend-specific and shuffled under chaos; use the EventScheduler "
+        "interface (push/pop/next_time) instead"
+    )
 
     def applies_to(self, path: Path) -> bool:
         parts = path.parts
         if "repro" not in parts:
             return False
         rest = parts[parts.index("repro") + 1:]
-        # The kernel is the one sanctioned reader of its own layout.
-        return bool(rest) and rest[0] != "sim"
+        return bool(rest) and not any(rest[: len(o)] == o for o in self.OWNERS)
 
     def check(self, tree: ast.Module, path: Path) -> Iterable[Tuple[int, str]]:
         for node in ast.walk(tree):
@@ -459,14 +474,21 @@ class SchedulerInternalsRule(LintRule):
             if node.attr not in self.INTERNALS:
                 continue
             if isinstance(node.value, ast.Name) and node.value.id == "self":
-                continue  # a class's own attribute, not a scheduler's
-            yield (
-                node.lineno,
-                f"access to scheduler internal .{node.attr}: same-instant "
-                "bucket layout is backend-specific and shuffled under "
-                "chaos; use the EventScheduler interface (push/pop/"
-                "next_time) instead",
-            )
+                continue  # a class's own attribute, not the guarded one
+            yield (node.lineno, self.MESSAGE.format(attr=node.attr))
+
+
+class PlacementCursorRule(SchedulerInternalsRule):
+    code = "DET010"
+    title = "CNDB round-robin cursor touched outside the placement resolver"
+    INTERNALS = ("_rr_cursor",)
+    OWNERS = (("hardware",), ("coordinator", "resolver.py"))
+    MESSAGE = (
+        "access to the CNDB round-robin cursor .{attr}: it is placement "
+        "state only the resolver's atomic walk (repro.coordinator.resolver) "
+        "may save or rewind, or a failed deployment shifts every later "
+        "placement"
+    )
 
 
 class HookNameFormatRule(LintRule):
@@ -610,6 +632,7 @@ RULES: Tuple[LintRule, ...] = (
     SchedulerInternalsRule(),
     HookNameFormatRule(),
     EagerGrantWindowRule(),
+    PlacementCursorRule(),
 )
 
 

@@ -1,44 +1,27 @@
 """Frozen environment state for static plan verification.
 
-The verifier replays the deployer's placement decisions without a live
+The verifier runs the deployer's placement resolver without a live
 simulator.  :class:`EnvironmentSnapshot` gives it the piece of the
 environment placement actually consults — the per-cluster CNDBs (node
 status + round-robin cursors) plus the cost-model parameters — as private
-copies, so verification can ``acquire()`` nodes and consume allocation
+copies, so verification can acquire nodes and consume allocation
 sequences without disturbing anything real.
 
-The snapshot duck-types as an
-:class:`~repro.hardware.environment.Environment` for
-:meth:`~repro.coordinator.allocation.AllocationSpec.resolve` (which only
-calls ``env.cndb(cluster)``), so the compiler's symbolic allocation specs
-resolve against it unchanged.
+The snapshot offers what
+:func:`~repro.coordinator.resolver.resolve_placement` asks of an
+:class:`~repro.hardware.environment.Environment` (``cndb(cluster)`` and
+``cluster_names()``), so the one placement walk runs against it unchanged.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, Optional, Tuple
 
 from repro.hardware.cndb import ComputeNodeDatabase
-from repro.hardware.environment import (
-    BACKEND,
-    BLUEGENE,
-    DEFAULT_CLUSTERS,
-    FRONTEND,
-    Environment,
-    EnvironmentConfig,
-)
+from repro.hardware.environment import Environment, EnvironmentConfig, EnvironmentTemplate
 from repro.hardware.node import Node
 from repro.net.params import NetworkParams
 from repro.util.errors import HardwareError
-
-
-def _copy_cndb(cndb: ComputeNodeDatabase) -> ComputeNodeDatabase:
-    """A deep-enough copy: fresh Node objects, same occupancy and cursor."""
-    nodes = [dataclasses.replace(node) for node in cndb.all_nodes()]
-    copy = ComputeNodeDatabase(cndb.cluster, nodes)
-    copy._rr_cursor = cndb._rr_cursor
-    return copy
 
 
 class EnvironmentSnapshot:
@@ -57,25 +40,12 @@ class EnvironmentSnapshot:
     def from_config(cls, config: Optional[EnvironmentConfig] = None) -> "EnvironmentSnapshot":
         """A snapshot of a *fresh* environment with the given topology.
 
-        Builds only the CNDBs (no simulator, no networks): this is what
-        ``python -m repro analyze`` uses, and what the verifier assumes
-        when no live environment is supplied.
+        Builds the topology the way an environment does, minus simulator
+        and networks: this is what ``python -m repro analyze`` uses, and
+        what the verifier assumes when no live environment is supplied.
         """
         config = config or EnvironmentConfig()
-        # Deferred: building the clusters pulls in the hardware layer only
-        # when a from-config snapshot is actually requested.
-        from repro.hardware.bluegene import BlueGene
-        from repro.hardware.linux_cluster import LinuxCluster, LinuxClusterConfig
-
-        bluegene = BlueGene(config.bluegene)
-        backend = LinuxCluster(LinuxClusterConfig(BACKEND, config.backend_nodes))
-        frontend = LinuxCluster(LinuxClusterConfig(FRONTEND, config.frontend_nodes))
-        cndbs = {
-            BLUEGENE: ComputeNodeDatabase(BLUEGENE, bluegene.compute_nodes),
-            BACKEND: ComputeNodeDatabase(BACKEND, backend.nodes),
-            FRONTEND: ComputeNodeDatabase(FRONTEND, frontend.nodes),
-        }
-        return cls(cndbs=cndbs, params=config.params)
+        return cls(cndbs=EnvironmentTemplate(config).cndbs, params=config.params)
 
     @classmethod
     def from_environment(cls, env: Environment) -> "EnvironmentSnapshot":
@@ -86,15 +56,13 @@ class EnvironmentSnapshot:
         double allocation (``SCSQ201``); round-robin cursors carry over,
         so selector placement is predicted exactly.
         """
-        cndbs = {name: _copy_cndb(env.cndb(name)) for name in env.cluster_names()}
+        cndbs = {name: env.cndb(name).copy() for name in env.cluster_names()}
         return cls(cndbs=cndbs, params=env.params)
 
     # ------------------------------------------------------------------
-    # Environment duck-typing (what AllocationSpec.resolve() touches)
+    # What resolve_placement() asks of an environment
     # ------------------------------------------------------------------
     def cluster_names(self) -> Tuple[str, ...]:
-        if set(self.cndbs) == set(DEFAULT_CLUSTERS):
-            return DEFAULT_CLUSTERS
         return tuple(self.cndbs)
 
     def cndb(self, cluster: str) -> ComputeNodeDatabase:

@@ -8,16 +8,13 @@ CNDB snapshot:
 
 1. **Structure** (``SCSQ00x``): missing plans, subscriptions to unknown
    stream processes, cycles in the subscription graph, dangling streams.
-2. **Placement** (``SCSQ1xx``/``SCSQ201``): a *static placement
-   simulation* that replays exactly what
-   :class:`~repro.coordinator.deployer.Deployment` construction does —
-   resolve each allocation-spec instance once, walk the stream processes
-   in graph order, select a node per RP (allocation sequence or the naive
-   selector), acquire it — against a private
-   :class:`~repro.analysis.snapshot.EnvironmentSnapshot`.  Any failure the
-   deployer would hit is reported with a precise code instead of a deep
-   ``AllocationError``; because the replay is exact, *verifier-accepts
-   implies deploy-succeeds* on an environment in the snapshot's state.
+2. **Placement** (``SCSQ1xx``/``SCSQ201``): the deployer's own
+   placement walk (:func:`~repro.coordinator.resolver.resolve_placement`)
+   run against a private
+   :class:`~repro.analysis.snapshot.EnvironmentSnapshot`.  Every failure
+   comes back as a coded diagnostic, and since deployment runs the same
+   function, *verifier-accepts implies deploy-succeeds* on an environment
+   in the snapshot's state.
 3. **Locality** (``SCSQ301``): pinned stream processes whose intra-
    BlueGene streams cross pset boundaries.
 4. **Capacity** (``SCSQ4xx``): inbound (back-end -> BlueGene) connection
@@ -35,19 +32,19 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.diagnostics import AnalysisReport, diagnostic
 from repro.analysis.snapshot import EnvironmentSnapshot
+import dataclasses
+
 from repro.coordinator.allocation import (
-    AllocationSequence,
-    AllocationSpec,
-    ExplicitNodesSpec,
     InPsetSpec,
     NaiveSelector,
     NodeSelector,
-    PsetRoundRobinSpec,
+    constant_node_of,
 )
 from repro.coordinator.graph import QueryGraph, SPDef
+from repro.coordinator.resolver import resolve_placement
 from repro.hardware.environment import BACKEND, BLUEGENE, FRONTEND
 from repro.hardware.node import Node
-from repro.util.errors import AllocationError, HardwareError
+from repro.util.errors import HardwareError
 from repro.util.units import MEGA
 
 __all__ = ["PlanVerifier", "verify_plan"]
@@ -71,13 +68,8 @@ class PlanVerifier:
     independent checks.
     """
 
-    def __init__(
-        self,
-        snapshot: Optional[EnvironmentSnapshot] = None,
-        selector: Optional[NodeSelector] = None,
-    ) -> None:
+    def __init__(self, snapshot: Optional[EnvironmentSnapshot] = None) -> None:
         self.snapshot = snapshot or EnvironmentSnapshot.from_config()
-        self.selector = selector or NaiveSelector()
         #: node_id -> sp label, for nodes acquired by earlier verified plans.
         self._owners: Dict[str, str] = {
             node_id: "a pre-existing deployment"
@@ -95,16 +87,15 @@ class PlanVerifier:
     ) -> AnalysisReport:
         """Run every pass over one plan; returns the full report.
 
-        ``selector`` overrides the verifier's node-selection algorithm for
-        this plan (pass the deployment's strategy selector to predict its
-        placement exactly).
+        ``selector`` is the node-selection algorithm the deployment will
+        use for unconstrained stream processes (default: naive).
         """
         report = AnalysisReport(label=label)
-        graph = _graph_of(plan).instantiate()
+        graph = _graph_of(plan)
         structure_ok = self._check_structure(graph, report)
         if not structure_ok:
             return report  # placement over a broken graph compounds noise
-        placements = self._check_placement(graph, report, label, selector)
+        placements = self._place_on_snapshot(graph, report, label, selector)
         self._check_locality(graph, report, placements)
         self._check_capacity(graph, report, placements)
         return report
@@ -211,156 +202,33 @@ class PlanVerifier:
         return True
 
     # ------------------------------------------------------------------
-    # Pass 2: static placement simulation (SCSQ1xx, SCSQ201)
+    # Pass 2: the placement walk, on the snapshot (SCSQ1xx, SCSQ201)
     # ------------------------------------------------------------------
-    def _resolve_specs(
-        self, graph: QueryGraph, report: AnalysisReport
-    ) -> Tuple[Dict[int, AllocationSequence], bool]:
-        """Mirror ``resolve_allocations``: one resolution per spec instance."""
-        resolved: Dict[int, AllocationSequence] = {}
-        ok = True
-        for sp in graph.sps.values():
-            allocation = sp.allocation
-            if not isinstance(allocation, AllocationSpec):
-                continue
-            if id(allocation) in resolved:
-                continue
-            try:
-                resolved[id(allocation)] = allocation.resolve(self.snapshot)
-            except HardwareError as exc:
-                code = "SCSQ101"
-                if isinstance(allocation, InPsetSpec):
-                    code = "SCSQ105"
-                elif isinstance(allocation, PsetRoundRobinSpec):
-                    code = "SCSQ106"
-                report.add(diagnostic(code, str(exc), sp_id=sp.sp_id, span=sp.span))
-                ok = False
-            except AllocationError as exc:
-                report.add(diagnostic("SCSQ102", str(exc), sp_id=sp.sp_id, span=sp.span))
-                ok = False
-        return resolved, ok
-
-    def _check_placement(
+    def _place_on_snapshot(
         self,
         graph: QueryGraph,
         report: AnalysisReport,
         label: str,
         selector: Optional[NodeSelector] = None,
     ) -> Dict[str, Node]:
-        placements: Dict[str, Node] = {}
-        selector = selector or self.selector
-        resolved, ok = self._resolve_specs(graph, report)
-        if not ok:
-            return placements
-        acquired_here: Set[str] = set()
-        for sp in graph.sps.values():
-            try:
-                cndb = self.snapshot.cndb(sp.cluster)
-            except HardwareError as exc:
-                report.add(diagnostic("SCSQ101", str(exc), sp_id=sp.sp_id, span=sp.span))
-                continue
-            allocation = sp.allocation
-            if isinstance(allocation, AllocationSpec):
-                allocation = resolved[id(allocation)]
-            try:
-                if isinstance(allocation, AllocationSequence):
-                    node = self._select_constrained(
-                        sp, allocation, cndb, acquired_here, report
-                    )
-                elif allocation is None:
-                    node = selector.select(cndb)
-                else:  # unknown directive type: leave to the deployer
-                    node = None
-            except (AllocationError, HardwareError) as exc:
-                code = "SCSQ107" if allocation is None else "SCSQ104"
-                report.add(diagnostic(code, str(exc), sp_id=sp.sp_id, span=sp.span))
-                continue
-            if node is None:
-                continue
-            node.acquire()
-            acquired_here.add(node.node_id)
-            self._owners.setdefault(node.node_id, f"{label}:{sp.sp_id}")
-            placements[sp.sp_id] = node
-        # The client manager's own collector RP lands on fe:0 (Linux,
-        # unbounded) — acquire it too so the replay stays exact.
-        try:
+        assignment, diagnostics = resolve_placement(
+            graph, self.snapshot, selector or NaiveSelector()
+        )
+        for found in diagnostics:
+            if found.code == "SCSQ201":  # name the plan holding the node
+                assert found.sp_id is not None
+                sp = graph.sps[found.sp_id]
+                holder = f"{sp.cluster}:{constant_node_of(sp.allocation)}"
+                owner = self._owners.get(holder, "another deployment")
+                found = dataclasses.replace(found, message=f"{found.message} by {owner}")
+            report.add(found)
+        if not diagnostics:
+            for sp_id, node in assignment.nodes.items():
+                self._owners.setdefault(node.node_id, f"{label}:{sp_id}")
+            # The client manager's own collector RP lands on fe:0 (Linux,
+            # unbounded) — a later plan's selector sees it there.
             self.snapshot.node(FRONTEND, 0).acquire()
-        except HardwareError:
-            pass  # non-default topology without a front end: nothing to check
-        return placements
-
-    def _select_constrained(
-        self,
-        sp: SPDef,
-        sequence: AllocationSequence,
-        cndb: Any,
-        acquired_here: Set[str],
-        report: AnalysisReport,
-    ) -> Optional[Node]:
-        """Select via an allocation sequence, classifying every failure."""
-        constant = sequence.constant_node
-        if constant is None:
-            # Non-constant: any failure is sequence exhaustion (SCSQ104) —
-            # lookup of a nonexistent member raises through select() too,
-            # but carries its own message; classify it as SCSQ102.
-            try:
-                return sequence.select(cndb)
-            except AllocationError as exc:
-                if "does not exist" in str(exc):
-                    report.add(
-                        diagnostic("SCSQ102", str(exc), sp_id=sp.sp_id, span=sp.span)
-                    )
-                else:
-                    report.add(
-                        diagnostic(
-                            "SCSQ104",
-                            f"allocation sequence of {sp.sp_id!r} is exhausted: {exc}",
-                            sp_id=sp.sp_id,
-                            span=sp.span,
-                        )
-                    )
-                return None
-        # Constant node: distinguish missing / over-subscribed / taken by
-        # another plan, which the deployer folds into one AllocationError.
-        try:
-            node = cndb.node(constant)
-        except HardwareError:
-            report.add(
-                diagnostic(
-                    "SCSQ102",
-                    f"stream process {sp.sp_id!r} explicitly selects node "
-                    f"{constant} of cluster {cndb.cluster!r}, which does not exist "
-                    f"(cluster has nodes 0..{cndb.num_nodes() - 1})",
-                    sp_id=sp.sp_id,
-                    span=sp.span,
-                )
-            )
-            return None
-        if node.is_available:
-            return node
-        if node.node_id in acquired_here:
-            report.add(
-                diagnostic(
-                    "SCSQ103",
-                    f"node {node.node_id} is over-subscribed: {sp.sp_id!r} selects "
-                    "it explicitly but this plan already placed a stream process "
-                    "there, and the node accepts a single process",
-                    sp_id=sp.sp_id,
-                    span=sp.span,
-                )
-            )
-        else:
-            owner = self._owners.get(node.node_id, "another deployment")
-            report.add(
-                diagnostic(
-                    "SCSQ201",
-                    f"node {node.node_id} selected by {sp.sp_id!r} is already "
-                    f"allocated by {owner}",
-                    sp_id=sp.sp_id,
-                    span=sp.span,
-                )
-            )
-        return None
+        return assignment.nodes
 
     # ------------------------------------------------------------------
     # Pass 3: pset locality (SCSQ301)
@@ -372,9 +240,7 @@ class PlanVerifier:
         allocation = sp.allocation
         if isinstance(allocation, InPsetSpec):
             return allocation.pset_id
-        constant = None
-        if isinstance(allocation, (ExplicitNodesSpec, AllocationSequence)):
-            constant = allocation.constant_node
+        constant = constant_node_of(allocation)
         if constant is None:
             return None
         try:
@@ -417,9 +283,8 @@ class PlanVerifier:
     ) -> None:
         """Prove inbound fan-in link-bound from the calibrated cost model.
 
-        Uses the placements the static simulation just computed (identical
-        to what the deployer will do), so unconstrained stream processes
-        participate too.
+        Uses the placements the resolver just computed (what the deployer
+        will compute), so unconstrained stream processes participate too.
         """
         io = self.snapshot.params.io_node
         # Inbound edges: a be producer feeding a bg consumer over TCP.
@@ -505,4 +370,4 @@ def verify_plan(
         snapshot = EnvironmentSnapshot.from_environment(env)
     else:
         snapshot = EnvironmentSnapshot.from_config(config)
-    return PlanVerifier(snapshot, selector=selector).verify(plan, label=label)
+    return PlanVerifier(snapshot).verify(plan, label=label, selector=selector)

@@ -1,9 +1,10 @@
-"""Coordination layer: client manager, cluster coordinators, node selection.
+"""Coordination layer: deployer, cluster coordinators, node selection.
 
 Implements the control plane of the paper's Figure 2: the client manager on
-the front-end cluster registers subqueries with the per-cluster
-coordinators (feCC, beCC, bgCC), which select nodes from their CNDBs —
-honouring user-supplied allocation sequences — and start running processes.
+the front-end cluster (the :class:`Deployer`) registers subqueries with the
+per-cluster coordinators (feCC, beCC, bgCC); one placement resolver selects
+nodes from their CNDBs — honouring user-supplied allocation sequences —
+and the deployment starts a running process on each.
 """
 
 from repro.coordinator.allocation import (
@@ -22,22 +23,23 @@ from repro.coordinator.allocation import (
     pset_round_robin_sequence,
     urr_sequence,
 )
-from repro.coordinator.client_manager import ROOT_RP_ID, ClientManager, ExecutionReport
 from repro.coordinator.coordinator import (
     BG_POLL_INTERVAL,
     ClusterCoordinator,
     CoordinatorRegistry,
 )
 from repro.coordinator.deployer import (
+    ROOT_RP_ID,
     CostBasedPlacement,
     Deployer,
     Deployment,
+    ExecutionReport,
     PlacedPlan,
     PlacementStrategy,
     SelectorPlacement,
-    resolve_allocations,
 )
 from repro.coordinator.graph import QueryGraph, SPDef
+from repro.coordinator.resolver import Assignment, placement_failure, resolve_placement
 
 __all__ = [
     "AllocationDirective",
@@ -54,7 +56,6 @@ __all__ = [
     "urr_sequence",
     "in_pset_sequence",
     "pset_round_robin_sequence",
-    "ClientManager",
     "ExecutionReport",
     "ROOT_RP_ID",
     "ClusterCoordinator",
@@ -66,7 +67,9 @@ __all__ = [
     "PlacementStrategy",
     "SelectorPlacement",
     "CostBasedPlacement",
-    "resolve_allocations",
+    "Assignment",
+    "resolve_placement",
+    "placement_failure",
     "QueryGraph",
     "SPDef",
 ]

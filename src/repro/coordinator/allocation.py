@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.hardware.cndb import ComputeNodeDatabase
 from repro.hardware.node import Node
-from repro.util.errors import AllocationError
+from repro.util.errors import AllocationError, HardwareError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (environment -> cndb)
     from repro.hardware.environment import Environment
@@ -90,7 +90,7 @@ class AllocationSequence:
     def _lookup(cndb: ComputeNodeDatabase, index: int) -> Node:
         try:
             return cndb.node(index)
-        except Exception as exc:
+        except HardwareError as exc:
             raise AllocationError(
                 f"allocation sequence names node {index}, which does not exist "
                 f"in cluster {cndb.cluster!r}"

@@ -4,7 +4,8 @@
 registered with the coordinator of the cluster where the sub-query is to be
 executed ... Then, the coordinator starts an RP to execute the sub-query"
 (paper section 2.2).  One coordinator per cluster (feCC, beCC, bgCC) owns
-the cluster's CNDB and performs node selection.
+the cluster's CNDB; node selection over those CNDBs is the one walk of
+:mod:`repro.coordinator.resolver`.
 
 The BlueGene peculiarity is preserved: compute nodes cannot accept
 connections, so the bgCC "retrieves new sub-queries from the feCC by
@@ -14,36 +15,21 @@ coordinator and pay a polling latency before the RP exists.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Optional
+from typing import Dict
 
-from repro.coordinator.allocation import AllocationSequence, NaiveSelector, NodeSelector
-from repro.engine.rp import RunningProcess
-from repro.engine.settings import ExecutionSettings
-from repro.engine.sqep import OpSpec
 from repro.hardware.environment import BLUEGENE, Environment
-from repro.hardware.node import Node
-from repro.util.errors import AllocationError, HardwareError
+from repro.util.errors import AllocationError
 
 #: Simulated delay of one bgCC poll of the feCC registration queue.
 BG_POLL_INTERVAL = 1e-3
 
 
 class ClusterCoordinator:
-    """Registration point and node selector for one cluster."""
+    """Registration point of one cluster, owner of its CNDB."""
 
-    def __init__(
-        self,
-        env: Environment,
-        cluster: str,
-        selector: Optional[NodeSelector] = None,
-    ):
-        self.env = env
+    def __init__(self, env: Environment, cluster: str):
         self.cluster = cluster
         self.cndb = env.cndb(cluster)
-        self.selector = selector or NaiveSelector()
-        self.started_rps: List[RunningProcess] = []
-        self._ids = itertools.count()
 
     @property
     def registration_latency(self) -> float:
@@ -54,59 +40,14 @@ class ClusterCoordinator:
         """
         return BG_POLL_INTERVAL if self.cluster == BLUEGENE else 0.0
 
-    def select_node(
-        self,
-        allocation: Optional[AllocationSequence],
-        selector: Optional[NodeSelector] = None,
-    ) -> Node:
-        """Choose the node for a new RP, honouring an allocation sequence.
-
-        ``selector`` overrides this coordinator's default node-selection
-        algorithm for unconstrained placements (a deployment's placement
-        strategy may differ from the coordinator's standing policy).
-        """
-        if allocation is not None:
-            return allocation.select(self.cndb)
-        try:
-            return (selector or self.selector).select(self.cndb)
-        except HardwareError as exc:  # normalized error type for callers
-            raise AllocationError(str(exc)) from exc
-
-    def start_rp(
-        self,
-        sp_id: str,
-        plan: OpSpec,
-        settings: ExecutionSettings,
-        allocation: Optional[AllocationSequence] = None,
-        selector: Optional[NodeSelector] = None,
-        rp_id: Optional[str] = None,
-    ) -> RunningProcess:
-        """Register a subquery and start its running process.
-
-        ``rp_id`` overrides the running process's id (deployments hosting
-        several concurrent queries prefix ids to keep stream ids unique);
-        the default is the stream process id itself.
-        """
-        node = self.select_node(allocation, selector)
-        rp = RunningProcess(
-            rp_id=rp_id if rp_id is not None else sp_id,
-            env=self.env,
-            node=node,
-            plan=plan,
-            settings=settings,
-        )
-        self.started_rps.append(rp)
-        return rp
-
 
 class CoordinatorRegistry:
     """All cluster coordinators of one environment (feCC, beCC, bgCC)."""
 
-    def __init__(self, env: Environment, selector: Optional[NodeSelector] = None):
+    def __init__(self, env: Environment):
         self.env = env
         self.coordinators: Dict[str, ClusterCoordinator] = {
-            name: ClusterCoordinator(env, name, selector)
-            for name in env.cluster_names()
+            name: ClusterCoordinator(env, name) for name in env.cluster_names()
         }
 
     def __getitem__(self, cluster: str) -> ClusterCoordinator:

@@ -10,10 +10,11 @@ to one live :class:`~repro.hardware.environment.Environment`:
   paper's node-selection algorithms (:class:`SelectorPlacement`) or the
   cost-based optimizer (:class:`CostBasedPlacement`) — to a fresh
   instantiation of the plan's graph, yielding a :class:`PlacedPlan`.
-* :meth:`Deployer.deploy` resolves the symbolic allocation constraints
-  against the environment's CNDBs, asks each cluster coordinator to start
-  the running processes, and wires the subscription edges — a live
-  :class:`Deployment`.
+* :meth:`Deployer.deploy` runs the placement resolver
+  (:func:`~repro.coordinator.resolver.resolve_placement`) against the
+  environment's CNDBs, starts a running process on every assigned node,
+  and wires the subscription edges — a live :class:`Deployment`.  A
+  deployment that cannot be built leaves the environment as it found it.
 * :meth:`Deployment.run` drives one query to completion (the classic
   single-query path), while :meth:`Deployment.start` /
   :meth:`Deployment.finish` let several deployments share one simulation —
@@ -24,8 +25,7 @@ to one live :class:`~repro.hardware.environment.Environment`:
   raises nor shifts placement.
 
 "When a user submits a CQ, it is optimized and started in the client
-manager" (paper section 2.2) — :class:`~repro.coordinator.client_manager.
-ClientManager` remains as the one-shot facade over this lifecycle.
+manager" (paper section 2.2) — :meth:`Deployer.run` is that one-shot form.
 """
 
 from __future__ import annotations
@@ -35,13 +35,12 @@ from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
 from repro.coordinator.allocation import (
     AllocationSequence,
-    AllocationSpec,
-    ExplicitNodesSpec,
     NaiveSelector,
     NodeSelector,
 )
 from repro.coordinator.coordinator import CoordinatorRegistry
 from repro.coordinator.graph import QueryGraph
+from repro.coordinator.resolver import placement_failure, resolve_placement
 from repro.engine.control import StopToken
 from repro.engine.monitor import RPStatistics, snapshot
 from repro.engine.objects import END_OF_STREAM
@@ -154,61 +153,6 @@ class ExecutionReport:
 
 
 # ----------------------------------------------------------------------
-# Allocation resolution
-# ----------------------------------------------------------------------
-def resolve_allocations(graph: QueryGraph, env: Environment) -> None:
-    """Materialize symbolic allocation specs against ``env``, in place.
-
-    Each :class:`~repro.coordinator.allocation.AllocationSpec` *instance*
-    resolves exactly once per call — the members of one ``spv()`` share one
-    spec instance, so they end up consuming one shared stateful sequence,
-    matching the paper's semantics (and the former compile-time behaviour
-    bit for bit).  Already-resolved sequences pass through untouched, so
-    the function is idempotent.
-
-    Raises:
-        PlanVerificationError: When an explicit allocation names a node the
-            target environment's CNDB does not contain.  Checked eagerly
-            here — before any RP starts — so a typo like ``sp(..., 'bg',
-            999)`` fails with the offending node id instead of surfacing as
-            an :class:`~repro.util.errors.AllocationError` deep inside node
-            selection, halfway through a partially started deployment.
-    """
-    resolved: Dict[int, AllocationSequence] = {}
-    for sp in graph.sps.values():
-        allocation = sp.allocation
-        if isinstance(allocation, ExplicitNodesSpec):
-            cndb = env.cndb(sp.cluster)
-            known = {node.index for node in cndb.all_nodes()}
-            missing = [index for index in allocation.nodes if index not in known]
-            if missing:
-                from repro.analysis.diagnostics import diagnostic
-
-                rendered = ", ".join(str(index) for index in missing)
-                raise PlanVerificationError(
-                    f"stream process {sp.sp_id!r} explicitly selects node(s) "
-                    f"{rendered} absent from the CNDB of cluster "
-                    f"{sp.cluster!r} (it has {cndb.num_nodes()} nodes)",
-                    diagnostics=[
-                        diagnostic(
-                            "SCSQ102",
-                            f"stream process {sp.sp_id!r} explicitly selects "
-                            f"node {index} of cluster {sp.cluster!r}, which "
-                            "does not exist",
-                            sp_id=sp.sp_id,
-                            span=sp.span,
-                        )
-                        for index in missing
-                    ],
-                )
-        if isinstance(allocation, AllocationSpec):
-            sequence = resolved.get(id(allocation))
-            if sequence is None:
-                sequence = resolved[id(allocation)] = allocation.resolve(env)
-            sp.allocation = sequence
-
-
-# ----------------------------------------------------------------------
 # Placement strategies
 # ----------------------------------------------------------------------
 class PlacementStrategy:
@@ -217,15 +161,15 @@ class PlacementStrategy:
     Explicit allocation sequences in the query always win (the paper's
     rule); a strategy only governs the unconstrained stream processes —
     either by *pinning* them during :meth:`prepare` (cost-based placement)
-    or by nominating a :class:`~repro.coordinator.allocation.NodeSelector`
-    the coordinators consult at deploy time (selector placement).
+    or by nominating the :class:`~repro.coordinator.allocation.NodeSelector`
+    the placement resolver consults at deploy time (selector placement).
     """
 
     name = "strategy"
 
     @property
     def selector(self) -> Optional[NodeSelector]:
-        """Node selector the coordinators should use (None: their default)."""
+        """Node selector for unconstrained SPs (None: the naive default)."""
         return None
 
     def prepare(
@@ -237,10 +181,11 @@ class PlacementStrategy:
 class SelectorPlacement(PlacementStrategy):
     """Placement by a node-selection algorithm, decided at deploy time.
 
-    This is the paper's default pipeline: the cluster coordinators pick
-    "the next available node" (naive) — or any other
-    :class:`~repro.coordinator.allocation.NodeSelector`, e.g. the
-    knowledge-based policy of the ablation study — as each RP starts.
+    This is the paper's default pipeline: each unconstrained stream
+    process gets "the next available node" (naive) — or whatever another
+    :class:`~repro.coordinator.allocation.NodeSelector` picks, e.g. the
+    knowledge-based policy of the ablation study — during the deploy-time
+    placement walk.
     """
 
     def __init__(self, selector: Optional[NodeSelector] = None):
@@ -253,11 +198,6 @@ class SelectorPlacement(PlacementStrategy):
     @property
     def selector(self) -> Optional[NodeSelector]:
         return self._selector
-
-    def prepare(
-        self, graph: QueryGraph, env: Environment, settings: ExecutionSettings
-    ) -> None:
-        pass  # selection happens per-RP at deploy time, on live CNDB state
 
 
 class CostBasedPlacement(PlacementStrategy):
@@ -287,8 +227,8 @@ class PlacedPlan:
 
     The graph is a private instantiation (the source
     :class:`~repro.scsql.plan.DeploymentPlan` stays pristine), possibly
-    carrying placer-pinned allocations; unresolved symbolic specs are
-    materialized at deploy time.
+    carrying placer-pinned allocations; symbolic specs are resolved by the
+    deploy-time placement walk.
     """
 
     graph: QueryGraph
@@ -303,12 +243,13 @@ class PlacedPlan:
 class Deployment:
     """One continuous query deployed onto an environment.
 
-    Construction *is* deployment: allocation specs are resolved, every
-    stream process gets a running process on a coordinator-selected node,
-    and subscription edges are wired.  The query then either runs alone
-    (:meth:`run`) or cooperatively with other deployments sharing the
-    environment's simulator (:meth:`start` + one ``sim.run()`` +
-    :meth:`finish`).
+    Construction *is* deployment: the placement resolver assigns every
+    stream process a node, each gets a running process there, and
+    subscription edges are wired — or, when any of that fails, the
+    exception leaves node occupancy and the CNDB cursors as they were.
+    The query then either runs alone (:meth:`run`) or cooperatively with
+    other deployments sharing the environment's simulator (:meth:`start` +
+    one ``sim.run()`` + :meth:`finish`).
 
     ``rp_prefix`` namespaces the running-process ids (and thereby stream
     ids) so concurrent deployments of identical plans stay distinct; the
@@ -331,32 +272,17 @@ class Deployment:
         self.settings = placed.settings
         self.rp_prefix = rp_prefix
         self.graph.validate()
-        # Snapshot the CNDB round-robin cursors before any node selection,
-        # so teardown() can rewind placement state to the deploy point.
-        self._cursor_snapshot = {
-            name: env.cndb(name)._rr_cursor for name in env.cluster_names()
-        }
-        resolve_allocations(self.graph, env)
-        self.rps: Dict[str, RunningProcess] = {}
-        setup_latency = 0.0
-        for sp in self.graph.sps.values():
-            coordinator = coordinators[sp.cluster]
-            self.rps[sp.sp_id] = coordinator.start_rp(
-                sp.sp_id,
-                sp.plan,
-                self.settings,
-                allocation=sp.allocation,
-                selector=placed.selector,
-                rp_id=rp_prefix + sp.sp_id,
-            )
-            setup_latency = max(setup_latency, coordinator.registration_latency)
-        assert self.graph.root_plan is not None  # validate() checked
-        self.root = RunningProcess(
-            rp_prefix + ROOT_RP_ID, env, node, self.graph.root_plan, self.settings
+        self._assignment, diagnostics = resolve_placement(
+            self.graph, env, placed.selector or NaiveSelector()
         )
-        self.rps[ROOT_RP_ID] = self.root
-        self._wire()
-        self.setup_latency = setup_latency
+        if diagnostics:
+            raise placement_failure(diagnostics)
+        self.rps: Dict[str, RunningProcess] = {}
+        self.setup_latency = max(
+            (coordinators[sp.cluster].registration_latency
+             for sp in self.graph.sps.values()),
+            default=0.0,
+        )
         self.start_time: Optional[float] = None
         self._process = None
         self._collector = None
@@ -369,6 +295,24 @@ class Deployment:
         self.flows_delivered = 0
         self.flow_bytes = 0
         self._flow_listener: Optional[Any] = None
+        # The resolver's slots pass to the running processes (each acquires
+        # its own, for its lifetime); teardown() undoes a partial build.
+        self._assignment.release()
+        try:
+            for sp in self.graph.sps.values():
+                assert sp.plan is not None  # validate() checked
+                self.rps[sp.sp_id] = RunningProcess(
+                    rp_prefix + sp.sp_id, env, self._assignment.nodes[sp.sp_id],
+                    sp.plan, self.settings,
+                )
+            assert self.graph.root_plan is not None
+            self.root = self.rps[ROOT_RP_ID] = RunningProcess(
+                rp_prefix + ROOT_RP_ID, env, node, self.graph.root_plan, self.settings
+            )
+            self._wire()
+        except BaseException:
+            self.teardown()
+            raise
         flows = env.obs.flows
         if flows.enabled:
             self._stream_sources = frozenset(
@@ -460,8 +404,7 @@ class Deployment:
         for rp in self.rps.values():
             rp.terminate()
             rp.release_node()
-        for cluster, cursor in self._cursor_snapshot.items():
-            self.env.cndb(cluster)._rr_cursor = cursor
+        self._assignment.rewind(self.env)
         # Interrupt the collector: an external teardown (fault harness,
         # migration of a wedged query) would otherwise leave it blocked on
         # the root result store forever.  Only the collector is interrupted
@@ -709,14 +652,10 @@ class Deployer:
         call ``report.raise_if_failed()`` (or use the ``verify=`` mode of
         :meth:`deploy`/:meth:`run`) to enforce it.
         """
-        from repro.analysis.snapshot import EnvironmentSnapshot
-        from repro.analysis.verifier import PlanVerifier
+        from repro.analysis.verifier import verify_plan
 
         placed = plan if isinstance(plan, PlacedPlan) else self.place(plan, strategy, settings)
-        snapshot = EnvironmentSnapshot.from_environment(self.env)
-        return PlanVerifier(snapshot).verify(
-            placed.graph, label=label, selector=placed.selector
-        )
+        return verify_plan(placed, env=self.env, label=label, selector=placed.selector)
 
     def deploy(
         self, placed: PlacedPlan, rp_prefix: str = "", verify: Optional[str] = None

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.coordinator.client_manager import ExecutionReport
+from repro.coordinator.deployer import ExecutionReport
 from repro.core.parallel import (
     OBSERVE_NONE,
     SweepExecutor,

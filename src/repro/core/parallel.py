@@ -40,8 +40,7 @@ from repro.coordinator.allocation import (
     NaiveSelector,
     NodeSelector,
 )
-from repro.coordinator.client_manager import ExecutionReport
-from repro.coordinator.deployer import Deployer, SelectorPlacement
+from repro.coordinator.deployer import Deployer, ExecutionReport, SelectorPlacement
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import EnvironmentConfig, shared_template
 from repro.obs.flow import FlowRecord, FlowRecorder

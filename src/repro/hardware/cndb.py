@@ -9,6 +9,7 @@ are all queries against this database.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Iterator, List, Optional, Sequence
 
 from repro.hardware.node import Node, NodeKind
@@ -24,6 +25,14 @@ class ComputeNodeDatabase:
         self.cluster = cluster
         self._nodes: List[Node] = list(nodes)
         self._rr_cursor = 0
+
+    def copy(self) -> "ComputeNodeDatabase":
+        """A private copy: fresh Node objects, same occupancy and cursor."""
+        clone = ComputeNodeDatabase(
+            self.cluster, [dataclasses.replace(node) for node in self._nodes]
+        )
+        clone._rr_cursor = self._rr_cursor
+        return clone
 
     # ------------------------------------------------------------------
     # Plain lookups

@@ -107,13 +107,22 @@ class Node:
         if self.kind is NodeKind.BG_COMPUTE and self.torus_coord is None:
             raise HardwareError(f"BlueGene compute node {self.node_id} needs a torus coordinate")
 
-    @property
-    def is_available(self) -> bool:
-        """True if another running process may be placed on this node."""
+    def can_host(self, pending: int = 0) -> bool:
+        """True if another running process may be placed on this node.
+
+        ``pending`` counts placements decided but not yet acquired — the
+        occupancy of an assignment still under search (the cost-based
+        placer's candidates) — on top of the processes already running.
+        """
         if self.failed or not self.capabilities.can_compute:
             return False
         limit = self.capabilities.max_processes
-        return limit is None or self.running_processes < limit
+        return limit is None or self.running_processes + pending < limit
+
+    @property
+    def is_available(self) -> bool:
+        """True if another running process may be placed here right now."""
+        return self.can_host()
 
     def fail(self) -> None:
         """Mark this node as failed: no further process may be placed here.
@@ -121,9 +130,9 @@ class Node:
         Processes already placed keep their accounting (``release`` still
         works), so a deployment torn down after the failure leaves the
         bookkeeping consistent; only *new* placements are refused, by
-        every consumer of :attr:`is_available` — the CNDB's
-        ``first_available`` scan, the node selectors, and the static plan
-        verifier's placement replay.
+        every consumer of :meth:`can_host` — the CNDB's
+        ``first_available`` scan, the node selectors, the cost-based
+        placer's candidates, and the placement resolver.
         """
         self.failed = True
 

@@ -168,12 +168,10 @@ class CostBasedPlacer:
         seen: Set[Tuple] = set()
         candidates: List[int] = []
         for node in cndb.all_nodes():
-            occupancy = used.get(node.index, 0) + node.running_processes
-            limit = node.capabilities.max_processes
-            if node.failed or not node.capabilities.can_compute:
+            pending = used.get(node.index, 0)
+            if not node.can_host(pending):
                 continue
-            if limit is not None and occupancy >= limit:
-                continue
+            occupancy = pending + node.running_processes
             if cluster == BLUEGENE:
                 distances = tuple(
                     self.env.torus.hop_count(node.index, other) for other in placed_bg

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Optional
 
-from repro.coordinator.client_manager import ClientManager, ExecutionReport
-from repro.coordinator.coordinator import CoordinatorRegistry
+from repro.coordinator.deployer import Deployer, ExecutionReport
 from repro.engine.operators.sources import ExternalReceiver
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import Environment, EnvironmentConfig
@@ -38,11 +37,10 @@ class SCSQSession:
         self,
         env: Optional[Environment] = None,
         settings: Optional[ExecutionSettings] = None,
-        coordinators: Optional[CoordinatorRegistry] = None,
     ):
         self.env = env or Environment(EnvironmentConfig())
         self.settings = settings or ExecutionSettings()
-        self.client_manager = ClientManager(self.env, coordinators)
+        self.deployer = Deployer(self.env)
         self.functions: Dict[str, FunctionDef] = {}
 
     # ------------------------------------------------------------------
@@ -77,7 +75,7 @@ class SCSQSession:
             from repro.optimizer import CostBasedPlacer  # avoid an import cycle
 
             CostBasedPlacer(self.env, effective).place(graph)
-        return self.client_manager.execute(graph, effective, stop_after=stop_after)
+        return self.deployer.run(graph, settings=effective, stop_after=stop_after)
 
     def compile(self, text: str) -> "QueryGraph":
         """Compile a select query without executing it (for inspection)."""

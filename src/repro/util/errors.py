@@ -30,7 +30,16 @@ class AllocationError(ReproError):
 
     The paper (section 2.4) specifies this outcome explicitly: "In case the
     stream contains no available node, the query will fail."
+
+    Attributes:
+        diagnostics: The coded :class:`repro.analysis.Diagnostic` objects
+            behind the failure when the placement resolver raised it (empty
+            for direct selector / sequence failures).
     """
+
+    def __init__(self, message: str, diagnostics=()):
+        super().__init__(message)
+        self.diagnostics = list(diagnostics)
 
 
 class MeasurementError(ReproError):

@@ -1,26 +1,32 @@
-"""Property test: the static verifier's verdict agrees with the deployer.
+"""Properties of the one placement walk.
 
-The verifier's contract (``repro.analysis.verifier``) is that its placement
-pass *replays* deployment exactly, so over arbitrary allocation-directive
-mixes on a fresh paper-shaped environment:
+The static verifier and the deployer both call
+:func:`repro.coordinator.resolver.resolve_placement` — the verifier on a
+snapshot, the deployer on the live environment — so there is no second
+implementation to agree with.  What is left to prove, over arbitrary
+allocation-directive mixes on paper-shaped environments with busy and
+failed nodes, is that the function is what it claims to be:
 
-* verifier accepts (no error diagnostics)  =>  deployment succeeds, on the
-  exact nodes the verifier predicted;
-* verifier rejects with errors            =>  deployment raises.
+(a) a failed walk — bare, or inside ``Deployer.deploy`` — leaves cursors,
+    occupancy and fault flags exactly as it found them;
+(b) ``deploy`` then ``teardown`` is the identity on that state;
+(c) a deployment runs every stream process on the node the resolver
+    assigns on a snapshot of the pre-deploy state (verifier-accepts is
+    deploy-succeeds);
+(d) two plans submitted to one environment get the verdicts one verifier
+    gives them in sequence, whether or not the first went through.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import EnvironmentSnapshot, PlanVerifier
+from repro.analysis import EnvironmentSnapshot, PlanVerifier, Severity
+from repro.coordinator.allocation import NaiveSelector
 from repro.coordinator.deployer import Deployer
+from repro.coordinator.resolver import resolve_placement
 from repro.hardware.environment import Environment, EnvironmentConfig
 from repro.scsql.plan import compile_plan
-from repro.util.errors import (
-    AllocationError,
-    HardwareError,
-    PlanVerificationError,
-)
+from repro.util.errors import AllocationError, PlanVerificationError
 
 #: One BlueGene allocation directive, as SCSQL text (None = unconstrained).
 #: Constants range past the 32-node torus and inPset past the 4 psets, so
@@ -32,6 +38,13 @@ directive_st = st.one_of(
     st.integers(min_value=0, max_value=4).map(lambda k: f"inPset({k})"),
     st.just("psetrr()"),
     st.none(),
+)
+
+#: BlueGene nodes taken out before the walk: held by somebody else, or dead.
+damage_st = st.dictionaries(
+    st.integers(min_value=0, max_value=31),
+    st.sampled_from(["busy", "failed"]),
+    max_size=6,
 )
 
 
@@ -50,39 +63,82 @@ def build_query(directives) -> str:
     return f"select {root} from {decls} where {conjuncts};"
 
 
-@given(directives=st.lists(directive_st, min_size=1, max_size=8))
-@settings(max_examples=80, deadline=None)
-def test_verdict_agrees_with_deployment(directives):
-    plan = compile_plan(build_query(directives))
-    verifier = PlanVerifier(EnvironmentSnapshot.from_config())
-    report = verifier.verify(plan)
+def damaged_environment(damage) -> Environment:
+    env = Environment(EnvironmentConfig())
+    for index, kind in damage.items():
+        node = env.node("bg", index)
+        if kind == "busy":
+            node.acquire()
+        else:
+            node.fail()
+    return env
 
-    deployer = Deployer(Environment(EnvironmentConfig()))
+
+def state(env: Environment):
+    """Cursors, per-node occupancy and fault flags, as one comparable value."""
+    return env.template.snapshot()
+
+
+def try_deploy(deployer: Deployer, plan):
     try:
-        deployment = deployer.deploy(deployer.place(plan))
-    except (AllocationError, HardwareError, PlanVerificationError) as exc:
-        assert not report.ok(), (
-            f"verifier accepted but deployment raised {exc!r}"
-        )
-        return
-    assert report.ok(), (
-        "verifier rejected but deployment succeeded:\n"
-        + report.format_text(verbose=True)
-    )
+        return deployer.deploy(deployer.place(plan))
+    except (AllocationError, PlanVerificationError):
+        return None
 
-    # Exact-replay guarantee: the nodes the verifier acquired in its
-    # snapshot are the nodes the deployment acquired for the same sps.
-    predicted = {
-        owner.split(":", 1)[1]: node_id
-        for node_id, owner in verifier._owners.items()
-    }
-    actual = {
-        sp_id: rp.node.node_id
-        for sp_id, rp in deployment.rps.items()
-        if sp_id in deployment.graph.sps
-    }
-    assert predicted == actual
-    deployer.teardown()
+
+@given(directives=st.lists(directive_st, min_size=1, max_size=8), damage=damage_st)
+@settings(max_examples=80, deadline=None)
+def test_failed_walk_leaves_state_untouched(directives, damage):
+    plan = compile_plan(build_query(directives))
+    env = damaged_environment(damage)
+    before = state(env)
+    assignment, diagnostics = resolve_placement(
+        plan.graph.instantiate(), env, NaiveSelector()
+    )
+    if diagnostics:
+        assert state(env) == before
+        assert try_deploy(Deployer(env), plan) is None
+        assert state(env) == before
+    else:
+        assert list(assignment.nodes) == list(plan.graph.sps)
+        assignment.release()
+        assignment.rewind(env)
+        assert state(env) == before
+
+
+@given(directives=st.lists(directive_st, min_size=1, max_size=8), damage=damage_st)
+@settings(max_examples=60, deadline=None)
+def test_deploy_then_teardown_is_identity(directives, damage):
+    env = damaged_environment(damage)
+    before = state(env)
+    deployer = Deployer(env)
+    deployment = try_deploy(deployer, compile_plan(build_query(directives)))
+    if deployment is not None:
+        assert state(env) != before  # at least fe:0 hosts the collector
+        deployment.teardown()
+    assert state(env) == before
+
+
+@given(directives=st.lists(directive_st, min_size=1, max_size=8), damage=damage_st)
+@settings(max_examples=80, deadline=None)
+def test_verdict_agrees_with_deployment(directives, damage):
+    plan = compile_plan(build_query(directives))
+    env = damaged_environment(damage)
+    snapshot = EnvironmentSnapshot.from_environment(env)
+    report = PlanVerifier(EnvironmentSnapshot.from_environment(env)).verify(plan)
+    assignment, diagnostics = resolve_placement(
+        plan.graph.instantiate(), snapshot, NaiveSelector()
+    )
+    assert [d.code for d in report.diagnostics if d.severity is Severity.ERROR] == [
+        d.code for d in diagnostics
+    ]
+
+    deployment = try_deploy(Deployer(env), plan)
+    assert (deployment is not None) == report.ok()
+    if deployment is not None:
+        assert {
+            sp_id: deployment.rps[sp_id].node.node_id for sp_id in plan.graph.sps
+        } == {sp_id: node.node_id for sp_id, node in assignment.nodes.items()}
 
 
 @given(directives=st.lists(directive_st, min_size=1, max_size=4))
@@ -95,19 +151,6 @@ def test_concurrent_verdicts_agree_with_shared_environment(directives):
     first = verifier.verify(compile_plan(plan_text), label="first")
     second = verifier.verify(compile_plan(plan_text), label="second")
 
-    env = Environment(EnvironmentConfig())
-    deployer = Deployer(env)
-
-    def try_deploy():
-        try:
-            deployer.deploy(deployer.place(compile_plan(plan_text)))
-            return True
-        except (AllocationError, HardwareError, PlanVerificationError):
-            return False
-
-    assert first.ok() == try_deploy()
-    # The second verdict only binds when the first deployment went through
-    # (a failed first deploy may leave partial allocations the verifier's
-    # all-or-nothing snapshot replay does not model).
-    if first.ok():
-        assert second.ok() == try_deploy()
+    deployer = Deployer(Environment(EnvironmentConfig()))
+    assert first.ok() == (try_deploy(deployer, compile_plan(plan_text)) is not None)
+    assert second.ok() == (try_deploy(deployer, compile_plan(plan_text)) is not None)

@@ -1,13 +1,15 @@
 """Verification wired into the deployment path.
 
 ``Deployer.verify`` / ``deploy(verify=...)`` / ``MultiQuerySession(verify=
-...)`` gate deployments on the static verifier, and ``resolve_allocations``
+...)`` gate deployments on the static verifier, and the placement resolver
 rejects explicit allocations naming absent nodes with a typed error.
 """
 
 import pytest
 
-from repro.coordinator.deployer import Deployer, resolve_allocations
+from repro.coordinator.allocation import NaiveSelector
+from repro.coordinator.deployer import Deployer
+from repro.coordinator.resolver import placement_failure, resolve_placement
 from repro.core.multiquery import MultiQuerySession
 from repro.hardware.environment import Environment, EnvironmentConfig
 from repro.scsql.plan import compile_plan
@@ -37,7 +39,7 @@ class TestResolveAllocations:
         env = Environment(EnvironmentConfig())
         graph = compile_plan(ABSENT_NODE).graph.instantiate()
         with pytest.raises(PlanVerificationError) as exc_info:
-            resolve_allocations(graph, env)
+            raise placement_failure(resolve_placement(graph, env, NaiveSelector())[1])
         assert "999" in str(exc_info.value)
         assert "'bg'" in str(exc_info.value)
         assert [d.code for d in exc_info.value.diagnostics] == ["SCSQ102"]
@@ -51,7 +53,7 @@ class TestResolveAllocations:
         )
         graph = compile_plan(query).graph.instantiate()
         with pytest.raises(PlanVerificationError) as exc_info:
-            resolve_allocations(graph, env)
+            raise placement_failure(resolve_placement(graph, env, NaiveSelector())[1])
         assert "40" in str(exc_info.value)
 
     def test_deploy_of_absent_node_fails_before_any_rp_starts(self):

@@ -325,6 +325,43 @@ class TestEagerGrantWindowRule:
         assert lint_file(cold) == []
 
 
+class TestPlacementCursorRule:
+    """DET010: only repro.hardware and the resolver touch the CNDB cursor."""
+
+    #: The seeded defect: the deploy-time cursor save/restore this repo used
+    #: to carry in the deployer (and the copy in the analysis snapshot).
+    SEEDED = textwrap.dedent(
+        """
+        def deploy(self, env):
+            saved = {name: env.cndb(name)._rr_cursor for name in env.cluster_names()}
+            return saved
+
+        def teardown(self, env, saved):
+            for name, cursor in saved.items():
+                env.cndb(name)._rr_cursor = cursor
+        """
+    )
+
+    def test_fires_outside_hardware_and_the_resolver(self, tmp_path):
+        for package in ("coordinator", "analysis", "core"):
+            findings = lint_file(write_hot_file(tmp_path, self.SEEDED, package))
+            assert [(d.code, d.line) for d in findings] == [
+                ("DET010", 3), ("DET010", 8),
+            ]
+
+    def test_hardware_and_the_resolver_are_exempt(self, tmp_path):
+        assert lint_file(write_hot_file(tmp_path, self.SEEDED, "hardware")) == []
+        resolver = write_hot_file(tmp_path, self.SEEDED, "coordinator").with_name(
+            "resolver.py"
+        )
+        resolver.write_text(self.SEEDED)
+        assert lint_file(resolver) == []
+
+    def test_a_class_may_name_its_own_attribute(self, tmp_path):
+        source = "class Cursor:\n    def bump(self):\n        self._rr_cursor = 1\n"
+        assert lint_file(write_hot_file(tmp_path, source, "core")) == []
+
+
 class TestSuppressions:
     def test_line_suppression(self, tmp_path):
         source = textwrap.dedent(
@@ -397,5 +434,5 @@ class TestCLI:
     def test_rule_registry_is_complete(self):
         assert [rule.code for rule in RULES] == [
             "DET001", "DET002", "DET003", "DET004", "DET005",
-            "DET006", "DET007", "DET008", "DET009",
+            "DET006", "DET007", "DET008", "DET009", "DET010",
         ]

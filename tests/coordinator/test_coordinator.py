@@ -1,33 +1,33 @@
-"""Unit tests for cluster coordinators and the client manager."""
+"""Unit tests for cluster coordinators, node selection, and the deployer."""
 
 import pytest
 
-from repro.coordinator.allocation import AllocationSequence
-from repro.coordinator.client_manager import ROOT_RP_ID, ClientManager
-from repro.coordinator.coordinator import (
-    BG_POLL_INTERVAL,
-    ClusterCoordinator,
-    CoordinatorRegistry,
-)
+from repro.coordinator.allocation import AllocationSequence, NaiveSelector
+from repro.coordinator.coordinator import BG_POLL_INTERVAL, CoordinatorRegistry
+from repro.coordinator.deployer import ROOT_RP_ID, Deployer
 from repro.coordinator.graph import QueryGraph, SPDef
-from repro.engine.settings import ExecutionSettings
+from repro.coordinator.resolver import resolve_placement
 from repro.engine.sqep import plan_input, plan_op
 from repro.util.errors import AllocationError, QuerySemanticError
 
 
 class TestCoordinator:
+    @staticmethod
+    def _place_one(env, allocation=None):
+        graph = QueryGraph()
+        graph.add(SPDef("x", "bg", plan_op("iota", 1, 3), allocation))
+        graph.root_plan = plan_input("x")
+        assignment, diagnostics = resolve_placement(graph, env, NaiveSelector())
+        assert diagnostics == []
+        return assignment.nodes["x"]
+
     def test_start_rp_places_and_reserves(self, env):
-        coordinator = ClusterCoordinator(env, "bg")
-        rp = coordinator.start_rp("x", plan_op("iota", 1, 3), ExecutionSettings())
-        assert rp.node.cluster == "bg"
-        assert not rp.node.is_available  # CNK: one process per node
+        node = self._place_one(env)
+        assert node.cluster == "bg"
+        assert not node.is_available  # CNK: one process per node
 
     def test_allocation_sequence_honoured(self, env):
-        coordinator = ClusterCoordinator(env, "bg")
-        rp = coordinator.start_rp(
-            "x", plan_op("iota", 1, 3), ExecutionSettings(), AllocationSequence(7)
-        )
-        assert rp.node.index == 7
+        assert self._place_one(env, AllocationSequence(7)).index == 7
 
     def test_bluegene_pays_polling_latency(self, env):
         registry = CoordinatorRegistry(env)
@@ -72,6 +72,9 @@ class TestQueryGraph:
 
 
 class TestClientManager:
+    """The paper's client-manager role — submit a graph, run it, report —
+    which is ``Deployer.run`` (class name kept: test ids are pinned)."""
+
     def _simple_graph(self):
         graph = QueryGraph()
         graph.add(SPDef("a", "bg", plan_op("iota", 1, 5), AllocationSequence(1)))
@@ -87,7 +90,7 @@ class TestClientManager:
         return graph
 
     def test_executes_and_reports(self, env):
-        report = ClientManager(env).execute(self._simple_graph())
+        report = Deployer(env).run(self._simple_graph())
         assert report.result == [15]
         assert report.scalar_result == 15
         assert report.duration > 0
@@ -100,13 +103,13 @@ class TestClientManager:
         graph = QueryGraph()
         graph.add(SPDef("a", "bg", plan_op("iota", 1, 3), AllocationSequence(1)))
         graph.root_plan = plan_input("a")
-        report = ClientManager(env).execute(graph)
+        report = Deployer(env).run(graph)
         assert report.result == [1, 2, 3]
         with pytest.raises(Exception):
             _ = report.scalar_result
 
     def test_nodes_released_after_execution(self, env):
-        ClientManager(env).execute(self._simple_graph())
+        Deployer(env).run(self._simple_graph())
         assert env.node("bg", 0).is_available
         assert env.node("bg", 1).is_available
 
@@ -114,4 +117,4 @@ class TestClientManager:
         graph = self._simple_graph()
         env.node("bg", 1).acquire()  # the explicit target is busy
         with pytest.raises(AllocationError):
-            ClientManager(env).execute(graph)
+            Deployer(env).run(graph)

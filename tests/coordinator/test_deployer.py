@@ -233,3 +233,95 @@ class TestDeploymentStartFinish:
         assert report.result == plain.result
         assert report.duration == plain.duration
         assert report.rp_placements == plain.rp_placements
+
+
+class TestFailedDeployIsAtomic:
+    """A deployment that cannot be built leaves the environment as found.
+
+    ``a`` takes bg:0 off the round-robin cursor, ``b`` takes bg:3, ``c``
+    collides with ``b``.  The deployer used to raise with bg:0 and bg:3
+    still acquired and the cursor at 1 — and no Deployment object to tear
+    down — so the healthy follow-up plan pinned to bg:3 could not deploy.
+    """
+
+    COLLIDING = (
+        "select count(merge({a,b,c})) from sp a, sp b, sp c "
+        "where a=sp(gen_array(10,2), 'bg', urr('bg')) "
+        "and b=sp(gen_array(10,2), 'bg', 3) "
+        "and c=sp(gen_array(10,2), 'bg', 3)"
+    )
+    FOLLOW_UP = (
+        "select count(extract(a)) from sp a where a=sp(gen_array(10,5), 'bg', 3)"
+    )
+
+    def _assert_pristine(self, env: Environment, before) -> None:
+        from repro.analysis import sanitize
+
+        assert env.template.snapshot() == before
+        for cluster in env.cluster_names():
+            assert all(
+                node.running_processes == 0 and not node.failed
+                for node in env.cndb(cluster).all_nodes()
+            )
+        assert all(cursor == 0 for _, cursor in env.template.snapshot().cursors)
+        sanitize.assert_quiescent(env)
+
+    def test_failed_deploy_leaves_environment_untouched(self):
+        from repro.util.errors import AllocationError
+
+        env = _fresh_env()
+        before = env.template.snapshot()
+        deployer = Deployer(env)
+        with pytest.raises(AllocationError) as exc_info:
+            deployer.deploy(deployer.place(compile_plan(self.COLLIDING)))
+        (found,) = exc_info.value.diagnostics
+        assert found.code == "SCSQ103" and found.sp_id.startswith("c")
+        assert found.span is not None  # points at the offending sp() call
+        self._assert_pristine(env, before)
+        follow_up = compile_plan(self.FOLLOW_UP)
+        assert deployer.verify(follow_up).diagnostics == []
+        assert deployer.run(follow_up).scalar_result == 5
+
+    def test_failed_submit_leaves_session_usable(self):
+        from repro.core.multiquery import MultiQuerySession
+        from repro.util.errors import AllocationError
+
+        session = MultiQuerySession()
+        before = session.env.template.snapshot()
+        with pytest.raises(AllocationError):
+            session.submit(compile_plan(self.COLLIDING), payload_bytes=20)
+        self._assert_pristine(session.env, before)
+        session.submit(compile_plan(self.FOLLOW_UP), payload_bytes=50, label="ok")
+        assert session.run()["ok"].report.scalar_result == 5
+        session.teardown()
+
+    def test_failed_replan_leaves_environment_untouched(self):
+        # The fault harness's replan step: tear the victim down, damage the
+        # hardware, place and deploy again — here onto a plan that cannot fit.
+        from repro.util.errors import AllocationError
+
+        env = _fresh_env()
+        deployer = Deployer(env)
+        victim = deployer.deploy(deployer.place(compile_plan(self.FOLLOW_UP)))
+        deployer.teardown(victim)
+        env.node("bg", 7).fail()
+        after_fault = env.template.snapshot()
+        with pytest.raises(AllocationError):
+            deployer.deploy(
+                deployer.place(compile_plan(self.COLLIDING)), rp_prefix="s0+r1/"
+            )
+        assert env.template.snapshot() == after_fault
+
+    def test_failure_while_wiring_releases_everything(self, monkeypatch):
+        from repro.coordinator.deployer import Deployment
+
+        def broken_wire(self):
+            raise QueryExecutionError("injected wiring failure")
+
+        monkeypatch.setattr(Deployment, "_wire", broken_wire)
+        env = _fresh_env()
+        before = env.template.snapshot()
+        deployer = Deployer(env)
+        with pytest.raises(QueryExecutionError, match="injected wiring failure"):
+            deployer.deploy(deployer.place(compile_plan(inbound_query(2, 3, 50_000, 2))))
+        self._assert_pristine(env, before)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.coordinator.allocation import AllocationSequence
-from repro.coordinator.client_manager import ClientManager
+from repro.coordinator.deployer import Deployer
 from repro.coordinator.graph import QueryGraph, SPDef
 from repro.engine.operators.base import Operator
 from repro.engine.operators.registry import register_operator
@@ -47,13 +47,13 @@ class TestOperatorCrash:
 
     def test_crash_surfaces_as_the_original_error(self, env):
         with pytest.raises(QueryExecutionError, match="injected operator failure"):
-            ClientManager(env).execute(self._graph())
+            Deployer(env).run(self._graph())
 
     def test_crash_does_not_hang_the_simulation(self, env):
         """The downstream count never receives EOS; without failure
         propagation this would be reported as a deadlock."""
         try:
-            ClientManager(env).execute(self._graph())
+            Deployer(env).run(self._graph())
         except QueryExecutionError:
             pass
         # Simulated time advanced only as far as the crash.
@@ -61,7 +61,7 @@ class TestOperatorCrash:
 
     def test_environment_still_usable_for_diagnosis(self, env):
         try:
-            ClientManager(env).execute(self._graph())
+            Deployer(env).run(self._graph())
         except QueryExecutionError:
             pass
         # The crashed query's placements are still recorded on the nodes.

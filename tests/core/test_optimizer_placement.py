@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.coordinator import ClientManager
+from repro.coordinator import Deployer
 from repro.core.experiments.ablations import automatic_inbound_query
 from repro.engine import ExecutionSettings
 from repro.hardware import Environment
@@ -45,7 +45,7 @@ class TestMergePlacement:
             graph = compile_graph(env, MERGE_QUERY)
             if optimize:
                 CostBasedPlacer(env, settings).place(graph)
-            report = ClientManager(env).execute(graph, settings)
+            report = Deployer(env).run(graph, settings=settings)
             return 2 * 200_000 * 10 * 8 / report.duration / 1e6
 
         assert run(True) > 1.1 * run(False)
@@ -70,7 +70,7 @@ class TestInboundPlacement:
             graph = compile_graph(env, automatic_inbound_query(4, 3_000_000, 4))
             if optimize:
                 CostBasedPlacer(env, ExecutionSettings()).place(graph)
-            report = ClientManager(env).execute(graph, ExecutionSettings())
+            report = Deployer(env).run(graph, settings=ExecutionSettings())
             return 4 * 3_000_000 * 4 * 8 / report.duration / 1e6
 
         assert run(True) > 5 * run(False)
@@ -213,6 +213,75 @@ class TestIncrementalReplacement:
         placer = CostBasedPlacer(env, settings)
         assignment = placer.place(graph)
         predicted = placer.predicted_bandwidth(graph, assignment)
-        report = ClientManager(env).execute(graph, settings)
+        report = Deployer(env).run(graph, settings=settings)
         simulated = 2 * 200_000 * 10 / report.duration  # bytes/s
         assert predicted == pytest.approx(simulated, rel=0.15)
+
+
+class TestCandidatesAgreeWithResolver:
+    """The placer's candidate filter and the placement resolver ask one
+    question of a node (``Node.can_host``): whatever the placer offers for
+    an SP, the resolver accepts when that SP is pinned there."""
+
+    @staticmethod
+    def _damaged_environment():
+        import dataclasses
+
+        from repro.hardware.cndb import ComputeNodeDatabase
+
+        env = Environment()
+        # An I/O node listed in the CNDB: communication only, never a host.
+        io_node = dataclasses.replace(env.bluegene.io_nodes[0], index=100)
+        env.cndbs["bg"] = ComputeNodeDatabase(
+            "bg", env.cndb("bg").all_nodes() + [io_node]
+        )
+        env.node("bg", 2).acquire()
+        env.node("bg", 5).fail()
+        env.node("be", 0).acquire()  # Linux: busy but still available
+        env.node("be", 1).fail()
+        return env
+
+    @staticmethod
+    def _resolver_codes(env, graph, pins):
+        from repro.analysis import EnvironmentSnapshot
+        from repro.coordinator import QueryGraph, SPDef
+        from repro.coordinator.allocation import AllocationSequence, NaiveSelector
+        from repro.coordinator.resolver import resolve_placement
+
+        pinned = QueryGraph()  # the walk over just the pinned SPs
+        for sp_id, index in pins.items():
+            sp = graph.sps[sp_id]
+            pinned.add(SPDef(sp_id, sp.cluster, sp.plan, AllocationSequence(index)))
+        _, diagnostics = resolve_placement(
+            pinned, EnvironmentSnapshot.from_environment(env), NaiveSelector()
+        )
+        return [d.code for d in diagnostics]
+
+    def test_every_candidate_is_a_node_the_resolver_accepts(self):
+        env = self._damaged_environment()
+        graph = compile_graph(env, automatic_inbound_query(2, 1000, 2))
+        placer = CostBasedPlacer(env, ExecutionSettings())
+        offered = {"bg": set(), "be": set()}
+        for sp in graph.sps.values():
+            candidates = placer._candidates(sp.cluster, sp.sp_id, graph, {})
+            assert candidates
+            offered[sp.cluster].update(candidates)
+            for index in candidates:
+                assert self._resolver_codes(env, graph, {sp.sp_id: index}) == []
+        assert offered["bg"].isdisjoint({2, 5, 100})
+        assert 1 not in offered["be"] and 0 in offered["be"]
+        # ...and what the placer withholds, the resolver refuses.
+        receiver = next(sp_id for sp_id in graph.sps if sp_id.startswith("b["))
+        for index in (2, 5, 100):
+            assert self._resolver_codes(env, graph, {receiver: index}) == ["SCSQ201"]
+
+    def test_occupancy_of_the_assignment_under_search_counts(self):
+        env = self._damaged_environment()
+        graph = compile_graph(env, MERGE_QUERY)
+        first, second = list(graph.sps)[:2]
+        placer = CostBasedPlacer(env, ExecutionSettings())
+        candidates = placer._candidates("bg", second, graph, {first: 9})
+        assert 9 not in candidates
+        for index in candidates:
+            assert self._resolver_codes(env, graph, {first: 9, second: index}) == []
+        assert self._resolver_codes(env, graph, {first: 9, second: 9}) == ["SCSQ103"]

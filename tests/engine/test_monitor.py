@@ -75,7 +75,7 @@ class TestMetricsBridge:
         assert metrics.gauges["rp.b@2.bytes_received"].value == 4 * 50_000
 
     def test_instrumented_run_snapshots_rp_gauges(self):
-        """client_manager publishes every RP's counters before snapshot."""
+        """The deployment publishes every RP's counters before snapshot."""
         obs = Instrumentation(tracer=NULL_TRACER)
         session = SCSQSession(Environment(EnvironmentConfig(), obs=obs))
         report = session.execute(QUERY)

@@ -11,7 +11,7 @@ the byte counters balance.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coordinator import ClientManager, QueryGraph, SPDef
+from repro.coordinator import Deployer, QueryGraph, SPDef
 from repro.engine import ExecutionSettings, plan_input, plan_op
 from repro.hardware import Environment, EnvironmentConfig
 
@@ -57,7 +57,7 @@ def test_object_conservation(spec):
     graph.root_plan = plan_input("sink")
 
     settings_ = ExecutionSettings(mpi_buffer_bytes=buffer_bytes, double_buffering=double)
-    report = ClientManager(env).execute(graph, settings_)
+    report = Deployer(env).run(graph, settings=settings_)
 
     # Conservation: every generated object is counted exactly once.
     assert report.scalar_result == expected

@@ -5,9 +5,10 @@ import pytest
 from repro.coordinator.allocation import (
     ExplicitNodesSpec,
     InPsetSpec,
+    NaiveSelector,
     UrrSpec,
 )
-from repro.coordinator.deployer import resolve_allocations
+from repro.coordinator.resolver import resolve_placement
 from repro.scsql.compiler import QueryCompiler
 from repro.scsql.parser import parse_query
 from repro.util.errors import QuerySemanticError
@@ -15,6 +16,13 @@ from repro.util.errors import QuerySemanticError
 
 def compile_text(env, text, functions=None):
     return QueryCompiler(env, functions or {}).compile_select(parse_query(text))
+
+
+def placements(env, graph):
+    """Node index per stream process, in graph order, as deployed."""
+    assignment, diagnostics = resolve_placement(graph, env, NaiveSelector())
+    assert diagnostics == []
+    return [node.index for node in assignment.nodes.values()]
 
 
 class TestBasicCompilation:
@@ -96,11 +104,6 @@ class TestBasicCompilation:
 
 
 class TestAllocationResolution:
-    def _allocations(self, env, text):
-        graph = compile_text(env, text)
-        resolve_allocations(graph, env)
-        return {sp.sp_id.split("@")[0]: sp.allocation for sp in graph.sps.values()}
-
     def test_constant_allocation_compiles_to_spec(self, env):
         graph = compile_text(
             env, "select extract(a) from sp a where a=sp(iota(1,2), 'bg', 7)"
@@ -111,12 +114,10 @@ class TestAllocationResolution:
         assert sp.allocation.constant_node == 7
 
     def test_constant_allocation(self, env):
-        allocations = self._allocations(
-            env,
-            "select extract(a) from sp a where a=sp(iota(1,2), 'bg', 7)",
+        graph = compile_text(
+            env, "select extract(a) from sp a where a=sp(iota(1,2), 'bg', 7)"
         )
-        node = allocations["a"].select(env.cndb("bg"))
-        assert node.index == 7
+        assert placements(env, graph) == [7]
 
     def test_urr_allocation(self, env):
         graph = compile_text(
@@ -130,15 +131,7 @@ class TestAllocationResolution:
         assert len(specs) == 1
         assert next(iter(graph.sps.values())).allocation == UrrSpec("be")
         # ...which resolves once and is shared: placements spread over be nodes.
-        resolve_allocations(graph, env)
-        sequences = {id(sp.allocation) for sp in graph.sps.values()}
-        assert len(sequences) == 1
-        placements = set()
-        for sp in graph.sps.values():
-            node = sp.allocation.select(env.cndb("be"))
-            node.acquire()
-            placements.add(node.index)
-        assert placements == {0, 1, 2}
+        assert set(placements(env, graph)) == {0, 1, 2}
 
     def test_inpset_resolved_against_target_cluster(self, env):
         graph = compile_text(
@@ -147,9 +140,8 @@ class TestAllocationResolution:
         )
         (sp,) = graph.sps.values()
         assert sp.allocation == InPsetSpec("bg", 1)
-        resolve_allocations(graph, env)
-        node = sp.allocation.select(env.cndb("bg"))
-        assert env.bluegene.pset_of(node.index) == 1
+        (index,) = placements(env, graph)
+        assert env.bluegene.pset_of(index) == 1
 
     def test_allocation_query_outside_sp_rejected(self, env):
         with pytest.raises(QuerySemanticError, match="allocation sequence"):
@@ -313,13 +305,7 @@ class TestSetupLevelNestedSelects:
             "select merge(a) from bag of sp a "
             "where a=spv({iota(1,2), iota(3,4)}, 'bg', {5, 6})",
         )
-        resolve_allocations(graph, env)
-        placements = []
-        for sp in graph.sps.values():
-            node = sp.allocation.select(env.cndb("bg"))
-            node.acquire()
-            placements.append(node.index)
-        assert placements == [5, 6]
+        assert placements(env, graph) == [5, 6]
 
     def test_duplicate_iteration_variable_rejected(self, env):
         with pytest.raises(QuerySemanticError, match="two 'in' conditions"):
