@@ -6,12 +6,15 @@ show what enabling metrics or full tracing costs (which is allowed to be
 substantial: it is opt-in).
 """
 
+from repro.coordinator.deployer import Deployer
 from repro.core.experiments.fig6 import point_to_point_query
 from repro.core.measurement import measure_query_bandwidth
 from repro.engine.settings import ExecutionSettings
+from repro.hardware.environment import EnvironmentConfig, shared_template
 from repro.obs import Instrumentation
 from repro.obs.flow import NULL_FLOWS
 from repro.obs.tracer import NULL_TRACER
+from repro.scsql.plan import compile_plan
 from repro.sim import Resource, Simulator, Store
 
 ITEMS = 5000
@@ -61,19 +64,19 @@ def test_kernel_throughput_full_tracing(benchmark):
 # metrics-only instrumentation: each hook site is one attribute access
 # plus a falsy ``enabled`` check on the shared NULL_FLOWS singleton.
 # ----------------------------------------------------------------------
-def _measured_query(obs_factory):
+def _measured_query(observe):
     return measure_query_bandwidth(
         point_to_point_query(20_000, 8),
         payload_bytes=20_000 * 8,
         settings=ExecutionSettings(mpi_buffer_bytes=20_000),
         repeats=1,
-        obs_factory=obs_factory,
+        observe=observe,
     )
 
 
 def test_query_uninstrumented(benchmark):
     """Baseline: no Instrumentation at all (NULL_OBS hub)."""
-    benchmark(lambda: _measured_query(None))
+    benchmark(lambda: _measured_query("none"))
 
 
 def test_query_metrics_flows_disabled(benchmark):
@@ -83,16 +86,12 @@ def test_query_metrics_flows_disabled(benchmark):
     the recorder itself; comparing against ``test_query_uninstrumented``
     bounds the cost of the disabled hooks.
     """
-    benchmark(lambda: _measured_query(
-        lambda _k: Instrumentation(tracer=NULL_TRACER, flows=NULL_FLOWS)
-    ))
+    benchmark(lambda: _measured_query("metrics"))
 
 
 def test_query_flows_enabled(benchmark):
     """Full flow tracing: per-hop records on every buffer (opt-in)."""
-    benchmark(lambda: _measured_query(
-        lambda _k: Instrumentation(tracer=NULL_TRACER)
-    ))
+    benchmark(lambda: _measured_query("flows"))
 
 
 # ----------------------------------------------------------------------
@@ -120,7 +119,19 @@ def test_kernel_throughput_live_disabled(benchmark):
 
 
 def test_query_live_sampler_enabled(benchmark):
-    """Windowed sampling + P2 sketches on every completed flow (opt-in)."""
-    benchmark(lambda: _measured_query(
-        lambda _k: Instrumentation(tracer=NULL_TRACER, live=_live_sampler())
-    ))
+    """Windowed sampling + P2 sketches on every completed flow (opt-in).
+
+    A live sampler is not an observation level (nothing sweeps with one), so
+    this row drives the same query on its own environment, as ``repro top``
+    does.
+    """
+    settings = ExecutionSettings(mpi_buffer_bytes=20_000)
+    template = shared_template(EnvironmentConfig())
+
+    def run():
+        # Compiled per call, like the measured rows above.
+        plan = compile_plan(point_to_point_query(20_000, 8), settings=settings)
+        obs = Instrumentation(tracer=NULL_TRACER, live=_live_sampler())
+        return Deployer(template.fork(obs=obs)).run(plan, settings=settings)
+
+    benchmark(run)

@@ -23,8 +23,9 @@ Usage::
 
 ``--quick`` runs a reduced sweep (seconds instead of minutes).  ``--jobs N``
 fans the independent (sweep-point, repeat) simulations over N worker
-processes with bit-identical results (see ``docs/performance.md``); the
-observability flags force in-process runs.  ``query`` executes one SCSQL
+processes with bit-identical results (see ``docs/performance.md``); of the
+observability flags only ``--trace`` and ``--metrics-out`` keep the runs
+in-process (they read the live hub).  ``query`` executes one SCSQL
 statement on a fresh default environment and prints the result and
 placements.  ``multiquery`` compiles two continuous queries once, deploys
 them concurrently on one shared environment (both receiving inside the
@@ -77,39 +78,36 @@ from repro.core.experiments import (
 )
 from repro.obs import Instrumentation, profile, utilization_summary
 from repro.obs.export import write_chrome_trace, write_trace_jsonl
-from repro.obs.flow import NULL_FLOWS
+from repro.obs.instrument import (
+    OBSERVE_FLOWS,
+    OBSERVE_METRICS,
+    OBSERVE_NONE,
+    OBSERVE_TRACE,
+    instrumentation_for,
+)
 from repro.obs.tracer import NULL_TRACER
 from repro.scsql.session import SCSQSession
 
 
-def _wants_observation(args) -> bool:
-    return bool(
-        getattr(args, "trace", None)
-        or getattr(args, "metrics_out", None)
-        or getattr(args, "bottlenecks", None)
-    )
+def _observe_level(args) -> str:
+    """The cheapest observation level serving every observability flag.
 
-
-def _wants_flows(args) -> bool:
-    """Flow tracing is recorded for traces and bottleneck reports only."""
-    return bool(getattr(args, "trace", None) or getattr(args, "bottlenecks", None))
-
-
-def _obs_factory(args):
-    """Instrumentation factory for observed runs (metrics-only without --trace)."""
-    if not _wants_observation(args):
-        return None
-    tracing = bool(getattr(args, "trace", None))
-    flows = None if _wants_flows(args) else NULL_FLOWS
-
-    def factory(_repeat: int) -> Instrumentation:
-        return Instrumentation(tracer=None if tracing else NULL_TRACER, flows=flows)
-
-    return factory
+    ``--metrics-out`` reads the live registry and ``--bottlenecks`` the
+    flows; together they need a level that has both *and* stays in-process,
+    which is ``trace``.
+    """
+    metrics = getattr(args, "metrics_out", None)
+    bottlenecks = getattr(args, "bottlenecks", None)
+    if getattr(args, "trace", None) or (metrics and bottlenecks):
+        return OBSERVE_TRACE
+    if bottlenecks:
+        return OBSERVE_FLOWS
+    return OBSERVE_METRICS if metrics else OBSERVE_NONE
 
 
 def _export_observations(args, sections: List[Tuple[str, Instrumentation]]) -> None:
-    """Write the collected instrumentations per the observability flags."""
+    """Write the collected instrumentations per the observability flags
+    (nothing without one: an unobserved run has no sections)."""
     trace_path = getattr(args, "trace", None)
     if trace_path:
         if trace_path.endswith(".jsonl"):
@@ -170,7 +168,7 @@ def _fig6(args) -> None:
         **({} if sizes is None else {"buffer_sizes": sizes}),
         repeats=args.repeats,
         target_buffers=300 if args.quick else 1500,
-        obs_factory=_obs_factory(args),
+        observe=_observe_level(args),
         jobs=args.jobs,
     )
     print(result.format_table())
@@ -178,16 +176,15 @@ def _fig6(args) -> None:
         f"-> optimum: single={result.optimum(False).buffer_bytes} B, "
         f"double={result.optimum(True).buffer_bytes} B"
     )
-    if _wants_observation(args):
-        _export_observations(args, [
-            (
-                f"fig6 B={p.buffer_bytes} "
-                f"{'double' if p.double_buffering else 'single'} r{i}",
-                obs,
-            )
-            for p in result.points
-            for i, obs in enumerate(p.result.observations)
-        ])
+    _export_observations(args, [
+        (
+            f"fig6 B={p.buffer_bytes} "
+            f"{'double' if p.double_buffering else 'single'} r{i}",
+            obs,
+        )
+        for p in result.points
+        for i, obs in enumerate(p.result.observations)
+    ])
 
 
 def _fig8(args) -> None:
@@ -196,22 +193,21 @@ def _fig8(args) -> None:
         **({} if sizes is None else {"buffer_sizes": sizes}),
         repeats=args.repeats,
         target_buffers=250 if args.quick else 1200,
-        obs_factory=_obs_factory(args),
+        observe=_observe_level(args),
         jobs=args.jobs,
     )
     print(result.format_table())
     print(f"-> balanced advantage: {result.balanced_advantage():.2f}x")
-    if _wants_observation(args):
-        _export_observations(args, [
-            (
-                f"fig8 B={p.buffer_bytes} "
-                f"{'bal' if p.balanced else 'seq'}/"
-                f"{'double' if p.double_buffering else 'single'} r{i}",
-                obs,
-            )
-            for p in result.points
-            for i, obs in enumerate(p.result.observations)
-        ])
+    _export_observations(args, [
+        (
+            f"fig8 B={p.buffer_bytes} "
+            f"{'bal' if p.balanced else 'seq'}/"
+            f"{'double' if p.double_buffering else 'single'} r{i}",
+            obs,
+        )
+        for p in result.points
+        for i, obs in enumerate(p.result.observations)
+    ])
 
 
 def _fig15(args) -> None:
@@ -220,18 +216,17 @@ def _fig15(args) -> None:
         stream_counts=counts,
         repeats=args.repeats,
         array_count=5 if args.quick else 10,
-        obs_factory=_obs_factory(args),
+        observe=_observe_level(args),
         jobs=args.jobs,
     )
     print(result.format_table())
     peak = result.peak(5)
     print(f"-> Query 5 peak: {peak.mbps:.0f} Mbps")
-    if _wants_observation(args):
-        _export_observations(args, [
-            (f"fig15 Q{p.query_number} n={p.n} r{i}", obs)
-            for p in result.points
-            for i, obs in enumerate(p.result.observations)
-        ])
+    _export_observations(args, [
+        (f"fig15 Q{p.query_number} n={p.n} r{i}", obs)
+        for p in result.points
+        for i, obs in enumerate(p.result.observations)
+    ])
 
 
 def _ablations(args) -> None:
@@ -239,7 +234,7 @@ def _ablations(args) -> None:
         stream_counts=(4,) if args.quick else (2, 4, 6, 8),
         repeats=args.repeats,
         count=4 if args.quick else 10,
-        obs_factory=_obs_factory(args),
+        observe=_observe_level(args),
         jobs=args.jobs,
     )
     print(selection.format_table())
@@ -249,23 +244,22 @@ def _ablations(args) -> None:
         if args.quick
         else (500, 1000, 2000, 10_000, 100_000, 1_000_000),
         repeats=args.repeats,
-        obs_factory=_obs_factory(args),
+        observe=_observe_level(args),
         jobs=args.jobs,
     )
     print(buffers.format_table())
-    if _wants_observation(args):
-        sections = [
-            (f"ablation selector={r.selector_name} n={r.n} r{i}", obs)
-            for r in selection.results
-            for i, obs in enumerate(r.observations)
-        ]
-        sections.extend(
-            (f"ablation buffers {pattern} B={size} r{i}", obs)
-            for pattern, table in (("p2p", buffers.p2p), ("merge", buffers.merge))
-            for size, result in sorted(table.items())
-            for i, obs in enumerate(result.observations)
-        )
-        _export_observations(args, sections)
+    sections = [
+        (f"ablation selector={r.selector_name} n={r.n} r{i}", obs)
+        for r in selection.results
+        for i, obs in enumerate(r.observations)
+    ]
+    sections.extend(
+        (f"ablation buffers {pattern} B={size} r{i}", obs)
+        for pattern, table in (("p2p", buffers.p2p), ("merge", buffers.merge))
+        for size, result in sorted(table.items())
+        for i, obs in enumerate(result.observations)
+    )
+    _export_observations(args, sections)
 
 
 def _scaling(args) -> None:
@@ -274,20 +268,19 @@ def _scaling(args) -> None:
         **({} if partitions is None else {"partitions": partitions}),
         repeats=args.repeats,
         array_count=3 if args.quick else 5,
-        obs_factory=_obs_factory(args),
+        observe=_observe_level(args),
         jobs=args.jobs,
     )
     print(study.format_table())
-    if _wants_observation(args):
-        _export_observations(args, [
-            (
-                f"scaling Q{p.query_number} io={p.num_io_nodes} "
-                f"uplink={p.uplink_gbps:g}G r{i}",
-                obs,
-            )
-            for p in study.points
-            for i, obs in enumerate(p.result.observations)
-        ])
+    _export_observations(args, [
+        (
+            f"scaling Q{p.query_number} io={p.num_io_nodes} "
+            f"uplink={p.uplink_gbps:g}G r{i}",
+            obs,
+        )
+        for p in study.points
+        for i, obs in enumerate(p.result.observations)
+    ])
 
 
 def _all(args) -> None:
@@ -305,14 +298,10 @@ def _all(args) -> None:
 
 
 def _query(args) -> None:
-    obs = None
-    if _wants_observation(args):
+    obs = instrumentation_for(_observe_level(args))
+    if obs is not None:
         from repro.hardware.environment import Environment, EnvironmentConfig
 
-        obs = Instrumentation(
-            tracer=None if args.trace else NULL_TRACER,
-            flows=None if _wants_flows(args) else NULL_FLOWS,
-        )
         session = SCSQSession(Environment(EnvironmentConfig(), obs=obs))
     else:
         session = SCSQSession()
@@ -584,7 +573,7 @@ def _top(args) -> int:
     from repro.scsql.plan import compile_plan
     from repro.util.units import MEGA
 
-    points = {point.name: point for point in bench_points()}
+    points = {point.key: point for point in bench_points()}
     name = _TOP_ALIASES.get(args.point, args.point)
     point = points.get(name)
     if point is None:
@@ -596,7 +585,7 @@ def _top(args) -> int:
     window = args.window if args.window is not None else DEFAULT_WINDOW
     streaming = not args.once
     if streaming:
-        print(f"top: {point.name}, window {window * 1e3:g} ms "
+        print(f"top: {point.key}, window {window * 1e3:g} ms "
               f"(simulated), seed {args.seed}")
         print(LIVE_HEADER)
         print("-" * len(LIVE_HEADER))
@@ -622,14 +611,14 @@ def _top(args) -> int:
         if footer:
             print(footer)
     else:
-        print(f"top: {point.name}, window {window * 1e3:g} ms "
+        print(f"top: {point.key}, window {window * 1e3:g} ms "
               f"(simulated), seed {args.seed}")
         print(live_table(sampler))
     mbps = point.payload_bytes * 8.0 / report.duration / MEGA
     print(f"run: {report.duration * 1e3:.3f} ms simulated, {mbps:.2f} Mbps, "
           f"{len(sampler.windows)} window(s)")
     if args.live_out:
-        lines = write_timeseries_jsonl(args.live_out, sampler, label=point.name)
+        lines = write_timeseries_jsonl(args.live_out, sampler, label=point.key)
         print(f"live: {lines} time-series records -> {args.live_out}")
     if args.prom:
         exposition = prometheus_exposition(obs)
@@ -756,7 +745,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs", type=int, default=1, metavar="N",
             help="fan the independent (point, repeat) simulations over N "
                  "worker processes; results are bit-identical to --jobs 1 "
-                 "(ignored when an observability flag forces in-process runs)",
+                 "(--trace and --metrics-out read the live hub and keep "
+                 "the runs in-process)",
         )
         if observable:
             _add_observability_flags(p)

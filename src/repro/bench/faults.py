@@ -327,22 +327,12 @@ class FaultedRunResult:
 # ----------------------------------------------------------------------
 # The injection loop
 # ----------------------------------------------------------------------
-def _is_running(deployment: Deployment) -> bool:
-    """True while a started deployment's driver has not completed."""
-    process = deployment._process
-    return (
-        process is not None
-        and not process.triggered
-        and not deployment.torn_down
-    )
-
-
 def _occupied_bg_nodes(states: Sequence[StreamState]) -> Dict[int, List[StreamState]]:
     """Compute-node index -> streams with a live RP there, deterministic."""
     occupied: Dict[int, List[StreamState]] = {}
     for state in states:
         deployment = state.final
-        if not _is_running(deployment):
+        if not deployment.running:
             continue
         for rp in deployment.rps.values():
             node = rp.node
@@ -519,7 +509,7 @@ def _apply_event(
     env.fabric.degrade_uplink(event.factor)
     degraded.append(f"eth uplink x{event.factor:g}")
     _notify_failure(env, "eth-uplink", "link", f"degraded x{event.factor:g}")
-    running = [state for state in states if _is_running(state.final)]
+    running = [state for state in states if state.final.running]
     if not running:
         return []
     return [rng.choice(running)]

@@ -438,6 +438,12 @@ class Deployment:
     def torn_down(self) -> bool:
         return self._torn_down
 
+    @property
+    def running(self) -> bool:
+        """True while a started deployment's driver has not completed."""
+        process = self._process
+        return process is not None and not process.triggered and not self._torn_down
+
     def stream_ids(self) -> List[str]:
         """Every wire stream this deployment's senders opened, sorted."""
         return sorted(

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.coordinator.deployer import Deployment, MigrationRecord
+from repro.coordinator.deployer import MigrationRecord
 from repro.hardware.environment import BLUEGENE
 from repro.obs.health import HealthEvent
 from repro.optimizer.placement import CostBasedPlacer
@@ -114,16 +114,6 @@ class AdaptiveConfig:
                 f"need 0 < min_factor <= max_factor, got "
                 f"{self.min_factor!r}/{self.max_factor!r}"
             )
-
-
-def _is_running(deployment: Deployment) -> bool:
-    """True while a started deployment's driver has not completed."""
-    process = deployment._process
-    return (
-        process is not None
-        and not process.triggered
-        and not deployment.torn_down
-    )
 
 
 class AdaptiveController:
@@ -237,7 +227,7 @@ class AdaptiveController:
         counts: Dict[str, int] = {}
         for entry in session._entries:
             deployment = entry.deployment
-            if not _is_running(deployment):
+            if not deployment.running:
                 continue
             placer = CostBasedPlacer(session.env, deployment.settings)
             graph = deployment.graph
@@ -288,7 +278,7 @@ class AdaptiveController:
         best: Optional[Tuple[float, object, str, int]] = None
         for entry in session._entries:
             deployment = entry.deployment
-            if not _is_running(deployment):
+            if not deployment.running:
                 continue
             placer = CostBasedPlacer(session.env, deployment.settings)
             graph = deployment.graph

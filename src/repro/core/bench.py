@@ -43,9 +43,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from repro.core.experiments.fig6 import point_to_point_query, scaled_workload
 from repro.core.experiments.fig8 import BALANCED, SEQUENTIAL, merge_query
 from repro.core.experiments.fig15 import inbound_query
-from repro.core.measurement import measure_query_bandwidth
-from repro.core.parallel import OBSERVE_FLOWS
+from repro.core.measurement import PointSpec, measure_points
 from repro.engine.settings import ExecutionSettings
+from repro.obs.instrument import OBSERVE_FLOWS
 from repro.util.stats import percentile
 
 #: Schema version of the BENCH JSON document.
@@ -60,34 +60,20 @@ DEFAULT_TOLERANCE_PCT = 5.0
 WALL_CLOCK_TOLERANCE_PCT = 50.0
 
 
-@dataclass(frozen=True)
-class BenchPoint:
-    """One benchmarked query configuration."""
-
-    name: str
-    query: str
-    payload_bytes: int
-    settings: ExecutionSettings
-
-    @property
-    def figure(self) -> str:
-        """The figure subset the point belongs to (e.g. ``"fig6"``)."""
-        return self.name.split("[", 1)[0]
-
-
-def bench_points() -> List[BenchPoint]:
-    """The fast figure-sweep subset the gate measures.
+def bench_points() -> List[PointSpec]:
+    """The fast figure-sweep subset the gate measures, keyed by point name
+    (``"fig6[B=200,double]"``; :func:`figure_of_metric` names its figure).
 
     One point per mechanism the repo models: packet quantisation (fig6
     small vs large buffers), intermediate-co-processor routing (fig8
     sequential vs balanced), and the Ethernet ingress with and without
     I/O-node sharing (fig15 Q5 at n=4 vs n=5, Q1 at n=2).
     """
-    points: List[BenchPoint] = []
+    points: List[PointSpec] = []
     for buffer_bytes in (200, 1000, 100_000):
         array_bytes, count = scaled_workload(buffer_bytes, target_buffers=120)
-        points.append(BenchPoint(
-            name=f"fig6[B={buffer_bytes},double]",
+        points.append(PointSpec(
+            key=f"fig6[B={buffer_bytes},double]",
             query=point_to_point_query(array_bytes, count),
             payload_bytes=array_bytes * count,
             settings=ExecutionSettings(
@@ -96,8 +82,8 @@ def bench_points() -> List[BenchPoint]:
         ))
     array_bytes, count = scaled_workload(100_000, target_buffers=120)
     for label, (x, y) in (("seq", SEQUENTIAL), ("bal", BALANCED)):
-        points.append(BenchPoint(
-            name=f"fig8[B=100000,{label},double]",
+        points.append(PointSpec(
+            key=f"fig8[B=100000,{label},double]",
             query=merge_query(array_bytes, count, x, y),
             payload_bytes=2 * array_bytes * count,
             settings=ExecutionSettings(
@@ -105,8 +91,8 @@ def bench_points() -> List[BenchPoint]:
             ),
         ))
     for query_number, n in ((1, 2), (5, 4), (5, 5)):
-        points.append(BenchPoint(
-            name=f"fig15[Q{query_number},n={n}]",
+        points.append(PointSpec(
+            key=f"fig15[Q{query_number},n={n}]",
             query=inbound_query(query_number, n, 300_000, 3),
             payload_bytes=n * 300_000 * 3,
             settings=ExecutionSettings(),
@@ -129,7 +115,9 @@ def run_bench(
 ) -> Dict[str, float]:
     """Measure every bench point; returns the flat metric mapping.
 
-    With ``jobs > 1`` the repeats of each point fan out over worker
+    Each figure's points run as one
+    :func:`~repro.core.measurement.measure_points` sweep, so with
+    ``jobs > 1`` its (point, repeat) simulations fan out over worker
     processes; the simulated metrics (mbps, latency percentiles) are
     bit-identical either way.  The wall-clock family then measures the
     *parallel* harness, so baselines should be recorded at the same
@@ -148,45 +136,37 @@ def run_bench(
                 f"expected a subset of {list(BENCH_FIGURES)}"
             )
     metrics: Dict[str, float] = {}
-    wall_by_figure: Dict[str, float] = {}
-    events_by_figure: Dict[str, float] = {}
+    sweeps: Dict[str, List[PointSpec]] = {}
     for point in bench_points():
-        if figures is not None and point.figure not in figures:
-            continue
+        figure = figure_of_metric(point.key)
+        if figures is None or figure in figures:
+            sweeps.setdefault(figure, []).append(point)
+    for figure, points in sweeps.items():
         started = time.perf_counter()
-        result = measure_query_bandwidth(
-            point.query,
-            point.payload_bytes,
-            settings=point.settings,
-            repeats=repeats,
-            jobs=jobs,
-            observe=OBSERVE_FLOWS,
+        results = measure_points(
+            points, repeats=repeats, jobs=jobs, observe=OBSERVE_FLOWS
         )
         wall = time.perf_counter() - started
-        events = sum(
-            report.metrics.counter("sim.events_processed")
-            for report in result.reports
-            if report.metrics is not None
-        )
-        figure = point.figure
-        wall_by_figure[figure] = wall_by_figure.get(figure, 0.0) + wall
-        events_by_figure[figure] = events_by_figure.get(figure, 0.0) + events
-        latencies = [
-            latency
-            for obs in result.observations
-            for latency in obs.flows.latencies()
-        ]
-        metrics[f"{point.name}/mbps"] = result.mean_mbps
-        if latencies:
-            metrics[f"{point.name}/p50_ms"] = percentile(latencies, 50.0) * 1e3
-            metrics[f"{point.name}/p95_ms"] = percentile(latencies, 95.0) * 1e3
-        if progress is not None:
-            progress(f"{point.name}: {result.mean_mbps:.1f} Mbps, "
-                     f"{len(latencies)} flows, {wall:.2f} s wall")
-    for figure, wall in sorted(wall_by_figure.items()):
+        events = 0.0
+        for point in points:
+            result = results[point.key]
+            events += sum(
+                report.metrics.counter("sim.events_processed")
+                for report in result.reports
+            )
+            latencies = result.flow_latencies()
+            metrics[f"{point.key}/mbps"] = result.mean_mbps
+            if latencies:
+                metrics[f"{point.key}/p50_ms"] = percentile(latencies, 50.0) * 1e3
+                metrics[f"{point.key}/p95_ms"] = percentile(latencies, 95.0) * 1e3
+            if progress is not None:
+                progress(f"{point.key}: {result.mean_mbps:.1f} Mbps, "
+                         f"{len(latencies)} flows")
         metrics[f"{figure}/wall_s"] = wall
         if wall > 0.0:
-            metrics[f"{figure}/events_per_sec"] = events_by_figure[figure] / wall
+            metrics[f"{figure}/events_per_sec"] = events / wall
+        if progress is not None:
+            progress(f"{figure}: {len(points)} point(s), {wall:.2f} s wall")
     if figures is None or "scale" in figures:
         # Imported here: the scale experiment pulls in the multiquery
         # session machinery, which the figure-sweep subsets don't need.

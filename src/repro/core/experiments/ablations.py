@@ -18,28 +18,15 @@ selection algorithm; these ablations close that loop:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.coordinator.allocation import (
-    KnowledgeBasedSelector,
-    NaiveSelector,
-    NodeSelector,
-)
 from repro.core.experiments.fig6 import point_to_point_query, scaled_workload
 from repro.core.experiments.fig8 import merge_query
-from repro.core.measurement import (
-    BandwidthResult,
-    PointSpec,
-    measure_points,
-    measure_query_bandwidth,
-)
-from repro.core.parallel import OBSERVE_NONE, SweepTask, run_sweep_task
+from repro.core.measurement import BandwidthResult, PointSpec, measure_points
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import EnvironmentConfig
-from repro.obs.instrument import Instrumentation
-from repro.scsql.plan import compile_plan
-from repro.util.stats import MeasurementStats, summarize
-from repro.util.units import MEGA
+from repro.obs.instrument import OBSERVE_NONE, Instrumentation
+from repro.util.stats import MeasurementStats
 
 
 def automatic_inbound_query(n: int, array_bytes: int, count: int) -> str:
@@ -103,44 +90,6 @@ class NodeSelectionAblation:
         return "\n".join(lines)
 
 
-def _measure_with_selector(
-    selector: NodeSelector,
-    n: int,
-    array_bytes: int,
-    count: int,
-    repeats: int,
-    template: EnvironmentConfig,
-    base_seed: int,
-    obs_factory: Optional[Callable[[int], Instrumentation]] = None,
-) -> SelectorResult:
-    """In-process repeats of one (selector, n) point via the one worker
-    entry point, with the live ``obs_factory`` instrumentation handed in."""
-    samples = []
-    observations: List[Instrumentation] = []
-    query_text = automatic_inbound_query(n, array_bytes, count)
-    plan = compile_plan(query_text)
-    payload = n * array_bytes * count
-    for k in range(repeats):
-        obs = obs_factory(k) if obs_factory is not None else None
-        if obs is not None:
-            observations.append(obs)
-        task = SweepTask(
-            point_key=(selector.name, n),
-            seed=base_seed + k,
-            query=query_text,
-            payload_bytes=payload,
-            env_config=template,
-            selector=selector.name,
-            plan=plan,
-        )
-        outcome = run_sweep_task(task, obs=obs)
-        samples.append(payload * 8.0 / outcome.report.duration / MEGA)
-    return SelectorResult(
-        selector_name=selector.name, n=n, mbps=summarize(samples),
-        observations=observations,
-    )
-
-
 def run_node_selection_ablation(
     stream_counts: Sequence[int] = (2, 4, 6, 8),
     repeats: int = 3,
@@ -148,28 +97,14 @@ def run_node_selection_ablation(
     count: int = 10,
     env_config: Optional[EnvironmentConfig] = None,
     base_seed: int = 0,
-    obs_factory: Optional[Callable[[int], Instrumentation]] = None,
     jobs: int = 1,
     observe: str = OBSERVE_NONE,
 ) -> NodeSelectionAblation:
     """Compare naive and knowledge-based automatic placement.
 
-    ``obs_factory`` forces the in-process path; with ``jobs > 1`` every
-    (selector, n, repeat) simulation fans out over worker processes, the
-    selector named declaratively in the task payload.
+    Every (selector, n, repeat) simulation is one sweep task, the selector
+    named declaratively in its payload.
     """
-    template = env_config or EnvironmentConfig()
-    if obs_factory is not None:
-        results: List[SelectorResult] = []
-        for n in stream_counts:
-            for selector in (NaiveSelector(), KnowledgeBasedSelector()):
-                results.append(
-                    _measure_with_selector(
-                        selector, n, array_bytes, count, repeats, template,
-                        base_seed, obs_factory,
-                    )
-                )
-        return NodeSelectionAblation(results=results)
     specs = [
         PointSpec(
             key=(selector_name, n),
@@ -182,7 +117,7 @@ def run_node_selection_ablation(
         for selector_name in ("naive", "knowledge")
     ]
     table = measure_points(
-        specs, repeats=repeats, env_config=template, base_seed=base_seed,
+        specs, repeats=repeats, env_config=env_config, base_seed=base_seed,
         jobs=jobs, observe=observe,
     )
     return NodeSelectionAblation(
@@ -236,36 +171,10 @@ def run_buffer_choice_ablation(
     buffer_sizes: Sequence[int] = (500, 1000, 2000, 10_000, 100_000, 1_000_000),
     repeats: int = 3,
     env_config: Optional[EnvironmentConfig] = None,
-    obs_factory: Optional[Callable[[int], Instrumentation]] = None,
     jobs: int = 1,
     observe: str = OBSERVE_NONE,
 ) -> BufferChoiceAblation:
     """Sweep buffer sizes for both patterns (balanced nodes, double buffers)."""
-    if obs_factory is not None:
-        p2p: Dict[int, BandwidthResult] = {}
-        merge: Dict[int, BandwidthResult] = {}
-        for buffer_bytes in buffer_sizes:
-            array_bytes, count = scaled_workload(buffer_bytes, target_buffers=800)
-            settings = ExecutionSettings(
-                mpi_buffer_bytes=buffer_bytes, double_buffering=True
-            )
-            p2p[buffer_bytes] = measure_query_bandwidth(
-                point_to_point_query(array_bytes, count),
-                payload_bytes=array_bytes * count,
-                settings=settings,
-                repeats=repeats,
-                env_config=env_config,
-                obs_factory=obs_factory,
-            )
-            merge[buffer_bytes] = measure_query_bandwidth(
-                merge_query(array_bytes, count, 1, 4),
-                payload_bytes=2 * array_bytes * count,
-                settings=settings,
-                repeats=repeats,
-                env_config=env_config,
-                obs_factory=obs_factory,
-            )
-        return BufferChoiceAblation(p2p=p2p, merge=merge)
     specs: List[PointSpec] = []
     for buffer_bytes in buffer_sizes:
         array_bytes, count = scaled_workload(buffer_bytes, target_buffers=800)

@@ -29,18 +29,12 @@ Published observations being reproduced:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.measurement import (
-    BandwidthResult,
-    PointSpec,
-    measure_points,
-    measure_query_bandwidth,
-)
-from repro.core.parallel import OBSERVE_NONE
+from repro.core.measurement import BandwidthResult, PointSpec, measure_points
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import EnvironmentConfig
-from repro.obs.instrument import Instrumentation
+from repro.obs.instrument import OBSERVE_NONE
 
 #: The paper sweeps the number of parallel back-end streams.
 DEFAULT_STREAM_COUNTS: Tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
@@ -166,16 +160,14 @@ def run_fig15(
     array_bytes: int = PAPER_ARRAY_BYTES,
     array_count: int = DEFAULT_ARRAY_COUNT,
     env_config: Optional[EnvironmentConfig] = None,
-    obs_factory: Optional[Callable[[int], Instrumentation]] = None,
     jobs: int = 1,
     observe: str = OBSERVE_NONE,
 ) -> Fig15Result:
     """Run the Figure 15 sweep for the selected queries and stream counts.
 
-    ``obs_factory`` (repeat index -> instrumentation) observes every repeat
-    of every point and forces in-process execution; with ``jobs > 1`` all
-    (point, repeat) simulations fan out over worker processes.  See
-    :func:`repro.core.measurement.measure_query_bandwidth`.
+    ``jobs`` and ``observe`` are those of
+    :func:`repro.core.measurement.measure_points`; each repeat's hub lands on
+    its point's ``result.observations``.
     """
     settings = ExecutionSettings()
     specs: List[PointSpec] = [
@@ -188,22 +180,9 @@ def run_fig15(
         for query_number in queries
         for n in stream_counts
     ]
-    if obs_factory is not None:
-        results = {
-            spec.key: measure_query_bandwidth(
-                spec.query,
-                payload_bytes=spec.payload_bytes,
-                settings=spec.settings,
-                repeats=repeats,
-                env_config=env_config,
-                obs_factory=obs_factory,
-            )
-            for spec in specs
-        }
-    else:
-        results = measure_points(
-            specs, repeats=repeats, env_config=env_config, jobs=jobs, observe=observe
-        )
+    results = measure_points(
+        specs, repeats=repeats, env_config=env_config, jobs=jobs, observe=observe
+    )
     return Fig15Result(
         points=[
             Fig15Point(query_number=query_number, n=n, result=results[(query_number, n)])

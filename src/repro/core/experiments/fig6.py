@@ -21,18 +21,12 @@ bandwidth unchanged while keeping small-buffer sweeps tractable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.measurement import (
-    BandwidthResult,
-    PointSpec,
-    measure_points,
-    measure_query_bandwidth,
-)
-from repro.core.parallel import OBSERVE_NONE
+from repro.core.measurement import BandwidthResult, PointSpec, measure_points
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import EnvironmentConfig
-from repro.obs.instrument import Instrumentation
+from repro.obs.instrument import OBSERVE_NONE
 
 #: Buffer sizes swept by default (log-spaced 100 B .. 1 MB, as in Figure 6).
 DEFAULT_BUFFER_SIZES: Tuple[int, ...] = (
@@ -125,17 +119,14 @@ def run_fig6(
     repeats: int = 5,
     target_buffers: int = 1500,
     env_config: Optional[EnvironmentConfig] = None,
-    obs_factory: Optional[Callable[[int], Instrumentation]] = None,
     jobs: int = 1,
     observe: str = OBSERVE_NONE,
 ) -> Fig6Result:
     """Run the Figure 6 sweep and return both curves.
 
-    ``obs_factory`` (repeat index -> instrumentation) observes every repeat
-    of every point and forces in-process execution; the instrumentations
-    land on each point's ``result.observations``.  With ``jobs > 1`` (and
-    no ``obs_factory``) all (point, repeat) simulations fan out over worker
-    processes, bit-identically to a serial run.
+    ``jobs`` and ``observe`` are those of
+    :func:`repro.core.measurement.measure_points`; each repeat's hub lands on
+    its point's ``result.observations``.
     """
     specs: List[PointSpec] = []
     for buffer_bytes in buffer_sizes:
@@ -153,22 +144,9 @@ def run_fig6(
                     settings=settings,
                 )
             )
-    if obs_factory is not None:
-        results = {
-            spec.key: measure_query_bandwidth(
-                spec.query,
-                payload_bytes=spec.payload_bytes,
-                settings=spec.settings,
-                repeats=repeats,
-                env_config=env_config,
-                obs_factory=obs_factory,
-            )
-            for spec in specs
-        }
-    else:
-        results = measure_points(
-            specs, repeats=repeats, env_config=env_config, jobs=jobs, observe=observe
-        )
+    results = measure_points(
+        specs, repeats=repeats, env_config=env_config, jobs=jobs, observe=observe
+    )
     return Fig6Result(
         points=[
             Fig6Point(

@@ -20,19 +20,13 @@ Published shape being reproduced:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.experiments.fig6 import scaled_workload
-from repro.core.measurement import (
-    BandwidthResult,
-    PointSpec,
-    measure_points,
-    measure_query_bandwidth,
-)
-from repro.core.parallel import OBSERVE_NONE
+from repro.core.measurement import BandwidthResult, PointSpec, measure_points
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import EnvironmentConfig
-from repro.obs.instrument import Instrumentation
+from repro.obs.instrument import OBSERVE_NONE
 
 #: Buffer sizes swept by default (Figure 8 reaches further right).
 DEFAULT_BUFFER_SIZES: Tuple[int, ...] = (
@@ -128,16 +122,14 @@ def run_fig8(
     repeats: int = 5,
     target_buffers: int = 1200,
     env_config: Optional[EnvironmentConfig] = None,
-    obs_factory: Optional[Callable[[int], Instrumentation]] = None,
     jobs: int = 1,
     observe: str = OBSERVE_NONE,
 ) -> Fig8Result:
     """Run the Figure 8 sweep and return all four curves.
 
-    ``obs_factory`` (repeat index -> instrumentation) observes every repeat
-    of every point and forces in-process execution; with ``jobs > 1`` all
-    (point, repeat) simulations fan out over worker processes.  See
-    :func:`repro.core.measurement.measure_query_bandwidth`.
+    ``jobs`` and ``observe`` are those of
+    :func:`repro.core.measurement.measure_points`; each repeat's hub lands on
+    its point's ``result.observations``.
     """
     specs: List[PointSpec] = []
     for buffer_bytes in buffer_sizes:
@@ -157,22 +149,9 @@ def run_fig8(
                         settings=settings,
                     )
                 )
-    if obs_factory is not None:
-        results = {
-            spec.key: measure_query_bandwidth(
-                spec.query,
-                payload_bytes=spec.payload_bytes,
-                settings=spec.settings,
-                repeats=repeats,
-                env_config=env_config,
-                obs_factory=obs_factory,
-            )
-            for spec in specs
-        }
-    else:
-        results = measure_points(
-            specs, repeats=repeats, env_config=env_config, jobs=jobs, observe=observe
-        )
+    results = measure_points(
+        specs, repeats=repeats, env_config=env_config, jobs=jobs, observe=observe
+    )
     return Fig8Result(
         points=[
             Fig8Point(

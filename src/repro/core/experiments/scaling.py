@@ -21,15 +21,15 @@ uplink, which answers the question the paper leaves open:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.experiments.fig15 import inbound_query
-from repro.core.measurement import BandwidthResult, measure_query_bandwidth
+from repro.core.measurement import BandwidthResult, PointSpec, measure_points
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.bluegene import BlueGeneConfig
 from repro.hardware.environment import EnvironmentConfig
 from repro.net.params import NetworkParams
-from repro.obs.instrument import Instrumentation
+from repro.obs.instrument import OBSERVE_NONE
 from repro.util.units import gbps
 
 #: Partition sizes swept: (torus shape, number of psets/I-O/back-end nodes).
@@ -119,38 +119,43 @@ def run_scaling_study(
     repeats: int = 3,
     array_bytes: int = 3_000_000,
     array_count: int = 5,
-    obs_factory: Optional[Callable[[int], Instrumentation]] = None,
     jobs: int = 1,
-    observe: str = "none",
+    observe: str = OBSERVE_NONE,
 ) -> ScalingStudy:
     """Measure inbound peak bandwidth across partition sizes and uplinks.
 
-    Each point uses its own environment shape, so with ``jobs > 1`` the
-    repeats of one point run in parallel (points stay sequential).
+    Each (partition, uplink) pair is its own environment shape and so its
+    own :func:`~repro.core.measurement.measure_points` sweep: with
+    ``jobs > 1`` its queries and repeats run in parallel (pairs stay
+    sequential).
     """
     points: List[ScalingPoint] = []
     for shape, num_io in partitions:
+        n = num_io  # one stream per I/O node: the Figure 15 sweet spot
+        specs = [
+            PointSpec(
+                key=query_number,
+                query=inbound_query(query_number, n, array_bytes, array_count),
+                payload_bytes=n * array_bytes * array_count,
+                settings=ExecutionSettings(),
+            )
+            for query_number in queries
+        ]
         for uplink in uplinks_gbps:
-            env_config = _environment(shape, num_io, uplink)
-            for query_number in queries:
-                n = num_io  # one stream per I/O node: the Figure 15 sweet spot
-                query = inbound_query(query_number, n, array_bytes, array_count)
-                result = measure_query_bandwidth(
-                    query,
-                    payload_bytes=n * array_bytes * array_count,
-                    settings=ExecutionSettings(),
-                    repeats=repeats,
-                    env_config=env_config,
-                    obs_factory=obs_factory,
-                    jobs=jobs,
-                    observe=observe,
+            results = measure_points(
+                specs,
+                repeats=repeats,
+                env_config=_environment(shape, num_io, uplink),
+                jobs=jobs,
+                observe=observe,
+            )
+            points.extend(
+                ScalingPoint(
+                    query_number=query_number,
+                    num_io_nodes=num_io,
+                    uplink_gbps=uplink,
+                    result=results[query_number],
                 )
-                points.append(
-                    ScalingPoint(
-                        query_number=query_number,
-                        num_io_nodes=num_io,
-                        uplink_gbps=uplink,
-                        result=result,
-                    )
-                )
+                for query_number in queries
+            )
     return ScalingStudy(points=points)

@@ -5,31 +5,25 @@ total time to communicate a finite stream of 3MB arrays between stream
 processes ... Each experiment was performed five times in order to achieve
 low variance in the measurements."
 
-:func:`measure_query_bandwidth` reproduces that method: it runs one SCSQL
-query on a *fresh* simulated environment per repeat (with a distinct jitter
-seed), divides the known payload volume by the simulated execution time,
-and summarizes the repeats.
+:func:`measure_points` reproduces that method: it runs each SCSQL query on a
+*fresh* simulated environment per repeat (with a distinct jitter seed),
+divides the known payload volume by the simulated execution time, and
+summarizes the repeats.  It is the only code that builds per-repeat
+:class:`~repro.core.parallel.SweepTask` payloads;
+:func:`measure_query_bandwidth` is its one-point form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.coordinator.deployer import ExecutionReport
-from repro.core.parallel import (
-    OBSERVE_NONE,
-    SweepExecutor,
-    SweepTask,
-    TaskOutcome,
-    run_sweep_task,
-)
+from repro.core.parallel import SELECTORS, SweepExecutor, SweepTask, TaskOutcome
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import EnvironmentConfig
-from repro.obs.instrument import Instrumentation
+from repro.obs.instrument import OBSERVE_NONE, Instrumentation, check_level
 from repro.scsql.plan import compile_plan
-from repro.scsql.session import SCSQSession
-from repro.util.errors import MeasurementError
 from repro.util.stats import MeasurementStats, summarize
 from repro.util.units import MEGA
 
@@ -45,9 +39,10 @@ class BandwidthResult:
         mbps: Bandwidth statistics over the repeats, in megabits/second.
         payload_bytes: The payload volume each run streamed.
         reports: The raw execution report of every repeat.
-        observations: One :class:`~repro.obs.Instrumentation` per repeat
-            when the measurement was observed (empty otherwise); repeat k's
-            metrics snapshot is also on ``reports[k].metrics``.
+        observations: One :class:`~repro.obs.Instrumentation` per repeat,
+            in seed order, when the measurement was observed (empty
+            otherwise); repeat k's metrics snapshot is also on
+            ``reports[k].metrics``.
     """
 
     mbps: MeasurementStats
@@ -62,9 +57,8 @@ class BandwidthResult:
     def flow_latencies(self, stream_id: Optional[str] = None) -> List[float]:
         """End-to-end flow latencies pooled over the observed repeats.
 
-        Empty unless the measurement ran with an ``obs_factory`` whose
-        instrumentation recorded flows; see
-        :meth:`repro.obs.flow.FlowRecorder.latencies`.
+        Empty unless the measurement was observed at ``"flows"`` or
+        ``"trace"``; see :meth:`repro.obs.flow.FlowRecorder.latencies`.
         """
         return [
             latency
@@ -108,7 +102,6 @@ def _verify_sweep_plan(plan, spec: "PointSpec", config: EnvironmentConfig) -> No
     legitimate sweep points are deliberately link-bound.
     """
     from repro.analysis.verifier import verify_plan
-    from repro.core.parallel import SELECTORS
 
     selector = SELECTORS[spec.selector]() if spec.selector else None
     report = verify_plan(plan, config=config, label=str(spec.key), selector=selector)
@@ -116,37 +109,16 @@ def _verify_sweep_plan(plan, spec: "PointSpec", config: EnvironmentConfig) -> No
 
 
 def _result_from_outcomes(
-    outcomes: Sequence[TaskOutcome],
-    payload_bytes: int,
-    observations: Optional[List[Instrumentation]] = None,
+    outcomes: Sequence[TaskOutcome], payload_bytes: int
 ) -> BandwidthResult:
-    """Assemble one point's :class:`BandwidthResult` from its repeats.
-
-    ``observations`` carries the live per-repeat instrumentation of an
-    in-process ``obs_factory`` run; without it each outcome's shipped flow
-    records are rebuilt into an observation (the worker path).
-    """
-    samples: List[float] = []
-    reports: List[ExecutionReport] = []
-    rebuilt: List[Instrumentation] = []
-    for k, outcome in enumerate(outcomes):
-        report = outcome.report
-        reports.append(report)
-        if report.duration <= 0.0:
-            raise MeasurementError(
-                f"repeat {k} finished in non-positive simulated time "
-                f"({report.duration!r}); bandwidth is undefined"
-            )
-        samples.append(payload_bytes * 8.0 / report.duration / MEGA)
-        if observations is None:
-            obs = outcome.observation()
-            if obs is not None:
-                rebuilt.append(obs)
+    """Assemble one point's :class:`BandwidthResult` from its repeats."""
     return BandwidthResult(
-        mbps=summarize(samples),
+        mbps=summarize(
+            [payload_bytes * 8.0 / o.report.duration / MEGA for o in outcomes]
+        ),
         payload_bytes=payload_bytes,
-        reports=reports,
-        observations=rebuilt if observations is None else observations,
+        reports=[o.report for o in outcomes],
+        observations=[o.observation() for o in outcomes if o.observed],
     )
 
 
@@ -167,9 +139,23 @@ def measure_points(
     repeats of one point.  Results come back keyed by ``spec.key``, each
     assembled from its repeats in seed order regardless of completion
     order, so the table is bit-identical to a serial sweep.
+
+    ``observe`` is one of :data:`~repro.obs.instrument.OBSERVE_LEVELS`; each
+    repeat's hub lands on its point's ``observations``.  ``"metrics"`` and
+    ``"trace"`` run in-process whatever ``jobs`` says (see
+    :meth:`~repro.core.parallel.SweepExecutor.run`).
+
+    Raises:
+        ValueError: On ``repeats < 1``, an unknown ``observe`` level or two
+            specs sharing a key — all before anything is compiled.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
+    check_level(observe)
+    keys = [spec.key for spec in specs]
+    if len(set(keys)) != len(keys):
+        duplicates = sorted({repr(key) for key in keys if keys.count(key) > 1})
+        raise ValueError(f"duplicate sweep point key(s): {', '.join(duplicates)}")
     config = env_config or EnvironmentConfig()
     # Compile each point once; its (picklable) plan is shared by all the
     # point's repeat tasks instead of being recompiled per repeat/worker.
@@ -192,11 +178,12 @@ def measure_points(
         for k in range(repeats)
     ]
     outcomes = (executor or SweepExecutor(jobs)).run(tasks)
-    results: Dict[Any, BandwidthResult] = {}
-    for index, spec in enumerate(specs):
-        point_outcomes = outcomes[index * repeats:(index + 1) * repeats]
-        results[spec.key] = _result_from_outcomes(point_outcomes, spec.payload_bytes)
-    return results
+    return {
+        spec.key: _result_from_outcomes(
+            outcomes[index * repeats:(index + 1) * repeats], spec.payload_bytes
+        )
+        for index, spec in enumerate(specs)
+    }
 
 
 def measure_query_bandwidth(
@@ -206,13 +193,14 @@ def measure_query_bandwidth(
     repeats: int = DEFAULT_REPEATS,
     env_config: Optional[EnvironmentConfig] = None,
     base_seed: int = 0,
-    prepare: Optional[Callable[[SCSQSession], None]] = None,
-    obs_factory: Optional[Callable[[int], Instrumentation]] = None,
     jobs: int = 1,
     observe: str = OBSERVE_NONE,
     executor: Optional[SweepExecutor] = None,
 ) -> BandwidthResult:
     """Measure the streaming bandwidth of one SCSQL query.
+
+    The one-point form of :func:`measure_points`, which documents ``jobs``,
+    ``observe`` and ``executor``.
 
     Args:
         query: The SCSQL select query to run.
@@ -223,65 +211,13 @@ def measure_query_bandwidth(
         repeats: Number of independent runs (paper: five).
         env_config: Environment shape/cost model; seeds are varied per run.
         base_seed: Seed of the first repeat; repeat k uses base_seed + k.
-        prepare: Optional callback run against each fresh session before
-            the query (e.g. defining functions or registering sources).
-            Forces the in-process path (callbacks don't cross processes).
-        obs_factory: Optional factory called with the repeat index; its
-            :class:`~repro.obs.Instrumentation` is installed on that
-            repeat's fresh environment and attached to the result, so the
-            run's internal mechanism (resource contention, queue depths)
-            is inspectable per repeat.  Forces the in-process path; for
-            parallel runs that only need flow latencies, pass
-            ``observe="flows"`` instead.
-        jobs: Fan the repeats over this many worker processes.  ``jobs=1``
-            runs in-process; results are bit-identical either way.
-        observe: Declarative instrumentation spec for the worker path
-            (:data:`~repro.core.parallel.OBSERVE_NONE` or
-            :data:`~repro.core.parallel.OBSERVE_FLOWS`).
-        executor: Reuse an existing :class:`~repro.core.parallel.SweepExecutor`
-            instead of creating one from ``jobs``.
 
     Returns:
         The summarized result, with per-run reports attached.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    template_config = env_config or EnvironmentConfig()
-    if prepare is not None or obs_factory is not None:
-        # In-process loop: arbitrary callables cannot be shipped to spawn
-        # workers.  Each repeat still runs through the one worker entry
-        # point (run_sweep_task), just inline, with the live obs handed in.
-        # ``prepare`` forces text compilation (it may define functions the
-        # query needs); otherwise the query compiles once up front.
-        plan = compile_plan(query, settings=settings) if prepare is None else None
-        if plan is not None:
-            _verify_sweep_plan(
-                plan,
-                PointSpec(key="point", query=query, payload_bytes=payload_bytes),
-                template_config,
-            )
-        observations: List[Instrumentation] = []
-        outcomes: List[TaskOutcome] = []
-        for k in range(repeats):
-            obs = obs_factory(k) if obs_factory is not None else None
-            if obs is not None:
-                observations.append(obs)
-            task = SweepTask(
-                point_key="point",
-                seed=base_seed + k,
-                query=query,
-                payload_bytes=payload_bytes,
-                settings=settings,
-                env_config=template_config,
-                plan=plan,
-            )
-            outcomes.append(run_sweep_task(task, prepare=prepare, obs=obs))
-        return _result_from_outcomes(
-            outcomes, payload_bytes, observations=observations
-        )
     spec = PointSpec(key="point", query=query, payload_bytes=payload_bytes, settings=settings)
     results = measure_points(
-        [spec], repeats=repeats, env_config=template_config, base_seed=base_seed,
+        [spec], repeats=repeats, env_config=env_config, base_seed=base_seed,
         jobs=jobs, observe=observe, executor=executor,
     )
     return results["point"]

@@ -15,13 +15,11 @@ Design constraints:
   from them, and both the serial and parallel paths execute the *same*
   module-level :func:`run_sweep_task`, which is what makes jobs=1 and
   jobs=N provably equivalent.
-* Observability cannot ship arbitrary ``obs_factory`` callables across a
-  process boundary; instead a task carries a declarative ``observe`` spec
-  (:data:`OBSERVE_NONE` or :data:`OBSERVE_FLOWS`) and the worker returns
-  the picklable :class:`~repro.obs.flow.FlowRecord` list, which the parent
-  wraps back into an :class:`~repro.obs.Instrumentation`.  Callers that
-  need richer in-process instrumentation (tracers, custom hooks) keep the
-  serial ``obs_factory`` path in :mod:`repro.core.measurement`.
+* Observation is a level on the task (:data:`~repro.obs.instrument.OBSERVE_LEVELS`:
+  ``none | metrics | flows | trace``), never a callable.  A ``flows`` run
+  ships its picklable :class:`~repro.obs.flow.FlowRecord` list and the parent
+  rebuilds a hub around it; ``metrics`` and ``trace`` are read back through
+  the live hub, so :meth:`SweepExecutor.run` keeps them in-process.
 * Workers cache one :class:`~repro.hardware.environment.EnvironmentTemplate`
   per topology (:func:`~repro.hardware.environment.shared_template`), so a
   worker that runs many repeats of the same sweep pays the topology build
@@ -44,17 +42,15 @@ from repro.coordinator.deployer import Deployer, ExecutionReport, SelectorPlacem
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import EnvironmentConfig, shared_template
 from repro.obs.flow import FlowRecord, FlowRecorder
-from repro.obs.instrument import Instrumentation
+from repro.obs.instrument import (
+    LIVE_HUB_LEVELS,
+    OBSERVE_NONE,
+    Instrumentation,
+    instrumentation_for,
+)
 from repro.obs.tracer import NULL_TRACER
 from repro.scsql.plan import DeploymentPlan, compile_plan
-from repro.scsql.session import SCSQSession
 from repro.util.errors import MeasurementError
-
-#: No instrumentation: the run pays one attribute check per hook site.
-OBSERVE_NONE = "none"
-#: Flows + metrics instrumentation (no timeline tracer): what the bench and
-#: the latency-percentile reports need, and cheap enough for full sweeps.
-OBSERVE_FLOWS = "flows"
 
 #: Node selectors a task may name (ablation sweeps); values are the selector
 #: classes, instantiated fresh inside the worker.
@@ -76,7 +72,7 @@ class SweepTask:
         payload_bytes: Payload volume the query streams (for bandwidth).
         settings: Engine settings, or None for defaults.
         env_config: Environment shape/cost model (seed field ignored).
-        observe: :data:`OBSERVE_NONE` or :data:`OBSERVE_FLOWS`.
+        observe: One of :data:`~repro.obs.instrument.OBSERVE_LEVELS`.
         selector: Optional :data:`SELECTORS` name; when set the query is
             placed by that node-selection algorithm instead of the default
             naive policy (the ablation path).
@@ -99,76 +95,59 @@ class SweepTask:
 
 @dataclass
 class TaskOutcome:
-    """What one :class:`SweepTask` produced (picklable)."""
+    """What one :class:`SweepTask` produced.
+
+    Picklable: the live hub holds its simulator and stays behind in the
+    process that ran the task; everything else crosses.
+    """
 
     point_key: Any
     seed: int
     report: ExecutionReport
     flow_records: List[FlowRecord] = field(default_factory=list)
     observed: bool = False
+    _hub: Optional[Instrumentation] = field(default=None, repr=False, compare=False)
 
     def observation(self) -> Optional[Instrumentation]:
-        """Rebuild the repeat's instrumentation from the shipped records.
+        """The repeat's hub, or ``None`` for an unobserved one.
 
-        The reconstructed hub carries the completed flows (so latency
-        percentiles and :meth:`~repro.obs.flow.FlowRecorder.latencies` work
-        exactly as in-process) but no timeline tracer.
+        In the process that ran the task this is the live hub; across a
+        spawn boundary it is rebuilt around the shipped flow records, so
+        latencies, percentiles and bottleneck profiles read the same (its
+        registry and timeline are empty — levels read through those never
+        leave the process, see :meth:`SweepExecutor.run`).
         """
-        if not self.observed:
-            return None
-        flows = FlowRecorder()
-        flows._completed = list(self.flow_records)
-        return Instrumentation(tracer=NULL_TRACER, flows=flows)
+        if self._hub is None and self.observed:
+            self._hub = Instrumentation(
+                tracer=NULL_TRACER, flows=FlowRecorder(completed=self.flow_records)
+            )
+        return self._hub
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {**self.__dict__, "_hub": None}
 
 
-def _make_obs(observe: str) -> Optional[Instrumentation]:
-    if observe == OBSERVE_NONE:
-        return None
-    if observe == OBSERVE_FLOWS:
-        return Instrumentation(tracer=NULL_TRACER)
-    raise ValueError(f"unknown observe spec {observe!r}")
-
-
-def run_sweep_task(
-    task: SweepTask,
-    prepare=None,
-    obs: Optional[Instrumentation] = None,
-) -> TaskOutcome:
+def run_sweep_task(task: SweepTask) -> TaskOutcome:
     """Execute one task in the current process.
 
-    This is the single execution path for every measurement: serial and
-    parallel sweeps (:class:`SweepExecutor` calls it inline for ``jobs=1``
-    and ships it to pool workers otherwise) and the in-process
-    ``prepare``/``obs_factory`` loop of
-    :func:`~repro.core.measurement.measure_query_bandwidth`.
-
-    ``prepare`` and ``obs`` are in-process-only conveniences (callables and
-    live instrumentation hubs do not cross the spawn boundary): ``obs``
-    overrides the declarative ``task.observe`` spec, and ``prepare`` runs
-    against a fresh session before the query — which forces the text
-    compilation path, since the callback may define functions or sources
-    the query needs *before* it can compile.
+    This is the single execution path for every measurement:
+    :class:`SweepExecutor` calls it inline for ``jobs=1`` and ships it to
+    pool workers otherwise.
 
     Raises:
         MeasurementError: If the query finishes in non-positive simulated
             time (its bandwidth would be undefined).
     """
     config = task.env_config.with_seed(task.seed)
-    if obs is None:
-        obs = _make_obs(task.observe)
+    obs = instrumentation_for(task.observe)
     env = shared_template(config).fork(seed=config.seed, obs=obs)
-    if prepare is not None:
-        session = SCSQSession(env, task.settings)
-        prepare(session)
-        report = session.execute(task.query, task.settings)
-    else:
-        plan = task.plan or compile_plan(task.query, settings=task.settings)
-        strategy = (
-            SelectorPlacement(SELECTORS[task.selector]())
-            if task.selector is not None
-            else None
-        )
-        report = Deployer(env).run(plan, strategy=strategy, settings=task.settings)
+    plan = task.plan or compile_plan(task.query, settings=task.settings)
+    strategy = (
+        SelectorPlacement(SELECTORS[task.selector]())
+        if task.selector is not None
+        else None
+    )
+    report = Deployer(env).run(plan, strategy=strategy, settings=task.settings)
     assert report is not None  # select queries always report
     if report.duration <= 0.0:
         raise MeasurementError(
@@ -176,13 +155,13 @@ def run_sweep_task(
             f"non-positive simulated time ({report.duration!r}); "
             f"bandwidth is undefined"
         )
-    flow_records = list(obs.flows.completed) if obs is not None else []
     return TaskOutcome(
         point_key=task.point_key,
         seed=task.seed,
         report=report,
-        flow_records=flow_records,
+        flow_records=list(obs.flows.completed) if obs is not None else [],
         observed=obs is not None,
+        _hub=obs,
     )
 
 
@@ -203,8 +182,13 @@ class SweepExecutor:
         """Execute ``tasks``; outcomes are returned in task order.
 
         The merge is deterministic regardless of worker completion order:
-        outcome ``i`` is always the result of ``tasks[i]``.
+        outcome ``i`` is always the result of ``tasks[i]``.  Tasks observed
+        at a level read back through the live hub
+        (:data:`~repro.obs.instrument.LIVE_HUB_LEVELS`) run inline whatever
+        ``jobs`` says — the one place that rule lives.
         """
+        if any(task.observe in LIVE_HUB_LEVELS for task in tasks):
+            return [run_sweep_task(task) for task in tasks]
         return self.map(run_sweep_task, tasks)
 
     def map(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:

@@ -144,6 +144,10 @@ class NullFlowRecorder:
     def completed(self) -> List[FlowRecord]:
         return []
 
+    def latencies(self, stream_id: Optional[str] = None,
+                  include_eos: bool = False) -> List[float]:
+        return []
+
     @property
     def in_flight_count(self) -> int:
         return 0
@@ -185,14 +189,19 @@ class FlowRecorder(NullFlowRecorder):
     context travels with it because the *same object* traverses every
     model.  Hooks on buffers that were never begun (e.g. instrumentation
     enabled mid-stream) are silently ignored.
+
+    Args:
+        completed: Sealed records of a run that happened elsewhere (a sweep
+            worker ships them back); the read-back side then works on them
+            exactly as on the live recorder's.
     """
 
     enabled = True
 
-    def __init__(self) -> None:
+    def __init__(self, completed: Optional[List[FlowRecord]] = None) -> None:
         self._flow_ids = itertools.count()
         self._in_flight: Dict[int, FlowRecord] = {}
-        self._completed: List[FlowRecord] = []
+        self._completed: List[FlowRecord] = [] if completed is None else list(completed)
         self._listeners: List[Callable[[FlowRecord], None]] = []
         #: Owner tag of each listener, parallel to ``_listeners``.  The
         #: leak sanitizer's census (``SAN206``) names leaked subscriptions

@@ -297,3 +297,45 @@ class Instrumentation(NullInstrumentation):
             if busy > best[1]:
                 best = (resource_name, busy)
         return best
+
+
+# ----------------------------------------------------------------------
+# Observation levels: what a measurement asks for, as a picklable word
+# ----------------------------------------------------------------------
+#: No hub: the run pays one attribute check per hook site.
+OBSERVE_NONE = "none"
+#: Counters and time-weighted series only (utilization summaries).
+OBSERVE_METRICS = "metrics"
+#: Metrics plus per-buffer flow records (latency percentiles, bottleneck
+#: reports); cheap enough for full sweeps.
+OBSERVE_FLOWS = "flows"
+#: Metrics, flows and the timeline tracer (Chrome/JSONL traces).
+OBSERVE_TRACE = "trace"
+
+#: Every level, cheapest first; each builds a superset of the one before.
+OBSERVE_LEVELS = (OBSERVE_NONE, OBSERVE_METRICS, OBSERVE_FLOWS, OBSERVE_TRACE)
+
+#: Levels read back through the live hub itself (registry series, timeline
+#: records): it holds its simulator, so it cannot leave the process that ran
+#: it.  ``flows`` is read back through the completed records, which can.
+LIVE_HUB_LEVELS = (OBSERVE_METRICS, OBSERVE_TRACE)
+
+
+def check_level(level: str) -> str:
+    """``level`` itself, or a :class:`ValueError` naming the known levels."""
+    if level not in OBSERVE_LEVELS:
+        raise ValueError(
+            f"unknown observe level {level!r}; expected one of {list(OBSERVE_LEVELS)}"
+        )
+    return level
+
+
+def instrumentation_for(level: str) -> Optional[Instrumentation]:
+    """A fresh hub for one run at ``level`` (``None`` for ``"none"``)."""
+    if check_level(level) == OBSERVE_NONE:
+        return None
+    return Instrumentation(
+        tracer=None if level == OBSERVE_TRACE else NULL_TRACER,
+        flows=NULL_FLOWS if level == OBSERVE_METRICS else None,
+    )
+

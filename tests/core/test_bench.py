@@ -10,10 +10,12 @@ from repro.core.bench import (
     MetricDelta,
     bench_points,
     compare_bench,
+    figure_of_metric,
     format_comparison,
     higher_is_better,
     is_wall_clock,
     load_bench,
+    run_bench,
     write_bench,
 )
 
@@ -136,12 +138,32 @@ class TestRoundTrip:
 
 class TestBenchPoints:
     def test_sweep_covers_the_three_mechanisms(self):
-        names = [p.name for p in bench_points()]
+        names = [p.key for p in bench_points()]
         assert any(n.startswith("fig6[") for n in names)
         assert any("seq" in n for n in names if n.startswith("fig8["))
         assert any("bal" in n for n in names if n.startswith("fig8["))
         assert "fig15[Q5,n=5]" in names
         assert len(names) == len(set(names))
+
+
+class TestGateSweeps:
+    def test_each_figure_runs_as_one_sweep(self, monkeypatch):
+        """`bench --jobs N` used to be a no-op at the default --repeats 1:
+        one measurement per point is a one-task sweep, which runs inline.
+        A figure's points are now one sweep, so its tasks can fan out."""
+        from repro.core.parallel import SweepExecutor
+
+        sweeps = []
+        run = SweepExecutor.run
+        monkeypatch.setattr(
+            SweepExecutor, "run",
+            lambda self, tasks: sweeps.append((self.jobs, len(tasks))) or run(self, tasks),
+        )
+        monkeypatch.setattr(SweepExecutor, "map", lambda self, fn, tasks: [fn(t) for t in tasks])
+        metrics = run_bench(jobs=2, figures={"fig6", "fig8"})
+        assert sweeps == [(2, 3), (2, 2)]
+        assert {figure_of_metric(name) for name in metrics} == {"fig6", "fig8"}
+        assert "fig6/wall_s" in metrics and "fig8[B=100000,bal,double]/p95_ms" in metrics
 
 
 @pytest.mark.slow

@@ -4,10 +4,10 @@ import math
 
 import pytest
 
-from repro.core.measurement import measure_query_bandwidth
+from repro.core.measurement import PointSpec, measure_points, measure_query_bandwidth
 from repro.engine.settings import ExecutionSettings
 from repro.obs import Instrumentation
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.instrument import OBSERVE_LEVELS
 
 QUERY = (
     "select extract(b) from sp a, sp b "
@@ -51,12 +51,13 @@ class TestMeasureQueryBandwidth:
             measure_query_bandwidth(QUERY, PAYLOAD, repeats=0)
 
     def test_prepare_hook_runs(self):
-        calls = []
-        measure_query_bandwidth(
-            QUERY, PAYLOAD, repeats=2, prepare=lambda session: calls.append(session)
-        )
-        assert len(calls) == 2
-        assert calls[0] is not calls[1]
+        # The hook itself is gone (nothing but this test ever passed one);
+        # the fact it witnessed survives: every repeat gets its own fresh
+        # environment, here seen through each repeat's own simulator.
+        result = measure_query_bandwidth(QUERY, PAYLOAD, repeats=2, observe="metrics")
+        first, second = result.observations
+        assert first.sim is not None and second.sim is not None
+        assert first.sim is not second.sim
 
     def test_str_rendering(self):
         result = measure_query_bandwidth(QUERY, PAYLOAD, repeats=1)
@@ -74,27 +75,23 @@ class TestMeasureQueryBandwidth:
 
 class TestObservedMeasurement:
     def test_one_instrumentation_per_repeat(self):
-        created = []
-
-        def factory(k):
-            obs = Instrumentation(tracer=NULL_TRACER)
-            created.append((k, obs))
-            return obs
-
         result = measure_query_bandwidth(
-            QUERY, PAYLOAD, repeats=3, obs_factory=factory
+            QUERY, PAYLOAD, repeats=3, base_seed=4, observe="flows"
         )
-        assert [k for k, _obs in created] == [0, 1, 2]
-        assert result.observations == [obs for _k, obs in created]
-        for obs in result.observations:
+        # One distinct hub per repeat, in seed order: repeat k ran seed
+        # base_seed + k, and hub k is the one that froze report k's snapshot.
+        assert len(result.observations) == 3
+        assert len({id(obs) for obs in result.observations}) == 3
+        for k, (obs, report) in enumerate(zip(result.observations, result.reports)):
+            assert isinstance(obs, Instrumentation)
+            solo = measure_query_bandwidth(QUERY, PAYLOAD, repeats=1, base_seed=4 + k)
+            assert solo.reports[0].duration == report.duration
+            assert obs.snapshot().counters == report.metrics.counters
             assert obs.snapshot().counter("sim.events_processed") > 0
             assert obs.resource_busy_time("coproc[0]") > 0.0
 
     def test_report_carries_metrics_snapshot(self):
-        result = measure_query_bandwidth(
-            QUERY, PAYLOAD, repeats=2,
-            obs_factory=lambda k: Instrumentation(tracer=NULL_TRACER),
-        )
+        result = measure_query_bandwidth(QUERY, PAYLOAD, repeats=2, observe="flows")
         for report, obs in zip(result.reports, result.observations):
             assert report.metrics is not None
             assert report.metrics.counter("torus.payload_bytes") == PAYLOAD
@@ -105,3 +102,53 @@ class TestObservedMeasurement:
     def test_unobserved_reports_have_no_metrics(self):
         result = measure_query_bandwidth(QUERY, PAYLOAD, repeats=1)
         assert result.reports[0].metrics is None
+
+
+class TestSweepValidation:
+    """measure_points rejects a malformed sweep before compiling anything."""
+
+    @staticmethod
+    def _spec(key, count):
+        return PointSpec(
+            key=key,
+            query=QUERY.replace("gen_array(100000,5)", f"gen_array(100000,{count})"),
+            payload_bytes=100_000 * count,
+        )
+
+    def test_duplicate_point_keys_are_rejected(self, monkeypatch):
+        # On the parent this returned ONE result and the first spec's task
+        # ran the second spec's plan (result [8] for both).
+        compiled = []
+        monkeypatch.setattr(
+            "repro.core.measurement.compile_plan",
+            lambda *args, **kwargs: compiled.append(args),
+        )
+        with pytest.raises(ValueError, match="duplicate sweep point key.*'p'"):
+            measure_points([self._spec("p", 2), self._spec("p", 8)], repeats=1)
+        assert compiled == []
+
+    def test_distinct_keys_run_their_own_plans(self):
+        results = measure_points([self._spec("p", 2), self._spec("q", 8)], repeats=1)
+        assert results["p"].reports[0].result == [2]
+        assert results["q"].reports[0].result == [8]
+
+    def test_unknown_observe_level_is_rejected_before_compile(self, monkeypatch):
+        compiled = []
+        monkeypatch.setattr(
+            "repro.core.measurement.compile_plan",
+            lambda *args, **kwargs: compiled.append(args),
+        )
+        with pytest.raises(ValueError, match="unknown observe level 'everything'"):
+            measure_points([self._spec("p", 2)], repeats=1, jobs=2, observe="everything")
+        assert compiled == []
+
+    @pytest.mark.parametrize("level", OBSERVE_LEVELS)
+    def test_each_level_builds_its_hub(self, level):
+        result = measure_query_bandwidth(QUERY, PAYLOAD, repeats=1, observe=level)
+        if level == "none":
+            assert result.observations == []
+            return
+        (obs,) = result.observations
+        assert obs.snapshot().counter("torus.payload_bytes") == PAYLOAD
+        assert obs.flows.enabled is (level != "metrics")
+        assert obs.tracer.enabled is (level == "trace")

@@ -10,18 +10,24 @@ payloads and merge outcomes in task order, never completion order.
 import pytest
 
 from repro.coordinator.deployer import ExecutionReport
+from repro.core.experiments.ablations import automatic_inbound_query
 from repro.core.experiments.fig6 import point_to_point_query, scaled_workload
+from repro.core.experiments.fig8 import SEQUENTIAL, merge_query
 from repro.core.experiments.fig15 import inbound_query
 from repro.core.measurement import PointSpec, measure_points
 from repro.core.parallel import (
-    OBSERVE_FLOWS,
-    OBSERVE_NONE,
     Deployer,
     SweepExecutor,
     SweepTask,
     run_sweep_task,
 )
 from repro.engine.settings import ExecutionSettings
+from repro.obs.instrument import (
+    LIVE_HUB_LEVELS,
+    OBSERVE_FLOWS,
+    OBSERVE_LEVELS,
+    OBSERVE_NONE,
+)
 from repro.scsql.plan import compile_plan
 from repro.util.errors import MeasurementError
 from repro.util.stats import percentile
@@ -43,6 +49,26 @@ def _small_specs():
             query=inbound_query(5, 2, 100_000, 2),
             payload_bytes=2 * 100_000 * 2,
             settings=ExecutionSettings(),
+        ),
+    ]
+
+
+def _family_specs():
+    """One sample point of each sweep family: fig6, fig8, fig15 and the
+    selector ablation (the only family placed by a named selector)."""
+    array_bytes, count = scaled_workload(100_000, target_buffers=8)
+    return _small_specs() + [
+        PointSpec(
+            key=("fig8", "seq"),
+            query=merge_query(array_bytes, count, *SEQUENTIAL),
+            payload_bytes=2 * array_bytes * count,
+            settings=ExecutionSettings(mpi_buffer_bytes=100_000, double_buffering=True),
+        ),
+        PointSpec(
+            key=("knowledge", 2),
+            query=automatic_inbound_query(2, 100_000, 2),
+            payload_bytes=2 * 100_000 * 2,
+            selector="knowledge",
         ),
     ]
 
@@ -111,6 +137,55 @@ class TestExecutor:
         assert obs.flows.latencies()
         assert len(obs.flows.latencies()) <= len(outcome.flow_records)
 
+    def test_observation_is_live_here_and_rebuilt_across_a_boundary(self):
+        import pickle
+
+        array_bytes, count = scaled_workload(1000, target_buffers=20)
+        outcome = run_sweep_task(
+            SweepTask(
+                point_key="k",
+                seed=0,
+                query=point_to_point_query(array_bytes, count),
+                payload_bytes=array_bytes * count,
+                observe=OBSERVE_FLOWS,
+            )
+        )
+        live = outcome.observation()
+        assert live.sim is not None  # the hub that watched the run
+        assert outcome.observation() is live
+        shipped = pickle.loads(pickle.dumps(outcome))  # what a worker returns
+        rebuilt = shipped.observation()
+        assert rebuilt.sim is None and rebuilt is not live
+        assert shipped.observation() is rebuilt
+        assert rebuilt.flows.latencies() == live.flows.latencies()
+        assert shipped.report.metrics.counters == outcome.report.metrics.counters
+
+    def test_live_hub_levels_never_reach_the_pool(self, monkeypatch):
+        array_bytes, count = scaled_workload(1000, target_buffers=20)
+
+        def tasks(level):
+            return [
+                SweepTask(
+                    point_key=seed,
+                    seed=seed,
+                    query=point_to_point_query(array_bytes, count),
+                    payload_bytes=array_bytes * count,
+                    observe=level,
+                )
+                for seed in (0, 1)
+            ]
+
+        pooled = []
+        monkeypatch.setattr(
+            SweepExecutor, "map",
+            lambda self, fn, items: pooled.append(len(items)) or [fn(i) for i in items],
+        )
+        for level in OBSERVE_LEVELS:
+            outcomes = SweepExecutor(jobs=2).run(tasks(level))
+            assert [o.seed for o in outcomes] == [0, 1]
+        # none and flows went through the fan-out; metrics and trace did not.
+        assert pooled == [2] * (len(OBSERVE_LEVELS) - len(LIVE_HUB_LEVELS))
+
 
 class TestWorkerPath:
     """run_sweep_task IS the worker: its own guards and plan handling."""
@@ -172,6 +247,32 @@ class TestParallelDeterminism:
                 assert left.metrics.counter("sim.events_processed") == (
                     right.metrics.counter("sim.events_processed")
                 )
+
+
+    @pytest.mark.parametrize("level", OBSERVE_LEVELS)
+    def test_every_family_and_level_matches_serial_exactly(self, level):
+        """One sample point per family, at every observation level: the
+        fanned-out sweep is the serial one, float for float."""
+        specs = _family_specs()
+        serial = measure_points(specs, repeats=1, jobs=1, observe=level)
+        fanned = measure_points(specs, repeats=1, jobs=2, observe=level)
+        assert list(serial) == list(fanned) == [spec.key for spec in specs]
+        for key in serial:
+            assert serial[key].mbps.samples == fanned[key].mbps.samples
+            assert len(serial[key].observations) == len(fanned[key].observations) == (
+                0 if level == OBSERVE_NONE else 1
+            )
+            for left, right in zip(serial[key].reports, fanned[key].reports):
+                assert left.duration == right.duration
+                assert left.result == right.result
+                assert left.rp_placements == right.rp_placements
+                if level == OBSERVE_NONE:
+                    assert left.metrics is None and right.metrics is None
+                else:
+                    assert left.metrics.counters == right.metrics.counters
+            serial_lat = serial[key].flow_latencies()
+            assert serial_lat == fanned[key].flow_latencies()
+            assert bool(serial_lat) == (level in ("flows", "trace"))
 
 
 class TestFaultedParallelDeterminism:

@@ -84,6 +84,35 @@ def test_fig8_bottlenecks_to_stdout(capsys):
     assert "coproc[" in out
 
 
+def test_fig6_bottlenecks_report_is_the_same_fanned_out(capsys):
+    """A flows-level observation no longer forces in-process runs: the
+    report profiled from the workers' shipped records is the serial one."""
+    reports = []
+    for jobs in ("1", "2"):
+        assert main([
+            "fig6", "--quick", "--repeats", "1", "--jobs", jobs,
+            "--bottlenecks", "-",
+        ]) == 0
+        reports.append(capsys.readouterr().out)
+    assert "critical-path profile" in reports[0]
+    assert reports[0] == reports[1]
+
+
+def test_metrics_out_keeps_the_live_registry_under_jobs(capsys):
+    """--metrics-out reads the live hub, so its runs stay in-process and the
+    summary (with or without --bottlenecks) is not an empty rebuilt one."""
+    outputs = []
+    for flags in (["--metrics-out", "-"], ["--metrics-out", "-", "--bottlenecks", "-"]):
+        for jobs in ("1", "2"):
+            assert main(
+                ["fig6", "--quick", "--repeats", "1", "--jobs", jobs] + flags
+            ) == 0
+            outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[2] == outputs[3]
+    assert "coproc[0]" in outputs[0] and "coproc[0]" in outputs[2]
+    assert "critical-path profile" in outputs[2]
+
+
 def test_fig8_bottlenecks_to_json(tmp_path, capsys):
     report = tmp_path / "bottlenecks.json"
     assert main([

@@ -22,11 +22,6 @@ from repro.engine.settings import ExecutionSettings
 from repro.net.message import WireBuffer
 from repro.obs import Instrumentation, MetricsRegistry
 from repro.obs.flow import NULL_FLOWS, FlowRecorder
-from repro.obs.tracer import NULL_TRACER
-
-
-def _flows_only(_repeat: int) -> Instrumentation:
-    return Instrumentation(tracer=NULL_TRACER)
 
 
 def _observe(query: str, payload: int, settings=None) -> Instrumentation:
@@ -35,7 +30,7 @@ def _observe(query: str, payload: int, settings=None) -> Instrumentation:
         payload_bytes=payload,
         settings=settings or ExecutionSettings(),
         repeats=1,
-        obs_factory=_flows_only,
+        observe="flows",
     )
     (obs,) = result.observations
     return obs

@@ -3,8 +3,9 @@
 Recorded on the commit *before* the hooks were rewritten to bound
 instruments (PR 12), and required to pass unmodified after it: for one
 fig6, one fig8-sequential and the fig15 Q5 n=4 point, under
-``Instrumentation(tracer=NULL_TRACER)`` (what ``observe="flows"`` installs)
-and under a full ``Instrumentation()``, the digest of
+``observe="flows"`` (``Instrumentation(tracer=NULL_TRACER)``) and under
+``observe="trace"`` (a full ``Instrumentation()``, the golden's "full"
+mode), the digest of
 
 * the ``MetricsSnapshot`` of the report — every key in insertion order,
   every float exact (``float.hex``),
@@ -40,20 +41,19 @@ import pytest
 from repro.core.bench import bench_points
 from repro.core.parallel import SweepTask, run_sweep_task
 from repro.net import message
-from repro.obs import Instrumentation
 from repro.obs.export import (
     prometheus_exposition,
     trace_record_dict,
     utilization_summary,
 )
-from repro.obs.tracer import NULL_TRACER
 from repro.sim import scheduler_override
 from tests.sim.test_eager_grants import NeverQuiescent
 
 GOLDEN_PATH = Path(__file__).with_name("golden_obs.json")
 
 POINTS = ("fig6[B=1000,double]", "fig8[B=100000,seq,double]", "fig15[Q5,n=4]")
-MODES = ("flows", "full")
+#: Golden mode name (the key suffix in ``golden_obs.json``) -> observe level.
+MODES = {"flows": "flows", "full": "trace"}
 SEED = 0
 
 
@@ -99,16 +99,16 @@ def _trace_lines(tracer) -> str:
 
 def observe_point(name: str, mode: str) -> Dict[str, str]:
     """Run one golden point; returns its artifacts as text."""
-    point = next(p for p in bench_points() if p.name == name)
-    obs = Instrumentation(tracer=NULL_TRACER) if mode == "flows" else Instrumentation()
+    point = next(p for p in bench_points() if p.key == name)
     message._buffer_ids = itertools.count()
     outcome = run_sweep_task(
         SweepTask(
             point_key=name, seed=SEED, query=point.query,
             payload_bytes=point.payload_bytes, settings=point.settings,
-        ),
-        obs=obs,
+            observe=MODES[mode],
+        )
     )
+    obs = outcome.observation()
     return {
         "snapshot": _snapshot_lines(outcome.report.metrics),
         "flows": _flow_lines(obs.flows.completed),

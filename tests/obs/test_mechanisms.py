@@ -21,11 +21,6 @@ from repro.core.experiments.fig15 import inbound_query
 from repro.core.measurement import measure_query_bandwidth
 from repro.engine.settings import ExecutionSettings
 from repro.obs import Instrumentation
-from repro.obs.tracer import NULL_TRACER
-
-
-def _metrics_only(_repeat: int) -> Instrumentation:
-    return Instrumentation(tracer=NULL_TRACER)
 
 
 def _observe(query: str, payload: int, settings: ExecutionSettings) -> Instrumentation:
@@ -34,7 +29,7 @@ def _observe(query: str, payload: int, settings: ExecutionSettings) -> Instrumen
         payload_bytes=payload,
         settings=settings,
         repeats=1,
-        obs_factory=_metrics_only,
+        observe="metrics",
     )
     (obs,) = result.observations
     return obs

@@ -25,17 +25,13 @@ from repro.obs.tracer import NULL_TRACER
 from repro.net.message import WireBuffer
 
 
-def _flows_only(_repeat: int) -> Instrumentation:
-    return Instrumentation(tracer=NULL_TRACER)
-
-
 def _observe(query: str, payload: int, settings=None) -> Instrumentation:
     result = measure_query_bandwidth(
         query,
         payload_bytes=payload,
         settings=settings or ExecutionSettings(),
         repeats=1,
-        obs_factory=_flows_only,
+        observe="flows",
     )
     (obs,) = result.observations
     return obs
