@@ -42,9 +42,9 @@ Rules (``DET00x``):
   ``.process(...)`` call in a generator body be a formatted string.
 * **DET009** — in ``repro.sim``/``repro.net``/``repro.engine`` the event
   returned by ``request()``/``put()``/``get()`` is yielded or guard-tested
-  (``.callbacks``) before any ``.process(`` or ``.interrupt(`` call: those
-  schedule urgent events, the one thing a synchronously delivered grant
-  (see docs/performance.md) would overtake.
+  (``.callbacks``) before any ``.process(``, ``.detach(`` or
+  ``.interrupt(`` call: those schedule urgent events, the one thing a
+  synchronously delivered grant (see docs/performance.md) would overtake.
 * **DET010** — the CNDB round-robin cursor (``_rr_cursor``) is touched
   only by ``repro.hardware`` and the placement resolver
   (``repro.coordinator.resolver``), whose walk saves and rewinds it
@@ -566,8 +566,8 @@ class HookNameFormatRule(LintRule):
                         yield (
                             keyword.value.lineno,
                             "process name formatted on every pass through a "
-                            "generator body; format it once, or only under "
-                            "`... if tracer.enabled else <constant>`",
+                            "generator body; format it once (per-item work "
+                            "nobody joins needs no process: sim.detach)",
                         )
 
 
@@ -579,7 +579,7 @@ class EagerGrantWindowRule(LintRule):
     #: event back already processed (sim.resources).
     CREATORS = {("request", 0), ("get", 0), ("put", 1)}
     #: Calls scheduling an *urgent* event, which a queued grant runs after.
-    URGENT = ("process", "interrupt")
+    URGENT = ("process", "detach", "interrupt")
 
     applies_to = HookNameFormatRule.applies_to
 

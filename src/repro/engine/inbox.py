@@ -50,28 +50,24 @@ class Inbox:
         for _ in range(slots):
             self._tokens.put(None)
         self._items = Store(sim, name=f"{name}.items")
-        self._put_name = f"{name}.put"
         self._closed = False
 
     def put(self, buffer: WireBuffer) -> "Event":
         """Deposit a buffer; the event triggers once a slot was free.
 
-        Returns a process-event so network models can ``yield deliver.put(b)``
-        uniformly for stores and inboxes.
+        No process: a free slot is taken and the buffer deposited here (the
+        event is the store's own, possibly already processed); otherwise
+        the slot's grant deposits first and resumes the depositor second —
+        either way before the receiver, woken by the deposit, runs.
         """
-        return self.sim.process(self._put(buffer), name=self._put_name)
-
-    def _put(self, buffer: WireBuffer):
         if self._closed:
-            return
+            return self.sim._done
         slot = self._tokens.get()
-        if slot.callbacks is not None:  # else handed over synchronously
-            yield slot
-        if self._closed:
-            return  # the slot is moot: the receiver died while we waited
-        deposited = self._items.put(buffer)
-        if deposited.callbacks is not None:
-            yield deposited
+        if slot._ok:  # taken already, even if the event itself is still queued
+            return self._items.put(buffer)
+        # Granted by close(), the slot is moot: the receiver died meanwhile.
+        slot.callbacks.append(lambda _slot: self._closed or self._items.put(buffer))
+        return slot
 
     def close(self) -> None:
         """Discard deposits after the receiving driver has been terminated.

@@ -315,12 +315,9 @@ class TcpStreamConnection:
                     f"stream.tcp_bytes[{self.stream_id}]"
                 )
             stream_bytes.add(buffer.nbytes)
-        fabric.sim.process(
-            self._forward(buffer, wire_bytes),
-            # Only the tracer tells one buffer's process from the next.
-            name=f"tcp-forward[{self.stream_id}#{buffer.buffer_id}]"
-            if obs.tracer.enabled else "tcp-forward",
-        )
+        # Started on an urgent event, not inline: it opens with a request
+        # and a draw from the shared jitter, whose order is physics.
+        fabric.sim.detach(self._forward(buffer, wire_bytes))
 
     def _forward(self, buffer: WireBuffer, wire_bytes: float):
         """Continue the buffer's journey beyond the sending host."""

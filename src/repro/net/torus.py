@@ -309,7 +309,7 @@ class TorusNetwork:
         Mirrors MPI local-completion semantics: the generator returns once
         the sending co-processor has finished injecting the buffer; the rest
         of the journey (forwarding hops, receive processing, delivery into
-        ``deliver``) continues as an independent simulation process.
+        ``deliver``) continues on its own (``Simulator.detach``).
         """
         if src == dst:
             raise NetworkError(f"torus send with src == dst == {src}")
@@ -364,20 +364,18 @@ class TorusNetwork:
                 )
             stream_bytes.add(buffer.nbytes)
         # The remaining hops proceed asynchronously (cut-through across
-        # buffers: the sender may inject buffer k+1 while k is forwarded).
-        self.sim.process(
-            self._forward(buffer, path, wire, deliver),
-            # Only the tracer tells one buffer's process from the next.
-            name=f"torus-forward[{buffer.stream_id}#{buffer.buffer_id}]"
-            if obs.tracer.enabled else "torus-forward",
-        )
+        # buffers: the sender may inject buffer k+1 while k is forwarded),
+        # from the end of the hop latency on: nothing is pushed at ``now``.
         self._in_flight[buffer.stream_id] = self._in_flight.get(buffer.stream_id, 0) + 1
-
-    def _forward(self, buffer: WireBuffer, path: List[int], wire: float, deliver: Store):
-        """Forward ``buffer`` hop by hop and deliver it at the destination."""
-        flows = self.sim.obs.flows
         latency = self.params.hop_latency * (len(path) - 1)
-        yield self.sim.timeout(latency)
+        self.sim.detach(
+            self._forward(buffer, path, wire, latency, deliver), self.sim.timeout(latency)
+        )
+
+    def _forward(self, buffer: WireBuffer, path: List[int], wire: float, latency: float,
+                 deliver: Store):
+        """Forward ``buffer`` hop by hop, its hop latency over, and deliver it."""
+        flows = self.sim.obs.flows
         if flows.enabled:
             flows.hop(buffer, "torus.hops", self.sim.now, wire=latency)
         for position in range(1, len(path) - 1):

@@ -59,7 +59,7 @@ def resource_scope(resource: str) -> str:
         return "node"
     if family in ("io-proxy", "tree"):
         return "pset"
-    if family in ("switch-uplink", "tcp-window", "tcp-forward"):
+    if family in ("switch-uplink", "tcp-window"):
         return "link"
     return "resource"
 

@@ -31,7 +31,7 @@ from heapq import heappop
 from typing import Any, Generator, Iterable, Optional, Union
 
 from repro.obs.instrument import NULL_OBS, NullInstrumentation
-from repro.sim.events import _NORMAL, _URGENT, AllOf, AnyOf, Event, Process, Timeout
+from repro.sim.events import _NORMAL, _URGENT, AllOf, AnyOf, Detached, Event, Process, Timeout
 from repro.sim.scheduler import _BUSY, EventScheduler, make_scheduler
 from repro.util.errors import SimulationError
 
@@ -126,6 +126,11 @@ class Simulator:
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new process running ``generator``."""
         return Process(self, generator, name=name)
+
+    def detach(self, generator: Generator, start: Optional[Event] = None) -> None:
+        """Run ``generator`` from ``start`` on with no process around it
+        (kernel-internal, see :class:`~repro.sim.events.Detached`)."""
+        Detached(self, generator, start)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that triggers when all of ``events`` have triggered."""

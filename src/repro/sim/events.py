@@ -281,6 +281,45 @@ class Process(Event):
         return f"<Process {self.name!r} {state}>"
 
 
+class Detached:
+    """Drives a generator nobody joins, interrupts or names (a buffer in
+    flight): no :class:`Process`, no completion event.  It starts when
+    ``start`` is dispatched — by default an urgent zero-delay event, where
+    :class:`Initialize` would sit; a caller whose generator would open with
+    an event passes that event instead, and pushes nothing at ``now``."""
+
+    __slots__ = ("_generator",)
+    is_alive = True  # only ever seen parked on an event (sim.introspect)
+
+    def __init__(self, sim: "Simulator", generator: Generator, start: Optional[Event]) -> None:
+        self._generator = generator
+        if start is None:
+            start = Event(sim)
+            start._ok = True
+            start._value = None
+            sim._push(sim._now, _URGENT, start)
+        start.callbacks.append(self._resume)
+
+    def _resume(self, event: Event) -> None:
+        """:meth:`Process._resume` without a target, a name or an end event."""
+        generator = self._generator
+        while True:
+            try:
+                if event._ok:
+                    event = generator.send(event._value)
+                else:
+                    event._defused = True
+                    event = generator.throw(event._value)
+            except StopIteration:
+                return
+            except Exception as exc:  # nobody joins: it must stop run() itself
+                raise SimulationError(f"unhandled failure in simulation: {exc!r}") from exc
+            callbacks = event.callbacks
+            if callbacks is not None:
+                callbacks.append(self._resume)
+                return
+
+
 class Condition(Event):
     """Base for composite events over a fixed set of sub-events."""
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
-from repro.sim.events import AllOf, AnyOf, Condition, Event, Process, Timeout
+from repro.sim.events import AllOf, AnyOf, Condition, Detached, Event, Process, Timeout
 from repro.sim.resources import Request, Resource, Store, StorePut
 
 __all__ = ["WaitEdge", "waiters_of", "describe_event", "wait_edges"]
@@ -63,11 +63,12 @@ class WaitEdge:
 
 
 def waiters_of(event: Event) -> List[Process]:
-    """The processes parked on ``event`` (via their ``_resume`` callbacks)."""
+    """The processes (and detached generators, which have no name) parked
+    on ``event`` via their ``_resume`` callbacks."""
     processes: List[Process] = []
     for callback in event.callbacks or ():
         owner = getattr(callback, "__self__", None)
-        if isinstance(owner, Process):
+        if isinstance(owner, (Process, Detached)):
             processes.append(owner)
     return processes
 

@@ -256,19 +256,20 @@ class TestProcessNameFormatRule:
             assert [(d.code, d.line) for d in findings] == [("DET008", 6)]
 
     def test_tracer_only_and_constant_names_pass(self, tmp_path):
+        """Constant names pass; and a buffer in flight has no name at all
+        (the tracer-selected per-buffer names left with its process)."""
         source = textwrap.dedent(
             """
             def send(self, buffer):
                 yield self.window.get()
-                self.sim.process(
-                    self._forward(buffer),
-                    name=f"forward[{buffer.buffer_id}]"
-                    if self.sim.obs.tracer.enabled else "forward",
-                )
                 self.sim.process(self._ack(buffer), name=self._ack_name)
+                self.sim.detach(self._forward(buffer))
             """
         )
         assert lint_file(write_hot_file(tmp_path, source, package="net")) == []
+        for module in ("net/torus.py", "net/ethernet.py", "engine/inbox.py"):
+            text = (_default_paths()[0] / module).read_text()
+            assert ".process(" not in text and "tracer.enabled" not in text, module
 
 
 class TestEagerGrantWindowRule:
@@ -293,6 +294,12 @@ class TestEagerGrantWindowRule:
             self.sim.process(self._ack(buffer))
             if done.callbacks is not None:
                 yield done
+
+        def forward(self, buffer):
+            slot = self.window.get()
+            self.sim.detach(self._forward(buffer))
+            if slot.callbacks is not None:
+                yield slot
         """
     )
 
@@ -300,7 +307,7 @@ class TestEagerGrantWindowRule:
         for package in ("sim", "net", "engine"):
             findings = lint_file(write_hot_file(tmp_path, self.SEEDED, package))
             assert [(d.code, d.line) for d in findings] == [
-                ("DET009", 4), ("DET009", 9), ("DET009", 14),
+                ("DET009", 4), ("DET009", 9), ("DET009", 14), ("DET009", 20),
             ]
 
     def test_waiting_first_or_other_calls_pass(self, tmp_path):
@@ -311,7 +318,7 @@ class TestEagerGrantWindowRule:
                 if slot.callbacks is not None:
                     yield slot
                 counter = self._counters.get(buffer.stream_id)
-                self.sim.process(self._forward(buffer))
+                self.sim.detach(self._forward(buffer), self.sim.timeout(1.0))
                 with self.cpu.request() as req:
                     yield req
                     self.peer.interrupt("go")

@@ -12,6 +12,7 @@ from repro.analysis import sanitize
 from repro.analysis.defects import DEFECTS
 from repro.coordinator.deployer import Deployer
 from repro.core.experiments.fig6 import point_to_point_query
+from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import Environment, EnvironmentConfig
 from repro.obs import Instrumentation
 from repro.obs.flow import FlowRecorder
@@ -115,6 +116,25 @@ class TestListenerLifecycle:
         env.sim.run(until=1e-5)
         deployment.teardown()
         env.sim.run()
+        sanitize.assert_quiescent(env)
+
+    def test_a_single_buffered_receiver_killed_mid_stream_frees_the_coprocessor(self):
+        """A deposit blocked on the dead receiver's only slot holds
+        ``coproc[dst]``; ``Inbox.close()`` must wake it, processless or not."""
+        settings = ExecutionSettings(mpi_buffer_bytes=100_000, double_buffering=False)
+        env = Environment(EnvironmentConfig())
+        deployer = Deployer(env)
+        plan = compile_plan(point_to_point_query(300_000, 8), settings=settings)
+        deployment = deployer.deploy(deployer.place(plan, settings=settings))
+        deployment.start()
+        inboxes = [port.inbox for rp in deployment.rps.values() for port in rp.input_ports]
+        while not any(inbox.blocked_deposits for inbox in inboxes):
+            env.sim.step()
+        assert env.torus.coprocessor(0).count == 1  # held across the deposit
+        deployment.teardown()
+        env.sim.run()
+        assert env.torus.coprocessor(0).count == 0
+        assert [inbox.blocked_deposits for inbox in inboxes] == [0, 0]
         sanitize.assert_quiescent(env)
 
     def test_same_instant_teardown_never_starts_a_zombie(self):

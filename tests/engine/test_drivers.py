@@ -124,3 +124,88 @@ class TestInbox:
         sim.run()
         assert deposited == [0.0, 0.0]
         assert inbox.depth == 2
+
+    def test_a_free_slot_is_taken_in_the_call_itself(self, sim):
+        from repro.net.message import WireBuffer
+
+        inbox = Inbox(sim, slots=2)
+        sim.run()  # the pool's own tokens
+        started = sim.events_dispatched
+        done = inbox.put(WireBuffer.data("s", "n", 10, []))
+        assert (inbox.depth, inbox.blocked_deposits) == (1, 0)  # before any event ran
+        assert not hasattr(inbox, "_put") and not hasattr(inbox, "_put_name")
+        sim.run()
+        # Outside a dispatch nothing is synchronous: the (unused) slot event
+        # and the store's put event — but no Initialize, no completion.
+        assert done.processed and sim.events_dispatched - started == 2
+
+    def test_the_depositor_completes_before_the_woken_receiver_runs(self, sim):
+        from repro.net.message import WireBuffer
+
+        order = []
+
+        def network(inbox, count):
+            for index in range(count):
+                yield sim.timeout(1.0)
+                deposited = inbox.put(WireBuffer.data("s", "n", 10, []))
+                if deposited.callbacks is not None:
+                    yield deposited
+                order.append(("deposited", index, sim.now))
+
+        def driver(inbox, count, hold):
+            for index in range(count):
+                yield inbox.get()
+                order.append(("picked-up", index, sim.now))
+                yield sim.timeout(hold)
+                yield inbox.release()
+
+        # Free slot (receiver parked on get) and blocked deposit (one slot,
+        # slow receiver) alike: deposit first, pick-up second, same instant.
+        for slots, hold in ((2, 0.0), (1, 5.0)):
+            order.clear()
+            inbox = Inbox(sim, slots=slots)
+            sim.process(network(inbox, 3))
+            sim.process(driver(inbox, 3, hold))
+            sim.run()
+            for index in range(3):
+                deposited = order.index(next(e for e in order if e[:2] == ("deposited", index)))
+                picked_up = order.index(next(e for e in order if e[:2] == ("picked-up", index)))
+                assert deposited < picked_up, (slots, order)
+                assert order[deposited][2] == order[picked_up][2]
+
+    def test_close_wakes_blocked_deposits_and_drops_later_ones(self, sim):
+        from repro.net.message import WireBuffer
+
+        inbox = Inbox(sim, slots=1)
+        woken = []
+
+        def network(index):
+            yield inbox.put(WireBuffer.data("s", "n", 10, []))
+            woken.append((index, sim.now))
+
+        for index in range(3):
+            sim.process(network(index))
+        sim.run()
+        assert woken == [(0, 0.0)] and (inbox.depth, inbox.blocked_deposits) == (1, 2)
+        assert sum(store.pending_gets for store in inbox.kernel_stores()) == 2
+        inbox.close()
+        sim.run()
+        assert sorted(woken) == [(0, 0.0), (1, 0.0), (2, 0.0)]
+        assert (inbox.depth, inbox.blocked_deposits) == (1, 0)  # woken, not deposited
+        late = inbox.put(WireBuffer.data("s", "n", 10, []))
+        assert late.processed and inbox.depth == 1  # dropped, nothing to wait for
+
+    def test_a_blocked_deposit_is_a_live_waiter_to_the_audit(self, sim):
+        from repro.analysis.sanitize import _live_waiters
+        from repro.net.message import WireBuffer
+
+        inbox = Inbox(sim, slots=1)
+
+        def forward():  # as the torus does: detached, holding on the deposit
+            yield inbox.put(WireBuffer.data("s", "n", 10, []))
+
+        sim.detach(forward())
+        sim.detach(forward())
+        sim.run()
+        tokens, items = inbox.kernel_stores()
+        assert (inbox.blocked_deposits, _live_waiters(tokens), _live_waiters(items)) == (1, 1, 0)

@@ -385,3 +385,22 @@ class TestStreamStateIsFreed:
         sim.run()
         assert inbox.size == 3
         assert torus._stream_windows == {} and torus.in_flight_census() == []
+
+    def test_a_buffer_counts_as_in_flight_before_its_continuation_is_armed(self, monkeypatch):
+        from repro.sim import Simulator
+
+        sim, torus = make_torus()
+        armed = []
+        detach = Simulator.detach
+
+        def spy(self, generator, start=None):
+            armed.append((torus.in_flight_census(), start.delay))
+            detach(self, generator, start)
+
+        monkeypatch.setattr(Simulator, "detach", spy)
+        inbox = Store(sim)
+        sim.process(torus.send(WireBuffer.data("s", "bg:26", 1000, []), 26, 0, inbox))
+        sim.run()
+        # Counted first; started on the hop-latency timeout, nothing at ``now``.
+        assert armed == [([("s", 1)], torus.params.hop_latency * 5)]
+        assert inbox.size == 1 and torus.in_flight_census() == []

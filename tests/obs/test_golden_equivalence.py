@@ -1,26 +1,48 @@
-"""Golden output identity of the observability plane.
+"""Golden output identity of the observability plane, in two sections.
 
-Recorded on the commit *before* the hooks were rewritten to bound
-instruments (PR 12), and required to pass unmodified after it: for one
-fig6, one fig8-sequential and the fig15 Q5 n=4 point, under
+For one fig6, one fig8-sequential and the fig15 Q5 n=4 point, under
 ``observe="flows"`` (``Instrumentation(tracer=NULL_TRACER)``) and under
 ``observe="trace"`` (a full ``Instrumentation()``, the golden's "full"
-mode), the digest of
+mode), ``golden_obs.json`` records two digests of
 
-* the ``MetricsSnapshot`` of the report — every key in insertion order,
-  every float exact (``float.hex``),
+* the ``MetricsSnapshot`` of the report — every float exact (``float.hex``),
 * every completed ``FlowRecord`` with its hops,
-* the text, Prometheus and JSON-lines exporter output
+* the text, Prometheus and JSON-lines exporter output.
 
-must equal ``golden_obs.json``.  Re-record (only when an output change is
-intended and reviewed) with ``python tests/obs/test_golden_equivalence.py``.
+**physics** is what the simulation *models*: the clock, every counter,
+gauge, peak and time-weighted series (byte and buffer counts, resource
+acquires, waits and busy/queue integrals, store levels, flow latencies),
+every flow's hop set with its times and latency components, every
+resource-hold and store-level trace record.  It is digested as a multiset
+— lines sorted, a flow's hops sorted — and must stay float-identical
+across any kernel or carrier change (and is what the heap/calendar,
+jobs=1/N and chaos-seed equivalence suites compare).  A change that moves
+a physics digest changed the model.
 
-PR 13 re-recorded the file once: the kernel now delivers an uncontended
-grant synchronously instead of scheduling it, so ``sim.events_processed``
-fell — and nothing else may ever tell the two kernels apart, which
-``test_only_the_event_count_tells_the_kernels_apart`` keeps checking
-against the same code under a scheduler that queues every grant (that run
-reproduced the PR 12 file digest for digest before the re-record).
+**bookkeeping** is how the kernel got there: ``sim.events_processed``,
+``sim.processes_started/finished``, the process records of the traced
+JSONL, the first-use order of instruments and the order of records that
+share one timestamp.  It is digested verbatim, in order, and may move — a
+PR that moves it re-records (``python tests/obs/test_golden_equivalence.py``
+refuses to while a physics digest differs) and states the reason here:
+
+* PR 12 recorded the file on the commit before the bound-instrument
+  rewrite; that PR passed it unmodified.
+* PR 13: uncontended grants are delivered synchronously, so
+  ``sim.events_processed`` fell.
+* PR 16: a buffer in flight is no longer a process.  ``torus-forward``,
+  ``tcp-forward`` and ``<inbox>.put`` process records are gone from the
+  JSONL, ``sim.processes_*`` and ``sim.events_processed`` fell, and a
+  deposit completes its depositor before the woken receiver runs: the
+  ``*.deliver`` hop now precedes ``receiver.inbox`` at their shared
+  timestamp, and an end-of-stream buffer keeps its ``*.deliver`` hop,
+  which the receiver used to complete the flow ahead of (one or two flow
+  lines more per point — the only physics lines that differ from the
+  PR 15 source, where dropping them was a recording bug).
+
+``test_only_the_event_count_tells_the_kernels_apart`` keeps checking the
+eager kernel against the same code under a scheduler that queues every
+grant.
 
 Two host-dependent values are normalised: the module-global wire-buffer id
 counter is restarted for each run, and the ``id()``-derived span idents of
@@ -33,6 +55,8 @@ import hashlib
 import io
 import itertools
 import json
+import re
+import sys
 from pathlib import Path
 from typing import Dict
 
@@ -46,7 +70,7 @@ from repro.obs.export import (
     trace_record_dict,
     utilization_summary,
 )
-from repro.sim import scheduler_override
+from repro.sim import HeapScheduler, scheduler_override
 from tests.sim.test_eager_grants import NeverQuiescent
 
 GOLDEN_PATH = Path(__file__).with_name("golden_obs.json")
@@ -55,6 +79,10 @@ POINTS = ("fig6[B=1000,double]", "fig8[B=100000,seq,double]", "fig15[Q5,n=4]")
 #: Golden mode name (the key suffix in ``golden_obs.json``) -> observe level.
 MODES = {"flows": "flows", "full": "trace"}
 SEED = 0
+#: Lines that count kernel work (in any exporter's spelling), not behaviour.
+BOOKKEEPING_LINE = re.compile(
+    r"sim[._](events_processed|processes_started|processes_finished)|\"track\": \"process:"
+)
 
 
 def _hex(value: float) -> str:
@@ -118,14 +146,37 @@ def observe_point(name: str, mode: str) -> Dict[str, str]:
     }
 
 
-def digest(artifacts: Dict[str, str]) -> Dict[str, Dict[str, object]]:
-    return {
-        kind: {
-            "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-            "lines": text.count("\n") + 1 if text else 0,
-        }
+def physics(artifacts: Dict[str, str]) -> Dict[str, str]:
+    """The order- and bookkeeping-free reading of ``artifacts``."""
+    flows = []
+    for line in artifacts["flows"].splitlines():
+        if line.startswith("flow "):
+            flows.append([line])
+        else:
+            flows[-1].append(line)
+    modelled = {
+        kind: "\n".join(sorted(
+            line for line in text.splitlines() if not BOOKKEEPING_LINE.search(line)
+        ))
         for kind, text in artifacts.items()
     }
+    modelled["flows"] = "\n".join(
+        sorted("\n".join(block[:1] + sorted(block[1:])) for block in flows)
+    )
+    return modelled
+
+
+def digest(artifacts: Dict[str, str]) -> Dict[str, Dict[str, Dict[str, object]]]:
+    def section(texts: Dict[str, str]) -> Dict[str, Dict[str, object]]:
+        return {
+            kind: {
+                "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+                "lines": text.count("\n") + 1 if text else 0,
+            }
+            for kind, text in texts.items()
+        }
+
+    return {"physics": section(physics(artifacts)), "bookkeeping": section(artifacts)}
 
 
 @pytest.fixture(scope="module")
@@ -138,19 +189,26 @@ def golden():
 def test_outputs_match_the_recorded_golden(golden, name, mode):
     recorded = golden[f"{name}|{mode}"]
     measured = digest(observe_point(name, mode))
-    assert list(measured) == list(recorded)
-    for kind in recorded:
-        assert measured[kind] == recorded[kind], (
-            f"{kind} output of {name} under {mode} instrumentation changed"
-        )
+    for section, verdict in (
+        ("physics", "simulated physics changed"),
+        ("bookkeeping", "kernel bookkeeping moved (physics held; re-record and "
+                        "state the reason in this module)"),
+    ):
+        assert list(measured[section]) == list(recorded[section])
+        for kind, expected in recorded[section].items():
+            assert measured[section][kind] == expected, (
+                f"{verdict}: {kind} output of {name} under {mode}"
+            )
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", POINTS)
 def test_only_the_event_count_tells_the_kernels_apart(name, mode):
+    """Only bookkeeping tells the kernels apart — and of it, only the count."""
     eager = observe_point(name, mode)
     with scheduler_override(NeverQuiescent):  # every grant queued, as before PR 13
         queued = observe_point(name, mode)
+    assert physics(eager) == physics(queued)
     for kind in ("flows", "jsonl"):
         assert eager[kind] == queued[kind], kind
     for kind in ("snapshot", "text", "prometheus"):
@@ -159,20 +217,47 @@ def test_only_the_event_count_tells_the_kernels_apart(name, mode):
         assert len(changed) == 1 and "events_processed" in changed[0][0], (kind, changed)
 
 
+@pytest.mark.parametrize("name", POINTS)
+def test_nothing_recorded_depends_on_the_scheduler_backend(golden, name):
+    with scheduler_override(HeapScheduler):
+        measured = digest(observe_point(name, "flows"))
+    assert measured == golden[f"{name}|flows"]
+
+
 def test_golden_covers_what_it_claims(golden):
     assert sorted(golden) == sorted(f"{n}|{m}" for n in POINTS for m in MODES)
-    for key, kinds in golden.items():
-        assert kinds["snapshot"]["lines"] > 50, key
-        assert kinds["flows"]["lines"] > 100, key
-        # The null tracer writes no records; the full hub writes thousands.
-        assert (kinds["jsonl"]["lines"] > 1000) == key.endswith("|full"), key
+    for key, sections in golden.items():
+        for section, kinds in sections.items():
+            assert kinds["snapshot"]["lines"] > 50, key
+            assert kinds["flows"]["lines"] > 100, key
+            # The null tracer writes no records; the full hub writes thousands.
+            assert (kinds["jsonl"]["lines"] > 1000) == key.endswith("|full"), (key, section)
+        physics_, bookkeeping = sections["physics"], sections["bookkeeping"]
+        moved = [kind for kind in physics_ if physics_[kind] != bookkeeping[kind]]
+        # Bookkeeping lines exist in every artifact but the flow records,
+        # whose two sections differ only in order.
+        assert set(moved) >= {"snapshot", "text", "prometheus"}, key
+        assert physics_["flows"]["lines"] == bookkeeping["flows"]["lines"]
 
 
 if __name__ == "__main__":
+    recorded = json.loads(GOLDEN_PATH.read_text())
     document = {
         f"{name}|{mode}": digest(observe_point(name, mode))
         for name in POINTS
         for mode in MODES
     }
+    moved = [
+        f"{key}: {kind}"
+        for key, sections in document.items()
+        for kind, value in sections["physics"].items()
+        if recorded.get(key, {}).get("physics", {}).get(kind, value) != value
+    ]
+    if moved and "--physics-changed" not in sys.argv:
+        raise SystemExit(
+            "physics digests differ from the recorded file — the model changed:\n  "
+            + "\n  ".join(moved)
+            + "\nfix it, or pass --physics-changed and state the reason in this module"
+        )
     GOLDEN_PATH.write_text(json.dumps(document, indent=2) + "\n")
     print(f"recorded {len(document)} golden entries in {GOLDEN_PATH}")

@@ -30,7 +30,7 @@ from repro.hardware.environment import (
 )
 from repro.obs import Instrumentation, profile
 from repro.obs.flow import NULL_FLOWS
-from repro.obs.health import ContinuousBottleneckDetector, HealthEvent
+from repro.obs.health import ContinuousBottleneckDetector, HealthEvent, resource_scope
 from repro.obs.live import DEFAULT_WINDOW, NULL_LIVE, LiveSampler, NullLiveSampler
 from repro.obs.tracer import NULL_TRACER
 from repro.scsql.session import SCSQSession
@@ -309,6 +309,14 @@ class TestDetectorUnit:
         assert [e.kind for e in events] == ["degraded"]
         events = detector.observe_window(3, 3.0, 4.0, {}, {"s0": 50.0}, {})
         assert [e.kind for e in events] == ["recovered"]
+
+    def test_scopes_are_keyed_by_resource_names_only(self):
+        assert resource_scope("coproc[3]") == "node"
+        assert resource_scope("io-proxy[1]") == "pset"
+        assert resource_scope("switch-uplink[be->bg]") == "link"
+        assert resource_scope("tcp-window[a->b]") == "link"
+        # Was listed as a link family, but only ever named a process.
+        assert resource_scope("tcp-forward[a->b#7]") == "resource"
 
     def test_validation(self):
         with pytest.raises(ValueError):
