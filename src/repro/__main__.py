@@ -84,8 +84,8 @@ from repro.obs.instrument import (
     OBSERVE_NONE,
     OBSERVE_TRACE,
     instrumentation_for,
+    live_instrumentation,
 )
-from repro.obs.tracer import NULL_TRACER
 from repro.scsql.session import SCSQSession
 
 
@@ -569,7 +569,7 @@ def _top(args) -> int:
         prometheus_exposition,
         write_timeseries_jsonl,
     )
-    from repro.obs.live import DEFAULT_WINDOW, LiveSampler
+    from repro.obs.live import DEFAULT_WINDOW
     from repro.scsql.plan import compile_plan
     from repro.util.units import MEGA
 
@@ -589,19 +589,11 @@ def _top(args) -> int:
               f"(simulated), seed {args.seed}")
         print(LIVE_HEADER)
         print("-" * len(LIVE_HEADER))
-    detector_kwargs = _detector_kwargs(args)
-    detector = None
-    if detector_kwargs:
-        from repro.obs.health import ContinuousBottleneckDetector
-
-        detector = ContinuousBottleneckDetector(**detector_kwargs)
-    sampler = LiveSampler(
-        window=window,
-        detector=detector,
+    obs, sampler = live_instrumentation(
+        window, _detector_kwargs(args),
         on_window=(lambda window: print(live_row(window))) if streaming else None,
     )
     config = EnvironmentConfig().with_seed(args.seed)
-    obs = Instrumentation(tracer=NULL_TRACER, live=sampler)
     env = Environment(config, obs=obs, template=shared_template(config))
     plan = compile_plan(point.query, settings=point.settings)
     report = Deployer(env).run(plan, settings=point.settings)

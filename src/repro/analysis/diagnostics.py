@@ -59,6 +59,7 @@ CATALOG: Dict[str, Tuple[Severity, str]] = {
     "SCSQ105": (Severity.ERROR, "inPset() names a pset absent from the CNDB"),
     "SCSQ106": (Severity.ERROR, "psetrr() on a cluster without psets"),
     "SCSQ107": (Severity.ERROR, "cluster has no available node for an unconstrained SP"),
+    "SCSQ108": (Severity.ERROR, "explicit allocation pins a failed node"),
     # SCSQ2xx — cross-plan (concurrent deployments)
     "SCSQ201": (Severity.ERROR, "node already allocated by a concurrently deployed plan"),
     # SCSQ3xx — locality

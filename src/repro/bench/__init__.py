@@ -3,7 +3,10 @@
 TPC-H-style power/throughput modes over the repro workloads
 (:mod:`repro.bench.query_stream`, :mod:`repro.bench.benchmark`) and a
 deterministic mid-run fault-injection layer with recovery metrics
-(:mod:`repro.bench.faults`).  ``python -m repro bench --mode ...`` is the
+(:mod:`repro.bench.faults`): a
+:class:`~repro.core.multiquery.MultiQuerySession` plus a
+:class:`~repro.bench.faults.FaultSchedule`, replanning victims through
+``session.replace``.  ``python -m repro bench --mode ...`` is the
 CLI front end; the metric mappings gate through the BENCH v2 machinery in
 :mod:`repro.core.bench`.
 """

@@ -46,10 +46,8 @@ from repro.core.parallel import SweepExecutor
 from repro.core.multiquery import MultiQuerySession
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import Environment, EnvironmentConfig, shared_template
-from repro.obs.instrument import Instrumentation
-from repro.obs.health import ContinuousBottleneckDetector
+from repro.obs.instrument import live_instrumentation
 from repro.obs.live import LiveSampler
-from repro.obs.tracer import NULL_TRACER
 from repro.scsql.plan import compile_plan
 from repro.util.errors import MeasurementError
 from repro.util.units import MEGA
@@ -88,17 +86,11 @@ def _fresh_env(
     detector_kwargs: Optional[Dict[str, object]] = None,
 ) -> "tuple[Environment, Optional[LiveSampler]]":
     seeded = config.with_seed(seed)
-    sampler: Optional[LiveSampler] = None
-    obs = None
-    if live_window is not None:
-        detector = (
-            ContinuousBottleneckDetector(**detector_kwargs)
-            if detector_kwargs else None
-        )
-        sampler = LiveSampler(window=live_window, detector=detector)
-        obs = Instrumentation(tracer=NULL_TRACER, live=sampler)
-    env = shared_template(seeded).fork(seed=seeded.seed, obs=obs)
-    return env, sampler
+    obs, sampler = (
+        live_instrumentation(live_window, detector_kwargs)
+        if live_window is not None else (None, None)
+    )
+    return shared_template(seeded).fork(seed=seeded.seed, obs=obs), sampler
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,11 @@
 Mid-run failures over concurrent numbered query streams: a seed-driven
 :class:`FaultSchedule` kills a BlueGene compute node (or a whole pset with
 its I/O node) or degrades a torus link / the Ethernet switch uplink at a
-chosen simulated time.  :func:`run_faulted_session` deploys every stream,
-drives the shared simulator up to each fault instant, applies the failure,
-and exercises the *existing* recovery machinery end to end:
+chosen simulated time.  :func:`run_faulted_session` is a
+:class:`~repro.core.multiquery.MultiQuerySession` plus a schedule: it
+submits every stream, drives the shared simulator up to each fault
+instant, applies the failure, and exercises the *existing* recovery
+machinery end to end:
 
 * :meth:`~repro.coordinator.deployer.Deployment.teardown` stops the
   victim's running processes and returns their node slots;
@@ -14,7 +16,9 @@ and exercises the *existing* recovery machinery end to end:
   :meth:`~repro.net.ethernet.EthernetFabric.degrade_uplink`);
 * the victim is **replanned** through the deployer's
   :class:`~repro.coordinator.deployer.PlacementStrategy` interface and
-  redeployed under a ``<label>+rN/`` prefix, re-verified by the static
+  redeployed as the session's next generation of its label
+  (:meth:`~repro.core.multiquery.MultiQuerySession.replace`, tag ``r``:
+  a ``<label>+rN/`` prefix), re-verified by the static
   :class:`~repro.analysis.verifier.PlanVerifier` against the live
   environment (failed nodes are unavailable in the snapshot replay).
 
@@ -45,11 +49,11 @@ from repro.bench.query_stream import (
     registered,
 )
 from repro.coordinator.deployer import (
-    Deployer,
     Deployment,
     ExecutionReport,
     PlacementStrategy,
 )
+from repro.core.multiquery import MultiQuerySession
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import (
     BLUEGENE,
@@ -226,20 +230,6 @@ class FaultSchedule:
 
 
 @dataclass
-class StreamState:
-    """The deployment history of one numbered stream inside a session."""
-
-    label: str
-    query: BenchQuery
-    plan: object
-    deployments: List[Deployment] = field(default_factory=list)
-
-    @property
-    def final(self) -> Deployment:
-        return self.deployments[-1]
-
-
-@dataclass
 class FaultedRunResult:
     """Everything one (possibly faulted) concurrent run produced."""
 
@@ -327,19 +317,19 @@ class FaultedRunResult:
 # ----------------------------------------------------------------------
 # The injection loop
 # ----------------------------------------------------------------------
-def _occupied_bg_nodes(states: Sequence[StreamState]) -> Dict[int, List[StreamState]]:
-    """Compute-node index -> streams with a live RP there, deterministic."""
-    occupied: Dict[int, List[StreamState]] = {}
-    for state in states:
-        deployment = state.final
+def _occupied_bg_nodes(session: MultiQuerySession) -> Dict[int, List[str]]:
+    """Compute-node index -> labels with a live RP there, deterministic."""
+    occupied: Dict[int, List[str]] = {}
+    for label in session.labels():
+        deployment = session.deployment(label)
         if not deployment.running:
             continue
         for rp in deployment.rps.values():
             node = rp.node
             if node.cluster == BLUEGENE and node.kind is NodeKind.BG_COMPUTE:
                 holders = occupied.setdefault(node.index, [])
-                if state not in holders:
-                    holders.append(state)
+                if label not in holders:
+                    holders.append(label)
     return occupied
 
 
@@ -353,72 +343,74 @@ def run_faulted_session(
 ) -> FaultedRunResult:
     """Run the queries concurrently on ``env``, injecting the schedule.
 
-    Every query deploys under its own ``s<stream_id>/`` prefix and starts
-    at simulated time 0 (external sources must already be registered — use
-    :func:`repro.bench.query_stream.registered`).  The simulator then runs
-    up to each fault instant in turn; the fault tears down its victims,
-    damages the hardware, and redeploys each victim through ``strategy``
-    (naive next-available selection by default) with static re-verification
-    per ``verify``.  An empty schedule is simply a healthy concurrent run.
+    The queries are submitted to one
+    :class:`~repro.core.multiquery.MultiQuerySession` under the labels
+    ``s<stream_id>`` and start at simulated time 0 (external sources must
+    already be registered — use :func:`repro.bench.query_stream.registered`).
+    The simulator then runs up to each fault instant in turn; the fault
+    damages the hardware, and each victim is torn down and redeployed
+    through ``strategy`` (naive next-available selection by default) with
+    static re-verification per ``verify``, as the session's next ``r``
+    generation.  An empty schedule is simply ``session.run()``.
+
+    The harness owns its session and tears it down on every exit path: the
+    schedule yields exact results or the typed error of a replan that could
+    not deploy, and either way ``env`` comes back with every node, stream
+    and listener released.
     """
     rng = random.Random(f"fault:{schedule.seed}")
-    deployer = Deployer(env)
-    states: List[StreamState] = []
-    for bench_query in queries:
-        label = f"s{bench_query.stream_id}"
-        plan = compile_plan(bench_query.query, settings=settings)
-        placed = deployer.place(plan, strategy, settings)
-        deployment = deployer.deploy(placed, rp_prefix=f"{label}/", verify=verify)
-        states.append(
-            StreamState(label=label, query=bench_query, plan=plan,
-                        deployments=[deployment])
-        )
-    for state in states:
-        state.final.start()
+    session = MultiQuerySession(env, settings=settings, verify=verify)
+
+    def replan(deployment: Deployment, plan: object, prefix: str) -> Deployment:
+        deployment.teardown()
+        placed = session.deployer.place(plan, strategy, settings)
+        return session.deployer.deploy(placed, rp_prefix=prefix, verify=verify)
 
     failed_nodes: List[str] = []
     degraded: List[str] = []
     restored: List[str] = []
     degraded_links: List[Tuple[int, int]] = []
     replacements: List[str] = []
-    for event in schedule.events:
-        env.sim.run(until=event.time)
-        victims = _apply_event(
-            env, event, states, rng, failed_nodes, degraded, restored,
-            degraded_links,
+    try:
+        for bench_query in queries:
+            session.submit(
+                compile_plan(bench_query.query, settings=settings),
+                payload_bytes=bench_query.payload_bytes, strategy=strategy,
+                label=f"s{bench_query.stream_id}",
+            )
+        session.start()
+        for event in schedule.events:
+            env.sim.run(until=event.time)
+            victims = _apply_event(
+                env, event, session, rng, failed_nodes, degraded, restored,
+                degraded_links,
+            )
+            if not event.replan:
+                continue  # a transient: the streams ride it out in place
+            for label in victims:
+                replacements.append(session.replace(label, "r", replan).rp_prefix)
+        env.sim.run()
+        reports = {
+            outcome.label: outcome.report for outcome in session.finish().outcomes
+        }
+        completions: Dict[str, float] = {}
+        for label, report in reports.items():
+            start_time = session.deployment(label).start_time
+            assert start_time is not None
+            completions[label] = start_time + report.duration
+        return FaultedRunResult(
+            reports=reports,
+            completions=completions,
+            makespan=max(completions.values()),
+            fault_time=schedule.events[0].time if schedule.events else None,
+            failed_nodes=failed_nodes,
+            degraded=degraded,
+            restored=restored,
+            replacements=replacements,
+            flow_records=list(env.obs.flows.completed),
         )
-        if not event.replan:
-            continue  # a transient: the streams ride it out in place
-        for state in victims:
-            deployer.teardown(state.final)
-            placed = deployer.place(state.plan, strategy, settings)
-            prefix = f"{state.label}+r{len(state.deployments)}/"
-            replacement = deployer.deploy(placed, rp_prefix=prefix, verify=verify)
-            state.deployments.append(replacement)
-            replacement.start()
-            replacements.append(prefix)
-    env.sim.run()
-
-    reports: Dict[str, ExecutionReport] = {}
-    completions: Dict[str, float] = {}
-    for state in states:
-        deployment = state.final
-        report = deployment.finish()
-        reports[state.label] = report
-        assert deployment.start_time is not None
-        completions[state.label] = deployment.start_time + report.duration
-    makespan = max(completions.values()) if completions else 0.0
-    return FaultedRunResult(
-        reports=reports,
-        completions=completions,
-        makespan=makespan,
-        fault_time=schedule.events[0].time if schedule.events else None,
-        failed_nodes=failed_nodes,
-        degraded=degraded,
-        restored=restored,
-        replacements=replacements,
-        flow_records=list(env.obs.flows.completed),
-    )
+    finally:
+        session.teardown()
 
 
 def _notify_failure(env: Environment, subject: str, scope: str,
@@ -432,14 +424,14 @@ def _notify_failure(env: Environment, subject: str, scope: str,
 def _apply_event(
     env: Environment,
     event: FaultEvent,
-    states: Sequence[StreamState],
+    session: MultiQuerySession,
     rng: random.Random,
     failed_nodes: List[str],
     degraded: List[str],
     restored: List[str],
     degraded_links: List[Tuple[int, int]],
-) -> List[StreamState]:
-    """Damage (or repair) the hardware; return the streams to replan."""
+) -> List[str]:
+    """Damage (or repair) the hardware; return the labels to replan."""
     if event.scenario == "restore-link":
         while degraded_links:
             a, b = degraded_links.pop()
@@ -452,7 +444,7 @@ def _apply_event(
         restored.append("eth uplink restored")
         return []
 
-    occupied = _occupied_bg_nodes(states)
+    occupied = _occupied_bg_nodes(session)
     if event.scenario == "kill-node":
         candidates = sorted(occupied)
         if event.target is not None:
@@ -475,15 +467,15 @@ def _apply_event(
             if not candidates:
                 return []
             pset_id = env.bluegene.pset_of(rng.choice(candidates))
-        victims: List[StreamState] = []
+        victims: List[str] = []
         for node in env.bluegene.nodes_in_pset(pset_id):
             node.fail()
             failed_nodes.append(node.node_id)
             _notify_failure(env, node.node_id, "node",
                             f"pset {pset_id} killed by fault injection")
-            for state in occupied.get(node.index, []):
-                if state not in victims:
-                    victims.append(state)
+            for label in occupied.get(node.index, []):
+                if label not in victims:
+                    victims.append(label)
         io_node = env.bluegene.io_nodes[pset_id]
         io_node.fail()
         failed_nodes.append(io_node.node_id)
@@ -509,7 +501,9 @@ def _apply_event(
     env.fabric.degrade_uplink(event.factor)
     degraded.append(f"eth uplink x{event.factor:g}")
     _notify_failure(env, "eth-uplink", "link", f"degraded x{event.factor:g}")
-    running = [state for state in states if state.final.running]
+    running = [
+        label for label in session.labels() if session.deployment(label).running
+    ]
     if not running:
         return []
     return [rng.choice(running)]

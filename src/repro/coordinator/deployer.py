@@ -790,35 +790,30 @@ class Deployer:
         moved = dict(current)
         moved[sp_id] = target
         deployment.teardown()
+        rejection: Optional[PlanVerificationError] = None
         try:
             replacement = self.deploy(
                 self._pinned_plan(plan, deployment.settings, moved),
                 rp_prefix=rp_prefix, verify=verify,
             )
         except PlanVerificationError as error:
+            rejection = error
             replacement = self.deploy(
                 self._pinned_plan(plan, deployment.settings, current),
                 rp_prefix=rp_prefix, verify=None,
             )
-            record = MigrationRecord(
-                sp_id=sp_id, source=source_node.node_id,
-                target=target_node.node_id, rp_prefix=rp_prefix, time=now,
-                ok=False, rolled_back=True,
-                detail=str(error).splitlines()[0],
-                snapshot=snapshot,
-            )
-            from repro.analysis import sanitize
-            if sanitize.enabled():
-                sanitize.audit_migrate(deployment, replacement, self.env)
-            return replacement, record
         record = MigrationRecord(
             sp_id=sp_id, source=source_node.node_id,
             target=target_node.node_id, rp_prefix=rp_prefix, time=now,
-            ok=True, detail=f"moved {sp_id} {source_node.node_id} -> "
-            f"{target_node.node_id}",
+            ok=rejection is None, rolled_back=rejection is not None,
+            detail=(
+                f"moved {sp_id} {source_node.node_id} -> {target_node.node_id}"
+                if rejection is None else str(rejection).splitlines()[0]
+            ),
             snapshot=snapshot,
         )
         from repro.analysis import sanitize
+
         if sanitize.enabled():
             sanitize.audit_migrate(deployment, replacement, self.env)
         return replacement, record

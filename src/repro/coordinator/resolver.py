@@ -39,7 +39,9 @@ _UNRESOLVABLE = {InPsetSpec: "SCSQ105", PsetRoundRobinSpec: "SCSQ106"}
 #: Diagnostics that mean "no node is available" — the paper's "the query
 #: will fail" (:class:`AllocationError`).  Every other placement code says
 #: the plan names something the topology does not have.
-_NO_AVAILABLE_NODE = frozenset(["SCSQ103", "SCSQ104", "SCSQ107", "SCSQ201"])
+_NO_AVAILABLE_NODE = frozenset(
+    ["SCSQ103", "SCSQ104", "SCSQ107", "SCSQ108", "SCSQ201"]
+)
 
 
 @dataclass
@@ -79,7 +81,7 @@ def resolve_placement(
 
     Returns ``(assignment, diagnostics)``.  With no diagnostics the
     assignment holds the acquired slots and the cursors have advanced; with
-    any (``SCSQ101``–``107``/``201``, one per failing stream process),
+    any (``SCSQ101``–``108``/``201``, one per failing stream process),
     everything acquired was released and the cursors rewound.
     """
     assignment = Assignment(
@@ -161,12 +163,16 @@ def _select(
                 fail("SCSQ104", sp,
                      f"allocation sequence of {sp.sp_id!r} is exhausted: {exc}")
             return None
-    # A pinned node that is taken: over-subscribed by this very plan, or
-    # held by somebody else?
+    # A pinned node that cannot host: dead, over-subscribed by this very
+    # plan, or held by somebody else?
     node = known[pinned]
     if node.is_available:
         return node
-    if any(other is node for other in placed.values()):
+    if node.failed:
+        fail("SCSQ108", sp,
+             f"node {node.node_id} selected by {sp.sp_id!r} has failed and "
+             "hosts no further process")
+    elif any(other is node for other in placed.values()):
         fail(
             "SCSQ103", sp,
             f"node {node.node_id} is over-subscribed: {sp.sp_id!r} selects "

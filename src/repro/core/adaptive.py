@@ -12,8 +12,10 @@ This module closes the observe -> decide -> act loop across the stack:
   held fixed, its analytic bounds calibrated by live measured/predicted
   factors;
 * **act** — :meth:`~repro.coordinator.deployer.Deployer.migrate` runs the
-  quiesce -> snapshot -> re-verify -> redeploy -> replay lifecycle under a
-  ``<label>+gN/`` generation prefix, with rollback when the
+  quiesce -> snapshot -> re-verify -> redeploy -> replay lifecycle as the
+  session's next generation of the label
+  (:meth:`~repro.core.multiquery.MultiQuerySession.replace`, tag ``g``),
+  with rollback when the
   :class:`~repro.analysis.verifier.PlanVerifier` rejects the move.
 
 The controller is deliberately conservative: it reacts only to detector
@@ -33,11 +35,11 @@ hot-path lint rules (see ``repro.analysis.lint.HOT_MODULES``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.coordinator.deployer import MigrationRecord
+from repro.coordinator.deployer import Deployment, MigrationRecord
 from repro.hardware.environment import BLUEGENE
-from repro.obs.health import HealthEvent
+from repro.obs.health import HealthEvent, base_stream
 from repro.optimizer.placement import CostBasedPlacer
 from repro.util.errors import AllocationError, QueryExecutionError
 
@@ -117,11 +119,13 @@ class AdaptiveConfig:
 
 
 class AdaptiveController:
-    """Drives one adaptive :class:`~repro.core.multiquery.MultiQuerySession`.
+    """Drives a :class:`~repro.core.multiquery.MultiQuerySession` adaptively.
 
-    Owned by :meth:`MultiQuerySession.run` when the session was created
-    with ``adaptive="on"`` (or an explicit :class:`AdaptiveConfig`); not
-    constructed directly in normal use.
+    Handed a session with its queries submitted, :meth:`run` takes the
+    place of ``session.run()``: it steps the simulator between the
+    session's ``start()`` and ``finish()`` and migrates through
+    ``session.replace(label, "g", ...)``.  The environment must be
+    live-instrumented (:func:`repro.obs.instrument.live_instrumentation`).
     """
 
     def __init__(self, session: "MultiQuerySession",
@@ -129,8 +133,6 @@ class AdaptiveController:
         self.session = session
         self.config = config or AdaptiveConfig()
         self.migrations: List[MigrationRecord] = []
-        self._per_label: Dict[str, List[MigrationRecord]] = {}
-        self._generation: Dict[str, int] = {}
         self._last_migration: Optional[float] = None
         #: subject -> the alert that made it unhealthy; insertion-ordered,
         #: pruned when the detector reports the subject recovered.
@@ -158,21 +160,18 @@ class AdaptiveController:
         the event queue drains — exactly the condition under which the
         classic single ``sim.run()`` returns.
         """
-        from repro.core.multiquery import MultiQueryResult, QueryOutcome
-
         session = self.session
         env = session.env
         live = env.obs.live
         if not live.enabled:
             raise QueryExecutionError(
                 "adaptive mode needs a live-instrumented environment: build "
-                "it with Instrumentation(live=LiveSampler(...)) so windows "
-                "and health events exist to react to"
+                "it with repro.obs.instrument.live_instrumentation(window) so "
+                "windows and health events exist to react to"
             )
         sim = env.sim
         interval = self.config.check_interval
-        for entry in session._entries:
-            entry.deployment.start(stop_after=entry.stop_after)
+        session.start()
         t0 = sim.now
         detector = live.detector
         detector.add_listener(self._on_health, owner="adaptive-controller")
@@ -187,24 +186,34 @@ class AdaptiveController:
         finally:
             detector.remove_listener(self._on_health)
 
-        outcomes: List[QueryOutcome] = []
-        for entry, report in zip(session._entries, session._finish_all()):
-            assert entry.deployment.start_time is not None
-            total = entry.deployment.start_time + report.duration - t0
-            outcomes.append(QueryOutcome(
-                label=entry.label,
-                report=report,
-                payload_bytes=entry.payload_bytes,
-                total_duration=total,
-                migrations=list(self._per_label.get(entry.label, [])),
-            ))
-        return MultiQueryResult(
-            outcomes=outcomes, live=live, migrations=list(self.migrations),
-        )
+        result = session.finish()
+        result.live = live
+        result.migrations = list(self.migrations)
+        for outcome in result.outcomes:
+            start_time = session.deployment(outcome.label).start_time
+            assert start_time is not None
+            outcome.total_duration = start_time + outcome.report.duration - t0
+            outcome.migrations = [
+                record for record in self.migrations
+                if base_stream(record.rp_prefix) == outcome.label
+            ]
+        return result
 
     # ------------------------------------------------------------------
     # Decide: calibrated incremental re-placement
     # ------------------------------------------------------------------
+    def _running(self) -> Iterator[Tuple[str, Any, CostBasedPlacer, Dict[str, int]]]:
+        """``(label, graph, placer, current placement)`` of every query
+        still running, in submission order."""
+        session = self.session
+        for label in session.labels():
+            deployment = session.deployment(label)
+            if deployment.running:
+                graph = deployment.graph
+                yield label, graph, CostBasedPlacer(session.env, deployment.settings), {
+                    sp_id: deployment.rps[sp_id].node.index for sp_id in graph.sps
+                }
+
     def _calibration(self) -> Optional[Dict[str, float]]:
         """Measured/predicted factors per bound family, from the last window.
 
@@ -215,8 +224,7 @@ class AdaptiveController:
         and clamped, so the optimizer scores candidates against the
         environment as *measured*, not just as modelled.
         """
-        session = self.session
-        windows = session.env.obs.live.windows
+        windows = self.session.env.obs.live.windows
         if not windows:
             return None
         window = windows[-1]
@@ -225,15 +233,7 @@ class AdaptiveController:
             return None
         sums: Dict[str, float] = {}
         counts: Dict[str, int] = {}
-        for entry in session._entries:
-            deployment = entry.deployment
-            if not deployment.running:
-                continue
-            placer = CostBasedPlacer(session.env, deployment.settings)
-            graph = deployment.graph
-            current = {
-                sp_id: deployment.rps[sp_id].node.index for sp_id in graph.sps
-            }
+        for label, graph, placer, current in self._running():
             bounds = placer.predicted_bounds(graph, current)
             if not bounds:
                 continue
@@ -244,7 +244,7 @@ class AdaptiveController:
             measured = 0.0
             for key, nbytes in window.sp_bytes.items():
                 prefix, _, sp_id = key.partition("/")
-                if prefix != entry.label:
+                if prefix != label:
                     continue
                 sp = graph.sps.get(sp_id)
                 if sp is not None and sp.cluster == BLUEGENE:
@@ -267,24 +267,15 @@ class AdaptiveController:
 
     def _best_move(
         self, measured: Optional[Dict[str, float]]
-    ) -> Optional[Tuple[float, object, str, int]]:
+    ) -> Optional[Tuple[float, str, str, int]]:
         """The highest-gain single-SP move across every live query.
 
-        Returns ``(gain, entry, sp_id, target_node_index)`` or ``None``.
-        Deterministic: entries in submission order, sp ids sorted, and a
+        Returns ``(gain, label, sp_id, target_node_index)`` or ``None``.
+        Deterministic: labels in submission order, sp ids sorted, and a
         later candidate replaces the incumbent only on strict improvement.
         """
-        session = self.session
-        best: Optional[Tuple[float, object, str, int]] = None
-        for entry in session._entries:
-            deployment = entry.deployment
-            if not deployment.running:
-                continue
-            placer = CostBasedPlacer(session.env, deployment.settings)
-            graph = deployment.graph
-            current = {
-                sp_id: deployment.rps[sp_id].node.index for sp_id in graph.sps
-            }
+        best: Optional[Tuple[float, str, str, int]] = None
+        for label, graph, placer, current in self._running():
             current_score = placer.predicted_bandwidth(graph, current, measured)
             if not 0.0 < current_score < float("inf"):
                 continue
@@ -299,7 +290,7 @@ class AdaptiveController:
                     continue
                 gain = score / current_score
                 if best is None or gain > best[0]:
-                    best = (gain, entry, sp_id, target)
+                    best = (gain, label, sp_id, target)
         return best
 
     # ------------------------------------------------------------------
@@ -319,17 +310,15 @@ class AdaptiveController:
         best = self._best_move(self._calibration())
         if best is None or best[0] < config.improvement_factor:
             return
-        _, entry, sp_id, target = best
-        generation = self._generation.get(entry.label, 0) + 1
-        prefix = f"{entry.label}+g{generation}/"
-        replacement, record = session.deployer.migrate(
-            entry.deployment, entry.plan, sp_id, target,
-            rp_prefix=prefix, verify=config.verify,
-        )
-        self._generation[entry.label] = generation
-        entry.deployment = replacement
-        session._labels[entry.label] = replacement
-        replacement.start(stop_after=entry.stop_after)
-        self.migrations.append(record)
-        self._per_label.setdefault(entry.label, []).append(record)
+        _, label, sp_id, target = best
+
+        def migrate(deployment: Deployment, plan: object, prefix: str) -> Deployment:
+            replacement, record = session.deployer.migrate(
+                deployment, plan, sp_id, target,
+                rp_prefix=prefix, verify=config.verify,
+            )
+            self.migrations.append(record)
+            return replacement
+
+        session.replace(label, "g", migrate)
         self._last_migration = sim.now

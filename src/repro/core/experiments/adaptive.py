@@ -15,8 +15,9 @@ runtime (:mod:`repro.core.adaptive`) should beat a static placement:
   Migrating either generator off the shared route removes the forwarding
   contention the paper measured.
 
-Each case runs twice on identically seeded environments — once with the
-classic static session, once with ``adaptive="on"`` — and reports both
+Each case runs twice on identically seeded environments — once as the
+classic static ``session.run()``, once under an
+:class:`~repro.core.adaptive.AdaptiveController` — and reports both
 bandwidths plus the migration audit trail and the time the detector took
 to see the replacement deliver.  ``repro adaptive`` (the CLI) and the
 ``adaptive`` BENCH figure are thin wrappers over :func:`run_adaptive_point`.
@@ -28,16 +29,14 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.adaptive import AdaptiveConfig
+from repro.core.adaptive import AdaptiveConfig, AdaptiveController
 from repro.core.experiments.contention import DEFAULT_SENDERS, contending_query
 from repro.core.experiments.fig8 import SEQUENTIAL, merge_query
 from repro.core.multiquery import MultiQueryResult, MultiQuerySession
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import EnvironmentConfig, shared_template
-from repro.obs.health import ContinuousBottleneckDetector
-from repro.obs.instrument import Instrumentation
-from repro.obs.live import DEFAULT_WINDOW, LiveSampler
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.instrument import live_instrumentation
+from repro.obs.live import DEFAULT_WINDOW
 from repro.scsql.plan import compile_plan
 from repro.util.errors import QueryExecutionError
 
@@ -187,22 +186,18 @@ def _run_session(
     window: float,
     detector_kwargs: Optional[Dict[str, object]],
 ) -> MultiQueryResult:
-    detector = (
-        ContinuousBottleneckDetector(**detector_kwargs)
-        if detector_kwargs else None
-    )
-    sampler = LiveSampler(window=window, detector=detector)
-    obs = Instrumentation(tracer=NULL_TRACER, live=sampler)
+    obs, sampler = live_instrumentation(window, detector_kwargs)
     env = shared_template(config).fork(seed=config.seed, obs=obs)
-    session = MultiQuerySession(
-        env, adaptive=adaptive if adaptive is not None else "off"
-    )
+    session = MultiQuerySession(env)
     for label, text in spec.queries:
         session.submit(
             compile_plan(text), payload_bytes=spec.payload_bytes, label=label,
             settings=spec.settings,
         )
-    result = session.run()
+    if adaptive is None:
+        result = session.run()
+    else:
+        result = AdaptiveController(session, adaptive).run()
     session.teardown()
     sampler.finalize(env.sim.now)
     result.live = sampler

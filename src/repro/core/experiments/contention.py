@@ -22,6 +22,7 @@ from typing import Dict, Optional
 from repro.coordinator.deployer import Deployer
 from repro.core.multiquery import MultiQueryResult, MultiQuerySession
 from repro.hardware.environment import EnvironmentConfig, shared_template
+from repro.obs.instrument import live_instrumentation
 from repro.scsql.plan import DeploymentPlan, compile_plan
 from repro.util.units import MEGA
 
@@ -91,15 +92,10 @@ def run_contention_demo(
         env = shared_template(config).fork(seed=config.seed)
         report = Deployer(env).run(plan)
         solo[label] = payload * 8.0 / report.duration / MEGA
-    sampler = None
-    obs = None
-    if live_window is not None:
-        from repro.obs.instrument import Instrumentation
-        from repro.obs.live import LiveSampler
-        from repro.obs.tracer import NULL_TRACER
-
-        sampler = LiveSampler(window=live_window)
-        obs = Instrumentation(tracer=NULL_TRACER, live=sampler)
+    obs, sampler = (
+        live_instrumentation(live_window) if live_window is not None
+        else (None, None)
+    )
     shared_env = shared_template(config).fork(seed=config.seed, obs=obs)
     session = MultiQuerySession(shared_env)
     for label, plan in plans.items():

@@ -18,7 +18,7 @@ canonical two-CQ shared-I/O-node demonstration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.coordinator.deployer import (
     Deployer,
@@ -121,15 +121,16 @@ class MultiQueryResult:
 
 @dataclass
 class _Entry:
-    """One submitted query: its deployment history and replay material."""
+    """One submitted query: its current generation and replay material."""
 
-    label: str
     deployment: Deployment
     payload_bytes: int
     stop_after: Optional[float]
     plan: object
-    """The compiled plan, kept so the adaptive runtime can re-instantiate
-    the graph for a migration generation."""
+    """The compiled plan, handed to :meth:`MultiQuerySession.replace`'s
+    ``redeploy`` so a later generation can re-instantiate the graph."""
+
+    replacements: int = 0
 
 
 class MultiQuerySession:
@@ -146,6 +147,11 @@ class MultiQuerySession:
     Submission deploys immediately (placement is decided in submission
     order, deterministically); :meth:`run` starts every deployment, drives
     the shared simulator to completion once, and collects every report.
+
+    A driver that acts *while* the queries run (the fault harness, the
+    adaptive controller) calls :meth:`run`'s phases itself: :meth:`start`,
+    its own ``sim.run(until=)`` steps with :meth:`replace` between them,
+    then :meth:`finish`.
     """
 
     def __init__(
@@ -153,48 +159,23 @@ class MultiQuerySession:
         env: Optional[Environment] = None,
         settings: Optional[ExecutionSettings] = None,
         verify: Optional[str] = None,
-        adaptive: object = "off",
     ):
         """``verify`` (``None``/``"warn"``/``"strict"``) statically checks
         every submitted plan against the session's live environment before
         deploying it — including double allocation against queries already
         submitted (``SCSQ201``), since earlier deployments hold their nodes
         in the shared CNDBs.
-
-        ``adaptive`` opts the session into the measurement-driven runtime:
-        ``"off"`` (default) runs the classic single ``sim.run()`` loop,
-        bit-identically to sessions before the adaptive runtime existed;
-        ``"on"`` (or an :class:`~repro.core.adaptive.AdaptiveConfig`)
-        steps the simulator under an
-        :class:`~repro.core.adaptive.AdaptiveController` that may live-
-        migrate stream processes when the health detector finds a
-        bottleneck.  Adaptive sessions require a live-instrumented
-        environment (``Instrumentation(live=LiveSampler(...))``).
         """
-        from repro.core.adaptive import AdaptiveConfig
-
         if verify not in (None, "warn", "strict"):
             raise QueryExecutionError(
                 f"verify mode must be None, 'warn' or 'strict', not {verify!r}"
-            )
-        if isinstance(adaptive, AdaptiveConfig):
-            self.adaptive: Optional[AdaptiveConfig] = adaptive
-        elif adaptive == "on":
-            self.adaptive = AdaptiveConfig()
-        elif adaptive == "off":
-            self.adaptive = None
-        else:
-            raise QueryExecutionError(
-                f"adaptive mode must be 'off', 'on' or an AdaptiveConfig, "
-                f"not {adaptive!r}"
             )
         self.env = env or Environment(EnvironmentConfig())
         self.settings = settings
         self.verify = verify
         self.deployer = Deployer(self.env)
-        self._entries: List[_Entry] = []
-        self._labels: Dict[str, Deployment] = {}
-        self._ran = False
+        self._entries: Dict[str, _Entry] = {}
+        self._started = False
 
     def submit(
         self,
@@ -211,26 +192,29 @@ class MultiQuerySession:
         as ``"<label>/<sp_id>"``; it defaults to ``q0``, ``q1``, ... in
         submission order and must be session-unique.
         """
-        if self._ran:
+        if self._started:
             raise QueryExecutionError("session already ran; use a new session")
         if label is None:
             label = f"q{len(self._entries)}"
-        if label in self._labels:
+        if label in self._entries:
             raise QueryExecutionError(f"duplicate query label {label!r}")
         placed = self.deployer.place(plan, strategy, settings or self.settings)
         deployment = self.deployer.deploy(
             placed, rp_prefix=f"{label}/", verify=self.verify
         )
-        self._labels[label] = deployment
-        self._entries.append(_Entry(
-            label=label, deployment=deployment, payload_bytes=payload_bytes,
+        self._entries[label] = _Entry(
+            deployment=deployment, payload_bytes=payload_bytes,
             stop_after=stop_after, plan=plan,
-        ))
+        )
         return label
 
+    def labels(self) -> List[str]:
+        """Every submitted label, in submission order."""
+        return list(self._entries)
+
     def deployment(self, label: str) -> Deployment:
-        """The live deployment behind a label (for placement assertions)."""
-        return self._labels[label]
+        """The live deployment behind a label — its current generation."""
+        return self._entries[label].deployment
 
     def run(self) -> MultiQueryResult:
         """Run every submitted query to completion, concurrently.
@@ -239,41 +223,67 @@ class MultiQuerySession:
         drives them all, so they contend for nodes, links, and I/O paths
         exactly as co-resident CQs would.
         """
-        if self._ran:
+        self.start()
+        self.env.sim.run()
+        return self.finish()
+
+    def start(self) -> None:
+        """Start every submitted query at the current simulated instant."""
+        if self._started:
             raise QueryExecutionError("session already ran; use a new session")
         if not self._entries:
             raise QueryExecutionError("no queries submitted")
-        self._ran = True
-        if self.adaptive is not None:
-            from repro.core.adaptive import AdaptiveController
-
-            return AdaptiveController(self, self.adaptive).run()
-        for entry in self._entries:
+        self._started = True
+        for entry in self._entries.values():
             entry.deployment.start(stop_after=entry.stop_after)
-        self.env.sim.run()
-        return MultiQueryResult(
-            outcomes=[
-                QueryOutcome(
-                    label=entry.label,
-                    report=report,
-                    payload_bytes=entry.payload_bytes,
-                )
-                for entry, report in zip(self._entries, self._finish_all())
-            ]
-        )
 
-    def _finish_all(self) -> List[ExecutionReport]:
-        """Every query's report, in submission order.  The registry is
-        frozen once, after all RP statistics are published, and shared: one
-        freeze per report made an observed session quadratic in its queries.
+    def replace(
+        self,
+        label: str,
+        tag: str,
+        redeploy: Callable[[Deployment, object, str], Deployment],
+    ) -> Deployment:
+        """Swap a started query's deployment for its next generation.
+
+        ``redeploy(current_deployment, plan, rp_prefix)`` retires the
+        current generation and returns its successor, deployed under the
+        ``"<label>+<tag>N/"`` prefix it is handed (``tag``: ``r`` a fault
+        replan, ``g`` a live migration; ``N`` counts the label's
+        replacements from 1), which then becomes :meth:`deployment` and is
+        started.  If ``redeploy`` raises, nothing changed.
         """
-        reports = [entry.deployment.finish(freeze=False) for entry in self._entries]
+        if not self._started:
+            raise QueryExecutionError("session not started; nothing to replace")
+        entry = self._entries[label]
+        generation = entry.replacements + 1
+        replacement = redeploy(
+            entry.deployment, entry.plan, f"{label}+{tag}{generation}/"
+        )
+        entry.replacements = generation
+        entry.deployment = replacement
+        replacement.start(stop_after=entry.stop_after)
+        return replacement
+
+    def finish(self) -> MultiQueryResult:
+        """Every query's outcome, in submission order, once the simulator
+        has drained.  The registry is frozen once, after all RP statistics
+        are published, and shared: one freeze per report made an observed
+        session quadratic in its queries.
+        """
+        outcomes = [
+            QueryOutcome(
+                label=label,
+                report=entry.deployment.finish(freeze=False),
+                payload_bytes=entry.payload_bytes,
+            )
+            for label, entry in self._entries.items()
+        ]
         obs = self.env.obs
         if obs.enabled:
             frozen = obs.snapshot()
-            for report in reports:
-                report.metrics = frozen
-        return reports
+            for outcome in outcomes:
+                outcome.report.metrics = frozen
+        return MultiQueryResult(outcomes=outcomes)
 
     def teardown(self) -> None:
         """Tear down every deployment (nodes return to the CNDBs)."""

@@ -68,10 +68,10 @@ def base_stream(stream_id: str) -> str:
     """The stable identity of a stream across replans and migrations.
 
     Deployment prefixes name streams ``"<label>/<edge>"``; replacement
-    deployments suffix the label — ``"<label>+r<N>/<edge>"`` for fault
-    replans (:func:`repro.bench.faults.run_faulted_session`) and
-    ``"<label>+g<N>/<edge>"`` for migration generations
-    (:meth:`repro.coordinator.deployer.Deployer.migrate`).  All map to
+    deployments suffix the label
+    (:meth:`repro.core.multiquery.MultiQuerySession.replace`) —
+    ``"<label>+r<N>/<edge>"`` for fault replans and
+    ``"<label>+g<N>/<edge>"`` for migration generations.  All map to
     ``<label>``.  Unprefixed stream edges map to themselves.
     """
     prefix = stream_id.split("/", 1)[0]

@@ -17,13 +17,14 @@ failed nodes, is that the function is what it claims to be:
     gives them in sequence, whether or not the first went through.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import EnvironmentSnapshot, PlanVerifier, Severity
 from repro.coordinator.allocation import NaiveSelector
 from repro.coordinator.deployer import Deployer
-from repro.coordinator.resolver import resolve_placement
+from repro.coordinator.resolver import placement_failure, resolve_placement
 from repro.hardware.environment import Environment, EnvironmentConfig
 from repro.scsql.plan import compile_plan
 from repro.util.errors import AllocationError, PlanVerificationError
@@ -154,3 +155,22 @@ def test_concurrent_verdicts_agree_with_shared_environment(directives):
     deployer = Deployer(Environment(EnvironmentConfig()))
     assert first.ok() == (try_deploy(deployer, compile_plan(plan_text)) is not None)
     assert second.ok() == (try_deploy(deployer, compile_plan(plan_text)) is not None)
+
+
+def test_pinned_failed_node_is_its_own_finding():
+    """A dead pinned node is SCSQ108 — not SCSQ201, nobody holds it — and
+    still means "no available node": unverified deploys raise
+    AllocationError, and the failed walk leaves the state untouched."""
+    plan = compile_plan(build_query(["3", "7"]))
+    env = damaged_environment({7: "failed"})
+    before = state(env)
+    _, diagnostics = resolve_placement(
+        plan.graph.instantiate(), env, NaiveSelector()
+    )
+    assert [(d.code, d.sp_id) for d in diagnostics] == [("SCSQ108", "s1@2")]
+    assert "bg:7" in diagnostics[0].message and "failed" in diagnostics[0].message
+    assert isinstance(placement_failure(diagnostics), AllocationError)
+    with pytest.raises(AllocationError, match="has failed"):
+        deployer = Deployer(env)
+        deployer.deploy(deployer.place(plan))
+    assert state(env) == before

@@ -123,6 +123,25 @@ class TestPlacementCodes:
         assert codes(report) == ["SCSQ201"]
         assert "pre-existing deployment" in report.diagnostics[0].message
 
+    def test_scsq108_pinned_node_has_failed(self):
+        # A dead node is not "allocated by another deployment": nobody
+        # holds it.  The verdict names the failure, held slot or not.
+        query = (
+            "select count(extract(a)) from sp a "
+            "where a=sp(gen_array(10,5), 'bg', 5)"
+        )
+        for held in (False, True):
+            env = Environment(EnvironmentConfig())
+            node = env.cndb("bg").node(5)
+            if held:
+                node.acquire()
+            node.fail()
+            report = verify(query, env=env)
+            assert codes(report) == ["SCSQ108"]
+            assert "bg:5" in report.diagnostics[0].message
+            assert "has failed" in report.diagnostics[0].message
+            assert "allocated" not in report.diagnostics[0].message
+
 
 class TestAdvisoryCodes:
     def test_scsq301_cross_pset_stream_warns(self):

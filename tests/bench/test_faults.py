@@ -10,21 +10,31 @@ fails the ``repro bench`` gate's exit code.
 import pytest
 
 from repro.__main__ import main
+from repro.analysis import sanitize
 from repro.bench.faults import (
     FLAPPING_CYCLES,
     FaultEvent,
     FaultSchedule,
     FaultTask,
+    fault_queries,
     run_fault_task,
     run_faulted_session,
 )
-from repro.bench.query_stream import SMOKE_SCALE, BenchQuery, build_query
+from repro.bench.query_stream import (
+    SMOKE_SCALE,
+    BenchQuery,
+    build_query,
+    registered,
+)
 from repro.core.bench import write_bench
 from repro.core.experiments.fig15 import inbound_query
+from repro.core.multiquery import MultiQuerySession
 from repro.hardware.environment import Environment, EnvironmentConfig
 from repro.obs import Instrumentation, profile_flows
+from repro.obs.instrument import instrumentation_for
 from repro.obs.tracer import NULL_TRACER
-from repro.util.errors import QueryExecutionError
+from repro.scsql.plan import compile_plan
+from repro.util.errors import PlanVerificationError, QueryExecutionError
 
 
 class TestScheduleValidation:
@@ -187,6 +197,98 @@ class TestScenarios:
         assert result.outage_rate_ratio == 1.0
         assert not result.failed_nodes and not result.replacements
         assert result.reports["s0"].result == [queries[0].expected_result]
+
+
+class TestHarnessIsASession:
+    """The harness is a MultiQuerySession plus a schedule, nothing more."""
+
+    @pytest.mark.parametrize("observe", ["none", "flows"])
+    @pytest.mark.parametrize("seed,streams", [(0, 1), (1, 2), (4, 3)])
+    def test_healthy_run_equals_a_plain_session(self, seed, streams, observe):
+        """Empty schedule: float for float what submit/run over the same
+        labels reports, hooks off and on."""
+        queries = fault_queries(FaultTask(
+            seed=seed, streams=streams, scenario="kill-node", scale=SMOKE_SCALE,
+        ))
+        config = EnvironmentConfig().with_seed(seed)
+
+        def fresh_env():
+            return Environment(config, obs=instrumentation_for(observe))
+
+        with registered(queries):
+            harness = run_faulted_session(fresh_env(), queries, FaultSchedule())
+            session = MultiQuerySession(fresh_env(), verify="warn")
+            for query in queries:
+                session.submit(
+                    compile_plan(query.query),
+                    payload_bytes=query.payload_bytes,
+                    label=f"s{query.stream_id}",
+                )
+            plain = session.run()
+            session.teardown()
+        assert list(harness.reports) == [o.label for o in plain.outcomes]
+        for outcome in plain.outcomes:
+            report = harness.reports[outcome.label]
+            assert report.result == outcome.report.result
+            assert report.duration == outcome.report.duration
+            assert report.rp_placements == outcome.report.rp_placements
+            assert report.bytes_sent == outcome.report.bytes_sent
+            assert harness.completions[outcome.label] == outcome.report.duration
+        assert harness.makespan == max(o.report.duration for o in plain.outcomes)
+        assert (observe == "flows") == bool(harness.flow_records)
+
+    #: A stream that pins both its nodes: killing one leaves no replan.
+    PINNED = """
+    select extract(b) from sp a, sp b
+    where b=sp(count(extract(a)), 'bg', 0)
+    and a=sp(gen_array(100000,20), 'bg', 1);
+    """
+
+    def _pinned_pair(self):
+        free = self.PINNED.replace("'bg', 0", "'bg'").replace("'bg', 1", "'bg'")
+        return [
+            BenchQuery(kind="p2p", stream_id=k, query=text,
+                       payload_bytes=2_000_000, sources={})
+            for k, text in enumerate([self.PINNED, free])
+        ]
+
+    def test_unplaceable_replan_is_a_typed_error_and_a_quiescent_env(self):
+        """The victim pins the node the fault killed: the replan cannot
+        deploy.  The harness raises the verifier's finding — the node has
+        failed; nobody "already allocated" it — and still hands back an
+        environment with every stream stopped and every slot returned."""
+        env = Environment(
+            EnvironmentConfig(), obs=Instrumentation(tracer=NULL_TRACER)
+        )
+        schedule = FaultSchedule.single("kill-node", 0.002, target=1)
+        with pytest.raises(PlanVerificationError, match="SCSQ108") as raised:
+            run_faulted_session(env, self._pinned_pair(), schedule)
+        assert "bg:1" in str(raised.value) and "has failed" in str(raised.value)
+        assert "already allocated" not in str(raised.value)
+        sanitize.assert_quiescent(env)
+        # Nothing is left running: the queue holds only the torn-down
+        # streams' last in-flight buffers, and draining it leaks nothing.
+        stopped_at = env.sim.now
+        env.sim.run()
+        assert env.sim.now - stopped_at < 1e-3
+        sanitize.assert_quiescent(env)
+
+    def test_survivable_kill_leaves_a_quiescent_env(self):
+        env = Environment(
+            EnvironmentConfig(), obs=Instrumentation(tracer=NULL_TRACER)
+        )
+        queries = self._pinned_pair()[1:]
+        healthy = run_faulted_session(
+            Environment(EnvironmentConfig()), queries, FaultSchedule()
+        )
+        result = run_faulted_session(
+            env, queries,
+            FaultSchedule.single("kill-node", 0.5 * healthy.makespan),
+        )
+        assert result.replacements == ["s1+r1/"]
+        assert result.reports["s1"].result == [20]
+        assert env.sim.peek() == float("inf")
+        sanitize.assert_quiescent(env)
 
 
 class TestPostFailureBottleneck:

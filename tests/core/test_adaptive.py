@@ -2,9 +2,9 @@
 
 The tentpole behaviours under test:
 
-* ``adaptive="off"`` (the default) is the classic session, and a zero-
-  budget adaptive run is float-identical to the static run — the runtime
-  is provably inert until it acts;
+* a plain ``session.run()`` is untouched by live instrumentation, and a
+  zero-budget ``AdaptiveController(session).run()`` is float-identical
+  to it — the runtime is provably inert until it acts;
 * on the Fig 15 contention funnel the controller migrates receivers off
   the shared I/O path and the worst query's bandwidth improves; on the
   Fig 8 sequential selection it moves the generator off the busy
@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coordinator.deployer import Deployer
-from repro.core.adaptive import AdaptiveConfig
+from repro.core.adaptive import AdaptiveConfig, AdaptiveController
 from repro.core.experiments.adaptive import (
     ADAPTIVE_POINTS,
     run_adaptive_point,
@@ -102,26 +102,23 @@ class TestAdaptiveConfig:
         with pytest.raises(QueryExecutionError, match=match):
             AdaptiveConfig(**kwargs)
 
-    def test_session_rejects_unknown_adaptive_mode(self):
-        with pytest.raises(QueryExecutionError, match="adaptive"):
-            MultiQuerySession(_env(), adaptive="sometimes")
-
     def test_adaptive_session_needs_live_instrumentation(self):
-        session = MultiQuerySession(_env(live=False), adaptive="on")
+        session = MultiQuerySession(_env(live=False))
         session.submit(compile_plan(MERGE_QUERY), payload_bytes=800_000)
         with pytest.raises(QueryExecutionError, match="live-instrumented"):
-            session.run()
+            AdaptiveController(session).run()
+        # Refused before anything started: the session is still runnable.
+        assert session.run().outcomes[0].report.result == MERGE_RESULT
+        session.teardown()
 
 
 class TestOffIsBitIdentical:
     def test_explicit_off_equals_default_session(self):
-        """adaptive="off" on a live-instrumented env is float-identical to
-        the plain default session: the runtime's plumbing (entry records,
-        label bookkeeping) must not perturb the classic path."""
+        """A live-instrumented plain session equals an uninstrumented one,
+        float for float: the sampler an adaptive run needs must not perturb
+        the classic ``session.run()`` path."""
         baseline = _run_contention(MultiQuerySession(_env(live=False)))
-        off = _run_contention(
-            MultiQuerySession(_env(live=True), adaptive="off")
-        )
+        off = _run_contention(MultiQuerySession(_env(live=True)))
         for before, after in zip(baseline.outcomes, off.outcomes):
             assert after.label == before.label
             assert after.report.result == before.report.result

@@ -6,8 +6,13 @@ reports its own bandwidth, and concurrency through a shared I/O-node
 path costs real bandwidth versus the solo baselines.
 """
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis import sanitize
 from repro.core.experiments.contention import (
     DEFAULT_SENDERS,
     SHARED_PSET,
@@ -111,6 +116,141 @@ class TestMultiQuerySession:
         assert result["only"].label == "only"
         with pytest.raises(KeyError):
             result["missing"]
+
+
+class TestReplace:
+    """``replace`` is the one way a running label changes generation —
+    the fault harness's replan (tag ``r``) and the adaptive runtime's live
+    migration (tag ``g``) are two ``redeploy`` callables handed to it."""
+
+    #: label -> (buffers streamed, exact reference result).
+    STREAMS = {"left": 6, "right": 9}
+    QUERY = (
+        "select extract(b) from sp a, sp b "
+        "where b=sp(count(extract(a)), 'bg') "
+        "and a=sp(gen_array(100000,{count}), 'bg');"
+    )
+
+    def _submitted(self, seed: int) -> MultiQuerySession:
+        session = MultiQuerySession(
+            Environment(EnvironmentConfig().with_seed(seed)), verify="warn"
+        )
+        for label, count in self.STREAMS.items():
+            session.submit(
+                compile_plan(self.QUERY.format(count=count)),
+                payload_bytes=100_000 * count, label=label,
+            )
+        return session
+
+    @staticmethod
+    def _redeploy(session: MultiQuerySession, tag: str, rng: random.Random):
+        """The harness's replan around a killed node, or a migration of the
+        generator onto a random free node."""
+        deployer = session.deployer
+
+        def replan(deployment, plan, prefix):
+            deployment.rps["a@1"].node.fail()
+            deployment.teardown()
+            return deployer.deploy(
+                deployer.place(plan), rp_prefix=prefix, verify="warn"
+            )
+
+        def migrate(deployment, plan, prefix):
+            free = [
+                node.index
+                for node in session.env.cndb("bg").all_nodes()
+                if node.is_available and node.capabilities.can_compute
+            ]
+            replacement, record = deployer.migrate(
+                deployment, plan, "a@1", rng.choice(free), rp_prefix=prefix
+            )
+            assert record.ok and record.rp_prefix == prefix
+            return replacement
+
+        return {"r": replan, "g": migrate}[tag]
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        tag=st.sampled_from(["r", "g"]),
+        victim=st.sampled_from(sorted(STREAMS)),
+        fraction=st.floats(min_value=0.0, max_value=0.99),
+        seed=st.integers(min_value=0, max_value=1_000),
+    )
+    def test_replacing_a_running_label_keeps_every_result_exact(
+        self, tag, victim, fraction, seed
+    ):
+        healthy = self._submitted(seed)
+        shortest = min(o.report.duration for o in healthy.run().outcomes)
+        healthy.teardown()
+
+        session = self._submitted(seed)
+        env = session.env
+        session.start()
+        env.sim.run(until=fraction * shortest)
+        before = session.deployment(victim)
+        assert before.running
+
+        def refuses(deployment, plan, prefix):
+            raise RuntimeError(f"cannot redeploy under {prefix}")
+
+        with pytest.raises(RuntimeError, match=rf"{victim}\+{tag}1/"):
+            session.replace(victim, tag, refuses)
+        # A redeploy that raised changed nothing: same deployment, and the
+        # generation it was offered is offered again.
+        assert session.deployment(victim) is before and before.running
+
+        replacement = session.replace(
+            victim, tag, self._redeploy(session, tag, random.Random(seed))
+        )
+        assert replacement is session.deployment(victim)
+        assert replacement.rp_prefix == f"{victim}+{tag}1/"
+        assert before.torn_down and replacement.running
+        env.sim.run()
+        result = session.finish()
+        for label, count in self.STREAMS.items():
+            assert result[label].report.result == [count]
+            if label != victim:
+                assert session.deployment(label).rp_prefix == f"{label}/"
+        session.teardown()
+        sanitize.assert_quiescent(env)
+
+    def test_second_replacement_is_generation_two(self):
+        session = self._submitted(0)
+        session.start()
+        rng = random.Random(0)
+        for generation in (1, 2):
+            session.env.sim.run(until=0.002 * generation)
+            replaced = session.replace("left", "g", self._redeploy(session, "g", rng))
+            assert replaced.rp_prefix == f"left+g{generation}/"
+        session.env.sim.run()
+        assert session.finish()["left"].report.result == [6]
+        session.teardown()
+
+    def test_replace_needs_a_started_session(self):
+        session = self._submitted(0)
+        with pytest.raises(QueryExecutionError, match="not started"):
+            session.replace("left", "r", lambda *args: None)
+        session.start()
+        with pytest.raises(KeyError):
+            session.replace("missing", "r", lambda *args: None)
+        session.teardown()
+
+    def test_labels_and_phases_are_the_run(self):
+        """``run()`` is start, drain, finish: doing the three by hand gives
+        the same floats."""
+        whole = self._submitted(3)
+        expected = whole.run()
+        whole.teardown()
+        parts = self._submitted(3)
+        assert parts.labels() == list(self.STREAMS)
+        parts.start()
+        parts.env.sim.run()
+        result = parts.finish()
+        parts.teardown()
+        for ours, theirs in zip(result.outcomes, expected.outcomes):
+            assert ours.label == theirs.label
+            assert ours.report.duration == theirs.report.duration
+            assert ours.report.result == theirs.report.result
 
 
 class TestContentionDemo:

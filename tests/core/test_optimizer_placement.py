@@ -272,8 +272,9 @@ class TestCandidatesAgreeWithResolver:
         assert 1 not in offered["be"] and 0 in offered["be"]
         # ...and what the placer withholds, the resolver refuses.
         receiver = next(sp_id for sp_id in graph.sps if sp_id.startswith("b["))
-        for index in (2, 5, 100):
-            assert self._resolver_codes(env, graph, {receiver: index}) == ["SCSQ201"]
+        # (bg:5 is dead, not held: its own finding.)
+        for index, code in ((2, "SCSQ201"), (5, "SCSQ108"), (100, "SCSQ201")):
+            assert self._resolver_codes(env, graph, {receiver: index}) == [code]
 
     def test_occupancy_of_the_assignment_under_search_counts(self):
         env = self._damaged_environment()
