@@ -63,15 +63,18 @@ class SenderDriver:
         )
         self.bytes_sent = 0
         self.buffers_sent = 0
-        self._tokens = Store(ctx.sim, capacity=2, name=f"{stream_id}.send-tokens")
+        self._tokens = Store(
+            ctx.sim, capacity=2, name=f"{stream_id}.send-tokens",
+            stock=ctx.settings.driver_slots,
+        )
         self._outbox = Store(ctx.sim, name=f"{stream_id}.outbox")
         self._pending_since: Optional[float] = None
         self._counters = None  # obs counters, bound by the first observed buffer
-        # The transmit sub-process, exposed so RP termination can reach it
-        # (it is detached from the driver's own process).
+        # The driver's own process and its transmit sub-process (detached
+        # from it), exposed so RP cancellation and termination can reach them.
+        self.process = None
         self.transmit_process = None
-        for _ in range(ctx.settings.driver_slots):
-            self._tokens.put(None)
+        self.cancelled = False  # the subscriber sent its stop-condition message
 
     def run(self):
         """Driver main process: marshal loop plus a transmit sub-process."""

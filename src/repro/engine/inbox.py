@@ -46,9 +46,7 @@ class Inbox:
         self.sim = sim
         self.slots = slots
         self.name = name
-        self._tokens = Store(sim, capacity=slots, name=f"{name}.tokens")
-        for _ in range(slots):
-            self._tokens.put(None)
+        self._tokens = Store(sim, capacity=slots, name=f"{name}.tokens", stock=slots)
         self._items = Store(sim, name=f"{name}.items")
         self._closed = False
 

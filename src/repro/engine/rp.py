@@ -68,11 +68,6 @@ class RunningProcess:
         self.input_ports: List[InputPort] = []
         self.senders: List[SenderDriver] = []
         self.result_store: Optional[Store] = None
-        self._subscriber_stores: List[Store] = []
-        self._sender_processes: dict = {}
-        self._sender_stores: dict = {}
-        self._cancelled_senders: set = set()
-        self._cancelled_stores: set = set()
         self._cancelled = False
         self._root_process = None
         self._processes: list = []
@@ -131,8 +126,6 @@ class RunningProcess:
         channel = self.env.open_channel(self.node, subscriber_rp.node, inbox, stream_id)
         sender = SenderDriver(self.ctx, source, channel, stream_id)
         self.senders.append(sender)
-        self._subscriber_stores.append(source)
-        self._sender_stores[sender] = source
         # Backlink so the subscriber can cancel this subscription later.
         for port in subscriber_rp.input_ports:
             if port.inbox is inbox:
@@ -175,11 +168,10 @@ class RunningProcess:
                 sim.process(self._fan_out(), name=f"{self.rp_id}:fanout")
             )
             for sender in self.senders:
-                process = sim.process(
+                sender.process = sim.process(
                     sender.run(), name=f"{self.rp_id}:{sender.stream_id}"
                 )
-                self._processes.append(process)
-                self._sender_processes[sender] = process
+                self._processes.append(sender.process)
         if self._root_process is not None and self.input_ports:
             # Stop-condition supervision: when the result stream completes
             # while subscriptions are still live (e.g. a first() operator),
@@ -205,10 +197,10 @@ class RunningProcess:
         assert self.result_store is not None
         while True:
             obj = yield self.result_store.get()
-            for store in self._subscriber_stores:
-                if store in self._cancelled_stores:
+            for sender in self.senders:
+                if sender.cancelled:
                     continue  # subscriber was cancelled by a stop condition
-                yield store.put(obj)
+                yield sender.source.put(obj)
             if obj is END_OF_STREAM:
                 return
 
@@ -261,19 +253,16 @@ class RunningProcess:
         to *its* producers — so an unbounded source upstream of a satisfied
         stop condition terminates.
         """
-        if sender in self._cancelled_senders:
+        if sender.cancelled:
             return
-        self._cancelled_senders.add(sender)
-        process = self._sender_processes.get(sender)
+        sender.cancelled = True
+        process = sender.process
         if process is not None and process.is_alive:
             process.interrupt("subscriber cancelled")
             process._add_callback(lambda event: setattr(event, "_defused", True))
-        store = self._sender_stores.get(sender)
-        if store is not None:
-            self._cancelled_stores.add(store)
-            # Unblock (and keep draining) any pending fan-out put.
-            self.ctx.sim.process(self._drain(store), name=f"{self.rp_id}:drain")
-        if len(self._cancelled_senders) == len(self.senders) and not self._cancelled:
+        # Unblock (and keep draining) any pending fan-out put.
+        self.ctx.sim.process(self._drain(sender.source), name=f"{self.rp_id}:drain")
+        if not self._cancelled and all(s.cancelled for s in self.senders):
             self._cancelled = True
             # No subscriber left: stop producing and cascade upstream.
             for proc in self._processes:
@@ -418,15 +407,13 @@ class RunningProcess:
     def kernel_stores(self) -> List[Store]:
         """Every kernel store this RP's processes block on.
 
-        Operator queues, subscriber feeds, sender hand-off stores, and the
-        input inbox pools — the population the liveness analyzer classifies
-        bare wait events against.
+        Operator queues, subscriber feeds and the input inbox pools — the
+        population the liveness analyzer classifies bare wait events against.
         """
         stores: List[Store] = []
         if self.result_store is not None:
             stores.append(self.result_store)
-        stores.extend(self._subscriber_stores)
-        stores.extend(self._sender_stores.values())
+        stores.extend(sender.source for sender in self.senders)
         for port in self.input_ports:
             stores.extend(port.inbox.kernel_stores())
         return stores

@@ -111,13 +111,13 @@ class BlueGene:
     # ------------------------------------------------------------------
     def node(self, index: int) -> Node:
         """The compute node with torus enumeration number ``index``."""
-        try:
-            return self.compute_nodes[index]
-        except IndexError:
+        # A negative list index wraps around: -1 is not a node number.
+        if not isinstance(index, int) or not 0 <= index < len(self.compute_nodes):
             raise HardwareError(
                 f"no BlueGene compute node {index} "
                 f"(partition has {len(self.compute_nodes)})"
-            ) from None
+            )
+        return self.compute_nodes[index]
 
     def coord_of(self, index: int) -> Tuple[int, int, int]:
         """Torus coordinate of compute node ``index``."""

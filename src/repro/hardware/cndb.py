@@ -10,7 +10,7 @@ are all queries against this database.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.hardware.node import Node, NodeKind
 from repro.util.errors import HardwareError
@@ -24,6 +24,10 @@ class ComputeNodeDatabase:
             raise HardwareError(f"CNDB for {cluster!r} needs at least one node")
         self.cluster = cluster
         self._nodes: List[Node] = list(nodes)
+        # index -> node; on a duplicate index the first registered wins.
+        self._by_index: Dict[int, Node] = {}
+        for node in self._nodes:
+            self._by_index.setdefault(node.index, node)
         self._rr_cursor = 0
 
     def copy(self) -> "ComputeNodeDatabase":
@@ -43,10 +47,10 @@ class ComputeNodeDatabase:
 
     def node(self, index: int) -> Node:
         """The node with cluster-local enumeration number ``index``."""
-        for node in self._nodes:
-            if node.index == index:
-                return node
-        raise HardwareError(f"CNDB {self.cluster!r} has no node {index}")
+        try:
+            return self._by_index[index]
+        except (KeyError, TypeError):  # unknown, or not even hashable
+            raise HardwareError(f"CNDB {self.cluster!r} has no node {index}") from None
 
     def available_nodes(self) -> List[Node]:
         """Nodes that can accept another running process right now."""

@@ -53,13 +53,13 @@ class LinuxCluster:
 
     def node(self, index: int) -> Node:
         """The node with cluster-local number ``index``."""
-        try:
-            return self.nodes[index]
-        except IndexError:
+        # As BlueGene.node: a negative list index would wrap around.
+        if not isinstance(index, int) or not 0 <= index < len(self.nodes):
             raise HardwareError(
                 f"no node {index} in cluster {self.name!r} "
                 f"({len(self.nodes)} nodes)"
-            ) from None
+            )
+        return self.nodes[index]
 
     def __repr__(self) -> str:
         return f"<LinuxCluster {self.name!r} x{len(self.nodes)}>"

@@ -290,14 +290,12 @@ class TorusNetwork:
     def _stream_window(self, stream_id: str) -> Store:
         """Token pool bounding in-flight buffers of one stream."""
         if stream_id not in self._stream_windows:
-            window = Store(
+            self._stream_windows[stream_id] = Store(
                 self.sim,
                 capacity=self.params.stream_window,
                 name=f"torus-window[{stream_id}]",
+                stock=self.params.stream_window,
             )
-            for _ in range(self.params.stream_window):
-                window.put(None)
-            self._stream_windows[stream_id] = window
         return self._stream_windows[stream_id]
 
     # ------------------------------------------------------------------

@@ -152,11 +152,14 @@ class Initialize(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", process: "Process") -> None:
-        super().__init__(sim)
+        # Field-by-field init and an inlined urgent push, as in Timeout: one
+        # of these per process started.
+        self.sim = sim
+        self.callbacks = [process._resume]
+        self._defused = False
         self._ok = True
         self._value = None
-        self.callbacks.append(process._resume)
-        sim._schedule(self, priority=True)
+        sim._push(sim._now, _URGENT, self)
 
 
 class Interrupt(Exception):
@@ -183,7 +186,12 @@ class Process(Event):
     __slots__ = ("name", "_generator", "_target")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = "") -> None:
-        super().__init__(sim)
+        # Field-by-field init (no super() chain), as Initialize above.
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._defused = False
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise SimulationError(f"process body must be a generator, got {generator!r}")
         self.name = name or getattr(generator, "__name__", "process")
@@ -246,6 +254,7 @@ class Process(Event):
                     next_event = self._generator.throw(event._value)
             except StopIteration as stop:
                 sim._active_process = None
+                self._generator = None  # exhausted: the frame can go now
                 self._ok = True
                 self._value = stop.value
                 sim._push(sim._now, _NORMAL, self)
@@ -254,6 +263,7 @@ class Process(Event):
                 return
             except BaseException as exc:  # noqa: BLE001 - process bodies may raise anything
                 sim._active_process = None
+                self._generator = None
                 self._ok = False
                 self._value = exc
                 sim._push(sim._now, _NORMAL, self)

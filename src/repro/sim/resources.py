@@ -190,9 +190,16 @@ class Store:
 
     __slots__ = ("sim", "capacity", "name", "_items", "_putters", "_getters", "_bound")
 
-    def __init__(self, sim: "Simulator", capacity: float = float("inf"), name: str = "") -> None:
+    def __init__(
+        self, sim: "Simulator", capacity: float = float("inf"), name: str = "", stock: int = 0
+    ) -> None:
+        """``stock`` ``None`` items are in the store from the start — a token
+        pool is born full, where ``stock`` ``put(None)`` calls would each
+        queue an event nobody waits on."""
         if capacity < 1:
             raise SimulationError(f"store capacity must be >= 1, got {capacity}")
+        if stock > capacity:
+            raise SimulationError(f"store stock {stock} exceeds its capacity {capacity}")
         self.sim = sim
         self.capacity = capacity
         self.name = name
@@ -200,6 +207,10 @@ class Store:
         self._putters: Deque[StorePut] = _NO_WAITERS  # events carrying the item to add
         self._getters: Deque[Event] = _NO_WAITERS
         self._bound: Optional["_StoreInstruments"] = None  # see Resource._bound
+        for _ in range(stock):  # item by item: the level series sees each step
+            self._items.append(None)
+            if sim.obs.enabled:
+                sim.obs.on_store_level(self)
 
     @property
     def size(self) -> int:

@@ -1,0 +1,82 @@
+"""What a query costs before its first and after its last buffer.
+
+A one-buffer query is all fixed cost (docs/performance.md, "fixed cost of a
+query").  Its token pools — inbox slots, send buffers, the torus stream
+window — are born stocked (``Store(..., stock=n)``), so building a query
+schedules nothing, and the 128-query session of the ledger's ``mqs_scale``
+smoke is pinned: events per query may only fall, processes per query stay
+what they were.
+"""
+
+from repro.core.experiments.scale import scale_config, scale_stream_query
+from repro.core.multiquery import MultiQuerySession
+from repro.engine.context import ExecutionContext
+from repro.engine.drivers import SenderDriver
+from repro.engine.inbox import Inbox
+from repro.engine.settings import ExecutionSettings
+from repro.hardware.environment import shared_template
+from repro.net.channels import MpiChannel
+from repro.obs.instrument import instrumentation_for
+from repro.scsql.plan import compile_plan
+from repro.sim import Simulator, Store
+
+SESSION_QUERIES = 128
+SETTINGS = ExecutionSettings(mpi_buffer_bytes=10_000, double_buffering=True)
+
+
+def run_session(observe="none"):
+    """The mqs_scale smoke: 128 one-buffer queries on an 8x8x8 torus."""
+    env = shared_template(scale_config((8, 8, 8))).fork(
+        seed=0, obs=instrumentation_for(observe)
+    )
+    plan = compile_plan(scale_stream_query(10_000, 1), settings=SETTINGS)
+    session = MultiQuerySession(env, settings=SETTINGS)
+    for index in range(SESSION_QUERIES):
+        session.submit(plan, payload_bytes=10_000, label=f"s{index}")
+    assert env.sim.peek() == float("inf")  # 128 queries built, nothing scheduled
+    result = session.run()
+    session.teardown()
+    assert all(outcome.report.result == [1] for outcome in result.outcomes)
+    return env, result
+
+
+class TestSessionPin:
+    def test_events_per_query_of_the_smoke_session(self):
+        env, _ = run_session()
+        # 96.23 with token pools primed by put(None); 86.23 born stocked.
+        assert env.sim.events_dispatched / SESSION_QUERIES <= 87
+
+    def test_processes_per_query_did_not_move(self):
+        _, result = run_session("metrics")
+        counters = result.outcomes[0].report.metrics.counters
+        assert counters["sim.processes_started"] == 14 * SESSION_QUERIES
+        assert counters["sim.processes_finished"] == 14 * SESSION_QUERIES
+
+
+class TestPoolsAreBornStocked:
+    def test_an_inbox_schedules_nothing(self):
+        for slots in (1, 2):
+            sim = Simulator()
+            inbox = Inbox(sim, slots=slots, name="in")
+            assert sim.peek() == float("inf")
+            assert inbox.kernel_stores()[0].size == slots
+            assert inbox.blocked_deposits == 0
+
+    def test_a_sender_driver_owns_its_send_buffers_at_once(self, env):
+        for double_buffering, slots in ((False, 1), (True, 2)):
+            settings = ExecutionSettings(double_buffering=double_buffering)
+            ctx = ExecutionContext(env, env.node("bg", 1), settings)
+            inbox = Inbox(env.sim, slots=slots, name="in")
+            channel = MpiChannel(
+                env.sim, env.node("bg", 1), env.node("bg", 0), inbox, env.torus
+            )
+            sender = SenderDriver(ctx, Store(env.sim), channel, "s")
+            assert sender._tokens.size == slots
+            assert env.sim.peek() == float("inf")
+
+    def test_the_level_series_of_a_pool_still_starts_from_its_rise(self):
+        obs = instrumentation_for("metrics")
+        sim = Simulator(obs=obs)
+        Inbox(sim, slots=2, name="in")
+        level = obs.snapshot().time_weighted["store.level[in.tokens]"]
+        assert level["max"] == 2.0

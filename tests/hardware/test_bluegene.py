@@ -46,6 +46,17 @@ class TestNumbering:
         with pytest.raises(HardwareError):
             machine.index_of((9, 9, 9))
 
+    @pytest.mark.parametrize("index", [-1, -32, 1.0, "1", None])
+    def test_negative_or_non_integer_node_rejected(self, index):
+        # A negative list index wraps around: node(-1) used to be node 31.
+        machine = BlueGene()
+        with pytest.raises(HardwareError):
+            machine.node(index)
+        with pytest.raises(HardwareError):
+            machine.coord_of(index)
+        with pytest.raises(HardwareError):
+            machine.pset_of(index)
+
 
 class TestPsets:
     def test_pset_membership_is_contiguous(self):

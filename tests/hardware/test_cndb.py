@@ -1,8 +1,10 @@
 """Unit tests for the compute node database."""
 
+import dataclasses
+
 import pytest
 
-from repro.hardware.bluegene import BlueGene
+from repro.hardware.bluegene import BlueGene, BlueGeneConfig
 from repro.hardware.cndb import ComputeNodeDatabase
 from repro.hardware.linux_cluster import LinuxCluster, LinuxClusterConfig
 from repro.util.errors import HardwareError
@@ -85,3 +87,46 @@ class TestFirstAvailable:
         bg_cndb.node(7).acquire()
         with pytest.raises(HardwareError):
             bg_cndb.first_available([7])
+
+    def test_sequence_naming_an_absent_node_fails(self, bg_cndb):
+        with pytest.raises(HardwareError):
+            bg_cndb.first_available([99, 0])
+
+
+class _Untouchable(list):
+    """A node list that fails the test if anything reads it."""
+
+    def _touched(self, *args):
+        raise AssertionError("node() walked the node list")
+
+    __iter__ = __getitem__ = __len__ = __contains__ = _touched
+
+
+class TestNodeIndex:
+    def test_lookup_does_not_walk_the_node_list(self):
+        machine = BlueGene(BlueGeneConfig(torus_shape=(16, 16, 16)))
+        cndb = ComputeNodeDatabase("bg", machine.compute_nodes)
+        nodes = cndb.all_nodes()
+        cndb._nodes = _Untouchable()  # a spy, not a timer
+        for index in range(4096):
+            assert cndb.node(index) is nodes[index]
+
+    def test_copy_indexes_the_clones(self, bg_cndb):
+        bg_cndb.node(3).acquire()
+        clone = bg_cndb.copy()
+        assert clone.node(3) is not bg_cndb.node(3)
+        assert clone.node(3) is clone.all_nodes()[3]
+        assert clone.node(3).running_processes == 1
+        clone.node(4).acquire()
+        assert bg_cndb.node(4).running_processes == 0
+
+    def test_first_node_wins_a_duplicate_index(self):
+        nodes = LinuxCluster(LinuxClusterConfig("be", 2)).nodes
+        twin = dataclasses.replace(nodes[0])
+        cndb = ComputeNodeDatabase("be", [nodes[0], twin, nodes[1]])
+        assert cndb.node(0) is nodes[0]
+
+    @pytest.mark.parametrize("index", [-1, 32, None, "3", [3]])
+    def test_unknown_or_unhashable_index_rejected(self, bg_cndb, index):
+        with pytest.raises(HardwareError):
+            bg_cndb.node(index)

@@ -58,6 +58,14 @@ class TestNode:
         with pytest.raises(HardwareError):
             LinuxClusterConfig("be", 0)
 
+    @pytest.mark.parametrize("index", [-1, 4, 1.0, None])
+    def test_cluster_rejects_a_number_that_is_not_a_node(self, index):
+        # A negative list index wraps around: node(-1) used to be the last node.
+        cluster = LinuxCluster(LinuxClusterConfig("be", 4))
+        assert cluster.node(3).index == 3
+        with pytest.raises(HardwareError):
+            cluster.node(index)
+
     def test_cluster_node_lookup_error(self):
         cluster = LinuxCluster(LinuxClusterConfig("fe", 2))
         with pytest.raises(HardwareError):

@@ -10,7 +10,7 @@ from repro.net.message import WireBuffer
 from repro.net.params import TorusParams
 from repro.net.torus import RouteTable, TorusNetwork
 from repro.sim import Simulator, Store
-from repro.util.errors import NetworkError
+from repro.util.errors import HardwareError, NetworkError
 
 
 def make_torus(shape=(4, 4, 2)):
@@ -305,6 +305,29 @@ class TestStreamWindow:
         sim.process(receiver())
         sim.run()
         assert sorted(finished) == ["s1", "s2"]
+
+
+class TestLinkFaultsNameRealLinks:
+    """Node -1 is not node 31: a negative index used to wrap around."""
+
+    def test_degrading_a_link_of_a_negative_node_is_rejected(self):
+        _, torus = make_torus()
+        for a, b in ((-1, 0), (0, -1)):
+            with pytest.raises(HardwareError):
+                torus.degrade_link(a, b, 2.0)
+            assert torus.link_slowdown(a, b) == torus.link_slowdown(b, a) == 1.0
+
+    def test_restoring_a_link_of_a_negative_node_is_rejected(self):
+        _, torus = make_torus()
+        torus.degrade_link(31, 0, 2.0)
+        with pytest.raises(HardwareError):
+            torus.restore_link(-1, 0)
+        assert torus.link_slowdown(31, 0) == 2.0
+
+    def test_no_coprocessor_for_a_negative_node(self):
+        _, torus = make_torus()
+        with pytest.raises(HardwareError):
+            torus.coprocessor(-1)
 
 
 class TestStreamRegistry:

@@ -39,6 +39,14 @@ refuses to while a physics digest differs) and states the reason here:
   which the receiver used to complete the flow ahead of (one or two flow
   lines more per point — the only physics lines that differ from the
   PR 15 source, where dropping them was a recording bug).
+* PR 18: token pools (inbox slots, send buffers, the torus stream window)
+  are born stocked (``Store(..., stock=n)``) instead of primed with
+  ``put(None)`` calls, each of which outside a dispatch was a queued
+  event nobody waited on.  Only ``sim.events_processed`` fell — one line
+  of the snapshot, text and Prometheus artifacts (fig6 2 606 → 2 596,
+  fig8 4 084 → 4 068, fig15 1 598 → 1 554); the JSONL and flow
+  bookkeeping and every physics digest are the parent's, and the script
+  re-recorded without ``--physics-changed``.
 
 ``test_only_the_event_count_tells_the_kernels_apart`` keeps checking the
 eager kernel against the same code under a scheduler that queues every
