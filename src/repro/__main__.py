@@ -13,11 +13,7 @@ Usage::
                             [--sweeps] [--strict] [--json]
     python -m repro multiquery [--streams N] [--array-bytes B] [--count N]
                                [--live-out PATH] [--live-window SECS]
-    python -m repro bench [--out B.json] [--baseline B.json]
-                          [--tolerance PCT] [--warn-only] [--jobs N]
-                          [--only FIGURE] [--scale-shape XxYxZ]
-                          [--scale-floor EVENTS_PER_SEC]
-                          [--live-out PATH] [--live-window SECS]
+    python -m repro bench ...        (see :mod:`repro.bench.cli`)
     python -m repro top [--point NAME] [--window SECS] [--once]
                         [--live-out PATH] [--prom PATH]
 
@@ -40,15 +36,6 @@ records instead.  ``--metrics-out PATH`` writes plain-text utilization
 summaries (``-`` prints to stdout).  ``--bottlenecks PATH`` runs the
 critical-path profiler over the collected flows and writes the ranked
 report (``.json`` for machine-readable, ``-`` for stdout).
-
-``bench`` is the perf-regression gate: it records the fast figure-sweep
-bandwidths and flow-latency percentiles (plus the 4096-node ``scale``
-figure's kernel throughput) to a BENCH JSON file and/or compares them
-against a committed baseline, exiting non-zero on a regression
-(``--warn-only`` reports without failing).  ``--only`` restricts the run
-to named figures, ``--scale-shape`` shrinks the scale torus, and
-``--scale-floor`` enforces an absolute events/sec floor.  See
-``docs/observability.md``.
 
 ``top`` is the live-telemetry viewer: it runs one bench sample point with
 a :class:`~repro.obs.live.LiveSampler` attached and renders a per-window
@@ -75,6 +62,13 @@ from repro.core.experiments import (
     run_fig15,
     run_node_selection_ablation,
     run_scaling_study,
+)
+from repro.cli_flags import (
+    add_detector_flags,
+    add_live_flags,
+    add_sanitize_flags,
+    detector_kwargs,
+    live_window_arg,
 )
 from repro.obs import Instrumentation, profile, utilization_summary
 from repro.obs.export import write_chrome_trace, write_trace_jsonl
@@ -323,16 +317,6 @@ def _explain(args) -> None:
     print(SCSQSession().explain(args.text))
 
 
-def _live_window_arg(args) -> Optional[float]:
-    """The effective live window: --live-out implies the default window."""
-    window = getattr(args, "live_window", None)
-    if window is None and getattr(args, "live_out", None):
-        from repro.obs.live import DEFAULT_WINDOW
-
-        window = DEFAULT_WINDOW
-    return window
-
-
 def _multiquery(args) -> None:
     from repro.core.experiments.contention import SHARED_PSET, run_contention_demo
 
@@ -341,7 +325,7 @@ def _multiquery(args) -> None:
         array_bytes=args.array_bytes,
         count=args.count,
         seed=args.seed,
-        live_window=_live_window_arg(args),
+        live_window=live_window_arg(args),
     )
     print(result.format_table())
     worst = min(o.interference for o in result.outcomes)
@@ -361,164 +345,6 @@ def _multiquery(args) -> None:
             print(f"live: {lines} time-series records -> {args.live_out}")
 
 
-def _parse_torus_shape(text: str) -> "tuple[int, int, int]":
-    parts = text.lower().split("x")
-    if len(parts) != 3 or not all(p.isdigit() and int(p) > 0 for p in parts):
-        raise ValueError(
-            f"torus shape must look like 16x16x16, got {text!r}"
-        )
-    x, y, z = (int(p) for p in parts)
-    return (x, y, z)
-
-
-def _bench(args) -> int:
-    from repro.core.bench import (
-        BENCH_FIGURES,
-        compare_bench,
-        figure_of_metric,
-        format_comparison,
-        load_bench,
-        run_bench,
-        write_bench,
-    )
-
-    live_window = _live_window_arg(args)
-    if args.mode == "gate" and args.fault:
-        print("bench: --fault needs --mode throughput", file=sys.stderr)
-        return 2
-    if args.mode == "gate" and live_window is not None:
-        print("bench: --live-out/--live-window need --mode power or "
-              "throughput", file=sys.stderr)
-        return 2
-    if args.mode != "gate" and (args.only or args.scale_shape or
-                                args.scale_floor is not None):
-        print("bench: --only/--scale-shape/--scale-floor need --mode gate",
-              file=sys.stderr)
-        return 2
-    if not args.out and not args.baseline and args.mode == "gate" \
-            and args.scale_floor is None:
-        print("bench: nothing to do (pass --out, --baseline, and/or "
-              "--scale-floor)", file=sys.stderr)
-        return 2
-    figures = None
-    if args.only:
-        figures = set(args.only)
-        unknown = figures - set(BENCH_FIGURES)
-        if unknown:
-            print(f"bench: unknown --only figure(s) {sorted(unknown)}; "
-                  f"expected a subset of {list(BENCH_FIGURES)}",
-                  file=sys.stderr)
-            return 2
-    scale_shape = None
-    if args.scale_shape:
-        try:
-            scale_shape = _parse_torus_shape(args.scale_shape)
-        except ValueError as exc:
-            print(f"bench: {exc}", file=sys.stderr)
-            return 2
-    series = None
-    if args.mode == "gate":
-        metrics = run_bench(
-            repeats=args.repeats, progress=print, jobs=args.jobs,
-            figures=figures, scale_shape=scale_shape,
-        )
-    else:
-        from repro.bench import (
-            DEFAULT_SCALE,
-            SMOKE_SCALE,
-            run_fault_benchmark,
-            run_power_mode,
-            run_throughput_mode,
-        )
-
-        scale = SMOKE_SCALE if args.smoke else DEFAULT_SCALE
-        detector_kwargs = _detector_kwargs(args)
-        if detector_kwargs and live_window is None:
-            print("bench: --detect-* flags need --live-out/--live-window",
-                  file=sys.stderr)
-            return 2
-        if args.mode == "power":
-            if args.fault:
-                print("bench: --fault needs --mode throughput", file=sys.stderr)
-                return 2
-            report = run_power_mode(
-                scale=scale, seed=args.seed, live_window=live_window,
-                detector_kwargs=detector_kwargs,
-            )
-        elif args.fault:
-            if live_window is not None:
-                print("bench: --live-out/--live-window are not wired "
-                      "through --fault runs", file=sys.stderr)
-                return 2
-            report = run_fault_benchmark(
-                args.fault,
-                args.streams,
-                scale=scale,
-                seed=args.seed,
-                repeats=args.repeats,
-                jobs=args.jobs,
-            )
-        else:
-            report = run_throughput_mode(
-                args.streams,
-                scale=scale,
-                seed=args.seed,
-                rounds=1 if args.smoke else None,
-                live_window=live_window,
-                detector_kwargs=detector_kwargs,
-            )
-        print(report.describe())
-        metrics = report.metrics
-        series = report.series
-        if series and args.live_out:
-            import json
-
-            with open(args.live_out, "w", encoding="utf-8") as fh:
-                for segment in sorted(series):
-                    fh.write(json.dumps({"label": segment, **series[segment]}) + "\n")
-            print(f"live: {len(series)} windowed series -> {args.live_out}")
-    if args.out:
-        write_bench(args.out, metrics, repeats=args.repeats, series=series)
-        print(f"bench: {len(metrics)} metrics -> {args.out}"
-              + (f" (+{len(series)} windowed series)" if series else ""))
-    failed = False
-    if args.baseline:
-        baseline = load_bench(args.baseline)
-        if figures is not None:
-            # A partial run must not read figures it skipped as "missing".
-            baseline = {
-                name: value for name, value in baseline.items()
-                if figure_of_metric(name) in figures
-            }
-        deltas, new_metrics = compare_bench(
-            baseline, metrics, tolerance_pct=args.tolerance
-        )
-        print(format_comparison(deltas, new_metrics))
-        if any(delta.regressed for delta in deltas):
-            if args.warn_only:
-                print("bench: regression detected (warn-only, not failing)")
-            else:
-                failed = True
-    if args.scale_floor is not None:
-        rates = [
-            value for name, value in metrics.items()
-            if figure_of_metric(name) == "scale"
-            and name.endswith("/events_per_sec")
-        ]
-        if not rates:
-            print("bench: --scale-floor set but no scale events_per_sec "
-                  "metric was produced", file=sys.stderr)
-            return 2
-        if min(rates) < args.scale_floor:
-            print(f"bench: scale throughput {min(rates):,.0f} events/sec "
-                  f"below the floor of {args.scale_floor:,.0f}")
-            failed = True
-        else:
-            print(f"bench: scale throughput {min(rates):,.0f} events/sec "
-                  f"clears the floor of {args.scale_floor:,.0f}")
-    return 1 if failed else 0
-
-
 def _adaptive(args) -> int:
     from repro.core.experiments.adaptive import (
         ADAPTIVE_POINTS,
@@ -536,7 +362,7 @@ def _adaptive(args) -> int:
         seed=args.seed,
         smoke=args.smoke,
         window=args.window if args.window is not None else DEFAULT_WINDOW,
-        detector_kwargs=_detector_kwargs(args),
+        detector_kwargs=detector_kwargs(args),
     )
     print(comparison.format_table())
     if args.events_out:
@@ -554,7 +380,7 @@ _TOP_ALIASES = {
 
 
 def _top(args) -> int:
-    from repro.core.bench import bench_points
+    from repro.bench.benchmark import bench_points
     from repro.coordinator.deployer import Deployer
     from repro.hardware.environment import (
         Environment,
@@ -590,7 +416,7 @@ def _top(args) -> int:
         print(LIVE_HEADER)
         print("-" * len(LIVE_HEADER))
     obs, sampler = live_instrumentation(
-        window, _detector_kwargs(args),
+        window, detector_kwargs(args),
         on_window=(lambda window: print(live_row(window))) if streaming else None,
     )
     config = EnvironmentConfig().with_seed(args.seed)
@@ -621,79 +447,6 @@ def _top(args) -> int:
                 fh.write(exposition)
             print(f"prom: exposition snapshot -> {args.prom}")
     return 0
-
-
-def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group(
-        "detector hysteresis",
-        "thresholds of the continuous bottleneck detector watching the "
-        "live windows (defaults in repro.obs.health)",
-    )
-    group.add_argument(
-        "--detect-high", type=float, default=None, metavar="FRAC",
-        help="utilization fraction at or above which a resource counts "
-             "as saturated (default 0.85)",
-    )
-    group.add_argument(
-        "--detect-low", type=float, default=None, metavar="FRAC",
-        help="utilization fraction at or below which a saturated resource "
-             "counts as recovered (default 0.60)",
-    )
-    group.add_argument(
-        "--detect-up-windows", type=int, default=None, metavar="N",
-        help="consecutive hot windows before a saturation event fires "
-             "(default 2)",
-    )
-    group.add_argument(
-        "--detect-down-windows", type=int, default=None, metavar="N",
-        help="consecutive cool windows before a recovery event fires "
-             "(default 2)",
-    )
-
-
-def _detector_kwargs(args) -> Optional[dict]:
-    """The detector overrides actually passed, or None for stock."""
-    mapping = {
-        "high": args.detect_high,
-        "low": args.detect_low,
-        "up_windows": args.detect_up_windows,
-        "down_windows": args.detect_down_windows,
-    }
-    kwargs = {name: value for name, value in mapping.items() if value is not None}
-    return kwargs or None
-
-
-def _add_live_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--live-out", metavar="PATH", default=None,
-        help="watch the run with the live telemetry sampler and write the "
-             "windowed time-series as JSON-lines",
-    )
-    parser.add_argument(
-        "--live-window", type=float, default=None, metavar="SECS",
-        help="live sampling window in simulated seconds (implies the live "
-             "sampler; --live-out alone uses the default window)",
-    )
-
-
-def _add_sanitize_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--sanitize", action="store_true",
-        help="run under the dynamic sanitizer: audit every deployment "
-             "teardown/migration for leaked processes, inboxes, carriers, "
-             "node slots and listeners, and exit 1 on findings (in-process "
-             "runs only — subprocess workers of --jobs N are not audited)",
-    )
-    parser.add_argument(
-        "--chaos-seed", type=int, default=None, metavar="SEED",
-        help="replay under the seeded shuffle scheduler: same-instant "
-             "same-rank events dispatch in a seed-derived order, so any "
-             "metric drift between seeds exposes a schedule race",
-    )
-    # Marks this subcommand for main()'s sanitizer wrapper.  `analyze`
-    # also has a --sanitize flag but opens its own scope in cli.py, so
-    # the wrapper must not double-wrap it (scopes do not nest).
-    parser.set_defaults(_sanitize_wrap=True)
 
 
 def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
@@ -743,83 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
         if observable:
             _add_observability_flags(p)
         p.set_defaults(func=func)
-    b = sub.add_parser(
-        "bench",
-        help="perf-regression gate: record/compare the BENCH baseline",
-    )
-    b.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="write the measured metrics as a BENCH JSON file",
-    )
-    b.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="compare against this BENCH JSON file; exit 1 on regression",
-    )
-    b.add_argument(
-        "--tolerance", type=float, default=5.0, metavar="PCT",
-        help="allowed drift in percent of the baseline value (default 5)",
-    )
-    b.add_argument(
-        "--warn-only", action="store_true",
-        help="report regressions without a failing exit code",
-    )
-    b.add_argument("--repeats", type=int, default=1, help="runs per bench point")
-    b.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the bench sweeps (wall-clock metrics "
-             "then measure the parallel harness)",
-    )
-    b.add_argument(
-        "--mode", choices=("gate", "power", "throughput"), default="gate",
-        help="'gate' (default) runs the figure-sweep regression subset; "
-             "'power' runs the numbered-stream deck serially and reports "
-             "per-query latency; 'throughput' interleaves N streams and "
-             "reports per-stream bandwidth (see docs/benchmarking.md)",
-    )
-    b.add_argument(
-        "--streams", type=int, default=4, metavar="N",
-        help="number of concurrent query streams in throughput mode",
-    )
-    b.add_argument(
-        "--fault", metavar="SCENARIO", default=None,
-        choices=("kill-node", "kill-io-node", "degrade-link", "degrade-uplink",
-                 "correlated", "flapping"),
-        help="inject a mid-run failure into the throughput run and report "
-             "recovery time and bandwidth dip (kill-node, kill-io-node, "
-             "degrade-link, degrade-uplink, or the composites: correlated "
-             "= node death plus uplink degradation in one window, flapping "
-             "= transient uplink degrade/restore cycles)",
-    )
-    b.add_argument(
-        "--seed", type=int, default=0,
-        help="base seed of the power/throughput/fault runs (repeat i uses "
-             "seed+i); identical seeds reproduce identical numbers",
-    )
-    b.add_argument(
-        "--smoke", action="store_true",
-        help="CI smoke scale: small deck workloads, one throughput round",
-    )
-    b.add_argument(
-        "--only", action="append", metavar="FIGURE", default=None,
-        help="restrict a gate run to one figure subset (repeatable: "
-             "fig6, fig8, fig15, scale, adaptive); a --baseline comparison "
-             "is then subset to the same figures",
-    )
-    b.add_argument(
-        "--scale-shape", metavar="XxYxZ", default=None,
-        help="torus shape of the scale figure (default 16x16x16); CI "
-             "smoke runs a reduced 8x8x8",
-    )
-    b.add_argument(
-        "--scale-floor", type=float, default=None, metavar="EVENTS_PER_SEC",
-        help="fail (exit 1) unless the scale figure's kernel throughput "
-             "reaches this many events/sec — an absolute floor for runs "
-             "whose reduced shape has no committed baseline metric",
-    )
-    _add_live_flags(b)
-    _add_detector_flags(b)
-    _add_sanitize_flags(b)
-    b.set_defaults(func=_bench)
+    from repro.bench.cli import add_bench_parser
+
+    add_bench_parser(sub)
     a = sub.add_parser(
         "adaptive",
         help="adaptive runtime: compare a static placement against "
@@ -844,8 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the adaptive run's health events as JSON-lines "
              "(the CI smoke job uploads this artifact)",
     )
-    _add_detector_flags(a)
-    _add_sanitize_flags(a)
+    add_detector_flags(a)
+    add_sanitize_flags(a)
     a.set_defaults(func=_adaptive)
     t = sub.add_parser(
         "top",
@@ -876,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a Prometheus-style text exposition snapshot "
              "('-' prints to stdout)",
     )
-    _add_detector_flags(t)
+    add_detector_flags(t)
     t.set_defaults(func=_top)
     q = sub.add_parser("query", help="execute one SCSQL statement")
     q.add_argument("text", help="the SCSQL statement")
@@ -906,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="arrays per stream (default 5)",
     )
     m.add_argument("--seed", type=int, default=0, help="environment seed")
-    _add_live_flags(m)
+    add_live_flags(m)
     m.set_defaults(func=_multiquery)
     from repro.analysis.cli import add_analyze_parser
 

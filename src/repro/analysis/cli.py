@@ -6,9 +6,10 @@ pipeline over every resulting plan against the paper's default topology,
 pretty-prints the diagnostics, and exits non-zero when any plan has
 errors (or, with ``--strict``, warnings).
 
-``--sweeps`` verifies the full fig6/fig8/fig15 (and ablation) sweep grids
-— every plan a ``python -m repro all`` run would deploy — which is what CI
-runs to keep the experiment definitions deployable.
+``--sweeps`` verifies every point of the fig6/fig8/fig15, ablation and
+scaling sweeps — each plan a ``python -m repro all`` run would deploy, on
+its own topology and under its own selector — which is what CI runs to keep
+the experiment definitions deployable.
 """
 
 from __future__ import annotations
@@ -120,56 +121,43 @@ def _example_statements(path: Path) -> List[Tuple[str, str]]:
     return statements
 
 
-def _sweep_statements() -> List[Tuple[str, str]]:
-    """Every distinct query text of the fig6/fig8/fig15/ablation sweeps."""
-    from repro.core.experiments.ablations import automatic_inbound_query
-    from repro.core.experiments.fig6 import (
-        DEFAULT_BUFFER_SIZES as FIG6_SIZES,
-        point_to_point_query,
-        scaled_workload,
-    )
-    from repro.core.experiments.fig8 import (
-        BALANCED,
-        DEFAULT_BUFFER_SIZES as FIG8_SIZES,
-        SEQUENTIAL,
-        merge_query,
-    )
-    from repro.core.experiments.fig15 import (
-        DEFAULT_STREAM_COUNTS,
-        PAPER_ARRAY_BYTES,
-        QUERY_NUMBERS,
-        inbound_query,
-    )
+def _sweep_reports() -> List[AnalysisReport]:
+    """Verify every point of the fig6/fig8/fig15, ablation and scaling
+    sweeps as it will run.
 
-    statements: List[Tuple[str, str]] = []
-    for buffer_bytes in FIG6_SIZES:
-        array_bytes, count = scaled_workload(buffer_bytes, 1500)
-        statements.append(
-            (f"fig6 B={buffer_bytes}", point_to_point_query(array_bytes, count))
-        )
-    for buffer_bytes in FIG8_SIZES:
-        array_bytes, count = scaled_workload(buffer_bytes, 1200)
-        for balanced in (False, True):
-            x, y = BALANCED if balanced else SEQUENTIAL
-            statements.append(
-                (
-                    f"fig8 B={buffer_bytes} {'bal' if balanced else 'seq'}",
-                    merge_query(array_bytes, count, x, y),
-                )
-            )
-    for query_number in QUERY_NUMBERS:
-        for n in DEFAULT_STREAM_COUNTS:
-            statements.append(
-                (
-                    f"fig15 Q{query_number} n={n}",
-                    inbound_query(query_number, n, PAPER_ARRAY_BYTES, 10),
-                )
-            )
-    for n in (2, 4, 6, 8):
-        statements.append(
-            (f"ablation auto n={n}", automatic_inbound_query(n, PAPER_ARRAY_BYTES, 10))
-        )
-    return statements
+    Walks the experiments' own sweep builders at their defaults and hands
+    each point to the check :func:`~repro.core.measurement.measure_points`
+    applies before a sweep: the plan compiled with the point's settings, on
+    its sweep's topology, placed by its selector.
+    """
+    from repro.core.experiments.ablations import (
+        buffer_choice_specs,
+        node_selection_specs,
+    )
+    from repro.core.experiments.fig6 import fig6_specs
+    from repro.core.experiments.fig8 import fig8_specs
+    from repro.core.experiments.fig15 import fig15_specs
+    from repro.core.experiments.scaling import scaling_sweeps
+    from repro.core.measurement import verify_point
+    from repro.hardware.environment import EnvironmentConfig
+
+    default = EnvironmentConfig()
+    sweeps = [
+        ("fig6", default, fig6_specs()),
+        ("fig8", default, fig8_specs()),
+        ("fig15", default, fig15_specs()),
+        ("ablation selector", default, node_selection_specs()),
+        ("ablation buffers", default, buffer_choice_specs()),
+    ]
+    for config, specs in scaling_sweeps():
+        shape = "x".join(str(d) for d in config.bluegene.torus_shape)
+        sweeps.append((f"scaling {shape}", config, specs))
+    reports: List[AnalysisReport] = []
+    for name, config, specs in sweeps:
+        for spec in specs:
+            plan = compile_plan(spec.query, settings=spec.settings)
+            reports.append(verify_point(plan, spec, config, f"{name} {spec.key}"))
+    return reports
 
 
 def _bench_statements() -> List[Tuple[str, str]]:
@@ -282,8 +270,6 @@ def run_analyze(args: argparse.Namespace) -> int:
             statements.append((f"{path.name}[{sub_index}]", stmt))
     for example in args.examples:
         statements.extend(_example_statements(Path(example)))
-    if args.sweeps:
-        statements.extend(_sweep_statements())
     if args.bench:
         statements.extend(_bench_statements())
     if args.sanitize:
@@ -311,11 +297,11 @@ def run_analyze(args: argparse.Namespace) -> int:
                 f"analyze --sanitize: {len(sanitize_reports)} report(s), "
                 f"{failing} with findings"
             )
-        if not statements:
+        if not statements and not args.sweeps:
             return sanitize_exit
         static_exit = _run_static(args, statements)
         return max(sanitize_exit, static_exit)
-    if not statements:
+    if not statements and not args.sweeps:
         print(
             "analyze: nothing to verify (pass queries, --file, --example, "
             "--sweeps, --bench, or --sanitize)",
@@ -326,8 +312,9 @@ def run_analyze(args: argparse.Namespace) -> int:
 
 
 def _run_static(args: argparse.Namespace, statements: List[Tuple[str, str]]) -> int:
-
     reports = _verify_statements(statements)
+    if args.sweeps:
+        reports.extend(_sweep_reports())
     failed = [r for r in reports if not r.ok(strict=args.strict)]
     if args.json:
         print(
@@ -391,7 +378,7 @@ def add_analyze_parser(sub: Any) -> None:
     p.add_argument(
         "--sweeps",
         action="store_true",
-        help="verify every plan of the fig6/fig8/fig15/ablation sweeps",
+        help="verify every plan of the fig6/fig8/fig15/ablation/scaling sweeps",
     )
     p.add_argument(
         "--bench",

@@ -1,7 +1,12 @@
-"""Power and throughput benchmark modes over the numbered query streams.
+"""The benchmark harness's four modes.
 
-The TPC-H-style driver half of the harness, on top of
-:mod:`repro.bench.query_stream`:
+* **gate mode** — a fast, deterministic subset of the paper's figure
+  sweeps (:func:`bench_points`) run with flow tracing on, plus the
+  4096-node ``scale`` figure and the adaptive-runtime points: bandwidth and
+  flow-latency percentiles per point, host wall time per figure.
+
+The other three are the TPC-H-style driver over the numbered query streams
+of :mod:`repro.bench.query_stream`:
 
 * **power mode** — one stream (stream 0) runs the deck serially, each
   query alone on a freshly seeded environment; the figure of merit is
@@ -18,7 +23,7 @@ The TPC-H-style driver half of the harness, on top of
   (recovery time, bandwidth dip) land next to the bandwidth ones.
 
 Every mode returns a :class:`BenchReport` whose ``metrics`` mapping obeys
-the BENCH v2 naming convention (:func:`repro.core.bench.higher_is_better`
+the BENCH v2 naming convention (:func:`repro.bench.baseline.higher_is_better`
 reads the direction off the suffix), so ``repro bench --out/--baseline``
 gates recovery regressions exactly like bandwidth regressions.
 
@@ -29,9 +34,11 @@ a harness that reports fast wrong answers is worse than no harness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+import time
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.bench.baseline import figure_of_metric
 from repro.bench.faults import FaultOutcome, FaultTask, run_fault_task
 from repro.bench.query_stream import (
     DEFAULT_SCALE,
@@ -42,14 +49,21 @@ from repro.bench.query_stream import (
     registered,
 )
 from repro.coordinator.deployer import Deployer
+from repro.core.experiments.adaptive import ADAPTIVE_POINTS, run_adaptive_point
+from repro.core.experiments.fig6 import fig6_specs
+from repro.core.experiments.fig8 import fig8_specs
+from repro.core.experiments.fig15 import fig15_specs
+from repro.core.experiments.scale import DEFAULT_SHAPE, run_scale
+from repro.core.measurement import PointSpec, measure_points
 from repro.core.parallel import SweepExecutor
 from repro.core.multiquery import MultiQuerySession
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import Environment, EnvironmentConfig, shared_template
-from repro.obs.instrument import live_instrumentation
+from repro.obs.instrument import OBSERVE_FLOWS, live_instrumentation
 from repro.obs.live import LiveSampler
 from repro.scsql.plan import compile_plan
 from repro.util.errors import MeasurementError
+from repro.util.stats import percentile
 from repro.util.units import MEGA
 
 
@@ -91,6 +105,125 @@ def _fresh_env(
         if live_window is not None else (None, None)
     )
     return shared_template(seeded).fork(seed=seeded.seed, obs=obs), sampler
+
+
+# ----------------------------------------------------------------------
+# Gate mode
+# ----------------------------------------------------------------------
+#: Figure names run_bench() can produce: the sweep subsets plus the
+#: kernel-scale and adaptive-runtime figures.
+BENCH_FIGURES = ("fig6", "fig8", "fig15", "scale", "adaptive")
+
+
+def bench_points() -> List[PointSpec]:
+    """The fast figure-sweep subset the gate measures, keyed by point name
+    (``"fig6[B=200,double]"``; :func:`figure_of_metric` names its figure).
+
+    One point per mechanism the repo models: packet quantisation (fig6
+    small vs large buffers), intermediate-co-processor routing (fig8
+    sequential vs balanced), and the Ethernet ingress with and without
+    I/O-node sharing (fig15 Q5 at n=4 vs n=5, Q1 at n=2) — each the
+    double-buffered point of its experiment's sweep builder.
+    """
+    points: List[PointSpec] = []
+    for spec in fig6_specs((200, 1000, 100_000), target_buffers=120):
+        buffer_bytes, double_buffering = spec.key
+        if double_buffering:
+            points.append(replace(spec, key=f"fig6[B={buffer_bytes},double]"))
+    for spec in fig8_specs((100_000,), target_buffers=120):
+        buffer_bytes, balanced, double_buffering = spec.key
+        if double_buffering:
+            label = "bal" if balanced else "seq"
+            points.append(replace(spec, key=f"fig8[B={buffer_bytes},{label},double]"))
+    for stream_counts, query_number in (((2,), 1), ((4, 5), 5)):
+        for spec in fig15_specs(
+            stream_counts, (query_number,), array_bytes=300_000, array_count=3
+        ):
+            points.append(replace(spec, key=f"fig15[Q{query_number},n={spec.key[1]}]"))
+    return points
+
+
+def run_bench(
+    repeats: int = 1,
+    jobs: int = 1,
+    figures: Optional[Iterable[str]] = None,
+    scale_shape: Optional[Tuple[int, int, int]] = None,
+) -> BenchReport:
+    """Measure every bench point of the requested figures.
+
+    Each figure's points run as one
+    :func:`~repro.core.measurement.measure_points` sweep, so with
+    ``jobs > 1`` its (point, repeat) simulations fan out over worker
+    processes; the simulated metrics (mbps, latency percentiles) are
+    bit-identical either way.  The wall-clock family then measures the
+    *parallel* harness, so baselines should be recorded at the same
+    ``jobs`` they are gated at.
+
+    ``figures`` restricts the run to a subset of :data:`BENCH_FIGURES`
+    (``None`` runs everything); ``scale_shape`` overrides the scale
+    figure's torus (CI smoke runs a reduced 8x8x8).
+    """
+    figures = set(BENCH_FIGURES if figures is None else figures)
+    unknown = figures - set(BENCH_FIGURES)
+    if unknown:
+        raise ValueError(
+            f"unknown bench figure(s) {sorted(unknown)}; "
+            f"expected a subset of {list(BENCH_FIGURES)}"
+        )
+    metrics: Dict[str, float] = {}
+    lines: List[str] = []
+    sweeps: Dict[str, List[PointSpec]] = {}
+    for point in bench_points():
+        figure = figure_of_metric(point.key)
+        if figure in figures:
+            sweeps.setdefault(figure, []).append(point)
+    for figure, points in sweeps.items():
+        started = time.perf_counter()
+        results = measure_points(
+            points, repeats=repeats, jobs=jobs, observe=OBSERVE_FLOWS
+        )
+        wall = time.perf_counter() - started
+        events = 0.0
+        for point in points:
+            result = results[point.key]
+            events += sum(
+                report.metrics.counter("sim.events_processed")
+                for report in result.reports
+            )
+            latencies = result.flow_latencies()
+            metrics[f"{point.key}/mbps"] = result.mean_mbps
+            if latencies:
+                metrics[f"{point.key}/p50_ms"] = percentile(latencies, 50.0) * 1e3
+                metrics[f"{point.key}/p95_ms"] = percentile(latencies, 95.0) * 1e3
+            lines.append(f"{point.key}: {result.mean_mbps:.1f} Mbps, "
+                         f"{len(latencies)} flows")
+        metrics[f"{figure}/wall_s"] = wall
+        if wall > 0.0:
+            metrics[f"{figure}/events_per_sec"] = events / wall
+        lines.append(f"{figure}: {len(points)} point(s), {wall:.2f} s wall")
+    if "scale" in figures:
+        scale_result = run_scale(
+            shape=scale_shape if scale_shape is not None else DEFAULT_SHAPE,
+            progress=lines.append,
+        )
+        metrics.update(scale_result.metrics())
+    if "adaptive" in figures:
+        started = time.perf_counter()
+        for point_name in ADAPTIVE_POINTS:
+            comparison = run_adaptive_point(point_name, smoke=True)
+            tag = f"adaptive[{point_name}]"
+            metrics[f"{tag}/static_mbps"] = comparison.static_mbps
+            metrics[f"{tag}/adaptive_mbps"] = comparison.adaptive_mbps
+            metrics[f"{tag}/recover_s"] = comparison.recover_s
+            metrics[f"{tag}/migrations"] = float(len(comparison.migrations))
+            lines.append(
+                f"{tag}: {comparison.static_mbps:.1f} -> "
+                f"{comparison.adaptive_mbps:.1f} Mbps "
+                f"(x{comparison.speedup:.2f}, "
+                f"{len(comparison.migrations)} migration(s))"
+            )
+        metrics["adaptive/wall_s"] = time.perf_counter() - started
+    return BenchReport(mode="gate", metrics=metrics, lines=lines)
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,269 @@
+"""``python -m repro bench``: run one mode of the harness, record, compare.
+
+Usage::
+
+    python -m repro bench [--mode gate|power|throughput] [--fault SCENARIO]
+                          [--out B.json] [--baseline B.json]
+                          [--tolerance PCT] [--warn-only] [--jobs N]
+                          [--only FIGURE] [--scale-shape XxYxZ]
+                          [--scale-floor EVENTS_PER_SEC]
+                          [--live-out PATH] [--live-window SECS]
+
+The default mode is the perf-regression gate: it records the fast
+figure-sweep bandwidths and flow-latency percentiles (plus the 4096-node
+``scale`` figure's kernel throughput) to a BENCH JSON file and/or compares
+them against a committed baseline, exiting non-zero on a regression
+(``--warn-only`` reports without failing).  ``--only`` restricts the run
+to named figures, ``--scale-shape`` shrinks the scale torus, and
+``--scale-floor`` enforces an absolute events/sec floor.  Every mode
+returns a :class:`~repro.bench.benchmark.BenchReport`, compared against
+the baseline keys of the suites it was asked to produce (see
+:mod:`repro.bench.baseline` and ``docs/benchmarking.md``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from typing import Any, Callable, Tuple
+
+from repro.bench.baseline import (
+    DEFAULT_TOLERANCE_PCT,
+    compare_bench,
+    figure_of_metric,
+    format_comparison,
+    load_bench,
+    write_bench,
+)
+from repro.bench.benchmark import (
+    BENCH_FIGURES,
+    run_bench,
+    run_fault_benchmark,
+    run_power_mode,
+    run_throughput_mode,
+)
+from repro.bench.query_stream import DEFAULT_SCALE, SMOKE_SCALE
+from repro.cli_flags import (
+    add_detector_flags,
+    add_live_flags,
+    add_sanitize_flags,
+    detector_kwargs,
+    live_window_arg,
+)
+
+__all__ = ["add_bench_parser"]
+
+#: The flags each mode reads, by argparse dest, beyond the ones every mode
+#: does (--out/--baseline/--tolerance/--warn-only, the sanitizer pair).
+#: ``fault`` is ``--mode throughput`` with ``--fault``.  Passing a flag the
+#: selected mode does not read is a usage error, not a silent no-op.
+_LIVE_FLAGS = (
+    "live_out", "live_window",
+    "detect_high", "detect_low", "detect_up_windows", "detect_down_windows",
+)
+_MODE_FLAGS = {
+    "gate": ("repeats", "jobs", "only", "scale_shape", "scale_floor"),
+    "power": ("seed", "smoke") + _LIVE_FLAGS,
+    "throughput": ("streams", "fault", "seed", "smoke") + _LIVE_FLAGS,
+    "fault": ("streams", "fault", "seed", "smoke", "repeats", "jobs"),
+}
+_MODE_NAMES = {"fault": "throughput --fault"}
+
+
+def _parse_torus_shape(text: str) -> Tuple[int, int, int]:
+    parts = text.lower().split("x")
+    if len(parts) != 3 or not all(p.isdigit() and int(p) > 0 for p in parts):
+        raise argparse.ArgumentTypeError(
+            f"torus shape must look like 16x16x16, got {text!r}"
+        )
+    x, y, z = (int(p) for p in parts)
+    return (x, y, z)
+
+
+def _usage_error(message: str) -> int:
+    print(f"bench: {message}", file=sys.stderr)
+    return 2
+
+
+def _bench(args: argparse.Namespace, default: Callable[[str], Any]) -> int:
+    mode = "fault" if args.mode == "throughput" and args.fault else args.mode
+    for dest in sorted({d for flags in _MODE_FLAGS.values() for d in flags}):
+        if dest not in _MODE_FLAGS[mode] and getattr(args, dest) != default(dest):
+            readers = ", ".join(
+                _MODE_NAMES.get(m, m) for m, flags in _MODE_FLAGS.items()
+                if dest in flags
+            )
+            return _usage_error(
+                f"--{dest.replace('_', '-')} is not read by --mode "
+                f"{_MODE_NAMES.get(mode, mode)} (modes that read it: {readers})"
+            )
+    if not args.out and not args.baseline and mode == "gate" \
+            and args.scale_floor is None:
+        return _usage_error(
+            "nothing to do (pass --out, --baseline, and/or --scale-floor)"
+        )
+    live_window = live_window_arg(args)
+    detector = detector_kwargs(args)
+    if detector and live_window is None:
+        return _usage_error("--detect-* flags need --live-out/--live-window")
+    scale = SMOKE_SCALE if args.smoke else DEFAULT_SCALE
+    suites = set(args.only or BENCH_FIGURES) if mode == "gate" else {mode}
+    if mode == "gate":
+        report = run_bench(
+            repeats=args.repeats, jobs=args.jobs,
+            figures=suites, scale_shape=args.scale_shape,
+        )
+    elif mode == "power":
+        report = run_power_mode(
+            scale=scale, seed=args.seed, live_window=live_window,
+            detector_kwargs=detector,
+        )
+    elif mode == "fault":
+        report = run_fault_benchmark(
+            args.fault,
+            args.streams,
+            scale=scale,
+            seed=args.seed,
+            repeats=args.repeats,
+            jobs=args.jobs,
+        )
+    else:
+        report = run_throughput_mode(
+            args.streams,
+            scale=scale,
+            seed=args.seed,
+            rounds=1 if args.smoke else None,
+            live_window=live_window,
+            detector_kwargs=detector,
+        )
+    print(report.describe())
+    metrics = report.metrics
+    series = report.series
+    if series and args.live_out:
+        with open(args.live_out, "w", encoding="utf-8") as fh:
+            for segment in sorted(series):
+                fh.write(json.dumps({"label": segment, **series[segment]}) + "\n")
+        print(f"live: {len(series)} windowed series -> {args.live_out}")
+    if args.out:
+        write_bench(args.out, metrics, repeats=args.repeats, series=series)
+        print(f"bench: {len(metrics)} metrics -> {args.out}"
+              + (f" (+{len(series)} windowed series)" if series else ""))
+    failed = False
+    if args.baseline:
+        # Suites the run was not asked to produce must not read as "missing".
+        baseline = {
+            name: value for name, value in load_bench(args.baseline).items()
+            if figure_of_metric(name) in suites
+        }
+        deltas, new_metrics = compare_bench(
+            baseline, metrics, tolerance_pct=args.tolerance
+        )
+        print(format_comparison(deltas, new_metrics))
+        if any(delta.regressed for delta in deltas):
+            if args.warn_only:
+                print("bench: regression detected (warn-only, not failing)")
+            else:
+                failed = True
+    if args.scale_floor is not None:
+        rates = [
+            value for name, value in metrics.items()
+            if figure_of_metric(name) == "scale"
+            and name.endswith("/events_per_sec")
+        ]
+        if not rates:
+            return _usage_error(
+                "--scale-floor set but no scale events_per_sec metric "
+                "was produced"
+            )
+        if min(rates) < args.scale_floor:
+            print(f"bench: scale throughput {min(rates):,.0f} events/sec "
+                  f"below the floor of {args.scale_floor:,.0f}")
+            failed = True
+        else:
+            print(f"bench: scale throughput {min(rates):,.0f} events/sec "
+                  f"clears the floor of {args.scale_floor:,.0f}")
+    return 1 if failed else 0
+
+
+def add_bench_parser(sub: Any) -> None:
+    """Register the ``bench`` subcommand on a subparsers object."""
+    b = sub.add_parser(
+        "bench",
+        help="perf-regression gate: record/compare the BENCH baseline",
+    )
+    b.add_argument(
+        "--out", metavar="PATH", default=None,
+        help="write the measured metrics as a BENCH JSON file",
+    )
+    b.add_argument(
+        "--baseline", metavar="PATH", default=None,
+        help="compare against this BENCH JSON file; exit 1 on regression",
+    )
+    b.add_argument(
+        "--tolerance", type=float, default=DEFAULT_TOLERANCE_PCT, metavar="PCT",
+        help="allowed drift in percent of the baseline value (default 5)",
+    )
+    b.add_argument(
+        "--warn-only", action="store_true",
+        help="report regressions without a failing exit code",
+    )
+    b.add_argument("--repeats", type=int, default=1, help="runs per bench point")
+    b.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="worker processes for the bench sweeps (wall-clock metrics "
+             "then measure the parallel harness)",
+    )
+    b.add_argument(
+        "--mode", choices=("gate", "power", "throughput"), default="gate",
+        help="'gate' (default) runs the figure-sweep regression subset; "
+             "'power' runs the numbered-stream deck serially and reports "
+             "per-query latency; 'throughput' interleaves N streams and "
+             "reports per-stream bandwidth (see docs/benchmarking.md)",
+    )
+    b.add_argument(
+        "--streams", type=int, default=4, metavar="N",
+        help="number of concurrent query streams in throughput mode",
+    )
+    b.add_argument(
+        "--fault", metavar="SCENARIO", default=None,
+        choices=("kill-node", "kill-io-node", "degrade-link", "degrade-uplink",
+                 "correlated", "flapping"),
+        help="inject a mid-run failure into the throughput run and report "
+             "recovery time and bandwidth dip (kill-node, kill-io-node, "
+             "degrade-link, degrade-uplink, or the composites: correlated "
+             "= node death plus uplink degradation in one window, flapping "
+             "= transient uplink degrade/restore cycles)",
+    )
+    b.add_argument(
+        "--seed", type=int, default=0,
+        help="base seed of the power/throughput/fault runs (repeat i uses "
+             "seed+i); identical seeds reproduce identical numbers",
+    )
+    b.add_argument(
+        "--smoke", action="store_true",
+        help="CI smoke scale: small deck workloads, one throughput round",
+    )
+    b.add_argument(
+        "--only", action="append", metavar="FIGURE", default=None,
+        choices=BENCH_FIGURES,
+        help="restrict a gate run to one figure subset (repeatable: "
+             "fig6, fig8, fig15, scale, adaptive); a --baseline comparison "
+             "is then subset to the same figures",
+    )
+    b.add_argument(
+        "--scale-shape", metavar="XxYxZ", default=None,
+        type=_parse_torus_shape,
+        help="torus shape of the scale figure (default 16x16x16); CI "
+             "smoke runs a reduced 8x8x8",
+    )
+    b.add_argument(
+        "--scale-floor", type=float, default=None, metavar="EVENTS_PER_SEC",
+        help="fail (exit 1) unless the scale figure's kernel throughput "
+             "reaches this many events/sec — an absolute floor for runs "
+             "whose reduced shape has no committed baseline metric",
+    )
+    add_live_flags(b)
+    add_detector_flags(b)
+    add_sanitize_flags(b)
+    b.set_defaults(func=lambda args: _bench(args, b.get_default))

@@ -1,73 +1,27 @@
 """Experiment definitions reproducing the paper's figures and conclusions.
 
 One module per measured figure (6, 8, 15) plus the ablations suggested by
-the paper's conclusions; each exposes a ``run_*`` function that sweeps the
-figure's parameters through the real SCSQL pipeline and returns structured
-results with a text rendering.
+the paper's conclusions; each exposes a pure builder (``*_specs``, ``scaling_sweeps``) listing the
+figure's sweep points and a ``run_*`` function that measures them through the
+real SCSQL pipeline and returns structured results with a text rendering.
+The ``run_*`` functions are re-exported here; everything else is imported
+from its module.
 """
 
 from repro.core.experiments.ablations import (
-    BufferChoiceAblation,
-    NodeSelectionAblation,
-    automatic_inbound_query,
     run_buffer_choice_ablation,
     run_node_selection_ablation,
 )
-from repro.core.experiments.contention import (
-    contending_query,
-    run_contention_demo,
-)
-from repro.core.experiments.fig6 import (
-    Fig6Point,
-    Fig6Result,
-    point_to_point_query,
-    run_fig6,
-    scaled_workload,
-)
-from repro.core.experiments.fig8 import (
-    BALANCED,
-    SEQUENTIAL,
-    Fig8Point,
-    Fig8Result,
-    merge_query,
-    run_fig8,
-)
-from repro.core.experiments.fig15 import (
-    Fig15Point,
-    Fig15Result,
-    inbound_query,
-    run_fig15,
-)
-from repro.core.experiments.scaling import (
-    ScalingPoint,
-    ScalingStudy,
-    run_scaling_study,
-)
+from repro.core.experiments.fig6 import run_fig6
+from repro.core.experiments.fig8 import run_fig8
+from repro.core.experiments.fig15 import run_fig15
+from repro.core.experiments.scaling import run_scaling_study
 
 __all__ = [
     "run_fig6",
-    "Fig6Result",
-    "Fig6Point",
-    "point_to_point_query",
-    "scaled_workload",
     "run_fig8",
-    "Fig8Result",
-    "Fig8Point",
-    "merge_query",
-    "SEQUENTIAL",
-    "BALANCED",
     "run_fig15",
-    "Fig15Result",
-    "Fig15Point",
-    "inbound_query",
     "run_node_selection_ablation",
-    "NodeSelectionAblation",
     "run_buffer_choice_ablation",
-    "BufferChoiceAblation",
-    "automatic_inbound_query",
     "run_scaling_study",
-    "ScalingStudy",
-    "ScalingPoint",
-    "run_contention_demo",
-    "contending_query",
 ]

@@ -18,7 +18,7 @@ selection algorithm; these ablations close that loop:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.experiments.fig6 import point_to_point_query, scaled_workload
 from repro.core.experiments.fig8 import merge_query
@@ -90,22 +90,20 @@ class NodeSelectionAblation:
         return "\n".join(lines)
 
 
-def run_node_selection_ablation(
-    stream_counts: Sequence[int] = (2, 4, 6, 8),
-    repeats: int = 3,
-    array_bytes: int = 3_000_000,
-    count: int = 10,
-    env_config: Optional[EnvironmentConfig] = None,
-    base_seed: int = 0,
-    jobs: int = 1,
-    observe: str = OBSERVE_NONE,
-) -> NodeSelectionAblation:
-    """Compare naive and knowledge-based automatic placement.
+#: Stream counts and per-stream workload of the node-selection ablation.
+DEFAULT_STREAM_COUNTS: Tuple[int, ...] = (2, 4, 6, 8)
+DEFAULT_ARRAY_BYTES = 3_000_000
+DEFAULT_ARRAY_COUNT = 10
 
-    Every (selector, n, repeat) simulation is one sweep task, the selector
-    named declaratively in its payload.
-    """
-    specs = [
+
+def node_selection_specs(
+    stream_counts: Sequence[int] = DEFAULT_STREAM_COUNTS,
+    array_bytes: int = DEFAULT_ARRAY_BYTES,
+    count: int = DEFAULT_ARRAY_COUNT,
+) -> List[PointSpec]:
+    """The node-selection sweep: the automatic-placement workload under
+    each selector, keyed ``(selector_name, n)``."""
+    return [
         PointSpec(
             key=(selector_name, n),
             query=automatic_inbound_query(n, array_bytes, count),
@@ -116,6 +114,24 @@ def run_node_selection_ablation(
         for n in stream_counts
         for selector_name in ("naive", "knowledge")
     ]
+
+
+def run_node_selection_ablation(
+    stream_counts: Sequence[int] = DEFAULT_STREAM_COUNTS,
+    repeats: int = 3,
+    array_bytes: int = DEFAULT_ARRAY_BYTES,
+    count: int = DEFAULT_ARRAY_COUNT,
+    env_config: Optional[EnvironmentConfig] = None,
+    base_seed: int = 0,
+    jobs: int = 1,
+    observe: str = OBSERVE_NONE,
+) -> NodeSelectionAblation:
+    """Compare naive and knowledge-based automatic placement.
+
+    Every (selector, n, repeat) simulation is one sweep task, the selector
+    named declaratively in its payload.
+    """
+    specs = node_selection_specs(stream_counts, array_bytes, count)
     table = measure_points(
         specs, repeats=repeats, env_config=env_config, base_seed=base_seed,
         jobs=jobs, observe=observe,
@@ -167,14 +183,15 @@ class BufferChoiceAblation:
         return "\n".join(lines)
 
 
-def run_buffer_choice_ablation(
-    buffer_sizes: Sequence[int] = (500, 1000, 2000, 10_000, 100_000, 1_000_000),
-    repeats: int = 3,
-    env_config: Optional[EnvironmentConfig] = None,
-    jobs: int = 1,
-    observe: str = OBSERVE_NONE,
-) -> BufferChoiceAblation:
-    """Sweep buffer sizes for both patterns (balanced nodes, double buffers)."""
+#: Buffer sizes swept by the buffer-choice ablation.
+DEFAULT_BUFFER_SIZES: Tuple[int, ...] = (500, 1000, 2000, 10_000, 100_000, 1_000_000)
+
+
+def buffer_choice_specs(
+    buffer_sizes: Sequence[int] = DEFAULT_BUFFER_SIZES,
+) -> List[PointSpec]:
+    """The buffer-choice sweep: both patterns at every buffer size
+    (balanced nodes, double buffers), keyed ``(pattern, buffer_bytes)``."""
     specs: List[PointSpec] = []
     for buffer_bytes in buffer_sizes:
         array_bytes, count = scaled_workload(buffer_bytes, target_buffers=800)
@@ -195,6 +212,18 @@ def run_buffer_choice_ablation(
                 settings=settings,
             )
         )
+    return specs
+
+
+def run_buffer_choice_ablation(
+    buffer_sizes: Sequence[int] = DEFAULT_BUFFER_SIZES,
+    repeats: int = 3,
+    env_config: Optional[EnvironmentConfig] = None,
+    jobs: int = 1,
+    observe: str = OBSERVE_NONE,
+) -> BufferChoiceAblation:
+    """Sweep buffer sizes for both patterns (balanced nodes, double buffers)."""
+    specs = buffer_choice_specs(buffer_sizes)
     table = measure_points(
         specs, repeats=repeats, env_config=env_config, jobs=jobs, observe=observe
     )

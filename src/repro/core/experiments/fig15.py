@@ -153,6 +153,27 @@ class Fig15Result:
         return "\n".join(lines)
 
 
+def fig15_specs(
+    stream_counts: Sequence[int] = DEFAULT_STREAM_COUNTS,
+    queries: Sequence[int] = QUERY_NUMBERS,
+    array_bytes: int = PAPER_ARRAY_BYTES,
+    array_count: int = DEFAULT_ARRAY_COUNT,
+) -> List[PointSpec]:
+    """The Figure 15 sweep: one point per (query, stream count), keyed
+    ``(query_number, n)``."""
+    settings = ExecutionSettings()
+    return [
+        PointSpec(
+            key=(query_number, n),
+            query=inbound_query(query_number, n, array_bytes, array_count),
+            payload_bytes=n * array_bytes * array_count,
+            settings=settings,
+        )
+        for query_number in queries
+        for n in stream_counts
+    ]
+
+
 def run_fig15(
     stream_counts: Sequence[int] = DEFAULT_STREAM_COUNTS,
     queries: Sequence[int] = QUERY_NUMBERS,
@@ -169,17 +190,7 @@ def run_fig15(
     :func:`repro.core.measurement.measure_points`; each repeat's hub lands on
     its point's ``result.observations``.
     """
-    settings = ExecutionSettings()
-    specs: List[PointSpec] = [
-        PointSpec(
-            key=(query_number, n),
-            query=inbound_query(query_number, n, array_bytes, array_count),
-            payload_bytes=n * array_bytes * array_count,
-            settings=settings,
-        )
-        for query_number in queries
-        for n in stream_counts
-    ]
+    specs = fig15_specs(stream_counts, queries, array_bytes, array_count)
     results = measure_points(
         specs, repeats=repeats, env_config=env_config, jobs=jobs, observe=observe
     )

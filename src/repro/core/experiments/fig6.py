@@ -34,6 +34,9 @@ DEFAULT_BUFFER_SIZES: Tuple[int, ...] = (
     100_000, 200_000, 500_000, 1_000_000,
 )
 
+#: Buffers streamed per run (see :func:`scaled_workload`).
+DEFAULT_TARGET_BUFFERS = 1500
+
 #: Paper workload: 100 arrays of 3 MB.
 PAPER_ARRAY_BYTES = 3_000_000
 PAPER_ARRAY_COUNT = 100
@@ -51,7 +54,7 @@ and a=sp(gen_array({array_bytes},{count}), 'bg', 1);
 
 def scaled_workload(
     buffer_bytes: int,
-    target_buffers: int = 1500,
+    target_buffers: int = DEFAULT_TARGET_BUFFERS,
     max_array_bytes: int = PAPER_ARRAY_BYTES,
 ) -> Tuple[int, int]:
     """(array_bytes, count) streaming roughly ``target_buffers`` buffers.
@@ -114,20 +117,12 @@ class Fig6Result:
         return "\n".join(lines)
 
 
-def run_fig6(
+def fig6_specs(
     buffer_sizes: Sequence[int] = DEFAULT_BUFFER_SIZES,
-    repeats: int = 5,
-    target_buffers: int = 1500,
-    env_config: Optional[EnvironmentConfig] = None,
-    jobs: int = 1,
-    observe: str = OBSERVE_NONE,
-) -> Fig6Result:
-    """Run the Figure 6 sweep and return both curves.
-
-    ``jobs`` and ``observe`` are those of
-    :func:`repro.core.measurement.measure_points`; each repeat's hub lands on
-    its point's ``result.observations``.
-    """
+    target_buffers: int = DEFAULT_TARGET_BUFFERS,
+) -> List[PointSpec]:
+    """The Figure 6 sweep: one point per (buffer size, buffering mode),
+    keyed ``(buffer_bytes, double_buffering)``."""
     specs: List[PointSpec] = []
     for buffer_bytes in buffer_sizes:
         array_bytes, count = scaled_workload(buffer_bytes, target_buffers)
@@ -144,6 +139,24 @@ def run_fig6(
                     settings=settings,
                 )
             )
+    return specs
+
+
+def run_fig6(
+    buffer_sizes: Sequence[int] = DEFAULT_BUFFER_SIZES,
+    repeats: int = 5,
+    target_buffers: int = DEFAULT_TARGET_BUFFERS,
+    env_config: Optional[EnvironmentConfig] = None,
+    jobs: int = 1,
+    observe: str = OBSERVE_NONE,
+) -> Fig6Result:
+    """Run the Figure 6 sweep and return both curves.
+
+    ``jobs`` and ``observe`` are those of
+    :func:`repro.core.measurement.measure_points`; each repeat's hub lands on
+    its point's ``result.observations``.
+    """
+    specs = fig6_specs(buffer_sizes, target_buffers)
     results = measure_points(
         specs, repeats=repeats, env_config=env_config, jobs=jobs, observe=observe
     )

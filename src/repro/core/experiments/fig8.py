@@ -33,6 +33,10 @@ DEFAULT_BUFFER_SIZES: Tuple[int, ...] = (
     1000, 2000, 5000, 10_000, 20_000, 50_000, 100_000, 200_000, 500_000, 1_000_000,
 )
 
+#: Buffers each generator streams per run (see
+#: :func:`~repro.core.experiments.fig6.scaled_workload`).
+DEFAULT_TARGET_BUFFERS = 1200
+
 #: Node selections of Figure 7 (x, y): sequential routes b through a.
 SEQUENTIAL = (1, 2)
 BALANCED = (1, 4)
@@ -117,20 +121,12 @@ class Fig8Result:
         return "\n".join(lines)
 
 
-def run_fig8(
+def fig8_specs(
     buffer_sizes: Sequence[int] = DEFAULT_BUFFER_SIZES,
-    repeats: int = 5,
-    target_buffers: int = 1200,
-    env_config: Optional[EnvironmentConfig] = None,
-    jobs: int = 1,
-    observe: str = OBSERVE_NONE,
-) -> Fig8Result:
-    """Run the Figure 8 sweep and return all four curves.
-
-    ``jobs`` and ``observe`` are those of
-    :func:`repro.core.measurement.measure_points`; each repeat's hub lands on
-    its point's ``result.observations``.
-    """
+    target_buffers: int = DEFAULT_TARGET_BUFFERS,
+) -> List[PointSpec]:
+    """The Figure 8 sweep: one point per (buffer size, node selection,
+    buffering mode), keyed ``(buffer_bytes, balanced, double_buffering)``."""
     specs: List[PointSpec] = []
     for buffer_bytes in buffer_sizes:
         array_bytes, count = scaled_workload(buffer_bytes, target_buffers)
@@ -149,6 +145,24 @@ def run_fig8(
                         settings=settings,
                     )
                 )
+    return specs
+
+
+def run_fig8(
+    buffer_sizes: Sequence[int] = DEFAULT_BUFFER_SIZES,
+    repeats: int = 5,
+    target_buffers: int = DEFAULT_TARGET_BUFFERS,
+    env_config: Optional[EnvironmentConfig] = None,
+    jobs: int = 1,
+    observe: str = OBSERVE_NONE,
+) -> Fig8Result:
+    """Run the Figure 8 sweep and return all four curves.
+
+    ``jobs`` and ``observe`` are those of
+    :func:`repro.core.measurement.measure_points`; each repeat's hub lands on
+    its point's ``result.observations``.
+    """
+    specs = fig8_specs(buffer_sizes, target_buffers)
     results = measure_points(
         specs, repeats=repeats, env_config=env_config, jobs=jobs, observe=observe
     )

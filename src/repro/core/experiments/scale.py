@@ -138,7 +138,7 @@ class ScaleResult:
         """The BENCH metric family of this run.
 
         ``events_per_sec`` / ``wall_s`` names fall in the wall-clock
-        tolerance class of :mod:`repro.core.bench`; ``mqs_mbps`` is
+        tolerance class of :mod:`repro.bench.baseline`; ``mqs_mbps`` is
         simulated (seeded, bit-stable) and gated at the default tolerance.
         The memory footprint is asserted inside :func:`run_scale`, not
         gated — a *smaller* memo must never read as a regression.

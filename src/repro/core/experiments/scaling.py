@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
-from repro.core.experiments.fig15 import inbound_query
+from repro.core.experiments.fig15 import PAPER_ARRAY_BYTES, inbound_query
 from repro.core.measurement import BandwidthResult, PointSpec, measure_points
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.bluegene import BlueGeneConfig
@@ -112,13 +112,49 @@ def _environment(
     )
 
 
+#: Queries swept (the two best inbound topologies of Figure 15) and the
+#: arrays each stream sends.
+DEFAULT_QUERIES: Tuple[int, ...] = (5, 6)
+DEFAULT_ARRAY_COUNT = 5
+
+
+def scaling_sweeps(
+    partitions: Sequence[Tuple[Tuple[int, int, int], int]] = DEFAULT_PARTITIONS,
+    uplinks_gbps: Sequence[float] = DEFAULT_UPLINKS_GBPS,
+    queries: Sequence[int] = DEFAULT_QUERIES,
+    array_bytes: int = PAPER_ARRAY_BYTES,
+    array_count: int = DEFAULT_ARRAY_COUNT,
+) -> List[Tuple[EnvironmentConfig, List[PointSpec]]]:
+    """The scaling study: one ``(environment, specs)`` sweep per
+    (partition, uplink) pair, its points keyed
+    ``(query_number, num_io_nodes, uplink_gbps)``."""
+    settings = ExecutionSettings()
+    return [
+        (
+            _environment(shape, num_io, uplink),
+            [
+                PointSpec(
+                    key=(query_number, num_io, uplink),
+                    # one stream per I/O node: the Figure 15 sweet spot
+                    query=inbound_query(query_number, num_io, array_bytes, array_count),
+                    payload_bytes=num_io * array_bytes * array_count,
+                    settings=settings,
+                )
+                for query_number in queries
+            ],
+        )
+        for shape, num_io in partitions
+        for uplink in uplinks_gbps
+    ]
+
+
 def run_scaling_study(
     partitions: Sequence[Tuple[Tuple[int, int, int], int]] = DEFAULT_PARTITIONS,
     uplinks_gbps: Sequence[float] = DEFAULT_UPLINKS_GBPS,
-    queries: Sequence[int] = (5, 6),
+    queries: Sequence[int] = DEFAULT_QUERIES,
     repeats: int = 3,
-    array_bytes: int = 3_000_000,
-    array_count: int = 5,
+    array_bytes: int = PAPER_ARRAY_BYTES,
+    array_count: int = DEFAULT_ARRAY_COUNT,
     jobs: int = 1,
     observe: str = OBSERVE_NONE,
 ) -> ScalingStudy:
@@ -130,32 +166,19 @@ def run_scaling_study(
     sequential).
     """
     points: List[ScalingPoint] = []
-    for shape, num_io in partitions:
-        n = num_io  # one stream per I/O node: the Figure 15 sweet spot
-        specs = [
-            PointSpec(
-                key=query_number,
-                query=inbound_query(query_number, n, array_bytes, array_count),
-                payload_bytes=n * array_bytes * array_count,
-                settings=ExecutionSettings(),
+    for env_config, specs in scaling_sweeps(
+        partitions, uplinks_gbps, queries, array_bytes, array_count
+    ):
+        results = measure_points(
+            specs, repeats=repeats, env_config=env_config, jobs=jobs, observe=observe
+        )
+        points.extend(
+            ScalingPoint(
+                query_number=query_number,
+                num_io_nodes=num_io,
+                uplink_gbps=uplink,
+                result=results[(query_number, num_io, uplink)],
             )
-            for query_number in queries
-        ]
-        for uplink in uplinks_gbps:
-            results = measure_points(
-                specs,
-                repeats=repeats,
-                env_config=_environment(shape, num_io, uplink),
-                jobs=jobs,
-                observe=observe,
-            )
-            points.extend(
-                ScalingPoint(
-                    query_number=query_number,
-                    num_io_nodes=num_io,
-                    uplink_gbps=uplink,
-                    result=results[query_number],
-                )
-                for query_number in queries
-            )
+            for (query_number, num_io, uplink) in (spec.key for spec in specs)
+        )
     return ScalingStudy(points=points)

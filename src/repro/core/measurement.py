@@ -16,16 +16,19 @@ summarizes the repeats.  It is the only code that builds per-repeat
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.coordinator.deployer import ExecutionReport
 from repro.core.parallel import SELECTORS, SweepExecutor, SweepTask, TaskOutcome
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import EnvironmentConfig
 from repro.obs.instrument import OBSERVE_NONE, Instrumentation, check_level
-from repro.scsql.plan import compile_plan
+from repro.scsql.plan import DeploymentPlan, compile_plan
 from repro.util.stats import MeasurementStats, summarize
 from repro.util.units import MEGA
+
+if TYPE_CHECKING:
+    from repro.analysis.diagnostics import AnalysisReport
 
 #: The paper repeats every experiment five times.
 DEFAULT_REPEATS = 5
@@ -91,21 +94,23 @@ class PointSpec:
     selector: Optional[str] = None
 
 
-def _verify_sweep_plan(plan, spec: "PointSpec", config: EnvironmentConfig) -> None:
-    """Fail a sweep fast on a malformed point.
+def verify_point(
+    plan: DeploymentPlan, spec: PointSpec, config: EnvironmentConfig, label: str
+) -> AnalysisReport:
+    """Statically verify one sweep point as it will run: its plan (compiled
+    with the point's settings) on the sweep's topology, placed by the
+    point's selector.
 
-    Static verification of the compiled plan against the sweep's topology
-    catches over-subscription, nonexistent nodes, exhausted allocation
-    sequences, etc. *before* any worker spins up — one
-    :class:`~repro.util.errors.PlanVerificationError` naming the point
-    instead of a mid-sweep crash.  Warnings (capacity bounds) pass; many
-    legitimate sweep points are deliberately link-bound.
+    :func:`measure_points` raises on a failing report — one
+    :class:`~repro.util.errors.PlanVerificationError` naming the malformed
+    point *before* any worker spins up instead of a mid-sweep crash — and
+    ``analyze --sweeps`` prints the same report.  Warnings (capacity
+    bounds) pass; many legitimate sweep points are deliberately link-bound.
     """
     from repro.analysis.verifier import verify_plan
 
     selector = SELECTORS[spec.selector]() if spec.selector else None
-    report = verify_plan(plan, config=config, label=str(spec.key), selector=selector)
-    report.raise_if_failed()
+    return verify_plan(plan, config=config, label=label, selector=selector)
 
 
 def _result_from_outcomes(
@@ -161,7 +166,7 @@ def measure_points(
     # point's repeat tasks instead of being recompiled per repeat/worker.
     plans = {spec.key: compile_plan(spec.query, settings=spec.settings) for spec in specs}
     for spec in specs:
-        _verify_sweep_plan(plans[spec.key], spec, config)
+        verify_point(plans[spec.key], spec, config, str(spec.key)).raise_if_failed()
     tasks = [
         SweepTask(
             point_key=spec.key,

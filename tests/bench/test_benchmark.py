@@ -1,20 +1,23 @@
 """Power/throughput benchmark modes and their BENCH v2 gate integration."""
 
+from pathlib import Path
+
 import pytest
 
-from repro.bench import (
-    SMOKE_SCALE,
+from repro.__main__ import main
+from repro.bench.baseline import (
+    compare_bench,
+    higher_is_better,
+    is_wall_clock,
+    load_bench,
+    write_bench,
+)
+from repro.bench.benchmark import (
     run_fault_benchmark,
     run_power_mode,
     run_throughput_mode,
 )
-from repro.bench.query_stream import QUERY_KINDS
-from repro.core.bench import (
-    compare_bench,
-    higher_is_better,
-    load_bench,
-    write_bench,
-)
+from repro.bench.query_stream import QUERY_KINDS, SMOKE_SCALE
 from repro.util.errors import MeasurementError
 
 
@@ -156,3 +159,77 @@ class TestLiveSeries:
         # ...but the series are in the document for dashboards to pick up
         document = json.loads(path.read_text())
         assert set(document["series"]) == set(live.series)
+
+
+class TestOneBaselineFile:
+    """The committed BENCH_baseline.json holds every suite; a run is compared
+    against the keys of the suites it was asked to produce, no others."""
+
+    FAULT_RUN = [
+        "bench", "--mode", "throughput", "--streams", "2",
+        "--fault", "kill-node", "--smoke", "--seed", "0",
+    ]
+    GATE_RUN = ["bench", "--only", "fig15"]
+    RECOVERY = "fault[kill-node,n=2]/recovery_s"
+
+    @pytest.fixture
+    def recorded(self):
+        """The committed metrics minus the host-dependent family, which a
+        loaded test host can swing past even its wide tolerance."""
+        committed = Path(__file__).resolve().parents[2] / "BENCH_baseline.json"
+        return {
+            name: value for name, value in load_bench(str(committed)).items()
+            if not is_wall_clock(name)
+        }
+
+    @staticmethod
+    def _gate(argv, metrics, tmp_path, capsys):
+        """(exit code, names compared, stdout) of `argv` against `metrics`."""
+        path = tmp_path / "BENCH_baseline.json"
+        write_bench(str(path), metrics, repeats=1)
+        code = main(argv + ["--baseline", str(path)])
+        out = capsys.readouterr().out
+        compared = [
+            line.split(": ")[0] for line in out.splitlines()
+            if " -> " in line or "MISSING" in line
+        ]
+        return code, compared, out
+
+    def test_fault_run_compares_exactly_its_six_keys(self, recorded, tmp_path, capsys):
+        code, compared, out = self._gate(self.FAULT_RUN, recorded, tmp_path, capsys)
+        assert code == 0
+        assert compared == sorted(n for n in recorded if n.startswith("fault["))
+        assert len(compared) == 6
+        assert "=> no regressions across 6 baseline metric(s)" in out
+
+    def test_gate_run_compares_only_the_figures_asked_for(
+        self, recorded, tmp_path, capsys
+    ):
+        code, compared, _out = self._gate(self.GATE_RUN, recorded, tmp_path, capsys)
+        assert code == 0
+        assert compared == sorted(n for n in recorded if n.startswith("fig15["))
+        assert len(compared) == 9
+
+    def test_doctored_recovery_fails_only_the_fault_run(
+        self, recorded, tmp_path, capsys
+    ):
+        doctored = dict(recorded)
+        doctored[self.RECOVERY] *= 0.5
+        code, _compared, out = self._gate(self.FAULT_RUN, doctored, tmp_path, capsys)
+        assert code == 1
+        assert f"{self.RECOVERY}: " in out and "REGRESSED" in out
+        code, _compared, out = self._gate(self.GATE_RUN, doctored, tmp_path, capsys)
+        assert code == 0
+        assert "REGRESSED" not in out
+
+    def test_key_missing_within_a_suite_that_ran_is_a_regression(
+        self, recorded, tmp_path, capsys
+    ):
+        widened = dict(recorded)
+        widened["fault[kill-node,n=2][s2]/mbps"] = 10.0
+        code, compared, out = self._gate(self.FAULT_RUN, widened, tmp_path, capsys)
+        assert code == 1
+        assert len(compared) == 7
+        assert "fault[kill-node,n=2][s2]/mbps: MISSING from current run" in out
+        code, _compared, _out = self._gate(self.GATE_RUN, widened, tmp_path, capsys)
+        assert code == 0

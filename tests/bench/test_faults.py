@@ -11,6 +11,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.analysis import sanitize
+from repro.bench.baseline import write_bench
 from repro.bench.faults import (
     FLAPPING_CYCLES,
     FaultEvent,
@@ -26,7 +27,6 @@ from repro.bench.query_stream import (
     build_query,
     registered,
 )
-from repro.core.bench import write_bench
 from repro.core.experiments.fig15 import inbound_query
 from repro.core.multiquery import MultiQuerySession
 from repro.hardware.environment import Environment, EnvironmentConfig
@@ -349,7 +349,7 @@ class TestGateExitCode:
             "bench", "--mode", "throughput", "--streams", "2",
             "--fault", "kill-node", "--smoke", "--seed", "0",
         ]
-        baseline = tmp_path / "BENCH_faults_baseline.json"
+        baseline = tmp_path / "BENCH_baseline.json"
         write_bench(str(baseline), good, repeats=1)
         assert main(argv + ["--baseline", str(baseline)]) == 0
 

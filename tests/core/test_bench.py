@@ -5,19 +5,18 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.core.bench import (
+from repro.bench.baseline import (
     BENCH_FORMAT_VERSION,
     MetricDelta,
-    bench_points,
     compare_bench,
     figure_of_metric,
     format_comparison,
     higher_is_better,
     is_wall_clock,
     load_bench,
-    run_bench,
     write_bench,
 )
+from repro.bench.benchmark import bench_points, run_bench
 
 
 class TestDirection:
@@ -160,7 +159,7 @@ class TestGateSweeps:
             lambda self, tasks: sweeps.append((self.jobs, len(tasks))) or run(self, tasks),
         )
         monkeypatch.setattr(SweepExecutor, "map", lambda self, fn, tasks: [fn(t) for t in tasks])
-        metrics = run_bench(jobs=2, figures={"fig6", "fig8"})
+        metrics = run_bench(jobs=2, figures={"fig6", "fig8"}).metrics
         assert sweeps == [(2, 3), (2, 2)]
         assert {figure_of_metric(name) for name in metrics} == {"fig6", "fig8"}
         assert "fig6/wall_s" in metrics and "fig8[B=100000,bal,double]/p95_ms" in metrics
@@ -211,14 +210,20 @@ class TestBenchCli:
         assert "scale" not in out  # the scale metrics were subset away
 
     def test_unknown_only_figure_is_usage_error(self, capsys):
-        assert main(["bench", "--only", "fig99", "--scale-floor", "1"]) == 2
-        assert "unknown --only figure" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_:
+            main(["bench", "--only", "fig99", "--scale-floor", "1"])
+        assert exit_.value.code == 2
+        assert "--only: invalid choice: 'fig99'" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="unknown bench figure"):
+            run_bench(figures={"fig99"})
 
     def test_bad_scale_shape_is_usage_error(self, capsys):
-        assert main([
-            "bench", "--only", "scale", "--scale-shape", "16x16",
-            "--scale-floor", "1",
-        ]) == 2
+        with pytest.raises(SystemExit) as exit_:
+            main([
+                "bench", "--only", "scale", "--scale-shape", "16x16",
+                "--scale-floor", "1",
+            ])
+        assert exit_.value.code == 2
         assert "torus shape" in capsys.readouterr().err
 
     def test_record_then_gate_then_doctored_regression(self, tmp_path, capsys):

@@ -1,13 +1,23 @@
 """Unit tests for the bandwidth-measurement harness."""
 
+import json
 import math
+from pathlib import Path
+from unittest.mock import MagicMock
 
 import pytest
 
+from repro.__main__ import main
+from repro.bench.baseline import figure_of_metric, is_wall_clock, load_bench
+from repro.bench.benchmark import bench_points
+from repro.core.experiments import ablations, fig6, fig8, fig15, scaling
 from repro.core.measurement import PointSpec, measure_points, measure_query_bandwidth
 from repro.engine.settings import ExecutionSettings
 from repro.obs import Instrumentation
 from repro.obs.instrument import OBSERVE_LEVELS
+from repro.util.errors import PlanVerificationError
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 QUERY = (
     "select extract(b) from sp a, sp b "
@@ -152,3 +162,106 @@ class TestSweepValidation:
         assert obs.snapshot().counter("torus.payload_bytes") == PAYLOAD
         assert obs.flows.enabled is (level != "metrics")
         assert obs.tracer.enabled is (level == "trace")
+
+
+class TestSweepBuilders:
+    """A figure's sweep is written down once: `run_*` measures exactly its
+    builder's specs, the gate samples those builders, and `analyze --sweeps`
+    verifies every spec the way `measure_points` does before running it."""
+
+    @staticmethod
+    def _measured(monkeypatch, module):
+        """Spy on the module's `measure_points`: [(specs, env_config), ...]."""
+        calls = []
+
+        def spy(specs, env_config=None, **_kwargs):
+            calls.append((list(specs), env_config))
+            return MagicMock()
+
+        monkeypatch.setattr(f"repro.core.experiments.{module}.measure_points", spy)
+        return calls
+
+    @pytest.mark.parametrize("module, run, builder, kwargs", [
+        ("fig6", fig6.run_fig6, fig6.fig6_specs,
+         {"buffer_sizes": (300, 7000), "target_buffers": 90}),
+        ("fig8", fig8.run_fig8, fig8.fig8_specs,
+         {"buffer_sizes": (4000,), "target_buffers": 70}),
+        ("fig15", fig15.run_fig15, fig15.fig15_specs,
+         {"stream_counts": (2, 3), "queries": (4, 6), "array_bytes": 50_000,
+          "array_count": 2}),
+        ("ablations", ablations.run_node_selection_ablation,
+         ablations.node_selection_specs,
+         {"stream_counts": (3,), "array_bytes": 60_000, "count": 2}),
+        ("ablations", ablations.run_buffer_choice_ablation,
+         ablations.buffer_choice_specs, {"buffer_sizes": (800, 9000)}),
+    ])
+    def test_run_measures_exactly_the_builders_specs(
+        self, monkeypatch, module, run, builder, kwargs
+    ):
+        calls = self._measured(monkeypatch, module)
+        run(**kwargs)
+        assert calls == [(builder(**kwargs), None)]
+        run()
+        assert calls[1] == (builder(), None)
+
+    def test_scaling_measures_one_sweep_per_environment(self, monkeypatch):
+        calls = self._measured(monkeypatch, "scaling")
+        kwargs = {
+            "partitions": (((4, 4, 2), 4), ((8, 4, 4), 16)),
+            "uplinks_gbps": (2.5,), "queries": (6,), "array_bytes": 40_000,
+            "array_count": 2,
+        }
+        scaling.run_scaling_study(**kwargs)
+        assert calls == [
+            (specs, config) for config, specs in scaling.scaling_sweeps(**kwargs)
+        ]
+        assert [config.bluegene.torus_shape for _specs, config in calls] == [
+            (4, 4, 2), (8, 4, 4),
+        ]
+
+    def test_gate_points_are_the_committed_baselines(self):
+        keys = {point.key for point in bench_points()}
+        figures = {figure_of_metric(key) for key in keys}
+        recorded = load_bench(str(REPO_ROOT / "BENCH_baseline.json"))
+        assert keys == {
+            name.rsplit("/", 1)[0] for name in recorded
+            if figure_of_metric(name) in figures and not is_wall_clock(name)
+        }
+
+    @staticmethod
+    def _sweep_reports(capsys):
+        code = main(["analyze", "--sweeps", "--json"])
+        return code, json.loads(capsys.readouterr().out)["reports"]
+
+    def test_analyze_sweeps_verifies_every_spec_of_every_builder(self, capsys):
+        code, reports = self._sweep_reports(capsys)
+        assert code == 0
+        specs = (
+            fig6.fig6_specs() + fig8.fig8_specs() + fig15.fig15_specs()
+            + ablations.node_selection_specs() + ablations.buffer_choice_specs()
+            + [s for _config, specs in scaling.scaling_sweeps() for s in specs]
+        )
+        assert len(reports) == len(specs) == 146
+        labels = [report["label"] for report in reports]
+        assert len(set(labels)) == len(labels)
+        # points the text-only walk never reached: a non-default partition
+        # and the knowledge-based selector
+        assert "scaling 8x4x4 (5, 16, 1.0)" in labels
+        assert "ablation selector ('knowledge', 8)" in labels
+
+    def test_undeployable_point_fails_run_and_walk_alike(self, monkeypatch, capsys):
+        """40 receivers exhaust psetrr() on the default partition."""
+        kwargs = {"stream_counts": (40,), "queries": (5,)}
+        with pytest.raises(PlanVerificationError) as raised:
+            fig15.run_fig15(**kwargs, repeats=1)
+        run_codes = [d.code for d in raised.value.diagnostics]
+        assert "SCSQ104" in run_codes
+
+        specs = fig15.fig15_specs(**kwargs)
+        monkeypatch.setattr(fig15, "fig15_specs", lambda: specs)
+        code, reports = self._sweep_reports(capsys)
+        assert code == 1
+        (report,) = [r for r in reports if r["label"] == "fig15 (5, 40)"]
+        assert [
+            d["code"] for d in report["diagnostics"] if d["severity"] == "error"
+        ] == run_codes

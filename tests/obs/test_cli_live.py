@@ -66,14 +66,45 @@ class TestBenchLiveFlags:
             "bench", "--out", str(tmp_path / "b.json"),
             "--live-out", str(tmp_path / "live.jsonl"),
         ]) == 2
-        assert "--mode power or" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--live-out is not read by --mode gate" in err
+        assert "power, throughput" in err
 
     def test_fault_mode_rejects_live_flags(self, tmp_path, capsys):
         assert main([
             "bench", "--mode", "throughput", "--fault", "kill-node", "--smoke",
             "--live-window", "0.001",
         ]) == 2
-        assert "not wired" in capsys.readouterr().err
+        assert (
+            "--live-window is not read by --mode throughput --fault"
+            in capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("argv, flag, readers", [
+        (["--mode", "gate", "--smoke"], "--smoke",
+         "power, throughput, throughput --fault"),
+        (["--mode", "power", "--jobs", "2"], "--jobs",
+         "gate, throughput --fault"),
+        (["--mode", "gate", "--streams", "2"], "--streams",
+         "throughput, throughput --fault"),
+    ])
+    def test_flag_the_mode_never_reads_is_a_usage_error(
+        self, tmp_path, capsys, argv, flag, readers
+    ):
+        """A silently ignored flag ran the wrong experiment: `--mode gate
+        --smoke` was the full gate, 16x16x16 scale figure included."""
+        out = tmp_path / "b.json"
+        assert main(["bench", "--out", str(out)] + argv) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} is not read by --mode {argv[1]}" in err
+        assert f"(modes that read it: {readers})" in err
+        assert not out.exists()
+
+    def test_flag_at_its_default_is_not_passed(self, capsys):
+        """`--seed 0` is the parser default, so gate mode does not object
+        (and then finds nothing to do)."""
+        assert main(["bench", "--seed", "0"]) == 2
+        assert "nothing to do" in capsys.readouterr().err
 
     def test_power_mode_embeds_series(self, tmp_path, capsys):
         out = tmp_path / "bench.json"

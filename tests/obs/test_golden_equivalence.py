@@ -70,7 +70,7 @@ from typing import Dict
 
 import pytest
 
-from repro.core.bench import bench_points
+from repro.bench.benchmark import bench_points
 from repro.core.parallel import SweepTask, run_sweep_task
 from repro.net import message
 from repro.obs.export import (
