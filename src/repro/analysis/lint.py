@@ -100,16 +100,9 @@ WALL_CLOCK_CALLS = {
 #: ``random``-module functions that consume the *global* (unseeded) RNG
 #: (DET002).  ``random.Random(seed)`` instances are the sanctioned way.
 GLOBAL_RANDOM_CALLS = {
-    "random",
-    "randint",
-    "randrange",
-    "uniform",
-    "gauss",
-    "choice",
-    "choices",
-    "shuffle",
-    "sample",
-    "seed",
+    ("random", name)
+    for name in ("random", "randint", "randrange", "uniform", "gauss",
+                 "choice", "choices", "shuffle", "sample", "seed")
 }
 
 _SUPPRESS_LINE = re.compile(r"#\s*lint:\s*disable=([A-Z0-9,\s]+)")
@@ -131,6 +124,15 @@ def _parse_suppressions(source: str) -> Tuple[Set[str], Dict[int, Set[str]]]:
     return file_wide, per_line
 
 
+def _repro_parts(path: Path) -> Tuple[str, ...]:
+    """The parts of ``path`` below the ``repro`` package: ``("sim",
+    "core.py")`` for ``src/repro/sim/core.py``, ``()`` outside the package."""
+    parts = path.parts
+    if "repro" not in parts:
+        return ()
+    return parts[parts.index("repro") + 1:]
+
+
 class LintRule:
     """One lint rule: a code, a description, and an AST check.
 
@@ -149,39 +151,21 @@ class LintRule:
     def applies_to(self, path: Path) -> bool:
         if not self.hot_path_only:
             return True
-        parts = path.parts
-        if "repro" not in parts:
-            return False
-        rest = parts[parts.index("repro") + 1:]
-        if not rest:
-            return False
-        return rest[0] in HOT_PACKAGES or tuple(rest) in HOT_MODULES
+        rest = _repro_parts(path)
+        return bool(rest) and (rest[0] in HOT_PACKAGES or rest in HOT_MODULES)
 
 
-class WallClockRule(LintRule):
-    code = "DET001"
-    title = "wall-clock time source in simulation code"
+class BannedCallRule(LintRule):
+    """``<name>.<function>()`` calls banned from simulation code; DET001 and
+    DET002 are its two rows in :data:`RULES`."""
 
-    def check(self, tree: ast.Module, path: Path) -> Iterable[Tuple[int, str]]:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and (func.value.id, func.attr) in WALL_CLOCK_CALLS
-            ):
-                yield (
-                    node.lineno,
-                    f"{func.value.id}.{func.attr}() reads the wall clock; "
-                    "simulated time must come from sim.now",
-                )
-
-
-class GlobalRandomRule(LintRule):
-    code = "DET002"
-    title = "unseeded global randomness in simulation code"
+    def __init__(
+        self, code: str, title: str, calls: Set[Tuple[str, str]], message: str
+    ) -> None:
+        self.code = code
+        self.title = title
+        self.calls = calls
+        self.message = message
 
     def check(self, tree: ast.Module, path: Path) -> Iterable[Tuple[int, str]]:
         for node in ast.walk(tree):
@@ -191,13 +175,11 @@ class GlobalRandomRule(LintRule):
             if (
                 isinstance(func, ast.Attribute)
                 and isinstance(func.value, ast.Name)
-                and func.value.id == "random"
-                and func.attr in GLOBAL_RANDOM_CALLS
+                and (func.value.id, func.attr) in self.calls
             ):
                 yield (
                     node.lineno,
-                    f"random.{func.attr}() consumes the global RNG; use a "
-                    "seeded random.Random(seed) instance",
+                    self.message.format(call=f"{func.value.id}.{func.attr}"),
                 )
 
 
@@ -240,16 +222,12 @@ class SlotsRule(LintRule):
     #: instances — events, schedulers, resources, the simulator.  In the
     #: hardware package only the fork-lifecycle classes qualify: snapshot
     #: and template instances are allocated per fork/snapshot.
-    hot_path_only = True
 
     #: Hardware class-name suffixes covered by the rule.
     HARDWARE_SUFFIXES = ("Snapshot", "Template")
 
     def applies_to(self, path: Path) -> bool:
-        parts = path.parts
-        if "repro" not in parts:
-            return False
-        rest = parts[parts.index("repro") + 1:]
+        rest = _repro_parts(path)
         return bool(rest) and rest[0] in ("sim", "hardware")
 
     @staticmethod
@@ -289,8 +267,7 @@ class SlotsRule(LintRule):
         return cls.name.endswith(self.HARDWARE_SUFFIXES)
 
     def check(self, tree: ast.Module, path: Path) -> Iterable[Tuple[int, str]]:
-        parts = path.parts
-        package = parts[parts.index("repro") + 1]
+        package = _repro_parts(path)[0]
         for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
             if not self._covers(cls, package):
                 continue
@@ -461,10 +438,7 @@ class SchedulerInternalsRule(LintRule):
     )
 
     def applies_to(self, path: Path) -> bool:
-        parts = path.parts
-        if "repro" not in parts:
-            return False
-        rest = parts[parts.index("repro") + 1:]
+        rest = _repro_parts(path)
         return bool(rest) and not any(rest[: len(o)] == o for o in self.OWNERS)
 
     def check(self, tree: ast.Module, path: Path) -> Iterable[Tuple[int, str]]:
@@ -496,10 +470,7 @@ class HookNameFormatRule(LintRule):
     title = "metric or resource name formatted inside a guarded hot hook"
 
     def applies_to(self, path: Path) -> bool:
-        parts = path.parts
-        if "repro" not in parts:
-            return False
-        rest = parts[parts.index("repro") + 1:]
+        rest = _repro_parts(path)
         return bool(rest) and rest[0] in ("sim", "net", "engine")
 
     @staticmethod
@@ -623,8 +594,14 @@ class EagerGrantWindowRule(LintRule):
 
 #: The rule registry, in execution (and documentation) order.
 RULES: Tuple[LintRule, ...] = (
-    WallClockRule(),
-    GlobalRandomRule(),
+    BannedCallRule(
+        "DET001", "wall-clock time source in simulation code", WALL_CLOCK_CALLS,
+        "{call}() reads the wall clock; simulated time must come from sim.now",
+    ),
+    BannedCallRule(
+        "DET002", "unseeded global randomness in simulation code", GLOBAL_RANDOM_CALLS,
+        "{call}() consumes the global RNG; use a seeded random.Random(seed) instance",
+    ),
     SetIterationRule(),
     SlotsRule(),
     ObsGuardRule(),

@@ -257,11 +257,14 @@ def run_power_mode(
         with registered([query]):
             env, sampler = _fresh_env(env_config, seed, live_window,
                                       detector_kwargs)
-            report = Deployer(env).run(plan, settings=settings)
+            deployer = Deployer(env)
+            report = deployer.run(plan, settings=settings)
         _check_result(query, report.result, "power mode")
         if sampler is not None:
             sampler.finalize(env.sim.now)
             series[f"power[{kind}]"] = sampler.series_document()
+        # Report and series are taken; the teardown is what --sanitize audits.
+        deployer.teardown()
         latency_ms = report.duration * 1e3
         mbps = query.payload_bytes * 8.0 / report.duration / MEGA
         metrics[f"power[{kind}]/latency_ms"] = latency_ms
@@ -329,11 +332,15 @@ def run_throughput_mode(
             if sampler is not None:
                 sampler.finalize(env.sim.now)
                 series[f"{tag}/round{round_no}"] = sampler.series_document()
+            # Results and series are taken; the teardowns are for --sanitize.
+            session.teardown()
             solo_mbps: Dict[int, float] = {}
             if with_solo:
                 for query, plan in zip(queries, plans):
                     solo_env, _ = _fresh_env(env_config, seed)
-                    solo_report = Deployer(solo_env).run(plan, settings=settings)
+                    solo = Deployer(solo_env)
+                    solo_report = solo.run(plan, settings=settings)
+                    solo.teardown()
                     _check_result(query, solo_report.result, "throughput solo")
                     solo_mbps[query.stream_id] = (
                         query.payload_bytes * 8.0 / solo_report.duration / MEGA

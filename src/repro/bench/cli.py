@@ -1,4 +1,5 @@
-"""``python -m repro bench``: run one mode of the harness, record, compare.
+"""``python -m repro bench``: run one mode of the harness, record, compare;
+``python -m repro top``: watch one of its sample points live.
 
 Usage::
 
@@ -8,6 +9,8 @@ Usage::
                           [--only FIGURE] [--scale-shape XxYxZ]
                           [--scale-floor EVENTS_PER_SEC]
                           [--live-out PATH] [--live-window SECS]
+    python -m repro top [--point NAME] [--window SECS] [--once]
+                        [--live-out PATH] [--prom PATH]
 
 The default mode is the perf-regression gate: it records the fast
 figure-sweep bandwidths and flow-latency percentiles (plus the 4096-node
@@ -19,6 +22,11 @@ to named figures, ``--scale-shape`` shrinks the scale torus, and
 returns a :class:`~repro.bench.benchmark.BenchReport`, compared against
 the baseline keys of the suites it was asked to produce (see
 :mod:`repro.bench.baseline` and ``docs/benchmarking.md``).
+
+``top`` runs one :func:`~repro.bench.benchmark.bench_points` point under a
+:class:`~repro.obs.live.LiveSampler` and renders its per-window
+utilization/latency table as the simulation produces it
+(``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from repro.bench.baseline import (
 )
 from repro.bench.benchmark import (
     BENCH_FIGURES,
+    bench_points,
     run_bench,
     run_fault_benchmark,
     run_power_mode,
@@ -51,8 +60,22 @@ from repro.cli_flags import (
     detector_kwargs,
     live_window_arg,
 )
+from repro.coordinator.deployer import Deployer
+from repro.hardware.environment import Environment, EnvironmentConfig, shared_template
+from repro.obs.export import (
+    LIVE_HEADER,
+    live_footer,
+    live_row,
+    live_table,
+    prometheus_exposition,
+    write_timeseries_jsonl,
+)
+from repro.obs.instrument import live_instrumentation
+from repro.obs.live import DEFAULT_WINDOW
+from repro.scsql.plan import compile_plan
+from repro.util.units import MEGA
 
-__all__ = ["add_bench_parser"]
+__all__ = ["add_bench_parser", "add_top_parser"]
 
 #: The flags each mode reads, by argparse dest, beyond the ones every mode
 #: does (--out/--baseline/--tolerance/--warn-only, the sanitizer pair).
@@ -267,3 +290,96 @@ def add_bench_parser(sub: Any) -> None:
     add_detector_flags(b)
     add_sanitize_flags(b)
     b.set_defaults(func=lambda args: _bench(args, b.get_default))
+
+
+#: Short aliases for the ``top`` sample points (full bench names work too).
+_TOP_ALIASES = {
+    "fig6": "fig6[B=100000,double]",
+    "fig8": "fig8[B=100000,seq,double]",
+    "fig15": "fig15[Q5,n=5]",
+}
+
+
+def _top(args: argparse.Namespace) -> int:
+    points = {point.key: point for point in bench_points()}
+    name = _TOP_ALIASES.get(args.point, args.point)
+    point = points.get(name)
+    if point is None:
+        known = ", ".join(sorted(_TOP_ALIASES) + sorted(points))
+        print(f"top: unknown sample point {args.point!r} (known: {known})",
+              file=sys.stderr)
+        return 2
+
+    title = (f"top: {point.key}, window {args.window * 1e3:g} ms "
+             f"(simulated), seed {args.seed}")
+    streaming = not args.once
+    if streaming:
+        print(title)
+        print(LIVE_HEADER)
+        print("-" * len(LIVE_HEADER))
+    obs, sampler = live_instrumentation(
+        args.window, detector_kwargs(args),
+        on_window=(lambda window: print(live_row(window))) if streaming else None,
+    )
+    config = EnvironmentConfig().with_seed(args.seed)
+    env = Environment(config, obs=obs, template=shared_template(config))
+    plan = compile_plan(point.query, settings=point.settings)
+    report = Deployer(env).run(plan, settings=point.settings)
+    sampler.finalize(env.sim.now)
+    if streaming:
+        footer = live_footer(sampler)
+        if footer:
+            print(footer)
+    else:
+        print(title)
+        print(live_table(sampler))
+    mbps = point.payload_bytes * 8.0 / report.duration / MEGA
+    print(f"run: {report.duration * 1e3:.3f} ms simulated, {mbps:.2f} Mbps, "
+          f"{len(sampler.windows)} window(s)")
+    if args.live_out:
+        lines = write_timeseries_jsonl(args.live_out, sampler, label=point.key)
+        print(f"live: {lines} time-series records -> {args.live_out}")
+    if args.prom:
+        exposition = prometheus_exposition(obs)
+        if args.prom == "-":
+            print(exposition, end="")
+        else:
+            with open(args.prom, "w", encoding="utf-8") as fh:
+                fh.write(exposition)
+            print(f"prom: exposition snapshot -> {args.prom}")
+    return 0
+
+
+def add_top_parser(sub: Any) -> None:
+    """Register the ``top`` subcommand on a subparsers object."""
+    t = sub.add_parser(
+        "top",
+        help="live telemetry viewer: stream per-window utilization and "
+             "latency percentiles from one bench sample point",
+    )
+    t.add_argument(
+        "--point", default="fig8", metavar="NAME",
+        help="bench sample point to watch: fig6/fig8/fig15 aliases or a "
+             "full bench point name (default fig8)",
+    )
+    t.add_argument(
+        "--window", type=float, default=DEFAULT_WINDOW, metavar="SECS",
+        help="sampling window in simulated seconds (default 0.002)",
+    )
+    t.add_argument("--seed", type=int, default=0, help="environment seed")
+    t.add_argument(
+        "--once", action="store_true",
+        help="print the finished table once instead of streaming rows "
+             "(for CI)",
+    )
+    t.add_argument(
+        "--live-out", metavar="PATH", default=None,
+        help="also write the windowed time-series as JSON-lines",
+    )
+    t.add_argument(
+        "--prom", metavar="PATH", default=None,
+        help="write a Prometheus-style text exposition snapshot "
+             "('-' prints to stdout)",
+    )
+    add_detector_flags(t)
+    t.set_defaults(func=_top)

@@ -1,12 +1,56 @@
-"""The live-telemetry, detector-hysteresis and sanitizer flag groups that
-``bench`` (:mod:`repro.bench.cli`) shares with the ``adaptive`` / ``top`` /
-``multiquery`` subcommands of :mod:`repro.__main__`, each next to the helper
-that reads it back off the parsed arguments."""
+"""The flag groups more than one subcommand shares — observability,
+live telemetry, detector hysteresis, sanitizer — each next to the helper
+that reads it back off the parsed arguments.  The subcommands themselves
+register beside the code they drive (``add_*_parser`` in
+:mod:`repro.core.experiments.cli`, :mod:`repro.bench.cli`,
+:mod:`repro.scsql.cli`, :mod:`repro.analysis.cli`)."""
 
 from __future__ import annotations
 
 import argparse
 from typing import Optional
+
+from repro.obs.instrument import (
+    OBSERVE_FLOWS,
+    OBSERVE_METRICS,
+    OBSERVE_NONE,
+    OBSERVE_TRACE,
+)
+
+
+def add_observability_flags(parser: argparse.ArgumentParser) -> None:
+    """What :func:`repro.obs.export.export_observations` writes after the run."""
+    parser.add_argument(
+        "--trace", metavar="PATH", default=None,
+        help="record every simulated run; writes a Chrome trace_event JSON "
+             "file with flow arrows (.jsonl extension switches to raw "
+             "JSON-lines records)",
+    )
+    parser.add_argument(
+        "--metrics-out", metavar="PATH", default=None,
+        help="write plain-text utilization summaries of every run "
+             "('-' prints to stdout)",
+    )
+    parser.add_argument(
+        "--bottlenecks", metavar="PATH", default=None,
+        help="profile the critical path over all recorded flows and write "
+             "the ranked bottleneck report (.json extension for JSON, "
+             "'-' prints to stdout)",
+    )
+
+
+def observe_level(args: argparse.Namespace) -> str:
+    """The cheapest observation level serving every observability flag.
+
+    ``--metrics-out`` reads the live registry and ``--bottlenecks`` the
+    flows; together they need a level that has both *and* stays in-process,
+    which is ``trace``.
+    """
+    if args.trace or (args.metrics_out and args.bottlenecks):
+        return OBSERVE_TRACE
+    if args.bottlenecks:
+        return OBSERVE_FLOWS
+    return OBSERVE_METRICS if args.metrics_out else OBSERVE_NONE
 
 
 def add_detector_flags(parser: argparse.ArgumentParser) -> None:

@@ -210,15 +210,12 @@ class CostBasedPlacement(PlacementStrategy):
 
     name = "cost-based"
 
-    def __init__(self, settings: Optional[ExecutionSettings] = None):
-        self._settings = settings
-
     def prepare(
         self, graph: QueryGraph, env: Environment, settings: ExecutionSettings
     ) -> None:
         from repro.optimizer.placement import CostBasedPlacer  # import cycle
 
-        CostBasedPlacer(env, self._settings or settings).place(graph)
+        CostBasedPlacer(env, settings).place(graph)
 
 
 @dataclass

@@ -78,6 +78,23 @@ class QueryGraph:
         """The stream-process ids a plan subscribes to, in plan order."""
         return [leaf.producer for leaf in plan.input_leaves()]  # type: ignore[misc]
 
+    def describe(self) -> str:
+        """Every stream process's cluster and subquery plan, then the root
+        plan: the text of ``DeploymentPlan.describe()`` and of ``explain``."""
+        lines = []
+        for sp in self.sps.values():
+            pinned = sp.allocation is not None
+            lines.append(
+                f"stream process {sp.sp_id} on cluster {sp.cluster!r}"
+                + (" (explicit allocation)" if pinned else "")
+            )
+            assert sp.plan is not None
+            lines.append(sp.plan.describe(indent=1))
+        assert self.root_plan is not None
+        lines.append("client manager root plan:")
+        lines.append(self.root_plan.describe(indent=1))
+        return "\n".join(lines)
+
     def instantiate(self) -> "QueryGraph":
         """A deployable copy of this graph with fresh :class:`SPDef` objects.
 

@@ -1,0 +1,275 @@
+"""The subcommands that run this package's experiments::
+
+    python -m repro fig6|fig8|fig15|ablations|scaling|all
+                        [--repeats N] [--quick] [--jobs N] [OBS FLAGS]
+    python -m repro multiquery [--streams N] [--array-bytes B] [--count N]
+    python -m repro adaptive [--point fig15|fig8] [--smoke] [--events-out PATH]
+
+The paper measures every query family the same way (section 3), so the
+figure commands are one runner over one table (:data:`FIGURES`).  A full
+run passes *no* sweep argument: the experiment modules' ``DEFAULT_*`` are
+the only definition of a full sweep, and ``--quick`` overrides them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from typing import Any, Callable, Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
+
+from repro.cli_flags import (
+    add_detector_flags,
+    add_live_flags,
+    add_observability_flags,
+    add_sanitize_flags,
+    detector_kwargs,
+    live_window_arg,
+    observe_level,
+)
+from repro.core.experiments import (
+    run_buffer_choice_ablation,
+    run_fig6,
+    run_fig8,
+    run_fig15,
+    run_node_selection_ablation,
+    run_scaling_study,
+)
+from repro.core.experiments.adaptive import (
+    ADAPTIVE_POINTS,
+    run_adaptive_point,
+    write_health_events,
+)
+from repro.core.experiments.contention import SHARED_PSET, run_contention_demo
+from repro.obs.export import export_observations, live_table, write_timeseries_jsonl
+from repro.obs.instrument import Instrumentation
+from repro.obs.live import DEFAULT_WINDOW
+
+__all__ = ["FIGURES", "add_adaptive_parser", "add_figure_parsers", "add_multiquery_parser"]
+
+#: ``(section label, the hubs of that point's repeats)`` pairs of a result.
+Labelled = Iterable[Tuple[str, Iterable[Instrumentation]]]
+
+
+class Sweep(NamedTuple):
+    """One measured sweep of a figure command."""
+
+    run: Callable[..., Any]  # the experiment's run_*; its result has format_table()
+    labelled: Callable[[Any], Labelled]  # names the result's points for the exports
+    quick: Mapping[str, Any]  # the sweep arguments of --quick; a full run passes none
+    headline: Optional[Callable[[Any], str]] = None  # the "-> ..." line under the table
+
+
+def _points(label: Callable[[Any], str]) -> Callable[[Any], Labelled]:
+    """The labeller of a result that keeps ``points``, each with a ``result``."""
+    return lambda result: ((label(p), p.result.observations) for p in result.points)
+
+
+def _buffering(p: Any) -> str:
+    return "double" if p.double_buffering else "single"
+
+
+#: Figure command -> the sweeps it runs, in print order.
+FIGURES: Dict[str, Tuple[Sweep, ...]] = {
+    "fig6": (Sweep(
+        run_fig6,
+        _points(lambda p: f"fig6 B={p.buffer_bytes} {_buffering(p)}"),
+        {"buffer_sizes": (200, 1000, 5000, 100_000), "target_buffers": 300},
+        lambda r: (f"-> optimum: single={r.optimum(False).buffer_bytes} B, "
+                   f"double={r.optimum(True).buffer_bytes} B"),
+    ),),
+    "fig8": (Sweep(
+        run_fig8,
+        _points(lambda p: (f"fig8 B={p.buffer_bytes} "
+                           f"{'bal' if p.balanced else 'seq'}/{_buffering(p)}")),
+        {"buffer_sizes": (1000, 10_000, 200_000), "target_buffers": 250},
+        lambda r: f"-> balanced advantage: {r.balanced_advantage():.2f}x",
+    ),),
+    "fig15": (Sweep(
+        run_fig15,
+        _points(lambda p: f"fig15 Q{p.query_number} n={p.n}"),
+        {"stream_counts": (1, 2, 4, 5), "array_count": 5},
+        lambda r: f"-> Query 5 peak: {r.peak(5).mbps:.0f} Mbps",
+    ),),
+    "ablations": (
+        Sweep(
+            run_node_selection_ablation,
+            lambda selection: (
+                (f"ablation selector={r.selector_name} n={r.n}", r.observations)
+                for r in selection.results
+            ),
+            {"stream_counts": (4,), "count": 4},
+        ),
+        Sweep(
+            run_buffer_choice_ablation,
+            lambda buffers: (
+                (f"ablation buffers {pattern} B={size}", result.observations)
+                for pattern, table in (("p2p", buffers.p2p), ("merge", buffers.merge))
+                for size, result in sorted(table.items())
+            ),
+            {"buffer_sizes": (1000, 2000, 100_000)},
+        ),
+    ),
+    "scaling": (Sweep(
+        run_scaling_study,
+        _points(lambda p: (f"scaling Q{p.query_number} io={p.num_io_nodes} "
+                           f"uplink={p.uplink_gbps:g}G")),
+        {"partitions": (((4, 4, 2), 4), ((4, 4, 4), 8)), "array_count": 3},
+    ),),
+}
+
+
+def sweep_kwargs(sweep: Sweep, args: argparse.Namespace) -> Dict[str, Any]:
+    """What one ``sweep.run`` call is passed for the parsed flags."""
+    return {
+        **(sweep.quick if args.quick else {}),
+        "repeats": args.repeats,
+        "observe": observe_level(args),
+        "jobs": args.jobs,
+    }
+
+
+def _run_figure(name: str, args: argparse.Namespace) -> None:
+    """The one figure runner: every sweep of ``FIGURES[name]``, a blank
+    line between two tables."""
+    sections = []
+    for index, sweep in enumerate(FIGURES[name]):
+        if index:
+            print()
+        result = sweep.run(**sweep_kwargs(sweep, args))
+        print(result.format_table())
+        if sweep.headline is not None:
+            print(sweep.headline(result))
+        sections.extend(
+            (f"{label} r{i}", obs)
+            for label, observations in sweep.labelled(result)
+            for i, obs in enumerate(observations)
+        )
+    export_observations(sections, args.trace, args.metrics_out, args.bottlenecks)
+
+
+def _all(args: argparse.Namespace) -> None:
+    for name in FIGURES:
+        start = time.time()
+        _run_figure(name, args)
+        print(f"[{name}: {time.time() - start:.1f}s]")
+        print()
+
+
+def add_figure_parsers(sub: Any) -> None:
+    """Register ``fig6`` ... ``scaling`` and ``all`` on a subparsers object."""
+    for name in (*FIGURES, "all"):
+        p = sub.add_parser(name, help=f"run the {name} experiment(s)")
+        p.add_argument("--repeats", type=int, default=3, help="runs per point")
+        p.add_argument("--quick", action="store_true", help="reduced sweep")
+        p.add_argument(
+            "--jobs", type=int, default=1, metavar="N",
+            help="fan the independent (point, repeat) simulations over N "
+                 "worker processes; results are bit-identical to --jobs 1 "
+                 "(--trace and --metrics-out read the live hub and keep "
+                 "the runs in-process)",
+        )
+        if name == "all":
+            # Five figures into one file would be no one's trace: `all`
+            # runs unobserved.
+            p.set_defaults(func=_all, trace=None, metrics_out=None, bottlenecks=None)
+        else:
+            add_observability_flags(p)
+            p.set_defaults(func=lambda args: _run_figure(args.command, args))
+
+
+def _multiquery(args: argparse.Namespace) -> None:
+    result = run_contention_demo(
+        n=args.streams,
+        array_bytes=args.array_bytes,
+        count=args.count,
+        seed=args.seed,
+        live_window=live_window_arg(args),
+    )
+    print(result.format_table())
+    worst = min(o.interference for o in result.outcomes)
+    print(
+        f"-> two concurrent CQs through pset {SHARED_PSET}'s I/O node: "
+        f"worst query keeps {worst:.0%} of its solo bandwidth"
+    )
+    if result.live is not None:
+        print()
+        print(live_table(result.live))
+        if args.live_out:
+            lines = write_timeseries_jsonl(
+                args.live_out, result.live, label="multiquery"
+            )
+            print(f"live: {lines} time-series records -> {args.live_out}")
+
+
+def add_multiquery_parser(sub: Any) -> None:
+    """Register the ``multiquery`` subcommand on a subparsers object."""
+    m = sub.add_parser(
+        "multiquery",
+        help="run two concurrent CQs contending for one I/O-node path",
+    )
+    m.add_argument(
+        "--streams", type=int, default=2, metavar="N",
+        help="parallel back-end streams per query (default 2)",
+    )
+    m.add_argument(
+        "--array-bytes", type=int, default=3_000_000, metavar="BYTES",
+        help="array size each stream sends (default 3 MB, as in the paper)",
+    )
+    m.add_argument(
+        "--count", type=int, default=5, metavar="N",
+        help="arrays per stream (default 5)",
+    )
+    m.add_argument("--seed", type=int, default=0, help="environment seed")
+    add_live_flags(m)
+    m.set_defaults(func=_multiquery)
+
+
+def _adaptive(args: argparse.Namespace) -> int:
+    if args.point not in ADAPTIVE_POINTS:
+        print(f"adaptive: unknown point {args.point!r} "
+              f"(known: {', '.join(ADAPTIVE_POINTS)})", file=sys.stderr)
+        return 2
+    comparison = run_adaptive_point(
+        args.point,
+        seed=args.seed,
+        smoke=args.smoke,
+        window=args.window,
+        detector_kwargs=detector_kwargs(args),
+    )
+    print(comparison.format_table())
+    if args.events_out:
+        count = write_health_events(args.events_out, comparison.adaptive)
+        print(f"health: {count} events -> {args.events_out}")
+    return 0
+
+
+def add_adaptive_parser(sub: Any) -> None:
+    """Register the ``adaptive`` subcommand on a subparsers object."""
+    a = sub.add_parser(
+        "adaptive",
+        help="adaptive runtime: compare a static placement against "
+             "measurement-driven live migration on one regression point",
+    )
+    a.add_argument(
+        "--point", default="fig15", metavar="NAME",
+        help="regression point to run: fig15 (concurrent-CQ contention "
+             "funnel, default) or fig8 (merge through a busy intermediate)",
+    )
+    a.add_argument("--seed", type=int, default=0, help="environment seed")
+    a.add_argument(
+        "--smoke", action="store_true",
+        help="CI smoke scale: reduced payloads, same control loop",
+    )
+    a.add_argument(
+        "--window", type=float, default=DEFAULT_WINDOW, metavar="SECS",
+        help="live sampling window in simulated seconds (default 0.002)",
+    )
+    a.add_argument(
+        "--events-out", metavar="PATH", default=None,
+        help="write the adaptive run's health events as JSON-lines "
+             "(the CI smoke job uploads this artifact)",
+    )
+    add_detector_flags(a)
+    add_sanitize_flags(a)
+    a.set_defaults(func=_adaptive)

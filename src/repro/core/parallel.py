@@ -147,7 +147,8 @@ def run_sweep_task(task: SweepTask) -> TaskOutcome:
         if task.selector is not None
         else None
     )
-    report = Deployer(env).run(plan, strategy=strategy, settings=task.settings)
+    deployer = Deployer(env)
+    report = deployer.run(plan, strategy=strategy, settings=task.settings)
     assert report is not None  # select queries always report
     if report.duration <= 0.0:
         raise MeasurementError(
@@ -155,7 +156,7 @@ def run_sweep_task(task: SweepTask) -> TaskOutcome:
             f"non-positive simulated time ({report.duration!r}); "
             f"bandwidth is undefined"
         )
-    return TaskOutcome(
+    outcome = TaskOutcome(
         point_key=task.point_key,
         seed=task.seed,
         report=report,
@@ -163,6 +164,10 @@ def run_sweep_task(task: SweepTask) -> TaskOutcome:
         observed=obs is not None,
         _hub=obs,
     )
+    # The report and the flow records are taken: tearing down now cannot
+    # move a measured number, and it is what the leak sanitizer audits.
+    deployer.teardown()
+    return outcome
 
 
 class SweepExecutor:

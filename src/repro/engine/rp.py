@@ -71,6 +71,9 @@ class RunningProcess:
         self._cancelled = False
         self._root_process = None
         self._processes: list = []
+        # Spawned by cancel_subscriber(): never joined (a drain has no end),
+        # but terminated and counted live like every other process.
+        self._cancellers: list = []
         self._built = False
         self._started = False
         self._failure = None
@@ -261,7 +264,9 @@ class RunningProcess:
             process.interrupt("subscriber cancelled")
             process._add_callback(lambda event: setattr(event, "_defused", True))
         # Unblock (and keep draining) any pending fan-out put.
-        self.ctx.sim.process(self._drain(sender.source), name=f"{self.rp_id}:drain")
+        self._cancellers.append(
+            self.ctx.sim.process(self._drain(sender.source), name=f"{self.rp_id}:drain")
+        )
         if not self._cancelled and all(s.cancelled for s in self.senders):
             self._cancelled = True
             # No subscriber left: stop producing and cascade upstream.
@@ -275,9 +280,9 @@ class RunningProcess:
                 if port.upstream is not None and not port.cancelled
             ]
             if live:
-                self.ctx.sim.process(
+                self._cancellers.append(self.ctx.sim.process(
                     self._cancel_ports(live), name=f"{self.rp_id}:cascade"
-                )
+                ))
 
     @staticmethod
     def _drain(store: Store):
@@ -301,7 +306,7 @@ class RunningProcess:
             for sender in self.senders
             if sender.transmit_process is not None
         ]
-        for process in self._processes + transmitters:
+        for process in self._processes + self._cancellers + transmitters:
             if process.is_alive:
                 process.interrupt("query stopped")
                 # The interruption is intentional; nobody will re-raise it.
@@ -400,7 +405,7 @@ class RunningProcess:
         ]
         return [
             process
-            for process in self._processes + transmitters
+            for process in self._processes + self._cancellers + transmitters
             if process.is_alive
         ]
 

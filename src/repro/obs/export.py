@@ -1,6 +1,6 @@
 """Exporters: Chrome ``trace_event`` JSON, JSON-lines, and text summaries.
 
-Three consumers are served:
+Five consumers are served:
 
 * ``chrome://tracing`` / https://ui.perfetto.dev — :func:`chrome_trace`
   turns tracer records into the Trace Event Format (one *process* per
@@ -18,7 +18,9 @@ Three consumers are served:
   metric registry and live latency quantiles;
 * humans — :func:`utilization_summary` prints the busiest resources, store
   levels, and counters of one instrumented run as plain text, and
-  :func:`live_table` renders the per-window view ``repro top`` shows.
+  :func:`live_table` renders the per-window view ``repro top`` shows;
+* the command line — :func:`export_observations` writes whichever of the
+  above the ``--trace`` / ``--metrics-out`` / ``--bottlenecks`` flags ask for.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import IO, Dict, List, Optional, Sequence, Tuple, Union
 from repro.obs.flow import NullFlowRecorder
 from repro.obs.instrument import Instrumentation
 from repro.obs.live import NullLiveSampler, WindowSample
+from repro.obs.profile import profile
 from repro.obs.tracer import NullTracer, TraceRecord
 
 #: Simulated seconds -> trace microseconds (the unit Chrome traces use).
@@ -289,6 +292,61 @@ def utilization_summary(obs: Instrumentation, top: int = 20) -> str:
         for name, value in counters:
             lines.append(f"  {name:<40} {value:g}")
     return "\n".join(lines)
+
+
+def export_observations(
+    sections: Sequence[Tuple[str, Instrumentation]],
+    trace: Optional[str] = None,
+    metrics_out: Optional[str] = None,
+    bottlenecks: Optional[str] = None,
+) -> None:
+    """Write labelled run hubs to the paths of the ``--trace`` /
+    ``--metrics-out`` / ``--bottlenecks`` flags (:mod:`repro.cli_flags`),
+    one printed line per file; ``-`` prints the text itself.  Callers: the
+    figure runner (:mod:`repro.core.experiments.cli`) and ``query``."""
+    if trace:
+        if trace.endswith(".jsonl"):
+            with open(trace, "w", encoding="utf-8") as fh:
+                lines = 0
+                for label, obs in sections:
+                    fh.write('{"section": %s}\n' % json.dumps(label))
+                    lines += write_trace_jsonl(fh, obs.tracer)
+            print(f"trace: {lines} records -> {trace} (JSON-lines)")
+        else:
+            document = write_chrome_trace(
+                trace,
+                [(label, obs.tracer) for label, obs in sections],
+                [
+                    (label, obs.flows)
+                    for label, obs in sections
+                    if obs.flows.enabled and obs.flows.completed
+                ],
+            )
+            print(
+                f"trace: {len(document['traceEvents'])} events -> {trace} "
+                "(open at chrome://tracing or ui.perfetto.dev)"
+            )
+    if metrics_out:
+        text = "\n\n".join(
+            f"== {label} ==\n{utilization_summary(obs)}" for label, obs in sections
+        )
+        if metrics_out == "-":
+            print(text)
+        else:
+            with open(metrics_out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+            print(f"metrics: {len(sections)} run summaries -> {metrics_out}")
+    if bottlenecks:
+        report = profile([obs for _label, obs in sections])
+        if bottlenecks == "-":
+            print(report.format_text())
+            return
+        if bottlenecks.endswith(".json"):
+            report.write_json(bottlenecks)
+        else:
+            with open(bottlenecks, "w", encoding="utf-8") as fh:
+                fh.write(report.format_text() + "\n")
+        print(f"bottlenecks: {report.flows} flows profiled -> {bottlenecks}")
 
 
 # ----------------------------------------------------------------------

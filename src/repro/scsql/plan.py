@@ -61,19 +61,7 @@ class DeploymentPlan:
 
     def describe(self) -> str:
         """Human-readable summary of the plan's process graph."""
-        lines = []
-        for sp in self.graph.sps.values():
-            pinned = sp.allocation is not None
-            lines.append(
-                f"stream process {sp.sp_id} on cluster {sp.cluster!r}"
-                + (" (explicit allocation)" if pinned else "")
-            )
-            assert sp.plan is not None
-            lines.append(sp.plan.describe(indent=1))
-        assert self.graph.root_plan is not None
-        lines.append("client manager root plan:")
-        lines.append(self.graph.root_plan.describe(indent=1))
-        return "\n".join(lines)
+        return self.graph.describe()
 
 
 def compile_plan(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Optional
 
-from repro.coordinator.deployer import Deployer, ExecutionReport
+from repro.coordinator.deployer import CostBasedPlacement, Deployer, ExecutionReport
 from repro.engine.operators.sources import ExternalReceiver
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import Environment, EnvironmentConfig
@@ -70,12 +70,12 @@ class SCSQSession:
         assert isinstance(statement, SelectQuery)
         compiler = QueryCompiler(self.env, self.functions)
         graph = compiler.compile_select(statement)
-        effective = settings or self.settings
-        if optimize:
-            from repro.optimizer import CostBasedPlacer  # avoid an import cycle
-
-            CostBasedPlacer(self.env, effective).place(graph)
-        return self.deployer.run(graph, settings=effective, stop_after=stop_after)
+        return self.deployer.run(
+            graph,
+            strategy=CostBasedPlacement() if optimize else None,
+            settings=settings or self.settings,
+            stop_after=stop_after,
+        )
 
     def compile(self, text: str) -> "QueryGraph":
         """Compile a select query without executing it (for inspection)."""
@@ -107,22 +107,9 @@ class SCSQSession:
         from repro.util.units import format_rate
 
         graph = self.compile(text)
-        effective = settings or self.settings
-        lines = []
-        for sp in graph.sps.values():
-            pinned = sp.allocation is not None
-            lines.append(
-                f"stream process {sp.sp_id} on cluster {sp.cluster!r}"
-                + (" (explicit allocation)" if pinned else "")
-            )
-            assert sp.plan is not None
-            lines.append(sp.plan.describe(indent=1))
-        assert graph.root_plan is not None
-        lines.append("client manager root plan:")
-        lines.append(graph.root_plan.describe(indent=1))
-        placeable = [sp for sp in graph.sps.values() if sp.allocation is None]
-        if placeable:
-            placer = CostBasedPlacer(self.env, effective)
+        lines = [graph.describe()]
+        if any(sp.allocation is None for sp in graph.sps.values()):
+            placer = CostBasedPlacer(self.env, settings or self.settings)
             assignment = placer.place(graph)
             predicted = placer.predicted_bandwidth(graph, assignment)
             lines.append("optimizer placement:")
@@ -131,9 +118,6 @@ class SCSQSession:
                 lines.append(f"  {sp_id} -> {cluster}:{index}")
             if predicted != float("inf"):
                 lines.append(f"predicted bottleneck bandwidth: {format_rate(predicted)}")
-            # explain() must not mutate placement state for later queries.
-            for sp in placeable:
-                sp.allocation = None
         return "\n".join(lines)
 
     def _define_function(self, definition: CreateFunction) -> None:

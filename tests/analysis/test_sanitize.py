@@ -256,3 +256,78 @@ class TestAssertQuiescent:
         with pytest.raises(SanitizationError) as excinfo:
             sanitize.assert_quiescent(env)
         assert {d.code for d in excinfo.value.diagnostics} == {"SAN206"}
+
+
+@pytest.mark.no_sanitize
+class TestSingleQueryPathsAreAudited:
+    """Regression: the sweep task and the power/throughput bench modes ran
+    `Deployer.run` and never tore down, so `--sanitize` audited nothing on
+    most of `bench` and reported a clean run of zero audits."""
+
+    @staticmethod
+    def _audited(harness):
+        with sanitize.sanitizer(label="single-query", strict=False) as scope:
+            harness()
+        assert scope.report.ok(), scope.report.format_text()
+        return scope.audited
+
+    def test_sweep_task(self):
+        from repro.core.parallel import SweepTask, run_sweep_task
+
+        task = SweepTask(
+            point_key="p2p", seed=0, query=point_to_point_query(1024, 8),
+            payload_bytes=8 * 1024, observe="flows",
+        )
+        assert self._audited(lambda: run_sweep_task(task)) == 1
+
+    def test_power_mode(self):
+        from repro.bench.benchmark import run_power_mode
+        from repro.bench.query_stream import SMOKE_SCALE
+
+        assert self._audited(lambda: run_power_mode(SMOKE_SCALE)) >= 1
+
+    def test_throughput_mode_audits_the_session_and_the_solo_baselines(self):
+        from repro.bench.benchmark import run_throughput_mode
+        from repro.bench.query_stream import SMOKE_SCALE
+
+        audited = self._audited(
+            lambda: run_throughput_mode(2, SMOKE_SCALE, rounds=1)
+        )
+        assert audited == 4  # two session deployments + two solo baselines
+
+    def test_cli_prints_the_audited_count(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["bench", "--mode", "power", "--smoke", "--sanitize"]) == 0
+        assert "sanitize: 3 teardown(s) audited" in capsys.readouterr().out
+
+    def test_cli_fails_a_sanitized_run_that_audited_nothing(self, capsys, monkeypatch):
+        from repro.__main__ import main
+        from repro.bench import cli
+        from repro.bench.benchmark import BenchReport
+
+        monkeypatch.setattr(
+            cli, "run_power_mode", lambda **_kwargs: BenchReport("power", {})
+        )
+        assert main(["bench", "--mode", "power", "--smoke", "--sanitize"]) == 1
+        assert "sanitize: 0 teardown(s) audited" in capsys.readouterr().out
+        # A usage error keeps its own exit code.
+        assert main(["adaptive", "--point", "nope", "--sanitize"]) == 2
+
+    def test_stop_condition_drain_is_reaped_by_teardown(self):
+        """Found by the audits above under chaos seeds 0 and 2 (SAN203 on
+        the adaptive figure): `cancel_subscriber` spawns a drain process
+        that blocks on the cancelled feed forever, and `terminate()` did
+        not know it."""
+        query = (
+            "select extract(b) from sp a, sp b "
+            "where b=sp(count(first(extract(a), 25)), 'bg', 0) "
+            "and a=sp(gen_array(1000,-1), 'bg', 1);"
+        )
+        with sanitize.sanitizer(label="drain", strict=True):
+            env = Environment(EnvironmentConfig())
+            deployer = Deployer(env)
+            assert deployer.run(compile_plan(query)).result == [25]
+            deployer.teardown()
+            env.sim.run()  # deliver teardown's interrupts
+            sanitize.assert_quiescent(env)

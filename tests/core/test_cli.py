@@ -3,6 +3,13 @@
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.core.experiments.cli import FIGURES, sweep_kwargs
+
+
+def _subparsers():
+    """Every subcommand ``build_parser()`` knows, name -> its parser."""
+    (action,) = build_parser()._subparsers._group_actions
+    return action.choices
 
 
 class TestParser:
@@ -24,6 +31,40 @@ class TestParser:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+class TestDispatcher:
+    """`__main__` only dispatches: every subcommand registers from the
+    module next to the code it drives."""
+
+    def test_help_order(self):
+        assert list(_subparsers()) == [
+            "fig6", "fig8", "fig15", "ablations", "scaling", "all", "bench",
+            "adaptive", "top", "query", "explain", "multiquery", "analyze",
+        ]
+
+    @pytest.mark.parametrize("command", list(_subparsers()))
+    def test_handler_lives_outside_main(self, command):
+        func = _subparsers()[command].get_default("func")
+        assert func.__module__ != "repro.__main__"
+        assert func.__module__.endswith(".cli")
+
+    @pytest.mark.parametrize("command", list(_subparsers()))
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        assert f"python -m repro {command}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", list(FIGURES))
+    def test_a_full_run_is_the_experiments_defaults(self, name):
+        """No sweep argument on a full run: the `DEFAULT_*` of the
+        experiment module are the only definition of a full sweep."""
+        full = build_parser().parse_args([name])
+        quick = build_parser().parse_args([name, "--quick"])
+        for sweep in FIGURES[name]:
+            assert set(sweep_kwargs(sweep, full)) == {"repeats", "observe", "jobs"}
+            assert set(sweep_kwargs(sweep, quick)) > {"repeats", "observe", "jobs"}
 
 
 class TestExecution:
