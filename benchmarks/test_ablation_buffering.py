@@ -8,30 +8,35 @@ larger in the case of stream merging."
 
 import pytest
 
-from repro.core.experiments import run_buffer_choice_ablation
+from repro.core.experiments import FIGURES
+from repro.core.experiments.ablations import optimal_buffer
+from repro.core.measurement import run_sweep
+
+_SELECTOR, BUFFERS = FIGURES["ablations"]
 
 BUFFER_SIZES = (500, 1000, 2000, 10_000, 100_000, 1_000_000)
 
 
 @pytest.fixture(scope="module")
 def ablation_result():
-    return run_buffer_choice_ablation(buffer_sizes=BUFFER_SIZES, repeats=3)
+    return run_sweep(BUFFERS, buffer_sizes=BUFFER_SIZES, repeats=3)
 
 
 def test_buffer_choice_regenerates(benchmark):
     result = benchmark.pedantic(
-        lambda: run_buffer_choice_ablation(buffer_sizes=(1000, 100_000), repeats=3),
+        lambda: run_sweep(BUFFERS, buffer_sizes=(1000, 100_000), repeats=3),
         iterations=1,
         rounds=3,
     )
-    assert result.optimal_buffer("p2p") == 1000
+    assert optimal_buffer(result, "p2p") == 1000
 
 
 def test_patterns_want_different_buffers(ablation_result):
     print()
     print(ablation_result.format_table())
-    assert ablation_result.optimal_buffer("p2p") == 1000
-    assert ablation_result.optimal_buffer("merge") >= 10_000
+    print(BUFFERS.headline(ablation_result))
+    assert optimal_buffer(ablation_result, "p2p") == 1000
+    assert optimal_buffer(ablation_result, "merge") >= 10_000
     # The merge penalty of small buffers is dramatic, not marginal.
-    merge = ablation_result.merge
-    assert merge[1000].mean_mbps < 0.5 * merge[100_000].mean_mbps
+    small = ablation_result.at("merge", 1000).mean_mbps
+    assert small < 0.5 * ablation_result.at("merge", 100_000).mean_mbps

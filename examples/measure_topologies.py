@@ -16,13 +16,9 @@ sweep with a single repeat (CI's examples job).
 import sys
 import time
 
-from repro.core.experiments import (
-    run_buffer_choice_ablation,
-    run_fig6,
-    run_fig8,
-    run_fig15,
-    run_node_selection_ablation,
-)
+from repro.core.experiments import FIGURES
+from repro.core.experiments.fig8 import balanced_advantage
+from repro.core.measurement import run_sweep
 
 
 def scsql_queries():
@@ -44,57 +40,38 @@ def scsql_queries():
 def main() -> None:
     full = "--full" in sys.argv
     repeats = 5 if full else (1 if "--smoke" in sys.argv else 2)
-    fig6_sizes = None if full else (200, 1000, 5000, 100_000)
-    fig8_sizes = None if full else (1000, 10_000, 200_000)
-    stream_counts = (1, 2, 3, 4, 5, 6, 7, 8) if full else (1, 2, 4, 5)
+
+    def measure(sweep):
+        """The paper-scale sweep (the builder's defaults) with ``--full``,
+        else the scaled-down one the ``--quick`` figure commands run."""
+        return run_sweep(sweep, repeats=repeats, **({} if full else sweep.quick))
 
     start = time.time()
-    fig6 = run_fig6(
-        **({} if fig6_sizes is None else {"buffer_sizes": fig6_sizes}),
-        repeats=repeats,
-        target_buffers=1000 if full else 300,
-    )
+    fig6 = measure(FIGURES["fig6"][0])
     print(fig6.format_table())
     print(
-        f"-> optimal buffer: single={fig6.optimum(False).buffer_bytes} B, "
-        f"double={fig6.optimum(True).buffer_bytes} B"
+        f"-> optimal buffer: single={fig6.best(double_buffering=False)[0].buffer_bytes} B, "
+        f"double={fig6.best(double_buffering=True)[0].buffer_bytes} B"
     )
     print()
 
-    fig8 = run_fig8(
-        **({} if fig8_sizes is None else {"buffer_sizes": fig8_sizes}),
-        repeats=repeats,
-        target_buffers=800 if full else 250,
-    )
+    fig8 = measure(FIGURES["fig8"][0])
     print(fig8.format_table())
-    print(f"-> balanced/sequential advantage: {fig8.balanced_advantage():.2f}x")
+    print(f"-> balanced/sequential advantage: {balanced_advantage(fig8):.2f}x")
     print()
 
-    fig15 = run_fig15(
-        stream_counts=stream_counts,
-        repeats=repeats,
-        array_count=10 if full else 5,
-    )
+    fig15 = measure(FIGURES["fig15"][0])
     print(fig15.format_table())
-    peak = fig15.peak(5)
-    print(f"-> Query 5 peaks at {peak.mbps:.0f} Mbps (n={peak.n})")
+    peak, result = fig15.best(query_number=5)
+    print(f"-> Query 5 peaks at {result.mean_mbps:.0f} Mbps (n={peak.n})")
     print()
 
-    selection = run_node_selection_ablation(
-        stream_counts=(4,) if not full else (2, 4, 6, 8),
-        repeats=repeats,
-        count=4 if not full else 10,
-    )
-    print(selection.format_table())
-    print()
-
-    buffers = run_buffer_choice_ablation(
-        buffer_sizes=(500, 1000, 2000, 10_000, 100_000, 1_000_000)
-        if full else (1000, 2000, 100_000),
-        repeats=repeats,
-    )
-    print(buffers.format_table())
-    print()
+    for sweep in FIGURES["ablations"]:
+        ablation = measure(sweep)
+        print(ablation.format_table())
+        if sweep.headline is not None:
+            print(sweep.headline(ablation))
+        print()
     print(f"total wall time: {time.time() - start:.1f} s")
 
 

@@ -122,41 +122,32 @@ def _example_statements(path: Path) -> List[Tuple[str, str]]:
 
 
 def _sweep_reports() -> List[AnalysisReport]:
-    """Verify every point of the fig6/fig8/fig15, ablation and scaling
-    sweeps as it will run.
+    """Verify every point of every ``FIGURES`` sweep as it will run.
 
-    Walks the experiments' own sweep builders at their defaults and hands
-    each point to the check :func:`~repro.core.measurement.measure_points`
+    Walks the sweeps' own spec builders at their defaults and hands each
+    point to the check :func:`~repro.core.measurement.measure_points`
     applies before a sweep: the plan compiled with the point's settings, on
-    its sweep's topology, placed by its selector.
+    its own topology (named in the label when it is not the default),
+    placed by its selector.
     """
-    from repro.core.experiments.ablations import (
-        buffer_choice_specs,
-        node_selection_specs,
-    )
-    from repro.core.experiments.fig6 import fig6_specs
-    from repro.core.experiments.fig8 import fig8_specs
-    from repro.core.experiments.fig15 import fig15_specs
-    from repro.core.experiments.scaling import scaling_sweeps
-    from repro.core.measurement import verify_point
+    from repro.core.experiments import FIGURES
+    from repro.core.measurement import key_label, verify_point
     from repro.hardware.environment import EnvironmentConfig
 
     default = EnvironmentConfig()
-    sweeps = [
-        ("fig6", default, fig6_specs()),
-        ("fig8", default, fig8_specs()),
-        ("fig15", default, fig15_specs()),
-        ("ablation selector", default, node_selection_specs()),
-        ("ablation buffers", default, buffer_choice_specs()),
-    ]
-    for config, specs in scaling_sweeps():
-        shape = "x".join(str(d) for d in config.bluegene.torus_shape)
-        sweeps.append((f"scaling {shape}", config, specs))
     reports: List[AnalysisReport] = []
-    for name, config, specs in sweeps:
-        for spec in specs:
-            plan = compile_plan(spec.query, settings=spec.settings)
-            reports.append(verify_point(plan, spec, config, f"{name} {spec.key}"))
+    for sweeps in FIGURES.values():
+        for sweep in sweeps:
+            for spec in sweep.specs():
+                name = sweep.name
+                if spec.env_config is not None:
+                    shape = spec.env_config.bluegene.torus_shape
+                    name += " " + "x".join(str(d) for d in shape)
+                plan = compile_plan(spec.query, settings=spec.settings)
+                reports.append(verify_point(
+                    plan, spec, spec.env_config or default,
+                    f"{name} {key_label(spec.key)}",
+                ))
     return reports
 
 

@@ -54,7 +54,7 @@ documented in ``docs/static-analysis.md``.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -89,6 +89,7 @@ __all__ = [
     "current",
     "enabled",
     "flow_fingerprint",
+    "run_scoped",
     "run_shuffled",
     "sanitizer",
 ]
@@ -133,9 +134,24 @@ def chaos(seed: int = 0) -> Iterator[None]:
     from repro.net.jitter import KeyedJitter, jitter_override
     from repro.sim.scheduler import ShuffleScheduler, scheduler_override
 
-    with scheduler_override(lambda: ShuffleScheduler(seed)):
-        with jitter_override(KeyedJitter):
-            yield
+    global _CHAOS_SEED
+    previous, _CHAOS_SEED = _CHAOS_SEED, seed
+    try:
+        with scheduler_override(lambda: ShuffleScheduler(seed)):
+            with jitter_override(KeyedJitter):
+                yield
+    finally:
+        _CHAOS_SEED = previous
+
+
+#: Seed of the active :func:`chaos` scope — what a worker process needs to
+#: re-enter it (the overrides themselves are closures and do not pickle).
+_CHAOS_SEED: Optional[int] = None
+
+
+def chaos_seed() -> Optional[int]:
+    """Seed of the active :func:`chaos` scope, or None."""
+    return _CHAOS_SEED
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +173,11 @@ class SanitizerScope:
         self.strict = strict
         self.deferred: List["Deployment"] = []
         self.audited = 0
+
+    def absorb(self, audited: int, findings: Sequence[Diagnostic]) -> None:
+        """Take over what a worker's scope audited (see :func:`run_scoped`)."""
+        self.audited += audited
+        self.report.diagnostics.extend(findings)
 
 
 _SCOPE: Optional[SanitizerScope] = None
@@ -199,6 +220,31 @@ def sanitizer(
             _raise(scope.report)
     finally:
         _SCOPE = None
+
+
+def run_scoped(
+    fn: Callable[[Any], Any], task: Any, label: Optional[str], seed: Optional[int]
+) -> Tuple[Any, int, List[Diagnostic]]:
+    """Run ``fn(task)`` under the scopes its submitter was in.
+
+    Both scopes are module-global and stop at a ``spawn`` boundary, so
+    :meth:`repro.core.parallel.SweepExecutor.map` ships this call instead of
+    ``fn`` itself: the worker re-enters :func:`chaos` (``seed`` not None)
+    and a non-strict :func:`sanitizer` (``label`` not None, the parent
+    scope's) and returns ``(result, teardowns audited, findings)`` for the
+    parent scope to :meth:`~SanitizerScope.absorb`.  With neither it is a
+    plain call.
+    """
+    scope = None
+    with ExitStack() as stack:
+        if seed is not None:
+            stack.enter_context(chaos(seed))
+        if label is not None:
+            scope = stack.enter_context(sanitizer(label=label, strict=False))
+        result = fn(task)
+    if scope is None:
+        return result, 0, []
+    return result, scope.audited, scope.report.diagnostics
 
 
 def _raise(report: AnalysisReport) -> None:

@@ -50,9 +50,7 @@ from repro.bench.query_stream import (
 )
 from repro.coordinator.deployer import Deployer
 from repro.core.experiments.adaptive import ADAPTIVE_POINTS, run_adaptive_point
-from repro.core.experiments.fig6 import fig6_specs
-from repro.core.experiments.fig8 import fig8_specs
-from repro.core.experiments.fig15 import fig15_specs
+from repro.core.experiments import FIGURES
 from repro.core.experiments.scale import DEFAULT_SHAPE, run_scale
 from repro.core.measurement import PointSpec, measure_points
 from repro.core.parallel import SweepExecutor
@@ -122,24 +120,20 @@ def bench_points() -> List[PointSpec]:
     One point per mechanism the repo models: packet quantisation (fig6
     small vs large buffers), intermediate-co-processor routing (fig8
     sequential vs balanced), and the Ethernet ingress with and without
-    I/O-node sharing (fig15 Q5 at n=4 vs n=5, Q1 at n=2) — each the
-    double-buffered point of its experiment's sweep builder.
+    I/O-node sharing (fig15 Q5 at n=4 vs n=5, Q1 at n=2) — the
+    double-buffered points of each ``FIGURES`` row's ``gate`` arguments,
+    named by the row's own point label in bracket form.
     """
     points: List[PointSpec] = []
-    for spec in fig6_specs((200, 1000, 100_000), target_buffers=120):
-        buffer_bytes, double_buffering = spec.key
-        if double_buffering:
-            points.append(replace(spec, key=f"fig6[B={buffer_bytes},double]"))
-    for spec in fig8_specs((100_000,), target_buffers=120):
-        buffer_bytes, balanced, double_buffering = spec.key
-        if double_buffering:
-            label = "bal" if balanced else "seq"
-            points.append(replace(spec, key=f"fig8[B={buffer_bytes},{label},double]"))
-    for stream_counts, query_number in (((2,), 1), ((4, 5), 5)):
-        for spec in fig15_specs(
-            stream_counts, (query_number,), array_bytes=300_000, array_count=3
-        ):
-            points.append(replace(spec, key=f"fig15[Q{query_number},n={spec.key[1]}]"))
+    for sweeps in FIGURES.values():
+        for sweep in sweeps:
+            for arguments in sweep.gate:
+                for spec in sweep.specs(**arguments):
+                    if not getattr(spec.key, "double_buffering", True):
+                        continue
+                    figure, axes = sweep.point.format(k=spec.key).split(" ", 1)
+                    name = f"{figure}[{axes.replace(' ', ',').replace('/', ',')}]"
+                    points.append(replace(spec, key=name))
     return points
 
 

@@ -6,9 +6,10 @@
     python -m repro adaptive [--point fig15|fig8] [--smoke] [--events-out PATH]
 
 The paper measures every query family the same way (section 3), so the
-figure commands are one runner over one table (:data:`FIGURES`).  A full
-run passes *no* sweep argument: the experiment modules' ``DEFAULT_*`` are
-the only definition of a full sweep, and ``--quick`` overrides them.
+figure commands are one runner over one table
+(:data:`repro.core.experiments.FIGURES`).  A full run passes *no* sweep
+argument: the experiment modules' ``DEFAULT_*`` are the only definition of
+a full sweep, and ``--quick`` overrides them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Any, Callable, Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
+from typing import Any, Dict
 
 from repro.cli_flags import (
     add_detector_flags,
@@ -27,100 +28,22 @@ from repro.cli_flags import (
     live_window_arg,
     observe_level,
 )
-from repro.core.experiments import (
-    run_buffer_choice_ablation,
-    run_fig6,
-    run_fig8,
-    run_fig15,
-    run_node_selection_ablation,
-    run_scaling_study,
-)
+from repro.core.experiments import FIGURES
 from repro.core.experiments.adaptive import (
     ADAPTIVE_POINTS,
     run_adaptive_point,
     write_health_events,
 )
 from repro.core.experiments.contention import SHARED_PSET, run_contention_demo
+from repro.core.measurement import Sweep, run_sweep
 from repro.obs.export import export_observations, live_table, write_timeseries_jsonl
-from repro.obs.instrument import Instrumentation
 from repro.obs.live import DEFAULT_WINDOW
 
-__all__ = ["FIGURES", "add_adaptive_parser", "add_figure_parsers", "add_multiquery_parser"]
-
-#: ``(section label, the hubs of that point's repeats)`` pairs of a result.
-Labelled = Iterable[Tuple[str, Iterable[Instrumentation]]]
-
-
-class Sweep(NamedTuple):
-    """One measured sweep of a figure command."""
-
-    run: Callable[..., Any]  # the experiment's run_*; its result has format_table()
-    labelled: Callable[[Any], Labelled]  # names the result's points for the exports
-    quick: Mapping[str, Any]  # the sweep arguments of --quick; a full run passes none
-    headline: Optional[Callable[[Any], str]] = None  # the "-> ..." line under the table
-
-
-def _points(label: Callable[[Any], str]) -> Callable[[Any], Labelled]:
-    """The labeller of a result that keeps ``points``, each with a ``result``."""
-    return lambda result: ((label(p), p.result.observations) for p in result.points)
-
-
-def _buffering(p: Any) -> str:
-    return "double" if p.double_buffering else "single"
-
-
-#: Figure command -> the sweeps it runs, in print order.
-FIGURES: Dict[str, Tuple[Sweep, ...]] = {
-    "fig6": (Sweep(
-        run_fig6,
-        _points(lambda p: f"fig6 B={p.buffer_bytes} {_buffering(p)}"),
-        {"buffer_sizes": (200, 1000, 5000, 100_000), "target_buffers": 300},
-        lambda r: (f"-> optimum: single={r.optimum(False).buffer_bytes} B, "
-                   f"double={r.optimum(True).buffer_bytes} B"),
-    ),),
-    "fig8": (Sweep(
-        run_fig8,
-        _points(lambda p: (f"fig8 B={p.buffer_bytes} "
-                           f"{'bal' if p.balanced else 'seq'}/{_buffering(p)}")),
-        {"buffer_sizes": (1000, 10_000, 200_000), "target_buffers": 250},
-        lambda r: f"-> balanced advantage: {r.balanced_advantage():.2f}x",
-    ),),
-    "fig15": (Sweep(
-        run_fig15,
-        _points(lambda p: f"fig15 Q{p.query_number} n={p.n}"),
-        {"stream_counts": (1, 2, 4, 5), "array_count": 5},
-        lambda r: f"-> Query 5 peak: {r.peak(5).mbps:.0f} Mbps",
-    ),),
-    "ablations": (
-        Sweep(
-            run_node_selection_ablation,
-            lambda selection: (
-                (f"ablation selector={r.selector_name} n={r.n}", r.observations)
-                for r in selection.results
-            ),
-            {"stream_counts": (4,), "count": 4},
-        ),
-        Sweep(
-            run_buffer_choice_ablation,
-            lambda buffers: (
-                (f"ablation buffers {pattern} B={size}", result.observations)
-                for pattern, table in (("p2p", buffers.p2p), ("merge", buffers.merge))
-                for size, result in sorted(table.items())
-            ),
-            {"buffer_sizes": (1000, 2000, 100_000)},
-        ),
-    ),
-    "scaling": (Sweep(
-        run_scaling_study,
-        _points(lambda p: (f"scaling Q{p.query_number} io={p.num_io_nodes} "
-                           f"uplink={p.uplink_gbps:g}G")),
-        {"partitions": (((4, 4, 2), 4), ((4, 4, 4), 8)), "array_count": 3},
-    ),),
-}
+__all__ = ["add_adaptive_parser", "add_figure_parsers", "add_multiquery_parser"]
 
 
 def sweep_kwargs(sweep: Sweep, args: argparse.Namespace) -> Dict[str, Any]:
-    """What one ``sweep.run`` call is passed for the parsed flags."""
+    """What one ``run_sweep(sweep, ...)`` call is passed for the parsed flags."""
     return {
         **(sweep.quick if args.quick else {}),
         "repeats": args.repeats,
@@ -136,14 +59,14 @@ def _run_figure(name: str, args: argparse.Namespace) -> None:
     for index, sweep in enumerate(FIGURES[name]):
         if index:
             print()
-        result = sweep.run(**sweep_kwargs(sweep, args))
+        result = run_sweep(sweep, **sweep_kwargs(sweep, args))
         print(result.format_table())
         if sweep.headline is not None:
             print(sweep.headline(result))
         sections.extend(
-            (f"{label} r{i}", obs)
-            for label, observations in sweep.labelled(result)
-            for i, obs in enumerate(observations)
+            (f"{sweep.point.format(k=key)} r{i}", obs)
+            for key, point in result.points.items()
+            for i, obs in enumerate(point.observations)
         )
     export_observations(sections, args.trace, args.metrics_out, args.bottlenecks)
 

@@ -28,13 +28,10 @@ Published observations being reproduced:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.core.measurement import BandwidthResult, PointSpec, measure_points
+from repro.core.measurement import PointSpec
 from repro.engine.settings import ExecutionSettings
-from repro.hardware.environment import EnvironmentConfig
-from repro.obs.instrument import OBSERVE_NONE
 
 #: The paper sweeps the number of parallel back-end streams.
 DEFAULT_STREAM_COUNTS: Tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
@@ -101,56 +98,11 @@ and n={n};
 """
 
 
-@dataclass(frozen=True)
-class Fig15Point:
-    """One measured point: one query at one stream count."""
+class Fig15Key(NamedTuple):
+    """One point: one query at one stream count."""
 
     query_number: int
     n: int
-    result: BandwidthResult
-
-    @property
-    def mbps(self) -> float:
-        return self.result.mean_mbps
-
-
-@dataclass
-class Fig15Result:
-    """The Figure 15 sweep: six curves over n."""
-
-    points: List[Fig15Point]
-
-    def curve(self, query_number: int) -> List[Fig15Point]:
-        selected = [p for p in self.points if p.query_number == query_number]
-        return sorted(selected, key=lambda p: p.n)
-
-    def at(self, query_number: int, n: int) -> Fig15Point:
-        for point in self.points:
-            if point.query_number == query_number and point.n == n:
-                return point
-        raise KeyError(f"no point for query {query_number}, n={n}")
-
-    def peak(self, query_number: int) -> Fig15Point:
-        return max(self.curve(query_number), key=lambda p: p.mbps)
-
-    def format_table(self) -> str:
-        """Figure 15 as text: inbound bandwidth (Mbps) per query and n."""
-        queries = sorted({p.query_number for p in self.points})
-        ns = sorted({p.n for p in self.points})
-        header = f"{'n':>3}  " + "  ".join(f"{'Q%d' % q:>14}" for q in queries)
-        lines = [
-            "Figure 15: BG inbound streaming bandwidth (Mbps)",
-            header,
-        ]
-        for n in ns:
-            cells = []
-            for q in queries:
-                try:
-                    cells.append(str(self.at(q, n).result))
-                except KeyError:
-                    cells.append("-")
-            lines.append(f"{n:>3}  " + "  ".join(f"{c:>14}" for c in cells))
-        return "\n".join(lines)
 
 
 def fig15_specs(
@@ -159,12 +111,11 @@ def fig15_specs(
     array_bytes: int = PAPER_ARRAY_BYTES,
     array_count: int = DEFAULT_ARRAY_COUNT,
 ) -> List[PointSpec]:
-    """The Figure 15 sweep: one point per (query, stream count), keyed
-    ``(query_number, n)``."""
+    """The Figure 15 sweep: one point per (query, stream count)."""
     settings = ExecutionSettings()
     return [
         PointSpec(
-            key=(query_number, n),
+            key=Fig15Key(query_number, n),
             query=inbound_query(query_number, n, array_bytes, array_count),
             payload_bytes=n * array_bytes * array_count,
             settings=settings,
@@ -172,31 +123,3 @@ def fig15_specs(
         for query_number in queries
         for n in stream_counts
     ]
-
-
-def run_fig15(
-    stream_counts: Sequence[int] = DEFAULT_STREAM_COUNTS,
-    queries: Sequence[int] = QUERY_NUMBERS,
-    repeats: int = 5,
-    array_bytes: int = PAPER_ARRAY_BYTES,
-    array_count: int = DEFAULT_ARRAY_COUNT,
-    env_config: Optional[EnvironmentConfig] = None,
-    jobs: int = 1,
-    observe: str = OBSERVE_NONE,
-) -> Fig15Result:
-    """Run the Figure 15 sweep for the selected queries and stream counts.
-
-    ``jobs`` and ``observe`` are those of
-    :func:`repro.core.measurement.measure_points`; each repeat's hub lands on
-    its point's ``result.observations``.
-    """
-    specs = fig15_specs(stream_counts, queries, array_bytes, array_count)
-    results = measure_points(
-        specs, repeats=repeats, env_config=env_config, jobs=jobs, observe=observe
-    )
-    return Fig15Result(
-        points=[
-            Fig15Point(query_number=query_number, n=n, result=results[(query_number, n)])
-            for (query_number, n) in (spec.key for spec in specs)
-        ]
-    )

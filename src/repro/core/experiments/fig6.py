@@ -20,13 +20,10 @@ bandwidth unchanged while keeping small-buffer sweeps tractable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
-from repro.core.measurement import BandwidthResult, PointSpec, measure_points
+from repro.core.measurement import PointSpec
 from repro.engine.settings import ExecutionSettings
-from repro.hardware.environment import EnvironmentConfig
-from repro.obs.instrument import OBSERVE_NONE
 
 #: Buffer sizes swept by default (log-spaced 100 B .. 1 MB, as in Figure 6).
 DEFAULT_BUFFER_SIZES: Tuple[int, ...] = (
@@ -70,59 +67,22 @@ def scaled_workload(
     return array_bytes, count
 
 
-@dataclass(frozen=True)
-class Fig6Point:
-    """One measured point of the Figure 6 curves."""
+class Fig6Key(NamedTuple):
+    """One point of the Figure 6 curves."""
 
     buffer_bytes: int
     double_buffering: bool
-    result: BandwidthResult
 
     @property
-    def mbps(self) -> float:
-        return self.result.mean_mbps
-
-
-@dataclass
-class Fig6Result:
-    """The full Figure 6 sweep: two curves over buffer size."""
-
-    points: List[Fig6Point]
-
-    def curve(self, double_buffering: bool) -> List[Fig6Point]:
-        """One buffering mode's curve, ordered by buffer size."""
-        selected = [p for p in self.points if p.double_buffering is double_buffering]
-        return sorted(selected, key=lambda p: p.buffer_bytes)
-
-    def optimum(self, double_buffering: bool) -> Fig6Point:
-        """The highest-bandwidth point of one curve."""
-        return max(self.curve(double_buffering), key=lambda p: p.mbps)
-
-    def format_table(self) -> str:
-        """Figure 6 as text: bandwidth vs buffer size, both modes."""
-        lines = [
-            "Figure 6: intra-BG point-to-point streaming bandwidth (Mbps)",
-            f"{'buffer':>10}  {'single':>14}  {'double':>14}",
-        ]
-        singles = {p.buffer_bytes: p for p in self.curve(False)}
-        doubles = {p.buffer_bytes: p for p in self.curve(True)}
-        for size in sorted(set(singles) | set(doubles)):
-            s = singles.get(size)
-            d = doubles.get(size)
-            lines.append(
-                f"{size:>10}  "
-                f"{str(s.result) if s else '-':>14}  "
-                f"{str(d.result) if d else '-':>14}"
-            )
-        return "\n".join(lines)
+    def buffering(self) -> str:
+        return "double" if self.double_buffering else "single"
 
 
 def fig6_specs(
     buffer_sizes: Sequence[int] = DEFAULT_BUFFER_SIZES,
     target_buffers: int = DEFAULT_TARGET_BUFFERS,
 ) -> List[PointSpec]:
-    """The Figure 6 sweep: one point per (buffer size, buffering mode),
-    keyed ``(buffer_bytes, double_buffering)``."""
+    """The Figure 6 sweep: one point per (buffer size, buffering mode)."""
     specs: List[PointSpec] = []
     for buffer_bytes in buffer_sizes:
         array_bytes, count = scaled_workload(buffer_bytes, target_buffers)
@@ -133,40 +93,10 @@ def fig6_specs(
             )
             specs.append(
                 PointSpec(
-                    key=(buffer_bytes, double_buffering),
+                    key=Fig6Key(buffer_bytes, double_buffering),
                     query=query,
                     payload_bytes=array_bytes * count,
                     settings=settings,
                 )
             )
     return specs
-
-
-def run_fig6(
-    buffer_sizes: Sequence[int] = DEFAULT_BUFFER_SIZES,
-    repeats: int = 5,
-    target_buffers: int = DEFAULT_TARGET_BUFFERS,
-    env_config: Optional[EnvironmentConfig] = None,
-    jobs: int = 1,
-    observe: str = OBSERVE_NONE,
-) -> Fig6Result:
-    """Run the Figure 6 sweep and return both curves.
-
-    ``jobs`` and ``observe`` are those of
-    :func:`repro.core.measurement.measure_points`; each repeat's hub lands on
-    its point's ``result.observations``.
-    """
-    specs = fig6_specs(buffer_sizes, target_buffers)
-    results = measure_points(
-        specs, repeats=repeats, env_config=env_config, jobs=jobs, observe=observe
-    )
-    return Fig6Result(
-        points=[
-            Fig6Point(
-                buffer_bytes=buffer_bytes,
-                double_buffering=double_buffering,
-                result=results[(buffer_bytes, double_buffering)],
-            )
-            for (buffer_bytes, double_buffering) in (spec.key for spec in specs)
-        ]
-    )

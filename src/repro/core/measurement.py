@@ -11,12 +11,31 @@ divides the known payload volume by the simulated execution time, and
 summarizes the repeats.  It is the only code that builds per-repeat
 :class:`~repro.core.parallel.SweepTask` payloads;
 :func:`measure_query_bandwidth` is its one-point form.
+
+A measured figure is data under that protocol: a :class:`Sweep` row (its spec
+builder plus how its table reads), run by :func:`run_sweep` into a
+:class:`SweepResult`.  The rows live in :data:`repro.core.experiments.FIGURES`.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from pathlib import Path
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.coordinator.deployer import ExecutionReport
 from repro.core.parallel import SELECTORS, SweepExecutor, SweepTask, TaskOutcome
@@ -85,6 +104,8 @@ class PointSpec:
         settings: Engine settings, or None for defaults.
         selector: Optional node-selector name (ablation path); see
             :data:`repro.core.parallel.SELECTORS`.
+        env_config: The point's own environment (the scaling study grows
+            the partition per point), or None for the sweep's.
     """
 
     key: Any
@@ -92,6 +113,14 @@ class PointSpec:
     payload_bytes: int
     settings: Optional[ExecutionSettings] = None
     selector: Optional[str] = None
+    env_config: Optional[EnvironmentConfig] = None
+
+
+def key_label(key: Any) -> str:
+    """How a point key reads in a label.  A ``NamedTuple`` key prints as the
+    plain tuple it equals — ``(200, True)``, not ``Fig6Key(buffer_bytes=200,
+    ...)`` — so labels do not change when a key type gains a name."""
+    return str(tuple(key) if isinstance(key, tuple) else key)
 
 
 def verify_point(
@@ -145,6 +174,9 @@ def measure_points(
     assembled from its repeats in seed order regardless of completion
     order, so the table is bit-identical to a serial sweep.
 
+    A point runs on its own ``spec.env_config`` when it has one, else on
+    ``env_config`` (default: the paper's testbed).
+
     ``observe`` is one of :data:`~repro.obs.instrument.OBSERVE_LEVELS`; each
     repeat's hub lands on its point's ``observations``.  ``"metrics"`` and
     ``"trace"`` run in-process whatever ``jobs`` says (see
@@ -161,12 +193,15 @@ def measure_points(
     if len(set(keys)) != len(keys):
         duplicates = sorted({repr(key) for key in keys if keys.count(key) > 1})
         raise ValueError(f"duplicate sweep point key(s): {', '.join(duplicates)}")
-    config = env_config or EnvironmentConfig()
+    default = env_config or EnvironmentConfig()
+    configs = {spec.key: spec.env_config or default for spec in specs}
     # Compile each point once; its (picklable) plan is shared by all the
     # point's repeat tasks instead of being recompiled per repeat/worker.
     plans = {spec.key: compile_plan(spec.query, settings=spec.settings) for spec in specs}
     for spec in specs:
-        verify_point(plans[spec.key], spec, config, str(spec.key)).raise_if_failed()
+        verify_point(
+            plans[spec.key], spec, configs[spec.key], key_label(spec.key)
+        ).raise_if_failed()
     tasks = [
         SweepTask(
             point_key=spec.key,
@@ -174,7 +209,7 @@ def measure_points(
             query=spec.query,
             payload_bytes=spec.payload_bytes,
             settings=spec.settings,
-            env_config=config,
+            env_config=configs[spec.key],
             observe=observe,
             selector=spec.selector,
             plan=plans[spec.key],
@@ -226,3 +261,129 @@ def measure_query_bandwidth(
         jobs=jobs, observe=observe, executor=executor,
     )
     return results["point"]
+
+
+class Sweep(NamedTuple):
+    """One measured figure, declared as data.
+
+    The point key of ``specs`` is a module-level ``NamedTuple`` whose field
+    names are the sweep's axes; ``row``/``columns`` name them, and the two
+    format strings read them as ``k`` (``"Q{k.query_number}"``).
+    """
+
+    name: str  # "fig6"; prefixes the `analyze --sweeps` labels
+    specs: Callable[..., List[PointSpec]]  # the pure builder; its defaults are the full sweep
+    quick: Mapping[str, Any]  # builder arguments of --quick; a full run passes none
+    title: str  # first line of the table
+    row: str  # the axis down the side ...
+    row_header: str  # ... and its header, padded to the width of that column
+    columns: Tuple[str, ...]  # the axes across the top, outermost first
+    column: str  # format of one column header
+    point: str  # format of one point's label in the observability exports
+    headline: Optional[Callable[["SweepResult"], str]] = None  # the line under the table
+    table: Optional[Callable[["SweepResult"], str]] = None  # a bespoke table instead of the pivot
+    gate: Tuple[Mapping[str, Any], ...] = ()  # builder arguments the bench gate samples
+
+
+Row = Dict[str, Union[int, float, str, bool]]
+
+
+@dataclass
+class SweepResult:
+    """A measured sweep: ``points`` maps each key to its result, in the
+    builder's order."""
+
+    sweep: Sweep
+    points: Dict[Any, BandwidthResult]
+
+    def at(self, *key: Any) -> BandwidthResult:
+        """The result at one key; ``KeyError`` if it was not measured."""
+        return self.points[key]
+
+    def curve(self, **fixed: Any) -> List[Tuple[Any, BandwidthResult]]:
+        """The ``(key, result)`` pairs whose key has the ``fixed`` axis
+        values, ordered along the remaining axes."""
+        return [
+            (key, self.points[key])
+            for key in sorted(self.points)
+            if all(getattr(key, axis) == value for axis, value in fixed.items())
+        ]
+
+    def best(self, **fixed: Any) -> Tuple[Any, BandwidthResult]:
+        """The highest-bandwidth point of one curve."""
+        return max(self.curve(**fixed), key=lambda pair: pair[1].mean_mbps)
+
+    def format_table(self) -> str:
+        """The sweep as text: one row per ``sweep.row`` value (sorted), one
+        column per combination of ``sweep.columns`` values (in the builder's
+        order), ``-`` where a combination was not measured."""
+        sweep = self.sweep
+        if sweep.table is not None:
+            return sweep.table(self)
+        headers: Dict[Tuple[Any, ...], str] = {}
+        cells: Dict[Tuple[Any, Tuple[Any, ...]], str] = {}
+        for key, result in self.points.items():
+            column = tuple(getattr(key, axis) for axis in sweep.columns)
+            headers.setdefault(column, sweep.column.format(k=key))
+            cells[getattr(key, sweep.row), column] = str(result)
+        width = len(sweep.row_header)
+        lines = [
+            sweep.title,
+            sweep.row_header + "".join(f"  {h:>14}" for h in headers.values()),
+        ]
+        for row in sorted({row for row, _column in cells}):
+            lines.append(
+                f"{row:>{width}}"
+                + "".join(f"  {cells.get((row, c), '-'):>14}" for c in headers)
+            )
+        return "\n".join(lines)
+
+    def rows(self) -> List[Row]:
+        """Plot-ready rows: the key's fields plus the bandwidth statistics,
+        sorted by key."""
+        return [
+            {
+                **key._asdict(),
+                "mbps_mean": point.mbps.mean,
+                "mbps_std": point.mbps.std,
+                "repeats": len(point.mbps.samples),
+            }
+            for key, point in self.curve()
+        ]
+
+
+def run_sweep(
+    sweep: Sweep,
+    repeats: int = DEFAULT_REPEATS,
+    env_config: Optional[EnvironmentConfig] = None,
+    jobs: int = 1,
+    observe: str = OBSERVE_NONE,
+    **sweep_args: Any,
+) -> SweepResult:
+    """Measure one figure: ``sweep.specs(**sweep_args)`` through
+    :func:`measure_points`, which documents the other arguments."""
+    return SweepResult(
+        sweep,
+        measure_points(
+            sweep.specs(**sweep_args), repeats=repeats, env_config=env_config,
+            jobs=jobs, observe=observe,
+        ),
+    )
+
+
+def write_csv(path: Union[str, Path], rows: Iterable[Row]) -> Path:
+    """Write rows (dicts sharing a schema, e.g. :meth:`SweepResult.rows`) to
+    ``path`` as CSV for external plotting.
+
+    Raises:
+        ValueError: If there are no rows (no schema to write).
+    """
+    rows = list(rows)
+    if not rows:
+        raise ValueError("no rows to write")
+    path = Path(path)
+    with path.open("w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
+    return path

@@ -205,20 +205,36 @@ class SweepExecutor:
         is the same: both the ``jobs=1`` and the ``jobs=N`` path call the
         *same* function on the *same* payloads and merge results in task
         order, so a deterministic ``fn`` yields bit-identical results
-        either way.
+        either way — and is audited either way: a worker runs ``fn`` inside
+        the submitter's :func:`~repro.analysis.sanitize.sanitizer` /
+        :func:`~repro.analysis.sanitize.chaos` scopes and the submitter's
+        scope absorbs what it audited.
         """
+        from repro.analysis import sanitize
+
         tasks = list(tasks)
         if self.jobs == 1 or len(tasks) <= 1:
             return [fn(task) for task in tasks]
         # ``spawn`` workers re-import the package from a clean interpreter
-        # (inheriting sys.path), so tasks never depend on forked state.
+        # (inheriting sys.path), so tasks never depend on forked state —
+        # which also means the module-global sanitizer scope and chaos
+        # override do not reach them: the call is shipped inside
+        # ``run_scoped``, which re-enters whichever is active here.
+        scope, seed = sanitize.current(), sanitize.chaos_seed()
+        label = scope.report.label if scope is not None else None
         context = multiprocessing.get_context("spawn")
         workers = min(self.jobs, len(tasks))
-        outcomes: List[Optional[Any]] = [None] * len(tasks)
+        outcomes: List[Any] = []
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            futures = [pool.submit(fn, task) for task in tasks]
-            for index, future in enumerate(futures):
-                outcomes[index] = future.result()
+            futures = [
+                pool.submit(sanitize.run_scoped, fn, task, label, seed)
+                for task in tasks
+            ]
+            for future in futures:
+                outcome, audited, findings = future.result()
+                outcomes.append(outcome)
+                if scope is not None:
+                    scope.absorb(audited, findings)
         return outcomes
 
     def __repr__(self) -> str:

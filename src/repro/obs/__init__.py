@@ -20,99 +20,14 @@ Usage::
 Tracing is strictly opt-in: a simulator created without instrumentation
 carries the shared :data:`~repro.obs.instrument.NULL_OBS` hub, whose
 ``enabled`` flag short-circuits every hook site.
+
+The four names re-exported here are the ones imported through the package
+elsewhere in the repo; everything else is imported from its module
+(``repro.obs.export``, ``repro.obs.live``, ``repro.obs.flow``, ...).
 """
 
-from repro.obs.export import (
-    chrome_trace,
-    flow_trace_events,
-    live_table,
-    prometheus_exposition,
-    utilization_summary,
-    write_chrome_trace,
-    write_timeseries_jsonl,
-    write_trace_jsonl,
-)
-from repro.obs.flow import (
-    NULL_FLOWS,
-    FlowRecord,
-    FlowRecorder,
-    Hop,
-    NullFlowRecorder,
-)
-from repro.obs.health import (
-    ContinuousBottleneckDetector,
-    HealthEvent,
-    base_stream,
-    resource_scope,
-)
-from repro.obs.instrument import NULL_OBS, Instrumentation, NullInstrumentation
-from repro.obs.live import (
-    DEFAULT_WINDOW,
-    NULL_LIVE,
-    LiveSampler,
-    NullLiveSampler,
-    WindowSample,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    MetricsSnapshot,
-    TimeWeightedStat,
-)
-from repro.obs.profile import (
-    BottleneckReport,
-    ResourceCost,
-    StageCost,
-    StreamLatency,
-    profile,
-    profile_flows,
-)
-from repro.obs.sketch import DEFAULT_QUANTILES, LatencySketch, P2Quantile
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer, TraceRecord
+from repro.obs.instrument import Instrumentation
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.profile import profile, profile_flows
 
-__all__ = [
-    "LiveSampler",
-    "NullLiveSampler",
-    "NULL_LIVE",
-    "WindowSample",
-    "DEFAULT_WINDOW",
-    "LatencySketch",
-    "P2Quantile",
-    "DEFAULT_QUANTILES",
-    "ContinuousBottleneckDetector",
-    "HealthEvent",
-    "resource_scope",
-    "base_stream",
-    "live_table",
-    "prometheus_exposition",
-    "write_timeseries_jsonl",
-    "Instrumentation",
-    "NullInstrumentation",
-    "NULL_OBS",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "TraceRecord",
-    "FlowRecorder",
-    "NullFlowRecorder",
-    "NULL_FLOWS",
-    "FlowRecord",
-    "Hop",
-    "BottleneckReport",
-    "ResourceCost",
-    "StageCost",
-    "StreamLatency",
-    "profile",
-    "profile_flows",
-    "MetricsRegistry",
-    "MetricsSnapshot",
-    "Counter",
-    "Gauge",
-    "TimeWeightedStat",
-    "chrome_trace",
-    "flow_trace_events",
-    "write_chrome_trace",
-    "write_trace_jsonl",
-    "utilization_summary",
-]
+__all__ = ["Instrumentation", "MetricsRegistry", "profile", "profile_flows"]

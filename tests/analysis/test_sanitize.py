@@ -331,3 +331,55 @@ class TestSingleQueryPathsAreAudited:
             deployer.teardown()
             env.sim.run()  # deliver teardown's interrupts
             sanitize.assert_quiescent(env)
+
+
+def _leak_a_carrier(tag):
+    """A picklable task (for `SweepExecutor.map`) whose teardown leaves a
+    torus stream registered — SAN204 in whichever scope it runs under."""
+    env, _deployer, _plan, deployment = _deployed_fig6()
+    deployment.run()
+    env.torus.register_stream(0, f"ghost-{tag}")
+    deployment.teardown()
+    sanitize.assert_quiescent(env, raise_on_findings=False)
+    return tag, sanitize.chaos_seed(), type(env.sim.scheduler).__name__
+
+
+@pytest.mark.no_sanitize
+class TestWorkersAreAudited:
+    """Regression: the sanitizer scope and the chaos override are
+    module-global and never reached `spawn` workers, so `bench --only fig6
+    --jobs 2 --sanitize` audited nothing and exited 1."""
+
+    def test_a_leak_in_a_worker_lands_in_the_parents_report(self):
+        from repro.core.parallel import SweepExecutor
+
+        with sanitize.sanitizer(label="workers", strict=False) as scope:
+            with sanitize.chaos(seed=7):
+                results = SweepExecutor(jobs=2).map(_leak_a_carrier, ["a", "b"])
+        # in task order, each run under the parent's chaos seed
+        assert results == [("a", 7, "ShuffleScheduler"), ("b", 7, "ShuffleScheduler")]
+        assert scope.audited == 2
+        leaks = [d.message for d in scope.report.diagnostics if d.code == "SAN204"]
+        assert any("ghost-a" in m for m in leaks) and any("ghost-b" in m for m in leaks)
+
+    def test_an_unscoped_parent_opens_no_scope_in_the_worker(self):
+        from repro.core.parallel import SweepExecutor
+
+        results = SweepExecutor(jobs=2).map(_leak_a_carrier, ["a", "b"])
+        assert results == [("a", None, "CalendarQueue"), ("b", None, "CalendarQueue")]
+
+    def test_sweep_is_audited_alike_at_any_job_count(self):
+        from repro.core.experiments import FIGURES
+        from repro.core.measurement import run_sweep
+
+        def audited(jobs):
+            with sanitize.sanitizer(label="sweep", strict=False) as scope:
+                result = run_sweep(
+                    FIGURES["fig6"][0], buffer_sizes=(1000,), target_buffers=60,
+                    repeats=1, jobs=jobs, observe="flows",
+                )
+            assert scope.report.ok(), scope.report.format_text()
+            return scope.audited, [p.mbps.samples for p in result.points.values()]
+
+        assert audited(1) == audited(2)
+        assert audited(2)[0] == 2

@@ -71,9 +71,9 @@ class TestQueryGraph:
         assert graph.producers_of(plan) == ["x", "y"]
 
 
-class TestClientManager:
+class TestDeployerRun:
     """The paper's client-manager role — submit a graph, run it, report —
-    which is ``Deployer.run`` (class name kept: test ids are pinned)."""
+    which is ``Deployer.run``."""
 
     def _simple_graph(self):
         graph = QueryGraph()

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.__main__ import build_parser, main
-from repro.core.experiments.cli import FIGURES, sweep_kwargs
+from repro.core.experiments import FIGURES
+from repro.core.experiments.cli import sweep_kwargs
 
 
 def _subparsers():

@@ -1,36 +1,47 @@
-"""Tests for CSV export of experiment results."""
+"""Tests for the plot-ready rows of a sweep result and their CSV export."""
 
 import csv
 
 import pytest
 
-from repro.core.experiments import run_fig6, run_fig15
-from repro.core.export import fig6_rows, fig15_rows, write_csv
+from repro.core.experiments import FIGURES
+from repro.core.experiments.scaling import ScalingKey
+from repro.core.measurement import (
+    BandwidthResult,
+    SweepResult,
+    run_sweep,
+    write_csv,
+)
+from repro.util.stats import summarize
+
+(FIG6,), (FIG8,), (FIG15,), (SCALING,) = (
+    FIGURES[name] for name in ("fig6", "fig8", "fig15", "scaling")
+)
+STATS = {"mbps_mean", "mbps_std", "repeats"}
 
 
 @pytest.fixture(scope="module")
 def fig6_result():
-    return run_fig6(buffer_sizes=(1000, 5000), repeats=1, target_buffers=200)
+    return run_sweep(FIG6, buffer_sizes=(1000, 5000), repeats=1, target_buffers=200)
 
 
 class TestRows:
     def test_fig6_rows_schema(self, fig6_result):
-        rows = fig6_rows(fig6_result)
+        rows = fig6_result.rows()
         assert len(rows) == 4  # 2 sizes x 2 modes
-        assert set(rows[0]) == {
-            "buffer_bytes", "double_buffering", "mbps_mean", "mbps_std", "repeats",
-        }
+        assert set(rows[0]) == {"buffer_bytes", "double_buffering"} | STATS
         assert all(r["mbps_mean"] > 0 for r in rows)
 
     def test_fig15_rows_sorted(self):
-        result = run_fig15(stream_counts=(2, 1), queries=(5,), repeats=1, array_count=2)
-        rows = fig15_rows(result)
-        assert [r["n_streams"] for r in rows] == [1, 2]
+        result = run_sweep(
+            FIG15, stream_counts=(2, 1), queries=(5,), repeats=1, array_count=2
+        )
+        assert [r["n"] for r in result.rows()] == [1, 2]
 
 
 class TestWriteCsv:
     def test_roundtrip(self, fig6_result, tmp_path):
-        path = write_csv(tmp_path / "fig6.csv", fig6_rows(fig6_result))
+        path = write_csv(tmp_path / "fig6.csv", fig6_result.rows())
         with path.open() as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 4
@@ -43,26 +54,19 @@ class TestWriteCsv:
 
 class TestOtherRows:
     def test_fig8_rows(self):
-        from repro.core.experiments import run_fig8
-        from repro.core.export import fig8_rows
-
-        result = run_fig8(buffer_sizes=(1000,), repeats=1, target_buffers=150)
-        rows = fig8_rows(result)
+        result = run_sweep(FIG8, buffer_sizes=(1000,), repeats=1, target_buffers=150)
+        rows = result.rows()
         assert len(rows) == 4  # 2 selections x 2 modes
-        assert {r["node_selection"] for r in rows} == {"balanced", "sequential"}
+        assert {(r["balanced"], r["double_buffering"]) for r in rows} == {
+            (False, False), (False, True), (True, False), (True, True),
+        }
 
     def test_scaling_rows(self):
-        from repro.core.experiments.scaling import ScalingPoint, ScalingStudy
-        from repro.core.export import scaling_rows
-        from repro.core.measurement import BandwidthResult
-        from repro.util.stats import summarize
-
-        study = ScalingStudy(
-            points=[
-                ScalingPoint(5, 4, 1.0, BandwidthResult(summarize([900.0]), 1)),
-                ScalingPoint(6, 4, 1.0, BandwidthResult(summarize([700.0]), 1)),
-            ]
-        )
-        rows = scaling_rows(study)
-        assert [r["query"] for r in rows] == [5, 6]
-        assert rows[0]["io_nodes"] == 4
+        study = SweepResult(SCALING, {
+            ScalingKey(6, 4, 1.0): BandwidthResult(summarize([700.0]), 1),
+            ScalingKey(5, 4, 1.0): BandwidthResult(summarize([900.0]), 1),
+        })
+        rows = study.rows()
+        assert [r["query_number"] for r in rows] == [5, 6]
+        assert rows[0]["num_io_nodes"] == 4
+        assert rows[0]["repeats"] == 1  # the column scaling alone lacked

@@ -1,0 +1,127 @@
+"""Every measured figure is one `FIGURES` row: table-driven checks.
+
+The goldens under ``golden_figures/`` are the stdout of the parent commit's
+``python -m repro <figure> --quick --repeats 1`` (the per-figure result
+classes that printed them are gone); the simulator is deterministic per
+seed, so the one renderer must reproduce them byte for byte.
+"""
+
+import json
+import pickle
+from pathlib import Path
+
+import pytest
+
+from repro.__main__ import main
+from repro.bench.baseline import load_bench
+from repro.bench.benchmark import bench_points
+from repro.core.experiments import FIGURES
+from repro.core.measurement import key_label, run_sweep
+
+HERE = Path(__file__).resolve().parent
+SWEEPS = [sweep for sweeps in FIGURES.values() for sweep in sweeps]
+
+
+@pytest.fixture(scope="module")
+def quick():
+    """`run_sweep(row, **row.quick, repeats=1)`, measured once per row."""
+    results = {}
+
+    def measured(sweep):
+        if sweep.name not in results:
+            results[sweep.name] = run_sweep(sweep, **sweep.quick, repeats=1)
+        return results[sweep.name]
+
+    return measured
+
+
+@pytest.mark.parametrize("figure", list(FIGURES))
+def test_table_and_headline_are_the_parents_stdout(figure, quick):
+    printed = []
+    for sweep in FIGURES[figure]:
+        result = quick(sweep)
+        printed.append(result.format_table())
+        if sweep.headline is not None:
+            printed[-1] += "\n" + sweep.headline(result)
+    golden = (HERE / "golden_figures" / f"{figure}.txt").read_text()
+    assert "\n\n".join(printed) + "\n" == golden
+
+
+@pytest.mark.parametrize("sweep", SWEEPS, ids=lambda sweep: sweep.name)
+class TestSweepResult:
+    def test_accessors_agree_with_a_scan_of_the_points(self, sweep, quick):
+        result = quick(sweep)
+        assert list(result.points) == [spec.key for spec in sweep.specs(**sweep.quick)]
+        for key, point in result.points.items():
+            assert result.at(*key) is point
+            # fix every axis but the row axis: the curve through this point
+            fixed = {a: v for a, v in key._asdict().items() if a != sweep.row}
+            curve = sorted(
+                (k, p) for k, p in result.points.items()
+                if all(getattr(k, a) == v for a, v in fixed.items())
+            )
+            assert result.curve(**fixed) == curve
+            assert result.best(**fixed)[1].mean_mbps == max(
+                p.mean_mbps for _k, p in curve
+            )
+        assert result.curve() == sorted(result.points.items())
+        with pytest.raises(KeyError):
+            result.at(*(None for _axis in key))
+
+    def test_rows_are_the_key_fields_plus_the_statistics(self, sweep, quick):
+        result = quick(sweep)
+        rows = result.rows()
+        assert len(rows) == len(result.points)
+        (key_type,) = {type(key) for key in result.points}
+        for row in rows:
+            assert list(row) == [*key_type._fields, "mbps_mean", "mbps_std", "repeats"]
+            assert row["repeats"] == 1
+        assert [tuple(row[a] for a in key_type._fields) for row in rows] == sorted(
+            result.points
+        )
+
+    def test_keys_are_named_tuples_that_label_and_pickle_as_plain_ones(self, sweep):
+        for spec in sweep.specs():
+            key = spec.key
+            assert {sweep.row, *sweep.columns} == set(key._fields)
+            # the trap: str(key) would read "Fig6Key(buffer_bytes=200, ...)"
+            assert key_label(key) == str(tuple(key)) != str(key)
+            assert type(key).__qualname__ == type(key).__name__  # module level
+            clone = pickle.loads(pickle.dumps(key))
+            assert type(clone) is type(key) and clone == key == tuple(key)
+            sweep.point.format(k=key), sweep.column.format(k=key)  # both resolve
+
+
+def test_key_label_leaves_a_string_key_alone():
+    assert key_label("point") == "point"
+    assert key_label("fig6[B=200,double]") == "fig6[B=200,double]"
+
+
+def test_scaling_fans_out_across_environments_bit_identically(quick):
+    (scaling,) = FIGURES["scaling"]
+    specs = scaling.specs(**scaling.quick)
+    assert len({spec.env_config for spec in specs}) == 4  # 2 partitions x 2 uplinks
+    serial = quick(scaling)
+    parallel = run_sweep(scaling, **scaling.quick, repeats=1, jobs=2)
+    assert list(parallel.points) == list(serial.points)
+    for key, point in serial.points.items():
+        assert parallel.at(*key).mbps.samples == point.mbps.samples
+    assert parallel.format_table() == serial.format_table()
+
+
+def test_gate_points_are_recorded_in_the_baseline():
+    recorded = {name.rsplit("/", 1)[0] for name in load_bench(str(HERE.parents[1] / "BENCH_baseline.json"))}
+    keys = [point.key for point in bench_points()]
+    assert len(keys) == len(set(keys)) == 8
+    assert set(keys) <= recorded
+
+
+def test_analyze_sweeps_walks_the_table(capsys):
+    assert main(["analyze", "--sweeps"]) == 0
+    assert "analyze: 146 plan(s) verified" in capsys.readouterr().out
+    assert main(["analyze", "--sweeps", "--json"]) == 0
+    labels = [r["label"] for r in json.loads(capsys.readouterr().out)["reports"]]
+    assert len(labels) == 146
+    # a scaling point is labelled by its own environment's partition
+    assert "scaling 4x4x2 (5, 4, 1.0)" in labels
+    assert "fig6 (200, True)" in labels and "fig8 (1000, False, True)" in labels

@@ -3,21 +3,26 @@
 import json
 import math
 from pathlib import Path
-from unittest.mock import MagicMock
 
 import pytest
 
 from repro.__main__ import main
 from repro.bench.baseline import figure_of_metric, is_wall_clock, load_bench
 from repro.bench.benchmark import bench_points
-from repro.core.experiments import ablations, fig6, fig8, fig15, scaling
-from repro.core.measurement import PointSpec, measure_points, measure_query_bandwidth
+from repro.core.experiments import FIGURES, ablations, fig6, fig8, fig15, scaling
+from repro.core.measurement import (
+    PointSpec,
+    measure_points,
+    measure_query_bandwidth,
+    run_sweep,
+)
 from repro.engine.settings import ExecutionSettings
 from repro.obs import Instrumentation
 from repro.obs.instrument import OBSERVE_LEVELS
 from repro.util.errors import PlanVerificationError
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+(FIG6,), (FIG8,), (FIG15,), (SELECTOR, BUFFERS), (SCALING,) = FIGURES.values()
 
 QUERY = (
     "select extract(b) from sp a, sp b "
@@ -165,59 +170,66 @@ class TestSweepValidation:
 
 
 class TestSweepBuilders:
-    """A figure's sweep is written down once: `run_*` measures exactly its
-    builder's specs, the gate samples those builders, and `analyze --sweeps`
-    verifies every spec the way `measure_points` does before running it."""
+    """A figure's sweep is written down once: `run_sweep` measures exactly its
+    row's builder's specs, the gate samples those builders, and `analyze
+    --sweeps` verifies every spec the way `measure_points` does before
+    running it."""
 
     @staticmethod
-    def _measured(monkeypatch, module):
-        """Spy on the module's `measure_points`: [(specs, env_config), ...]."""
+    def _measured(monkeypatch):
+        """Spy on `run_sweep`'s `measure_points`: [(specs, env_config), ...]."""
         calls = []
 
         def spy(specs, env_config=None, **_kwargs):
             calls.append((list(specs), env_config))
-            return MagicMock()
+            return {}
 
-        monkeypatch.setattr(f"repro.core.experiments.{module}.measure_points", spy)
+        monkeypatch.setattr("repro.core.measurement.measure_points", spy)
         return calls
 
-    @pytest.mark.parametrize("module, run, builder, kwargs", [
-        ("fig6", fig6.run_fig6, fig6.fig6_specs,
-         {"buffer_sizes": (300, 7000), "target_buffers": 90}),
-        ("fig8", fig8.run_fig8, fig8.fig8_specs,
-         {"buffer_sizes": (4000,), "target_buffers": 70}),
-        ("fig15", fig15.run_fig15, fig15.fig15_specs,
-         {"stream_counts": (2, 3), "queries": (4, 6), "array_bytes": 50_000,
-          "array_count": 2}),
-        ("ablations", ablations.run_node_selection_ablation,
-         ablations.node_selection_specs,
-         {"stream_counts": (3,), "array_bytes": 60_000, "count": 2}),
-        ("ablations", ablations.run_buffer_choice_ablation,
-         ablations.buffer_choice_specs, {"buffer_sizes": (800, 9000)}),
+    @pytest.mark.parametrize("sweep, builder, kwargs", [
+        pytest.param(FIG6, fig6.fig6_specs,
+                     {"buffer_sizes": (300, 7000), "target_buffers": 90},
+                     id="fig6-run_sweep"),
+        pytest.param(FIG8, fig8.fig8_specs,
+                     {"buffer_sizes": (4000,), "target_buffers": 70},
+                     id="fig8-run_sweep"),
+        pytest.param(FIG15, fig15.fig15_specs,
+                     {"stream_counts": (2, 3), "queries": (4, 6),
+                      "array_bytes": 50_000, "array_count": 2},
+                     id="fig15-run_sweep"),
+        pytest.param(SELECTOR, ablations.node_selection_specs,
+                     {"stream_counts": (3,), "array_bytes": 60_000, "count": 2},
+                     id="ablations-run_sweep-selector"),
+        pytest.param(BUFFERS, ablations.buffer_choice_specs,
+                     {"buffer_sizes": (800, 9000)},
+                     id="ablations-run_sweep-buffers"),
     ])
     def test_run_measures_exactly_the_builders_specs(
-        self, monkeypatch, module, run, builder, kwargs
+        self, monkeypatch, sweep, builder, kwargs
     ):
-        calls = self._measured(monkeypatch, module)
-        run(**kwargs)
+        calls = self._measured(monkeypatch)
+        run_sweep(sweep, **kwargs)
         assert calls == [(builder(**kwargs), None)]
-        run()
+        run_sweep(sweep)
         assert calls[1] == (builder(), None)
 
     def test_scaling_measures_one_sweep_per_environment(self, monkeypatch):
-        calls = self._measured(monkeypatch, "scaling")
+        """One flat sweep now; each point still carries the environment of
+        its (partition, uplink) pair."""
+        calls = self._measured(monkeypatch)
         kwargs = {
             "partitions": (((4, 4, 2), 4), ((8, 4, 4), 16)),
             "uplinks_gbps": (2.5,), "queries": (6,), "array_bytes": 40_000,
             "array_count": 2,
         }
-        scaling.run_scaling_study(**kwargs)
-        assert calls == [
-            (specs, config) for config, specs in scaling.scaling_sweeps(**kwargs)
-        ]
-        assert [config.bluegene.torus_shape for _specs, config in calls] == [
+        run_sweep(SCALING, **kwargs)
+        assert calls == [(scaling.scaling_specs(**kwargs), None)]
+        ((specs, _config),) = calls
+        assert [spec.env_config.bluegene.torus_shape for spec in specs] == [
             (4, 4, 2), (8, 4, 4),
         ]
+        assert [spec.env_config.backend_nodes for spec in specs] == [4, 16]
 
     def test_gate_points_are_the_committed_baselines(self):
         keys = {point.key for point in bench_points()}
@@ -236,11 +248,10 @@ class TestSweepBuilders:
     def test_analyze_sweeps_verifies_every_spec_of_every_builder(self, capsys):
         code, reports = self._sweep_reports(capsys)
         assert code == 0
-        specs = (
-            fig6.fig6_specs() + fig8.fig8_specs() + fig15.fig15_specs()
-            + ablations.node_selection_specs() + ablations.buffer_choice_specs()
-            + [s for _config, specs in scaling.scaling_sweeps() for s in specs]
-        )
+        specs = [
+            spec for sweeps in FIGURES.values() for sweep in sweeps
+            for spec in sweep.specs()
+        ]
         assert len(reports) == len(specs) == 146
         labels = [report["label"] for report in reports]
         assert len(set(labels)) == len(labels)
@@ -253,12 +264,14 @@ class TestSweepBuilders:
         """40 receivers exhaust psetrr() on the default partition."""
         kwargs = {"stream_counts": (40,), "queries": (5,)}
         with pytest.raises(PlanVerificationError) as raised:
-            fig15.run_fig15(**kwargs, repeats=1)
+            run_sweep(FIG15, **kwargs, repeats=1)
         run_codes = [d.code for d in raised.value.diagnostics]
         assert "SCSQ104" in run_codes
+        # a NamedTuple key reads as the plain tuple it equals
+        assert "(5, 40)" in str(raised.value) and "Fig15Key" not in str(raised.value)
 
         specs = fig15.fig15_specs(**kwargs)
-        monkeypatch.setattr(fig15, "fig15_specs", lambda: specs)
+        monkeypatch.setitem(FIGURES, "fig15", (FIG15._replace(specs=lambda: specs),))
         code, reports = self._sweep_reports(capsys)
         assert code == 1
         (report,) = [r for r in reports if r["label"] == "fig15 (5, 40)"]

@@ -8,7 +8,8 @@ for all three experiment families.
 
 import pytest
 
-from repro.core.experiments import run_fig6, run_fig8, run_fig15
+from repro.core.experiments import FIGURES
+from repro.core.measurement import run_sweep
 from repro.net.params import NetworkParams
 from repro.optimizer.predict import (
     InboundShape,
@@ -20,6 +21,7 @@ from repro.util.units import MEGA
 
 PARAMS = NetworkParams()
 TOLERANCE = 0.15  # relative prediction error allowed
+(FIG6,), (FIG8,), (FIG15,) = (FIGURES[name] for name in ("fig6", "fig8", "fig15"))
 
 
 def mbps(bytes_per_second: float) -> float:
@@ -29,15 +31,14 @@ def mbps(bytes_per_second: float) -> float:
 class TestP2pPrediction:
     @pytest.fixture(scope="class")
     def measured(self):
-        result = run_fig6(buffer_sizes=(200, 1000, 100_000), repeats=2, target_buffers=800)
-        return result
+        return run_sweep(
+            FIG6, buffer_sizes=(200, 1000, 100_000), repeats=2, target_buffers=800
+        )
 
     @pytest.mark.parametrize("buffer_bytes", [200, 1000, 100_000])
     @pytest.mark.parametrize("double", [False, True])
     def test_matches_simulation(self, measured, buffer_bytes, double):
-        simulated = {
-            p.buffer_bytes: p.mbps for p in measured.curve(double)
-        }[buffer_bytes]
+        simulated = measured.at(buffer_bytes, double).mean_mbps
         predicted = mbps(predict_p2p_bandwidth(PARAMS, buffer_bytes, double))
         assert predicted == pytest.approx(simulated, rel=TOLERANCE)
 
@@ -56,14 +57,14 @@ class TestP2pPrediction:
 class TestMergePrediction:
     @pytest.fixture(scope="class")
     def measured(self):
-        return run_fig8(buffer_sizes=(1000, 100_000), repeats=2, target_buffers=500)
+        return run_sweep(
+            FIG8, buffer_sizes=(1000, 100_000), repeats=2, target_buffers=500
+        )
 
     @pytest.mark.parametrize("buffer_bytes", [1000, 100_000])
     @pytest.mark.parametrize("balanced", [False, True])
     def test_matches_simulation(self, measured, buffer_bytes, balanced):
-        simulated = {
-            p.buffer_bytes: p.mbps for p in measured.curve(balanced, True)
-        }[buffer_bytes]
+        simulated = measured.at(buffer_bytes, balanced, True).mean_mbps
         predicted = mbps(
             predict_merge_bandwidth(
                 PARAMS,
@@ -94,13 +95,13 @@ class TestInboundPrediction:
 
     @pytest.fixture(scope="class")
     def measured(self):
-        return run_fig15(
-            stream_counts=(1, 4), queries=(1, 2, 5, 6), repeats=2, array_count=5
+        return run_sweep(
+            FIG15, stream_counts=(1, 4), queries=(1, 2, 5, 6), repeats=2, array_count=5
         )
 
     @pytest.mark.parametrize("query,n", [(1, 1), (1, 4), (2, 4), (5, 4), (6, 4)])
     def test_matches_simulation(self, measured, query, n):
-        simulated = measured.at(query, n).mbps
+        simulated = measured.at(query, n).mean_mbps
         predicted = mbps(predict_inbound_bandwidth(PARAMS, self.SHAPES[(query, n)]))
         assert predicted == pytest.approx(simulated, rel=TOLERANCE)
 

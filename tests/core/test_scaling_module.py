@@ -2,31 +2,32 @@
 
 import pytest
 
-from repro.core.experiments.scaling import ScalingPoint, ScalingStudy, _environment
-from repro.core.measurement import BandwidthResult
+from repro.core.experiments import FIGURES
+from repro.core.experiments.scaling import ScalingKey, _environment
+from repro.core.measurement import BandwidthResult, SweepResult
 from repro.util.stats import summarize
 
+(SCALING,) = FIGURES["scaling"]
 
-def _point(query, io_nodes, uplink, mbps):
-    return ScalingPoint(
-        query_number=query,
-        num_io_nodes=io_nodes,
-        uplink_gbps=uplink,
-        result=BandwidthResult(mbps=summarize([mbps]), payload_bytes=1),
-    )
+
+def _study(*points):
+    return SweepResult(SCALING, {
+        ScalingKey(query, io_nodes, uplink): BandwidthResult(
+            mbps=summarize([mbps]), payload_bytes=1
+        )
+        for query, io_nodes, uplink, mbps in points
+    })
 
 
 class TestScalingStudyContainer:
     def test_at_lookup(self):
-        study = ScalingStudy(points=[_point(5, 4, 1.0, 900.0)])
-        assert study.at(5, 4, 1.0).mbps == 900.0
+        study = _study((5, 4, 1.0, 900.0))
+        assert study.at(5, 4, 1.0).mean_mbps == 900.0
         with pytest.raises(KeyError):
             study.at(6, 4, 1.0)
 
     def test_table_handles_missing_cells(self):
-        study = ScalingStudy(
-            points=[_point(5, 4, 1.0, 900.0), _point(6, 8, 10.0, 2000.0)]
-        )
+        study = _study((5, 4, 1.0, 900.0), (6, 8, 10.0, 2000.0))
         table = study.format_table()
         assert "Q5@1G" in table and "Q6@10G" in table
         assert "-" in table  # the missing combinations

@@ -8,38 +8,45 @@ the quickest test run.
 
 import pytest
 
-from repro.core.experiments import run_fig6, run_fig8, run_fig15
+from repro.core.experiments import FIGURES
+from repro.core.experiments.fig8 import balanced_advantage
+from repro.core.measurement import run_sweep
+
+(FIG6,), (FIG8,), (FIG15,) = (FIGURES[name] for name in ("fig6", "fig8", "fig15"))
 
 
 class TestFig6Ordinal:
     def test_knee_at_one_kilobyte(self):
-        fig6 = run_fig6(
+        fig6 = run_sweep(
+            FIG6,
             buffer_sizes=(200, 1000, 100_000),
             repeats=1,
             target_buffers=200,
         )
-        assert fig6.optimum(False).buffer_bytes == 1000
-        assert fig6.optimum(True).buffer_bytes == 1000
+        assert fig6.best(double_buffering=False)[0].buffer_bytes == 1000
+        assert fig6.best(double_buffering=True)[0].buffer_bytes == 1000
 
 
 class TestFig8Ordinal:
     def test_balanced_selection_beats_sequential(self):
-        fig8 = run_fig8(
+        fig8 = run_sweep(
+            FIG8,
             buffer_sizes=(200_000,),
             repeats=1,
             target_buffers=150,
         )
         for double in (False, True):
-            (sequential,) = fig8.curve(False, double)
-            (balanced,) = fig8.curve(True, double)
-            assert balanced.mbps > sequential.mbps
-        assert fig8.balanced_advantage() > 1.2
+            sequential = fig8.at(200_000, False, double)
+            balanced = fig8.at(200_000, True, double)
+            assert balanced.mean_mbps > sequential.mean_mbps
+        assert balanced_advantage(fig8) > 1.2
 
 
 class TestFig15Ordinal:
     @pytest.fixture(scope="class")
     def fig15(self):
-        return run_fig15(
+        return run_sweep(
+            FIG15,
             stream_counts=(4, 5),
             queries=(1, 5),
             repeats=1,
@@ -48,8 +55,8 @@ class TestFig15Ordinal:
 
     def test_query5_dips_when_io_nodes_are_shared(self, fig15):
         # n=5: a fifth receiving pset shares one of the four I/O nodes.
-        assert fig15.at(5, 4).mbps > fig15.at(5, 5).mbps
+        assert fig15.at(5, 4).mean_mbps > fig15.at(5, 5).mean_mbps
 
     def test_spread_psets_beat_single_io_node(self, fig15):
         # Query 5 (psetrr) uses four I/O nodes; Query 1 funnels through one.
-        assert fig15.at(5, 4).mbps > fig15.at(1, 4).mbps
+        assert fig15.at(5, 4).mean_mbps > fig15.at(1, 4).mean_mbps

@@ -12,24 +12,30 @@ Asserted claims, from the paper's Figure 6 discussion:
 
 import pytest
 
-from repro.core.experiments import run_fig6
+from repro.core.experiments import FIGURES
+from repro.core.measurement import run_sweep
+
+(FIG6,) = FIGURES["fig6"]
 
 BUFFER_SIZES = (200, 1000, 5000, 200_000)
 
 
 @pytest.fixture(scope="module")
 def fig6():
-    return run_fig6(buffer_sizes=BUFFER_SIZES, repeats=2, target_buffers=300)
+    return run_sweep(FIG6, buffer_sizes=BUFFER_SIZES, repeats=2, target_buffers=300)
 
 
 def curve(fig6, double):
-    return {p.buffer_bytes: p.mbps for p in fig6.curve(double)}
+    return {
+        key.buffer_bytes: point.mean_mbps
+        for key, point in fig6.curve(double_buffering=double)
+    }
 
 
 class TestFig6Shape:
     def test_optimum_is_1000_bytes_for_both_modes(self, fig6):
-        assert fig6.optimum(False).buffer_bytes == 1000
-        assert fig6.optimum(True).buffer_bytes == 1000
+        assert fig6.best(double_buffering=False)[0].buffer_bytes == 1000
+        assert fig6.best(double_buffering=True)[0].buffer_bytes == 1000
 
     def test_small_buffers_are_slow(self, fig6):
         for double in (False, True):
@@ -55,8 +61,8 @@ class TestFig6Shape:
         assert small_gain < large_gain
 
     def test_repeats_have_low_variance(self, fig6):
-        for point in fig6.points:
-            assert point.result.mbps.relative_std < 0.05
+        for point in fig6.points.values():
+            assert point.mbps.relative_std < 0.05
 
     def test_table_renders(self, fig6):
         table = fig6.format_table()

@@ -38,7 +38,7 @@ from repro.scsql.session import SCSQSession
 FIG15_QUERY = inbound_query(5, 5, 300_000, 3)
 
 
-def run_fig15(sampler=None, seed=0, flows=None):
+def run_q5_point(sampler=None, seed=0, flows=None):
     """One Fig 15 Q5 n=5 run; returns (report, obs)."""
     config = EnvironmentConfig().with_seed(seed)
     obs = Instrumentation(tracer=NULL_TRACER, flows=flows, live=sampler)
@@ -53,7 +53,7 @@ def run_fig15(sampler=None, seed=0, flows=None):
 def fig15_live():
     """One sampled Fig 15 run shared by the read-only assertions."""
     sampler = LiveSampler(window=DEFAULT_WINDOW)
-    report, obs = run_fig15(sampler)
+    report, obs = run_q5_point(sampler)
     return sampler, report, obs
 
 
@@ -74,8 +74,8 @@ class TestNullSampler:
 
     def test_disabled_sampler_changes_nothing(self):
         """With live off the run is identical to a metrics-only run."""
-        baseline, base_obs = run_fig15(None)
-        sampled, live_obs = run_fig15(LiveSampler(window=DEFAULT_WINDOW))
+        baseline, base_obs = run_q5_point(None)
+        sampled, live_obs = run_q5_point(LiveSampler(window=DEFAULT_WINDOW))
         assert sampled.result == baseline.result
         assert sampled.duration == baseline.duration  # float-exact
         assert (
@@ -119,8 +119,8 @@ class TestWindowAccounting:
 
     def test_sampler_adds_zero_events_even_when_enabled(self):
         """The sampler observes the event loop; it never schedules into it."""
-        _report, plain_obs = run_fig15(None, flows=NULL_FLOWS)
-        _report, live_obs = run_fig15(
+        _report, plain_obs = run_q5_point(None, flows=NULL_FLOWS)
+        _report, live_obs = run_q5_point(
             LiveSampler(window=DEFAULT_WINDOW), flows=NULL_FLOWS
         )
         assert (
@@ -147,8 +147,8 @@ class TestDeterminism:
     def test_windowed_series_deterministic_for_fixed_seed(self):
         first = LiveSampler(window=DEFAULT_WINDOW)
         second = LiveSampler(window=DEFAULT_WINDOW)
-        run_fig15(first, seed=3)
-        run_fig15(second, seed=3)
+        run_q5_point(first, seed=3)
+        run_q5_point(second, seed=3)
         assert first.series_document() == second.series_document()
         assert (
             [e.to_dict() for e in first.health_events]
