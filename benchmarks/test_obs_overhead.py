@@ -119,7 +119,7 @@ def test_kernel_throughput_live_disabled(benchmark):
 
 
 def test_query_live_sampler_enabled(benchmark):
-    """Windowed sampling + P2 sketches on every completed flow (opt-in).
+    """Windowed sampling + a latency list append on every completed flow (opt-in).
 
     A live sampler is not an observation level (nothing sweeps with one), so
     this row drives the same query on its own environment, as ``repro top``

@@ -61,7 +61,7 @@ from repro.obs.instrument import OBSERVE_FLOWS, live_instrumentation
 from repro.obs.live import LiveSampler
 from repro.scsql.plan import compile_plan
 from repro.util.errors import MeasurementError
-from repro.util.stats import percentile
+from repro.util.stats import latency_summary
 from repro.util.units import MEGA
 
 
@@ -187,8 +187,9 @@ def run_bench(
             latencies = result.flow_latencies()
             metrics[f"{point.key}/mbps"] = result.mean_mbps
             if latencies:
-                metrics[f"{point.key}/p50_ms"] = percentile(latencies, 50.0) * 1e3
-                metrics[f"{point.key}/p95_ms"] = percentile(latencies, 95.0) * 1e3
+                summary = latency_summary(latencies)
+                metrics[f"{point.key}/p50_ms"] = summary["p50"] * 1e3
+                metrics[f"{point.key}/p95_ms"] = summary["p95"] * 1e3
             lines.append(f"{point.key}: {result.mean_mbps:.1f} Mbps, "
                          f"{len(latencies)} flows")
         metrics[f"{figure}/wall_s"] = wall

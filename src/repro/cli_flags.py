@@ -111,8 +111,8 @@ def add_sanitize_flags(parser: argparse.ArgumentParser) -> None:
         "--sanitize", action="store_true",
         help="run under the dynamic sanitizer: audit every deployment "
              "teardown/migration for leaked processes, inboxes, carriers, "
-             "node slots and listeners, and exit 1 on findings (in-process "
-             "runs only — subprocess workers of --jobs N are not audited)",
+             "node slots and listeners, and exit 1 on findings (subprocess "
+             "workers of --jobs N are audited too)",
     )
     parser.add_argument(
         "--chaos-seed", type=int, default=None, metavar="SEED",

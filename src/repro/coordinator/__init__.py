@@ -1,10 +1,11 @@
-"""Coordination layer: deployer, cluster coordinators, node selection.
+"""Coordination layer: deployer, placement resolver, node selection.
 
 Implements the control plane of the paper's Figure 2: the client manager on
-the front-end cluster (the :class:`Deployer`) registers subqueries with the
-per-cluster coordinators (feCC, beCC, bgCC); one placement resolver selects
-nodes from their CNDBs — honouring user-supplied allocation sequences —
-and the deployment starts a running process on each.
+the front-end cluster (the :class:`Deployer`) registers subqueries with
+their clusters (a BlueGene registration pays the bgCC's polling latency);
+one placement resolver selects nodes from the cluster CNDBs — honouring
+user-supplied allocation sequences — and the deployment starts a running
+process on each.
 
 The names re-exported here are the ones imported through the package
 elsewhere in the repo; everything else is imported from its module.

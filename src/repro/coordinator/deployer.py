@@ -38,7 +38,6 @@ from repro.coordinator.allocation import (
     NaiveSelector,
     NodeSelector,
 )
-from repro.coordinator.coordinator import CoordinatorRegistry
 from repro.coordinator.graph import QueryGraph
 from repro.coordinator.resolver import placement_failure, resolve_placement
 from repro.engine.control import StopToken
@@ -46,7 +45,7 @@ from repro.engine.monitor import RPStatistics, snapshot
 from repro.engine.objects import END_OF_STREAM
 from repro.engine.rp import RunningProcess
 from repro.engine.settings import ExecutionSettings
-from repro.hardware.environment import FRONTEND, Environment
+from repro.hardware.environment import BLUEGENE, FRONTEND, Environment
 from repro.obs.metrics import MetricsSnapshot
 from repro.util.errors import PlanVerificationError, QueryExecutionError
 
@@ -58,6 +57,15 @@ if TYPE_CHECKING:
 #: Reserved id of the deployment's own collector RP (the client manager's
 #: root plan interpreter).
 ROOT_RP_ID = "__client_manager__"
+
+#: Simulated delay of one bgCC poll of the feCC registration queue.  "When
+#: the client manager identifies an SP, the sub-query of that SP is
+#: registered with the coordinator of the cluster where the sub-query is to
+#: be executed" (paper section 2.2); BlueGene compute nodes cannot accept
+#: connections, so the bgCC "retrieves new sub-queries from the feCC by
+#: polling" and a deployment with a BlueGene SP pays this once before its
+#: RPs exist.  The feCC and beCC accept registrations immediately.
+BG_POLL_INTERVAL = 1e-3
 
 
 @dataclass
@@ -257,13 +265,11 @@ class Deployment:
     def __init__(
         self,
         env: Environment,
-        coordinators: CoordinatorRegistry,
         node: "Node",
         placed: PlacedPlan,
         rp_prefix: str = "",
     ):
         self.env = env
-        self.coordinators = coordinators
         self.node = node
         self.graph = placed.graph
         self.settings = placed.settings
@@ -276,7 +282,7 @@ class Deployment:
             raise placement_failure(diagnostics)
         self.rps: Dict[str, RunningProcess] = {}
         self.setup_latency = max(
-            (coordinators[sp.cluster].registration_latency
+            (BG_POLL_INTERVAL if sp.cluster == BLUEGENE else 0.0
              for sp in self.graph.sps.values()),
             default=0.0,
         )
@@ -601,9 +607,8 @@ class Deployer:
     or, for the common single-query case, :meth:`run` does all four steps.
     """
 
-    def __init__(self, env: Environment, coordinators: Optional[CoordinatorRegistry] = None):
+    def __init__(self, env: Environment):
         self.env = env
-        self.coordinators = coordinators or CoordinatorRegistry(env)
         self.node = env.node(FRONTEND, 0)
         self.deployments: List[Deployment] = []
 
@@ -675,9 +680,7 @@ class Deployer:
                 raise ValueError(f"verify mode must be 'warn' or 'strict', not {verify!r}")
             report = self.verify(placed, label=rp_prefix.rstrip("/") or "query")
             report.raise_if_failed(strict=verify == "strict")
-        deployment = Deployment(
-            self.env, self.coordinators, self.node, placed, rp_prefix=rp_prefix
-        )
+        deployment = Deployment(self.env, self.node, placed, rp_prefix=rp_prefix)
         self.deployments.append(deployment)
         return deployment
 

@@ -15,7 +15,7 @@ Five consumers are served:
   sampler's closed windows plus health events the same way;
 * scrapers — :func:`prometheus_exposition` renders a point-in-time text
   exposition (``# TYPE`` + ``name{label="value"} sample`` lines) of the
-  metric registry and live latency quantiles;
+  metric registry and the run's flow-latency percentiles;
 * humans — :func:`utilization_summary` prints the busiest resources, store
   levels, and counters of one instrumented run as plain text, and
   :func:`live_table` renders the per-window view ``repro top`` shows;
@@ -29,10 +29,12 @@ import json
 from typing import IO, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.flow import NullFlowRecorder
+from repro.obs.health import utilization_leader
 from repro.obs.instrument import Instrumentation
 from repro.obs.live import NullLiveSampler, WindowSample
 from repro.obs.profile import profile
 from repro.obs.tracer import NullTracer, TraceRecord
+from repro.util.stats import latency_summary
 
 #: Simulated seconds -> trace microseconds (the unit Chrome traces use).
 _MICROS = 1e6
@@ -421,8 +423,9 @@ def prometheus_exposition(obs: Instrumentation,
 
     Counters become ``<prefix>_<family>_total``, gauges and time-weighted
     means/maxima become gauges; the registry's ``family[key]`` names map
-    to an ``entity="key"`` label.  When a live sampler is attached, its
-    cumulative flow-latency sketch is exposed as a summary
+    to an ``entity="key"`` label.  When a live sampler is attached, the
+    :func:`~repro.util.stats.latency_summary` of the recorder's completed
+    data flows is exposed as a summary
     (``<prefix>_flow_latency_seconds{quantile="..."}``) along with window
     and health-event totals.  Families and entities are emitted in sorted
     order so the exposition is deterministic for a fixed seed.
@@ -456,14 +459,15 @@ def prometheus_exposition(obs: Instrumentation,
 
     live = obs.live
     if live.enabled:
-        sketch = getattr(live, "latency", None)
-        if sketch is not None and sketch.count > 0:
+        latencies = obs.flows.latencies()
+        if latencies:
+            summary = latency_summary(latencies)
             metric = f"{prefix}_flow_latency_seconds"
             lines.append(f"# TYPE {metric} summary")
-            for q in sketch.quantiles:
-                lines.append(f'{metric}{{quantile="{q:g}"}} {sketch.quantile(q):.9g}')
-            lines.append(f"{metric}_sum {sketch.total:.9g}")
-            lines.append(f"{metric}_count {sketch.count}")
+            for quantile, key in (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99")):
+                lines.append(f'{metric}{{quantile="{quantile}"}} {summary[key]:.9g}')
+            lines.append(f"{metric}_sum {sum(latencies):.9g}")
+            lines.append(f"{metric}_count {summary['n']}")
         lines.append(f"# TYPE {prefix}_live_windows_total counter")
         lines.append(f"{prefix}_live_windows_total {len(live.windows)}")
         lines.append(f"# TYPE {prefix}_health_events_total counter")
@@ -487,7 +491,7 @@ LIVE_HEADER = (
 def live_row(window: WindowSample) -> str:
     """One formatted window row (shared by :func:`live_table` and the
     streaming ``repro top`` output)."""
-    top_name, top_util = window.top_resource()
+    top_name, top_util = utilization_leader(window.utilization)
     busiest = (
         f"{top_name} {100.0 * top_util:5.1f}%" if top_name is not None else "-"
     )
@@ -502,14 +506,14 @@ def live_row(window: WindowSample) -> str:
 
 
 def live_footer(sampler: NullLiveSampler) -> str:
-    """The cumulative-sketch / culprit / health-event summary lines."""
+    """The cumulative-latency / culprit / health-event summary lines."""
     lines: List[str] = []
-    sketch = getattr(sampler, "latency", None)
-    if sketch is not None and sketch.count > 0:
+    summary = latency_summary(sampler.latencies())
+    if summary["n"]:
         lines.append(
-            f"cumulative: {sketch.count} flows, latency p50 "
-            f"{sketch.p50 * 1e3:.3f} ms / p95 {sketch.p95 * 1e3:.3f} ms / "
-            f"p99 {sketch.p99 * 1e3:.3f} ms"
+            f"cumulative: {summary['n']} flows, latency p50 "
+            f"{summary['p50'] * 1e3:.3f} ms / p95 {summary['p95'] * 1e3:.3f} ms / "
+            f"p99 {summary['p99'] * 1e3:.3f} ms"
         )
     culprit = getattr(sampler, "culprit", None)
     if culprit is not None:
@@ -528,7 +532,7 @@ def live_table(sampler: NullLiveSampler, limit: Optional[int] = None) -> str:
     One row per closed window: event and flow counts, delivered
     throughput, window latency percentiles (ms), and the busiest resource
     with its windowed utilization.  ``limit`` keeps only the most recent
-    rows.  A footer reports the cumulative latency sketch and the
+    rows.  A footer reports the cumulative latency percentiles and the
     detector's current culprit + health-event tally.
     """
     windows = sampler.windows

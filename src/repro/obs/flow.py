@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.util.stats import percentile
+from repro.util.stats import latency_summary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.message import WireBuffer
@@ -214,8 +214,8 @@ class FlowRecorder(NullFlowRecorder):
     ) -> None:
         """Subscribe to flow completions (called with each sealed record).
 
-        This is the push feed the live sampler rides: latency sketches
-        update at completion time instead of scanning ``completed`` at
+        This is the push feed the live sampler rides: the open window
+        fills at completion time instead of scanning ``completed`` at
         every window boundary.  ``owner`` tags the subscription for the
         leak sanitizer's listener census — pass the label of the component
         responsible for detaching it.
@@ -400,15 +400,9 @@ class FlowRecorder(NullFlowRecorder):
             for index, value in enumerate(record._component_sums()):
                 totals[index] += value
         for stream_id, (latencies, totals) in per_stream.items():
-            metrics.set_gauge(f"flow.completed[{stream_id}]", len(latencies))
-            metrics.set_gauge(
-                f"flow.latency.mean[{stream_id}]",
-                sum(latencies) / len(latencies),
-            )
-            for q, tag in ((50.0, "p50"), (95.0, "p95"), (99.0, "p99")):
-                metrics.set_gauge(
-                    f"flow.latency.{tag}[{stream_id}]",
-                    percentile(latencies, q),
-                )
+            summary = latency_summary(latencies)
+            metrics.set_gauge(f"flow.completed[{stream_id}]", summary["n"])
+            for tag in ("mean", "p50", "p95", "p99"):
+                metrics.set_gauge(f"flow.latency.{tag}[{stream_id}]", summary[tag])
             for component, value in zip(_COMPONENTS, totals):
                 metrics.set_gauge(f"flow.time.{component}[{stream_id}]", value)

@@ -40,10 +40,8 @@ __all__ = [
     "ContinuousBottleneckDetector",
     "resource_scope",
     "base_stream",
+    "utilization_leader",
 ]
-
-#: Event kinds a detector can emit.
-KINDS: Tuple[str, ...] = ("saturated", "degraded", "recovered")
 
 
 def resource_scope(resource: str) -> str:
@@ -76,6 +74,25 @@ def base_stream(stream_id: str) -> str:
     """
     prefix = stream_id.split("/", 1)[0]
     return prefix.split("+", 1)[0]
+
+
+def utilization_leader(
+    utilization: Mapping[str, float],
+) -> Tuple[Optional[str], float]:
+    """(name, utilization) of the busiest resource of one window.
+
+    Ties go to the first name in sorted order; ``(None, 0.0)`` when nothing
+    was busy.  Read by the detector's ranking and by the busiest-resource
+    column of the ``repro top`` table, so the two name the same leader.
+    """
+    leader: Optional[str] = None
+    best = 0.0
+    for name in sorted(utilization):
+        value = utilization[name]
+        if value > best:
+            best = value
+            leader = name
+    return leader, best
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,7 +166,7 @@ class ContinuousBottleneckDetector:
 
     __slots__ = (
         "high", "low", "up_windows", "down_windows", "stall_windows",
-        "events", "_state", "_above", "_below", "_lead", "_lead_streak",
+        "events", "_state", "_above", "_below", "_lead",
         "_lead_counts", "_stream_seen", "_stream_degraded", "_stall_streak",
         "_recovered_prefixes", "_listeners", "_listener_owners",
     )
@@ -173,7 +190,6 @@ class ContinuousBottleneckDetector:
         self._above: Dict[str, int] = {}
         self._below: Dict[str, int] = {}
         self._lead: Optional[str] = None
-        self._lead_streak = 0
         self._lead_counts: Dict[str, int] = {}   # saturated-window leads
         self._stream_seen: Dict[str, bool] = {}   # base -> delivered before
         self._stream_degraded: Dict[str, bool] = {}
@@ -306,20 +322,10 @@ class ContinuousBottleneckDetector:
 
     def _rerank(self, utilization: Mapping[str, float]) -> None:
         """Track the utilization leader and its saturated-lead tally."""
-        leader: Optional[str] = None
-        best = 0.0
-        for name in sorted(utilization):
-            value = utilization[name]
-            if value > best:
-                best = value
-                leader = name
+        leader, best = utilization_leader(utilization)
         if leader is None:
             return
-        if leader == self._lead:
-            self._lead_streak += 1
-        else:
-            self._lead = leader
-            self._lead_streak = 1
+        self._lead = leader
         if best >= self.high:
             self._lead_counts[leader] = self._lead_counts.get(leader, 0) + 1
 

@@ -11,7 +11,8 @@ publishes a :class:`WindowSample` carrying
   window divided by window length and capacity),
 * per-store **mean queue depth** over the window,
 * flow **throughput** (completions, delivered bytes, Mbit/s) and a
-  window-local latency sketch (p50/p95/p99 via :mod:`repro.obs.sketch`),
+  window-local latency summary (exact p50/p95/p99 via
+  :func:`repro.util.stats.latency_summary`),
 * sim-event counts and the in-flight flow census,
 
 and feeds the :class:`~repro.obs.health.ContinuousBottleneckDetector`,
@@ -46,10 +47,10 @@ check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.obs.health import ContinuousBottleneckDetector, HealthEvent, base_stream
-from repro.obs.sketch import LatencySketch
+from repro.util.stats import latency_summary
 from repro.util.units import MEGA
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,9 +69,6 @@ __all__ = [
 #: milliseconds to tens of milliseconds, so 2 ms yields a handful to a
 #: few dozen windows on every stock figure point.
 DEFAULT_WINDOW = 0.002
-
-#: Hop components mirrored from :meth:`repro.obs.flow.FlowRecord.component_totals`.
-HOP_COMPONENTS: Tuple[str, ...] = ("serialize", "queue_wait", "wire", "processing")
 
 _BUSY_PREFIX = "resource.busy["
 _LEVEL_PREFIX = "store.level["
@@ -91,7 +89,8 @@ class WindowSample:
     """Flows still travelling at the window boundary."""
     throughput_mbps: float
     latency: Dict[str, float] = field(default_factory=dict)
-    """Window-local latency sketch summary (``n``/``mean``/``p50``/...)."""
+    """:func:`~repro.util.stats.latency_summary` of the flows completed
+    inside the window (``n``/``mean``/``min``/``max``/``p50``/``p95``/``p99``)."""
     utilization: Dict[str, float] = field(default_factory=dict)
     """Resource -> busy fraction of capacity over the window."""
     queues: Dict[str, float] = field(default_factory=dict)
@@ -106,15 +105,6 @@ class WindowSample:
     @property
     def span(self) -> float:
         return self.end - self.start
-
-    def top_resource(self) -> Tuple[Optional[str], float]:
-        """(name, utilization) of the window's busiest resource."""
-        best: Tuple[Optional[str], float] = (None, 0.0)
-        for name in sorted(self.utilization):
-            value = self.utilization[name]
-            if value > best[1]:
-                best = (name, value)
-        return best
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -150,6 +140,9 @@ class NullLiveSampler:
     def health_events(self) -> List[HealthEvent]:
         return []
 
+    def latencies(self) -> List[float]:
+        return []
+
     def bind(self, obs: "Instrumentation") -> None:
         pass
 
@@ -173,12 +166,11 @@ NULL_LIVE = NullLiveSampler()
 class _WindowAccumulator:
     """Mutable counters for the window currently being filled."""
 
-    __slots__ = ("flows", "nbytes", "sketch", "stream_bytes", "sp_bytes")
+    __slots__ = ("nbytes", "latencies", "stream_bytes", "sp_bytes")
 
     def __init__(self) -> None:
-        self.flows = 0
         self.nbytes = 0
-        self.sketch = LatencySketch()
+        self.latencies: List[float] = []
         self.stream_bytes: Dict[str, float] = {}
         self.sp_bytes: Dict[str, float] = {}
 
@@ -202,8 +194,7 @@ class LiveSampler(NullLiveSampler):
     """
 
     __slots__ = (
-        "window", "detector", "latency", "hop_latency", "flows_completed",
-        "bytes_delivered", "_windows", "_on_window", "_obs", "_boundary",
+        "window", "detector", "_windows", "_on_window", "_obs", "_boundary",
         "_index", "_acc", "_prev_busy", "_prev_level", "_prev_events",
         "_capacity", "_finalized",
     )
@@ -217,12 +208,6 @@ class LiveSampler(NullLiveSampler):
             raise ValueError(f"window must be > 0 simulated seconds, got {window!r}")
         self.window = window
         self.detector = detector if detector is not None else ContinuousBottleneckDetector()
-        self.latency = LatencySketch()           # cumulative end-to-end
-        self.hop_latency: Dict[str, LatencySketch] = {
-            component: LatencySketch() for component in HOP_COMPONENTS
-        }
-        self.flows_completed = 0
-        self.bytes_delivered = 0
         self._windows: List[WindowSample] = []
         self._on_window = on_window
         self._obs: Optional["Instrumentation"] = None
@@ -269,26 +254,14 @@ class LiveSampler(NullLiveSampler):
         """The detector's current ranked bottleneck (None before data)."""
         return self.detector.culprit
 
-    def series(self, key: str) -> List[float]:
-        """One windowed latency/throughput series by key for export.
+    def latencies(self) -> List[float]:
+        """End-to-end latencies of every data flow completed so far.
 
-        Keys: ``p50``/``p95``/``p99``/``mean`` (window latency, seconds),
-        ``mbps``, ``flows``, ``events``, ``in_flight``, ``end`` (boundary
-        timestamps).
+        Read from the bound hub's flow recorder — the sampler is subscribed
+        to it and keeps no cumulative state of its own, so the footer and
+        the Prometheus summary cannot disagree with the recorder.
         """
-        if key in ("p50", "p95", "p99", "mean"):
-            return [w.latency.get(key, 0.0) for w in self._windows]
-        if key == "mbps":
-            return [w.throughput_mbps for w in self._windows]
-        if key == "flows":
-            return [float(w.flows_completed) for w in self._windows]
-        if key == "events":
-            return [float(w.events) for w in self._windows]
-        if key == "in_flight":
-            return [float(w.in_flight) for w in self._windows]
-        if key == "end":
-            return [w.end for w in self._windows]
-        raise KeyError(f"unknown live series {key!r}")
+        return self._obs.flows.latencies() if self._obs is not None else []
 
     # ------------------------------------------------------------------
     # Hooks (hub-driven, behind `live.enabled`)
@@ -318,18 +291,11 @@ class LiveSampler(NullLiveSampler):
         )
 
     def _observe_flow(self, record: "FlowRecord") -> None:
-        """FlowRecorder completion listener: feed sketches + throughput."""
+        """FlowRecorder completion listener: fill the open window."""
         if record.eos:
             return
-        latency = record.latency
-        self.latency.add(latency)
-        self.flows_completed += 1
-        self.bytes_delivered += record.nbytes
-        for component, value in record.component_totals().items():
-            self.hop_latency[component].add(value)
         acc = self._acc
-        acc.sketch.add(latency)
-        acc.flows += 1
+        acc.latencies.append(record.latency)
         acc.nbytes += record.nbytes
         base = base_stream(record.stream_id)
         acc.stream_bytes[base] = acc.stream_bytes.get(base, 0.0) + record.nbytes
@@ -385,13 +351,13 @@ class LiveSampler(NullLiveSampler):
             start=start,
             end=end,
             events=events,
-            flows_completed=acc.flows,
+            flows_completed=len(acc.latencies),
             bytes_delivered=acc.nbytes,
             in_flight=in_flight,
             throughput_mbps=(
                 acc.nbytes * 8.0 / MEGA / span if span > 0.0 else 0.0
             ),
-            latency=acc.sketch.summary(),
+            latency=latency_summary(acc.latencies),
             utilization={k: utilization[k] for k in sorted(utilization)},
             queues={k: queues[k] for k in sorted(queues)},
             stream_bytes={k: acc.stream_bytes[k] for k in sorted(acc.stream_bytes)},
@@ -430,15 +396,16 @@ class LiveSampler(NullLiveSampler):
     # ------------------------------------------------------------------
     def series_document(self) -> Dict[str, object]:
         """The windowed series as one JSON-ready document (BENCH embed)."""
+        windows = self._windows
         return {
             "window_s": self.window,
-            "windows": len(self._windows),
-            "end": self.series("end"),
-            "p50": self.series("p50"),
-            "p95": self.series("p95"),
-            "p99": self.series("p99"),
-            "mbps": self.series("mbps"),
-            "flows": self.series("flows"),
+            "windows": len(windows),
+            "end": [w.end for w in windows],
+            "p50": [w.latency["p50"] for w in windows],
+            "p95": [w.latency["p95"] for w in windows],
+            "p99": [w.latency["p99"] for w in windows],
+            "mbps": [w.throughput_mbps for w in windows],
+            "flows": [float(w.flows_completed) for w in windows],
             "culprit": self.culprit,
             "health": [event.to_dict() for event in self.health_events],
         }

@@ -35,7 +35,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.flow import FlowRecord, FlowRecorder, NullFlowRecorder
 from repro.obs.instrument import NullInstrumentation
-from repro.util.stats import percentile
+from repro.util.stats import latency_summary
 
 
 @dataclass(frozen=True)
@@ -272,17 +272,17 @@ def profile_flows(records: Sequence[FlowRecord], dropped: int = 0) -> Bottleneck
         key=lambda c: c.total,
         reverse=True,
     )
-    streams = [
-        StreamLatency(
+    streams = []
+    for stream_id, latencies in sorted(per_stream.items()):
+        summary = latency_summary(latencies)
+        streams.append(StreamLatency(
             stream_id=stream_id,
-            flows=len(latencies),
-            mean=sum(latencies) / len(latencies),
-            p50=percentile(latencies, 50.0),
-            p95=percentile(latencies, 95.0),
-            p99=percentile(latencies, 99.0),
-        )
-        for stream_id, latencies in sorted(per_stream.items())
-    ]
+            flows=summary["n"],
+            mean=summary["mean"],
+            p50=summary["p50"],
+            p95=summary["p95"],
+            p99=summary["p99"],
+        ))
     return BottleneckReport(
         flows=flows, dropped=dropped, resources=resources,
         stages=stages, streams=streams,

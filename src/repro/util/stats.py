@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Dict, List, Sequence
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,11 @@ def percentile(samples: Sequence[float], q: float) -> float:
     values = sorted(float(s) for s in samples)
     if not values:
         raise ValueError("cannot take a percentile of an empty sample sequence")
+    return _rank_value(values, q)
+
+
+def _rank_value(values: List[float], q: float) -> float:
+    """The ``q``-th percentile of the sorted, non-empty ``values``."""
     if len(values) == 1:
         return values[0]
     rank = (q / 100.0) * (len(values) - 1)
@@ -76,19 +81,30 @@ def percentile(samples: Sequence[float], q: float) -> float:
     return values[lower] + fraction * (values[upper] - values[lower])
 
 
-def p50(samples: Sequence[float]) -> float:
-    """The median (50th percentile) of ``samples``."""
-    return percentile(samples, 50.0)
+def latency_summary(latencies: Sequence[float]) -> Dict[str, float]:
+    """``n``/``mean``/``min``/``max``/``p50``/``p95``/``p99`` of a latency list.
 
-
-def p95(samples: Sequence[float]) -> float:
-    """The 95th percentile of ``samples``."""
-    return percentile(samples, 95.0)
-
-
-def p99(samples: Sequence[float]) -> float:
-    """The 99th percentile of ``samples``."""
-    return percentile(samples, 99.0)
+    The one definition of a run's latency percentiles: the live windows,
+    ``repro top``'s footer, the Prometheus summary, the ``flow.latency.*``
+    gauges, the bottleneck report and the BENCH gate all read this, so they
+    agree by construction.  Each percentile is float-identical to
+    :func:`percentile` of the same list (one sort instead of three); the
+    mean is summed in arrival order.  An empty list yields all zeros.
+    """
+    if not latencies:
+        return {"n": 0, "mean": 0.0, "min": 0.0, "max": 0.0,
+                "p50": 0.0, "p95": 0.0, "p99": 0.0}
+    mean = sum(latencies) / len(latencies)
+    values = sorted(float(s) for s in latencies)
+    return {
+        "n": len(values),
+        "mean": mean,
+        "min": values[0],
+        "max": values[-1],
+        "p50": _rank_value(values, 50.0),
+        "p95": _rank_value(values, 95.0),
+        "p99": _rank_value(values, 99.0),
+    }
 
 
 def summarize(samples: Sequence[float]) -> MeasurementStats:

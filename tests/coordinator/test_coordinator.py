@@ -1,14 +1,17 @@
-"""Unit tests for cluster coordinators, node selection, and the deployer."""
+"""Unit tests for subquery registration, node selection, and the deployer."""
 
 import pytest
 
 from repro.coordinator.allocation import AllocationSequence, NaiveSelector
-from repro.coordinator.coordinator import BG_POLL_INTERVAL, CoordinatorRegistry
-from repro.coordinator.deployer import ROOT_RP_ID, Deployer
+from repro.coordinator.deployer import BG_POLL_INTERVAL, ROOT_RP_ID, Deployer
 from repro.coordinator.graph import QueryGraph, SPDef
 from repro.coordinator.resolver import resolve_placement
 from repro.engine.sqep import plan_input, plan_op
-from repro.util.errors import AllocationError, QuerySemanticError
+from repro.util.errors import (
+    AllocationError,
+    PlanVerificationError,
+    QuerySemanticError,
+)
 
 
 class TestCoordinator:
@@ -29,16 +32,25 @@ class TestCoordinator:
     def test_allocation_sequence_honoured(self, env):
         assert self._place_one(env, AllocationSequence(7)).index == 7
 
+    @staticmethod
+    def _one_sp_graph(cluster):
+        graph = QueryGraph()
+        graph.add(SPDef("x", cluster, plan_op("iota", 1, 3)))
+        graph.root_plan = plan_input("x")
+        return graph
+
     def test_bluegene_pays_polling_latency(self, env):
-        registry = CoordinatorRegistry(env)
-        assert registry["bg"].registration_latency == BG_POLL_INTERVAL
-        assert registry["be"].registration_latency == 0.0
-        assert registry["fe"].registration_latency == 0.0
+        deployer = Deployer(env)
+        for cluster, latency in (("bg", BG_POLL_INTERVAL), ("be", 0.0), ("fe", 0.0)):
+            deployment = deployer.deploy(deployer.place(self._one_sp_graph(cluster)))
+            assert deployment.setup_latency == latency
+            deployment.teardown()
 
     def test_unknown_cluster(self, env):
-        registry = CoordinatorRegistry(env)
-        with pytest.raises(AllocationError):
-            registry["gpu"]
+        deployer = Deployer(env)
+        with pytest.raises(PlanVerificationError, match="unknown cluster") as info:
+            deployer.deploy(deployer.place(self._one_sp_graph("gpu")))
+        assert [d.code for d in info.value.diagnostics] == ["SCSQ101"]
 
 
 class TestQueryGraph:

@@ -112,7 +112,7 @@ class TestWindowAccounting:
         sampler, _report, obs = fig15_live
         completed = [r for r in obs.flows.completed if not r.eos]
         assert sum(w.flows_completed for w in sampler.windows) == len(completed)
-        assert sampler.latency.count == len(completed)
+        assert len(sampler.latencies()) == len(completed)
         assert sum(w.bytes_delivered for w in sampler.windows) == sum(
             r.nbytes for r in completed
         )
@@ -337,7 +337,7 @@ class TestDetectorUnit:
 class TestLintCleanliness:
     """The live-plane modules pass DET001-005 even under hot-path rules."""
 
-    @pytest.mark.parametrize("module", ["live", "sketch", "health"])
+    @pytest.mark.parametrize("module", ["live", "health"])
     def test_clean_under_hot_path_rules(self, module, tmp_path):
         source = (
             Path(__file__).resolve().parents[2]

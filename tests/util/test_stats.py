@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.stats import p50, p95, p99, percentile, summarize
+from repro.util.stats import latency_summary, percentile, summarize
 
 
 class TestSummarize:
@@ -99,9 +99,8 @@ class TestPercentile:
 
     def test_shorthands(self):
         values = list(range(101))  # 0..100: p-th percentile is p exactly
-        assert p50(values) == 50.0
-        assert p95(values) == 95.0
-        assert p99(values) == 99.0
+        summary = latency_summary(values)
+        assert (summary["p50"], summary["p95"], summary["p99"]) == (50.0, 95.0, 99.0)
 
     @given(
         st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=60),
@@ -111,3 +110,31 @@ class TestPercentile:
         value = percentile(samples, q)
         assert min(samples) <= value <= max(samples)
         assert percentile(samples, 0.0) <= value <= percentile(samples, 100.0)
+
+
+class TestLatencySummary:
+    """One sort, the same floats as three ``percentile`` calls."""
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=200))
+    def test_float_identical_to_three_percentile_calls(self, samples):
+        before = list(samples)
+        summary = latency_summary(samples)
+        assert samples == before
+        assert summary["p50"] == percentile(samples, 50.0)
+        assert summary["p95"] == percentile(samples, 95.0)
+        assert summary["p99"] == percentile(samples, 99.0)
+        assert summary["n"] == len(samples)
+        assert summary["min"] == min(samples)
+        assert summary["max"] == max(samples)
+
+    def test_mean_is_summed_in_arrival_order(self):
+        # In arrival order the +1.0 survives the cancellation; summed after
+        # sorting (-1e16, 1.0, 1e16) a left-to-right sum loses it.
+        samples = [1e16, -1e16, 1.0]
+        assert latency_summary(samples)["mean"] == sum(samples) / 3 == 1.0 / 3
+
+    def test_empty_list_is_all_zeros(self):
+        assert latency_summary([]) == {
+            "n": 0, "mean": 0.0, "min": 0.0, "max": 0.0,
+            "p50": 0.0, "p95": 0.0, "p99": 0.0,
+        }
