@@ -7,18 +7,16 @@ document, reads one back and compares a run against a committed baseline.
 The direction of a metric is carried by its name suffix, so a baseline
 file stays self-describing: ``…/mbps`` regresses when it *drops* below
 baseline by more than the tolerance; ``…_ms`` and ``…_s`` regress when
-they *rise* (``events_per_sec`` ends in neither and is higher-is-better).
+they *rise*.
 The name's head (:func:`figure_of_metric`) is the suite that produced it —
 a gate figure, or ``power`` / ``throughput`` / ``fault`` — so one baseline
 file holds every suite and a run is compared against its own suites' keys.
 
-The simulated metrics are seeded, so on one code revision the recorded
-numbers are bit-identical run to run; any drift against the committed
-``BENCH_baseline.json`` is a code change, not noise.  The wall-clock
-family (``…/wall_s``, ``…/events_per_sec``) is *host-dependent* — it varies
-with the machine and its load — so it is compared under a much wider
-tolerance (:data:`WALL_CLOCK_TOLERANCE_PCT`) and is best consumed as a
-warn-only trend line in CI, not a hard gate.
+Every metric is simulated and seeded, so on one code revision the
+recorded document is byte-identical run to run; any drift against the
+committed ``BENCH_baseline.json`` is a code change, not noise.  Host time
+is not measured here: the calibrated ledger (``benchmarks/ledger``,
+``BENCHMARK.json``) owns it.
 """
 
 from __future__ import annotations
@@ -32,11 +30,6 @@ BENCH_FORMAT_VERSION = 2
 
 #: Default regression tolerance, percent of the baseline value.
 DEFAULT_TOLERANCE_PCT = 5.0
-
-#: Tolerance for host wall-clock metrics (``…/wall_s``,
-#: ``…/events_per_sec``): these vary with the machine running the bench,
-#: so only a gross collapse should trip the gate.
-WALL_CLOCK_TOLERANCE_PCT = 50.0
 
 
 # ----------------------------------------------------------------------
@@ -77,8 +70,8 @@ def load_bench(path: str) -> Dict[str, float]:
 def figure_of_metric(metric_name: str) -> str:
     """The suite a metric belongs to.
 
-    ``"fig6[B=200,double]/mbps"`` and ``"fig6/wall_s"`` both map to
-    ``"fig6"``, ``"fault[kill-node,n=2]/recovery_s"`` to ``"fault"``; the
+    ``"fig6[B=200,double]/mbps"`` maps to ``"fig6"``,
+    ``"fault[kill-node,n=2]/recovery_s"`` to ``"fault"``; the
     bench CLI compares a run against the baseline keys of the suites it
     was asked to produce.
     """
@@ -87,18 +80,12 @@ def figure_of_metric(metric_name: str) -> str:
 
 def higher_is_better(metric_name: str) -> bool:
     """Metric direction by name suffix: bandwidth and throughput up,
-    latency and wall time down.
+    latency and recovery time down.
 
     ``…_ms`` and ``…_s`` are durations (lower is better); everything else
-    — ``…/mbps``, ``…/events_per_sec`` — is a rate (higher is better).
+    — ``…/mbps``, ``…/retained_ratio`` — is a rate (higher is better).
     """
     return not (metric_name.endswith("_ms") or metric_name.endswith("_s"))
-
-
-def is_wall_clock(metric_name: str) -> bool:
-    """Whether a metric measures host time (noisy) rather than simulated
-    behaviour (deterministic)."""
-    return metric_name.endswith("/wall_s") or metric_name.endswith("/events_per_sec")
 
 
 @dataclass(frozen=True)
@@ -131,9 +118,11 @@ class MetricDelta:
         if self.current is None:
             return f"{self.name}: MISSING from current run (baseline {self.baseline:g})"
         verdict = "REGRESSED" if self.regressed else "ok"
+        delta_pct = self.delta_pct
+        change = "n/a" if delta_pct is None else f"{delta_pct:+.2f}%"
         return (
             f"{self.name}: {self.baseline:g} -> {self.current:g} "
-            f"({self.delta_pct:+.2f}%, {direction}, "
+            f"({change}, {direction}, "
             f"tol {self.tolerance_pct:g}%) {verdict}"
         )
 
@@ -143,12 +132,7 @@ def compare_bench(
     current: Dict[str, float],
     tolerance_pct: float = DEFAULT_TOLERANCE_PCT,
 ) -> Tuple[List[MetricDelta], List[str]]:
-    """Compare a run against a baseline.
-
-    Simulated metrics are gated at ``tolerance_pct``; wall-clock metrics
-    (:func:`is_wall_clock`) at the much wider
-    :data:`WALL_CLOCK_TOLERANCE_PCT` since they depend on the host running
-    the bench.
+    """Compare a run against a baseline, every metric at ``tolerance_pct``.
 
     Returns:
         ``(deltas, new_metrics)``: one delta per baseline metric (missing
@@ -161,9 +145,7 @@ def compare_bench(
             name=name,
             baseline=value,
             current=current.get(name),
-            tolerance_pct=(
-                WALL_CLOCK_TOLERANCE_PCT if is_wall_clock(name) else tolerance_pct
-            ),
+            tolerance_pct=tolerance_pct,
         )
         for name, value in sorted(baseline.items())
     ]

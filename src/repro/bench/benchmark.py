@@ -3,7 +3,8 @@
 * **gate mode** — a fast, deterministic subset of the paper's figure
   sweeps (:func:`bench_points`) run with flow tracing on, plus the
   4096-node ``scale`` figure and the adaptive-runtime points: bandwidth and
-  flow-latency percentiles per point, host wall time per figure.
+  flow-latency percentiles per point, all simulated (host time is the
+  ledger's, ``benchmarks/ledger``).
 
 The other three are the TPC-H-style driver over the numbered query streams
 of :mod:`repro.bench.query_stream`:
@@ -34,7 +35,6 @@ a harness that reports fast wrong answers is worse than no harness.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -109,7 +109,7 @@ def _fresh_env(
 # Gate mode
 # ----------------------------------------------------------------------
 #: Figure names run_bench() can produce: the sweep subsets plus the
-#: kernel-scale and adaptive-runtime figures.
+#: 4096-node scale and adaptive-runtime figures.
 BENCH_FIGURES = ("fig6", "fig8", "fig15", "scale", "adaptive")
 
 
@@ -148,10 +148,7 @@ def run_bench(
     Each figure's points run as one
     :func:`~repro.core.measurement.measure_points` sweep, so with
     ``jobs > 1`` its (point, repeat) simulations fan out over worker
-    processes; the simulated metrics (mbps, latency percentiles) are
-    bit-identical either way.  The wall-clock family then measures the
-    *parallel* harness, so baselines should be recorded at the same
-    ``jobs`` they are gated at.
+    processes; the report (metrics and lines) is identical either way.
 
     ``figures`` restricts the run to a subset of :data:`BENCH_FIGURES`
     (``None`` runs everything); ``scale_shape`` overrides the scale
@@ -171,19 +168,12 @@ def run_bench(
         figure = figure_of_metric(point.key)
         if figure in figures:
             sweeps.setdefault(figure, []).append(point)
-    for figure, points in sweeps.items():
-        started = time.perf_counter()
+    for points in sweeps.values():
         results = measure_points(
             points, repeats=repeats, jobs=jobs, observe=OBSERVE_FLOWS
         )
-        wall = time.perf_counter() - started
-        events = 0.0
         for point in points:
             result = results[point.key]
-            events += sum(
-                report.metrics.counter("sim.events_processed")
-                for report in result.reports
-            )
             latencies = result.flow_latencies()
             metrics[f"{point.key}/mbps"] = result.mean_mbps
             if latencies:
@@ -192,10 +182,6 @@ def run_bench(
                 metrics[f"{point.key}/p95_ms"] = summary["p95"] * 1e3
             lines.append(f"{point.key}: {result.mean_mbps:.1f} Mbps, "
                          f"{len(latencies)} flows")
-        metrics[f"{figure}/wall_s"] = wall
-        if wall > 0.0:
-            metrics[f"{figure}/events_per_sec"] = events / wall
-        lines.append(f"{figure}: {len(points)} point(s), {wall:.2f} s wall")
     if "scale" in figures:
         scale_result = run_scale(
             shape=scale_shape if scale_shape is not None else DEFAULT_SHAPE,
@@ -203,7 +189,6 @@ def run_bench(
         )
         metrics.update(scale_result.metrics())
     if "adaptive" in figures:
-        started = time.perf_counter()
         for point_name in ADAPTIVE_POINTS:
             comparison = run_adaptive_point(point_name, smoke=True)
             tag = f"adaptive[{point_name}]"
@@ -217,7 +202,6 @@ def run_bench(
                 f"(x{comparison.speedup:.2f}, "
                 f"{len(comparison.migrations)} migration(s))"
             )
-        metrics["adaptive/wall_s"] = time.perf_counter() - started
     return BenchReport(mode="gate", metrics=metrics, lines=lines)
 
 

@@ -5,20 +5,18 @@ Usage::
 
     python -m repro bench [--mode gate|power|throughput] [--fault SCENARIO]
                           [--out B.json] [--baseline B.json]
-                          [--tolerance PCT] [--warn-only] [--jobs N]
+                          [--tolerance PCT] [--jobs N]
                           [--only FIGURE] [--scale-shape XxYxZ]
-                          [--scale-floor EVENTS_PER_SEC]
                           [--live-out PATH] [--live-window SECS]
     python -m repro top [--point NAME] [--window SECS] [--once]
                         [--live-out PATH] [--prom PATH]
 
 The default mode is the perf-regression gate: it records the fast
 figure-sweep bandwidths and flow-latency percentiles (plus the 4096-node
-``scale`` figure's kernel throughput) to a BENCH JSON file and/or compares
-them against a committed baseline, exiting non-zero on a regression
-(``--warn-only`` reports without failing).  ``--only`` restricts the run
-to named figures, ``--scale-shape`` shrinks the scale torus, and
-``--scale-floor`` enforces an absolute events/sec floor.  Every mode
+``scale`` figure's aggregate bandwidth) to a BENCH JSON file and/or
+compares them against a committed baseline, exiting non-zero on a
+regression.  ``--only`` restricts the run to named figures and
+``--scale-shape`` shrinks the scale torus.  Every mode
 returns a :class:`~repro.bench.benchmark.BenchReport`, compared against
 the baseline keys of the suites it was asked to produce (see
 :mod:`repro.bench.baseline` and ``docs/benchmarking.md``).
@@ -78,7 +76,7 @@ from repro.util.units import MEGA
 __all__ = ["add_bench_parser", "add_top_parser"]
 
 #: The flags each mode reads, by argparse dest, beyond the ones every mode
-#: does (--out/--baseline/--tolerance/--warn-only, the sanitizer pair).
+#: does (--out/--baseline/--tolerance, the sanitizer pair).
 #: ``fault`` is ``--mode throughput`` with ``--fault``.  Passing a flag the
 #: selected mode does not read is a usage error, not a silent no-op.
 _LIVE_FLAGS = (
@@ -86,7 +84,7 @@ _LIVE_FLAGS = (
     "detect_high", "detect_low", "detect_up_windows", "detect_down_windows",
 )
 _MODE_FLAGS = {
-    "gate": ("repeats", "jobs", "only", "scale_shape", "scale_floor"),
+    "gate": ("repeats", "jobs", "only", "scale_shape"),
     "power": ("seed", "smoke") + _LIVE_FLAGS,
     "throughput": ("streams", "fault", "seed", "smoke") + _LIVE_FLAGS,
     "fault": ("streams", "fault", "seed", "smoke", "repeats", "jobs"),
@@ -121,11 +119,8 @@ def _bench(args: argparse.Namespace, default: Callable[[str], Any]) -> int:
                 f"--{dest.replace('_', '-')} is not read by --mode "
                 f"{_MODE_NAMES.get(mode, mode)} (modes that read it: {readers})"
             )
-    if not args.out and not args.baseline and mode == "gate" \
-            and args.scale_floor is None:
-        return _usage_error(
-            "nothing to do (pass --out, --baseline, and/or --scale-floor)"
-        )
+    if not args.out and not args.baseline and mode == "gate":
+        return _usage_error("nothing to do (pass --out and/or --baseline)")
     live_window = live_window_arg(args)
     detector = detector_kwargs(args)
     if detector and live_window is None:
@@ -172,7 +167,6 @@ def _bench(args: argparse.Namespace, default: Callable[[str], Any]) -> int:
         write_bench(args.out, metrics, repeats=args.repeats, series=series)
         print(f"bench: {len(metrics)} metrics -> {args.out}"
               + (f" (+{len(series)} windowed series)" if series else ""))
-    failed = False
     if args.baseline:
         # Suites the run was not asked to produce must not read as "missing".
         baseline = {
@@ -184,29 +178,8 @@ def _bench(args: argparse.Namespace, default: Callable[[str], Any]) -> int:
         )
         print(format_comparison(deltas, new_metrics))
         if any(delta.regressed for delta in deltas):
-            if args.warn_only:
-                print("bench: regression detected (warn-only, not failing)")
-            else:
-                failed = True
-    if args.scale_floor is not None:
-        rates = [
-            value for name, value in metrics.items()
-            if figure_of_metric(name) == "scale"
-            and name.endswith("/events_per_sec")
-        ]
-        if not rates:
-            return _usage_error(
-                "--scale-floor set but no scale events_per_sec metric "
-                "was produced"
-            )
-        if min(rates) < args.scale_floor:
-            print(f"bench: scale throughput {min(rates):,.0f} events/sec "
-                  f"below the floor of {args.scale_floor:,.0f}")
-            failed = True
-        else:
-            print(f"bench: scale throughput {min(rates):,.0f} events/sec "
-                  f"clears the floor of {args.scale_floor:,.0f}")
-    return 1 if failed else 0
+            return 1
+    return 0
 
 
 def add_bench_parser(sub: Any) -> None:
@@ -227,15 +200,11 @@ def add_bench_parser(sub: Any) -> None:
         "--tolerance", type=float, default=DEFAULT_TOLERANCE_PCT, metavar="PCT",
         help="allowed drift in percent of the baseline value (default 5)",
     )
-    b.add_argument(
-        "--warn-only", action="store_true",
-        help="report regressions without a failing exit code",
-    )
     b.add_argument("--repeats", type=int, default=1, help="runs per bench point")
     b.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the bench sweeps (wall-clock metrics "
-             "then measure the parallel harness)",
+        help="worker processes for the bench sweeps (the report is "
+             "identical at any N)",
     )
     b.add_argument(
         "--mode", choices=("gate", "power", "throughput"), default="gate",
@@ -279,12 +248,6 @@ def add_bench_parser(sub: Any) -> None:
         type=_parse_torus_shape,
         help="torus shape of the scale figure (default 16x16x16); CI "
              "smoke runs a reduced 8x8x8",
-    )
-    b.add_argument(
-        "--scale-floor", type=float, default=None, metavar="EVENTS_PER_SEC",
-        help="fail (exit 1) unless the scale figure's kernel throughput "
-             "reaches this many events/sec — an absolute floor for runs "
-             "whose reduced shape has no committed baseline metric",
     )
     add_live_flags(b)
     add_detector_flags(b)

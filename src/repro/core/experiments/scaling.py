@@ -1,4 +1,6 @@
-"""Extension: inbound-bandwidth scaling with larger partitions (future work).
+"""``scaling``: the I/O-node/uplink sweep, not the 4096-node concurrent-session gate (``scale``).
+
+Extension: inbound-bandwidth scaling with larger partitions (future work).
 
 Paper section 5: "In the current hardware configuration, we have only four
 I/O nodes and four nodes in the back-end cluster.  It remains to be

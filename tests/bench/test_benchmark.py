@@ -8,7 +8,6 @@ from repro.__main__ import main
 from repro.bench.baseline import (
     compare_bench,
     higher_is_better,
-    is_wall_clock,
     load_bench,
     write_bench,
 )
@@ -174,13 +173,9 @@ class TestOneBaselineFile:
 
     @pytest.fixture
     def recorded(self):
-        """The committed metrics minus the host-dependent family, which a
-        loaded test host can swing past even its wide tolerance."""
+        """The committed metrics, every suite."""
         committed = Path(__file__).resolve().parents[2] / "BENCH_baseline.json"
-        return {
-            name: value for name, value in load_bench(str(committed)).items()
-            if not is_wall_clock(name)
-        }
+        return load_bench(str(committed))
 
     @staticmethod
     def _gate(argv, metrics, tmp_path, capsys):

@@ -11,7 +11,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.analysis import sanitize
-from repro.bench.baseline import write_bench
+from repro.bench.baseline import load_bench, write_bench
 from repro.bench.faults import (
     FLAPPING_CYCLES,
     FaultEvent,
@@ -359,6 +359,19 @@ class TestGateExitCode:
         doctored[f"{tag}/recovery_s"] = current.recovery_s * 0.5
         write_bench(str(baseline), doctored, repeats=1)
         assert main(argv + ["--baseline", str(baseline)]) == 1
-        assert (
-            main(argv + ["--baseline", str(baseline), "--warn-only"]) == 0
-        )
+
+    def test_zero_recovery_baseline_gates_without_a_traceback(self, tmp_path, capsys):
+        """Flapping never replans, so it records recovery_s = 0.0: a zero
+        baseline, whose comparison line has no percentage to format."""
+        argv = [
+            "bench", "--mode", "throughput", "--streams", "2",
+            "--fault", "flapping", "--smoke",
+        ]
+        baseline = tmp_path / "flapping.json"
+        assert main(argv + ["--out", str(baseline)]) == 0
+        assert load_bench(str(baseline))["fault[flapping,n=2]/recovery_s"] == 0.0
+        capsys.readouterr()
+        assert main(argv + ["--baseline", str(baseline)]) == 0
+        out = capsys.readouterr().out
+        assert "fault[flapping,n=2]/recovery_s: 0 -> 0 (n/a, lower=better" in out
+        assert "=> no regressions across 6 baseline metric(s)" in out

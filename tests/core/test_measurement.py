@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import main
-from repro.bench.baseline import figure_of_metric, is_wall_clock, load_bench
+from repro.bench.baseline import figure_of_metric, load_bench
 from repro.bench.benchmark import bench_points
 from repro.core.experiments import FIGURES, ablations, fig6, fig8, fig15, scaling
 from repro.core.measurement import (
@@ -237,7 +237,7 @@ class TestSweepBuilders:
         recorded = load_bench(str(REPO_ROOT / "BENCH_baseline.json"))
         assert keys == {
             name.rsplit("/", 1)[0] for name in recorded
-            if figure_of_metric(name) in figures and not is_wall_clock(name)
+            if figure_of_metric(name) in figures
         }
 
     @staticmethod
