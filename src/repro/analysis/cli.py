@@ -75,7 +75,7 @@ def _verify_statements(
     statements that follow (mirroring a session) and produce no report.
     Each select query is verified against a *fresh* topology snapshot, as
     ``Deployer.run`` on a fresh environment would see it (concurrent-
-    deployment conflicts are the ``MultiQuerySession(verify=...)`` path).
+    deployment conflicts are ``session.deployer.verify(plan)``'s to find).
     """
     functions = {}
     reports: List[AnalysisReport] = []

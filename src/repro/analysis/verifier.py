@@ -7,14 +7,17 @@ be link-bound.  It runs a pass pipeline over the plan's process graph and a
 CNDB snapshot:
 
 1. **Structure** (``SCSQ00x``): missing plans, subscriptions to unknown
-   stream processes, cycles in the subscription graph, dangling streams.
+   stream processes, cycles in the subscription graph, dangling streams —
+   the deployer's own check
+   (:func:`~repro.coordinator.graph.check_structure`).
 2. **Placement** (``SCSQ1xx``/``SCSQ201``): the deployer's own
    placement walk (:func:`~repro.coordinator.resolver.resolve_placement`)
    run against a private
    :class:`~repro.analysis.snapshot.EnvironmentSnapshot`.  Every failure
-   comes back as a coded diagnostic, and since deployment runs the same
-   function, *verifier-accepts implies deploy-succeeds* on an environment
-   in the snapshot's state.
+   of either pass comes back as a coded diagnostic, and since deployment
+   runs the same two functions, *the verifier reports an error exactly
+   when the deployment raises, with the same codes*, on an environment in
+   the snapshot's state.
 3. **Locality** (``SCSQ301``): pinned stream processes whose intra-
    BlueGene streams cross pset boundaries.
 4. **Capacity** (``SCSQ4xx``): inbound (back-end -> BlueGene) connection
@@ -28,7 +31,7 @@ detects double allocation across concurrently deployed plans).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.diagnostics import AnalysisReport, diagnostic
 from repro.analysis.snapshot import EnvironmentSnapshot
@@ -40,7 +43,7 @@ from repro.coordinator.allocation import (
     NodeSelector,
     constant_node_of,
 )
-from repro.coordinator.graph import QueryGraph, SPDef
+from repro.coordinator.graph import QueryGraph, SPDef, check_structure
 from repro.coordinator.resolver import resolve_placement
 from repro.hardware.environment import BACKEND, BLUEGENE, FRONTEND
 from repro.hardware.node import Node
@@ -92,114 +95,14 @@ class PlanVerifier:
         """
         report = AnalysisReport(label=label)
         graph = _graph_of(plan)
-        structure_ok = self._check_structure(graph, report)
-        if not structure_ok:
+        errors, warnings = check_structure(graph)
+        report.diagnostics.extend(errors + warnings)
+        if errors:
             return report  # placement over a broken graph compounds noise
         placements = self._place_on_snapshot(graph, report, label, selector)
         self._check_locality(graph, report, placements)
         self._check_capacity(graph, report, placements)
         return report
-
-    # ------------------------------------------------------------------
-    # Pass 1: graph structure (SCSQ00x)
-    # ------------------------------------------------------------------
-    def _check_structure(self, graph: QueryGraph, report: AnalysisReport) -> bool:
-        ok = True
-        if graph.root_plan is None:
-            report.add(diagnostic("SCSQ001", "query graph has no root plan"))
-            return False
-        for sp in graph.sps.values():
-            if sp.plan is None:
-                report.add(
-                    diagnostic(
-                        "SCSQ001",
-                        f"stream process {sp.sp_id!r} has no compiled subquery plan",
-                        sp_id=sp.sp_id,
-                        span=sp.span,
-                    )
-                )
-                ok = False
-        if not ok:
-            return False
-
-        # Unknown producers (SCSQ002).
-        consumed: Set[str] = set()
-        subscriptions: Dict[str, List[str]] = {}
-        for sp in graph.sps.values():
-            assert sp.plan is not None
-            producers = graph.producers_of(sp.plan)
-            subscriptions[sp.sp_id] = producers
-            for producer in producers:
-                if producer not in graph.sps:
-                    report.add(
-                        diagnostic(
-                            "SCSQ002",
-                            f"stream process {sp.sp_id!r} subscribes to unknown "
-                            f"stream process {producer!r}",
-                            sp_id=sp.sp_id,
-                            span=sp.span,
-                        )
-                    )
-                    ok = False
-                consumed.add(producer)
-        for producer in graph.producers_of(graph.root_plan):
-            if producer not in graph.sps:
-                report.add(
-                    diagnostic(
-                        "SCSQ002",
-                        "the client manager's root plan subscribes to unknown "
-                        f"stream process {producer!r}",
-                    )
-                )
-                ok = False
-            consumed.add(producer)
-        if not ok:
-            return False
-
-        # Cycles (SCSQ003): depth-first search over sp -> producer edges.
-        state: Dict[str, int] = {}  # 0 = visiting, 1 = done
-
-        def visit(sp_id: str, trail: Tuple[str, ...]) -> Optional[Tuple[str, ...]]:
-            if state.get(sp_id) == 1:
-                return None
-            if state.get(sp_id) == 0:
-                return trail[trail.index(sp_id):] + (sp_id,)
-            state[sp_id] = 0
-            for producer in subscriptions[sp_id]:
-                cycle = visit(producer, trail + (sp_id,))
-                if cycle is not None:
-                    return cycle
-            state[sp_id] = 1
-            return None
-
-        for sp_id in graph.sps:
-            cycle = visit(sp_id, ())
-            if cycle is not None:
-                report.add(
-                    diagnostic(
-                        "SCSQ003",
-                        "subscription cycle "
-                        + " -> ".join(cycle)
-                        + ": the streams can never end and the query deadlocks",
-                        sp_id=cycle[0],
-                        span=graph.sps[cycle[0]].span,
-                    )
-                )
-                return False
-
-        # Dangling streams (SCSQ004, warning): produced but never consumed.
-        for sp in graph.sps.values():
-            if sp.sp_id not in consumed:
-                report.add(
-                    diagnostic(
-                        "SCSQ004",
-                        f"the output stream of {sp.sp_id!r} is never consumed "
-                        "(dangling stream process)",
-                        sp_id=sp.sp_id,
-                        span=sp.span,
-                    )
-                )
-        return True
 
     # ------------------------------------------------------------------
     # Pass 2: the placement walk, on the snapshot (SCSQ1xx, SCSQ201)

@@ -304,7 +304,7 @@ def run_throughput_mode(
         with registered(queries):
             env, sampler = _fresh_env(env_config, seed, live_window,
                                       detector_kwargs)
-            session = MultiQuerySession(env, settings, verify="warn")
+            session = MultiQuerySession(env, settings)
             for query, plan in zip(queries, plans):
                 session.submit(plan, query.payload_bytes, label=f"s{query.stream_id}")
             result = session.run()

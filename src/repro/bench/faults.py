@@ -14,13 +14,12 @@ machinery end to end:
 * the hardware effect lands (``Node.fail()``,
   :meth:`~repro.net.torus.TorusNetwork.degrade_link`,
   :meth:`~repro.net.ethernet.EthernetFabric.degrade_uplink`);
-* the victim is **replanned** through the deployer's
-  :class:`~repro.coordinator.deployer.PlacementStrategy` interface and
+* the victim is **replanned** — placed afresh by the deployer and
   redeployed as the session's next generation of its label
   (:meth:`~repro.core.multiquery.MultiQuerySession.replace`, tag ``r``:
-  a ``<label>+rN/`` prefix), re-verified by the static
-  :class:`~repro.analysis.verifier.PlanVerifier` against the live
-  environment (failed nodes are unavailable in the snapshot replay).
+  a ``<label>+rN/`` prefix) against the live environment, where failed
+  nodes are unavailable; a replan that cannot be placed raises the
+  deployer's typed error with its coded diagnostics.
 
 Recovery time and the bandwidth dip are read back from the
 :class:`~repro.obs.flow.FlowRecorder`: recovery is the first delivery of a
@@ -48,11 +47,7 @@ from repro.bench.query_stream import (
     query_order,
     registered,
 )
-from repro.coordinator.deployer import (
-    Deployment,
-    ExecutionReport,
-    PlacementStrategy,
-)
+from repro.coordinator.deployer import Deployment, ExecutionReport
 from repro.core.multiquery import MultiQuerySession
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import (
@@ -338,8 +333,6 @@ def run_faulted_session(
     queries: Sequence[BenchQuery],
     schedule: FaultSchedule = FaultSchedule(),
     settings: Optional[ExecutionSettings] = None,
-    strategy: Optional[PlacementStrategy] = None,
-    verify: Optional[str] = "warn",
 ) -> FaultedRunResult:
     """Run the queries concurrently on ``env``, injecting the schedule.
 
@@ -348,10 +341,9 @@ def run_faulted_session(
     ``s<stream_id>`` and start at simulated time 0 (external sources must
     already be registered — use :func:`repro.bench.query_stream.registered`).
     The simulator then runs up to each fault instant in turn; the fault
-    damages the hardware, and each victim is torn down and redeployed
-    through ``strategy`` (naive next-available selection by default) with
-    static re-verification per ``verify``, as the session's next ``r``
-    generation.  An empty schedule is simply ``session.run()``.
+    damages the hardware, and each victim is torn down and redeployed by
+    naive next-available selection as the session's next ``r`` generation.
+    An empty schedule is simply ``session.run()``.
 
     The harness owns its session and tears it down on every exit path: the
     schedule yields exact results or the typed error of a replan that could
@@ -359,12 +351,12 @@ def run_faulted_session(
     and listener released.
     """
     rng = random.Random(f"fault:{schedule.seed}")
-    session = MultiQuerySession(env, settings=settings, verify=verify)
+    session = MultiQuerySession(env, settings=settings)
 
     def replan(deployment: Deployment, plan: object, prefix: str) -> Deployment:
         deployment.teardown()
-        placed = session.deployer.place(plan, strategy, settings)
-        return session.deployer.deploy(placed, rp_prefix=prefix, verify=verify)
+        placed = session.deployer.place(plan, settings=settings)
+        return session.deployer.deploy(placed, rp_prefix=prefix)
 
     failed_nodes: List[str] = []
     degraded: List[str] = []
@@ -375,7 +367,7 @@ def run_faulted_session(
         for bench_query in queries:
             session.submit(
                 compile_plan(bench_query.query, settings=settings),
-                payload_bytes=bench_query.payload_bytes, strategy=strategy,
+                payload_bytes=bench_query.payload_bytes,
                 label=f"s{bench_query.stream_id}",
             )
         session.start()

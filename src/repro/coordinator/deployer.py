@@ -10,11 +10,14 @@ to one live :class:`~repro.hardware.environment.Environment`:
   paper's node-selection algorithms (:class:`SelectorPlacement`) or the
   cost-based optimizer (:class:`CostBasedPlacement`) — to a fresh
   instantiation of the plan's graph, yielding a :class:`PlacedPlan`.
-* :meth:`Deployer.deploy` runs the placement resolver
-  (:func:`~repro.coordinator.resolver.resolve_placement`) against the
-  environment's CNDBs, starts a running process on every assigned node,
-  and wires the subscription edges — a live :class:`Deployment`.  A
-  deployment that cannot be built leaves the environment as it found it.
+* :meth:`Deployer.deploy` runs the structure check
+  (:func:`~repro.coordinator.graph.check_structure`) and the placement
+  resolver (:func:`~repro.coordinator.resolver.resolve_placement`) against
+  the environment's CNDBs, starts a running process on every assigned
+  node, and wires the subscription edges — a live :class:`Deployment`.  A
+  deployment that cannot be built raises the coded diagnostics
+  :meth:`Deployer.verify` reports for it and leaves the environment as it
+  found it.
 * :meth:`Deployment.run` drives one query to completion (the classic
   single-query path), while :meth:`Deployment.start` /
   :meth:`Deployment.finish` let several deployments share one simulation —
@@ -38,7 +41,7 @@ from repro.coordinator.allocation import (
     NaiveSelector,
     NodeSelector,
 )
-from repro.coordinator.graph import QueryGraph
+from repro.coordinator.graph import QueryGraph, check_structure
 from repro.coordinator.resolver import placement_failure, resolve_placement
 from repro.engine.control import StopToken
 from repro.engine.monitor import RPStatistics, snapshot
@@ -47,7 +50,11 @@ from repro.engine.rp import RunningProcess
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import BLUEGENE, FRONTEND, Environment
 from repro.obs.metrics import MetricsSnapshot
-from repro.util.errors import PlanVerificationError, QueryExecutionError
+from repro.util.errors import (
+    AllocationError,
+    PlanVerificationError,
+    QueryExecutionError,
+)
 
 if TYPE_CHECKING:
     from repro.analysis.diagnostics import AnalysisReport
@@ -79,12 +86,10 @@ class MigrationRecord:
             successful migration; a rolled-back attempt stays on ``source``).
         rp_prefix: Prefix of the new deployment generation (``"<label>+gN/"``).
         time: Simulated second the migration was initiated.
-        ok: True when the migrated plan passed verification and deployed.
-        rolled_back: True when verification rejected the move and the
+        ok: True when the migrated plan deployed.
+        rolled_back: True when the move could not be placed and the
             deployment was restored at its original placement.
-        detail: Human-readable outcome (the verifier's complaint on rollback).
-        snapshot: Live operator state captured just before the old
-            generation was quiesced (:meth:`Deployment.snapshot_state`).
+        detail: Human-readable outcome (the coded diagnostics on rollback).
     """
 
     sp_id: str
@@ -95,7 +100,6 @@ class MigrationRecord:
     ok: bool
     rolled_back: bool = False
     detail: str = ""
-    snapshot: Dict[str, dict] = field(default_factory=dict)
 
 
 @dataclass
@@ -173,8 +177,6 @@ class PlacementStrategy:
     the placement resolver consults at deploy time (selector placement).
     """
 
-    name = "strategy"
-
     @property
     def selector(self) -> Optional[NodeSelector]:
         """Node selector for unconstrained SPs (None: the naive default)."""
@@ -200,10 +202,6 @@ class SelectorPlacement(PlacementStrategy):
         self._selector = selector or NaiveSelector()
 
     @property
-    def name(self) -> str:  # type: ignore[override]
-        return f"selector:{self._selector.name}"
-
-    @property
     def selector(self) -> Optional[NodeSelector]:
         return self._selector
 
@@ -215,8 +213,6 @@ class CostBasedPlacement(PlacementStrategy):
     instantiated graph, pinning every unconstrained stream process to the
     node that maximizes the predicted bottleneck bandwidth.
     """
-
-    name = "cost-based"
 
     def prepare(
         self, graph: QueryGraph, env: Environment, settings: ExecutionSettings
@@ -239,7 +235,6 @@ class PlacedPlan:
     graph: QueryGraph
     settings: ExecutionSettings
     selector: Optional[NodeSelector] = None
-    strategy_name: str = "selector:naive"
 
 
 # ----------------------------------------------------------------------
@@ -248,10 +243,11 @@ class PlacedPlan:
 class Deployment:
     """One continuous query deployed onto an environment.
 
-    Construction *is* deployment: the placement resolver assigns every
-    stream process a node, each gets a running process there, and
-    subscription edges are wired — or, when any of that fails, the
-    exception leaves node occupancy and the CNDB cursors as they were.
+    Construction *is* deployment: the graph passes the structure check,
+    the placement resolver assigns every stream process a node, each gets
+    a running process there, and subscription edges are wired — or, when
+    any of that fails, the exception leaves node occupancy and the CNDB
+    cursors as they were.
     The query then either runs alone (:meth:`run`) or cooperatively with
     other deployments sharing the environment's simulator (:meth:`start` +
     one ``sim.run()`` + :meth:`finish`).
@@ -274,10 +270,11 @@ class Deployment:
         self.graph = placed.graph
         self.settings = placed.settings
         self.rp_prefix = rp_prefix
-        self.graph.validate()
-        self._assignment, diagnostics = resolve_placement(
-            self.graph, env, placed.selector or NaiveSelector()
-        )
+        diagnostics, _ = check_structure(self.graph)
+        if not diagnostics:
+            self._assignment, diagnostics = resolve_placement(
+                self.graph, env, placed.selector or NaiveSelector()
+            )
         if diagnostics:
             raise placement_failure(diagnostics)
         self.rps: Dict[str, RunningProcess] = {}
@@ -289,7 +286,6 @@ class Deployment:
         self.start_time: Optional[float] = None
         self._process = None
         self._collector = None
-        self._stop_token: Optional[StopToken] = None
         self._torn_down = False
         # Per-deployment flow accounting: a completion listener scoped to
         # this deployment's streams, attached for its lifetime and detached
@@ -303,7 +299,7 @@ class Deployment:
         self._assignment.release()
         try:
             for sp in self.graph.sps.values():
-                assert sp.plan is not None  # validate() checked
+                assert sp.plan is not None  # check_structure() checked
                 self.rps[sp.sp_id] = RunningProcess(
                     rp_prefix + sp.sp_id, env, self._assignment.nodes[sp.sp_id],
                     sp.plan, self.settings,
@@ -346,14 +342,21 @@ class Deployment:
         intervention" — terminating every RP; the report then carries the
         partial result with ``stopped=True``.
         """
-        stop_token = self._arm(stop_after)
+        stop_token = None
+        if stop_after is not None:
+            stop_token = StopToken(self.env.sim)
+            stop_token.attach(self.rps.values())
+            stop_token.stop_at(stop_after)
         self.start_time = self.env.sim.now
         result, finished_at = self.env.sim.run_process(
             self._drive(stop_token), name=self.rp_prefix + "client-manager"
         )
-        return self._report(result, finished_at, stop_token)
+        return self._report(
+            result, finished_at,
+            stopped=stop_token is not None and stop_token.stopped,
+        )
 
-    def start(self, stop_after: Optional[float] = None) -> "Process":
+    def start(self) -> "Process":
         """Spawn this query's driver process without running the simulator.
 
         Used when several deployments share one environment: start each,
@@ -362,14 +365,13 @@ class Deployment:
         """
         if self._process is not None:
             raise QueryExecutionError("deployment already started")
-        self._stop_token = self._arm(stop_after)
         self.start_time = self.env.sim.now
         self._process = self.env.sim.process(
-            self._drive(self._stop_token), name=self.rp_prefix + "client-manager"
+            self._drive(), name=self.rp_prefix + "client-manager"
         )
         # finish() re-raises the driver's failure; keep the kernel's
         # unhandled-exception check from firing first.
-        self._process._add_callback(lambda event: setattr(event, "_defused", True))
+        self._process.defuse()
         return self._process
 
     def finish(self, freeze: bool = True) -> ExecutionReport:
@@ -390,7 +392,7 @@ class Deployment:
         if not process.ok:
             raise process.value
         result, finished_at = process.value
-        return self._report(result, finished_at, self._stop_token, freeze)
+        return self._report(result, finished_at, freeze=freeze)
 
     def teardown(self) -> None:
         """Release the deployment's resources back to the environment.
@@ -418,9 +420,7 @@ class Deployment:
             self._collector.interrupt("deployment torn down")
         for process in (self._process, self._collector):
             if process is not None and process.is_alive:
-                process._add_callback(
-                    lambda event: setattr(event, "_defused", True)
-                )
+                process.defuse()
         # Terminated receivers never consume their EOS, so the in-flight
         # flow records of this deployment's streams would otherwise sit in
         # the recorder's table forever (SAN204 at quiescence).  Dropping is
@@ -459,31 +459,14 @@ class Deployment:
         """Quiescence-relevant state of every RP (leak-sanitizer feed)."""
         return {rp_id: rp.census() for rp_id, rp in sorted(self.rps.items())}
 
-    def snapshot_state(self) -> Dict[str, dict]:
-        """Live operator state of every RP, keyed by unprefixed sp id.
-
-        Captured by :meth:`Deployer.migrate` immediately before the old
-        generation is quiesced; the record is what a warm-started fork
-        would :meth:`~repro.engine.rp.RunningProcess.restore_state` from.
-        """
-        return {sp_id: rp.snapshot_state() for sp_id, rp in self.rps.items()}
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _arm(self, stop_after: Optional[float]) -> Optional[StopToken]:
-        if stop_after is None:
-            return None
-        stop_token = StopToken(self.env.sim)
-        stop_token.attach(self.rps.values())
-        stop_token.stop_at(stop_after)
-        return stop_token
-
     def _report(
         self,
         result: List[Any],
         finished_at: float,
-        stop_token: Optional[StopToken],
+        stopped: bool = False,
         freeze: bool = True,
     ) -> ExecutionReport:
         assert self.start_time is not None
@@ -502,7 +485,7 @@ class Deployment:
             torus_bytes=self.env.torus.bytes_on_wire,
             ingress_bytes=self.env.fabric.bytes_ingress,
             source_switches=self.env.torus.source_switches,
-            stopped=stop_token.stopped if stop_token else False,
+            stopped=stopped,
             rp_statistics=rp_statistics,
             metrics=obs.snapshot() if freeze and obs.enabled else None,
         )
@@ -520,7 +503,7 @@ class Deployment:
                     ) from None
                 producer.add_subscriber(rp, port.inbox)
 
-    def _drive(self, stop_token: Optional[StopToken]) -> Iterator[Any]:
+    def _drive(self, stop_token: Optional[StopToken] = None) -> Iterator[Any]:
         """Main simulation process: start RPs, collect the root stream."""
         sim = self.env.sim
         if self.setup_latency:
@@ -558,12 +541,12 @@ class Deployment:
                 rp.terminate()
             if collector.is_alive:
                 collector.interrupt("query failed")
-                collector._add_callback(lambda event: setattr(event, "_defused", True))
+                collector.defuse()
             raise
         if stop_token is not None:
             if stop_token.stopped and collector.is_alive:
                 collector.interrupt("query stopped")
-                collector._add_callback(lambda event: setattr(event, "_defused", True))
+                collector.defuse()
             else:
                 stop_token.cancel()  # completed normally; stand the watchdog down
         # The measured query time ends when the result stream completes at
@@ -631,55 +614,36 @@ class Deployer:
             else getattr(plan, "settings", None) or ExecutionSettings()
         )
         graph = plan.instantiate()
-        graph.validate()
         strategy.prepare(graph, self.env, effective)
-        return PlacedPlan(
-            graph=graph,
-            settings=effective,
-            selector=strategy.selector,
-            strategy_name=strategy.name,
-        )
+        return PlacedPlan(graph=graph, settings=effective, selector=strategy.selector)
 
-    def verify(
-        self,
-        plan: Any,
-        strategy: Optional[PlacementStrategy] = None,
-        settings: Optional[ExecutionSettings] = None,
-        label: str = "query",
-    ) -> "AnalysisReport":
+    def verify(self, plan: Any, label: str = "query") -> "AnalysisReport":
         """Statically verify a plan against this environment's live state.
 
         Runs the :class:`~repro.analysis.verifier.PlanVerifier` pass
-        pipeline over the plan (placed with ``strategy``, like
-        :meth:`run` would) and a snapshot of the environment's *current*
-        CNDB state — so nodes held by this deployer's live deployments
-        surface as cross-plan conflicts (``SCSQ201``).  Pure: neither the
-        plan nor the environment is touched.
+        pipeline over the plan (a :class:`PlacedPlan`, or anything
+        :meth:`place` accepts) and a snapshot of the environment's
+        *current* CNDB state — so nodes held by this deployer's live
+        deployments surface as cross-plan conflicts (``SCSQ201``).  Pure:
+        neither the plan nor the environment is touched.
 
-        Returns the :class:`~repro.analysis.diagnostics.AnalysisReport`;
-        call ``report.raise_if_failed()`` (or use the ``verify=`` mode of
-        :meth:`deploy`/:meth:`run`) to enforce it.
+        The report's errors are what :meth:`deploy` would raise, code for
+        code; ``report.raise_if_failed()`` raises them without deploying
+        (``strict=True``: warnings too).
         """
         from repro.analysis.verifier import verify_plan
 
-        placed = plan if isinstance(plan, PlacedPlan) else self.place(plan, strategy, settings)
+        placed = plan if isinstance(plan, PlacedPlan) else self.place(plan)
         return verify_plan(placed, env=self.env, label=label, selector=placed.selector)
 
-    def deploy(
-        self, placed: PlacedPlan, rp_prefix: str = "", verify: Optional[str] = None
-    ) -> Deployment:
+    def deploy(self, placed: PlacedPlan, rp_prefix: str = "") -> Deployment:
         """Start and wire the running processes of a placed plan.
 
-        ``verify`` enables static verification first: ``"warn"`` raises
-        :class:`~repro.util.errors.PlanVerificationError` on verifier
-        *errors* only, ``"strict"`` also on warnings.  ``None`` (default)
-        deploys unchecked, matching the historical behaviour.
+        Raises:
+            AllocationError, PlanVerificationError: The plan cannot deploy
+                here (:func:`~repro.coordinator.resolver.placement_failure`);
+                ``.diagnostics`` holds the errors :meth:`verify` reports.
         """
-        if verify is not None:
-            if verify not in ("warn", "strict"):
-                raise ValueError(f"verify mode must be 'warn' or 'strict', not {verify!r}")
-            report = self.verify(placed, label=rp_prefix.rstrip("/") or "query")
-            report.raise_if_failed(strict=verify == "strict")
         deployment = Deployment(self.env, self.node, placed, rp_prefix=rp_prefix)
         self.deployments.append(deployment)
         return deployment
@@ -690,17 +654,13 @@ class Deployer:
         strategy: Optional[PlacementStrategy] = None,
         settings: Optional[ExecutionSettings] = None,
         stop_after: Optional[float] = None,
-        verify: Optional[str] = None,
     ) -> ExecutionReport:
         """Place, deploy, and run one plan (the single-query fast path)."""
         placed = self.place(plan, strategy, settings)
-        return self.deploy(placed, verify=verify).run(stop_after=stop_after)
+        return self.deploy(placed).run(stop_after=stop_after)
 
-    def teardown(self, deployment: Optional[Deployment] = None) -> None:
-        """Tear down one deployment, or all of this deployer's (LIFO)."""
-        if deployment is not None:
-            deployment.teardown()
-            return
+    def teardown(self) -> None:
+        """Tear down all of this deployer's deployments (LIFO)."""
         for live in reversed(self.deployments):
             live.teardown()
 
@@ -712,13 +672,9 @@ class Deployer:
     ) -> PlacedPlan:
         """A fresh instantiation of ``plan`` with every SP pinned."""
         graph = plan.instantiate()
-        graph.validate()
         for sp in graph.sps.values():
             sp.allocation = AllocationSequence(assignment[sp.sp_id])
-        return PlacedPlan(
-            graph=graph, settings=settings, selector=None,
-            strategy_name="migration",
-        )
+        return PlacedPlan(graph=graph, settings=settings)
 
     def migrate(
         self,
@@ -727,36 +683,30 @@ class Deployer:
         sp_id: str,
         target: int,
         rp_prefix: str,
-        verify: Optional[str] = "warn",
     ) -> "tuple[Deployment, MigrationRecord]":
         """Move one stream process of a live deployment to another node.
 
         The migration lifecycle, end to end:
 
-        1. **snapshot** — capture the live operator state of every RP
-           (:meth:`Deployment.snapshot_state`), recorded for audit and
-           warm-start.
-        2. **quiesce** — :meth:`Deployment.teardown` terminates the old
+        1. **quiesce** — :meth:`Deployment.teardown` terminates the old
            generation's RPs (closing their inboxes and aborting in-flight
            channels), returns their node slots, and rewinds the CNDB
            round-robin cursors.
-        3. **re-verify** — the new placement (every SP pinned to its
-           current node, the victim pinned to ``target``) passes through
-           the static :class:`~repro.analysis.verifier.PlanVerifier`
-           against the *live* environment before any RP starts, per
-           ``verify`` (default ``"warn"``: errors raise).
-        4. **redeploy** — the verified plan starts under ``rp_prefix``
-           (a ``"<label>+gN/"`` generation suffix) and replays its streams
+        2. **redeploy** — the new placement (every SP pinned to its
+           current node, the victim pinned to ``target``) is deployed
+           against the *live* environment under ``rp_prefix`` (a
+           ``"<label>+gN/"`` generation suffix) and replays its streams
            from the sources, so a migrated query still produces the exact
            reference result.
-        5. **rollback** — if verification rejects the move, the deployment
-           is restored at its original placement (under the same new
-           prefix, unverified: it is the placement that just ran).
+        3. **rollback** — if the move cannot be placed (a typed placement
+           error: the target was taken or has failed), the deployment is
+           restored at its original placement under the same new prefix —
+           the placement that just ran, on the slots it just returned.
 
-        Verification cannot precede quiescence: the old generation's own
-        node slots would surface as ``SCSQ201`` cross-plan conflicts
-        against the new plan.  The rollback path is what bounds the cost
-        of that ordering to one redeploy at the old placement.
+        Placement cannot be checked before quiescence: the old
+        generation's own node slots would surface as ``SCSQ201`` cross-plan
+        conflicts against the new plan.  The rollback path is what bounds
+        the cost of that ordering to one redeploy at the old placement.
 
         ``plan`` must be the deployment's source plan (anything with
         ``instantiate()``).  Returns ``(new_deployment, record)``; the
@@ -785,22 +735,19 @@ class Deployer:
                 f"migration of {sp_id!r} targets its current node "
                 f"{source_node.node_id}"
             )
-        snapshot = deployment.snapshot_state()
         now = self.env.sim.now
         moved = dict(current)
         moved[sp_id] = target
         deployment.teardown()
-        rejection: Optional[PlanVerificationError] = None
+        rejection = None
         try:
             replacement = self.deploy(
-                self._pinned_plan(plan, deployment.settings, moved),
-                rp_prefix=rp_prefix, verify=verify,
+                self._pinned_plan(plan, deployment.settings, moved), rp_prefix
             )
-        except PlanVerificationError as error:
+        except (AllocationError, PlanVerificationError) as error:
             rejection = error
             replacement = self.deploy(
-                self._pinned_plan(plan, deployment.settings, current),
-                rp_prefix=rp_prefix, verify=None,
+                self._pinned_plan(plan, deployment.settings, current), rp_prefix
             )
         record = MigrationRecord(
             sp_id=sp_id, source=source_node.node_id,
@@ -808,9 +755,9 @@ class Deployer:
             ok=rejection is None, rolled_back=rejection is not None,
             detail=(
                 f"moved {sp_id} {source_node.node_id} -> {target_node.node_id}"
-                if rejection is None else str(rejection).splitlines()[0]
+                if rejection is None
+                else "; ".join(found.format() for found in rejection.diagnostics)
             ),
-            snapshot=snapshot,
         )
         from repro.analysis import sanitize
 

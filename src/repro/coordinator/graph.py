@@ -9,12 +9,15 @@ interprets.  The client manager turns the graph into running processes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.coordinator.allocation import AllocationDirective
 from repro.engine.sqep import OpSpec
 from repro.util.errors import QuerySemanticError
 from repro.util.source import Span
+
+if TYPE_CHECKING:
+    from repro.analysis.diagnostics import Diagnostic
 
 
 @dataclass
@@ -58,21 +61,10 @@ class QueryGraph:
         self.sps[sp.sp_id] = sp
 
     def validate(self) -> None:
-        """Check referential integrity: every subscription has a producer."""
-        if self.root_plan is None:
-            raise QuerySemanticError("query graph has no root plan")
-        for sp in self.sps.values():
-            if sp.plan is None:
-                raise QuerySemanticError(
-                    f"stream process {sp.sp_id!r} has no compiled subquery plan"
-                )
-        plans = [self.root_plan] + [sp.plan for sp in self.sps.values()]
-        for plan in plans:
-            for leaf in plan.input_leaves():
-                if leaf.producer not in self.sps:
-                    raise QuerySemanticError(
-                        f"plan subscribes to unknown stream process {leaf.producer!r}"
-                    )
+        """Raise on the first structural error :func:`check_structure` finds."""
+        errors, _ = check_structure(self)
+        if errors:
+            raise QuerySemanticError(errors[0].message)
 
     def producers_of(self, plan: OpSpec) -> List[str]:
         """The stream-process ids a plan subscribes to, in plan order."""
@@ -118,3 +110,104 @@ class QueryGraph:
                 )
             )
         return copy
+
+
+def _found(code: str, message: str, sp: Optional[SPDef] = None) -> "Diagnostic":
+    from repro.analysis.diagnostics import diagnostic  # import cycle
+
+    if sp is None:
+        return diagnostic(code, message)
+    return diagnostic(code, message, sp_id=sp.sp_id, span=sp.span)
+
+
+def check_structure(
+    graph: QueryGraph,
+) -> Tuple[List["Diagnostic"], List["Diagnostic"]]:
+    """The one structure check: ``(errors, warnings)`` as coded diagnostics.
+
+    Errors make the graph undeployable — :class:`~repro.coordinator.deployer.
+    Deployment` construction raises on them and the static
+    :class:`~repro.analysis.verifier.PlanVerifier` reports them, from this
+    one body.  They come in stages, a later one only over a graph the
+    earlier ones accept: a missing root or subquery plan (``SCSQ001``),
+    subscriptions to unknown stream processes (``SCSQ002``), the first
+    subscription cycle (``SCSQ003``).  A graph without errors gets a
+    ``SCSQ004`` warning per stream process nobody consumes.
+    """
+    errors: List["Diagnostic"] = []
+    if graph.root_plan is None:
+        return [_found("SCSQ001", "query graph has no root plan")], []
+    for sp in graph.sps.values():
+        if sp.plan is None:
+            errors.append(_found(
+                "SCSQ001",
+                f"stream process {sp.sp_id!r} has no compiled subquery plan", sp,
+            ))
+    if errors:
+        return errors, []
+
+    root_producers = graph.producers_of(graph.root_plan)
+    consumed = set(root_producers)
+    subscriptions: Dict[str, List[str]] = {}
+    for sp in graph.sps.values():
+        assert sp.plan is not None
+        producers = subscriptions[sp.sp_id] = graph.producers_of(sp.plan)
+        consumed.update(producers)
+    if not consumed <= graph.sps.keys():
+        for sp in graph.sps.values():
+            for producer in subscriptions[sp.sp_id]:
+                if producer not in graph.sps:
+                    errors.append(_found(
+                        "SCSQ002",
+                        f"stream process {sp.sp_id!r} subscribes to unknown "
+                        f"stream process {producer!r}", sp,
+                    ))
+        for producer in root_producers:
+            if producer not in graph.sps:
+                errors.append(_found(
+                    "SCSQ002",
+                    "the client manager's root plan subscribes to unknown "
+                    f"stream process {producer!r}",
+                ))
+        return errors, []
+
+    # Depth-first search over sp -> producer edges; a stream process that
+    # subscribes to nothing is on no cycle and is never visited.
+    done: Dict[str, bool] = {}  # False while on the current trail
+    trail: List[str] = []
+
+    def visit(sp_id: str) -> Optional[List[str]]:
+        state = done.get(sp_id)
+        if state is not None:
+            return None if state else trail[trail.index(sp_id):] + [sp_id]
+        done[sp_id] = False
+        trail.append(sp_id)
+        for producer in subscriptions[sp_id]:
+            cycle = visit(producer) if subscriptions[producer] else None
+            if cycle is not None:
+                return cycle
+        trail.pop()
+        done[sp_id] = True
+        return None
+
+    for sp_id, producers in subscriptions.items():
+        cycle = visit(sp_id) if producers else None
+        if cycle is not None:
+            return [_found(
+                "SCSQ003",
+                "subscription cycle " + " -> ".join(cycle)
+                + ": the streams can never end and the query deadlocks",
+                graph.sps[cycle[0]],
+            )], []
+
+    if len(consumed) == len(graph.sps):  # every stream has a consumer
+        return [], []
+    return [], [
+        _found(
+            "SCSQ004",
+            f"the output stream of {sp.sp_id!r} is never consumed "
+            "(dangling stream process)", sp,
+        )
+        for sp in graph.sps.values()
+        if sp.sp_id not in consumed
+    ]

@@ -186,12 +186,12 @@ def _select(
 
 
 def placement_failure(diagnostics: Sequence["Diagnostic"]) -> Exception:
-    """The exception a deployment raises for a failed placement walk:
-    :class:`~repro.util.errors.AllocationError` when every finding is a busy
-    node or an exhausted sequence, otherwise
-    :class:`~repro.util.errors.PlanVerificationError` (the plan names a
-    node, pset or cluster the environment lacks).  Either carries the
-    diagnostics, source spans included."""
+    """The exception a deployment raises for a failed structure check or
+    placement walk: :class:`~repro.util.errors.AllocationError` when every
+    finding is a busy node or an exhausted sequence, otherwise
+    :class:`~repro.util.errors.PlanVerificationError` (the graph is
+    malformed, or the plan names a node, pset or cluster the environment
+    lacks).  Either carries the diagnostics, source spans included."""
     message = "; ".join(found.message for found in diagnostics)
     if all(found.code in _NO_AVAILABLE_NODE for found in diagnostics):
         return AllocationError(message, diagnostics)

@@ -12,11 +12,10 @@ This module closes the observe -> decide -> act loop across the stack:
   held fixed, its analytic bounds calibrated by live measured/predicted
   factors;
 * **act** — :meth:`~repro.coordinator.deployer.Deployer.migrate` runs the
-  quiesce -> snapshot -> re-verify -> redeploy -> replay lifecycle as the
-  session's next generation of the label
+  quiesce -> redeploy -> replay lifecycle as the session's next
+  generation of the label
   (:meth:`~repro.core.multiquery.MultiQuerySession.replace`, tag ``g``),
-  with rollback when the
-  :class:`~repro.analysis.verifier.PlanVerifier` rejects the move.
+  with rollback when the move cannot be placed.
 
 The controller is deliberately conservative: it reacts only to detector
 state (whose high/low thresholds and up/down window counts are the first
@@ -70,11 +69,6 @@ class AdaptiveConfig:
         improvement_factor: A move happens only when the calibrated
             predicted bandwidth of the best candidate placement exceeds
             the current placement's by this factor (> 1).
-        verify: Verification mode handed to
-            :meth:`~repro.coordinator.deployer.Deployer.migrate` —
-            ``"warn"`` (default) re-verifies every migration through the
-            static analyzer before it acts, ``"strict"`` also fails on
-            warnings.
         min_factor / max_factor: Clamp on the measured/predicted
             calibration factors, so one degenerate window cannot zero or
             explode the cost model.
@@ -84,7 +78,6 @@ class AdaptiveConfig:
     cooldown: float = 0.004
     budget: int = 2
     improvement_factor: float = 1.10
-    verify: Optional[str] = "warn"
     min_factor: float = 0.05
     max_factor: float = 20.0
 
@@ -105,11 +98,6 @@ class AdaptiveConfig:
             raise QueryExecutionError(
                 "improvement_factor must be > 1 (a migration must predict a "
                 f"strict improvement), got {self.improvement_factor!r}"
-            )
-        if self.verify not in (None, "warn", "strict"):
-            raise QueryExecutionError(
-                f"verify mode must be None, 'warn' or 'strict', "
-                f"not {self.verify!r}"
             )
         if not 0.0 < self.min_factor <= self.max_factor:
             raise QueryExecutionError(
@@ -314,8 +302,7 @@ class AdaptiveController:
 
         def migrate(deployment: Deployment, plan: object, prefix: str) -> Deployment:
             replacement, record = session.deployer.migrate(
-                deployment, plan, sp_id, target,
-                rp_prefix=prefix, verify=config.verify,
+                deployment, plan, sp_id, target, rp_prefix=prefix
             )
             self.migrations.append(record)
             return replacement

@@ -125,7 +125,6 @@ class _Entry:
 
     deployment: Deployment
     payload_bytes: int
-    stop_after: Optional[float]
     plan: object
     """The compiled plan, handed to :meth:`MultiQuerySession.replace`'s
     ``redeploy`` so a later generation can re-instantiate the graph."""
@@ -158,21 +157,9 @@ class MultiQuerySession:
         self,
         env: Optional[Environment] = None,
         settings: Optional[ExecutionSettings] = None,
-        verify: Optional[str] = None,
     ):
-        """``verify`` (``None``/``"warn"``/``"strict"``) statically checks
-        every submitted plan against the session's live environment before
-        deploying it — including double allocation against queries already
-        submitted (``SCSQ201``), since earlier deployments hold their nodes
-        in the shared CNDBs.
-        """
-        if verify not in (None, "warn", "strict"):
-            raise QueryExecutionError(
-                f"verify mode must be None, 'warn' or 'strict', not {verify!r}"
-            )
         self.env = env or Environment(EnvironmentConfig())
         self.settings = settings
-        self.verify = verify
         self.deployer = Deployer(self.env)
         self._entries: Dict[str, _Entry] = {}
         self._started = False
@@ -184,13 +171,15 @@ class MultiQuerySession:
         strategy: Optional[PlacementStrategy] = None,
         settings: Optional[ExecutionSettings] = None,
         label: Optional[str] = None,
-        stop_after: Optional[float] = None,
     ) -> str:
         """Place and deploy one plan; returns its label.
 
         The label namespaces the query's running-process (and stream) ids
         as ``"<label>/<sp_id>"``; it defaults to ``q0``, ``q1``, ... in
-        submission order and must be session-unique.
+        submission order and must be session-unique.  Earlier submissions
+        hold their nodes in the shared CNDBs, so a plan pinned to one of
+        them fails to deploy (``SCSQ201``), as ``session.deployer.verify``
+        would have reported.
         """
         if self._started:
             raise QueryExecutionError("session already ran; use a new session")
@@ -199,12 +188,9 @@ class MultiQuerySession:
         if label in self._entries:
             raise QueryExecutionError(f"duplicate query label {label!r}")
         placed = self.deployer.place(plan, strategy, settings or self.settings)
-        deployment = self.deployer.deploy(
-            placed, rp_prefix=f"{label}/", verify=self.verify
-        )
         self._entries[label] = _Entry(
-            deployment=deployment, payload_bytes=payload_bytes,
-            stop_after=stop_after, plan=plan,
+            deployment=self.deployer.deploy(placed, rp_prefix=f"{label}/"),
+            payload_bytes=payload_bytes, plan=plan,
         )
         return label
 
@@ -235,7 +221,7 @@ class MultiQuerySession:
             raise QueryExecutionError("no queries submitted")
         self._started = True
         for entry in self._entries.values():
-            entry.deployment.start(stop_after=entry.stop_after)
+            entry.deployment.start()
 
     def replace(
         self,
@@ -261,7 +247,7 @@ class MultiQuerySession:
         )
         entry.replacements = generation
         entry.deployment = replacement
-        replacement.start(stop_after=entry.stop_after)
+        replacement.start()
         return replacement
 
     def finish(self) -> MultiQueryResult:

@@ -17,21 +17,9 @@ from repro.util.errors import QueryExecutionError
 
 
 class _FoldAggregate(Operator):
-    """Shared machinery: fold the whole input stream into one value.
-
-    The fold state lives on the instance (``acc``/``n``), not as generator
-    locals, so :meth:`~repro.engine.operators.base.Operator.snapshot_state`
-    can capture a mid-stream aggregate and
-    :meth:`~repro.engine.operators.base.Operator.restore_state` can warm-
-    start a fresh instance from it — the engine half of snapshot/fork.
-    """
+    """Shared machinery: fold the whole input stream into one value."""
 
     arity = (1, 1)
-
-    def __init__(self, ctx, inputs, output):
-        super().__init__(ctx, inputs, output)
-        self.acc: Any = self._initial()
-        self.n = 0
 
     def _initial(self) -> Any:
         raise NotImplementedError
@@ -42,26 +30,17 @@ class _FoldAggregate(Operator):
     def _final(self, acc: Any, n: int) -> Any:
         return acc
 
-    def snapshot_state(self):
-        state = super().snapshot_state()
-        state["acc"] = self.acc
-        state["n"] = self.n
-        return state
-
-    def restore_state(self, state):
-        super().restore_state(state)
-        self.acc = state["acc"]
-        self.n = int(state["n"])
-
     def run(self):
+        acc = self._initial()
+        n = 0
         while True:
             obj = yield from self.next_object()
             if obj is END_OF_STREAM:
                 break
             yield from self.ctx.charge_object()
-            self.acc = self._step(self.acc, obj)
-            self.n += 1
-        yield from self.emit(self._final(self.acc, self.n))
+            acc = self._step(acc, obj)
+            n += 1
+        yield from self.emit(self._final(acc, n))
         yield from self.finish()
 
 

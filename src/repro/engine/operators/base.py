@@ -15,7 +15,7 @@ that makes the stream finite", section 2.2).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import List
 
 from repro.engine.context import ExecutionContext
 from repro.engine.objects import END_OF_STREAM
@@ -48,37 +48,6 @@ class Operator:
                 f"operator {self.name!r} takes between {low} and "
                 f"{high if high is not None else 'any'} inputs, got {n}"
             )
-
-    # ------------------------------------------------------------------
-    # Live-state snapshot (the engine half of snapshot/fork)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> Dict[str, Any]:
-        """This operator's live execution state as plain JSON-able data.
-
-        The base snapshot carries the progress counters every operator
-        maintains; stateful subclasses (folds, sources) extend it with
-        their accumulators so a migration record — or a warm-started fork —
-        captures exactly what the operator had computed so far.
-        """
-        return {
-            "name": self.name,
-            "objects_in": self.objects_in,
-            "objects_out": self.objects_out,
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Restore a :meth:`snapshot_state` onto a freshly built operator.
-
-        Must be called before :meth:`run` is spawned; restoring onto the
-        wrong operator kind raises.
-        """
-        if state.get("name") != self.name:
-            raise QueryExecutionError(
-                f"cannot restore {state.get('name')!r} state onto "
-                f"operator {self.name!r}"
-            )
-        self.objects_in = int(state["objects_in"])
-        self.objects_out = int(state["objects_out"])
 
     # ------------------------------------------------------------------
     def run(self):

@@ -39,30 +39,17 @@ class GenerateArrays(Operator):
             )
         self.nbytes = int(nbytes)
         self.count = int(count)
-        # Generation progress lives on the instance so snapshot_state can
-        # capture a mid-stream source and restore_state can resume it.
-        self.sequence = 0
-
-    def snapshot_state(self):
-        state = super().snapshot_state()
-        state["sequence"] = self.sequence
-        return state
-
-    def restore_state(self, state):
-        super().restore_state(state)
-        self.sequence = int(state["sequence"])
 
     def run(self):
         cost_per_array = (
             self.ctx.costs.per_object_overhead
             + self.nbytes / self.ctx.costs.generate_rate
         )
-        while self.count == self.UNBOUNDED or self.sequence < self.count:
+        sequence = 0
+        while self.count == self.UNBOUNDED or sequence < self.count:
             yield from self.ctx.charge_cpu(cost_per_array)
-            yield from self.emit(
-                SyntheticArray(nbytes=self.nbytes, sequence=self.sequence)
-            )
-            self.sequence += 1
+            yield from self.emit(SyntheticArray(nbytes=self.nbytes, sequence=sequence))
+            sequence += 1
         yield from self.finish()
 
 
@@ -92,22 +79,11 @@ class Iota(Operator):
         super().__init__(ctx, inputs, output)
         self.low = int(low)
         self.high = int(high)
-        self.position = int(low)
-
-    def snapshot_state(self):
-        state = super().snapshot_state()
-        state["position"] = self.position
-        return state
-
-    def restore_state(self, state):
-        super().restore_state(state)
-        self.position = int(state["position"])
 
     def run(self):
-        while self.position <= self.high:
+        for value in range(self.low, self.high + 1):
             yield from self.ctx.charge_object()
-            yield from self.emit(self.position)
-            self.position += 1
+            yield from self.emit(value)
         yield from self.finish()
 
 

@@ -240,7 +240,7 @@ class RunningProcess:
             process = port.driver_process
             if process is not None and process.is_alive:
                 process.interrupt("stop condition")
-                process._add_callback(lambda event: setattr(event, "_defused", True))
+                process.defuse()
         # One control round trip to the producers.
         yield sim.timeout(CONTROL_MESSAGE_LATENCY)
         for port in ports:
@@ -262,7 +262,7 @@ class RunningProcess:
         process = sender.process
         if process is not None and process.is_alive:
             process.interrupt("subscriber cancelled")
-            process._add_callback(lambda event: setattr(event, "_defused", True))
+            process.defuse()
         # Unblock (and keep draining) any pending fan-out put.
         self._cancellers.append(
             self.ctx.sim.process(self._drain(sender.source), name=f"{self.rp_id}:drain")
@@ -273,7 +273,7 @@ class RunningProcess:
             for proc in self._processes:
                 if proc is not None and proc.is_alive:
                     proc.interrupt("no subscribers left")
-                    proc._add_callback(lambda event: setattr(event, "_defused", True))
+                    proc.defuse()
             live = [
                 port
                 for port in self.input_ports
@@ -310,7 +310,7 @@ class RunningProcess:
             if process.is_alive:
                 process.interrupt("query stopped")
                 # The interruption is intentional; nobody will re-raise it.
-                process._add_callback(lambda event: setattr(event, "_defused", True))
+                process.defuse()
         for port in self.input_ports:
             port.inbox.close()
         for sender in self.senders:
@@ -338,50 +338,6 @@ class RunningProcess:
         if not self._node_released:
             self._node_released = True
             self.node.release()
-
-    # ------------------------------------------------------------------
-    # Live-state snapshot (the engine half of snapshot/fork)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """This RP's live SQEP state as plain data (no sim references).
-
-        Captures every operator's :meth:`~repro.engine.operators.base.
-        Operator.snapshot_state` (in build order, i.e. children first) plus
-        the driver byte counters, so a migration record — or a warm-started
-        fork — knows exactly how far this RP had progressed.  Pure: the RP
-        keeps running.
-        """
-        return {
-            "rp_id": self.rp_id,
-            "node": self.node.node_id,
-            "operators": [op.snapshot_state() for op in self.operators],
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Warm-start this (built, not yet started) RP from a snapshot.
-
-        Operator states are restored positionally — the RP must execute the
-        same SQEP the snapshot was taken from.  Driver byte counters are
-        *not* restored: they count this incarnation's wire activity.
-        """
-        if self._started:
-            raise QueryExecutionError(
-                f"RP {self.rp_id}: restore_state() must precede start()"
-            )
-        if not self._built:
-            raise QueryExecutionError(
-                f"RP {self.rp_id}: build() before restore_state()"
-            )
-        snapshots = state["operators"]
-        if len(snapshots) != len(self.operators):
-            raise QueryExecutionError(
-                f"RP {self.rp_id}: snapshot has {len(snapshots)} operator "
-                f"state(s), plan builds {len(self.operators)}"
-            )
-        for operator, snapshot_data in zip(self.operators, snapshots):
-            operator.restore_state(snapshot_data)
 
     # ------------------------------------------------------------------
     # Census (the engine half of the leak/liveness sanitizer)

@@ -195,25 +195,19 @@ class EnvironmentTemplate:
         """Return the shared mutable status to the freshly-built state."""
         self.restore(self._pristine)
 
-    def fork(
-        self,
-        seed: Optional[int] = None,
-        obs=None,
-        snapshot: Optional[TopologySnapshot] = None,
-    ) -> "Environment":
+    def fork(self, seed: Optional[int] = None, obs=None) -> "Environment":
         """A fresh :class:`Environment` on this already-built topology.
 
         The fork reuses the template's psets, CNDBs, and warmed route memo;
         only the simulator, jitter, and network instances are created anew.
         ``seed`` overrides the per-run seed (default: the template config's
-        seed); ``obs`` attaches instrumentation to the fork's simulator;
-        ``snapshot`` starts the fork from a captured occupancy instead of
-        pristine.  Forks of one template must be used sequentially — each
-        fork restores the shared occupancy, so starting a new fork
-        invalidates its live siblings.
+        seed); ``obs`` attaches instrumentation to the fork's simulator.
+        A fork starts pristine.  Forks of one template must be used
+        sequentially — each fork restores the shared occupancy, so starting
+        a new fork invalidates its live siblings.
         """
         config = self.config if seed is None else self.config.with_seed(seed)
-        return Environment(config, obs=obs, template=self, restore=snapshot)
+        return Environment(config, obs=obs, template=self)
 
 
 #: Per-process template cache used by the sweep executor's workers, keyed on
@@ -242,9 +236,6 @@ class Environment:
     template is reset to its freshly-built state, so results are identical
     to building from scratch.  :meth:`EnvironmentTemplate.fork` is the
     ergonomic spelling of that reuse.
-
-    Pass a :class:`TopologySnapshot` as ``restore`` to start from a
-    captured occupancy (a warmed deployment) instead of pristine.
     """
 
     def __init__(
@@ -252,19 +243,16 @@ class Environment:
         config: EnvironmentConfig = EnvironmentConfig(),
         obs=None,
         template: "EnvironmentTemplate | None" = None,
-        restore: Optional[TopologySnapshot] = None,
     ):
         if template is None:
             template = EnvironmentTemplate(config)
-            if restore is not None:
-                template.restore(restore)
         elif not template.matches(config):
             raise HardwareError(
                 f"environment template built for {template.config!r} "
                 f"does not match config {config!r}"
             )
         else:
-            template.restore(restore)
+            template.restore()  # pristine
         self.config = config
         self.template = template
         self.sim = Simulator(obs=obs)

@@ -307,7 +307,7 @@ class Simulator:
         proc = self.process(generator, name=name)
         # The root process's failure is re-raised below, so its exception is
         # handled; mark it defused to keep step() from flagging it first.
-        proc._add_callback(lambda event: setattr(event, "_defused", True))
+        proc.defuse()
         self.run()
         if not proc.triggered:
             raise SimulationError(

@@ -205,6 +205,15 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self.triggered
 
+    def defuse(self) -> None:
+        """Declare this process's failure handled by whoever holds it.
+
+        The kernel raises on a failed event nobody handles; a process that
+        is interrupted on purpose, or whose exception its owner re-raises
+        itself, must not trip that check.
+        """
+        self._defused = True
+
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 

@@ -1,11 +1,12 @@
-"""Properties of the one placement walk.
+"""Properties of the one structure check and the one placement walk.
 
 The static verifier and the deployer both call
+:func:`repro.coordinator.graph.check_structure` and
 :func:`repro.coordinator.resolver.resolve_placement` — the verifier on a
 snapshot, the deployer on the live environment — so there is no second
 implementation to agree with.  What is left to prove, over arbitrary
 allocation-directive mixes on paper-shaped environments with busy and
-failed nodes, is that the function is what it claims to be:
+failed nodes, is that the functions are what they claim to be:
 
 (a) a failed walk — bare, or inside ``Deployer.deploy`` — leaves cursors,
     occupancy and fault flags exactly as it found them;
@@ -14,7 +15,11 @@ failed nodes, is that the function is what it claims to be:
     assigns on a snapshot of the pre-deploy state (verifier-accepts is
     deploy-succeeds);
 (d) two plans submitted to one environment get the verdicts one verifier
-    gives them in sequence, whether or not the first went through.
+    gives them in sequence, whether or not the first went through;
+(e) with a structural defect seeded into the graph as well, ``deploy``
+    raises exactly the error codes ``Deployer.verify`` reports — both
+    ways, structure and placement — and a deploy that raised touched
+    nothing.
 """
 
 import pytest
@@ -25,6 +30,7 @@ from repro.analysis import EnvironmentSnapshot, PlanVerifier, Severity
 from repro.coordinator.allocation import NaiveSelector
 from repro.coordinator.deployer import Deployer
 from repro.coordinator.resolver import placement_failure, resolve_placement
+from repro.engine.sqep import plan_input, plan_op
 from repro.hardware.environment import Environment, EnvironmentConfig
 from repro.scsql.plan import compile_plan
 from repro.util.errors import AllocationError, PlanVerificationError
@@ -140,6 +146,61 @@ def test_verdict_agrees_with_deployment(directives, damage):
         assert {
             sp_id: deployment.rps[sp_id].node.node_id for sp_id in plan.graph.sps
         } == {sp_id: node.node_id for sp_id, node in assignment.nodes.items()}
+
+
+#: A structural defect seeded into a compiled graph -> the code it earns.
+DEFECT_CODES = {
+    "no-root": "SCSQ001",
+    "no-plan": "SCSQ001",
+    "unknown-producer": "SCSQ002",
+    "cycle": "SCSQ003",
+}
+defect_st = st.sampled_from([None, *DEFECT_CODES])  # None: left intact
+
+
+def seed_defect(graph, defect, pick):
+    """Break ``graph`` in place; ``pick`` chooses the stream process."""
+    sps = list(graph.sps.values())
+    victim = sps[pick % len(sps)]
+    if defect == "no-root":
+        graph.root_plan = None
+    elif defect == "no-plan":
+        victim.plan = None
+    elif defect == "unknown-producer":
+        victim.plan = plan_op("count", children=(plan_input("ghost"),))
+    elif defect == "cycle":  # victim <- next <- victim (a self-loop of one)
+        other = sps[(pick + 1) % len(sps)]
+        victim.plan = plan_input(other.sp_id)
+        other.plan = plan_input(victim.sp_id)
+
+
+@given(
+    directives=st.lists(directive_st, min_size=1, max_size=6),
+    damage=damage_st,
+    defect=defect_st,
+    pick=st.integers(min_value=0, max_value=5),
+)
+@settings(max_examples=120, deadline=None)
+def test_deploy_raises_what_the_verifier_reports(directives, damage, defect, pick):
+    graph = compile_plan(build_query(directives)).graph.instantiate()
+    seed_defect(graph, defect, pick)
+    env = damaged_environment(damage)
+    before = state(env)
+    deployer = Deployer(env)
+    placed = deployer.place(graph)
+    errors = [found.code for found in deployer.verify(placed).errors]
+    if defect is not None:  # structure errors stop the verifier too
+        assert errors == [DEFECT_CODES[defect]]
+    assert state(env) == before  # verify is pure
+    try:
+        deployment = deployer.deploy(placed)
+    except (AllocationError, PlanVerificationError) as raised:
+        assert errors and [found.code for found in raised.diagnostics] == errors
+        assert state(env) == before
+    else:
+        assert errors == []
+        deployment.teardown()
+        assert state(env) == before
 
 
 @given(directives=st.lists(directive_st, min_size=1, max_size=4))

@@ -1,8 +1,10 @@
 """Verification wired into the deployment path.
 
-``Deployer.verify`` / ``deploy(verify=...)`` / ``MultiQuerySession(verify=
-...)`` gate deployments on the static verifier, and the placement resolver
-rejects explicit allocations naming absent nodes with a typed error.
+``Deployer.verify(placed).raise_if_failed()`` is the stage that gates a
+deployment on the static verifier (a session's is ``session.deployer``);
+``deploy`` itself raises the verifier's error codes, and the placement
+resolver rejects explicit allocations naming absent nodes with a typed
+error.
 """
 
 import pytest
@@ -13,7 +15,7 @@ from repro.coordinator.resolver import placement_failure, resolve_placement
 from repro.core.multiquery import MultiQuerySession
 from repro.hardware.environment import Environment, EnvironmentConfig
 from repro.scsql.plan import compile_plan
-from repro.util.errors import PlanVerificationError, QueryExecutionError
+from repro.util.errors import PlanVerificationError, QueryError, ReproError
 
 CLEAN = (
     "select count(extract(a)) from sp a where a=sp(gen_array(10,5), 'bg', 1)"
@@ -28,6 +30,10 @@ CROSS_PSET = (
     "select extract(b) from sp a, sp b "
     "where b=sp(count(extract(a)), 'bg', 0) and a=sp(gen_array(10,5), 'bg', 8)"
 )
+
+
+def codes(diagnostics):
+    return [found.code for found in diagnostics]
 
 
 def fresh_deployer() -> Deployer:
@@ -75,70 +81,79 @@ class TestDeployerVerify:
 
     def test_deploy_verify_warn_blocks_errors_only(self):
         deployer = fresh_deployer()
-        # Warnings pass in "warn" mode...
-        deployment = deployer.deploy(
-            deployer.place(compile_plan(CROSS_PSET)), verify="warn"
-        )
-        deployment.teardown()
-        # ...errors do not.
+        # Warnings pass the verify stage, and never block a deployment...
+        placed = deployer.place(compile_plan(CROSS_PSET))
+        report = deployer.verify(placed)
+        assert codes(report.warnings) == ["SCSQ301"]
+        report.raise_if_failed()
+        deployer.deploy(placed).teardown()
+        # ...errors fail both, with the same code.
         deployer.env.cndb("bg").node(3).acquire()
-        with pytest.raises(PlanVerificationError) as exc_info:
-            deployer.deploy(
-                deployer.place(compile_plan(PINNED_NODE_3)), verify="warn"
-            )
-        assert any(d.code == "SCSQ201" for d in exc_info.value.diagnostics)
+        placed = deployer.place(compile_plan(PINNED_NODE_3))
+        with pytest.raises(QueryError) as verified:
+            deployer.verify(placed).raise_if_failed()
+        assert codes(verified.value.diagnostics) == ["SCSQ201"]
+        assert "error[SCSQ201]" in str(verified.value)
+        assert "already allocated" in str(verified.value)
+        with pytest.raises(ReproError) as deployed:
+            deployer.deploy(placed)
+        assert codes(deployed.value.diagnostics) == ["SCSQ201"]
+        assert "already allocated" in str(deployed.value)
 
     def test_deploy_verify_strict_blocks_warnings(self):
         deployer = fresh_deployer()
-        with pytest.raises(PlanVerificationError) as exc_info:
-            deployer.deploy(
-                deployer.place(compile_plan(CROSS_PSET)), verify="strict"
-            )
-        assert any(d.code == "SCSQ301" for d in exc_info.value.diagnostics)
-
-    def test_deploy_rejects_unknown_verify_mode(self):
-        deployer = fresh_deployer()
-        with pytest.raises(ValueError, match="verify"):
-            deployer.deploy(
-                deployer.place(compile_plan(CLEAN)), verify="paranoid"
-            )
+        placed = deployer.place(compile_plan(CROSS_PSET))
+        with pytest.raises(QueryError) as exc_info:
+            deployer.verify(placed).raise_if_failed(strict=True)
+        assert codes(exc_info.value.diagnostics) == ["SCSQ301"]
+        assert "warning[SCSQ301]" in str(exc_info.value)
+        assert "crosses pset boundaries" in str(exc_info.value)
 
     def test_run_with_verify_still_executes(self):
-        report = fresh_deployer().run(compile_plan(CLEAN), verify="warn")
-        assert report.scalar_result == 5
+        # The verify stage is pure: the plan and the environment run as if
+        # it had never been asked.
+        deployer = fresh_deployer()
+        plan = compile_plan(CLEAN)
+        before = deployer.env.template.snapshot()
+        deployer.verify(plan).raise_if_failed(strict=True)
+        assert deployer.env.template.snapshot() == before
+        assert deployer.run(plan).scalar_result == 5
 
 
 class TestMultiQuerySessionVerify:
     def test_double_allocation_across_queries_is_caught(self):
-        session = MultiQuerySession(verify="warn")
-        session.submit(compile_plan(PINNED_NODE_3), payload_bytes=50)
-        with pytest.raises(PlanVerificationError) as exc_info:
-            session.submit(compile_plan(PINNED_NODE_3), payload_bytes=50)
-        assert any(d.code == "SCSQ201" for d in exc_info.value.diagnostics)
+        # Earlier submissions hold their nodes in the shared CNDBs: the
+        # session's deployer verifies the next plan against them.
+        session = MultiQuerySession()
+        plan = compile_plan(PINNED_NODE_3)
+        session.submit(plan, payload_bytes=50)
+        report = session.deployer.verify(plan, label="q1")
+        assert codes(report.errors) == ["SCSQ201"]
+        assert "bg:3" in report.errors[0].message
+        assert "already allocated by a pre-existing deployment" in report.errors[0].message
+        with pytest.raises(QueryError, match=r"'q1'.*SCSQ201"):
+            report.raise_if_failed()
         session.teardown()
 
     def test_disjoint_queries_run_verified(self):
-        session = MultiQuerySession(verify="strict")
-        session.submit(compile_plan(CLEAN), payload_bytes=50, label="left")
-        session.submit(compile_plan(PINNED_NODE_3), payload_bytes=50, label="right")
+        session = MultiQuerySession()
+        for label, query in (("left", CLEAN), ("right", PINNED_NODE_3)):
+            plan = compile_plan(query)
+            session.deployer.verify(plan, label=label).raise_if_failed(strict=True)
+            session.submit(plan, payload_bytes=50, label=label)
         result = session.run()
         assert result["left"].report.scalar_result == 5
         assert result["right"].report.scalar_result == 5
         session.teardown()
 
-    def test_rejects_unknown_verify_mode(self):
-        with pytest.raises(QueryExecutionError, match="verify"):
-            MultiQuerySession(verify="always")
-
     def test_unverified_session_keeps_legacy_behaviour(self):
-        # verify=None: the second submit fails at allocation time instead,
-        # with the historical (untyped) error.
-        from repro.util.errors import AllocationError
-
+        # Nobody asked the verifier: the second submit fails at deploy time
+        # with the paper's "the query will fail" and the verifier's code.
         session = MultiQuerySession()
         session.submit(compile_plan(PINNED_NODE_3), payload_bytes=50)
-        with pytest.raises(AllocationError):
+        with pytest.raises(ReproError, match="bg:3 .* is already allocated") as exc_info:
             session.submit(compile_plan(PINNED_NODE_3), payload_bytes=50)
+        assert codes(exc_info.value.diagnostics) == ["SCSQ201"]
         session.teardown()
 
 

@@ -16,6 +16,7 @@ from repro.analysis import (
     Severity,
     verify_plan,
 )
+from repro.coordinator.graph import check_structure
 from repro.core.experiments.fig6 import point_to_point_query, scaled_workload
 from repro.core.experiments.fig15 import inbound_query
 from repro.hardware.environment import Environment, EnvironmentConfig
@@ -206,9 +207,9 @@ class _StubGraph:
 
 class TestStructureCodes:
     def _structure(self, graph):
-        report = AnalysisReport(label="stub")
-        ok = PlanVerifier()._check_structure(graph, report)
-        return ok, report
+        errors, warnings = check_structure(graph)
+        report = AnalysisReport(label="stub", diagnostics=errors + warnings)
+        return not errors, report
 
     def test_scsq002_unknown_producer(self):
         ok, report = self._structure(_StubGraph({"a": ["ghost"]}, root=["a"]))

@@ -34,7 +34,7 @@ from repro.obs import Instrumentation, profile_flows
 from repro.obs.instrument import instrumentation_for
 from repro.obs.tracer import NULL_TRACER
 from repro.scsql.plan import compile_plan
-from repro.util.errors import PlanVerificationError, QueryExecutionError
+from repro.util.errors import QueryExecutionError, ReproError
 
 
 class TestScheduleValidation:
@@ -217,7 +217,7 @@ class TestHarnessIsASession:
 
         with registered(queries):
             harness = run_faulted_session(fresh_env(), queries, FaultSchedule())
-            session = MultiQuerySession(fresh_env(), verify="warn")
+            session = MultiQuerySession(fresh_env())
             for query in queries:
                 session.submit(
                     compile_plan(query.query),
@@ -254,15 +254,17 @@ class TestHarnessIsASession:
 
     def test_unplaceable_replan_is_a_typed_error_and_a_quiescent_env(self):
         """The victim pins the node the fault killed: the replan cannot
-        deploy.  The harness raises the verifier's finding — the node has
-        failed; nobody "already allocated" it — and still hands back an
-        environment with every stream stopped and every slot returned."""
+        deploy.  The harness raises what the verifier would report — the
+        node has failed; nobody "already allocated" it — and still hands
+        back an environment with every stream stopped and every slot
+        returned."""
         env = Environment(
             EnvironmentConfig(), obs=Instrumentation(tracer=NULL_TRACER)
         )
         schedule = FaultSchedule.single("kill-node", 0.002, target=1)
-        with pytest.raises(PlanVerificationError, match="SCSQ108") as raised:
+        with pytest.raises(ReproError) as raised:
             run_faulted_session(env, self._pinned_pair(), schedule)
+        assert [found.code for found in raised.value.diagnostics] == ["SCSQ108"]
         assert "bg:1" in str(raised.value) and "has failed" in str(raised.value)
         assert "already allocated" not in str(raised.value)
         sanitize.assert_quiescent(env)

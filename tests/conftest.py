@@ -83,7 +83,7 @@ def run_operator(env: Environment, operator_cls, inputs, settings=None, **kwargs
     op_process = env.sim.process(operator.run(), name="op-under-test")
     # Re-raise the operator's own exception rather than the kernel's
     # unhandled-failure wrapper, so tests can assert on error types.
-    op_process._add_callback(lambda event: setattr(event, "_defused", True))
+    op_process.defuse()
     collector = drain_store(env.sim, out_store)
     env.sim.run()
     if op_process.triggered and not op_process.ok:

@@ -176,7 +176,7 @@ class TestTeardown:
 
 class TestPlacementStrategies:
     def test_selector_placement_names_its_selector(self):
-        assert SelectorPlacement().name == "selector:naive"
+        assert SelectorPlacement().selector.name == "naive"
 
     def test_cost_based_placement_matches_optimized_session(self):
         query = point_to_point_query(*scaled_workload(1000, target_buffers=30))
@@ -282,6 +282,29 @@ class TestFailedDeployIsAtomic:
         assert deployer.verify(follow_up).diagnostics == []
         assert deployer.run(follow_up).scalar_result == 5
 
+    def test_cyclic_graph_is_rejected_at_deploy(self):
+        """``a`` <- ``b`` <- ``a``: neither stream can ever end, and a
+        deployed cycle dies in ``SimulationError: simulation deadlocked``.
+        Deploy raises the ``SCSQ003`` the verifier reports, before any
+        node is acquired."""
+        from repro.coordinator.graph import QueryGraph, SPDef
+        from repro.engine.sqep import plan_input, plan_op
+        from repro.util.errors import PlanVerificationError
+
+        graph = QueryGraph(root_plan=plan_op("count", children=(plan_input("a"),)))
+        graph.add(SPDef("a", "bg", plan_input("b")))
+        graph.add(SPDef("b", "bg", plan_input("a")))
+        env = _fresh_env()
+        before = env.template.snapshot()
+        deployer = Deployer(env)
+        placed = deployer.place(graph)
+        (reported,) = deployer.verify(placed).errors
+        assert reported.code == "SCSQ003" and "a -> b -> a" in reported.message
+        with pytest.raises(PlanVerificationError, match="a -> b -> a") as exc_info:
+            deployer.deploy(placed)
+        assert exc_info.value.diagnostics == [reported]
+        self._assert_pristine(env, before)
+
     def test_failed_submit_leaves_session_usable(self):
         from repro.core.multiquery import MultiQuerySession
         from repro.util.errors import AllocationError
@@ -303,7 +326,7 @@ class TestFailedDeployIsAtomic:
         env = _fresh_env()
         deployer = Deployer(env)
         victim = deployer.deploy(deployer.place(compile_plan(self.FOLLOW_UP)))
-        deployer.teardown(victim)
+        victim.teardown()
         env.node("bg", 7).fail()
         after_fault = env.template.snapshot()
         with pytest.raises(AllocationError):

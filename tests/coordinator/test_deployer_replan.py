@@ -33,6 +33,14 @@ def _bg_compute_nodes(deployment):
     )
 
 
+def _verified_deploy(deployer, plan, rp_prefix=""):
+    """The explicit lifecycle: place, verify (errors raise), deploy."""
+    placed = deployer.place(plan)
+    report = deployer.verify(placed, label=rp_prefix.rstrip("/") or "query")
+    report.raise_if_failed()
+    return deployer.deploy(placed, rp_prefix=rp_prefix), report
+
+
 def _assert_no_oversubscription(env):
     for cndb in env.cndbs.values():
         for node in cndb.all_nodes():
@@ -48,26 +56,21 @@ def test_kill_replan_cycles_never_oversubscribe(seed, kills):
     env = Environment(EnvironmentConfig())
     deployer = Deployer(env)
     plan = compile_plan(QUERY_TEXT)
-    deployment = deployer.deploy(deployer.place(plan), verify="warn")
+    deployment, _ = _verified_deploy(deployer, plan)
     rng = random.Random(seed)
     killed = []
     for cycle in range(kills):
         victims = _bg_compute_nodes(deployment)
         assert victims, "the deck query always occupies a compute node"
         index = rng.choice(victims)
-        deployer.teardown(deployment)
+        deployment.teardown()
         env.bluegene.node(index).fail()
         killed.append(index)
 
         # The static verifier must agree the replan is sound before it runs.
-        report = deployer.verify(plan)
+        deployment, report = _verified_deploy(deployer, plan, f"r{cycle}/")
         codes = {d.code for d in report.diagnostics}
-        assert not codes & {"SCSQ103", "SCSQ201"}, report.format_text()
-        assert report.ok()
-
-        deployment = deployer.deploy(
-            deployer.place(plan), rp_prefix=f"r{cycle}/", verify="warn"
-        )
+        assert not codes & {"SCSQ103", "SCSQ108", "SCSQ201"}, report.format_text()
         for rp in deployment.rps.values():
             assert not rp.node.failed, f"replacement placed on dead {rp.node.node_id}"
         assert not set(_bg_compute_nodes(deployment)) & set(killed)
@@ -78,7 +81,7 @@ def test_kill_replan_cycles_never_oversubscribe(seed, kills):
     assert report.result == [build_query("grep", 0, SMOKE_SCALE).expected_result]
 
     # After the final teardown every slot is back and a fresh deploy works.
-    deployer.teardown(deployment)
+    deployment.teardown()
     _assert_no_oversubscription(env)
     final = deployer.verify(plan)
     assert final.ok(), final.format_text()
@@ -91,10 +94,10 @@ def test_teardown_is_idempotent_and_restores_cursors(seed):
     deployer = Deployer(env)
     plan = compile_plan(QUERY_TEXT)
     cursors = {name: cndb._rr_cursor for name, cndb in env.cndbs.items()}
-    deployment = deployer.deploy(deployer.place(plan), verify="warn")
+    deployment, _ = _verified_deploy(deployer, plan)
     rng = random.Random(seed)
     for _ in range(rng.randint(1, 3)):
-        deployer.teardown(deployment)
+        deployment.teardown()
     _assert_no_oversubscription(env)
     for name, cndb in env.cndbs.items():
         assert cndb._rr_cursor == cursors[name]

@@ -9,9 +9,9 @@ The tentpole behaviours under test:
   the shared I/O path and the worst query's bandwidth improves; on the
   Fig 8 sequential selection it moves the generator off the busy
   intermediate route — both with exact results;
-* the migration lifecycle itself: snapshot -> quiesce -> re-verify ->
-  redeploy -> replay, with rollback when the verifier rejects the move,
-  and randomized free-node targets never tripping SCSQ103/201.
+* the migration lifecycle itself: quiesce -> redeploy -> replay, with
+  rollback when the move cannot be placed, and randomized free-node
+  targets never tripping SCSQ103/201.
 """
 
 import json
@@ -93,7 +93,7 @@ class TestAdaptiveConfig:
             ({"cooldown": -1.0}, "cooldown"),
             ({"budget": -1}, "budget"),
             ({"improvement_factor": 1.0}, "improvement_factor"),
-            ({"verify": "maybe"}, "verify"),
+            ({"improvement_factor": 0.5}, "improvement_factor"),
             ({"min_factor": 0.0}, "min_factor"),
             ({"min_factor": 2.0, "max_factor": 1.0}, "min_factor"),
         ],
@@ -169,7 +169,6 @@ class TestFig15Contention:
             assert record.ok and not record.rolled_back
             assert "+g" in record.rp_prefix
             assert record.source != record.target
-            assert record.snapshot  # live state captured before quiesce
 
     def test_migrated_queries_produce_exact_results(self, fig15):
         for label in DEFAULT_SENDERS:
@@ -268,18 +267,6 @@ class TestMigrationLifecycle:
         assert report.result == MERGE_RESULT
         assert report.rp_placements["b@2"] == "bg:3"
 
-    def test_snapshot_captures_live_operator_state(self):
-        env, deployer, plan, deployment = self._deployed()
-        deployment.start()
-        env.sim.run(until=0.005)
-        _, record = deployer.migrate(
-            deployment, plan, "b@2", 3, rp_prefix="q+g1/"
-        )
-        assert set(record.snapshot) >= {"a@1", "b@2", "c@3"}
-        generator = record.snapshot["b@2"]["operators"][0]
-        assert generator["name"] == "gen_array"
-        assert generator["sequence"] > 0  # mid-stream, not a cold start
-
     def test_verifier_rejection_rolls_back(self):
         """Moving onto a node another live deployment holds trips SCSQ201;
         the deployment must come back at its original placement and still
@@ -295,7 +282,8 @@ class TestMigrationLifecycle:
             deployment, plan, "b@2", 5, rp_prefix="q+g1/"
         )
         assert record.rolled_back and not record.ok
-        assert "SCSQ201" in record.detail
+        assert record.detail.startswith("error[SCSQ201]")
+        assert "bg:5 selected by 'b@2' is already allocated" in record.detail
         assert replacement.rps["b@2"].node.node_id == "bg:2"
         replacement.start()
         env.sim.run()

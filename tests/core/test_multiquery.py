@@ -132,14 +132,12 @@ class TestReplace:
     )
 
     def _submitted(self, seed: int) -> MultiQuerySession:
-        session = MultiQuerySession(
-            Environment(EnvironmentConfig().with_seed(seed)), verify="warn"
-        )
+        session = MultiQuerySession(Environment(EnvironmentConfig().with_seed(seed)))
         for label, count in self.STREAMS.items():
-            session.submit(
-                compile_plan(self.QUERY.format(count=count)),
-                payload_bytes=100_000 * count, label=label,
-            )
+            plan = compile_plan(self.QUERY.format(count=count))
+            # Verified against the queries already submitted, then deployed.
+            assert session.deployer.verify(plan, label=label).diagnostics == []
+            session.submit(plan, payload_bytes=100_000 * count, label=label)
         return session
 
     @staticmethod
@@ -151,9 +149,10 @@ class TestReplace:
         def replan(deployment, plan, prefix):
             deployment.rps["a@1"].node.fail()
             deployment.teardown()
-            return deployer.deploy(
-                deployer.place(plan), rp_prefix=prefix, verify="warn"
-            )
+            placed = deployer.place(plan)
+            # The replan avoids the dead node: nothing for the verifier to say.
+            assert deployer.verify(placed, label=prefix).diagnostics == []
+            return deployer.deploy(placed, rp_prefix=prefix)
 
         def migrate(deployment, plan, prefix):
             free = [

@@ -98,8 +98,11 @@ class TestFork:
         _occupy(template, nodes=4, processes=1)
         warmed = template.snapshot()
         template.reset()
-        env = template.fork(seed=1, snapshot=warmed)
+        env = template.fork(seed=1)
+        assert env.cndbs[BLUEGENE]._rr_cursor == 0
+        template.restore(warmed)  # the fork shares the template's CNDBs
         assert env.template is template
+        assert env.cndbs[BLUEGENE]._rr_cursor == 4
         assert template.snapshot() == warmed
 
     def test_fork_mutations_never_leak_into_pristine(self, template):
@@ -141,13 +144,3 @@ class TestFork:
         plain = template.fork(seed=1)
         assert observed.obs is obs
         assert plain.obs is not obs
-
-    def test_restore_snapshot_via_environment_ctor(self, template):
-        """Environment(config, restore=...) on a fresh template applies it."""
-        from repro.hardware.environment import Environment
-
-        _occupy(template, nodes=2)
-        warmed = template.snapshot()
-        env = Environment(EnvironmentConfig(), restore=warmed)
-        assert env.template.snapshot() == warmed
-        assert env.template is not template

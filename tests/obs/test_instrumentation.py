@@ -54,7 +54,7 @@ class TestKernelCounters:
             raise RuntimeError("boom")
 
         proc = sim.process(broken(), name="broken")
-        proc._add_callback(lambda event: setattr(event, "_defused", True))
+        proc.defuse()
         sim.run()
         assert obs.snapshot().counter("sim.processes_failed") == 1
 
