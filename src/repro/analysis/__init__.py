@@ -4,9 +4,9 @@ Two halves:
 
 * :mod:`repro.analysis.verifier` — proves a compiled
   :class:`~repro.scsql.plan.DeploymentPlan` deployable (or rejects it with
-  coded diagnostics) by running the deployer's placement resolver against
-  a CNDB snapshot, and warns where the cost model shows a topology
-  link-bound.
+  coded diagnostics) by running the deployer's placement resolver on the
+  real CNDBs between a topology ``snapshot()`` and ``restore()``, and warns
+  where the cost model shows a topology link-bound.
 * :mod:`repro.analysis.lint` — AST lints keeping the simulation kernel
   deterministic (no wall clock, no global RNG, no set-order dependence,
   ``__slots__`` events, guarded obs hooks).
@@ -22,16 +22,13 @@ from repro.analysis.diagnostics import (
     PlanVerificationError,
     Severity,
 )
-from repro.analysis.snapshot import EnvironmentSnapshot
-from repro.analysis.verifier import PlanVerifier, verify_plan
+from repro.analysis.verifier import verify_plan
 
 __all__ = [
     "AnalysisReport",
     "CATALOG",
     "Diagnostic",
-    "EnvironmentSnapshot",
     "PlanVerificationError",
-    "PlanVerifier",
     "Severity",
     "verify_plan",
 ]

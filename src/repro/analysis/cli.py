@@ -73,7 +73,7 @@ def _verify_statements(
 
     ``create function`` statements register their function for the
     statements that follow (mirroring a session) and produce no report.
-    Each select query is verified against a *fresh* topology snapshot, as
+    Each select query is verified against a *fresh* topology, as
     ``Deployer.run`` on a fresh environment would see it (concurrent-
     deployment conflicts are ``session.deployer.verify(plan)``'s to find).
     """

@@ -620,12 +620,13 @@ class Deployer:
     def verify(self, plan: Any, label: str = "query") -> "AnalysisReport":
         """Statically verify a plan against this environment's live state.
 
-        Runs the :class:`~repro.analysis.verifier.PlanVerifier` pass
+        Runs the :func:`~repro.analysis.verifier.verify_plan` pass
         pipeline over the plan (a :class:`PlacedPlan`, or anything
-        :meth:`place` accepts) and a snapshot of the environment's
-        *current* CNDB state — so nodes held by this deployer's live
-        deployments surface as cross-plan conflicts (``SCSQ201``).  Pure:
-        neither the plan nor the environment is touched.
+        :meth:`place` accepts) on the environment's *current* CNDB state —
+        so nodes held by this deployer's live deployments surface as
+        cross-plan conflicts (``SCSQ201``).  Pure: the placement walk runs
+        between a topology ``snapshot()`` and ``restore()``, so neither
+        the plan nor the environment is changed.
 
         The report's errors are what :meth:`deploy` would raise, code for
         code; ``report.raise_if_failed()`` raises them without deploying

@@ -127,7 +127,7 @@ def check_structure(
 
     Errors make the graph undeployable — :class:`~repro.coordinator.deployer.
     Deployment` construction raises on them and the static
-    :class:`~repro.analysis.verifier.PlanVerifier` reports them, from this
+    :func:`~repro.analysis.verifier.verify_plan` reports them, from this
     one body.  They come in stages, a later one only over a graph the
     earlier ones accept: a missing root or subquery plan (``SCSQ001``),
     subscriptions to unknown stream processes (``SCSQ002``), the first

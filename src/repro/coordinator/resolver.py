@@ -5,11 +5,12 @@ selection algorithm will choose the first available node in the allocation
 sequence ... In case the stream contains no available node, the query will
 fail."  :func:`resolve_placement` is the only code that carries that out:
 :class:`~repro.coordinator.deployer.Deployment` construction runs it on the
-live environment, the static :class:`~repro.analysis.verifier.PlanVerifier`
-on a private snapshot — "the verifier accepts" and "the deployment
-succeeds" are one computation on equal state.  The walk is atomic: it
-leaves either one acquired slot per stream process, or coded diagnostics
-and the environment exactly as it found it.
+live environment, the static :func:`~repro.analysis.verifier.verify_plan`
+on the same CNDBs between a topology ``snapshot()`` and ``restore()`` —
+"the verifier accepts" and "the deployment succeeds" are one computation
+on one state.  The walk is atomic: it leaves either one acquired slot per
+stream process, or coded diagnostics and the environment exactly as it
+found it.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ def resolve_placement(
     """Choose and acquire a node for every stream process of ``graph``.
 
     ``cndbs`` is anything with ``cndb(cluster)`` and ``cluster_names()`` —
-    a live environment or a snapshot of one.  Each
+    an :class:`~repro.hardware.environment.EnvironmentTemplate`, or an
+    environment, which delegates both to its template.  Each
     :class:`~repro.coordinator.allocation.AllocationSpec` *instance*
     resolves once (the members of one ``spv()`` share one stateful
     sequence); the stream processes are then walked in graph order, each

@@ -9,8 +9,7 @@ are all queries against this database.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.hardware.node import Node, NodeKind
 from repro.util.errors import HardwareError
@@ -29,14 +28,6 @@ class ComputeNodeDatabase:
         for node in self._nodes:
             self._by_index.setdefault(node.index, node)
         self._rr_cursor = 0
-
-    def copy(self) -> "ComputeNodeDatabase":
-        """A private copy: fresh Node objects, same occupancy and cursor."""
-        clone = ComputeNodeDatabase(
-            self.cluster, [dataclasses.replace(node) for node in self._nodes]
-        )
-        clone._rr_cursor = self._rr_cursor
-        return clone
 
     # ------------------------------------------------------------------
     # Plain lookups
@@ -62,25 +53,6 @@ class ComputeNodeDatabase:
     # ------------------------------------------------------------------
     # Allocation-sequence queries (paper section 2.4 / 3.2)
     # ------------------------------------------------------------------
-    def round_robin(self) -> Iterator[int]:
-        """Node numbers in round-robin order — the ``urr(cl)`` function.
-
-        Each call to the iterator yields "a new available node in the
-        cluster in a round-robin fashion".  The cursor is shared across
-        queries against this CNDB, matching the stateful behaviour of a
-        coordinator handing out fresh nodes.
-        """
-        count = len(self._nodes)
-        for step in range(count):
-            node = self._nodes[(self._rr_cursor + step) % count]
-            yield node.index
-        # Advance the shared cursor once the sequence has been consumed.
-
-    def advance_round_robin(self, steps: int = 1) -> None:
-        """Move the shared round-robin cursor forward ``steps`` nodes."""
-        if self._nodes:
-            self._rr_cursor = (self._rr_cursor + steps) % len(self._nodes)
-
     def next_round_robin(self) -> int:
         """The next node number in round-robin order; advances the cursor.
 
@@ -122,32 +94,6 @@ class ComputeNodeDatabase:
                 if position < len(members):
                     sequence.append(members[position])
         return sequence
-
-    # ------------------------------------------------------------------
-    # Status updates (used by the coordinator when placing RPs)
-    # ------------------------------------------------------------------
-    def first_available(self, allocation_sequence: Optional[Sequence[int]] = None) -> Node:
-        """First available node, honouring an allocation sequence if given.
-
-        Without a sequence this is the paper's "naive node selection
-        algorithm ... returning the next available node".  With a sequence,
-        "the node selection algorithm will choose the first available node
-        in the allocation sequence".
-
-        Raises:
-            HardwareError: If no node in the sequence (or cluster) is available.
-        """
-        if allocation_sequence is None:
-            candidates = self.round_robin()
-        else:
-            candidates = iter(allocation_sequence)
-        for index in candidates:
-            node = self.node(index)
-            if node.is_available:
-                return node
-        raise HardwareError(
-            f"no available node in cluster {self.cluster!r} for the given allocation sequence"
-        )
 
     def __repr__(self) -> str:
         kinds = {k: sum(1 for n in self._nodes if n.kind is k) for k in NodeKind}

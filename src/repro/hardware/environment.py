@@ -133,15 +133,31 @@ class EnvironmentTemplate:
         return _topology_key(config) == _topology_key(self.config)
 
     # ------------------------------------------------------------------
+    # Lookup: what the placement walk asks of its CNDBs
+    # ------------------------------------------------------------------
+    def cluster_names(self):
+        """The clusters of the topology, in paper order."""
+        return DEFAULT_CLUSTERS
+
+    def cndb(self, cluster: str) -> ComputeNodeDatabase:
+        """The compute node database of ``cluster``."""
+        try:
+            return self.cndbs[cluster]
+        except KeyError:
+            raise HardwareError(
+                f"unknown cluster {cluster!r}; expected one of {sorted(self.cndbs)}"
+            ) from None
+
+    # ------------------------------------------------------------------
     # Occupancy snapshot / restore / fork
     # ------------------------------------------------------------------
     def snapshot(self) -> TopologySnapshot:
         """Capture the current occupancy state as an immutable snapshot.
 
-        Taking a snapshot after deploying a long-lived workload freezes the
-        warmed topology (CNDB cursors, per-node process counts, fault
-        flags); any number of later :meth:`fork` calls can then start from
-        that state instead of from pristine.
+        Three callers: :meth:`fork`/:meth:`restore` (via the pristine
+        snapshot), the sanitizer's ``SAN205`` pristine-occupancy check, and
+        static verification, which walks a plan's placement on the real
+        CNDBs between a ``snapshot()`` and a ``restore()``.
         """
         return TopologySnapshot(
             topology=_topology_key(self.config),
@@ -280,16 +296,11 @@ class Environment:
     # ------------------------------------------------------------------
     def cluster_names(self):
         """The clusters of the environment, in paper order."""
-        return DEFAULT_CLUSTERS
+        return self.template.cluster_names()
 
     def cndb(self, cluster: str) -> ComputeNodeDatabase:
-        """The compute node database of ``cluster``."""
-        try:
-            return self.cndbs[cluster]
-        except KeyError:
-            raise HardwareError(
-                f"unknown cluster {cluster!r}; expected one of {sorted(self.cndbs)}"
-            ) from None
+        """The compute node database of ``cluster`` (the template's)."""
+        return self.template.cndb(cluster)
 
     def node(self, cluster: str, index: int) -> Node:
         """The node ``index`` of ``cluster``."""

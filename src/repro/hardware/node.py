@@ -130,9 +130,9 @@ class Node:
         Processes already placed keep their accounting (``release`` still
         works), so a deployment torn down after the failure leaves the
         bookkeeping consistent; only *new* placements are refused, by
-        every consumer of :meth:`can_host` — the CNDB's
-        ``first_available`` scan, the node selectors, the cost-based
-        placer's candidates, and the placement resolver.
+        every consumer of :meth:`can_host` — allocation sequences, the
+        node selectors, the cost-based placer's candidates, and the
+        placement resolver.
         """
         self.failed = True
 

@@ -2,9 +2,9 @@
 
 The static verifier and the deployer both call
 :func:`repro.coordinator.graph.check_structure` and
-:func:`repro.coordinator.resolver.resolve_placement` — the verifier on a
-snapshot, the deployer on the live environment — so there is no second
-implementation to agree with.  What is left to prove, over arbitrary
+:func:`repro.coordinator.resolver.resolve_placement` on the one topology —
+the verifier between a ``snapshot()`` and a ``restore()`` — so there is no
+second implementation to agree with.  What is left to prove, over arbitrary
 allocation-directive mixes on paper-shaped environments with busy and
 failed nodes, is that the functions are what they claim to be:
 
@@ -12,10 +12,11 @@ failed nodes, is that the functions are what they claim to be:
     occupancy and fault flags exactly as it found them;
 (b) ``deploy`` then ``teardown`` is the identity on that state;
 (c) a deployment runs every stream process on the node the resolver
-    assigns on a snapshot of the pre-deploy state (verifier-accepts is
-    deploy-succeeds);
-(d) two plans submitted to one environment get the verdicts one verifier
-    gives them in sequence, whether or not the first went through;
+    assigns on the pre-deploy state (verifier-accepts is deploy-succeeds),
+    on a private environment and on a fork of a shared template alike;
+(d) two plans submitted to one environment get the verdicts
+    ``Deployer.verify`` gives each just before it is submitted, whether or
+    not the first went through;
 (e) with a structural defect seeded into the graph as well, ``deploy``
     raises exactly the error codes ``Deployer.verify`` reports — both
     ways, structure and placement — and a deploy that raised touched
@@ -26,12 +27,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import EnvironmentSnapshot, PlanVerifier, Severity
+from repro.analysis import Severity, verify_plan
 from repro.coordinator.allocation import NaiveSelector
 from repro.coordinator.deployer import Deployer
 from repro.coordinator.resolver import placement_failure, resolve_placement
 from repro.engine.sqep import plan_input, plan_op
-from repro.hardware.environment import Environment, EnvironmentConfig
+from repro.hardware.environment import Environment, EnvironmentConfig, shared_template
 from repro.scsql.plan import compile_plan
 from repro.util.errors import AllocationError, PlanVerificationError
 
@@ -70,8 +71,11 @@ def build_query(directives) -> str:
     return f"select {root} from {decls} where {conjuncts};"
 
 
-def damaged_environment(damage) -> Environment:
-    env = Environment(EnvironmentConfig())
+def damaged_environment(damage, shared: bool = False) -> Environment:
+    if shared:
+        env = shared_template(EnvironmentConfig()).fork()
+    else:
+        env = Environment(EnvironmentConfig())
     for index, kind in damage.items():
         node = env.node("bg", index)
         if kind == "busy":
@@ -126,16 +130,21 @@ def test_deploy_then_teardown_is_identity(directives, damage):
     assert state(env) == before
 
 
-@given(directives=st.lists(directive_st, min_size=1, max_size=8), damage=damage_st)
+@given(
+    directives=st.lists(directive_st, min_size=1, max_size=8),
+    damage=damage_st,
+    shared=st.booleans(),
+)
 @settings(max_examples=80, deadline=None)
-def test_verdict_agrees_with_deployment(directives, damage):
+def test_verdict_agrees_with_deployment(directives, damage, shared):
     plan = compile_plan(build_query(directives))
-    env = damaged_environment(damage)
-    snapshot = EnvironmentSnapshot.from_environment(env)
-    report = PlanVerifier(EnvironmentSnapshot.from_environment(env)).verify(plan)
+    env = damaged_environment(damage, shared)
+    report = verify_plan(plan, env=env)
+    saved = env.template.snapshot()
     assignment, diagnostics = resolve_placement(
-        plan.graph.instantiate(), snapshot, NaiveSelector()
+        plan.graph.instantiate(), env, NaiveSelector()
     )
+    env.template.restore(saved)
     assert [d.code for d in report.diagnostics if d.severity is Severity.ERROR] == [
         d.code for d in diagnostics
     ]
@@ -207,14 +216,12 @@ def test_deploy_raises_what_the_verifier_reports(directives, damage, defect, pic
 @settings(max_examples=30, deadline=None)
 def test_concurrent_verdicts_agree_with_shared_environment(directives):
     """Two copies of one plan, one environment: the verifier's cross-plan
-    pass (SCSQ201) agrees with submitting both to one deployer."""
+    finding (SCSQ201) agrees with submitting both to one deployer."""
     plan_text = build_query(directives)
-    verifier = PlanVerifier(EnvironmentSnapshot.from_config())
-    first = verifier.verify(compile_plan(plan_text), label="first")
-    second = verifier.verify(compile_plan(plan_text), label="second")
-
     deployer = Deployer(Environment(EnvironmentConfig()))
+    first = deployer.verify(compile_plan(plan_text), label="first")
     assert first.ok() == (try_deploy(deployer, compile_plan(plan_text)) is not None)
+    second = deployer.verify(compile_plan(plan_text), label="second")
     assert second.ok() == (try_deploy(deployer, compile_plan(plan_text)) is not None)
 
 

@@ -9,17 +9,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis import (
-    AnalysisReport,
-    EnvironmentSnapshot,
-    PlanVerifier,
-    Severity,
-    verify_plan,
-)
+from repro.analysis import AnalysisReport, Severity, verify_plan
+from repro.coordinator.deployer import Deployer
 from repro.coordinator.graph import check_structure
 from repro.core.experiments.fig6 import point_to_point_query, scaled_workload
 from repro.core.experiments.fig15 import inbound_query
-from repro.hardware.environment import Environment, EnvironmentConfig
+from repro.hardware.environment import Environment, EnvironmentConfig, shared_template
 from repro.scsql.plan import compile_plan
 from repro.util.errors import PlanVerificationError
 
@@ -100,18 +95,22 @@ class TestPlacementCodes:
         assert codes(report) == ["SCSQ105"]
 
     def test_scsq201_cross_plan_double_allocation(self):
-        # One verifier = one environment: the second plan's pinned node is
-        # already held by the first.
-        verifier = PlanVerifier()
+        # The first plan is deployed: the second plan's pinned node is
+        # already held by it.
+        deployer = Deployer(Environment(EnvironmentConfig()))
         query = (
             "select count(extract(a)) from sp a "
             "where a=sp(gen_array(10,5), 'bg', 3)"
         )
-        first = verifier.verify(compile_plan(query), label="first")
-        second = verifier.verify(compile_plan(query), label="second")
-        assert first.diagnostics == []
+        first = deployer.place(compile_plan(query))
+        assert deployer.verify(first, label="first").diagnostics == []
+        deployer.deploy(first)
+        second = deployer.verify(compile_plan(query), label="second")
         assert codes(second) == ["SCSQ201"]
-        assert "first:a@1" in second.diagnostics[0].message
+        assert second.diagnostics[0].message == (
+            "node bg:3 selected by 'a@1' is already allocated by a "
+            "pre-existing deployment"
+        )
 
     def test_scsq201_against_live_environment(self):
         env = Environment(EnvironmentConfig())
@@ -275,14 +274,30 @@ class TestReportAPI:
 
 
 class TestSnapshot:
-    def test_from_environment_copies_occupancy(self):
-        env = Environment(EnvironmentConfig())
-        env.cndb("bg").node(7).acquire()
-        snapshot = EnvironmentSnapshot.from_environment(env)
-        assert "bg:7" in snapshot.busy_nodes()
-        # The snapshot is a copy: acquiring in it leaves env untouched.
-        snapshot.node("bg", 6).acquire()
-        assert env.cndb("bg").node(6).is_available
+    PINNED_5 = (
+        "select count(extract(a)) from sp a where a=sp(gen_array(10,5), 'bg', 5)"
+    )
+    OTHER = (
+        "select count(merge({a,b})) from sp a, sp b "
+        "where a=sp(gen_array(10,5), 'bg', 5) and b=sp(gen_array(10,5), 'bg')"
+    )
+
+    def test_config_means_a_fresh_topology_under_a_live_fork(self):
+        # A live fork of the shared template hosts a deployment on bg:5;
+        # verify_plan(config=) still sees an idle topology, and leaves the
+        # fork's state exactly as it found it.
+        config = EnvironmentConfig()
+        idle = verify(self.OTHER, config=config)
+        assert idle.ok()
+        template = shared_template(config)
+        deployer = Deployer(template.fork())
+        deployment = deployer.deploy(deployer.place(compile_plan(self.PINNED_5)))
+        busy = template.snapshot()
+        assert verify(self.OTHER, config=config) == idle
+        assert template.snapshot() == busy
+        assert not verify(self.OTHER, env=deployer.env).ok()  # env=: live state
+        assert template.snapshot() == busy
+        deployment.teardown()
 
     def test_verification_does_not_mutate_environment(self):
         env = Environment(EnvironmentConfig())

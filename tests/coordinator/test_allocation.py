@@ -49,6 +49,18 @@ class TestAllocationSequence:
         sequence = AllocationSequence([3, 4, 5])
         assert sequence.select(bg_cndb).index == 4
 
+    def test_list_order_is_preference_order(self, bg_cndb):
+        # "the first available node in the allocation sequence", not the
+        # lowest-numbered one.
+        assert AllocationSequence([5, 3, 1]).select(bg_cndb).index == 5
+        bg_cndb.node(5).acquire()
+        assert AllocationSequence([5, 3, 1]).select(bg_cndb).index == 3
+
+    def test_list_naming_an_absent_node_fails(self, bg_cndb):
+        # The absent node is an error even though a later one is free.
+        with pytest.raises(AllocationError, match="does not exist"):
+            AllocationSequence([99, 0]).select(bg_cndb)
+
     def test_exhausted_sequence_fails(self, bg_cndb):
         bg_cndb.node(3).acquire()
         with pytest.raises(AllocationError, match="no available node"):
@@ -113,6 +125,23 @@ class TestSelectors:
         first.acquire()
         second = selector.select(bg_cndb)
         assert (first.index, second.index) == (0, 1)
+
+    def test_naive_advances_the_shared_cursor(self, be_cndb):
+        # One cursor per CNDB: naive selection and urr() continue each
+        # other's round-robin walk.
+        picks = [NaiveSelector().select(be_cndb).index for _ in range(3)]
+        assert picks == [0, 1, 2]
+        assert urr_sequence(be_cndb).select(be_cndb).index == 3
+        assert be_cndb.next_round_robin() == 0
+
+    def test_naive_scans_the_whole_cluster(self, bg_cndb):
+        # From any cursor position the scan wraps around to the one free node.
+        for node in bg_cndb.all_nodes():
+            if node.index != 2:
+                node.acquire()
+        for _ in range(5):
+            bg_cndb.next_round_robin()
+        assert NaiveSelector().select(bg_cndb).index == 2
 
     def test_naive_full_cluster_fails(self, be_cndb):
         # Linux nodes are never full, so test on a tiny BlueGene instead.

@@ -243,7 +243,6 @@ class TestCandidatesAgreeWithResolver:
 
     @staticmethod
     def _resolver_codes(env, graph, pins):
-        from repro.analysis import EnvironmentSnapshot
         from repro.coordinator import QueryGraph, SPDef
         from repro.coordinator.allocation import AllocationSequence, NaiveSelector
         from repro.coordinator.resolver import resolve_placement
@@ -252,9 +251,9 @@ class TestCandidatesAgreeWithResolver:
         for sp_id, index in pins.items():
             sp = graph.sps[sp_id]
             pinned.add(SPDef(sp_id, sp.cluster, sp.plan, AllocationSequence(index)))
-        _, diagnostics = resolve_placement(
-            pinned, EnvironmentSnapshot.from_environment(env), NaiveSelector()
-        )
+        saved = env.template.snapshot()  # each walk starts from the damage
+        _, diagnostics = resolve_placement(pinned, env, NaiveSelector())
+        env.template.restore(saved)
         return [d.code for d in diagnostics]
 
     def test_every_candidate_is_a_node_the_resolver_accepts(self):

@@ -41,13 +41,6 @@ class TestRoundRobin:
         seen = [be_cndb.next_round_robin() for _ in range(6)]
         assert seen == [0, 1, 2, 3, 0, 1]
 
-    def test_round_robin_iterator_covers_cluster(self, be_cndb):
-        assert sorted(be_cndb.round_robin()) == [0, 1, 2, 3]
-
-    def test_advance_cursor(self, be_cndb):
-        be_cndb.advance_round_robin(3)
-        assert be_cndb.next_round_robin() == 3
-
 
 class TestPsetQueries:
     def test_nodes_in_pset(self, bg_cndb):
@@ -70,29 +63,6 @@ class TestPsetQueries:
             be_cndb.pset_round_robin()
 
 
-class TestFirstAvailable:
-    def test_naive_takes_next_available(self, bg_cndb):
-        assert bg_cndb.first_available().index == 0
-        bg_cndb.node(0).acquire()
-        # Without an allocation sequence the cursor has not moved (the
-        # iterator starts at the cursor and skips busy nodes).
-        assert bg_cndb.first_available().index == 1
-
-    def test_allocation_sequence_order_respected(self, bg_cndb):
-        assert bg_cndb.first_available([5, 3, 1]).index == 5
-        bg_cndb.node(5).acquire()
-        assert bg_cndb.first_available([5, 3, 1]).index == 3
-
-    def test_no_available_node_fails(self, bg_cndb):
-        bg_cndb.node(7).acquire()
-        with pytest.raises(HardwareError):
-            bg_cndb.first_available([7])
-
-    def test_sequence_naming_an_absent_node_fails(self, bg_cndb):
-        with pytest.raises(HardwareError):
-            bg_cndb.first_available([99, 0])
-
-
 class _Untouchable(list):
     """A node list that fails the test if anything reads it."""
 
@@ -110,15 +80,6 @@ class TestNodeIndex:
         cndb._nodes = _Untouchable()  # a spy, not a timer
         for index in range(4096):
             assert cndb.node(index) is nodes[index]
-
-    def test_copy_indexes_the_clones(self, bg_cndb):
-        bg_cndb.node(3).acquire()
-        clone = bg_cndb.copy()
-        assert clone.node(3) is not bg_cndb.node(3)
-        assert clone.node(3) is clone.all_nodes()[3]
-        assert clone.node(3).running_processes == 1
-        clone.node(4).acquire()
-        assert bg_cndb.node(4).running_processes == 0
 
     def test_first_node_wins_a_duplicate_index(self):
         nodes = LinuxCluster(LinuxClusterConfig("be", 2)).nodes
