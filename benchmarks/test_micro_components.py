@@ -70,7 +70,7 @@ def test_kernel_resource_contention(benchmark, backend):
     This is the shape of the torus fast path: every hop is a request /
     hold / release cycle on a capacity-1 :class:`Resource`, with a waiter
     queue that is mostly non-empty.  Tracks the resource fast paths
-    (inline succeed, deque waiters) the kernel optimizations target.
+    (inline succeed, list waiter queues) the kernel optimizations target.
     """
 
     def run():

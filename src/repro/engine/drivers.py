@@ -28,7 +28,7 @@ from repro.engine.inbox import Inbox
 from repro.engine.marshal import StreamDemarshaller, StreamMarshaller
 from repro.engine.objects import END_OF_STREAM
 from repro.net.channels import Channel
-from repro.sim import Store
+from repro.sim import Store, TokenPool
 
 
 def _stream_counters(obs, direction: str, stream_id: str):
@@ -63,7 +63,7 @@ class SenderDriver:
         )
         self.bytes_sent = 0
         self.buffers_sent = 0
-        self._tokens = Store(
+        self._tokens = TokenPool(
             ctx.sim, capacity=2, name=f"{stream_id}.send-tokens",
             stock=ctx.settings.driver_slots,
         )

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.net.message import WireBuffer
-from repro.sim import Store
+from repro.sim import Store, TokenPool
 from repro.util.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,7 +46,7 @@ class Inbox:
         self.sim = sim
         self.slots = slots
         self.name = name
-        self._tokens = Store(sim, capacity=slots, name=f"{name}.tokens", stock=slots)
+        self._tokens = TokenPool(sim, capacity=slots, name=f"{name}.tokens", stock=slots)
         self._items = Store(sim, name=f"{name}.items")
         self._closed = False
 

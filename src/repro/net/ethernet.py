@@ -36,7 +36,7 @@ from repro.net.jitter import Jitter
 from repro.net.message import WireBuffer
 from repro.net.params import NetworkParams
 from repro.net.torus import TorusNetwork
-from repro.sim import Resource, Simulator, Store
+from repro.sim import Resource, Simulator, Store, TokenPool
 from repro.util.errors import NetworkError
 
 
@@ -223,7 +223,7 @@ class TcpStreamConnection:
         self.pset_id = self.io_index
         self._open = False
         self._stream_bytes = None  # obs counter, bound by the first observed buffer
-        self._window = Store(
+        self._window = TokenPool(
             fabric.sim,
             capacity=fabric.params.tcp.window_segments,
             name=f"tcp-window[{stream_id}]",

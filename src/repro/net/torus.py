@@ -32,7 +32,7 @@ from repro.hardware.bluegene import BlueGene
 from repro.net.jitter import Jitter
 from repro.net.message import WireBuffer
 from repro.net.params import TorusParams
-from repro.sim import Resource, Simulator, Store
+from repro.sim import Resource, Simulator, Store, TokenPool
 from repro.util.errors import NetworkError
 
 
@@ -157,7 +157,7 @@ class TorusNetwork:
         self._coprocessors: Dict[int, Resource] = {}
         self._forward_stages: Dict[int, str] = {}
         self._last_source: Dict[int, Optional[str]] = {}
-        self._stream_windows: Dict[str, Store] = {}
+        self._stream_windows: Dict[str, TokenPool] = {}
         self._in_flight: Dict[str, int] = {}  # stream id -> buffers being forwarded
         self._active_streams: Dict[int, set] = {}
         # stream id / node -> its counter in the obs registry, resolved by
@@ -287,10 +287,10 @@ class TorusNetwork:
         k = self.incoming_stream_count(node)
         return self.params.source_switch_penalty * (k - 1)
 
-    def _stream_window(self, stream_id: str) -> Store:
+    def _stream_window(self, stream_id: str) -> TokenPool:
         """Token pool bounding in-flight buffers of one stream."""
         if stream_id not in self._stream_windows:
-            self._stream_windows[stream_id] = Store(
+            self._stream_windows[stream_id] = TokenPool(
                 self.sim,
                 capacity=self.params.stream_window,
                 name=f"torus-window[{stream_id}]",

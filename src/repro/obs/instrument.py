@@ -219,13 +219,12 @@ class Instrumentation(NullInstrumentation):
     # ------------------------------------------------------------------
     # Store hooks (sim.resources)
     # ------------------------------------------------------------------
-    def on_store_level(self, store: "Store") -> None:
+    def on_store_level(self, store: "Store", size: int) -> None:
         now = store.sim._now
         bound = store._bound
         if bound is None:
             key = store.name or f"store@{id(store):#x}"
             bound = store._bound = _StoreInstruments(key, self.metrics, now)
-        size = len(store._items)
         bound.level.update(now, size)
         if self.tracer.enabled:
             self.tracer.counter(now, bound.track, "size", size)

@@ -3,8 +3,8 @@
 A small, self-contained process-interaction simulator in the style of SimPy:
 :class:`Simulator` owns virtual time and the event queue; simulation
 processes are Python generators yielding :class:`Event` objects; shared
-devices are modelled with :class:`Resource` and bounded queues with
-:class:`Store`.
+devices are modelled with :class:`Resource`, bounded queues with
+:class:`Store` and counted tokens with :class:`TokenPool`.
 
 Everything else in the library — the torus network, the MPI/TCP drivers, the
 running processes of the stream engine — executes on this kernel, so a whole
@@ -13,7 +13,7 @@ SCSQ deployment runs deterministically inside one OS process.
 
 from repro.sim.core import Simulator
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Process, Timeout
-from repro.sim.resources import Request, Resource, Store
+from repro.sim.resources import Request, Resource, Store, TokenPool
 from repro.sim.scheduler import (
     DEFAULT_SCHEDULER,
     SCHEDULERS,
@@ -36,6 +36,7 @@ __all__ = [
     "Resource",
     "Request",
     "Store",
+    "TokenPool",
     "EventScheduler",
     "HeapScheduler",
     "CalendarQueue",

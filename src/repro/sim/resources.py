@@ -7,16 +7,22 @@ Two primitives cover everything the network and engine models need:
   it for however long the modelled operation takes, then ``release()`` it.
   Waiters are served FIFO, which makes contention deterministic.
 
-* :class:`Store` — a bounded FIFO queue of items (the double buffers of the
-  MPI drivers, the inbox of a running process).  ``put()`` blocks when the
-  store is full, ``get()`` blocks when it is empty, giving natural
-  back-pressure / flow control between producer and consumer processes.
+* :class:`Store` — a bounded FIFO queue of items (the inbox of a running
+  process, an operator's output).  ``put()`` blocks when the store is full,
+  ``get()`` blocks when it is empty, giving natural back-pressure / flow
+  control between producer and consumer processes.  Its :class:`TokenPool`
+  subclass is the same queue of ``None`` tokens kept as a count (the double
+  buffers of the MPI drivers, a stream's flow-control window).
+
+Every queue here is a ``list``: production stores hold a handful of items
+and waiter queues rarely more than one waiter, and an empty ``list`` is 56
+bytes where a double-ended queue is 760.  ``pop(0)`` is O(len), so a
+``Store`` holding thousands of items is a bad fit.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from repro.sim.events import _NORMAL, _PENDING, Event
 from repro.util.errors import SimulationError
@@ -76,7 +82,7 @@ class StorePut(Event):
 
 
 #: The waiter queues of a store or resource that never had a waiter (most
-#: never do); the first waiter swaps in a real deque.
+#: never do); the first waiter swaps in a real list.
 _NO_WAITERS: Any = ()
 
 
@@ -92,7 +98,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._users: List[Request] = []
-        self._waiting: Deque[Request] = _NO_WAITERS
+        self._waiting: List[Request] = _NO_WAITERS
         # What every synchronous grant returns if only one slot exists.
         self._token: Optional[Request] = None
         # Metric instruments, parked here by the obs hub's first hook.
@@ -129,7 +135,7 @@ class Resource:
         else:
             req = Request(self)
             if self._waiting is _NO_WAITERS:
-                self._waiting = deque()
+                self._waiting = []
             self._waiting.append(req)
             if sim.obs.enabled:
                 sim.obs.on_resource_wait(self)
@@ -161,7 +167,7 @@ class Resource:
         if sim.obs.enabled:
             sim.obs.on_resource_release(self, request)
         while self._waiting and len(self._users) < self.capacity:
-            nxt = self._waiting.popleft()
+            nxt = self._waiting.pop(0)
             self._users.append(nxt)
             # Inlined nxt.succeed(nxt): hand the slot to the longest waiter.
             nxt._ok = True
@@ -190,27 +196,16 @@ class Store:
 
     __slots__ = ("sim", "capacity", "name", "_items", "_putters", "_getters", "_bound")
 
-    def __init__(
-        self, sim: "Simulator", capacity: float = float("inf"), name: str = "", stock: int = 0
-    ) -> None:
-        """``stock`` ``None`` items are in the store from the start — a token
-        pool is born full, where ``stock`` ``put(None)`` calls would each
-        queue an event nobody waits on."""
+    def __init__(self, sim: "Simulator", capacity: float = float("inf"), name: str = "") -> None:
         if capacity < 1:
             raise SimulationError(f"store capacity must be >= 1, got {capacity}")
-        if stock > capacity:
-            raise SimulationError(f"store stock {stock} exceeds its capacity {capacity}")
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        self._items: Deque[Any] = deque()
-        self._putters: Deque[StorePut] = _NO_WAITERS  # events carrying the item to add
-        self._getters: Deque[Event] = _NO_WAITERS
+        self._items: List[Any] = []
+        self._putters: List[StorePut] = _NO_WAITERS  # events carrying the item to add
+        self._getters: List[Event] = _NO_WAITERS
         self._bound: Optional["_StoreInstruments"] = None  # see Resource._bound
-        for _ in range(stock):  # item by item: the level series sees each step
-            self._items.append(None)
-            if sim.obs.enabled:
-                sim.obs.on_store_level(self)
 
     @property
     def size(self) -> int:
@@ -240,11 +235,11 @@ class Store:
             if self._getters:
                 self._serve_getters()
             if sim.obs.enabled:
-                sim.obs.on_store_level(self)
+                sim.obs.on_store_level(self, len(self._items))
         else:
             event = StorePut(sim, item)
             if self._putters is _NO_WAITERS:
-                self._putters = deque()
+                self._putters = []
             self._putters.append(event)
         return event
 
@@ -257,7 +252,7 @@ class Store:
         if items:
             # Inlined event.succeed(item): an item is available right now.
             event._ok = True
-            event._value = items.popleft()
+            event._value = items.pop(0)
             inst = sim._inst
             if inst[1][-1] is None and inst[0][-1] is None:
                 event.callbacks = None
@@ -266,32 +261,131 @@ class Store:
             if self._putters:
                 self._serve_putters()
             if sim.obs.enabled:
-                sim.obs.on_store_level(self)
+                sim.obs.on_store_level(self, len(items))
         else:
             if self._getters is _NO_WAITERS:
-                self._getters = deque()
+                self._getters = []
             self._getters.append(event)
         return event
 
     def _serve_getters(self) -> None:
         served = False
         while self._getters and self._items:
-            self._getters.popleft().succeed(self._items.popleft())
+            self._getters.pop(0).succeed(self._items.pop(0))
             served = True
         if served and self.sim.obs.enabled:
-            self.sim.obs.on_store_level(self)
+            self.sim.obs.on_store_level(self, len(self._items))
 
     def _serve_putters(self) -> None:
         served = False
         while self._putters and len(self._items) < self.capacity:
-            putter = self._putters.popleft()
+            putter = self._putters.pop(0)
             self._items.append(putter.item)
             putter.succeed()
             self._serve_getters()
             served = True
         if served and self.sim.obs.enabled:
-            self.sim.obs.on_store_level(self)
+            self.sim.obs.on_store_level(self, len(self._items))
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
-        return f"<Store{label} {self.size} items>"
+        return f"<{type(self).__name__}{label} {self.size} items>"
+
+
+class TokenPool(Store):
+    """A :class:`Store` of ``None`` tokens that keeps only their count.
+
+    Receive slots, send buffers and flow-control windows hold nothing but
+    how many are free, so a pool keeps an ``int`` level where a store keeps
+    its item list: the same events at the same instants, the same
+    ``on_store_level`` calls, and a ``get`` always hands over ``None``.
+    ``stock`` tokens are in the pool from the start — a pool born full,
+    where ``stock`` ``put(None)`` calls outside a dispatch would each queue
+    an event nobody waits on.  The waiter queues are the store's, so waiter
+    introspection reads a pool like any store.
+    """
+
+    __slots__ = ("_level",)
+
+    def __init__(self, sim: "Simulator", capacity: int, name: str = "", stock: int = 0) -> None:
+        super().__init__(sim, capacity, name)
+        if not 0 <= stock <= capacity:
+            raise SimulationError(f"token pool stock {stock} is outside [0, {capacity}]")
+        del self._items  # the count below is the pool's only container
+        self._level = stock
+        if sim.obs.enabled:
+            for level in range(1, stock + 1):  # token by token: the series sees each step
+                sim.obs.on_store_level(self, level)
+
+    @property
+    def size(self) -> int:
+        """Number of tokens currently free."""
+        return self._level
+
+    def put(self, item: Any) -> Event:
+        """Return one token (``item`` is not kept); as :meth:`Store.put`."""
+        sim = self.sim
+        if self._level < self.capacity and not self._putters:
+            self._level += 1
+            inst = sim._inst
+            if inst[1][-1] is None and inst[0][-1] is None:
+                event = sim._done
+            else:
+                event = StorePut(sim, None)
+                # Inlined event.succeed(): room is available right now.
+                event._ok = True
+                event._value = None
+                sim._push(sim._now, _NORMAL, event)
+            if self._getters:
+                self._serve_getters()
+            if sim.obs.enabled:
+                sim.obs.on_store_level(self, self._level)
+        else:
+            event = StorePut(sim, None)
+            if self._putters is _NO_WAITERS:
+                self._putters = []
+            self._putters.append(event)
+        return event
+
+    def get(self) -> Event:
+        """Take one token; as :meth:`Store.get`, with ``None`` as the value."""
+        sim = self.sim
+        event = Event(sim)
+        if self._level:
+            self._level -= 1
+            # Inlined event.succeed(None): a token is free right now.
+            event._ok = True
+            event._value = None
+            inst = sim._inst
+            if inst[1][-1] is None and inst[0][-1] is None:
+                event.callbacks = None
+            else:
+                sim._push(sim._now, _NORMAL, event)
+            if self._putters:
+                self._serve_putters()
+            if sim.obs.enabled:
+                sim.obs.on_store_level(self, self._level)
+        else:
+            if self._getters is _NO_WAITERS:
+                self._getters = []
+            self._getters.append(event)
+        return event
+
+    def _serve_getters(self) -> None:
+        served = False
+        while self._getters and self._level:
+            self._level -= 1
+            self._getters.pop(0).succeed(None)
+            served = True
+        if served and self.sim.obs.enabled:
+            self.sim.obs.on_store_level(self, self._level)
+
+    def _serve_putters(self) -> None:
+        served = False
+        while self._putters and self._level < self.capacity:
+            self._level += 1
+            self._putters.pop(0).succeed()
+            self._serve_getters()
+            served = True
+        if served and self.sim.obs.enabled:
+            self.sim.obs.on_store_level(self, self._level)

@@ -2,11 +2,15 @@
 
 A one-buffer query is all fixed cost (docs/performance.md, "fixed cost of a
 query").  Its token pools — inbox slots, send buffers, the torus stream
-window — are born stocked (``Store(..., stock=n)``), so building a query
-schedules nothing, and the 128-query session of the ledger's ``mqs_scale``
-smoke is pinned: events per query may only fall, processes per query stay
-what they were.
+window — are born stocked (``TokenPool(..., stock=n)``), so building a
+query schedules nothing, and the 128-query session of the ledger's
+``mqs_scale`` smoke is pinned: events per query may only fall, processes
+per query stay what they were, and a kernel store costs what it holds
+(docs/performance.md, "A store costs what it holds").
 """
+
+import collections
+import gc
 
 from repro.core.experiments.scale import scale_config, scale_stream_query
 from repro.core.multiquery import MultiQuerySession
@@ -18,14 +22,15 @@ from repro.hardware.environment import shared_template
 from repro.net.channels import MpiChannel
 from repro.obs.instrument import instrumentation_for
 from repro.scsql.plan import compile_plan
-from repro.sim import Simulator, Store
+from repro.sim import Resource, Simulator, Store, TokenPool
 
 SESSION_QUERIES = 128
 SETTINGS = ExecutionSettings(mpi_buffer_bytes=10_000, double_buffering=True)
 
 
-def run_session(observe="none"):
-    """The mqs_scale smoke: 128 one-buffer queries on an 8x8x8 torus."""
+def run_session(observe="none", after_run=None):
+    """The mqs_scale smoke: 128 one-buffer queries on an 8x8x8 torus;
+    ``after_run(env)`` looks at the session between ``run`` and teardown."""
     env = shared_template(scale_config((8, 8, 8))).fork(
         seed=0, obs=instrumentation_for(observe)
     )
@@ -35,6 +40,8 @@ def run_session(observe="none"):
         session.submit(plan, payload_bytes=10_000, label=f"s{index}")
     assert env.sim.peek() == float("inf")  # 128 queries built, nothing scheduled
     result = session.run()
+    if after_run is not None:
+        after_run(env)
     session.teardown()
     assert all(outcome.report.result == [1] for outcome in result.outcomes)
     return env, result
@@ -51,6 +58,31 @@ class TestSessionPin:
         counters = result.outcomes[0].report.metrics.counters
         assert counters["sim.processes_started"] == 14 * SESSION_QUERIES
         assert counters["sim.processes_finished"] == 14 * SESSION_QUERIES
+
+    def test_no_kernel_store_or_resource_holds_a_deque(self):
+        """Per query: 10 item stores (four operator ``.out``, two ``.feed``,
+        two ``.outbox`` and two inbox ``.items``) and 4 token pools (two
+        inbox slot pools, two send-buffer pools); the torus windows are
+        freed with their streams.  Before pools were counters and queues
+        lists, all 14 were deque-backed."""
+        seen = {}
+
+        def census(env):
+            gc.collect()
+            kernel = [
+                o for o in gc.get_objects()
+                if isinstance(o, (Store, Resource)) and o.sim is env.sim
+            ]
+            seen["types"] = collections.Counter(type(o) for o in kernel)
+            seen["deques"] = [
+                o for o in kernel
+                if any(isinstance(r, collections.deque) for r in gc.get_referents(o))
+            ]
+
+        run_session(after_run=census)
+        assert seen["deques"] == []
+        assert seen["types"][Store] == 10 * SESSION_QUERIES
+        assert seen["types"][TokenPool] == 4 * SESSION_QUERIES
 
 
 class TestPoolsAreBornStocked:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.obs import Instrumentation
 from repro.obs.tracer import NULL_TRACER
-from repro.sim import Resource, Simulator, Store
+from repro.sim import Resource, Simulator, Store, TokenPool
 
 
 class NameKeyedHub(Instrumentation):
@@ -59,10 +59,9 @@ class NameKeyedHub(Instrumentation):
             f"resource.queue[{key}]", resource.sim.now, resource.queue_length
         )
 
-    def on_store_level(self, store):
-        self.metrics.update_series(
-            f"store.level[{store.name}]", store.sim.now, store.size
-        )
+    def on_store_level(self, store, size):
+        assert size == store.size  # the level handed over is the store's own
+        self.metrics.update_series(f"store.level[{store.name}]", store.sim.now, store.size)
 
 
 OPERATIONS = st.lists(
@@ -84,7 +83,11 @@ def drive(hub, operations):
         Resource(sim, capacity=capacity, name=f"r{index}")
         for index, capacity in enumerate((1, 2, 1))
     ]
-    stores = [Store(sim, capacity=2, name="bounded"), Store(sim, name="open")]
+    stores = [
+        Store(sim, capacity=2, name="bounded"),
+        Store(sim, name="open"),
+        TokenPool(sim, capacity=2, name="pool", stock=1),
+    ]
     outstanding = []
 
     def body(delay):

@@ -40,7 +40,7 @@ refuses to while a physics digest differs) and states the reason here:
   lines more per point — the only physics lines that differ from the
   PR 15 source, where dropping them was a recording bug).
 * PR 18: token pools (inbox slots, send buffers, the torus stream window)
-  are born stocked (``Store(..., stock=n)``) instead of primed with
+  are born stocked (now ``TokenPool(..., stock=n)``) instead of primed with
   ``put(None)`` calls, each of which outside a dispatch was a queued
   event nobody waited on.  Only ``sim.events_processed`` fell — one line
   of the snapshot, text and Prometheus artifacts (fig6 2 606 → 2 596,

@@ -176,11 +176,9 @@ class TestStore:
 
 
 class TestWaiterQueuesAreLazy:
-    """A store or resource that never had a waiter never builds a deque."""
+    """A store or resource that never had a waiter never builds a queue."""
 
     def test_queues_start_as_the_shared_sentinel(self, sim):
-        from collections import deque
-
         from repro.sim.resources import _NO_WAITERS
 
         resource, store = Resource(sim), Store(sim, capacity=1)
@@ -199,7 +197,7 @@ class TestWaiterQueuesAreLazy:
         store.put(3)
         store.put(4)  # waits: the store is full
         assert [type(q) for q in (resource._waiting, store._getters, store._putters)] == [
-            deque, deque, deque
+            list, list, list
         ]
         resource.release(held)
         assert resource._users == [waiting]

@@ -1,16 +1,18 @@
-"""Differential test of stores that are born stocked.
+"""Differential test of token pools against primed stores.
 
-``Store(sim, capacity, name, stock=n)`` holds ``n`` ``None`` tokens from
-construction on.  Before, a token pool was primed with ``n`` ``put(None)``
-calls, and outside a dispatch every one of those is a queued ``StorePut``
-nobody waits on (docs/performance.md, "fixed cost of a query").  The claim
-is that nothing but the event count can tell the two apart.
+``TokenPool(sim, capacity, name, stock=n)`` is a :class:`Store` of ``None``
+tokens that keeps only their count, and holds ``n`` of them from
+construction on.  The reference is a plain ``Store`` primed with ``n``
+``put(None)`` calls; outside a dispatch every one of those is a queued
+``StorePut`` nobody waits on (docs/performance.md, "fixed cost of a
+query").  The claim is that nothing but the event count can tell the two
+apart.
 
 Random programs take tokens from pools, hold them over a delay and return
 them; pools are built before the run (outside any dispatch, as an
 ``Inbox`` or a ``SenderDriver`` builds its own) or by the first process
 that needs them (inside a dispatch, as ``TorusNetwork._stream_window``
-does).  Stocked and primed worlds must log the same ``(time, process,
+does).  Pooled and primed worlds must log the same ``(time, process,
 action)`` trace, the same final values and clock and the same
 ``on_store_level`` calls, float for float — under the eager kernel and
 under ``NeverQuiescent`` (``tests/sim/test_eager_grants.py``), which
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.obs.instrument import Instrumentation
 from repro.obs.tracer import NULL_TRACER
-from repro.sim import Simulator, Store
+from repro.sim import Simulator, Store, TokenPool
 from repro.util.errors import SimulationError
 from tests.sim.test_eager_grants import NeverQuiescent
 
@@ -39,20 +41,20 @@ class LevelSpy(Instrumentation):
         super().__init__(tracer=NULL_TRACER)
         self.levels = []
 
-    def on_store_level(self, store):
-        super().on_store_level(store)
-        self.levels.append((store.sim.now.hex(), store.name, store.size))
+    def on_store_level(self, store, size):
+        super().on_store_level(store, size)
+        self.levels.append((store.sim.now.hex(), store.name, size))
 
 
 class World:
-    """Token pools of fixed (capacity, stock), built stocked or primed."""
+    """Token pools of fixed (capacity, stock), pooled or primed stores."""
 
     #: (capacity, tokens) per pool; the last two are built on first use.
     POOLS = ((1, 1), (2, 2), (3, 2), (2, 1), (4, 4))
     LAZY_FROM = 3
 
-    def __init__(self, stocked, scheduler=None, observed=False):
-        self.stocked = stocked
+    def __init__(self, pooled, scheduler=None, observed=False):
+        self.pooled = pooled
         self.spy = LevelSpy() if observed else None
         self.sim = Simulator(obs=self.spy, scheduler=scheduler)
         self.trace = []
@@ -65,8 +67,8 @@ class World:
         if index not in self.pools:
             capacity, tokens = self.POOLS[index]
             name = f"pool{index}"
-            if self.stocked:
-                store = Store(self.sim, capacity, name, stock=tokens)
+            if self.pooled:
+                store = TokenPool(self.sim, capacity, name, stock=tokens)
             else:
                 store = Store(self.sim, capacity, name)
                 for _ in range(tokens):
@@ -111,29 +113,29 @@ class TestAgainstPrimedPools:
     @given(programs=_programs, observed=st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_every_grant_queued_the_counts_differ_by_the_tokens(self, programs, observed):
-        stocked = World(True, NeverQuiescent(), observed)
+        pooled = World(True, NeverQuiescent(), observed)
         primed = World(False, NeverQuiescent(), observed)
-        assert stocked.run(programs) == primed.run(programs)
-        saved = primed.sim.events_dispatched - stocked.sim.events_dispatched
-        assert saved == stocked.stocked_outside + stocked.stocked_inside
+        assert pooled.run(programs) == primed.run(programs)
+        saved = primed.sim.events_dispatched - pooled.sim.events_dispatched
+        assert saved == pooled.stocked_outside + pooled.stocked_inside
 
     @given(programs=_programs, observed=st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_the_eager_kernel_observes_the_same_run(self, programs, observed):
-        stocked = World(True, None, observed)
+        pooled = World(True, None, observed)
         primed = World(False, None, observed)
-        outcome = stocked.run(programs)
+        outcome = pooled.run(programs)
         assert outcome == primed.run(programs)
         assert outcome == World(True, NeverQuiescent(), observed).run(programs)
-        saved = primed.sim.events_dispatched - stocked.sim.events_dispatched
-        assert saved >= stocked.stocked_outside
+        saved = primed.sim.events_dispatched - pooled.sim.events_dispatched
+        assert saved >= pooled.stocked_outside
 
     @pytest.mark.parametrize("scheduler", ["calendar", "heap", "never-quiescent"])
     def test_outside_a_dispatch_every_priming_put_was_an_event(self, scheduler):
         """Nothing runs: the priming events are all there is to dispatch."""
         worlds = [
-            World(stocked, NeverQuiescent() if scheduler == "never-quiescent" else scheduler)
-            for stocked in (True, False)
+            World(pooled, NeverQuiescent() if scheduler == "never-quiescent" else scheduler)
+            for pooled in (True, False)
         ]
         assert worlds[0].run([]) == worlds[1].run([])
         assert worlds[0].sim.events_dispatched == 0
@@ -143,7 +145,7 @@ class TestAgainstPrimedPools:
 class TestStock:
     def test_tokens_are_there_at_once_and_nothing_is_scheduled(self):
         sim = Simulator()
-        pool = Store(sim, capacity=3, name="pool", stock=2)
+        pool = TokenPool(sim, capacity=3, name="pool", stock=2)
         assert pool.size == 2
         assert sim.peek() == float("inf")
         assert pool.get()._value is None and pool.size == 1
@@ -151,12 +153,12 @@ class TestStock:
     def test_the_level_series_rises_item_by_item(self):
         spy = LevelSpy()
         sim = Simulator(obs=spy)
-        Store(sim, capacity=2, name="pool", stock=2)
+        TokenPool(sim, capacity=2, name="pool", stock=2)
         assert spy.levels == [((0.0).hex(), "pool", 1), ((0.0).hex(), "pool", 2)]
 
     def test_a_full_stocked_pool_blocks_a_put(self):
         sim = Simulator()
-        pool = Store(sim, capacity=2, stock=2)
+        pool = TokenPool(sim, capacity=2, stock=2)
         blocked = pool.put(None)
         sim.run()
         assert not blocked.triggered
@@ -167,7 +169,24 @@ class TestStock:
     @pytest.mark.parametrize("capacity, stock", [(1, 2), (2, 3), (4, 5)])
     def test_more_stock_than_capacity_is_rejected(self, capacity, stock):
         with pytest.raises(SimulationError):
-            Store(Simulator(), capacity=capacity, stock=stock)
+            TokenPool(Simulator(), capacity=capacity, stock=stock)
+
+    @pytest.mark.parametrize("stock", [-1, -2])
+    def test_a_negative_stock_is_rejected(self, stock):
+        """It used to build an empty pool: ``range(-1)`` appends nothing."""
+        with pytest.raises(SimulationError):
+            TokenPool(Simulator(), capacity=2, stock=stock)
 
     def test_unstocked_is_the_default(self):
-        assert Store(Simulator()).size == 0
+        assert TokenPool(Simulator(), capacity=2).size == 0
+
+    def test_a_pool_keeps_a_count_and_no_items(self):
+        pool = TokenPool(Simulator(), capacity=2, name="pool", stock=1)
+        assert isinstance(pool, Store)
+        assert not hasattr(pool, "_items")
+        pool.put("ignored")
+        assert pool.size == 2 and pool.get()._value is None
+
+    def test_a_store_takes_no_stock(self):
+        with pytest.raises(TypeError):
+            Store(Simulator(), 2, "store", stock=1)
