@@ -4,7 +4,11 @@ Every mode of the harness (:mod:`repro.bench.benchmark`) reports a flat
 ``name -> value`` metric mapping; this module writes it as a BENCH v2
 document, reads one back and compares a run against a committed baseline.
 
-The direction of a metric is carried by its name suffix, so a baseline
+It also diffs two documents of the host-time ledger
+(:func:`diff_ledger`, ``python -m repro bench diff OLD NEW``): there the
+direction and bound of a metric come from ``BENCHMARK.json``.
+
+The direction of a BENCH metric is carried by its name suffix, so a baseline
 file stays self-describing: ``…/mbps`` regresses when it *drops* below
 baseline by more than the tolerance; ``…_ms`` and ``…_s`` regress when
 they *rise*.
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 #: Schema version of the BENCH JSON document.
@@ -164,3 +169,100 @@ def format_comparison(deltas: List[MetricDelta], new_metrics: List[str]) -> str:
         else f"=> no regressions across {len(deltas)} baseline metric(s)"
     )
     return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# Ledger diff: two documents of benchmarks/ledger/run.py
+# ----------------------------------------------------------------------
+def ledger_verdict(old: float, new: float, higher_is_better: bool, bound: float) -> str:
+    """``worse`` / ``better`` when ``new`` moved past ``bound`` (a fraction
+    of ``old``) in that direction, else ``flat``."""
+    if old == new:
+        return "flat"
+    if old == 0.0:
+        gain = new > 0.0
+    else:
+        change = (new - old) / abs(old)
+        if abs(change) <= bound:
+            return "flat"
+        gain = change > 0.0
+    return "better" if gain == higher_is_better else "worse"
+
+
+def _ledger_results(path: str) -> Dict[str, dict]:
+    """``workload -> result`` of a ``run.py --out`` document, or of the
+    ``end_to_end`` half of a trajectory point
+    (``benchmarks/trajectory/prN.json``)."""
+    with open(path, "r", encoding="utf-8") as handle:
+        document = json.load(handle)
+    return document.get("end_to_end", document)
+
+
+def _recorded_spreads(spec_path: str) -> Dict[str, Dict[str, dict]]:
+    """``workload -> metric -> {"median", "spread"}`` of the ledger's
+    ``benchmarks/ledger/BASELINE.json`` beside ``BENCHMARK.json``: the
+    run-to-run interquartile spread, as a share of the median, of one run
+    per seed (``benchmarks/ledger/spread.py --write``); empty if absent."""
+    path = Path(spec_path).parent / "benchmarks" / "ledger" / "BASELINE.json"
+    if not path.exists():
+        return {}
+    return json.loads(path.read_text(encoding="utf-8"))["workloads"]
+
+
+def diff_ledger(old_path: str, new_path: str, spec_path: str) -> Tuple[List[str], int]:
+    """Compare two ledger documents under ``BENCHMARK.json``'s declarations.
+
+    One row per workload of ``old`` x ``end_to_end`` metric, with the ratio
+    new/old and a verdict from the metric's ``better`` and ``bound``; then
+    the failed share of operations, and every ``exact`` (simulated) key,
+    which must be equal.  A document is one run, so a metric whose recorded
+    run-to-run spread (:func:`_recorded_spreads`) is wider than its bound
+    reads ``unresolved``: one run of it decides nothing (``setup_s`` of
+    ``p2p_torus`` and ``lifecycle_tiny``).  Returns ``(lines, problems)``,
+    counting a ``worse`` verdict, a higher failed share, an exact key that
+    differs and a workload missing from ``new``.
+    """
+    with open(spec_path, "r", encoding="utf-8") as handle:
+        declared = json.load(handle)["end_to_end"]
+    spreads = _recorded_spreads(spec_path)
+    old, new = _ledger_results(old_path), _ledger_results(new_path)
+    lines = [f"{'workload':15s} {'metric':18s} {'old':>14s} {'new':>14s} {'ratio':>8s}  verdict"]
+    problems = 0
+    for workload in sorted(old):
+        if workload not in new:
+            lines.append(f"{workload:15s} MISSING from {new_path}")
+            problems += 1
+            continue
+        before, after = old[workload], new[workload]
+        for entry in declared:
+            name, bound = entry["name"], entry["bound"]
+            a, b = before["metrics"][name], after["metrics"][name]
+            spread = spreads.get(workload, {}).get(name, {}).get("spread", 0.0)
+            if spread > bound:
+                verdict = "unresolved"
+                reason = f"recorded spread {spread:.0%} > bound {bound:.0%}"
+            else:
+                verdict = ledger_verdict(a, b, entry["better"] == "higher", bound)
+                reason = f"{entry['better']} is better, bound {bound:.0%}"
+            ratio = f"x{b / a:.3f}" if a else "n/a"
+            lines.append(
+                f"{workload:15s} {name:18s} {a:14.6g} {b:14.6g} {ratio:>8s}  "
+                f"{verdict} ({reason})"
+            )
+            problems += verdict == "worse"
+        shares = [doc["failed"] / doc["attempted"] if doc["attempted"] else 0.0
+                  for doc in (before, after)]
+        lines.append(
+            f"{workload:15s} {'failed share':18s} {shares[0]:14.6g} {shares[1]:14.6g} "
+            f"{'':>8s}  {'worse' if shares[1] > shares[0] else 'flat'}"
+        )
+        problems += shares[1] > shares[0]
+        for key in sorted(set(before["exact"]) | set(after["exact"])):
+            a, b = before["exact"].get(key), after["exact"].get(key)
+            lines.append(
+                f"{workload:15s} {'(' + key + ')':18s} {a!s:>14s} {b!s:>14s}  "
+                f"{'equal' if a == b else 'DIFFERS'}"
+            )
+            problems += a != b
+    lines.append(f"=> {problems} problem(s): {old_path} -> {new_path}")
+    return lines, problems

@@ -8,6 +8,7 @@ Usage::
                           [--tolerance PCT] [--jobs N]
                           [--only FIGURE] [--scale-shape XxYxZ]
                           [--live-out PATH] [--live-window SECS]
+    python -m repro bench diff OLD.json NEW.json
     python -m repro top [--point NAME] [--window SECS] [--once]
                         [--live-out PATH] [--prom PATH]
 
@@ -19,7 +20,11 @@ regression.  ``--only`` restricts the run to named figures and
 ``--scale-shape`` shrinks the scale torus.  Every mode
 returns a :class:`~repro.bench.benchmark.BenchReport`, compared against
 the baseline keys of the suites it was asked to produce (see
-:mod:`repro.bench.baseline` and ``docs/benchmarking.md``).
+:mod:`repro.bench.baseline` and ``docs/benchmarking.md``).  ``bench diff``
+compares two documents of the host-time ledger instead (a
+``benchmarks/trajectory/prN.json`` point or a ``run.py --out`` file),
+exiting 1 on a regression past a ``BENCHMARK.json`` bound; it is run from
+the repository root.
 
 ``top`` runs one :func:`~repro.bench.benchmark.bench_points` point under a
 :class:`~repro.obs.live.LiveSampler` and renders its per-window
@@ -37,6 +42,7 @@ from typing import Any, Callable, Tuple
 from repro.bench.baseline import (
     DEFAULT_TOLERANCE_PCT,
     compare_bench,
+    diff_ledger,
     figure_of_metric,
     format_comparison,
     load_bench,
@@ -182,6 +188,13 @@ def _bench(args: argparse.Namespace, default: Callable[[str], Any]) -> int:
     return 0
 
 
+def _diff(args: argparse.Namespace) -> int:
+    # Run from the repository root, as the ledger is: its declarations are there.
+    lines, problems = diff_ledger(args.old, args.new, "BENCHMARK.json")
+    print("\n".join(lines))
+    return 1 if problems else 0
+
+
 def add_bench_parser(sub: Any) -> None:
     """Register the ``bench`` subcommand on a subparsers object."""
     b = sub.add_parser(
@@ -253,6 +266,16 @@ def add_bench_parser(sub: Any) -> None:
     add_detector_flags(b)
     add_sanitize_flags(b)
     b.set_defaults(func=lambda args: _bench(args, b.get_default))
+    actions = b.add_subparsers(metavar="{diff}")
+    d = actions.add_parser(
+        "diff",
+        help="compare two host-time ledger documents (benchmarks/trajectory/"
+             "prN.json or benchmarks/ledger/run.py --out): ratio and verdict "
+             "per workload and metric; exit 1 on a regression",
+    )
+    d.add_argument("old", metavar="OLD", help="the earlier ledger document")
+    d.add_argument("new", metavar="NEW", help="the later ledger document")
+    d.set_defaults(func=_diff)
 
 
 #: Short aliases for the ``top`` sample points (full bench names work too).

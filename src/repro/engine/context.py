@@ -7,14 +7,10 @@ turns modelled CPU costs into contended simulated time.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import Environment
 from repro.hardware.node import Node
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.net.params import CpuCostParams
+from repro.sim import Timeout
 
 
 class ExecutionContext:
@@ -24,17 +20,12 @@ class ExecutionContext:
         self.env = env
         self.node = node
         self.settings = settings
+        # Fixed for the environment's life: read once per buffer or object.
+        self.sim = env.sim
+        self.costs = env.params.cpu
         self.cpu = env.cpu(node)
         self._scale = env.cpu_time_scale(node)
         self.cpu_busy_time = 0.0
-
-    @property
-    def sim(self):
-        return self.env.sim
-
-    @property
-    def costs(self) -> "CpuCostParams":
-        return self.env.params.cpu
 
     def charge_cpu(self, baseline_seconds: float):
         """Occupy one CPU of this node for a (scaled, jittered) cost.
@@ -44,10 +35,14 @@ class ExecutionContext:
         from inside an RP process.
         """
         cost = self.env.jitter.apply(baseline_seconds * self._scale)
-        with self.cpu.request() as req:
+        cpu = self.cpu
+        req = cpu.request()
+        try:
             if req.callbacks is not None:  # else granted synchronously
                 yield req
-            yield self.sim.timeout(cost)
+            yield Timeout(self.sim, cost)
+        finally:
+            cpu.release(req)
         self.cpu_busy_time += cost
 
     def charge_object(self):

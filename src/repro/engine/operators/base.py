@@ -63,18 +63,6 @@ class Operator:
         """Signal end-of-stream downstream (generator)."""
         yield self.output.put(END_OF_STREAM)
 
-    def each_input_object(self):
-        """Iterate the single input until EOS (generator of generators).
-
-        Usage in a subclass::
-
-            while True:
-                obj = yield from self.next_object()
-                if obj is END_OF_STREAM:
-                    break
-        """
-        raise NotImplementedError
-
     def next_object(self):
         """Pull the next object from the (single) input stream (generator)."""
         if len(self.inputs) != 1:

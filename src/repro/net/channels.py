@@ -30,7 +30,7 @@ from repro.net.jitter import Jitter
 from repro.net.message import WireBuffer
 from repro.net.params import NetworkParams
 from repro.net.torus import TorusNetwork
-from repro.sim import Simulator, Store
+from repro.sim import Simulator, Store, Timeout
 from repro.util.errors import NetworkError
 
 
@@ -105,7 +105,8 @@ class MpiChannel(Channel):
         yield  # pragma: no cover - makes this a generator
 
     def send(self, buffer: WireBuffer):
-        yield from self.torus.send(buffer, self.source.index, self.destination.index, self.deliver)
+        # The torus generator itself, not a frame around it.
+        return self.torus.send(buffer, self.source.index, self.destination.index, self.deliver)
 
     def close(self):
         """Release torus state (MPI local completion: buffers may still fly).
@@ -189,7 +190,7 @@ class LatencyChannel(Channel):
         latency = self.params.ethernet.switch_latency
         serialization = buffer.nbytes / self.params.ethernet.nic_rate
         cost = self.jitter.apply(latency + serialization)
-        yield self.sim.timeout(cost)
+        yield Timeout(self.sim, cost)
         flows = self.sim.obs.flows
         if flows.enabled:
             if self._wire_name is None:

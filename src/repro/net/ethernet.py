@@ -28,15 +28,16 @@ Mechanisms modelled, each tied to a paper observation (section 3.2):
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.hardware.bluegene import BlueGene
 from repro.hardware.node import Node, NodeKind
 from repro.net.jitter import Jitter
 from repro.net.message import WireBuffer
 from repro.net.params import NetworkParams
-from repro.net.torus import TorusNetwork
-from repro.sim import Resource, Simulator, Store, TokenPool
+from repro.net.torus import Journey, TorusNetwork
+from repro.sim import Resource, Simulator, Store, Timeout, TokenPool
+from repro.sim.events import Event
 from repro.util.errors import NetworkError
 
 
@@ -290,7 +291,9 @@ class TcpStreamConnection:
         if flows.enabled:
             flows.hop(buffer, "tcp.window", fabric.sim.now)
         # Sending host: socket/kernel cost plus NIC serialization.
-        with fabric.nic(self.source_host).request() as nic_req:
+        nic = fabric.nic(self.source_host)
+        nic_req = nic.request()
+        try:
             if nic_req.callbacks is not None:
                 yield nic_req
             cost = (
@@ -298,12 +301,11 @@ class TcpStreamConnection:
                 + wire_bytes / params.ethernet.nic_rate
             )
             cost = fabric.jitter.apply(cost)
-            yield fabric.sim.timeout(cost)
+            yield Timeout(fabric.sim, cost)
+        finally:
+            nic.release(nic_req)
         if flows.enabled:
-            flows.hop(
-                buffer, "eth.nic", fabric.sim.now,
-                resource=nic_req.resource.name, wire=cost,
-            )
+            flows.hop(buffer, "eth.nic", fabric.sim.now, resource=nic.name, wire=cost)
         fabric.bytes_ingress += buffer.nbytes
         obs = fabric.sim.obs
         if obs.enabled:
@@ -317,65 +319,102 @@ class TcpStreamConnection:
             stream_bytes.add(buffer.nbytes)
         # Started on an urgent event, not inline: it opens with a request
         # and a draw from the shared jitter, whose order is physics.
-        fabric.sim.detach(self._forward(buffer, wire_bytes))
+        fabric.sim.detach(Ingress(self, buffer, wire_bytes).start)
 
-    def _forward(self, buffer: WireBuffer, wire_bytes: float):
-        """Continue the buffer's journey beyond the sending host."""
-        fabric = self.fabric
-        params = fabric.params
-        flows = fabric.sim.obs.flows
-        # Shared switch uplink into the BlueGene I/O drawer; goodput shrinks
-        # with the number of distinct external hosts on the ingress.
-        with fabric._uplink.request() as uplink_req:
-            if uplink_req.callbacks is not None:
-                yield uplink_req
-            rate = (
-                params.ethernet.uplink_rate
-                * fabric._uplink_efficiency()
-                / fabric._uplink_slowdown
-            )
-            cost = fabric.jitter.apply(params.ethernet.switch_latency + wire_bytes / rate)
-            yield fabric.sim.timeout(cost)
+
+class Ingress(Journey):
+    """A TCP buffer past the sending host: the shared switch uplink, the
+    I/O-node proxy, the tree network into the pset, receive processing on
+    the destination compute node (shared with the torus), then one window
+    slot back."""
+
+    __slots__ = ("connection", "wire_bytes")
+
+    def __init__(self, connection: TcpStreamConnection, buffer: WireBuffer, wire_bytes: float):
+        Journey.__init__(
+            self, connection.fabric.torus, buffer, connection.dst_compute_index,
+            connection.deliver,
+        )
+        self.connection = connection
+        self.wire_bytes = wire_bytes
+
+    def _hold(self, resource: Resource, granted: Callable[[Event], None]) -> None:
+        """Ask for ``resource``; ``granted`` runs once it is held (at once,
+        if the grant comes back processed)."""
+        req = self._req = resource.request()
+        if req.callbacks is not None:
+            req.callbacks.append(granted)
+            return
+        granted(req)
+
+    def _occupy(self, cost: float, done: Callable[[Event], None]) -> None:
+        """Keep the held resource for ``cost`` seconds, jittered; then ``done``."""
+        cost = self._cost = self.connection.fabric.jitter.apply(cost)
+        Timeout(self.torus.sim, cost).callbacks.append(done)
+
+    def _freed(self, stage: str, component: str) -> None:
+        """Release the held resource; its flow hop books the held time
+        under ``component`` (``"wire"`` or ``"processing"``)."""
+        req = self._req
+        req.resource.release(req)
+        flows = self.torus.sim.obs.flows
         if flows.enabled:
             flows.hop(
-                buffer, "eth.uplink", fabric.sim.now,
-                resource="switch-uplink[be->bg]", wire=cost,
+                self.buffer, stage, self.torus.sim.now, resource=req.resource.name,
+                **{component: self._cost},
             )
+
+    def start(self, _event: Event) -> None:
+        """Shared switch uplink into the BlueGene I/O drawer (the urgent
+        zero-delay start event of ``Simulator.detach``)."""
+        self._hold(self.connection.fabric._uplink, self._uplink_granted)
+
+    def _uplink_granted(self, _event: Event) -> None:
+        # Goodput shrinks with the number of distinct external hosts on
+        # the ingress.
+        fabric = self.connection.fabric
+        params = fabric.params
+        rate = params.ethernet.uplink_rate * fabric._uplink_efficiency() / fabric._uplink_slowdown
+        self._occupy(params.ethernet.switch_latency + self.wire_bytes / rate, self._uplink_done)
+
+    def _uplink_done(self, _event: Event) -> None:
+        self._freed("eth.uplink", "wire")
         # I/O-node TCP proxy: service rate shrinks with connection sharing
         # and with the distinct hosts connected to this I/O node.
-        with fabric.io_proxy(self.io_index).request() as proxy_req:
-            if proxy_req.callbacks is not None:
-                yield proxy_req
-            rate = fabric._io_service_rate(self.io_index)
-            cost = fabric.jitter.apply(params.io_node.per_buffer_overhead + wire_bytes / rate)
-            yield fabric.sim.timeout(cost)
-        if flows.enabled:
-            flows.hop(
-                buffer, "eth.ioproxy", fabric.sim.now,
-                resource=proxy_req.resource.name, processing=cost,
-            )
+        connection = self.connection
+        self._hold(connection.fabric.io_proxy(connection.io_index), self._proxy_granted)
+
+    def _proxy_granted(self, _event: Event) -> None:
+        connection = self.connection
+        fabric = connection.fabric
+        rate = fabric._io_service_rate(connection.io_index)
+        self._occupy(
+            fabric.params.io_node.per_buffer_overhead + self.wire_bytes / rate, self._proxy_done
+        )
+
+    def _proxy_done(self, _event: Event) -> None:
+        self._freed("eth.ioproxy", "processing")
         # Tree network from the I/O node into its pset.
-        with fabric.tree_link(self.pset_id).request() as tree_req:
-            if tree_req.callbacks is not None:
-                yield tree_req
-            cost = fabric.jitter.apply(buffer.nbytes / params.io_node.tree_rate)
-            yield fabric.sim.timeout(cost)
-        if flows.enabled:
-            flows.hop(
-                buffer, "eth.tree", fabric.sim.now,
-                resource=tree_req.resource.name, wire=cost,
-            )
+        connection = self.connection
+        self._hold(connection.fabric.tree_link(connection.pset_id), self._tree_granted)
+
+    def _tree_granted(self, _event: Event) -> None:
+        params = self.connection.fabric.params
+        self._occupy(self.buffer.nbytes / params.io_node.tree_rate, self._tree_done)
+
+    def _tree_done(self, _event: Event) -> None:
+        self._freed("eth.tree", "wire")
         # Receive processing on the destination compute node's co-processor:
         # the CNK socket path is slow (compute_receive_rate) and pays the
         # same source-switch penalty as torus traffic when merging streams.
-        receive_work = (
+        buffer = self.buffer
+        params = self.connection.fabric.params
+        self._receive(
             buffer.nbytes / params.io_node.compute_receive_rate if not buffer.eos else 0.0
         )
-        yield from fabric.torus.receive_at(
-            buffer, self.dst_compute_index, receive_work, self.deliver
-        )
-        fabric.buffers_forwarded += 1
-        # End-to-end delivery acknowledged: reopen one window slot.
-        freed = self._window.put(None)
-        if freed.callbacks is not None:
-            yield freed
+
+    def _delivered(self) -> None:
+        self.connection.fabric.buffers_forwarded += 1
+        # End-to-end delivery acknowledged: reopen one window slot; nothing
+        # waits on it.
+        self.connection._window.put(None)

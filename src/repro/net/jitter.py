@@ -17,7 +17,10 @@ from repro.util.errors import SimulationError
 
 
 class Jitter:
-    """Seeded multiplicative noise: ``scale()`` ~ Uniform(1-m, 1+m)."""
+    """Seeded multiplicative noise: ``apply(cost)`` is ``cost`` times a
+    factor ~ Uniform(1-m, 1+m), one draw per modelled cost."""
+
+    __slots__ = ("magnitude", "seed", "_rng", "_random", "_low", "_span")
 
     def __init__(self, magnitude: float = 0.0, seed: int = 0):
         if magnitude < 0 or magnitude >= 1:
@@ -25,16 +28,19 @@ class Jitter:
         self.magnitude = magnitude
         self.seed = seed
         self._rng = random.Random(seed)
-
-    def scale(self) -> float:
-        """One noise factor; exactly 1.0 when the magnitude is zero."""
-        if self.magnitude == 0.0:
-            return 1.0
-        return 1.0 + self._rng.uniform(-self.magnitude, self.magnitude)
+        self._random = self._rng.random
+        # ``Random.uniform(a, b)`` is ``a + (b - a) * random()``; its two
+        # operands for ``(-m, m)``, computed once, give the same factor
+        # bit for bit without the two calls around the draw.
+        self._low = -magnitude
+        self._span = magnitude - (-magnitude)
 
     def apply(self, cost: float) -> float:
-        """``cost`` scaled by one noise factor (never negative)."""
-        return cost * self.scale()
+        """``cost`` scaled by one noise factor (never negative); exactly
+        ``cost``, with no draw, when the magnitude is zero."""
+        if self.magnitude == 0.0:
+            return cost
+        return cost * (1.0 + (self._low + self._span * self._random()))
 
 
 class KeyedJitter(Jitter):
@@ -66,10 +72,6 @@ class KeyedJitter(Jitter):
             -self.magnitude, self.magnitude
         )
         return cost * (1.0 + noise)
-
-    def scale(self) -> float:
-        """Context-free draws cannot be keyed; pin them to the midpoint."""
-        return 1.0
 
 
 #: When set, :func:`make_jitter` builds through this factory instead of the

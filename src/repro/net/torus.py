@@ -32,7 +32,8 @@ from repro.hardware.bluegene import BlueGene
 from repro.net.jitter import Jitter
 from repro.net.message import WireBuffer
 from repro.net.params import TorusParams
-from repro.sim import Resource, Simulator, Store, TokenPool
+from repro.sim import Resource, Simulator, Store, Timeout, TokenPool
+from repro.sim.events import Chain, Event
 from repro.util.errors import NetworkError
 
 
@@ -307,12 +308,13 @@ class TorusNetwork:
         Mirrors MPI local-completion semantics: the generator returns once
         the sending co-processor has finished injecting the buffer; the rest
         of the journey (forwarding hops, receive processing, delivery into
-        ``deliver``) continues on its own (``Simulator.detach``).
+        ``deliver``) continues on its own, as a :class:`_Hops` chain.
         """
         if src == dst:
             raise NetworkError(f"torus send with src == dst == {src}")
         path = self.route(src, dst)
-        flows = self.sim.obs.flows
+        sim = self.sim
+        flows = sim.obs.flows
         # Shallow-FIFO back-pressure: stall if too many of this stream's
         # buffers are still travelling or waiting at a busy co-processor.
         slot = self._stream_window(buffer.stream_id).get()
@@ -321,30 +323,35 @@ class TorusNetwork:
         if slot.callbacks is not None:
             yield slot
         if flows.enabled:
-            flows.hop(buffer, "torus.window", self.sim.now)
+            flows.hop(buffer, "torus.window", sim.now)
         wire = self.params.handling_time(buffer.nbytes) if not buffer.eos else 0.0
         # Injection: sending co-processor streams the packets onto the first
         # link; both are occupied for the buffer's handling time.
-        with self.coprocessor(src).request() as coproc_req:
+        coproc = self.coprocessor(src)
+        coproc_req = coproc.request()
+        try:
             if coproc_req.callbacks is not None:
                 yield coproc_req
-            with self.link(path[0], path[1]).request() as link_req:
+            link = self.link(path[0], path[1])
+            link_req = link.request()
+            try:
                 if link_req.callbacks is not None:
                     yield link_req
                 occupancy = self.params.injection_overhead + wire
                 if self._link_slowdown:
                     occupancy *= self._link_slowdown.get((path[0], path[1]), 1.0)
                 cost = self.jitter.apply(occupancy)
-                yield self.sim.timeout(cost)
+                yield Timeout(sim, cost)
+            finally:
+                link.release(link_req)
+        finally:
+            coproc.release(coproc_req)
         if flows.enabled:
             # Wait for the source co-processor + first link is queue_wait;
             # the injection itself is wire time.
-            flows.hop(
-                buffer, "torus.inject", self.sim.now,
-                resource=coproc_req.resource.name, wire=cost,
-            )
+            flows.hop(buffer, "torus.inject", sim.now, resource=coproc.name, wire=cost)
         self.bytes_on_wire += buffer.nbytes
-        obs = self.sim.obs
+        obs = sim.obs
         if obs.enabled:
             # Wire bytes include padding to whole torus packets — the
             # mechanism behind the Figure 6 sub-1KB bandwidth collapse.
@@ -365,98 +372,189 @@ class TorusNetwork:
         # buffers: the sender may inject buffer k+1 while k is forwarded),
         # from the end of the hop latency on: nothing is pushed at ``now``.
         self._in_flight[buffer.stream_id] = self._in_flight.get(buffer.stream_id, 0) + 1
-        latency = self.params.hop_latency * (len(path) - 1)
-        self.sim.detach(
-            self._forward(buffer, path, wire, latency, deliver), self.sim.timeout(latency)
+        sim.detach(
+            _Hops(self, buffer, path, wire, deliver).start,
+            Timeout(sim, self.params.hop_latency * (len(path) - 1)),
         )
 
-    def _forward(self, buffer: WireBuffer, path: List[int], wire: float, latency: float,
+
+class Journey(Chain):
+    """A buffer in flight towards a compute node's co-processor.
+
+    A callback chain (:class:`~repro.sim.events.Chain`): each step is the
+    callback of the event it waits on.  A subclass runs the journey up to
+    the destination, then calls :meth:`_receive`: receive processing at the
+    destination co-processor and the deposit into ``deliver``, which end in
+    the subclass's :meth:`_delivered`.  Two journeys share the receive
+    steps: the torus's own (:class:`_Hops`) and inbound TCP traffic
+    forwarded by an I/O node over the tree network
+    (:class:`~repro.net.ethernet.Ingress`), which ends at the same
+    single-threaded co-processor and pays the same source-switch penalty.
+    """
+
+    __slots__ = ("torus", "buffer", "node", "deliver", "_req", "_cost")
+
+    def __init__(self, torus: TorusNetwork, buffer: WireBuffer, node: int, deliver: Store):
+        self.torus = torus
+        self.buffer = buffer
+        self.node = node
+        self.deliver = deliver
+
+    def _receive(self, receive_work: float) -> None:
+        """Receive processing; ``receive_work`` is the co-processor
+        occupancy, computed by the journey for its medium."""
+        self._cost = receive_work  # read once the co-processor is held
+        req = self._req = self.torus.coprocessor(self.node).request()
+        if req.callbacks is not None:
+            req.callbacks.append(self._receive_granted)
+            return
+        self._receive_granted(req)
+
+    def _receive_granted(self, _event: Event) -> None:
+        torus = self.torus
+        buffer = self.buffer
+        node = self.node
+        cost = torus.params.receive_overhead + self._cost
+        if not buffer.eos:
+            cost += torus._switch_cost(node)
+        previous = torus._last_source.get(node)
+        if previous is not None and previous != buffer.source:
+            torus.source_switches += 1  # diagnostic only; cost is rate-based
+            obs = torus.sim.obs
+            if obs.enabled:
+                obs.add("torus.source_switches")
+                switches = torus._node_switches.get(node)
+                if switches is None:
+                    switches = torus._node_switches[node] = obs.metrics.counter(
+                        f"torus.source_switches[node={node}]"
+                    )
+                switches.add()
+        torus._last_source[node] = buffer.source
+        cost = self._cost = torus.jitter.apply(cost)
+        Timeout(torus.sim, cost).callbacks.append(self._received)
+
+    def _received(self, _event: Event) -> None:
+        sim = self.torus.sim
+        if sim.obs.flows.enabled:
+            sim.obs.flows.hop(
+                self.buffer, "torus.receive", sim.now,
+                resource=self._req.resource.name, processing=self._cost,
+            )
+        # Depositing into a full receive buffer blocks the co-processor:
+        # this is the back-pressure that stalls upstream senders.
+        deposited = self.deliver.put(self.buffer)
+        if deposited.callbacks is not None:
+            deposited.callbacks.append(self._deposited)
+            return
+        self._deposited(deposited)
+
+    def _deposited(self, _event: Event) -> None:
+        torus = self.torus
+        sim = torus.sim
+        if sim.obs.flows.enabled:
+            sim.obs.flows.hop(self.buffer, "torus.deliver", sim.now)
+        req = self._req
+        req.resource.release(req)
+        torus.buffers_delivered += 1
+        self._delivered()
+
+    def _delivered(self) -> None:
+        """The journey's last step, once the buffer is deposited."""
+        raise NotImplementedError
+
+
+class _Hops(Journey):
+    """A torus buffer past injection: hop latency, forwarding through each
+    intermediate co-processor, receive, then one window slot back.
+
+    These steps (and the receive steps above) write out the request and
+    draw sequences that :class:`~repro.net.ethernet.Ingress` factors into
+    helpers: they run per hop of every buffer, where one more call per step
+    measured ~3 % of a ``p2p_torus`` round."""
+
+    __slots__ = ("path", "wire", "position", "_link_req")
+
+    def __init__(self, torus: TorusNetwork, buffer: WireBuffer, path: List[int], wire: float,
                  deliver: Store):
-        """Forward ``buffer`` hop by hop, its hop latency over, and deliver it."""
-        flows = self.sim.obs.flows
+        Journey.__init__(self, torus, buffer, path[-1], deliver)
+        self.path = path
+        self.wire = wire
+        self.position = 1
+
+    def start(self, latency: Timeout) -> None:
+        """The hop latency is over (``Simulator.detach``'s start event)."""
+        sim = self.torus.sim
+        if sim.obs.flows.enabled:
+            sim.obs.flows.hop(self.buffer, "torus.hops", sim.now, wire=latency.delay)
+        self._hop()
+
+    def _hop(self) -> None:
+        """Ask for the next intermediate co-processor, or receive."""
+        torus = self.torus
+        if self.position == len(self.path) - 1:
+            # receive_time(nbytes) is handling_time(nbytes) * receive_fraction.
+            self._receive(self.wire * torus.params.receive_fraction)
+            return
+        req = self._req = torus.coprocessor(self.path[self.position]).request()
+        if req.callbacks is not None:
+            req.callbacks.append(self._hop_link)
+            return
+        self._hop_link(req)
+
+    def _hop_link(self, _event: Event) -> None:
+        # The co-processor is held in ``_req``; the link has its own request.
+        position = self.position
+        req = self._link_req = self.torus.link(
+            self.path[position], self.path[position + 1]
+        ).request()
+        if req.callbacks is not None:
+            req.callbacks.append(self._hop_wire)
+            return
+        self._hop_wire(req)
+
+    def _hop_wire(self, _event: Event) -> None:
+        torus = self.torus
+        occupancy = torus.params.forward_overhead + self.wire
+        if torus._link_slowdown:
+            position = self.position
+            occupancy *= torus._link_slowdown.get(
+                (self.path[position], self.path[position + 1]), 1.0
+            )
+        cost = self._cost = torus.jitter.apply(occupancy)
+        Timeout(torus.sim, cost).callbacks.append(self._hopped)
+
+    def _hopped(self, _event: Event) -> None:
+        link_req = self._link_req
+        link_req.resource.release(link_req)
+        req = self._req
+        req.resource.release(req)
+        torus = self.torus
+        flows = torus.sim.obs.flows
         if flows.enabled:
-            flows.hop(buffer, "torus.hops", self.sim.now, wire=latency)
-        for position in range(1, len(path) - 1):
-            node = path[position]
-            with self.coprocessor(node).request() as coproc_req:
-                if coproc_req.callbacks is not None:
-                    yield coproc_req
-                with self.link(path[position], path[position + 1]).request() as link_req:
-                    if link_req.callbacks is not None:
-                        yield link_req
-                    occupancy = self.params.forward_overhead + wire
-                    if self._link_slowdown:
-                        occupancy *= self._link_slowdown.get(
-                            (path[position], path[position + 1]), 1.0
-                        )
-                    cost = self.jitter.apply(occupancy)
-                    yield self.sim.timeout(cost)
-            if flows.enabled:
-                # One hop per intermediate node: the wait for its (possibly
-                # busy) co-processor is exactly the Figure 7A/8 contention.
-                flows.hop(
-                    buffer, self._forward_stages[node], self.sim.now,
-                    resource=coproc_req.resource.name, wire=cost,
-                )
-        receive_work = self.params.receive_time(buffer.nbytes) if not buffer.eos else 0.0
-        yield from self._receive(buffer, path[-1], receive_work, deliver)
+            # One hop per intermediate node: the wait for its (possibly
+            # busy) co-processor is exactly the Figure 7A/8 contention.
+            flows.hop(
+                self.buffer, torus._forward_stages[self.path[self.position]],
+                torus.sim.now, resource=req.resource.name, wire=self._cost,
+            )
+        self.position += 1
+        self._hop()
+
+    def _delivered(self) -> None:
         # Delivery complete: free one in-flight slot of this stream.
-        freed = self._stream_window(buffer.stream_id).put(None)
+        freed = self.torus._stream_window(self.buffer.stream_id).put(None)
         if freed.callbacks is not None:
-            yield freed
-        left = self._in_flight[buffer.stream_id] - 1
+            freed.callbacks.append(self._released)
+            return
+        self._released(freed)
+
+    def _released(self, _event: Event) -> None:
+        torus = self.torus
+        stream_id = self.buffer.stream_id
+        left = torus._in_flight[stream_id] - 1
         if left:
-            self._in_flight[buffer.stream_id] = left
+            torus._in_flight[stream_id] = left
         else:
-            del self._in_flight[buffer.stream_id]
-            if buffer.stream_id not in self._active_streams.get(path[-1], ()):
-                self._release_stream(buffer.stream_id)
-
-    def receive_at(self, buffer: WireBuffer, node: int, receive_work: float, deliver: Store):
-        """Receive processing for a buffer arriving from *outside* the torus.
-
-        Inbound TCP traffic forwarded by an I/O node over the tree network
-        ends at the same single-threaded co-processor as torus traffic and
-        pays the same source-switch penalty; the Ethernet fabric delegates
-        its final hop here so the mechanism is shared.  ``receive_work`` is
-        the co-processor occupancy, computed by the caller for its medium.
-        """
-        yield from self._receive(buffer, node, receive_work, deliver)
-
-    def _receive(self, buffer: WireBuffer, node: int, receive_work: float, deliver: Store):
-        """Receive processing at the destination co-processor."""
-        flows = self.sim.obs.flows
-        with self.coprocessor(node).request() as coproc_req:
-            if coproc_req.callbacks is not None:
-                yield coproc_req
-            cost = self.params.receive_overhead + receive_work
-            if not buffer.eos:
-                cost += self._switch_cost(node)
-            previous = self._last_source.get(node)
-            if previous is not None and previous != buffer.source:
-                self.source_switches += 1  # diagnostic only; cost is rate-based
-                obs = self.sim.obs
-                if obs.enabled:
-                    obs.add("torus.source_switches")
-                    switches = self._node_switches.get(node)
-                    if switches is None:
-                        switches = self._node_switches[node] = obs.metrics.counter(
-                            f"torus.source_switches[node={node}]"
-                        )
-                    switches.add()
-            self._last_source[node] = buffer.source
-            cost = self.jitter.apply(cost)
-            yield self.sim.timeout(cost)
-            if flows.enabled:
-                flows.hop(
-                    buffer, "torus.receive", self.sim.now,
-                    resource=coproc_req.resource.name, processing=cost,
-                )
-            # Depositing into a full receive buffer blocks the co-processor:
-            # this is the back-pressure that stalls upstream senders.
-            deposited = deliver.put(buffer)
-            if deposited.callbacks is not None:
-                yield deposited
-            if flows.enabled:
-                flows.hop(buffer, "torus.deliver", self.sim.now)
-        self.buffers_delivered += 1
+            del torus._in_flight[stream_id]
+            if stream_id not in torus._active_streams.get(self.node, ()):
+                torus._release_stream(stream_id)

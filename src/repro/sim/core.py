@@ -28,14 +28,26 @@ Typical use::
 from __future__ import annotations
 
 from heapq import heappop
-from typing import Any, Generator, Iterable, Optional, Union
+from typing import Any, Callable, Generator, Iterable, NoReturn, Optional, Sequence, Union
 
 from repro.obs.instrument import NULL_OBS, NullInstrumentation
-from repro.sim.events import _NORMAL, _URGENT, AllOf, AnyOf, Detached, Event, Process, Timeout
+from repro.sim.events import _NORMAL, _URGENT, AllOf, AnyOf, Chain, Event, Process, Timeout
 from repro.sim.scheduler import _BUSY, EventScheduler, make_scheduler
 from repro.util.errors import SimulationError
 
 _INF = float("inf")
+
+
+def _reraise(exc: Exception, callbacks: Sequence[Callable[[Event], None]]) -> NoReturn:
+    """Re-raise ``exc``, which escaped a dispatch to ``callbacks``: as an
+    unhandled failure if a :class:`~repro.sim.events.Chain` step ran there
+    (a chain has no process to fail, so nobody else would receive it),
+    unchanged otherwise."""
+    if not isinstance(exc, SimulationError) and any(
+        isinstance(getattr(callback, "__self__", None), Chain) for callback in callbacks
+    ):
+        raise SimulationError(f"unhandled failure in simulation: {exc!r}") from exc
+    raise exc
 
 
 class Simulator:
@@ -55,7 +67,6 @@ class Simulator:
         "_push",
         "_inst",
         "_done",
-        "_active_process",
         "obs",
         "events_dispatched",
     )
@@ -85,7 +96,6 @@ class Simulator:
         done.callbacks = None
         done._ok = True
         done._value = None
-        self._active_process: Optional[Process] = None
         #: Events dispatched over this simulator's lifetime.  Counted by the
         #: drain loops themselves (no obs hook needed), so throughput
         #: figures can report events/sec on uninstrumented runs.
@@ -101,11 +111,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     @property
     def scheduler(self) -> EventScheduler:
@@ -127,10 +132,20 @@ class Simulator:
         """Start a new process running ``generator``."""
         return Process(self, generator, name=name)
 
-    def detach(self, generator: Generator, start: Optional[Event] = None) -> None:
-        """Run ``generator`` from ``start`` on with no process around it
-        (kernel-internal, see :class:`~repro.sim.events.Detached`)."""
-        Detached(self, generator, start)
+    def detach(self, step: Callable[[Event], None], start: Optional[Event] = None) -> None:
+        """Run ``step``, the first step of a :class:`~repro.sim.events.Chain`,
+        when ``start`` is dispatched (kernel-internal).
+
+        By default ``start`` is an urgent zero-delay event, where a process's
+        ``Initialize`` would sit; a chain that would open by waiting on an
+        event passes that event instead, and nothing is pushed at ``now``.
+        """
+        if start is None:
+            start = Event(self)
+            start._ok = True
+            start._value = None
+            self._push(self._now, _URGENT, start)
+        start.callbacks.append(step)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that triggers when all of ``events`` have triggered."""
@@ -177,17 +192,21 @@ class Simulator:
             self.obs.on_step(event, when)
         callbacks = event.callbacks
         event.callbacks = None
-        if len(callbacks) == 1:
-            # Most events have exactly one waiter (the process that yielded
-            # them); only then may a grant be synchronous (see ``_inst``).
-            self._inst = self._scheduler._pending_view(when)
-            try:
-                callbacks[0](event)
-            finally:
-                self._inst = _BUSY
-        else:
-            for callback in callbacks:
-                callback(event)
+        try:
+            if len(callbacks) == 1:
+                # Most events have exactly one waiter (the process that
+                # yielded them); only then may a grant be synchronous (see
+                # ``_inst``).
+                self._inst = self._scheduler._pending_view(when)
+                try:
+                    callbacks[0](event)
+                finally:
+                    self._inst = _BUSY
+            else:
+                for callback in callbacks:
+                    callback(event)
+        except Exception as exc:
+            _reraise(exc, callbacks)
         if event._ok is False and not event._defused:
             exc = event._value
             raise SimulationError(
@@ -238,6 +257,7 @@ class Simulator:
         times = scheduler._times
         buckets = scheduler._buckets
         dispatched = 0
+        callbacks: Sequence[Callable[[Event], None]] = ()
         try:
             while times:
                 when = times[0]
@@ -287,6 +307,8 @@ class Simulator:
                             raise SimulationError(
                                 f"unhandled failure in simulation: {exc!r}"
                             ) from exc
+                except Exception as exc:
+                    _reraise(exc, callbacks)
                 finally:
                     dispatched += ui - bucket[2] + ni - bucket[3]
                     bucket[2] = ui

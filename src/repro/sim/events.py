@@ -253,7 +253,6 @@ class Process(Event):
         # of them may follow each other.
         while True:
             self._target = None
-            sim._active_process = self
             try:
                 if event._ok:
                     next_event = self._generator.send(event._value)
@@ -262,7 +261,6 @@ class Process(Event):
                     event._defused = True
                     next_event = self._generator.throw(event._value)
             except StopIteration as stop:
-                sim._active_process = None
                 self._generator = None  # exhausted: the frame can go now
                 self._ok = True
                 self._value = stop.value
@@ -271,7 +269,6 @@ class Process(Event):
                     sim.obs.on_process_finished(self, ok=True)
                 return
             except BaseException as exc:  # noqa: BLE001 - process bodies may raise anything
-                sim._active_process = None
                 self._generator = None
                 self._ok = False
                 self._value = exc
@@ -279,7 +276,6 @@ class Process(Event):
                 if sim.obs.enabled:
                     sim.obs.on_process_finished(self, ok=False)
                 return
-            sim._active_process = None
             if not isinstance(next_event, Event):
                 raise SimulationError(
                     f"process {self.name!r} yielded a non-event: {next_event!r}"
@@ -300,43 +296,24 @@ class Process(Event):
         return f"<Process {self.name!r} {state}>"
 
 
-class Detached:
-    """Drives a generator nobody joins, interrupts or names (a buffer in
-    flight): no :class:`Process`, no completion event.  It starts when
-    ``start`` is dispatched — by default an urgent zero-delay event, where
-    :class:`Initialize` would sit; a caller whose generator would open with
-    an event passes that event instead, and pushes nothing at ``now``."""
+class Chain:
+    """Base of a callback chain: a piece of kernel-internal work nobody
+    joins, interrupts or names (a buffer in flight), written as an object
+    whose steps are bound methods run as the callbacks of the events it
+    waits on — no :class:`Process`, no generator frame, no completion event.
 
-    __slots__ = ("_generator",)
+    A step that waits appends the next step to its event's callbacks and
+    returns; one whose event comes back already processed (a synchronous
+    grant, ``sim.resources``) calls the next step itself.  The kernel
+    recognises a chain by this base: parked on an event it is a live
+    waiter (``sim.introspect.waiters_of``), and an exception escaping one
+    of its steps stops :meth:`~repro.sim.core.Simulator.run` as an
+    unhandled failure, since nobody else could receive it.  Started by
+    :meth:`~repro.sim.core.Simulator.detach`.
+    """
+
+    __slots__ = ()
     is_alive = True  # only ever seen parked on an event (sim.introspect)
-
-    def __init__(self, sim: "Simulator", generator: Generator, start: Optional[Event]) -> None:
-        self._generator = generator
-        if start is None:
-            start = Event(sim)
-            start._ok = True
-            start._value = None
-            sim._push(sim._now, _URGENT, start)
-        start.callbacks.append(self._resume)
-
-    def _resume(self, event: Event) -> None:
-        """:meth:`Process._resume` without a target, a name or an end event."""
-        generator = self._generator
-        while True:
-            try:
-                if event._ok:
-                    event = generator.send(event._value)
-                else:
-                    event._defused = True
-                    event = generator.throw(event._value)
-            except StopIteration:
-                return
-            except Exception as exc:  # nobody joins: it must stop run() itself
-                raise SimulationError(f"unhandled failure in simulation: {exc!r}") from exc
-            callbacks = event.callbacks
-            if callbacks is not None:
-                callbacks.append(self._resume)
-                return
 
 
 class Condition(Event):

@@ -150,15 +150,15 @@ class CalendarQueue(EventScheduler):
         self._times: List[float] = []  # heap of distinct pending times
 
     def push(self, when: float, rank: int, event: "Event") -> None:
-        # Hit path first: a burst shares one timestamp, so all but the first
-        # push of a bucket is dict hit + list append.  The miss path pays an
-        # exception but runs once per *distinct* time, not once per event.
-        try:
-            self._buckets[when][rank].append(event)
-        except KeyError:
-            bucket = [[None], [None], 1, 1]
+        # A membership test, not a caught KeyError: a new instant is opened
+        # about every other push (a buffer's timeouts each land at a time of
+        # their own), and raising costs more than the second lookup a hit pays.
+        buckets = self._buckets
+        if when in buckets:
+            buckets[when][rank].append(event)
+        else:
+            bucket = buckets[when] = [[None], [None], 1, 1]
             bucket[rank].append(event)
-            self._buckets[when] = bucket
             heappush(self._times, when)
 
     def _pending_view(self, when: float) -> list:

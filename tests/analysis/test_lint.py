@@ -263,7 +263,7 @@ class TestProcessNameFormatRule:
             def send(self, buffer):
                 yield self.window.get()
                 self.sim.process(self._ack(buffer), name=self._ack_name)
-                self.sim.detach(self._forward(buffer))
+                self.sim.detach(Hops(self, buffer).start)
             """
         )
         assert lint_file(write_hot_file(tmp_path, source, package="net")) == []
@@ -297,7 +297,7 @@ class TestEagerGrantWindowRule:
 
         def forward(self, buffer):
             slot = self.window.get()
-            self.sim.detach(self._forward(buffer))
+            self.sim.detach(Hops(self, buffer).start)
             if slot.callbacks is not None:
                 yield slot
         """
@@ -318,13 +318,18 @@ class TestEagerGrantWindowRule:
                 if slot.callbacks is not None:
                     yield slot
                 counter = self._counters.get(buffer.stream_id)
-                self.sim.detach(self._forward(buffer), self.sim.timeout(1.0))
+                self.sim.detach(Hops(self, buffer).start, Timeout(self.sim, 1.0))
                 with self.cpu.request() as req:
                     yield req
                     self.peer.interrupt("go")
                 other = self.feed.put(buffer)
                 self.cpu.release(req)
                 yield other
+
+            def hop(self, _event):
+                req = self._req = self.link.request()
+                req.callbacks.append(self._granted)  # a chain step waits on it
+                self.sim.detach(Hops(self, self.buffer).start)
             """
         )
         assert lint_file(write_hot_file(tmp_path, source, package="net")) == []

@@ -199,13 +199,23 @@ class TestInbox:
         from repro.analysis.sanitize import _live_waiters
         from repro.net.message import WireBuffer
 
+        from repro.sim.events import Chain
+
         inbox = Inbox(sim, slots=1)
 
-        def forward():  # as the torus does: detached, holding on the deposit
-            yield inbox.put(WireBuffer.data("s", "n", 10, []))
+        class Forward(Chain):  # as the torus does: a chain parked on the deposit
+            __slots__ = ()
 
-        sim.detach(forward())
-        sim.detach(forward())
+            def start(self, _event):
+                deposited = inbox.put(WireBuffer.data("s", "n", 10, []))
+                if deposited.callbacks is not None:
+                    deposited.callbacks.append(self.deposited)
+
+            def deposited(self, _event):
+                pass
+
+        sim.detach(Forward().start)
+        sim.detach(Forward().start)
         sim.run()
         tokens, items = inbox.kernel_stores()
         assert (inbox.blocked_deposits, _live_waiters(tokens), _live_waiters(items)) == (1, 1, 0)

@@ -8,7 +8,7 @@ from repro.hardware.bluegene import BlueGene, BlueGeneConfig
 from repro.net.jitter import Jitter
 from repro.net.message import WireBuffer
 from repro.net.params import TorusParams
-from repro.net.torus import RouteTable, TorusNetwork
+from repro.net.torus import Journey, RouteTable, TorusNetwork
 from repro.sim import Simulator, Store
 from repro.util.errors import HardwareError, NetworkError
 
@@ -409,6 +409,29 @@ class TestStreamStateIsFreed:
         assert inbox.size == 3
         assert torus._stream_windows == {} and torus.in_flight_census() == []
 
+    def test_a_journey_parked_on_a_full_inbox_is_a_live_waiter(self):
+        from repro.analysis.sanitize import _live_waiters
+        from repro.engine.inbox import Inbox
+        from repro.sim.introspect import waiters_of
+
+        sim, torus = make_torus()
+        inbox = Inbox(sim, slots=1)  # nobody releases the slot
+
+        def sender():
+            for _ in range(2):
+                yield from torus.send(WireBuffer.data("s", "bg:26", 1000, []), 26, 0, inbox)
+
+        sim.process(sender())
+        sim.run()
+        tokens, items = inbox.kernel_stores()
+        assert (inbox.depth, inbox.blocked_deposits) == (1, 1)
+        (blocked,) = tokens._getters
+        (journey,) = waiters_of(blocked)
+        assert isinstance(journey, Journey) and journey.buffer.stream_id == "s"
+        # What the SAN203 census counts: the deposit is held by a live waiter.
+        assert (_live_waiters(tokens), _live_waiters(items)) == (1, 0)
+        assert torus.in_flight_census() == [("s", 1)]
+
     def test_a_buffer_counts_as_in_flight_before_its_continuation_is_armed(self, monkeypatch):
         from repro.sim import Simulator
 
@@ -416,14 +439,16 @@ class TestStreamStateIsFreed:
         armed = []
         detach = Simulator.detach
 
-        def spy(self, generator, start=None):
-            armed.append((torus.in_flight_census(), start.delay))
-            detach(self, generator, start)
+        def spy(self, step, start=None):
+            chain = step.__self__
+            armed.append((torus.in_flight_census(), isinstance(chain, Journey), start.delay))
+            detach(self, step, start)
 
         monkeypatch.setattr(Simulator, "detach", spy)
         inbox = Store(sim)
         sim.process(torus.send(WireBuffer.data("s", "bg:26", 1000, []), 26, 0, inbox))
         sim.run()
-        # Counted first; started on the hop-latency timeout, nothing at ``now``.
-        assert armed == [([("s", 1)], torus.params.hop_latency * 5)]
+        # Counted first; a journey started on the hop-latency timeout,
+        # nothing at ``now``.
+        assert armed == [([("s", 1)], True, torus.params.hop_latency * 5)]
         assert inbox.size == 1 and torus.in_flight_census() == []

@@ -81,7 +81,8 @@ class World:
                 elif op == "interrupt":
                     victims = sorted(self.processes)
                     victim = self.processes[victims[args[0] % len(victims)]]
-                    if victim.is_alive and victim is not sim.active_process:
+                    # Not itself: the process running this body is its own entry.
+                    if victim.is_alive and victim is not self.processes[name]:
                         victim.interrupt(name)
             except Interrupt as interrupt:
                 self.log(name, "interrupted", op, interrupt.cause)
