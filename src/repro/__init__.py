@@ -24,19 +24,7 @@ Quick start::
 See :mod:`repro.core.experiments` for the figure reproductions.
 """
 
-from repro.coordinator import ExecutionReport, QueryGraph, SPDef
-from repro.core import BandwidthResult, measure_query_bandwidth
-from repro.engine import ExecutionSettings
-from repro.hardware import (
-    BlueGene,
-    BlueGeneConfig,
-    Environment,
-    EnvironmentConfig,
-)
-from repro.net import NetworkParams
-from repro.obs import Instrumentation
-from repro.optimizer import CostBasedPlacer
-from repro.scsql import SCSQSession
+from repro.util.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -57,3 +45,16 @@ __all__ = [
     "Instrumentation",
     "__version__",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.scsql.session": ("SCSQSession",),
+    "repro.hardware.environment": ("Environment", "EnvironmentConfig"),
+    "repro.hardware.bluegene": ("BlueGene", "BlueGeneConfig"),
+    "repro.engine.settings": ("ExecutionSettings",),
+    "repro.net.params": ("NetworkParams",),
+    "repro.coordinator.deployer": ("ExecutionReport",),
+    "repro.coordinator.graph": ("QueryGraph", "SPDef"),
+    "repro.core.measurement": ("measure_query_bandwidth", "BandwidthResult"),
+    "repro.optimizer.placement": ("CostBasedPlacer",),
+    "repro.obs.instrument": ("Instrumentation",),
+})

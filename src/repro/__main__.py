@@ -20,7 +20,6 @@ import sys
 from contextlib import ExitStack
 from typing import List, Optional
 
-from repro.analysis import sanitize
 from repro.analysis.cli import add_analyze_parser
 from repro.bench.cli import add_bench_parser, add_top_parser
 from repro.core.experiments.cli import (
@@ -64,6 +63,8 @@ def _run_sanitized(args: argparse.Namespace) -> int:
     A ``--sanitize`` run that audited no teardown checked nothing: that
     is a failure (exit 1), not a clean run.
     """
+    from repro.analysis import sanitize
+
     scope = None
     with ExitStack() as stack:
         if args.chaos_seed is not None:

@@ -36,6 +36,10 @@ BENCH_FORMAT_VERSION = 2
 #: Default regression tolerance, percent of the baseline value.
 DEFAULT_TOLERANCE_PCT = 5.0
 
+#: Figure names run_bench() can produce: the sweep subsets plus the
+#: 4096-node scale and adaptive-runtime figures.
+BENCH_FIGURES = ("fig6", "fig8", "fig15", "scale", "adaptive")
+
 
 # ----------------------------------------------------------------------
 # BENCH JSON round trip

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.bench.baseline import figure_of_metric
+from repro.bench.baseline import BENCH_FIGURES, figure_of_metric
 from repro.bench.faults import FaultOutcome, FaultTask, run_fault_task
 from repro.bench.query_stream import (
     DEFAULT_SCALE,
@@ -108,11 +108,6 @@ def _fresh_env(
 # ----------------------------------------------------------------------
 # Gate mode
 # ----------------------------------------------------------------------
-#: Figure names run_bench() can produce: the sweep subsets plus the
-#: 4096-node scale and adaptive-runtime figures.
-BENCH_FIGURES = ("fig6", "fig8", "fig15", "scale", "adaptive")
-
-
 def bench_points() -> List[PointSpec]:
     """The fast figure-sweep subset the gate measures, keyed by point name
     (``"fig6[B=200,double]"``; :func:`figure_of_metric` names its figure).

@@ -40,6 +40,7 @@ import sys
 from typing import Any, Callable, Tuple
 
 from repro.bench.baseline import (
+    BENCH_FIGURES,
     DEFAULT_TOLERANCE_PCT,
     compare_bench,
     diff_ledger,
@@ -48,15 +49,6 @@ from repro.bench.baseline import (
     load_bench,
     write_bench,
 )
-from repro.bench.benchmark import (
-    BENCH_FIGURES,
-    bench_points,
-    run_bench,
-    run_fault_benchmark,
-    run_power_mode,
-    run_throughput_mode,
-)
-from repro.bench.query_stream import DEFAULT_SCALE, SMOKE_SCALE
 from repro.cli_flags import (
     add_detector_flags,
     add_live_flags,
@@ -66,14 +58,6 @@ from repro.cli_flags import (
 )
 from repro.coordinator.deployer import Deployer
 from repro.hardware.environment import Environment, EnvironmentConfig, shared_template
-from repro.obs.export import (
-    LIVE_HEADER,
-    live_footer,
-    live_row,
-    live_table,
-    prometheus_exposition,
-    write_timeseries_jsonl,
-)
 from repro.obs.instrument import live_instrumentation
 from repro.obs.live import DEFAULT_WINDOW
 from repro.scsql.plan import compile_plan
@@ -114,6 +98,14 @@ def _usage_error(message: str) -> int:
 
 
 def _bench(args: argparse.Namespace, default: Callable[[str], Any]) -> int:
+    from repro.bench.benchmark import (
+        run_bench,
+        run_fault_benchmark,
+        run_power_mode,
+        run_throughput_mode,
+    )
+    from repro.bench.query_stream import DEFAULT_SCALE, SMOKE_SCALE
+
     mode = "fault" if args.mode == "throughput" and args.fault else args.mode
     for dest in sorted({d for flags in _MODE_FLAGS.values() for d in flags}):
         if dest not in _MODE_FLAGS[mode] and getattr(args, dest) != default(dest):
@@ -287,6 +279,16 @@ _TOP_ALIASES = {
 
 
 def _top(args: argparse.Namespace) -> int:
+    from repro.bench.benchmark import bench_points
+    from repro.obs.export import (
+        LIVE_HEADER,
+        live_footer,
+        live_row,
+        live_table,
+        prometheus_exposition,
+        write_timeseries_jsonl,
+    )
+
     points = {point.key: point for point in bench_points()}
     name = _TOP_ALIASES.get(args.point, args.point)
     point = points.get(name)

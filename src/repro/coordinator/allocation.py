@@ -49,10 +49,6 @@ class AllocationSequence:
             self._iterator = iter(source)
 
     @property
-    def is_constant(self) -> bool:
-        return self._constant is not None
-
-    @property
     def constant_node(self) -> Optional[int]:
         """The single node number of a constant sequence (None otherwise)."""
         return self._constant

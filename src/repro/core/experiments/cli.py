@@ -29,14 +29,7 @@ from repro.cli_flags import (
     observe_level,
 )
 from repro.core.experiments import FIGURES
-from repro.core.experiments.adaptive import (
-    ADAPTIVE_POINTS,
-    run_adaptive_point,
-    write_health_events,
-)
-from repro.core.experiments.contention import SHARED_PSET, run_contention_demo
 from repro.core.measurement import Sweep, run_sweep
-from repro.obs.export import export_observations, live_table, write_timeseries_jsonl
 from repro.obs.live import DEFAULT_WINDOW
 
 __all__ = ["add_adaptive_parser", "add_figure_parsers", "add_multiquery_parser"]
@@ -55,6 +48,8 @@ def sweep_kwargs(sweep: Sweep, args: argparse.Namespace) -> Dict[str, Any]:
 def _run_figure(name: str, args: argparse.Namespace) -> None:
     """The one figure runner: every sweep of ``FIGURES[name]``, a blank
     line between two tables."""
+    from repro.obs.export import export_observations
+
     sections = []
     for index, sweep in enumerate(FIGURES[name]):
         if index:
@@ -102,6 +97,9 @@ def add_figure_parsers(sub: Any) -> None:
 
 
 def _multiquery(args: argparse.Namespace) -> None:
+    from repro.core.experiments.contention import SHARED_PSET, run_contention_demo
+    from repro.obs.export import live_table, write_timeseries_jsonl
+
     result = run_contention_demo(
         n=args.streams,
         array_bytes=args.array_bytes,
@@ -149,6 +147,12 @@ def add_multiquery_parser(sub: Any) -> None:
 
 
 def _adaptive(args: argparse.Namespace) -> int:
+    from repro.core.experiments.adaptive import (
+        ADAPTIVE_POINTS,
+        run_adaptive_point,
+        write_health_events,
+    )
+
     if args.point not in ADAPTIVE_POINTS:
         print(f"adaptive: unknown point {args.point!r} "
               f"(known: {', '.join(ADAPTIVE_POINTS)})", file=sys.stderr)

@@ -1,0 +1,96 @@
+"""The figure table, re-exported as :data:`repro.core.experiments.FIGURES`."""
+
+from typing import Dict, Tuple
+
+from repro.core.experiments.ablations import (
+    buffer_choice_specs,
+    node_selection_specs,
+    node_selection_table,
+    optimal_buffer,
+)
+from repro.core.experiments.fig6 import fig6_specs
+from repro.core.experiments.fig8 import balanced_advantage, fig8_specs
+from repro.core.experiments.fig15 import fig15_specs
+from repro.core.experiments.scaling import scaling_specs
+from repro.core.measurement import Sweep
+
+#: Figure command -> the sweeps it runs, in print order.
+FIGURES: Dict[str, Tuple[Sweep, ...]] = {
+    "fig6": (Sweep(
+        name="fig6",
+        specs=fig6_specs,
+        quick={"buffer_sizes": (200, 1000, 5000, 100_000), "target_buffers": 300},
+        title="Figure 6: intra-BG point-to-point streaming bandwidth (Mbps)",
+        row="buffer_bytes", row_header=f"{'buffer':>10}",
+        columns=("double_buffering",), column="{k.buffering}",
+        point="fig6 B={k.buffer_bytes} {k.buffering}",
+        headline=lambda r: (
+            f"-> optimum: single={r.best(double_buffering=False)[0].buffer_bytes} B, "
+            f"double={r.best(double_buffering=True)[0].buffer_bytes} B"
+        ),
+        gate=({"buffer_sizes": (200, 1000, 100_000), "target_buffers": 120},),
+    ),),
+    "fig8": (Sweep(
+        name="fig8",
+        specs=fig8_specs,
+        quick={"buffer_sizes": (1000, 10_000, 200_000), "target_buffers": 250},
+        title="Figure 8: intra-BG stream merging bandwidth at node c (Mbps)",
+        row="buffer_bytes", row_header=f"{'buffer':>10}",
+        columns=("balanced", "double_buffering"), column="{k.selection}/{k.buffering}",
+        point="fig8 B={k.buffer_bytes} {k.selection}/{k.buffering}",
+        headline=lambda r: f"-> balanced advantage: {balanced_advantage(r):.2f}x",
+        gate=({"buffer_sizes": (100_000,), "target_buffers": 120},),
+    ),),
+    "fig15": (Sweep(
+        name="fig15",
+        specs=fig15_specs,
+        quick={"stream_counts": (1, 2, 4, 5), "array_count": 5},
+        title="Figure 15: BG inbound streaming bandwidth (Mbps)",
+        row="n", row_header=f"{'n':>3}",
+        columns=("query_number",), column="Q{k.query_number}",
+        point="fig15 Q{k.query_number} n={k.n}",
+        headline=lambda r: (
+            f"-> Query 5 peak: {r.best(query_number=5)[1].mean_mbps:.0f} Mbps"
+        ),
+        gate=tuple(
+            {"stream_counts": stream_counts, "queries": (query_number,),
+             "array_bytes": 300_000, "array_count": 3}
+            for stream_counts, query_number in (((2,), 1), ((4, 5), 5))
+        ),
+    ),),
+    "ablations": (
+        Sweep(
+            name="ablation selector",
+            specs=node_selection_specs,
+            quick={"stream_counts": (4,), "count": 4},
+            title="Ablation: automatic node selection (inbound workload, Mbps)",
+            row="n", row_header=f"{'n':>3}",
+            columns=("selector_name",), column="{k.selector_name}",
+            point="ablation selector={k.selector_name} n={k.n}",
+            table=node_selection_table,
+        ),
+        Sweep(
+            name="ablation buffers",
+            specs=buffer_choice_specs,
+            quick={"buffer_sizes": (1000, 2000, 100_000)},
+            title="Ablation: buffer size by communication pattern (Mbps)",
+            row="buffer_bytes", row_header=f"{'buffer':>10}",
+            columns=("pattern",), column="{k.pattern}",
+            point="ablation buffers {k.pattern} B={k.buffer_bytes}",
+            headline=lambda r: (
+                f"optimal: p2p={optimal_buffer(r, 'p2p')} B, "
+                f"merge={optimal_buffer(r, 'merge')} B"
+            ),
+        ),
+    ),
+    "scaling": (Sweep(
+        name="scaling",
+        specs=scaling_specs,
+        quick={"partitions": (((4, 4, 2), 4), ((4, 4, 4), 8)), "array_count": 3},
+        title="Extension: inbound scaling with partition size (Mbps)",
+        row="num_io_nodes", row_header=f"{'io-nodes':>9}",
+        columns=("uplink_gbps", "query_number"),
+        column="Q{k.query_number}@{k.uplink_gbps:g}G",
+        point="scaling Q{k.query_number} io={k.num_io_nodes} uplink={k.uplink_gbps:g}G",
+    ),),
+}

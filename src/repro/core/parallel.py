@@ -28,8 +28,6 @@ Design constraints:
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Type
 
@@ -220,6 +218,9 @@ class SweepExecutor:
         # which also means the module-global sanitizer scope and chaos
         # override do not reach them: the call is shipped inside
         # ``run_scoped``, which re-enters whichever is active here.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         scope, seed = sanitize.current(), sanitize.chaos_seed()
         label = scope.report.label if scope is not None else None
         context = multiprocessing.get_context("spawn")

@@ -80,8 +80,3 @@ class StopToken:
         """Stand the watchdog down (the query completed on its own)."""
         if self._watchdog is not None and self._watchdog.is_alive:
             self._watchdog.interrupt("query completed")
-
-
-def swallow_interrupt(error: BaseException) -> bool:
-    """True if ``error`` is the expected consequence of a query stop."""
-    return isinstance(error, Interrupt)

@@ -16,10 +16,9 @@ execution upon a stop condition".
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Any
-
-import numpy as np
 
 
 class _EndOfStream:
@@ -82,7 +81,9 @@ def size_of(obj: Any) -> int:
         return obj.nbytes
     if isinstance(obj, TaggedObject):
         return 16 + size_of(obj.payload)
-    if isinstance(obj, np.ndarray):
+    # An ndarray exists only once numpy is loaded: a run without arrays never loads it.
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, np.ndarray):
         return int(obj.nbytes)
     if isinstance(obj, bool):
         return 1

@@ -19,14 +19,15 @@ the 700 MHz baseline CPU.
 from __future__ import annotations
 
 import math
-from typing import Dict
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict
 
 from repro.engine.objects import END_OF_STREAM, TaggedObject
 from repro.engine.operators.base import Operator
 from repro.engine.operators.transforms import _as_array
 from repro.util.errors import QueryExecutionError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Modelled CPU cycles per FFT point per log2 level (PPC440 baseline).
 FFT_CYCLES_PER_POINT_LEVEL = 8.0
@@ -49,6 +50,8 @@ class Fft(Operator):
     arity = (1, 1)
 
     def run(self):
+        import numpy as np
+
         while True:
             obj = yield from self.next_object()
             if obj is END_OF_STREAM:
@@ -105,6 +108,8 @@ class RadixCombine(Operator):
             raise QueryExecutionError(
                 f"radixcombine() halves differ in length: {len(even)} vs {len(odd)}"
             )
+        import numpy as np
+
         half = len(even)
         twiddle = np.exp(-2j * np.pi * np.arange(half) / (2 * half))
         spun = twiddle * odd

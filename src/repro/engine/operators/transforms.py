@@ -8,13 +8,14 @@ merge, whose arrival order is nondeterministic.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.engine.objects import END_OF_STREAM, TaggedObject, size_of
 from repro.engine.operators.base import Operator
 from repro.util.errors import QueryExecutionError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class MapFunction(Operator):
@@ -51,6 +52,8 @@ class MapFunction(Operator):
 
 
 def _as_array(obj: Any, op_name: str) -> np.ndarray:
+    import numpy as np
+
     payload = obj.payload if isinstance(obj, TaggedObject) else obj
     if not isinstance(payload, np.ndarray):
         raise QueryExecutionError(f"{op_name}() needs numpy arrays, got {type(payload).__name__}")

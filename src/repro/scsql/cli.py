@@ -11,7 +11,6 @@ from typing import Any
 
 from repro.cli_flags import add_observability_flags, observe_level
 from repro.hardware.environment import Environment, EnvironmentConfig
-from repro.obs.export import export_observations
 from repro.obs.instrument import instrumentation_for
 from repro.scsql.session import SCSQSession
 
@@ -32,6 +31,8 @@ def _query(args: argparse.Namespace) -> None:
     for sp_id, node in sorted(report.rp_placements.items()):
         print(f"  {sp_id:>24} -> {node}")
     if obs is not None:
+        from repro.obs.export import export_observations
+
         export_observations(
             [("query", obs)], args.trace, args.metrics_out, args.bottlenecks
         )

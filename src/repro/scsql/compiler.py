@@ -50,7 +50,6 @@ from repro.scsql.ast import (
 from repro.scsql.handles import SPHandle, SPVHandle
 from repro.scsql.scopes import Scope
 from repro.util.errors import QuerySemanticError
-from repro.workloads import corpus
 
 #: Stream functions compiled 1:1 into unary plan operators.
 _UNARY_STREAM_OPS = frozenset(
@@ -268,8 +267,10 @@ class QueryCompiler:
             self._require_int(low, "iota"), self._require_int(high, "iota")
             return list(range(int(low), int(high) + 1))
         if name == "filename":
+            from repro.workloads.corpus import filename
+
             (index,) = self._eval_args(call, scope, 1, "filename")
-            return corpus.filename(self._require_int(index, "filename"))
+            return filename(self._require_int(index, "filename"))
         if name in ("urr", "inPset", "psetrr"):
             # Allocation queries are position-dependent: they are resolved
             # against the target cluster by the enclosing sp()/spv() call.

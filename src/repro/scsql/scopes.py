@@ -27,9 +27,6 @@ class Scope:
         """Bind a declared (or new) name in this scope."""
         self._bindings[name] = value
 
-    def is_local(self, name: str) -> bool:
-        return name in self._bindings
-
     def lookup(self, name: str) -> Any:
         """The value of ``name``, searching enclosing scopes.
 

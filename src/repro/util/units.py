@@ -45,11 +45,6 @@ def rate_bps(bytes_per_second: float) -> float:
     return bytes_per_second * 8.0
 
 
-def rate_mbps(bytes_per_second: float) -> float:
-    """Convert an internal bytes/s rate to megabits/s (for reporting)."""
-    return bytes_per_second * 8.0 / MEGA
-
-
 def format_bytes(num_bytes: float) -> str:
     """Render a byte count with a human-readable suffix (``3.0 MB``)."""
     value = float(num_bytes)

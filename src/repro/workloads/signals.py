@@ -8,11 +8,12 @@ the parallel FFT against ``numpy.fft.fft``.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 from repro.util.errors import QueryExecutionError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def sinusoid_mixture(
@@ -28,6 +29,8 @@ def sinusoid_mixture(
     """
     if n_points < 2 or n_points & (n_points - 1):
         raise QueryExecutionError(f"signal length must be a power of two >= 2, got {n_points}")
+    import numpy as np
+
     t = np.arange(n_points)
     signal = np.zeros(n_points, dtype=float)
     for bin_number, amplitude in tones:

@@ -303,11 +303,11 @@ class TestSingleQueryPathsAreAudited:
 
     def test_cli_fails_a_sanitized_run_that_audited_nothing(self, capsys, monkeypatch):
         from repro.__main__ import main
-        from repro.bench import cli
+        from repro.bench import benchmark
         from repro.bench.benchmark import BenchReport
 
         monkeypatch.setattr(
-            cli, "run_power_mode", lambda **_kwargs: BenchReport("power", {})
+            benchmark, "run_power_mode", lambda **_kwargs: BenchReport("power", {})
         )
         assert main(["bench", "--mode", "power", "--smoke", "--sanitize"]) == 1
         assert "sanitize: 0 teardown(s) audited" in capsys.readouterr().out

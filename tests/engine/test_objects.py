@@ -1,5 +1,8 @@
 """Unit tests for the object model and size estimation."""
 
+import subprocess
+import sys
+
 import numpy as np
 
 from repro.engine.objects import (
@@ -57,3 +60,26 @@ class TestSizeOf:
             pass
 
         assert size_of(Strange()) == 64
+
+    def test_nbytes_attribute_alone_is_not_an_array(self):
+        class NotAnArray:
+            nbytes = 1000
+
+        assert size_of(NotAnArray()) == 64
+
+    def test_numpy_imported_after_the_object_model(self):
+        """The object model loads without numpy; arrays made once numpy is
+        imported size as before, bare and tagged."""
+        script = (
+            "import sys\n"
+            "from repro.engine.objects import TaggedObject, size_of\n"
+            "assert 'numpy' not in sys.modules\n"
+            "import numpy as np\n"
+            "array = np.zeros(1000)\n"
+            "print(size_of(array), size_of(TaggedObject('odd', 3, array)))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["8000", "8016"]

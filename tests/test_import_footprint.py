@@ -1,0 +1,94 @@
+"""A run imports what it runs.
+
+A query over synthetic arrays needs neither numpy nor the optimizer, the
+benchmark harness, the workload generators or a process pool; each loads
+when code that uses it runs.  Every check starts a fresh interpreter, since
+the test process itself has imported everything.
+"""
+
+import json
+import subprocess
+import sys
+
+P2P_QUERY = (
+    "select extract(b) from sp a, sp b "
+    "where b=sp(streamof(count(extract(a))), 'bg', 0) "
+    "and a=sp(gen_array(200000,5), 'bg', 1);"
+)
+
+#: The README quickstart query, then a ``signals`` deck query (FFT over numpy
+#: arrays) in the same interpreter, checked against numpy's own FFT.
+SCRIPT = f'''
+import json, sys
+from repro import SCSQSession
+
+LAZY = ("numpy", "multiprocessing", "concurrent.futures", "repro.optimizer",
+        "repro.bench", "repro.workloads")
+quickstart = SCSQSession().execute("{P2P_QUERY}")
+loaded = [name for name in LAZY if name in sys.modules]
+
+from repro.bench.query_stream import SMOKE_SCALE, build_query, registered
+
+query = build_query("signals", 0, SMOKE_SCALE)
+(name, source), = query.sources.items()
+with registered([query]):
+    counted = SCSQSession().execute(query.query)
+    spectra = SCSQSession().execute(
+        "select extract(f) from sp s, sp f "
+        "where f=sp(fft(extract(s)), 'bg', 0) "
+        "and s=sp(receiver('" + name + "'), 'be', urr('be'));"
+    )
+import numpy as np
+
+signals = list(source())
+print(json.dumps({{
+    "quickstart": quickstart.scalar_result,
+    "loaded": loaded,
+    "counted": counted.result == [query.expected_result],
+    "payload": query.payload_bytes == sum(signal.nbytes for signal in signals),
+    "fft": len(spectra.result) == len(signals) > 0 and all(
+        np.allclose(spectrum, np.fft.fft(signal))
+        for spectrum, signal in zip(spectra.result, signals)
+    ),
+}}))
+'''
+
+
+def _imported(argv):
+    """Run ``python -X importtime argv`` and return the modules it imported."""
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    return result.stdout, {
+        line.rsplit("|", 1)[1].strip()
+        for line in result.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    }
+
+
+def test_quickstart_query_loads_no_array_or_harness_code():
+    result = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr[-2000:]
+    outcome = json.loads(result.stdout.splitlines()[-1])
+    assert outcome == {
+        "quickstart": 5,
+        "loaded": [],
+        "counted": True,
+        "payload": True,
+        "fft": True,
+    }
+
+
+def test_cli_query_imports_only_its_own_driver():
+    """``python -m repro query`` registers every subcommand's parser, but
+    imports no other subcommand's driver."""
+    stdout, modules = _imported(["-m", "repro", "query", P2P_QUERY])
+    assert "result: [5]" in stdout
+    assert "numpy" not in modules
+    assert "repro.core.adaptive" not in modules
+    # The `bench`/`top` parsers register from repro.bench.cli; the harness
+    # behind them does not load.
+    assert {m for m in modules if m.startswith("repro.bench.")} <= {
+        "repro.bench.cli", "repro.bench.baseline"
+    }

@@ -11,7 +11,6 @@ from repro.util.units import (
     mbps,
     rate_bps,
 )
-from repro.util import units
 
 
 class TestConversions:
@@ -28,9 +27,6 @@ class TestConversions:
 
     def test_rate_bps_inverts_mbps(self):
         assert rate_bps(mbps(920)) == pytest.approx(920e6)
-
-    def test_rate_mbps(self):
-        assert units.rate_mbps(mbps(345)) == pytest.approx(345)
 
 
 class TestFormatting:
