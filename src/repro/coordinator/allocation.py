@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple, Union
 from repro.hardware.cndb import ComputeNodeDatabase
 from repro.hardware.node import Node
 from repro.util.errors import AllocationError, HardwareError
+from repro.util.frozen import slot_init
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (environment -> cndb)
     from repro.hardware.environment import Environment
@@ -142,7 +143,8 @@ class AllocationSpec:
         return None
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class ExplicitNodesSpec(AllocationSpec):
     """A literal node number or bag of node numbers (e.g. ``'bg', 0``)."""
 

@@ -17,12 +17,14 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.util.errors import QueryExecutionError
+from repro.util.frozen import slot_init
 
 #: Reserved plan-node name for cross-process stream subscriptions.
 INPUT = "input"
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class OpSpec:
     """One node of a stream query execution plan.
 
@@ -92,6 +94,6 @@ def plan_op(name: str, *args: Any, children: Tuple[OpSpec, ...] = (), **kwargs: 
     return OpSpec(
         name=name,
         args=tuple(args),
-        kwargs=tuple(sorted(kwargs.items())),
+        kwargs=tuple(sorted(kwargs.items())) if kwargs else (),
         children=tuple(children),
     )

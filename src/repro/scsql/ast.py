@@ -10,7 +10,8 @@ have three clauses::
 
 Expression nodes are literals, variable references, function calls, set
 expressions (``{a, b}``), and parenthesized nested select queries (the
-subquery argument of ``spv``).
+subquery argument of ``spv``).  Nodes are frozen, slotted dataclasses
+built by :func:`~repro.util.frozen.slot_init`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Set, Tuple, Union
 
+from repro.util.frozen import slot_init
 from repro.util.source import Span
 
 
@@ -28,12 +30,15 @@ from repro.util.source import Span
 class Expr:
     """Base class of SCSQL expressions."""
 
+    __slots__ = ()
+
     def free_vars(self) -> Set[str]:
         """Names of variables this expression references (unbound)."""
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Literal(Expr):
     """A number or string constant."""
 
@@ -43,7 +48,8 @@ class Literal(Expr):
         return set()
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Var(Expr):
     """A reference to a declared variable or function parameter."""
 
@@ -53,7 +59,8 @@ class Var(Expr):
         return {self.name}
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class FuncCall(Expr):
     """A function application, builtin or user-defined.
 
@@ -73,7 +80,8 @@ class FuncCall(Expr):
         return names
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class SetExpr(Expr):
     """A set/bag literal: ``{a, b}``."""
 
@@ -94,7 +102,8 @@ class CondKind(enum.Enum):
     IN = "in"
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Decl:
     """One ``from``-clause declaration: ``[bag of] <type> <name>``."""
 
@@ -103,7 +112,8 @@ class Decl:
     is_bag: bool = False
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Condition:
     """One ``where``-clause conjunct: ``var = expr`` or ``var in expr``."""
 
@@ -115,7 +125,8 @@ class Condition:
         return self.expr.free_vars()
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class SelectQuery(Expr):
     """A (possibly nested) select query.
 
@@ -130,12 +141,6 @@ class SelectQuery(Expr):
 
     def declared_names(self) -> Set[str]:
         return {d.name for d in self.decls}
-
-    def decl(self, name: str) -> Optional[Decl]:
-        for d in self.decls:
-            if d.name == name:
-                return d
-        return None
 
     def free_vars(self) -> Set[str]:
         inner = self.select.free_vars()

@@ -172,18 +172,17 @@ class QueryCompiler:
             deps[condition.var] = self._setup_dependencies(condition.expr) & declared
         ordered: List[Condition] = []
         resolved: set = set()
-        remaining = dict(deps)
-        while remaining:
-            ready = [v for v, d in remaining.items() if d <= resolved]
+        while deps:
+            ready = [v for v, d in deps.items() if d <= resolved]
             if not ready:
-                cycle = ", ".join(sorted(remaining))
+                cycle = ", ".join(sorted(deps))
                 raise QuerySemanticError(
                     f"cyclic definitions among variables: {cycle}"
                 )
             for var in sorted(ready):
                 ordered.append(by_var[var])
                 resolved.add(var)
-                del remaining[var]
+                del deps[var]
         return ordered
 
     def _setup_dependencies(self, expr: Expr) -> set:
@@ -195,13 +194,13 @@ class QueryCompiler:
         eagerly and do contribute dependencies.
         """
         if isinstance(expr, FuncCall) and expr.name in ("sp", "spv") and expr.args:
-            deferred = self._stream_refs(expr.args[0])
-            eager: set = set()
-            for arg in expr.args[1:]:
-                eager |= arg.free_vars()
             # Variables the subquery reads at setup time (e.g. n in iota(1,n))
             # are still real dependencies; only extract/merge targets defer.
-            eager |= expr.args[0].free_vars() - deferred
+            eager = expr.args[0].free_vars()
+            if eager:
+                eager -= self._stream_refs(expr.args[0])
+            for arg in expr.args[1:]:
+                eager |= arg.free_vars()
             return eager
         return expr.free_vars()
 
@@ -243,6 +242,8 @@ class QueryCompiler:
         """Evaluate an expression to a setup-time value."""
         if isinstance(expr, Literal):
             return expr.value
+        if isinstance(expr, FuncCall):
+            return self._eval_setup_call(expr, scope)
         if isinstance(expr, Var):
             return scope.lookup(expr.name)
         if isinstance(expr, SetExpr):
@@ -252,8 +253,6 @@ class QueryCompiler:
                 self.eval_setup(expr.select, binding)
                 for binding in self._enumerate_bindings(expr, scope)
             ]
-        if isinstance(expr, FuncCall):
-            return self._eval_setup_call(expr, scope)
         raise QuerySemanticError(f"cannot evaluate {type(expr).__name__} at setup time")
 
     def _eval_setup_call(self, call: FuncCall, scope: Scope) -> Any:
@@ -454,6 +453,8 @@ class QueryCompiler:
     # ------------------------------------------------------------------
     def compile_stream(self, expr: Expr, scope: Scope) -> OpSpec:
         """Compile an expression into a stream plan."""
+        if isinstance(expr, FuncCall):
+            return self._compile_stream_call(expr, scope)
         if isinstance(expr, Literal):
             return plan_op("constant", expr.value)
         if isinstance(expr, Var):
@@ -471,8 +472,6 @@ class QueryCompiler:
             raise QuerySemanticError(
                 "a set expression is not a stream; did you mean merge({...})?"
             )
-        if isinstance(expr, FuncCall):
-            return self._compile_stream_call(expr, scope)
         raise QuerySemanticError(f"cannot compile {type(expr).__name__} as a stream")
 
     def _lift(self, value: Any, label: str) -> OpSpec:

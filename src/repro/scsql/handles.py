@@ -13,8 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
+from repro.util.frozen import slot_init
 
-@dataclass(frozen=True)
+
+@slot_init
+@dataclass(frozen=True, slots=True)
 class SPHandle:
     """A handle to one assigned stream process."""
 

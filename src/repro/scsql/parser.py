@@ -65,7 +65,18 @@ def parse_query(text: str) -> SelectQuery:
     return statement
 
 
+_IDENT, _KEYWORD, _NUMBER, _STRING = (
+    TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.NUMBER, TokenKind.STRING
+)
+_LPAREN, _RPAREN, _COMMA, _EQUALS = (
+    TokenKind.LPAREN, TokenKind.RPAREN, TokenKind.COMMA, TokenKind.EQUALS
+)
+
+
 class _Parser:
+    """Recursive descent over the token list, read by index (the END token
+    closing every list matches no expected kind, so no read runs past it)."""
+
     def __init__(self, tokens: List[Token]):
         self._tokens = tokens
         self._pos = 0
@@ -73,46 +84,35 @@ class _Parser:
     # ------------------------------------------------------------------
     # Token plumbing
     # ------------------------------------------------------------------
-    @property
-    def _current(self) -> Token:
-        return self._tokens[self._pos]
-
-    def _advance(self) -> Token:
-        token = self._current
-        if token.kind is not TokenKind.END:
-            self._pos += 1
-        return token
-
-    def _check(self, kind: TokenKind, text: Optional[str] = None) -> bool:
-        token = self._current
-        return token.kind is kind and (text is None or token.text == text)
-
     def _accept(self, kind: TokenKind, text: Optional[str] = None) -> Optional[Token]:
-        if self._check(kind, text):
-            return self._advance()
+        token = self._tokens[self._pos]
+        if token[0] is kind and (text is None or token[1] == text):
+            self._pos += 1
+            return token
         return None
 
     def _expect(self, kind: TokenKind, text: Optional[str] = None) -> Token:
-        if not self._check(kind, text):
-            token = self._current
-            wanted = text or kind.value
-            raise QueryParseError(
-                f"expected {wanted!r}, found {str(token) or 'end of input'!r}",
-                token.line,
-                token.column,
-            )
-        return self._advance()
+        token = self._tokens[self._pos]
+        if token[0] is kind and (text is None or token[1] == text):
+            self._pos += 1
+            return token
+        raise QueryParseError(
+            f"expected {text or kind.value!r}, found {str(token) or 'end of input'!r}",
+            token[2],
+            token[3],
+        )
 
     # ------------------------------------------------------------------
     # Statements
     # ------------------------------------------------------------------
     def parse_statement(self) -> Statement:
-        if self._check(TokenKind.KEYWORD, "create"):
+        token = self._tokens[0]
+        if token[0] is _KEYWORD and token[1] == "create":
             statement: Statement = self._create_function()
         else:
             statement = self._select_query()
         self._accept(TokenKind.SEMICOLON)
-        end = self._current
+        end = self._tokens[self._pos]
         if end.kind is not TokenKind.END:
             raise QueryParseError(
                 f"unexpected trailing input starting at {str(end)!r}", end.line, end.column
@@ -120,22 +120,22 @@ class _Parser:
         return statement
 
     def _create_function(self) -> CreateFunction:
-        self._expect(TokenKind.KEYWORD, "create")
-        self._expect(TokenKind.KEYWORD, "function")
-        name = self._expect(TokenKind.IDENT).text
-        self._expect(TokenKind.LPAREN)
+        self._expect(_KEYWORD, "create")
+        self._expect(_KEYWORD, "function")
+        name = self._expect(_IDENT).text
+        self._expect(_LPAREN)
         params: List[Param] = []
-        if not self._check(TokenKind.RPAREN):
+        if self._tokens[self._pos].kind is not _RPAREN:
             while True:
-                type_name = self._expect(TokenKind.IDENT).text
-                param_name = self._expect(TokenKind.IDENT).text
+                type_name = self._expect(_IDENT).text
+                param_name = self._expect(_IDENT).text
                 params.append(Param(name=param_name, type_name=type_name))
-                if not self._accept(TokenKind.COMMA):
+                if not self._accept(_COMMA):
                     break
-        self._expect(TokenKind.RPAREN)
+        self._expect(_RPAREN)
         self._expect(TokenKind.ARROW)
-        return_type = self._expect(TokenKind.IDENT).text
-        self._expect(TokenKind.KEYWORD, "as")
+        return_type = self._expect(_IDENT).text
+        self._expect(_KEYWORD, "as")
         body = self._select_query()
         return CreateFunction(
             name=name, params=tuple(params), return_type=return_type, body=body
@@ -145,43 +145,41 @@ class _Parser:
     # Select queries
     # ------------------------------------------------------------------
     def _select_query(self) -> SelectQuery:
-        self._expect(TokenKind.KEYWORD, "select")
+        self._expect(_KEYWORD, "select")
         select_expr = self._expr()
-        self._expect(TokenKind.KEYWORD, "from")
+        self._expect(_KEYWORD, "from")
         decls = [self._decl()]
-        while self._accept(TokenKind.COMMA):
+        while self._accept(_COMMA):
             decls.append(self._decl())
         conditions: List[Condition] = []
-        if self._accept(TokenKind.KEYWORD, "where"):
+        if self._accept(_KEYWORD, "where"):
             conditions.append(self._condition())
-            while self._accept(TokenKind.KEYWORD, "and"):
+            while self._accept(_KEYWORD, "and"):
                 conditions.append(self._condition())
-        return SelectQuery(
-            select=select_expr, decls=tuple(decls), conditions=tuple(conditions)
-        )
+        return SelectQuery(select_expr, tuple(decls), tuple(conditions))
 
     def _decl(self) -> Decl:
         is_bag = False
-        if self._accept(TokenKind.KEYWORD, "bag"):
-            self._expect(TokenKind.KEYWORD, "of")
+        if self._accept(_KEYWORD, "bag"):
+            self._expect(_KEYWORD, "of")
             is_bag = True
-        type_token = self._expect(TokenKind.IDENT)
+        type_token = self._expect(_IDENT)
         if type_token.text not in DECLARABLE_TYPES:
             raise QueryParseError(
                 f"unknown type {type_token.text!r} in from clause",
                 type_token.line,
                 type_token.column,
             )
-        name = self._expect(TokenKind.IDENT).text
-        return Decl(name=name, type_name=type_token.text, is_bag=is_bag)
+        name = self._expect(_IDENT).text
+        return Decl(name, type_token.text, is_bag)
 
     def _condition(self) -> Condition:
-        var = self._expect(TokenKind.IDENT).text
-        if self._accept(TokenKind.EQUALS):
-            return Condition(kind=CondKind.EQ, var=var, expr=self._expr())
-        if self._accept(TokenKind.KEYWORD, "in"):
-            return Condition(kind=CondKind.IN, var=var, expr=self._expr())
-        token = self._current
+        var = self._expect(_IDENT).text
+        if self._accept(_EQUALS):
+            return Condition(CondKind.EQ, var, self._expr())
+        if self._accept(_KEYWORD, "in"):
+            return Condition(CondKind.IN, var, self._expr())
+        token = self._tokens[self._pos]
         raise QueryParseError(
             f"expected '=' or 'in' after {var!r}", token.line, token.column
         )
@@ -190,36 +188,40 @@ class _Parser:
     # Expressions
     # ------------------------------------------------------------------
     def _expr(self) -> Expr:
-        token = self._current
-        if token.kind is TokenKind.NUMBER:
-            self._advance()
+        tokens = self._tokens
+        pos = self._pos
+        token = tokens[pos]
+        kind = token[0]
+        if kind is _IDENT:
+            if tokens[pos + 1][0] is not _LPAREN:
+                self._pos = pos + 1
+                return Var(token[1])
+            args: List[Expr] = []
+            if tokens[pos + 2][0] is _RPAREN:
+                self._pos = pos + 3
+            else:
+                self._pos = pos + 2
+                while True:
+                    args.append(self._expr())
+                    pos = self._pos
+                    if tokens[pos][0] is not _COMMA:
+                        break
+                    self._pos = pos + 1
+                self._expect(_RPAREN)
+            return FuncCall(token[1], tuple(args), Span(token[2], token[3]))
+        if kind is _NUMBER:
+            self._pos = pos + 1
             return Literal(token.value)
-        if token.kind is TokenKind.STRING:
-            self._advance()
-            return Literal(token.text)
-        if token.kind is TokenKind.LBRACE:
+        if kind is _STRING:
+            self._pos = pos + 1
+            return Literal(token[1])
+        if kind is TokenKind.LBRACE:
             return self._set_expr()
-        if token.kind is TokenKind.LPAREN:
-            self._advance()
+        if kind is _LPAREN:
+            self._pos = pos + 1
             inner = self._select_query()
-            self._expect(TokenKind.RPAREN)
+            self._expect(_RPAREN)
             return inner
-        if token.kind is TokenKind.IDENT:
-            self._advance()
-            if self._accept(TokenKind.LPAREN):
-                args: List[Expr] = []
-                if not self._check(TokenKind.RPAREN):
-                    while True:
-                        args.append(self._expr())
-                        if not self._accept(TokenKind.COMMA):
-                            break
-                self._expect(TokenKind.RPAREN)
-                return FuncCall(
-                    name=token.text,
-                    args=tuple(args),
-                    span=Span(token.line, token.column),
-                )
-            return Var(name=token.text)
         raise QueryParseError(
             f"expected an expression, found {str(token) or 'end of input'!r}",
             token.line,
@@ -229,7 +231,7 @@ class _Parser:
     def _set_expr(self) -> SetExpr:
         self._expect(TokenKind.LBRACE)
         items = [self._expr()]
-        while self._accept(TokenKind.COMMA):
+        while self._accept(_COMMA):
             items.append(self._expr())
         self._expect(TokenKind.RBRACE)
-        return SetExpr(items=tuple(items))
+        return SetExpr(tuple(items))

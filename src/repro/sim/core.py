@@ -31,7 +31,7 @@ from heapq import heappop
 from typing import Any, Callable, Generator, Iterable, NoReturn, Optional, Sequence, Union
 
 from repro.obs.instrument import NULL_OBS, NullInstrumentation
-from repro.sim.events import _NORMAL, _URGENT, AllOf, AnyOf, Chain, Event, Process, Timeout
+from repro.sim.events import _NORMAL, _URGENT, AnyOf, Chain, Event, Process, Timeout
 from repro.sim.scheduler import _BUSY, EventScheduler, make_scheduler
 from repro.util.errors import SimulationError
 
@@ -146,10 +146,6 @@ class Simulator:
             start._value = None
             self._push(self._now, _URGENT, start)
         start.callbacks.append(step)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that triggers when all of ``events`` have triggered."""
-        return AllOf(self, list(events))
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event that triggers when any of ``events`` has triggered."""

@@ -15,8 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.util.frozen import slot_init
 
-@dataclass(frozen=True)
+
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Span:
     """A 1-based source position (line, column) in SCSQL query text."""
 

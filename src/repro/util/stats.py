@@ -31,13 +31,6 @@ class MeasurementStats:
     minimum: float
     maximum: float
 
-    @property
-    def relative_std(self) -> float:
-        """Coefficient of variation (std/mean); 0.0 when the mean is 0."""
-        if self.mean == 0.0:
-            return 0.0
-        return self.std / abs(self.mean)
-
     def __str__(self) -> str:
         return f"{self.mean:.6g} ± {self.std:.2g} (n={len(self.samples)})"
 

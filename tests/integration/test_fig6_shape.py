@@ -62,7 +62,7 @@ class TestFig6Shape:
 
     def test_repeats_have_low_variance(self, fig6):
         for point in fig6.points.values():
-            assert point.mbps.relative_std < 0.05
+            assert point.mbps.std / point.mbps.mean < 0.05
 
     def test_table_renders(self, fig6):
         table = fig6.format_table()

@@ -6,95 +6,14 @@ AttributeError, RecursionError, or other internal crashes.
 """
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.hardware.environment import Environment, EnvironmentConfig
-from repro.scsql.ast import (
-    CondKind,
-    Condition,
-    Decl,
-    FuncCall,
-    Literal,
-    SelectQuery,
-    SetExpr,
-    Var,
-)
 from repro.scsql.compiler import QueryCompiler
 from repro.util.errors import QueryError
-
-# Names drawn from a pool that includes builtin function names, cluster
-# strings, and plain variables — maximizing weird collisions.
-_names = st.sampled_from(
-    ["a", "b", "c", "n", "i", "p", "sp", "spv", "extract", "merge",
-     "count", "iota", "gen_array", "urr", "first", "bg", "be"]
-)
-_literals = st.one_of(
-    st.integers(-10, 10_000_000).map(Literal),
-    st.sampled_from(["bg", "be", "fe", "gpu", "pattern"]).map(Literal),
-)
+from tests.scsql.strategies import queries
 
 
-def _exprs(depth=3):
-    if depth == 0:
-        return st.one_of(_literals, _names.map(Var))
-    sub = _exprs(depth - 1)
-    return st.one_of(
-        _literals,
-        _names.map(Var),
-        st.builds(FuncCall, name=_names, args=st.lists(sub, max_size=3).map(tuple)),
-        st.builds(SetExpr, items=st.lists(sub, min_size=1, max_size=3).map(tuple)),
-        st.builds(
-            SelectQuery,
-            select=sub,
-            decls=st.lists(
-                st.builds(
-                    Decl,
-                    name=_names,
-                    type_name=st.sampled_from(["sp", "integer", "string"]),
-                    is_bag=st.booleans(),
-                ),
-                min_size=1,
-                max_size=2,
-            ).map(tuple),
-            conditions=st.lists(
-                st.builds(
-                    Condition,
-                    kind=st.sampled_from([CondKind.EQ, CondKind.IN]),
-                    var=_names,
-                    expr=sub,
-                ),
-                max_size=2,
-            ).map(tuple),
-        ),
-    )
-
-
-_queries = st.builds(
-    SelectQuery,
-    select=_exprs(),
-    decls=st.lists(
-        st.builds(
-            Decl,
-            name=_names,
-            type_name=st.sampled_from(["sp", "integer", "string", "stream"]),
-            is_bag=st.booleans(),
-        ),
-        min_size=1,
-        max_size=4,
-    ).map(tuple),
-    conditions=st.lists(
-        st.builds(
-            Condition,
-            kind=st.sampled_from([CondKind.EQ, CondKind.IN]),
-            var=_names,
-            expr=_exprs(),
-        ),
-        max_size=4,
-    ).map(tuple),
-)
-
-
-@given(query=_queries)
+@given(query=queries)
 @settings(max_examples=300, deadline=None)
 def test_compiler_rejects_garbage_cleanly(query):
     compiler = QueryCompiler(Environment(EnvironmentConfig()))

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.scsql.lexer import TokenKind, tokenize
+import repro.scsql
+from repro.scsql.lexer import Token, TokenKind, tokenize
 from repro.util.errors import QueryParseError
 
 
@@ -38,15 +39,31 @@ class TestBasics:
     def test_end_token_always_present(self):
         assert tokenize("")[-1].kind is TokenKind.END
 
+    def test_token_api(self):
+        token = tokenize("x 42")[1]
+        assert repro.scsql.Token is Token
+        assert (token.kind, token.text, token.line, token.column) == (TokenKind.NUMBER, "42", 1, 3)
+        assert token.value == 42 and str(token) == "42"
+        assert str(tokenize("")[0]) == "end"  # an empty text shows its kind
+        with pytest.raises(AttributeError):
+            token.text = "43"
+
 
 class TestLiterals:
     def test_integers_and_floats(self):
         assert tokenize("3000000")[0].value == 3_000_000
         assert tokenize("2.5")[0].value == 2.5
         assert tokenize("1e3")[0].value == 1000.0
+        assert [(t.text, t.value) for t in tokenize("1e+5 2.5E-1")[:-1]] == [
+            ("1e+5", 1e5), ("2.5E-1", 0.25)
+        ]
 
     def test_negative_number(self):
         assert tokenize("-5")[0].value == -5
+        # A minus before a digit always starts a number, after a name too.
+        assert [(t.kind, t.text) for t in tokenize("a-1")[:-1]] == [
+            (TokenKind.IDENT, "a"), (TokenKind.NUMBER, "-1")
+        ]
 
     def test_strings(self):
         token = tokenize("'bg'")[0]
@@ -56,6 +73,10 @@ class TestLiterals:
     def test_unterminated_string(self):
         with pytest.raises(QueryParseError, match="unterminated"):
             tokenize("'oops")
+        # A string may not span lines: the error points at its quote.
+        with pytest.raises(QueryParseError, match="unterminated") as caught:
+            tokenize("x 'ab\ncd'")
+        assert (caught.value.line, caught.value.column) == (1, 3)
 
     def test_value_on_non_number_rejected(self):
         with pytest.raises(QueryParseError):
@@ -67,10 +88,16 @@ class TestPositionsAndComments:
         tokens = tokenize("select\n  extract(b)")
         extract = tokens[1]
         assert (extract.line, extract.column) == (2, 3)
+        # CR is a space of its line and a tab one column, like any space.
+        tokens = tokenize("a\r\nb\tc")
+        assert [(t.line, t.column) for t in tokens] == [(1, 1), (2, 1), (2, 3), (2, 4)]
 
     def test_comments_skipped(self):
         tokens = tokenize("select -- this is a comment\nx")
         assert [t.text for t in tokens[:-1]] == ["select", "x"]
+        # After a comment that ends the text, END sits where the comment starts.
+        end = tokenize("select  -- trailing")[-1]
+        assert (end.kind, end.line, end.column) == (TokenKind.END, 1, 9)
 
     def test_unexpected_character(self):
         with pytest.raises(QueryParseError, match="unexpected character"):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt
+from repro.sim import AllOf, Interrupt
 from repro.util.errors import SimulationError
 
 
@@ -119,7 +119,7 @@ class TestConditions:
         result = {}
 
         def waiter():
-            result["v"] = yield sim.all_of([t1, t2])
+            result["v"] = yield AllOf(sim, [t1, t2])
 
         sim.process(waiter())
         sim.run()
@@ -140,7 +140,7 @@ class TestConditions:
         assert t2 not in result["v"]
 
     def test_empty_all_of_triggers_immediately(self, sim):
-        condition = sim.all_of([])
+        condition = AllOf(sim, [])
         assert condition.triggered
 
     def test_all_of_fails_fast(self, sim):
@@ -152,7 +152,7 @@ class TestConditions:
 
         def waiter():
             try:
-                yield sim.all_of([bad, sim.timeout(10.0)])
+                yield AllOf(sim, [bad, sim.timeout(10.0)])
             except RuntimeError:
                 return sim.now
 

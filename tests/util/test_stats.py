@@ -19,6 +19,8 @@ class TestSummarize:
         assert stats.mean == 5.0
         assert stats.std == 0.0
         assert stats.minimum == stats.maximum == 5.0
+        # one repeat: std is defined as 0, not a division by a zero count
+        assert summarize([0.0]).std == 0.0
 
     def test_known_values(self):
         stats = summarize([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
@@ -26,13 +28,6 @@ class TestSummarize:
         assert stats.std == pytest.approx(math.sqrt(32 / 7))
         assert stats.minimum == 2.0
         assert stats.maximum == 9.0
-
-    def test_relative_std(self):
-        stats = summarize([9.0, 11.0])
-        assert stats.relative_std == pytest.approx(stats.std / 10.0)
-
-    def test_relative_std_zero_mean(self):
-        assert summarize([-1.0, 1.0]).relative_std == 0.0
 
     def test_str_rendering(self):
         assert "n=2" in str(summarize([1.0, 2.0]))
@@ -42,15 +37,7 @@ class TestSummarize:
         stats = summarize([3.7] * 5)
         assert stats.mean == 3.7
         assert stats.std == 0.0
-        assert stats.relative_std == 0.0
         assert not math.isnan(stats.std)
-
-    def test_single_sample_relative_std(self):
-        # one repeat: std is defined as 0, so relative_std must not divide
-        # by a zero-sample count or return NaN
-        stats = summarize([0.0])
-        assert stats.std == 0.0
-        assert stats.relative_std == 0.0
 
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=100))
