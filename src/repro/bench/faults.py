@@ -278,35 +278,6 @@ class FaultedRunResult:
             return self.makespan - self.fault_time
         return min(recovered) - self.fault_time
 
-    @property
-    def outage_rate_ratio(self) -> float:
-        """Delivered byte rate through the outage, relative to before it.
-
-        Compares the aggregate delivery rate over the *outage window*
-        ``[fault, fault + recovery)`` — the victim is down, its
-        replacement has not delivered yet — against the rate over the
-        equal-length window ending at the fault.  1.0 means no dip;
-        degenerate windows (healthy run, no pre-fault deliveries, zero
-        recovery) report 1.0.
-        """
-        if self.fault_time is None or self.fault_time <= 0.0:
-            return 1.0
-        window = self.recovery_s
-        if window <= 0.0:
-            return 1.0
-        lo = max(0.0, self.fault_time - window)
-        pre_span = self.fault_time - lo
-        pre = post = 0
-        for record in self.flow_records:
-            if record.delivered is None or record.eos:
-                continue
-            if lo < record.delivered <= self.fault_time:
-                pre += record.nbytes
-            elif self.fault_time < record.delivered < self.fault_time + window:
-                post += record.nbytes
-        if pre == 0:
-            return 1.0
-        return (post / window) / (pre / pre_span)
 
 
 # ----------------------------------------------------------------------
@@ -562,11 +533,6 @@ class FaultOutcome:
     results_ok: bool
     flow_records: List[FlowRecord] = field(default_factory=list)
     restored: List[str] = field(default_factory=list)
-
-    @property
-    def bandwidth_dip(self) -> float:
-        """Fraction of fault-free aggregate bandwidth the failure cost."""
-        return max(0.0, 1.0 - self.bandwidth_retained)
 
     @property
     def aggregate_mbps(self) -> float:

@@ -19,15 +19,12 @@ builder plus how its table reads), run by :func:`run_sweep` into a
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     Mapping,
     NamedTuple,
@@ -369,21 +366,3 @@ def run_sweep(
             jobs=jobs, observe=observe,
         ),
     )
-
-
-def write_csv(path: Union[str, Path], rows: Iterable[Row]) -> Path:
-    """Write rows (dicts sharing a schema, e.g. :meth:`SweepResult.rows`) to
-    ``path`` as CSV for external plotting.
-
-    Raises:
-        ValueError: If there are no rows (no schema to write).
-    """
-    rows = list(rows)
-    if not rows:
-        raise ValueError("no rows to write")
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    return path

@@ -105,11 +105,6 @@ class Inbox:
         """Driver gets currently blocked waiting for a deposit."""
         return self._items.pending_gets
 
-    @property
-    def blocked_deposits(self) -> int:
-        """Network deposits currently blocked waiting for a free slot."""
-        return self._tokens.pending_gets
-
     def kernel_stores(self) -> "list[Store]":
         """The kernel stores backing this inbox (waiter introspection)."""
         return [self._tokens, self._items]

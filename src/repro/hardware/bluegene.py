@@ -146,10 +146,6 @@ class BlueGene:
             )
         return [n for n in self.compute_nodes if n.pset_id == pset_id]
 
-    def io_node_of(self, index: int) -> Node:
-        """The I/O node serving compute node ``index``."""
-        return self.io_nodes[self.pset_of(index)]
-
     def __repr__(self) -> str:
         return (
             f"<BlueGene {self.config.torus_shape} torus, "

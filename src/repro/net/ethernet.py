@@ -109,11 +109,6 @@ class EthernetFabric:
         """Heal the shared uplink (reset the degradation factor to 1.0)."""
         self._uplink_slowdown = 1.0
 
-    @property
-    def uplink_slowdown(self) -> float:
-        """Current uplink degradation factor (1.0 = healthy)."""
-        return self._uplink_slowdown
-
     def tree_link(self, pset_id: int) -> Resource:
         """The tree-network link from I/O node into pset ``pset_id``."""
         if pset_id not in self._tree_links:

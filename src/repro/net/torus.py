@@ -229,10 +229,6 @@ class TorusNetwork:
         self._link_slowdown.pop((a, b), None)
         self._link_slowdown.pop((b, a), None)
 
-    def link_slowdown(self, a: int, b: int) -> float:
-        """Current degradation factor of the ``a -> b`` link (1.0 = healthy)."""
-        return self._link_slowdown.get((a, b), 1.0)
-
     # ------------------------------------------------------------------
     # Stream registry (drives the receive switching cost)
     # ------------------------------------------------------------------

@@ -116,10 +116,6 @@ class FlowRecord:
             processing += hop_processing
         return serialize, queue_wait, wire, processing
 
-    def component_totals(self) -> Dict[str, float]:
-        """Summed duration per component over all hops."""
-        return dict(zip(_COMPONENTS, self._component_sums()))
-
 
 class NullFlowRecorder:
     """The disabled recorder: every hook is a no-op behind ``enabled``."""
@@ -341,13 +337,6 @@ class FlowRecorder(NullFlowRecorder):
         for record in self._in_flight.values():
             counts[record.stream_id] = counts.get(record.stream_id, 0) + 1
         return counts
-
-    def in_flight_of(self, stream_id: str) -> List[FlowRecord]:
-        """In-flight records of one stream edge (diagnostics/tests)."""
-        return [
-            record for record in self._in_flight.values()
-            if record.stream_id == stream_id
-        ]
 
     def latencies(self, stream_id: Optional[str] = None,
                   include_eos: bool = False) -> List[float]:

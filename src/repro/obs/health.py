@@ -266,9 +266,6 @@ class ContinuousBottleneckDetector:
                        key=lambda name: self._lead_counts[name])
         return self._lead
 
-    def events_of(self, kind: str) -> List[HealthEvent]:
-        return [event for event in self.events if event.kind == kind]
-
     # ------------------------------------------------------------------
     # Window feed (called by the LiveSampler at each boundary)
     # ------------------------------------------------------------------

@@ -279,25 +279,6 @@ class Instrumentation(NullInstrumentation):
         series.finalize(self.now)
         return series.integral
 
-    def busiest_resource(self, prefix: str = "") -> Tuple[Optional[str], float]:
-        """(name, busy seconds) of the busiest resource matching ``prefix``.
-
-        ``prefix`` filters on the resource name (``"coproc"`` selects the
-        communication co-processors).  Returns ``(None, 0.0)`` when nothing
-        matched.
-        """
-        best: Tuple[Optional[str], float] = (None, 0.0)
-        for series_name in self.metrics.series:
-            if not series_name.startswith("resource.busy["):
-                continue
-            resource_name = series_name[len("resource.busy["):-1]
-            if not resource_name.startswith(prefix):
-                continue
-            busy = self.resource_busy_time(resource_name)
-            if busy > best[1]:
-                best = (resource_name, busy)
-        return best
-
 
 # ----------------------------------------------------------------------
 # Observation levels: what a measurement asks for, as a picklable word

@@ -182,9 +182,6 @@ class MetricsRegistry:
     def set_gauge(self, name: str, value: float) -> None:
         self.gauge(name).set(value)
 
-    def update_series(self, name: str, now: float, value: float) -> None:
-        self.time_weighted(name, start_ts=now).update(now, value)
-
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------

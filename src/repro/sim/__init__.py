@@ -12,7 +12,7 @@ SCSQ deployment runs deterministically inside one OS process.
 """
 
 from repro.sim.core import Simulator
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Process, Timeout
+from repro.sim.events import AnyOf, Event, Interrupt, Process, Timeout
 from repro.sim.resources import Request, Resource, Store, TokenPool
 from repro.sim.scheduler import (
     DEFAULT_SCHEDULER,
@@ -31,7 +31,6 @@ __all__ = [
     "Timeout",
     "Process",
     "Interrupt",
-    "AllOf",
     "AnyOf",
     "Resource",
     "Request",

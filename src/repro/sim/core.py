@@ -6,10 +6,15 @@ contention in the library are expressed as events on one simulator instance.
 
 The pending-event set lives in a pluggable :mod:`repro.sim.scheduler`
 backend.  The default :class:`~repro.sim.scheduler.CalendarQueue` exploits
-the kernel's same-timestamp burst pattern; the reference
-:class:`~repro.sim.scheduler.HeapScheduler` keeps the classic binary heap.
-Both dispatch in the identical ``(when, rank, seq)`` total order, so
-simulated results are bit-identical across backends.
+the kernel's same-timestamp burst pattern and is drained bucket-at-a-time by
+:meth:`Simulator._run_batched`; the reference
+:class:`~repro.sim.scheduler.HeapScheduler` keeps the classic binary heap
+and is driven one event at a time by :meth:`Simulator.step`.  Both dispatch
+in the identical ``(when, rank, seq)`` total order, so simulated results are
+bit-identical across backends.  The chaos
+:class:`~repro.sim.scheduler.ShuffleScheduler` is a calendar queue that
+permutes only the same-``(when, rank)`` tie-break, so a chaos replay runs
+the production drain loop.
 
 Typical use::
 
@@ -57,7 +62,7 @@ class Simulator:
         obs: Instrumentation hub; defaults to the shared disabled hub.
         scheduler: Event-queue backend — a name from
             :data:`repro.sim.scheduler.SCHEDULERS` (``"calendar"``,
-            ``"heap"``), a ready :class:`~repro.sim.scheduler.EventScheduler`
+            ``"heap"``, ``"shuffle"``), a ready :class:`~repro.sim.scheduler.EventScheduler`
             instance, or ``None`` for the default calendar queue.
     """
 
@@ -235,7 +240,8 @@ class Simulator:
         return self._now
 
     def _run_batched(self, horizon: float) -> None:
-        """Drain a batched (calendar-queue) scheduler bucket-at-a-time.
+        """Drain a batched scheduler (a calendar queue, the chaos shuffle
+        included) bucket-at-a-time.
 
         One bucket holds every event of one distinct timestamp; the loop
         sets ``self._now`` once per bucket and dispatches the whole run

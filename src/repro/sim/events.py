@@ -316,15 +316,15 @@ class Chain:
     is_alive = True  # only ever seen parked on an event (sim.introspect)
 
 
-class Condition(Event):
-    """Base for composite events over a fixed set of sub-events."""
+class AnyOf(Event):
+    """Triggers as soon as one sub-event triggers (fails fast on failure);
+    an empty set succeeds at once.  Made by :meth:`Simulator.any_of`."""
 
-    __slots__ = ("_events", "_pending")
+    __slots__ = ("_events",)
 
     def __init__(self, sim: "Simulator", events: Sequence[Event]) -> None:
         super().__init__(sim)
         self._events = tuple(events)
-        self._pending = len(self._events)
         for event in self._events:
             if event.sim is not sim:
                 raise SimulationError("all condition sub-events must share one simulator")
@@ -344,39 +344,10 @@ class Condition(Event):
         return {e: e._value for e in self._events if e.processed and e._ok}
 
     def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _fail_with(self, event: Event) -> None:
-        if not self.triggered:
+        if self.triggered:
+            return
+        if not event._ok:
             event._defused = True
             self.fail(event._value)
-
-
-class AllOf(Condition):
-    """Triggers when every sub-event has triggered (fails fast on failure)."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            self._fail_with(event)
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed(self._collect())
-
-
-class AnyOf(Condition):
-    """Triggers as soon as one sub-event triggers (fails fast on failure)."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            self._fail_with(event)
             return
         self.succeed(self._collect())

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
-from repro.sim.events import AllOf, AnyOf, Chain, Condition, Event, Process, Timeout
+from repro.sim.events import AnyOf, Chain, Event, Process, Timeout
 from repro.sim.resources import Request, Resource, Store, StorePut
 
 __all__ = ["WaitEdge", "waiters_of", "describe_event", "wait_edges"]
@@ -93,7 +93,7 @@ def describe_event(event: Event, stores: Iterable[Store] = ()) -> str:
         return f"join of process {event.name!r}"
     if isinstance(event, Timeout):
         return f"timeout of {event.delay!r}s"
-    if isinstance(event, (AllOf, AnyOf, Condition)):
+    if isinstance(event, AnyOf):
         pending = [
             sub for sub in event._events if not sub.processed
         ]
@@ -114,7 +114,7 @@ def _classify(event: Event, stores: Iterable[Store]) -> str:
         return "join"
     if isinstance(event, Timeout):
         return "timeout"
-    if isinstance(event, (AllOf, AnyOf, Condition)):
+    if isinstance(event, AnyOf):
         return "condition"
     for store in stores:
         if event in store._getters:
@@ -151,7 +151,7 @@ def wait_edges(
         blockers: List[Process] = []
         if isinstance(target, Process) and not target.triggered:
             blockers.append(target)
-        elif isinstance(target, (AllOf, AnyOf, Condition)):
+        elif isinstance(target, AnyOf):
             blockers.extend(
                 sub for sub in target._events
                 if isinstance(sub, Process) and not sub.triggered

@@ -10,14 +10,15 @@ only ever talks to it through four operations:
 * ``next_time()`` — time of the next event (``inf`` if empty),
 * ``len()`` / truthiness — pending-event count.
 
-Two implementations are provided:
+Three backends are registered:
 
 :class:`HeapScheduler`
     The classic binary heap of ``(when, rank, seq, event)`` tuples.  Cost is
     ``O(log n)`` per operation regardless of the schedule's shape.  Kept as
     the reference backend: the property suite in
     ``tests/sim/test_scheduler.py`` proves the calendar queue pops in
-    exactly this order.
+    exactly this order.  It is not ``batched``, so the simulator drives it
+    through the generic :meth:`~repro.sim.core.Simulator.step` loop.
 
 :class:`CalendarQueue`
     A bucket queue keyed by timestamp: a dict mapping each *distinct* time
@@ -32,12 +33,15 @@ Two implementations are provided:
     (``_URGENT == 0``, ``_NORMAL == 1``), and no per-event sequence number
     is needed at all: list append order *is* insertion order.
 
-The simulator's drain loop additionally special-cases schedulers with
-``batched = True`` (see :meth:`repro.sim.core.Simulator.run`): it dispatches
-a whole bucket without re-entering the scheduler, re-checking the urgent
-list before every pop so urgent events scheduled mid-drain (interrupts,
-process initialization) still overtake pending normal events exactly as the
-heap order demands.
+:class:`ShuffleScheduler`
+    The chaos oracle: a :class:`CalendarQueue` that permutes only the
+    same-``(when, rank)`` tie-break.
+
+The calendar queue (shuffle included) is ``batched``: the simulator drains
+it bucket-at-a-time in :meth:`repro.sim.core.Simulator._run_batched`,
+re-checking the urgent list before every pop so urgent events scheduled
+mid-drain still overtake pending normal events exactly as the heap order
+demands.
 """
 
 from __future__ import annotations
@@ -209,83 +213,40 @@ class CalendarQueue(EventScheduler):
         return self.next_time() != _INF
 
 
-class ShuffleScheduler(EventScheduler):
-    """Chaos backend: a legal dispatch order that is *not* insertion order.
+class ShuffleScheduler(CalendarQueue):
+    """Chaos backend: the calendar queue with a seeded same-instant tie-break.
 
-    The kernel's determinism contract pins the total order
-    ``(when, rank, seq)``; the only degree of freedom a correct simulation
-    may not depend on is the ``seq`` tie-break — the FIFO order of events
-    sharing one ``(when, rank)`` slot.  This scheduler dispatches time- and
-    rank-correct but permutes exactly that tie-break with a seeded
-    generator, so replaying a harness under a few shuffle seeds and
-    comparing results is a schedule-race detector (the ``SAN101`` check in
-    :mod:`repro.analysis.sanitize`): any divergence means some component
-    relied on same-instant insertion order.
-
-    The permutation is swap-remove (pick a random live index, backfill with
-    the last element), so push and pop stay ``O(1)`` amortized and the
-    shuffle is a pure function of the seed and the push/pop interleaving.
-    Never the default — selected explicitly (``scheduler="shuffle"`` or an
-    instance with a chosen seed) or through :func:`scheduler_override`.
+    The only freedom the ``(when, rank, seq)`` contract leaves is the
+    ``seq`` tie-break among events sharing one ``(when, rank)`` list.  Only
+    :meth:`push` is overridden: an event goes to a seeded random index among
+    the still-pending events of its list, so replaying a harness under a few
+    seeds is a schedule-race detector (``SAN101``,
+    :mod:`repro.analysis.sanitize`) over the loop production runs,
+    ``Simulator._run_batched``.  Consumed slots are ``None`` and pending ones
+    are not, so the pending run is the tail after the last ``None``
+    (``O(pending)``, fine for an oracle).  Urgent still overtakes normal, and
+    the order is a pure function of the seed and the push/pop interleaving.
+    Selected by ``scheduler="shuffle"``, an instance, or
+    :func:`scheduler_override`.
     """
 
-    __slots__ = ("seed", "_rng", "_buckets", "_times", "_count")
+    __slots__ = ("seed", "_rng")
 
     def __init__(self, seed: int = 0) -> None:
+        super().__init__()
         self.seed = seed
         self._rng = random.Random(seed)
-        # when -> [urgent list, normal list]; lists are unordered (swap-
-        # remove), which is the whole point.
-        self._buckets: Dict[float, List[List["Event"]]] = {}
-        self._times: List[float] = []  # heap of distinct pending times
-        self._count = 0
 
     def push(self, when: float, rank: int, event: "Event") -> None:
-        try:
-            self._buckets[when][rank].append(event)
-        except KeyError:
-            bucket: List[List["Event"]] = [[], []]
-            bucket[rank].append(event)
-            self._buckets[when] = bucket
-            heappush(self._times, when)
-        self._count += 1
-
-    def pop(self) -> Optional[Tuple[float, "Event"]]:
-        times = self._times
-        buckets = self._buckets
-        while times:
-            when = times[0]
-            bucket = buckets[when]
-            for group in bucket:
-                size = len(group)
-                if size:
-                    index = self._rng.randrange(size) if size > 1 else 0
-                    event = group[index]
-                    group[index] = group[-1]
-                    group.pop()
-                    self._count -= 1
-                    return when, event
-            del buckets[when]
-            heappop(times)
-        return None
-
-    def next_time(self) -> float:
-        times = self._times
-        buckets = self._buckets
-        while times:
-            when = times[0]
-            bucket = buckets[when]
-            if bucket[0] or bucket[1]:
-                return when
-            del buckets[when]
-            heappop(times)
-        return _INF
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __bool__(self) -> bool:
-        return self._count > 0
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            super().push(when, rank, event)
+            return
+        events = bucket[rank]
+        start = len(events)
+        while events[start - 1] is not None:  # slot 0 is always consumed
+            start -= 1
+        events.insert(self._rng.randint(start, len(events)), event)
 
 
 #: Registry of scheduler backends selectable by name.

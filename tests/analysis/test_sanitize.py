@@ -128,13 +128,13 @@ class TestListenerLifecycle:
         deployment = deployer.deploy(deployer.place(plan, settings=settings))
         deployment.start()
         inboxes = [port.inbox for rp in deployment.rps.values() for port in rp.input_ports]
-        while not any(inbox.blocked_deposits for inbox in inboxes):
+        while not any(inbox.kernel_stores()[0].pending_gets for inbox in inboxes):
             env.sim.step()
         assert env.torus.coprocessor(0).count == 1  # held across the deposit
         deployment.teardown()
         env.sim.run()
         assert env.torus.coprocessor(0).count == 0
-        assert [inbox.blocked_deposits for inbox in inboxes] == [0, 0]
+        assert [inbox.kernel_stores()[0].pending_gets for inbox in inboxes] == [0, 0]
         sanitize.assert_quiescent(env)
 
     def test_same_instant_teardown_never_starts_a_zombie(self):

@@ -38,6 +38,7 @@ from repro.hardware.environment import Environment, EnvironmentConfig
 from repro.obs import Instrumentation
 from repro.obs.flow import FlowRecorder
 from repro.scsql.plan import compile_plan
+from repro.sim import Simulator
 
 #: The acceptance gate's seed sweep: five distinct chaos seeds.
 CHAOS_SEEDS = (0, 1, 2, 3, 4)
@@ -135,6 +136,20 @@ class TestFigurePointEquivalence:
         )
         assert report.diagnostics == []
         assert outcomes[0]["result"]
+
+
+class TestChaosRunsTheProductionLoop:
+    """A chaos replay is only evidence about production if it dispatches
+    through the loop production runs: ``Simulator._run_batched``."""
+
+    def test_fig6_point_under_chaos_never_steps(self, monkeypatch):
+        def refuse(_sim):
+            raise AssertionError("a chaos run dispatched through Simulator.step()")
+
+        monkeypatch.setattr(Simulator, "step", refuse)
+        with sanitize.chaos(seed=1):
+            outcome = _fig6_outcome()
+        assert outcome["result"] and outcome["duration"] > 0.0
 
 
 class TestFaultAndAdaptiveEquivalence:

@@ -64,6 +64,21 @@ def feed_store(sim: Simulator, store: Store, items):
     return sim.process(producer(), name="test-producer")
 
 
+def busiest_of(obs, prefix: str = ""):
+    """(name, busy seconds) of the busiest resource whose name starts with
+    ``prefix``, ranked by :func:`repro.obs.health.utilization_leader`."""
+    from repro.obs.health import utilization_leader
+
+    names = [
+        series[len("resource.busy["):-1]
+        for series in obs.metrics.series
+        if series.startswith("resource.busy[")
+    ]
+    return utilization_leader(
+        {name: obs.resource_busy_time(name) for name in names if name.startswith(prefix)}
+    )
+
+
 def run_operator(env: Environment, operator_cls, inputs, settings=None, **kwargs):
     """Instantiate and run one operator on the default environment.
 

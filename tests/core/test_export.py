@@ -1,6 +1,4 @@
-"""Tests for the plot-ready rows of a sweep result and their CSV export."""
-
-import csv
+"""Tests for the plot-ready rows of a sweep result."""
 
 import pytest
 
@@ -10,7 +8,6 @@ from repro.core.measurement import (
     BandwidthResult,
     SweepResult,
     run_sweep,
-    write_csv,
 )
 from repro.util.stats import summarize
 
@@ -37,19 +34,6 @@ class TestRows:
             FIG15, stream_counts=(2, 1), queries=(5,), repeats=1, array_count=2
         )
         assert [r["n"] for r in result.rows()] == [1, 2]
-
-
-class TestWriteCsv:
-    def test_roundtrip(self, fig6_result, tmp_path):
-        path = write_csv(tmp_path / "fig6.csv", fig6_result.rows())
-        with path.open() as handle:
-            rows = list(csv.DictReader(handle))
-        assert len(rows) == 4
-        assert float(rows[0]["mbps_mean"]) > 0
-
-    def test_empty_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_csv(tmp_path / "empty.csv", [])
 
 
 class TestOtherRows:

@@ -79,6 +79,12 @@ class TestDriverPipe:
         assert sender.buffer_bytes == env.params.tcp.segment_bytes
 
 
+def _blocked(inbox):
+    """Network deposits blocked waiting for a free slot: the getters of the
+    inbox's token pool."""
+    return inbox.kernel_stores()[0].pending_gets
+
+
 class TestInbox:
     def test_slot_validation(self, sim):
         with pytest.raises(SimulationError):
@@ -132,7 +138,7 @@ class TestInbox:
         sim.run()  # the pool's own tokens
         started = sim.events_dispatched
         done = inbox.put(WireBuffer.data("s", "n", 10, []))
-        assert (inbox.depth, inbox.blocked_deposits) == (1, 0)  # before any event ran
+        assert (inbox.depth, _blocked(inbox)) == (1, 0)  # before any event ran
         assert not hasattr(inbox, "_put") and not hasattr(inbox, "_put_name")
         sim.run()
         # Outside a dispatch nothing is synchronous: the (unused) slot event
@@ -186,12 +192,12 @@ class TestInbox:
         for index in range(3):
             sim.process(network(index))
         sim.run()
-        assert woken == [(0, 0.0)] and (inbox.depth, inbox.blocked_deposits) == (1, 2)
+        assert woken == [(0, 0.0)] and (inbox.depth, _blocked(inbox)) == (1, 2)
         assert sum(store.pending_gets for store in inbox.kernel_stores()) == 2
         inbox.close()
         sim.run()
         assert sorted(woken) == [(0, 0.0), (1, 0.0), (2, 0.0)]
-        assert (inbox.depth, inbox.blocked_deposits) == (1, 0)  # woken, not deposited
+        assert (inbox.depth, _blocked(inbox)) == (1, 0)  # woken, not deposited
         late = inbox.put(WireBuffer.data("s", "n", 10, []))
         assert late.processed and inbox.depth == 1  # dropped, nothing to wait for
 
@@ -218,4 +224,4 @@ class TestInbox:
         sim.detach(Forward().start)
         sim.run()
         tokens, items = inbox.kernel_stores()
-        assert (inbox.blocked_deposits, _live_waiters(tokens), _live_waiters(items)) == (1, 1, 0)
+        assert (tokens.pending_gets, _live_waiters(tokens), _live_waiters(items)) == (1, 1, 0)

@@ -92,7 +92,7 @@ class TestPoolsAreBornStocked:
             inbox = Inbox(sim, slots=slots, name="in")
             assert sim.peek() == float("inf")
             assert inbox.kernel_stores()[0].size == slots
-            assert inbox.blocked_deposits == 0
+            assert inbox.kernel_stores()[0].pending_gets == 0
 
     def test_a_sender_driver_owns_its_send_buffers_at_once(self, env):
         for double_buffering, slots in ((False, 1), (True, 2)):

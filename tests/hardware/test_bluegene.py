@@ -77,7 +77,7 @@ class TestPsets:
 
     def test_io_node_mapping(self):
         machine = BlueGene()
-        io = machine.io_node_of(12)
+        io = machine.io_nodes[machine.pset_of(12)]
         assert io.kind is NodeKind.BG_IO
         assert io.index == 1
 

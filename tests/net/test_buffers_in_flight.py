@@ -387,7 +387,7 @@ class TestFlowOrder:
                 ends = [hop.end for hop in flow.hops]
                 assert ends == sorted(ends) and all(h.start <= h.end for h in flow.hops)
                 assert flow.birth <= ends[0] and ends[-1] <= flow.delivered
-                assert sum(flow.component_totals().values()) == pytest.approx(
+                assert sum(flow._component_sums()) == pytest.approx(
                     flow.latency, abs=1e-9
                 )
         # Same hops in the same order, whichever kernel delivered the grants.

@@ -3,7 +3,7 @@
 The hub resolves each entity's ``Counter`` / ``TimeWeightedStat`` once and
 then touches the objects directly.  :class:`NameKeyedHub` below is the
 executable reference: the hooks as they were before, one formatted name and
-one ``registry.add`` / ``registry.update_series`` per observation.  Any
+one ``registry.add`` / series update per observation.  Any
 sequence of kernel operations must leave the two registries identical — the
 same keys in the same order, the same floats, the same dwell histograms.
 """
@@ -18,6 +18,9 @@ from repro.sim import Resource, Simulator, Store, TokenPool
 
 class NameKeyedHub(Instrumentation):
     """The reference: every hook resolves its metrics by name, every time."""
+
+    def _update_series(self, name, now, value):
+        self.metrics.time_weighted(name, start_ts=now).update(now, value)
 
     def on_step(self, event, now):
         self.metrics.add("sim.events_processed")
@@ -36,7 +39,7 @@ class NameKeyedHub(Instrumentation):
     def on_resource_wait(self, resource):
         key = resource.name
         self.metrics.add(f"resource.waits[{key}]")
-        self.metrics.update_series(
+        self._update_series(
             f"resource.queue[{key}]", resource.sim.now, resource.queue_length
         )
 
@@ -44,24 +47,24 @@ class NameKeyedHub(Instrumentation):
         key = resource.name
         now = resource.sim.now
         self.metrics.add(f"resource.acquires[{key}]")
-        self.metrics.update_series(f"resource.busy[{key}]", now, resource.count)
-        self.metrics.update_series(f"resource.queue[{key}]", now, resource.queue_length)
+        self._update_series(f"resource.busy[{key}]", now, resource.count)
+        self._update_series(f"resource.queue[{key}]", now, resource.queue_length)
 
     def on_resource_release(self, resource, request):
-        self.metrics.update_series(
+        self._update_series(
             f"resource.busy[{resource.name}]", resource.sim.now, resource.count
         )
 
     def on_resource_withdraw(self, resource):
         key = resource.name
         self.metrics.add(f"resource.withdrawals[{key}]")
-        self.metrics.update_series(
+        self._update_series(
             f"resource.queue[{key}]", resource.sim.now, resource.queue_length
         )
 
     def on_store_level(self, store, size):
         assert size == store.size  # the level handed over is the store's own
-        self.metrics.update_series(f"store.level[{store.name}]", store.sim.now, store.size)
+        self._update_series(f"store.level[{store.name}]", store.sim.now, store.size)
 
 
 OPERATIONS = st.lists(

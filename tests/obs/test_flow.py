@@ -55,8 +55,7 @@ class TestFlowRecorderUnit:
         assert first.queue_wait == pytest.approx(0.3)  # 0.5 interval - 0.2
         assert second.queue_wait == pytest.approx(0.5)  # 1.0 - 0.4 - 0.1
         assert tail.queue_wait == pytest.approx(0.5)
-        totals = record.component_totals()
-        assert sum(totals.values()) == pytest.approx(record.latency)
+        assert sum(record._component_sums()) == pytest.approx(record.latency)
 
     def test_over_declared_service_is_scaled_not_negative(self):
         recorder = FlowRecorder()
@@ -88,7 +87,7 @@ class TestFlowRecorderUnit:
         assert recorder.drop_stream("mine") == 1
         assert recorder.dropped == 1
         assert recorder.in_flight_count == 1
-        assert recorder.in_flight_of("other")
+        assert recorder.in_flight_streams() == {"other": 1}
         # dropping again is a no-op, and later hooks on the dropped buffer
         # are silently ignored
         assert recorder.drop_stream("mine") == 0
@@ -148,7 +147,7 @@ class TestFlowPropagation:
         for record in records:
             hop_sum = sum(hop.duration for hop in record.hops)
             assert hop_sum == pytest.approx(record.latency, abs=1e-12)
-            component_sum = sum(record.component_totals().values())
+            component_sum = sum(record._component_sums())
             assert component_sum == pytest.approx(record.latency, abs=1e-9)
 
     def test_merge_fan_in_preserves_per_source_flows(self):

@@ -8,6 +8,7 @@ from repro.obs.tracer import NULL_TRACER
 from repro.sim.core import Simulator
 from repro.sim.events import Interrupt
 from repro.sim.resources import Resource, Store
+from tests.conftest import busiest_of
 
 
 def _instrumented():
@@ -175,9 +176,9 @@ class TestResourceHooks:
         sim.process(use(slow, 3.0))
         sim.process(use(other, 9.0))
         sim.run()
-        assert obs.busiest_resource("coproc") == ("coproc[1]", pytest.approx(3.0))
-        assert obs.busiest_resource() == ("link[a]", pytest.approx(9.0))
-        assert obs.busiest_resource("nic") == (None, 0.0)
+        assert busiest_of(obs, "coproc") == ("coproc[1]", pytest.approx(3.0))
+        assert busiest_of(obs) == ("link[a]", pytest.approx(9.0))
+        assert busiest_of(obs, "nic") == (None, 0.0)
 
 
 class TestStoreHooks:

@@ -182,8 +182,8 @@ class TestFig15MidRunDetection:
         detector = sampler.detector
         assert "io-proxy[1]" not in detector.saturated
         recovered = [
-            e for e in detector.events_of("recovered")
-            if e.subject == "io-proxy[1]"
+            e for e in detector.events
+            if e.kind == "recovered" and e.subject == "io-proxy[1]"
         ]
         assert recovered
 

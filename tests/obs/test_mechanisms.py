@@ -21,6 +21,7 @@ from repro.core.experiments.fig15 import inbound_query
 from repro.core.measurement import measure_query_bandwidth
 from repro.engine.settings import ExecutionSettings
 from repro.obs import Instrumentation
+from tests.conftest import busiest_of
 
 
 def _observe(query: str, payload: int, settings: ExecutionSettings) -> Instrumentation:
@@ -43,7 +44,7 @@ class TestFig8IntermediateCoprocessor:
     def _busiest_coproc(self, x: int, y: int) -> str:
         query = merge_query(100_000, 4, x, y)
         obs = _observe(query, payload=2 * 100_000 * 4, settings=self.SETTINGS)
-        name, busy = obs.busiest_resource("coproc")
+        name, busy = busiest_of(obs, "coproc")
         assert busy > 0.0
         return name
 

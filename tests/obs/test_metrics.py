@@ -81,8 +81,8 @@ class TestMetricsRegistry:
         registry.add("events", 3)
         registry.set_gauge("depth", 2)
         registry.set_gauge("depth", 1)
-        registry.update_series("level", 0.0, 1.0)
-        registry.update_series("level", 2.0, 0.0)
+        registry.time_weighted("level").update(0.0, 1.0)
+        registry.time_weighted("level").update(2.0, 0.0)
         snap = registry.snapshot(now=4.0)
         assert snap.counter("events") == 3
         assert snap.counter("missing") == 0.0
@@ -95,8 +95,8 @@ class TestMetricsRegistry:
     def test_series_starts_at_first_observation_time(self):
         registry = MetricsRegistry()
         # First update at t=5: the series must not count [0, 5) as dwell.
-        registry.update_series("late", 5.0, 1.0)
-        registry.update_series("late", 7.0, 0.0)
+        registry.time_weighted("late", start_ts=5.0).update(5.0, 1.0)
+        registry.time_weighted("late", start_ts=7.0).update(7.0, 0.0)
         series = registry.series["late"]
         assert series.elapsed() == pytest.approx(2.0)
         assert series.mean() == pytest.approx(1.0)

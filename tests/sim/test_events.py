@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, Interrupt
+from repro.sim import Interrupt
 from repro.util.errors import SimulationError
 
 
@@ -113,19 +113,6 @@ class TestUnhandledFailure:
 
 
 class TestConditions:
-    def test_all_of_collects_values(self, sim):
-        t1 = sim.timeout(1.0, value="a")
-        t2 = sim.timeout(2.0, value="b")
-        result = {}
-
-        def waiter():
-            result["v"] = yield AllOf(sim, [t1, t2])
-
-        sim.process(waiter())
-        sim.run()
-        assert result["v"] == {t1: "a", t2: "b"}
-        assert sim.now == pytest.approx(2.0)
-
     def test_any_of_triggers_on_first(self, sim):
         t1 = sim.timeout(1.0, value="fast")
         t2 = sim.timeout(5.0, value="slow")
@@ -139,11 +126,11 @@ class TestConditions:
         assert t1 in result["v"]
         assert t2 not in result["v"]
 
-    def test_empty_all_of_triggers_immediately(self, sim):
-        condition = AllOf(sim, [])
+    def test_empty_any_of_triggers_immediately(self, sim):
+        condition = sim.any_of([])
         assert condition.triggered
 
-    def test_all_of_fails_fast(self, sim):
+    def test_any_of_fails_fast(self, sim):
         bad = sim.event()
 
         def failer():
@@ -152,7 +139,7 @@ class TestConditions:
 
         def waiter():
             try:
-                yield AllOf(sim, [bad, sim.timeout(10.0)])
+                yield sim.any_of([bad, sim.timeout(10.0)])
             except RuntimeError:
                 return sim.now
 

@@ -1,6 +1,6 @@
 """Waiter introspection: the diagnostic feed of the liveness analyzer."""
 
-from repro.sim import AllOf, Resource, Simulator, Store
+from repro.sim import Resource, Simulator, Store
 from repro.sim.introspect import describe_event, wait_edges, waiters_of
 
 
@@ -121,7 +121,7 @@ class TestDescribeEvent:
         store = Store(sim, name="feed")
         first = _blocked_getter(sim, store, "a")
         second = _blocked_getter(sim, store, "b")
-        condition = AllOf(sim, [first, second])
+        condition = sim.any_of([first, second])
         sim.run()
         assert "2 events" in describe_event(condition)
 

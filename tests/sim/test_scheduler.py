@@ -217,6 +217,36 @@ class TestShuffleLegality:
         assert drained[0] == "urgent"
         assert set(drained[1:]) == {"normal-a", "normal-b"}
 
+    def test_a_burst_pushed_mid_drain_is_permuted_behind_urgent(self):
+        """Pushes made at ``now`` while the batched loop drains that very
+        instant land among its pending slots: permuted per seed, with the
+        urgent process initialisations still ahead of every normal event."""
+        orders = set()
+        for seed in range(4):
+            sim = Simulator(scheduler=ShuffleScheduler(seed))
+            assert sim.scheduler.batched
+            order = []
+
+            def started(index):
+                order.append(("urgent", index))
+                yield sim.timeout(1.0)
+
+            def burst():
+                yield sim.timeout(1.0)
+                for index in range(8):
+                    event = sim.event()
+                    event.callbacks.append(lambda _e, i=index: order.append(("normal", i)))
+                    event.succeed()
+                    sim.process(started(index))
+
+            sim.process(burst())
+            sim.run()
+            assert [kind for kind, _ in order] == ["urgent"] * 8 + ["normal"] * 8
+            assert sorted(order[:8]) == [("urgent", i) for i in range(8)]
+            assert sorted(order[8:]) == [("normal", i) for i in range(8)]
+            orders.add(tuple(order))
+        assert len(orders) > 1
+
     def test_len_counts_pending_events(self):
         shuffle = ShuffleScheduler(0)
         for token in range(5):
