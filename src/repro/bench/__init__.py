@@ -9,7 +9,7 @@
   :class:`~repro.bench.faults.FaultSchedule`, replanning victims through
   ``session.replace``).  Each returns a
   :class:`~repro.bench.benchmark.BenchReport`.
-* :mod:`repro.bench.baseline` — the BENCH v2 document and the comparison
-  against the committed ``BENCH_baseline.json``.
+* :mod:`repro.bench.baseline` — the BENCH v2 document and its key-for-key
+  equality check against the committed ``BENCH_baseline.json``.
 * :mod:`repro.bench.cli` — ``python -m repro bench``.
 """

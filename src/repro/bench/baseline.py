@@ -8,17 +8,15 @@ It also diffs two documents of the host-time ledger
 (:func:`diff_ledger`, ``python -m repro bench diff OLD NEW``): there the
 direction and bound of a metric come from ``BENCHMARK.json``.
 
-The direction of a BENCH metric is carried by its name suffix, so a baseline
-file stays self-describing: ``…/mbps`` regresses when it *drops* below
-baseline by more than the tolerance; ``…_ms`` and ``…_s`` regress when
-they *rise*.
-The name's head (:func:`figure_of_metric`) is the suite that produced it —
-a gate figure, or ``power`` / ``throughput`` / ``fault`` — so one baseline
-file holds every suite and a run is compared against its own suites' keys.
+The name's head (:func:`figure_of_metric`) is the suite that produced a
+metric — a gate figure, or ``power`` / ``throughput`` / ``fault`` — so one
+baseline file holds every suite and a run is compared against its own
+suites' keys.
 
 Every metric is simulated and seeded, so on one code revision the
-recorded document is byte-identical run to run; any drift against the
-committed ``BENCH_baseline.json`` is a code change, not noise.  Host time
+recorded document is byte-identical run to run, and the comparison is an
+equality, key for key: any drift against the committed
+``BENCH_baseline.json`` is a code change, not noise.  Host time
 is not measured here: the calibrated ledger (``benchmarks/ledger``,
 ``BENCHMARK.json``) owns it.
 """
@@ -26,15 +24,11 @@ is not measured here: the calibrated ledger (``benchmarks/ledger``,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 #: Schema version of the BENCH JSON document.
 BENCH_FORMAT_VERSION = 2
-
-#: Default regression tolerance, percent of the baseline value.
-DEFAULT_TOLERANCE_PCT = 5.0
 
 #: Figure names run_bench() can produce: the sweep subsets plus the
 #: 4096-node scale and adaptive-runtime figures.
@@ -87,98 +81,44 @@ def figure_of_metric(metric_name: str) -> str:
     return metric_name.split("[", 1)[0].split("/", 1)[0]
 
 
-def higher_is_better(metric_name: str) -> bool:
-    """Metric direction by name suffix: bandwidth and throughput up,
-    latency and recovery time down.
-
-    ``…_ms`` and ``…_s`` are durations (lower is better); everything else
-    — ``…/mbps``, ``…/retained_ratio`` — is a rate (higher is better).
-    """
-    return not (metric_name.endswith("_ms") or metric_name.endswith("_s"))
-
-
-@dataclass(frozen=True)
-class MetricDelta:
-    """Comparison of one metric against the baseline."""
-
-    name: str
-    baseline: float
-    current: Optional[float]
-    tolerance_pct: float
-
-    @property
-    def delta_pct(self) -> Optional[float]:
-        """Signed change in percent of baseline (positive = increased)."""
-        if self.current is None or self.baseline == 0.0:
-            return None
-        return 100.0 * (self.current - self.baseline) / abs(self.baseline)
-
-    @property
-    def regressed(self) -> bool:
-        if self.current is None:
-            return True  # the metric disappeared: treat as a regression
-        margin = abs(self.baseline) * self.tolerance_pct / 100.0
-        if higher_is_better(self.name):
-            return self.current < self.baseline - margin
-        return self.current > self.baseline + margin
-
-    def describe(self) -> str:
-        direction = "higher=better" if higher_is_better(self.name) else "lower=better"
-        if self.current is None:
-            return f"{self.name}: MISSING from current run (baseline {self.baseline:g})"
-        verdict = "REGRESSED" if self.regressed else "ok"
-        delta_pct = self.delta_pct
-        change = "n/a" if delta_pct is None else f"{delta_pct:+.2f}%"
-        return (
-            f"{self.name}: {self.baseline:g} -> {self.current:g} "
-            f"({change}, {direction}, "
-            f"tol {self.tolerance_pct:g}%) {verdict}"
-        )
-
-
 def compare_bench(
-    baseline: Dict[str, float],
-    current: Dict[str, float],
-    tolerance_pct: float = DEFAULT_TOLERANCE_PCT,
-) -> Tuple[List[MetricDelta], List[str]]:
-    """Compare a run against a baseline, every metric at ``tolerance_pct``.
+    baseline: Dict[str, float], current: Dict[str, float]
+) -> Tuple[List[str], int]:
+    """Compare a run against a baseline key for key, by equality.
+
+    Values print with ``repr`` so that a 1-ulp difference shows.
 
     Returns:
-        ``(deltas, new_metrics)``: one delta per baseline metric (missing
-        current values count as regressions), plus the names of metrics
-        present only in the current run (informational — a widened sweep
-        is not a regression, but the baseline should be re-recorded).
+        ``(lines, problems)``: one line per baseline key (``equal``,
+        ``DIFFERS`` or ``MISSING``), one per key only the current run has
+        (informational: a widened sweep is not a failure, but the baseline
+        should be re-recorded) and a summary; ``problems`` counts the
+        baseline keys that differ or are missing.
     """
-    deltas = [
-        MetricDelta(
-            name=name,
-            baseline=value,
-            current=current.get(name),
-            tolerance_pct=tolerance_pct,
-        )
-        for name, value in sorted(baseline.items())
-    ]
-    new_metrics = sorted(set(current) - set(baseline))
-    return deltas, new_metrics
-
-
-def format_comparison(deltas: List[MetricDelta], new_metrics: List[str]) -> str:
-    lines = [delta.describe() for delta in deltas]
-    for name in new_metrics:
-        lines.append(f"{name}: new metric (not in baseline)")
-    regressions = sum(1 for d in deltas if d.regressed)
-    lines.append(
-        f"=> {regressions} regression(s) across {len(deltas)} baseline metric(s)"
-        if regressions
-        else f"=> no regressions across {len(deltas)} baseline metric(s)"
+    lines: List[str] = []
+    problems = 0
+    for name, value in sorted(baseline.items()):
+        now = current.get(name)
+        if now == value:
+            lines.append(f"{name}: {value!r} equal")
+            continue
+        problems += 1
+        if now is None:
+            lines.append(f"{name}: MISSING from current run (baseline {value!r})")
+        else:
+            lines.append(f"{name}: {value!r} -> {now!r} DIFFERS")
+    lines.extend(
+        f"{name}: new metric (not in baseline)"
+        for name in sorted(set(current) - set(baseline))
     )
-    return "\n".join(lines)
+    lines.append(f"=> {problems} of {len(baseline)} baseline metric(s) differ")
+    return lines, problems
 
 
 # ----------------------------------------------------------------------
 # Ledger diff: two documents of benchmarks/ledger/run.py
 # ----------------------------------------------------------------------
-def ledger_verdict(old: float, new: float, higher_is_better: bool, bound: float) -> str:
+def ledger_verdict(old: float, new: float, higher_better: bool, bound: float) -> str:
     """``worse`` / ``better`` when ``new`` moved past ``bound`` (a fraction
     of ``old``) in that direction, else ``flat``."""
     if old == new:
@@ -190,7 +130,7 @@ def ledger_verdict(old: float, new: float, higher_is_better: bool, bound: float)
         if abs(change) <= bound:
             return "flat"
         gain = change > 0.0
-    return "better" if gain == higher_is_better else "worse"
+    return "better" if gain == higher_better else "worse"
 
 
 def _ledger_results(path: str) -> Dict[str, dict]:

@@ -24,9 +24,10 @@ of :mod:`repro.bench.query_stream`:
   (recovery time, bandwidth dip) land next to the bandwidth ones.
 
 Every mode returns a :class:`BenchReport` whose ``metrics`` mapping obeys
-the BENCH v2 naming convention (:func:`repro.bench.baseline.higher_is_better`
-reads the direction off the suffix), so ``repro bench --out/--baseline``
-gates recovery regressions exactly like bandwidth regressions.
+the BENCH v2 naming convention (:func:`repro.bench.baseline.figure_of_metric`
+reads the suite off the name's head), so ``repro bench --out/--baseline``
+gates the recovery keys exactly like the bandwidth ones: each must equal
+its baseline value.
 
 Every query's result is checked against its workload's reference value;
 a harness that reports fast wrong answers is worse than no harness.

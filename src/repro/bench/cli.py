@@ -4,8 +4,7 @@
 Usage::
 
     python -m repro bench [--mode gate|power|throughput] [--fault SCENARIO]
-                          [--out B.json] [--baseline B.json]
-                          [--tolerance PCT] [--jobs N]
+                          [--out B.json] [--baseline B.json] [--jobs N]
                           [--only FIGURE] [--scale-shape XxYxZ]
                           [--live-out PATH] [--live-window SECS]
     python -m repro bench diff OLD.json NEW.json
@@ -15,8 +14,8 @@ Usage::
 The default mode is the perf-regression gate: it records the fast
 figure-sweep bandwidths and flow-latency percentiles (plus the 4096-node
 ``scale`` figure's aggregate bandwidth) to a BENCH JSON file and/or
-compares them against a committed baseline, exiting non-zero on a
-regression.  ``--only`` restricts the run to named figures and
+compares them against a committed baseline key for key, exiting 1 when
+any value differs.  ``--only`` restricts the run to named figures and
 ``--scale-shape`` shrinks the scale torus.  Every mode
 returns a :class:`~repro.bench.benchmark.BenchReport`, compared against
 the baseline keys of the suites it was asked to produce (see
@@ -41,11 +40,9 @@ from typing import Any, Callable, Tuple
 
 from repro.bench.baseline import (
     BENCH_FIGURES,
-    DEFAULT_TOLERANCE_PCT,
     compare_bench,
     diff_ledger,
     figure_of_metric,
-    format_comparison,
     load_bench,
     write_bench,
 )
@@ -66,7 +63,7 @@ from repro.util.units import MEGA
 __all__ = ["add_bench_parser", "add_top_parser"]
 
 #: The flags each mode reads, by argparse dest, beyond the ones every mode
-#: does (--out/--baseline/--tolerance, the sanitizer pair).
+#: does (--out/--baseline, the sanitizer pair).
 #: ``fault`` is ``--mode throughput`` with ``--fault``.  Passing a flag the
 #: selected mode does not read is a usage error, not a silent no-op.
 _LIVE_FLAGS = (
@@ -171,11 +168,9 @@ def _bench(args: argparse.Namespace, default: Callable[[str], Any]) -> int:
             name: value for name, value in load_bench(args.baseline).items()
             if figure_of_metric(name) in suites
         }
-        deltas, new_metrics = compare_bench(
-            baseline, metrics, tolerance_pct=args.tolerance
-        )
-        print(format_comparison(deltas, new_metrics))
-        if any(delta.regressed for delta in deltas):
+        lines, problems = compare_bench(baseline, metrics)
+        print("\n".join(lines))
+        if problems:
             return 1
     return 0
 
@@ -199,11 +194,7 @@ def add_bench_parser(sub: Any) -> None:
     )
     b.add_argument(
         "--baseline", metavar="PATH", default=None,
-        help="compare against this BENCH JSON file; exit 1 on regression",
-    )
-    b.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE_PCT, metavar="PCT",
-        help="allowed drift in percent of the baseline value (default 5)",
+        help="compare against this BENCH JSON file; exit 1 if any value differs",
     )
     b.add_argument("--repeats", type=int, default=1, help="runs per bench point")
     b.add_argument(

@@ -18,8 +18,8 @@ from repro.hardware.bluegene import BlueGene, BlueGeneConfig
 from repro.hardware.cndb import ComputeNodeDatabase
 from repro.hardware.linux_cluster import LinuxCluster, LinuxClusterConfig
 from repro.hardware.node import PPC440D, Node, NodeKind
-from repro.net.channels import Channel, LatencyChannel, MpiChannel, TcpChannel
-from repro.net.ethernet import EthernetFabric
+from repro.net.channels import Channel, LatencyChannel, MpiChannel
+from repro.net.ethernet import EthernetFabric, TcpStreamConnection
 from repro.net.jitter import make_jitter
 from repro.net.params import NetworkParams
 from repro.net.torus import RouteTable, TorusNetwork
@@ -348,7 +348,7 @@ class Environment:
         if source.cluster == BLUEGENE and destination.cluster == BLUEGENE:
             return MpiChannel(self.sim, source, destination, deliver, self.torus, stream_id)
         if source.cluster == BACKEND and destination.cluster == BLUEGENE:
-            return TcpChannel(self.sim, source, destination, deliver, self.fabric, stream_id)
+            return TcpStreamConnection(self.fabric, source, destination, deliver, stream_id)
         return LatencyChannel(self.sim, source, destination, deliver, self.params, self.jitter)
 
     def __repr__(self) -> str:

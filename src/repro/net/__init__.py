@@ -9,7 +9,7 @@ This package models the three communication subsystems the paper measures:
 All tunable cost constants live in :mod:`repro.net.params`.
 """
 
-from repro.net.channels import Channel, LatencyChannel, MpiChannel, TcpChannel
+from repro.net.channels import Channel, LatencyChannel, MpiChannel
 from repro.net.ethernet import EthernetFabric, TcpStreamConnection
 from repro.net.jitter import Jitter
 from repro.net.message import ControlKind, ControlMessage, Fragment, WireBuffer
@@ -27,7 +27,6 @@ from repro.net.torus import TorusNetwork
 __all__ = [
     "Channel",
     "MpiChannel",
-    "TcpChannel",
     "LatencyChannel",
     "EthernetFabric",
     "TcpStreamConnection",

@@ -7,8 +7,8 @@ BlueGene as that is the only allowed protocol, while TCP is always used
 when communicating between clusters."
 
 * :class:`MpiChannel` — both endpoints on BlueGene compute nodes: the torus.
-* :class:`TcpChannel` — back-end Linux host into a BlueGene compute node:
-  the full Ethernet/I-O-node ingress path.
+* :class:`~repro.net.ethernet.TcpStreamConnection` — back-end Linux host
+  into a BlueGene compute node: the full Ethernet/I-O-node ingress path.
 * :class:`LatencyChannel` — every other pairing (result trickles to the
   front-end, intra-Linux-cluster edges, registration traffic).  These paths
   carry negligible volume in all of the paper's experiments ("only one
@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.hardware.node import Node, NodeKind
-from repro.net.ethernet import EthernetFabric, TcpStreamConnection
 from repro.net.jitter import Jitter
 from repro.net.message import WireBuffer
 from repro.net.params import NetworkParams
@@ -127,46 +126,6 @@ class MpiChannel(Channel):
         if self._open:
             self.torus.unregister_stream(self.destination.index, self._stream_id)
             self._open = False
-
-
-class TcpChannel(Channel):
-    """Inbound TCP stream from a Linux host into a BlueGene compute node."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        source: Node,
-        destination: Node,
-        deliver: Store,
-        fabric: EthernetFabric,
-        stream_id: str,
-    ):
-        if source.kind is not NodeKind.LINUX or destination.kind is not NodeKind.BG_COMPUTE:
-            raise NetworkError(
-                "TcpChannel carries Linux-host -> BlueGene-compute streams; "
-                f"got {source.node_id} -> {destination.node_id}"
-            )
-        super().__init__(sim, source, destination, deliver)
-        self._connection = TcpStreamConnection(
-            fabric, source, destination.index, deliver, stream_id
-        )
-        self._params = fabric.params
-
-    def open(self):
-        yield from self._connection.open()
-
-    def send(self, buffer: WireBuffer):
-        yield from self._connection.send(buffer)
-
-    def close(self):
-        yield from self._connection.close()
-
-    def abort(self) -> None:
-        self._connection.abort()
-
-    @property
-    def preferred_buffer_bytes(self) -> Optional[int]:
-        return self._params.tcp.segment_bytes
 
 
 class LatencyChannel(Channel):

@@ -32,6 +32,7 @@ from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.hardware.bluegene import BlueGene
 from repro.hardware.node import Node, NodeKind
+from repro.net.channels import Channel
 from repro.net.jitter import Jitter
 from repro.net.message import WireBuffer
 from repro.net.params import NetworkParams
@@ -199,24 +200,27 @@ class EthernetFabric:
         obs.record_level("ethernet.ingress_hosts", self.distinct_external_hosts)
 
 
-class TcpStreamConnection:
-    """One inbound TCP stream: back-end host -> BlueGene compute node."""
+class TcpStreamConnection(Channel):
+    """One inbound TCP stream: back-end Linux host -> BlueGene compute node."""
 
     def __init__(
         self,
         fabric: EthernetFabric,
-        source_host: Node,
-        dst_compute_index: int,
+        source: Node,
+        destination: Node,
         deliver: Store,
         stream_id: str,
     ):
+        if source.kind is not NodeKind.LINUX or destination.kind is not NodeKind.BG_COMPUTE:
+            raise NetworkError(
+                "a TCP stream carries Linux-host -> BlueGene-compute traffic; "
+                f"got {source.node_id} -> {destination.node_id}"
+            )
+        super().__init__(fabric.sim, source, destination, deliver)
         self.fabric = fabric
-        self.source_host = source_host
-        self.dst_compute_index = dst_compute_index
-        self.deliver = deliver
+        self.dst_compute_index = destination.index
         self.stream_id = stream_id
-        self.io_index = fabric.bluegene.pset_of(dst_compute_index)
-        self.pset_id = self.io_index
+        self.io_index = fabric.bluegene.pset_of(destination.index)
         self._open = False
         self._stream_bytes = None  # obs counter, bound by the first observed buffer
         self._window = TokenPool(
@@ -229,7 +233,7 @@ class TcpStreamConnection:
         """Establish the connection (generator; charges handshake cost)."""
         if self._open:
             raise NetworkError(f"connection {self.stream_id!r} already open")
-        self.fabric.register_connection(self.source_host, self.io_index, self.stream_id)
+        self.fabric.register_connection(self.source, self.io_index, self.stream_id)
         self.fabric.torus.register_stream(self.dst_compute_index, self.stream_id)
         self._open = True
         for _ in range(self.fabric.params.tcp.window_segments):
@@ -249,7 +253,7 @@ class TcpStreamConnection:
             return
         for _ in range(self.fabric.params.tcp.window_segments):
             yield self._window.get()
-        self.fabric.unregister_connection(self.source_host, self.io_index, self.stream_id)
+        self.fabric.unregister_connection(self.source, self.io_index, self.stream_id)
         self.fabric.torus.unregister_stream(self.dst_compute_index, self.stream_id)
         self._open = False
 
@@ -263,9 +267,13 @@ class TcpStreamConnection:
         """
         if not self._open:
             return
-        self.fabric.unregister_connection(self.source_host, self.io_index, self.stream_id)
+        self.fabric.unregister_connection(self.source, self.io_index, self.stream_id)
         self.fabric.torus.unregister_stream(self.dst_compute_index, self.stream_id)
         self._open = False
+
+    @property
+    def preferred_buffer_bytes(self) -> Optional[int]:
+        return self.fabric.params.tcp.segment_bytes
 
     # ------------------------------------------------------------------
     def send(self, buffer: WireBuffer):
@@ -286,7 +294,7 @@ class TcpStreamConnection:
         if flows.enabled:
             flows.hop(buffer, "tcp.window", fabric.sim.now)
         # Sending host: socket/kernel cost plus NIC serialization.
-        nic = fabric.nic(self.source_host)
+        nic = fabric.nic(self.source)
         nic_req = nic.request()
         try:
             if nic_req.callbacks is not None:
@@ -391,7 +399,7 @@ class Ingress(Journey):
         self._freed("eth.ioproxy", "processing")
         # Tree network from the I/O node into its pset.
         connection = self.connection
-        self._hold(connection.fabric.tree_link(connection.pset_id), self._tree_granted)
+        self._hold(connection.fabric.tree_link(connection.io_index), self._tree_granted)
 
     def _tree_granted(self, _event: Event) -> None:
         params = self.connection.fabric.params

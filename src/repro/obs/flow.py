@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.util.stats import latency_summary
 
@@ -177,54 +177,33 @@ class NullFlowRecorder:
 NULL_FLOWS = NullFlowRecorder()
 
 
-class FlowRecorder(NullFlowRecorder):
-    """An enabled per-buffer flow registry.
+class OwnedListeners:
+    """An owner-tagged listener set, the push feed of two emitters:
+    :class:`FlowRecorder` (each sealed flow record) and
+    :class:`~repro.obs.health.ContinuousBottleneckDetector` (each health
+    event).  Listeners run synchronously at emission, in subscription
+    order; the emitter iterates ``_listeners``, a plain list of callables.
 
-    The recorder is a side table keyed by ``buffer_id`` — the frozen
-    :class:`~repro.net.message.WireBuffer` itself stays immutable and the
-    context travels with it because the *same object* traverses every
-    model.  Hooks on buffers that were never begun (e.g. instrumentation
-    enabled mid-stream) are silently ignored.
-
-    Args:
-        completed: Sealed records of a run that happened elsewhere (a sweep
-            worker ships them back); the read-back side then works on them
-            exactly as on the live recorder's.
+    ``owner`` tags a subscription for the leak sanitizer's listener census
+    (``SAN206``), which names leaked subscriptions by owner: pass the label
+    of the component responsible for detaching it (lint ``DET006``).
+    The two lists are the mixin's slots, so a slotted class can take it.
     """
 
-    enabled = True
+    __slots__ = ("_listeners", "_listener_owners")
 
-    def __init__(self, completed: Optional[List[FlowRecord]] = None) -> None:
-        self._flow_ids = itertools.count()
-        self._in_flight: Dict[int, FlowRecord] = {}
-        self._completed: List[FlowRecord] = [] if completed is None else list(completed)
-        self._listeners: List[Callable[[FlowRecord], None]] = []
-        #: Owner tag of each listener, parallel to ``_listeners``.  The
-        #: leak sanitizer's census (``SAN206``) names leaked subscriptions
-        #: by owner, so lifecycle code must pass one.
+    def __init__(self) -> None:
+        self._listeners: List[Callable[[Any], None]] = []
         self._listener_owners: List[str] = []
-        self.dropped = 0
 
-    def add_listener(
-        self, listener: Callable[[FlowRecord], None], owner: str = ""
-    ) -> None:
-        """Subscribe to flow completions (called with each sealed record).
-
-        This is the push feed the live sampler rides: the open window
-        fills at completion time instead of scanning ``completed`` at
-        every window boundary.  ``owner`` tags the subscription for the
-        leak sanitizer's listener census — pass the label of the component
-        responsible for detaching it.
-        """
+    def add_listener(self, listener: Callable[[Any], None], owner: str = "") -> None:
+        """Subscribe ``listener`` to every later emission."""
         self._listeners.append(listener)
         self._listener_owners.append(owner)
 
-    def remove_listener(self, listener: Callable[[FlowRecord], None]) -> None:
-        """Unsubscribe a completion listener (unknown listeners are ignored).
-
-        A detached listener never fires again — the adaptive runtime uses
-        this to drop its subscription when its migration budget is spent.
-        """
+    def remove_listener(self, listener: Callable[[Any], None]) -> None:
+        """Detach a listener; it never fires again (unknown listeners are
+        ignored, so detaching is idempotent)."""
         try:
             index = self._listeners.index(listener)
         except ValueError:
@@ -238,8 +217,37 @@ class FlowRecorder(NullFlowRecorder):
 
     @property
     def listener_count(self) -> int:
-        """Number of live completion subscriptions."""
+        """Number of live subscriptions."""
         return len(self._listeners)
+
+
+class FlowRecorder(OwnedListeners, NullFlowRecorder):
+    """An enabled per-buffer flow registry.
+
+    The recorder is a side table keyed by ``buffer_id`` — the frozen
+    :class:`~repro.net.message.WireBuffer` itself stays immutable and the
+    context travels with it because the *same object* traverses every
+    model.  Hooks on buffers that were never begun (e.g. instrumentation
+    enabled mid-stream) are silently ignored.
+
+    Its listeners (:class:`OwnedListeners`) are the push feed the live
+    sampler rides: the open window fills at completion time instead of
+    scanning ``completed`` at every window boundary.
+
+    Args:
+        completed: Sealed records of a run that happened elsewhere (a sweep
+            worker ships them back); the read-back side then works on them
+            exactly as on the live recorder's.
+    """
+
+    enabled = True
+
+    def __init__(self, completed: Optional[List[FlowRecord]] = None) -> None:
+        OwnedListeners.__init__(self)
+        self._flow_ids = itertools.count()
+        self._in_flight: Dict[int, FlowRecord] = {}
+        self._completed: List[FlowRecord] = [] if completed is None else list(completed)
+        self.dropped = 0
 
     # ------------------------------------------------------------------
     # Hooks (called by drivers and network models, behind `enabled`)

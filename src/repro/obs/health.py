@@ -33,7 +33,9 @@ deterministic, which the mid-run regression tests rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
+
+from repro.obs.flow import OwnedListeners
 
 __all__ = [
     "HealthEvent",
@@ -144,8 +146,13 @@ _HEALTHY = "healthy"
 _SATURATED = "saturated"
 
 
-class ContinuousBottleneckDetector:
+class ContinuousBottleneckDetector(OwnedListeners):
     """Re-ranks saturated resources each window, with hysteresis.
+
+    Its listeners (:class:`~repro.obs.flow.OwnedListeners`) are the push
+    feed an adaptive controller rides: every event appended to
+    :attr:`events` — window transitions, fault hooks, replacement
+    deliveries — is also delivered to each listener.
 
     Args:
         high: Windowed utilization at or above which a resource counts
@@ -168,7 +175,7 @@ class ContinuousBottleneckDetector:
         "high", "low", "up_windows", "down_windows", "stall_windows",
         "events", "_state", "_above", "_below", "_lead",
         "_lead_counts", "_stream_seen", "_stream_degraded", "_stall_streak",
-        "_recovered_prefixes", "_listeners", "_listener_owners",
+        "_recovered_prefixes",
     )
 
     def __init__(self, high: float = 0.85, low: float = 0.60,
@@ -180,6 +187,7 @@ class ContinuousBottleneckDetector:
             raise ValueError(f"low {low!r} must not exceed high {high!r}")
         if up_windows < 1 or down_windows < 1 or stall_windows < 1:
             raise ValueError("window counts must be >= 1")
+        OwnedListeners.__init__(self)
         self.high = high
         self.low = low
         self.up_windows = up_windows
@@ -195,44 +203,6 @@ class ContinuousBottleneckDetector:
         self._stream_degraded: Dict[str, bool] = {}
         self._stall_streak: Dict[str, int] = {}
         self._recovered_prefixes: Dict[str, bool] = {}
-        self._listeners: List[Callable[[HealthEvent], None]] = []
-        self._listener_owners: List[str] = []
-
-    # ------------------------------------------------------------------
-    # The control feed: subscribable health-event emission
-    # ------------------------------------------------------------------
-    def add_listener(
-        self, listener: Callable[[HealthEvent], None], owner: str = ""
-    ) -> None:
-        """Subscribe to health events the moment they are emitted.
-
-        This is the push feed an adaptive controller rides (mirroring
-        :meth:`repro.obs.flow.FlowRecorder.add_listener`): every event
-        appended to :attr:`events` — window transitions, fault hooks,
-        replacement deliveries — is also delivered to each listener, in
-        subscription order, synchronously at emission time.  ``owner``
-        tags the subscription for the leak sanitizer's listener census.
-        """
-        self._listeners.append(listener)
-        self._listener_owners.append(owner)
-
-    def remove_listener(self, listener: Callable[[HealthEvent], None]) -> None:
-        """Detach a listener; unknown listeners are ignored (idempotent)."""
-        try:
-            index = self._listeners.index(listener)
-        except ValueError:
-            return
-        del self._listeners[index]
-        del self._listener_owners[index]
-
-    def listener_owners(self) -> List[str]:
-        """Owner tags of the live subscriptions (census for the sanitizer)."""
-        return list(self._listener_owners)
-
-    @property
-    def listener_count(self) -> int:
-        """Number of live health subscriptions."""
-        return len(self._listeners)
 
     def _emit(self, events: List[HealthEvent]) -> None:
         self.events.extend(events)

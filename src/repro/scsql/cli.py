@@ -2,28 +2,40 @@
 
     python -m repro query 'select ...;' [--stop-after SECS] [OBS FLAGS]
     python -m repro explain 'select ...;'
+
+Rejected text ends in one diagnostic line on stderr and exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import Any
 
 from repro.cli_flags import add_observability_flags, observe_level
 from repro.hardware.environment import Environment, EnvironmentConfig
 from repro.obs.instrument import instrumentation_for
 from repro.scsql.session import SCSQSession
+from repro.util.errors import AllocationError, QueryError
 
 __all__ = ["add_query_parser", "add_explain_parser"]
 
 
-def _query(args: argparse.Namespace) -> None:
+def _rejected(command: str, error: Exception) -> int:
+    print(f"{command}: {error}", file=sys.stderr)
+    return 2
+
+
+def _query(args: argparse.Namespace) -> int:
     obs = instrumentation_for(observe_level(args))
     session = SCSQSession(Environment(EnvironmentConfig(), obs=obs))
-    report = session.execute(args.text, stop_after=args.stop_after)
+    try:
+        report = session.execute(args.text, stop_after=args.stop_after)
+    except (QueryError, AllocationError) as error:
+        return _rejected("query", error)
     if report is None:
         print("function defined")
-        return
+        return 0
     print("result:", report.result)
     print(f"simulated time: {report.duration * 1e3:.3f} ms"
           + (" (stopped)" if report.stopped else ""))
@@ -36,10 +48,16 @@ def _query(args: argparse.Namespace) -> None:
         export_observations(
             [("query", obs)], args.trace, args.metrics_out, args.bottlenecks
         )
+    return 0
 
 
-def _explain(args: argparse.Namespace) -> None:
-    print(SCSQSession().explain(args.text))
+def _explain(args: argparse.Namespace) -> int:
+    try:
+        text = SCSQSession().explain(args.text)
+    except (QueryError, AllocationError) as error:
+        return _rejected("explain", error)
+    print(text)
+    return 0
 
 
 def add_query_parser(sub: Any) -> None:

@@ -5,12 +5,7 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import main
-from repro.bench.baseline import (
-    compare_bench,
-    higher_is_better,
-    load_bench,
-    write_bench,
-)
+from repro.bench.baseline import compare_bench, load_bench, write_bench
 from repro.bench.benchmark import (
     run_fault_benchmark,
     run_power_mode,
@@ -31,12 +26,10 @@ class TestPowerMode:
         assert "geometric mean" in report.describe()
 
     def test_metric_directions_follow_bench_convention(self):
+        """Every power key names its unit: a bandwidth or a latency."""
         report = run_power_mode(scale=SMOKE_SCALE)
         for name in report.metrics:
-            if name.endswith("/mbps"):
-                assert higher_is_better(name)
-            else:
-                assert name.endswith("_ms") and not higher_is_better(name)
+            assert name.endswith("/mbps") or name.endswith("_ms"), name
 
     def test_same_seed_reproduces_identical_numbers(self):
         first = run_power_mode(scale=SMOKE_SCALE, seed=7)
@@ -74,7 +67,7 @@ class TestThroughputMode:
 
 
 class TestBenchGateIntegration:
-    """Recovery metrics ride the existing 5%-tolerance BENCH v2 gate."""
+    """Recovery metrics ride the BENCH v2 gate, which compares by equality."""
 
     @pytest.fixture(scope="class")
     def fault_metrics(self):
@@ -88,28 +81,32 @@ class TestBenchGateIntegration:
         assert load_bench(str(path)) == fault_metrics
 
     def test_identical_run_passes_the_gate(self, fault_metrics):
-        deltas, new_metrics = compare_bench(fault_metrics, dict(fault_metrics))
-        assert not any(delta.regressed for delta in deltas)
-        assert not new_metrics
+        lines, problems = compare_bench(fault_metrics, dict(fault_metrics))
+        assert problems == 0
+        assert not any("new metric" in line for line in lines)
 
     def test_recovery_time_regression_trips_the_gate(self, fault_metrics):
         tag = "fault[kill-node,n=2]"
-        # Recovery time is lower-is-better (…_s suffix): a current run 10%
-        # slower than baseline must regress at the default 5% tolerance.
+        # A recovery 4% slower than baseline is a code change: it differs.
         slower = dict(fault_metrics)
-        slower[f"{tag}/recovery_s"] *= 1.10
-        deltas, _ = compare_bench(fault_metrics, slower)
-        regressed = {d.name for d in deltas if d.regressed}
-        assert regressed == {f"{tag}/recovery_s"}
+        slower[f"{tag}/recovery_s"] *= 1.04
+        lines, problems = compare_bench(fault_metrics, slower)
+        assert problems == 1
+        assert [line for line in lines if line.endswith("DIFFERS")] == [
+            f"{tag}/recovery_s: {fault_metrics[f'{tag}/recovery_s']!r} -> "
+            f"{slower[f'{tag}/recovery_s']!r} DIFFERS"
+        ]
 
     def test_bandwidth_dip_regression_trips_the_gate(self, fault_metrics):
         tag = "fault[kill-node,n=2]"
-        # Retained ratio is higher-is-better: a deeper dip must regress.
+        # A dip 4% deeper than baseline differs as well.
         deeper = dict(fault_metrics)
-        deeper[f"{tag}/retained_ratio"] *= 0.90
-        deltas, _ = compare_bench(fault_metrics, deeper)
-        regressed = {d.name for d in deltas if d.regressed}
-        assert regressed == {f"{tag}/retained_ratio"}
+        deeper[f"{tag}/retained_ratio"] *= 0.96
+        lines, problems = compare_bench(fault_metrics, deeper)
+        assert problems == 1
+        differs = [line for line in lines if line.endswith("DIFFERS")]
+        assert len(differs) == 1
+        assert differs[0].startswith(f"{tag}/retained_ratio: ")
 
     def test_missing_recovery_metric_counts_as_regression(self, fault_metrics):
         current = {
@@ -117,9 +114,12 @@ class TestBenchGateIntegration:
             for name, value in fault_metrics.items()
             if not name.endswith("/recovery_s")
         }
-        deltas, _ = compare_bench(fault_metrics, current)
+        lines, problems = compare_bench(fault_metrics, current)
+        assert problems == 1
         assert any(
-            delta.regressed and delta.current is None for delta in deltas
+            line.startswith(f"{name}: MISSING from current run")
+            for name in fault_metrics if name.endswith("/recovery_s")
+            for line in lines
         )
 
 
@@ -186,7 +186,7 @@ class TestOneBaselineFile:
         out = capsys.readouterr().out
         compared = [
             line.split(": ")[0] for line in out.splitlines()
-            if " -> " in line or "MISSING" in line
+            if line.endswith((" equal", " DIFFERS")) or "MISSING" in line
         ]
         return code, compared, out
 
@@ -195,7 +195,7 @@ class TestOneBaselineFile:
         assert code == 0
         assert compared == sorted(n for n in recorded if n.startswith("fault["))
         assert len(compared) == 6
-        assert "=> no regressions across 6 baseline metric(s)" in out
+        assert "=> 0 of 6 baseline metric(s) differ" in out
 
     def test_gate_run_compares_only_the_figures_asked_for(
         self, recorded, tmp_path, capsys
@@ -212,10 +212,10 @@ class TestOneBaselineFile:
         doctored[self.RECOVERY] *= 0.5
         code, _compared, out = self._gate(self.FAULT_RUN, doctored, tmp_path, capsys)
         assert code == 1
-        assert f"{self.RECOVERY}: " in out and "REGRESSED" in out
+        assert f"{self.RECOVERY}: " in out and "DIFFERS" in out
         code, _compared, out = self._gate(self.GATE_RUN, doctored, tmp_path, capsys)
         assert code == 0
-        assert "REGRESSED" not in out
+        assert "DIFFERS" not in out
 
     def test_key_missing_within_a_suite_that_ran_is_a_regression(
         self, recorded, tmp_path, capsys

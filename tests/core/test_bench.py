@@ -1,6 +1,7 @@
 """The perf-regression gate: BENCH JSON round trip, comparison, CLI exit codes."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -8,11 +9,8 @@ import pytest
 from repro.__main__ import main
 from repro.bench.baseline import (
     BENCH_FORMAT_VERSION,
-    MetricDelta,
     compare_bench,
     figure_of_metric,
-    format_comparison,
-    higher_is_better,
     load_bench,
     write_bench,
 )
@@ -21,105 +19,129 @@ from repro.bench.benchmark import BENCH_FIGURES, bench_points, run_bench
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
+def _verdicts(name, baseline, *currents):
+    """The gate's verdict word for ``name`` at each current value."""
+    return [
+        compare_bench({name: baseline}, {name: current})[0][0].rsplit(" ", 1)[-1]
+        for current in currents
+    ]
+
+
 class TestDirection:
+    """No name suffix sets a direction: for each family the old suffix rule
+    called higher- or lower-is-better, a move either way differs and only
+    the recorded value is equal."""
+
     def test_bandwidth_is_higher_better(self):
-        assert higher_is_better("fig6[B=200,double]/mbps")
+        assert _verdicts("fig6[B=200,double]/mbps", 100.0, 150.0, 90.0, 100.0) == [
+            "DIFFERS", "DIFFERS", "equal",
+        ]
 
     def test_latency_is_lower_better(self):
-        assert not higher_is_better("fig6[B=200,double]/p50_ms")
-        assert not higher_is_better("fig15[Q5,n=5]/p95_ms")
+        for name in ("fig6[B=200,double]/p50_ms", "fig15[Q5,n=5]/p95_ms"):
+            assert _verdicts(name, 10.0, 5.0, 11.0, 10.0) == [
+                "DIFFERS", "DIFFERS", "equal",
+            ]
 
     def test_wall_time_is_lower_better(self):
         """The ``_s`` suffix: simulated durations (no host time is gated)."""
-        assert not higher_is_better("fault[kill-node,n=2]/recovery_s")
-        assert not higher_is_better("adaptive[fig8]/recover_s")
+        for name in ("fault[kill-node,n=2]/recovery_s", "adaptive[fig8]/recover_s"):
+            assert _verdicts(name, 1.0, 0.5, 1.5, 1.0) == [
+                "DIFFERS", "DIFFERS", "equal",
+            ]
 
     def test_event_throughput_is_higher_better(self):
-        """Any name without a duration suffix is a rate."""
-        assert higher_is_better("throughput[n=2]/aggregate_mbps")
-        assert higher_is_better("fault[kill-node,n=2]/retained_ratio")
+        """Rates and ratios: a rise differs like a fall."""
+        for name in ("throughput[n=2]/aggregate_mbps",
+                     "fault[kill-node,n=2]/retained_ratio"):
+            assert _verdicts(name, 0.5, 0.9, 0.4, 0.5) == [
+                "DIFFERS", "DIFFERS", "equal",
+            ]
 
 
 class TestCompare:
-    def test_within_tolerance_is_ok(self):
-        deltas, new = compare_bench(
+    """Every key is simulated and seeded: the gate is an equality."""
+
+    def test_equal_values_pass(self):
+        lines, problems = compare_bench(
             {"a/mbps": 100.0, "a/p50_ms": 10.0},
-            {"a/mbps": 96.0, "a/p50_ms": 10.4},
-            tolerance_pct=5.0,
+            {"a/mbps": 100.0, "a/p50_ms": 10.0},
         )
-        assert not any(d.regressed for d in deltas)
-        assert new == []
+        assert problems == 0
+        assert lines == [
+            "a/mbps: 100.0 equal",
+            "a/p50_ms: 10.0 equal",
+            "=> 0 of 2 baseline metric(s) differ",
+        ]
 
     def test_bandwidth_drop_regresses(self):
-        deltas, _ = compare_bench(
-            {"a/mbps": 100.0}, {"a/mbps": 90.0}, tolerance_pct=5.0
-        )
-        (delta,) = deltas
-        assert delta.regressed
-        assert delta.delta_pct == pytest.approx(-10.0)
-
-    def test_bandwidth_gain_never_regresses(self):
-        deltas, _ = compare_bench(
-            {"a/mbps": 100.0}, {"a/mbps": 150.0}, tolerance_pct=5.0
-        )
-        assert not deltas[0].regressed
+        lines, problems = compare_bench({"a/mbps": 100.0}, {"a/mbps": 90.0})
+        assert problems == 1
+        assert lines[0] == "a/mbps: 100.0 -> 90.0 DIFFERS"
 
     def test_latency_rise_regresses(self):
-        deltas, _ = compare_bench(
-            {"a/p95_ms": 10.0}, {"a/p95_ms": 11.0}, tolerance_pct=5.0
-        )
-        assert deltas[0].regressed
+        _, problems = compare_bench({"a/p95_ms": 10.0}, {"a/p95_ms": 11.0})
+        assert problems == 1
+
+    def test_bandwidth_gain_never_regresses(self):
+        """A gain is no longer forgiven: it differs like a loss."""
+        lines, problems = compare_bench({"a/mbps": 100.0}, {"a/mbps": 150.0})
+        assert problems == 1
+        assert lines[0] == "a/mbps: 100.0 -> 150.0 DIFFERS"
 
     def test_latency_drop_never_regresses(self):
-        deltas, _ = compare_bench(
-            {"a/p95_ms": 10.0}, {"a/p95_ms": 5.0}, tolerance_pct=5.0
-        )
-        assert not deltas[0].regressed
-
-    def test_missing_metric_regresses(self):
-        deltas, _ = compare_bench({"gone/mbps": 100.0}, {})
-        (delta,) = deltas
-        assert delta.regressed
-        assert "MISSING" in delta.describe()
-
-    def test_new_metric_is_informational(self):
-        deltas, new = compare_bench({}, {"fresh/mbps": 1.0})
-        assert deltas == []
-        assert new == ["fresh/mbps"]
-        assert "not in baseline" in format_comparison(deltas, new)
-
-    def test_format_mentions_regression_count(self):
-        deltas, new = compare_bench({"a/mbps": 100.0}, {"a/mbps": 50.0})
-        text = format_comparison(deltas, new)
-        assert "1 regression(s)" in text
-        assert "REGRESSED" in text
+        """A faster run is a code change too: it differs like a slower one."""
+        lines, problems = compare_bench({"a/p95_ms": 10.0}, {"a/p95_ms": 5.0})
+        assert problems == 1
+        assert lines[0] == "a/p95_ms: 10.0 -> 5.0 DIFFERS"
 
     def test_one_tolerance_for_every_key(self):
-        deltas, _ = compare_bench(
-            {"a/mbps": 1.0, "b/recovery_s": 1.0, "c/anything": 1.0}, {},
-            tolerance_pct=7.0,
+        """The tolerance is zero for every key: one ulp differs, and the
+        line shows it, where ``:g`` would print both values the same."""
+        baseline = {"a/mbps": 1.0, "b/recovery_s": 0.1, "c/retained_ratio": 0.7}
+        current = {name: math.nextafter(value, math.inf)
+                   for name, value in baseline.items()}
+        lines, problems = compare_bench(baseline, current)
+        assert problems == 3
+        assert "b/recovery_s: 0.1 -> 0.10000000000000002 DIFFERS" in lines
+
+    def test_missing_metric_regresses(self):
+        lines, problems = compare_bench({"gone/mbps": 100.0}, {})
+        assert problems == 1
+        assert lines[0] == "gone/mbps: MISSING from current run (baseline 100.0)"
+
+    def test_new_metric_is_informational(self):
+        lines, problems = compare_bench({}, {"fresh/mbps": 1.0})
+        assert problems == 0
+        assert lines == [
+            "fresh/mbps: new metric (not in baseline)",
+            "=> 0 of 0 baseline metric(s) differ",
+        ]
+
+    def test_format_mentions_regression_count(self):
+        lines, _ = compare_bench(
+            {"a/mbps": 100.0, "b/mbps": 1.0}, {"a/mbps": 50.0, "b/mbps": 1.0}
         )
-        assert {d.tolerance_pct for d in deltas} == {7.0}
+        assert lines[-1] == "=> 1 of 2 baseline metric(s) differ"
 
     def test_zero_baseline_has_no_delta_pct(self):
-        delta = MetricDelta("a/mbps", baseline=0.0, current=1.0, tolerance_pct=5.0)
-        assert delta.delta_pct is None
-        assert not delta.regressed
+        """No line carries a percentage, so a zero baseline needs no case."""
+        lines, problems = compare_bench({"a/mbps": 0.0}, {"a/mbps": 1.0})
+        assert problems == 1
+        assert lines[0] == "a/mbps: 0.0 -> 1.0 DIFFERS"
 
     def test_zero_baseline_formats_without_a_percentage(self):
-        """A zero baseline has no percentage to print (reachable: flapping
-        with no replan records recovery_s = 0.0); the verdict still holds."""
-        same, worse = compare_bench(
+        """Reachable: flapping with no replan records recovery_s = 0.0."""
+        lines, problems = compare_bench(
             {"f/recovery_s": 0.0, "g/recovery_s": 0.0},
             {"f/recovery_s": 0.0, "g/recovery_s": 0.5},
-        )[0]
-        assert same.describe() == (
-            "f/recovery_s: 0 -> 0 (n/a, lower=better, tol 5%) ok"
         )
-        assert worse.describe() == (
-            "g/recovery_s: 0 -> 0.5 (n/a, lower=better, tol 5%) REGRESSED"
-        )
-        assert "1 regression(s)" in format_comparison([same, worse], [])
+        assert lines == [
+            "f/recovery_s: 0.0 equal",
+            "g/recovery_s: 0.0 -> 0.5 DIFFERS",
+            "=> 1 of 2 baseline metric(s) differ",
+        ]
+        assert problems == 1
 
 
 class TestRoundTrip:
@@ -203,7 +225,7 @@ class TestBenchCli:
             "bench", "--only", "fig15", "--baseline", str(baseline),
         ]) == 0
         out = capsys.readouterr().out
-        assert "no regressions" in out
+        assert "=> 0 of 9 baseline metric(s) differ" in out
         assert "scale" not in out  # the scale metrics were subset away
 
     def test_unknown_only_figure_is_usage_error(self, capsys):
@@ -237,7 +259,7 @@ class TestBenchCli:
         # same revision, same seeds: the gate passes on the file as recorded
         assert main(["bench", "--baseline", str(baseline)]) == 0
         out = capsys.readouterr().out
-        assert "no regressions" in out
+        assert "=> 0 of 33 baseline metric(s) differ" in out
 
         # doctor the baseline so current bandwidth looks like a collapse
         document = json.loads(baseline.read_text())
@@ -245,7 +267,23 @@ class TestBenchCli:
         document["metrics"][name] *= 10.0
         baseline.write_text(json.dumps(document))
         assert main(["bench", "--baseline", str(baseline)]) == 1
-        assert "REGRESSED" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"{name}: {document['metrics'][name]!r} -> " in out
+        assert "=> 1 of 33 baseline metric(s) differ" in out
+
+    def test_one_ulp_off_the_committed_baseline_fails(self, tmp_path, capsys):
+        """Every key is simulated and seeded: a drift of one ulp in one key
+        is a code change, and the gate names that key."""
+        document = json.loads((REPO_ROOT / "BENCH_baseline.json").read_text())
+        name = "fig6[B=100000,double]/mbps"
+        value = document["metrics"][name]
+        document["metrics"][name] = math.nextafter(value, math.inf)
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(document))
+        assert main(["bench", "--only", "fig6", "--baseline", str(baseline)]) == 1
+        out = capsys.readouterr().out
+        assert f"{name}: {document['metrics'][name]!r} -> {value!r} DIFFERS" in out
+        assert "=> 1 of 9 baseline metric(s) differ" in out
 
     def test_recorded_document_is_a_pure_function_of_the_tree(self, tmp_path, capsys):
         """Two runs, and --jobs 1 vs --jobs 2, write byte-identical files

@@ -106,6 +106,21 @@ class TestExecution:
         assert code == 0
         assert "function defined" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, line", [
+        (["query", "select bogus("],
+         "query: expected an expression, found 'end' at line 1, column 14"),
+        (["explain", "select x from"],
+         "explain: expected 'ident', found 'end' at line 1, column 14"),
+        (["query", "select extract(a) from sp a where a=sp(iota(1,2), 'bg', 999);"],
+         "query: stream process 'a@1' explicitly selects node 999 of cluster "
+         "'bg', which does not exist (cluster has nodes 0..31)"),
+    ], ids=["query-parse", "explain-parse", "query-placement"])
+    def test_rejected_text_ends_in_one_diagnostic_line(self, argv, line, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line + "\n"
+
     def test_quick_fig6(self, capsys):
         code = main(["fig6", "--quick", "--repeats", "1"])
         out = capsys.readouterr().out

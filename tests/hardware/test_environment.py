@@ -4,7 +4,8 @@ import pytest
 
 from repro.hardware.environment import BACKEND, BLUEGENE, FRONTEND
 from repro.hardware.node import PPC440D, PPC970
-from repro.net.channels import LatencyChannel, MpiChannel, TcpChannel
+from repro.net.channels import LatencyChannel, MpiChannel
+from repro.net.ethernet import TcpStreamConnection
 from repro.sim import Store
 from repro.util.errors import HardwareError
 
@@ -56,7 +57,7 @@ class TestChannelSelection:
 
     def test_backend_to_bluegene_uses_tcp(self, env):
         channel = self._open(env, env.node("be", 0), env.node("bg", 0))
-        assert isinstance(channel, TcpChannel)
+        assert isinstance(channel, TcpStreamConnection)
 
     def test_other_pairs_use_latency_path(self, env):
         pairs = [

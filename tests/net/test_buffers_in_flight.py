@@ -270,7 +270,7 @@ def reference_tcp_send(self, buffer: WireBuffer):
         yield slot
     if flows.enabled:
         flows.hop(buffer, "tcp.window", fabric.sim.now)
-    with fabric.nic(self.source_host).request() as nic_req:
+    with fabric.nic(self.source).request() as nic_req:
         if nic_req.callbacks is not None:
             yield nic_req
         cost = (
@@ -328,7 +328,7 @@ def reference_tcp_forward(self, buffer: WireBuffer, wire_bytes: float):
             buffer, "eth.ioproxy", fabric.sim.now,
             resource=proxy_req.resource.name, processing=cost,
         )
-    with fabric.tree_link(self.pset_id).request() as tree_req:
+    with fabric.tree_link(self.io_index).request() as tree_req:
         if tree_req.callbacks is not None:
             yield tree_req
         cost = fabric.jitter.apply(buffer.nbytes / params.io_node.tree_rate)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.net.channels import LatencyChannel, MpiChannel, TcpChannel
+from repro.net.channels import LatencyChannel, MpiChannel
+from repro.net.ethernet import TcpStreamConnection
 from repro.net.message import WireBuffer
 from repro.sim import Store
 from repro.util.errors import NetworkError
@@ -17,8 +18,8 @@ class TestEndpointValidation:
     def test_tcp_requires_linux_to_bluegene(self, env):
         store = Store(env.sim)
         with pytest.raises(NetworkError):
-            TcpChannel(
-                env.sim, env.node("bg", 0), env.node("bg", 1), store, env.fabric, "s"
+            TcpStreamConnection(
+                env.fabric, env.node("bg", 0), env.node("bg", 1), store, "s"
             )
 
 

@@ -11,7 +11,7 @@ from repro.util.errors import NetworkError
 def make_connection(env, be_index=0, bg_index=0, stream="s0", slots=8):
     inbox = Store(env.sim, capacity=slots)
     connection = TcpStreamConnection(
-        env.fabric, env.node("be", be_index), bg_index, inbox, stream
+        env.fabric, env.node("be", be_index), env.node("bg", bg_index), inbox, stream
     )
     return connection, inbox
 
