@@ -76,7 +76,7 @@ class BenchReport:
 
     series: Optional[Dict[str, dict]] = None
     """Windowed live-telemetry series per run segment (query / round),
-    present when the mode ran with ``live_window`` set.  Embedded under
+    present when the mode ran with ``live`` set.  Embedded under
     the BENCH JSON's ``series`` key; the regression gate reads only the
     scalar ``metrics``."""
 
@@ -93,16 +93,10 @@ def _check_result(query: BenchQuery, result: List[object], context: str) -> None
 
 
 def _fresh_env(
-    config: EnvironmentConfig,
-    seed: int,
-    live_window: Optional[float] = None,
-    detector_kwargs: Optional[Dict[str, object]] = None,
+    config: EnvironmentConfig, seed: int, live: bool = False,
 ) -> "tuple[Environment, Optional[LiveSampler]]":
     seeded = config.with_seed(seed)
-    obs, sampler = (
-        live_instrumentation(live_window, detector_kwargs)
-        if live_window is not None else (None, None)
-    )
+    obs, sampler = live_instrumentation() if live else (None, None)
     return shared_template(seeded).fork(seed=seeded.seed, obs=obs), sampler
 
 
@@ -209,18 +203,14 @@ def run_power_mode(
     seed: int = 0,
     env_config: EnvironmentConfig = EnvironmentConfig(),
     settings: Optional[ExecutionSettings] = None,
-    live_window: Optional[float] = None,
-    detector_kwargs: Optional[Dict[str, object]] = None,
+    live: bool = False,
 ) -> BenchReport:
     """Stream 0 runs the deck serially; per-query latency is the metric.
 
-    ``live_window`` (simulated seconds) watches each deck query with a
-    fresh :class:`~repro.obs.live.LiveSampler` and collects the windowed
+    ``live`` watches each deck query with a fresh
+    :class:`~repro.obs.live.LiveSampler` and collects the windowed
     p50/p95/p99 series into ``report.series`` keyed by the query tag; the
     gated scalar metrics are unchanged by the instrumentation.
-    ``detector_kwargs`` forwards hysteresis thresholds (``high``/``low``/
-    ``up_windows``/``down_windows``/``stall_windows``) to each sampler's
-    bottleneck detector.
     """
     metrics: Dict[str, float] = {}
     series: Dict[str, dict] = {}
@@ -230,8 +220,7 @@ def run_power_mode(
         query = build_query(kind, 0, scale, seed)
         plan = compile_plan(query.query, settings=settings)
         with registered([query]):
-            env, sampler = _fresh_env(env_config, seed, live_window,
-                                      detector_kwargs)
+            env, sampler = _fresh_env(env_config, seed, live)
             deployer = Deployer(env)
             report = deployer.run(plan, settings=settings)
         _check_result(query, report.result, "power mode")
@@ -264,18 +253,16 @@ def run_throughput_mode(
     env_config: EnvironmentConfig = EnvironmentConfig(),
     settings: Optional[ExecutionSettings] = None,
     rounds: Optional[int] = None,
-    with_solo: bool = True,
-    live_window: Optional[float] = None,
-    detector_kwargs: Optional[Dict[str, object]] = None,
+    live: bool = False,
 ) -> BenchReport:
     """N interleaved streams; per-stream bandwidth and interference ratios.
 
     Round r runs every stream's r-th deck query concurrently on one fresh
     environment (all rounds reuse the same seed, so placement is
-    reproducible).  ``rounds`` truncates the deck (the ``--smoke`` path);
-    ``with_solo=False`` skips the solo baselines and the interference
-    ratios they feed.  ``live_window`` watches each concurrent round with
-    a fresh :class:`~repro.obs.live.LiveSampler` (solo baselines stay
+    reproducible), then each query solo on its own, and attaches the solo
+    bandwidth to the query's outcome.  ``rounds`` truncates the deck (the
+    ``--smoke`` path).  ``live`` watches each concurrent round with a
+    fresh :class:`~repro.obs.live.LiveSampler` (solo baselines stay
     uninstrumented) and collects windowed series into ``report.series``.
     """
     if streams < 1:
@@ -298,8 +285,7 @@ def run_throughput_mode(
         ]
         plans = [compile_plan(q.query, settings=settings) for q in queries]
         with registered(queries):
-            env, sampler = _fresh_env(env_config, seed, live_window,
-                                      detector_kwargs)
+            env, sampler = _fresh_env(env_config, seed, live)
             session = MultiQuerySession(env, settings)
             for query, plan in zip(queries, plans):
                 session.submit(plan, query.payload_bytes, label=f"s{query.stream_id}")
@@ -309,46 +295,39 @@ def run_throughput_mode(
                 series[f"{tag}/round{round_no}"] = sampler.series_document()
             # Results and series are taken; the teardowns are for --sanitize.
             session.teardown()
-            solo_mbps: Dict[int, float] = {}
-            if with_solo:
-                for query, plan in zip(queries, plans):
-                    solo_env, _ = _fresh_env(env_config, seed)
-                    solo = Deployer(solo_env)
-                    solo_report = solo.run(plan, settings=settings)
-                    solo.teardown()
-                    _check_result(query, solo_report.result, "throughput solo")
-                    solo_mbps[query.stream_id] = (
-                        query.payload_bytes * 8.0 / solo_report.duration / MEGA
-                    )
+            for query, plan in zip(queries, plans):
+                solo_env, _ = _fresh_env(env_config, seed)
+                solo = Deployer(solo_env)
+                solo_report = solo.run(plan, settings=settings)
+                solo.teardown()
+                _check_result(query, solo_report.result, "throughput solo")
+                result[f"s{query.stream_id}"].solo_mbps = (
+                    query.payload_bytes * 8.0 / solo_report.duration / MEGA
+                )
         for query in queries:
             outcome = result[f"s{query.stream_id}"]
             _check_result(query, outcome.report.result, "throughput mode")
             payload_bits[query.stream_id] += query.payload_bytes * 8.0
             concurrent_s[query.stream_id] += outcome.report.duration
-            note = ""
-            if query.stream_id in solo_mbps:
-                ratios[query.stream_id].append(outcome.mbps / solo_mbps[query.stream_id])
-                note = (
-                    f"  solo {solo_mbps[query.stream_id]:8.2f} Mbps"
-                    f"  ratio {ratios[query.stream_id][-1]:.2f}"
-                )
+            ratio = outcome.interference
+            assert ratio is not None  # every outcome has its solo baseline
+            ratios[query.stream_id].append(ratio)
             lines.append(
                 f"  round {round_no} s{query.stream_id} "
-                f"{query.kind:>12}: {outcome.mbps:8.2f} Mbps{note}"
+                f"{query.kind:>12}: {outcome.mbps:8.2f} Mbps"
+                f"  solo {outcome.solo_mbps:8.2f} Mbps  ratio {ratio:.2f}"
             )
     metrics: Dict[str, float] = {}
     for k in range(streams):
         metrics[f"{tag}[s{k}]/mbps"] = payload_bits[k] / concurrent_s[k] / MEGA
-        if ratios[k]:
-            metrics[f"{tag}[s{k}]/interference"] = sum(ratios[k]) / len(ratios[k])
+        metrics[f"{tag}[s{k}]/interference"] = sum(ratios[k]) / len(ratios[k])
     metrics[f"{tag}/aggregate_mbps"] = sum(
         metrics[f"{tag}[s{k}]/mbps"] for k in range(streams)
     )
     for k in range(streams):
-        ratio = metrics.get(f"{tag}[s{k}]/interference")
         lines.append(
             f"  s{k}: {metrics[f'{tag}[s{k}]/mbps']:8.2f} Mbps"
-            + (f"  interference {ratio:.2f}" if ratio is not None else "")
+            f"  interference {metrics[f'{tag}[s{k}]/interference']:.2f}"
         )
     lines.append(f"  aggregate: {metrics[f'{tag}/aggregate_mbps']:.2f} Mbps")
     return BenchReport(mode="throughput", metrics=metrics, lines=lines,
@@ -367,7 +346,6 @@ def run_fault_benchmark(
     settings: Optional[ExecutionSettings] = None,
     repeats: int = 1,
     jobs: int = 1,
-    at_fraction: float = 0.5,
 ) -> BenchReport:
     """Concurrent streams with a mid-run failure; recovery is the metric.
 
@@ -381,7 +359,6 @@ def run_fault_benchmark(
             streams=streams,
             scenario=scenario,
             scale=scale,
-            at_fraction=at_fraction,
             settings=settings,
             env_config=env_config,
         )

@@ -6,9 +6,9 @@ Usage::
     python -m repro bench [--mode gate|power|throughput] [--fault SCENARIO]
                           [--out B.json] [--baseline B.json] [--jobs N]
                           [--only FIGURE] [--scale-shape XxYxZ]
-                          [--live-out PATH] [--live-window SECS]
+                          [--live-out PATH]
     python -m repro bench diff OLD.json NEW.json
-    python -m repro top [--point NAME] [--window SECS] [--once]
+    python -m repro top [--point NAME] [--once]
                         [--live-out PATH] [--prom PATH]
 
 The default mode is the perf-regression gate: it records the fast
@@ -46,13 +46,7 @@ from repro.bench.baseline import (
     load_bench,
     write_bench,
 )
-from repro.cli_flags import (
-    add_detector_flags,
-    add_live_flags,
-    add_sanitize_flags,
-    detector_kwargs,
-    live_window_arg,
-)
+from repro.cli_flags import add_live_flags, add_sanitize_flags
 from repro.coordinator.deployer import Deployer
 from repro.hardware.environment import Environment, EnvironmentConfig, shared_template
 from repro.obs.instrument import live_instrumentation
@@ -66,14 +60,10 @@ __all__ = ["add_bench_parser", "add_top_parser"]
 #: does (--out/--baseline, the sanitizer pair).
 #: ``fault`` is ``--mode throughput`` with ``--fault``.  Passing a flag the
 #: selected mode does not read is a usage error, not a silent no-op.
-_LIVE_FLAGS = (
-    "live_out", "live_window",
-    "detect_high", "detect_low", "detect_up_windows", "detect_down_windows",
-)
 _MODE_FLAGS = {
     "gate": ("repeats", "jobs", "only", "scale_shape"),
-    "power": ("seed", "smoke") + _LIVE_FLAGS,
-    "throughput": ("streams", "fault", "seed", "smoke") + _LIVE_FLAGS,
+    "power": ("seed", "smoke", "live_out"),
+    "throughput": ("streams", "fault", "seed", "smoke", "live_out"),
     "fault": ("streams", "fault", "seed", "smoke", "repeats", "jobs"),
 }
 _MODE_NAMES = {"fault": "throughput --fault"}
@@ -116,10 +106,7 @@ def _bench(args: argparse.Namespace, default: Callable[[str], Any]) -> int:
             )
     if not args.out and not args.baseline and mode == "gate":
         return _usage_error("nothing to do (pass --out and/or --baseline)")
-    live_window = live_window_arg(args)
-    detector = detector_kwargs(args)
-    if detector and live_window is None:
-        return _usage_error("--detect-* flags need --live-out/--live-window")
+    live = args.live_out is not None
     scale = SMOKE_SCALE if args.smoke else DEFAULT_SCALE
     suites = set(args.only or BENCH_FIGURES) if mode == "gate" else {mode}
     if mode == "gate":
@@ -128,10 +115,7 @@ def _bench(args: argparse.Namespace, default: Callable[[str], Any]) -> int:
             figures=suites, scale_shape=args.scale_shape,
         )
     elif mode == "power":
-        report = run_power_mode(
-            scale=scale, seed=args.seed, live_window=live_window,
-            detector_kwargs=detector,
-        )
+        report = run_power_mode(scale=scale, seed=args.seed, live=live)
     elif mode == "fault":
         report = run_fault_benchmark(
             args.fault,
@@ -147,8 +131,7 @@ def _bench(args: argparse.Namespace, default: Callable[[str], Any]) -> int:
             scale=scale,
             seed=args.seed,
             rounds=1 if args.smoke else None,
-            live_window=live_window,
-            detector_kwargs=detector,
+            live=live,
         )
     print(report.describe())
     metrics = report.metrics
@@ -246,7 +229,6 @@ def add_bench_parser(sub: Any) -> None:
              "smoke runs a reduced 8x8x8",
     )
     add_live_flags(b)
-    add_detector_flags(b)
     add_sanitize_flags(b)
     b.set_defaults(func=lambda args: _bench(args, b.get_default))
     actions = b.add_subparsers(metavar="{diff}")
@@ -289,7 +271,7 @@ def _top(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    title = (f"top: {point.key}, window {args.window * 1e3:g} ms "
+    title = (f"top: {point.key}, window {DEFAULT_WINDOW * 1e3:g} ms "
              f"(simulated), seed {args.seed}")
     streaming = not args.once
     if streaming:
@@ -297,13 +279,13 @@ def _top(args: argparse.Namespace) -> int:
         print(LIVE_HEADER)
         print("-" * len(LIVE_HEADER))
     obs, sampler = live_instrumentation(
-        args.window, detector_kwargs(args),
         on_window=(lambda window: print(live_row(window))) if streaming else None,
     )
     config = EnvironmentConfig().with_seed(args.seed)
     env = Environment(config, obs=obs, template=shared_template(config))
     plan = compile_plan(point.query, settings=point.settings)
-    report = Deployer(env).run(plan, settings=point.settings)
+    deployer = Deployer(env)
+    report = deployer.run(plan, settings=point.settings)
     sampler.finalize(env.sim.now)
     if streaming:
         footer = live_footer(sampler)
@@ -326,6 +308,8 @@ def _top(args: argparse.Namespace) -> int:
             with open(args.prom, "w", encoding="utf-8") as fh:
                 fh.write(exposition)
             print(f"prom: exposition snapshot -> {args.prom}")
+    # Everything is printed and written; the teardown is what a sanitizer audits.
+    deployer.teardown()
     return 0
 
 
@@ -341,24 +325,16 @@ def add_top_parser(sub: Any) -> None:
         help="bench sample point to watch: fig6/fig8/fig15 aliases or a "
              "full bench point name (default fig8)",
     )
-    t.add_argument(
-        "--window", type=float, default=DEFAULT_WINDOW, metavar="SECS",
-        help="sampling window in simulated seconds (default 0.002)",
-    )
     t.add_argument("--seed", type=int, default=0, help="environment seed")
     t.add_argument(
         "--once", action="store_true",
         help="print the finished table once instead of streaming rows "
              "(for CI)",
     )
-    t.add_argument(
-        "--live-out", metavar="PATH", default=None,
-        help="also write the windowed time-series as JSON-lines",
-    )
+    add_live_flags(t)
     t.add_argument(
         "--prom", metavar="PATH", default=None,
         help="write a Prometheus-style text exposition snapshot "
              "('-' prints to stdout)",
     )
-    add_detector_flags(t)
     t.set_defaults(func=_top)

@@ -90,6 +90,9 @@ DEFAULT_DEGRADE_FACTOR = 8.0
 #: Degrade/restore cycles of the transient-flapping composite.
 FLAPPING_CYCLES = 3
 
+#: Where a benchmark fault strikes, as a fraction of the healthy makespan.
+FAULT_AT_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -488,9 +491,6 @@ class FaultTask:
     streams: int
     scenario: str
     scale: StreamScale = DEFAULT_SCALE
-    at_fraction: float = 0.5
-    factor: float = DEFAULT_DEGRADE_FACTOR
-    target: Optional[int] = None
     settings: Optional[ExecutionSettings] = None
     env_config: EnvironmentConfig = EnvironmentConfig()
 
@@ -498,10 +498,6 @@ class FaultTask:
         if self.streams < 1:
             raise QueryExecutionError(
                 f"need at least one stream, got {self.streams}"
-            )
-        if not 0.0 < self.at_fraction < 1.0:
-            raise QueryExecutionError(
-                f"at_fraction must be in (0, 1), got {self.at_fraction}"
             )
         if self.scenario not in SCENARIOS + COMPOSITE_SCENARIOS:
             raise QueryExecutionError(
@@ -552,7 +548,7 @@ def run_fault_task(task: FaultTask) -> FaultOutcome:
 
     Runs the concurrent streams twice on identically seeded environments:
     once healthy to learn the fault-free makespan (the fault strikes at
-    ``at_fraction`` of it), then with the schedule injected and flow
+    :data:`FAULT_AT_FRACTION` of it), then with the schedule injected and flow
     instrumentation on.  Every final result is checked against the
     workload's reference value — a replanned stream must still produce the
     exact answer.
@@ -564,25 +560,17 @@ def run_fault_task(task: FaultTask) -> FaultOutcome:
         healthy = run_faulted_session(
             healthy_env, queries, FaultSchedule(), settings=task.settings
         )
-        fault_time = task.at_fraction * healthy.makespan
+        fault_time = FAULT_AT_FRACTION * healthy.makespan
         if task.scenario == "correlated":
-            schedule = FaultSchedule.correlated(
-                fault_time, seed=task.seed,
-                target=task.target, factor=task.factor,
-            )
+            schedule = FaultSchedule.correlated(fault_time, seed=task.seed)
         elif task.scenario == "flapping":
             # Spread the degrade/restore cycles over the remaining healthy
             # runtime — a pure function of the healthy makespan, so every
             # worker derives the identical schedule.
             period = (healthy.makespan - fault_time) / FLAPPING_CYCLES
-            schedule = FaultSchedule.flapping(
-                fault_time, period, seed=task.seed, factor=task.factor,
-            )
+            schedule = FaultSchedule.flapping(fault_time, period, seed=task.seed)
         else:
-            schedule = FaultSchedule.single(
-                task.scenario, fault_time, seed=task.seed,
-                target=task.target, factor=task.factor,
-            )
+            schedule = FaultSchedule.single(task.scenario, fault_time, seed=task.seed)
         faulted_env = shared_template(config).fork(
             seed=config.seed, obs=Instrumentation(tracer=NULL_TRACER),
         )

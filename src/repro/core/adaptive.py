@@ -33,77 +33,46 @@ hot-path lint rules (see ``repro.analysis.lint.HOT_MODULES``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.coordinator.deployer import Deployment, MigrationRecord
 from repro.hardware.environment import BLUEGENE
 from repro.obs.health import HealthEvent, base_stream
+from repro.obs.live import DEFAULT_WINDOW
 from repro.optimizer.placement import CostBasedPlacer
 from repro.util.errors import AllocationError, QueryExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.multiquery import MultiQueryResult, MultiQuerySession
 
-__all__ = ["AdaptiveConfig", "AdaptiveController"]
+__all__ = ["AdaptiveController", "BUDGET"]
 
 #: Event kinds that arm an evaluation (a subject became unhealthy).
 _ALERT_KINDS = ("saturated", "degraded")
 
 
-@dataclass(frozen=True)
-class AdaptiveConfig:
-    """Knobs of the adaptive runtime (all in simulated units).
+#: Stepped-execution horizon: how often the controller regains control
+#: between ``sim.run(until=...)`` calls — one live window, so every closed
+#: window is seen at most one step late.
+CHECK_INTERVAL = DEFAULT_WINDOW
 
-    Attributes:
-        check_interval: Stepped-execution horizon: how often the
-            controller regains control between ``sim.run(until=...)``
-            calls.  Defaults to the live sampler's stock window so every
-            closed window is seen at most one step late.
-        cooldown: Minimum simulated seconds between two migrations — the
-            post-action hysteresis that lets the detector's windows see
-            the effect of a move before another is considered.
-        budget: Maximum number of migrations per session.  Restart-based
-            migration replays streams from their sources, so the budget
-            defaults low.
-        improvement_factor: A move happens only when the calibrated
-            predicted bandwidth of the best candidate placement exceeds
-            the current placement's by this factor (> 1).
-        min_factor / max_factor: Clamp on the measured/predicted
-            calibration factors, so one degenerate window cannot zero or
-            explode the cost model.
-    """
+#: Minimum simulated seconds between two migrations — the post-action
+#: hysteresis that lets the detector's windows see the effect of a move
+#: before another is considered.
+COOLDOWN = 0.004
 
-    check_interval: float = 0.002
-    cooldown: float = 0.004
-    budget: int = 2
-    improvement_factor: float = 1.10
-    min_factor: float = 0.05
-    max_factor: float = 20.0
+#: Maximum number of migrations per session.  Restart-based migration
+#: replays streams from their sources, so the budget is low.
+BUDGET = 2
 
-    def __post_init__(self):
-        if self.check_interval <= 0.0:
-            raise QueryExecutionError(
-                f"check_interval must be > 0, got {self.check_interval!r}"
-            )
-        if self.cooldown < 0.0:
-            raise QueryExecutionError(
-                f"cooldown must be >= 0, got {self.cooldown!r}"
-            )
-        if self.budget < 0:
-            raise QueryExecutionError(
-                f"budget must be >= 0, got {self.budget!r}"
-            )
-        if self.improvement_factor <= 1.0:
-            raise QueryExecutionError(
-                "improvement_factor must be > 1 (a migration must predict a "
-                f"strict improvement), got {self.improvement_factor!r}"
-            )
-        if not 0.0 < self.min_factor <= self.max_factor:
-            raise QueryExecutionError(
-                f"need 0 < min_factor <= max_factor, got "
-                f"{self.min_factor!r}/{self.max_factor!r}"
-            )
+#: A move happens only when the calibrated predicted bandwidth of the best
+#: candidate placement exceeds the current placement's by this factor.
+IMPROVEMENT_FACTOR = 1.10
+
+#: Clamp on the measured/predicted calibration factors, so one degenerate
+#: window cannot zero or explode the cost model.
+MIN_FACTOR = 0.05
+MAX_FACTOR = 20.0
 
 
 class AdaptiveController:
@@ -114,12 +83,15 @@ class AdaptiveController:
     session's ``start()`` and ``finish()`` and migrates through
     ``session.replace(label, "g", ...)``.  The environment must be
     live-instrumented (:func:`repro.obs.instrument.live_instrumentation`).
+    ``budget`` caps the migrations; at zero the run is the classic static
+    one, float for float.
     """
 
-    def __init__(self, session: "MultiQuerySession",
-                 config: Optional[AdaptiveConfig] = None):
+    def __init__(self, session: "MultiQuerySession", budget: int = BUDGET):
+        if budget < 0:
+            raise QueryExecutionError(f"budget must be >= 0, got {budget!r}")
         self.session = session
-        self.config = config or AdaptiveConfig()
+        self.budget = budget
         self.migrations: List[MigrationRecord] = []
         self._last_migration: Optional[float] = None
         #: subject -> the alert that made it unhealthy; insertion-ordered,
@@ -141,7 +113,7 @@ class AdaptiveController:
     def run(self) -> "MultiQueryResult":
         """Start every query, then step the simulator, reacting between steps.
 
-        The loop advances the shared simulator ``check_interval`` at a
+        The loop advances the shared simulator :data:`CHECK_INTERVAL` at a
         time (jumping ahead when the next event is farther out, so idle
         tails cost no iterations) and evaluates a migration whenever the
         detector currently reports an unhealthy subject.  It exits when
@@ -154,11 +126,10 @@ class AdaptiveController:
         if not live.enabled:
             raise QueryExecutionError(
                 "adaptive mode needs a live-instrumented environment: build "
-                "it with repro.obs.instrument.live_instrumentation(window) so "
+                "it with repro.obs.instrument.live_instrumentation() so "
                 "windows and health events exist to react to"
             )
         sim = env.sim
-        interval = self.config.check_interval
         session.start()
         t0 = sim.now
         detector = live.detector
@@ -168,7 +139,7 @@ class AdaptiveController:
                 upcoming = sim.peek()
                 if upcoming == float("inf"):
                     break
-                sim.run(until=max(sim.now + interval, upcoming))
+                sim.run(until=max(sim.now + CHECK_INTERVAL, upcoming))
                 if self._unhealthy:
                     self._maybe_migrate()
         finally:
@@ -244,12 +215,8 @@ class AdaptiveController:
             counts[family] = counts.get(family, 0) + 1
         if not sums:
             return None
-        config = self.config
         return {
-            family: min(
-                max(sums[family] / counts[family], config.min_factor),
-                config.max_factor,
-            )
+            family: min(max(sums[family] / counts[family], MIN_FACTOR), MAX_FACTOR)
             for family in sorted(sums)
         }
 
@@ -286,17 +253,16 @@ class AdaptiveController:
     # ------------------------------------------------------------------
     def _maybe_migrate(self) -> None:
         session = self.session
-        config = self.config
         sim = session.env.sim
-        if len(self.migrations) >= config.budget:
+        if len(self.migrations) >= self.budget:
             return
         if (
             self._last_migration is not None
-            and sim.now - self._last_migration < config.cooldown
+            and sim.now - self._last_migration < COOLDOWN
         ):
             return
         best = self._best_move(self._calibration())
-        if best is None or best[0] < config.improvement_factor:
+        if best is None or best[0] < IMPROVEMENT_FACTOR:
             return
         _, label, sp_id, target = best
 

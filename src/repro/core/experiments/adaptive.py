@@ -27,16 +27,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core.adaptive import AdaptiveConfig, AdaptiveController
+from repro.core.adaptive import BUDGET, AdaptiveController
 from repro.core.experiments.contention import DEFAULT_SENDERS, contending_query
 from repro.core.experiments.fig8 import SEQUENTIAL, merge_query
 from repro.core.multiquery import MultiQueryResult, MultiQuerySession
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import EnvironmentConfig, shared_template
 from repro.obs.instrument import live_instrumentation
-from repro.obs.live import DEFAULT_WINDOW
 from repro.scsql.plan import compile_plan
 from repro.util.errors import QueryExecutionError
 
@@ -182,11 +181,11 @@ class AdaptiveComparison:
 def _run_session(
     spec: _PointSpec,
     config: EnvironmentConfig,
-    adaptive: Optional[AdaptiveConfig],
-    window: float,
-    detector_kwargs: Optional[Dict[str, object]],
+    budget: Optional[int],
 ) -> MultiQueryResult:
-    obs, sampler = live_instrumentation(window, detector_kwargs)
+    """One live-watched session: the classic ``session.run()`` when
+    ``budget`` is None, else an :class:`AdaptiveController` with it."""
+    obs, sampler = live_instrumentation()
     env = shared_template(config).fork(seed=config.seed, obs=obs)
     session = MultiQuerySession(env)
     for label, text in spec.queries:
@@ -194,10 +193,10 @@ def _run_session(
             compile_plan(text), payload_bytes=spec.payload_bytes, label=label,
             settings=spec.settings,
         )
-    if adaptive is None:
+    if budget is None:
         result = session.run()
     else:
-        result = AdaptiveController(session, adaptive).run()
+        result = AdaptiveController(session, budget).run()
     session.teardown()
     sampler.finalize(env.sim.now)
     result.live = sampler
@@ -209,25 +208,18 @@ def run_adaptive_point(
     seed: int = 0,
     smoke: bool = False,
     env_config: Optional[EnvironmentConfig] = None,
-    adaptive_config: Optional[AdaptiveConfig] = None,
-    window: float = DEFAULT_WINDOW,
-    detector_kwargs: Optional[Dict[str, object]] = None,
+    budget: int = BUDGET,
 ) -> AdaptiveComparison:
     """Run one regression point statically and adaptively, same seed.
 
     Both runs are live-instrumented (the static run needs the sampler only
     for comparable telemetry; its session still uses the classic single
-    ``sim.run()`` path).  ``detector_kwargs`` forwards hysteresis
-    thresholds (``high``/``low``/``up_windows``/``down_windows``/
-    ``stall_windows``) to both runs' detectors.
+    ``sim.run()`` path).  ``budget`` caps the adaptive run's migrations.
     """
     spec = _point_spec(point, smoke)
     config = (env_config or EnvironmentConfig()).with_seed(seed)
-    static = _run_session(spec, config, None, window, detector_kwargs)
-    adaptive = _run_session(
-        spec, config, adaptive_config or AdaptiveConfig(), window,
-        detector_kwargs,
-    )
+    static = _run_session(spec, config, None)
+    adaptive = _run_session(spec, config, budget)
     return AdaptiveComparison(point=point, static=static, adaptive=adaptive)
 
 

@@ -3,6 +3,7 @@
     python -m repro fig6|fig8|fig15|ablations|scaling|all
                         [--repeats N] [--quick] [--jobs N] [OBS FLAGS]
     python -m repro multiquery [--streams N] [--array-bytes B] [--count N]
+                               [--live-out PATH]
     python -m repro adaptive [--point fig15|fig8] [--smoke] [--events-out PATH]
 
 The paper measures every query family the same way (section 3), so the
@@ -20,17 +21,13 @@ import time
 from typing import Any, Dict
 
 from repro.cli_flags import (
-    add_detector_flags,
     add_live_flags,
     add_observability_flags,
     add_sanitize_flags,
-    detector_kwargs,
-    live_window_arg,
     observe_level,
 )
 from repro.core.experiments import FIGURES
 from repro.core.measurement import Sweep, run_sweep
-from repro.obs.live import DEFAULT_WINDOW
 
 __all__ = ["add_adaptive_parser", "add_figure_parsers", "add_multiquery_parser"]
 
@@ -105,7 +102,7 @@ def _multiquery(args: argparse.Namespace) -> None:
         array_bytes=args.array_bytes,
         count=args.count,
         seed=args.seed,
-        live_window=live_window_arg(args),
+        live=args.live_out is not None,
     )
     print(result.format_table())
     worst = min(o.interference for o in result.outcomes)
@@ -113,14 +110,11 @@ def _multiquery(args: argparse.Namespace) -> None:
         f"-> two concurrent CQs through pset {SHARED_PSET}'s I/O node: "
         f"worst query keeps {worst:.0%} of its solo bandwidth"
     )
-    if result.live is not None:
+    if args.live_out:
         print()
         print(live_table(result.live))
-        if args.live_out:
-            lines = write_timeseries_jsonl(
-                args.live_out, result.live, label="multiquery"
-            )
-            print(f"live: {lines} time-series records -> {args.live_out}")
+        lines = write_timeseries_jsonl(args.live_out, result.live, label="multiquery")
+        print(f"live: {lines} time-series records -> {args.live_out}")
 
 
 def add_multiquery_parser(sub: Any) -> None:
@@ -161,8 +155,6 @@ def _adaptive(args: argparse.Namespace) -> int:
         args.point,
         seed=args.seed,
         smoke=args.smoke,
-        window=args.window,
-        detector_kwargs=detector_kwargs(args),
     )
     print(comparison.format_table())
     if args.events_out:
@@ -189,14 +181,9 @@ def add_adaptive_parser(sub: Any) -> None:
         help="CI smoke scale: reduced payloads, same control loop",
     )
     a.add_argument(
-        "--window", type=float, default=DEFAULT_WINDOW, metavar="SECS",
-        help="live sampling window in simulated seconds (default 0.002)",
-    )
-    a.add_argument(
         "--events-out", metavar="PATH", default=None,
         help="write the adaptive run's health events as JSON-lines "
              "(the CI smoke job uploads this artifact)",
     )
-    add_detector_flags(a)
     add_sanitize_flags(a)
     a.set_defaults(func=_adaptive)

@@ -65,7 +65,7 @@ def run_contention_demo(
     env_config: Optional[EnvironmentConfig] = None,
     seed: int = 0,
     senders: Optional[Dict[str, int]] = None,
-    live_window: Optional[float] = None,
+    live: bool = False,
 ) -> MultiQueryResult:
     """Measure two CQs solo, then concurrently, on same-seed environments.
 
@@ -77,9 +77,9 @@ def run_contention_demo(
     Returns the concurrent :class:`~repro.core.multiquery.MultiQueryResult`
     with each outcome's ``solo_mbps`` baseline attached, so
     ``outcome.interference`` is the concurrent/solo bandwidth ratio.
-    ``live_window`` (simulated seconds) additionally watches the
-    concurrent run with a :class:`~repro.obs.live.LiveSampler`, attached
-    finalized as ``result.live``; the solo baselines stay uninstrumented.
+    ``live`` additionally watches the concurrent run with a
+    :class:`~repro.obs.live.LiveSampler`, attached finalized as
+    ``result.live``; the solo baselines stay uninstrumented.
     """
     config = (env_config or EnvironmentConfig()).with_seed(seed)
     payload = n * array_bytes * count
@@ -90,12 +90,11 @@ def run_contention_demo(
     solo: Dict[str, float] = {}
     for label, plan in plans.items():
         env = shared_template(config).fork(seed=config.seed)
-        report = Deployer(env).run(plan)
+        deployer = Deployer(env)
+        report = deployer.run(plan)
+        deployer.teardown()
         solo[label] = payload * 8.0 / report.duration / MEGA
-    obs, sampler = (
-        live_instrumentation(live_window) if live_window is not None
-        else (None, None)
-    )
+    obs, sampler = live_instrumentation() if live else (None, None)
     shared_env = shared_template(config).fork(seed=config.seed, obs=obs)
     session = MultiQuerySession(shared_env)
     for label, plan in plans.items():

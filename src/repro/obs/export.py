@@ -39,6 +39,12 @@ from repro.util.stats import latency_summary
 #: Simulated seconds -> trace microseconds (the unit Chrome traces use).
 _MICROS = 1e6
 
+#: Thread id of a trace's first flow track (one thread per stream edge).
+_FLOW_TID_BASE = 1000
+
+#: Rows each ranked section of :func:`utilization_summary` keeps.
+_SUMMARY_ROWS = 20
+
 
 def trace_record_dict(record: TraceRecord) -> dict:
     """A JSON-ready dict of one raw trace record."""
@@ -70,9 +76,7 @@ def write_trace_jsonl(target: Union[str, IO[str]], tracer: NullTracer) -> int:
     return _dump(target)
 
 
-def flow_trace_events(
-    pid: int, recorder: NullFlowRecorder, tid_base: int = 1000
-) -> List[dict]:
+def flow_trace_events(pid: int, recorder: NullFlowRecorder) -> List[dict]:
     """Trace events for completed flows: hop slices plus flow arrows.
 
     Each stream edge gets one thread (``flow:<stream>``); every completed
@@ -86,7 +90,7 @@ def flow_trace_events(
     for record in recorder.completed:
         track = f"flow:{record.stream_id}"
         if track not in tids:
-            tids[track] = tid_base + len(tids)
+            tids[track] = _FLOW_TID_BASE + len(tids)
             events.append({
                 "ph": "M", "pid": pid, "tid": tids[track],
                 "name": "thread_name", "args": {"name": track},
@@ -231,12 +235,13 @@ def write_chrome_trace(
     return document
 
 
-def utilization_summary(obs: Instrumentation, top: int = 20) -> str:
+def utilization_summary(obs: Instrumentation) -> str:
     """Plain-text report of one instrumented run.
 
     Resources are ranked by busy time (simulated seconds with at least one
     slot held), stores by time-weighted mean level; counters follow in
-    name order.  ``top`` truncates each section.
+    name order.  Each ranked section keeps its :data:`_SUMMARY_ROWS` first
+    rows.
     """
     now = obs.now
     lines = [f"observability summary @ t={now:.6f}s simulated"]
@@ -249,7 +254,7 @@ def utilization_summary(obs: Instrumentation, top: int = 20) -> str:
     resources.sort(key=lambda pair: (-pair[0], pair[1]))
     if resources:
         lines.append("resources (by busy time):")
-        for busy, name in resources[:top]:
+        for busy, name in resources[:_SUMMARY_ROWS]:
             share = 100.0 * busy / now if now > 0 else 0.0
             occupancy = obs.resource_occupancy(name)
             acquires = obs.metrics.counters.get(f"resource.acquires[{name}]")
@@ -260,8 +265,8 @@ def utilization_summary(obs: Instrumentation, top: int = 20) -> str:
                 f"  acq {int(acquires.value) if acquires else 0}"
                 f"  maxq {int(queue.maximum) if queue else 0}"
             )
-        if len(resources) > top:
-            lines.append(f"  ... {len(resources) - top} more resources")
+        if len(resources) > _SUMMARY_ROWS:
+            lines.append(f"  ... {len(resources) - _SUMMARY_ROWS} more resources")
 
     stores = []
     for series_name, series in obs.metrics.series.items():
@@ -272,15 +277,15 @@ def utilization_summary(obs: Instrumentation, top: int = 20) -> str:
     stores.sort(key=lambda triple: (-triple[0], triple[2]))
     if stores:
         lines.append("stores (by mean level):")
-        for mean, maximum, name in stores[:top]:
+        for mean, maximum, name in stores[:_SUMMARY_ROWS]:
             lines.append(f"  {name:<28} mean {mean:8.3f}  max {int(maximum)}")
-        if len(stores) > top:
-            lines.append(f"  ... {len(stores) - top} more stores")
+        if len(stores) > _SUMMARY_ROWS:
+            lines.append(f"  ... {len(stores) - _SUMMARY_ROWS} more stores")
 
     gauges = [(name, g) for name, g in sorted(obs.metrics.gauges.items())]
     if gauges:
         lines.append("gauges (current / peak):")
-        for name, gauge in gauges[:top]:
+        for name, gauge in gauges[:_SUMMARY_ROWS]:
             lines.append(f"  {name:<40} {gauge.value:g} / {gauge.peak:g}")
 
     counters = [
@@ -417,16 +422,15 @@ def _prom_split(name: str) -> Tuple[str, Optional[str]]:
     return name, None
 
 
-def prometheus_exposition(obs: Instrumentation,
-                          prefix: str = "repro") -> str:
+def prometheus_exposition(obs: Instrumentation) -> str:
     """A Prometheus text-format snapshot of one instrumented run.
 
-    Counters become ``<prefix>_<family>_total``, gauges and time-weighted
+    Counters become ``repro_<family>_total``, gauges and time-weighted
     means/maxima become gauges; the registry's ``family[key]`` names map
     to an ``entity="key"`` label.  When a live sampler is attached, the
     :func:`~repro.util.stats.latency_summary` of the recorder's completed
     data flows is exposed as a summary
-    (``<prefix>_flow_latency_seconds{quantile="..."}``) along with window
+    (``repro_flow_latency_seconds{quantile="..."}``) along with window
     and health-event totals.  Families and entities are emitted in sorted
     order so the exposition is deterministic for a fixed seed.
     """
@@ -441,7 +445,7 @@ def prometheus_exposition(obs: Instrumentation,
             family, key = _prom_split(name)
             families.setdefault(family, {})[key] = samples[name]
         for family in sorted(families):
-            metric = f"{prefix}_{_prom_ident(family)}{suffix}"
+            metric = f"repro_{_prom_ident(family)}{suffix}"
             lines.append(f"# TYPE {metric} {kind}")
             for key in sorted(families[family], key=lambda k: (k is None, k)):
                 value = families[family][key]
@@ -462,21 +466,21 @@ def prometheus_exposition(obs: Instrumentation,
         latencies = obs.flows.latencies()
         if latencies:
             summary = latency_summary(latencies)
-            metric = f"{prefix}_flow_latency_seconds"
+            metric = "repro_flow_latency_seconds"
             lines.append(f"# TYPE {metric} summary")
             for quantile, key in (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99")):
                 lines.append(f'{metric}{{quantile="{quantile}"}} {summary[key]:.9g}')
             lines.append(f"{metric}_sum {sum(latencies):.9g}")
             lines.append(f"{metric}_count {summary['n']}")
-        lines.append(f"# TYPE {prefix}_live_windows_total counter")
-        lines.append(f"{prefix}_live_windows_total {len(live.windows)}")
-        lines.append(f"# TYPE {prefix}_health_events_total counter")
+        lines.append("# TYPE repro_live_windows_total counter")
+        lines.append(f"repro_live_windows_total {len(live.windows)}")
+        lines.append("# TYPE repro_health_events_total counter")
         kinds: Dict[str, int] = {}
         for event in live.health_events:
             kinds[event.kind] = kinds.get(event.kind, 0) + 1
         for kind in sorted(kinds):
             lines.append(
-                f'{prefix}_health_events_total{{kind="{kind}"}} {kinds[kind]}'
+                f'repro_health_events_total{{kind="{kind}"}} {kinds[kind]}'
             )
     return "\n".join(lines) + "\n"
 
@@ -526,23 +530,17 @@ def live_footer(sampler: NullLiveSampler) -> str:
     return "\n".join(lines)
 
 
-def live_table(sampler: NullLiveSampler, limit: Optional[int] = None) -> str:
+def live_table(sampler: NullLiveSampler) -> str:
     """The per-window table ``python -m repro top`` renders.
 
     One row per closed window: event and flow counts, delivered
     throughput, window latency percentiles (ms), and the busiest resource
-    with its windowed utilization.  ``limit`` keeps only the most recent
-    rows.  A footer reports the cumulative latency percentiles and the
+    with its windowed utilization.  A footer reports the cumulative latency percentiles and the
     detector's current culprit + health-event tally.
     """
     windows = sampler.windows
-    shown: Sequence[WindowSample] = (
-        windows if limit is None or limit >= len(windows) else windows[-limit:]
-    )
     lines = [LIVE_HEADER, "-" * len(LIVE_HEADER)]
-    if limit is not None and len(windows) > len(shown):
-        lines.append(f"  ... {len(windows) - len(shown)} earlier window(s)")
-    for window in shown:
+    for window in windows:
         lines.append(live_row(window))
     if not windows:
         lines.append("  (no closed windows)")

@@ -27,10 +27,9 @@ the kernel's own observer and reads its private fields (``sim._now``,
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple
 
 from repro.obs.flow import NULL_FLOWS, FlowRecorder, NullFlowRecorder
-from repro.obs.health import ContinuousBottleneckDetector
 from repro.obs.live import NULL_LIVE, LiveSampler, NullLiveSampler, WindowSample
 from repro.obs.metrics import Counter, MetricsRegistry, MetricsSnapshot
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
@@ -322,17 +321,11 @@ def instrumentation_for(level: str) -> Optional[Instrumentation]:
 
 
 def live_instrumentation(
-    window: float,
-    detector_kwargs: Optional[Mapping[str, Any]] = None,
-    on_window: Optional[Callable[[WindowSample], None]] = None,
+    *, on_window: Optional[Callable[[WindowSample], None]] = None,
 ) -> Tuple[Instrumentation, LiveSampler]:
     """A fresh live hub — metrics and flows on, no timeline tracer — and
-    its sampler, which closes a window every ``window`` simulated seconds
-    (``on_window`` sees each) under a detector with the ``detector_kwargs``
-    hysteresis thresholds (the stock ones when empty)."""
-    sampler = LiveSampler(
-        window=window,
-        detector=ContinuousBottleneckDetector(**(detector_kwargs or {})),
-        on_window=on_window,
-    )
+    its sampler, which closes a window every
+    :data:`~repro.obs.live.DEFAULT_WINDOW` simulated seconds (``on_window``
+    sees each) under the stock bottleneck detector."""
+    sampler = LiveSampler(on_window=on_window)
     return Instrumentation(tracer=NULL_TRACER, live=sampler), sampler

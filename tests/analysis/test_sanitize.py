@@ -295,6 +295,21 @@ class TestSingleQueryPathsAreAudited:
         )
         assert audited == 4  # two session deployments + two solo baselines
 
+    def test_contention_demo_audits_the_session_and_the_solo_baselines(self):
+        from repro.core.experiments.contention import run_contention_demo
+
+        audited = self._audited(
+            lambda: run_contention_demo(n=1, array_bytes=200_000, count=2)
+        )
+        assert audited == 4  # two session deployments + two solo baselines
+
+    def test_top(self, capsys):
+        from repro.__main__ import main
+
+        assert self._audited(
+            lambda: main(["top", "--point", "fig8", "--once"])
+        ) == 1
+
     def test_cli_prints_the_audited_count(self, capsys):
         from repro.__main__ import main
 

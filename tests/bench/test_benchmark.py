@@ -12,6 +12,7 @@ from repro.bench.benchmark import (
     run_throughput_mode,
 )
 from repro.bench.query_stream import QUERY_KINDS, SMOKE_SCALE
+from repro.obs.live import DEFAULT_WINDOW
 from repro.util.errors import MeasurementError
 
 
@@ -58,12 +59,6 @@ class TestThroughputMode:
         first = run_throughput_mode(2, scale=SMOKE_SCALE, rounds=1, seed=3)
         second = run_throughput_mode(2, scale=SMOKE_SCALE, rounds=1, seed=3)
         assert first.metrics == second.metrics
-
-    def test_solo_baselines_can_be_skipped(self):
-        report = run_throughput_mode(
-            2, scale=SMOKE_SCALE, rounds=1, with_solo=False
-        )
-        assert not any("interference" in name for name in report.metrics)
 
 
 class TestBenchGateIntegration:
@@ -124,25 +119,23 @@ class TestBenchGateIntegration:
 
 
 class TestLiveSeries:
-    """--live-window through power/throughput: series ride along, the
-    gated scalars stay untouched."""
+    """--live-out through power/throughput: series ride along, the gated
+    scalars stay untouched."""
 
     def test_power_mode_series_with_unchanged_metrics(self):
         plain = run_power_mode(scale=SMOKE_SCALE)
-        live = run_power_mode(scale=SMOKE_SCALE, live_window=0.0005)
+        live = run_power_mode(scale=SMOKE_SCALE, live=True)
         assert plain.series is None
         assert live.metrics == plain.metrics  # sampling must not move the gate
         assert set(live.series) == {f"power[{kind}]" for kind in QUERY_KINDS}
         for document in live.series.values():
             assert document["windows"] >= 1
             assert len(document["p95"]) == document["windows"]
-            assert document["window_s"] == 0.0005
+            assert document["window_s"] == DEFAULT_WINDOW
 
     def test_throughput_mode_series_with_unchanged_metrics(self):
         plain = run_throughput_mode(2, scale=SMOKE_SCALE, rounds=1)
-        live = run_throughput_mode(
-            2, scale=SMOKE_SCALE, rounds=1, live_window=0.0005
-        )
+        live = run_throughput_mode(2, scale=SMOKE_SCALE, rounds=1, live=True)
         assert plain.series is None
         assert live.metrics == plain.metrics
         assert set(live.series) == {"throughput[n=2]/round0"}
@@ -150,7 +143,7 @@ class TestLiveSeries:
     def test_series_ride_bench_json_without_touching_the_gate(self, tmp_path):
         import json
 
-        live = run_power_mode(scale=SMOKE_SCALE, live_window=0.0005)
+        live = run_power_mode(scale=SMOKE_SCALE, live=True)
         path = tmp_path / "bench.json"
         write_bench(str(path), live.metrics, repeats=1, series=live.series)
         # the gate loader reads only the scalar metrics...

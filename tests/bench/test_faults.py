@@ -65,8 +65,6 @@ class TestScheduleValidation:
     def test_task_validates_coordinates(self):
         with pytest.raises(QueryExecutionError, match="stream"):
             FaultTask(seed=0, streams=0, scenario="kill-node")
-        with pytest.raises(QueryExecutionError, match="at_fraction"):
-            FaultTask(seed=0, streams=1, scenario="kill-node", at_fraction=1.5)
         with pytest.raises(QueryExecutionError, match="scenario"):
             FaultTask(seed=0, streams=1, scenario="meteor")
 

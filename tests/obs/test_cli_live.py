@@ -73,10 +73,10 @@ class TestBenchLiveFlags:
     def test_fault_mode_rejects_live_flags(self, tmp_path, capsys):
         assert main([
             "bench", "--mode", "throughput", "--fault", "kill-node", "--smoke",
-            "--live-window", "0.001",
+            "--live-out", str(tmp_path / "live.jsonl"),
         ]) == 2
         assert (
-            "--live-window is not read by --mode throughput --fault"
+            "--live-out is not read by --mode throughput --fault"
             in capsys.readouterr().err
         )
 
@@ -111,7 +111,7 @@ class TestBenchLiveFlags:
         live = tmp_path / "live.jsonl"
         assert main([
             "bench", "--mode", "power", "--smoke", "--out", str(out),
-            "--live-out", str(live), "--live-window", "0.0005",
+            "--live-out", str(live),
         ]) == 0
         document = json.loads(out.read_text())
         assert document["version"] == 2

@@ -18,7 +18,6 @@ from repro.coordinator.deployer import Deployer
 from repro.hardware.environment import Environment, EnvironmentConfig, shared_template
 from repro.obs.export import live_footer, prometheus_exposition
 from repro.obs.instrument import live_instrumentation
-from repro.obs.live import DEFAULT_WINDOW
 from repro.scsql.plan import compile_plan
 from repro.util.stats import latency_summary
 
@@ -32,7 +31,7 @@ POINTS = {point.key: point for point in bench_points()}
 def watched(request):
     """One live-instrumented seed-0 run of a gate point, as ``top`` builds it."""
     point = POINTS[request.param]
-    obs, sampler = live_instrumentation(DEFAULT_WINDOW)
+    obs, sampler = live_instrumentation()
     config = EnvironmentConfig().with_seed(0)
     env = Environment(config, obs=obs, template=shared_template(config))
     plan = compile_plan(point.query, settings=point.settings)
