@@ -42,11 +42,11 @@ Rules (``DET00x``):
   ``.process(...)`` call in a generator body be a formatted string.
 * **DET009** — in ``repro.sim``/``repro.net``/``repro.engine`` the event
   returned by ``request()``/``put()``/``get()`` is yielded, guard-tested
-  or handed a callback-chain step (both read ``.callbacks``) before any
+  or has a callback appended (both read ``.callbacks``) before any
   ``.process(``, ``.detach(`` or ``.interrupt(`` call: those schedule
-  urgent events (``detach`` starts a chain on an urgent zero-delay event
-  unless it is given one), the one thing a synchronously delivered grant
-  (see docs/performance.md) would overtake.
+  urgent events (``detach`` starts a generator on an urgent zero-delay
+  event unless it is given one), the one thing a synchronously delivered
+  grant (see docs/performance.md) would overtake.
 * **DET010** — the CNDB round-robin cursor (``_rr_cursor``) is touched
   only by ``repro.hardware`` and the placement resolver
   (``repro.coordinator.resolver``), whose walk saves and rewinds it
@@ -552,9 +552,9 @@ class EagerGrantWindowRule(LintRule):
     #: event back already processed (sim.resources).
     CREATORS = {("request", 0), ("get", 0), ("put", 1)}
     #: Calls scheduling an *urgent* event, which a queued grant runs after:
-    #: a process's ``Initialize``, the default start event of a callback
-    #: chain (``Simulator.detach(step)``; given a start event it pushes
-    #: nothing, which the rule does not look at), an interrupt.
+    #: a process's ``Initialize``, the default start event of a detached
+    #: generator (``Simulator.detach(generator)``; given a start event it
+    #: pushes nothing, which the rule does not look at), an interrupt.
     URGENT = ("process", "detach", "interrupt")
 
     applies_to = HookNameFormatRule.applies_to

@@ -56,7 +56,6 @@ from repro.core.experiments.scale import DEFAULT_SHAPE, run_scale
 from repro.core.measurement import PointSpec, measure_points
 from repro.core.parallel import SweepExecutor
 from repro.core.multiquery import MultiQuerySession
-from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import Environment, EnvironmentConfig, shared_template
 from repro.obs.instrument import OBSERVE_FLOWS, live_instrumentation
 from repro.obs.live import LiveSampler
@@ -92,10 +91,8 @@ def _check_result(query: BenchQuery, result: List[object], context: str) -> None
         )
 
 
-def _fresh_env(
-    config: EnvironmentConfig, seed: int, live: bool = False,
-) -> "tuple[Environment, Optional[LiveSampler]]":
-    seeded = config.with_seed(seed)
+def _fresh_env(seed: int, live: bool = False) -> "tuple[Environment, Optional[LiveSampler]]":
+    seeded = EnvironmentConfig().with_seed(seed)
     obs, sampler = live_instrumentation() if live else (None, None)
     return shared_template(seeded).fork(seed=seeded.seed, obs=obs), sampler
 
@@ -201,8 +198,6 @@ def run_bench(
 def run_power_mode(
     scale: StreamScale = DEFAULT_SCALE,
     seed: int = 0,
-    env_config: EnvironmentConfig = EnvironmentConfig(),
-    settings: Optional[ExecutionSettings] = None,
     live: bool = False,
 ) -> BenchReport:
     """Stream 0 runs the deck serially; per-query latency is the metric.
@@ -218,11 +213,11 @@ def run_power_mode(
     latencies_ms: List[float] = []
     for kind in query_order(0, seed):
         query = build_query(kind, 0, scale, seed)
-        plan = compile_plan(query.query, settings=settings)
+        plan = compile_plan(query.query)
         with registered([query]):
-            env, sampler = _fresh_env(env_config, seed, live)
+            env, sampler = _fresh_env(seed, live)
             deployer = Deployer(env)
-            report = deployer.run(plan, settings=settings)
+            report = deployer.run(plan)
         _check_result(query, report.result, "power mode")
         if sampler is not None:
             sampler.finalize(env.sim.now)
@@ -250,8 +245,6 @@ def run_throughput_mode(
     streams: int,
     scale: StreamScale = DEFAULT_SCALE,
     seed: int = 0,
-    env_config: EnvironmentConfig = EnvironmentConfig(),
-    settings: Optional[ExecutionSettings] = None,
     rounds: Optional[int] = None,
     live: bool = False,
 ) -> BenchReport:
@@ -283,10 +276,10 @@ def run_throughput_mode(
             build_query(orders[k][round_no], k, scale, seed)
             for k in range(streams)
         ]
-        plans = [compile_plan(q.query, settings=settings) for q in queries]
+        plans = [compile_plan(q.query) for q in queries]
         with registered(queries):
-            env, sampler = _fresh_env(env_config, seed, live)
-            session = MultiQuerySession(env, settings)
+            env, sampler = _fresh_env(seed, live)
+            session = MultiQuerySession(env)
             for query, plan in zip(queries, plans):
                 session.submit(plan, query.payload_bytes, label=f"s{query.stream_id}")
             result = session.run()
@@ -296,9 +289,9 @@ def run_throughput_mode(
             # Results and series are taken; the teardowns are for --sanitize.
             session.teardown()
             for query, plan in zip(queries, plans):
-                solo_env, _ = _fresh_env(env_config, seed)
+                solo_env, _ = _fresh_env(seed)
                 solo = Deployer(solo_env)
-                solo_report = solo.run(plan, settings=settings)
+                solo_report = solo.run(plan)
                 solo.teardown()
                 _check_result(query, solo_report.result, "throughput solo")
                 result[f"s{query.stream_id}"].solo_mbps = (
@@ -342,8 +335,6 @@ def run_fault_benchmark(
     streams: int,
     scale: StreamScale = DEFAULT_SCALE,
     seed: int = 0,
-    env_config: EnvironmentConfig = EnvironmentConfig(),
-    settings: Optional[ExecutionSettings] = None,
     repeats: int = 1,
     jobs: int = 1,
 ) -> BenchReport:
@@ -354,14 +345,7 @@ def run_fault_benchmark(
     repeats over worker processes with bit-identical results.
     """
     tasks = [
-        FaultTask(
-            seed=seed + i,
-            streams=streams,
-            scenario=scenario,
-            scale=scale,
-            settings=settings,
-            env_config=env_config,
-        )
+        FaultTask(seed=seed + i, streams=streams, scenario=scenario, scale=scale)
         for i in range(repeats)
     ]
     outcomes: List[FaultOutcome] = SweepExecutor(jobs).map(run_fault_task, tasks)

@@ -49,7 +49,6 @@ from repro.bench.query_stream import (
 )
 from repro.coordinator.deployer import Deployment, ExecutionReport
 from repro.core.multiquery import MultiQuerySession
-from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import (
     BLUEGENE,
     Environment,
@@ -306,7 +305,6 @@ def run_faulted_session(
     env: Environment,
     queries: Sequence[BenchQuery],
     schedule: FaultSchedule = FaultSchedule(),
-    settings: Optional[ExecutionSettings] = None,
 ) -> FaultedRunResult:
     """Run the queries concurrently on ``env``, injecting the schedule.
 
@@ -325,11 +323,11 @@ def run_faulted_session(
     and listener released.
     """
     rng = random.Random(f"fault:{schedule.seed}")
-    session = MultiQuerySession(env, settings=settings)
+    session = MultiQuerySession(env)
 
     def replan(deployment: Deployment, plan: object, prefix: str) -> Deployment:
         deployment.teardown()
-        placed = session.deployer.place(plan, settings=settings)
+        placed = session.deployer.place(plan)
         return session.deployer.deploy(placed, rp_prefix=prefix)
 
     failed_nodes: List[str] = []
@@ -340,7 +338,7 @@ def run_faulted_session(
     try:
         for bench_query in queries:
             session.submit(
-                compile_plan(bench_query.query, settings=settings),
+                compile_plan(bench_query.query),
                 payload_bytes=bench_query.payload_bytes,
                 label=f"s{bench_query.stream_id}",
             )
@@ -491,8 +489,6 @@ class FaultTask:
     streams: int
     scenario: str
     scale: StreamScale = DEFAULT_SCALE
-    settings: Optional[ExecutionSettings] = None
-    env_config: EnvironmentConfig = EnvironmentConfig()
 
     def __post_init__(self):
         if self.streams < 1:
@@ -553,13 +549,11 @@ def run_fault_task(task: FaultTask) -> FaultOutcome:
     workload's reference value — a replanned stream must still produce the
     exact answer.
     """
-    config = task.env_config.with_seed(task.seed)
+    config = EnvironmentConfig().with_seed(task.seed)
     queries = fault_queries(task)
     with registered(queries):
         healthy_env = shared_template(config).fork(seed=config.seed)
-        healthy = run_faulted_session(
-            healthy_env, queries, FaultSchedule(), settings=task.settings
-        )
+        healthy = run_faulted_session(healthy_env, queries, FaultSchedule())
         fault_time = FAULT_AT_FRACTION * healthy.makespan
         if task.scenario == "correlated":
             schedule = FaultSchedule.correlated(fault_time, seed=task.seed)
@@ -574,9 +568,7 @@ def run_fault_task(task: FaultTask) -> FaultOutcome:
         faulted_env = shared_template(config).fork(
             seed=config.seed, obs=Instrumentation(tracer=NULL_TRACER),
         )
-        faulted = run_faulted_session(
-            faulted_env, queries, schedule, settings=task.settings
-        )
+        faulted = run_faulted_session(faulted_env, queries, schedule)
     results_ok = all(
         faulted.reports[f"s{query.stream_id}"].result == [query.expected_result]
         for query in queries

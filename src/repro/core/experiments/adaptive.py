@@ -207,7 +207,6 @@ def run_adaptive_point(
     point: str = "fig15",
     seed: int = 0,
     smoke: bool = False,
-    env_config: Optional[EnvironmentConfig] = None,
     budget: int = BUDGET,
 ) -> AdaptiveComparison:
     """Run one regression point statically and adaptively, same seed.
@@ -217,7 +216,7 @@ def run_adaptive_point(
     ``sim.run()`` path).  ``budget`` caps the adaptive run's migrations.
     """
     spec = _point_spec(point, smoke)
-    config = (env_config or EnvironmentConfig()).with_seed(seed)
+    config = EnvironmentConfig().with_seed(seed)
     static = _run_session(spec, config, None)
     adaptive = _run_session(spec, config, budget)
     return AdaptiveComparison(point=point, static=static, adaptive=adaptive)

@@ -17,7 +17,7 @@ the shared path each CQ loses to the other.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.coordinator.deployer import Deployer
 from repro.core.multiquery import MultiQueryResult, MultiQuerySession
@@ -62,9 +62,7 @@ def run_contention_demo(
     n: int = 2,
     array_bytes: int = 3_000_000,
     count: int = 5,
-    env_config: Optional[EnvironmentConfig] = None,
     seed: int = 0,
-    senders: Optional[Dict[str, int]] = None,
     live: bool = False,
 ) -> MultiQueryResult:
     """Measure two CQs solo, then concurrently, on same-seed environments.
@@ -81,11 +79,11 @@ def run_contention_demo(
     :class:`~repro.obs.live.LiveSampler`, attached finalized as
     ``result.live``; the solo baselines stay uninstrumented.
     """
-    config = (env_config or EnvironmentConfig()).with_seed(seed)
+    config = EnvironmentConfig().with_seed(seed)
     payload = n * array_bytes * count
     plans: Dict[str, DeploymentPlan] = {
         label: compile_plan(contending_query(sender, n, array_bytes, count))
-        for label, sender in (senders or DEFAULT_SENDERS).items()
+        for label, sender in DEFAULT_SENDERS.items()
     }
     solo: Dict[str, float] = {}
     for label, plan in plans.items():

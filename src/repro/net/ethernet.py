@@ -11,7 +11,7 @@ Mechanisms modelled, each tied to a paper observation (section 3.2):
 * The **switch uplink** into the BlueGene I/O drawer is a single 1 Gbps
   port shared by all inbound streams; the measured peak of ~920 Mbps
   (observation 3) is this port minus protocol overhead.
-* **Ingress coordination**: the I/O-node TCP proxies degrade when the
+* **Coordination at the ingress**: the I/O-node TCP proxies degrade when the
   ingress as a whole talks to many *distinct external hosts* — "this
   indicates coordination problems in the I/O node when communicating with
   many outside nodes" (observation 3; also observation 4, Query 1 vs 2).
@@ -28,7 +28,7 @@ Mechanisms modelled, each tied to a paper observation (section 3.2):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.hardware.bluegene import BlueGene
 from repro.hardware.node import Node, NodeKind
@@ -36,9 +36,8 @@ from repro.net.channels import Channel
 from repro.net.jitter import Jitter
 from repro.net.message import WireBuffer
 from repro.net.params import NetworkParams
-from repro.net.torus import Journey, TorusNetwork
+from repro.net.torus import TorusNetwork
 from repro.sim import Resource, Simulator, Store, Timeout, TokenPool
-from repro.sim.events import Event
 from repro.util.errors import NetworkError
 
 
@@ -322,102 +321,60 @@ class TcpStreamConnection(Channel):
             stream_bytes.add(buffer.nbytes)
         # Started on an urgent event, not inline: it opens with a request
         # and a draw from the shared jitter, whose order is physics.
-        fabric.sim.detach(Ingress(self, buffer, wire_bytes).start)
+        fabric.sim.detach(self._forward(buffer, wire_bytes))
 
-
-class Ingress(Journey):
-    """A TCP buffer past the sending host: the shared switch uplink, the
-    I/O-node proxy, the tree network into the pset, receive processing on
-    the destination compute node (shared with the torus), then one window
-    slot back."""
-
-    __slots__ = ("connection", "wire_bytes")
-
-    def __init__(self, connection: TcpStreamConnection, buffer: WireBuffer, wire_bytes: float):
-        Journey.__init__(
-            self, connection.fabric.torus, buffer, connection.dst_compute_index,
-            connection.deliver,
-        )
-        self.connection = connection
-        self.wire_bytes = wire_bytes
-
-    def _hold(self, resource: Resource, granted: Callable[[Event], None]) -> None:
-        """Ask for ``resource``; ``granted`` runs once it is held (at once,
-        if the grant comes back processed)."""
-        req = self._req = resource.request()
-        if req.callbacks is not None:
-            req.callbacks.append(granted)
-            return
-        granted(req)
-
-    def _occupy(self, cost: float, done: Callable[[Event], None]) -> None:
-        """Keep the held resource for ``cost`` seconds, jittered; then ``done``."""
-        cost = self._cost = self.connection.fabric.jitter.apply(cost)
-        Timeout(self.torus.sim, cost).callbacks.append(done)
-
-    def _freed(self, stage: str, component: str) -> None:
-        """Release the held resource; its flow hop books the held time
-        under ``component`` (``"wire"`` or ``"processing"``)."""
-        req = self._req
-        req.resource.release(req)
-        flows = self.torus.sim.obs.flows
-        if flows.enabled:
-            flows.hop(
-                self.buffer, stage, self.torus.sim.now, resource=req.resource.name,
-                **{component: self._cost},
-            )
-
-    def start(self, _event: Event) -> None:
-        """Shared switch uplink into the BlueGene I/O drawer (the urgent
-        zero-delay start event of ``Simulator.detach``)."""
-        self._hold(self.connection.fabric._uplink, self._uplink_granted)
-
-    def _uplink_granted(self, _event: Event) -> None:
-        # Goodput shrinks with the number of distinct external hosts on
-        # the ingress.
-        fabric = self.connection.fabric
+    def _forward(self, buffer: WireBuffer, wire_bytes: float):
+        """The buffer past the sending host: the shared switch uplink, the
+        I/O-node proxy, the tree network into the pset, receive processing
+        on the destination compute node (shared with the torus), then one
+        window slot back.  Releases are explicit, as in the torus's."""
+        fabric = self.fabric
         params = fabric.params
+        sim = fabric.sim
+        flows = sim.obs.flows
+        # Shared switch uplink into the BlueGene I/O drawer; goodput shrinks
+        # with the number of distinct external hosts on the ingress.
+        uplink = fabric._uplink
+        req = uplink.request()
+        if req.callbacks is not None:
+            yield req
         rate = params.ethernet.uplink_rate * fabric._uplink_efficiency() / fabric._uplink_slowdown
-        self._occupy(params.ethernet.switch_latency + self.wire_bytes / rate, self._uplink_done)
-
-    def _uplink_done(self, _event: Event) -> None:
-        self._freed("eth.uplink", "wire")
+        cost = fabric.jitter.apply(params.ethernet.switch_latency + wire_bytes / rate)
+        yield Timeout(sim, cost)
+        uplink.release(req)
+        if flows.enabled:
+            flows.hop(buffer, "eth.uplink", sim.now, resource=uplink.name, wire=cost)
         # I/O-node TCP proxy: service rate shrinks with connection sharing
         # and with the distinct hosts connected to this I/O node.
-        connection = self.connection
-        self._hold(connection.fabric.io_proxy(connection.io_index), self._proxy_granted)
-
-    def _proxy_granted(self, _event: Event) -> None:
-        connection = self.connection
-        fabric = connection.fabric
-        rate = fabric._io_service_rate(connection.io_index)
-        self._occupy(
-            fabric.params.io_node.per_buffer_overhead + self.wire_bytes / rate, self._proxy_done
-        )
-
-    def _proxy_done(self, _event: Event) -> None:
-        self._freed("eth.ioproxy", "processing")
+        proxy = fabric.io_proxy(self.io_index)
+        req = proxy.request()
+        if req.callbacks is not None:
+            yield req
+        rate = fabric._io_service_rate(self.io_index)
+        cost = fabric.jitter.apply(params.io_node.per_buffer_overhead + wire_bytes / rate)
+        yield Timeout(sim, cost)
+        proxy.release(req)
+        if flows.enabled:
+            flows.hop(buffer, "eth.ioproxy", sim.now, resource=proxy.name, processing=cost)
         # Tree network from the I/O node into its pset.
-        connection = self.connection
-        self._hold(connection.fabric.tree_link(connection.io_index), self._tree_granted)
-
-    def _tree_granted(self, _event: Event) -> None:
-        params = self.connection.fabric.params
-        self._occupy(self.buffer.nbytes / params.io_node.tree_rate, self._tree_done)
-
-    def _tree_done(self, _event: Event) -> None:
-        self._freed("eth.tree", "wire")
+        tree = fabric.tree_link(self.io_index)
+        req = tree.request()
+        if req.callbacks is not None:
+            yield req
+        cost = fabric.jitter.apply(buffer.nbytes / params.io_node.tree_rate)
+        yield Timeout(sim, cost)
+        tree.release(req)
+        if flows.enabled:
+            flows.hop(buffer, "eth.tree", sim.now, resource=tree.name, wire=cost)
         # Receive processing on the destination compute node's co-processor:
         # the CNK socket path is slow (compute_receive_rate) and pays the
         # same source-switch penalty as torus traffic when merging streams.
-        buffer = self.buffer
-        params = self.connection.fabric.params
-        self._receive(
-            buffer.nbytes / params.io_node.compute_receive_rate if not buffer.eos else 0.0
+        yield from fabric.torus.receive(
+            buffer, self.dst_compute_index,
+            buffer.nbytes / params.io_node.compute_receive_rate if not buffer.eos else 0.0,
+            self.deliver,
         )
-
-    def _delivered(self) -> None:
-        self.connection.fabric.buffers_forwarded += 1
+        fabric.buffers_forwarded += 1
         # End-to-end delivery acknowledged: reopen one window slot; nothing
         # waits on it.
-        self.connection._window.put(None)
+        self._window.put(None)

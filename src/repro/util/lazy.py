@@ -1,6 +1,6 @@
 """Package re-exports that load on first access: importing one module of
-``repro`` or ``repro.core.experiments`` does not load every module the
-package ``__init__`` re-exports from."""
+``repro``, ``repro.core.experiments`` or ``repro.hardware`` does not load
+every module the package ``__init__`` re-exports from."""
 
 from __future__ import annotations
 

@@ -205,23 +205,15 @@ class TestInbox:
         from repro.analysis.sanitize import _live_waiters
         from repro.net.message import WireBuffer
 
-        from repro.sim.events import Chain
-
         inbox = Inbox(sim, slots=1)
 
-        class Forward(Chain):  # as the torus does: a chain parked on the deposit
-            __slots__ = ()
+        def forward():  # as the torus does: a detached generator parked on the deposit
+            deposited = inbox.put(WireBuffer.data("s", "n", 10, []))
+            if deposited.callbacks is not None:
+                yield deposited
 
-            def start(self, _event):
-                deposited = inbox.put(WireBuffer.data("s", "n", 10, []))
-                if deposited.callbacks is not None:
-                    deposited.callbacks.append(self.deposited)
-
-            def deposited(self, _event):
-                pass
-
-        sim.detach(Forward().start)
-        sim.detach(Forward().start)
+        sim.detach(forward())
+        sim.detach(forward())
         sim.run()
         tokens, items = inbox.kernel_stores()
         assert (tokens.pending_gets, _live_waiters(tokens), _live_waiters(items)) == (1, 1, 0)

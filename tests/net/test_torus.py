@@ -8,7 +8,7 @@ from repro.hardware.bluegene import BlueGene, BlueGeneConfig
 from repro.net.jitter import Jitter
 from repro.net.message import WireBuffer
 from repro.net.params import TorusParams
-from repro.net.torus import Journey, RouteTable, TorusNetwork
+from repro.net.torus import RouteTable, TorusNetwork
 from repro.sim import Simulator, Store
 from repro.util.errors import HardwareError, NetworkError
 
@@ -412,6 +412,7 @@ class TestStreamStateIsFreed:
     def test_a_journey_parked_on_a_full_inbox_is_a_live_waiter(self):
         from repro.analysis.sanitize import _live_waiters
         from repro.engine.inbox import Inbox
+        from repro.sim.events import Detached
         from repro.sim.introspect import waiters_of
 
         sim, torus = make_torus()
@@ -427,7 +428,8 @@ class TestStreamStateIsFreed:
         assert (inbox.depth, tokens.pending_gets) == (1, 1)
         (blocked,) = tokens._getters
         (journey,) = waiters_of(blocked)
-        assert isinstance(journey, Journey) and journey.buffer.stream_id == "s"
+        assert isinstance(journey, Detached)
+        assert journey._generator.gi_frame.f_locals["buffer"].stream_id == "s"
         # What the SAN203 census counts: the deposit is held by a live waiter.
         assert (_live_waiters(tokens), _live_waiters(items)) == (1, 0)
         assert torus.in_flight_census() == [("s", 1)]
@@ -439,10 +441,9 @@ class TestStreamStateIsFreed:
         armed = []
         detach = Simulator.detach
 
-        def spy(self, step, start=None):
-            chain = step.__self__
-            armed.append((torus.in_flight_census(), isinstance(chain, Journey), start.delay))
-            detach(self, step, start)
+        def spy(self, generator, start=None):
+            armed.append((torus.in_flight_census(), generator.__name__, start.delay))
+            detach(self, generator, start)
 
         monkeypatch.setattr(Simulator, "detach", spy)
         inbox = Store(sim)
@@ -450,5 +451,5 @@ class TestStreamStateIsFreed:
         sim.run()
         # Counted first; a journey started on the hop-latency timeout,
         # nothing at ``now``.
-        assert armed == [([("s", 1)], True, torus.params.hop_latency * 5)]
+        assert armed == [([("s", 1)], "_forward", torus.params.hop_latency * 5)]
         assert inbox.size == 1 and torus.in_flight_census() == []

@@ -203,12 +203,10 @@ class TestFaultHealthEvents:
 
         task = FaultTask(seed=0, streams=2, scenario="kill-node")
         queries = fault_queries(task)
-        config = task.env_config.with_seed(task.seed)
+        config = EnvironmentConfig().with_seed(task.seed)
         with registered(queries):
             healthy_env = Environment(config, template=shared_template(config))
-            healthy = run_faulted_session(
-                healthy_env, queries, FaultSchedule(), settings=task.settings
-            )
+            healthy = run_faulted_session(healthy_env, queries, FaultSchedule())
             fault_time = 0.5 * healthy.makespan
             schedule = FaultSchedule.single("kill-node", fault_time, seed=0)
             sampler = LiveSampler(window=fault_time / 10.0)
@@ -217,9 +215,7 @@ class TestFaultHealthEvents:
                 obs=Instrumentation(tracer=NULL_TRACER, live=sampler),
                 template=shared_template(config),
             )
-            result = run_faulted_session(
-                env, queries, schedule, settings=task.settings
-            )
+            result = run_faulted_session(env, queries, schedule)
             sampler.finalize(env.sim.now)
         return sampler, result, fault_time
 

@@ -1,8 +1,7 @@
-"""``Simulator.detach``: a callback chain started with no process around it.
+"""``Simulator.detach``: a generator driven with no process around it.
 
 The kernel-internal primitive behind a buffer in flight (torus/TCP
-forwarding): no ``Process``, no generator, no completion event; the
-chain's first step runs when its start event is dispatched.
+forwarding): no ``Process``, no completion event, started on an event.
 """
 
 import pytest
@@ -10,43 +9,26 @@ import pytest
 import repro
 import repro.sim
 from repro.obs import Instrumentation
-from repro.sim import Resource, Simulator, Timeout
-from repro.sim.events import Chain
+from repro.sim import Resource, Simulator, Store
+from repro.sim.events import Detached
 from repro.sim.introspect import waiters_of
 from repro.util.errors import SimulationError
-
-
-class Steps(Chain):
-    """A chain of ``(delay, action)`` steps: each action runs, then the
-    chain waits ``delay`` before the next; ``None`` ends it."""
-
-    __slots__ = ("sim", "plan")
-
-    def __init__(self, sim, *plan):
-        self.sim = sim
-        self.plan = list(plan)
-
-    def step(self, _event):
-        delay, action = self.plan.pop(0)
-        action()
-        if delay is not None:
-            Timeout(self.sim, delay).callbacks.append(self.step)
 
 
 def test_default_start_is_urgent_and_zero_delay():
     sim = Simulator()
     order = []
-    chain = Steps(
-        sim,
-        (1.0, lambda: order.append(("detached", sim.now))),
-        (None, lambda: order.append(("detached-done", sim.now))),
-    )
+
+    def body():
+        order.append(("detached", sim.now))
+        yield sim.timeout(1.0)
+        order.append(("detached-done", sim.now))
 
     def parent():
         yield sim.timeout(2.0)
         bystander = sim.timeout(0.0)
         bystander.callbacks.append(lambda _e: order.append(("normal", sim.now)))
-        sim.detach(chain.step)
+        sim.detach(body())
         order.append(("parent", sim.now))
         yield bystander
 
@@ -61,9 +43,14 @@ def test_started_on_an_event_it_pushes_nothing_now():
     resource = Resource(sim)
     seen = []
 
+    def body():
+        seen.append(sim.now)
+        return
+        yield
+
     def parent():
         yield sim.timeout(1.0)
-        sim.detach(Steps(sim, (None, lambda: seen.append(sim.now))).step, sim.timeout(0.5))
+        sim.detach(body(), sim.timeout(0.5))
         # The instant is still quiescent: the grant is delivered synchronously.
         assert resource.request().callbacks is None
 
@@ -76,9 +63,13 @@ def test_an_urgent_start_makes_the_instant_busy():
     sim = Simulator()
     resource = Resource(sim)
 
+    def body():
+        return
+        yield
+
     def parent():
         yield sim.timeout(1.0)
-        sim.detach(Steps(sim, (None, lambda: None)).step)
+        sim.detach(body())
         assert resource.request().callbacks is not None
 
     sim.process(parent())
@@ -88,8 +79,12 @@ def test_an_urgent_start_makes_the_instant_busy():
 def test_no_process_and_no_completion_event():
     plain, observed = Simulator(), Simulator(obs=Instrumentation())
 
+    def body(sim):
+        yield sim.timeout(1.0)
+        yield sim.timeout(1.0)
+
     for sim in (plain, observed):
-        sim.detach(Steps(sim, (1.0, lambda: None), (1.0, lambda: None), (None, lambda: None)).step)
+        sim.detach(body(sim))
         sim.run()
     assert plain.events_dispatched == 3  # the start and two timeouts; no end event
     counters = observed.obs.metrics.snapshot(observed.now).counters
@@ -97,36 +92,52 @@ def test_no_process_and_no_completion_event():
     assert counters["sim.timeouts_created"] == 2
 
 
-def test_a_failed_event_is_handed_to_the_step():
-    handled, unhandled = Simulator(), Simulator()
+def test_already_processed_events_are_consumed_in_a_loop():
+    sim = Simulator()
+    store = Store(sim)
+    got = []
+
+    def body():
+        done = sim.timeout(0.0)
+        yield sim.timeout(1.0)
+        assert done.processed
+        for _ in range(5000):  # far beyond the recursion limit, were it recursive
+            yield done
+        got.append((yield store.get()))
+
+    def feeder():
+        yield store.put("item")
+
+    sim.detach(body())
+    sim.process(feeder())
+    sim.run()
+    assert got == ["item"]
+
+
+def test_a_failed_event_is_thrown_into_the_generator():
+    sim = Simulator()
     caught = []
 
-    class Catcher(Chain):
-        __slots__ = ("defuse",)
+    def body():
+        try:
+            yield sim.event().fail(ValueError("boom"))
+        except ValueError as exc:
+            caught.append(str(exc))
 
-        def __init__(self, defuse):
-            self.defuse = defuse
-
-        def step(self, event):
-            caught.append(str(event.value))
-            event._defused = self.defuse
-
-    for sim, defuse in ((handled, True), (unhandled, False)):
-        sim.event().fail(ValueError("boom")).callbacks.append(Catcher(defuse).step)
-    handled.run()  # defused by the step: the run does not flag it
-    with pytest.raises(SimulationError, match="unhandled failure.*boom"):
-        unhandled.run()
-    assert caught == ["boom", "boom"]
+    sim.detach(body())
+    sim.run()  # delivered, hence defused: the run does not flag it
+    assert caught == ["boom"]
 
 
 @pytest.mark.parametrize("scheduler", ["calendar", "heap"])
 def test_an_escaping_exception_stops_the_run_loudly(scheduler):
     sim = Simulator(scheduler=scheduler)
 
-    def lose():
+    def body():
+        yield sim.timeout(1.0)
         raise KeyError("lost buffer")
 
-    sim.detach(Steps(sim, (1.0, lambda: None), (None, lose)).step)
+    sim.detach(body())
     later = sim.timeout(5.0)
     with pytest.raises(SimulationError, match="unhandled failure.*lost buffer") as info:
         sim.run()
@@ -141,29 +152,26 @@ def test_a_plain_callback_failure_is_not_rewrapped(scheduler):
     sim = Simulator(scheduler=scheduler)
 
     def lose(_event):
-        raise KeyError("not a chain")
+        raise KeyError("not detached")
 
     sim.timeout(1.0).callbacks.append(lose)
-    with pytest.raises(KeyError, match="not a chain"):
+    with pytest.raises(KeyError, match="not detached"):
         sim.run()
 
 
-def test_the_waiter_audit_sees_a_parked_chain():
+def test_the_waiter_audit_sees_a_parked_detached_generator():
     sim = Simulator()
     gate = sim.event()
 
-    class Parked(Chain):
-        __slots__ = ()
+    def body():
+        yield gate
 
-        def step(self, _event):
-            gate.callbacks.append(self.step)
-
-    sim.detach(Parked().step)
+    sim.detach(body())
     sim.run()
     (waiter,) = waiters_of(gate)
-    assert isinstance(waiter, Parked) and waiter.is_alive
+    assert isinstance(waiter, Detached) and waiter.is_alive
 
 
 def test_it_is_kernel_internal():
-    assert "Chain" not in repro.sim.__all__ and not hasattr(repro.sim, "Chain")
-    assert not hasattr(repro, "Chain") and not hasattr(repro, "detach")
+    assert "Detached" not in repro.sim.__all__ and not hasattr(repro.sim, "Detached")
+    assert not hasattr(repro, "Detached") and not hasattr(repro, "detach")

@@ -2,13 +2,20 @@
 
 A query over synthetic arrays needs neither numpy nor the optimizer, the
 benchmark harness, the workload generators or a process pool; each loads
-when code that uses it runs.  Every check starts a fresh interpreter, since
-the test process itself has imported everything.
+when code that uses it runs.  And whatever a run imports first imports:
+every module of ``repro`` can be the first one loaded.  Every check starts
+a fresh interpreter, since the test process itself has imported everything.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
+import repro
 
 P2P_QUERY = (
     "select extract(b) from sp a, sp b "
@@ -92,3 +99,20 @@ def test_cli_query_imports_only_its_own_driver():
     assert {m for m in modules if m.startswith("repro.bench.")} <= {
         "repro.bench.cli", "repro.bench.baseline"
     }
+
+
+_SRC = Path(repro.__file__).parent.parent
+MODULES = sorted(
+    ".".join(path.relative_to(_SRC).with_suffix("").parts).removesuffix(".__init__")
+    for path in (_SRC / "repro").rglob("*.py")
+)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_module_imports_first(module):
+    """No import cycle is hidden by the order modules usually load in."""
+    result = subprocess.run(
+        [sys.executable, "-c", f"import {module}"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(_SRC)},
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
