@@ -120,6 +120,30 @@ def _found(code: str, message: str, sp: Optional[SPDef] = None) -> "Diagnostic":
     return diagnostic(code, message, sp_id=sp.sp_id, span=sp.span)
 
 
+def _cycle_from(
+    sp_id: str,
+    subscriptions: Dict[str, List[str]],
+    done: Dict[str, bool],
+    trail: List[str],
+) -> Optional[List[str]]:
+    """The first subscription cycle reachable from ``sp_id``, closed by a
+    repeat of its first id, or ``None``.  A module function, not a closure:
+    a closure that calls itself is a reference cycle left to the collector."""
+    state = done.get(sp_id)
+    if state is not None:
+        return None if state else trail[trail.index(sp_id):] + [sp_id]
+    done[sp_id] = False
+    trail.append(sp_id)
+    for producer in subscriptions[sp_id]:
+        if subscriptions[producer]:
+            cycle = _cycle_from(producer, subscriptions, done, trail)
+            if cycle is not None:
+                return cycle
+    trail.pop()
+    done[sp_id] = True
+    return None
+
+
 def check_structure(
     graph: QueryGraph,
 ) -> Tuple[List["Diagnostic"], List["Diagnostic"]]:
@@ -175,23 +199,8 @@ def check_structure(
     # subscribes to nothing is on no cycle and is never visited.
     done: Dict[str, bool] = {}  # False while on the current trail
     trail: List[str] = []
-
-    def visit(sp_id: str) -> Optional[List[str]]:
-        state = done.get(sp_id)
-        if state is not None:
-            return None if state else trail[trail.index(sp_id):] + [sp_id]
-        done[sp_id] = False
-        trail.append(sp_id)
-        for producer in subscriptions[sp_id]:
-            cycle = visit(producer) if subscriptions[producer] else None
-            if cycle is not None:
-                return cycle
-        trail.pop()
-        done[sp_id] = True
-        return None
-
     for sp_id, producers in subscriptions.items():
-        cycle = visit(sp_id) if producers else None
+        cycle = _cycle_from(sp_id, subscriptions, done, trail) if producers else None
         if cycle is not None:
             return [_found(
                 "SCSQ003",

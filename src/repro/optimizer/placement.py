@@ -34,6 +34,23 @@ from repro.optimizer.predict import (
 from repro.util.errors import AllocationError
 
 
+def _append_producers_first(
+    sp_id: str, graph: QueryGraph, visited: Set[str], order: List[SPDef]
+) -> None:
+    """Append ``sp_id`` to ``order`` after every producer it subscribes to
+    (a module function: a closure that calls itself is a reference cycle)."""
+    if sp_id in visited:
+        return
+    visited.add(sp_id)
+    sp = graph.sps[sp_id]
+    if sp.plan is not None:
+        for leaf in sp.plan.input_leaves():
+            producer = leaf.producer
+            if producer in graph.sps:
+                _append_producers_first(producer, graph, visited, order)  # type: ignore[arg-type]
+    order.append(sp)
+
+
 class CostBasedPlacer:
     """Places unallocated stream processes by predicted bandwidth."""
 
@@ -190,20 +207,8 @@ class CostBasedPlacer:
         """Producers before consumers (subscription edges form a DAG)."""
         order: List[SPDef] = []
         visited: Set[str] = set()
-
-        def visit(sp_id: str) -> None:
-            if sp_id in visited:
-                return
-            visited.add(sp_id)
-            sp = graph.sps[sp_id]
-            if sp.plan is not None:
-                for leaf in sp.plan.input_leaves():
-                    if leaf.producer in graph.sps:
-                        visit(leaf.producer)  # type: ignore[arg-type]
-            order.append(sp)
-
         for sp_id in graph.sps:
-            visit(sp_id)
+            _append_producers_first(sp_id, graph, visited, order)
         return order
 
     # ------------------------------------------------------------------

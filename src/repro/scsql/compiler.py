@@ -57,6 +57,33 @@ _UNARY_STREAM_OPS = frozenset(
 )
 
 
+def _collect_stream_refs(node: Expr, refs: set) -> None:
+    """Add to ``refs`` the variables ``node`` names as extract()/merge()
+    targets (a module function: a closure that calls itself is a
+    reference cycle)."""
+    if isinstance(node, FuncCall):
+        if node.name in ("extract", "merge"):
+            for arg in node.args:
+                if isinstance(arg, Var):
+                    refs.add(arg.name)
+                elif isinstance(arg, SetExpr):
+                    for item in arg.items:
+                        if isinstance(item, Var):
+                            refs.add(item.name)
+                else:
+                    _collect_stream_refs(arg, refs)
+        else:
+            for arg in node.args:
+                _collect_stream_refs(arg, refs)
+    elif isinstance(node, SetExpr):
+        for item in node.items:
+            _collect_stream_refs(item, refs)
+    elif isinstance(node, SelectQuery):
+        for cond in node.conditions:
+            _collect_stream_refs(cond.expr, refs)
+        _collect_stream_refs(node.select, refs)
+
+
 class FunctionDef:
     """A user-defined query function (``create function ... as select ...``)."""
 
@@ -198,42 +225,13 @@ class QueryCompiler:
             # are still real dependencies; only extract/merge targets defer.
             eager = expr.args[0].free_vars()
             if eager:
-                eager -= self._stream_refs(expr.args[0])
+                refs: set = set()
+                _collect_stream_refs(expr.args[0], refs)
+                eager -= refs
             for arg in expr.args[1:]:
                 eager |= arg.free_vars()
             return eager
         return expr.free_vars()
-
-    @staticmethod
-    def _stream_refs(expr: Expr) -> set:
-        """Variables referenced only as extract()/merge() targets in ``expr``."""
-        refs: set = set()
-
-        def visit(node: Expr) -> None:
-            if isinstance(node, FuncCall):
-                if node.name in ("extract", "merge"):
-                    for arg in node.args:
-                        if isinstance(arg, Var):
-                            refs.add(arg.name)
-                        elif isinstance(arg, SetExpr):
-                            for item in arg.items:
-                                if isinstance(item, Var):
-                                    refs.add(item.name)
-                        else:
-                            visit(arg)
-                else:
-                    for arg in node.args:
-                        visit(arg)
-            elif isinstance(node, SetExpr):
-                for item in node.items:
-                    visit(item)
-            elif isinstance(node, SelectQuery):
-                for cond in node.conditions:
-                    visit(cond.expr)
-                visit(node.select)
-
-        visit(expr)
-        return refs
 
     # ------------------------------------------------------------------
     # Setup-level evaluation

@@ -40,6 +40,9 @@ class Request(Event):
         with resource.request() as req:
             yield req
             yield sim.timeout(cost)
+
+    A grant's value is ``None``, not the request: a request that held
+    itself would be a reference cycle, freed only by the cyclic collector.
     """
 
     __slots__ = ("resource",)
@@ -125,9 +128,9 @@ class Resource:
                 req = self._token or self._granted()
             else:
                 req = Request(self)
-                # Inlined req.succeed(req): grant at the current time.
+                # Inlined req.succeed(): grant at the current time.
                 req._ok = True
-                req._value = req
+                req._value = None
                 sim._push(sim._now, _NORMAL, req)
             users.append(req)
             if sim.obs.enabled:
@@ -146,7 +149,7 @@ class Resource:
         req = Request(self)
         req.callbacks = None
         req._ok = True
-        req._value = req
+        req._value = None
         if self.capacity == 1:
             self._token = req
         return req
@@ -169,9 +172,9 @@ class Resource:
         while self._waiting and len(self._users) < self.capacity:
             nxt = self._waiting.pop(0)
             self._users.append(nxt)
-            # Inlined nxt.succeed(nxt): hand the slot to the longest waiter.
+            # Inlined nxt.succeed(): hand the slot to the longest waiter.
             nxt._ok = True
-            nxt._value = nxt
+            nxt._value = None
             sim._push(sim._now, _NORMAL, nxt)
             if sim.obs.enabled:
                 sim.obs.on_resource_acquire(self, nxt)

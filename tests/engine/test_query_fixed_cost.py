@@ -12,6 +12,8 @@ per query stay what they were, and a kernel store costs what it holds
 import collections
 import gc
 
+import pytest
+
 from repro.core.experiments.scale import scale_config, scale_stream_query
 from repro.core.multiquery import MultiQuerySession
 from repro.engine.context import ExecutionContext
@@ -28,7 +30,7 @@ SESSION_QUERIES = 128
 SETTINGS = ExecutionSettings(mpi_buffer_bytes=10_000, double_buffering=True)
 
 
-def run_session(observe="none", after_run=None):
+def run_session(observe="none", after_run=None, queries=SESSION_QUERIES):
     """The mqs_scale smoke: 128 one-buffer queries on an 8x8x8 torus;
     ``after_run(env)`` looks at the session between ``run`` and teardown."""
     env = shared_template(scale_config((8, 8, 8))).fork(
@@ -36,20 +38,21 @@ def run_session(observe="none", after_run=None):
     )
     plan = compile_plan(scale_stream_query(10_000, 1), settings=SETTINGS)
     session = MultiQuerySession(env, settings=SETTINGS)
-    for index in range(SESSION_QUERIES):
+    for index in range(queries):
         session.submit(plan, payload_bytes=10_000, label=f"s{index}")
-    assert env.sim.peek() == float("inf")  # 128 queries built, nothing scheduled
+    assert env.sim.peek() == float("inf")  # the queries built, nothing scheduled
     result = session.run()
     if after_run is not None:
         after_run(env)
     session.teardown()
     assert all(outcome.report.result == [1] for outcome in result.outcomes)
-    return env, result
+    return session, result
 
 
 class TestSessionPin:
     def test_events_per_query_of_the_smoke_session(self):
-        env, _ = run_session()
+        session, _ = run_session()
+        env = session.env
         # 96.23 with token pools primed by put(None); 86.23 born stocked.
         assert env.sim.events_dispatched / SESSION_QUERIES <= 87
 
@@ -83,6 +86,23 @@ class TestSessionPin:
         assert seen["deques"] == []
         assert seen["types"][Store] == 10 * SESSION_QUERIES
         assert seen["types"][TokenPool] == 4 * SESSION_QUERIES
+
+
+class TestNoCyclicGarbage:
+    @pytest.mark.parametrize("queries", [16, 128])
+    def test_a_session_leaves_none(self, queries):
+        """Submit, run and teardown of a live session leave the collector
+        nothing to free, at any session size.  A granted request whose value
+        was itself (8 per query) and the structure check's recursive closure
+        (10 objects per query) once left 18 objects per query."""
+        gc.collect()
+        gc.disable()
+        try:
+            session, _ = run_session(queries=queries)  # the session stays live
+            freed = gc.collect()
+        finally:
+            gc.enable()
+        assert freed == 0
 
 
 class TestPoolsAreBornStocked:
