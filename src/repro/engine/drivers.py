@@ -103,7 +103,7 @@ class SenderDriver:
         eos = marshaller.end_of_stream()
         obs = self.ctx.sim.obs
         if obs.flows.enabled:
-            obs.flows.begin(eos, self.ctx.sim.now)
+            obs.flows.begin(eos, self.ctx.sim._now)
         yield self._tokens.get()  # own a buffer for the EOS marker too
         yield self._outbox.put(eos)
         yield transmitter  # join: all buffers transmitted
@@ -139,21 +139,21 @@ class SenderDriver:
         flows = obs.flows
         if flows.enabled:
             # Flow birth: the buffer exists, latency accrues from here.
-            flows.begin(buffer, sim.now)
+            flows.begin(buffer, sim._now)
         token = self._tokens.get()
         # Here and below: an event that comes back processed completed
         # synchronously (sim.resources); there is nothing to wait for.
         if token.callbacks is not None:
             yield token
-        marshal_start = sim.now if flows.enabled else 0.0
+        marshal_start = sim._now if flows.enabled else 0.0
         yield from self.ctx.charge_cpu(self.ctx.marshal_cost(buffer.nbytes))
         if flows.enabled:
             # Send-token wait lands in queue_wait; the marshal interval
             # (CPU contention included) is the serialize component.
             flows.hop(
-                buffer, "sender.marshal", sim.now,
+                buffer, "sender.marshal", sim._now,
                 resource=self.ctx.cpu.name,
-                serialize=sim.now - marshal_start,
+                serialize=sim._now - marshal_start,
             )
         queued = self._outbox.put(buffer)
         if queued.callbacks is not None:
@@ -164,8 +164,8 @@ class SenderDriver:
             counters = self._counters
             if counters is None:
                 counters = self._counters = _stream_counters(obs, "sent", self.stream_id)
-            counters[0].add(buffer.nbytes)
-            counters[1].add()
+            counters[0].value += buffer.nbytes
+            counters[1].value += 1.0
 
     def _transmit(self):
         """Send marshaled buffers in order, returning tokens on completion."""
@@ -175,7 +175,7 @@ class SenderDriver:
             buffer = got._value if got.callbacks is None else (yield got)
             if flows.enabled:
                 # Dwell in the outbox queue behind earlier buffers.
-                flows.hop(buffer, "sender.outbox", self.ctx.sim.now)
+                flows.hop(buffer, "sender.outbox", self.ctx.sim._now)
             yield from self.channel.send(buffer)
             freed = self._tokens.put(None)
             if freed.callbacks is not None:
@@ -206,7 +206,7 @@ class ReceiverDriver:
             buffer = got._value if got.callbacks is None else (yield got)
             if buffer.eos:
                 if flows.enabled:
-                    flows.complete(buffer, sim.now)
+                    flows.complete(buffer, sim._now)
                     # The stream is over: a data buffer the EOS overtook in
                     # the network can never be consumed, so its record is
                     # dropped rather than leaked in the in-flight table.
@@ -215,16 +215,16 @@ class ReceiverDriver:
                 break
             if flows.enabled:
                 # Dwell in the inbox between deposit and pick-up.
-                flows.hop(buffer, "receiver.inbox", sim.now)
-                demarshal_start = sim.now
+                flows.hop(buffer, "receiver.inbox", sim._now)
+                demarshal_start = sim._now
             yield from self.ctx.charge_cpu(self.ctx.demarshal_cost(buffer.nbytes))
             if flows.enabled:
                 flows.hop(
-                    buffer, "receiver.demarshal", sim.now,
+                    buffer, "receiver.demarshal", sim._now,
                     resource=self.ctx.cpu.name,
-                    processing=sim.now - demarshal_start,
+                    processing=sim._now - demarshal_start,
                 )
-                flows.complete(buffer, sim.now)
+                flows.complete(buffer, sim._now)
             objects = demarshaller.accept(buffer)
             freed = self.inbox.release()
             if freed.callbacks is not None:
@@ -238,8 +238,8 @@ class ReceiverDriver:
                     counters = self._counters = _stream_counters(
                         obs, "received", self.stream_id
                     )
-                counters[0].add(buffer.nbytes)
-                counters[1].add()
+                counters[0].value += buffer.nbytes
+                counters[1].value += 1.0
             for obj in objects:
                 queued = self.output.put(obj)
                 if queued.callbacks is not None:

@@ -157,9 +157,9 @@ class LatencyChannel(Channel):
                     f"wire[{self.source.node_id}->{self.destination.node_id}]"
                 )
             flows.hop(
-                buffer, "latency.wire", self.sim.now,
+                buffer, "latency.wire", self.sim._now,
                 resource=self._wire_name, wire=cost,
             )
         yield self.deliver.put(buffer)
         if flows.enabled:
-            flows.hop(buffer, "latency.deliver", self.sim.now)
+            flows.hop(buffer, "latency.deliver", self.sim._now)

@@ -221,7 +221,7 @@ class TcpStreamConnection(Channel):
         self.stream_id = stream_id
         self.io_index = fabric.bluegene.pset_of(destination.index)
         self._open = False
-        self._stream_bytes = None  # obs counter, bound by the first observed buffer
+        self._counters = None  # obs counters, bound by the first observed buffer
         self._window = TokenPool(
             fabric.sim,
             capacity=fabric.params.tcp.window_segments,
@@ -291,7 +291,7 @@ class TcpStreamConnection(Channel):
         if slot.callbacks is not None:
             yield slot
         if flows.enabled:
-            flows.hop(buffer, "tcp.window", fabric.sim.now)
+            flows.hop(buffer, "tcp.window", fabric.sim._now)
         # Sending host: socket/kernel cost plus NIC serialization.
         nic = fabric.nic(self.source)
         nic_req = nic.request()
@@ -307,18 +307,18 @@ class TcpStreamConnection(Channel):
         finally:
             nic.release(nic_req)
         if flows.enabled:
-            flows.hop(buffer, "eth.nic", fabric.sim.now, resource=nic.name, wire=cost)
+            flows.hop(buffer, "eth.nic", fabric.sim._now, resource=nic.name, wire=cost)
         fabric.bytes_ingress += buffer.nbytes
         obs = fabric.sim.obs
         if obs.enabled:
-            obs.add("ethernet.ingress_bytes", buffer.nbytes)
-            obs.add("ethernet.wire_bytes", wire_bytes)
-            stream_bytes = self._stream_bytes
-            if stream_bytes is None:
-                stream_bytes = self._stream_bytes = obs.metrics.counter(
-                    f"stream.tcp_bytes[{self.stream_id}]"
-                )
-            stream_bytes.add(buffer.nbytes)
+            counters = self._counters
+            if counters is None:
+                counters = self._counters = [obs.metrics.counter(name) for name in (
+                    "ethernet.ingress_bytes", "ethernet.wire_bytes",
+                    f"stream.tcp_bytes[{self.stream_id}]")]
+            counters[0].value += buffer.nbytes
+            counters[1].value += wire_bytes
+            counters[2].value += buffer.nbytes
         # Started on an urgent event, not inline: it opens with a request
         # and a draw from the shared jitter, whose order is physics.
         fabric.sim.detach(self._forward(buffer, wire_bytes))
@@ -343,7 +343,7 @@ class TcpStreamConnection(Channel):
         yield Timeout(sim, cost)
         uplink.release(req)
         if flows.enabled:
-            flows.hop(buffer, "eth.uplink", sim.now, resource=uplink.name, wire=cost)
+            flows.hop(buffer, "eth.uplink", sim._now, resource=uplink.name, wire=cost)
         # I/O-node TCP proxy: service rate shrinks with connection sharing
         # and with the distinct hosts connected to this I/O node.
         proxy = fabric.io_proxy(self.io_index)
@@ -355,7 +355,7 @@ class TcpStreamConnection(Channel):
         yield Timeout(sim, cost)
         proxy.release(req)
         if flows.enabled:
-            flows.hop(buffer, "eth.ioproxy", sim.now, resource=proxy.name, processing=cost)
+            flows.hop(buffer, "eth.ioproxy", sim._now, resource=proxy.name, processing=cost)
         # Tree network from the I/O node into its pset.
         tree = fabric.tree_link(self.io_index)
         req = tree.request()
@@ -365,7 +365,7 @@ class TcpStreamConnection(Channel):
         yield Timeout(sim, cost)
         tree.release(req)
         if flows.enabled:
-            flows.hop(buffer, "eth.tree", sim.now, resource=tree.name, wire=cost)
+            flows.hop(buffer, "eth.tree", sim._now, resource=tree.name, wire=cost)
         # Receive processing on the destination compute node's co-processor:
         # the CNK socket path is slow (compute_receive_rate) and pays the
         # same source-switch penalty as torus traffic when merging streams.

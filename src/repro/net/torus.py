@@ -164,6 +164,7 @@ class TorusNetwork:
         # the first observed buffer of the stream (source switch at the node).
         self._stream_bytes: Dict[str, Any] = {}
         self._node_switches: Dict[int, Any] = {}
+        self._counters: Any = None  # payload, wire, buffers: bound by the first send
         # Statistics for experiment reports.
         self.bytes_on_wire = 0
         self.buffers_delivered = 0
@@ -318,7 +319,7 @@ class TorusNetwork:
         if slot.callbacks is not None:
             yield slot
         if flows.enabled:
-            flows.hop(buffer, "torus.window", sim.now)
+            flows.hop(buffer, "torus.window", sim._now)
         wire = self.params.handling_time(buffer.nbytes) if not buffer.eos else 0.0
         # Injection: sending co-processor streams the packets onto the first
         # link; both are occupied for the buffer's handling time.
@@ -344,7 +345,7 @@ class TorusNetwork:
         if flows.enabled:
             # Wait for the source co-processor + first link is queue_wait;
             # the injection itself is wire time.
-            flows.hop(buffer, "torus.inject", sim.now, resource=coproc.name, wire=cost)
+            flows.hop(buffer, "torus.inject", sim._now, resource=coproc.name, wire=cost)
         self.bytes_on_wire += buffer.nbytes
         obs = sim.obs
         if obs.enabled:
@@ -354,15 +355,19 @@ class TorusNetwork:
                 0 if buffer.eos
                 else self.params.packet_count(buffer.nbytes) * self.params.packet_bytes
             )
-            obs.add("torus.payload_bytes", buffer.nbytes)
-            obs.add("torus.wire_bytes", padded)
-            obs.add("torus.buffers_sent")
+            counters = self._counters
+            if counters is None:
+                counters = self._counters = [obs.metrics.counter(f"torus.{name}") for name in (
+                    "payload_bytes", "wire_bytes", "buffers_sent")]
+            counters[0].value += buffer.nbytes
+            counters[1].value += padded
+            counters[2].value += 1.0
             stream_bytes = self._stream_bytes.get(buffer.stream_id)
             if stream_bytes is None:
                 stream_bytes = self._stream_bytes[buffer.stream_id] = obs.metrics.counter(
                     f"stream.torus_bytes[{buffer.stream_id}]"
                 )
-            stream_bytes.add(buffer.nbytes)
+            stream_bytes.value += buffer.nbytes
         # The remaining hops proceed asynchronously (cut-through across
         # buffers: the sender may inject buffer k+1 while k is forwarded),
         # from the end of the hop latency on: nothing is pushed at ``now``.
@@ -378,7 +383,7 @@ class TorusNetwork:
         sim = self.sim
         flows = sim.obs.flows
         if flows.enabled:
-            flows.hop(buffer, "torus.hops", sim.now, wire=latency)
+            flows.hop(buffer, "torus.hops", sim._now, wire=latency)
         for position in range(1, len(path) - 1):
             node = path[position]
             coproc = self.coprocessor(node)
@@ -400,7 +405,7 @@ class TorusNetwork:
                 # One hop per intermediate node: the wait for its (possibly
                 # busy) co-processor is exactly the Figure 7A/8 contention.
                 flows.hop(
-                    buffer, self._forward_stages[node], sim.now,
+                    buffer, self._forward_stages[node], sim._now,
                     resource=coproc.name, wire=cost,
                 )
         # receive_time(nbytes) is handling_time(nbytes) * receive_fraction.
@@ -454,7 +459,7 @@ class TorusNetwork:
         flows = sim.obs.flows
         if flows.enabled:
             flows.hop(
-                buffer, "torus.receive", sim.now, resource=coproc.name, processing=cost,
+                buffer, "torus.receive", sim._now, resource=coproc.name, processing=cost,
             )
         # Depositing into a full receive buffer blocks the co-processor:
         # this is the back-pressure that stalls upstream senders.
@@ -462,6 +467,6 @@ class TorusNetwork:
         if deposited.callbacks is not None:
             yield deposited
         if flows.enabled:
-            flows.hop(buffer, "torus.deliver", sim.now)
+            flows.hop(buffer, "torus.deliver", sim._now)
         coproc.release(req)
         self.buffers_delivered += 1

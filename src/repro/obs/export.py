@@ -289,8 +289,8 @@ def utilization_summary(obs: Instrumentation) -> str:
             lines.append(f"  {name:<40} {gauge.value:g} / {gauge.peak:g}")
 
     counters = [
-        (name, counter.value)
-        for name, counter in sorted(obs.metrics.counters.items())
+        (name, value)
+        for name, value in sorted(obs.metrics.counter_values().items())
         if not name.startswith(("resource.acquires[", "resource.waits[",
                                 "resource.withdrawals["))
     ]

@@ -1,11 +1,13 @@
 """The instrumentation hub: translates kernel hooks into traces + metrics.
 
 One :class:`Instrumentation` is attached to one
-:class:`~repro.sim.core.Simulator` (``sim.obs``).  The kernel, the resource
-primitives, and the network/engine models call its ``on_*`` hooks — always
-behind an ``if sim.obs.enabled:`` guard, so a simulator carrying
-:data:`NULL_OBS` (the default) pays one attribute check per hook site and
-nothing else.
+:class:`~repro.sim.core.Simulator` (``sim.obs``).  The kernel counts its
+events and timeouts itself, and the registry reports those counts; per
+event it calls only an attached live sampler.  Process starts and ends,
+resource and store changes and the network/engine models call the hub's
+hooks — always behind an ``if sim.obs.enabled:`` guard, so a simulator
+carrying :data:`NULL_OBS` (the default) pays one attribute check per hook
+site and nothing else.
 
 The hub fans each observation out to
 
@@ -36,7 +38,7 @@ from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Simulator
-    from repro.sim.events import Event, Process, Timeout
+    from repro.sim.events import Process
     from repro.sim.resources import Request, Resource, Store
 
 
@@ -117,17 +119,16 @@ class Instrumentation(NullInstrumentation):
         self.flows: NullFlowRecorder = FlowRecorder() if flows is None else flows
         self.live: NullLiveSampler = NULL_LIVE if live is None else live
         self.sim: Optional["Simulator"] = None
-        # Kernel counters, bound on first use (keeps the first-use key order).
-        self._events: Optional[Counter] = None
-        self._timeouts: Optional[Counter] = None
+        # Process counters, bound on first use (keeps the first-use key order).
         self._started: Optional[Counter] = None
         self._finished: Optional[Counter] = None
         if self.live.enabled:
             self.live.bind(self)
 
     def bind(self, sim: "Simulator") -> None:
-        """Attach to the simulator whose hooks will feed this hub."""
+        """Attach to the simulator whose hooks and counts feed this hub."""
         self.sim = sim
+        self.metrics.kernel = sim
 
     # ------------------------------------------------------------------
     # Kernel hooks (sim.core / sim.events)
@@ -137,16 +138,6 @@ class Instrumentation(NullInstrumentation):
         counter = self.metrics.counter(name)
         setattr(holder, attr, counter)
         return counter
-
-    def on_step(self, event: "Event", now: float) -> None:
-        # Close live windows before the event executes or is counted, so
-        # a window holds exactly the activity before its end boundary.
-        if self.live.enabled:
-            self.live.on_step(now)
-        (self._events or self._bind(self, "_events", "sim.events_processed")).value += 1.0
-
-    def on_timeout(self, timeout: "Timeout") -> None:
-        (self._timeouts or self._bind(self, "_timeouts", "sim.timeouts_created")).value += 1.0
 
     def on_process_created(self, process: "Process") -> None:
         (self._started or self._bind(self, "_started", "sim.processes_started")).value += 1.0
@@ -190,19 +181,34 @@ class Instrumentation(NullInstrumentation):
         (bound.waits or self._bind(bound, "waits", f"resource.waits[{bound.key}]")).value += 1.0
         bound.queue.update(now, len(resource._waiting))
 
+    # The acquire, release (which only lowers the level) and store-level hooks inline
+    # ``TimeWeightedStat.update``: one frame per change (test_bound_instruments checks).
     def on_resource_acquire(self, resource: "Resource", request: "Request") -> None:
         now = resource.sim._now
         bound = resource._bound or self._bind_resource(resource, now)
         bound.acquires.value += 1.0
-        bound.busy.update(now, len(resource._users))
-        bound.queue.update(now, len(resource._waiting))
+        series = bound.busy
+        dt = now - series._last_ts
+        if dt > 0.0:
+            series.integral += series.current * dt
+            series.dwell[series.current] += dt
+        series._last_ts, series.current = now, len(resource._users)
+        if series.current > series.maximum:
+            series.maximum = series.current
+        if resource._waiting or bound.queue.current:  # else 0 stays 0: a no-op
+            bound.queue.update(now, len(resource._waiting))
         if self.tracer.enabled:
             self.tracer.span_begin(now, bound.track, "hold", ident=id(request))
 
     def on_resource_release(self, resource: "Resource", request: "Request") -> None:
         now = resource.sim._now
         bound = resource._bound or self._bind_resource(resource, now)
-        bound.busy.update(now, len(resource._users))
+        series = bound.busy
+        dt = now - series._last_ts
+        if dt > 0.0:
+            series.integral += series.current * dt
+            series.dwell[series.current] += dt
+        series._last_ts, series.current = now, len(resource._users)
         if self.tracer.enabled:
             self.tracer.span_end(now, bound.track, "hold", ident=id(request))
 
@@ -224,7 +230,15 @@ class Instrumentation(NullInstrumentation):
         if bound is None:
             key = store.name or f"store@{id(store):#x}"
             bound = store._bound = _StoreInstruments(key, self.metrics, now)
-        bound.level.update(now, size)
+        series = bound.level
+        if size or series.current:  # else 0 stays 0: a no-op
+            dt = now - series._last_ts
+            if dt > 0.0:
+                series.integral += series.current * dt
+                series.dwell[series.current] += dt
+            series._last_ts, series.current = now, size
+            if size > series.maximum:
+                series.maximum = size
         if self.tracer.enabled:
             self.tracer.counter(now, bound.track, "size", size)
 
@@ -238,11 +252,6 @@ class Instrumentation(NullInstrumentation):
     def record_level(self, name: str, value: float) -> None:
         """Set gauge ``name`` to ``value`` (its peak is retained)."""
         self.metrics.set_gauge(name, value)
-
-    def instant(self, track: str, name: str, args: Any = None) -> None:
-        """Emit a point trace record at the current simulated time."""
-        if self.tracer.enabled and self.sim is not None:
-            self.tracer.instant(self.sim.now, track, name, args)
 
     # ------------------------------------------------------------------
     # Reading back

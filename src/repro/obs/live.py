@@ -23,14 +23,14 @@ Zero cost, even when enabled
 The sampler is deliberately **not** a simulated process.  A periodic
 timeout process would keep the event queue non-empty (changing ``run()``
 termination) and add one event per window even to an otherwise idle sim.
-Instead the sampler piggybacks on the instrumentation hub's per-event
-``on_step`` hook: when the next event's timestamp reaches a window
-boundary, every whole window up to it is closed *before* that event
-executes.  Window contents are computed from the metric registry's
-time-weighted integrals evaluated exactly at the boundary
-(:meth:`~repro.obs.metrics.TimeWeightedStat.integral_at`), so boundaries
-need no events of their own and the sampler adds **zero events** to the
-simulation — the overhead benchmark pins this.
+Instead the kernel calls the attached sampler's ``on_step`` before each
+event (it calls no per-event hook otherwise): when the next event's
+timestamp reaches a window boundary, every whole window up to it is
+closed *before* that event executes.  Window contents are computed from
+the metric registry's time-weighted integrals evaluated exactly at the
+boundary (:meth:`~repro.obs.metrics.TimeWeightedStat.integral_at`), so
+boundaries need no events of their own and the sampler adds **zero
+events** to the simulation — the overhead benchmark pins this.
 
 Windows are half-open ``[start, end)``: an event scheduled exactly at a
 boundary belongs to the following window, because its ``on_step`` closes
@@ -195,7 +195,7 @@ class LiveSampler(NullLiveSampler):
 
     __slots__ = (
         "window", "detector", "_windows", "_on_window", "_obs", "_boundary",
-        "_index", "_acc", "_prev_busy", "_prev_level", "_prev_events",
+        "_index", "_acc", "_prev_busy", "_prev_level", "_events",
         "_capacity", "_finalized",
     )
 
@@ -216,7 +216,7 @@ class LiveSampler(NullLiveSampler):
         self._acc = _WindowAccumulator()
         self._prev_busy: Dict[str, float] = {}
         self._prev_level: Dict[str, float] = {}
-        self._prev_events = 0.0
+        self._events = 0  # dispatched in the open window
         self._capacity: Dict[str, float] = {}
         self._finalized = False
 
@@ -264,15 +264,20 @@ class LiveSampler(NullLiveSampler):
         return self._obs.flows.latencies() if self._obs is not None else []
 
     # ------------------------------------------------------------------
-    # Hooks (hub-driven, behind `live.enabled`)
+    # Hooks (kernel- and hub-driven, behind `live.enabled`)
     # ------------------------------------------------------------------
     def on_step(self, now: float) -> None:
-        """Close every whole window whose boundary the clock has reached.
+        """Count one event in the open window, first closing every whole
+        window whose boundary the clock has reached.
 
-        Called by ``Instrumentation.on_step`` *before* the current event
-        is counted or executed, so a window's contents are exactly the
-        activity strictly before its end boundary.
+        The kernel calls it *before* the event executes, so a window's
+        contents are exactly the activity strictly before its end boundary.
         """
+        if now >= self._boundary:
+            self._close_through(now)
+        self._events += 1
+
+    def _close_through(self, now: float) -> None:
         while not self._finalized and now >= self._boundary:
             self._close(self._boundary, self.window)
             self._boundary += self.window
@@ -316,10 +321,8 @@ class LiveSampler(NullLiveSampler):
         metrics = obs.metrics
         start = end - span
 
-        counter = metrics.counters.get("sim.events_processed")
-        events_total = counter.value if counter is not None else 0.0
-        events = int(events_total - self._prev_events)
-        self._prev_events = events_total
+        events = self._events
+        self._events = 0
 
         utilization: Dict[str, float] = {}
         queues: Dict[str, float] = {}
@@ -383,7 +386,7 @@ class LiveSampler(NullLiveSampler):
         if self._finalized:
             return
         end = self._obs.now if now is None and self._obs is not None else (now or 0.0)
-        self.on_step(end)  # close any whole windows first
+        self._close_through(end)  # close any whole windows first
         start = self._boundary - self.window
         span = end - start
         if span > 0.0:

@@ -17,8 +17,12 @@ directly — the bound-instrument contract in ``docs/observability.md``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, DefaultDict, Dict, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.core import Simulator
 
 
 class Counter:
@@ -65,18 +69,20 @@ class TimeWeightedStat:
         self.maximum = value
         self._last_ts = start_ts
         self._start_ts = start_ts
-        self.dwell: Dict[float, float] = {}
+        self.dwell: DefaultDict[float, float] = defaultdict(float)
 
     def update(self, now: float, value: float) -> None:
-        """Record that the level changed to ``value`` at time ``now``."""
+        """Record that the level changed to ``value`` at time ``now``.
+
+        Holding 0 at 0 is a no-op: it would move only ``dwell[0]``, unread.
+        """
+        current = self.current
+        if not (value or current):
+            return
         dt = now - self._last_ts
         if dt > 0.0:
-            current = self.current
             self.integral += current * dt
-            try:
-                self.dwell[current] += dt
-            except KeyError:
-                self.dwell[current] = dt
+            self.dwell[current] += dt
         self._last_ts = now
         self.current = value
         if value > self.maximum:
@@ -144,6 +150,7 @@ class MetricsRegistry:
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
         self.series: Dict[str, TimeWeightedStat] = {}
+        self.kernel: Optional["Simulator"] = None  # whose own counts to report (hub's bind)
 
     # ------------------------------------------------------------------
     # Instrument accessors (create on first use)
@@ -185,13 +192,25 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
+    def counter_values(self) -> Dict[str, float]:
+        """Every counter's value by name, the kernel's own (once nonzero) first."""
+        kernel = self.kernel
+        values: Dict[str, float] = {} if kernel is None else {
+            name: float(count)
+            for name, count in (("sim.events_processed", kernel.events_dispatched),
+                                ("sim.timeouts_created", kernel.timeouts_created))
+            if count
+        }
+        values.update((name, c.value) for name, c in self.counters.items())
+        return values
+
     def snapshot(self, now: float) -> MetricsSnapshot:
         """Freeze the registry into plain data, closing open intervals."""
         for series in self.series.values():
             series.finalize(now)
         return MetricsSnapshot(
             now=now,
-            counters={name: c.value for name, c in self.counters.items()},
+            counters=self.counter_values(),
             gauges={name: g.value for name, g in self.gauges.items()},
             peaks={name: g.peak for name, g in self.gauges.items()},
             time_weighted={

@@ -73,6 +73,7 @@ class Simulator:
         "_done",
         "obs",
         "events_dispatched",
+        "timeouts_created",
     )
 
     def __init__(
@@ -104,6 +105,8 @@ class Simulator:
         #: drain loops themselves (no obs hook needed), so throughput
         #: figures can report events/sec on uninstrumented runs.
         self.events_dispatched: int = 0
+        #: Timeouts created while observed (``Timeout.__init__``, hub-guarded).
+        self.timeouts_created: int = 0
         # Observability hub; NULL_OBS.enabled is False, so every hook site
         # reduces to one attribute check when no instrumentation was asked
         # for (the null hub is shared by all uninstrumented simulators).
@@ -178,8 +181,8 @@ class Simulator:
             raise SimulationError("event scheduled in the past (scheduler bug)")
         self._now = when
         self.events_dispatched += 1
-        if self.obs.enabled:
-            self.obs.on_step(event, when)
+        if self.obs.live.enabled:
+            self.obs.live.on_step(when)
         callbacks = event.callbacks
         event.callbacks = None
         if len(callbacks) == 1:
@@ -251,7 +254,8 @@ class Simulator:
         scheduler = self._scheduler
         # The hub is fixed for the simulator's life, so the enabled check
         # (and the bound hook) is resolved once per run, not once per event.
-        on_step = self.obs.on_step if self.obs.enabled else None
+        # Only a live sampler is told of each event: it is its window clock.
+        on_step = self.obs.live.on_step if self.obs.live.enabled else None
         times = scheduler._times
         buckets = scheduler._buckets
         dispatched = 0
@@ -289,7 +293,7 @@ class Simulator:
                         else:
                             break
                         if on_step is not None:
-                            on_step(event, when)
+                            on_step(when)
                         callbacks = event.callbacks
                         event.callbacks = None
                         if len(callbacks) == 1:

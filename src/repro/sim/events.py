@@ -140,7 +140,7 @@ class Timeout(Event):
         self._value = value
         sim._push(sim._now + delay, _NORMAL, self)
         if sim.obs.enabled:
-            sim.obs.on_timeout(self)
+            sim.timeouts_created += 1
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay!r}>"

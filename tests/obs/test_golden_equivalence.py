@@ -47,6 +47,13 @@ refuses to while a physics digest differs) and states the reason here:
   fig8 4 084 → 4 068, fig15 1 598 → 1 554); the JSONL and flow
   bookkeeping and every physics digest are the parent's, and the script
   re-recorded without ``--physics-changed``.
+* PR 36: the hub reads ``sim.events_processed`` and
+  ``sim.timeouts_created`` from the kernel's own counts instead of
+  counting them per event, and the registry reports them ahead of its
+  first-use counters.  Only the snapshot artifact moved: those two lines
+  now lead its counters.  Their values, every other line, the text,
+  Prometheus, JSONL and flow artifacts and every physics digest are the
+  parent's; the script re-recorded without ``--physics-changed``.
 
 ``test_only_the_event_count_tells_the_kernels_apart`` keeps checking the
 eager kernel against the same code under a scheduler that queues every
