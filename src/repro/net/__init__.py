@@ -12,7 +12,7 @@ All tunable cost constants live in :mod:`repro.net.params`.
 from repro.net.channels import Channel, LatencyChannel, MpiChannel
 from repro.net.ethernet import EthernetFabric, TcpStreamConnection
 from repro.net.jitter import Jitter
-from repro.net.message import ControlKind, ControlMessage, Fragment, WireBuffer
+from repro.net.message import Fragment, WireBuffer
 from repro.net.params import (
     DEFAULT_PARAMS,
     CpuCostParams,
@@ -34,8 +34,6 @@ __all__ = [
     "Jitter",
     "WireBuffer",
     "Fragment",
-    "ControlMessage",
-    "ControlKind",
     "NetworkParams",
     "TorusParams",
     "CpuCostParams",

@@ -6,20 +6,19 @@ bytes of one send buffer, possibly containing several small objects or one
 3000 fragments).  The receiving driver reassembles fragments back into
 objects with :mod:`repro.engine.marshal`.
 
-Control messages (:class:`ControlMessage`) flow alongside data: the paper's
-RPs "regularly exchange control messages, which are used to regulate the
-stream flow between them and to terminate execution upon a stop condition"
-(section 2.2).  Flow regulation in this implementation is carried by the
-bounded buffers themselves (back-pressure); explicit control messages carry
-end-of-stream and stop requests.
+The paper's RPs "regularly exchange control messages, which are used to
+regulate the stream flow between them and to terminate execution upon a stop
+condition" (section 2.2).  No control message type exists here: flow
+regulation is carried by the bounded buffers themselves (back-pressure),
+end-of-stream by the :attr:`WireBuffer.eos` marker buffer, and stop by
+:mod:`repro.engine.control`.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Tuple
 
 _buffer_ids = itertools.count()
 
@@ -91,18 +90,3 @@ class WireBuffer:
             eos=True,
         )
 
-
-class ControlKind(enum.Enum):
-    """Kinds of control messages exchanged between running processes."""
-
-    STOP = "stop"          # user or stop-condition initiated termination
-    HEARTBEAT = "heartbeat"  # liveness/monitoring
-
-
-@dataclass(frozen=True)
-class ControlMessage:
-    """A small out-of-band message between running processes."""
-
-    kind: ControlKind
-    sender: str
-    info: Optional[Any] = field(default=None)

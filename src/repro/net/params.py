@@ -200,9 +200,6 @@ class TcpParams:
 class IONodeParams:
     """BlueGene I/O-node forwarding behaviour (TCP proxy -> tree network)."""
 
-    nic_rate: float = gbps(1.0)
-    """External NIC of each I/O node, bytes/s."""
-
     proxy_rate: float = 850e6 / 8.0
     """Sustainable proxy (ciod) forwarding throughput with a single external
     peer and a single connection, bytes/s."""

@@ -165,10 +165,6 @@ class NullFlowRecorder:
     def listener_owners(self) -> List[str]:
         return []
 
-    @property
-    def listener_count(self) -> int:
-        return 0
-
     def publish(self, metrics: "MetricsRegistry") -> None:
         pass
 
@@ -214,11 +210,6 @@ class OwnedListeners:
     def listener_owners(self) -> List[str]:
         """Owner tags of the live subscriptions (census for the sanitizer)."""
         return list(self._listener_owners)
-
-    @property
-    def listener_count(self) -> int:
-        """Number of live subscriptions."""
-        return len(self._listeners)
 
 
 class FlowRecorder(OwnedListeners, NullFlowRecorder):

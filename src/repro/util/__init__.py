@@ -20,8 +20,6 @@ from repro.util.units import (
     GIGA,
     KILO,
     MEGA,
-    bits_to_bytes,
-    bytes_to_bits,
     format_bytes,
     format_rate,
     gbps,
@@ -44,8 +42,6 @@ __all__ = [
     "GIGA",
     "KILO",
     "MEGA",
-    "bits_to_bytes",
-    "bytes_to_bits",
     "format_bytes",
     "format_rate",
     "gbps",

@@ -20,16 +20,6 @@ MEGA = 1_000_000
 GIGA = 1_000_000_000
 
 
-def bytes_to_bits(num_bytes: float) -> float:
-    """Convert a byte count to bits."""
-    return num_bytes * 8.0
-
-
-def bits_to_bytes(num_bits: float) -> float:
-    """Convert a bit count to bytes."""
-    return num_bits / 8.0
-
-
 def mbps(rate_megabits_per_s: float) -> float:
     """Convert a rate in megabits/s to internal bytes/s."""
     return rate_megabits_per_s * MEGA / 8.0

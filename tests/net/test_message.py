@@ -1,6 +1,6 @@
 """Unit tests for wire-level message types."""
 
-from repro.net.message import ControlKind, ControlMessage, Fragment, WireBuffer
+from repro.net.message import Fragment, WireBuffer
 
 
 class TestWireBuffer:
@@ -30,9 +30,3 @@ class TestFragment:
     def test_payload_defaults_to_none(self):
         assert Fragment(object_id=1, index=0, total=1, nbytes=5).payload is None
 
-
-class TestControlMessage:
-    def test_kinds(self):
-        message = ControlMessage(kind=ControlKind.STOP, sender="rp-1")
-        assert message.kind is ControlKind.STOP
-        assert message.info is None

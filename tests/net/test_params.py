@@ -78,10 +78,9 @@ class TestCpuCostParams:
 class TestIONodeParams:
     def test_defaults_reflect_published_envelope(self):
         params = IONodeParams()
-        assert params.nic_rate == pytest.approx(gbps(1.0))
         assert params.tree_rate == pytest.approx(gbps(2.8))
-        # Single receiver tops out below the I/O node NIC (observation 2).
-        assert params.compute_receive_rate * 8 < params.nic_rate * 8
+        # Single receiver tops out below the I/O node proxy (observation 2).
+        assert params.compute_receive_rate < params.proxy_rate
 
 
 class TestNetworkParams:

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.util.units import (
-    bits_to_bytes,
-    bytes_to_bits,
     format_bytes,
     format_rate,
     gbps,
@@ -14,9 +12,6 @@ from repro.util.units import (
 
 
 class TestConversions:
-    def test_bits_bytes_roundtrip(self):
-        assert bits_to_bytes(bytes_to_bits(123.0)) == pytest.approx(123.0)
-
     def test_mbps(self):
         # 920 Mbps = 115 MB/s
         assert mbps(920) == pytest.approx(115e6)
