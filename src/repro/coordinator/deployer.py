@@ -550,8 +550,8 @@ class Deployment:
             else:
                 stop_token.cancel()  # completed normally; stand the watchdog down
         # The measured query time ends when the result stream completes at
-        # the client manager (stray scheduler events — e.g. pending flush
-        # timers — must not count).
+        # the client manager; the losing flush timers still queued past it
+        # (they hold nothing) must not count.
         finished_at = sim.now
         for rp in self.rps.values():
             yield from rp.join()

@@ -28,7 +28,7 @@ from repro.engine.inbox import Inbox
 from repro.engine.marshal import StreamDemarshaller, StreamMarshaller
 from repro.engine.objects import END_OF_STREAM
 from repro.net.channels import Channel
-from repro.sim import Store, TokenPool
+from repro.sim import AnyOf, Store, Timeout, TokenPool
 
 
 def _stream_counters(obs, direction: str, stream_id: str):
@@ -116,6 +116,11 @@ class SenderDriver:
         may never fill a send buffer; once the *oldest* pending byte is
         ``flush_interval`` old the partial buffer is sent, so subscribers
         see results promptly whether the stream trickles or stalls.
+
+        Each wait arms its own timer: its place in the queue orders a firing
+        flush among the events of its instant, and a timer armed by an
+        earlier wait would dispatch ahead of those queued since.  A timer
+        that loses holds nothing (:class:`~repro.sim.events.AnyOf`).
         """
         sim = self.ctx.sim
         get_event = self.source.get()
@@ -128,7 +133,7 @@ class SenderDriver:
                 if tail is not None:
                     yield from self._emit(tail)
                 break
-            yield sim.any_of([get_event, sim.timeout(remaining)])
+            yield AnyOf(sim, (get_event, Timeout(sim, remaining)))
         obj = yield get_event
         return obj
 

@@ -146,7 +146,7 @@ class Simulator:
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event that triggers when any of ``events`` has triggered."""
-        return AnyOf(self, list(events))
+        return AnyOf(self, events)
 
     # ------------------------------------------------------------------
     # Scheduling and execution

@@ -16,7 +16,7 @@ around the ``yield``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, List, Optional
 
 from repro.util.errors import SimulationError
 
@@ -338,36 +338,46 @@ class Detached:
 
 class AnyOf(Event):
     """Triggers as soon as one sub-event triggers (fails fast on failure);
-    an empty set succeeds at once.  Made by :meth:`Simulator.any_of`."""
+    an empty set succeeds at once.  Made by :meth:`Simulator.any_of`.
+    Its value maps each sub-event that has *occurred* (been processed) and
+    succeeded to its value.  Once fired it leaves the callbacks of the
+    sub-events that did not: a losing timer stays queued, holding nothing."""
 
     __slots__ = ("_events",)
 
-    def __init__(self, sim: "Simulator", events: Sequence[Event]) -> None:
-        super().__init__(sim)
-        self._events = tuple(events)
-        for event in self._events:
+    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
+        # Field-by-field init, as Timeout: one of these per flush wait.
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._defused = False
+        self._events = events = tuple(events)
+        for event in events:
             if event.sim is not sim:
                 raise SimulationError("all condition sub-events must share one simulator")
-        if not self._events:
-            self.succeed(self._collect())
-            return
-        for event in self._events:
-            event._add_callback(self._check)
-
-    def _collect(self) -> dict:
-        """Values of all *fired* sub-events, keyed by the event object.
-
-        Filters on ``processed`` rather than ``triggered``: a Timeout is
-        triggered (scheduled, value known) from construction, but has not
-        occurred until the scheduler processes it.
-        """
-        return {e: e._value for e in self._events if e.processed and e._ok}
+        if not events:
+            self.succeed({})
+        for event in events:
+            if event.callbacks is None:
+                self._check(event)  # already occurred: fire now, register on no more
+                return
+            event.callbacks.append(self._check)
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
+        if self._value is not _PENDING:
+            return  # a sub-event listed twice calls twice
+        check = self._check
+        value = {}
+        for sub in self._events:
+            callbacks = sub.callbacks
+            if callbacks is None:
+                if sub._ok:
+                    value[sub] = sub._value
+            elif check in callbacks:  # a sub-event after an already-processed one has none
+                callbacks.remove(check)
+        if event._ok:
+            self.succeed(value)
+        else:
             event._defused = True
             self.fail(event._value)
-            return
-        self.succeed(self._collect())

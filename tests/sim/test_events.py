@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt
+from repro.sim import Interrupt, Store
 from repro.util.errors import SimulationError
 
 
@@ -129,6 +129,8 @@ class TestConditions:
     def test_empty_any_of_triggers_immediately(self, sim):
         condition = sim.any_of([])
         assert condition.triggered
+        sim.run()
+        assert condition.value == {}
 
     def test_any_of_fails_fast(self, sim):
         bad = sim.event()
@@ -147,6 +149,87 @@ class TestConditions:
         proc = sim.process(waiter())
         sim.run()
         assert proc.value == pytest.approx(1.0)
+
+    def test_the_losers_hold_nothing_once_it_fires(self, sim):
+        """A fired condition is off every sub-event that did not fire: a
+        losing timer stays queued with no callback, so it pins neither the
+        condition nor the other sub-events."""
+        store = Store(sim)
+        item, timer, other = store.get(), sim.timeout(5.0), sim.event()
+        condition = sim.any_of([item, timer, other])
+        assert all(sub.callbacks == [condition._check] for sub in (item, timer, other))
+
+        def putter():
+            yield sim.timeout(1.0)
+            yield store.put("x")
+
+        sim.process(putter())
+        sim.run(until=2.0)
+        assert condition.processed and condition.value == {item: "x"}
+        assert timer.callbacks == [] and other.callbacks == []
+        sim.run()
+        assert sim.now == 5.0  # the losing timer still dispatches, holding nothing
+
+    def test_value_is_every_occurred_success_in_order(self, sim):
+        early, failed = sim.timeout(0.0, value="early"), sim.event()
+        failed.fail(KeyError("handled"))
+        failed._defused = True
+        sim.run()
+        late, pending = sim.timeout(1.0, value="late"), sim.event()
+        condition = sim.any_of([late, early, failed, pending])
+        assert condition.triggered
+        assert list(condition.value.items()) == [(early, "early")]
+        assert late.callbacks == [] and pending.callbacks == []  # registered, then left
+        duplicated = sim.any_of([late, late])
+        sim.run()
+        assert duplicated.value == {late: "late"}
+
+    def test_an_already_failed_sub_event_fails_it_at_once(self, sim):
+        bad = sim.event()
+        bad.fail(RuntimeError("dead"))
+        bad._defused = True
+        sim.run()
+        timer = sim.timeout(1.0)
+        condition = sim.any_of([timer, bad])
+        assert condition.triggered and not condition.ok
+        assert isinstance(condition.value, RuntimeError)
+        assert timer.callbacks == []
+        condition._defused = True
+        sim.run()
+
+    def test_a_processed_sub_event_triggers_it_at_once(self, sim):
+        """A get served synchronously at a quiescent instant comes back
+        processed; the condition over it fires before its timer is armed
+        on it, and the timer holds nothing."""
+        store = Store(sim)
+        seen = {}
+
+        def body():
+            yield store.put("x")
+            item = store.get()
+            timer = sim.timeout(0.0)
+            assert item.processed
+            condition = sim.any_of([item, timer])
+            assert condition.triggered and timer.callbacks == []
+            seen["value"] = yield condition
+            seen["item"] = item
+
+        sim.process(body())
+        sim.run()
+        assert seen["value"] == {seen["item"]: "x"}
+
+    def test_a_loser_that_fails_later_is_still_unhandled(self, sim):
+        bad = sim.event()
+
+        def waiter():
+            yield sim.any_of([sim.timeout(1.0), bad])
+            yield sim.timeout(1.0)
+            bad.fail(RuntimeError("late"))
+
+        sim.process(waiter())
+        with pytest.raises(SimulationError, match="unhandled failure"):
+            sim.run()
+        assert sim.now == 2.0
 
 
 class TestProcess:

@@ -321,6 +321,18 @@ def io_node_has_nic_rate(node: ast.AST) -> bool:
     )
 
 
+def any_of_collects(node: ast.AST) -> bool:
+    """``AnyOf`` defining a ``_collect`` method."""
+    return (
+        isinstance(node, ast.ClassDef)
+        and node.name == "AnyOf"
+        and any(
+            isinstance(statement, ast.FunctionDef) and statement.name == "_collect"
+            for statement in node.body
+        )
+    )
+
+
 def chaos_is_a_calendar_queue(module) -> bool:
     """``ShuffleScheduler`` is a batched ``CalendarQueue``."""
     return issubclass(module.ShuffleScheduler, module.CalendarQueue) and bool(
@@ -556,6 +568,13 @@ ROWS: List[Row] = [
         "The repo's rules about itself are one tested table",
         "nothing converted a bare bit count; rates convert with mbps, gbps and rate_bps",
         "docs/static-analysis.md#Removed surface",
+    ),
+    Row(
+        Ast(any_of_collects, "class AnyOf:\n    def _collect(self):\n        return {}"),
+        PACKAGE,
+        "A wait that loses holds nothing",
+        "a fired AnyOf builds its value in _check, where it leaves the losers",
+        "docs/performance.md#A wait that loses holds nothing",
     ),
     Row(
         Resolves(),
