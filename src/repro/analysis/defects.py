@@ -92,7 +92,7 @@ def defect_san201() -> AnalysisReport:
         env, deployment = _deployed_fig6()
         rp = next(iter(deployment.rps.values()))
         private = Store(env.sim, name="defect.private")
-        rp._processes.append(_stubborn(env.sim, private, "defect.survivor"))
+        rp.ctx.processes.append(_stubborn(env.sim, private, "defect.survivor"))
         deployment.teardown()
         env.sim.run()
         sanitize.assert_quiescent(env, raise_on_findings=False)
@@ -172,8 +172,8 @@ def defect_san301() -> AnalysisReport:
         rp = next(iter(deployment.rps.values()))
         first = Store(env.sim, name="defect.first")
         second = Store(env.sim, name="defect.second")
-        rp._processes.append(_stubborn(env.sim, first, "defect.wedge-a"))
-        rp._processes.append(_stubborn(env.sim, second, "defect.wedge-b"))
+        rp.ctx.processes.append(_stubborn(env.sim, first, "defect.wedge-a"))
+        rp.ctx.processes.append(_stubborn(env.sim, second, "defect.wedge-b"))
         deployment.teardown()
         env.sim.run()
         sanitize.assert_quiescent(env, raise_on_findings=False)

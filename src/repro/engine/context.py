@@ -26,6 +26,9 @@ class ExecutionContext:
         self.cpu = env.cpu(node)
         self._scale = env.cpu_time_scale(node)
         self.cpu_busy_time = 0.0
+        # Every process of the RP, its operators' sub-processes included:
+        # the RP terminates, joins and counts them all.
+        self.processes: list = []
 
     def charge_cpu(self, baseline_seconds: float):
         """Occupy one CPU of this node for a (scaled, jittered) cost.
@@ -45,9 +48,11 @@ class ExecutionContext:
             cpu.release(req)
         self.cpu_busy_time += cost
 
-    def charge_object(self):
-        """Per-stream-object operator overhead."""
-        yield from self.charge_cpu(self.costs.per_object_overhead)
+    def spawn(self, generator, name: str):
+        """Start a process owned by this context's RP."""
+        process = self.sim.process(generator, name=name)
+        self.processes.append(process)
+        return process
 
     def marshal_cost(self, nbytes: int) -> float:
         """Baseline CPU seconds to marshal an ``nbytes`` buffer here."""

@@ -88,15 +88,18 @@ class SenderDriver:
             self.stream_id, self.ctx.node.node_id, self.buffer_bytes
         )
         while True:
-            obj = yield from self._next_object(marshaller)
+            got = self.source.get()
+            obj = got._value if got.callbacks is None else (
+                yield from self._next_object(got, marshaller)
+            )
             if obj is END_OF_STREAM:
                 break
             for buffer in marshaller.add(obj):
                 yield from self._emit(buffer)
-            if marshaller.pending_bytes and self._pending_since is None:
-                self._pending_since = self.ctx.sim.now
-            elif not marshaller.pending_bytes:
+            if not marshaller._pending_bytes:
                 self._pending_since = None
+            elif self._pending_since is None:
+                self._pending_since = self.ctx.sim._now
         tail = marshaller.flush()
         if tail is not None:
             yield from self._emit(tail)
@@ -109,8 +112,8 @@ class SenderDriver:
         yield transmitter  # join: all buffers transmitted
         yield from self.channel.close()
 
-    def _next_object(self, marshaller: StreamMarshaller):
-        """Wait for the next object, flushing over-age partial buffers.
+    def _next_object(self, get_event, marshaller: StreamMarshaller):
+        """Wait for the pending ``get_event``, flushing over-age partial buffers.
 
         In a continuous query a low-rate stream (one aggregate per window)
         may never fill a send buffer; once the *oldest* pending byte is
@@ -123,10 +126,9 @@ class SenderDriver:
         that loses holds nothing (:class:`~repro.sim.events.AnyOf`).
         """
         sim = self.ctx.sim
-        get_event = self.source.get()
-        while not get_event.triggered and marshaller.pending_bytes:
-            assert self._pending_since is not None
-            remaining = self._pending_since + self.ctx.settings.flush_interval - sim.now
+        # Bytes are pending exactly while ``_pending_since`` is set (run()).
+        while self._pending_since is not None and not get_event.triggered:
+            remaining = self._pending_since + self.ctx.settings.flush_interval - sim._now
             if remaining <= 0:
                 tail = marshaller.flush()
                 self._pending_since = None
@@ -134,8 +136,7 @@ class SenderDriver:
                     yield from self._emit(tail)
                 break
             yield AnyOf(sim, (get_event, Timeout(sim, remaining)))
-        obj = yield get_event
-        return obj
+        return get_event._value if get_event.callbacks is None else (yield get_event)
 
     def _emit(self, buffer):
         """Acquire a send buffer, marshal into it, hand it to the transmitter."""

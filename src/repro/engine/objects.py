@@ -69,12 +69,19 @@ class TaggedObject:
     payload: Any
 
 
+#: Sizes of the exact scalar types, found before :func:`size_of`'s
+#: ``isinstance`` chain (a subclass, e.g. ``numpy.float64``, takes the chain).
+_SCALAR_SIZES = {bool: 1, int: 8, float: 8, complex: 16, type(None): 1}
+
+
 def size_of(obj: Any) -> int:
     """Marshaled size in bytes of a stream object.
 
     The estimates are intentionally simple and deterministic: they feed the
     communication cost model, not a real wire format.
     """
+    if type(obj) in _SCALAR_SIZES:
+        return _SCALAR_SIZES[type(obj)]
     if obj is END_OF_STREAM:
         return 0
     if isinstance(obj, SyntheticArray):

@@ -32,15 +32,15 @@ class _FoldAggregate(Operator):
 
     def run(self):
         acc = self._initial()
-        n = 0
         while True:
-            obj = yield from self.next_object()
+            got = self.inputs[0].get()
+            obj = got._value if got.callbacks is None else (yield got)
             if obj is END_OF_STREAM:
                 break
-            yield from self.ctx.charge_object()
+            yield from self.ctx.charge_cpu(self.ctx.costs.per_object_overhead)
             acc = self._step(acc, obj)
-            n += 1
-        yield from self.emit(self._final(acc, n))
+            self.objects_in += 1
+        yield from self.emit(self._final(acc, self.objects_in))
         yield from self.finish()
 
 

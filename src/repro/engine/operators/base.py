@@ -11,6 +11,14 @@ Every operator forwards :data:`~repro.engine.objects.END_OF_STREAM` exactly
 once when its work is done, making finite streams terminate cleanly
 ("the execution of CQs may be stopped ... by a stop condition in the query
 that makes the stream finite", section 2.2).
+
+A loop pays one frame per modelled operation on an object.  A store hands
+back an event already processed when it could serve at once, and yielding
+it would only send its value straight back, so a loop waits on a pending
+one only: ``got = self.inputs[0].get()``, then ``obj = got._value if
+got.callbacks is None else (yield got)``.  :meth:`emit` and :meth:`finish`
+return the events left to wait on, for ``yield from``.  An operator starts
+a sub-process with ``self.ctx.spawn``, so that its RP owns it.
 """
 
 from __future__ import annotations
@@ -55,24 +63,15 @@ class Operator:
         raise NotImplementedError
 
     def emit(self, obj):
-        """Push one result object downstream (generator)."""
+        """Push one result object downstream; ``yield from`` the result."""
         self.objects_out += 1
-        yield self.output.put(obj)
+        queued = self.output.put(obj)
+        return () if queued.callbacks is None else (queued,)
 
     def finish(self):
-        """Signal end-of-stream downstream (generator)."""
-        yield self.output.put(END_OF_STREAM)
-
-    def next_object(self):
-        """Pull the next object from the (single) input stream (generator)."""
-        if len(self.inputs) != 1:
-            raise QueryExecutionError(
-                f"operator {self.name!r} pulls from one input, has {len(self.inputs)}"
-            )
-        obj = yield self.inputs[0].get()
-        if obj is not END_OF_STREAM:
-            self.objects_in += 1
-        return obj
+        """Signal end-of-stream downstream; ``yield from`` the result."""
+        queued = self.output.put(END_OF_STREAM)
+        return () if queued.callbacks is None else (queued,)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} in={len(self.inputs)}>"

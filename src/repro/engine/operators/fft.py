@@ -53,9 +53,11 @@ class Fft(Operator):
         import numpy as np
 
         while True:
-            obj = yield from self.next_object()
+            got = self.inputs[0].get()
+            obj = got._value if got.callbacks is None else (yield got)
             if obj is END_OF_STREAM:
                 break
+            self.objects_in += 1
             array = _as_array(obj, self.name)
             yield from self.ctx.charge_cpu(fft_cost_seconds(len(array)))
             result = np.fft.fft(array)
@@ -78,9 +80,11 @@ class RadixCombine(Operator):
     def run(self):
         pending: Dict[int, Dict[str, np.ndarray]] = {}
         while True:
-            obj = yield from self.next_object()
+            got = self.inputs[0].get()
+            obj = got._value if got.callbacks is None else (yield got)
             if obj is END_OF_STREAM:
                 break
+            self.objects_in += 1
             if not isinstance(obj, TaggedObject) or obj.tag not in ("odd", "even"):
                 raise QueryExecutionError(
                     f"radixcombine() needs odd/even tagged partial FFTs, got {obj!r}"

@@ -31,14 +31,16 @@ class _ThresholdFilter(Operator):
 
     def run(self):
         while True:
-            obj = yield from self.next_object()
+            got = self.inputs[0].get()
+            obj = got._value if got.callbacks is None else (yield got)
             if obj is END_OF_STREAM:
                 break
+            self.objects_in += 1
             if isinstance(obj, bool) or not isinstance(obj, (int, float)):
                 raise QueryExecutionError(
                     f"{self.name}() filters numeric streams, got {obj!r}"
                 )
-            yield from self.ctx.charge_object()
+            yield from self.ctx.charge_cpu(self.ctx.costs.per_object_overhead)
             if self._keep(obj):
                 yield from self.emit(obj)
         yield from self.finish()
@@ -77,13 +79,13 @@ class Sample(Operator):
         self.every = every
 
     def run(self):
-        position = 0
         while True:
-            obj = yield from self.next_object()
+            got = self.inputs[0].get()
+            obj = got._value if got.callbacks is None else (yield got)
             if obj is END_OF_STREAM:
                 break
-            yield from self.ctx.charge_object()
-            if position % self.every == 0:
+            yield from self.ctx.charge_cpu(self.ctx.costs.per_object_overhead)
+            if self.objects_in % self.every == 0:
                 yield from self.emit(obj)
-            position += 1
+            self.objects_in += 1
         yield from self.finish()

@@ -51,10 +51,12 @@ class GroupWindowAggregate(Operator):
         windows: Dict[object, List[float]] = {}
         order: List[object] = []  # first-seen key order, for determinism
         while True:
-            obj = yield from self.next_object()
+            got = self.inputs[0].get()
+            obj = got._value if got.callbacks is None else (yield got)
             if obj is END_OF_STREAM:
                 break
-            yield from self.ctx.charge_object()
+            self.objects_in += 1
+            yield from self.ctx.charge_cpu(self.ctx.costs.per_object_overhead)
             key = self._field(obj, self.key_index, "the key")
             value = self._field(obj, self.value_index, "the value")
             if key not in windows:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from repro.engine.objects import END_OF_STREAM
 from repro.engine.operators.base import Operator
+from repro.sim import Interrupt
 
 
 class Merge(Operator):
@@ -29,7 +30,7 @@ class Merge(Operator):
         done = sim.event()
         state = {"live": len(self.inputs)}
         forwarders = [
-            sim.process(
+            self.ctx.spawn(
                 self._forward(store, state, done),
                 name=f"merge-in[{i}]",  # lint: disable=DET008 (once per input)
             )
@@ -37,17 +38,27 @@ class Merge(Operator):
         ]
         yield done
         for forwarder in forwarders:
-            yield forwarder  # propagate any forwarder failure
+            yield forwarder  # join: each forwarder has ended
         yield from self.finish()
 
     def _forward(self, store, state, done):
-        while True:
-            obj = yield store.get()
-            if obj is END_OF_STREAM:
-                break
-            self.objects_in += 1
-            yield from self.ctx.charge_object()
-            yield from self.emit(obj)
+        try:
+            while True:
+                got = store.get()
+                obj = got._value if got.callbacks is None else (yield got)
+                if obj is END_OF_STREAM:
+                    break
+                self.objects_in += 1
+                yield from self.ctx.charge_cpu(self.ctx.costs.per_object_overhead)
+                yield from self.emit(obj)
+        except Interrupt:
+            raise
+        except Exception as exc:
+            # run() raises it, so the RP reports it.  (A failure callback on
+            # this process would make its join a two-callback, busy dispatch.)
+            if not done.triggered:
+                done.fail(exc)
+            return
         state["live"] -= 1
         if state["live"] == 0:
             done.succeed()
@@ -61,10 +72,12 @@ class Relay(Operator):
 
     def run(self):
         while True:
-            obj = yield from self.next_object()
+            got = self.inputs[0].get()
+            obj = got._value if got.callbacks is None else (yield got)
             if obj is END_OF_STREAM:
                 break
-            yield from self.ctx.charge_object()
+            self.objects_in += 1
+            yield from self.ctx.charge_cpu(self.ctx.costs.per_object_overhead)
             yield from self.emit(obj)
         yield from self.finish()
 
@@ -93,15 +106,15 @@ class First(Operator):
         self.limit = int(limit)
 
     def run(self):
-        taken = 0
-        while taken < self.limit:
-            obj = yield from self.next_object()
+        while self.objects_in < self.limit:
+            got = self.inputs[0].get()
+            obj = got._value if got.callbacks is None else (yield got)
             if obj is END_OF_STREAM:
                 yield from self.finish()
                 return
-            yield from self.ctx.charge_object()
+            self.objects_in += 1
+            yield from self.ctx.charge_cpu(self.ctx.costs.per_object_overhead)
             yield from self.emit(obj)
-            taken += 1
         yield from self.finish()
         # Done without draining the input: the RP supervisor notices the
         # still-live receiver and cancels upstream.

@@ -64,7 +64,7 @@ class Constant(Operator):
         self.value = value
 
     def run(self):
-        yield from self.ctx.charge_object()
+        yield from self.ctx.charge_cpu(self.ctx.costs.per_object_overhead)
         yield from self.emit(self.value)
         yield from self.finish()
 
@@ -82,7 +82,7 @@ class Iota(Operator):
 
     def run(self):
         for value in range(self.low, self.high + 1):
-            yield from self.ctx.charge_object()
+            yield from self.ctx.charge_cpu(self.ctx.costs.per_object_overhead)
             yield from self.emit(value)
         yield from self.finish()
 
@@ -122,6 +122,6 @@ class ExternalReceiver(Operator):
 
     def run(self):
         for obj in self._registry[self.source_name]():
-            yield from self.ctx.charge_object()
+            yield from self.ctx.charge_cpu(self.ctx.costs.per_object_overhead)
             yield from self.emit(obj)
         yield from self.finish()

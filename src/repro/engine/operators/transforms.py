@@ -43,9 +43,11 @@ class MapFunction(Operator):
 
     def run(self):
         while True:
-            obj = yield from self.next_object()
+            got = self.inputs[0].get()
+            obj = got._value if got.callbacks is None else (yield got)
             if obj is END_OF_STREAM:
                 break
+            self.objects_in += 1
             yield from self.ctx.charge_cpu(self._cost(obj))
             yield from self.emit(self.fn(obj))
         yield from self.finish()
@@ -68,17 +70,17 @@ class _ParitySelect(Operator):
     _role = ""
 
     def run(self):
-        sequence = 0
         while True:
-            obj = yield from self.next_object()
+            got = self.inputs[0].get()
+            obj = got._value if got.callbacks is None else (yield got)
             if obj is END_OF_STREAM:
                 break
             array = _as_array(obj, self.name)
             cost = self.ctx.costs.per_object_overhead + array.nbytes / self.ctx.costs.generate_rate
             yield from self.ctx.charge_cpu(cost)
             selected = array[self._offset::2]
-            yield from self.emit(TaggedObject(tag=self._role, sequence=sequence, payload=selected))
-            sequence += 1
+            yield from self.emit(TaggedObject(self._role, self.objects_in, selected))
+            self.objects_in += 1
         yield from self.finish()
 
 

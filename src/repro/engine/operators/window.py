@@ -50,10 +50,12 @@ class WindowAggregate(Operator):
         window: Deque = deque(maxlen=self.size)
         since_emit = 0
         while True:
-            obj = yield from self.next_object()
+            got = self.inputs[0].get()
+            obj = got._value if got.callbacks is None else (yield got)
             if obj is END_OF_STREAM:
                 break
-            yield from self.ctx.charge_object()
+            self.objects_in += 1
+            yield from self.ctx.charge_cpu(self.ctx.costs.per_object_overhead)
             window.append(obj)
             since_emit += 1
             if len(window) == self.size and since_emit >= self.slide:

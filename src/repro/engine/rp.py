@@ -70,7 +70,6 @@ class RunningProcess:
         self.result_store: Optional[Store] = None
         self._cancelled = False
         self._root_process = None
-        self._processes: list = []
         # Spawned by cancel_subscriber(): never joined (a drain has no end),
         # but terminated and counted live like every other process.
         self._cancellers: list = []
@@ -153,38 +152,29 @@ class RunningProcess:
             raise QueryExecutionError(f"RP {self.rp_id} already started")
         self._started = True
         self._failure = failure
-        sim = self.ctx.sim
+        ctx = self.ctx
         for operator in self.operators:
-            process = sim.process(operator.run(), name=f"{self.rp_id}:{operator.name}")
-            self._processes.append(process)
-            self._root_process = process  # operators are built children-first
+            # Operators are built children-first: the last is the root.
+            self._root_process = ctx.spawn(operator.run(), name=f"{self.rp_id}:{operator.name}")
         for port in self.input_ports:
-            port.driver_process = sim.process(
+            port.driver_process = ctx.spawn(
                 port.driver.run(), name=f"{self.rp_id}:recv[{port.producer_sp}]"
             )
-            self._processes.append(port.driver_process)
         if not self.operators and self.input_ports:
             # Plan root is a bare subscription: the receiver produces the result.
             self._root_process = self.input_ports[0].driver_process
         if self.senders:
-            self._processes.append(
-                sim.process(self._fan_out(), name=f"{self.rp_id}:fanout")
-            )
+            ctx.spawn(self._fan_out(), name=f"{self.rp_id}:fanout")
             for sender in self.senders:
-                sender.process = sim.process(
-                    sender.run(), name=f"{self.rp_id}:{sender.stream_id}"
-                )
-                self._processes.append(sender.process)
+                sender.process = ctx.spawn(sender.run(), name=f"{self.rp_id}:{sender.stream_id}")
         if self._root_process is not None and self.input_ports:
             # Stop-condition supervision: when the result stream completes
             # while subscriptions are still live (e.g. a first() operator),
             # cancel the leftovers and notify the producers (section 2.2's
             # control messages).
-            self._processes.append(
-                sim.process(self._supervise(), name=f"{self.rp_id}:supervisor")
-            )
+            ctx.spawn(self._supervise(), name=f"{self.rp_id}:supervisor")
         if failure is not None:
-            for process in self._processes:
+            for process in ctx.processes:
                 process._add_callback(self._report_failure)
 
     def _report_failure(self, event) -> None:
@@ -199,11 +189,14 @@ class RunningProcess:
         """Copy the result stream to every subscriber's sender feed."""
         assert self.result_store is not None
         while True:
-            obj = yield self.result_store.get()
+            got = self.result_store.get()
+            obj = got._value if got.callbacks is None else (yield got)
             for sender in self.senders:
                 if sender.cancelled:
                     continue  # subscriber was cancelled by a stop condition
-                yield sender.source.put(obj)
+                queued = sender.source.put(obj)
+                if queued.callbacks is not None:
+                    yield queued
             if obj is END_OF_STREAM:
                 return
 
@@ -270,7 +263,7 @@ class RunningProcess:
         if not self._cancelled and all(s.cancelled for s in self.senders):
             self._cancelled = True
             # No subscriber left: stop producing and cascade upstream.
-            for proc in self._processes:
+            for proc in self.ctx.processes:
                 if proc is not None and proc.is_alive:
                     proc.interrupt("no subscribers left")
                     proc.defuse()
@@ -306,7 +299,7 @@ class RunningProcess:
             for sender in self.senders
             if sender.transmit_process is not None
         ]
-        for process in self._processes + self._cancellers + transmitters:
+        for process in self.ctx.processes + self._cancellers + transmitters:
             if process.is_alive:
                 process.interrupt("query stopped")
                 # The interruption is intentional; nobody will re-raise it.
@@ -321,7 +314,7 @@ class RunningProcess:
 
         Tolerates processes that ended by interruption (terminated query).
         """
-        for process in self._processes:
+        for process in self.ctx.processes:
             try:
                 yield process
             except Interrupt:
@@ -361,7 +354,7 @@ class RunningProcess:
         ]
         return [
             process
-            for process in self._processes + self._cancellers + transmitters
+            for process in self.ctx.processes + self._cancellers + transmitters
             if process.is_alive
         ]
 

@@ -577,6 +577,14 @@ ROWS: List[Row] = [
         "docs/performance.md#A wait that loses holds nothing",
     ),
     Row(
+        words("charge_object", "next_object"),
+        ("src", "tests", "examples", "benchmarks"),
+        "An object pays one frame per modelled cost",
+        "an operator loop charges through charge_cpu and takes a processed get's value "
+        "in place, with no wrapper generator",
+        "docs/performance.md#An object pays one frame per modelled cost",
+    ),
+    Row(
         Resolves(),
         DOCS,
         "The repo's rules about itself are one tested table",
