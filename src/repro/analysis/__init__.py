@@ -15,14 +15,7 @@ Entry points: ``Deployer.verify(plan)``, ``python -m repro analyze``, and
 ``python -m repro.analysis.lint``.
 """
 
-from repro.analysis.diagnostics import (
-    CATALOG,
-    AnalysisReport,
-    Diagnostic,
-    PlanVerificationError,
-    Severity,
-)
-from repro.analysis.verifier import verify_plan
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "AnalysisReport",
@@ -32,3 +25,10 @@ __all__ = [
     "Severity",
     "verify_plan",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.analysis.diagnostics": (
+        "CATALOG", "AnalysisReport", "Diagnostic", "PlanVerificationError", "Severity",
+    ),
+    "repro.analysis.verifier": ("verify_plan",),
+})

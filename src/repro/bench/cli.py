@@ -50,7 +50,7 @@ from repro.cli_flags import add_live_flags, add_sanitize_flags
 from repro.coordinator.deployer import Deployer
 from repro.hardware.environment import Environment, EnvironmentConfig, shared_template
 from repro.obs.instrument import live_instrumentation
-from repro.obs.live import DEFAULT_WINDOW
+from repro.obs.null import DEFAULT_WINDOW
 from repro.scsql.plan import compile_plan
 from repro.util.units import MEGA
 

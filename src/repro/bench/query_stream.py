@@ -33,10 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Tuple
 
 from repro.engine.objects import size_of
-from repro.scsql.session import SCSQSession
 from repro.util.errors import QueryExecutionError
-from repro.workloads import corpus, linear_road, signals
-from repro.workloads.linear_road import CONGESTION_SPEED
 
 #: Deck order of stream 0 (the power-mode stream): one query per workload.
 QUERY_KINDS: Tuple[str, ...] = ("linear-road", "signals", "grep")
@@ -132,6 +129,8 @@ def _workload_seed(seed: int, stream_id: int) -> int:
 
 def _linear_road_query(stream_id: int, scale: StreamScale, seed: int) -> BenchQuery:
     """Per-segment speeds cross the ingress into BG congestion detectors."""
+    from repro.workloads import linear_road
+
     wseed = _workload_seed(seed, stream_id)
     accident = linear_road.Accident(
         segment=stream_id % scale.lr_segments,
@@ -163,7 +162,7 @@ def _linear_road_query(stream_id: int, scale: StreamScale, seed: int) -> BenchQu
     for i in range(n):
         conjuncts.append(
             f"d{i}=sp(below(winagg(extract(s{i}), 'avg', {scale.lr_window}, "
-            f"{scale.lr_window}), {CONGESTION_SPEED}), 'bg', psetrr())"
+            f"{scale.lr_window}), {linear_road.CONGESTION_SPEED}), 'bg', psetrr())"
         )
         conjuncts.append(
             f"s{i}=sp(receiver('bench-lr-s{stream_id}-seg{i}'), 'be', urr('be'))"
@@ -183,6 +182,8 @@ def _linear_road_query(stream_id: int, scale: StreamScale, seed: int) -> BenchQu
 
 def _signals_query(stream_id: int, scale: StreamScale, seed: int) -> BenchQuery:
     """Signal arrays cross the ingress into a BlueGene FFT process."""
+    from repro.workloads import signals
+
     wseed = _workload_seed(seed, stream_id)
     name = f"bench-sig-s{stream_id}"
     payload = sum(
@@ -218,6 +219,8 @@ def _grep_query(stream_id: int, scale: StreamScale, seed: int) -> BenchQuery:
     does not enter (the corpus is keyed by file name), but the payload is
     still stream-specific through the file range.
     """
+    from repro.workloads import corpus
+
     del seed  # corpus content is a pure function of the file names
     lo = stream_id * scale.grep_files + 1
     hi = (stream_id + 1) * scale.grep_files
@@ -273,6 +276,8 @@ def build_query(
 
 def grep_line_count(scale: StreamScale) -> int:
     """Reference matched-line count of one grep deck query (any stream)."""
+    from repro.workloads import corpus
+
     return scale.grep_files * corpus.expected_marker_count()
 
 
@@ -284,6 +289,8 @@ def registered(queries: Iterable[BenchQuery]) -> Iterator[None]:
     (solo baseline, concurrent run, post-failure replacement) inside one
     ``with`` block.
     """
+    from repro.scsql.session import SCSQSession
+
     names: List[str] = []
     try:
         for query in queries:

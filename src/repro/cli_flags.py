@@ -15,7 +15,7 @@ from repro.obs.instrument import (
     OBSERVE_NONE,
     OBSERVE_TRACE,
 )
-from repro.obs.live import DEFAULT_WINDOW
+from repro.obs.null import DEFAULT_WINDOW
 
 
 def add_observability_flags(parser: argparse.ArgumentParser) -> None:

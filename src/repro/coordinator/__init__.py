@@ -11,7 +11,11 @@ The names re-exported here are the ones imported through the package
 elsewhere in the repo; everything else is imported from its module.
 """
 
-from repro.coordinator.deployer import Deployer, ExecutionReport, SelectorPlacement
-from repro.coordinator.graph import QueryGraph, SPDef
+from repro.util.lazy import lazy_exports
 
 __all__ = ["Deployer", "ExecutionReport", "QueryGraph", "SPDef", "SelectorPlacement"]
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.coordinator.deployer": ("Deployer", "ExecutionReport", "SelectorPlacement"),
+    "repro.coordinator.graph": ("QueryGraph", "SPDef"),
+})

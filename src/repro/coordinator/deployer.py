@@ -33,6 +33,7 @@ manager" (paper section 2.2) — :meth:`Deployer.run` is that one-shot form.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
@@ -49,7 +50,6 @@ from repro.engine.objects import END_OF_STREAM
 from repro.engine.rp import RunningProcess
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import BLUEGENE, FRONTEND, Environment
-from repro.obs.metrics import MetricsSnapshot
 from repro.util.errors import (
     AllocationError,
     PlanVerificationError,
@@ -59,6 +59,7 @@ from repro.util.errors import (
 if TYPE_CHECKING:
     from repro.analysis.diagnostics import AnalysisReport
     from repro.hardware.node import Node
+    from repro.obs.metrics import MetricsSnapshot
     from repro.sim.events import Process
 
 #: Reserved id of the deployment's own collector RP (the client manager's
@@ -432,9 +433,9 @@ class Deployment:
         if self._flow_listener is not None:
             self.env.obs.flows.remove_listener(self._flow_listener)
             self._flow_listener = None
-        from repro.analysis import sanitize
-
-        if sanitize.enabled():
+        # A sanitizer scope can be active only once its module is loaded.
+        sanitize = sys.modules.get("repro.analysis.sanitize")
+        if sanitize is not None and sanitize.enabled():
             sanitize.audit_teardown(self)
 
     @property
@@ -760,8 +761,7 @@ class Deployer:
                 else "; ".join(found.format() for found in rejection.diagnostics)
             ),
         )
-        from repro.analysis import sanitize
-
-        if sanitize.enabled():
+        sanitize = sys.modules.get("repro.analysis.sanitize")
+        if sanitize is not None and sanitize.enabled():
             sanitize.audit_migrate(deployment, replacement, self.env)
         return replacement, record

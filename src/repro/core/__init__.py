@@ -6,16 +6,7 @@ measurement harness runs queries under the paper's five-repeat protocol,
 and :mod:`repro.core.experiments` regenerates every measured figure.
 """
 
-from repro.core.measurement import (
-    DEFAULT_REPEATS,
-    BandwidthResult,
-    measure_query_bandwidth,
-)
-from repro.core.multiquery import (
-    MultiQueryResult,
-    MultiQuerySession,
-    QueryOutcome,
-)
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "measure_query_bandwidth",
@@ -25,3 +16,8 @@ __all__ = [
     "MultiQueryResult",
     "QueryOutcome",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.core.measurement": ("DEFAULT_REPEATS", "BandwidthResult", "measure_query_bandwidth"),
+    "repro.core.multiquery": ("MultiQueryResult", "MultiQuerySession", "QueryOutcome"),
+})

@@ -5,7 +5,7 @@ the paper's conclusions and the scaling extension.  Each exposes a pure
 builder (``*_specs``) listing the figure's sweep points, keyed by a
 ``NamedTuple`` whose fields are the sweep's axes, and the free functions
 that state the figure's claims.  :data:`FIGURES` declares every measured
-sweep as one :class:`~repro.core.measurement.Sweep` row;
+sweep as one :class:`~repro.core.experiments.figures.Sweep` row;
 :func:`~repro.core.measurement.run_sweep` measures a row through the real
 SCSQL pipeline.  It is the only enumeration of sweeps: the figure
 commands, ``analyze --sweeps`` and the bench gate all read it.

@@ -17,12 +17,14 @@ selection algorithm; these ablations close that loop:
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
 from repro.core.experiments.fig6 import point_to_point_query, scaled_workload
 from repro.core.experiments.fig8 import BALANCED, merge_query
-from repro.core.measurement import PointSpec, SweepResult
 from repro.engine.settings import ExecutionSettings
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.measurement import PointSpec, SweepResult
 
 
 def automatic_inbound_query(n: int, array_bytes: int, count: int) -> str:
@@ -86,6 +88,8 @@ def node_selection_specs(
 ) -> List[PointSpec]:
     """The node-selection sweep: the automatic-placement workload under
     each selector."""
+    from repro.core.measurement import PointSpec
+
     return [
         PointSpec(
             key=SelectorKey(selector_name, n),
@@ -130,6 +134,8 @@ def buffer_choice_specs(
 ) -> List[PointSpec]:
     """The buffer-choice sweep: both patterns at every buffer size
     (balanced nodes, double buffers)."""
+    from repro.core.measurement import PointSpec
+
     specs: List[PointSpec] = []
     for pattern, (query, streams) in _PATTERNS.items():
         for buffer_bytes in buffer_sizes:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Any, Dict
+from typing import TYPE_CHECKING, Any, Dict
 
 from repro.cli_flags import (
     add_live_flags,
@@ -27,7 +27,9 @@ from repro.cli_flags import (
     observe_level,
 )
 from repro.core.experiments import FIGURES
-from repro.core.measurement import Sweep, run_sweep
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.experiments.figures import Sweep
 
 __all__ = ["add_adaptive_parser", "add_figure_parsers", "add_multiquery_parser"]
 
@@ -45,6 +47,7 @@ def sweep_kwargs(sweep: Sweep, args: argparse.Namespace) -> Dict[str, Any]:
 def _run_figure(name: str, args: argparse.Namespace) -> None:
     """The one figure runner: every sweep of ``FIGURES[name]``, a blank
     line between two tables."""
+    from repro.core.measurement import run_sweep
     from repro.obs.export import export_observations
 
     sections = []

@@ -28,10 +28,12 @@ Published observations being reproduced:
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.core.measurement import PointSpec
 from repro.engine.settings import ExecutionSettings
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.measurement import PointSpec
 
 #: The paper sweeps the number of parallel back-end streams.
 DEFAULT_STREAM_COUNTS: Tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
@@ -112,6 +114,8 @@ def fig15_specs(
     array_count: int = DEFAULT_ARRAY_COUNT,
 ) -> List[PointSpec]:
     """The Figure 15 sweep: one point per (query, stream count)."""
+    from repro.core.measurement import PointSpec
+
     settings = ExecutionSettings()
     return [
         PointSpec(

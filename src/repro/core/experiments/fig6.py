@@ -20,10 +20,12 @@ bandwidth unchanged while keeping small-buffer sweeps tractable.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
-from repro.core.measurement import PointSpec
 from repro.engine.settings import ExecutionSettings
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.measurement import PointSpec
 
 #: Buffer sizes swept by default (log-spaced 100 B .. 1 MB, as in Figure 6).
 DEFAULT_BUFFER_SIZES: Tuple[int, ...] = (
@@ -83,6 +85,8 @@ def fig6_specs(
     target_buffers: int = DEFAULT_TARGET_BUFFERS,
 ) -> List[PointSpec]:
     """The Figure 6 sweep: one point per (buffer size, buffering mode)."""
+    from repro.core.measurement import PointSpec
+
     specs: List[PointSpec] = []
     for buffer_bytes in buffer_sizes:
         array_bytes, count = scaled_workload(buffer_bytes, target_buffers)

@@ -19,11 +19,13 @@ Published shape being reproduced:
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
 from repro.core.experiments.fig6 import scaled_workload
-from repro.core.measurement import PointSpec, SweepResult
 from repro.engine.settings import ExecutionSettings
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.measurement import PointSpec, SweepResult
 
 #: Buffer sizes swept by default (Figure 8 reaches further right).
 DEFAULT_BUFFER_SIZES: Tuple[int, ...] = (
@@ -94,6 +96,8 @@ def fig8_specs(
 ) -> List[PointSpec]:
     """The Figure 8 sweep: one point per (buffer size, node selection,
     buffering mode)."""
+    from repro.core.measurement import PointSpec
+
     specs: List[PointSpec] = []
     for buffer_bytes in buffer_sizes:
         array_bytes, count = scaled_workload(buffer_bytes, target_buffers)

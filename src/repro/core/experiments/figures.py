@@ -1,6 +1,9 @@
-"""The figure table, re-exported as :data:`repro.core.experiments.FIGURES`."""
+"""The figure table, re-exported as :data:`repro.core.experiments.FIGURES`,
+and :class:`Sweep`, the type of its rows."""
 
-from typing import Dict, Tuple
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.core.experiments.ablations import (
     buffer_choice_specs,
@@ -12,7 +15,33 @@ from repro.core.experiments.fig6 import fig6_specs
 from repro.core.experiments.fig8 import balanced_advantage, fig8_specs
 from repro.core.experiments.fig15 import fig15_specs
 from repro.core.experiments.scaling import scaling_specs
-from repro.core.measurement import Sweep
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.measurement import PointSpec, SweepResult
+
+
+class Sweep(NamedTuple):
+    """One measured figure, declared as data; measured by
+    :func:`repro.core.measurement.run_sweep`.
+
+    The point key of ``specs`` is a module-level ``NamedTuple`` whose field
+    names are the sweep's axes; ``row``/``columns`` name them, and the two
+    format strings read them as ``k`` (``"Q{k.query_number}"``).
+    """
+
+    name: str  # "fig6"; prefixes the `analyze --sweeps` labels
+    specs: Callable[..., List[PointSpec]]  # the pure builder; its defaults are the full sweep
+    quick: Mapping[str, Any]  # builder arguments of --quick; a full run passes none
+    title: str  # first line of the table
+    row: str  # the axis down the side ...
+    row_header: str  # ... and its header, padded to the width of that column
+    columns: Tuple[str, ...]  # the axes across the top, outermost first
+    column: str  # format of one column header
+    point: str  # format of one point's label in the observability exports
+    headline: Optional[Callable[[SweepResult], str]] = None  # the line under the table
+    table: Optional[Callable[[SweepResult], str]] = None  # a bespoke table instead of the pivot
+    gate: Tuple[Mapping[str, Any], ...] = ()  # builder arguments the bench gate samples
+
 
 #: Figure command -> the sweeps it runs, in print order.
 FIGURES: Dict[str, Tuple[Sweep, ...]] = {

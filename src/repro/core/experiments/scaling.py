@@ -23,15 +23,17 @@ uplink, which answers the question the paper leaves open:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
 from repro.core.experiments.fig15 import PAPER_ARRAY_BYTES, inbound_query
-from repro.core.measurement import PointSpec
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.bluegene import BlueGeneConfig
 from repro.hardware.environment import EnvironmentConfig
 from repro.net.params import NetworkParams
 from repro.util.units import gbps
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.measurement import PointSpec
 
 #: Partition sizes swept: (torus shape, number of psets/I-O/back-end nodes).
 DEFAULT_PARTITIONS: Tuple[Tuple[Tuple[int, int, int], int], ...] = (
@@ -81,6 +83,8 @@ def scaling_specs(
 ) -> List[PointSpec]:
     """The scaling study: one point per (partition, uplink, query), each on
     the environment of its (partition, uplink) pair."""
+    from repro.core.measurement import PointSpec
+
     settings = ExecutionSettings()
     return [
         PointSpec(

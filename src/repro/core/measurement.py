@@ -12,9 +12,10 @@ summarizes the repeats.  It is the only code that builds per-repeat
 :class:`~repro.core.parallel.SweepTask` payloads;
 :func:`measure_query_bandwidth` is its one-point form.
 
-A measured figure is data under that protocol: a :class:`Sweep` row (its spec
-builder plus how its table reads), run by :func:`run_sweep` into a
-:class:`SweepResult`.  The rows live in :data:`repro.core.experiments.FIGURES`.
+A measured figure is data under that protocol: a
+:class:`~repro.core.experiments.figures.Sweep` row (its spec builder plus how
+its table reads), run by :func:`run_sweep` into a :class:`SweepResult`.  The
+rows live in :data:`repro.core.experiments.FIGURES`.
 """
 
 from __future__ import annotations
@@ -23,11 +24,8 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
     List,
-    Mapping,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -45,6 +43,7 @@ from repro.util.units import MEGA
 
 if TYPE_CHECKING:
     from repro.analysis.diagnostics import AnalysisReport
+    from repro.core.experiments.figures import Sweep
 
 #: The paper repeats every experiment five times.
 DEFAULT_REPEATS = 5
@@ -258,28 +257,6 @@ def measure_query_bandwidth(
         jobs=jobs, observe=observe, executor=executor,
     )
     return results["point"]
-
-
-class Sweep(NamedTuple):
-    """One measured figure, declared as data.
-
-    The point key of ``specs`` is a module-level ``NamedTuple`` whose field
-    names are the sweep's axes; ``row``/``columns`` name them, and the two
-    format strings read them as ``k`` (``"Q{k.query_number}"``).
-    """
-
-    name: str  # "fig6"; prefixes the `analyze --sweeps` labels
-    specs: Callable[..., List[PointSpec]]  # the pure builder; its defaults are the full sweep
-    quick: Mapping[str, Any]  # builder arguments of --quick; a full run passes none
-    title: str  # first line of the table
-    row: str  # the axis down the side ...
-    row_header: str  # ... and its header, padded to the width of that column
-    columns: Tuple[str, ...]  # the axes across the top, outermost first
-    column: str  # format of one column header
-    point: str  # format of one point's label in the observability exports
-    headline: Optional[Callable[["SweepResult"], str]] = None  # the line under the table
-    table: Optional[Callable[["SweepResult"], str]] = None  # a bespoke table instead of the pivot
-    gate: Tuple[Mapping[str, Any], ...] = ()  # builder arguments the bench gate samples
 
 
 Row = Dict[str, Union[int, float, str, bool]]

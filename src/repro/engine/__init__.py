@@ -5,21 +5,7 @@ SQEP interpreted by operator processes, fed by receiver drivers and drained
 by sender drivers, with single- or double-buffered stream carriers.
 """
 
-from repro.engine.context import ExecutionContext
-from repro.engine.control import StopToken
-from repro.engine.drivers import ReceiverDriver, SenderDriver
-from repro.engine.inbox import Inbox
-from repro.engine.monitor import OperatorStats, RPStatistics, StreamStats, snapshot
-from repro.engine.marshal import StreamDemarshaller, StreamMarshaller
-from repro.engine.objects import (
-    END_OF_STREAM,
-    SyntheticArray,
-    TaggedObject,
-    size_of,
-)
-from repro.engine.rp import InputPort, RunningProcess
-from repro.engine.settings import ExecutionSettings
-from repro.engine.sqep import INPUT, OpSpec, plan_input, plan_op
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "ExecutionContext",
@@ -45,3 +31,16 @@ __all__ = [
     "plan_input",
     "plan_op",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.engine.context": ("ExecutionContext",),
+    "repro.engine.control": ("StopToken",),
+    "repro.engine.drivers": ("ReceiverDriver", "SenderDriver"),
+    "repro.engine.inbox": ("Inbox",),
+    "repro.engine.monitor": ("OperatorStats", "RPStatistics", "StreamStats", "snapshot"),
+    "repro.engine.marshal": ("StreamDemarshaller", "StreamMarshaller"),
+    "repro.engine.objects": ("END_OF_STREAM", "SyntheticArray", "TaggedObject", "size_of"),
+    "repro.engine.rp": ("InputPort", "RunningProcess"),
+    "repro.engine.settings": ("ExecutionSettings",),
+    "repro.engine.sqep": ("INPUT", "OpSpec", "plan_input", "plan_op"),
+})

@@ -4,21 +4,7 @@ Each operator runs as one simulation process pulling from bounded input
 stores and pushing to an output store; see :mod:`repro.engine.operators.base`.
 """
 
-from repro.engine.operators.aggregates import Avg, Count, MaxAgg, MinAgg, Sum
-from repro.engine.operators.base import Operator
-from repro.engine.operators.fft import Fft, RadixCombine, fft_cost_seconds
-from repro.engine.operators.filters import Above, Below, Sample
-from repro.engine.operators.groupwin import GroupWindowAggregate
-from repro.engine.operators.grep import Grep
-from repro.engine.operators.merge import First, Merge, Relay
-from repro.engine.operators.registry import (
-    operator_class,
-    register_operator,
-    registered_operators,
-)
-from repro.engine.operators.sources import Constant, ExternalReceiver, GenerateArrays, Iota
-from repro.engine.operators.transforms import EvenElements, MapFunction, OddElements
-from repro.engine.operators.window import WindowAggregate
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "Operator",
@@ -50,3 +36,19 @@ __all__ = [
     "register_operator",
     "registered_operators",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.engine.operators.aggregates": ("Avg", "Count", "MaxAgg", "MinAgg", "Sum"),
+    "repro.engine.operators.base": ("Operator",),
+    "repro.engine.operators.fft": ("Fft", "RadixCombine", "fft_cost_seconds"),
+    "repro.engine.operators.filters": ("Above", "Below", "Sample"),
+    "repro.engine.operators.groupwin": ("GroupWindowAggregate",),
+    "repro.engine.operators.grep": ("Grep",),
+    "repro.engine.operators.merge": ("First", "Merge", "Relay"),
+    "repro.engine.operators.registry": (
+        "operator_class", "register_operator", "registered_operators",
+    ),
+    "repro.engine.operators.sources": ("Constant", "ExternalReceiver", "GenerateArrays", "Iota"),
+    "repro.engine.operators.transforms": ("EvenElements", "MapFunction", "OddElements"),
+    "repro.engine.operators.window": ("WindowAggregate",),
+})

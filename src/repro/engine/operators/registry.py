@@ -7,19 +7,40 @@ touching the plan or compiler code.
 
 from __future__ import annotations
 
-from typing import Dict, Type
+import importlib
+from typing import Dict, Tuple, Type
 
-from repro.engine.operators.aggregates import Avg, Count, MaxAgg, MinAgg, Sum
 from repro.engine.operators.base import Operator
-from repro.engine.operators.fft import Fft, RadixCombine
-from repro.engine.operators.filters import Above, Below, Sample
-from repro.engine.operators.groupwin import GroupWindowAggregate
-from repro.engine.operators.grep import Grep
-from repro.engine.operators.merge import First, Merge, Relay
-from repro.engine.operators.sources import Constant, ExternalReceiver, GenerateArrays, Iota
-from repro.engine.operators.transforms import EvenElements, MapFunction, OddElements
-from repro.engine.operators.window import WindowAggregate
 from repro.util.errors import QueryExecutionError
+
+#: The built-in operators: registry name -> (module, class).  A module is
+#: imported on the first lookup of one of its names, so a query loads the
+#: operators it runs and no others.
+_BUILTINS: Dict[str, Tuple[str, str]] = {
+    "gen_array": ("sources", "GenerateArrays"),
+    "constant": ("sources", "Constant"),
+    "iota": ("sources", "Iota"),
+    "receiver": ("sources", "ExternalReceiver"),
+    "count": ("aggregates", "Count"),
+    "sum": ("aggregates", "Sum"),
+    "avg": ("aggregates", "Avg"),
+    "maxagg": ("aggregates", "MaxAgg"),
+    "minagg": ("aggregates", "MinAgg"),
+    "merge": ("merge", "Merge"),
+    "relay": ("merge", "Relay"),
+    "first": ("merge", "First"),
+    "above": ("filters", "Above"),
+    "below": ("filters", "Below"),
+    "sample": ("filters", "Sample"),
+    "map": ("transforms", "MapFunction"),
+    "even": ("transforms", "EvenElements"),
+    "odd": ("transforms", "OddElements"),
+    "fft": ("fft", "Fft"),
+    "radixcombine": ("fft", "RadixCombine"),
+    "grep": ("grep", "Grep"),
+    "window": ("window", "WindowAggregate"),
+    "groupwin": ("groupwin", "GroupWindowAggregate"),
+}
 
 _OPERATORS: Dict[str, Type[Operator]] = {}
 
@@ -34,42 +55,19 @@ def register_operator(cls: Type[Operator]) -> Type[Operator]:
 
 def operator_class(name: str) -> Type[Operator]:
     """Look up the operator class registered under ``name``."""
-    try:
-        return _OPERATORS[name]
-    except KeyError:
+    cls = _OPERATORS.get(name)
+    if cls is not None:
+        return cls
+    if name not in _BUILTINS:
         raise QueryExecutionError(
-            f"unknown operator {name!r}; registered: {sorted(_OPERATORS)}"
-        ) from None
+            f"unknown operator {name!r}; registered: {sorted({**_BUILTINS, **_OPERATORS})}"
+        )
+    module, attr = _BUILTINS[name]
+    return register_operator(
+        getattr(importlib.import_module(f"repro.engine.operators.{module}"), attr)
+    )
 
 
 def registered_operators() -> Dict[str, Type[Operator]]:
-    """A copy of the registry (name -> class)."""
-    return dict(_OPERATORS)
-
-
-for _cls in (
-    GenerateArrays,
-    Constant,
-    Iota,
-    ExternalReceiver,
-    Count,
-    Sum,
-    Avg,
-    MaxAgg,
-    MinAgg,
-    Merge,
-    Relay,
-    First,
-    Above,
-    Below,
-    Sample,
-    MapFunction,
-    EvenElements,
-    OddElements,
-    Fft,
-    RadixCombine,
-    Grep,
-    WindowAggregate,
-    GroupWindowAggregate,
-):
-    register_operator(_cls)
+    """A copy of the registry (name -> class), built-ins loaded."""
+    return {name: operator_class(name) for name in (*_BUILTINS, *_OPERATORS)}

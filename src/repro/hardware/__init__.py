@@ -5,23 +5,11 @@ torus-addressed compute nodes, psets and I/O nodes; Linux front-end and
 back-end clusters — together with the per-cluster compute node databases
 used by the coordinators for node selection.
 
-The environment, which wires these machines to the network models of
-:mod:`repro.net`, is re-exported on first access: ``repro.net`` imports
-the node types from this package, so loading the environment here would
-import ``repro.net`` from inside itself.
+Every name re-exported here resolves on first access, like those of every
+package of ``repro``: importing one module loads only what that module
+imports.
 """
 
-from repro.hardware.bluegene import BlueGene, BlueGeneConfig
-from repro.hardware.cndb import ComputeNodeDatabase
-from repro.hardware.linux_cluster import LinuxCluster, LinuxClusterConfig
-from repro.hardware.node import (
-    PPC440D,
-    PPC970,
-    CpuSpec,
-    Node,
-    NodeCapabilities,
-    NodeKind,
-)
 from repro.util.lazy import lazy_exports
 
 __all__ = [
@@ -44,6 +32,12 @@ __all__ = [
 ]
 
 __getattr__ = lazy_exports(__name__, {
+    "repro.hardware.bluegene": ("BlueGene", "BlueGeneConfig"),
+    "repro.hardware.cndb": ("ComputeNodeDatabase",),
+    "repro.hardware.linux_cluster": ("LinuxCluster", "LinuxClusterConfig"),
+    "repro.hardware.node": (
+        "PPC440D", "PPC970", "CpuSpec", "Node", "NodeCapabilities", "NodeKind",
+    ),
     "repro.hardware.environment": (
         "BACKEND", "BLUEGENE", "FRONTEND", "Environment", "EnvironmentConfig",
     ),

@@ -9,20 +9,7 @@ This package models the three communication subsystems the paper measures:
 All tunable cost constants live in :mod:`repro.net.params`.
 """
 
-from repro.net.channels import Channel, LatencyChannel, MpiChannel
-from repro.net.ethernet import EthernetFabric, TcpStreamConnection
-from repro.net.jitter import Jitter
-from repro.net.message import Fragment, WireBuffer
-from repro.net.params import (
-    DEFAULT_PARAMS,
-    CpuCostParams,
-    EthernetParams,
-    IONodeParams,
-    NetworkParams,
-    TcpParams,
-    TorusParams,
-)
-from repro.net.torus import TorusNetwork
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "Channel",
@@ -42,3 +29,15 @@ __all__ = [
     "IONodeParams",
     "DEFAULT_PARAMS",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.net.channels": ("Channel", "LatencyChannel", "MpiChannel"),
+    "repro.net.ethernet": ("EthernetFabric", "TcpStreamConnection"),
+    "repro.net.jitter": ("Jitter",),
+    "repro.net.message": ("Fragment", "WireBuffer"),
+    "repro.net.params": (
+        "DEFAULT_PARAMS", "CpuCostParams", "EthernetParams", "IONodeParams", "NetworkParams",
+        "TcpParams", "TorusParams",
+    ),
+    "repro.net.torus": ("TorusNetwork",),
+})

@@ -18,16 +18,18 @@ Usage::
     write_chrome_trace("run.json", [("my run", obs.tracer)])
 
 Tracing is strictly opt-in: a simulator created without instrumentation
-carries the shared :data:`~repro.obs.instrument.NULL_OBS` hub, whose
-``enabled`` flag short-circuits every hook site.
+carries the shared :data:`~repro.obs.null.NULL_OBS` hub, whose ``enabled``
+flag short-circuits every hook site.
 
-The four names re-exported here are the ones imported through the package
-elsewhere in the repo; everything else is imported from its module
-(``repro.obs.export``, ``repro.obs.live``, ``repro.obs.flow``, ...).
+The two names re-exported here resolve on first access; everything else is
+imported from its module (``repro.obs.profile``, ``repro.obs.flow``, ...).
 """
 
-from repro.obs.instrument import Instrumentation
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import profile, profile_flows
+from repro.util.lazy import lazy_exports
 
-__all__ = ["Instrumentation", "MetricsRegistry", "profile", "profile_flows"]
+__all__ = ["Instrumentation", "MetricsRegistry"]
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.obs.instrument": ("Instrumentation",),
+    "repro.obs.metrics": ("MetricsRegistry",),
+})

@@ -32,6 +32,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.obs.null import NULL_FLOWS as NULL_FLOWS, NullFlowRecorder
 from repro.util.stats import latency_summary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -115,62 +116,6 @@ class FlowRecord:
             wire += hop_wire
             processing += hop_processing
         return serialize, queue_wait, wire, processing
-
-
-class NullFlowRecorder:
-    """The disabled recorder: every hook is a no-op behind ``enabled``."""
-
-    enabled = False
-
-    def begin(self, buffer: "WireBuffer", now: float) -> None:
-        pass
-
-    def hop(self, buffer: "WireBuffer", stage: str, now: float,
-            resource: Optional[str] = None, serialize: float = 0.0,
-            wire: float = 0.0, processing: float = 0.0) -> None:
-        pass
-
-    def complete(self, buffer: "WireBuffer", now: float) -> None:
-        pass
-
-    def drop_stream(self, stream_id: str) -> int:
-        return 0
-
-    @property
-    def completed(self) -> List[FlowRecord]:
-        return []
-
-    def latencies(self, stream_id: Optional[str] = None,
-                  include_eos: bool = False) -> List[float]:
-        return []
-
-    @property
-    def in_flight_count(self) -> int:
-        return 0
-
-    def in_flight_streams(self) -> Dict[str, int]:
-        return {}
-
-    def add_listener(
-        self, listener: Callable[[FlowRecord], None], owner: str = ""
-    ) -> None:
-        raise RuntimeError(
-            "the disabled flow recorder never completes a flow; enable "
-            "flows on the Instrumentation to subscribe"
-        )
-
-    def remove_listener(self, listener: Callable[[FlowRecord], None]) -> None:
-        pass
-
-    def listener_owners(self) -> List[str]:
-        return []
-
-    def publish(self, metrics: "MetricsRegistry") -> None:
-        pass
-
-
-#: Shared disabled recorder (one instance serves every simulator).
-NULL_FLOWS = NullFlowRecorder()
 
 
 class OwnedListeners:

@@ -31,32 +31,22 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple
 
-from repro.obs.flow import NULL_FLOWS, FlowRecorder, NullFlowRecorder
-from repro.obs.live import NULL_LIVE, LiveSampler, NullLiveSampler, WindowSample
-from repro.obs.metrics import Counter, MetricsRegistry, MetricsSnapshot
+from repro.obs.null import (
+    NULL_FLOWS,
+    NULL_LIVE,
+    NULL_OBS as NULL_OBS,
+    NullFlowRecorder,
+    NullInstrumentation,
+    NullLiveSampler,
+)
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.live import LiveSampler, WindowSample
+    from repro.obs.metrics import Counter, MetricsRegistry, MetricsSnapshot
     from repro.sim.core import Simulator
     from repro.sim.events import Process
     from repro.sim.resources import Request, Resource, Store
-
-
-class NullInstrumentation:
-    """The disabled hub installed on every simulator by default."""
-
-    enabled = False
-    tracer: NullTracer = NULL_TRACER
-    metrics: Optional[MetricsRegistry] = None
-    flows: NullFlowRecorder = NULL_FLOWS
-    live: NullLiveSampler = NULL_LIVE
-
-    def bind(self, sim: "Simulator") -> None:  # pragma: no cover - never bound
-        pass
-
-
-#: Shared disabled instrumentation (one instance serves every simulator).
-NULL_OBS = NullInstrumentation()
 
 
 class _ResourceInstruments:
@@ -114,6 +104,9 @@ class Instrumentation(NullInstrumentation):
                  metrics: Optional[MetricsRegistry] = None,
                  flows: Optional[NullFlowRecorder] = None,
                  live: Optional[NullLiveSampler] = None) -> None:
+        from repro.obs.flow import FlowRecorder
+        from repro.obs.metrics import MetricsRegistry
+
         self.tracer: NullTracer = Tracer() if tracer is None else tracer
         self.metrics: MetricsRegistry = metrics if metrics is not None else MetricsRegistry()
         self.flows: NullFlowRecorder = FlowRecorder() if flows is None else flows
@@ -336,5 +329,7 @@ def live_instrumentation(
     its sampler, which closes a window every
     :data:`~repro.obs.live.DEFAULT_WINDOW` simulated seconds (``on_window``
     sees each) under the stock bottleneck detector."""
+    from repro.obs.live import LiveSampler
+
     sampler = LiveSampler(on_window=on_window)
     return Instrumentation(tracer=NULL_TRACER, live=sampler), sampler

@@ -49,12 +49,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.obs.health import ContinuousBottleneckDetector, HealthEvent, base_stream
+from repro.obs.null import DEFAULT_WINDOW, NULL_LIVE, NullLiveSampler
 from repro.util.stats import latency_summary
 from repro.util.units import MEGA
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.flow import FlowRecord
+    from repro.obs.health import ContinuousBottleneckDetector, HealthEvent
     from repro.obs.instrument import Instrumentation
 
 __all__ = [
@@ -64,11 +65,6 @@ __all__ = [
     "LiveSampler",
     "DEFAULT_WINDOW",
 ]
-
-#: Default window length in simulated seconds.  The reproduced runs span
-#: milliseconds to tens of milliseconds, so 2 ms yields a handful to a
-#: few dozen windows on every stock figure point.
-DEFAULT_WINDOW = 0.002
 
 _BUSY_PREFIX = "resource.busy["
 _LEVEL_PREFIX = "store.level["
@@ -124,45 +120,6 @@ class WindowSample:
         }
 
 
-class NullLiveSampler:
-    """The disabled sampler: every hook no-ops behind ``enabled``."""
-
-    __slots__ = ()
-
-    enabled = False
-    window = 0.0
-
-    @property
-    def windows(self) -> List[WindowSample]:
-        return []
-
-    @property
-    def health_events(self) -> List[HealthEvent]:
-        return []
-
-    def latencies(self) -> List[float]:
-        return []
-
-    def bind(self, obs: "Instrumentation") -> None:
-        pass
-
-    def on_step(self, now: float) -> None:
-        pass
-
-    def on_failure(self, subject: str, scope: str, detail: str = "") -> None:
-        pass
-
-    def note_capacity(self, key: str, capacity: float) -> None:
-        pass
-
-    def finalize(self, now: Optional[float] = None) -> None:
-        pass
-
-
-#: Shared disabled sampler (one instance serves every hub).
-NULL_LIVE = NullLiveSampler()
-
-
 class _WindowAccumulator:
     """Mutable counters for the window currently being filled."""
 
@@ -202,10 +159,12 @@ class LiveSampler(NullLiveSampler):
     enabled = True
 
     def __init__(self, window: float = DEFAULT_WINDOW,
-                 detector: Optional[ContinuousBottleneckDetector] = None,
+                 detector: Optional["ContinuousBottleneckDetector"] = None,
                  on_window: Optional[Callable[[WindowSample], None]] = None):
         if window <= 0.0:
             raise ValueError(f"window must be > 0 simulated seconds, got {window!r}")
+        from repro.obs.health import ContinuousBottleneckDetector
+
         self.window = window
         self.detector = detector if detector is not None else ContinuousBottleneckDetector()
         self._windows: List[WindowSample] = []
@@ -246,7 +205,7 @@ class LiveSampler(NullLiveSampler):
         return self._windows
 
     @property
-    def health_events(self) -> List[HealthEvent]:
+    def health_events(self) -> List["HealthEvent"]:
         return self.detector.events
 
     @property
@@ -297,6 +256,8 @@ class LiveSampler(NullLiveSampler):
 
     def _observe_flow(self, record: "FlowRecord") -> None:
         """FlowRecorder completion listener: fill the open window."""
+        from repro.obs.health import base_stream
+
         if record.eos:
             return
         acc = self._acc
@@ -315,6 +276,8 @@ class LiveSampler(NullLiveSampler):
     # Window assembly
     # ------------------------------------------------------------------
     def _close(self, end: float, span: float) -> None:
+        from repro.obs.health import base_stream
+
         obs = self._obs
         if obs is None:
             raise RuntimeError("LiveSampler.on_step before bind()")

@@ -8,13 +8,7 @@ test suite) and a placement search that uses it
 (:mod:`repro.optimizer.placement`).
 """
 
-from repro.optimizer.placement import CostBasedPlacer
-from repro.optimizer.predict import (
-    InboundShape,
-    predict_inbound_bandwidth,
-    predict_merge_bandwidth,
-    predict_p2p_bandwidth,
-)
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "CostBasedPlacer",
@@ -23,3 +17,11 @@ __all__ = [
     "predict_merge_bandwidth",
     "predict_inbound_bandwidth",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.optimizer.placement": ("CostBasedPlacer",),
+    "repro.optimizer.predict": (
+        "InboundShape", "predict_inbound_bandwidth", "predict_merge_bandwidth",
+        "predict_p2p_bandwidth",
+    ),
+})

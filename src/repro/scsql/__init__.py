@@ -5,29 +5,12 @@ builds the AST, :mod:`repro.scsql.compiler` evaluates the setup level
 (stream-process creation, allocation sequences) and compiles the stream
 level into execution plans, and :class:`repro.scsql.session.SCSQSession`
 runs the result on a simulated environment.
+
+The unparser is imported from :mod:`repro.scsql.unparse`, whose name a
+lazy re-export of its function would clash with.
 """
 
-from repro.scsql.ast import (
-    CondKind,
-    Condition,
-    CreateFunction,
-    Decl,
-    Expr,
-    FuncCall,
-    Literal,
-    Param,
-    SelectQuery,
-    SetExpr,
-    Var,
-)
-from repro.scsql.compiler import FunctionDef, QueryCompiler
-from repro.scsql.handles import SPHandle, SPVHandle
-from repro.scsql.lexer import Token, TokenKind, tokenize
-from repro.scsql.parser import parse, parse_query
-from repro.scsql.plan import DeploymentPlan, compile_plan
-from repro.scsql.scopes import Scope
-from repro.scsql.session import SCSQSession
-from repro.scsql.unparse import unparse, unparse_expr
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "tokenize",
@@ -35,8 +18,6 @@ __all__ = [
     "TokenKind",
     "parse",
     "parse_query",
-    "unparse",
-    "unparse_expr",
     "QueryCompiler",
     "FunctionDef",
     "DeploymentPlan",
@@ -57,3 +38,17 @@ __all__ = [
     "SetExpr",
     "Var",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.scsql.ast": (
+        "CondKind", "Condition", "CreateFunction", "Decl", "Expr", "FuncCall", "Literal", "Param",
+        "SelectQuery", "SetExpr", "Var",
+    ),
+    "repro.scsql.compiler": ("FunctionDef", "QueryCompiler"),
+    "repro.scsql.handles": ("SPHandle", "SPVHandle"),
+    "repro.scsql.lexer": ("Token", "TokenKind", "tokenize"),
+    "repro.scsql.parser": ("parse", "parse_query"),
+    "repro.scsql.plan": ("DeploymentPlan", "compile_plan"),
+    "repro.scsql.scopes": ("Scope",),
+    "repro.scsql.session": ("SCSQSession",),
+})

@@ -11,19 +11,7 @@ running processes of the stream engine — executes on this kernel, so a whole
 SCSQ deployment runs deterministically inside one OS process.
 """
 
-from repro.sim.core import Simulator
-from repro.sim.events import AnyOf, Event, Interrupt, Process, Timeout
-from repro.sim.resources import Request, Resource, Store, TokenPool
-from repro.sim.scheduler import (
-    DEFAULT_SCHEDULER,
-    SCHEDULERS,
-    CalendarQueue,
-    EventScheduler,
-    HeapScheduler,
-    ShuffleScheduler,
-    make_scheduler,
-    scheduler_override,
-)
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "Simulator",
@@ -45,3 +33,13 @@ __all__ = [
     "make_scheduler",
     "scheduler_override",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.sim.core": ("Simulator",),
+    "repro.sim.events": ("AnyOf", "Event", "Interrupt", "Process", "Timeout"),
+    "repro.sim.resources": ("Request", "Resource", "Store", "TokenPool"),
+    "repro.sim.scheduler": (
+        "DEFAULT_SCHEDULER", "SCHEDULERS", "CalendarQueue", "EventScheduler", "HeapScheduler",
+        "ShuffleScheduler", "make_scheduler", "scheduler_override",
+    ),
+})

@@ -36,7 +36,7 @@ import gc
 from heapq import heappop
 from typing import Any, Generator, Iterable, Optional, Union
 
-from repro.obs.instrument import NULL_OBS, NullInstrumentation
+from repro.obs.null import NULL_OBS, NullInstrumentation
 from repro.sim.events import _NORMAL, _URGENT, AnyOf, Detached, Event, Process, Timeout
 from repro.sim.scheduler import _BUSY, EventScheduler, make_scheduler
 from repro.util.errors import SimulationError

@@ -4,28 +4,7 @@ These modules are intentionally dependency-free so every other subpackage can
 import them without cycles.
 """
 
-from repro.util.errors import (
-    AllocationError,
-    HardwareError,
-    NetworkError,
-    QueryError,
-    QueryExecutionError,
-    QueryParseError,
-    QuerySemanticError,
-    ReproError,
-    SimulationError,
-)
-from repro.util.stats import MeasurementStats, summarize
-from repro.util.units import (
-    GIGA,
-    KILO,
-    MEGA,
-    format_bytes,
-    format_rate,
-    gbps,
-    mbps,
-    rate_bps,
-)
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "AllocationError",
@@ -48,3 +27,14 @@ __all__ = [
     "mbps",
     "rate_bps",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.util.errors": (
+        "AllocationError", "HardwareError", "NetworkError", "QueryError", "QueryExecutionError",
+        "QueryParseError", "QuerySemanticError", "ReproError", "SimulationError",
+    ),
+    "repro.util.stats": ("MeasurementStats", "summarize"),
+    "repro.util.units": (
+        "GIGA", "KILO", "MEGA", "format_bytes", "format_rate", "gbps", "mbps", "rate_bps",
+    ),
+})

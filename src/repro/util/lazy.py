@@ -1,6 +1,6 @@
-"""Package re-exports that load on first access: importing one module of
-``repro``, ``repro.core.experiments`` or ``repro.hardware`` does not load
-every module the package ``__init__`` re-exports from."""
+"""Package re-exports that load on first access: importing one module of a
+``repro`` package does not load every module its ``__init__`` re-exports
+from."""
 
 from __future__ import annotations
 

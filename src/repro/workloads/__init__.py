@@ -5,15 +5,7 @@ modules generate deterministic substitutes — numeric array streams, a text
 corpus for distributed grep, and signal arrays for the radix2 FFT example.
 """
 
-from repro.workloads.corpus import MARKER, expected_marker_count, filename, read_file
-from repro.workloads.linear_road import (
-    Accident,
-    expected_congested_windows,
-    partition_by_segment,
-    position_reports,
-    segment_speeds,
-)
-from repro.workloads.signals import make_signal_source, signal_stream, sinusoid_mixture
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "MARKER",
@@ -29,3 +21,12 @@ __all__ = [
     "segment_speeds",
     "expected_congested_windows",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.workloads.corpus": ("MARKER", "expected_marker_count", "filename", "read_file"),
+    "repro.workloads.linear_road": (
+        "Accident", "expected_congested_windows", "partition_by_segment", "position_reports",
+        "segment_speeds",
+    ),
+    "repro.workloads.signals": ("make_signal_source", "signal_stream", "sinusoid_mixture"),
+})

@@ -30,8 +30,9 @@ from repro.bench.query_stream import (
 from repro.core.experiments.fig15 import inbound_query
 from repro.core.multiquery import MultiQuerySession
 from repro.hardware.environment import Environment, EnvironmentConfig
-from repro.obs import Instrumentation, profile_flows
+from repro.obs import Instrumentation
 from repro.obs.instrument import instrumentation_for
+from repro.obs.profile import profile_flows
 from repro.obs.tracer import NULL_TRACER
 from repro.scsql.plan import compile_plan
 from repro.util.errors import QueryExecutionError, ReproError

@@ -28,10 +28,11 @@ from repro.hardware.environment import (
     EnvironmentConfig,
     shared_template,
 )
-from repro.obs import Instrumentation, profile
+from repro.obs import Instrumentation
 from repro.obs.flow import NULL_FLOWS
 from repro.obs.health import ContinuousBottleneckDetector, HealthEvent, resource_scope
 from repro.obs.live import DEFAULT_WINDOW, NULL_LIVE, LiveSampler, NullLiveSampler
+from repro.obs.profile import profile
 from repro.obs.tracer import NULL_TRACER
 from repro.scsql.session import SCSQSession
 

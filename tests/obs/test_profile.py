@@ -18,9 +18,9 @@ from repro.core.experiments.fig8 import BALANCED, SEQUENTIAL, merge_query
 from repro.core.experiments.fig15 import inbound_query
 from repro.core.measurement import measure_query_bandwidth
 from repro.engine.settings import ExecutionSettings
-from repro.obs import Instrumentation, profile, profile_flows
+from repro.obs import Instrumentation
 from repro.obs.flow import NULL_FLOWS, FlowRecorder
-from repro.obs.profile import BottleneckReport
+from repro.obs.profile import BottleneckReport, profile, profile_flows
 from repro.obs.tracer import NULL_TRACER
 from repro.net.message import WireBuffer
 

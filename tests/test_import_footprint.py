@@ -61,6 +61,67 @@ print(json.dumps({{
 '''
 
 
+#: The observability plane and the sweep harness: no hooks-off run loads them.
+PLANE = (
+    "repro.obs.flow", "repro.obs.live", "repro.obs.health", "repro.obs.metrics",
+    "repro.obs.profile", "repro.core.measurement", "repro.core.parallel",
+)
+
+#: Modules a hooks-off query over synthetic arrays runs no code of: the
+#: plane, the sanitizer, the session front end and the operators only the
+#: deck's queries use.  The workload generators (``repro.workloads.*``)
+#: are checked by prefix.
+NOT_RUN = PLANE + (
+    "repro.analysis.sanitize", "repro.scsql.session",
+    "repro.engine.operators.fft", "repro.engine.operators.filters",
+    "repro.engine.operators.grep", "repro.engine.operators.groupwin",
+    "repro.engine.operators.transforms", "repro.engine.operators.window",
+)
+
+#: One hooks-off lifecycle from text, as the ledger times it, then a hub.
+LIFECYCLE = f'''
+import json, sys
+from repro.coordinator.deployer import Deployer
+from repro.hardware.environment import EnvironmentConfig, shared_template
+from repro.scsql.plan import compile_plan
+
+plan = compile_plan("{P2P_QUERY}")
+env = shared_template(EnvironmentConfig()).fork(seed=0)
+deployer = Deployer(env)
+placed = deployer.place(plan)
+deployer.verify(placed).raise_if_failed()
+deployment = deployer.deploy(placed)
+report = deployment.run()
+deployment.teardown()
+loaded = sorted(
+    name for name in sys.modules
+    if name in {NOT_RUN!r} or name.startswith("repro.workloads.")
+)
+
+from repro.obs.instrument import Instrumentation
+
+Instrumentation()
+print(json.dumps({{
+    "result": report.result,
+    "loaded": loaded,
+    "hub": [name for name in ("repro.obs.flow", "repro.obs.metrics") if name in sys.modules],
+}}))
+'''
+
+
+def test_hooks_off_lifecycle_loads_only_what_it_runs():
+    """compile -> fork -> place -> verify -> deploy -> run -> teardown loads
+    no module it runs no code of (a teardown reads the sanitizer's scope
+    only once something has loaded it); the first hub loads its own."""
+    result = subprocess.run([sys.executable, "-c", LIFECYCLE], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert json.loads(result.stdout.splitlines()[-1]) == {
+        "result": [5],
+        "loaded": [],
+        "hub": ["repro.obs.flow", "repro.obs.metrics"],
+    }
+
+
 def _imported(argv):
     """Run ``python -X importtime argv`` and return the modules it imported."""
     result = subprocess.run(
@@ -99,6 +160,8 @@ def test_cli_query_imports_only_its_own_driver():
     assert {m for m in modules if m.startswith("repro.bench.")} <= {
         "repro.bench.cli", "repro.bench.baseline"
     }
+    # Nor does the observability plane or the sweep harness.
+    assert not modules & set(PLANE)
 
 
 _SRC = Path(repro.__file__).parent.parent

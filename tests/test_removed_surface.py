@@ -333,6 +333,15 @@ def any_of_collects(node: ast.AST) -> bool:
     )
 
 
+def eager_package_import(node: ast.AST) -> bool:
+    """An import from ``repro`` other than the lazy re-export helper."""
+    return (
+        isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("repro"))
+        and node.module != "repro.util.lazy"
+    )
+
+
 def chaos_is_a_calendar_queue(module) -> bool:
     """``ShuffleScheduler`` is a batched ``CalendarQueue``."""
     return issubclass(module.ShuffleScheduler, module.CalendarQueue) and bool(
@@ -355,6 +364,9 @@ FIGURE_MODULES = tuple(
     for name in ("fig6", "fig8", "fig15", "scaling", "ablations")
 )
 DOCS = ("docs", "README.md", "DESIGN.md", "EXPERIMENTS.md")
+PACKAGE_INITS = tuple(
+    _rel(ROOT, path) for path in sorted((ROOT / "src" / "repro").rglob("__init__.py"))
+)
 
 ROWS: List[Row] = [
     Row(
@@ -583,6 +595,14 @@ ROWS: List[Row] = [
         "an operator loop charges through charge_cpu and takes a processed get's value "
         "in place, with no wrapper generator",
         "docs/performance.md#An object pays one frame per modelled cost",
+    ),
+    Row(
+        Ast(eager_package_import, "from repro.obs.instrument import Instrumentation"),
+        PACKAGE_INITS,
+        "A launch loads what its queries run",
+        "a package re-exports through repro.util.lazy.lazy_exports, so importing "
+        "one module loads only what that module imports",
+        "docs/performance.md#A launch loads what it runs (PR 40)",
     ),
     Row(
         Resolves(),
