@@ -61,7 +61,8 @@ def _run_sanitized(args: argparse.Namespace) -> int:
     """Run one subcommand under the sanitizer and/or the chaos scheduler.
 
     A ``--sanitize`` run that audited no teardown checked nothing: that
-    is a failure (exit 1), not a clean run.
+    is a failure (exit 1), not a clean run.  A usage error (exit 2)
+    started no run, so it reports no audit.
     """
     from repro.analysis import sanitize
 
@@ -73,15 +74,14 @@ def _run_sanitized(args: argparse.Namespace) -> int:
             scope = stack.enter_context(
                 sanitize.sanitizer(label=f"cli:{args.command}", strict=False)
             )
-        code = args.func(args) or 0
-    if scope is not None:
-        print(f"sanitize: {scope.audited} teardown(s) audited")
-        if scope.report.diagnostics:
-            print(scope.report.format_text(), file=sys.stderr)
-            return 1
-        if not scope.audited:
-            return int(code) or 1
-    return int(code)
+        code = int(args.func(args) or 0)
+    if scope is None or code == 2:
+        return code
+    print(f"sanitize: {scope.audited} teardown(s) audited")
+    if scope.report.diagnostics:
+        print(scope.report.format_text(), file=sys.stderr)
+        return 1
+    return code or (0 if scope.audited else 1)
 
 
 if __name__ == "__main__":

@@ -1,18 +1,17 @@
-"""Static analysis of compiled queries and of the simulator's own code.
-
-Two halves:
+"""Checks of compiled queries and of running simulations.
 
 * :mod:`repro.analysis.verifier` — proves a compiled
   :class:`~repro.scsql.plan.DeploymentPlan` deployable (or rejects it with
   coded diagnostics) by running the deployer's placement resolver on the
   real CNDBs between a topology ``snapshot()`` and ``restore()``, and warns
   where the cost model shows a topology link-bound.
-* :mod:`repro.analysis.lint` — AST lints keeping the simulation kernel
-  deterministic (no wall clock, no global RNG, no set-order dependence,
-  ``__slots__`` events, guarded obs hooks).
+* :mod:`repro.analysis.diagnostics` — the coded findings both report.
+* :mod:`repro.analysis.sanitize` — audits executions for schedule races,
+  leaks at teardown and wedged simulations.
 
-Entry points: ``Deployer.verify(plan)``, ``python -m repro analyze``, and
-``python -m repro.analysis.lint``.
+Entry points: ``Deployer.verify(plan)`` and ``python -m repro analyze``.
+The determinism rules on the simulator's own source (``DET00x``) are rows
+of ``tests/test_removed_surface.py``.
 """
 
 from repro.util.lazy import lazy_exports

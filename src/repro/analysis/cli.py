@@ -224,30 +224,12 @@ def _sanitize_clean_run(seeds: List[int]) -> "AnalysisReport":
 
 
 def _run_sanitize(args: argparse.Namespace) -> Tuple[List["AnalysisReport"], int]:
-    """The ``--sanitize`` mode: defect harnesses or the clean self-check."""
-    from repro.analysis.defects import DEFECTS, run_defect
-
+    """The ``--sanitize`` mode: the clean self-check, failing on findings."""
     seeds = _parse_seeds(args.chaos_seeds)
     if not seeds:
         raise SystemExit("analyze: --chaos-seeds must name at least one seed")
-    reports: List[AnalysisReport] = []
-    if args.defects:
-        codes = (
-            sorted(DEFECTS)
-            if "all" in args.defects
-            else list(dict.fromkeys(args.defects))
-        )
-        for code in codes:
-            if code not in DEFECTS:
-                raise SystemExit(
-                    f"analyze: unknown defect {code!r} (expected one of "
-                    f"{sorted(DEFECTS)} or 'all')"
-                )
-            reports.append(run_defect(code))
-    else:
-        reports.append(_sanitize_clean_run(seeds))
-    failed = [r for r in reports if not r.ok(strict=args.strict)]
-    return reports, 1 if failed else 0
+    report = _sanitize_clean_run(seeds)
+    return [report], 0 if report.ok(strict=args.strict) else 1
 
 
 def run_analyze(args: argparse.Namespace) -> int:
@@ -381,18 +363,7 @@ def add_analyze_parser(sub: Any) -> None:
         "--sanitize",
         action="store_true",
         help="run the dynamic sanitizers (leak audit + chaos replay of a "
-        "reference harness); with --defect, run seeded-defect harnesses "
-        "instead — exits non-zero whenever findings exist",
-    )
-    p.add_argument(
-        "--defect",
-        dest="defects",
-        action="append",
-        default=[],
-        metavar="SANxxx",
-        help="with --sanitize: run this seeded-defect micro-harness "
-        "(repeatable; 'all' runs every one).  Each is expected to produce "
-        "its SAN code, so the exit status is non-zero",
+        "reference harness); exits non-zero whenever findings exist",
     )
     p.add_argument(
         "--chaos-seeds",

@@ -1,10 +1,10 @@
 """Diagnostics: the structured output of every `repro.analysis` pass.
 
 A :class:`Diagnostic` is one finding — a stable code (``SCSQ...``), a
-severity, a message, and where it points: the stream process, the SCSQL
-source span of the ``sp()``/``spv()`` call that created it, or a file/line
-for lint findings.  An :class:`AnalysisReport` collects the findings of one
-verification run and renders them as text or JSON.
+severity, a message, and where it points: the stream process and the SCSQL
+source span of the ``sp()``/``spv()`` call that created it.  An
+:class:`AnalysisReport` collects the findings of one verification run and
+renders them as text or JSON.
 
 The full code catalogue lives in ``docs/static-analysis.md``; the
 :data:`CATALOG` table here is the machine-readable half (code -> default
@@ -86,14 +86,12 @@ class Diagnostic:
     """One static-analysis finding.
 
     Attributes:
-        code: Stable catalogue code (``SCSQ103``, ``DET001``, ...).
+        code: Stable catalogue code (``SCSQ103``, ``SAN201``, ...).
         severity: Effective severity of this occurrence.
         message: Human-readable description with the concrete ids/bounds.
         sp_id: Stream process the finding is about, when applicable.
         span: SCSQL source position of the offending ``sp()``/``spv()``
             call, when the plan was compiled from source text.
-        path: Source file, for lint findings.
-        line: 1-based line in ``path``, for lint findings.
     """
 
     code: str
@@ -101,14 +99,10 @@ class Diagnostic:
     message: str
     sp_id: Optional[str] = None
     span: Optional[Span] = None
-    path: Optional[str] = None
-    line: Optional[int] = None
 
     def format(self) -> str:
         """``error[SCSQ103] <line:col> <sp>: message`` (parts as known)."""
         where = []
-        if self.path:
-            where.append(f"{self.path}:{self.line}" if self.line else self.path)
         if self.span is not None:
             where.append(str(self.span))
         if self.sp_id:
@@ -127,10 +121,6 @@ class Diagnostic:
             data["sp_id"] = self.sp_id
         if self.span is not None:
             data["line"], data["column"] = self.span.line, self.span.column
-        if self.path:
-            data["path"] = self.path
-            if self.line:
-                data["line"] = self.line
         return data
 
 

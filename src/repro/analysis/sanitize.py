@@ -46,9 +46,9 @@ Usage::
         sanitize.assert_quiescent(env)        # env-level leak audit
     # strict scope: raises SanitizationError when findings exist
 
-Entry points: ``python -m repro analyze --sanitize``, the pytest plugin
-(:mod:`repro.analysis.pytest_plugin`, ``--sanitize`` / ``--chaos-seed``),
-and the bench/faults/adaptive harness flags.  The code catalogue is
+Entry points: ``python -m repro analyze --sanitize``, pytest's
+``--sanitize`` / ``--chaos-seed`` (hooks of the repository's root
+``conftest.py``), and the bench/faults/adaptive harness flags.  The code catalogue is
 documented in ``docs/static-analysis.md``.
 """
 

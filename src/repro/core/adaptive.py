@@ -28,7 +28,7 @@ Everything here is a pure function of the simulated event stream: no
 wall clock, no unseeded randomness, deterministic victim selection
 (labels and sp ids are visited in sorted order, strict-improvement
 tie-breaks keep the first).  The module is covered by the DET001–005
-hot-path lint rules (see ``repro.analysis.lint.HOT_MODULES``).
+hot-path determinism rules (the ``HOT`` scope of tests/test_removed_surface.py).
 """
 
 from __future__ import annotations

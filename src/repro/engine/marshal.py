@@ -39,11 +39,6 @@ class StreamMarshaller:
         self._pending: List[Fragment] = []
         self._pending_bytes = 0
 
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes currently accumulated in the open (unflushed) buffer."""
-        return self._pending_bytes
-
     def add(self, obj: Any) -> Iterator[WireBuffer]:
         """Add one object; yields every buffer that fills up as a result."""
         object_id = next(self._object_ids)

@@ -3,10 +3,10 @@
 Each function in :data:`DEFECTS` builds a small real scenario — usually the
 Figure 6 point-to-point query on a fresh environment — sabotages exactly
 one lifecycle obligation, and returns the sanitizer's report.  They are the
-executable specification of the ``SANxxx`` catalogue: the sanitizer test
-suite asserts each harness produces its code, and
-``python -m repro analyze --sanitize --defect SANxxx`` must exit non-zero
-on every one of them (the self-check CI runs).
+executable specification of the ``SANxxx`` catalogue:
+``tests/analysis/test_sanitize.py`` asserts each harness produces exactly
+its code, and that ``python -m repro analyze --sanitize`` exits non-zero
+when its harness is one of them.
 
 The sabotage patterns are the real-world bug shapes the sanitizer exists
 to catch: a teardown path that forgets one close call, a dangling blocking
@@ -21,8 +21,6 @@ from typing import Any, Callable, Dict, Iterator, Tuple
 
 from repro.analysis import sanitize
 from repro.analysis.diagnostics import AnalysisReport
-
-__all__ = ["DEFECTS", "run_defect"]
 
 
 def _deployed_fig6(flows: bool = False) -> Tuple[Any, Any]:
@@ -180,8 +178,7 @@ def defect_san301() -> AnalysisReport:
     return scope.report
 
 
-#: code -> micro-harness producing it.  Iterated by the CLI self-check and
-#: the per-code sanitizer tests.
+#: code -> micro-harness producing it.
 DEFECTS: Dict[str, Callable[[], AnalysisReport]] = {
     "SAN101": defect_san101,
     "SAN201": defect_san201,
@@ -192,8 +189,3 @@ DEFECTS: Dict[str, Callable[[], AnalysisReport]] = {
     "SAN206": defect_san206,
     "SAN301": defect_san301,
 }
-
-
-def run_defect(code: str) -> AnalysisReport:
-    """Run one seeded-defect harness; raises ``KeyError`` on unknown codes."""
-    return DEFECTS[code]()

@@ -1,11 +1,11 @@
-"""The determinism lint suite: rules fire, suppressions work, repo is clean."""
+"""The determinism rows of tests/test_removed_surface.py, case by case:
+each rule fires where it should, stays quiet on the code it allows, and
+honours a suppression that names it."""
 
-import subprocess
-import sys
 import textwrap
 from pathlib import Path
 
-from repro.analysis.lint import RULES, _default_paths, lint_file, lint_paths
+from tests.test_removed_surface import DET, ROOT, det_findings
 
 #: A hot-path file stuffed with one violation per rule.
 BAD_SIM_SOURCE = textwrap.dedent(
@@ -33,12 +33,17 @@ BAD_SIM_SOURCE = textwrap.dedent(
 
 
 def write_hot_file(tmp_path: Path, source: str, package: str = "sim") -> Path:
-    """Place a file where the hot-path rules apply (under ``repro/<pkg>/``)."""
-    directory = tmp_path / "repro" / package
+    """Place a file in a package of a temporary tree (``src/repro/<pkg>/``)."""
+    directory = tmp_path / "src" / "repro" / package
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / "case.py"
     path.write_text(source)
     return path
+
+
+def lint_file(path: Path):
+    """What the DET rows say of ``path``: ``(code, line, message)`` by line."""
+    return det_findings(path.parents[3], path)
 
 
 class TestRulesFire:
@@ -48,13 +53,11 @@ class TestRulesFire:
         assert fired == {"DET001", "DET002", "DET003", "DET004", "DET005"}
 
     def test_findings_carry_path_and_line(self, tmp_path):
-        path = write_hot_file(tmp_path, BAD_SIM_SOURCE)
-        findings = lint_file(path)
-        assert all(d.path == str(path) for d in findings)
-        wall_clock = next(d for d in findings if d.code == "DET001")
-        assert BAD_SIM_SOURCE.splitlines()[wall_clock.line - 1].strip() == (
-            "start = time.time()"
-        )
+        write_hot_file(tmp_path, BAD_SIM_SOURCE)
+        row = DET["DET001"]
+        (hit,) = row.check.hits(tmp_path, row.scope)
+        line = BAD_SIM_SOURCE.splitlines().index("    start = time.time()") + 1
+        assert hit.startswith(f"src/repro/sim/case.py:{line}: DET001 ")
 
     def test_slots_rule_tracks_transitive_event_subclasses(self, tmp_path):
         source = textwrap.dedent(
@@ -176,19 +179,7 @@ class TestHookNameFormatRule:
 
     #: The seeded defect: the per-event hooks as they were before the
     #: bound-instrument rewrite, one formatted name per observation.
-    SEEDED = textwrap.dedent(
-        """
-        def emit(self, buffer, node):
-            obs = self.sim.obs
-            flows = obs.flows
-            if obs.enabled:
-                obs.add(f"stream.bytes_sent[{self.stream_id}]", buffer.nbytes)
-                obs.add("stream.bytes[%s]" % self.stream_id)
-                obs.record_level("io[{}]".format(node), 1)
-            if flows.enabled:
-                flows.hop(buffer, "torus.inject", 1.0, resource=f"coproc[{node}]")
-        """
-    )
+    SEEDED = DET["DET008"].check.example
 
     def test_fires_on_every_formatting_style(self, tmp_path):
         for package in ("sim", "net", "engine"):
@@ -268,7 +259,7 @@ class TestProcessNameFormatRule:
         )
         assert lint_file(write_hot_file(tmp_path, source, package="net")) == []
         for module in ("net/torus.py", "net/ethernet.py", "engine/inbox.py"):
-            text = (_default_paths()[0] / module).read_text()
+            text = (ROOT / "src" / "repro" / module).read_text()
             assert ".process(" not in text and "tracer.enabled" not in text, module
 
 
@@ -277,31 +268,7 @@ class TestEagerGrantWindowRule:
 
     #: The seeded defect: each function spawns or interrupts inside the one
     #: window where a synchronous grant and a queued grant would disagree.
-    SEEDED = textwrap.dedent(
-        """
-        def send(self, buffer):
-            slot = self.window.get()
-            self.sim.process(self._forward(buffer))
-            yield slot
-
-        def stop(self, victim):
-            with self.cpu.request() as req:
-                victim.interrupt("stop")
-                yield req
-
-        def deposit(self, buffer):
-            done = self.inbox.put(buffer)
-            self.sim.process(self._ack(buffer))
-            if done.callbacks is not None:
-                yield done
-
-        def forward(self, buffer):
-            slot = self.window.get()
-            self.sim.detach(self._forward(buffer))
-            if slot.callbacks is not None:
-                yield slot
-        """
-    )
+    SEEDED = DET["DET009"].check.example
 
     def test_fires_on_spawn_and_interrupt_inside_the_window(self, tmp_path):
         for package in ("sim", "net", "engine"):
@@ -342,17 +309,7 @@ class TestPlacementCursorRule:
 
     #: The seeded defect: the deploy-time cursor save/restore this repo used
     #: to carry in the deployer (and the copy in the analysis snapshot).
-    SEEDED = textwrap.dedent(
-        """
-        def deploy(self, env):
-            saved = {name: env.cndb(name)._rr_cursor for name in env.cluster_names()}
-            return saved
-
-        def teardown(self, env, saved):
-            for name, cursor in saved.items():
-                env.cndb(name)._rr_cursor = cursor
-        """
-    )
+    SEEDED = DET["DET010"].check.example
 
     def test_fires_outside_hardware_and_the_resolver(self, tmp_path):
         for package in ("coordinator", "analysis", "core"):
@@ -386,18 +343,19 @@ class TestSuppressions:
         assert lint_file(write_hot_file(tmp_path, source)) == []
 
     def test_file_suppression(self, tmp_path):
+        """There is no file-wide form: a ``disable-file`` comment silences nothing."""
         source = textwrap.dedent(
             """
             # lint: disable-file=DET003
 
-            def pick(items, extra):
+            def pick(items):
                 for item in {i for i in items}:
-                    return item
-                for item in set(extra):
                     return item
             """
         )
-        assert lint_file(write_hot_file(tmp_path, source)) == []
+        assert [(d.code, d.line) for d in lint_file(write_hot_file(tmp_path, source))] == [
+            ("DET003", 5),
+        ]
 
     def test_suppression_is_code_specific(self, tmp_path):
         source = textwrap.dedent(
@@ -414,37 +372,18 @@ class TestSuppressions:
 
 class TestRepoIsClean:
     def test_hot_packages_have_no_findings(self):
-        findings = lint_paths(_default_paths())
-        assert findings == [], "\n".join(d.format() for d in findings)
-
-    def test_cli_exits_zero_on_the_repo(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "repro.analysis.lint"],
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert "0 finding(s)" in result.stdout
+        hits = [hit for row in DET.values() for hit in row.check.hits(ROOT, row.scope)]
+        assert hits == []
 
 
 class TestCLI:
-    def test_nonzero_exit_and_json_on_findings(self, tmp_path):
-        import json
-
-        path = write_hot_file(tmp_path, BAD_SIM_SOURCE)
-        result = subprocess.run(
-            [sys.executable, "-m", "repro.analysis.lint", str(path), "--json"],
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 1
-        payload = json.loads(result.stdout)
-        assert {d["code"] for d in payload} == {
-            "DET001", "DET002", "DET003", "DET004", "DET005"
-        }
+    """The rules a command line once listed: the registry and its docs."""
 
     def test_rule_registry_is_complete(self):
-        assert [rule.code for rule in RULES] == [
+        """Ten rules, each with its entry in the docs' rule table."""
+        assert list(DET) == [
             "DET001", "DET002", "DET003", "DET004", "DET005",
             "DET006", "DET007", "DET008", "DET009", "DET010",
         ]
+        docs = (ROOT / "docs" / "static-analysis.md").read_text(encoding="utf-8")
+        assert all(f"| {code} |" in docs for code in DET)

@@ -8,8 +8,9 @@ suite-wide ``--sanitize`` plugin mode does not double-audit it.
 
 import pytest
 
+from repro.__main__ import main
+from repro.analysis import cli as analyze_cli
 from repro.analysis import sanitize
-from repro.analysis.defects import DEFECTS
 from repro.coordinator.deployer import Deployer
 from repro.core.experiments.fig6 import point_to_point_query
 from repro.engine.settings import ExecutionSettings
@@ -19,6 +20,7 @@ from repro.obs.flow import FlowRecorder
 from repro.scsql.plan import compile_plan
 from repro.sim import ShuffleScheduler, Simulator
 from repro.util.errors import SanitizationError
+from tests.analysis.defects import DEFECTS
 
 #: The exact code set each seeded-defect harness fires.  A leaked live
 #: process (SAN201) necessarily also wedges the drained queue (SAN301),
@@ -57,10 +59,20 @@ class TestDefectHarnesses:
     """One intentional bug per code: the executable SAN specification."""
 
     @pytest.mark.parametrize("code", sorted(DEFECTS))
-    def test_defect_fires_exactly_its_codes(self, code):
-        report = DEFECTS[code]()
+    def test_defect_fires_exactly_its_codes(self, code, monkeypatch, capsys):
+        """Run as `analyze --sanitize`'s harness, each defect makes it exit 1."""
+        reports = []
+
+        def harness(seeds):
+            reports.append(DEFECTS[code]())
+            return reports[-1]
+
+        monkeypatch.setattr(analyze_cli, "_sanitize_clean_run", harness)
+        assert main(["analyze", "--sanitize"]) == 1
+        (report,) = reports
         fired = {diagnostic.code for diagnostic in report.diagnostics}
         assert fired == EXPECTED_CODES[code]
+        assert "analyze --sanitize: 1 report(s), 1 with findings" in capsys.readouterr().out
 
     def test_registry_covers_every_san_code(self):
         from repro.analysis.diagnostics import CATALOG
@@ -304,20 +316,15 @@ class TestSingleQueryPathsAreAudited:
         assert audited == 4  # two session deployments + two solo baselines
 
     def test_top(self, capsys):
-        from repro.__main__ import main
-
         assert self._audited(
             lambda: main(["top", "--point", "fig8", "--once"])
         ) == 1
 
     def test_cli_prints_the_audited_count(self, capsys):
-        from repro.__main__ import main
-
         assert main(["bench", "--mode", "power", "--smoke", "--sanitize"]) == 0
         assert "sanitize: 3 teardown(s) audited" in capsys.readouterr().out
 
     def test_cli_fails_a_sanitized_run_that_audited_nothing(self, capsys, monkeypatch):
-        from repro.__main__ import main
         from repro.bench import benchmark
         from repro.bench.benchmark import BenchReport
 
@@ -328,6 +335,14 @@ class TestSingleQueryPathsAreAudited:
         assert "sanitize: 0 teardown(s) audited" in capsys.readouterr().out
         # A usage error keeps its own exit code.
         assert main(["adaptive", "--point", "nope", "--sanitize"]) == 2
+
+    def test_cli_usage_error_reports_no_audit(self, capsys):
+        """`bench --sanitize` with nothing to do started no run: the usage
+        error is its one outcome, with no audit line after it."""
+        assert main(["bench", "--only", "fig6", "--sanitize"]) == 2
+        out, err = capsys.readouterr()
+        assert "bench: nothing to do" in err
+        assert "audited" not in out
 
     def test_stop_condition_drain_is_reaped_by_teardown(self):
         """Found by the audits above under chaos seeds 0 and 2 (SAN203 on

@@ -32,7 +32,8 @@ class TestMarshaller:
         marshaller = StreamMarshaller("s", "src", 100)
         buffers = list(marshaller.add(1))  # 8 bytes, fits
         assert buffers == []
-        assert marshaller.pending_bytes == 8
+        tail = marshaller.flush()  # the open buffer holds the 8 bytes
+        assert tail is not None and tail.nbytes == 8
 
     def test_large_object_fragments(self):
         objects = [SyntheticArray(nbytes=3000)]

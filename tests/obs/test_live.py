@@ -13,15 +13,12 @@ Covers the tentpole invariants of the streaming sampler:
   the post-hoc critical-path profile;
 * a kill-node fault emits ``degraded`` -> ``recovered`` health events
   bracketing the replan;
-* the new obs modules stay clean under the DET001-005 determinism lint
+* the new obs modules stay clean under the DET001-005 determinism rules
   (checked as if they lived in a hot-path package).
 """
 
-from pathlib import Path
-
 import pytest
 
-from repro.analysis.lint import lint_file
 from repro.core.experiments.fig15 import inbound_query
 from repro.hardware.environment import (
     Environment,
@@ -35,6 +32,7 @@ from repro.obs.live import DEFAULT_WINDOW, NULL_LIVE, LiveSampler, NullLiveSampl
 from repro.obs.profile import profile
 from repro.obs.tracer import NULL_TRACER
 from repro.scsql.session import SCSQSession
+from tests.test_removed_surface import ROOT, det_findings
 
 FIG15_QUERY = inbound_query(5, 5, 300_000, 3)
 
@@ -336,14 +334,11 @@ class TestLintCleanliness:
 
     @pytest.mark.parametrize("module", ["live", "health"])
     def test_clean_under_hot_path_rules(self, module, tmp_path):
-        source = (
-            Path(__file__).resolve().parents[2]
-            / "src" / "repro" / "obs" / f"{module}.py"
-        )
+        source = ROOT / "src" / "repro" / "obs" / f"{module}.py"
         # Re-home the module under repro/sim/ so every hot-path-only rule
         # applies, then demand a clean bill.
-        hot = tmp_path / "repro" / "sim"
+        hot = tmp_path / "src" / "repro" / "sim"
         hot.mkdir(parents=True)
         target = hot / f"{module}.py"
         target.write_text(source.read_text())
-        assert lint_file(target) == []
+        assert det_findings(tmp_path, target) == []

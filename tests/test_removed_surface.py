@@ -10,6 +10,9 @@ code -- so that it cannot come back unnoticed.  A row has five fields:
 * ``reason``: one line on why it stays gone;
 * ``doc``: ``docs/<file>.md#<heading>``, where its replacement is explained.
 
+The determinism rules (``DET001``-``DET010``) are rows too: a ``Det``
+check reads the syntax trees of its scope, parsed once per session.
+
 Text checks read ``*.py`` files, plus ``*.md`` under ``docs``.  They never
 read ``__pycache__``, and they skip this module, which names everything it
 forbids.  A later removal adds a row here; docs/static-analysis.md,
@@ -21,12 +24,14 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import importlib
 import importlib.util
 import re
+import textwrap
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, List, NamedTuple, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 import pytest
 
@@ -57,6 +62,17 @@ def _files(root: Path, scope: Tuple[str, ...]) -> Iterator[Path]:
 
 def _text(path: Path) -> str:
     return path.read_text(encoding="utf-8")
+
+
+def _tree(path: Path) -> ast.Module:
+    """The file's syntax tree, parsed once per session (per version of it)."""
+    stat = path.stat()
+    return _parse(path, stat.st_mtime_ns, stat.st_size)
+
+
+@functools.lru_cache(maxsize=None)
+def _parse(path: Path, _mtime_ns: int, _size: int) -> ast.Module:
+    return ast.parse(_text(path), filename=str(path))
 
 
 def _seed_file(root: Path, scope: Tuple[str, ...], lines: List[str]) -> str:
@@ -196,7 +212,7 @@ class Ast:
             f"{_rel(root, path)}:{node.lineno}"
             for path in _files(root, scope)
             if path.suffix == ".py"
-            for node in ast.walk(ast.parse(_text(path)))
+            for node in ast.walk(_tree(path))
             if self.predicate(node)
         ]
 
@@ -300,6 +316,51 @@ class Resolves:
         return ["repro.net.message.ControlMessage"]
 
 
+_SUPPRESS = re.compile(r"#\s*lint:\s*disable=([A-Z0-9,\s]+)")
+
+
+@dataclass(frozen=True)
+class Det:
+    """Determinism rule ``code``: ``find`` reports nothing in the scope's
+    Python source, except in paths starting with one of ``exempt`` and on
+    lines whose ``# lint: disable=<code>[,<code>]`` comment names the rule.
+    ``example`` is source on which it reports exactly ``lines``; the
+    self-test seeds it into every entry of the scope."""
+
+    code: str
+    find: Callable[[ast.Module, str], Iterator[Tuple[int, str]]]
+    example: str
+    lines: Tuple[int, ...]
+    exempt: Tuple[str, ...] = ()
+
+    def label(self, scope: Tuple[str, ...]) -> str:
+        return self.code
+
+    def check(self, root: Path, path: Path) -> List[Tuple[int, str]]:
+        """``(line, message)`` of every finding in one file of the scope."""
+        rel = _rel(root, path)
+        if rel.startswith(self.exempt):
+            return []
+        source = _text(path).splitlines()
+        return [
+            (line, message)
+            for line, message in self.find(_tree(path), rel)
+            for match in [_SUPPRESS.search(source[line - 1])]
+            if not match or self.code not in {c.strip() for c in match.group(1).split(",")}
+        ]
+
+    def hits(self, root: Path, scope: Tuple[str, ...]) -> List[str]:
+        return [
+            f"{_rel(root, path)}:{line}: {self.code} {message}"
+            for path in _files(root, scope)
+            for line, message in self.check(root, path)
+        ]
+
+    def seed(self, root: Path, scope: Tuple[str, ...]) -> List[str]:
+        seeded = [_seed_file(root, (entry,), self.example.splitlines()) for entry in scope]
+        return [f"{name}:{line}:" for name in seeded for line in self.lines]
+
+
 def takes_verify(node: ast.AST) -> bool:
     """A function with a ``verify`` parameter."""
     if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -349,6 +410,262 @@ def chaos_is_a_calendar_queue(module) -> bool:
     )
 
 
+# The determinism rules (``DET00x``): the same seed must replay the same
+# events.  Each ``find`` takes a module's tree and its path below the
+# repository root and yields ``(line, message)``.
+
+WALL_CLOCK = {
+    ("time", name) for name in ("time", "time_ns", "perf_counter", "perf_counter_ns",
+                                "monotonic", "monotonic_ns", "process_time")
+} | {("datetime", "now"), ("datetime", "utcnow"), ("date", "today")}
+GLOBAL_RANDOM = {
+    ("random", name) for name in ("random", "randint", "randrange", "uniform", "gauss",
+                                  "choice", "choices", "shuffle", "sample", "seed")
+}
+
+
+def _calls(names: Set[Tuple[str, str]], message: str):
+    """``<module>.<function>()`` calls of ``names`` (DET001, DET002)."""
+
+    def find(tree: ast.Module, path: str) -> Iterator[Tuple[int, str]]:
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    and (func.value.id, func.attr) in names):
+                yield node.lineno, message.format(call=f"{func.value.id}.{func.attr}")
+
+    return find
+
+
+def iterates_a_set(tree: ast.Module, path: str) -> Iterator[Tuple[int, str]]:
+    """DET003: a loop or comprehension over a set display, a set
+    comprehension or a bare ``set()``/``frozenset()`` (``sorted`` restores order)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            iters = [node.iter]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            iters = [generator.iter for generator in node.generators]
+        else:
+            continue
+        for it in iters:
+            if isinstance(it, (ast.Set, ast.SetComp)) or (
+                isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
+                and it.func.id in ("set", "frozenset")
+            ):
+                yield it.lineno, ("iterating a set: order varies between runs/builds; "
+                                  "iterate a list/tuple or sort first")
+
+
+def _declares_slots(cls: ast.ClassDef) -> bool:
+    """``__slots__`` in the body, or ``@dataclass(slots=True)``."""
+    for statement in cls.body:
+        targets = (statement.targets if isinstance(statement, ast.Assign)
+                   else [statement.target] if isinstance(statement, ast.AnnAssign) else [])
+        if any(isinstance(target, ast.Name) and target.id == "__slots__" for target in targets):
+            return True
+    return any(
+        isinstance(decorator, ast.Call) and any(
+            keyword.arg == "slots" and isinstance(keyword.value, ast.Constant)
+            and keyword.value.value is True
+            for keyword in decorator.keywords
+        )
+        for decorator in cls.decorator_list
+    )
+
+
+def unslotted_class(tree: ast.Module, path: str) -> Iterator[Tuple[int, str]]:
+    """DET004: every class of ``repro.sim`` but an ``Exception`` subclass
+    (its base carries a ``__dict__`` regardless), and every ``*Snapshot`` or
+    ``*Template`` class of ``repro.hardware`` (one per fork), is flat."""
+    kernel = path.startswith("src/repro/sim/")
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or _declares_slots(cls):
+            continue
+        covered = not any(
+            isinstance(base, ast.Name) and base.id in ("Exception", "BaseException")
+            for base in cls.bases
+        ) if kernel else cls.name.endswith(("Snapshot", "Template"))
+        if covered:
+            noun = "kernel class" if kernel else "fork-lifecycle class"
+            yield cls.lineno, (f"{noun} {cls.name} has no __slots__ (or dataclass "
+                               "slots=True); instances are allocated on the hot path")
+
+
+def _reads_enabled(test: ast.AST) -> bool:
+    return any(
+        isinstance(node, ast.Attribute) and node.attr == "enabled"
+        or isinstance(node, ast.Name) and node.id == "enabled"
+        for node in ast.walk(test)
+    )
+
+
+def _hook(node: ast.AST) -> Optional[str]:
+    """The name of an ``obs.on_*``, ``flows.on_*`` or ``flows.begin/advance/end`` call."""
+    func = node.func if isinstance(node, ast.Call) else None
+    if not isinstance(func, ast.Attribute):
+        return None
+    owner = func.value
+    name = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", None)
+    if func.attr.startswith("on_") and name in ("obs", "flows"):
+        return f"{name}.{func.attr}"
+    if func.attr in ("begin", "advance", "end") and isinstance(owner, ast.Attribute) \
+            and name == "flows":
+        return f"flows.{func.attr}"
+    return None
+
+
+def unguarded_hook(tree: ast.Module, path: str) -> Iterator[Tuple[int, str]]:
+    """DET005: a hook call lies in the body of an ``if`` (or a conditional
+    expression) whose test reads ``enabled``, so the disabled hub costs nothing."""
+    spans = [
+        (node.body[0].lineno, max(child.end_lineno for child in node.body))
+        if isinstance(node, ast.If) else (node.lineno, node.end_lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.If, ast.IfExp)) and _reads_enabled(node.test)
+    ]
+    for node in ast.walk(tree):
+        hook = _hook(node)
+        if hook and not any(start <= node.lineno <= end for start, end in spans):
+            yield node.lineno, f"obs hook {hook}() called outside an `if ....enabled:` guard"
+
+
+def unowned_listener(tree: ast.Module, path: str) -> Iterator[Tuple[int, str]]:
+    """DET006: in each class, and in the module outside its classes, every
+    ``add_listener()`` passes ``owner=`` (the SAN206 census names leaks by
+    owner) and some call is ``remove_listener()``."""
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    in_a_class = {id(node) for cls in classes for node in ast.walk(cls)}
+    scopes = [(f"class {cls.name}", list(ast.walk(cls))) for cls in classes]
+    scopes.append(("module scope", [n for n in ast.walk(tree) if id(n) not in in_a_class]))
+    for label, nodes in scopes:
+        calls = [n for n in nodes if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)]
+        detaches = any(call.func.attr == "remove_listener" for call in calls)
+        for call in calls:
+            if call.func.attr != "add_listener":
+                continue
+            if not any(keyword.arg == "owner" for keyword in call.keywords):
+                yield call.lineno, "add_listener() without an owner= tag"
+            if not detaches:
+                yield call.lineno, (f"{label} subscribes a listener but never calls "
+                                    "remove_listener(); suppress only an environment-"
+                                    "lifetime subscription, saying why")
+
+
+def _private(attributes: Tuple[str, ...], message: str):
+    """Reads or writes of ``attributes`` on anything but ``self`` (DET007, DET010)."""
+
+    def find(tree: ast.Module, path: str) -> Iterator[Tuple[int, str]]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in attributes and not (
+                isinstance(node.value, ast.Name) and node.value.id == "self"
+            ):
+                yield node.lineno, message.format(attr=node.attr)
+
+    return find
+
+
+def _formatted(node: ast.AST) -> bool:
+    """An f-string with a field, ``"..." % x`` or ``"...".format(x)``."""
+    if isinstance(node, ast.JoinedStr):
+        return any(isinstance(value, ast.FormattedValue) for value in node.values)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+        template = node.left
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+          and node.func.attr == "format"):
+        template = node.func.value
+    else:
+        return False
+    return isinstance(template, ast.Constant) and isinstance(template.value, str)
+
+
+def _formatted_below(node: ast.AST) -> Iterator[ast.AST]:
+    """Formatted strings below ``node``, but not in the body of an ``if <x>
+    is None:``: the branch that binds an instrument once."""
+    if isinstance(node, ast.If) and isinstance(node.test, ast.Compare) and (
+        isinstance(node.test.ops[0], ast.Is)
+        and isinstance(node.test.comparators[0], ast.Constant)
+        and node.test.comparators[0].value is None
+    ):
+        children = node.orelse
+    elif isinstance(node, ast.expr) and _formatted(node):
+        yield node
+        return
+    else:
+        children = list(ast.iter_child_nodes(node))
+    for child in children:
+        yield from _formatted_below(child)
+
+
+def formatted_hot_name(tree: ast.Module, path: str) -> Iterator[Tuple[int, str]]:
+    """DET008: no string is formatted in an ``enabled``-guarded body (once
+    per event), and no ``.process(name=...)`` in a generator formats its
+    name (once per pass; only the tracer and the sanitizer read it)."""
+    seen: Set[Tuple[int, int]] = set()  # nested guards walk a statement twice
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and _reads_enabled(node.test):
+            for statement in node.body:
+                for found in _formatted_below(statement):
+                    if (found.lineno, found.col_offset) not in seen:
+                        seen.add((found.lineno, found.col_offset))
+                        yield found.lineno, ("name formatted inside an enabled-guarded hook; "
+                                             "bind it once under `if ... is None:`")
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef) or not any(
+            isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(func)
+        ):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "process":
+                for keyword in node.keywords:
+                    if keyword.arg == "name" and _formatted(keyword.value):
+                        yield keyword.value.lineno, ("process name formatted on every pass "
+                                                     "through a generator body")
+
+
+#: ``(method, positional arguments)`` of the calls whose event may come back
+#: already processed, and the calls that schedule an urgent event.
+CREATORS = {("request", 0), ("get", 0), ("put", 1)}
+URGENT = ("process", "detach", "interrupt")
+
+
+def _created(value: ast.AST, target: Optional[ast.AST]) -> Optional[str]:
+    """The name bound to a freshly created kernel event, if any."""
+    if (isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute)
+            and (value.func.attr, len(value.args)) in CREATORS
+            and isinstance(target, ast.Name)):
+        return target.id
+    return None
+
+
+def urgent_in_grant_window(tree: ast.Module, path: str) -> Iterator[Tuple[int, str]]:
+    """DET009: between creating a ``request()``/``get()``/``put(x)`` event
+    and yielding it, guard-testing it or appending a callback (both read
+    ``.callbacks``), no ``.process(``/``.detach(``/``.interrupt(``: a grant
+    delivered synchronously would overtake the urgent event they schedule."""
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        pending: Dict[str, int] = {}  # event name -> the line that created it
+        nodes = [node for node in ast.walk(func) if hasattr(node, "lineno")]
+        for node in sorted(nodes, key=lambda node: (node.lineno, node.col_offset)):
+            bound: List[Optional[str]] = []
+            if isinstance(node, ast.Assign):
+                bound = [_created(node.value, node.targets[0])]
+            elif isinstance(node, ast.With):
+                bound = [_created(item.context_expr, item.optional_vars) for item in node.items]
+            elif isinstance(node, (ast.Yield, ast.Attribute)) and isinstance(
+                node.value, ast.Name
+            ) and getattr(node, "attr", "callbacks") == "callbacks":
+                pending.pop(node.value.id, None)  # waited on, or guard-tested
+            elif pending and isinstance(node, ast.Call) and isinstance(
+                node.func, ast.Attribute
+            ) and node.func.attr in URGENT:
+                name, line = next(iter(pending.items()))
+                yield node.lineno, (f".{node.func.attr}() between creating event {name!r} "
+                                    f"(line {line}) and waiting on it")
+            pending.update((name, node.lineno) for name in bound if name)
+
 class Row(NamedTuple):
     check: object
     scope: Tuple[str, ...]
@@ -367,6 +684,16 @@ DOCS = ("docs", "README.md", "DESIGN.md", "EXPERIMENTS.md")
 PACKAGE_INITS = tuple(
     _rel(ROOT, path) for path in sorted((ROOT / "src" / "repro").rglob("__init__.py"))
 )
+#: The simulation's hot path, where the same seed must replay the same
+#: events: the kernel, the networks, the engine, the topology (its
+#: snapshot/fork lifecycle is kernel state) and the adaptive controller,
+#: which steps the simulator and picks migration victims.
+HOT = ("src/repro/sim", "src/repro/net", "src/repro/engine", "src/repro/hardware",
+       "src/repro/core/adaptive.py")
+#: The packages whose code runs once per simulated event or buffer.
+PER_EVENT = ("src/repro/sim", "src/repro/net", "src/repro/engine")
+DETERMINISM = "One engine for the repo's rules about its own source"
+DET_DOC = "docs/static-analysis.md#Determinism lints (`DET00x`)"
 
 ROWS: List[Row] = [
     Row(
@@ -379,12 +706,10 @@ ROWS: List[Row] = [
     ),
     Row(
         Only(r"perf_counter|time\.time\(", "started = time.perf_counter()",
-             files=("src/repro/core/experiments/cli.py",),
-             ignore=("src/repro/analysis/lint.py",)),
+             files=("src/repro/core/experiments/cli.py",)),
         PACKAGE,
         "host time has one owner",
-        "host time is the ledger's; the one clock read is the `all` progress "
-        "line (analysis/lint.py names the calls, it does not make them)",
+        "host time is the ledger's; the one clock read is the `all` progress line",
         "docs/performance.md#Wall-clock metrics in the BENCH gate",
     ),
     Row(
@@ -605,6 +930,174 @@ ROWS: List[Row] = [
         "docs/performance.md#A launch loads what it runs (PR 40)",
     ),
     Row(
+        Det("DET001", _calls(WALL_CLOCK, "{call}() reads the wall clock; use sim.now"),
+            "import time\n\n\ndef stamp():\n    return time.time()\n", (5,)),
+        HOT,
+        DETERMINISM,
+        "a wall-clock read makes a replay depend on the host",
+        DET_DOC,
+    ),
+    Row(
+        Det("DET002", _calls(GLOBAL_RANDOM, "{call}() draws from the global RNG; use a "
+                             "seeded random.Random(seed)"),
+            "import random\n\n\ndef jitter():\n    return random.random()\n", (5,)),
+        HOT,
+        DETERMINISM,
+        "the global RNG is shared, unseeded state",
+        DET_DOC,
+    ),
+    Row(
+        Det("DET003", iterates_a_set,
+            "def pick(items):\n    for item in {i for i in items}:\n        return item\n"
+            "    return [item for item in set(items)]\n", (2, 4)),
+        HOT,
+        DETERMINISM,
+        "set order varies between runs and builds",
+        DET_DOC,
+    ),
+    Row(
+        Det("DET004", unslotted_class,
+            "class Event:\n    __slots__ = ()\n\n\nclass TopoSnapshot(Event):\n    pass\n", (5,)),
+        ("src/repro/sim", "src/repro/hardware"),
+        DETERMINISM,
+        "kernel and fork-lifecycle objects are allocated per event or fork: no instance dict",
+        DET_DOC,
+    ),
+    Row(
+        Det("DET005", unguarded_hook,
+            "def restore(obs, snapshot):\n    obs.on_restore(snapshot)\n", (2,)),
+        HOT,
+        DETERMINISM,
+        "with observation off, a hook costs one attribute test",
+        DET_DOC,
+    ),
+    Row(
+        Det("DET006", unowned_listener,
+            "def watch(flows, on_flow):\n    flows.add_listener(on_flow)\n", (2,)),
+        PACKAGE,
+        DETERMINISM,
+        "a listener names its owner and is detached, or SAN206 reports it at run time",
+        DET_DOC,
+    ),
+    Row(
+        Det("DET007", _private(("_heap", "_buckets", "_times", "_next_seq"),
+                               "scheduler internal .{attr}: same-instant order is the "
+                               "backend's, and chaos shuffles it"),
+            "def peek(sim):\n    return sim.scheduler._heap[0]\n", (2,),
+            exempt=("src/repro/sim/",)),
+        PACKAGE,
+        DETERMINISM,
+        "only the kernel reads its queue layout; others use push/pop/next_time",
+        DET_DOC,
+    ),
+    Row(
+        Det("DET008", formatted_hot_name, textwrap.dedent("""
+            def emit(self, buffer, node):
+                obs = self.sim.obs
+                flows = obs.flows
+                if obs.enabled:
+                    obs.add(f"stream.bytes_sent[{self.stream_id}]", buffer.nbytes)
+                    obs.add("stream.bytes[%s]" % self.stream_id)
+                    obs.record_level("io[{}]".format(node), 1)
+                if flows.enabled:
+                    flows.hop(buffer, "torus.inject", 1.0, resource=f"coproc[{node}]")
+            """), (6, 7, 8, 10)),
+        PER_EVENT,
+        DETERMINISM,
+        "a name formatted per event is host work the bound instruments removed",
+        DET_DOC,
+    ),
+    Row(
+        Det("DET009", urgent_in_grant_window, textwrap.dedent("""
+            def send(self, buffer):
+                slot = self.window.get()
+                self.sim.process(self._forward(buffer))
+                yield slot
+
+            def stop(self, victim):
+                with self.cpu.request() as req:
+                    victim.interrupt("stop")
+                    yield req
+
+            def deposit(self, buffer):
+                done = self.inbox.put(buffer)
+                self.sim.process(self._ack(buffer))
+                if done.callbacks is not None:
+                    yield done
+
+            def forward(self, buffer):
+                slot = self.window.get()
+                self.sim.detach(self._forward(buffer))
+                if slot.callbacks is not None:
+                    yield slot
+            """), (4, 9, 14, 20)),
+        PER_EVENT,
+        DETERMINISM,
+        "a grant delivered at creation must not overtake an urgent event",
+        DET_DOC,
+    ),
+    Row(
+        Det("DET010", _private(("_rr_cursor",),
+                               "CNDB round-robin cursor .{attr}: only the resolver's "
+                               "atomic walk saves or rewinds it"),
+            textwrap.dedent("""
+            def deploy(self, env):
+                saved = {name: env.cndb(name)._rr_cursor for name in env.cluster_names()}
+                return saved
+
+            def teardown(self, env, saved):
+                for name, cursor in saved.items():
+                    env.cndb(name)._rr_cursor = cursor
+            """), (3, 8),
+            exempt=("src/repro/hardware/", "src/repro/coordinator/resolver.py")),
+        PACKAGE,
+        DETERMINISM,
+        "a second writer of the cursor let a failed deployment shift later placements",
+        DET_DOC,
+    ),
+    Row(
+        Text(r"lint:\s*disable-file", ("# lint: disable-file=DET004",)),
+        ("src",),
+        DETERMINISM,
+        "a suppression names its line; no file opts out of a determinism rule",
+        DET_DOC,
+    ),
+    Row(
+        Absent(),
+        ("src/repro/analysis/lint.py",),
+        DETERMINISM,
+        "the DET rules are rows of this table, with one suppression syntax and no CLI",
+        DET_DOC,
+    ),
+    Row(
+        Absent(),
+        ("src/repro/analysis/defects.py",),
+        DETERMINISM,
+        "the seeded-defect harnesses are test fixtures: tests/analysis/defects.py",
+        "docs/static-analysis.md#Seeded-defect catalogue",
+    ),
+    Row(
+        Absent(),
+        ("src/repro/analysis/pytest_plugin.py",),
+        DETERMINISM,
+        "--sanitize and --chaos-seed of pytest are hooks of the root conftest.py",
+        "docs/static-analysis.md#Running under the sanitizer",
+    ),
+    Row(
+        Options(("analyze",), ("--defect",)),
+        MAIN,
+        DETERMINISM,
+        "the defect harnesses run in tier-1, not from the command line",
+        "docs/static-analysis.md#Seeded-defect catalogue",
+    ),
+    Row(
+        words("pending_bytes"),
+        ("src", "tests", "examples", "benchmarks"),
+        DETERMINISM,
+        "only a test read it; SenderDriver reads the marshaller's own counter",
+        "docs/static-analysis.md#Removed surface",
+    ),
+    Row(
         Resolves(),
         DOCS,
         "The repo's rules about itself are one tested table",
@@ -614,6 +1107,26 @@ ROWS: List[Row] = [
 ]
 
 LABELS = [row.check.label(row.scope) for row in ROWS]
+DET = {row.check.code: row for row in ROWS if isinstance(row.check, Det)}
+
+
+class Finding(NamedTuple):
+    code: str
+    line: int
+    message: str
+
+
+def det_findings(root: Path, path: Path) -> List[Finding]:
+    """What the DET rows whose scope holds ``path`` say of that one file of
+    the tree at ``root``, by line."""
+    rel = _rel(root, path)
+    found = [
+        Finding(row.check.code, line, message)
+        for row in DET.values()
+        if any(rel == entry or rel.startswith(entry + "/") for entry in row.scope)
+        for line, message in row.check.check(root, path)
+    ]
+    return sorted(found, key=lambda finding: (finding.line, finding.code))
 
 
 @pytest.mark.parametrize("row", ROWS, ids=LABELS)
@@ -628,6 +1141,13 @@ def test_row_fires_on_its_seed(row, tmp_path):
     hits = row.check.hits(tmp_path, row.scope)
     assert expected
     assert [e for e in expected if not any(e in hit for hit in hits)] == [], hits
+
+
+@pytest.mark.parametrize("row", DET.values(), ids=list(DET))
+def test_det_example_fires_on_exactly_its_lines(row, tmp_path):
+    expected = row.check.seed(tmp_path, row.scope)
+    found = {hit.split(" ")[0] for hit in row.check.hits(tmp_path, row.scope)}
+    assert sorted(found) == sorted(expected)
 
 
 def test_rows_name_their_change_and_doc():
