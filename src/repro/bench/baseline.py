@@ -19,13 +19,20 @@ equality, key for key: any drift against the committed
 ``BENCH_baseline.json`` is a code change, not noise.  Host time
 is not measured here: the calibrated ledger (``benchmarks/ledger``,
 ``BENCHMARK.json``) owns it.
+
+Beside the metrics, a gate point or power-mode query records a
+:func:`physics_digest` of every buffer it delivered: equal metrics do not
+mean equal buffer timings, equal digests do.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from repro.obs.flow import FlowRecord
 
 #: Schema version of the BENCH JSON document.
 BENCH_FORMAT_VERSION = 2
@@ -38,13 +45,45 @@ BENCH_FIGURES = ("fig6", "fig8", "fig15", "scale", "adaptive")
 # ----------------------------------------------------------------------
 # BENCH JSON round trip
 # ----------------------------------------------------------------------
+def physics_digest(runs: Iterable[Tuple[Iterable["FlowRecord"], Sequence[object]]]) -> str:
+    """sha256 over what runs of one point delivered, as they would be seen
+    from outside the simulator.
+
+    ``runs`` holds one ``(completed flow records, query results)`` pair per
+    run, in seed order.  Each delivered buffer contributes its stream, its
+    sequence number within the stream (the order the sender emitted it),
+    its byte count and its delivery time (``float.hex``); then come the
+    results.  Nothing of how the kernel got there enters: no event, flow
+    or buffer id, and no order among streams or same-instant deliveries.
+    """
+    import hashlib
+
+    lines: List[str] = []
+    for run, (records, results) in enumerate(runs):
+        streams: Dict[str, List["FlowRecord"]] = {}
+        for record in records:
+            streams.setdefault(record.stream_id, []).append(record)
+        for stream in sorted(streams):
+            emitted = sorted(streams[stream], key=lambda record: record.flow_id)
+            lines.extend(
+                f"{run} {stream} {seq} {record.nbytes} {float(record.delivered).hex()}"
+                for seq, record in enumerate(emitted)
+            )
+        lines.append(f"{run} results {list(results)!r}")
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
 def write_bench(path: str, metrics: Dict[str, float], repeats: int,
-                series: Optional[Dict[str, dict]] = None) -> None:
+                series: Optional[Dict[str, dict]] = None,
+                digests: Optional[Dict[str, str]] = None) -> None:
     document = {
         "version": BENCH_FORMAT_VERSION,
         "repeats": repeats,
         "metrics": metrics,
     }
+    if digests:
+        # Physics digests per point (physics_digest), gated like the metrics.
+        document["digests"] = digests
     if series:
         # Windowed live-telemetry series (per query/round p50/p95/p99,
         # throughput, health events).  Informational: load_bench reads
@@ -67,6 +106,13 @@ def load_bench(path: str) -> Dict[str, float]:
     return {str(k): float(v) for k, v in document["metrics"].items()}
 
 
+def load_digests(path: str) -> Dict[str, str]:
+    """The physics digests of a BENCH document (none in one written before
+    they were recorded)."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return dict(json.load(handle).get("digests", {}))
+
+
 # ----------------------------------------------------------------------
 # Comparison
 # ----------------------------------------------------------------------
@@ -82,11 +128,13 @@ def figure_of_metric(metric_name: str) -> str:
 
 
 def compare_bench(
-    baseline: Dict[str, float], current: Dict[str, float]
+    baseline: Mapping[str, object], current: Mapping[str, object], what: str = "metric"
 ) -> Tuple[List[str], int]:
     """Compare a run against a baseline key for key, by equality.
 
-    Values print with ``repr`` so that a 1-ulp difference shows.
+    Values print with ``repr`` so that a 1-ulp difference shows.  ``what``
+    names the values in the summary (``"metric"``, or ``"digest"`` for
+    :func:`physics_digest` values).
 
     Returns:
         ``(lines, problems)``: one line per baseline key (``equal``,
@@ -108,10 +156,10 @@ def compare_bench(
         else:
             lines.append(f"{name}: {value!r} -> {now!r} DIFFERS")
     lines.extend(
-        f"{name}: new metric (not in baseline)"
+        f"{name}: new {what} (not in baseline)"
         for name in sorted(set(current) - set(baseline))
     )
-    lines.append(f"=> {problems} of {len(baseline)} baseline metric(s) differ")
+    lines.append(f"=> {problems} of {len(baseline)} baseline {what}(s) differ")
     return lines, problems
 
 

@@ -31,6 +31,10 @@ its baseline value.
 
 Every query's result is checked against its workload's reference value;
 a harness that reports fast wrong answers is worse than no harness.
+
+Gate and power mode also report a
+:func:`~repro.bench.baseline.physics_digest` per point or query, gated by
+equality like the metrics.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.bench.baseline import BENCH_FIGURES, figure_of_metric
+from repro.bench.baseline import BENCH_FIGURES, figure_of_metric, physics_digest
 from repro.bench.faults import FaultOutcome, FaultTask, run_fault_task
 from repro.bench.query_stream import (
     DEFAULT_SCALE,
@@ -57,7 +61,7 @@ from repro.core.measurement import PointSpec, measure_points
 from repro.core.parallel import SweepExecutor
 from repro.core.multiquery import MultiQuerySession
 from repro.hardware.environment import Environment, EnvironmentConfig, shared_template
-from repro.obs.instrument import OBSERVE_FLOWS, live_instrumentation
+from repro.obs.instrument import OBSERVE_FLOWS, instrumentation_for, live_instrumentation
 from repro.obs.live import LiveSampler
 from repro.scsql.plan import compile_plan
 from repro.util.errors import MeasurementError
@@ -79,6 +83,10 @@ class BenchReport:
     the BENCH JSON's ``series`` key; the regression gate reads only the
     scalar ``metrics``."""
 
+    digests: Dict[str, str] = field(default_factory=dict)
+    """:func:`~repro.bench.baseline.physics_digest` per gate point or
+    power-mode query, gated by equality beside ``metrics``."""
+
     def describe(self) -> str:
         return "\n".join(self.lines)
 
@@ -91,9 +99,15 @@ def _check_result(query: BenchQuery, result: List[object], context: str) -> None
         )
 
 
-def _fresh_env(seed: int, live: bool = False) -> "tuple[Environment, Optional[LiveSampler]]":
+def _fresh_env(
+    seed: int, live: bool = False, flows: bool = False
+) -> "tuple[Environment, Optional[LiveSampler]]":
+    """A fresh seeded environment: under a live hub if ``live``, else under
+    a flows-level hub if ``flows`` (both record flows), else hooks off."""
     seeded = EnvironmentConfig().with_seed(seed)
     obs, sampler = live_instrumentation() if live else (None, None)
+    if flows and obs is None:
+        obs = instrumentation_for(OBSERVE_FLOWS)
     return shared_template(seeded).fork(seed=seeded.seed, obs=obs), sampler
 
 
@@ -149,6 +163,7 @@ def run_bench(
             f"expected a subset of {list(BENCH_FIGURES)}"
         )
     metrics: Dict[str, float] = {}
+    digests: Dict[str, str] = {}
     lines: List[str] = []
     sweeps: Dict[str, List[PointSpec]] = {}
     for point in bench_points():
@@ -163,6 +178,10 @@ def run_bench(
             result = results[point.key]
             latencies = result.flow_latencies()
             metrics[f"{point.key}/mbps"] = result.mean_mbps
+            digests[point.key] = physics_digest(
+                (obs.flows.completed, report.result)
+                for obs, report in zip(result.observations, result.reports)
+            )
             if latencies:
                 summary = latency_summary(latencies)
                 metrics[f"{point.key}/p50_ms"] = summary["p50"] * 1e3
@@ -189,7 +208,7 @@ def run_bench(
                 f"(x{comparison.speedup:.2f}, "
                 f"{len(comparison.migrations)} migration(s))"
             )
-    return BenchReport(mode="gate", metrics=metrics, lines=lines)
+    return BenchReport(mode="gate", metrics=metrics, lines=lines, digests=digests)
 
 
 # ----------------------------------------------------------------------
@@ -202,12 +221,15 @@ def run_power_mode(
 ) -> BenchReport:
     """Stream 0 runs the deck serially; per-query latency is the metric.
 
-    ``live`` watches each deck query with a fresh
-    :class:`~repro.obs.live.LiveSampler` and collects the windowed
-    p50/p95/p99 series into ``report.series`` keyed by the query tag; the
-    gated scalar metrics are unchanged by the instrumentation.
+    Each query runs with the flows hooks on, which move no simulated
+    time, and its physics digest is taken from that run.  ``live`` watches
+    each deck query with a fresh :class:`~repro.obs.live.LiveSampler` (its
+    hub records flows too) and collects the windowed p50/p95/p99 series
+    into ``report.series`` keyed by the query tag; the gated scalar metrics
+    are unchanged by the instrumentation.
     """
     metrics: Dict[str, float] = {}
+    digests: Dict[str, str] = {}
     series: Dict[str, dict] = {}
     lines = [f"power mode: deck scale {scale.name!r}, seed {seed}"]
     latencies_ms: List[float] = []
@@ -215,10 +237,13 @@ def run_power_mode(
         query = build_query(kind, 0, scale, seed)
         plan = compile_plan(query.query)
         with registered([query]):
-            env, sampler = _fresh_env(seed, live)
+            env, sampler = _fresh_env(seed, live, flows=True)
             deployer = Deployer(env)
             report = deployer.run(plan)
         _check_result(query, report.result, "power mode")
+        digests[f"power[{kind}]"] = physics_digest(
+            [(env.sim.obs.flows.completed, report.result)]
+        )
         if sampler is not None:
             sampler.finalize(env.sim.now)
             series[f"power[{kind}]"] = sampler.series_document()
@@ -235,7 +260,7 @@ def run_power_mode(
     )
     lines.append(f"  geometric mean latency: {metrics['power/geomean_ms']:.3f} ms")
     return BenchReport(mode="power", metrics=metrics, lines=lines,
-                       series=series or None)
+                       series=series or None, digests=digests)
 
 
 # ----------------------------------------------------------------------

@@ -44,6 +44,7 @@ from repro.bench.baseline import (
     diff_ledger,
     figure_of_metric,
     load_bench,
+    load_digests,
     write_bench,
 )
 from repro.cli_flags import add_live_flags, add_sanitize_flags
@@ -142,17 +143,26 @@ def _bench(args: argparse.Namespace, default: Callable[[str], Any]) -> int:
                 fh.write(json.dumps({"label": segment, **series[segment]}) + "\n")
         print(f"live: {len(series)} windowed series -> {args.live_out}")
     if args.out:
-        write_bench(args.out, metrics, repeats=args.repeats, series=series)
+        write_bench(args.out, metrics, repeats=args.repeats, series=series,
+                    digests=report.digests)
         print(f"bench: {len(metrics)} metrics -> {args.out}"
               + (f" (+{len(series)} windowed series)" if series else ""))
     if args.baseline:
-        # Suites the run was not asked to produce must not read as "missing".
-        baseline = {
-            name: value for name, value in load_bench(args.baseline).items()
-            if figure_of_metric(name) in suites
-        }
-        lines, problems = compare_bench(baseline, metrics)
-        print("\n".join(lines))
+        problems = 0
+        for recorded, measured, what in (
+            (load_bench(args.baseline), metrics, "metric"),
+            (load_digests(args.baseline), report.digests, "digest"),
+        ):
+            # Suites the run was not asked to produce must not read as "missing".
+            baseline = {
+                name: value for name, value in recorded.items()
+                if figure_of_metric(name) in suites
+            }
+            if not baseline and not measured:
+                continue  # a mode that records no digests
+            lines, differ = compare_bench(baseline, measured, what)
+            print("\n".join(lines))
+            problems += differ
         if problems:
             return 1
     return 0

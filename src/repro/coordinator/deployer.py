@@ -551,8 +551,8 @@ class Deployment:
             else:
                 stop_token.cancel()  # completed normally; stand the watchdog down
         # The measured query time ends when the result stream completes at
-        # the client manager; the losing flush timers still queued past it
-        # (they hold nothing) must not count.
+        # the client manager; the flush timers still queued past it (they
+        # wake nobody) must not count.
         finished_at = sim.now
         for rp in self.rps.values():
             yield from rp.join()

@@ -28,7 +28,10 @@ from repro.engine.inbox import Inbox
 from repro.engine.marshal import StreamDemarshaller, StreamMarshaller
 from repro.engine.objects import END_OF_STREAM
 from repro.net.channels import Channel
-from repro.sim import AnyOf, Store, Timeout, TokenPool
+from repro.sim import Store, Timeout, TokenPool, wake
+
+#: What a woken flush wait receives in place of an object (``_flush_due``).
+_FLUSH_DUE = object()
 
 
 def _stream_counters(obs, direction: str, stream_id: str):
@@ -69,6 +72,10 @@ class SenderDriver:
         )
         self._outbox = Store(ctx.sim, name=f"{stream_id}.outbox")
         self._pending_since: Optional[float] = None
+        # The partial buffer's flush timer, armed at its first wait, and the
+        # get that wait parked on (``_next_object``).
+        self._flush_timer: Optional[Timeout] = None
+        self._parked = None
         self._counters = None  # obs counters, bound by the first observed buffer
         # The driver's own process and its transmit sub-process (detached
         # from it), exposed so RP cancellation and termination can reach them.
@@ -89,9 +96,12 @@ class SenderDriver:
         )
         while True:
             got = self.source.get()
-            obj = got._value if got.callbacks is None else (
-                yield from self._next_object(got, marshaller)
-            )
+            if got.callbacks is None:
+                obj = got._value
+            elif self._pending_since is None:
+                obj = yield got  # nothing to flush: the bare get
+            else:
+                obj = yield from self._next_object(got, marshaller)
             if obj is END_OF_STREAM:
                 break
             for buffer in marshaller.add(obj):
@@ -100,6 +110,7 @@ class SenderDriver:
                 self._pending_since = None
             elif self._pending_since is None:
                 self._pending_since = self.ctx.sim._now
+                self._flush_timer = None  # a new partial buffer
         tail = marshaller.flush()
         if tail is not None:
             yield from self._emit(tail)
@@ -120,10 +131,15 @@ class SenderDriver:
         ``flush_interval`` old the partial buffer is sent, so subscribers
         see results promptly whether the stream trickles or stalls.
 
-        Each wait arms its own timer: its place in the queue orders a firing
-        flush among the events of its instant, and a timer armed by an
-        earlier wait would dispatch ahead of those queued since.  A timer
-        that loses holds nothing (:class:`~repro.sim.events.AnyOf`).
+        The wait is the bare get, so a get that wins resumes the driver
+        directly and a wait pays only for what fires.  A partial buffer
+        arms one timer, at its first wait.  If it fires while the driver is
+        parked on a get, :func:`~repro.sim.events.wake` resumes the driver
+        through one normal-rank event and leaves the get queued in the
+        store, where a condition over the get and the timer would have
+        resumed it.  A timer that fires elsewhere (inside ``_emit``) wakes
+        nothing: the flush happens at the next wait, whose deadline has
+        passed.
         """
         sim = self.ctx.sim
         # Bytes are pending exactly while ``_pending_since`` is set (run()).
@@ -135,8 +151,21 @@ class SenderDriver:
                 if tail is not None:
                     yield from self._emit(tail)
                 break
-            yield AnyOf(sim, (get_event, Timeout(sim, remaining)))
+            timer = self._flush_timer
+            if timer is None or timer.callbacks is None:  # none yet, or it fired early
+                timer = self._flush_timer = Timeout(sim, remaining)
+                timer.callbacks.append(self._flush_due)
+            self._parked = get_event
+            obj = yield get_event
+            if obj is not _FLUSH_DUE:
+                return obj
         return get_event._value if get_event.callbacks is None else (yield get_event)
+
+    def _flush_due(self, timer: Timeout) -> None:
+        """A flush timer fired: wake the driver if the timer is its partial
+        buffer's and the driver is parked on that buffer's wait."""
+        if timer is self._flush_timer:
+            wake(self._parked, _FLUSH_DUE)
 
     def _emit(self, buffer):
         """Acquire a send buffer, marshal into it, hand it to the transmitter."""

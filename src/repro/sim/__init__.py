@@ -20,6 +20,7 @@ __all__ = [
     "Process",
     "Interrupt",
     "AnyOf",
+    "wake",
     "Resource",
     "Request",
     "Store",
@@ -36,7 +37,7 @@ __all__ = [
 
 __getattr__ = lazy_exports(__name__, {
     "repro.sim.core": ("Simulator",),
-    "repro.sim.events": ("AnyOf", "Event", "Interrupt", "Process", "Timeout"),
+    "repro.sim.events": ("AnyOf", "Event", "Interrupt", "Process", "Timeout", "wake"),
     "repro.sim.resources": ("Request", "Resource", "Store", "TokenPool"),
     "repro.sim.scheduler": (
         "DEFAULT_SCHEDULER", "SCHEDULERS", "CalendarQueue", "EventScheduler", "HeapScheduler",

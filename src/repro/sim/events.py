@@ -336,6 +336,35 @@ class Detached:
                 return
 
 
+def wake(event: Event, value: Any = None) -> bool:
+    """Resume the process parked on ``event`` now, leaving ``event`` pending.
+
+    The process is detached from ``event`` and resumed through one
+    normal-rank event pushed at the current instant, whose value is
+    ``value``: it runs after everything already queued at this instant,
+    where a condition over ``event`` that fired now would resume it.
+    ``event`` keeps its place (a store get stays queued and takes the next
+    item), and the process collects it by yielding it again.  Returns
+    ``False``, doing nothing, when no process is parked on ``event``: it is
+    running, parked on something else, or finished.
+    """
+    callbacks = event.callbacks
+    if callbacks:
+        for callback in callbacks:
+            process = getattr(callback, "__self__", None)
+            if isinstance(process, Process) and process._target is event:
+                callbacks.remove(callback)
+                sim = event.sim
+                woken = Event(sim)
+                woken._ok = True
+                woken._value = value
+                woken.callbacks.append(callback)
+                process._target = woken  # an interrupt now detaches it from this
+                sim._push(sim._now, _NORMAL, woken)
+                return True
+    return False
+
+
 class AnyOf(Event):
     """Triggers as soon as one sub-event triggers (fails fast on failure);
     an empty set succeeds at once.  Made by :meth:`Simulator.any_of`.
@@ -346,7 +375,7 @@ class AnyOf(Event):
     __slots__ = ("_events",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        # Field-by-field init, as Timeout: one of these per flush wait.
+        # Field-by-field init, as Timeout.
         self.sim = sim
         self.callbacks = []
         self._value = _PENDING

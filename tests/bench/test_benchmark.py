@@ -1,18 +1,36 @@
 """Power/throughput benchmark modes and their BENCH v2 gate integration."""
 
+import dataclasses
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.__main__ import main
-from repro.bench.baseline import compare_bench, load_bench, write_bench
+from repro.bench.baseline import (
+    compare_bench,
+    load_bench,
+    load_digests,
+    physics_digest,
+    write_bench,
+)
 from repro.bench.benchmark import (
+    run_bench,
     run_fault_benchmark,
     run_power_mode,
     run_throughput_mode,
 )
-from repro.bench.query_stream import QUERY_KINDS, SMOKE_SCALE
+from repro.bench.query_stream import QUERY_KINDS, SMOKE_SCALE, build_query, registered
+from repro.coordinator.deployer import Deployer
+from repro.hardware.environment import EnvironmentConfig, shared_template
+from repro.obs.flow import FlowRecorder
+from repro.obs.instrument import instrumentation_for
 from repro.obs.live import DEFAULT_WINDOW
+from repro.scsql.plan import compile_plan
 from repro.util.errors import MeasurementError
 
 
@@ -127,6 +145,7 @@ class TestLiveSeries:
         live = run_power_mode(scale=SMOKE_SCALE, live=True)
         assert plain.series is None
         assert live.metrics == plain.metrics  # sampling must not move the gate
+        assert live.digests == plain.digests
         assert set(live.series) == {f"power[{kind}]" for kind in QUERY_KINDS}
         for document in live.series.values():
             assert document["windows"] >= 1
@@ -151,6 +170,88 @@ class TestLiveSeries:
         # ...but the series are in the document for dashboards to pick up
         document = json.loads(path.read_text())
         assert set(document["series"]) == set(live.series)
+
+
+class TestPhysicsDigest:
+    """A digest per gate point and power-mode query: what was delivered,
+    and when, not how the kernel got there."""
+
+    @pytest.fixture(scope="class")
+    def fig6(self):
+        return run_bench(figures={"fig6"})
+
+    def test_every_gate_point_has_one(self, fig6):
+        assert sorted(fig6.digests) == sorted(
+            name.rsplit("/", 1)[0] for name in fig6.metrics if name.endswith("/mbps")
+        )
+
+    def test_order_and_ids_are_not_physics(self):
+        """Record order, buffer ids and how the streams' flow ids interleave
+        are bookkeeping; a result or a delivery time is not."""
+        records = _completed_records("linear-road")
+        digest = physics_digest([(records, [1])])
+        streams = sorted({record.stream_id for record in records})
+        renumbered = [
+            dataclasses.replace(
+                record,
+                buffer_id=record.buffer_id + 1000,
+                flow_id=record.flow_id + 1000 * streams.index(record.stream_id),
+            )
+            for record in records
+        ]
+        random.Random(0).shuffle(renumbered)
+        assert len(streams) > 1
+        assert physics_digest([(renumbered, [1])]) == digest
+        assert physics_digest([(records, [2])]) != digest
+        late = dataclasses.replace(records[0], delivered=records[0].delivered + 1e-9)
+        assert physics_digest([([late, *records[1:]], [1])]) != digest
+
+    def test_a_shifted_delivery_moves_the_digest_and_no_metric(self, fig6, monkeypatch):
+        """Mutation: in every point, the first data buffer is delivered 1 ns
+        late and the second 1 ns early.  Every BENCH key stays equal; every
+        digest differs, so the digest gate is strictly stronger."""
+        complete = FlowRecorder.complete
+        delivered = {}
+
+        def shifted(recorder, buffer, now):
+            if not buffer.eos:
+                count = delivered[id(recorder)] = delivered.get(id(recorder), 0) + 1
+                now += {1: 1e-9, 2: -1e-9}.get(count, 0.0)
+            complete(recorder, buffer, now)
+
+        monkeypatch.setattr(FlowRecorder, "complete", shifted)
+        mutated = run_bench(figures={"fig6"})
+        assert mutated.metrics == fig6.metrics
+        assert all(mutated.digests[name] != fig6.digests[name] for name in fig6.digests)
+
+    def test_the_document_is_byte_identical_under_two_hash_seeds(self, tmp_path):
+        documents = []
+        for hash_seed in ("1", "7"):
+            for argv in (
+                ["--only", "fig6", "--only", "fig8", "--only", "fig15"],
+                ["--mode", "power", "--smoke", "--seed", "0"],
+            ):
+                out = tmp_path / f"bench-{hash_seed}-{len(documents)}.json"
+                subprocess.run(
+                    [sys.executable, "-m", "repro", "bench", *argv, "--out", str(out)],
+                    env={**os.environ, "PYTHONHASHSEED": hash_seed,
+                         "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+                    capture_output=True, check=True,
+                )
+                documents.append(out.read_bytes())
+        assert documents[:2] == documents[2:]
+        assert b'"digests"' in documents[0] and b'"digests"' in documents[1]
+
+
+def _completed_records(kind):
+    """The completed flow records of one smoke deck query, flows hooks on."""
+    query = build_query(kind, 0, SMOKE_SCALE, 0)
+    obs = instrumentation_for("flows")
+    with registered([query]):
+        deployer = Deployer(shared_template(EnvironmentConfig()).fork(seed=0, obs=obs))
+        deployer.run(compile_plan(query.query))
+        deployer.teardown()
+    return list(obs.flows.completed)
 
 
 class TestOneBaselineFile:
@@ -189,6 +290,20 @@ class TestOneBaselineFile:
         assert compared == sorted(n for n in recorded if n.startswith("fault["))
         assert len(compared) == 6
         assert "=> 0 of 6 baseline metric(s) differ" in out
+
+    def test_power_run_reproduces_its_committed_keys_and_digests(self, capsys):
+        committed = Path(__file__).resolve().parents[2] / "BENCH_baseline.json"
+        code = main(["bench", "--mode", "power", "--smoke", "--seed", "0",
+                     "--baseline", str(committed)])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "=> 0 of 7 baseline metric(s) differ" in out
+        assert "=> 0 of 3 baseline digest(s) differ" in out
+        assert sorted(load_digests(str(committed))) == sorted(
+            [f"power[{kind}]" for kind in QUERY_KINDS]
+            + [name.rsplit("/", 1)[0] for name in load_bench(str(committed))
+               if name.startswith("fig") and name.endswith("/mbps")]
+        )
 
     def test_gate_run_compares_only_the_figures_asked_for(
         self, recorded, tmp_path, capsys

@@ -2,9 +2,9 @@
 
 One small point-to-point query (121 data buffers of about 1 000 bytes
 over 5 torus hops) runs with ``observe="flows"``
-(``Instrumentation(tracer=NULL_TRACER)``) and without a hub; a profile
-function counts the Python frames entered in ``repro/obs`` and
-``repro/sim`` while ``deployment.run()`` drains.  The
+(``Instrumentation(tracer=NULL_TRACER)``) and without a hub; the counting
+helper (``tests/counting.py``) counts the Python frames entered in
+``repro/obs`` and ``repro/sim`` while ``deployment.run()`` drains.  The
 counts are exact and host-independent (no sampling, no timing), so the
 bounds below are a pin, not a tolerance: a hook frame per kernel state
 change, and nothing on the hooks-off path.
@@ -17,11 +17,6 @@ than the hooks-off run; it now reads 58.7 and 0.01 (CPython 3.11).
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 from typing import Dict
 
 from repro.coordinator.deployer import Deployer
@@ -30,6 +25,7 @@ from repro.hardware.environment import EnvironmentConfig, shared_template
 from repro.obs import Instrumentation
 from repro.obs.tracer import NULL_TRACER
 from repro.scsql.plan import compile_plan
+from tests.counting import assert_exact_across_hash_seeds, frames_entered
 
 #: Node 26 is five torus hops from node 0 on the default 4x4x2 torus.
 QUERY = (
@@ -43,10 +39,6 @@ MAX_OBS_CALLS_PER_BUFFER = 70.0
 #: ``repro.sim`` frames per delivered buffer beyond the hooks-off run.
 MAX_SIM_SURPLUS_PER_BUFFER = 1.0
 
-_PACKAGE = Path(__import__("repro").__file__).parent
-_LAYERS = {"obs": str(_PACKAGE / "obs") + os.sep, "sim": str(_PACKAGE / "sim") + os.sep}
-_ROOT = Path(__file__).resolve().parents[2]
-
 
 def count_calls(observed: bool) -> Dict[str, int]:
     """Frames entered per layer while one run of the point drains, and the
@@ -57,21 +49,10 @@ def count_calls(observed: bool) -> Dict[str, int]:
         env = shared_template(EnvironmentConfig()).fork(seed=1, obs=obs)
         deployer = Deployer(env)
         deployment = deployer.deploy(deployer.place(plan, settings=SETTINGS))
-        counts = dict.fromkeys(_LAYERS, 0)
-
-        def profile(frame, event, arg):
-            if event == "call":
-                filename = frame.f_code.co_filename
-                for layer, prefix in _LAYERS.items():
-                    if filename.startswith(prefix):
-                        counts[layer] += 1
-
         if counted:
-            sys.setprofile(profile)
-        try:
+            counts, report = frames_entered(deployment.run, ("obs", "sim"))
+        else:
             report = deployment.run()
-        finally:
-            sys.setprofile(None)
         deployer.teardown()
         assert list(report.result) == [4]
     counts["buffers"] = (
@@ -90,20 +71,4 @@ def test_the_flows_hooks_cost_one_frame_per_state_change():
 
 
 def test_the_counts_are_exact_across_runs_and_hash_seeds():
-    first = count_calls(True)
-    assert count_calls(True) == first
-    script = (
-        "import json; from tests.obs.test_hook_calls import count_calls; "
-        "print(json.dumps(count_calls(True)))"
-    )
-    for hash_seed in ("1", "7"):
-        env = dict(
-            os.environ,
-            PYTHONHASHSEED=hash_seed,
-            PYTHONPATH=os.pathsep.join([str(_PACKAGE.parent), str(_ROOT)]),
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", script], cwd=_ROOT, env=env,
-            capture_output=True, text=True, check=True,
-        ).stdout
-        assert json.loads(out) == first, hash_seed
+    assert_exact_across_hash_seeds(count_calls, True)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, Store
+from repro.sim import Interrupt, Store, wake
 from repro.util.errors import SimulationError
 
 
@@ -230,6 +230,108 @@ class TestConditions:
         with pytest.raises(SimulationError, match="unhandled failure"):
             sim.run()
         assert sim.now == 2.0
+
+
+class TestWake:
+    """``wake``: a timer cuts a process's wait on a pending event short,
+    without a condition event per wait."""
+
+    def test_a_parked_process_resumes_with_the_value_and_the_get_stays_queued(self, sim):
+        store = Store(sim, name="feed")
+        get = store.get()
+        seen = []
+
+        def body():
+            for _ in range(2):  # woken, then collected by yielding it again
+                value = yield get
+                seen.append((sim.now, value))
+
+        sim.process(body())
+        sim.run(until=1.0)
+        assert wake(get, "woken")
+        assert get.callbacks == [] and store._getters == [get]
+        sim.run(until=2.0)
+        assert seen == [(1.0, "woken")]
+        store.put("item")
+        sim.run()
+        assert seen == [(1.0, "woken"), (2.0, "item")]
+
+    def test_it_runs_after_what_is_already_queued_at_its_instant(self, sim):
+        """One normal-rank event, pushed now: where a condition over the
+        get that fired now would resume the process."""
+        get = Store(sim).get()
+        order = []
+
+        def parked():
+            order.append((yield get))
+
+        def other():
+            order.append("queued first")
+            yield sim.timeout(0.0)
+
+        sim.process(parked())
+        sim.run()
+        timer = sim.timeout(1.0)
+        timer.callbacks.append(lambda _: sim.process(other()))
+        timer.callbacks.append(lambda _: wake(get, "woken"))
+        sim.run()
+        assert order == ["queued first", "woken"]
+
+    def test_it_does_nothing_unless_a_process_is_parked_on_the_event(self, sim):
+        get, timer = Store(sim).get(), sim.timeout(5.0)
+
+        def body():
+            yield timer
+            return "done"
+
+        process = sim.process(body())
+        sim.run(until=1.0)
+        assert not wake(get)  # nobody waits on it
+        sim.run()
+        assert not wake(timer)  # processed, its waiter gone on
+        assert process.value == "done"
+
+    def test_a_bare_callback_is_not_a_process(self, sim):
+        event = sim.event()
+        event.callbacks.append(lambda e: None)
+        assert not wake(event)
+        assert len(event.callbacks) == 1
+
+    def test_an_interrupt_before_the_wake_dispatches_detaches_the_process(self, sim):
+        get = Store(sim).get()
+        seen = []
+
+        def body():
+            try:
+                yield get
+            except Interrupt as interrupt:
+                seen.append(interrupt.cause)
+            seen.append((yield sim.timeout(1.0, value="after")))
+
+        process = sim.process(body())
+        sim.run()
+        assert wake(get, "woken")
+        process.interrupt("stop")  # urgent: runs before the wake event
+        sim.run()
+        assert seen == ["stop", "after"]
+        assert get.callbacks == []
+
+    def test_an_item_that_arrives_before_the_wake_dispatches_waits_in_the_get(self, sim):
+        store = Store(sim)
+        get = store.get()
+        seen = []
+
+        def body():
+            seen.append((yield get))
+            seen.append(get.triggered)
+            seen.append((yield get))
+
+        sim.process(body())
+        sim.run()
+        assert wake(get, "woken")
+        store.put("item")  # the get triggers behind the wake event
+        sim.run()
+        assert seen == ["woken", True, "item"]
 
 
 class TestProcess:

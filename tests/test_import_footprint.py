@@ -164,6 +164,23 @@ def test_cli_query_imports_only_its_own_driver():
     assert not modules & set(PLANE)
 
 
+def test_cli_query_help_registers_the_figures_without_the_figure_table():
+    """The figure subcommands register from their names; the table behind
+    them (every experiment module) loads only when a figure runs."""
+    stdout, modules = _imported(["-m", "repro", "query", "--help"])
+    assert "usage: python -m repro query" in stdout
+    assert {m for m in modules if m.startswith("repro.core.experiments")} == {
+        "repro.core.experiments", "repro.core.experiments.cli"
+    }
+
+
+def test_the_figure_commands_are_the_figure_table():
+    from repro.core.experiments import FIGURES
+    from repro.core.experiments.cli import FIGURE_COMMANDS
+
+    assert FIGURE_COMMANDS == tuple(FIGURES)
+
+
 _SRC = Path(repro.__file__).parent.parent
 MODULES = sorted(
     ".".join(path.relative_to(_SRC).with_suffix("").parts).removesuffix(".__init__")

@@ -1098,6 +1098,14 @@ ROWS: List[Row] = [
         "docs/static-analysis.md#Removed surface",
     ),
     Row(
+        words("AnyOf"),
+        ("src/repro/engine",),
+        "A flush wait is a bare get",
+        "a sender waits on the bare get, and its partial buffer's one timer wakes it "
+        "through repro.sim.wake",
+        "docs/performance.md#An object pays one frame per modelled cost",
+    ),
+    Row(
         Resolves(),
         DOCS,
         "The repo's rules about itself are one tested table",
