@@ -75,7 +75,6 @@ CATALOG: Dict[str, Tuple[Severity, str]] = {
     "SAN203": (Severity.ERROR, "kernel store has blocked waiters after teardown"),
     "SAN204": (Severity.ERROR, "wire carrier registration leaked past teardown"),
     "SAN205": (Severity.ERROR, "node occupancy not returned to the CNDB"),
-    "SAN206": (Severity.ERROR, "observability listener leaked past its owner's lifetime"),
     # SAN3xx — liveness analyzer
     "SAN301": (Severity.ERROR, "simulation wedged: waiters outstanding with no runnable event"),
 }

@@ -16,12 +16,11 @@ the diagnostic catalogue:
   every jittered run order-dependent by construction and mask real races.
 
 * **leak sanitizer** (``SAN2xx``) — audits every
-  :meth:`~repro.coordinator.deployer.Deployment.teardown` and
-  :meth:`~repro.coordinator.deployer.Deployer.migrate` for state that
-  outlived its owner: live kernel processes (``SAN201``), open inboxes
-  (``SAN202``), blocked store waiters (``SAN203``), wire carrier
-  registrations (``SAN204``), node slots not returned to the CNDB
-  (``SAN205``), and observability listeners (``SAN206``).
+  :meth:`~repro.coordinator.deployer.Deployment.teardown` (a migration's
+  included) for state that outlived its owner: live kernel processes
+  (``SAN201``), open inboxes (``SAN202``), blocked store waiters
+  (``SAN203``), wire carrier registrations (``SAN204``) and node slots
+  not returned to the CNDB (``SAN205``).
 
 * **liveness analyzer** (``SAN301``) — when the event queue drains with
   waiters outstanding, renders the wait-for graph
@@ -31,7 +30,7 @@ the diagnostic catalogue:
 Teardown is asynchronous at heart: :meth:`RunningProcess.terminate`
 *schedules* interrupts, so a mid-run teardown cannot be judged for live
 processes synchronously.  Audits therefore run in two phases — structural
-checks (inboxes, carriers, node slots, listeners) immediately at teardown,
+checks (inboxes, carriers, node slots) immediately at teardown,
 liveness checks (processes, waiters) either immediately when the event
 queue is already drained or deferred to :func:`assert_quiescent` /
 sanitizer-scope exit.
@@ -60,7 +59,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    FrozenSet,
     Iterator,
     List,
     Optional,
@@ -83,7 +81,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "SanitizerScope",
     "assert_quiescent",
-    "audit_migrate",
     "audit_teardown",
     "chaos",
     "current",
@@ -93,12 +90,6 @@ __all__ = [
     "run_shuffled",
     "sanitizer",
 ]
-
-#: Listener owners that legitimately live as long as the environment:
-#: the live sampler subscribes to flow completions at construction and is
-#: torn down with the instrumentation hub itself.
-ENV_LIFETIME_OWNERS: FrozenSet[str] = frozenset({"live-sampler"})
-
 
 def _san(
     code: str,
@@ -275,16 +266,16 @@ def flush_deferred(scope: SanitizerScope) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Leak audits (hooked by Deployment.teardown / Deployer.migrate)
+# Leak audits (hooked by Deployment.teardown)
 # ---------------------------------------------------------------------------
 def audit_teardown(deployment: "Deployment") -> None:
     """Audit one just-torn-down deployment (called from ``teardown()``).
 
     Structural leaks — open inboxes, carrier registrations, unreleased
-    node slots, the deployment's own flow listener — are synchronous facts
-    and are checked immediately.  Liveness (processes, waiters) is checked
-    immediately only when the event queue is already drained; otherwise the
-    deployment is deferred (see :func:`flush_deferred`).
+    node slots — are synchronous facts and are checked immediately.
+    Liveness (processes, waiters) is checked immediately only when the
+    event queue is already drained; otherwise the deployment is deferred
+    (see :func:`flush_deferred`).
     """
     scope = _SCOPE
     if scope is None:
@@ -295,39 +286,6 @@ def audit_teardown(deployment: "Deployment") -> None:
         _audit_liveness(scope.report, deployment)
     else:
         scope.deferred.append(deployment)
-
-
-def audit_migrate(
-    old: "Deployment", replacement: "Deployment", env: "Environment"
-) -> None:
-    """Audit a completed migration (called from ``Deployer.migrate``).
-
-    The old generation's teardown was already audited by
-    :func:`audit_teardown` from inside ``migrate``; this checks the
-    hand-off itself: the old generation's flow listener must be gone and
-    the replacement's must be attached exactly once, so per-deployment
-    flow accounting survives generations without double counting.
-    """
-    scope = _SCOPE
-    if scope is None:
-        return
-    flows = env.obs.flows
-    if not flows.enabled:
-        return
-    owners = flows.listener_owners()
-    if old.owner_tag != replacement.owner_tag and old.owner_tag in owners:
-        scope.report.add(_san(
-            "SAN206",
-            f"migration to {replacement.rp_prefix!r} left the old "
-            f"generation's flow listener attached (owner {old.owner_tag!r})",
-        ))
-    count = owners.count(replacement.owner_tag)
-    if count > 1:
-        scope.report.add(_san(
-            "SAN206",
-            f"flow listener of {replacement.owner_tag!r} attached "
-            f"{count} times after migration (double accounting)",
-        ))
 
 
 def _audit_structural(report: AnalysisReport, deployment: "Deployment") -> None:
@@ -358,12 +316,6 @@ def _audit_structural(report: AnalysisReport, deployment: "Deployment") -> None:
                 f"after teardown of {label} (its receive switching cost "
                 f"taxes every later deployment)",
             ))
-    flows = env.obs.flows
-    if flows.enabled and label in flows.listener_owners():
-        report.add(_san(
-            "SAN206",
-            f"flow listener of {label!r} survived its deployment's teardown",
-        ))
 
 
 def _live_waiters(store: Any) -> int:
@@ -426,7 +378,6 @@ def _audit_liveness(report: AnalysisReport, deployment: "Deployment") -> None:
 # ---------------------------------------------------------------------------
 def assert_quiescent(
     env: "Environment",
-    allowed_owners: FrozenSet[str] = ENV_LIFETIME_OWNERS,
     raise_on_findings: bool = True,
 ) -> AnalysisReport:
     """Audit an environment for leaked state after all work is done.
@@ -440,8 +391,6 @@ def assert_quiescent(
       :meth:`~repro.obs.flow.FlowRecorder.drop_stream`);
     * ``SAN205`` — per-node occupancy differing from the template's
       pristine state (somebody acquired a slot and never released it);
-    * ``SAN206`` — flow/detector listeners whose owner is not in
-      ``allowed_owners`` (default: the env-lifetime live sampler);
     * deferred deployment audits (``SAN201``/``SAN203``/``SAN301``) of an
       active :func:`sanitizer` scope, for deployments on this simulator.
 
@@ -495,24 +444,6 @@ def assert_quiescent(
                     f"node {node.node_id} holds {node.running_processes} "
                     f"running process(es), pristine state had {running} — "
                     f"a slot was never returned to the CNDB",
-                ))
-
-    if flows.enabled:
-        for owner in flows.listener_owners():
-            if owner not in allowed_owners:
-                report.add(_san(
-                    "SAN206",
-                    f"flow listener owned by {owner or '<untagged>'!r} is "
-                    f"still attached at quiescence",
-                ))
-    live = env.obs.live
-    if live.enabled:
-        for owner in live.detector.listener_owners():
-            if owner not in allowed_owners:
-                report.add(_san(
-                    "SAN206",
-                    f"health listener owned by {owner or '<untagged>'!r} "
-                    f"is still attached at quiescence",
                 ))
 
     if scope is not None:

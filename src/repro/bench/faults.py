@@ -319,8 +319,8 @@ def run_faulted_session(
 
     The harness owns its session and tears it down on every exit path: the
     schedule yields exact results or the typed error of a replan that could
-    not deploy, and either way ``env`` comes back with every node, stream
-    and listener released.
+    not deploy, and either way ``env`` comes back with every node and
+    stream released.
     """
     rng = random.Random(f"fault:{schedule.seed}")
     session = MultiQuerySession(env)

@@ -66,9 +66,9 @@ def add_sanitize_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--sanitize", action="store_true",
         help="run under the dynamic sanitizer: audit every deployment "
-             "teardown/migration for leaked processes, inboxes, carriers, "
-             "node slots and listeners, and exit 1 on findings (subprocess "
-             "workers of --jobs N are audited too)",
+             "teardown/migration for leaked processes, inboxes, carriers "
+             "and node slots, and exit 1 on findings (subprocess workers "
+             "of --jobs N are audited too)",
     )
     parser.add_argument(
         "--chaos-seed", type=int, default=None, metavar="SEED",

@@ -288,13 +288,6 @@ class Deployment:
         self._process = None
         self._collector = None
         self._torn_down = False
-        # Per-deployment flow accounting: a completion listener scoped to
-        # this deployment's streams, attached for its lifetime and detached
-        # by teardown() (the leak sanitizer's SAN206 census flags it if a
-        # teardown path ever forgets).
-        self.flows_delivered = 0
-        self.flow_bytes = 0
-        self._flow_listener: Optional[Any] = None
         # The resolver's slots pass to the running processes (each acquires
         # its own, for its lifetime); teardown() undoes a partial build.
         self._assignment.release()
@@ -313,24 +306,12 @@ class Deployment:
         except BaseException:
             self.teardown()
             raise
-        flows = env.obs.flows
-        if flows.enabled:
-            self._stream_sources = frozenset(
-                rp.rp_id for rp in self.rps.values()
-            )
-            self._flow_listener = self._observe_flow
-            flows.add_listener(self._observe_flow, owner=self.owner_tag)
 
     @property
     def owner_tag(self) -> str:
-        """Identity of this deployment in the obs listener census."""
+        """This deployment's label in the leak sanitizer's SAN2xx and
+        SAN301 messages."""
         return f"deployment:{self.rp_prefix.rstrip('/') or ROOT_RP_ID}"
-
-    def _observe_flow(self, record: Any) -> None:
-        source, _, _ = record.stream_id.partition("->")
-        if source in self._stream_sources:
-            self.flows_delivered += 1
-            self.flow_bytes += record.nbytes
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -430,9 +411,6 @@ class Deployment:
         if flows.enabled:
             for stream_id in self.stream_ids():
                 flows.drop_stream(stream_id)
-        if self._flow_listener is not None:
-            self.env.obs.flows.remove_listener(self._flow_listener)
-            self._flow_listener = None
         # A sanitizer scope can be active only once its module is loaded.
         sanitize = sys.modules.get("repro.analysis.sanitize")
         if sanitize is not None and sanitize.enabled():
@@ -761,7 +739,4 @@ class Deployer:
                 else "; ".join(found.format() for found in rejection.diagnostics)
             ),
         )
-        sanitize = sys.modules.get("repro.analysis.sanitize")
-        if sanitize is not None and sanitize.enabled():
-            sanitize.audit_migrate(deployment, replacement, self.env)
         return replacement, record

@@ -4,9 +4,10 @@ This module closes the observe -> decide -> act loop across the stack:
 
 * **observe** — the :class:`~repro.obs.live.LiveSampler` windows carry
   per-SP measured throughput, and the
-  :class:`~repro.obs.health.ContinuousBottleneckDetector` pushes typed
-  :class:`~repro.obs.health.HealthEvent` transitions to subscribed
-  listeners the moment a window closes;
+  :class:`~repro.obs.health.ContinuousBottleneckDetector` appends typed
+  :class:`~repro.obs.health.HealthEvent` transitions to its ``events`` the
+  moment a window closes, and the controller reads the new ones after
+  each step;
 * **decide** — :meth:`~repro.optimizer.placement.CostBasedPlacer.
   replace_one` scores moving each candidate SP with every other placement
   held fixed, its analytic bounds calibrated by live measured/predicted
@@ -99,13 +100,14 @@ class AdaptiveController:
         self._unhealthy: Dict[str, HealthEvent] = {}
 
     # ------------------------------------------------------------------
-    # Observe: detector subscription
+    # Observe: the detector's events
     # ------------------------------------------------------------------
-    def _on_health(self, event: HealthEvent) -> None:
-        if event.kind in _ALERT_KINDS:
-            self._unhealthy[event.subject] = event
-        elif event.kind == "recovered":
-            self._unhealthy.pop(event.subject, None)
+    def _on_health(self, events: List[HealthEvent]) -> None:
+        for event in events:
+            if event.kind in _ALERT_KINDS:
+                self._unhealthy[event.subject] = event
+            elif event.kind == "recovered":
+                self._unhealthy.pop(event.subject, None)
 
     # ------------------------------------------------------------------
     # The control loop
@@ -132,18 +134,21 @@ class AdaptiveController:
         sim = env.sim
         session.start()
         t0 = sim.now
-        detector = live.detector
-        detector.add_listener(self._on_health, owner="adaptive-controller")
-        try:
-            while True:
-                upcoming = sim.peek()
-                if upcoming == float("inf"):
-                    break
-                sim.run(until=max(sim.now + CHECK_INTERVAL, upcoming))
-                if self._unhealthy:
-                    self._maybe_migrate()
-        finally:
-            detector.remove_listener(self._on_health)
+        # The detector emits only while the simulator steps, and the
+        # controller decides only between steps: reading the events a step
+        # appended, in emission order, gives every decision the state a
+        # push at emission would have.
+        events = live.detector.events
+        seen = len(events)
+        while True:
+            upcoming = sim.peek()
+            if upcoming == float("inf"):
+                break
+            sim.run(until=max(sim.now + CHECK_INTERVAL, upcoming))
+            self._on_health(events[seen:])
+            seen = len(events)
+            if self._unhealthy:
+                self._maybe_migrate()
 
         result = session.finish()
         result.live = live

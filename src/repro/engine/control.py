@@ -38,7 +38,6 @@ class StopToken:
         self.sim = sim
         self._rps: List["RunningProcess"] = []
         self.stopped = False
-        self.stop_time: float = float("nan")
         #: Triggered at the moment the query is stopped; the client manager
         #: races this against normal completion.
         self.event = sim.event()
@@ -57,7 +56,6 @@ class StopToken:
         if self.stopped:
             return
         self.stopped = True
-        self.stop_time = self.sim.now
         for rp in self._rps:
             rp.terminate()
         self.event.succeed()

@@ -44,7 +44,6 @@ class Inbox:
         if slots < 1:
             raise SimulationError(f"an inbox needs at least one slot, got {slots}")
         self.sim = sim
-        self.slots = slots
         self.name = name
         self._tokens = TokenPool(sim, capacity=slots, name=f"{name}.tokens", stock=slots)
         self._items = Store(sim, name=f"{name}.items")

@@ -101,7 +101,6 @@ class StreamDemarshaller:
         self._received: Dict[int, int] = {}  # object_id -> fragments seen
         self._payloads: Dict[int, Any] = {}
         self.objects_out = 0
-        self.bytes_in = 0
 
     def accept(self, buffer: WireBuffer) -> List[Any]:
         """Consume one buffer; returns the objects completed by it, in order."""
@@ -112,7 +111,6 @@ class StreamDemarshaller:
                     f"{len(self._received)} partially received objects"
                 )
             return []
-        self.bytes_in += buffer.nbytes
         completed: List[Any] = []
         for fragment in buffer.fragments:
             seen = self._received.get(fragment.object_id, 0) + 1

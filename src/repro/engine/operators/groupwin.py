@@ -32,7 +32,6 @@ class GroupWindowAggregate(Operator):
             )
         if size < 1:
             raise QueryExecutionError(f"groupwin size must be >= 1, got {size}")
-        self.fn_name = fn
         self.fn = WindowAggregate.FUNCTIONS[fn]
         self.size = size
         self.key_index = key_index

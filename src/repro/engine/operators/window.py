@@ -41,7 +41,6 @@ class WindowAggregate(Operator):
             raise QueryExecutionError(
                 f"window size and slide must be >= 1, got size={size} slide={slide}"
             )
-        self.fn_name = fn
         self.fn: Callable[[Sequence], object] = self.FUNCTIONS[fn]
         self.size = size
         self.slide = slide

@@ -69,7 +69,6 @@ class EthernetFabric:
         self._io_hosts: Dict[int, Dict[str, int]] = {}  # io index -> host -> count
         # Statistics for experiment reports.
         self.bytes_ingress = 0
-        self.buffers_forwarded = 0
 
     # ------------------------------------------------------------------
     # Resources
@@ -374,7 +373,6 @@ class TcpStreamConnection(Channel):
             buffer.nbytes / params.io_node.compute_receive_rate if not buffer.eos else 0.0,
             self.deliver,
         )
-        fabric.buffers_forwarded += 1
         # End-to-end delivery acknowledged: reopen one window slot; nothing
         # waits on it.
         self._window.put(None)

@@ -167,7 +167,6 @@ class TorusNetwork:
         self._counters: Any = None  # payload, wire, buffers: bound by the first send
         # Statistics for experiment reports.
         self.bytes_on_wire = 0
-        self.buffers_delivered = 0
         self.source_switches = 0
 
     # ------------------------------------------------------------------
@@ -469,4 +468,3 @@ class TorusNetwork:
         if flows.enabled:
             flows.hop(buffer, "torus.deliver", sim._now)
         coproc.release(req)
-        self.buffers_delivered += 1

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs.null import NULL_FLOWS as NULL_FLOWS, NullFlowRecorder
 from repro.util.stats import latency_summary
@@ -118,46 +118,7 @@ class FlowRecord:
         return serialize, queue_wait, wire, processing
 
 
-class OwnedListeners:
-    """An owner-tagged listener set, the push feed of two emitters:
-    :class:`FlowRecorder` (each sealed flow record) and
-    :class:`~repro.obs.health.ContinuousBottleneckDetector` (each health
-    event).  Listeners run synchronously at emission, in subscription
-    order; the emitter iterates ``_listeners``, a plain list of callables.
-
-    ``owner`` tags a subscription for the leak sanitizer's listener census
-    (``SAN206``), which names leaked subscriptions by owner: pass the label
-    of the component responsible for detaching it (lint ``DET006``).
-    The two lists are the mixin's slots, so a slotted class can take it.
-    """
-
-    __slots__ = ("_listeners", "_listener_owners")
-
-    def __init__(self) -> None:
-        self._listeners: List[Callable[[Any], None]] = []
-        self._listener_owners: List[str] = []
-
-    def add_listener(self, listener: Callable[[Any], None], owner: str = "") -> None:
-        """Subscribe ``listener`` to every later emission."""
-        self._listeners.append(listener)
-        self._listener_owners.append(owner)
-
-    def remove_listener(self, listener: Callable[[Any], None]) -> None:
-        """Detach a listener; it never fires again (unknown listeners are
-        ignored, so detaching is idempotent)."""
-        try:
-            index = self._listeners.index(listener)
-        except ValueError:
-            return
-        del self._listeners[index]
-        del self._listener_owners[index]
-
-    def listener_owners(self) -> List[str]:
-        """Owner tags of the live subscriptions (census for the sanitizer)."""
-        return list(self._listener_owners)
-
-
-class FlowRecorder(OwnedListeners, NullFlowRecorder):
+class FlowRecorder(NullFlowRecorder):
     """An enabled per-buffer flow registry.
 
     The recorder is a side table keyed by ``buffer_id`` — the frozen
@@ -166,9 +127,9 @@ class FlowRecorder(OwnedListeners, NullFlowRecorder):
     model.  Hooks on buffers that were never begun (e.g. instrumentation
     enabled mid-stream) are silently ignored.
 
-    Its listeners (:class:`OwnedListeners`) are the push feed the live
-    sampler rides: the open window fills at completion time instead of
-    scanning ``completed`` at every window boundary.
+    A sealed record goes to one completion consumer, the live sampler's
+    (:meth:`bind_consumer`): the open window fills at completion time
+    instead of scanning ``completed`` at every window boundary.
 
     Args:
         completed: Sealed records of a run that happened elsewhere (a sweep
@@ -179,11 +140,21 @@ class FlowRecorder(OwnedListeners, NullFlowRecorder):
     enabled = True
 
     def __init__(self, completed: Optional[List[FlowRecord]] = None) -> None:
-        OwnedListeners.__init__(self)
+        self._consumer: Optional[Callable[[FlowRecord], None]] = None
         self._flow_ids = itertools.count()
         self._in_flight: Dict[int, FlowRecord] = {}
         self._completed: List[FlowRecord] = [] if completed is None else list(completed)
         self.dropped = 0
+
+    def bind_consumer(self, consumer: Callable[[FlowRecord], None]) -> None:
+        """Hand every later sealed record to ``consumer``; a recorder has
+        one, so a second bind raises."""
+        if self._consumer is not None:
+            raise RuntimeError(
+                "a FlowRecorder feeds exactly one consumer; create a fresh "
+                "recorder per live sampler"
+            )
+        self._consumer = consumer
 
     # ------------------------------------------------------------------
     # Hooks (called by drivers and network models, behind `enabled`)
@@ -242,8 +213,8 @@ class FlowRecorder(OwnedListeners, NullFlowRecorder):
             record._last_ts = now
         record.delivered = now
         self._completed.append(record)
-        for listener in self._listeners:
-            listener(record)
+        if self._consumer is not None:
+            self._consumer(record)
 
     def drop_stream(self, stream_id: str) -> int:
         """Discard in-flight records of a closed channel's stream.

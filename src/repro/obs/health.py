@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.obs.flow import OwnedListeners
 
 __all__ = [
     "HealthEvent",
@@ -146,13 +145,12 @@ _HEALTHY = "healthy"
 _SATURATED = "saturated"
 
 
-class ContinuousBottleneckDetector(OwnedListeners):
+class ContinuousBottleneckDetector:
     """Re-ranks saturated resources each window, with hysteresis.
 
-    Its listeners (:class:`~repro.obs.flow.OwnedListeners`) are the push
-    feed an adaptive controller rides: every event appended to
-    :attr:`events` — window transitions, fault hooks, replacement
-    deliveries — is also delivered to each listener.
+    Every event — window transitions, fault hooks, replacement deliveries
+    — is appended to :attr:`events`, in emission order; an adaptive
+    controller reads the entries it has not seen yet between steps.
 
     Args:
         high: Windowed utilization at or above which a resource counts
@@ -187,7 +185,6 @@ class ContinuousBottleneckDetector(OwnedListeners):
             raise ValueError(f"low {low!r} must not exceed high {high!r}")
         if up_windows < 1 or down_windows < 1 or stall_windows < 1:
             raise ValueError("window counts must be >= 1")
-        OwnedListeners.__init__(self)
         self.high = high
         self.low = low
         self.up_windows = up_windows
@@ -206,10 +203,6 @@ class ContinuousBottleneckDetector(OwnedListeners):
 
     def _emit(self, events: List[HealthEvent]) -> None:
         self.events.extend(events)
-        if self._listeners:
-            for event in events:
-                for listener in self._listeners:
-                    listener(event)
 
     # ------------------------------------------------------------------
     # Reading back

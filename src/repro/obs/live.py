@@ -142,12 +142,11 @@ class LiveSampler(NullLiveSampler):
             with stock hysteresis.
         on_window: Optional callback invoked with each closed
             :class:`WindowSample` the moment it closes — this is how the
-            ``repro top`` CLI streams rows while the sim runs, and how a
-            future adaptive runtime would subscribe.
+            ``repro top`` CLI streams rows while the sim runs.
 
     A sampler binds to exactly one :class:`Instrumentation` hub (and
-    therefore one simulator); rebinding raises, mirroring how a
-    FlowRecorder must not be shared between concurrent environments.
+    therefore one simulator); rebinding raises, as does binding a second
+    consumer to the hub's FlowRecorder.
     """
 
     __slots__ = (
@@ -191,12 +190,7 @@ class LiveSampler(NullLiveSampler):
             )
         self._obs = obs
         if obs.flows.enabled:
-            # Hub-lifetime subscription: the sampler lives and dies with its
-            # Instrumentation, so the sanitizer's listener census treats the
-            # "live-sampler" owner as expected, not leaked.
-            obs.flows.add_listener(  # lint: disable=DET006
-                self._observe_flow, owner="live-sampler"
-            )
+            obs.flows.bind_consumer(self._observe_flow)
 
     @property
     def windows(self) -> List[WindowSample]:
@@ -216,8 +210,8 @@ class LiveSampler(NullLiveSampler):
     def latencies(self) -> List[float]:
         """End-to-end latencies of every data flow completed so far.
 
-        Read from the bound hub's flow recorder — the sampler is subscribed
-        to it and keeps no cumulative state of its own, so the footer and
+        Read from the bound hub's flow recorder — the sampler is its
+        consumer and keeps no cumulative state of its own, so the footer and
         the Prometheus summary cannot disagree with the recorder.
         """
         return self._obs.flows.latencies() if self._obs is not None else []
@@ -255,7 +249,7 @@ class LiveSampler(NullLiveSampler):
         )
 
     def _observe_flow(self, record: "FlowRecord") -> None:
-        """FlowRecorder completion listener: fill the open window."""
+        """The flow recorder's completion consumer: fill the open window."""
         from repro.obs.health import base_stream
 
         if record.eos:

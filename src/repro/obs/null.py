@@ -6,7 +6,7 @@ and :mod:`repro.obs.tracer`, not the enabled twins in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.obs.tracer import NULL_TRACER, NullTracer
 
@@ -58,20 +58,6 @@ class NullFlowRecorder:
 
     def in_flight_streams(self) -> Dict[str, int]:
         return {}
-
-    def add_listener(
-        self, listener: Callable[["FlowRecord"], None], owner: str = ""
-    ) -> None:
-        raise RuntimeError(
-            "the disabled flow recorder never completes a flow; enable "
-            "flows on the Instrumentation to subscribe"
-        )
-
-    def remove_listener(self, listener: Callable[["FlowRecord"], None]) -> None:
-        pass
-
-    def listener_owners(self) -> List[str]:
-        return []
 
     def publish(self, metrics: "MetricsRegistry") -> None:
         pass

@@ -11,8 +11,8 @@ when its harness is one of them.
 The sabotage patterns are the real-world bug shapes the sanitizer exists
 to catch: a teardown path that forgets one close call, a dangling blocking
 ``get()``, a carrier that never unregisters, an acquired node slot with no
-matching release, an observability subscription with no matching detach,
-and interrupt-swallowing processes that wedge a drained simulator.
+matching release, and interrupt-swallowing processes that wedge a drained
+simulator.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.analysis import sanitize
 from repro.analysis.diagnostics import AnalysisReport
 
 
-def _deployed_fig6(flows: bool = False) -> Tuple[Any, Any]:
+def _deployed_fig6() -> Tuple[Any, Any]:
     """A deployed-and-finished tiny fig6 query, ready to sabotage.
 
     Returns ``(env, deployment)``; the caller tears down and audits.
@@ -31,12 +31,9 @@ def _deployed_fig6(flows: bool = False) -> Tuple[Any, Any]:
     from repro.coordinator.deployer import Deployer
     from repro.core.experiments.fig6 import point_to_point_query
     from repro.hardware.environment import Environment, EnvironmentConfig
-    from repro.obs import Instrumentation
-    from repro.obs.flow import FlowRecorder
     from repro.scsql.plan import compile_plan
 
-    obs = Instrumentation(flows=FlowRecorder()) if flows else None
-    env = Environment(EnvironmentConfig(), obs=obs)
+    env = Environment(EnvironmentConfig())
     deployer = Deployer(env)
     plan = compile_plan(point_to_point_query(1024, 8))
     deployment = deployer.deploy(deployer.place(plan))
@@ -148,19 +145,6 @@ def defect_san205() -> AnalysisReport:
     return scope.report
 
 
-def defect_san206() -> AnalysisReport:
-    """An observability subscription whose owner never detaches it."""
-    with sanitize.sanitizer(label="defect:SAN206", strict=False) as scope:
-        env, deployment = _deployed_fig6(flows=True)
-        # The never-detached subscription is the point of this harness.
-        env.obs.flows.add_listener(  # lint: disable=DET006
-            lambda record: None, owner="defect-harness"
-        )
-        deployment.teardown()
-        sanitize.assert_quiescent(env, raise_on_findings=False)
-    return scope.report
-
-
 def defect_san301() -> AnalysisReport:
     """Two interrupt-swallowing workers cross-blocked on empty stores."""
     from repro.sim import Store
@@ -186,6 +170,5 @@ DEFECTS: Dict[str, Callable[[], AnalysisReport]] = {
     "SAN203": defect_san203,
     "SAN204": defect_san204,
     "SAN205": defect_san205,
-    "SAN206": defect_san206,
     "SAN301": defect_san301,
 }

@@ -32,7 +32,6 @@ EXPECTED_CODES = {
     "SAN203": {"SAN203"},
     "SAN204": {"SAN204"},
     "SAN205": {"SAN205"},
-    "SAN206": {"SAN206"},
     "SAN301": {"SAN201", "SAN301"},
 }
 
@@ -45,9 +44,8 @@ and b=sp(gen_array(100000,4), 'bg', 2);
 """
 
 
-def _deployed_fig6(flows=False):
-    obs = Instrumentation(flows=FlowRecorder()) if flows else None
-    env = Environment(EnvironmentConfig(), obs=obs)
+def _deployed_fig6():
+    env = Environment(EnvironmentConfig())
     deployer = Deployer(env)
     plan = compile_plan(point_to_point_query(1024, 8))
     deployment = deployer.deploy(deployer.place(plan))
@@ -88,17 +86,10 @@ class TestDefectHarnesses:
 
 @pytest.mark.no_sanitize
 class TestListenerLifecycle:
-    """Satellite regression: teardown/migrate detach their flow listeners,
-    and external teardown reaps the deployment's own driver processes."""
+    """External teardown reaps the deployment's own driver processes, and a
+    migration leaves an instrumented environment quiescent."""
 
-    def test_teardown_detaches_the_flow_listener(self):
-        env, _deployer, _plan, deployment = _deployed_fig6(flows=True)
-        assert deployment.owner_tag in env.obs.flows.listener_owners()
-        deployment.run()
-        deployment.teardown()
-        assert deployment.owner_tag not in env.obs.flows.listener_owners()
-
-    def test_migrate_detaches_the_old_generations_listener(self):
+    def test_a_migration_ends_quiescent(self):
         env = Environment(
             EnvironmentConfig(), obs=Instrumentation(flows=FlowRecorder())
         )
@@ -111,9 +102,6 @@ class TestListenerLifecycle:
             deployment, plan, "b@2", 3, rp_prefix="q+g1/"
         )
         assert record.ok
-        owners = env.obs.flows.listener_owners()
-        assert deployment.owner_tag not in owners
-        assert owners.count(replacement.owner_tag) == 1
         replacement.start()
         env.sim.run()
         replacement.finish()
@@ -253,21 +241,6 @@ class TestAssertQuiescent:
     def test_fresh_environment_is_quiescent(self):
         env = Environment(EnvironmentConfig())
         sanitize.assert_quiescent(env)
-
-    def test_env_lifetime_owners_are_tolerated(self):
-        env, _deployer, _plan, deployment = _deployed_fig6(flows=True)
-        env.obs.flows.add_listener(  # lint: disable=DET006
-            lambda record: None, owner="tolerated-owner"
-        )
-        deployment.run()
-        deployment.teardown()
-        sanitize.assert_quiescent(
-            env,
-            allowed_owners=sanitize.ENV_LIFETIME_OWNERS | {"tolerated-owner"},
-        )
-        with pytest.raises(SanitizationError) as excinfo:
-            sanitize.assert_quiescent(env)
-        assert {d.code for d in excinfo.value.diagnostics} == {"SAN206"}
 
 
 @pytest.mark.no_sanitize

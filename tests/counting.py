@@ -8,9 +8,9 @@ pins them as numbers, not tolerances, and
 :func:`assert_exact_across_hash_seeds` checks that they stay exact across
 runs and hash seeds.
 
-Users: ``tests/engine/test_flush_wait.py`` (events per drain),
-``tests/engine/test_object_calls.py`` (frames per object) and
-``tests/obs/test_hook_calls.py`` (calls per delivered buffer).
+Users: ``tests/engine/test_object_calls.py`` (frames per object; its one
+drain also gives ``tests/engine/test_flush_wait.py`` the events per drain)
+and ``tests/obs/test_hook_calls.py`` (calls per delivered buffer).
 """
 
 from __future__ import annotations

@@ -81,7 +81,7 @@ class TestStopToken:
         token.stop()
         token.stop()
         assert token.stopped
-        assert token.stop_time == 0.0
+        assert token.event.triggered
 
     def test_event_fires_on_stop(self, sim):
         token = StopToken(sim)

@@ -147,7 +147,7 @@ class TestEndToEnd:
 
         env.sim.run_process(run())
         assert env.fabric.bytes_ingress == 5 * 65536
-        assert env.fabric.buffers_forwarded == 5
+        assert inbox.size == 5
 
     def test_nic_validation(self, env):
         with pytest.raises(NetworkError):

@@ -10,8 +10,9 @@ code -- so that it cannot come back unnoticed.  A row has five fields:
 * ``reason``: one line on why it stays gone;
 * ``doc``: ``docs/<file>.md#<heading>``, where its replacement is explained.
 
-The determinism rules (``DET001``-``DET010``) are rows too: a ``Det``
-check reads the syntax trees of its scope, parsed once per session.
+The determinism rules (``DET001``-``DET010``; ``DET006`` is retired) are
+rows too: a ``Det`` check reads the syntax trees of its scope, parsed once
+per session.
 
 Text checks read ``*.py`` files, plus ``*.md`` under ``docs``.  They never
 read ``__pycache__``, and they skip this module, which names everything it
@@ -529,28 +530,6 @@ def unguarded_hook(tree: ast.Module, path: str) -> Iterator[Tuple[int, str]]:
             yield node.lineno, f"obs hook {hook}() called outside an `if ....enabled:` guard"
 
 
-def unowned_listener(tree: ast.Module, path: str) -> Iterator[Tuple[int, str]]:
-    """DET006: in each class, and in the module outside its classes, every
-    ``add_listener()`` passes ``owner=`` (the SAN206 census names leaks by
-    owner) and some call is ``remove_listener()``."""
-    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
-    in_a_class = {id(node) for cls in classes for node in ast.walk(cls)}
-    scopes = [(f"class {cls.name}", list(ast.walk(cls))) for cls in classes]
-    scopes.append(("module scope", [n for n in ast.walk(tree) if id(n) not in in_a_class]))
-    for label, nodes in scopes:
-        calls = [n for n in nodes if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)]
-        detaches = any(call.func.attr == "remove_listener" for call in calls)
-        for call in calls:
-            if call.func.attr != "add_listener":
-                continue
-            if not any(keyword.arg == "owner" for keyword in call.keywords):
-                yield call.lineno, "add_listener() without an owner= tag"
-            if not detaches:
-                yield call.lineno, (f"{label} subscribes a listener but never calls "
-                                    "remove_listener(); suppress only an environment-"
-                                    "lifetime subscription, saying why")
-
-
 def _private(attributes: Tuple[str, ...], message: str):
     """Reads or writes of ``attributes`` on anything but ``self`` (DET007, DET010)."""
 
@@ -694,6 +673,8 @@ HOT = ("src/repro/sim", "src/repro/net", "src/repro/engine", "src/repro/hardware
 PER_EVENT = ("src/repro/sim", "src/repro/net", "src/repro/engine")
 DETERMINISM = "One engine for the repo's rules about its own source"
 DET_DOC = "docs/static-analysis.md#Determinism lints (`DET00x`)"
+FEED = "A feed has one reader"
+FEED_DOC = "docs/observability.md#The live telemetry plane (`repro.obs.live`)"
 
 ROWS: List[Row] = [
     Row(
@@ -889,7 +870,7 @@ ROWS: List[Row] = [
         words("listener_count"),
         ("src", "tests", "examples", "benchmarks"),
         "The repo's rules about itself are one tested table",
-        "nothing read it; the leak census reads listener_owners()",
+        "nothing read it, and the listener registry it counted is gone too",
         "docs/static-analysis.md#Removed surface",
     ),
     Row(
@@ -969,14 +950,6 @@ ROWS: List[Row] = [
         HOT,
         DETERMINISM,
         "with observation off, a hook costs one attribute test",
-        DET_DOC,
-    ),
-    Row(
-        Det("DET006", unowned_listener,
-            "def watch(flows, on_flow):\n    flows.add_listener(on_flow)\n", (2,)),
-        PACKAGE,
-        DETERMINISM,
-        "a listener names its owner and is detached, or SAN206 reports it at run time",
         DET_DOC,
     ),
     Row(
@@ -1104,6 +1077,38 @@ ROWS: List[Row] = [
         "a sender waits on the bare get, and its partial buffer's one timer wakes it "
         "through repro.sim.wake",
         "docs/performance.md#An object pays one frame per modelled cost",
+    ),
+    Row(
+        words("add_listener", "remove_listener", "listener_owners", "OwnedListeners",
+              "ENV_LIFETIME_OWNERS", "audit_migrate", "allowed_owners", "flows_delivered",
+              "flow_bytes", "_stream_sources", "_flow_listener", "_listeners",
+              "unowned_listener", "defect_san206"),
+        ("src", "tests", "examples", "benchmarks"),
+        FEED,
+        "a feed has one reader, wired once: the flow recorder's is the live sampler, "
+        "and the adaptive controller reads the detector's events between steps",
+        FEED_DOC,
+    ),
+    Row(
+        Text(r"\bowner=|SAN206|DET006", ("owner=", "SAN206", "DET006")),
+        PACKAGE,
+        FEED,
+        "with no listener registry there is no owner to tag, no census and no lint for it",
+        FEED_DOC,
+    ),
+    Row(
+        words("buffers_delivered", "buffers_forwarded", "bytes_in", "fn_name", "stop_time"),
+        ("src", "tests", "examples", "benchmarks"),
+        FEED,
+        "write-only state: set on the hot path and read by nothing but a test",
+        "docs/static-analysis.md#Removed surface",
+    ),
+    Row(
+        Text(r"\.slots\b", ("self.slots = slots",)),
+        PACKAGE,
+        FEED,
+        "an Inbox's slot count lives in its token pool; nothing read the copy",
+        "docs/static-analysis.md#Removed surface",
     ),
     Row(
         Resolves(),
