@@ -59,7 +59,6 @@ from repro.util.errors import (
 if TYPE_CHECKING:
     from repro.analysis.diagnostics import AnalysisReport
     from repro.hardware.node import Node
-    from repro.obs.metrics import MetricsSnapshot
     from repro.sim.events import Process
 
 #: Reserved id of the deployment's own collector RP (the client manager's
@@ -119,15 +118,6 @@ class ExecutionReport:
     bytes_sent: Dict[str, int] = field(default_factory=dict)
     """Stream process id -> payload bytes its senders pushed."""
 
-    torus_bytes: int = 0
-    """Total payload bytes carried by the BlueGene torus."""
-
-    ingress_bytes: int = 0
-    """Total payload bytes injected into the BlueGene over TCP."""
-
-    source_switches: int = 0
-    """Receiver co-processor source switches (merging overhead indicator)."""
-
     stopped: bool = False
     """True when the query was terminated by user intervention rather than
     by its streams ending (the result holds whatever arrived before the
@@ -135,10 +125,6 @@ class ExecutionReport:
 
     rp_statistics: Dict[str, RPStatistics] = field(default_factory=dict)
     """Per-RP monitoring snapshots (paper Figure 3, responsibility v)."""
-
-    metrics: Optional[MetricsSnapshot] = None
-    """Frozen observability metrics of the run, when the environment was
-    created with an :class:`~repro.obs.Instrumentation` (None otherwise)."""
 
     def describe(self) -> str:
         """Human-readable execution summary: result, time, per-RP activity."""
@@ -356,13 +342,8 @@ class Deployment:
         self._process.defuse()
         return self._process
 
-    def finish(self, freeze: bool = True) -> ExecutionReport:
-        """Collect the report of a :meth:`start`-ed query after the run.
-
-        ``freeze=False`` publishes the RP statistics but leaves
-        ``report.metrics`` unset, for a session that freezes the registry
-        once for all its deployments (a freeze copies the whole registry).
-        """
+    def finish(self) -> ExecutionReport:
+        """Collect the report of a :meth:`start`-ed query after the run."""
         process = self._process
         if process is None:
             raise QueryExecutionError("deployment was never started")
@@ -374,7 +355,7 @@ class Deployment:
         if not process.ok:
             raise process.value
         result, finished_at = process.value
-        return self._report(result, finished_at, freeze=freeze)
+        return self._report(result, finished_at)
 
     def teardown(self) -> None:
         """Release the deployment's resources back to the environment.
@@ -446,14 +427,13 @@ class Deployment:
         result: List[Any],
         finished_at: float,
         stopped: bool = False,
-        freeze: bool = True,
     ) -> ExecutionReport:
         assert self.start_time is not None
         rp_statistics = {rp_id: snapshot(rp) for rp_id, rp in self.rps.items()}
         obs = self.env.obs
         if obs.enabled:
-            # Unify RP-level monitoring with the obs registry: the metrics
-            # snapshot then carries the per-RP operator/stream counters.
+            # Unify RP-level monitoring with the obs registry: the hub then
+            # carries the per-RP operator/stream counters.
             for stats in rp_statistics.values():
                 stats.publish(obs.metrics)
         return ExecutionReport(
@@ -461,12 +441,8 @@ class Deployment:
             duration=finished_at - self.start_time,
             rp_placements={rp_id: rp.node.node_id for rp_id, rp in self.rps.items()},
             bytes_sent={rp_id: rp.bytes_sent for rp_id, rp in self.rps.items()},
-            torus_bytes=self.env.torus.bytes_on_wire,
-            ingress_bytes=self.env.fabric.bytes_ingress,
-            source_switches=self.env.torus.source_switches,
             stopped=stopped,
             rp_statistics=rp_statistics,
-            metrics=obs.snapshot() if freeze and obs.enabled else None,
         )
 
     def _wire(self) -> None:

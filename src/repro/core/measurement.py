@@ -59,8 +59,9 @@ class BandwidthResult:
         reports: The raw execution report of every repeat.
         observations: One :class:`~repro.obs.Instrumentation` per repeat,
             in seed order, when the measurement was observed (empty
-            otherwise); repeat k's metrics snapshot is also on
-            ``reports[k].metrics``.
+            otherwise); repeat k's frozen metrics are
+            ``observations[k].snapshot()`` (a hub rebuilt from a worker's
+            flow records has an empty registry).
     """
 
     mbps: MeasurementStats

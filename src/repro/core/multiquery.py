@@ -252,24 +252,15 @@ class MultiQuerySession:
 
     def finish(self) -> MultiQueryResult:
         """Every query's outcome, in submission order, once the simulator
-        has drained.  The registry is frozen once, after all RP statistics
-        are published, and shared: one freeze per report made an observed
-        session quadratic in its queries.
-        """
-        outcomes = [
+        has drained."""
+        return MultiQueryResult(outcomes=[
             QueryOutcome(
                 label=label,
-                report=entry.deployment.finish(freeze=False),
+                report=entry.deployment.finish(),
                 payload_bytes=entry.payload_bytes,
             )
             for label, entry in self._entries.items()
-        ]
-        obs = self.env.obs
-        if obs.enabled:
-            frozen = obs.snapshot()
-            for outcome in outcomes:
-                outcome.report.metrics = frozen
-        return MultiQueryResult(outcomes=outcomes)
+        ])
 
     def teardown(self) -> None:
         """Tear down every deployment (nodes return to the CNDBs)."""

@@ -34,14 +34,6 @@ from repro.sim import Store, Timeout, TokenPool, wake
 _FLUSH_DUE = object()
 
 
-def _stream_counters(obs, direction: str, stream_id: str):
-    """The (bytes, buffers) counters of one stream end in the obs registry."""
-    return (
-        obs.metrics.counter(f"stream.bytes_{direction}[{stream_id}]"),
-        obs.metrics.counter(f"stream.buffers_{direction}[{stream_id}]"),
-    )
-
-
 class SenderDriver:
     """Marshals an object stream and sends it over one channel."""
 
@@ -76,7 +68,6 @@ class SenderDriver:
         # get that wait parked on (``_next_object``).
         self._flush_timer: Optional[Timeout] = None
         self._parked = None
-        self._counters = None  # obs counters, bound by the first observed buffer
         # The driver's own process and its transmit sub-process (detached
         # from it), exposed so RP cancellation and termination can reach them.
         self.process = None
@@ -170,8 +161,7 @@ class SenderDriver:
     def _emit(self, buffer):
         """Acquire a send buffer, marshal into it, hand it to the transmitter."""
         sim = self.ctx.sim
-        obs = sim.obs
-        flows = obs.flows
+        flows = sim.obs.flows
         if flows.enabled:
             # Flow birth: the buffer exists, latency accrues from here.
             flows.begin(buffer, sim._now)
@@ -195,12 +185,6 @@ class SenderDriver:
             yield queued
         self.bytes_sent += buffer.nbytes
         self.buffers_sent += 1
-        if obs.enabled:
-            counters = self._counters
-            if counters is None:
-                counters = self._counters = _stream_counters(obs, "sent", self.stream_id)
-            counters[0].value += buffer.nbytes
-            counters[1].value += 1.0
 
     def _transmit(self):
         """Send marshaled buffers in order, returning tokens on completion."""
@@ -229,7 +213,6 @@ class ReceiverDriver:
         self.stream_id = stream_id
         self.bytes_received = 0
         self.buffers_received = 0
-        self._counters = None  # as SenderDriver._counters
 
     def run(self):
         """Driver main process: drain inbox, de-marshal, emit objects + EOS."""
@@ -266,15 +249,6 @@ class ReceiverDriver:
                 yield freed
             self.bytes_received += buffer.nbytes
             self.buffers_received += 1
-            obs = sim.obs
-            if obs.enabled:
-                counters = self._counters
-                if counters is None:
-                    counters = self._counters = _stream_counters(
-                        obs, "received", self.stream_id
-                    )
-                counters[0].value += buffer.nbytes
-                counters[1].value += 1.0
             for obj in objects:
                 queued = self.output.put(obj)
                 if queued.callbacks is not None:

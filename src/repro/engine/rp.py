@@ -32,6 +32,10 @@ from repro.hardware.node import Node
 from repro.sim import Interrupt, Store
 from repro.util.errors import QueryExecutionError
 
+#: Capacity of the object stores between operators inside one RP, and of
+#: each subscriber's feed.
+OPERATOR_QUEUE_DEPTH = 4
+
 
 class InputPort:
     """A subscription of this RP to another stream process's output."""
@@ -92,8 +96,9 @@ class RunningProcess:
         return self.input_ports
 
     def _build_node(self, spec: OpSpec) -> Store:
-        depth = self.settings.operator_queue_depth
-        output = Store(self.ctx.sim, capacity=depth, name=f"{self.rp_id}:{spec.name}.out")
+        output = Store(
+            self.ctx.sim, capacity=OPERATOR_QUEUE_DEPTH, name=f"{self.rp_id}:{spec.name}.out"
+        )
         if spec.name == INPUT:
             inbox = Inbox(
                 self.ctx.sim,
@@ -121,7 +126,7 @@ class RunningProcess:
             raise QueryExecutionError(f"RP {self.rp_id}: cannot subscribe after start")
         source = Store(
             self.ctx.sim,
-            capacity=self.settings.operator_queue_depth,
+            capacity=OPERATOR_QUEUE_DEPTH,
             name=f"{self.rp_id}->{subscriber_rp.rp_id}.feed",
         )
         stream_id = f"{self.rp_id}->{subscriber_rp.rp_id}"

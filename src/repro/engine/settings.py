@@ -24,9 +24,6 @@ class ExecutionSettings:
     double_buffering: bool = True
     """Two buffers per driver (overlap) versus one (strict alternation)."""
 
-    operator_queue_depth: int = 4
-    """Capacity of the object stores between operators inside one RP."""
-
     flush_interval: float = 5e-3
     """Sender drivers flush a partially filled send buffer after this much
     simulated idle time, so low-rate result streams (e.g. one aggregate per
@@ -36,10 +33,6 @@ class ExecutionSettings:
         if self.mpi_buffer_bytes < 1:
             raise SimulationError(
                 f"mpi_buffer_bytes must be positive, got {self.mpi_buffer_bytes}"
-            )
-        if self.operator_queue_depth < 1:
-            raise SimulationError(
-                f"operator_queue_depth must be positive, got {self.operator_queue_depth}"
             )
         if self.flush_interval <= 0:
             raise SimulationError(

@@ -35,7 +35,6 @@ class BlueGeneConfig:
 
     torus_shape: Tuple[int, int, int] = (4, 4, 2)
     pset_size: int = 8
-    compute_memory_bytes: int = 512 * 1024 * 1024
 
     @property
     def num_compute_nodes(self) -> int:
@@ -84,7 +83,6 @@ class BlueGene:
                         index=index,
                         kind=NodeKind.BG_COMPUTE,
                         cpu=PPC440D,
-                        memory_bytes=self.config.compute_memory_bytes,
                         capabilities=NodeCapabilities.cnk(),
                         torus_coord=coord,
                         pset_id=pset_id,
@@ -100,7 +98,6 @@ class BlueGene:
                     index=pset_id,
                     kind=NodeKind.BG_IO,
                     cpu=PPC440D,
-                    memory_bytes=self.config.compute_memory_bytes,
                     capabilities=NodeCapabilities.io_node(),
                     pset_id=pset_id,
                 )

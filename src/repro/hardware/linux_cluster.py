@@ -22,7 +22,6 @@ class LinuxClusterConfig:
 
     name: str
     num_nodes: int
-    memory_bytes: int = 4 * 1024 * 1024 * 1024
 
     def __post_init__(self):
         if self.num_nodes < 1:
@@ -41,7 +40,6 @@ class LinuxCluster:
                 index=i,
                 kind=NodeKind.LINUX,
                 cpu=PPC970,
-                memory_bytes=config.memory_bytes,
                 capabilities=NodeCapabilities.linux(),
             )
             for i in range(config.num_nodes)

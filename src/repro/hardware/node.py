@@ -85,7 +85,6 @@ class Node:
             explicit node selections (0, 1, 2, 4, ...).
         kind: Node classification.
         cpu: CPU specification.
-        memory_bytes: Local memory size.
         capabilities: OS-level placement constraints.
         torus_coord: (x, y, z) position for BlueGene compute nodes.
         pset_id: pset membership for BlueGene compute nodes.
@@ -96,7 +95,6 @@ class Node:
     index: int
     kind: NodeKind
     cpu: CpuSpec
-    memory_bytes: int
     capabilities: NodeCapabilities
     torus_coord: Optional[Tuple[int, int, int]] = None
     pset_id: Optional[int] = None

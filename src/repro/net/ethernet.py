@@ -67,8 +67,6 @@ class EthernetFabric:
         self._hosts: Dict[str, int] = {}  # host -> open connection count
         self._io_connections: Dict[int, int] = {}  # io index -> connection count
         self._io_hosts: Dict[int, Dict[str, int]] = {}  # io index -> host -> count
-        # Statistics for experiment reports.
-        self.bytes_ingress = 0
 
     # ------------------------------------------------------------------
     # Resources
@@ -307,17 +305,14 @@ class TcpStreamConnection(Channel):
             nic.release(nic_req)
         if flows.enabled:
             flows.hop(buffer, "eth.nic", fabric.sim._now, resource=nic.name, wire=cost)
-        fabric.bytes_ingress += buffer.nbytes
         obs = fabric.sim.obs
         if obs.enabled:
             counters = self._counters
             if counters is None:
                 counters = self._counters = [obs.metrics.counter(name) for name in (
-                    "ethernet.ingress_bytes", "ethernet.wire_bytes",
-                    f"stream.tcp_bytes[{self.stream_id}]")]
+                    "ethernet.ingress_bytes", "ethernet.wire_bytes")]
             counters[0].value += buffer.nbytes
             counters[1].value += wire_bytes
-            counters[2].value += buffer.nbytes
         # Started on an urgent event, not inline: it opens with a request
         # and a draw from the shared jitter, whose order is physics.
         fabric.sim.detach(self._forward(buffer, wire_bytes))

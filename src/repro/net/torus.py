@@ -160,14 +160,8 @@ class TorusNetwork:
         self._stream_windows: Dict[str, TokenPool] = {}
         self._in_flight: Dict[str, int] = {}  # stream id -> buffers being forwarded
         self._active_streams: Dict[int, set] = {}
-        # stream id / node -> its counter in the obs registry, resolved by
-        # the first observed buffer of the stream (source switch at the node).
-        self._stream_bytes: Dict[str, Any] = {}
-        self._node_switches: Dict[int, Any] = {}
+        self._node_switches: Dict[int, Any] = {}  # node -> counter, bound by its first switch
         self._counters: Any = None  # payload, wire, buffers: bound by the first send
-        # Statistics for experiment reports.
-        self.bytes_on_wire = 0
-        self.source_switches = 0
 
     # ------------------------------------------------------------------
     # Topology
@@ -243,12 +237,11 @@ class TorusNetwork:
         self._release_stream(stream_id)
 
     def _release_stream(self, stream_id: str) -> None:
-        """Forget a closed stream's window and counter once none of its
-        buffers is in flight (MPI close does not drain: the last delivery
-        may be what frees them)."""
+        """Forget a closed stream's window once none of its buffers is in
+        flight (MPI close does not drain: the last delivery may be what
+        frees it)."""
         if stream_id not in self._in_flight:
             self._stream_windows.pop(stream_id, None)
-            self._stream_bytes.pop(stream_id, None)
 
     def in_flight_census(self) -> List[Tuple[str, int]]:
         """``(stream_id, buffers in flight)`` of every stream with any,
@@ -312,7 +305,8 @@ class TorusNetwork:
         flows = sim.obs.flows
         # Shallow-FIFO back-pressure: stall if too many of this stream's
         # buffers are still travelling or waiting at a busy co-processor.
-        slot = self._stream_window(buffer.stream_id).get()
+        window = self._stream_window(buffer.stream_id)
+        slot = window.get()
         # Here and below: an event that comes back processed was granted
         # synchronously (sim.resources); there is nothing to wait for.
         if slot.callbacks is not None:
@@ -345,7 +339,6 @@ class TorusNetwork:
             # Wait for the source co-processor + first link is queue_wait;
             # the injection itself is wire time.
             flows.hop(buffer, "torus.inject", sim._now, resource=coproc.name, wire=cost)
-        self.bytes_on_wire += buffer.nbytes
         obs = sim.obs
         if obs.enabled:
             # Wire bytes include padding to whole torus packets — the
@@ -361,23 +354,21 @@ class TorusNetwork:
             counters[0].value += buffer.nbytes
             counters[1].value += padded
             counters[2].value += 1.0
-            stream_bytes = self._stream_bytes.get(buffer.stream_id)
-            if stream_bytes is None:
-                stream_bytes = self._stream_bytes[buffer.stream_id] = obs.metrics.counter(
-                    f"stream.torus_bytes[{buffer.stream_id}]"
-                )
-            stream_bytes.value += buffer.nbytes
         # The remaining hops proceed asynchronously (cut-through across
         # buffers: the sender may inject buffer k+1 while k is forwarded),
         # from the end of the hop latency on: nothing is pushed at ``now``.
         self._in_flight[buffer.stream_id] = self._in_flight.get(buffer.stream_id, 0) + 1
         latency = self.params.hop_latency * (len(path) - 1)
-        sim.detach(self._forward(buffer, path, wire, latency, deliver), Timeout(sim, latency))
+        sim.detach(
+            self._forward(buffer, path, wire, latency, deliver, window), Timeout(sim, latency)
+        )
 
     def _forward(self, buffer: WireBuffer, path: List[int], wire: float, latency: float,
-                 deliver: Store):
+                 deliver: Store, window: TokenPool):
         """Forward ``buffer`` hop by hop, its hop latency over, deliver it,
-        then give one window slot back."""
+        then give its slot back to ``window``, the pool it came from: buffer
+        k's delivery may forget an unregistered stream's window while k+1,
+        slot in hand, is still injecting."""
         # Explicit releases, no finally/with: a journey parked at the end holds on when collected.
         sim = self.sim
         flows = sim.obs.flows
@@ -411,7 +402,7 @@ class TorusNetwork:
         yield from self.receive(buffer, path[-1], wire * self.params.receive_fraction, deliver)
         # Delivery complete: free one in-flight slot of this stream.
         stream_id = buffer.stream_id
-        freed = self._stream_window(stream_id).put(None)
+        freed = window.put(None)
         if freed.callbacks is not None:
             yield freed
         left = self._in_flight[stream_id] - 1
@@ -440,11 +431,11 @@ class TorusNetwork:
         cost = self.params.receive_overhead + receive_work
         if not buffer.eos:
             cost += self._switch_cost(node)
-        previous = self._last_source.get(node)
-        if previous is not None and previous != buffer.source:
-            self.source_switches += 1  # diagnostic only; cost is rate-based
-            obs = sim.obs
-            if obs.enabled:
+        obs = sim.obs
+        if obs.enabled:
+            # Counted only: the switch cost above is rate-based.
+            previous = self._last_source.get(node)
+            if previous is not None and previous != buffer.source:
                 obs.add("torus.source_switches")
                 switches = self._node_switches.get(node)
                 if switches is None:
@@ -452,10 +443,10 @@ class TorusNetwork:
                         f"torus.source_switches[node={node}]"
                     )
                 switches.add()
-        self._last_source[node] = buffer.source
+            self._last_source[node] = buffer.source
         cost = self.jitter.apply(cost)
         yield Timeout(sim, cost)
-        flows = sim.obs.flows
+        flows = obs.flows
         if flows.enabled:
             flows.hop(
                 buffer, "torus.receive", sim._now, resource=coproc.name, processing=cost,

@@ -193,16 +193,16 @@ class TestHookNameFormatRule:
     def test_bind_once_branch_and_constant_names_pass(self, tmp_path):
         source = textwrap.dedent(
             """
-            def emit(self, buffer):
+            def emit(self, buffer, node):
                 obs = self.sim.obs
                 if obs.enabled:
                     obs.add("torus.buffers_sent")
-                    counter = self._counter
+                    counter = self._node_switches.get(node)
                     if counter is None:
-                        counter = self._counter = obs.metrics.counter(
-                            f"stream.bytes_sent[{self.stream_id}]"
+                        counter = self._node_switches[node] = obs.metrics.counter(
+                            f"torus.source_switches[node={node}]"
                         )
-                    counter.add(buffer.nbytes)
+                    counter.add()
                 if obs.flows.enabled:
                     obs.flows.hop(buffer, "torus.inject", 1.0, resource=self.coproc.name)
             """

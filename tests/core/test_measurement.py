@@ -17,7 +17,7 @@ from repro.core.measurement import (
     run_sweep,
 )
 from repro.engine.settings import ExecutionSettings
-from repro.obs import Instrumentation
+from repro.obs import Instrumentation, MetricsRegistry
 from repro.obs.instrument import OBSERVE_LEVELS
 from repro.util.errors import PlanVerificationError
 
@@ -93,29 +93,26 @@ class TestObservedMeasurement:
             QUERY, PAYLOAD, repeats=3, base_seed=4, observe="flows"
         )
         # One distinct hub per repeat, in seed order: repeat k ran seed
-        # base_seed + k, and hub k is the one that froze report k's snapshot.
+        # base_seed + k, and hub k holds report k's published RP statistics.
         assert len(result.observations) == 3
         assert len({id(obs) for obs in result.observations}) == 3
         for k, (obs, report) in enumerate(zip(result.observations, result.reports)):
             assert isinstance(obs, Instrumentation)
             solo = measure_query_bandwidth(QUERY, PAYLOAD, repeats=1, base_seed=4 + k)
             assert solo.reports[0].duration == report.duration
-            assert obs.snapshot().counters == report.metrics.counters
-            assert obs.snapshot().counter("sim.events_processed") > 0
+            published = MetricsRegistry()
+            for stats in report.rp_statistics.values():
+                stats.publish(published)
+            hub = obs.snapshot()
+            assert {name: value for name, value in hub.gauges.items()
+                    if name.startswith("rp.")} == {
+                name: gauge.value for name, gauge in published.gauges.items()
+            }
+            assert hub.counter("torus.payload_bytes") == PAYLOAD
+            # the hub outlives the measured query: its clock spans it
+            assert hub.now >= report.duration
+            assert hub.counter("sim.events_processed") > 0
             assert obs.resource_busy_time("coproc[0]") > 0.0
-
-    def test_report_carries_metrics_snapshot(self):
-        result = measure_query_bandwidth(QUERY, PAYLOAD, repeats=2, observe="flows")
-        for report, obs in zip(result.reports, result.observations):
-            assert report.metrics is not None
-            assert report.metrics.counter("torus.payload_bytes") == PAYLOAD
-            # frozen at the end of the whole simulated run, which spans at
-            # least the measured query duration
-            assert report.metrics.now >= report.duration
-
-    def test_unobserved_reports_have_no_metrics(self):
-        result = measure_query_bandwidth(QUERY, PAYLOAD, repeats=1)
-        assert result.reports[0].metrics is None
 
 
 class TestSweepValidation:

@@ -279,7 +279,7 @@ class TestContentionDemo:
 
 
 class TestObservedSessionScales:
-    """An observed session freezes the registry once, not once per query."""
+    """An observed session freezes nothing: its registry is read from the hub."""
 
     @staticmethod
     def _observed_session(queries: int):
@@ -299,7 +299,7 @@ class TestObservedSessionScales:
             session.submit(plan, payload_bytes=10_000)
         return session
 
-    def test_registry_is_frozen_once_and_shared(self, monkeypatch):
+    def test_a_session_run_freezes_nothing(self, monkeypatch):
         from repro.obs.metrics import MetricsRegistry
 
         calls = []
@@ -313,15 +313,13 @@ class TestObservedSessionScales:
         session = self._observed_session(64)
         result = session.run()
         session.teardown()
-        assert len(calls) == 1
-        reports = [outcome.report for outcome in result.outcomes]
-        assert all(report.result == [1] for report in reports)
-        frozen = reports[0].metrics
-        assert frozen is not None and all(r.metrics is frozen for r in reports)
-        # The shared snapshot carries every query's RP statistics and flows.
+        assert calls == []
+        assert all(outcome.report.result == [1] for outcome in result.outcomes)
+        # The hub carries every query's RP statistics and flows.
+        hub = session.env.obs.snapshot()
         for label in ("q0", "q63"):
-            assert frozen.gauges[f"rp.{label}/a@1.bytes_sent"] == 10_000
-            assert frozen.gauges[f"flow.completed[{label}/a@1->{label}/b@2]"] == 1
+            assert hub.gauges[f"rp.{label}/a@1.bytes_sent"] == 10_000
+            assert hub.gauges[f"flow.completed[{label}/a@1->{label}/b@2]"] == 1
 
     def test_cost_grows_linearly_with_the_queries(self):
         import time

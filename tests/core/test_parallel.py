@@ -9,6 +9,7 @@ payloads and merge outcomes in task order, never completion order.
 
 import pytest
 
+from repro.bench.baseline import physics_digest
 from repro.coordinator.deployer import ExecutionReport
 from repro.core.experiments.ablations import automatic_inbound_query
 from repro.core.experiments.fig6 import point_to_point_query, scaled_workload
@@ -31,6 +32,11 @@ from repro.obs.instrument import (
 from repro.scsql.plan import compile_plan
 from repro.util.errors import MeasurementError
 from repro.util.stats import percentile
+
+
+def _digest(obs, report) -> str:
+    """The physics digest of one observed repeat: what it delivered, when."""
+    return physics_digest([(obs.flows.completed, report.result)])
 
 
 def _small_specs():
@@ -158,7 +164,8 @@ class TestExecutor:
         assert rebuilt.sim is None and rebuilt is not live
         assert shipped.observation() is rebuilt
         assert rebuilt.flows.latencies() == live.flows.latencies()
-        assert shipped.report.metrics.counters == outcome.report.metrics.counters
+        assert shipped.report.rp_statistics == outcome.report.rp_statistics
+        assert _digest(rebuilt, shipped.report) == _digest(live, outcome.report)
 
     def test_live_hub_levels_never_reach_the_pool(self, monkeypatch):
         array_bytes, count = scaled_workload(1000, target_buffers=20)
@@ -241,12 +248,14 @@ class TestParallelDeterminism:
             assert serial_lat  # the flows observation actually recorded
             for q in (50.0, 95.0):
                 assert percentile(serial_lat, q) == percentile(fanned_lat, q)
-            # Per-repeat simulated metrics survive the process boundary.
-            for left, right in zip(serial[key].reports, fanned[key].reports):
+            # Per-repeat simulated physics survives the process boundary.
+            for left, right, left_obs, right_obs in zip(
+                serial[key].reports, fanned[key].reports,
+                serial[key].observations, fanned[key].observations, strict=True,
+            ):
                 assert left.duration == right.duration
-                assert left.metrics.counter("sim.events_processed") == (
-                    right.metrics.counter("sim.events_processed")
-                )
+                assert left.rp_statistics == right.rp_statistics
+                assert _digest(left_obs, left) == _digest(right_obs, right)
 
 
     @pytest.mark.parametrize("level", OBSERVE_LEVELS)
@@ -266,10 +275,15 @@ class TestParallelDeterminism:
                 assert left.duration == right.duration
                 assert left.result == right.result
                 assert left.rp_placements == right.rp_placements
-                if level == OBSERVE_NONE:
-                    assert left.metrics is None and right.metrics is None
-                else:
-                    assert left.metrics.counters == right.metrics.counters
+                assert left.rp_statistics == right.rp_statistics
+            for left, right, left_obs, right_obs in zip(
+                serial[key].reports, fanned[key].reports,
+                serial[key].observations, fanned[key].observations,
+            ):
+                if level in LIVE_HUB_LEVELS:  # both ran in this process
+                    assert left_obs.snapshot().counters == right_obs.snapshot().counters
+                else:  # the fanned-out hub was rebuilt from shipped records
+                    assert _digest(left_obs, left) == _digest(right_obs, right)
             serial_lat = serial[key].flow_latencies()
             assert serial_lat == fanned[key].flow_latencies()
             assert bool(serial_lat) == (level in ("flows", "trace"))

@@ -4,6 +4,9 @@ import pytest
 
 from repro.engine.control import StopToken
 from repro.engine.settings import ExecutionSettings
+from repro.hardware.environment import Environment, EnvironmentConfig
+from repro.obs import Instrumentation
+from repro.obs.tracer import NULL_TRACER
 from repro.scsql.session import SCSQSession
 from repro.util.errors import QueryExecutionError, SimulationError
 from tests.conftest import run_operator
@@ -137,7 +140,8 @@ class TestStopInboundQuery:
     def test_stop_unbounded_tcp_ingress(self):
         """Stopping mid-flight over the TCP ingress path: interrupted
         senders must release their NIC/window resources cleanly."""
-        session = SCSQSession()
+        obs = Instrumentation(tracer=NULL_TRACER)
+        session = SCSQSession(Environment(EnvironmentConfig(), obs=obs))
         report = session.execute(
             """
             select extract(b) from sp a, sp b
@@ -148,6 +152,6 @@ class TestStopInboundQuery:
         )
         assert report.stopped
         assert len(report.result) > 0
-        assert report.ingress_bytes > 0
+        assert obs.snapshot().counter("ethernet.ingress_bytes") > 0
         assert session.env.node("be", 1).is_available
         assert session.env.node("bg", 0).is_available

@@ -10,14 +10,15 @@ the query ends first.
 
 Three pins:
 
-* **Events per drain.**  The counting helper (``tests/counting.py``) drains
-  ``linear-road`` (data seed 0, env seed 1, hooks off).  While each wait
-  was ``AnyOf((get, Timeout(remaining)))`` a won get cost three
-  dispatches (the get, the condition, the losing timer) and the drain
-  dispatched 29 879 events at 51.72 ``repro.sim`` frames per object; with
-  the bare get it dispatches 24 153 at 44.77 (CPython 3.11).  Before
-  that, ``AnyOf`` itself went from 65.01 to 53.01 frames per wait.  The
-  counts are exact and host-independent.
+* **Events per drain.**  The drain of ``tests/engine/test_object_calls.py``
+  (``linear-road``, data seed 0, env seed 1, hooks off) also counts the
+  events it dispatches.  While each wait was ``AnyOf((get,
+  Timeout(remaining)))`` a won get cost three dispatches (the get, the
+  condition, the losing timer) and the drain dispatched 29 879 events at
+  51.72 ``repro.sim`` frames per object; with the bare get it dispatches
+  24 153 at 44.77 (CPython 3.11).  Before that, ``AnyOf`` itself went from
+  65.01 to 53.01 frames per wait.  That module's one exactness test checks
+  the events with the frames.
 * **The timer wins.**  At flush intervals short enough for the timer to
   fire, the three deck queries must give what the condition wait gave:
   the float duration, the result and the
@@ -39,7 +40,7 @@ Three pins:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import pytest
 
@@ -59,29 +60,18 @@ from repro.scsql.plan import compile_plan
 from repro.sim import Interrupt, Store, scheduler_override
 from repro.sim.introspect import wait_edges
 from repro.sim.scheduler import ShuffleScheduler
-from tests.counting import assert_exact_across_hash_seeds, drain_linear_road
-from tests.engine.test_object_calls import MAX_SIM_FRAMES_PER_OBJECT
+from tests.engine.test_object_calls import MAX_SIM_FRAMES_PER_OBJECT, count_frames
 
 #: Events one drain of the linear-road query dispatches: 29 879 with a
 #: condition per wait, 24 153 with the bare get.
 MAX_EVENTS = 24_200
 
 
-def count_events() -> Dict[str, int]:
-    """``repro.sim`` frames, events and source objects of one drain of the
-    linear-road query, after a warm-up run."""
-    return drain_linear_road(("sim",))
-
-
 def test_a_flush_wait_pays_only_for_what_fires():
-    counts = count_events()
+    counts = count_frames()
     assert counts["objects"] == 2880
     assert counts["events"] <= MAX_EVENTS, counts
     assert counts["sim"] / counts["objects"] <= MAX_SIM_FRAMES_PER_OBJECT, counts
-
-
-def test_the_counts_are_exact_across_runs_and_hash_seeds():
-    assert_exact_across_hash_seeds(count_events)
 
 
 #: ``(kind, flush_interval, env seed, jitter)`` -> ``(repr(duration), result,

@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro.hardware.environment import Environment, EnvironmentConfig
+from repro.bench.benchmark import bench_points
+from repro.coordinator.deployer import Deployer
+from repro.hardware.environment import Environment, EnvironmentConfig, shared_template
+from repro.net.channels import MpiChannel
+from repro.net.ethernet import TcpStreamConnection
 from repro.obs import Instrumentation, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
+from repro.scsql.plan import compile_plan
 from repro.scsql.session import SCSQSession
 
 QUERY = (
@@ -75,11 +80,49 @@ class TestMetricsBridge:
         assert metrics.gauges["rp.b@2.bytes_received"].value == 4 * 50_000
 
     def test_instrumented_run_snapshots_rp_gauges(self):
-        """The deployment publishes every RP's counters before snapshot."""
+        """The deployment publishes every RP's counters into the hub."""
         obs = Instrumentation(tracer=NULL_TRACER)
         session = SCSQSession(Environment(EnvironmentConfig(), obs=obs))
-        report = session.execute(QUERY)
-        assert report.metrics is not None
-        rp_gauges = [n for n in report.metrics.gauges if n.startswith("rp.")]
+        session.execute(QUERY)
+        rp_gauges = [n for n in obs.snapshot().gauges if n.startswith("rp.")]
         assert any(n == "rp.a@1.cpu_busy_s" for n in rp_gauges)
         assert any(n.startswith("rp.b@2.operator.objects_in[") for n in rp_gauges)
+
+
+class TestOneOwnerPerCount:
+    """A stream's bytes and buffers are its drivers'; the net's totals are
+    the obs counters.  On an observed run every view of a count agrees
+    with its owner: the torus and ingress totals sum the senders of their
+    carrier, and each RP gauge is its driver's attribute."""
+
+    @pytest.mark.parametrize("name", ["fig6[B=1000,double]", "fig15[Q5,n=4]"])
+    def test_the_counters_and_gauges_read_the_drivers(self, name):
+        point = next(p for p in bench_points() if p.key == name)
+        obs = Instrumentation(tracer=NULL_TRACER)
+        deployer = Deployer(shared_template(EnvironmentConfig()).fork(seed=0, obs=obs))
+        deployer.run(compile_plan(point.query, settings=point.settings),
+                     settings=point.settings)
+        (deployment,) = deployer.deployments
+        deployer.teardown()
+        hub = obs.snapshot()
+        senders = [(rp, s) for rp in deployment.rps.values() for s in rp.senders]
+        receivers = {
+            port.driver.stream_id: port.driver
+            for rp in deployment.rps.values()
+            for port in rp.input_ports
+        }
+        tcp = sum(s.bytes_sent for _, s in senders
+                  if isinstance(s.channel, TcpStreamConnection))
+        assert (tcp > 0) == name.startswith("fig15")
+        assert hub.counter("ethernet.ingress_bytes") == tcp
+        assert hub.counter("torus.payload_bytes") == sum(
+            s.bytes_sent for _, s in senders if isinstance(s.channel, MpiChannel)
+        ) > 0
+        for rp, sender in senders:
+            receiver = receivers[sender.stream_id]
+            assert hub.gauges[f"rp.{rp.rp_id}.sent.bytes[{sender.stream_id}]"] == (
+                sender.bytes_sent
+            ) == receiver.bytes_received
+            assert hub.gauges[f"rp.{rp.rp_id}.sent.buffers[{sender.stream_id}]"] == (
+                sender.buffers_sent
+            ) == receiver.buffers_received

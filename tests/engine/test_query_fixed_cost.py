@@ -57,8 +57,8 @@ class TestSessionPin:
         assert env.sim.events_dispatched / SESSION_QUERIES <= 87
 
     def test_processes_per_query_did_not_move(self):
-        _, result = run_session("metrics")
-        counters = result.outcomes[0].report.metrics.counters
+        session, _ = run_session("metrics")
+        counters = session.env.obs.snapshot().counters
         assert counters["sim.processes_started"] == 14 * SESSION_QUERIES
         assert counters["sim.processes_finished"] == 14 * SESSION_QUERIES
 

@@ -9,6 +9,9 @@ to terminate execution upon a stop condition."
 import pytest
 
 from repro.engine.operators import First
+from repro.hardware.environment import Environment, EnvironmentConfig
+from repro.obs import Instrumentation
+from repro.obs.tracer import NULL_TRACER
 from repro.scsql.session import SCSQSession
 from repro.util.errors import QueryExecutionError
 from tests.conftest import run_operator
@@ -52,14 +55,15 @@ class TestStopConditionTermination:
         assert report.result == [10]
 
     def test_stop_condition_over_tcp_ingress(self):
-        session = SCSQSession()
+        obs = Instrumentation(tracer=NULL_TRACER)
+        session = SCSQSession(Environment(EnvironmentConfig(), obs=obs))
         report = session.execute(
             "select extract(b) from sp a, sp b "
             "where b=sp(count(first(extract(a), 8)), 'bg', 0) "
             "and a=sp(gen_array(1000000,-1), 'be', 1);"
         )
         assert report.result == [8]
-        assert report.ingress_bytes >= 8 * 1_000_000
+        assert obs.snapshot().counter("ethernet.ingress_bytes") >= 8 * 1_000_000
 
     def test_nodes_released_after_stop_condition(self):
         session = SCSQSession()

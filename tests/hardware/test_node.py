@@ -43,7 +43,6 @@ class TestNode:
                 index=0,
                 kind=NodeKind.BG_COMPUTE,
                 cpu=PPC440D,
-                memory_bytes=1,
                 capabilities=NodeCapabilities.cnk(),
             )
 

@@ -2,6 +2,8 @@
 
 from repro.engine import ExecutionSettings
 from repro.hardware import Environment, EnvironmentConfig
+from repro.obs import Instrumentation
+from repro.obs.tracer import NULL_TRACER
 from repro.scsql import SCSQSession
 
 QUERY = (
@@ -12,20 +14,20 @@ QUERY = (
 )
 
 
-def run_once(seed):
-    session = SCSQSession(Environment(EnvironmentConfig(seed=seed)))
+def run_once(seed, obs=None):
+    session = SCSQSession(Environment(EnvironmentConfig(seed=seed), obs=obs))
     report = session.execute(QUERY, ExecutionSettings(mpi_buffer_bytes=10_000))
     return report
 
 
 class TestDeterminism:
     def test_same_seed_same_everything(self):
-        first = run_once(seed=42)
-        second = run_once(seed=42)
+        hubs = [Instrumentation(tracer=NULL_TRACER) for _ in range(2)]
+        first, second = (run_once(seed=42, obs=obs) for obs in hubs)
         assert first.duration == second.duration
         assert first.result == second.result
-        assert first.torus_bytes == second.torus_bytes
-        assert first.source_switches == second.source_switches
+        # every counter: torus payload and source switches among them
+        assert hubs[0].snapshot().counters == hubs[1].snapshot().counters
         stats_a = first.rp_statistics["a@1"]
         stats_b = second.rp_statistics["a@1"]
         assert stats_a.cpu_busy_time == stats_b.cpu_busy_time

@@ -87,11 +87,10 @@ def run_case(query, settings, seed, degraded):
         env.torus.degrade_link(1, 0, 3.0)
     message._buffer_ids = itertools.count()
     report = Deployer(env).run(compile_plan(query, settings=settings), settings=settings)
-    counters = report.metrics.counters
+    counters = obs.snapshot().counters
     return {
         "duration": report.duration,
         "result": report.result,
-        "stream_bytes": {k: v for k, v in counters.items() if k.startswith("stream.")},
         "resources": {k: v for k, v in counters.items() if k.startswith("resource.")},
         "latencies": sorted(flow.latency for flow in obs.flows.completed),
         "flows": obs.flows.completed,

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.hardware.environment import Environment, EnvironmentConfig
 from repro.net.ethernet import TcpStreamConnection
 from repro.net.message import WireBuffer
+from repro.obs import Instrumentation
+from repro.obs.tracer import NULL_TRACER
 from repro.sim import Store
 from repro.util.errors import NetworkError
 
@@ -136,7 +139,8 @@ class TestFlowControl:
 
 
 class TestEndToEnd:
-    def test_bytes_are_counted(self, env):
+    def test_bytes_are_counted(self):
+        env = Environment(EnvironmentConfig(), obs=Instrumentation(tracer=NULL_TRACER))
         connection, inbox = make_connection(env, slots=64)
 
         def run():
@@ -146,7 +150,7 @@ class TestEndToEnd:
             yield from connection.close()
 
         env.sim.run_process(run())
-        assert env.fabric.bytes_ingress == 5 * 65536
+        assert env.obs.snapshot().counter("ethernet.ingress_bytes") == 5 * 65536
         assert inbox.size == 5
 
     def test_nic_validation(self, env):

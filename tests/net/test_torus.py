@@ -9,12 +9,13 @@ from repro.net.jitter import Jitter
 from repro.net.message import WireBuffer
 from repro.net.params import TorusParams
 from repro.net.torus import RouteTable, TorusNetwork
+from repro.obs import Instrumentation
 from repro.sim import Simulator, Store
 from repro.util.errors import HardwareError, NetworkError
 
 
-def make_torus(shape=(4, 4, 2)):
-    sim = Simulator()
+def make_torus(shape=(4, 4, 2), obs=None):
+    sim = Simulator(obs=obs)
     machine = BlueGene(BlueGeneConfig(torus_shape=shape, pset_size=8))
     return sim, TorusNetwork(sim, machine, TorusParams(), Jitter())
 
@@ -159,11 +160,13 @@ class TestTransfer:
         return proc.value
 
     def test_delivery_and_counters(self):
-        sim, torus = make_torus()
+        obs = Instrumentation()
+        sim, torus = make_torus(obs=obs)
         received = self._transfer(torus, sim, 1, 0, buffers=10)
         assert received == 10  # by a receiver that returns at the EOS marker
-        assert torus.bytes_on_wire == 10_000
-        assert torus.source_switches == 0
+        hub = obs.snapshot()
+        assert hub.counter("torus.payload_bytes") == 10_000
+        assert hub.counter("torus.source_switches") == 0
 
     def test_send_to_self_rejected(self):
         sim, torus = make_torus()
@@ -180,7 +183,8 @@ class TestTransfer:
         assert two_hops > one_hop
 
     def test_source_switch_penalty_counted_on_merge(self):
-        sim, torus = make_torus()
+        obs = Instrumentation()
+        sim, torus = make_torus(obs=obs)
         inbox = Store(sim, capacity=4)
         done = []
 
@@ -198,7 +202,8 @@ class TestTransfer:
         sim.process(sender(4))
         sim.process(receiver())
         sim.run()
-        assert torus.source_switches > 10  # alternating arrivals switch often
+        # alternating arrivals switch often
+        assert obs.snapshot().counter("torus.source_switches") > 10
 
     def test_contention_slows_transfers(self):
         # One stream through an idle intermediate node vs. the same stream
@@ -239,7 +244,8 @@ class TestTransfer:
         assert sim2.now > quiet
 
     def test_eos_buffer_costs_no_wire_time(self):
-        sim, torus = make_torus()
+        obs = Instrumentation()
+        sim, torus = make_torus(obs=obs)
         inbox = Store(sim, capacity=2)
 
         def sender():
@@ -253,7 +259,8 @@ class TestTransfer:
         proc = sim.process(receiver())
         sim.run()
         assert proc.value
-        assert torus.bytes_on_wire == 0
+        hub = obs.snapshot()
+        assert hub.counter("torus.payload_bytes") == hub.counter("torus.wire_bytes") == 0
 
 
 class TestStreamWindow:
@@ -357,7 +364,7 @@ class TestStreamRegistry:
 
 
 class TestStreamStateIsFreed:
-    """Per-stream state (window store, byte counter) dies with its stream."""
+    """Per-stream state (the window's token pool) dies with its stream."""
 
     def test_redeploying_a_query_leaves_no_window_behind(self):
         from repro.coordinator.deployer import Deployer
@@ -372,7 +379,7 @@ class TestStreamStateIsFreed:
             deployment = deployer.deploy(deployer.place(plan), rp_prefix=f"q+r{generation}/")
             assert deployment.run().result == [8]
             deployment.teardown()
-            assert env.torus._stream_windows == {} and env.torus._stream_bytes == {}
+            assert env.torus._stream_windows == {}
             assert env.torus.in_flight_census() == []
 
     def test_a_generation_killed_mid_flight_is_freed_once_it_drained(self):
@@ -391,6 +398,14 @@ class TestStreamStateIsFreed:
         deployment.teardown()
         env.sim.run()
         assert env.torus._stream_windows == {} and env.torus.in_flight_census() == []
+
+    def test_an_unregistered_stream_ends_with_no_window_and_nothing_in_flight(self):
+        """Buffer k's delivery may see nothing in flight while buffer k+1,
+        its window slot taken, is still injecting; the window is forgotten
+        then, and k+1's slot must go back to the pool it came from."""
+        sim, torus = make_torus()
+        assert TestTransfer()._transfer(torus, sim, 1, 0, buffers=10) == 10
+        assert torus.in_flight_census() == [] and torus._stream_windows == {}
 
     def test_mpi_close_does_not_drop_the_window_under_a_flying_buffer(self):
         sim, torus = make_torus()

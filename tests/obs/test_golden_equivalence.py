@@ -5,7 +5,8 @@ For one fig6, one fig8-sequential and the fig15 Q5 n=4 point, under
 ``observe="trace"`` (a full ``Instrumentation()``, the golden's "full"
 mode), ``golden_obs.json`` records two digests of
 
-* the ``MetricsSnapshot`` of the report — every float exact (``float.hex``),
+* the hub's ``MetricsSnapshot`` after the run (``obs.snapshot()``) — every
+  float exact (``float.hex``),
 * every completed ``FlowRecord`` with its hops,
 * the text, Prometheus and JSON-lines exporter output.
 
@@ -54,6 +55,20 @@ refuses to while a physics digest differs) and states the reason here:
   now lead its counters.  Their values, every other line, the text,
   Prometheus, JSONL and flow artifacts and every physics digest are the
   parent's; the script re-recorded without ``--physics-changed``.
+* One owner per count: the per-stream counters ``stream.bytes_sent``,
+  ``stream.buffers_sent``, ``stream.bytes_received``,
+  ``stream.buffers_received``, ``stream.torus_bytes`` and
+  ``stream.tcp_bytes`` left the registry.  They repeated the drivers' own
+  counts, which the ``rp.<rp>.{sent,recv}.{bytes,buffers}[<stream>]``
+  gauges publish, and the net totals ``torus.payload_bytes`` and
+  ``ethernet.ingress_bytes``.  The snapshot is the hub's after the run,
+  which equalled the report's copy line for line on every entry before
+  the copy went.  The deleted names' lines are the only lines that left
+  the snapshot, text and Prometheus artifacts (per point 9/9/14 for fig6,
+  14/14/19 for fig8, 44/44/50 for fig15); no line is new, every other
+  line keeps its value and order, and the flow and JSONL digests are
+  unchanged.  The model did not move, but its physics digests cover those
+  lines, so the script re-recorded with ``--physics-changed``.
 
 ``test_only_the_event_count_tells_the_kernels_apart`` keeps checking the
 eager kernel against the same code under a scheduler that queues every
@@ -153,7 +168,7 @@ def observe_point(name: str, mode: str) -> Dict[str, str]:
     )
     obs = outcome.observation()
     return {
-        "snapshot": _snapshot_lines(outcome.report.metrics),
+        "snapshot": _snapshot_lines(obs.snapshot()),
         "flows": _flow_lines(obs.flows.completed),
         "text": utilization_summary(obs),
         "prometheus": prometheus_exposition(obs),

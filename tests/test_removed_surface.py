@@ -383,6 +383,27 @@ def io_node_has_nic_rate(node: ast.AST) -> bool:
     )
 
 
+#: Report fields and net attributes that copied a count its owner keeps.
+COUNT_COPIES = ("torus_bytes", "ingress_bytes", "source_switches")
+
+
+def copies_a_count(node: ast.AST) -> bool:
+    """An attribute read or write of a deleted copy of a count (the counter
+    names, strings such as ``"torus.source_switches"``, are not attributes),
+    or ``ExecutionReport`` declaring one of them or a ``metrics`` field."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in COUNT_COPIES
+    return (
+        isinstance(node, ast.ClassDef)
+        and node.name == "ExecutionReport"
+        and any(
+            isinstance(statement, ast.AnnAssign)
+            and getattr(statement.target, "id", None) in COUNT_COPIES + ("metrics",)
+            for statement in node.body
+        )
+    )
+
+
 def any_of_collects(node: ast.AST) -> bool:
     """``AnyOf`` defining a ``_collect`` method."""
     return (
@@ -675,6 +696,8 @@ DETERMINISM = "One engine for the repo's rules about its own source"
 DET_DOC = "docs/static-analysis.md#Determinism lints (`DET00x`)"
 FEED = "A feed has one reader"
 FEED_DOC = "docs/observability.md#The live telemetry plane (`repro.obs.live`)"
+COUNT = "A count has one owner"
+COUNT_DOC = "docs/observability.md#What gets recorded"
 
 ROWS: List[Row] = [
     Row(
@@ -969,8 +992,8 @@ ROWS: List[Row] = [
                 obs = self.sim.obs
                 flows = obs.flows
                 if obs.enabled:
-                    obs.add(f"stream.bytes_sent[{self.stream_id}]", buffer.nbytes)
-                    obs.add("stream.bytes[%s]" % self.stream_id)
+                    obs.add(f"torus.source_switches[node={node}]")
+                    obs.add("torus.source_switches[node=%s]" % node)
                     obs.record_level("io[{}]".format(node), 1)
                 if flows.enabled:
                     flows.hop(buffer, "torus.inject", 1.0, resource=f"coproc[{node}]")
@@ -1108,6 +1131,62 @@ ROWS: List[Row] = [
         PACKAGE,
         FEED,
         "an Inbox's slot count lives in its token pool; nothing read the copy",
+        "docs/static-analysis.md#Removed surface",
+    ),
+    Row(
+        words("bytes_on_wire", "bytes_ingress", "_stream_bytes", "_stream_counters"),
+        ("src", "tests", "examples", "benchmarks"),
+        COUNT,
+        "a count has one owner: the drivers' attributes per stream, the obs counters "
+        "torus.payload_bytes and ethernet.ingress_bytes for the nets",
+        COUNT_DOC,
+    ),
+    Row(
+        words("_counters"),
+        ("src/repro/engine",),
+        COUNT,
+        "a driver counts its stream in bytes_sent/buffers_sent (bytes_received/"
+        "buffers_received) only; the registry holds no second copy",
+        COUNT_DOC,
+    ),
+    Row(
+        Text(r"stream\.(?:(?:bytes|buffers)_(?:sent|received)|torus_bytes|tcp_bytes)\b",
+             ('obs.metrics.counter(f"stream.bytes_sent[{stream_id}]")',
+              'f"stream.torus_bytes[{buffer.stream_id}]"')),
+        PACKAGE,
+        COUNT,
+        "the RP gauges rp.<rp>.{sent,recv}.{bytes,buffers}[<stream>] publish the "
+        "drivers' own counts",
+        COUNT_DOC,
+    ),
+    Row(
+        Ast(copies_a_count, "report.source_switches = torus.source_switches"),
+        ("src", "tests", "examples", "benchmarks"),
+        COUNT,
+        "a report copies no registry and no net total: read the hub "
+        "(env.obs.snapshot()) and its counters",
+        COUNT_DOC,
+    ),
+    Row(
+        words("freeze"),
+        PACKAGE,
+        COUNT,
+        "a run freezes nothing; a frozen copy of the registry is env.obs.snapshot()",
+        COUNT_DOC,
+    ),
+    Row(
+        words("memory_bytes", "compute_memory_bytes"),
+        ("src", "tests", "examples", "benchmarks"),
+        COUNT,
+        "write-only hardware facts: set by both cluster builders, read by nothing",
+        "docs/static-analysis.md#Removed surface",
+    ),
+    Row(
+        words("operator_queue_depth"),
+        ("src", "tests", "examples", "benchmarks"),
+        COUNT,
+        "no caller set it: the depth is OPERATOR_QUEUE_DEPTH beside its one reader, "
+        "repro.engine.rp",
         "docs/static-analysis.md#Removed surface",
     ),
     Row(
