@@ -47,7 +47,8 @@ def congestion_query(n_segments: int) -> str:
 
 
 def scsql_queries():
-    """The example's SCSQL statements, for ``python -m repro analyze``."""
+    """The example's SCSQL statements in session order; the test suite
+    verifies them statically (``tests/analysis/test_cli.py``)."""
     return [("congestion", congestion_query(N_SEGMENTS))]
 
 

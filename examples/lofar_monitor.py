@@ -68,7 +68,8 @@ def monitoring_query(n_antennas: int) -> str:
 
 
 def scsql_queries():
-    """The example's SCSQL statements, for ``python -m repro analyze``."""
+    """The example's SCSQL statements in session order; the test suite
+    verifies them statically (``tests/analysis/test_cli.py``)."""
     return [("monitor-n6", monitoring_query(6))]
 
 

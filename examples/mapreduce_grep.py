@@ -48,7 +48,8 @@ def count_query(pattern: str, n_files: int) -> str:
 
 
 def scsql_queries():
-    """The example's SCSQL statements, for ``python -m repro analyze``."""
+    """The example's SCSQL statements in session order; the test suite
+    verifies them statically (``tests/analysis/test_cli.py``)."""
     return [
         ("grep", grep_query(corpus.MARKER, 100)),
         ("grep-count", count_query(corpus.MARKER, 100)),

@@ -22,8 +22,9 @@ from repro.core.measurement import run_sweep
 
 
 def scsql_queries():
-    """One query per measured topology, at the example's scaled-down sizes,
-    for ``python -m repro analyze`` (the full grids are ``analyze --sweeps``)."""
+    """One query per measured topology, at the example's scaled-down sizes;
+    the test suite verifies them statically (``tests/analysis/test_cli.py``;
+    the full grids, ``tests/core/test_measurement.py``)."""
     from repro.core.experiments.fig6 import point_to_point_query, scaled_workload
     from repro.core.experiments.fig8 import BALANCED, merge_query
     from repro.core.experiments.fig15 import inbound_query

@@ -34,7 +34,8 @@ INBOUND_QUERY = automatic_inbound_query(4, 3_000_000, 5)
 
 
 def scsql_queries():
-    """The example's SCSQL statements, for ``python -m repro analyze``."""
+    """The example's SCSQL statements in session order; the test suite
+    verifies them statically (``tests/analysis/test_cli.py``)."""
     return [("intra-bg-merge", MERGE_QUERY), ("inbound-n4", INBOUND_QUERY)]
 
 

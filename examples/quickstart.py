@@ -29,7 +29,8 @@ and n=4;
 
 
 def scsql_queries():
-    """The example's SCSQL statements, for ``python -m repro analyze``."""
+    """The example's SCSQL statements in session order; the test suite
+    verifies them statically (``tests/analysis/test_cli.py``)."""
     return [("point-to-point", POINT_TO_POINT), ("parallel-spv", PARALLEL_SPV)]
 
 

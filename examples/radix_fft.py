@@ -44,7 +44,8 @@ FFT_QUERY = "select radix2('antenna') from integer z where z=0;"
 
 
 def scsql_queries():
-    """The example's SCSQL statements, for ``python -m repro analyze``.
+    """The example's SCSQL statements in session order; the test suite
+    verifies them statically (``tests/analysis/test_cli.py``).
 
     The create-function statement registers ``radix2`` for the select that
     follows, exactly as the session executes them.

@@ -50,9 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "_sanitize_wrap", False) and (
-        args.sanitize or args.chaos_seed is not None
-    ):
+    if getattr(args, "sanitize", False) or getattr(args, "chaos_seed", None) is not None:
         return _run_sanitized(args)
     return int(args.func(args) or 0)
 

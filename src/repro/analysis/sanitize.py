@@ -45,9 +45,9 @@ Usage::
         sanitize.assert_quiescent(env)        # env-level leak audit
     # strict scope: raises SanitizationError when findings exist
 
-Entry points: ``python -m repro analyze --sanitize``, pytest's
-``--sanitize`` / ``--chaos-seed`` (hooks of the repository's root
-``conftest.py``), and the bench/faults/adaptive harness flags.  The code catalogue is
+Entry points: the ``--sanitize`` / ``--chaos-seed`` flags of the
+``bench`` and ``adaptive`` commands, and pytest's (hooks of the
+repository's root ``conftest.py``).  The code catalogue is
 documented in ``docs/static-analysis.md``.
 """
 

@@ -48,11 +48,7 @@ from repro.bench.baseline import (
     write_bench,
 )
 from repro.cli_flags import add_live_flags, add_sanitize_flags
-from repro.coordinator.deployer import Deployer
-from repro.hardware.environment import Environment, EnvironmentConfig, shared_template
-from repro.obs.instrument import live_instrumentation
 from repro.obs.null import DEFAULT_WINDOW
-from repro.scsql.plan import compile_plan
 from repro.util.units import MEGA
 
 __all__ = ["add_bench_parser", "add_top_parser"]
@@ -263,6 +259,8 @@ _TOP_ALIASES = {
 
 def _top(args: argparse.Namespace) -> int:
     from repro.bench.benchmark import bench_points
+    from repro.coordinator.deployer import Deployer
+    from repro.hardware.environment import Environment, EnvironmentConfig, shared_template
     from repro.obs.export import (
         LIVE_HEADER,
         live_footer,
@@ -271,6 +269,8 @@ def _top(args: argparse.Namespace) -> int:
         prometheus_exposition,
         write_timeseries_jsonl,
     )
+    from repro.obs.instrument import live_instrumentation
+    from repro.scsql.plan import compile_plan
 
     points = {point.key: point for point in bench_points()}
     name = _TOP_ALIASES.get(args.point, args.point)

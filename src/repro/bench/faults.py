@@ -72,10 +72,7 @@ SCENARIOS: Tuple[str, ...] = (
 )
 
 #: Repair events: undo an earlier degradation (nothing to replan).
-RESTORE_SCENARIOS: Tuple[str, ...] = (
-    "restore-link",
-    "restore-uplink",
-)
+RESTORE_SCENARIOS: Tuple[str, ...] = ("restore-uplink",)
 
 #: Benchmark-facing composite scenarios built from several events.
 COMPOSITE_SCENARIOS: Tuple[str, ...] = (
@@ -333,7 +330,6 @@ def run_faulted_session(
     failed_nodes: List[str] = []
     degraded: List[str] = []
     restored: List[str] = []
-    degraded_links: List[Tuple[int, int]] = []
     replacements: List[str] = []
     try:
         for bench_query in queries:
@@ -346,8 +342,7 @@ def run_faulted_session(
         for event in schedule.events:
             env.sim.run(until=event.time)
             victims = _apply_event(
-                env, event, session, rng, failed_nodes, degraded, restored,
-                degraded_links,
+                env, event, session, rng, failed_nodes, degraded, restored
             )
             if not event.replan:
                 continue  # a transient: the streams ride it out in place
@@ -393,16 +388,8 @@ def _apply_event(
     failed_nodes: List[str],
     degraded: List[str],
     restored: List[str],
-    degraded_links: List[Tuple[int, int]],
 ) -> List[str]:
     """Damage (or repair) the hardware; return the labels to replan."""
-    if event.scenario == "restore-link":
-        while degraded_links:
-            a, b = degraded_links.pop()
-            env.torus.restore_link(a, b)
-            restored.append(f"torus {a}<->{b} restored")
-        return []
-
     if event.scenario == "restore-uplink":
         env.fabric.restore_uplink()
         restored.append("eth uplink restored")
@@ -455,7 +442,6 @@ def _apply_event(
         path = env.torus.routes.route(src, dst)
         for a, b in zip(path, path[1:]):
             env.torus.degrade_link(a, b, event.factor)
-            degraded_links.append((a, b))
             degraded.append(f"torus {a}<->{b} x{event.factor:g}")
             _notify_failure(env, f"torus[{a}<->{b}]", "link",
                             f"degraded x{event.factor:g}")

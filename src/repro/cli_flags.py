@@ -76,7 +76,3 @@ def add_sanitize_flags(parser: argparse.ArgumentParser) -> None:
              "same-rank events dispatch in a seed-derived order, so any "
              "metric drift between seeds exposes a schedule race",
     )
-    # Marks this subcommand for main()'s sanitizer wrapper.  `analyze`
-    # also has a --sanitize flag but opens its own scope in cli.py, so
-    # the wrapper must not double-wrap it (scopes do not nest).
-    parser.set_defaults(_sanitize_wrap=True)

@@ -8,7 +8,7 @@ that state the figure's claims.  :data:`FIGURES` declares every measured
 sweep as one :class:`~repro.core.experiments.figures.Sweep` row;
 :func:`~repro.core.measurement.run_sweep` measures a row through the real
 SCSQL pipeline.  It is the only enumeration of sweeps: the figure
-commands, ``analyze --sweeps`` and the bench gate all read it.
+commands and the bench gate read it.
 """
 
 from repro.util.lazy import lazy_exports

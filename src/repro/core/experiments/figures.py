@@ -29,7 +29,6 @@ class Sweep(NamedTuple):
     format strings read them as ``k`` (``"Q{k.query_number}"``).
     """
 
-    name: str  # "fig6"; prefixes the `analyze --sweeps` labels
     specs: Callable[..., List[PointSpec]]  # the pure builder; its defaults are the full sweep
     quick: Mapping[str, Any]  # builder arguments of --quick; a full run passes none
     title: str  # first line of the table
@@ -46,7 +45,6 @@ class Sweep(NamedTuple):
 #: Figure command -> the sweeps it runs, in print order.
 FIGURES: Dict[str, Tuple[Sweep, ...]] = {
     "fig6": (Sweep(
-        name="fig6",
         specs=fig6_specs,
         quick={"buffer_sizes": (200, 1000, 5000, 100_000), "target_buffers": 300},
         title="Figure 6: intra-BG point-to-point streaming bandwidth (Mbps)",
@@ -60,7 +58,6 @@ FIGURES: Dict[str, Tuple[Sweep, ...]] = {
         gate=({"buffer_sizes": (200, 1000, 100_000), "target_buffers": 120},),
     ),),
     "fig8": (Sweep(
-        name="fig8",
         specs=fig8_specs,
         quick={"buffer_sizes": (1000, 10_000, 200_000), "target_buffers": 250},
         title="Figure 8: intra-BG stream merging bandwidth at node c (Mbps)",
@@ -71,7 +68,6 @@ FIGURES: Dict[str, Tuple[Sweep, ...]] = {
         gate=({"buffer_sizes": (100_000,), "target_buffers": 120},),
     ),),
     "fig15": (Sweep(
-        name="fig15",
         specs=fig15_specs,
         quick={"stream_counts": (1, 2, 4, 5), "array_count": 5},
         title="Figure 15: BG inbound streaming bandwidth (Mbps)",
@@ -89,7 +85,6 @@ FIGURES: Dict[str, Tuple[Sweep, ...]] = {
     ),),
     "ablations": (
         Sweep(
-            name="ablation selector",
             specs=node_selection_specs,
             quick={"stream_counts": (4,), "count": 4},
             title="Ablation: automatic node selection (inbound workload, Mbps)",
@@ -99,7 +94,6 @@ FIGURES: Dict[str, Tuple[Sweep, ...]] = {
             table=node_selection_table,
         ),
         Sweep(
-            name="ablation buffers",
             specs=buffer_choice_specs,
             quick={"buffer_sizes": (1000, 2000, 100_000)},
             title="Ablation: buffer size by communication pattern (Mbps)",
@@ -113,7 +107,6 @@ FIGURES: Dict[str, Tuple[Sweep, ...]] = {
         ),
     ),
     "scaling": (Sweep(
-        name="scaling",
         specs=scaling_specs,
         quick={"partitions": (((4, 4, 2), 4), ((4, 4, 4), 8)), "array_count": 3},
         title="Extension: inbound scaling with partition size (Mbps)",

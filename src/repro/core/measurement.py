@@ -129,9 +129,9 @@ def verify_point(
 
     :func:`measure_points` raises on a failing report — one
     :class:`~repro.util.errors.PlanVerificationError` naming the malformed
-    point *before* any worker spins up instead of a mid-sweep crash — and
-    ``analyze --sweeps`` prints the same report.  Warnings (capacity
-    bounds) pass; many legitimate sweep points are deliberately link-bound.
+    point *before* any worker spins up instead of a mid-sweep crash.
+    Warnings (capacity bounds) pass; many legitimate sweep points are
+    deliberately link-bound.
     """
     from repro.analysis.verifier import verify_plan
 

@@ -210,18 +210,6 @@ class TorusNetwork:
         self._link_slowdown[(a, b)] = float(factor)
         self._link_slowdown[(b, a)] = float(factor)
 
-    def restore_link(self, a: int, b: int) -> None:
-        """Heal a previously degraded ``a``/``b`` link (both directions).
-
-        Restoring a link that was never degraded is a no-op; once the
-        slowdown table is empty again the hot loops skip it entirely, so a
-        healed torus is exactly as cheap as one that never flapped.
-        """
-        self.bluegene.node(a)  # validate indexes
-        self.bluegene.node(b)
-        self._link_slowdown.pop((a, b), None)
-        self._link_slowdown.pop((b, a), None)
-
     # ------------------------------------------------------------------
     # Stream registry (drives the receive switching cost)
     # ------------------------------------------------------------------

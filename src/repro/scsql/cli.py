@@ -13,9 +13,7 @@ import sys
 from typing import Any
 
 from repro.cli_flags import add_observability_flags, observe_level
-from repro.hardware.environment import Environment, EnvironmentConfig
 from repro.obs.instrument import instrumentation_for
-from repro.scsql.session import SCSQSession
 from repro.util.errors import AllocationError, QueryError
 
 __all__ = ["add_query_parser", "add_explain_parser"]
@@ -27,6 +25,9 @@ def _rejected(command: str, error: Exception) -> int:
 
 
 def _query(args: argparse.Namespace) -> int:
+    from repro.hardware.environment import Environment, EnvironmentConfig
+    from repro.scsql.session import SCSQSession
+
     obs = instrumentation_for(observe_level(args))
     session = SCSQSession(Environment(EnvironmentConfig(), obs=obs))
     try:
@@ -52,6 +53,8 @@ def _query(args: argparse.Namespace) -> int:
 
 
 def _explain(args: argparse.Namespace) -> int:
+    from repro.scsql.session import SCSQSession
+
     try:
         text = SCSQSession().explain(args.text)
     except (QueryError, AllocationError) as error:

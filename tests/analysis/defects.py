@@ -5,8 +5,7 @@ Figure 6 point-to-point query on a fresh environment — sabotages exactly
 one lifecycle obligation, and returns the sanitizer's report.  They are the
 executable specification of the ``SANxxx`` catalogue:
 ``tests/analysis/test_sanitize.py`` asserts each harness produces exactly
-its code, and that ``python -m repro analyze --sanitize`` exits non-zero
-when its harness is one of them.
+its codes.
 
 The sabotage patterns are the real-world bug shapes the sanitizer exists
 to catch: a teardown path that forgets one close call, a dangling blocking

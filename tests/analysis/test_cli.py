@@ -1,5 +1,7 @@
-"""``python -m repro analyze``: exit codes, output modes, statement sources."""
+"""``python -m repro analyze``: exit codes, output modes, statement sources,
+and the examples' declared queries."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -85,14 +87,14 @@ class TestStatementSources:
         "example",
         sorted(p.name for p in (REPO_ROOT / "examples").glob("*.py")),
     )
-    def test_every_example_verifies_clean(self, example, capsys):
-        assert analyze("--example", str(REPO_ROOT / "examples" / example)) == 0
-
-    def test_example_without_hook_is_an_error(self, tmp_path):
-        script = tmp_path / "no_hook.py"
-        script.write_text("X = 1\n")
-        with pytest.raises(SystemExit, match="scsql_queries"):
-            analyze("--example", str(script))
+    def test_every_example_verifies_clean(self, example):
+        """An example's ``scsql_queries()`` hook lists its statements in
+        session order, as ``(label, statement)`` pairs."""
+        path = REPO_ROOT / "examples" / example
+        spec = importlib.util.spec_from_file_location(f"_example_{path.stem}", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert analyze(*(text for _label, text in module.scsql_queries())) == 0
 
 
 class TestJSONOutput:

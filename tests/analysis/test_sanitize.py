@@ -9,7 +9,6 @@ suite-wide ``--sanitize`` plugin mode does not double-audit it.
 import pytest
 
 from repro.__main__ import main
-from repro.analysis import cli as analyze_cli
 from repro.analysis import sanitize
 from repro.coordinator.deployer import Deployer
 from repro.core.experiments.fig6 import point_to_point_query
@@ -57,20 +56,11 @@ class TestDefectHarnesses:
     """One intentional bug per code: the executable SAN specification."""
 
     @pytest.mark.parametrize("code", sorted(DEFECTS))
-    def test_defect_fires_exactly_its_codes(self, code, monkeypatch, capsys):
-        """Run as `analyze --sanitize`'s harness, each defect makes it exit 1."""
-        reports = []
-
-        def harness(seeds):
-            reports.append(DEFECTS[code]())
-            return reports[-1]
-
-        monkeypatch.setattr(analyze_cli, "_sanitize_clean_run", harness)
-        assert main(["analyze", "--sanitize"]) == 1
-        (report,) = reports
+    def test_defect_fires_exactly_its_codes(self, code):
+        report = DEFECTS[code]()
         fired = {diagnostic.code for diagnostic in report.diagnostics}
         assert fired == EXPECTED_CODES[code]
-        assert "analyze --sanitize: 1 report(s), 1 with findings" in capsys.readouterr().out
+        assert not report.ok()
 
     def test_registry_covers_every_san_code(self):
         from repro.analysis.diagnostics import CATALOG
@@ -308,6 +298,27 @@ class TestSingleQueryPathsAreAudited:
         assert "sanitize: 0 teardown(s) audited" in capsys.readouterr().out
         # A usage error keeps its own exit code.
         assert main(["adaptive", "--point", "nope", "--sanitize"]) == 2
+
+    def test_cli_fails_a_sanitized_run_with_findings(self, capsys, monkeypatch):
+        """A teardown that leaves an inbox open (the SAN202 sabotage, run
+        in the CLI's scope) exits 1 with the finding on stderr."""
+        from repro.bench import benchmark
+        from repro.bench.benchmark import BenchReport
+
+        def sabotaged(**_kwargs):
+            _env, _deployer, _plan, deployment = _deployed_fig6()
+            deployment.run()
+            for rp in deployment.rps.values():
+                for port in rp.input_ports:
+                    port.inbox.close = lambda: None
+            deployment.teardown()
+            return BenchReport("power", {})
+
+        monkeypatch.setattr(benchmark, "run_power_mode", sabotaged)
+        assert main(["bench", "--mode", "power", "--smoke", "--sanitize"]) == 1
+        out, err = capsys.readouterr()
+        assert "sanitize: 1 teardown(s) audited" in out
+        assert "SAN202" in err
 
     def test_cli_usage_error_reports_no_audit(self, capsys):
         """`bench --sanitize` with nothing to do started no run: the usage

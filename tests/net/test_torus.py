@@ -323,13 +323,6 @@ class TestLinkFaultsNameRealLinks:
                 torus.degrade_link(a, b, 2.0)
             assert torus._link_slowdown == {}
 
-    def test_restoring_a_link_of_a_negative_node_is_rejected(self):
-        _, torus = make_torus()
-        torus.degrade_link(31, 0, 2.0)
-        with pytest.raises(HardwareError):
-            torus.restore_link(-1, 0)
-        assert torus._link_slowdown == {(31, 0): 2.0, (0, 31): 2.0}
-
     def test_no_coprocessor_for_a_negative_node(self):
         _, torus = make_torus()
         with pytest.raises(HardwareError):

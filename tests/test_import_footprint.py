@@ -7,6 +7,7 @@ every module of ``repro`` can be the first one loaded.  Every check starts
 a fresh interpreter, since the test process itself has imported everything.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -172,6 +173,28 @@ def test_cli_query_help_registers_the_figures_without_the_figure_table():
     assert {m for m in modules if m.startswith("repro.core.experiments")} == {
         "repro.core.experiments", "repro.core.experiments.cli"
     }
+
+
+def _subcommands():
+    from repro.__main__ import build_parser
+
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sorted(sub.choices)
+
+
+#: The simulation's layers: printing a command's usage runs no code of them.
+LAYERS = ("repro.engine", "repro.net", "repro.sim", "repro.coordinator", "repro.hardware")
+
+
+@pytest.mark.parametrize("command", _subcommands())
+def test_help_loads_no_simulation_layer(command):
+    """Every subcommand's parser registers on each run; its handler imports
+    the layers it drives."""
+    stdout, modules = _imported(["-m", "repro", command, "--help"])
+    assert f"usage: python -m repro {command}" in stdout
+    assert sorted(
+        m for m in modules if any(m == layer or m.startswith(layer + ".") for layer in LAYERS)
+    ) == []
 
 
 def test_the_figure_commands_are_the_figure_table():

@@ -698,6 +698,8 @@ FEED = "A feed has one reader"
 FEED_DOC = "docs/observability.md#The live telemetry plane (`repro.obs.live`)"
 COUNT = "A count has one owner"
 COUNT_DOC = "docs/observability.md#What gets recorded"
+ANALYZE = "`analyze` verifies the caller's queries"
+ANALYZE_DOC = "docs/static-analysis.md#Static analysis: the plan verifier"
 
 ROWS: List[Row] = [
     Row(
@@ -1188,6 +1190,37 @@ ROWS: List[Row] = [
         "no caller set it: the depth is OPERATOR_QUEUE_DEPTH beside its one reader, "
         "repro.engine.rp",
         "docs/static-analysis.md#Removed surface",
+    ),
+    Row(
+        Options(("analyze",), ("--example", "--sweeps", "--bench", "--sanitize", "--chaos-seeds")),
+        MAIN,
+        ANALYZE,
+        "tier-1 verifies the repo's own plans and runs its sanitizer clean run; "
+        "analyze reads the caller's queries and files",
+        ANALYZE_DOC,
+    ),
+    Row(
+        words("_example_statements", "_sweep_reports", "_bench_statements", "_parse_seeds",
+              "_sanitize_clean_run", "_run_sanitize", "_sanitize_wrap"),
+        ("src", "tests", "examples", "benchmarks"),
+        ANALYZE,
+        "the self-check modes went with their helpers, and main() wraps every "
+        "subcommand that has --sanitize/--chaos-seed",
+        ANALYZE_DOC,
+    ),
+    Row(
+        words("restore_link", "degraded_links"),
+        ("src", "tests", "examples", "benchmarks"),
+        ANALYZE,
+        "no schedule healed a torus link: flapping restores only the uplink",
+        "docs/benchmarking.md#Fault injection",
+    ),
+    Row(
+        Text(r"restore-link", ('"restore-link",',)),
+        PACKAGE,
+        ANALYZE,
+        "the one repair event is restore-uplink",
+        "docs/benchmarking.md#Fault injection",
     ),
     Row(
         Resolves(),
