@@ -409,6 +409,11 @@ def run_fault_benchmark(
                 if outcome.degraded
                 else ""
             )
+            + (
+                f", {', '.join(outcome.restored)}"
+                if outcome.restored
+                else ""
+            )
             + f", replanned {len(outcome.replacements)} stream(s)"
         )
     for k in range(streams):

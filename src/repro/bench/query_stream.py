@@ -85,7 +85,8 @@ class BenchQuery:
         payload_bytes: Exact marshaled bytes the query streams over the
             be->bg ingress (computed with the engine's own
             :func:`~repro.engine.objects.size_of` model).
-        sources: External source name -> re-iterable factory, to register
+        sources: External source name -> factory returning a fresh
+            iterator over data built once with the query, to register
             before deploying (empty for source-less queries).
         expected_result: The scalar the query's root count must produce
             (reference-computed from the workload), for correctness
@@ -184,14 +185,13 @@ def _signals_query(stream_id: int, scale: StreamScale, seed: int) -> BenchQuery:
     """Signal arrays cross the ingress into a BlueGene FFT process."""
     from repro.workloads import signals
 
-    wseed = _workload_seed(seed, stream_id)
     name = f"bench-sig-s{stream_id}"
-    payload = sum(
-        size_of(array)
-        for array in signals.signal_stream(
-            scale.sig_count, n_points=scale.sig_points, seed=wseed
-        )
+    source = signals.make_signal_source(
+        scale.sig_count,
+        n_points=scale.sig_points,
+        seed=_workload_seed(seed, stream_id),
     )
+    payload = sum(size_of(array) for array in source())
     query = (
         "select extract(c) from sp s, sp f, sp c "
         "where c=sp(count(extract(f)), 'bg') "
@@ -203,11 +203,7 @@ def _signals_query(stream_id: int, scale: StreamScale, seed: int) -> BenchQuery:
         stream_id=stream_id,
         query=query,
         payload_bytes=payload,
-        sources={
-            name: signals.make_signal_source(
-                scale.sig_count, n_points=scale.sig_points, seed=wseed
-            )
-        },
+        sources={name: source},
         expected_result=scale.sig_count,
     )
 
@@ -225,7 +221,9 @@ def _grep_query(stream_id: int, scale: StreamScale, seed: int) -> BenchQuery:
     lo = stream_id * scale.grep_files + 1
     hi = (stream_id + 1) * scale.grep_files
     # The engine's grep operator reads corpus files at their default
-    # length, so the payload model must do the same.
+    # length, so the payload model must do the same.  This scan also
+    # generates each file into the corpus memo, so every deployment's
+    # grep operators replay the files instead of generating them again.
     payload = 0
     for i in range(lo, hi + 1):
         for line in corpus.read_file(corpus.filename(i)):
@@ -261,7 +259,8 @@ def build_query(
 
     Pure and deterministic: the same ``(kind, stream_id, scale, seed)``
     always yields the same SCSQL text, payload, and source data — in any
-    process.
+    process.  Every input is built here, once; each deployment of the
+    query replays it (:func:`registered`).
     """
     try:
         builder = _BUILDERS[kind]
@@ -285,9 +284,11 @@ def grep_line_count(scale: StreamScale) -> int:
 def registered(queries: Iterable[BenchQuery]) -> Iterator[None]:
     """Register every query's external sources for the enclosed block.
 
-    Factories are re-iterable, so a query may be deployed several times
-    (solo baseline, concurrent run, post-failure replacement) inside one
-    ``with`` block.
+    :func:`build_query` has built every input already; a factory returns
+    a fresh iterator over that existing data, so each deployment inside
+    one ``with`` block (solo baseline, concurrent run, post-failure
+    replacement) replays the same inputs, and operators must not mutate
+    them.
     """
     from repro.scsql.session import SCSQSession
 

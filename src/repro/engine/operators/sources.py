@@ -90,9 +90,11 @@ class Iota(Operator):
 class ExternalReceiver(Operator):
     """``receiver(name)``: a stream from a registered external source.
 
-    The source registry maps names to zero-argument factories returning an
-    iterable of objects, letting applications (and tests) feed real data —
-    e.g. numpy signal arrays for the radix2 FFT example — into queries.
+    The source registry maps names to zero-argument factories, letting
+    applications (and tests) feed real data — e.g. numpy signal arrays for
+    the radix2 FFT example — into queries.  A factory returns a fresh
+    iterator over data that already exists, so every deployment of a
+    query replays the same inputs; operators must not mutate them.
     """
 
     name = "receiver"

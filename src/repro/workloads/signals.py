@@ -61,9 +61,20 @@ def signal_stream(
 
 
 def make_signal_source(count: int, n_points: int = 1024, seed: int = 0):
-    """Zero-argument factory for the engine's external source registry."""
+    """Zero-argument factory for the engine's external source registry.
+
+    The stream is built once, here; every ``factory()`` call returns a
+    fresh iterator over those same arrays, so each deployment of a query
+    (a solo baseline, a concurrent run, a post-fault replacement) replays
+    identical data without synthesizing it again.  The arrays are marked
+    read-only: an operator must not mutate its input, and one that tries
+    raises ``ValueError`` instead of corrupting the next replay.
+    """
+    arrays = signal_stream(count, n_points=n_points, seed=seed)
+    for array in arrays:
+        array.setflags(write=False)
 
     def factory() -> Iterator[np.ndarray]:
-        return iter(signal_stream(count, n_points=n_points, seed=seed))
+        return iter(arrays)
 
     return factory

@@ -14,6 +14,7 @@ import pytest
 from repro.__main__ import build_parser, main
 from repro.analysis import sanitize
 from repro.bench.baseline import load_bench, write_bench
+from repro.bench.benchmark import run_fault_benchmark
 from repro.bench.faults import (
     COMPOSITE_SCENARIOS,
     FLAPPING_CYCLES,
@@ -384,3 +385,20 @@ class TestGateExitCode:
         out = capsys.readouterr().out
         assert "fault[flapping,n=2]/recovery_s: 0.0 equal" in out
         assert "=> 0 of 6 baseline metric(s) differ" in out
+
+
+class TestFaultReport:
+    """The per-seed report line names every fault the schedule applied,
+    the restores included, in the order of the outcome's lists."""
+
+    @pytest.mark.parametrize("scenario,line", [
+        ("flapping",
+         "  seed 0: fault at 1.204 ms, degraded eth uplink x8, eth uplink x8, "
+         "eth uplink x8, eth uplink restored, eth uplink restored, "
+         "eth uplink restored, replanned 0 stream(s)"),
+        ("kill-node",
+         "  seed 0: fault at 1.204 ms, failed bg:24, replanned 1 stream(s)"),
+    ])
+    def test_report_line(self, scenario, line):
+        report = run_fault_benchmark(scenario, 2, scale=SMOKE_SCALE, seed=0)
+        assert report.lines[1] == line

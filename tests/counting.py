@@ -9,8 +9,10 @@ pins them as numbers, not tolerances, and
 runs and hash seeds.
 
 Users: ``tests/engine/test_object_calls.py`` (frames per object; its one
-drain also gives ``tests/engine/test_flush_wait.py`` the events per drain)
-and ``tests/obs/test_hook_calls.py`` (calls per delivered buffer).
+drain also gives ``tests/engine/test_flush_wait.py`` the events per drain),
+``tests/obs/test_hook_calls.py`` (calls per delivered buffer) and
+``tests/bench/test_deck_inputs.py`` (input-generator calls per deck build
+and per deployment).
 """
 
 from __future__ import annotations
