@@ -113,6 +113,8 @@ class SenderDriver:
         yield self._outbox.put(eos)
         yield transmitter  # join: all buffers transmitted
         yield from self.channel.close()
+        # The stream is over: a flush timer still queued wakes nothing.
+        self._parked = self._flush_timer = None
 
     def _next_object(self, get_event, marshaller: StreamMarshaller):
         """Wait for the pending ``get_event``, flushing over-age partial buffers.

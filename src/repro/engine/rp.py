@@ -318,12 +318,33 @@ class RunningProcess:
         """Generator: wait for every process of this RP to finish.
 
         Tolerates processes that ended by interruption (terminated query).
+
+        Lifetime: once joined, the RP keeps only what its report reads
+        (operators, drivers and their counters).  It lets go of its ended
+        processes — ``ctx.processes``, the root, each sender's ``process``
+        and ``transmit_process``, each port's ``driver_process`` — and of
+        the query's failure event, so a finished query carries no dead
+        process into later collections.  Nothing dropped is alive, so
+        :meth:`live_processes`, :meth:`census` and :meth:`terminate` read
+        the same.  A transmitter still alive (its carrier wedged) is kept
+        for the census to find.
         """
-        for process in self.ctx.processes:
+        processes = self.ctx.processes
+        for process in processes:
             try:
                 yield process
             except Interrupt:
                 pass
+        processes.clear()
+        self._root_process = None
+        self._failure = None
+        for port in self.input_ports:
+            port.driver_process = None
+        for sender in self.senders:
+            sender.process = None
+            transmitter = sender.transmit_process
+            if transmitter is not None and not transmitter.is_alive:
+                sender.transmit_process = None
         self.release_node()
 
     def release_node(self) -> None:

@@ -41,19 +41,31 @@ def _merges(deployment):
 
 def _stopped_and_torn_down():
     """Stop the merge query mid-stream, tear it down and drain; returns
-    the deployment and the sanitizer scope that audited it."""
+    the deployment, the sanitizer scope that audited it and the merge RP's
+    forwarders as they were while the query ran (a joined RP lets go of
+    its ended processes)."""
     with sanitize.sanitizer(label="merge-ownership", strict=False) as scope:
         env, deployment = _deployed()
+        ((rp, _merge),) = _merges(deployment)
+        forwarders = []
+
+        def look():
+            yield env.sim.timeout(0.0015)  # started at 0.001, stopped at 0.002
+            forwarders.extend(
+                p for p in rp.ctx.processes if p.name.startswith("merge-in")
+            )
+
+        env.sim.process(look(), name="look")
         deployment.run(stop_after=0.002)
         deployment.teardown()
         env.sim.run()
         sanitize.assert_quiescent(env, raise_on_findings=False)
-    return deployment, scope
+    return deployment, scope, forwarders
 
 
 @pytest.mark.no_sanitize
 def test_teardown_stops_the_forwarders():
-    deployment, scope = _stopped_and_torn_down()
+    deployment, scope, forwarders = _stopped_and_torn_down()
     assert scope.audited == 1
     assert scope.report.diagnostics == []
     ((rp, merge),) = _merges(deployment)
@@ -65,9 +77,9 @@ def test_teardown_stops_the_forwarders():
         if process.is_alive
     ]
     assert parked == []
-    forwarders = [p for p in rp.ctx.processes if p.name.startswith("merge-in")]
     assert [p.name for p in forwarders] == ["merge-in[0]", "merge-in[1]"]
     assert not any(p.is_alive for p in forwarders)
+    assert rp.live_processes() == []
 
 
 def test_the_census_counts_the_forwarders():
