@@ -158,11 +158,10 @@ def test_scsql_parse_speed(benchmark):
 
 
 def test_scsql_compile_speed(benchmark):
-    """Parse + compile Query 3 to a 9-process graph on a fresh environment."""
-    from repro.hardware.environment import Environment, EnvironmentConfig
+    """Parse + compile Query 3 to a 9-process graph."""
 
     def run():
-        compiler = QueryCompiler(Environment(EnvironmentConfig()))
+        compiler = QueryCompiler()
         return compiler.compile_select(parse_query(QUERY3))
 
     graph = benchmark(run)

@@ -41,7 +41,7 @@ INBOUND_PAYLOAD = INBOUND_N * 3_000_000 * 5
 
 def run_query(text, payload, placer_kind, settings):
     env = Environment()
-    graph = QueryCompiler(env).compile_select(parse_query(text))
+    graph = QueryCompiler().compile_select(parse_query(text))
     strategy = None
     if placer_kind == "knowledge":
         strategy = SelectorPlacement(KnowledgeBasedSelector())

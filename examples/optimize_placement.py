@@ -41,7 +41,7 @@ def scsql_queries():
 
 def measure(query_text, payload_bytes, placer, settings):
     env = Environment()
-    graph = QueryCompiler(env).compile_select(parse_query(query_text))
+    graph = QueryCompiler().compile_select(parse_query(query_text))
     strategy = None
     chosen = None
     if placer == "knowledge":

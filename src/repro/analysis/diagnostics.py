@@ -42,7 +42,7 @@ class Severity(enum.Enum):
         return self.value
 
 
-#: code -> (default severity, one-line title).  Every diagnostic the
+#: code -> (severity, one-line title).  Every diagnostic the
 #: verifier can emit is registered here; ``docs/static-analysis.md``
 #: documents each with a minimal triggering example.
 CATALOG: Dict[str, Tuple[Severity, str]] = {
@@ -128,13 +128,12 @@ def diagnostic(
     message: str,
     sp_id: Optional[str] = None,
     span: Optional[Span] = None,
-    severity: Optional[Severity] = None,
 ) -> Diagnostic:
-    """Build a verifier diagnostic with its catalogued default severity."""
-    default, _title = CATALOG[code]
+    """Build a verifier diagnostic with its catalogued severity."""
+    severity, _title = CATALOG[code]
     return Diagnostic(
         code=code,
-        severity=severity or default,
+        severity=severity,
         message=message,
         sp_id=sp_id,
         span=span,

@@ -158,11 +158,10 @@ class FaultSchedule:
         at_time: float,
         seed: int = 0,
         target: Optional[int] = None,
-        factor: float = DEFAULT_DEGRADE_FACTOR,
     ) -> "FaultSchedule":
         """The common one-failure schedule."""
         return FaultSchedule(
-            events=(FaultEvent(at_time, scenario, target=target, factor=factor),),
+            events=(FaultEvent(at_time, scenario, target=target),),
             seed=seed,
         )
 
@@ -170,7 +169,6 @@ class FaultSchedule:
     def correlated(
         at_time: float,
         seed: int = 0,
-        target: Optional[int] = None,
         factor: float = DEFAULT_DEGRADE_FACTOR,
     ) -> "FaultSchedule":
         """A correlated multi-fault: node death *and* uplink degradation.
@@ -182,7 +180,7 @@ class FaultSchedule:
         """
         return FaultSchedule(
             events=(
-                FaultEvent(at_time, "kill-node", target=target),
+                FaultEvent(at_time, "kill-node"),
                 FaultEvent(at_time, "degrade-uplink", factor=factor),
             ),
             seed=seed,
@@ -194,7 +192,6 @@ class FaultSchedule:
         period: float,
         cycles: int = FLAPPING_CYCLES,
         seed: int = 0,
-        factor: float = DEFAULT_DEGRADE_FACTOR,
     ) -> "FaultSchedule":
         """A transiently flapping uplink: degrade/restore every half period.
 
@@ -215,7 +212,7 @@ class FaultSchedule:
         for cycle in range(cycles):
             start = at_time + cycle * period
             events.append(FaultEvent(
-                start, "degrade-uplink", factor=factor, replan=False,
+                start, "degrade-uplink", replan=False,
             ))
             events.append(FaultEvent(
                 start + period / 2.0, "restore-uplink", replan=False,

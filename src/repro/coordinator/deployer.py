@@ -331,7 +331,7 @@ class Deployment:
         run the simulator once, then :meth:`finish` each.  Returns the
         driver :class:`~repro.sim.core.Process`.
         """
-        if self._process is not None:
+        if self.start_time is not None:
             raise QueryExecutionError("deployment already started")
         self.start_time = self.env.sim.now
         self._process = self.env.sim.process(
@@ -343,15 +343,20 @@ class Deployment:
         return self._process
 
     def finish(self) -> ExecutionReport:
-        """Collect the report of a :meth:`start`-ed query after the run."""
+        """Collect the report of a :meth:`start`-ed query after the run,
+        once: the finished driver and collector processes are dropped."""
         process = self._process
         if process is None:
-            raise QueryExecutionError("deployment was never started")
+            raise QueryExecutionError(
+                "deployment was never started" if self.start_time is None
+                else "deployment already finished"
+            )
         if not process.triggered:
             raise QueryExecutionError(
                 f"deployment {self.rp_prefix or ROOT_RP_ID!r} never finished "
                 "(simulator stopped early or deadlocked)"
             )
+        self._process = self._collector = None
         if not process.ok:
             raise process.value
         result, finished_at = process.value
@@ -510,6 +515,7 @@ class Deployment:
         finished_at = sim.now
         for rp in self.rps.values():
             yield from rp.join()
+        self._collector = None  # ended: teardown() has nothing left to interrupt
         return collected, finished_at
 
     def _collect(self, collected: List[Any]) -> Iterator[Any]:

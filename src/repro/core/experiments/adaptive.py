@@ -187,12 +187,9 @@ def _run_session(
     ``budget`` is None, else an :class:`AdaptiveController` with it."""
     obs, sampler = live_instrumentation()
     env = shared_template(config).fork(seed=config.seed, obs=obs)
-    session = MultiQuerySession(env)
+    session = MultiQuerySession(env, settings=spec.settings)
     for label, text in spec.queries:
-        session.submit(
-            compile_plan(text), payload_bytes=spec.payload_bytes, label=label,
-            settings=spec.settings,
-        )
+        session.submit(compile_plan(text), payload_bytes=spec.payload_bytes, label=label)
     if budget is None:
         result = session.run()
     else:

@@ -54,7 +54,6 @@ and a=sp(gen_array({array_bytes},{count}), 'bg', 1);
 def scaled_workload(
     buffer_bytes: int,
     target_buffers: int = DEFAULT_TARGET_BUFFERS,
-    max_array_bytes: int = PAPER_ARRAY_BYTES,
 ) -> Tuple[int, int]:
     """(array_bytes, count) streaming roughly ``target_buffers`` buffers.
 
@@ -65,7 +64,7 @@ def scaled_workload(
     """
     count = 8
     array_bytes = (buffer_bytes * target_buffers) // count
-    array_bytes = max(30_000, min(max_array_bytes, array_bytes))
+    array_bytes = max(30_000, min(PAPER_ARRAY_BYTES, array_bytes))
     return array_bytes, count
 
 

@@ -47,13 +47,9 @@ DEFAULT_BUFFER_BYTES = 10_000
 ROUTE_MEMO_BYTES_CEILING = 32 * 1024 * 1024
 
 
-def scale_config(
-    shape: Tuple[int, int, int] = DEFAULT_SHAPE, seed: int = 0
-) -> EnvironmentConfig:
+def scale_config(shape: Tuple[int, int, int] = DEFAULT_SHAPE) -> EnvironmentConfig:
     """Environment config for a scale-run torus of ``shape``."""
-    return EnvironmentConfig(
-        bluegene=BlueGeneConfig(torus_shape=shape), seed=seed
-    )
+    return EnvironmentConfig(bluegene=BlueGeneConfig(torus_shape=shape))
 
 
 def scale_stream_query(array_bytes: int, count: int) -> str:
@@ -112,8 +108,6 @@ def _scaled_defaults(shape: Tuple[int, int, int]) -> int:
 def run_scale(
     shape: Tuple[int, int, int] = DEFAULT_SHAPE,
     queries: Optional[int] = None,
-    array_bytes: int = DEFAULT_ARRAY_BYTES,
-    count: int = DEFAULT_ARRAY_COUNT,
     progress: Optional[Callable[[str], None]] = None,
 ) -> ScaleResult:
     """Run the scale figure and return its measurements.
@@ -128,13 +122,13 @@ def run_scale(
     template = shared_template(scale_config(shape))
 
     # Concurrent continuous queries on the shared partition.
-    plan = compile_plan(scale_stream_query(array_bytes, count))
+    plan = compile_plan(scale_stream_query(DEFAULT_ARRAY_BYTES, DEFAULT_ARRAY_COUNT))
     settings = ExecutionSettings(
         mpi_buffer_bytes=DEFAULT_BUFFER_BYTES, double_buffering=True
     )
     env = template.fork(seed=0)
     session = MultiQuerySession(env, settings=settings)
-    payload = array_bytes * count
+    payload = DEFAULT_ARRAY_BYTES * DEFAULT_ARRAY_COUNT
     for index in range(queries):
         session.submit(plan, payload_bytes=payload, label=f"s{index}")
     result = session.run()

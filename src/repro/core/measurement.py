@@ -73,7 +73,7 @@ class BandwidthResult:
     def mean_mbps(self) -> float:
         return self.mbps.mean
 
-    def flow_latencies(self, stream_id: Optional[str] = None) -> List[float]:
+    def flow_latencies(self) -> List[float]:
         """End-to-end flow latencies pooled over the observed repeats.
 
         Empty unless the measurement was observed at ``"flows"`` or
@@ -82,7 +82,7 @@ class BandwidthResult:
         return [
             latency
             for obs in self.observations
-            for latency in obs.flows.latencies(stream_id)
+            for latency in obs.flows.latencies()
         ]
 
     def __str__(self) -> str:
@@ -160,7 +160,6 @@ def measure_points(
     base_seed: int = 0,
     jobs: int = 1,
     observe: str = OBSERVE_NONE,
-    executor: Optional[SweepExecutor] = None,
 ) -> Dict[Any, BandwidthResult]:
     """Measure several sweep points, fanning every (point, repeat) task out.
 
@@ -214,7 +213,7 @@ def measure_points(
         for spec in specs
         for k in range(repeats)
     ]
-    outcomes = (executor or SweepExecutor(jobs)).run(tasks)
+    outcomes = SweepExecutor(jobs).run(tasks)
     return {
         spec.key: _result_from_outcomes(
             outcomes[index * repeats:(index + 1) * repeats], spec.payload_bytes
@@ -228,16 +227,14 @@ def measure_query_bandwidth(
     payload_bytes: int,
     settings: Optional[ExecutionSettings] = None,
     repeats: int = DEFAULT_REPEATS,
-    env_config: Optional[EnvironmentConfig] = None,
     base_seed: int = 0,
-    jobs: int = 1,
     observe: str = OBSERVE_NONE,
-    executor: Optional[SweepExecutor] = None,
 ) -> BandwidthResult:
-    """Measure the streaming bandwidth of one SCSQL query.
+    """Measure the streaming bandwidth of one SCSQL query, serially on the
+    paper's testbed.
 
-    The one-point form of :func:`measure_points`, which documents ``jobs``,
-    ``observe`` and ``executor``.
+    The one-point form of :func:`measure_points`, which documents
+    ``observe``.
 
     Args:
         query: The SCSQL select query to run.
@@ -246,17 +243,13 @@ def measure_query_bandwidth(
             divided by the simulated execution time.
         settings: Engine settings (buffer size, buffering mode).
         repeats: Number of independent runs (paper: five).
-        env_config: Environment shape/cost model; seeds are varied per run.
         base_seed: Seed of the first repeat; repeat k uses base_seed + k.
 
     Returns:
         The summarized result, with per-run reports attached.
     """
     spec = PointSpec(key="point", query=query, payload_bytes=payload_bytes, settings=settings)
-    results = measure_points(
-        [spec], repeats=repeats, env_config=env_config, base_seed=base_seed,
-        jobs=jobs, observe=observe, executor=executor,
-    )
+    results = measure_points([spec], repeats=repeats, base_seed=base_seed, observe=observe)
     return results["point"]
 
 

@@ -20,12 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.coordinator.deployer import (
-    Deployer,
-    Deployment,
-    ExecutionReport,
-    PlacementStrategy,
-)
+from repro.coordinator.deployer import Deployer, Deployment, ExecutionReport
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import Environment, EnvironmentConfig
 from repro.util.errors import QueryExecutionError
@@ -168,8 +163,6 @@ class MultiQuerySession:
         self,
         plan,
         payload_bytes: int,
-        strategy: Optional[PlacementStrategy] = None,
-        settings: Optional[ExecutionSettings] = None,
         label: Optional[str] = None,
     ) -> str:
         """Place and deploy one plan; returns its label.
@@ -187,7 +180,7 @@ class MultiQuerySession:
             label = f"q{len(self._entries)}"
         if label in self._entries:
             raise QueryExecutionError(f"duplicate query label {label!r}")
-        placed = self.deployer.place(plan, strategy, settings or self.settings)
+        placed = self.deployer.place(plan, settings=self.settings)
         self._entries[label] = _Entry(
             deployment=self.deployer.deploy(placed, rp_prefix=f"{label}/"),
             payload_bytes=payload_bytes, plan=plan,

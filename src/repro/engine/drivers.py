@@ -43,7 +43,6 @@ class SenderDriver:
         source: Store,
         channel: Channel,
         stream_id: str,
-        buffer_bytes: Optional[int] = None,
     ):
         self.ctx = ctx
         self.source = source
@@ -54,7 +53,7 @@ class SenderDriver:
         self.buffer_bytes = (
             channel.preferred_buffer_bytes
             if channel.preferred_buffer_bytes is not None
-            else (buffer_bytes or ctx.settings.mpi_buffer_bytes)
+            else ctx.settings.mpi_buffer_bytes
         )
         self.bytes_sent = 0
         self.buffers_sent = 0

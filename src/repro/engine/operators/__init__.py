@@ -23,7 +23,6 @@ __all__ = [
     "Below",
     "Sample",
     "Relay",
-    "MapFunction",
     "EvenElements",
     "OddElements",
     "Fft",
@@ -49,6 +48,6 @@ __getattr__ = lazy_exports(__name__, {
         "operator_class", "register_operator", "registered_operators",
     ),
     "repro.engine.operators.sources": ("Constant", "ExternalReceiver", "GenerateArrays", "Iota"),
-    "repro.engine.operators.transforms": ("EvenElements", "MapFunction", "OddElements"),
+    "repro.engine.operators.transforms": ("EvenElements", "OddElements"),
     "repro.engine.operators.window": ("WindowAggregate",),
 })

@@ -32,7 +32,6 @@ _BUILTINS: Dict[str, Tuple[str, str]] = {
     "above": ("filters", "Above"),
     "below": ("filters", "Below"),
     "sample": ("filters", "Sample"),
-    "map": ("transforms", "MapFunction"),
     "even": ("transforms", "EvenElements"),
     "odd": ("transforms", "OddElements"),
     "fft": ("fft", "Fft"),

@@ -1,4 +1,4 @@
-"""Per-object transform operators: generic map and the FFT helpers.
+"""Per-object transform operators: the FFT helpers.
 
 ``odd(x)`` and ``even(x)`` "obtain odd and even elements from array x"
 (paper section 2.4, the radix2 example).  They tag their outputs with role
@@ -8,49 +8,14 @@ merge, whose arrival order is nondeterministic.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any
 
-from repro.engine.objects import END_OF_STREAM, TaggedObject, size_of
+from repro.engine.objects import END_OF_STREAM, TaggedObject
 from repro.engine.operators.base import Operator
 from repro.util.errors import QueryExecutionError
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-class MapFunction(Operator):
-    """Apply a Python function to every stream object.
-
-    Attributes:
-        fn: The per-object function.
-        cost_fn: Optional function object -> baseline CPU seconds; defaults
-            to the per-object overhead plus a memory-streaming term.
-    """
-
-    name = "map"
-    arity = (1, 1)
-
-    def __init__(self, ctx, inputs, output, fn: Callable[[Any], Any],
-                 cost_fn: Optional[Callable[[Any], float]] = None):
-        super().__init__(ctx, inputs, output)
-        self.fn = fn
-        self.cost_fn = cost_fn
-
-    def _cost(self, obj: Any) -> float:
-        if self.cost_fn is not None:
-            return self.cost_fn(obj)
-        return self.ctx.costs.per_object_overhead + size_of(obj) / self.ctx.costs.generate_rate
-
-    def run(self):
-        while True:
-            got = self.inputs[0].get()
-            obj = got._value if got.callbacks is None else (yield got)
-            if obj is END_OF_STREAM:
-                break
-            self.objects_in += 1
-            yield from self.ctx.charge_cpu(self._cost(obj))
-            yield from self.emit(self.fn(obj))
-        yield from self.finish()
 
 
 def _as_array(obj: Any, op_name: str) -> np.ndarray:

@@ -113,7 +113,7 @@ class RunningProcess:
             return output
         inputs = [self._build_node(child) for child in spec.children]
         cls = operator_class(spec.name)
-        operator = cls(self.ctx, inputs, output, *spec.args, **spec.kwargs_dict)
+        operator = cls(self.ctx, inputs, output, *spec.args)
         self.operators.append(operator)
         return output
 

@@ -14,7 +14,7 @@ instantiates them against live stores and drivers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Iterator, Optional, Tuple
 
 from repro.util.errors import QueryExecutionError
 from repro.util.frozen import slot_init
@@ -31,7 +31,6 @@ class OpSpec:
     Attributes:
         name: Operator registry name, or :data:`INPUT` for a subscription.
         args: Positional constructor arguments of the operator.
-        kwargs: Keyword constructor arguments of the operator.
         children: Upstream plan nodes feeding this operator, in input order.
         producer: For :data:`INPUT` leaves: the id of the stream process
             whose output stream is subscribed to.
@@ -39,7 +38,6 @@ class OpSpec:
 
     name: str
     args: Tuple[Any, ...] = ()
-    kwargs: Tuple[Tuple[str, Any], ...] = ()
     children: Tuple["OpSpec", ...] = ()
     producer: Optional[str] = None
 
@@ -53,10 +51,6 @@ class OpSpec:
             raise QueryExecutionError(
                 f"only input plan nodes carry a producer; {self.name!r} does not"
             )
-
-    @property
-    def kwargs_dict(self) -> Dict[str, Any]:
-        return dict(self.kwargs)
 
     def walk(self) -> Iterator["OpSpec"]:
         """Depth-first iteration over the plan tree (children first)."""
@@ -89,11 +83,6 @@ def plan_input(producer: str) -> OpSpec:
     return OpSpec(name=INPUT, producer=producer)
 
 
-def plan_op(name: str, *args: Any, children: Tuple[OpSpec, ...] = (), **kwargs: Any) -> OpSpec:
+def plan_op(name: str, *args: Any, children: Tuple[OpSpec, ...] = ()) -> OpSpec:
     """Build an operator plan node (convenience constructor)."""
-    return OpSpec(
-        name=name,
-        args=tuple(args),
-        kwargs=tuple(sorted(kwargs.items())) if kwargs else (),
-        children=tuple(children),
-    )
+    return OpSpec(name=name, args=tuple(args), children=tuple(children))

@@ -1,8 +1,8 @@
 """Calibration parameters for the simulated communication substrate.
 
 Every constant that shapes the reproduced figures lives here, in frozen
-dataclasses, so that (a) experiments can state exactly which cost model they
-ran under, and (b) the ablation benchmarks can perturb one term at a time.
+dataclasses, so that experiments can state exactly which cost model they
+ran under.
 
 The parameters are calibrated against the published envelope:
 

@@ -86,7 +86,6 @@ class Instrumentation(NullInstrumentation):
         tracer: Timeline recorder; defaults to a fresh :class:`Tracer`.
             Pass :data:`~repro.obs.tracer.NULL_TRACER` for metrics-only
             instrumentation (much lighter on memory for long runs).
-        metrics: Metric registry; defaults to a fresh registry.
         flows: Flow-level causal recorder; defaults to a fresh
             :class:`~repro.obs.flow.FlowRecorder`.  Pass
             :data:`~repro.obs.flow.NULL_FLOWS` to skip per-buffer hop
@@ -101,14 +100,13 @@ class Instrumentation(NullInstrumentation):
     enabled = True
 
     def __init__(self, tracer: Optional[NullTracer] = None,
-                 metrics: Optional[MetricsRegistry] = None,
                  flows: Optional[NullFlowRecorder] = None,
                  live: Optional[NullLiveSampler] = None) -> None:
         from repro.obs.flow import FlowRecorder
         from repro.obs.metrics import MetricsRegistry
 
         self.tracer: NullTracer = Tracer() if tracer is None else tracer
-        self.metrics: MetricsRegistry = metrics if metrics is not None else MetricsRegistry()
+        self.metrics: MetricsRegistry = MetricsRegistry()
         self.flows: NullFlowRecorder = FlowRecorder() if flows is None else flows
         self.live: NullLiveSampler = NULL_LIVE if live is None else live
         self.sim: Optional["Simulator"] = None

@@ -55,7 +55,7 @@ from repro.util.units import MEGA
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.flow import FlowRecord
-    from repro.obs.health import ContinuousBottleneckDetector, HealthEvent
+    from repro.obs.health import HealthEvent
     from repro.obs.instrument import Instrumentation
 
 __all__ = [
@@ -137,9 +137,6 @@ class LiveSampler(NullLiveSampler):
 
     Args:
         window: Window length in simulated seconds (> 0).
-        detector: The health detector fed at each boundary; defaults to a
-            fresh :class:`~repro.obs.health.ContinuousBottleneckDetector`
-            with stock hysteresis.
         on_window: Optional callback invoked with each closed
             :class:`WindowSample` the moment it closes — this is how the
             ``repro top`` CLI streams rows while the sim runs.
@@ -158,14 +155,13 @@ class LiveSampler(NullLiveSampler):
     enabled = True
 
     def __init__(self, window: float = DEFAULT_WINDOW,
-                 detector: Optional["ContinuousBottleneckDetector"] = None,
                  on_window: Optional[Callable[[WindowSample], None]] = None):
         if window <= 0.0:
             raise ValueError(f"window must be > 0 simulated seconds, got {window!r}")
         from repro.obs.health import ContinuousBottleneckDetector
 
         self.window = window
-        self.detector = detector if detector is not None else ContinuousBottleneckDetector()
+        self.detector = ContinuousBottleneckDetector()
         self._windows: List[WindowSample] = []
         self._on_window = on_window
         self._obs: Optional["Instrumentation"] = None

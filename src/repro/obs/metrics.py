@@ -63,10 +63,10 @@ class TimeWeightedStat:
 
     __slots__ = ("current", "integral", "maximum", "_last_ts", "_start_ts", "dwell")
 
-    def __init__(self, start_ts: float = 0.0, value: float = 0.0) -> None:
-        self.current = value
+    def __init__(self, start_ts: float = 0.0) -> None:
+        self.current = 0.0
         self.integral = 0.0
-        self.maximum = value
+        self.maximum = 0.0
         self._last_ts = start_ts
         self._start_ts = start_ts
         self.dwell: DefaultDict[float, float] = defaultdict(float)
@@ -169,12 +169,11 @@ class MetricsRegistry:
             instrument = self.gauges[name] = Gauge()
             return instrument
 
-    def time_weighted(self, name: str, start_ts: float = 0.0,
-                      value: float = 0.0) -> TimeWeightedStat:
+    def time_weighted(self, name: str, start_ts: float = 0.0) -> TimeWeightedStat:
         try:
             return self.series[name]
         except KeyError:
-            instrument = self.series[name] = TimeWeightedStat(start_ts, value)
+            instrument = self.series[name] = TimeWeightedStat(start_ts)
             return instrument
 
     # ------------------------------------------------------------------

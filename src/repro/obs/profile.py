@@ -104,8 +104,9 @@ class BottleneckReport:
     # ------------------------------------------------------------------
     # Rendering
     # ------------------------------------------------------------------
-    def format_text(self, limit: int = 10) -> str:
-        """Human-readable ranked report (the ``--bottlenecks`` output)."""
+    def format_text(self) -> str:
+        """Human-readable ranked report (the ``--bottlenecks`` output): the
+        top ten resources and stages."""
         lines = [f"critical-path profile: {self.flows} flows"
                  + (f" ({self.dropped} dropped in flight)" if self.dropped else "")]
         lines.append("")
@@ -118,14 +119,14 @@ class BottleneckReport:
         )
         if self.resources:
             lines.append(header)
-        for rank, cost in enumerate(self.resources[:limit], start=1):
+        for rank, cost in enumerate(self.resources[:10], start=1):
             lines.append(
                 f"  {rank:>2} {cost.resource:<24} {cost.service:>10.6f} "
                 f"{cost.queue_wait:>10.6f} {cost.hops:>6d} {cost.critical_votes:>6d}"
             )
         lines.append("")
         lines.append("stages (waits without a single owning resource included):")
-        for cost in self.stages[:limit]:
+        for cost in self.stages[:10]:
             lines.append(
                 f"     {cost.stage:<24} service {cost.service:>10.6f}  "
                 f"queue {cost.queue_wait:>10.6f}  hops {cost.hops}"

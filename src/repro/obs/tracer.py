@@ -58,8 +58,7 @@ class NullTracer:
 
     enabled = False
 
-    def span_begin(self, ts: float, track: str, name: str, ident: Optional[int] = None,
-                   args: Any = None) -> None:
+    def span_begin(self, ts: float, track: str, name: str, ident: Optional[int] = None) -> None:
         pass
 
     def span_end(self, ts: float, track: str, name: str, ident: Optional[int] = None,
@@ -91,9 +90,8 @@ class Tracer(NullTracer):
     def __init__(self) -> None:
         self.records: List[TraceRecord] = []
 
-    def span_begin(self, ts: float, track: str, name: str, ident: Optional[int] = None,
-                   args: Any = None) -> None:
-        self.records.append(TraceRecord(ts, "span_begin", track, name, ident, args))
+    def span_begin(self, ts: float, track: str, name: str, ident: Optional[int] = None) -> None:
+        self.records.append(TraceRecord(ts, "span_begin", track, name, ident, None))
 
     def span_end(self, ts: float, track: str, name: str, ident: Optional[int] = None,
                  args: Any = None) -> None:

@@ -104,24 +104,15 @@ class QueryCompiler:
 
     Compilation is *setup-time only*: no live
     :class:`~repro.hardware.environment.Environment` is needed.  Cluster
-    names are validated against ``clusters`` (anything with a
-    ``cluster_names()`` method — e.g. an Environment — or a plain sequence
-    of names; default: the paper's fe/be/bg topology), and allocation
-    queries compile to symbolic
+    names are validated against the paper's fe/be/bg topology
+    (:data:`~repro.hardware.environment.DEFAULT_CLUSTERS`, which every
+    environment exposes), and allocation queries compile to symbolic
     :class:`~repro.coordinator.allocation.AllocationSpec` objects that a
     deployer resolves against a target environment's CNDBs at deploy time.
     The resulting graph is picklable and reusable across environments.
     """
 
-    def __init__(
-        self, clusters: Any = None, functions: Optional[Dict[str, FunctionDef]] = None
-    ):
-        if clusters is None:
-            self.clusters = tuple(DEFAULT_CLUSTERS)
-        elif hasattr(clusters, "cluster_names"):
-            self.clusters = tuple(clusters.cluster_names())
-        else:
-            self.clusters = tuple(clusters)
+    def __init__(self, functions: Optional[Dict[str, FunctionDef]] = None):
         self.functions = functions if functions is not None else {}
         self.graph = QueryGraph()
         self._sp_counter = itertools.count(1)
@@ -404,10 +395,10 @@ class QueryCompiler:
         return scopes
 
     def _check_cluster(self, cluster: str) -> None:
-        if cluster not in self.clusters:
+        if cluster not in DEFAULT_CLUSTERS:
             raise QuerySemanticError(
                 f"unknown cluster {cluster!r}; this environment has "
-                f"{sorted(self.clusters)}"
+                f"{sorted(DEFAULT_CLUSTERS)}"
             )
 
     # ------------------------------------------------------------------

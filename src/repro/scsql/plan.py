@@ -28,7 +28,7 @@ teardown; the place/deploy/run/teardown half lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional
 
 from repro.coordinator.graph import QueryGraph
 from repro.engine.settings import ExecutionSettings
@@ -68,7 +68,6 @@ def compile_plan(
     text: str,
     functions: Optional[Dict[str, FunctionDef]] = None,
     settings: Optional[ExecutionSettings] = None,
-    clusters: Optional[Union[Sequence[str], object]] = None,
 ) -> DeploymentPlan:
     """Compile one SCSQL select query into a :class:`DeploymentPlan`.
 
@@ -77,10 +76,6 @@ def compile_plan(
         functions: User-defined query functions visible to the query.
         settings: Execution settings to bake into the plan (defaults used
             otherwise; deployments may still override).
-        clusters: Cluster vocabulary to validate against — a sequence of
-            names or anything with ``cluster_names()`` (e.g. an
-            :class:`~repro.hardware.environment.Environment`); defaults to
-            the paper's fe/be/bg topology.
 
     Raises:
         QuerySemanticError: If ``text`` is not a select query or fails
@@ -92,7 +87,7 @@ def compile_plan(
             "compile_plan() takes a select query; create-function statements "
             "are session state, not deployable plans"
         )
-    compiler = QueryCompiler(clusters, functions)
+    compiler = QueryCompiler(functions)
     graph = compiler.compile_select(statement)
     return DeploymentPlan(
         query=text,

@@ -68,7 +68,7 @@ class SCSQSession:
             self._define_function(statement)
             return None
         assert isinstance(statement, SelectQuery)
-        compiler = QueryCompiler(self.env, self.functions)
+        compiler = QueryCompiler(self.functions)
         graph = compiler.compile_select(statement)
         return self.deployer.run(
             graph,
@@ -82,20 +82,18 @@ class SCSQSession:
         statement = parse(text)
         if not isinstance(statement, SelectQuery):
             raise QuerySemanticError("compile() takes a select query")
-        compiler = QueryCompiler(self.env, self.functions)
+        compiler = QueryCompiler(self.functions)
         return compiler.compile_select(statement)
 
-    def plan(self, text: str, settings: Optional[ExecutionSettings] = None) -> "DeploymentPlan":
+    def plan(self, text: str) -> "DeploymentPlan":
         """Compile a select query into a reusable, environment-independent
         :class:`~repro.scsql.plan.DeploymentPlan` (this session's functions
         are visible to the query)."""
         from repro.scsql.plan import compile_plan  # session is imported by plan users
 
-        return compile_plan(
-            text, functions=self.functions, settings=settings or self.settings
-        )
+        return compile_plan(text, functions=self.functions, settings=self.settings)
 
-    def explain(self, text: str, settings: Optional[ExecutionSettings] = None) -> str:
+    def explain(self, text: str) -> str:
         """Compile a query and describe its process graph without running it.
 
         Shows each stream process's cluster, subquery plan, and subscription
@@ -109,7 +107,7 @@ class SCSQSession:
         graph = self.compile(text)
         lines = [graph.describe()]
         if any(sp.allocation is None for sp in graph.sps.values()):
-            placer = CostBasedPlacer(self.env, settings or self.settings)
+            placer = CostBasedPlacer(self.env, self.settings)
             assignment = placer.place(graph)
             predicted = placer.predicted_bandwidth(graph, assignment)
             lines.append("optimizer placement:")

@@ -37,7 +37,7 @@ from heapq import heappop
 from typing import Any, Generator, Iterable, Optional, Union
 
 from repro.obs.null import NULL_OBS, NullInstrumentation
-from repro.sim.events import _NORMAL, _URGENT, AnyOf, Detached, Event, Process, Timeout
+from repro.sim.events import AnyOf, Detached, Event, Process, Timeout
 from repro.sim.scheduler import _BUSY, EventScheduler, make_scheduler
 from repro.util.errors import SimulationError
 
@@ -151,10 +151,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling and execution
     # ------------------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, priority: bool = False) -> None:
-        """Put a triggered event on the queue for processing."""
-        self._push(self._now + delay, _URGENT if priority else _NORMAL, event)
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""
         return self._scheduler.next_time()

@@ -87,9 +87,8 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        # Inlined zero-delay normal-priority scheduling (the hottest path in
-        # the kernel: every store handoff and resource grant goes through
-        # here); equivalent to ``self.sim._schedule(self)``.
+        # Zero-delay normal-priority scheduling (the hottest path in the
+        # kernel: every store handoff and resource grant goes through here).
         sim = self.sim
         sim._push(sim._now, _NORMAL, self)
         return self
@@ -222,14 +221,15 @@ class Process(Event):
         """
         if self.triggered:
             raise SimulationError(f"cannot interrupt finished process {self.name!r}")
-        interrupt_event = Event(self.sim)
+        sim = self.sim
+        interrupt_event = Event(sim)
         interrupt_event._ok = False
         interrupt_event._value = Interrupt(cause)
         interrupt_event._defused = True  # failure is delivered, never unhandled
         interrupt_event.callbacks.append(self._resume)
-        self.sim._schedule(interrupt_event, priority=True)
-        if self.sim.obs.enabled:
-            self.sim.obs.on_interrupt(self, cause)
+        sim._push(sim._now, _URGENT, interrupt_event)
+        if sim.obs.enabled:
+            sim.obs.on_interrupt(self, cause)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the value (or exception) of ``event``."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional
 
 from repro.sim.events import AnyOf, Detached, Event, Process, Timeout
-from repro.sim.resources import Request, Resource, Store, StorePut
+from repro.sim.resources import Request, Store, StorePut
 
 __all__ = ["WaitEdge", "waiters_of", "describe_event", "wait_edges"]
 
@@ -124,16 +124,15 @@ def _classify(event: Event, stores: Iterable[Store]) -> str:
 def wait_edges(
     processes: Iterable[Process],
     stores: Iterable[Store] = (),
-    resources: Iterable[Resource] = (),
 ) -> List[WaitEdge]:
     """The wait-for edges of every alive process in ``processes``.
 
-    ``stores`` and ``resources`` widen the classification: a bare getter
-    event is recognized as a ``store-get`` only when its store is listed.
-    Join edges carry the joined process as a blocker, so a chain of joins
-    renders as a path through the returned edges.
+    ``stores`` widens the classification: a bare getter event is recognized
+    as a ``store-get`` only when its store is listed (a wait on a resource
+    classifies via its ``Request``).  Join edges carry the joined process as
+    a blocker, so a chain of joins renders as a path through the returned
+    edges.
     """
-    del resources  # named waits on resources classify via Request already
     store_list = list(stores)
     edges: List[WaitEdge] = []
     seen = set()

@@ -100,13 +100,12 @@ def segment_speeds(reports: List[PositionReport]) -> List[float]:
     return [report[3] for report in reports]
 
 
-def expected_congested_windows(
-    speeds: List[float], window: int, threshold: float = CONGESTION_SPEED
-) -> int:
-    """Reference result: tumbling-window averages below the toll threshold."""
+def expected_congested_windows(speeds: List[float], window: int) -> int:
+    """Reference result: tumbling-window averages below the toll threshold
+    (:data:`CONGESTION_SPEED`)."""
     congested = 0
     for start in range(0, len(speeds) - window + 1, window):
         mean = sum(speeds[start : start + window]) / window
-        if mean < threshold:
+        if mean < CONGESTION_SPEED:
             congested += 1
     return congested

@@ -41,10 +41,9 @@ def sinusoid_mixture(
     return signal
 
 
-def signal_stream(
-    count: int, n_points: int = 1024, noise: float = 0.05, seed: int = 0
-) -> List[np.ndarray]:
-    """A finite stream of ``count`` signal arrays with varying tone content.
+def signal_stream(count: int, n_points: int = 1024, seed: int = 0) -> List[np.ndarray]:
+    """A finite stream of ``count`` signal arrays with varying tone content
+    and noise of standard deviation 0.05.
 
     ``count=0`` is a valid (empty) stream — a query over it must still
     terminate cleanly on the end-of-stream marker alone.
@@ -55,7 +54,7 @@ def signal_stream(
     for k in range(count):
         tones = [(1 + (k % (n_points // 4)), 1.0), (n_points // 8, 0.5)]
         arrays.append(
-            sinusoid_mixture(n_points, tones, noise=noise, seed=seed + k)
+            sinusoid_mixture(n_points, tones, noise=0.05, seed=seed + k)
         )
     return arrays
 

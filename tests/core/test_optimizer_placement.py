@@ -20,8 +20,8 @@ and b=sp(gen_array(200000,10), 'bg');
 """
 
 
-def compile_graph(env, text):
-    return QueryCompiler(env).compile_select(parse_query(text))
+def compile_graph(text):
+    return QueryCompiler().compile_select(parse_query(text))
 
 
 class TestMergePlacement:
@@ -29,7 +29,7 @@ class TestMergePlacement:
         """The placer puts both producers one hop from the merger over
         independent channels — Figure 7B, derived from the cost model."""
         env = Environment()
-        graph = compile_graph(env, MERGE_QUERY)
+        graph = compile_graph(MERGE_QUERY)
         settings = ExecutionSettings(mpi_buffer_bytes=100_000)
         assignment = CostBasedPlacer(env, settings).place(graph)
         by_role = {sp_id.split("@")[0]: index for sp_id, index in assignment.items()}
@@ -42,7 +42,7 @@ class TestMergePlacement:
 
         def run(optimize):
             env = Environment()
-            graph = compile_graph(env, MERGE_QUERY)
+            graph = compile_graph(MERGE_QUERY)
             if optimize:
                 CostBasedPlacer(env, settings).place(graph)
             report = Deployer(env).run(graph, settings=settings)
@@ -56,7 +56,7 @@ class TestInboundPlacement:
         """Senders co-located on one back-end host, receivers spread over
         all psets — the paper's best inbound configuration."""
         env = Environment()
-        graph = compile_graph(env, automatic_inbound_query(4, 3_000_000, 5))
+        graph = compile_graph(automatic_inbound_query(4, 3_000_000, 5))
         assignment = CostBasedPlacer(env, ExecutionSettings()).place(graph)
         senders = {v for k, v in assignment.items() if k.startswith("a[")}
         receivers = [v for k, v in assignment.items() if k.startswith("b[")]
@@ -67,7 +67,7 @@ class TestInboundPlacement:
     def test_measured_speedup_over_naive(self):
         def run(optimize):
             env = Environment()
-            graph = compile_graph(env, automatic_inbound_query(4, 3_000_000, 4))
+            graph = compile_graph(automatic_inbound_query(4, 3_000_000, 4))
             if optimize:
                 CostBasedPlacer(env, ExecutionSettings()).place(graph)
             report = Deployer(env).run(graph, settings=ExecutionSettings())
@@ -104,7 +104,7 @@ class TestSessionIntegration:
 
     def test_predicted_bandwidth_exposed(self):
         env = Environment()
-        graph = compile_graph(env, MERGE_QUERY)
+        graph = compile_graph(MERGE_QUERY)
         placer = CostBasedPlacer(env, ExecutionSettings(mpi_buffer_bytes=100_000))
         assignment = placer.place(graph)
         predicted = placer.predicted_bandwidth(graph, assignment)
@@ -116,7 +116,7 @@ class TestIncrementalReplacement:
 
     def _placed(self):
         env = Environment()
-        graph = compile_graph(env, MERGE_QUERY)
+        graph = compile_graph(MERGE_QUERY)
         placer = CostBasedPlacer(env, ExecutionSettings(mpi_buffer_bytes=100_000))
         assignment = placer.place(graph)
         return env, graph, placer, assignment
@@ -137,7 +137,7 @@ class TestIncrementalReplacement:
         — including the victim's own — is never proposed, so against a live
         deployment the answer is always a genuine move."""
         env = Environment()
-        graph = compile_graph(env, MERGE_QUERY)
+        graph = compile_graph(MERGE_QUERY)
         placer = CostBasedPlacer(env, ExecutionSettings(mpi_buffer_bytes=100_000))
         assignment = placer.place(graph)
         victim = next(sp_id for sp_id in graph.sps if sp_id.startswith("b"))
@@ -166,9 +166,7 @@ class TestIncrementalReplacement:
         assert bounds["torus"] == placer.predicted_bandwidth(graph, assignment)
 
         inbound_env = Environment()
-        inbound_graph = compile_graph(
-            inbound_env, automatic_inbound_query(2, 500_000, 3)
-        )
+        inbound_graph = compile_graph(automatic_inbound_query(2, 500_000, 3))
         inbound_placer = CostBasedPlacer(inbound_env, ExecutionSettings())
         inbound_assignment = inbound_placer.place(inbound_graph)
         assert "inbound" in inbound_placer.predicted_bounds(
@@ -209,7 +207,7 @@ class TestIncrementalReplacement:
         near 1 when nothing is wrong."""
         settings = ExecutionSettings(mpi_buffer_bytes=100_000)
         env = Environment()
-        graph = compile_graph(env, MERGE_QUERY)
+        graph = compile_graph(MERGE_QUERY)
         placer = CostBasedPlacer(env, settings)
         assignment = placer.place(graph)
         predicted = placer.predicted_bandwidth(graph, assignment)
@@ -258,7 +256,7 @@ class TestCandidatesAgreeWithResolver:
 
     def test_every_candidate_is_a_node_the_resolver_accepts(self):
         env = self._damaged_environment()
-        graph = compile_graph(env, automatic_inbound_query(2, 1000, 2))
+        graph = compile_graph(automatic_inbound_query(2, 1000, 2))
         placer = CostBasedPlacer(env, ExecutionSettings())
         offered = {"bg": set(), "be": set()}
         for sp in graph.sps.values():
@@ -277,7 +275,7 @@ class TestCandidatesAgreeWithResolver:
 
     def test_occupancy_of_the_assignment_under_search_counts(self):
         env = self._damaged_environment()
-        graph = compile_graph(env, MERGE_QUERY)
+        graph = compile_graph(MERGE_QUERY)
         first, second = list(graph.sps)[:2]
         placer = CostBasedPlacer(env, ExecutionSettings())
         candidates = placer._candidates("bg", second, graph, {first: 9})

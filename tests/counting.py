@@ -13,16 +13,10 @@ drain also gives ``tests/engine/test_flush_wait.py`` the events per drain),
 ``tests/obs/test_hook_calls.py`` (calls per delivered buffer) and
 ``tests/bench/test_deck_inputs.py`` (input-generator calls per deck build
 and per deployment).
-
-:func:`collections_run` counts the cyclic collector's passes per generation
-around a callable (``tests/test_counting.py``).  Those counts depend on
-allocation history and thresholds, so they are evidence for a write-up,
-not numbers a test pins.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import subprocess
@@ -62,24 +56,6 @@ def frames_entered(
         value = run()
     finally:
         sys.setprofile(None)
-    return counts, value
-
-
-def collections_run(run: Callable[[], Any]) -> Tuple[Dict[int, int], Any]:
-    """``({generation: collections started}, run())``, counted through
-    ``gc.callbacks`` while ``run`` runs (explicit ``gc.collect()`` calls
-    included)."""
-    counts = {generation: 0 for generation in range(3)}
-
-    def callback(phase: str, info: Dict[str, int]) -> None:
-        if phase == "start":
-            counts[info["generation"]] += 1
-
-    gc.callbacks.append(callback)
-    try:
-        value = run()
-    finally:
-        gc.callbacks.remove(callback)
     return counts, value
 
 

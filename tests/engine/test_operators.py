@@ -1,4 +1,7 @@
-"""Unit tests for the physical operators (sources, aggregates, merge, map)."""
+"""Unit tests for the physical operators (sources, aggregates, merge)."""
+
+import re
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +12,6 @@ from repro.engine.operators import (
     Count,
     GenerateArrays,
     Iota,
-    MapFunction,
     MaxAgg,
     Merge,
     MinAgg,
@@ -18,8 +20,39 @@ from repro.engine.operators import (
     operator_class,
     registered_operators,
 )
+from repro.engine.sqep import INPUT
+from repro.scsql.plan import compile_plan
 from repro.util.errors import QueryExecutionError
 from tests.conftest import run_operator
+
+#: One expression per SCSQL builtin that compiles to a plan operator; each
+#: runs in ``q`` of ``select extract(q) from sp q, sp a where q=sp(<expr>,
+#: 'bg') and a=sp(iota(1, 3), 'bg')``.  ``streamof`` of a literal compiles
+#: to ``constant``.
+SCSQL_BUILTINS = {
+    "gen_array": "gen_array(100, 2)",
+    "iota": "iota(1, 3)",
+    "receiver": "receiver('signals')",
+    "grep": "grep('x', 'corpus-0.txt')",
+    "count": "count(extract(a))",
+    "sum": "sum(extract(a))",
+    "avg": "avg(extract(a))",
+    "maxagg": "maxagg(extract(a))",
+    "minagg": "minagg(extract(a))",
+    "streamof": "streamof(7)",
+    "relay": "relay(extract(a))",
+    "merge": "merge({a})",
+    "first": "first(extract(a), 2)",
+    "above": "above(extract(a), 1)",
+    "below": "below(extract(a), 2)",
+    "sample": "sample(extract(a), 2)",
+    "winagg": "winagg(extract(a), 'sum', 2)",
+    "groupwin": "groupwin(extract(a), 'sum', 2, 0, 1)",
+    "odd": "odd(gen_array(100, 2))",
+    "even": "even(gen_array(100, 2))",
+    "fft": "fft(gen_array(100, 2))",
+    "radixcombine": "radixcombine(gen_array(100, 2))",
+}
 
 
 class TestRegistry:
@@ -35,6 +68,32 @@ class TestRegistry:
         names = set(registered_operators())
         assert {"gen_array", "iota", "count", "sum", "merge", "grep",
                 "fft", "odd", "even", "radixcombine", "receiver"} <= names
+
+    def test_every_operator_is_reachable_from_scsql(self):
+        """The compiler emits every operator the package registers, and the
+        language reference lists no builtin the test does not compile."""
+        compiled = set()
+        for expression in SCSQL_BUILTINS.values():
+            plan = compile_plan(
+                f"select extract(q) from sp q, sp a where q=sp({expression}, 'bg') "
+                "and a=sp(iota(1, 3), 'bg');"
+            )
+            for sp in plan.graph.sps.values():
+                compiled.update(node.name for node in sp.plan.walk())
+        shipped = {
+            name for name, cls in registered_operators().items()
+            if cls.__module__.startswith("repro.")
+        }
+        assert compiled - {INPUT} == shipped
+
+        reference = (Path(__file__).parents[2] / "docs" / "scsql.md").read_text()
+        tables = re.search(r"## Sources\n(.*?)\n## User-defined", reference, re.S).group(1)
+        documented = {
+            name
+            for row in tables.splitlines() if row.startswith("| `")
+            for name in re.findall(r"`(\w+)\(", row.split("|")[1])
+        }
+        assert documented and documented <= set(SCSQL_BUILTINS)
 
 
 class TestSources:
@@ -101,20 +160,3 @@ class TestMergeAndRelay:
 
     def test_relay_is_identity(self, env):
         assert run_operator(env, Relay, [[1, "a", None]]) == [1, "a", None]
-
-
-class TestMapFunction:
-    def test_applies_function(self, env):
-        out = run_operator(env, MapFunction, [[1, 2, 3]], fn=lambda x: x * 10)
-        assert out == [10, 20, 30]
-
-    def test_custom_cost_function_used(self, env):
-        out = run_operator(
-            env,
-            MapFunction,
-            [[1, 2]],
-            fn=lambda x: x,
-            cost_fn=lambda obj: 1e-3,
-        )
-        assert out == [1, 2]
-        assert env.sim.now >= 2e-3 * env.cpu_time_scale(env.node("bg", 0))

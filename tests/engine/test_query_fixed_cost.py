@@ -19,6 +19,7 @@ import gc
 import pytest
 
 from repro.core.experiments.scale import scale_config, scale_stream_query
+from repro.coordinator.deployer import Deployer
 from repro.core.multiquery import MultiQuerySession
 from repro.engine.context import ExecutionContext
 from repro.engine.drivers import SenderDriver
@@ -30,7 +31,7 @@ from repro.net.channels import MpiChannel
 from repro.obs.instrument import instrumentation_for
 from repro.scsql.plan import compile_plan
 from repro.sim import Resource, Simulator, Store, TokenPool
-from repro.sim.events import Event
+from repro.sim.events import Event, Process
 from repro.sim.resources import _NO_WAITERS
 
 SESSION_QUERIES = 128
@@ -110,6 +111,11 @@ def _events_held(session):
     return held
 
 
+def _processes_held(deployment):
+    """The deployment's attributes that reference a kernel process."""
+    return [name for name, value in vars(deployment).items() if isinstance(value, Process)]
+
+
 def _leaves(value):
     if isinstance(value, tuple):
         for item in value:
@@ -131,6 +137,30 @@ class TestAFinishedQueryKeepsOnlyItsAnswer:
         run_session(after_run=look)
         assert seen["rps"] == 3 * SESSION_QUERIES
         assert seen["held"] == []
+
+    def test_no_deployment_references_a_process(self):
+        """After the session's ``finish()``, and after a single
+        ``Deployment.run()``, a deployment holds neither its driver nor its
+        result collector."""
+        seen = {}
+
+        def look(session, result):
+            seen["held"] = [
+                name for deployment in session.deployer.deployments
+                for name in _processes_held(deployment)
+            ]
+
+        run_session(after_run=look)
+        assert seen["held"] == []
+
+        env = shared_template(scale_config((8, 8, 8))).fork(seed=0)
+        deployer = Deployer(env)
+        deployment = deployer.deploy(
+            deployer.place(compile_plan(scale_stream_query(10_000, 1), settings=SETTINGS))
+        )
+        assert deployment.run().result == [1]
+        assert _processes_held(deployment) == []
+        deployment.teardown()
 
     def test_every_waiter_queue_is_the_sentinel_again(self):
         """Every store's getter queue and every resource's wait queue that

@@ -30,11 +30,6 @@ class TestOpSpec:
         )
         assert [leaf.producer for leaf in plan.input_leaves()] == ["a", "b"]
 
-    def test_kwargs_roundtrip(self):
-        plan = plan_op("window", "sum", 5, slide=2)
-        assert plan.kwargs_dict == {"slide": 2}
-        assert plan.args == ("sum", 5)
-
     def test_describe_renders_tree(self):
         plan = plan_op("count", children=(plan_input("a"),))
         text = plan.describe()

@@ -14,8 +14,8 @@ from repro.scsql.parser import parse_query
 from repro.util.errors import QuerySemanticError
 
 
-def compile_text(env, text, functions=None):
-    return QueryCompiler(env, functions or {}).compile_select(parse_query(text))
+def compile_text(text, functions=None):
+    return QueryCompiler(functions).compile_select(parse_query(text))
 
 
 def placements(env, graph):
@@ -26,9 +26,8 @@ def placements(env, graph):
 
 
 class TestBasicCompilation:
-    def test_simple_sp_graph(self, env):
+    def test_simple_sp_graph(self):
         graph = compile_text(
-            env,
             "select extract(b) from sp a, sp b "
             "where b=sp(count(extract(a)), 'bg', 0) "
             "and a=sp(gen_array(1000,3), 'bg', 1)",
@@ -38,34 +37,30 @@ class TestBasicCompilation:
         plans = {sp.plan.name for sp in graph.sps.values()}
         assert plans == {"count", "gen_array"}
 
-    def test_definitions_in_any_order(self, env):
+    def test_definitions_in_any_order(self):
         """Query 1 defines c before b; the compiler reorders."""
         graph = compile_text(
-            env,
             "select extract(c) from sp b, sp c "
             "where c=sp(extract(b), 'bg') and b=sp(iota(1,3), 'bg')",
         )
         assert len(graph.sps) == 2
 
-    def test_forward_stream_reference_is_not_a_cycle(self, env):
+    def test_forward_stream_reference_is_not_a_cycle(self):
         """The radix2 pattern: a extracts from c, c defined later."""
         graph = compile_text(
-            env,
             "select extract(a) from sp a, sp c "
             "where a=sp(count(extract(c)), 'bg') and c=sp(iota(1,9), 'bg')",
         )
         assert len(graph.sps) == 2
 
-    def test_true_setup_cycle_rejected(self, env):
+    def test_true_setup_cycle_rejected(self):
         with pytest.raises(QuerySemanticError, match="cyclic"):
             compile_text(
-                env,
                 "select n from integer n, integer m where n=iota(1,m) and m=iota(1,n)",
             )
 
-    def test_spv_expands_iteration(self, env):
+    def test_spv_expands_iteration(self):
         graph = compile_text(
-            env,
             "select merge(a) from bag of sp a, integer n "
             "where a=spv((select gen_array(100,1) from integer i "
             "where i in iota(1,n)), 'be', 1) and n=5",
@@ -73,9 +68,8 @@ class TestBasicCompilation:
         assert len(graph.sps) == 5
         assert len(list(graph.root_plan.input_leaves())) == 5
 
-    def test_spv_over_sp_bag(self, env):
+    def test_spv_over_sp_bag(self):
         graph = compile_text(
-            env,
             "select extract(c) from bag of sp a, bag of sp b, sp c, integer n "
             "where c=sp(sum(merge(b)), 'bg') "
             "and b=spv((select count(extract(p)) from sp p where p in a), 'bg') "
@@ -85,17 +79,15 @@ class TestBasicCompilation:
         # 3 generators + 3 counters + 1 summer.
         assert len(graph.sps) == 7
 
-    def test_spv_set_expression(self, env):
+    def test_spv_set_expression(self):
         graph = compile_text(
-            env,
             "select merge(a) from bag of sp a "
             "where a=spv({iota(1,3), iota(4,6)}, 'bg')",
         )
         assert len(graph.sps) == 2
 
-    def test_name_hints_in_sp_ids(self, env):
+    def test_name_hints_in_sp_ids(self):
         graph = compile_text(
-            env,
             "select extract(b) from sp a, sp b "
             "where b=sp(count(extract(a)), 'bg') and a=sp(iota(1,2), 'bg')",
         )
@@ -104,9 +96,9 @@ class TestBasicCompilation:
 
 
 class TestAllocationResolution:
-    def test_constant_allocation_compiles_to_spec(self, env):
+    def test_constant_allocation_compiles_to_spec(self):
         graph = compile_text(
-            env, "select extract(a) from sp a where a=sp(iota(1,2), 'bg', 7)"
+            "select extract(a) from sp a where a=sp(iota(1,2), 'bg', 7)"
         )
         (sp,) = [sp for sp in graph.sps.values() if sp.sp_id.startswith("a")]
         # The compiled form is symbolic and environment-free...
@@ -115,13 +107,12 @@ class TestAllocationResolution:
 
     def test_constant_allocation(self, env):
         graph = compile_text(
-            env, "select extract(a) from sp a where a=sp(iota(1,2), 'bg', 7)"
+            "select extract(a) from sp a where a=sp(iota(1,2), 'bg', 7)"
         )
         assert placements(env, graph) == [7]
 
     def test_urr_allocation(self, env):
         graph = compile_text(
-            env,
             "select merge(a) from bag of sp a "
             "where a=spv((select gen_array(10,1) from integer i "
             "where i in iota(1,3)), 'be', urr('be'))",
@@ -135,7 +126,6 @@ class TestAllocationResolution:
 
     def test_inpset_resolved_against_target_cluster(self, env):
         graph = compile_text(
-            env,
             "select extract(b) from sp b where b=sp(iota(1,2), 'bg', inPset(1))",
         )
         (sp,) = graph.sps.values()
@@ -143,80 +133,77 @@ class TestAllocationResolution:
         (index,) = placements(env, graph)
         assert env.bluegene.pset_of(index) == 1
 
-    def test_allocation_query_outside_sp_rejected(self, env):
+    def test_allocation_query_outside_sp_rejected(self):
         with pytest.raises(QuerySemanticError, match="allocation sequence"):
-            compile_text(env, "select n from integer n where n=psetrr()")
+            compile_text("select n from integer n where n=psetrr()")
 
-    def test_bad_allocation_value_rejected(self, env):
+    def test_bad_allocation_value_rejected(self):
         with pytest.raises(QuerySemanticError, match="allocation"):
             compile_text(
-                env, "select extract(a) from sp a where a=sp(iota(1,2), 'bg', 'east')"
+                "select extract(a) from sp a where a=sp(iota(1,2), 'bg', 'east')"
             )
 
 
 class TestSemanticErrors:
-    def test_unknown_cluster(self, env):
+    def test_unknown_cluster(self):
         with pytest.raises(QuerySemanticError, match="unknown cluster"):
-            compile_text(env, "select extract(a) from sp a where a=sp(iota(1,2), 'gpu')")
+            compile_text("select extract(a) from sp a where a=sp(iota(1,2), 'gpu')")
 
-    def test_undeclared_variable(self, env):
+    def test_undeclared_variable(self):
         with pytest.raises(QuerySemanticError, match="not declared"):
-            compile_text(env, "select extract(a) from sp a where q=sp(iota(1,2), 'bg')")
+            compile_text("select extract(a) from sp a where q=sp(iota(1,2), 'bg')")
 
-    def test_unbound_variable(self, env):
+    def test_unbound_variable(self):
         with pytest.raises(QuerySemanticError, match="undeclared variable"):
-            compile_text(env, "select extract(q) from sp a where a=sp(iota(1,2), 'bg')")
+            compile_text("select extract(q) from sp a where a=sp(iota(1,2), 'bg')")
 
-    def test_double_definition(self, env):
+    def test_double_definition(self):
         with pytest.raises(QuerySemanticError, match="defined twice"):
             compile_text(
-                env,
                 "select n from integer n where n=1 and n=2",
             )
 
-    def test_top_level_iteration_rejected(self, env):
+    def test_top_level_iteration_rejected(self):
         with pytest.raises(QuerySemanticError, match="spv"):
-            compile_text(env, "select i from integer i where i in iota(1,3)")
+            compile_text("select i from integer i where i in iota(1,3)")
 
-    def test_extract_needs_sp(self, env):
+    def test_extract_needs_sp(self):
         with pytest.raises(QuerySemanticError, match="extract"):
-            compile_text(env, "select extract(n) from integer n where n=4")
+            compile_text("select extract(n) from integer n where n=4")
 
-    def test_extract_of_bag_rejected(self, env):
+    def test_extract_of_bag_rejected(self):
         with pytest.raises(QuerySemanticError, match="merge"):
             compile_text(
-                env,
                 "select extract(a) from bag of sp a "
                 "where a=spv({iota(1,2)}, 'bg')",
             )
 
-    def test_merge_of_scalar_rejected(self, env):
+    def test_merge_of_scalar_rejected(self):
         with pytest.raises(QuerySemanticError, match="merge"):
-            compile_text(env, "select merge(n) from integer n where n=4")
+            compile_text("select merge(n) from integer n where n=4")
 
-    def test_unknown_function(self, env):
+    def test_unknown_function(self):
         with pytest.raises(QuerySemanticError, match="unknown function"):
-            compile_text(env, "select teleport(a) from sp a where a=sp(iota(1,2), 'bg')")
+            compile_text("select teleport(a) from sp a where a=sp(iota(1,2), 'bg')")
 
-    def test_sp_in_stream_context_rejected(self, env):
+    def test_sp_in_stream_context_rejected(self):
         with pytest.raises(QuerySemanticError, match="stream process"):
-            compile_text(env, "select sp(iota(1,2), 'bg') from integer n where n=1")
+            compile_text("select sp(iota(1,2), 'bg') from integer n where n=1")
 
-    def test_bad_arity(self, env):
+    def test_bad_arity(self):
         with pytest.raises(QuerySemanticError, match="argument"):
-            compile_text(env, "select count() from integer n where n=1")
+            compile_text("select count() from integer n where n=1")
 
-    def test_set_expr_is_not_a_stream(self, env):
+    def test_set_expr_is_not_a_stream(self):
         with pytest.raises(QuerySemanticError, match="set expression"):
             compile_text(
-                env,
                 "select {a,b} from sp a, sp b "
                 "where a=sp(iota(1,2), 'bg') and b=sp(iota(1,2), 'bg')",
             )
 
 
 class TestUserFunctions:
-    def _radix2(self, env):
+    def _radix2(self):
         from repro.scsql.ast import CreateFunction
         from repro.scsql.compiler import FunctionDef
         from repro.scsql.parser import parse
@@ -234,30 +221,28 @@ class TestUserFunctions:
         assert isinstance(definition, CreateFunction)
         return {"radix2": FunctionDef(definition)}
 
-    def test_function_expansion_creates_sps(self, env):
+    def test_function_expansion_creates_sps(self):
         from repro.engine.operators.sources import ExternalReceiver
 
         ExternalReceiver.register("test-sig", lambda: iter([]))
         try:
             graph = compile_text(
-                env,
                 "select radix2('test-sig') from integer z where z=0",
-                functions=self._radix2(env),
+                functions=self._radix2(),
             )
             assert len(graph.sps) == 3
             assert graph.root_plan.name == "radixcombine"
         finally:
             ExternalReceiver.unregister("test-sig")
 
-    def test_wrong_arity_rejected(self, env):
+    def test_wrong_arity_rejected(self):
         with pytest.raises(QuerySemanticError, match="argument"):
             compile_text(
-                env,
                 "select radix2('a','b') from integer z where z=0",
-                functions=self._radix2(env),
+                functions=self._radix2(),
             )
 
-    def test_function_body_cannot_see_caller_vars(self, env):
+    def test_function_body_cannot_see_caller_vars(self):
         from repro.scsql.ast import CreateFunction
         from repro.scsql.compiler import FunctionDef
         from repro.scsql.parser import parse
@@ -269,17 +254,15 @@ class TestUserFunctions:
         functions = {"leaky": FunctionDef(definition)}
         with pytest.raises(QuerySemanticError, match="hidden"):
             compile_text(
-                env,
                 "select leaky() from integer hidden where hidden=4",
                 functions=functions,
             )
 
 
 class TestSetupLevelNestedSelects:
-    def test_nested_select_as_setup_bag(self, env):
+    def test_nested_select_as_setup_bag(self):
         """A nested select in setup context denotes a bag of values."""
         graph = compile_text(
-            env,
             "select merge(g) from bag of sp g, integer n "
             "where g=spv((select grep('NEEDLE', filename(i)) "
             "from integer i where i in iota(1,n)), 'be') and n=3",
@@ -289,9 +272,8 @@ class TestSetupLevelNestedSelects:
         # Each grep got a distinct filename from the setup-level filename(i).
         assert len(patterns) == 3
 
-    def test_cartesian_iteration(self, env):
+    def test_cartesian_iteration(self):
         graph = compile_text(
-            env,
             "select merge(g) from bag of sp g "
             "where g=spv((select gen_array(100,1) "
             "from integer i, integer j "
@@ -301,33 +283,29 @@ class TestSetupLevelNestedSelects:
 
     def test_allocation_from_set_expression(self, env):
         graph = compile_text(
-            env,
             "select merge(a) from bag of sp a "
             "where a=spv({iota(1,2), iota(3,4)}, 'bg', {5, 6})",
         )
         assert placements(env, graph) == [5, 6]
 
-    def test_duplicate_iteration_variable_rejected(self, env):
+    def test_duplicate_iteration_variable_rejected(self):
         with pytest.raises(QuerySemanticError, match="two 'in' conditions"):
             compile_text(
-                env,
                 "select merge(a) from bag of sp a "
                 "where a=spv((select gen_array(100,1) "
                 "from integer i where i in iota(1,2) and i in iota(1,2)), 'be')",
             )
 
-    def test_iteration_over_scalar_rejected(self, env):
+    def test_iteration_over_scalar_rejected(self):
         with pytest.raises(QuerySemanticError, match="bag"):
             compile_text(
-                env,
                 "select merge(a) from bag of sp a, integer n "
                 "where n=4 and a=spv((select gen_array(100,1) "
                 "from integer i where i in n), 'be')",
             )
 
-    def test_first_requires_two_args(self, env):
+    def test_first_requires_two_args(self):
         with pytest.raises(QuerySemanticError, match="first"):
             compile_text(
-                env,
                 "select first(extract(a)) from sp a where a=sp(iota(1,3), 'bg')",
             )

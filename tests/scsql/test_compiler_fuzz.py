@@ -7,7 +7,6 @@ AttributeError, RecursionError, or other internal crashes.
 
 from hypothesis import given, settings
 
-from repro.hardware.environment import Environment, EnvironmentConfig
 from repro.scsql.compiler import QueryCompiler
 from repro.util.errors import QueryError
 from tests.scsql.strategies import queries
@@ -16,7 +15,7 @@ from tests.scsql.strategies import queries
 @given(query=queries)
 @settings(max_examples=300, deadline=None)
 def test_compiler_rejects_garbage_cleanly(query):
-    compiler = QueryCompiler(Environment(EnvironmentConfig()))
+    compiler = QueryCompiler()
     try:
         graph = compiler.compile_select(query)
     except QueryError:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import fnmatch
 import functools
 import importlib
 import importlib.util
@@ -273,6 +274,119 @@ class Options:
             "    return parser",
         ])
         return [f"{c} {f}" for c in self.commands for f in self.fragments]
+
+
+@dataclass(frozen=True)
+class Passed:
+    """Every defaulted parameter of a function or method defined under the
+    scope's first entry is passed by some call in the scope: by keyword or
+    position, or through a ``*`` argument (every position) or a ``**``
+    argument (every keyword).  A call matches a definition by name: a class name (or a subclass that
+    inherits the constructor, or ``super().__init__`` in a subclass) calls
+    its ``__init__``.  ``exempt`` names the functions reached only through
+    data, as ``(path prefix, name pattern, reason)``; ``example`` is source
+    whose parameter ``expected`` no call passes."""
+
+    exempt: Tuple[Tuple[str, str, str], ...]
+    example: str
+    expected: str
+
+    def label(self, scope: Tuple[str, ...]) -> str:
+        return "every defaulted parameter is passed"
+
+    def hits(self, root: Path, scope: Tuple[str, ...]) -> List[str]:
+        calls: Dict[str, Tuple[float, Set[str]]] = {}
+        bases: Dict[str, Set[str]] = {}
+        own_init: Set[str] = set()
+
+        def record(name: str, call: ast.Call) -> None:
+            """Keep the most positions and every keyword a call of ``name``
+            passes; ``*`` passes every position, ``**`` (kept as the
+            keyword ``"**"``) every keyword."""
+            starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+            most, keywords = calls.get(name, (0, set()))
+            calls[name] = (
+                max(most, float("inf") if starred else len(call.args)),
+                keywords | {keyword.arg or "**" for keyword in call.keywords},
+            )
+
+        for path in _files(root, scope):
+            tree = _tree(path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    bases.setdefault(node.name, set()).update(
+                        getattr(base, "id", getattr(base, "attr", "")) for base in node.bases
+                    )
+                    if any(isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                           for item in node.body):
+                        own_init.add(node.name)
+                    for call in ast.walk(node):
+                        if isinstance(call, ast.Call) and \
+                                getattr(call.func, "attr", "") == "__init__":
+                            for base in bases[node.name]:
+                                record(base, call)
+                elif isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name and name != "__init__":
+                        record(name, node)
+
+        def callers(cls: str) -> Set[str]:
+            """``cls`` and the subclasses that inherit its constructor."""
+            found = {cls}
+            for child, parents in bases.items():
+                if cls in parents and child not in own_init and child not in found:
+                    found |= callers(child)
+            return found
+
+        unpassed = []
+        for path in _files(root, scope[:1]):
+            rel = _rel(root, path)
+            for function, cls in _functions(_tree(path), None):
+                if any(rel.startswith(prefix) and fnmatch.fnmatch(function.name, pattern)
+                       for prefix, pattern, _reason in self.exempt):
+                    continue
+                names = callers(cls.name) if cls and function.name == "__init__" else {
+                    function.name}
+                args = function.args
+                positional = args.posonlyargs + args.args
+                skip = 1 if cls and not any(
+                    getattr(d, "id", "") == "staticmethod" for d in function.decorator_list
+                ) else 0
+                defaulted = [
+                    (arg.arg, index - skip)
+                    for index, arg in enumerate(positional)
+                    if index >= len(positional) - len(args.defaults)
+                ] + [
+                    (arg.arg, float("inf"))
+                    for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None
+                ]
+                for param, index in defaulted:
+                    if not any(calls[name][0] > index or {param, "**"} & calls[name][1]
+                               for name in names if name in calls):
+                        owner = f"{cls.name}." if cls else ""
+                        unpassed.append(
+                            f"{rel}:{function.lineno}: {owner}{function.name}({param})"
+                        )
+        return unpassed
+
+    def seed(self, root: Path, scope: Tuple[str, ...]) -> List[str]:
+        _seed_file(root, scope, self.example.splitlines())
+        return [self.expected]
+
+
+def _functions(
+    node: ast.AST, cls: Optional[ast.ClassDef]
+) -> Iterator[Tuple[ast.FunctionDef, Optional[ast.ClassDef]]]:
+    """Every function below ``node``, with the class it is a method of."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _functions(child, child)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child, cls  # type: ignore[misc]
+            yield from _functions(child, None)
+        else:
+            yield from _functions(child, cls)
 
 
 _QUALIFIED = re.compile(r"`(repro(?:\.\w+)+)")
@@ -698,6 +812,7 @@ FEED = "A feed has one reader"
 FEED_DOC = "docs/observability.md#The live telemetry plane (`repro.obs.live`)"
 COUNT = "A count has one owner"
 COUNT_DOC = "docs/observability.md#What gets recorded"
+KNOB = "A knob no caller turns is a constant, second pass"
 ANALYZE = "`analyze` verifies the caller's queries"
 ANALYZE_DOC = "docs/static-analysis.md#Static analysis: the plan verifier"
 
@@ -861,6 +976,33 @@ ROWS: List[Row] = [
         "A knob no caller turns is a constant",
         "no flag sets the window, the detector thresholds or the adaptive tuning",
         "docs/adaptive.md#The control loop",
+    ),
+    Row(
+        Passed(
+            exempt=(
+                ("src/repro/core/experiments/", "*_specs",
+                 "a FIGURES row's spec builder: run_sweep calls it as "
+                 "sweep.specs(**arguments)"),
+                ("src/repro/engine/operators/", "__init__",
+                 "an Operator constructor: RunningProcess builds it as cls(ctx, inputs, "
+                 "output, *spec.args), tests through run_operator(..., **kwargs)"),
+            ),
+            example="def signal(count, noise=0.05):\n    return [noise] * count\n\n\n"
+                    "signal(3)\n",
+            expected="signal(noise)",
+        ),
+        ("src/repro", "benchmarks", "examples", "tests", "conftest.py"),
+        KNOB,
+        "a parameter that every call leaves at its default is the constant it always was",
+        "docs/static-analysis.md#Removed surface",
+    ),
+    Row(
+        words("MapFunction", "kwargs_dict"),
+        ("src", "tests", "examples", "benchmarks", "docs"),
+        KNOB,
+        "no SCSQL text reaches a map operator or a keyword plan argument: the compiler "
+        "emits positional arguments of registered builtins only",
+        "docs/static-analysis.md#Removed surface",
     ),
     Row(
         words("Chain", "Journey", "_Hops", "Ingress", "_reraise"),
