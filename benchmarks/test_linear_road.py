@@ -34,9 +34,10 @@ def run_pipeline(n_segments: int) -> dict:
         accident=Accident(segment=0, start_tick=40, end_tick=160),
     )
     partitions = partition_by_segment(reports, n_segments)
+    session = SCSQSession()
     for segment, rows in partitions.items():
         speeds = segment_speeds(rows)
-        SCSQSession.register_source(f"lr-seg-{segment}", lambda s=speeds: iter(s))
+        session.register_source(f"lr-seg-{segment}", lambda s=speeds: iter(s))
     decls = ", ".join(f"sp s{i}" for i in range(n_segments))
     conjuncts = " and ".join(
         f"s{i}=sp(below(winagg(receiver('lr-seg-{i}'), 'avg', {WINDOW}, {WINDOW}),"
@@ -45,11 +46,7 @@ def run_pipeline(n_segments: int) -> dict:
     )
     merge_set = "{" + ", ".join(f"s{i}" for i in range(n_segments)) + "}"
     query = f"select merge({merge_set}) from {decls} where {conjuncts};"
-    try:
-        report = SCSQSession().execute(query)
-    finally:
-        for segment in range(n_segments):
-            SCSQSession.unregister_source(f"lr-seg-{segment}")
+    report = session.execute(query)
     expected = sum(
         expected_congested_windows(segment_speeds(rows), WINDOW)
         for rows in partitions.values()

@@ -63,15 +63,11 @@ def main() -> None:
         f"(ticks {ACCIDENT.start_tick}-{ACCIDENT.end_tick})"
     )
 
+    session = SCSQSession()
     for segment, rows in partitions.items():
         speeds = segment_speeds(rows)
-        SCSQSession.register_source(f"segment-{segment}", lambda s=speeds: iter(s))
-    try:
-        session = SCSQSession()
-        report = session.execute(congestion_query(N_SEGMENTS))
-    finally:
-        for segment in range(N_SEGMENTS):
-            SCSQSession.unregister_source(f"segment-{segment}")
+        session.register_source(f"segment-{segment}", lambda s=speeds: iter(s))
+    report = session.execute(congestion_query(N_SEGMENTS))
 
     tolls = report.result
     expected = sum(

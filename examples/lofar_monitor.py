@@ -75,17 +75,13 @@ def scsql_queries():
 
 def main() -> None:
     n_antennas = int(sys.argv[1]) if len(sys.argv) > 1 else 6
+    session = SCSQSession()
     for i in range(n_antennas):
-        SCSQSession.register_source(f"antenna-{i}", antenna_source(i))
-    try:
-        session = SCSQSession()
-        query = monitoring_query(n_antennas)
-        print(query)
-        print()
-        report = session.execute(query, stop_after=SIM_SECONDS)
-    finally:
-        for i in range(n_antennas):
-            SCSQSession.unregister_source(f"antenna-{i}")
+        session.register_source(f"antenna-{i}", antenna_source(i))
+    query = monitoring_query(n_antennas)
+    print(query)
+    print()
+    report = session.execute(query, stop_after=SIM_SECONDS)
 
     assert report.stopped, "a continuous query only ends by intervention"
     readings = report.result

@@ -54,10 +54,10 @@ def scsql_queries():
 
 
 def main() -> None:
-    SCSQSession.register_source(
+    session = SCSQSession()
+    session.register_source(
         "antenna", make_signal_source(N_SIGNALS, n_points=N_POINTS, seed=SEED)
     )
-    session = SCSQSession()
     session.execute(RADIX2)
     report = session.execute(FFT_QUERY)
 

@@ -305,7 +305,7 @@ def run_faulted_session(
     The queries are submitted to one
     :class:`~repro.core.multiquery.MultiQuerySession` under the labels
     ``s<stream_id>`` and start at simulated time 0 (external sources must
-    already be registered — use :func:`repro.bench.query_stream.registered`).
+    already be in scope — use :func:`repro.bench.query_stream.registered`).
     The simulator then runs up to each fault instant in turn; the fault
     damages the hardware, and each victim is torn down and redeployed by
     naive next-available selection as the session's next ``r`` generation.

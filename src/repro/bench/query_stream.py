@@ -28,9 +28,8 @@ a serial run.
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Tuple
+from typing import Any, Callable, ContextManager, Dict, Iterable, Iterator, List, Tuple
 
 from repro.engine.objects import size_of
 from repro.util.errors import QueryExecutionError
@@ -280,9 +279,9 @@ def grep_line_count(scale: StreamScale) -> int:
     return scale.grep_files * corpus.expected_marker_count()
 
 
-@contextmanager
-def registered(queries: Iterable[BenchQuery]) -> Iterator[None]:
-    """Register every query's external sources for the enclosed block.
+def registered(queries: Iterable[BenchQuery]) -> ContextManager[None]:
+    """Put every query's external sources in scope for the enclosed block
+    (:func:`~repro.engine.operators.sources.external_sources`).
 
     :func:`build_query` has built every input already; a factory returns
     a fresh iterator over that existing data, so each deployment inside
@@ -290,15 +289,8 @@ def registered(queries: Iterable[BenchQuery]) -> Iterator[None]:
     replacement) replays the same inputs, and operators must not mutate
     them.
     """
-    from repro.scsql.session import SCSQSession
+    from repro.engine.operators.sources import external_sources
 
-    names: List[str] = []
-    try:
-        for query in queries:
-            for name, factory in query.sources.items():
-                SCSQSession.register_source(name, factory)
-                names.append(name)
-        yield
-    finally:
-        for name in names:
-            SCSQSession.unregister_source(name)
+    return external_sources({
+        name: factory for query in queries for name, factory in query.sources.items()
+    })

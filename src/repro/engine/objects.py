@@ -22,20 +22,17 @@ from typing import Any
 
 
 class _EndOfStream:
-    """Singleton sentinel marking the end of a finite stream."""
-
-    _instance = None
+    """Singleton sentinel marking the end of a finite stream: constructing
+    (or unpickling) it again returns :data:`END_OF_STREAM`."""
 
     def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+        return END_OF_STREAM
 
     def __repr__(self) -> str:
         return "<END_OF_STREAM>"
 
 
-END_OF_STREAM = _EndOfStream()
+END_OF_STREAM = object.__new__(_EndOfStream)
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,6 @@ __all__ = [
     "WindowAggregate",
     "GroupWindowAggregate",
     "operator_class",
-    "register_operator",
-    "registered_operators",
 ]
 
 __getattr__ = lazy_exports(__name__, {
@@ -44,9 +42,7 @@ __getattr__ = lazy_exports(__name__, {
     "repro.engine.operators.groupwin": ("GroupWindowAggregate",),
     "repro.engine.operators.grep": ("Grep",),
     "repro.engine.operators.merge": ("First", "Merge", "Relay"),
-    "repro.engine.operators.registry": (
-        "operator_class", "register_operator", "registered_operators",
-    ),
+    "repro.engine.operators.registry": ("operator_class",),
     "repro.engine.operators.sources": ("Constant", "ExternalReceiver", "GenerateArrays", "Iota"),
     "repro.engine.operators.transforms": ("EvenElements", "OddElements"),
     "repro.engine.operators.window": ("WindowAggregate",),

@@ -1,12 +1,13 @@
-"""Operator registry: plan-node names to physical operator classes.
+"""Operator lookup: plan-node names to physical operator classes.
 
-The SQEP compiler emits plan nodes by name; this registry resolves them to
-operator classes at instantiation time, so new operators plug in without
-touching the plan or compiler code.
+The SQEP compiler emits plan nodes by the names of :data:`_BUILTINS`, the
+only names SCSQL can produce; :func:`operator_class` resolves one to its
+class when a running process builds the node.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib
 from typing import Dict, Tuple, Type
 
@@ -41,32 +42,11 @@ _BUILTINS: Dict[str, Tuple[str, str]] = {
     "groupwin": ("groupwin", "GroupWindowAggregate"),
 }
 
-_OPERATORS: Dict[str, Type[Operator]] = {}
 
-
-def register_operator(cls: Type[Operator]) -> Type[Operator]:
-    """Add an operator class to the registry under its ``name``."""
-    if not cls.name or cls.name == Operator.name:
-        raise QueryExecutionError(f"operator class {cls.__name__} has no registry name")
-    _OPERATORS[cls.name] = cls
-    return cls
-
-
+@functools.cache
 def operator_class(name: str) -> Type[Operator]:
-    """Look up the operator class registered under ``name``."""
-    cls = _OPERATORS.get(name)
-    if cls is not None:
-        return cls
+    """The operator class of the built-in ``name``."""
     if name not in _BUILTINS:
-        raise QueryExecutionError(
-            f"unknown operator {name!r}; registered: {sorted({**_BUILTINS, **_OPERATORS})}"
-        )
+        raise QueryExecutionError(f"unknown operator {name!r}; known: {sorted(_BUILTINS)}")
     module, attr = _BUILTINS[name]
-    return register_operator(
-        getattr(importlib.import_module(f"repro.engine.operators.{module}"), attr)
-    )
-
-
-def registered_operators() -> Dict[str, Type[Operator]]:
-    """A copy of the registry (name -> class), built-ins loaded."""
-    return {name: operator_class(name) for name in (*_BUILTINS, *_OPERATORS)}
+    return getattr(importlib.import_module(f"repro.engine.operators.{module}"), attr)

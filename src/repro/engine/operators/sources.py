@@ -3,13 +3,15 @@
 ``gen_array()`` is the workload generator of every experiment in the paper:
 "gen_array() generates the finite stream of 100 arrays of size 3MB each".
 ``iota()`` generates integer ranges, and ``receiver()`` pulls from a named
-external source registered with the engine (the paper's radix2 example
-reads "a stream of 1D arrays of signal data" from a receiver).
+external source in scope (the paper's radix2 example reads "a stream of 1D
+arrays of signal data" from a receiver).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.engine.objects import SyntheticArray
 from repro.engine.operators.base import Operator
@@ -87,43 +89,53 @@ class Iota(Operator):
         yield from self.finish()
 
 
-class ExternalReceiver(Operator):
-    """``receiver(name)``: a stream from a registered external source.
+#: The external sources in scope: name -> zero-argument factory.
+_SOURCES: ContextVar[Mapping[str, Callable[[], Iterable[Any]]]] = ContextVar(
+    "external_sources", default={}
+)
 
-    The source registry maps names to zero-argument factories, letting
-    applications (and tests) feed real data — e.g. numpy signal arrays for
-    the radix2 FFT example — into queries.  A factory returns a fresh
-    iterator over data that already exists, so every deployment of a
-    query replays the same inputs; operators must not mutate them.
+
+@contextmanager
+def external_sources(sources: Mapping[str, Callable[[], Iterable[Any]]]) -> Iterator[None]:
+    """Put ``sources`` (name -> factory) in scope for the enclosed block.
+
+    The one scoping rule of ``receiver(name)``: a deployment sees the names
+    of every enclosing block, an inner name shadows an outer one, and the
+    names leave scope when the block exits, however it exits.  The scope is
+    a context variable, so two sessions in one process never see each
+    other's sources.
+    """
+    token = _SOURCES.set({**_SOURCES.get(), **sources})
+    try:
+        yield
+    finally:
+        _SOURCES.reset(token)
+
+
+class ExternalReceiver(Operator):
+    """``receiver(name)``: a stream from an external source in scope.
+
+    The factory is taken from the :func:`external_sources` scope when the
+    operator is built, i.e. when its query deploys.  A factory returns a
+    fresh iterator over data that already exists, so every deployment of
+    a query replays the same inputs; operators must not mutate them.
     """
 
     name = "receiver"
     arity = (0, 0)
 
-    #: Process-wide registry of named external sources.
-    _registry: Dict[str, Callable[[], Iterable[Any]]] = {}
-
     def __init__(self, ctx, inputs, output, source_name: str):
         super().__init__(ctx, inputs, output)
-        if source_name not in self._registry:
+        known = _SOURCES.get()
+        if source_name not in known:
             raise QueryExecutionError(
                 f"no external source {source_name!r} registered; "
-                f"known sources: {sorted(self._registry)}"
+                f"known sources: {sorted(known)}"
             )
-        self.source_name = source_name
-
-    @classmethod
-    def register(cls, name: str, factory: Callable[[], Iterable[Any]]) -> None:
-        """Register (or replace) a named external source."""
-        cls._registry[name] = factory
-
-    @classmethod
-    def unregister(cls, name: str) -> None:
-        """Remove a named external source if present."""
-        cls._registry.pop(name, None)
+        self.factory = known[source_name]
 
     def run(self):
-        for obj in self._registry[self.source_name]():
+        for obj in self.factory():
             yield from self.ctx.charge_cpu(self.ctx.costs.per_object_overhead)
             yield from self.emit(obj)
         yield from self.finish()

@@ -29,7 +29,7 @@ class OpSpec:
     """One node of a stream query execution plan.
 
     Attributes:
-        name: Operator registry name, or :data:`INPUT` for a subscription.
+        name: Built-in operator name, or :data:`INPUT` for a subscription.
         args: Positional constructor arguments of the operator.
         children: Upstream plan nodes feeding this operator, in input order.
         producer: For :data:`INPUT` leaves: the id of the stream process

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Optional
 
 from repro.coordinator.deployer import CostBasedPlacement, Deployer, ExecutionReport
-from repro.engine.operators.sources import ExternalReceiver
+from repro.engine.operators.sources import external_sources
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import Environment, EnvironmentConfig
 from repro.scsql.ast import CreateFunction, SelectQuery
@@ -42,6 +42,7 @@ class SCSQSession:
         self.settings = settings or ExecutionSettings()
         self.deployer = Deployer(self.env)
         self.functions: Dict[str, FunctionDef] = {}
+        self.sources: Dict[str, Callable[[], Iterable[Any]]] = {}
 
     # ------------------------------------------------------------------
     # Statements
@@ -70,12 +71,13 @@ class SCSQSession:
         assert isinstance(statement, SelectQuery)
         compiler = QueryCompiler(self.functions)
         graph = compiler.compile_select(statement)
-        return self.deployer.run(
-            graph,
-            strategy=CostBasedPlacement() if optimize else None,
-            settings=settings or self.settings,
-            stop_after=stop_after,
-        )
+        with external_sources(self.sources):
+            return self.deployer.run(
+                graph,
+                strategy=CostBasedPlacement() if optimize else None,
+                settings=settings or self.settings,
+                stop_after=stop_after,
+            )
 
     def compile(self, text: str) -> "QueryGraph":
         """Compile a select query without executing it (for inspection)."""
@@ -128,12 +130,9 @@ class SCSQSession:
     # ------------------------------------------------------------------
     # External sources
     # ------------------------------------------------------------------
-    @staticmethod
-    def register_source(name: str, factory: Callable[[], Iterable[Any]]) -> None:
-        """Register a named external stream source for ``receiver(name)``."""
-        ExternalReceiver.register(name, factory)
-
-    @staticmethod
-    def unregister_source(name: str) -> None:
-        """Remove a named external stream source."""
-        ExternalReceiver.unregister(name)
+    def register_source(self, name: str, factory: Callable[[], Iterable[Any]]) -> None:
+        """Register (or replace) this session's external source ``name``
+        for ``receiver(name)``: this session's queries deploy with it in
+        scope (:func:`~repro.engine.operators.sources.external_sources`),
+        and no other session sees it."""
+        self.sources[name] = factory

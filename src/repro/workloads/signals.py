@@ -60,7 +60,7 @@ def signal_stream(count: int, n_points: int = 1024, seed: int = 0) -> List[np.nd
 
 
 def make_signal_source(count: int, n_points: int = 1024, seed: int = 0):
-    """Zero-argument factory for the engine's external source registry.
+    """Zero-argument factory of an external source (``receiver(name)``).
 
     The stream is built once, here; every ``factory()`` call returns a
     fresh iterator over those same arrays, so each deployment of a query

@@ -18,7 +18,6 @@ from repro.bench.query_stream import (
     registered,
 )
 from repro.coordinator.deployer import Deployer
-from repro.engine.operators.sources import ExternalReceiver
 from repro.hardware.environment import Environment, EnvironmentConfig
 from repro.scsql.plan import compile_plan
 from repro.util.errors import QueryExecutionError
@@ -100,21 +99,25 @@ class TestBuildQuery:
         )
 
 
+def _deploy(query):
+    return Deployer(Environment(EnvironmentConfig())).run(compile_plan(query.query))
+
+
 class TestRegistered:
     def test_registers_then_unregisters(self):
         query = build_query("signals", 3, SMOKE_SCALE)
-        (name,) = query.sources
         with registered([query]):
-            assert name in ExternalReceiver._registry
-        assert name not in ExternalReceiver._registry
+            assert _deploy(query).result == [query.expected_result]
+        with pytest.raises(QueryExecutionError, match="no external source"):
+            _deploy(query)
 
     def test_unregisters_on_error(self):
         query = build_query("signals", 3, SMOKE_SCALE)
-        (name,) = query.sources
         with pytest.raises(RuntimeError):
             with registered([query]):
                 raise RuntimeError("boom")
-        assert name not in ExternalReceiver._registry
+        with pytest.raises(QueryExecutionError, match="no external source"):
+            _deploy(query)
 
 
 class TestDeckCorrectness:

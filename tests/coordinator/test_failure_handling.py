@@ -5,8 +5,8 @@ import pytest
 from repro.coordinator.allocation import AllocationSequence
 from repro.coordinator.deployer import Deployer
 from repro.coordinator.graph import QueryGraph, SPDef
+from repro.engine import rp
 from repro.engine.operators.base import Operator
-from repro.engine.operators.registry import register_operator
 from repro.engine.sqep import plan_input, plan_op
 from repro.util.errors import QueryExecutionError
 
@@ -27,7 +27,15 @@ class ExplodingOperator(Operator):
         raise QueryExecutionError("injected operator failure")
 
 
-register_operator(ExplodingOperator)
+@pytest.fixture(autouse=True)
+def exploding_operator(monkeypatch):
+    """Running processes resolve ``explode_for_tests`` during this module's
+    tests only; every other name still resolves to its builtin."""
+    builtin = rp.operator_class
+    monkeypatch.setattr(
+        rp, "operator_class",
+        lambda name: ExplodingOperator if name == ExplodingOperator.name else builtin(name),
+    )
 
 
 class TestOperatorCrash:

@@ -222,18 +222,12 @@ class TestUserFunctions:
         return {"radix2": FunctionDef(definition)}
 
     def test_function_expansion_creates_sps(self):
-        from repro.engine.operators.sources import ExternalReceiver
-
-        ExternalReceiver.register("test-sig", lambda: iter([]))
-        try:
-            graph = compile_text(
-                "select radix2('test-sig') from integer z where z=0",
-                functions=self._radix2(),
-            )
-            assert len(graph.sps) == 3
-            assert graph.root_plan.name == "radixcombine"
-        finally:
-            ExternalReceiver.unregister("test-sig")
+        graph = compile_text(
+            "select radix2('test-sig') from integer z where z=0",
+            functions=self._radix2(),
+        )
+        assert len(graph.sps) == 3
+        assert graph.root_plan.name == "radixcombine"
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(QuerySemanticError, match="argument"):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.engine.operators.sources import external_sources
 from repro.engine.settings import ExecutionSettings
 from repro.scsql.session import SCSQSession
-from repro.util.errors import QuerySemanticError
+from repro.util.errors import QueryExecutionError, QuerySemanticError
 from repro.workloads import corpus, make_signal_source, signal_stream
 
 
@@ -110,13 +111,10 @@ class TestRadix2:
 
     def test_radix2_matches_numpy(self):
         source = "radix2-test-signals"
-        SCSQSession.register_source(source, make_signal_source(4, n_points=128, seed=11))
-        try:
-            session = SCSQSession()
-            session.execute(self.RADIX2)
-            report = session.execute(f"select radix2('{source}') from integer z where z=0;")
-        finally:
-            SCSQSession.unregister_source(source)
+        session = SCSQSession()
+        session.register_source(source, make_signal_source(4, n_points=128, seed=11))
+        session.execute(self.RADIX2)
+        report = session.execute(f"select radix2('{source}') from integer z where z=0;")
         expected = [np.fft.fft(x) for x in signal_stream(4, n_points=128, seed=11)]
         assert len(report.result) == 4
         for got, want in zip(report.result, expected):
@@ -127,6 +125,27 @@ class TestRadix2:
         session.execute(self.RADIX2)
         with pytest.raises(Exception, match="no external source"):
             session.execute("select radix2('ghost-source') from integer z where z=0;")
+
+
+class TestExternalSources:
+    COUNT = ("select extract(b) from sp a, sp b where b=sp(count(extract(a)), 'bg') "
+             "and a=sp(receiver('s'), 'bg');")
+
+    def test_two_sessions_keep_their_own_source_of_one_name(self):
+        first, second = SCSQSession(), SCSQSession()
+        first.register_source("s", lambda: iter([1, 2, 3]))
+        second.register_source("s", lambda: iter([10, 20]))
+        assert first.execute(self.COUNT).result == [3]
+        assert second.execute(self.COUNT).result == [2]
+
+    def test_an_inner_scope_shadows_an_outer_name_until_it_exits(self):
+        session = SCSQSession()
+        session.register_source("s", lambda: iter([1, 2, 3]))
+        with external_sources({"s": lambda: iter([1]), "t": lambda: iter([1, 2])}):
+            assert session.execute(self.COUNT).result == [3]
+            assert session.execute(self.COUNT.replace("'s'", "'t'")).result == [2]
+        with pytest.raises(QueryExecutionError, match=r"known sources: \['s'\]"):
+            session.execute(self.COUNT.replace("'s'", "'t'"))
 
 
 class TestSettingsPlumb:

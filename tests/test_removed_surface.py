@@ -389,6 +389,104 @@ def _functions(
             yield from _functions(child, cls)
 
 
+#: The container methods that change their receiver in place.
+MUTATORS = frozenset({
+    "append", "extend", "insert", "pop", "popitem", "remove", "discard", "update",
+    "setdefault", "clear", "add", "sort", "reverse", "appendleft", "popleft",
+    "move_to_end", "__setitem__", "__delitem__",
+})
+
+
+def _bound(statement: ast.stmt) -> Set[str]:
+    """The names a top-level statement binds: assignment targets and imports."""
+    if isinstance(statement, (ast.Import, ast.ImportFrom)):
+        return {(alias.asname or alias.name).split(".")[0] for alias in statement.names}
+    targets = (statement.targets if isinstance(statement, ast.Assign)
+               else [statement.target] if isinstance(statement, (ast.AnnAssign, ast.AugAssign))
+               else [])
+    return {node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)}
+
+
+def global_state(tree: ast.Module) -> Iterator[Tuple[int, str]]:
+    """``(line, name)`` of every site where a function changes module state:
+    a ``global`` statement, or an item or attribute store, a ``del``, an
+    augmented assignment or a :data:`MUTATORS` call whose receiver is a
+    module-level name (named as itself) or an attribute of ``cls`` or of a
+    class of the module (named ``Class.attribute``)."""
+    module = set().union(*map(_bound, tree.body))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    for function, cls in _functions(tree, None):
+        args = function.args
+        declared = {name for node in ast.walk(function) if isinstance(node, ast.Global)
+                    for name in node.names}
+        local = {arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                     args.vararg, args.kwarg) if arg} | {
+            node.id for node in ast.walk(function)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        }
+        local -= declared
+
+        def owner(node: ast.AST) -> Optional[str]:
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and (
+                    node.value.id == "cls" or node.value.id in classes - local):
+                base = cls.name if cls and node.value.id == "cls" else node.value.id
+                return f"{base}.{node.attr}"
+            if isinstance(node, (ast.Attribute, ast.Subscript)):
+                return owner(node.value)
+            if isinstance(node, ast.Name) and node.id in module - local:
+                return node.id
+            return None
+
+        for node in ast.walk(function):
+            if isinstance(node, ast.Global):
+                yield from ((node.lineno, name) for name in node.names)
+                continue
+            if isinstance(node, (ast.Attribute, ast.Subscript)) and \
+                    isinstance(node.ctx, (ast.Store, ast.Del)):
+                name = owner(node)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and \
+                    node.func.attr in MUTATORS:
+                name = owner(node.func.value)
+            else:
+                continue
+            if name:
+                yield node.lineno, name
+
+
+@dataclass(frozen=True)
+class Global:
+    """No function under the scope changes module state after import
+    (:func:`global_state`), except at the ``allowed`` sites, each given as
+    ``(path, name, reason)``; an allowed site that no longer changes state
+    is reported too.  ``example`` is source whose sites are ``expected``."""
+
+    allowed: Tuple[Tuple[str, str, str], ...]
+    example: str
+    expected: Tuple[str, ...]
+
+    def label(self, scope: Tuple[str, ...]) -> str:
+        return "no process-global state"
+
+    def hits(self, root: Path, scope: Tuple[str, ...]) -> List[str]:
+        allowed = {(path, name) for path, name, _reason in self.allowed}
+        found: Dict[Tuple[str, str], int] = {}
+        for path in _files(root, scope):
+            for line, name in global_state(_tree(path)):
+                found.setdefault((_rel(root, path), name), line)
+        return [
+            f"{path}:{line}: {name}"
+            for (path, name), line in sorted(found.items()) if (path, name) not in allowed
+        ] + [
+            f"{path}: {name} is allowed but no longer changed"
+            for path, name in sorted(allowed - set(found))
+        ]
+
+    def seed(self, root: Path, scope: Tuple[str, ...]) -> List[str]:
+        _seed_file(root, scope, self.example.splitlines())
+        return list(self.expected)
+
+
 _QUALIFIED = re.compile(r"`(repro(?:\.\w+)+)")
 
 
@@ -815,6 +913,8 @@ COUNT_DOC = "docs/observability.md#What gets recorded"
 KNOB = "A knob no caller turns is a constant, second pass"
 ANALYZE = "`analyze` verifies the caller's queries"
 ANALYZE_DOC = "docs/static-analysis.md#Static analysis: the plan verifier"
+SCOPED = "A run's inputs are scoped"
+SCOPED_DOC = "docs/static-analysis.md#Removed surface"
 
 ROWS: List[Row] = [
     Row(
@@ -1363,6 +1463,51 @@ ROWS: List[Row] = [
         ANALYZE,
         "the one repair event is restore-uplink",
         "docs/benchmarking.md#Fault injection",
+    ),
+    Row(
+        Global(
+            allowed=(
+                ("src/repro/sim/scheduler.py", "_DEFAULT_OVERRIDE",
+                 "a chaos hook; ROADMAP item 14 folds it into one run-options context"),
+                ("src/repro/net/jitter.py", "_FACTORY_OVERRIDE",
+                 "a chaos hook; ROADMAP item 7 deletes it"),
+                ("src/repro/analysis/sanitize.py", "_SCOPE",
+                 "the sanitizer hook; ROADMAP item 14 folds it into one run-options context"),
+                ("src/repro/analysis/sanitize.py", "_CHAOS_SEED",
+                 "the chaos-seed hook; ROADMAP item 14 folds it into one run-options context"),
+                ("src/repro/hardware/environment.py", "_TEMPLATE_CACHE",
+                 "a memo of a pure function of its topology key; its bound waits for "
+                 "ROADMAP item 6(c), the first caller with unbounded keys"),
+            ),
+            example="class Registry:\n    _entries = {}\n\n    @classmethod\n"
+                    "    def add(cls, name, value):\n        cls._entries[name] = value\n\n\n"
+                    "_HOOK = None\n\n\ndef set_hook(hook):\n    global _HOOK\n"
+                    "    _HOOK = hook\n",
+            expected=("seeded.py:6: Registry._entries", "seeded.py:13: _HOOK"),
+        ),
+        PACKAGE,
+        SCOPED,
+        "a run's inputs live in its scope or its session, so two runs in one "
+        "process never share them",
+        SCOPED_DOC,
+    ),
+    Row(
+        words("register_operator", "registered_operators", "_OPERATORS", "unregister_source"),
+        ("src", "tests", "examples", "benchmarks", "docs"),
+        SCOPED,
+        "SCSQL emits only the built-in operator names, and a session's sources "
+        "leave scope with its queries",
+        SCOPED_DOC,
+    ),
+    Row(
+        Text(r"SCSQSession\.register_source\(|ExternalReceiver\.(?:register|unregister|_registry)\b",
+             ('SCSQSession.register_source("s", factory)', 'ExternalReceiver.register("s", f)',
+              'ExternalReceiver.unregister("s")', "ExternalReceiver._registry")),
+        ("src", "examples", "benchmarks", "tests"),
+        SCOPED,
+        "sources are registered on a session or in an external_sources block, "
+        "never on the operator class",
+        SCOPED_DOC,
     ),
     Row(
         Resolves(),

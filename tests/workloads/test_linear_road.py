@@ -116,15 +116,12 @@ class TestScsqlGroupwin:
         from repro.scsql.session import SCSQSession
 
         reports = TestGroupWindowAggregate.REPORTS
-        SCSQSession.register_source("lr-reports", lambda: iter(reports))
-        try:
-            session = SCSQSession()
-            report = session.execute(
-                "select extract(b) from sp a, sp b "
-                "where b=sp(groupwin(extract(a), 'avg', 2, 1, 3), 'bg') "
-                "and a=sp(receiver('lr-reports'), 'bg');"
-            )
-        finally:
-            SCSQSession.unregister_source("lr-reports")
+        session = SCSQSession()
+        session.register_source("lr-reports", lambda: iter(reports))
+        report = session.execute(
+            "select extract(b) from sp a, sp b "
+            "where b=sp(groupwin(extract(a), 'avg', 2, 1, 3), 'bg') "
+            "and a=sp(receiver('lr-reports'), 'bg');"
+        )
         assert (1, 55.0) in report.result
         assert (2, 35.0) in report.result
