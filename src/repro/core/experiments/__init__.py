@@ -8,7 +8,9 @@ that state the figure's claims.  :data:`FIGURES` declares every measured
 sweep as one :class:`~repro.core.experiments.figures.Sweep` row;
 :func:`~repro.core.measurement.run_sweep` measures a row through the real
 SCSQL pipeline.  It is the only enumeration of sweeps: the figure
-commands and the bench gate read it.
+commands, the bench gate and the claims
+(:data:`~repro.core.experiments.claims.CLAIMS`, one predicate per paper
+claim over the sweeps it reads) read it.
 """
 
 from repro.util.lazy import lazy_exports

@@ -46,7 +46,7 @@ class Sweep(NamedTuple):
 FIGURES: Dict[str, Tuple[Sweep, ...]] = {
     "fig6": (Sweep(
         specs=fig6_specs,
-        quick={"buffer_sizes": (200, 1000, 5000, 100_000), "target_buffers": 300},
+        quick={"buffer_sizes": (200, 500, 1000, 2000, 5000, 100_000), "target_buffers": 300},
         title="Figure 6: intra-BG point-to-point streaming bandwidth (Mbps)",
         row="buffer_bytes", row_header=f"{'buffer':>10}",
         columns=("double_buffering",), column="{k.buffering}",

@@ -4,10 +4,38 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.experiments.claims import CLAIMS
+from repro.core.measurement import run_sweep
 from repro.engine.objects import END_OF_STREAM
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import Environment, EnvironmentConfig
 from repro.sim import Simulator, Store
+
+
+@pytest.fixture(scope="session")
+def quick():
+    """`run_sweep(row, **row.quick, repeats=1)`, measured once per row per session."""
+    results = {}
+
+    def measured(sweep):
+        if sweep.point not in results:
+            results[sweep.point] = run_sweep(sweep, **sweep.quick, repeats=1)
+        return results[sweep.point]
+
+    return measured
+
+
+@pytest.fixture(scope="session")
+def holds(quick):
+    """Evaluate one ``CLAIMS`` row, by name, on the quick sweeps it reads."""
+    claims = {claim.name: claim for claim in CLAIMS}
+
+    def check(name):
+        claim = claims[name]
+        results = [quick(sweep) for sweep in claim.sweeps]
+        assert claim.holds(*results), "\n\n".join(r.format_table() for r in results)
+
+    return check
 
 
 @pytest.fixture

@@ -6,8 +6,10 @@ classes that printed them are gone); the simulator is deterministic per
 seed, so the one renderer must reproduce them byte for byte.
 """
 
+import ast
 import pickle
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -15,24 +17,13 @@ import pytest
 from repro.bench.baseline import load_bench
 from repro.bench.benchmark import bench_points
 from repro.core.experiments import FIGURES
+from repro.core.experiments.claims import CLAIMS
 from repro.core.measurement import key_label, run_sweep
 from tests.core.test_measurement import walk_figures
 
 HERE = Path(__file__).resolve().parent
+ROOT = HERE.parents[1]
 SWEEPS = [sweep for sweeps in FIGURES.values() for sweep in sweeps]
-
-
-@pytest.fixture(scope="module")
-def quick():
-    """`run_sweep(row, **row.quick, repeats=1)`, measured once per row."""
-    results = {}
-
-    def measured(sweep):
-        if sweep.point not in results:
-            results[sweep.point] = run_sweep(sweep, **sweep.quick, repeats=1)
-        return results[sweep.point]
-
-    return measured
 
 
 @pytest.mark.parametrize("figure", list(FIGURES))
@@ -115,7 +106,7 @@ def test_scaling_fans_out_across_environments_bit_identically(quick):
 
 
 def test_gate_points_are_recorded_in_the_baseline():
-    recorded = {name.rsplit("/", 1)[0] for name in load_bench(str(HERE.parents[1] / "BENCH_baseline.json"))}
+    recorded = {name.rsplit("/", 1)[0] for name in load_bench(str(ROOT / "BENCH_baseline.json"))}
     keys = [point.key for point in bench_points()]
     assert len(keys) == len(set(keys)) == 8
     assert set(keys) <= recorded
@@ -130,3 +121,26 @@ def test_analyze_sweeps_walks_the_table():
     assert "scaling Q5 io=4 uplink=1G" in labels
     assert "fig6 B=200 double" in labels and "fig8 B=1000 seq/double" in labels
     assert [r.format_text() for r in reports if not r.ok()] == []
+
+
+def test_claims_are_tested_once_read_every_sweep_and_are_the_documented_rows():
+    tested = defaultdict(list)  # claim name -> the tier-1 tests that call holds(name)
+    for path in sorted((ROOT / "tests").rglob("test_*.py")):
+        for test in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(test, ast.FunctionDef) and test.name.startswith("test_"):
+                for call in ast.walk(test):
+                    if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "holds":
+                        tested[call.args[0].value].append(f"{path.name}::{test.name}")
+    assert {name: len(tests) for name, tests in tested.items()} == {
+        claim.name: 1 for claim in CLAIMS if claim.holds is not None
+    }, dict(tested)
+    assert {sweep.point for claim in CLAIMS for sweep in claim.sweeps} == {
+        sweep.point for sweep in SWEEPS
+    }
+    documented, table = [], False  # ("Paper claim", "Holds?") cells of EXPERIMENTS.md
+    for line in (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8").splitlines():
+        table = line.startswith("| Paper claim") or (table and line.startswith("|"))
+        if table and not line.startswith(("| Paper claim", "|---")):
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            documented.append((cells[0], cells[-1]))
+    assert documented == [(claim.words, claim.verdict) for claim in CLAIMS]

@@ -1,15 +1,5 @@
-"""Integration: the Figure 15 inbound-streaming shape (scaled down).
-
-Asserted claims, from the paper's section 3.2 observations:
-
-1. Queries 1-4 (one I/O node) are far below Queries 5-6 (many I/O nodes);
-2. Queries 3/4 are slightly better than Queries 1/2 at small n;
-3. Query 5 peaks at ~920 Mbps and beats Query 6;
-4. Query 1 beats Query 2;
-5. Query 5 dips at n=5 (four I/O nodes on the partition).
-"""
-
-import pytest
+"""Integration: the Figure 15 claims (``repro.core.experiments.claims``) on
+the quick sweep, and the placements of Queries 1-6."""
 
 from repro.core.experiments import FIGURES
 from repro.core.measurement import run_sweep
@@ -17,52 +7,33 @@ from repro.core.measurement import run_sweep
 (FIG15,) = FIGURES["fig15"]
 
 
-@pytest.fixture(scope="module")
-def fig15():
-    return run_sweep(
-        FIG15,
-        stream_counts=(1, 2, 4, 5),
-        queries=(1, 2, 3, 4, 5, 6),
-        repeats=2,
-        array_count=5,
-    )
-
-
 class TestFig15Shape:
-    def test_all_queries_equal_at_one_stream(self, fig15):
-        values = [fig15.at(q, 1).mean_mbps for q in range(1, 7)]
-        assert max(values) < 1.05 * min(values)
+    def test_all_queries_equal_at_one_stream(self, holds):
+        holds("fig15.equal_at_one_stream")
 
-    def test_single_io_node_queries_are_far_slower(self, fig15):
-        for q in (1, 2, 3, 4):
-            assert fig15.at(q, 4).mean_mbps < 0.5 * fig15.at(5, 4).mean_mbps
+    def test_single_io_node_queries_are_far_slower(self, holds):
+        holds("fig15.one_io_node_is_slow")
 
-    def test_query3_slightly_better_than_query1_at_small_n(self, fig15):
-        assert fig15.at(3, 2).mean_mbps > 1.05 * fig15.at(1, 2).mean_mbps
+    def test_query3_slightly_better_than_query1_at_small_n(self, holds):
+        holds("fig15.q3_over_q1")
 
-    def test_query1_beats_query2(self, fig15):
-        for n in (2, 4, 5):
-            assert fig15.at(1, n).mean_mbps > fig15.at(2, n).mean_mbps
+    def test_query1_beats_query2(self, holds):
+        holds("fig15.q1_over_q2")
 
-    def test_query4_at_least_matches_query2(self, fig15):
-        for n in (2, 4):
-            assert fig15.at(4, n).mean_mbps >= 0.99 * fig15.at(2, n).mean_mbps
+    def test_query4_at_least_matches_query2(self, holds):
+        holds("fig15.q4_over_q2")
 
-    def test_query5_peaks_around_920_mbps(self, fig15):
-        peak, point = fig15.best(query_number=5)
-        assert peak.n == 4
-        assert 850 <= point.mean_mbps <= 960
+    def test_query5_peaks_around_920_mbps(self, holds):
+        holds("fig15.q5_peak")
 
-    def test_query5_beats_query6_at_peak(self, fig15):
-        assert fig15.at(5, 4).mean_mbps > 1.1 * fig15.at(6, 4).mean_mbps
+    def test_query5_beats_query6_at_peak(self, holds):
+        holds("fig15.q5_over_q6")
 
-    def test_query5_dips_at_five_streams(self, fig15):
-        assert fig15.at(5, 5).mean_mbps < 0.9 * fig15.at(5, 4).mean_mbps
+    def test_query5_dips_at_five_streams(self, holds):
+        holds("fig15.dip_at_five")
 
-    def test_table_renders(self, fig15):
-        table = fig15.format_table()
-        assert "Figure 15" in table
-        assert "Q5" in table
+    def test_table_renders(self, quick):
+        assert quick(FIG15).format_table().startswith(FIG15.title)
 
 
 class TestPlacements:

@@ -965,6 +965,21 @@ ROWS: List[Row] = [
     ),
     Row(
         Absent(),
+        ("tests/integration/test_fast_shapes.py",),
+        "A paper claim is one predicate",
+        "a claim is one CLAIMS row, evaluated once on the quick sweeps, not a second "
+        "ordinal copy of it",
+        "docs/architecture.md#Adding a measured figure",
+    ),
+    Row(
+        Absent(),
+        ("bench_shapes_output.txt",),
+        "A paper claim is one predicate",
+        "a benchmark's output is what a run prints, not a committed log of an old tree",
+        "docs/architecture.md#Adding a measured figure",
+    ),
+    Row(
+        Absent(),
         ("src/repro/core/export.py",),
         "A figure is one declared sweep",
         "figures export through the one sweep result, not a module of their own",
