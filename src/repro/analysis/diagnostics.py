@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.util.errors import PlanVerificationError
+from repro.util.record import Frozen, Record
 from repro.util.source import Span
 
 __all__ = [
@@ -80,8 +80,7 @@ CATALOG: Dict[str, Tuple[Severity, str]] = {
 }
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Frozen):
     """One static-analysis finding.
 
     Attributes:
@@ -96,8 +95,13 @@ class Diagnostic:
     code: str
     severity: Severity
     message: str
-    sp_id: Optional[str] = None
-    span: Optional[Span] = None
+    sp_id: Optional[str]
+    span: Optional[Span]
+    __slots__ = ("code", "severity", "message", "sp_id", "span")
+
+    def __init__(self, code: str, severity: Severity, message: str, sp_id: Optional[str] = None,
+                 span: Optional[Span] = None) -> None:
+        self._set_fields(code, severity, message, sp_id, span)
 
     def format(self) -> str:
         """``error[SCSQ103] <line:col> <sp>: message`` (parts as known)."""
@@ -140,16 +144,19 @@ def diagnostic(
     )
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(Record):
     """All findings of one plan verification.
 
     ``label`` names what was verified (a query label, a sweep-point key)
     so multi-plan reports stay readable.
     """
 
-    label: str = "query"
-    diagnostics: List[Diagnostic] = field(default_factory=list)
+    __slots__ = ("label", "diagnostics")
+
+    def __init__(self, label: str = "query",
+                 diagnostics: Optional[List[Diagnostic]] = None) -> None:
+        self.label = label
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     def add(self, diag: Diagnostic) -> None:
         self.diagnostics.append(diag)

@@ -31,7 +31,6 @@ by its other deployments surface as cross-plan double allocation
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.diagnostics import AnalysisReport, diagnostic
@@ -112,9 +111,7 @@ def verify_plan(
         template.restore(saved)
     for found in diagnostics:
         if found.code == "SCSQ201":  # the node was held before the walk
-            found = dataclasses.replace(
-                found, message=f"{found.message} by a pre-existing deployment"
-            )
+            found = found.replace(message=f"{found.message} by a pre-existing deployment")
         report.add(found)
     _check_locality(graph, report, template.cndb(BLUEGENE))
     _check_capacity(graph, report, assignment.nodes, template.config.params.io_node)

@@ -40,7 +40,6 @@ equality like the metrics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.bench.baseline import BENCH_FIGURES, figure_of_metric, physics_digest
@@ -65,27 +64,30 @@ from repro.obs.instrument import OBSERVE_FLOWS, instrumentation_for, live_instru
 from repro.obs.live import LiveSampler
 from repro.scsql.plan import compile_plan
 from repro.util.errors import MeasurementError
+from repro.util.record import Record
 from repro.util.stats import latency_summary
 from repro.util.units import MEGA
 
 
-@dataclass
-class BenchReport:
+class BenchReport(Record):
     """One benchmark mode's outcome: gateable metrics plus a text report."""
 
-    mode: str
-    metrics: Dict[str, float]
-    lines: List[str] = field(default_factory=list)
+    __slots__ = ("mode", "metrics", "lines", "series", "digests")
 
-    series: Optional[Dict[str, dict]] = None
-    """Windowed live-telemetry series per run segment (query / round),
-    present when the mode ran with ``live`` set.  Embedded under
-    the BENCH JSON's ``series`` key; the regression gate reads only the
-    scalar ``metrics``."""
-
-    digests: Dict[str, str] = field(default_factory=dict)
-    """:func:`~repro.bench.baseline.physics_digest` per gate point or
-    power-mode query, gated by equality beside ``metrics``."""
+    def __init__(self, mode: str, metrics: Dict[str, float], lines: Optional[List[str]] = None,
+                 series: Optional[Dict[str, dict]] = None,
+                 digests: Optional[Dict[str, str]] = None) -> None:
+        self.mode = mode
+        self.metrics = metrics
+        self.lines = [] if lines is None else lines
+        #: Windowed live-telemetry series per run segment (query / round),
+        #  present when the mode ran with ``live`` set.  Embedded under
+        #  the BENCH JSON's ``series`` key; the regression gate reads only the
+        #  scalar ``metrics``.
+        self.series = series
+        #: :func:`~repro.bench.baseline.physics_digest` per gate point or
+        #  power-mode query, gated by equality beside ``metrics``.
+        self.digests = {} if digests is None else digests
 
     def describe(self) -> str:
         return "\n".join(self.lines)
@@ -134,7 +136,7 @@ def bench_points() -> List[PointSpec]:
                         continue
                     figure, axes = sweep.point.format(k=spec.key).split(" ", 1)
                     name = f"{figure}[{axes.replace(' ', ',').replace('/', ',')}]"
-                    points.append(replace(spec, key=name))
+                    points.append(spec.replace(key=name))
     return points
 
 

@@ -36,7 +36,6 @@ processes with bit-identical results to a serial run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.query_stream import (
@@ -61,6 +60,7 @@ from repro.obs.instrument import Instrumentation
 from repro.obs.tracer import NULL_TRACER
 from repro.scsql.plan import compile_plan
 from repro.util.errors import QueryExecutionError
+from repro.util.record import Frozen, Record
 from repro.util.units import MEGA
 
 #: Fault scenarios the schedule can inject.
@@ -90,8 +90,7 @@ FLAPPING_CYCLES = 3
 FAULT_AT_FRACTION = 0.5
 
 
-@dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(Frozen):
     """One scheduled failure.
 
     Attributes:
@@ -110,11 +109,14 @@ class FaultEvent:
 
     time: float
     scenario: str
-    target: Optional[int] = None
-    factor: float = DEFAULT_DEGRADE_FACTOR
-    replan: bool = True
+    target: Optional[int]
+    factor: float
+    replan: bool
+    __slots__ = ("time", "scenario", "target", "factor", "replan")
 
-    def __post_init__(self):
+    def __init__(self, time: float, scenario: str, target: Optional[int] = None,
+                 factor: float = DEFAULT_DEGRADE_FACTOR, replan: bool = True) -> None:
+        self._set_fields(time, scenario, target, factor, replan)
         if self.scenario not in SCENARIOS + RESTORE_SCENARIOS:
             raise QueryExecutionError(
                 f"unknown fault scenario {self.scenario!r}; "
@@ -130,8 +132,7 @@ class FaultEvent:
             )
 
 
-@dataclass(frozen=True)
-class FaultSchedule:
+class FaultSchedule(Frozen):
     """A deterministic, seed-driven sequence of failures.
 
     The seed drives *victim selection* (which occupied node dies, which
@@ -140,17 +141,19 @@ class FaultSchedule:
     process, which is what lets repeats run under ``--jobs N``.
     """
 
-    events: Tuple[FaultEvent, ...] = ()
-    seed: int = 0
+    events: Tuple[FaultEvent, ...]
+    seed: int
+    __slots__ = ("events", "seed")
 
-    def __post_init__(self):
+    def __init__(self, events: Tuple[FaultEvent, ...] = (), seed: int = 0) -> None:
+        self._set_fields(events, seed)
         times = [event.time for event in self.events]
         if times != sorted(times):
             raise QueryExecutionError("fault events must be time-ordered")
 
     def with_seed(self, seed: int) -> "FaultSchedule":
         """This schedule with only the victim-selection seed replaced."""
-        return replace(self, seed=seed)
+        return self.replace(seed=seed)
 
     @staticmethod
     def single(
@@ -220,38 +223,37 @@ class FaultSchedule:
         return FaultSchedule(events=tuple(events), seed=seed)
 
 
-@dataclass
-class FaultedRunResult:
+class FaultedRunResult(Record):
     """Everything one (possibly faulted) concurrent run produced."""
 
-    reports: Dict[str, ExecutionReport]
-    """Stream label -> execution report of the stream's *final* deployment
-    (the replacement, for streams that were killed and replanned)."""
+    __slots__ = ("reports", "completions", "makespan", "fault_time", "failed_nodes", "degraded",
+                 "restored", "replacements", "flow_records")
 
-    completions: Dict[str, float]
-    """Stream label -> simulated second its final deployment delivered the
-    last result (streams all start at time 0)."""
-
-    makespan: float
-    """Simulated second the last stream completed."""
-
-    fault_time: Optional[float]
-    """When the first fault struck (None for a healthy run)."""
-
-    failed_nodes: List[str] = field(default_factory=list)
-    """Node ids marked failed by the schedule."""
-
-    degraded: List[str] = field(default_factory=list)
-    """Human-readable descriptions of degraded links/uplinks."""
-
-    restored: List[str] = field(default_factory=list)
-    """Human-readable descriptions of repaired links/uplinks."""
-
-    replacements: List[str] = field(default_factory=list)
-    """RP prefixes of the replacement deployments, e.g. ``"s0+r1/"``."""
-
-    flow_records: List[FlowRecord] = field(default_factory=list)
-    """Completed flows of the run (empty without flow instrumentation)."""
+    def __init__(self, reports: Dict[str, ExecutionReport], completions: Dict[str, float],
+                 makespan: float, fault_time: Optional[float],
+                 failed_nodes: Optional[List[str]] = None, degraded: Optional[List[str]] = None,
+                 restored: Optional[List[str]] = None, replacements: Optional[List[str]] = None,
+                 flow_records: Optional[List[FlowRecord]] = None) -> None:
+        #: Stream label -> execution report of the stream's *final* deployment
+        #  (the replacement, for streams that were killed and replanned).
+        self.reports = reports
+        #: Stream label -> simulated second its final deployment delivered the
+        #  last result (streams all start at time 0).
+        self.completions = completions
+        #: Simulated second the last stream completed.
+        self.makespan = makespan
+        #: When the first fault struck (None for a healthy run).
+        self.fault_time = fault_time
+        #: Node ids marked failed by the schedule.
+        self.failed_nodes = [] if failed_nodes is None else failed_nodes
+        #: Human-readable descriptions of degraded links/uplinks.
+        self.degraded = [] if degraded is None else degraded
+        #: Human-readable descriptions of repaired links/uplinks.
+        self.restored = [] if restored is None else restored
+        #: RP prefixes of the replacement deployments, e.g. ``"s0+r1/"``.
+        self.replacements = [] if replacements is None else replacements
+        #: Completed flows of the run (empty without flow instrumentation).
+        self.flow_records = [] if flow_records is None else flow_records
 
     @property
     def recovery_s(self) -> float:
@@ -273,7 +275,6 @@ class FaultedRunResult:
         if not recovered:
             return self.makespan - self.fault_time
         return min(recovered) - self.fault_time
-
 
 
 # ----------------------------------------------------------------------
@@ -459,8 +460,7 @@ def _apply_event(
 # ----------------------------------------------------------------------
 # Picklable repeat payloads for SweepExecutor.map
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FaultTask:
+class FaultTask(Frozen):
     """One fault-benchmark repeat, as a spawn-safe payload.
 
     The worker rebuilds everything — queries, schedule, environments —
@@ -471,9 +471,12 @@ class FaultTask:
     seed: int
     streams: int
     scenario: str
-    scale: StreamScale = DEFAULT_SCALE
+    scale: StreamScale
+    __slots__ = ("seed", "streams", "scenario", "scale")
 
-    def __post_init__(self):
+    def __init__(self, seed: int, streams: int, scenario: str,
+                 scale: StreamScale = DEFAULT_SCALE) -> None:
+        self._set_fields(seed, streams, scenario, scale)
         if self.streams < 1:
             raise QueryExecutionError(
                 f"need at least one stream, got {self.streams}"
@@ -485,29 +488,38 @@ class FaultTask:
             )
 
 
-@dataclass
-class FaultOutcome:
+class FaultOutcome(Record):
     """What one :class:`FaultTask` measured (picklable)."""
 
-    scenario: str
-    seed: int
-    streams: int
-    fault_time: float
-    healthy_makespan: float
-    faulted_makespan: float
-    recovery_s: float
-    bandwidth_retained: float
-    """Faulted/healthy aggregate-bandwidth ratio: the streams move the
-    same payload either way, so this is ``healthy_makespan /
-    faulted_makespan`` — 1.0 when the failure cost nothing."""
+    __slots__ = ("scenario", "seed", "streams", "fault_time", "healthy_makespan",
+                 "faulted_makespan", "recovery_s", "bandwidth_retained", "per_stream_mbps",
+                 "failed_nodes", "degraded", "replacements", "results_ok", "flow_records",
+                 "restored")
 
-    per_stream_mbps: Dict[str, float]
-    failed_nodes: List[str]
-    degraded: List[str]
-    replacements: List[str]
-    results_ok: bool
-    flow_records: List[FlowRecord] = field(default_factory=list)
-    restored: List[str] = field(default_factory=list)
+    def __init__(self, scenario: str, seed: int, streams: int, fault_time: float,
+                 healthy_makespan: float, faulted_makespan: float, recovery_s: float,
+                 bandwidth_retained: float, per_stream_mbps: Dict[str, float],
+                 failed_nodes: List[str], degraded: List[str], replacements: List[str],
+                 results_ok: bool, flow_records: Optional[List[FlowRecord]] = None,
+                 restored: Optional[List[str]] = None) -> None:
+        self.scenario = scenario
+        self.seed = seed
+        self.streams = streams
+        self.fault_time = fault_time
+        self.healthy_makespan = healthy_makespan
+        self.faulted_makespan = faulted_makespan
+        self.recovery_s = recovery_s
+        #: Faulted/healthy aggregate-bandwidth ratio: the streams move the
+        #  same payload either way, so this is ``healthy_makespan /
+        #  faulted_makespan`` — 1.0 when the failure cost nothing.
+        self.bandwidth_retained = bandwidth_retained
+        self.per_stream_mbps = per_stream_mbps
+        self.failed_nodes = failed_nodes
+        self.degraded = degraded
+        self.replacements = replacements
+        self.results_ok = results_ok
+        self.flow_records = [] if flow_records is None else flow_records
+        self.restored = [] if restored is None else restored
 
     @property
     def aggregate_mbps(self) -> float:

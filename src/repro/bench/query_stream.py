@@ -28,18 +28,17 @@ a serial run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Any, Callable, ContextManager, Dict, Iterable, Iterator, List, Tuple
 
 from repro.engine.objects import size_of
 from repro.util.errors import QueryExecutionError
+from repro.util.record import Frozen, Record
 
 #: Deck order of stream 0 (the power-mode stream): one query per workload.
 QUERY_KINDS: Tuple[str, ...] = ("linear-road", "signals", "grep")
 
 
-@dataclass(frozen=True)
-class StreamScale:
+class StreamScale(Frozen):
     """Workload sizes of one deck configuration (picklable, frozen).
 
     Two presets ship: :data:`DEFAULT_SCALE` for real measurements and
@@ -54,6 +53,13 @@ class StreamScale:
     sig_count: int
     sig_points: int
     grep_files: int
+    __slots__ = ("name", "lr_vehicles", "lr_segments", "lr_ticks", "lr_window", "sig_count",
+                 "sig_points", "grep_files")
+
+    def __init__(self, name: str, lr_vehicles: int, lr_segments: int, lr_ticks: int, lr_window: int,
+                 sig_count: int, sig_points: int, grep_files: int) -> None:
+        self._set_fields(name, lr_vehicles, lr_segments, lr_ticks, lr_window, sig_count, sig_points,
+                         grep_files)
 
 
 DEFAULT_SCALE = StreamScale(
@@ -71,8 +77,7 @@ SMOKE_SCALE = StreamScale(
 )
 
 
-@dataclass
-class BenchQuery:
+class BenchQuery(Record):
     """One deck query instantiated for one stream.
 
     Attributes:
@@ -92,12 +97,16 @@ class BenchQuery:
             assertions on harness runs.
     """
 
-    kind: str
-    stream_id: int
-    query: str
-    payload_bytes: int
-    sources: Dict[str, Callable[[], Iterator[Any]]]
-    expected_result: int = 0
+    __slots__ = ("kind", "stream_id", "query", "payload_bytes", "sources", "expected_result")
+
+    def __init__(self, kind: str, stream_id: int, query: str, payload_bytes: int,
+                 sources: Dict[str, Callable[[], Iterator[Any]]], expected_result: int = 0) -> None:
+        self.kind = kind
+        self.stream_id = stream_id
+        self.query = query
+        self.payload_bytes = payload_bytes
+        self.sources = sources
+        self.expected_result = expected_result
 
     @property
     def name(self) -> str:

@@ -24,13 +24,12 @@ psets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.hardware.cndb import ComputeNodeDatabase
 from repro.hardware.node import Node
 from repro.util.errors import AllocationError, HardwareError
-from repro.util.frozen import slot_init
+from repro.util.record import Frozen, setters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (environment -> cndb)
     from repro.hardware.environment import Environment
@@ -117,7 +116,7 @@ def pset_round_robin_sequence(cndb: ComputeNodeDatabase) -> AllocationSequence:
 # ----------------------------------------------------------------------
 # Environment-independent allocation specs (the compiled form)
 # ----------------------------------------------------------------------
-class AllocationSpec:
+class AllocationSpec(Frozen):
     """Symbolic, picklable description of an allocation sequence.
 
     The SCSQL compiler reduces the third argument of ``sp()``/``spv()`` to
@@ -133,6 +132,8 @@ class AllocationSpec:
     subqueries consumes one shared stateful sequence.
     """
 
+    __slots__ = ()
+
     def resolve(self, env: "Environment") -> AllocationSequence:
         """Materialize the stateful sequence against ``env``'s CNDBs."""
         raise NotImplementedError
@@ -143,14 +144,14 @@ class AllocationSpec:
         return None
 
 
-@slot_init
-@dataclass(frozen=True, slots=True)
 class ExplicitNodesSpec(AllocationSpec):
     """A literal node number or bag of node numbers (e.g. ``'bg', 0``)."""
 
     nodes: Tuple[int, ...]
+    __slots__ = ("nodes",)
 
-    def __post_init__(self):
+    def __init__(self, nodes: Tuple[int, ...]) -> None:
+        _explicit_nodes_spec_nodes(self, nodes)
         if not self.nodes:
             raise AllocationError("empty explicit allocation sequence")
 
@@ -164,32 +165,44 @@ class ExplicitNodesSpec(AllocationSpec):
         return self.nodes[0] if len(self.nodes) == 1 else None
 
 
-@dataclass(frozen=True)
+_explicit_nodes_spec_nodes, = setters(ExplicitNodesSpec)
+
+
 class UrrSpec(AllocationSpec):
     """``urr(cl)``: round-robin over the named cluster's nodes."""
 
     cluster: str
+    __slots__ = ("cluster",)
+
+    def __init__(self, cluster: str) -> None:
+        self._set_fields(cluster)
 
     def resolve(self, env: "Environment") -> AllocationSequence:
         return urr_sequence(env.cndb(self.cluster))
 
 
-@dataclass(frozen=True)
 class InPsetSpec(AllocationSpec):
     """``inPset(k)`` against the stream process's target cluster."""
 
     cluster: str
     pset_id: int
+    __slots__ = ("cluster", "pset_id")
+
+    def __init__(self, cluster: str, pset_id: int) -> None:
+        self._set_fields(cluster, pset_id)
 
     def resolve(self, env: "Environment") -> AllocationSequence:
         return in_pset_sequence(env.cndb(self.cluster), self.pset_id)
 
 
-@dataclass(frozen=True)
 class PsetRoundRobinSpec(AllocationSpec):
     """``psetrr()`` against the stream process's target cluster."""
 
     cluster: str
+    __slots__ = ("cluster",)
+
+    def __init__(self, cluster: str) -> None:
+        self._set_fields(cluster)
 
     def resolve(self, env: "Environment") -> AllocationSequence:
         return pset_round_robin_sequence(env.cndb(self.cluster))

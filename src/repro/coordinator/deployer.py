@@ -34,7 +34,6 @@ manager" (paper section 2.2) — :meth:`Deployer.run` is that one-shot form.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
 from repro.coordinator.allocation import (
@@ -55,6 +54,7 @@ from repro.util.errors import (
     PlanVerificationError,
     QueryExecutionError,
 )
+from repro.util.record import Record
 
 if TYPE_CHECKING:
     from repro.analysis.diagnostics import AnalysisReport
@@ -75,8 +75,7 @@ ROOT_RP_ID = "__client_manager__"
 BG_POLL_INTERVAL = 1e-3
 
 
-@dataclass
-class MigrationRecord:
+class MigrationRecord(Record):
     """The audit trail of one live migration attempt.
 
     Attributes:
@@ -92,39 +91,43 @@ class MigrationRecord:
         detail: Human-readable outcome (the coded diagnostics on rollback).
     """
 
-    sp_id: str
-    source: str
-    target: str
-    rp_prefix: str
-    time: float
-    ok: bool
-    rolled_back: bool = False
-    detail: str = ""
+    __slots__ = ("sp_id", "source", "target", "rp_prefix", "time", "ok", "rolled_back", "detail")
+
+    def __init__(self, sp_id: str, source: str, target: str, rp_prefix: str, time: float, ok: bool,
+                 rolled_back: bool = False, detail: str = "") -> None:
+        self.sp_id = sp_id
+        self.source = source
+        self.target = target
+        self.rp_prefix = rp_prefix
+        self.time = time
+        self.ok = ok
+        self.rolled_back = rolled_back
+        self.detail = detail
 
 
-@dataclass
-class ExecutionReport:
+class ExecutionReport(Record):
     """Everything a measurement needs to know about one query run."""
 
-    result: List[Any]
-    """The objects the root select produced, in arrival order."""
+    __slots__ = ("result", "duration", "rp_placements", "bytes_sent", "stopped", "rp_statistics")
 
-    duration: float
-    """Simulated seconds from query start to final result delivery."""
-
-    rp_placements: Dict[str, str] = field(default_factory=dict)
-    """Stream process id -> node id, for topology assertions."""
-
-    bytes_sent: Dict[str, int] = field(default_factory=dict)
-    """Stream process id -> payload bytes its senders pushed."""
-
-    stopped: bool = False
-    """True when the query was terminated by user intervention rather than
-    by its streams ending (the result holds whatever arrived before the
-    stop)."""
-
-    rp_statistics: Dict[str, RPStatistics] = field(default_factory=dict)
-    """Per-RP monitoring snapshots (paper Figure 3, responsibility v)."""
+    def __init__(self, result: List[Any], duration: float,
+                 rp_placements: Optional[Dict[str, str]] = None,
+                 bytes_sent: Optional[Dict[str, int]] = None, stopped: bool = False,
+                 rp_statistics: Optional[Dict[str, RPStatistics]] = None) -> None:
+        #: The objects the root select produced, in arrival order.
+        self.result = result
+        #: Simulated seconds from query start to final result delivery.
+        self.duration = duration
+        #: Stream process id -> node id, for topology assertions.
+        self.rp_placements = {} if rp_placements is None else rp_placements
+        #: Stream process id -> payload bytes its senders pushed.
+        self.bytes_sent = {} if bytes_sent is None else bytes_sent
+        #: True when the query was terminated by user intervention rather than
+        #  by its streams ending (the result holds whatever arrived before the
+        #  stop).
+        self.stopped = stopped
+        #: Per-RP monitoring snapshots (paper Figure 3, responsibility v).
+        self.rp_statistics = {} if rp_statistics is None else rp_statistics
 
     def describe(self) -> str:
         """Human-readable execution summary: result, time, per-RP activity."""
@@ -209,8 +212,7 @@ class CostBasedPlacement(PlacementStrategy):
         CostBasedPlacer(env, settings).place(graph)
 
 
-@dataclass
-class PlacedPlan:
+class PlacedPlan(Record):
     """A plan bound to a placement decision, ready to deploy.
 
     The graph is a private instantiation (the source
@@ -219,9 +221,13 @@ class PlacedPlan:
     deploy-time placement walk.
     """
 
-    graph: QueryGraph
-    settings: ExecutionSettings
-    selector: Optional[NodeSelector] = None
+    __slots__ = ("graph", "settings", "selector")
+
+    def __init__(self, graph: QueryGraph, settings: ExecutionSettings,
+                 selector: Optional[NodeSelector] = None) -> None:
+        self.graph = graph
+        self.settings = settings
+        self.selector = selector
 
 
 # ----------------------------------------------------------------------

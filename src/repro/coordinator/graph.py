@@ -8,20 +8,19 @@ interprets.  The client manager turns the graph into running processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.coordinator.allocation import AllocationDirective
 from repro.engine.sqep import OpSpec
 from repro.util.errors import QuerySemanticError
+from repro.util.record import Record
 from repro.util.source import Span
 
 if TYPE_CHECKING:
     from repro.analysis.diagnostics import Diagnostic
 
 
-@dataclass
-class SPDef:
+class SPDef(Record):
     """One stream process: a subquery to run somewhere in a cluster.
 
     Attributes:
@@ -41,19 +40,27 @@ class SPDef:
             analysis diagnostics point at it.
     """
 
-    sp_id: str
-    cluster: str
-    plan: Optional[OpSpec] = None
-    allocation: Optional[AllocationDirective] = None
-    span: Optional[Span] = None
+    __slots__ = ("sp_id", "cluster", "plan", "allocation", "span")
+
+    def __init__(self, sp_id: str, cluster: str, plan: Optional[OpSpec] = None,
+                 allocation: Optional[AllocationDirective] = None,
+                 span: Optional[Span] = None) -> None:
+        self.sp_id = sp_id
+        self.cluster = cluster
+        self.plan = plan
+        self.allocation = allocation
+        self.span = span
 
 
-@dataclass
-class QueryGraph:
+class QueryGraph(Record):
     """A full continuous query ready for deployment."""
 
-    sps: Dict[str, SPDef] = field(default_factory=dict)
-    root_plan: Optional[OpSpec] = None
+    __slots__ = ("sps", "root_plan")
+
+    def __init__(self, sps: Optional[Dict[str, SPDef]] = None,
+                 root_plan: Optional[OpSpec] = None) -> None:
+        self.sps = {} if sps is None else sps
+        self.root_plan = root_plan
 
     def add(self, sp: SPDef) -> None:
         if sp.sp_id in self.sps:

@@ -15,7 +15,6 @@ found it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.coordinator.allocation import (
@@ -30,6 +29,7 @@ from repro.coordinator.graph import QueryGraph, SPDef
 from repro.hardware.cndb import ComputeNodeDatabase
 from repro.hardware.node import Node
 from repro.util.errors import AllocationError, HardwareError, PlanVerificationError
+from repro.util.record import Record
 
 if TYPE_CHECKING:
     from repro.analysis.diagnostics import Diagnostic
@@ -45,15 +45,17 @@ _NO_AVAILABLE_NODE = frozenset(
 )
 
 
-@dataclass
-class Assignment:
+class Assignment(Record):
     """One placement walk's result: ``nodes`` maps stream process id to its
     node in graph order — each holding one acquired slot after a successful
     walk, none after a failed one — and ``cursors`` maps cluster to its CNDB
     round-robin cursor *before* the walk."""
 
-    nodes: Dict[str, Node]
-    cursors: Dict[str, int]
+    __slots__ = ("nodes", "cursors")
+
+    def __init__(self, nodes: Dict[str, Node], cursors: Dict[str, int]) -> None:
+        self.nodes = nodes
+        self.cursors = cursors
 
     def release(self) -> None:
         """Return every slot the walk acquired."""

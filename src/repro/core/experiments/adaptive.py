@@ -26,7 +26,6 @@ to see the replacement deliver.  ``repro adaptive`` (the CLI) and the
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.adaptive import BUDGET, AdaptiveController
@@ -38,6 +37,7 @@ from repro.hardware.environment import EnvironmentConfig, shared_template
 from repro.obs.instrument import live_instrumentation
 from repro.scsql.plan import compile_plan
 from repro.util.errors import QueryExecutionError
+from repro.util.record import Frozen, Record
 
 __all__ = [
     "ADAPTIVE_POINTS",
@@ -50,20 +50,22 @@ __all__ = [
 ADAPTIVE_POINTS: Tuple[str, ...] = ("fig15", "fig8")
 
 
-@dataclass(frozen=True)
-class _PointSpec:
+class _PointSpec(Frozen):
     """One adaptive regression point: labelled plans plus their payloads."""
 
+    #: (label, SCSQL text) per concurrent query.
     queries: Tuple[Tuple[str, str], ...]
-    """(label, SCSQL text) per concurrent query."""
-
+    #: Payload volume each query streams.
     payload_bytes: int
-    """Payload volume each query streams."""
+    #: Execution settings the point needs (fig8 lives at large MPI
+    #  buffers, where the busy-intermediate penalty binds); None for the
+    #  environment defaults.
+    settings: Optional[ExecutionSettings]
+    __slots__ = ("queries", "payload_bytes", "settings")
 
-    settings: Optional[ExecutionSettings] = None
-    """Execution settings the point needs (fig8 lives at large MPI
-    buffers, where the busy-intermediate penalty binds); None for the
-    environment defaults."""
+    def __init__(self, queries: Tuple[Tuple[str, str], ...], payload_bytes: int,
+                 settings: Optional[ExecutionSettings] = None) -> None:
+        self._set_fields(queries, payload_bytes, settings)
 
 
 def _point_spec(point: str, smoke: bool) -> _PointSpec:
@@ -96,13 +98,15 @@ def _point_spec(point: str, smoke: bool) -> _PointSpec:
     )
 
 
-@dataclass
-class AdaptiveComparison:
+class AdaptiveComparison(Record):
     """Static vs adaptive run of one regression point (same seed)."""
 
-    point: str
-    static: MultiQueryResult
-    adaptive: MultiQueryResult
+    __slots__ = ("point", "static", "adaptive")
+
+    def __init__(self, point: str, static: MultiQueryResult, adaptive: MultiQueryResult) -> None:
+        self.point = point
+        self.static = static
+        self.adaptive = adaptive
 
     @property
     def static_mbps(self) -> float:

@@ -26,8 +26,6 @@ Published observations being reproduced:
    four I/O nodes.
 """
 
-from __future__ import annotations
-
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.engine.settings import ExecutionSettings
@@ -112,7 +110,7 @@ def fig15_specs(
     queries: Sequence[int] = QUERY_NUMBERS,
     array_bytes: int = PAPER_ARRAY_BYTES,
     array_count: int = DEFAULT_ARRAY_COUNT,
-) -> List[PointSpec]:
+) -> "List[PointSpec]":
     """The Figure 15 sweep: one point per (query, stream count)."""
     from repro.core.measurement import PointSpec
 

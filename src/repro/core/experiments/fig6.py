@@ -18,8 +18,6 @@ the per-run buffer count near a target instead, which leaves steady-state
 bandwidth unchanged while keeping small-buffer sweeps tractable.
 """
 
-from __future__ import annotations
-
 from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
 from repro.engine.settings import ExecutionSettings
@@ -82,7 +80,7 @@ class Fig6Key(NamedTuple):
 def fig6_specs(
     buffer_sizes: Sequence[int] = DEFAULT_BUFFER_SIZES,
     target_buffers: int = DEFAULT_TARGET_BUFFERS,
-) -> List[PointSpec]:
+) -> "List[PointSpec]":
     """The Figure 6 sweep: one point per (buffer size, buffering mode)."""
     from repro.core.measurement import PointSpec
 

@@ -17,8 +17,6 @@ Published shape being reproduced:
 3. buffers below ~10 KB are much slower for merging than point-to-point.
 """
 
-from __future__ import annotations
-
 from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
 from repro.core.experiments.fig6 import scaled_workload
@@ -68,7 +66,7 @@ class Fig8Key(NamedTuple):
         return "double" if self.double_buffering else "single"
 
 
-def balanced_advantage(result: SweepResult, double_buffering: bool = True) -> float:
+def balanced_advantage(result: "SweepResult", double_buffering: bool = True) -> float:
     """Largest balanced/sequential ratio at any common buffer size.
 
     This is the paper's "stream merging performs up to 60% better if no
@@ -93,7 +91,7 @@ def balanced_advantage(result: SweepResult, double_buffering: bool = True) -> fl
 def fig8_specs(
     buffer_sizes: Sequence[int] = DEFAULT_BUFFER_SIZES,
     target_buffers: int = DEFAULT_TARGET_BUFFERS,
-) -> List[PointSpec]:
+) -> "List[PointSpec]":
     """The Figure 8 sweep: one point per (buffer size, node selection,
     buffering mode)."""
     from repro.core.measurement import PointSpec

@@ -19,7 +19,6 @@ without limit as placements spread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.multiquery import MultiQuerySession
@@ -28,6 +27,7 @@ from repro.hardware.bluegene import BlueGeneConfig
 from repro.hardware.environment import EnvironmentConfig, shared_template
 from repro.scsql.plan import compile_plan
 from repro.util.errors import MeasurementError
+from repro.util.record import Frozen
 
 #: The scale partition: 4096 compute nodes, 512 psets — 10x+ the number of
 #: nodes any paper figure touches.
@@ -68,8 +68,7 @@ and a=sp(gen_array({array_bytes},{count}), 'bg');
 """
 
 
-@dataclass(frozen=True)
-class ScaleResult:
+class ScaleResult(Frozen):
     """What one scale run measured."""
 
     shape: Tuple[int, int, int]
@@ -78,6 +77,12 @@ class ScaleResult:
     mqs_mbps: float
     route_entries: int
     route_memo_bytes: int
+    __slots__ = ("shape", "mqs_queries", "mqs_events", "mqs_mbps", "route_entries",
+                 "route_memo_bytes")
+
+    def __init__(self, shape: Tuple[int, int, int], mqs_queries: int, mqs_events: int,
+                 mqs_mbps: float, route_entries: int, route_memo_bytes: int) -> None:
+        self._set_fields(shape, mqs_queries, mqs_events, mqs_mbps, route_entries, route_memo_bytes)
 
     @property
     def figure(self) -> str:

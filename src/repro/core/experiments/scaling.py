@@ -22,7 +22,6 @@ uplink, which answers the question the paper leaves open:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
 from repro.core.experiments.fig15 import PAPER_ARRAY_BYTES, inbound_query
@@ -59,7 +58,7 @@ def _environment(
 ) -> EnvironmentConfig:
     base = NetworkParams()
     params = base.with_overrides(
-        ethernet=replace(base.ethernet, uplink_rate=gbps(uplink_gbps))
+        ethernet=base.ethernet.replace(uplink_rate=gbps(uplink_gbps))
     )
     return EnvironmentConfig(
         bluegene=BlueGeneConfig(torus_shape=shape),

@@ -20,7 +20,6 @@ rows live in :data:`repro.core.experiments.FIGURES`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -38,6 +37,7 @@ from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import EnvironmentConfig
 from repro.obs.instrument import OBSERVE_NONE, Instrumentation, check_level
 from repro.scsql.plan import DeploymentPlan, compile_plan
+from repro.util.record import Frozen, Record
 from repro.util.stats import MeasurementStats, summarize
 from repro.util.units import MEGA
 
@@ -49,8 +49,7 @@ if TYPE_CHECKING:
 DEFAULT_REPEATS = 5
 
 
-@dataclass
-class BandwidthResult:
+class BandwidthResult(Record):
     """Outcome of one repeated bandwidth measurement.
 
     Attributes:
@@ -64,10 +63,15 @@ class BandwidthResult:
             flow records has an empty registry).
     """
 
-    mbps: MeasurementStats
-    payload_bytes: int
-    reports: List[ExecutionReport] = field(default_factory=list)
-    observations: List[Instrumentation] = field(default_factory=list)
+    __slots__ = ("mbps", "payload_bytes", "reports", "observations")
+
+    def __init__(self, mbps: MeasurementStats, payload_bytes: int,
+                 reports: Optional[List[ExecutionReport]] = None,
+                 observations: Optional[List[Instrumentation]] = None) -> None:
+        self.mbps = mbps
+        self.payload_bytes = payload_bytes
+        self.reports = [] if reports is None else reports
+        self.observations = [] if observations is None else observations
 
     @property
     def mean_mbps(self) -> float:
@@ -89,8 +93,7 @@ class BandwidthResult:
         return f"{self.mbps.mean:.1f} ± {self.mbps.std:.1f} Mbps"
 
 
-@dataclass(frozen=True)
-class PointSpec:
+class PointSpec(Frozen):
     """One sweep point of a multi-point measurement.
 
     Attributes:
@@ -108,9 +111,15 @@ class PointSpec:
     key: Any
     query: str
     payload_bytes: int
-    settings: Optional[ExecutionSettings] = None
-    selector: Optional[str] = None
-    env_config: Optional[EnvironmentConfig] = None
+    settings: Optional[ExecutionSettings]
+    selector: Optional[str]
+    env_config: Optional[EnvironmentConfig]
+    __slots__ = ("key", "query", "payload_bytes", "settings", "selector", "env_config")
+
+    def __init__(self, key: Any, query: str, payload_bytes: int,
+                 settings: Optional[ExecutionSettings] = None, selector: Optional[str] = None,
+                 env_config: Optional[EnvironmentConfig] = None) -> None:
+        self._set_fields(key, query, payload_bytes, settings, selector, env_config)
 
 
 def key_label(key: Any) -> str:
@@ -256,13 +265,15 @@ def measure_query_bandwidth(
 Row = Dict[str, Union[int, float, str, bool]]
 
 
-@dataclass
-class SweepResult:
+class SweepResult(Record):
     """A measured sweep: ``points`` maps each key to its result, in the
     builder's order."""
 
-    sweep: Sweep
-    points: Dict[Any, BandwidthResult]
+    __slots__ = ("sweep", "points")
+
+    def __init__(self, sweep: Sweep, points: Dict[Any, BandwidthResult]) -> None:
+        self.sweep = sweep
+        self.points = points
 
     def at(self, *key: Any) -> BandwidthResult:
         """The result at one key; ``KeyError`` if it was not measured."""

@@ -17,18 +17,17 @@ canonical two-CQ shared-I/O-node demonstration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.coordinator.deployer import Deployer, Deployment, ExecutionReport
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import Environment, EnvironmentConfig
 from repro.util.errors import QueryExecutionError
+from repro.util.record import Record
 from repro.util.units import MEGA
 
 
-@dataclass
-class QueryOutcome:
+class QueryOutcome(Record):
     """What one query of a concurrent run achieved.
 
     Attributes:
@@ -49,12 +48,17 @@ class QueryOutcome:
             empty on the classic path.
     """
 
-    label: str
-    report: ExecutionReport
-    payload_bytes: int
-    solo_mbps: Optional[float] = None
-    total_duration: Optional[float] = None
-    migrations: List[object] = field(default_factory=list)
+    __slots__ = ("label", "report", "payload_bytes", "solo_mbps", "total_duration", "migrations")
+
+    def __init__(self, label: str, report: ExecutionReport, payload_bytes: int,
+                 solo_mbps: Optional[float] = None, total_duration: Optional[float] = None,
+                 migrations: Optional[List[object]] = None) -> None:
+        self.label = label
+        self.report = report
+        self.payload_bytes = payload_bytes
+        self.solo_mbps = solo_mbps
+        self.total_duration = total_duration
+        self.migrations = [] if migrations is None else migrations
 
     @property
     def mbps(self) -> float:
@@ -75,19 +79,20 @@ class QueryOutcome:
         return self.mbps / self.solo_mbps
 
 
-@dataclass
-class MultiQueryResult:
+class MultiQueryResult(Record):
     """Per-query outcomes of one concurrent run, in submission order."""
 
-    outcomes: List[QueryOutcome] = field(default_factory=list)
+    __slots__ = ("outcomes", "live", "migrations")
 
-    live: Optional[object] = None
-    """The :class:`~repro.obs.live.LiveSampler` that watched the
-    concurrent run, when the caller attached one (windowed utilization /
-    latency series plus health events); None otherwise."""
-
-    migrations: List[object] = field(default_factory=list)
-    """Session-wide migration records in execution order (adaptive runs)."""
+    def __init__(self, outcomes: Optional[List[QueryOutcome]] = None, live: Optional[object] = None,
+                 migrations: Optional[List[object]] = None) -> None:
+        self.outcomes = [] if outcomes is None else outcomes
+        #: The :class:`~repro.obs.live.LiveSampler` that watched the
+        #  concurrent run, when the caller attached one (windowed utilization /
+        #  latency series plus health events); None otherwise.
+        self.live = live
+        #: Session-wide migration records in execution order (adaptive runs).
+        self.migrations = [] if migrations is None else migrations
 
     def __getitem__(self, label: str) -> QueryOutcome:
         for outcome in self.outcomes:
@@ -114,17 +119,19 @@ class MultiQueryResult:
         return "\n".join(lines)
 
 
-@dataclass
-class _Entry:
+class _Entry(Record):
     """One submitted query: its current generation and replay material."""
 
-    deployment: Deployment
-    payload_bytes: int
-    plan: object
-    """The compiled plan, handed to :meth:`MultiQuerySession.replace`'s
-    ``redeploy`` so a later generation can re-instantiate the graph."""
+    __slots__ = ("deployment", "payload_bytes", "plan", "replacements")
 
-    replacements: int = 0
+    def __init__(self, deployment: Deployment, payload_bytes: int, plan: object,
+                 replacements: int = 0) -> None:
+        self.deployment = deployment
+        self.payload_bytes = payload_bytes
+        #: The compiled plan, handed to :meth:`MultiQuerySession.replace`'s
+        #  ``redeploy`` so a later generation can re-instantiate the graph.
+        self.plan = plan
+        self.replacements = replacements
 
 
 class MultiQuerySession:

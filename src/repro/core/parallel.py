@@ -28,8 +28,7 @@ Design constraints:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.coordinator.allocation import (
     KnowledgeBasedSelector,
@@ -49,6 +48,7 @@ from repro.obs.instrument import (
 from repro.obs.tracer import NULL_TRACER
 from repro.scsql.plan import DeploymentPlan, compile_plan
 from repro.util.errors import MeasurementError
+from repro.util.record import Frozen, Record
 
 #: Node selectors a task may name (ablation sweeps); values are the selector
 #: classes, instantiated fresh inside the worker.
@@ -58,8 +58,7 @@ SELECTORS: Dict[str, Type[NodeSelector]] = {
 }
 
 
-@dataclass(frozen=True)
-class SweepTask:
+class SweepTask(Frozen):
     """One (sweep-point, repeat) simulation, as a spawn-safe payload.
 
     Attributes:
@@ -84,27 +83,41 @@ class SweepTask:
     seed: int
     query: str
     payload_bytes: int
-    settings: Optional[ExecutionSettings] = None
-    env_config: EnvironmentConfig = EnvironmentConfig()
-    observe: str = OBSERVE_NONE
-    selector: Optional[str] = None
-    plan: Optional[DeploymentPlan] = None
+    settings: Optional[ExecutionSettings]
+    env_config: EnvironmentConfig
+    observe: str
+    selector: Optional[str]
+    plan: Optional[DeploymentPlan]
+    __slots__ = ("point_key", "seed", "query", "payload_bytes", "settings", "env_config", "observe",
+                 "selector", "plan")
+
+    def __init__(self, point_key: Any, seed: int, query: str, payload_bytes: int,
+                 settings: Optional[ExecutionSettings] = None,
+                 env_config: EnvironmentConfig = EnvironmentConfig(), observe: str = OBSERVE_NONE,
+                 selector: Optional[str] = None, plan: Optional[DeploymentPlan] = None) -> None:
+        self._set_fields(point_key, seed, query, payload_bytes, settings, env_config, observe,
+                         selector, plan)
 
 
-@dataclass
-class TaskOutcome:
+class TaskOutcome(Record):
     """What one :class:`SweepTask` produced.
 
     Picklable: the live hub holds its simulator and stays behind in the
     process that ran the task; everything else crosses.
     """
 
-    point_key: Any
-    seed: int
-    report: ExecutionReport
-    flow_records: List[FlowRecord] = field(default_factory=list)
-    observed: bool = False
-    _hub: Optional[Instrumentation] = field(default=None, repr=False, compare=False)
+    __slots__ = ("point_key", "seed", "report", "flow_records", "observed", "_hub")
+    _uncompared = ("_hub",)
+
+    def __init__(self, point_key: Any, seed: int, report: ExecutionReport,
+                 flow_records: Optional[List[FlowRecord]] = None, observed: bool = False,
+                 _hub: Optional[Instrumentation] = None) -> None:
+        self.point_key = point_key
+        self.seed = seed
+        self.report = report
+        self.flow_records = [] if flow_records is None else flow_records
+        self.observed = observed
+        self._hub = _hub
 
     def observation(self) -> Optional[Instrumentation]:
         """The repeat's hub, or ``None`` for an unobserved one.
@@ -121,8 +134,8 @@ class TaskOutcome:
             )
         return self._hub
 
-    def __getstate__(self) -> Dict[str, Any]:
-        return {**self.__dict__, "_hub": None}
+    def __getstate__(self) -> Tuple[Any, ...]:
+        return (*super().__getstate__()[:-1], None)  # the hub stays behind
 
 
 def run_sweep_task(task: SweepTask) -> TaskOutcome:

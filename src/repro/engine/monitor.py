@@ -3,15 +3,15 @@
 The paper's Figure 3 lists "(v) monitoring the execution of its SQEP"
 among an RP's responsibilities.  This module collects those observations:
 per-operator object counts, per-port receive volumes, per-subscriber send
-volumes, and CPU busy time, snapshotted into plain dataclasses that the
+volumes, and CPU busy time, snapshotted into plain records that the
 client manager attaches to the execution report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
+from repro.util.record import Frozen, setters
 from repro.util.units import format_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -19,26 +19,35 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
 
 
-@dataclass(frozen=True)
-class OperatorStats:
+class OperatorStats(Frozen):
     """One operator's throughput counters."""
 
     name: str
     objects_in: int
     objects_out: int
+    __slots__ = ("name", "objects_in", "objects_out")
+
+    def __init__(self, name: str, objects_in: int, objects_out: int) -> None:
+        _operator_stats_name(self, name)
+        _operator_stats_objects_in(self, objects_in)
+        _operator_stats_objects_out(self, objects_out)
 
 
-@dataclass(frozen=True)
-class StreamStats:
+class StreamStats(Frozen):
     """One stream edge's volume, as seen by a driver."""
 
     stream_id: str
     bytes: int
     buffers: int
+    __slots__ = ("stream_id", "bytes", "buffers")
+
+    def __init__(self, stream_id: str, bytes: int, buffers: int) -> None:
+        _stream_stats_stream_id(self, stream_id)
+        _stream_stats_bytes(self, bytes)
+        _stream_stats_buffers(self, buffers)
 
 
-@dataclass(frozen=True)
-class RPStatistics:
+class RPStatistics(Frozen):
     """Everything one running process observed about its own execution."""
 
     rp_id: str
@@ -47,6 +56,17 @@ class RPStatistics:
     received: Tuple[StreamStats, ...]
     sent: Tuple[StreamStats, ...]
     cpu_busy_time: float
+    __slots__ = ("rp_id", "node_id", "operators", "received", "sent", "cpu_busy_time")
+
+    def __init__(self, rp_id: str, node_id: str, operators: Tuple[OperatorStats, ...],
+                 received: Tuple[StreamStats, ...], sent: Tuple[StreamStats, ...],
+                 cpu_busy_time: float) -> None:
+        _rp_statistics_rp_id(self, rp_id)
+        _rp_statistics_node_id(self, node_id)
+        _rp_statistics_operators(self, operators)
+        _rp_statistics_received(self, received)
+        _rp_statistics_sent(self, sent)
+        _rp_statistics_cpu_busy_time(self, cpu_busy_time)
 
     @property
     def bytes_received(self) -> int:
@@ -113,6 +133,15 @@ class RPStatistics:
             metrics.set_gauge(
                 f"{prefix}.sent.buffers[{stream.stream_id}]", stream.buffers
             )
+
+
+# Every running process snapshots one of each per query: store through the slots.
+_operator_stats_name, _operator_stats_objects_in, _operator_stats_objects_out = setters(
+    OperatorStats)
+_stream_stats_stream_id, _stream_stats_bytes, _stream_stats_buffers = setters(StreamStats)
+(_rp_statistics_rp_id, _rp_statistics_node_id, _rp_statistics_operators,
+ _rp_statistics_received, _rp_statistics_sent, _rp_statistics_cpu_busy_time) = setters(
+    RPStatistics)
 
 
 def snapshot(rp: "RunningProcess") -> RPStatistics:

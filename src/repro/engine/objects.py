@@ -17,8 +17,9 @@ execution upon a stop condition".
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Any
+
+from repro.util.record import Frozen, setters
 
 
 class _EndOfStream:
@@ -35,8 +36,7 @@ class _EndOfStream:
 END_OF_STREAM = object.__new__(_EndOfStream)
 
 
-@dataclass(frozen=True)
-class SyntheticArray:
+class SyntheticArray(Frozen):
     """A numeric array represented by metadata only.
 
     The paper's bandwidth experiments stream "arrays of numerical data" of
@@ -49,11 +49,15 @@ class SyntheticArray:
     """
 
     nbytes: int
-    sequence: int = 0
+    sequence: int
+    __slots__ = ("nbytes", "sequence")
+
+    def __init__(self, nbytes: int, sequence: int = 0) -> None:
+        _synthetic_array_nbytes(self, nbytes)
+        _synthetic_array_sequence(self, sequence)
 
 
-@dataclass(frozen=True)
-class TaggedObject:
+class TaggedObject(Frozen):
     """An object annotated with its originating stream and sequence number.
 
     Used where downstream operators must pair elements from parallel
@@ -64,6 +68,17 @@ class TaggedObject:
     tag: str
     sequence: int
     payload: Any
+    __slots__ = ("tag", "sequence", "payload")
+
+    def __init__(self, tag: str, sequence: int, payload: Any) -> None:
+        _tagged_object_tag(self, tag)
+        _tagged_object_sequence(self, sequence)
+        _tagged_object_payload(self, payload)
+
+
+# Sources build one per stream element: store through the slots.
+_synthetic_array_nbytes, _synthetic_array_sequence = setters(SyntheticArray)
+_tagged_object_tag, _tagged_object_sequence, _tagged_object_payload = setters(TaggedObject)
 
 
 #: Sizes of the exact scalar types, found before :func:`size_of`'s

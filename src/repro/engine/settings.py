@@ -9,27 +9,27 @@ knob — "we rely on the buffering of the TCP stack" (section 3.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.util.errors import SimulationError
+from repro.util.record import Frozen
 
 
-@dataclass(frozen=True)
-class ExecutionSettings:
+class ExecutionSettings(Frozen):
     """Engine-level settings for one continuous query execution."""
 
-    mpi_buffer_bytes: int = 1000
-    """Send/receive buffer size used by MPI stream carriers (Figure 6/8 sweep)."""
+    #: Send/receive buffer size used by MPI stream carriers (Figure 6/8 sweep).
+    mpi_buffer_bytes: int
+    #: Two buffers per driver (overlap) versus one (strict alternation).
+    double_buffering: bool
+    #: Sender drivers flush a partially filled send buffer after this much
+    #  simulated idle time, so low-rate result streams (e.g. one aggregate per
+    #  window) reach their subscribers promptly in continuous queries.
+    flush_interval: float
+    __slots__ = ("mpi_buffer_bytes", "double_buffering", "flush_interval")
 
-    double_buffering: bool = True
-    """Two buffers per driver (overlap) versus one (strict alternation)."""
-
-    flush_interval: float = 5e-3
-    """Sender drivers flush a partially filled send buffer after this much
-    simulated idle time, so low-rate result streams (e.g. one aggregate per
-    window) reach their subscribers promptly in continuous queries."""
-
-    def __post_init__(self):
+    def __init__(self, mpi_buffer_bytes: int = 1000, double_buffering: bool = True,
+                 flush_interval: float = 5e-3) -> None:
+        self._set_fields(mpi_buffer_bytes, double_buffering, flush_interval)
         if self.mpi_buffer_bytes < 1:
             raise SimulationError(
                 f"mpi_buffer_bytes must be positive, got {self.mpi_buffer_bytes}"

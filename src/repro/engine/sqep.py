@@ -13,19 +13,16 @@ instantiates them against live stores and drivers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Tuple
 
 from repro.util.errors import QueryExecutionError
-from repro.util.frozen import slot_init
+from repro.util.record import Frozen, setters
 
 #: Reserved plan-node name for cross-process stream subscriptions.
 INPUT = "input"
 
 
-@slot_init
-@dataclass(frozen=True, slots=True)
-class OpSpec:
+class OpSpec(Frozen):
     """One node of a stream query execution plan.
 
     Attributes:
@@ -37,11 +34,17 @@ class OpSpec:
     """
 
     name: str
-    args: Tuple[Any, ...] = ()
-    children: Tuple["OpSpec", ...] = ()
-    producer: Optional[str] = None
+    args: Tuple[Any, ...]
+    children: Tuple["OpSpec", ...]
+    producer: Optional[str]
+    __slots__ = ("name", "args", "children", "producer")
 
-    def __post_init__(self):
+    def __init__(self, name: str, args: Tuple[Any, ...] = (), children: Tuple["OpSpec", ...] = (),
+                 producer: Optional[str] = None) -> None:
+        _op_spec_name(self, name)
+        _op_spec_args(self, args)
+        _op_spec_children(self, children)
+        _op_spec_producer(self, producer)
         if self.name == INPUT:
             if self.producer is None:
                 raise QueryExecutionError("input plan nodes need a producer id")
@@ -76,6 +79,9 @@ class OpSpec:
         for child in self.children:
             lines.append(child.describe(indent + 1))
         return "\n".join(lines)
+
+
+_op_spec_name, _op_spec_args, _op_spec_children, _op_spec_producer = setters(OpSpec)
 
 
 def plan_input(producer: str) -> OpSpec:

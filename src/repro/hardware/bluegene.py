@@ -18,23 +18,31 @@ neighbour of node 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.hardware.node import PPC440D, Node, NodeCapabilities, NodeKind
 from repro.util.errors import HardwareError
+from repro.util.record import Frozen
 
 
-@dataclass(frozen=True)
-class BlueGeneConfig:
+class BlueGeneConfig(Frozen):
     """Shape and constants of the simulated BlueGene partition.
 
     The defaults describe the partition used in the paper's experiments:
     4 psets of 8 compute nodes in a 4x4x2 torus, 4 I/O nodes.
     """
 
-    torus_shape: Tuple[int, int, int] = (4, 4, 2)
-    pset_size: int = 8
+    torus_shape: Tuple[int, int, int]
+    pset_size: int
+    __slots__ = ("torus_shape", "pset_size")
+
+    def __init__(self, torus_shape: Tuple[int, int, int] = (4, 4, 2), pset_size: int = 8) -> None:
+        self._set_fields(torus_shape, pset_size)
+        if any(d < 1 for d in self.torus_shape):
+            raise HardwareError(f"invalid torus shape {self.torus_shape}")
+        if self.pset_size < 1:
+            raise HardwareError(f"invalid pset size {self.pset_size}")
+        _ = self.num_psets  # validate divisibility eagerly
 
     @property
     def num_compute_nodes(self) -> int:
@@ -48,13 +56,6 @@ class BlueGeneConfig:
                 f"torus {self.torus_shape} not divisible into psets of {self.pset_size}"
             )
         return self.num_compute_nodes // self.pset_size
-
-    def __post_init__(self):
-        if any(d < 1 for d in self.torus_shape):
-            raise HardwareError(f"invalid torus shape {self.torus_shape}")
-        if self.pset_size < 1:
-            raise HardwareError(f"invalid pset size {self.pset_size}")
-        _ = self.num_psets  # validate divisibility eagerly
 
 
 class BlueGene:

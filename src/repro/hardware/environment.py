@@ -11,7 +11,7 @@ measurement run so runs are independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
 from typing import Dict, Optional, Tuple
 
 from repro.hardware.bluegene import BlueGene, BlueGeneConfig
@@ -25,6 +25,7 @@ from repro.net.params import NetworkParams
 from repro.net.torus import RouteTable, TorusNetwork
 from repro.sim import Resource, Simulator, Store
 from repro.util.errors import HardwareError
+from repro.util.record import Frozen
 
 #: Cluster names used throughout the paper's queries.
 BLUEGENE = "bg"
@@ -37,8 +38,7 @@ FRONTEND = "fe"
 DEFAULT_CLUSTERS = (FRONTEND, BACKEND, BLUEGENE)
 
 
-@dataclass(frozen=True)
-class EnvironmentConfig:
+class EnvironmentConfig(Frozen):
     """Shape and cost model of one simulated environment.
 
     Defaults match the paper's experimental set-up: a BlueGene partition
@@ -47,15 +47,22 @@ class EnvironmentConfig:
     four nodes in the back-end cluster").
     """
 
-    bluegene: BlueGeneConfig = BlueGeneConfig()
-    backend_nodes: int = 4
-    frontend_nodes: int = 2
-    params: NetworkParams = field(default_factory=NetworkParams)
-    seed: int = 0
+    bluegene: BlueGeneConfig
+    backend_nodes: int
+    frontend_nodes: int
+    params: NetworkParams
+    seed: int
+    __slots__ = ("bluegene", "backend_nodes", "frontend_nodes", "params", "seed")
+
+    def __init__(self, bluegene: BlueGeneConfig = BlueGeneConfig(), backend_nodes: int = 4,
+                 frontend_nodes: int = 2, params: Optional[NetworkParams] = None,
+                 seed: int = 0) -> None:
+        self._set_fields(bluegene, backend_nodes, frontend_nodes,
+                         NetworkParams() if params is None else params, seed)
 
     def with_seed(self, seed: int) -> "EnvironmentConfig":
         """This config with only the seed replaced (topology untouched)."""
-        return replace(self, seed=seed)
+        return self.replace(seed=seed)
 
 
 def _topology_key(config: EnvironmentConfig):
@@ -67,8 +74,7 @@ def _topology_key(config: EnvironmentConfig):
 _NodeStatus = Tuple[int, bool]
 
 
-@dataclass(frozen=True, slots=True)
-class TopologySnapshot:
+class TopologySnapshot(Frozen):
     """Frozen copy of a template's per-run mutable occupancy state.
 
     A template's expensive pieces (psets, CNDB node lists, the route memo)
@@ -87,6 +93,12 @@ class TopologySnapshot:
     cursors: Tuple[Tuple[str, int], ...]
     node_status: Tuple[Tuple[str, Tuple[_NodeStatus, ...]], ...]
     io_status: Tuple[_NodeStatus, ...]
+    __slots__ = ("topology", "cursors", "node_status", "io_status")
+
+    def __init__(self, topology: tuple, cursors: Tuple[Tuple[str, int], ...],
+                 node_status: Tuple[Tuple[str, Tuple[_NodeStatus, ...]], ...],
+                 io_status: Tuple[_NodeStatus, ...]) -> None:
+        self._set_fields(topology, cursors, node_status, io_status)
 
 
 class EnvironmentTemplate:
@@ -226,18 +238,21 @@ class EnvironmentTemplate:
         return Environment(config, obs=obs, template=self)
 
 
-#: Per-process template cache used by the sweep executor's workers, keyed on
-#: the seed-independent topology of the config.
-_TEMPLATE_CACHE: Dict[tuple, EnvironmentTemplate] = {}
+#: Templates one process keeps, least recently used first out: ``python -m
+#: repro all`` builds 6 distinct topologies, the full bench gate 2.
+TEMPLATE_CACHE_SIZE = 8
 
 
 def shared_template(config: EnvironmentConfig) -> EnvironmentTemplate:
-    """A per-process cached :class:`EnvironmentTemplate` for ``config``."""
-    key = _topology_key(config)
-    template = _TEMPLATE_CACHE.get(key)
-    if template is None:
-        template = _TEMPLATE_CACHE[key] = EnvironmentTemplate(config)
-    return template
+    """A per-process cached :class:`EnvironmentTemplate` for ``config``'s
+    topology (the template carries seed 0; a fork names its own seed)."""
+    return _template(*_topology_key(config))
+
+
+@functools.lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
+def _template(bluegene: BlueGeneConfig, backend_nodes: int, frontend_nodes: int,
+              params: NetworkParams) -> EnvironmentTemplate:
+    return EnvironmentTemplate(EnvironmentConfig(bluegene, backend_nodes, frontend_nodes, params))
 
 
 class Environment:

@@ -9,21 +9,22 @@ and four nodes in the back-end cluster").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from repro.hardware.node import PPC970, Node, NodeCapabilities, NodeKind
 from repro.util.errors import HardwareError
+from repro.util.record import Frozen
 
 
-@dataclass(frozen=True)
-class LinuxClusterConfig:
+class LinuxClusterConfig(Frozen):
     """Shape of a Linux cluster."""
 
     name: str
     num_nodes: int
+    __slots__ = ("name", "num_nodes")
 
-    def __post_init__(self):
+    def __init__(self, name: str, num_nodes: int) -> None:
+        self._set_fields(name, num_nodes)
         if self.num_nodes < 1:
             raise HardwareError(f"cluster {self.name!r} needs at least one node")
 

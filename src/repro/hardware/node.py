@@ -18,10 +18,10 @@ places running processes, so they are modelled explicitly here.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.util.errors import HardwareError
+from repro.util.record import Frozen, Record
 
 
 class NodeKind(enum.Enum):
@@ -32,13 +32,16 @@ class NodeKind(enum.Enum):
     LINUX = "linux"
 
 
-@dataclass(frozen=True)
-class CpuSpec:
+class CpuSpec(Frozen):
     """A CPU model, for the CNDB and (eventually) cost-based optimization."""
 
     model: str
     clock_hz: float
-    cores: int = 1
+    cores: int
+    __slots__ = ("model", "clock_hz", "cores")
+
+    def __init__(self, model: str, clock_hz: float, cores: int = 1) -> None:
+        self._set_fields(model, clock_hz, cores)
 
     def __str__(self) -> str:
         return f"{self.model} @ {self.clock_hz / 1e6:.0f} MHz x{self.cores}"
@@ -49,13 +52,16 @@ PPC440D = CpuSpec(model="PowerPC 440d", clock_hz=700e6, cores=2)
 PPC970 = CpuSpec(model="PowerPC 970", clock_hz=2.2e9, cores=2)
 
 
-@dataclass(frozen=True)
-class NodeCapabilities:
+class NodeCapabilities(Frozen):
     """Operating-system level capabilities relevant to RP placement."""
 
     can_listen: bool
-    max_processes: Optional[int]  # None = effectively unlimited
+    max_processes: Optional[int]
     can_compute: bool
+    __slots__ = ("can_listen", "max_processes", "can_compute")
+
+    def __init__(self, can_listen: bool, max_processes: Optional[int], can_compute: bool) -> None:
+        self._set_fields(can_listen, max_processes, can_compute)
 
     @staticmethod
     def cnk() -> "NodeCapabilities":
@@ -73,8 +79,7 @@ class NodeCapabilities:
         return NodeCapabilities(can_listen=True, max_processes=None, can_compute=True)
 
 
-@dataclass
-class Node:
+class Node(Record):
     """One node of the environment.
 
     Attributes:
@@ -90,18 +95,24 @@ class Node:
         pset_id: pset membership for BlueGene compute nodes.
     """
 
-    node_id: str
-    cluster: str
-    index: int
-    kind: NodeKind
-    cpu: CpuSpec
-    capabilities: NodeCapabilities
-    torus_coord: Optional[Tuple[int, int, int]] = None
-    pset_id: Optional[int] = None
-    running_processes: int = field(default=0, repr=False)
-    failed: bool = field(default=False, repr=False)
+    __slots__ = ("node_id", "cluster", "index", "kind", "cpu", "capabilities", "torus_coord",
+                 "pset_id", "running_processes", "failed")
+    _unshown = ("running_processes", "failed")
 
-    def __post_init__(self):
+    def __init__(self, node_id: str, cluster: str, index: int, kind: NodeKind, cpu: CpuSpec,
+                 capabilities: NodeCapabilities, torus_coord: Optional[Tuple[int, int, int]] = None,
+                 pset_id: Optional[int] = None, running_processes: int = 0,
+                 failed: bool = False) -> None:
+        self.node_id = node_id
+        self.cluster = cluster
+        self.index = index
+        self.kind = kind
+        self.cpu = cpu
+        self.capabilities = capabilities
+        self.torus_coord = torus_coord
+        self.pset_id = pset_id
+        self.running_processes = running_processes
+        self.failed = failed
         if self.kind is NodeKind.BG_COMPUTE and self.torus_coord is None:
             raise HardwareError(f"BlueGene compute node {self.node_id} needs a torus coordinate")
 

@@ -17,14 +17,14 @@ end-of-stream by the :attr:`WireBuffer.eos` marker buffer, and stop by
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Tuple
+
+from repro.util.record import Frozen, setters
 
 _buffer_ids = itertools.count()
 
 
-@dataclass(frozen=True)
-class Fragment:
+class Fragment(Frozen):
     """A slice of one marshaled object.
 
     Attributes:
@@ -41,15 +41,23 @@ class Fragment:
     index: int
     total: int
     nbytes: int
-    payload: Any = None
+    payload: Any
+    __slots__ = ("object_id", "index", "total", "nbytes", "payload")
+
+    def __init__(self, object_id: int, index: int, total: int, nbytes: int,
+                 payload: Any = None) -> None:
+        _fragment_object_id(self, object_id)
+        _fragment_index(self, index)
+        _fragment_total(self, total)
+        _fragment_nbytes(self, nbytes)
+        _fragment_payload(self, payload)
 
     @property
     def is_last(self) -> bool:
         return self.index == self.total - 1
 
 
-@dataclass(frozen=True)
-class WireBuffer:
+class WireBuffer(Frozen):
     """One flushed send buffer travelling through a network model.
 
     Attributes:
@@ -65,8 +73,18 @@ class WireBuffer:
     stream_id: str
     source: str
     nbytes: int
-    fragments: Tuple[Fragment, ...] = ()
-    eos: bool = False
+    fragments: Tuple[Fragment, ...]
+    eos: bool
+    __slots__ = ("buffer_id", "stream_id", "source", "nbytes", "fragments", "eos")
+
+    def __init__(self, buffer_id: int, stream_id: str, source: str, nbytes: int,
+                 fragments: Tuple[Fragment, ...] = (), eos: bool = False) -> None:
+        _wire_buffer_buffer_id(self, buffer_id)
+        _wire_buffer_stream_id(self, stream_id)
+        _wire_buffer_source(self, source)
+        _wire_buffer_nbytes(self, nbytes)
+        _wire_buffer_fragments(self, fragments)
+        _wire_buffer_eos(self, eos)
 
     @staticmethod
     def data(stream_id: str, source: str, nbytes: int, fragments) -> "WireBuffer":
@@ -90,3 +108,9 @@ class WireBuffer:
             eos=True,
         )
 
+
+# A network model builds one of each per buffer: store through the slots.
+(_fragment_object_id, _fragment_index, _fragment_total, _fragment_nbytes,
+ _fragment_payload) = setters(Fragment)
+(_wire_buffer_buffer_id, _wire_buffer_stream_id, _wire_buffer_source, _wire_buffer_nbytes,
+ _wire_buffer_fragments, _wire_buffer_eos) = setters(WireBuffer)

@@ -29,10 +29,10 @@ profiler in :mod:`repro.obs.profile`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs.null import NULL_FLOWS as NULL_FLOWS, NullFlowRecorder
+from repro.util.record import Record
 from repro.util.stats import latency_summary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -81,20 +81,25 @@ class Hop(NamedTuple):
 _new_hop = tuple.__new__
 
 
-@dataclass
-class FlowRecord:
+class FlowRecord(Record):
     """The causal history of one wire buffer over virtual time."""
 
-    flow_id: int
-    buffer_id: int
-    stream_id: str
-    source: str
-    nbytes: int
-    birth: float
-    eos: bool = False
-    delivered: Optional[float] = None
-    hops: List[Hop] = field(default_factory=list)
-    _last_ts: float = 0.0
+    __slots__ = ("flow_id", "buffer_id", "stream_id", "source", "nbytes", "birth", "eos",
+                 "delivered", "hops", "_last_ts")
+
+    def __init__(self, flow_id: int, buffer_id: int, stream_id: str, source: str, nbytes: int,
+                 birth: float, eos: bool = False, delivered: Optional[float] = None,
+                 hops: Optional[List[Hop]] = None, _last_ts: float = 0.0) -> None:
+        self.flow_id = flow_id
+        self.buffer_id = buffer_id
+        self.stream_id = stream_id
+        self.source = source
+        self.nbytes = nbytes
+        self.birth = birth
+        self.eos = eos
+        self.delivered = delivered
+        self.hops = [] if hops is None else hops
+        self._last_ts = _last_ts
 
     @property
     def completed(self) -> bool:

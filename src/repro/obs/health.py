@@ -32,8 +32,9 @@ deterministic, which the mid-run regression tests rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
+
+from repro.util.record import Frozen
 
 
 __all__ = [
@@ -96,8 +97,7 @@ def utilization_leader(
     return leader, best
 
 
-@dataclass(frozen=True, slots=True)
-class HealthEvent:
+class HealthEvent(Frozen):
     """One typed state transition of a monitored subject.
 
     Attributes:
@@ -118,8 +118,13 @@ class HealthEvent:
     kind: str
     scope: str
     subject: str
-    value: float = 0.0
-    detail: str = ""
+    value: float
+    detail: str
+    __slots__ = ("time", "window", "kind", "scope", "subject", "value", "detail")
+
+    def __init__(self, time: float, window: int, kind: str, scope: str, subject: str,
+                 value: float = 0.0, detail: str = "") -> None:
+        self._set_fields(time, window, kind, scope, subject, value, detail)
 
     def to_dict(self) -> Dict[str, object]:
         return {

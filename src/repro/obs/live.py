@@ -46,10 +46,10 @@ check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.obs.null import DEFAULT_WINDOW, NULL_LIVE, NullLiveSampler
+from repro.util.record import Frozen
 from repro.util.stats import latency_summary
 from repro.util.units import MEGA
 
@@ -70,33 +70,49 @@ _BUSY_PREFIX = "resource.busy["
 _LEVEL_PREFIX = "store.level["
 
 
-@dataclass(frozen=True, slots=True)
-class WindowSample:
+class WindowSample(Frozen):
     """One closed telemetry window (plain data, JSON-ready)."""
 
     index: int
     start: float
     end: float
+    #: Kernel events executed inside the window.
     events: int
-    """Kernel events executed inside the window."""
     flows_completed: int
     bytes_delivered: int
+    #: Flows still travelling at the window boundary.
     in_flight: int
-    """Flows still travelling at the window boundary."""
     throughput_mbps: float
-    latency: Dict[str, float] = field(default_factory=dict)
-    """:func:`~repro.util.stats.latency_summary` of the flows completed
-    inside the window (``n``/``mean``/``min``/``max``/``p50``/``p95``/``p99``)."""
-    utilization: Dict[str, float] = field(default_factory=dict)
-    """Resource -> busy fraction of capacity over the window."""
-    queues: Dict[str, float] = field(default_factory=dict)
-    """Store -> time-weighted mean level over the window."""
-    stream_bytes: Dict[str, float] = field(default_factory=dict)
-    """Base stream label -> bytes delivered inside the window."""
-    sp_bytes: Dict[str, float] = field(default_factory=dict)
-    """``<base_label>/<sp_id>`` -> bytes delivered *to* that stream
-    process inside the window (generation suffixes stripped, so a
-    migrated SP keeps one series across ``+gN`` redeployments)."""
+    #: :func:`~repro.util.stats.latency_summary` of the flows completed
+    #  inside the window (``n``/``mean``/``min``/``max``/``p50``/``p95``/``p99``).
+    latency: Dict[str, float]
+    #: Resource -> busy fraction of capacity over the window.
+    utilization: Dict[str, float]
+    #: Store -> time-weighted mean level over the window.
+    queues: Dict[str, float]
+    #: Base stream label -> bytes delivered inside the window.
+    stream_bytes: Dict[str, float]
+    #: ``<base_label>/<sp_id>`` -> bytes delivered *to* that stream
+    #  process inside the window (generation suffixes stripped, so a
+    #  migrated SP keeps one series across ``+gN`` redeployments).
+    sp_bytes: Dict[str, float]
+    __slots__ = ("index", "start", "end", "events", "flows_completed", "bytes_delivered",
+                 "in_flight", "throughput_mbps", "latency", "utilization", "queues", "stream_bytes",
+                 "sp_bytes")
+
+    def __init__(self, index: int, start: float, end: float, events: int, flows_completed: int,
+                 bytes_delivered: int, in_flight: int, throughput_mbps: float,
+                 latency: Optional[Dict[str, float]] = None,
+                 utilization: Optional[Dict[str, float]] = None,
+                 queues: Optional[Dict[str, float]] = None,
+                 stream_bytes: Optional[Dict[str, float]] = None,
+                 sp_bytes: Optional[Dict[str, float]] = None) -> None:
+        self._set_fields(index, start, end, events, flows_completed, bytes_delivered, in_flight,
+                         throughput_mbps, {} if latency is None else latency,
+                         {} if utilization is None else utilization,
+                         {} if queues is None else queues,
+                         {} if stream_bytes is None else stream_bytes,
+                         {} if sp_bytes is None else sp_bytes)
 
     @property
     def span(self) -> float:

@@ -18,8 +18,9 @@ directly — the bound-instrument contract in ``docs/observability.md``.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, DefaultDict, Dict, Optional
+
+from repro.util.record import Frozen
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Simulator
@@ -126,15 +127,23 @@ class TimeWeightedStat:
         return sum(t for v, t in self.dwell.items() if v >= level)
 
 
-@dataclass(frozen=True)
-class MetricsSnapshot:
+class MetricsSnapshot(Frozen):
     """A plain-data summary of a registry at one point in virtual time."""
 
     now: float
-    counters: Dict[str, float] = field(default_factory=dict)
-    gauges: Dict[str, float] = field(default_factory=dict)
-    peaks: Dict[str, float] = field(default_factory=dict)
-    time_weighted: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    counters: Dict[str, float]
+    gauges: Dict[str, float]
+    peaks: Dict[str, float]
+    time_weighted: Dict[str, Dict[str, float]]
+    __slots__ = ("now", "counters", "gauges", "peaks", "time_weighted")
+
+    def __init__(self, now: float, counters: Optional[Dict[str, float]] = None,
+                 gauges: Optional[Dict[str, float]] = None,
+                 peaks: Optional[Dict[str, float]] = None,
+                 time_weighted: Optional[Dict[str, Dict[str, float]]] = None) -> None:
+        self._set_fields(now, {} if counters is None else counters,
+                         {} if gauges is None else gauges, {} if peaks is None else peaks,
+                         {} if time_weighted is None else time_weighted)
 
     def counter(self, name: str) -> float:
         return self.counters.get(name, 0.0)

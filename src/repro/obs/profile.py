@@ -30,16 +30,15 @@ agrees with the service ranking and flags skew when it does not.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.flow import FlowRecord, FlowRecorder, NullFlowRecorder
 from repro.obs.instrument import NullInstrumentation
+from repro.util.record import Frozen, Record
 from repro.util.stats import latency_summary
 
 
-@dataclass(frozen=True)
-class ResourceCost:
+class ResourceCost(Frozen):
     """Aggregated latency attribution of one contended resource."""
 
     resource: str
@@ -49,6 +48,11 @@ class ResourceCost:
     critical_votes: int
     stages: Tuple[str, ...]
     streams: Tuple[str, ...]
+    __slots__ = ("resource", "service", "queue_wait", "hops", "critical_votes", "stages", "streams")
+
+    def __init__(self, resource: str, service: float, queue_wait: float, hops: int,
+                 critical_votes: int, stages: Tuple[str, ...], streams: Tuple[str, ...]) -> None:
+        self._set_fields(resource, service, queue_wait, hops, critical_votes, stages, streams)
 
     @property
     def total(self) -> float:
@@ -56,22 +60,24 @@ class ResourceCost:
         return self.service + self.queue_wait
 
 
-@dataclass(frozen=True)
-class StageCost:
+class StageCost(Frozen):
     """Aggregated latency attribution of one hop stage (by label)."""
 
     stage: str
     service: float
     queue_wait: float
     hops: int
+    __slots__ = ("stage", "service", "queue_wait", "hops")
+
+    def __init__(self, stage: str, service: float, queue_wait: float, hops: int) -> None:
+        self._set_fields(stage, service, queue_wait, hops)
 
     @property
     def total(self) -> float:
         return self.service + self.queue_wait
 
 
-@dataclass(frozen=True)
-class StreamLatency:
+class StreamLatency(Frozen):
     """End-to-end latency summary of one stream edge."""
 
     stream_id: str
@@ -80,17 +86,26 @@ class StreamLatency:
     p50: float
     p95: float
     p99: float
+    __slots__ = ("stream_id", "flows", "mean", "p50", "p95", "p99")
+
+    def __init__(self, stream_id: str, flows: int, mean: float, p50: float, p95: float,
+                 p99: float) -> None:
+        self._set_fields(stream_id, flows, mean, p50, p95, p99)
 
 
-@dataclass
-class BottleneckReport:
+class BottleneckReport(Record):
     """Ranked bottleneck attribution over a set of completed flows."""
 
-    flows: int
-    dropped: int
-    resources: List[ResourceCost] = field(default_factory=list)
-    stages: List[StageCost] = field(default_factory=list)
-    streams: List[StreamLatency] = field(default_factory=list)
+    __slots__ = ("flows", "dropped", "resources", "stages", "streams")
+
+    def __init__(self, flows: int, dropped: int, resources: Optional[List[ResourceCost]] = None,
+                 stages: Optional[List[StageCost]] = None,
+                 streams: Optional[List[StreamLatency]] = None) -> None:
+        self.flows = flows
+        self.dropped = dropped
+        self.resources = [] if resources is None else resources
+        self.stages = [] if stages is None else stages
+        self.streams = [] if streams is None else streams
 
     def top(self, n: int = 1) -> List[ResourceCost]:
         """The ``n`` highest-service resources (the bottleneck candidates)."""

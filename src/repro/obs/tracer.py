@@ -22,8 +22,6 @@ Record kinds (the ``kind`` field of :class:`TraceRecord`):
     A sampled numeric level (store size, queue depth) on a track.
 """
 
-from __future__ import annotations
-
 from typing import Any, Iterator, List, NamedTuple, Optional
 
 

@@ -18,8 +18,8 @@ All results are payload bytes/second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from repro.net.params import NetworkParams
+from repro.util.record import Frozen
 
 
 def _marshal_cycle(params: NetworkParams, buffer_bytes: int, double_buffering: bool) -> float:
@@ -119,16 +119,17 @@ def predict_merge_bandwidth(
     return min(bounds)
 
 
-@dataclass(frozen=True)
-class InboundShape:
+class InboundShape(Frozen):
     """Topology summary of an inbound (be -> BG) streaming configuration."""
 
     streams: int
     hosts: int
     io_nodes: int
     receivers: int
+    __slots__ = ("streams", "hosts", "io_nodes", "receivers")
 
-    def __post_init__(self):
+    def __init__(self, streams: int, hosts: int, io_nodes: int, receivers: int) -> None:
+        self._set_fields(streams, hosts, io_nodes, receivers)
         if not 1 <= self.hosts <= self.streams:
             raise ValueError(f"hosts must be in [1, streams], got {self}")
         if self.io_nodes < 1 or self.receivers < 1:

@@ -10,24 +10,24 @@ have three clauses::
 
 Expression nodes are literals, variable references, function calls, set
 expressions (``{a, b}``), and parenthesized nested select queries (the
-subquery argument of ``spv``).  Nodes are frozen, slotted dataclasses
-built by :func:`~repro.util.frozen.slot_init`.
+subquery argument of ``spv``).  Nodes are frozen, slotted records
+(:class:`~repro.util.record.Frozen`) that store their fields through the
+slot setters, since the parser builds one per token.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Optional, Set, Tuple, Union
 
-from repro.util.frozen import slot_init
+from repro.util.record import Frozen, setters
 from repro.util.source import Span
 
 
 # ----------------------------------------------------------------------
 # Expressions
 # ----------------------------------------------------------------------
-class Expr:
+class Expr(Frozen):
     """Base class of SCSQL expressions."""
 
     __slots__ = ()
@@ -37,30 +37,32 @@ class Expr:
         raise NotImplementedError
 
 
-@slot_init
-@dataclass(frozen=True, slots=True)
 class Literal(Expr):
     """A number or string constant."""
 
     value: Union[int, float, str]
+    __slots__ = ("value",)
+
+    def __init__(self, value: Union[int, float, str]) -> None:
+        _literal_value(self, value)
 
     def free_vars(self) -> Set[str]:
         return set()
 
 
-@slot_init
-@dataclass(frozen=True, slots=True)
 class Var(Expr):
     """A reference to a declared variable or function parameter."""
 
     name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _var_name(self, name)
 
     def free_vars(self) -> Set[str]:
         return {self.name}
 
 
-@slot_init
-@dataclass(frozen=True, slots=True)
 class FuncCall(Expr):
     """A function application, builtin or user-defined.
 
@@ -71,7 +73,14 @@ class FuncCall(Expr):
 
     name: str
     args: Tuple[Expr, ...]
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
+    span: Optional[Span]
+    __slots__ = ("name", "args", "span")
+    _uncompared = ("span",)
+
+    def __init__(self, name: str, args: Tuple[Expr, ...], span: Optional[Span] = None) -> None:
+        _func_call_name(self, name)
+        _func_call_args(self, args)
+        _func_call_span(self, span)
 
     def free_vars(self) -> Set[str]:
         names: Set[str] = set()
@@ -80,12 +89,14 @@ class FuncCall(Expr):
         return names
 
 
-@slot_init
-@dataclass(frozen=True, slots=True)
 class SetExpr(Expr):
     """A set/bag literal: ``{a, b}``."""
 
     items: Tuple[Expr, ...]
+    __slots__ = ("items",)
+
+    def __init__(self, items: Tuple[Expr, ...]) -> None:
+        _set_expr_items(self, items)
 
     def free_vars(self) -> Set[str]:
         names: Set[str] = set()
@@ -102,31 +113,37 @@ class CondKind(enum.Enum):
     IN = "in"
 
 
-@slot_init
-@dataclass(frozen=True, slots=True)
-class Decl:
+class Decl(Frozen):
     """One ``from``-clause declaration: ``[bag of] <type> <name>``."""
 
     name: str
     type_name: str
-    is_bag: bool = False
+    is_bag: bool
+    __slots__ = ("name", "type_name", "is_bag")
+
+    def __init__(self, name: str, type_name: str, is_bag: bool = False) -> None:
+        _decl_name(self, name)
+        _decl_type_name(self, type_name)
+        _decl_is_bag(self, is_bag)
 
 
-@slot_init
-@dataclass(frozen=True, slots=True)
-class Condition:
+class Condition(Frozen):
     """One ``where``-clause conjunct: ``var = expr`` or ``var in expr``."""
 
     kind: CondKind
     var: str
     expr: Expr
+    __slots__ = ("kind", "var", "expr")
+
+    def __init__(self, kind: CondKind, var: str, expr: Expr) -> None:
+        _condition_kind(self, kind)
+        _condition_var(self, var)
+        _condition_expr(self, expr)
 
     def free_vars(self) -> Set[str]:
         return self.expr.free_vars()
 
 
-@slot_init
-@dataclass(frozen=True, slots=True)
 class SelectQuery(Expr):
     """A (possibly nested) select query.
 
@@ -136,8 +153,15 @@ class SelectQuery(Expr):
     """
 
     select: Expr
-    decls: Tuple[Decl, ...] = ()
-    conditions: Tuple[Condition, ...] = ()
+    decls: Tuple[Decl, ...]
+    conditions: Tuple[Condition, ...]
+    __slots__ = ("select", "decls", "conditions")
+
+    def __init__(self, select: Expr, decls: Tuple[Decl, ...] = (),
+                 conditions: Tuple[Condition, ...] = ()) -> None:
+        _select_query_select(self, select)
+        _select_query_decls(self, decls)
+        _select_query_conditions(self, conditions)
 
     def declared_names(self) -> Set[str]:
         return {d.name for d in self.decls}
@@ -149,22 +173,39 @@ class SelectQuery(Expr):
         return inner - self.declared_names()
 
 
-@dataclass(frozen=True)
-class Param:
+# The parser builds one node per token: store through the slots.
+_literal_value, = setters(Literal)
+_var_name, = setters(Var)
+_func_call_name, _func_call_args, _func_call_span = setters(FuncCall)
+_set_expr_items, = setters(SetExpr)
+_decl_name, _decl_type_name, _decl_is_bag = setters(Decl)
+_condition_kind, _condition_var, _condition_expr = setters(Condition)
+_select_query_select, _select_query_decls, _select_query_conditions = setters(SelectQuery)
+
+
+class Param(Frozen):
     """One parameter of a user-defined query function."""
 
     name: str
     type_name: str
+    __slots__ = ("name", "type_name")
+
+    def __init__(self, name: str, type_name: str) -> None:
+        self._set_fields(name, type_name)
 
 
-@dataclass(frozen=True)
-class CreateFunction:
+class CreateFunction(Frozen):
     """``create function name(type arg, ...) -> type as select ...``."""
 
     name: str
     params: Tuple[Param, ...]
     return_type: str
     body: SelectQuery
+    __slots__ = ("name", "params", "return_type", "body")
+
+    def __init__(self, name: str, params: Tuple[Param, ...], return_type: str,
+                 body: SelectQuery) -> None:
+        self._set_fields(name, params, return_type, body)
 
 
 Statement = Union[SelectQuery, CreateFunction]

@@ -10,28 +10,35 @@ consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Tuple
 
-from repro.util.frozen import slot_init
+from repro.util.record import Frozen, setters
 
 
-@slot_init
-@dataclass(frozen=True, slots=True)
-class SPHandle:
+class SPHandle(Frozen):
     """A handle to one assigned stream process."""
 
     sp_id: str
+    __slots__ = ("sp_id",)
+
+    def __init__(self, sp_id: str) -> None:
+        _sp_handle_sp_id(self, sp_id)
 
     def __str__(self) -> str:
         return self.sp_id
 
 
-@dataclass(frozen=True)
-class SPVHandle:
+_sp_handle_sp_id, = setters(SPHandle)
+
+
+class SPVHandle(Frozen):
     """A bag of handles to parallel stream processes (the result of spv)."""
 
     handles: Tuple[SPHandle, ...]
+    __slots__ = ("handles",)
+
+    def __init__(self, handles: Tuple[SPHandle, ...]) -> None:
+        self._set_fields(handles)
 
     def __iter__(self) -> Iterator[SPHandle]:
         return iter(self.handles)

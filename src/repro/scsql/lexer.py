@@ -11,8 +11,6 @@ The lexical rules, Unicode classes included, are listed in docs/scsql.md;
 one compiled pattern implements them, one match per token.
 """
 
-from __future__ import annotations
-
 import enum
 import re
 from typing import List, NamedTuple

@@ -27,7 +27,6 @@ teardown; the place/deploy/run/teardown half lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.coordinator.graph import QueryGraph
@@ -36,10 +35,10 @@ from repro.scsql.ast import SelectQuery
 from repro.scsql.compiler import FunctionDef, QueryCompiler
 from repro.scsql.parser import parse
 from repro.util.errors import QuerySemanticError
+from repro.util.record import Frozen
 
 
-@dataclass(frozen=True)
-class DeploymentPlan:
+class DeploymentPlan(Frozen):
     """A compiled continuous query, ready to deploy anywhere.
 
     Attributes:
@@ -53,7 +52,12 @@ class DeploymentPlan:
 
     query: str
     graph: QueryGraph
-    settings: ExecutionSettings = field(default_factory=ExecutionSettings)
+    settings: ExecutionSettings
+    __slots__ = ("query", "graph", "settings")
+
+    def __init__(self, query: str, graph: QueryGraph,
+                 settings: Optional[ExecutionSettings] = None) -> None:
+        self._set_fields(query, graph, ExecutionSettings() if settings is None else settings)
 
     def instantiate(self) -> QueryGraph:
         """A fresh deployable copy of the plan's process graph."""

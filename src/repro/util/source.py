@@ -13,18 +13,22 @@ spans without depending on the SCSQL front end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.util.frozen import slot_init
+from repro.util.record import Frozen, setters
 
 
-@slot_init
-@dataclass(frozen=True, slots=True)
-class Span:
+class Span(Frozen):
     """A 1-based source position (line, column) in SCSQL query text."""
 
     line: int
     column: int
+    __slots__ = ("line", "column")
+
+    def __init__(self, line: int, column: int) -> None:
+        _span_line(self, line)
+        _span_column(self, column)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
+
+
+_span_line, _span_column = setters(Span)

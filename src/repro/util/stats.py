@@ -9,12 +9,12 @@ summarizes them with these helpers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
+from repro.util.record import Frozen
 
-@dataclass(frozen=True)
-class MeasurementStats:
+
+class MeasurementStats(Frozen):
     """Summary statistics of a repeated measurement.
 
     Attributes:
@@ -30,6 +30,11 @@ class MeasurementStats:
     std: float
     minimum: float
     maximum: float
+    __slots__ = ("samples", "mean", "std", "minimum", "maximum")
+
+    def __init__(self, samples: tuple, mean: float, std: float, minimum: float,
+                 maximum: float) -> None:
+        self._set_fields(samples, mean, std, minimum, maximum)
 
     def __str__(self) -> str:
         return f"{self.mean:.6g} ± {self.std:.2g} (n={len(self.samples)})"

@@ -15,10 +15,10 @@ stream process per segment, as the paper parallelizes by receiver).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.util.errors import QueryExecutionError
+from repro.util.record import Frozen
 
 #: A position report: (tick, vehicle id, segment, speed in mph).
 PositionReport = Tuple[int, int, int, float]
@@ -29,13 +29,16 @@ ACCIDENT_SPEED = 15.0
 CONGESTION_SPEED = 40.0
 
 
-@dataclass(frozen=True)
-class Accident:
+class Accident(Frozen):
     """A speed-depressing incident in one segment over a tick range."""
 
     segment: int
     start_tick: int
     end_tick: int
+    __slots__ = ("segment", "start_tick", "end_tick")
+
+    def __init__(self, segment: int, start_tick: int, end_tick: int) -> None:
+        self._set_fields(segment, start_tick, end_tick)
 
     def covers(self, segment: int, tick: int) -> bool:
         return segment == self.segment and self.start_tick <= tick < self.end_tick

@@ -131,14 +131,16 @@ class TestSlotsRuleCoverage:
         )
         assert lint_file(write_hot_file(tmp_path, source)) == []
 
-    def test_dataclass_slots_true_satisfies_the_rule(self, tmp_path):
+    def test_a_record_declaring_slots_satisfies_the_rule(self, tmp_path):
         source = textwrap.dedent(
             """
-            from dataclasses import dataclass
+            from repro.util.record import Frozen
 
-            @dataclass(frozen=True, slots=True)
-            class StateSnapshot:
-                cursor: int
+            class StateSnapshot(Frozen):
+                __slots__ = ("cursor",)
+
+                def __init__(self, cursor: int) -> None:
+                    self._set_fields(cursor)
             """
         )
         path = write_hot_file(tmp_path, source, package="hardware")

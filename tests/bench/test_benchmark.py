@@ -1,6 +1,5 @@
 """Power/throughput benchmark modes and their BENCH v2 gate integration."""
 
-import dataclasses
 import os
 import random
 import subprocess
@@ -192,8 +191,7 @@ class TestPhysicsDigest:
         digest = physics_digest([(records, [1])])
         streams = sorted({record.stream_id for record in records})
         renumbered = [
-            dataclasses.replace(
-                record,
+            record.replace(
                 buffer_id=record.buffer_id + 1000,
                 flow_id=record.flow_id + 1000 * streams.index(record.stream_id),
             )
@@ -203,7 +201,7 @@ class TestPhysicsDigest:
         assert len(streams) > 1
         assert physics_digest([(renumbered, [1])]) == digest
         assert physics_digest([(records, [2])]) != digest
-        late = dataclasses.replace(records[0], delivered=records[0].delivered + 1e-9)
+        late = records[0].replace(delivered=records[0].delivered + 1e-9)
         assert physics_digest([([late, *records[1:]], [1])]) != digest
 
     def test_a_shifted_delivery_moves_the_digest_and_no_metric(self, fig6, monkeypatch):

@@ -223,13 +223,11 @@ class TestCandidatesAgreeWithResolver:
 
     @staticmethod
     def _damaged_environment():
-        import dataclasses
-
         from repro.hardware.cndb import ComputeNodeDatabase
 
         env = Environment()
         # An I/O node listed in the CNDB: communication only, never a host.
-        io_node = dataclasses.replace(env.bluegene.io_nodes[0], index=100)
+        io_node = env.bluegene.io_nodes[0].replace(index=100)
         env.cndbs["bg"] = ComputeNodeDatabase(
             "bg", env.cndb("bg").all_nodes() + [io_node]
         )

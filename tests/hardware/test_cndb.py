@@ -1,7 +1,5 @@
 """Unit tests for the compute node database."""
 
-import dataclasses
-
 import pytest
 
 from repro.hardware.bluegene import BlueGene, BlueGeneConfig
@@ -83,7 +81,7 @@ class TestNodeIndex:
 
     def test_first_node_wins_a_duplicate_index(self):
         nodes = LinuxCluster(LinuxClusterConfig("be", 2)).nodes
-        twin = dataclasses.replace(nodes[0])
+        twin = nodes[0].replace()
         cndb = ComputeNodeDatabase("be", [nodes[0], twin, nodes[1]])
         assert cndb.node(0) is nodes[0]
 

@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.hardware.environment import BACKEND, BLUEGENE, FRONTEND
+from repro.hardware.bluegene import BlueGeneConfig
+from repro.hardware.environment import (
+    BACKEND,
+    BLUEGENE,
+    FRONTEND,
+    TEMPLATE_CACHE_SIZE,
+    EnvironmentConfig,
+    _template,
+    shared_template,
+)
 from repro.hardware.node import PPC440D, PPC970
 from repro.net.channels import LatencyChannel, MpiChannel
 from repro.net.ethernet import TcpStreamConnection
@@ -75,3 +84,28 @@ class TestChannelSelection:
     def test_mpi_buffer_is_configurable(self, env):
         channel = self._open(env, env.node("bg", 1), env.node("bg", 0))
         assert channel.preferred_buffer_bytes is None
+
+
+class TestTemplateCache:
+    @staticmethod
+    def _configs(count):
+        return [EnvironmentConfig(bluegene=BlueGeneConfig(pset_size=4), backend_nodes=1 + n)
+                for n in range(count)]
+
+    def test_keeps_the_most_recently_used_templates(self):
+        _template.cache_clear()
+        first, *rest = self._configs(TEMPLATE_CACHE_SIZE + 1)
+        kept = shared_template(first)
+        for config in rest[:-1]:
+            shared_template(config)
+        assert shared_template(first) is kept  # a hit: `first` is the newest now
+        shared_template(rest[-1])  # one past the bound evicts the oldest, rest[0]
+        assert _template.cache_info().currsize == TEMPLATE_CACHE_SIZE
+        assert shared_template(first) is kept
+        misses = _template.cache_info().misses
+        shared_template(rest[0])
+        assert _template.cache_info().misses == misses + 1
+
+    def test_a_seed_shares_its_topology_template(self):
+        config = EnvironmentConfig()
+        assert shared_template(config.with_seed(7)) is shared_template(config)

@@ -98,6 +98,7 @@ loaded = sorted(
     name for name in sys.modules
     if name in {NOT_RUN!r} or name.startswith("repro.workloads.")
 )
+generator = "dataclasses" in sys.modules
 
 from repro.obs.instrument import Instrumentation
 
@@ -105,6 +106,7 @@ Instrumentation()
 print(json.dumps({{
     "result": report.result,
     "loaded": loaded,
+    "dataclasses": generator,
     "hub": [name for name in ("repro.obs.flow", "repro.obs.metrics") if name in sys.modules],
 }}))
 '''
@@ -113,12 +115,15 @@ print(json.dumps({{
 def test_hooks_off_lifecycle_loads_only_what_it_runs():
     """compile -> fork -> place -> verify -> deploy -> run -> teardown loads
     no module it runs no code of (a teardown reads the sanitizer's scope
-    only once something has loaded it); the first hub loads its own."""
+    only once something has loaded it), nor ``dataclasses``, whose decorator
+    compiles the methods of every class it decorates; the first hub loads
+    its own."""
     result = subprocess.run([sys.executable, "-c", LIFECYCLE], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr[-2000:]
     assert json.loads(result.stdout.splitlines()[-1]) == {
         "result": [5],
         "loaded": [],
+        "dataclasses": False,
         "hub": ["repro.obs.flow", "repro.obs.metrics"],
     }
 
@@ -189,9 +194,10 @@ LAYERS = ("repro.engine", "repro.net", "repro.sim", "repro.coordinator", "repro.
 @pytest.mark.parametrize("command", _subcommands())
 def test_help_loads_no_simulation_layer(command):
     """Every subcommand's parser registers on each run; its handler imports
-    the layers it drives."""
+    the layers it drives.  No usage loads ``dataclasses`` either."""
     stdout, modules = _imported(["-m", "repro", command, "--help"])
     assert f"usage: python -m repro {command}" in stdout
+    assert "dataclasses" not in modules
     assert sorted(
         m for m in modules if any(m == layer or m.startswith(layer + ".") for layer in LAYERS)
     ) == []

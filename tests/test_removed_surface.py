@@ -283,7 +283,8 @@ class Passed:
     position, or through a ``*`` argument (every position) or a ``**``
     argument (every keyword).  A call matches a definition by name: a class name (or a subclass that
     inherits the constructor, or ``super().__init__`` in a subclass) calls
-    its ``__init__``.  ``exempt`` names the functions reached only through
+    its ``__init__``, and so does ``self.__class__(**fields)`` in
+    ``Record.replace`` for every record class.  ``exempt`` names the functions reached only through
     data, as ``(path prefix, name pattern, reason)``; ``example`` is source
     whose parameter ``expected`` no call passes."""
 
@@ -345,8 +346,9 @@ class Passed:
                 if any(rel.startswith(prefix) and fnmatch.fnmatch(function.name, pattern)
                        for prefix, pattern, _reason in self.exempt):
                     continue
-                names = callers(cls.name) if cls and function.name == "__init__" else {
-                    function.name}
+                names = callers(cls.name) | (
+                    {"__class__"} if _derives(cls.name, "Record", bases) else set()
+                ) if cls and function.name == "__init__" else {function.name}
                 args = function.args
                 positional = args.posonlyargs + args.args
                 skip = 1 if cls and not any(
@@ -373,6 +375,12 @@ class Passed:
     def seed(self, root: Path, scope: Tuple[str, ...]) -> List[str]:
         _seed_file(root, scope, self.example.splitlines())
         return [self.expected]
+
+
+def _derives(cls: str, ancestor: str, bases: Dict[str, Set[str]]) -> bool:
+    """``cls`` names ``ancestor`` among its bases, directly or through them."""
+    return any(base == ancestor or _derives(base, ancestor, bases)
+               for base in bases.get(cls, ()) if base != cls)
 
 
 def _functions(
@@ -691,20 +699,13 @@ def iterates_a_set(tree: ast.Module, path: str) -> Iterator[Tuple[int, str]]:
 
 
 def _declares_slots(cls: ast.ClassDef) -> bool:
-    """``__slots__`` in the body, or ``@dataclass(slots=True)``."""
+    """``__slots__`` in the body."""
     for statement in cls.body:
         targets = (statement.targets if isinstance(statement, ast.Assign)
                    else [statement.target] if isinstance(statement, ast.AnnAssign) else [])
         if any(isinstance(target, ast.Name) and target.id == "__slots__" for target in targets):
             return True
-    return any(
-        isinstance(decorator, ast.Call) and any(
-            keyword.arg == "slots" and isinstance(keyword.value, ast.Constant)
-            and keyword.value.value is True
-            for keyword in decorator.keywords
-        )
-        for decorator in cls.decorator_list
-    )
+    return False
 
 
 def unslotted_class(tree: ast.Module, path: str) -> Iterator[Tuple[int, str]]:
@@ -721,8 +722,8 @@ def unslotted_class(tree: ast.Module, path: str) -> Iterator[Tuple[int, str]]:
         ) if kernel else cls.name.endswith(("Snapshot", "Template"))
         if covered:
             noun = "kernel class" if kernel else "fork-lifecycle class"
-            yield cls.lineno, (f"{noun} {cls.name} has no __slots__ (or dataclass "
-                               "slots=True); instances are allocated on the hot path")
+            yield cls.lineno, (f"{noun} {cls.name} has no __slots__; instances are "
+                               "allocated on the hot path")
 
 
 def _reads_enabled(test: ast.AST) -> bool:
@@ -915,6 +916,8 @@ ANALYZE = "`analyze` verifies the caller's queries"
 ANALYZE_DOC = "docs/static-analysis.md#Static analysis: the plan verifier"
 SCOPED = "A run's inputs are scoped"
 SCOPED_DOC = "docs/static-analysis.md#Removed surface"
+LAUNCH = "A launch generates no code"
+LAUNCH_DOC = "docs/performance.md#A launch generates no code"
 
 ROWS: List[Row] = [
     Row(
@@ -1490,9 +1493,6 @@ ROWS: List[Row] = [
                  "the sanitizer hook; ROADMAP item 14 folds it into one run-options context"),
                 ("src/repro/analysis/sanitize.py", "_CHAOS_SEED",
                  "the chaos-seed hook; ROADMAP item 14 folds it into one run-options context"),
-                ("src/repro/hardware/environment.py", "_TEMPLATE_CACHE",
-                 "a memo of a pure function of its topology key; its bound waits for "
-                 "ROADMAP item 6(c), the first caller with unbounded keys"),
             ),
             example="class Registry:\n    _entries = {}\n\n    @classmethod\n"
                     "    def add(cls, name, value):\n        cls._entries[name] = value\n\n\n"
@@ -1524,6 +1524,20 @@ ROWS: List[Row] = [
         "never on the operator class",
         SCOPED_DOC,
     ),
+    Row(
+        Text(r"^\s*(?:from dataclasses import|import dataclasses\b|@dataclass\b)",
+             ("from dataclasses import dataclass", "import dataclasses",
+              "@dataclass(frozen=True)")),
+        PACKAGE,
+        LAUNCH,
+        "a record is a slotted class with its own __init__: importing repro compiles no "
+        "generated method",
+        LAUNCH_DOC,
+    ),
+    Row(words("slot_init"), ("src", "tests", "examples", "benchmarks"), LAUNCH,
+        "a frozen record stores its fields through its slots, in source", LAUNCH_DOC),
+    Row(Absent(), ("src/repro/util/frozen.py",), LAUNCH,
+        "repro.util.record is the one record base", LAUNCH_DOC),
     Row(
         Resolves(),
         DOCS,
