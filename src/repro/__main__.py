@@ -2,10 +2,10 @@
 
 Usage::
 
-    python -m repro fig6|fig8|fig15|ablations|scaling|all ...
+    python -m repro fig6|fig8|fig15|ablations|scaling|multiquery|all ...
     python -m repro bench|adaptive|top ...
     python -m repro query|explain 'select ...;'
-    python -m repro multiquery|analyze ...
+    python -m repro analyze ...
 
 This module only dispatches.  Every subcommand registers next to the code
 it drives — an ``add_*_parser(sub)`` that builds its parser and sets
@@ -25,7 +25,6 @@ from repro.bench.cli import add_bench_parser, add_top_parser
 from repro.core.experiments.cli import (
     add_adaptive_parser,
     add_figure_parsers,
-    add_multiquery_parser,
 )
 from repro.scsql.cli import add_explain_parser, add_query_parser
 
@@ -43,7 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_top_parser(sub)
     add_query_parser(sub)
     add_explain_parser(sub)
-    add_multiquery_parser(sub)
     add_analyze_parser(sub)
     return parser
 

@@ -279,8 +279,8 @@ def run_throughput_mode(
 
     Round r runs every stream's r-th deck query concurrently on one fresh
     environment (all rounds reuse the same seed, so placement is
-    reproducible), then each query solo on its own, and attaches the solo
-    bandwidth to the query's outcome.  ``rounds`` truncates the deck (the
+    reproducible), then each query solo on its own, and compares the
+    query's concurrent bandwidth with its solo one.  ``rounds`` truncates the deck (the
     ``--smoke`` path).  ``live`` watches each concurrent round with a
     fresh :class:`~repro.obs.live.LiveSampler` (solo baselines stay
     uninstrumented) and collects windowed series into ``report.series``.
@@ -315,13 +315,14 @@ def run_throughput_mode(
                 series[f"{tag}/round{round_no}"] = sampler.series_document()
             # Results and series are taken; the teardowns are for --sanitize.
             session.teardown()
+            solo_bandwidth: Dict[int, float] = {}
             for query, plan in zip(queries, plans):
                 solo_env, _ = _fresh_env(seed)
                 solo = Deployer(solo_env)
                 solo_report = solo.run(plan)
                 solo.teardown()
                 _check_result(query, solo_report.result, "throughput solo")
-                result[f"s{query.stream_id}"].solo_mbps = (
+                solo_bandwidth[query.stream_id] = (
                     query.payload_bytes * 8.0 / solo_report.duration / MEGA
                 )
         for query in queries:
@@ -329,13 +330,12 @@ def run_throughput_mode(
             _check_result(query, outcome.report.result, "throughput mode")
             payload_bits[query.stream_id] += query.payload_bytes * 8.0
             concurrent_s[query.stream_id] += outcome.report.duration
-            ratio = outcome.interference
-            assert ratio is not None  # every outcome has its solo baseline
+            ratio = outcome.mbps / solo_bandwidth[query.stream_id]
             ratios[query.stream_id].append(ratio)
             lines.append(
                 f"  round {round_no} s{query.stream_id} "
                 f"{query.kind:>12}: {outcome.mbps:8.2f} Mbps"
-                f"  solo {outcome.solo_mbps:8.2f} Mbps  ratio {ratio:.2f}"
+                f"  solo {solo_bandwidth[query.stream_id]:8.2f} Mbps  ratio {ratio:.2f}"
             )
     metrics: Dict[str, float] = {}
     for k in range(streams):

@@ -4,7 +4,8 @@ Two situations from the reproduced figures where the measurement-driven
 runtime (:mod:`repro.core.adaptive`) should beat a static placement:
 
 * **fig15** — the concurrent-CQ contention funnel of
-  :mod:`repro.core.experiments.contention`: two Query-3-shaped CQs pin
+  :mod:`repro.core.experiments.contention` (the ``multiquery`` row's
+  distinct-sender, shared-pset point of k = 2, n = 2): two CQs pin
   their receivers into one pset, so both result streams squeeze through
   that pset's single I/O-node path.  The right move — migrating one
   query's receivers into a free pset — recovers each query's bandwidth
@@ -29,15 +30,16 @@ import json
 from typing import List, Optional, Tuple
 
 from repro.core.adaptive import BUDGET, AdaptiveController
-from repro.core.experiments.contention import DEFAULT_SENDERS, contending_query
+from repro.core.experiments.contention import contention_specs
 from repro.core.experiments.fig8 import SEQUENTIAL, merge_query
+from repro.core.measurement import PointSpec
 from repro.core.multiquery import MultiQueryResult, MultiQuerySession
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import EnvironmentConfig, shared_template
 from repro.obs.instrument import live_instrumentation
 from repro.scsql.plan import compile_plan
 from repro.util.errors import QueryExecutionError
-from repro.util.record import Frozen, Record
+from repro.util.record import Record
 
 __all__ = [
     "ADAPTIVE_POINTS",
@@ -50,41 +52,18 @@ __all__ = [
 ADAPTIVE_POINTS: Tuple[str, ...] = ("fig15", "fig8")
 
 
-class _PointSpec(Frozen):
-    """One adaptive regression point: labelled plans plus their payloads."""
-
-    #: (label, SCSQL text) per concurrent query.
-    queries: Tuple[Tuple[str, str], ...]
-    #: Payload volume each query streams.
-    payload_bytes: int
-    #: Execution settings the point needs (fig8 lives at large MPI
-    #  buffers, where the busy-intermediate penalty binds); None for the
-    #  environment defaults.
-    settings: Optional[ExecutionSettings]
-    __slots__ = ("queries", "payload_bytes", "settings")
-
-    def __init__(self, queries: Tuple[Tuple[str, str], ...], payload_bytes: int,
-                 settings: Optional[ExecutionSettings] = None) -> None:
-        self._set_fields(queries, payload_bytes, settings)
-
-
-def _point_spec(point: str, smoke: bool) -> _PointSpec:
-    """Build the point's queries, scaled down under ``smoke``."""
+def _point_spec(point: str, smoke: bool) -> PointSpec:
+    """Build the point's session of labelled queries, scaled down under ``smoke``."""
     if point == "fig15":
-        n = 2
         array_bytes, count = (300_000, 3) if smoke else (3_000_000, 5)
-        return _PointSpec(
-            queries=tuple(
-                (label, contending_query(sender, n, array_bytes, count))
-                for label, sender in DEFAULT_SENDERS.items()
-            ),
-            payload_bytes=n * array_bytes * count,
-        )
+        (spec,) = contention_specs(((2, 2, "distinct", "shared"),), array_bytes, count)
+        return spec
     if point == "fig8":
         array_bytes, count = (400_000, 5) if smoke else (1_000_000, 30)
         x, y = SEQUENTIAL
-        return _PointSpec(
-            queries=(("q8", merge_query(array_bytes, count, x, y)),),
+        return PointSpec(
+            key=point,
+            query=(("q8", merge_query(array_bytes, count, x, y)),),
             payload_bytes=2 * array_bytes * count,
             # Figure 8's node-selection effect appears at large buffers:
             # below ~10 KB the receiving co-processor binds either way and
@@ -183,7 +162,7 @@ class AdaptiveComparison(Record):
 
 
 def _run_session(
-    spec: _PointSpec,
+    spec: PointSpec,
     config: EnvironmentConfig,
     budget: Optional[int],
 ) -> MultiQueryResult:
@@ -192,7 +171,7 @@ def _run_session(
     obs, sampler = live_instrumentation()
     env = shared_template(config).fork(seed=config.seed, obs=obs)
     session = MultiQuerySession(env, settings=spec.settings)
-    for label, text in spec.queries:
+    for label, text in spec.query:
         session.submit(compile_plan(text), payload_bytes=spec.payload_bytes, label=label)
     if budget is None:
         result = session.run()

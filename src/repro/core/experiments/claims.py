@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.core.experiments.ablations import improvement, optimal_buffer
+from repro.core.experiments.contention import query_mbps
 from repro.core.experiments.fig8 import balanced_advantage
 from repro.core.experiments.figures import FIGURES, Sweep
 
@@ -36,6 +37,7 @@ class Claim(NamedTuple):
 
 (FIG6,), (FIG8,), (FIG15,) = FIGURES["fig6"], FIGURES["fig8"], FIGURES["fig15"]
 (SELECTOR, BUFFERS), (SCALING,) = FIGURES["ablations"], FIGURES["scaling"]
+(MULTIQUERY,) = FIGURES["multiquery"]
 
 KNEE = 1000  # the paper's optimal buffer size, bytes
 BOTH = (False, True)
@@ -111,7 +113,12 @@ def _q5_at_the_uplink(scaling: SweepResult) -> bool:
     return _spread(q5) < 1.05 and all(850 <= mbps <= 960 for mbps in q5)
 
 
+def _solo(multiquery: SweepResult, n: int) -> float:
+    return _at(multiquery, 1, n, "same", "shared")
+
+
 FIG6_SECTION, FIG8_SECTION, FIG15_SECTION = "§3.1, Fig. 6", "§3.1, Fig. 8", "§3.2, Fig. 15"
+MODEL = "model relation, no paper number"
 OPEN_QUESTION = '"what happens for large amounts of back-end and I/O nodes"'
 
 #: Every claim of the paper's evaluation, in EXPERIMENTS.md's order.
@@ -217,4 +224,21 @@ CLAIMS: Tuple[Claim, ...] = (
     Claim("scaling.q5_pinned_by_its_nic", "§5", "yes",
           f"{OPEN_QUESTION}: at 10 Gbps Query 5 stays pinned by its one back-end NIC",
           (SCALING,), lambda r: _growth(r, 5, 10.0) < 1.1),
+    Claim("multiquery.superposition", MODEL, "yes",
+          "k concurrent queries of n streams from one sender into one pset reach the bandwidth "
+          "of one query of k·n streams, within 1 %",
+          (MULTIQUERY,),
+          lambda r: all(abs(p.mean_mbps / _solo(r, k.queries * k.n) - 1) <= 0.01
+                        for k, p in r.curve(senders="same", psets="shared") if k.queries > 1)),
+    Claim("multiquery.isolation", MODEL, "yes",
+          "queries receiving in disjoint psets each keep their solo bandwidth, within 1 %",
+          (MULTIQUERY,),
+          lambda r: all(abs(query_mbps(p, o.label) / _solo(r, k.n) - 1) <= 0.01
+                        for k, p in r.curve(psets="disjoint") for o in p.reports[0].outcomes)),
+    Claim("multiquery.distinct_hosts", MODEL, "yes",
+          "queries from distinct senders into one pset lose more than 10 % against one sender "
+          "(Fig. 15's Query 1 over Query 2, across queries)",
+          (MULTIQUERY,),
+          lambda r: all(p.mean_mbps < 0.9 * _at(r, k.queries, k.n, "same", "shared")
+                        for k, p in r.curve(senders="distinct", psets="shared"))),
 )

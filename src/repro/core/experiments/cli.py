@@ -1,9 +1,7 @@
 """The subcommands that run this package's experiments::
 
-    python -m repro fig6|fig8|fig15|ablations|scaling|all
+    python -m repro fig6|fig8|fig15|ablations|scaling|multiquery|all
                         [--repeats N] [--quick] [--jobs N] [OBS FLAGS]
-    python -m repro multiquery [--streams N] [--array-bytes B] [--count N]
-                               [--live-out PATH]
     python -m repro adaptive [--point fig15|fig8] [--smoke] [--events-out PATH]
 
 The paper measures every query family the same way (section 3), so the
@@ -21,7 +19,6 @@ import time
 from typing import TYPE_CHECKING, Any, Dict
 
 from repro.cli_flags import (
-    add_live_flags,
     add_observability_flags,
     add_sanitize_flags,
     observe_level,
@@ -30,12 +27,12 @@ from repro.cli_flags import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.experiments.figures import Sweep
 
-__all__ = ["add_adaptive_parser", "add_figure_parsers", "add_multiquery_parser"]
+__all__ = ["add_adaptive_parser", "add_figure_parsers"]
 
 #: The figure commands: the keys of :data:`~repro.core.experiments.FIGURES`,
 #: in its order (a test pins the two equal).  Registering a command must not
 #: build the figure table, which imports every experiment module.
-FIGURE_COMMANDS = ("fig6", "fig8", "fig15", "ablations", "scaling")
+FIGURE_COMMANDS = ("fig6", "fig8", "fig15", "ablations", "scaling", "multiquery")
 
 
 def sweep_kwargs(sweep: Sweep, args: argparse.Namespace) -> Dict[str, Any]:
@@ -80,7 +77,7 @@ def _all(args: argparse.Namespace) -> None:
 
 
 def add_figure_parsers(sub: Any) -> None:
-    """Register ``fig6`` ... ``scaling`` and ``all`` on a subparsers object."""
+    """Register ``fig6`` ... ``multiquery`` and ``all`` on a subparsers object."""
     for name in (*FIGURE_COMMANDS, "all"):
         p = sub.add_parser(name, help=f"run the {name} experiment(s)")
         p.add_argument("--repeats", type=int, default=3, help="runs per point")
@@ -99,53 +96,6 @@ def add_figure_parsers(sub: Any) -> None:
         else:
             add_observability_flags(p)
             p.set_defaults(func=lambda args: _run_figure(args.command, args))
-
-
-def _multiquery(args: argparse.Namespace) -> None:
-    from repro.core.experiments.contention import SHARED_PSET, run_contention_demo
-    from repro.obs.export import live_table, write_timeseries_jsonl
-
-    result = run_contention_demo(
-        n=args.streams,
-        array_bytes=args.array_bytes,
-        count=args.count,
-        seed=args.seed,
-        live=args.live_out is not None,
-    )
-    print(result.format_table())
-    worst = min(o.interference for o in result.outcomes)
-    print(
-        f"-> two concurrent CQs through pset {SHARED_PSET}'s I/O node: "
-        f"worst query keeps {worst:.0%} of its solo bandwidth"
-    )
-    if args.live_out:
-        print()
-        print(live_table(result.live))
-        lines = write_timeseries_jsonl(args.live_out, result.live, label="multiquery")
-        print(f"live: {lines} time-series records -> {args.live_out}")
-
-
-def add_multiquery_parser(sub: Any) -> None:
-    """Register the ``multiquery`` subcommand on a subparsers object."""
-    m = sub.add_parser(
-        "multiquery",
-        help="run two concurrent CQs contending for one I/O-node path",
-    )
-    m.add_argument(
-        "--streams", type=int, default=2, metavar="N",
-        help="parallel back-end streams per query (default 2)",
-    )
-    m.add_argument(
-        "--array-bytes", type=int, default=3_000_000, metavar="BYTES",
-        help="array size each stream sends (default 3 MB, as in the paper)",
-    )
-    m.add_argument(
-        "--count", type=int, default=5, metavar="N",
-        help="arrays per stream (default 5)",
-    )
-    m.add_argument("--seed", type=int, default=0, help="environment seed")
-    add_live_flags(m)
-    m.set_defaults(func=_multiquery)
 
 
 def _adaptive(args: argparse.Namespace) -> int:

@@ -1,45 +1,42 @@
-"""Concurrent-CQ contention demo: two queries sharing one I/O-node path.
+"""Concurrent queries: the ``multiquery`` figure.
 
-Figure 15's central observation is that inbound queries whose BlueGene
-receivers sit in a single pset are bottlenecked by that pset's one I/O
-node.  This demo makes the same point with *concurrent* continuous
-queries: two independent Query-3-shaped CQs (one back-end sender node
-each, receivers pinned to ``inPset(1)``) are deployed together on one
-environment, so both result streams funnel through pset 1's I/O-node
-tree links at the same time.
-
-Each query is first measured solo on a fresh environment (same seed),
-then both run concurrently via
-:class:`~repro.core.multiquery.MultiQuerySession`; the reported
-interference ratio (concurrent/solo bandwidth) quantifies how much of
-the shared path each CQ loses to the other.
+Figure 15 shows inbound queries whose BlueGene receivers sit in one pset
+bottlenecked by that pset's one I/O node.  This row puts k independent
+Query-3-shaped queries of n streams each (one back-end sender node per
+query) on one environment, each point one
+:class:`~repro.core.multiquery.MultiQuerySession` under the section 3
+protocol, beside the solo (k = 1) points.  A model in which concurrent
+streams share only per-node compute and per-link bandwidth makes k queries
+of n streams cost what one query of k·n streams costs (the
+``multiquery.*`` claims).
 """
 
 from __future__ import annotations
 
-from typing import Dict
+import statistics
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Tuple
 
-from repro.coordinator.deployer import Deployer
-from repro.core.multiquery import MultiQueryResult, MultiQuerySession
-from repro.hardware.environment import EnvironmentConfig, shared_template
-from repro.obs.instrument import live_instrumentation
-from repro.scsql.plan import DeploymentPlan, compile_plan
-from repro.util.units import MEGA
+from repro.core.experiments.fig15 import PAPER_ARRAY_BYTES
 
-#: Back-end sender node per query: distinct senders, so the only shared
-#: resource is the receiving pset's I/O-node path.
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.measurement import BandwidthResult, PointSpec, SweepResult
+
+#: Back-end sender node per query of a "distinct" point: query i sends
+#: from node 1 + i, so the only shared resource is the receiving path.
 DEFAULT_SENDERS: Dict[str, int] = {"qA": 1, "qB": 2}
 
-#: The contended pset (both queries pin their receivers into it).
+#: The contended pset (every query of a "shared" point receives in it).
 SHARED_PSET = 1
 
 
-def contending_query(sender_node: int, n: int, array_bytes: int, count: int) -> str:
+def contending_query(
+    sender_node: int, n: int, array_bytes: int, count: int, pset: int = SHARED_PSET
+) -> str:
     """A Figure-15 Query-3-shaped CQ with an explicit back-end sender node.
 
     ``n`` array streams leave back-end node ``sender_node``; each is
-    counted on its own compute node inside pset :data:`SHARED_PSET`, and
-    the counts are summed on one further BlueGene node.
+    counted on its own compute node inside ``pset``, and the counts are
+    summed on one further BlueGene node.
     """
     return f"""
 select extract(c) from
@@ -49,7 +46,7 @@ and b=spv(
   (select streamof(count(extract(p)))
    from sp p
    where p in a),
-  'bg', inPset({SHARED_PSET}))
+  'bg', inPset({pset}))
 and a=spv(
   (select gen_array({array_bytes},{count})
    from integer i where i in iota(1,n)),
@@ -58,50 +55,67 @@ and n={n};
 """
 
 
-def run_contention_demo(
-    n: int = 2,
-    array_bytes: int = 3_000_000,
-    count: int = 5,
-    seed: int = 0,
-    live: bool = False,
-) -> MultiQueryResult:
-    """Measure two CQs solo, then concurrently, on same-seed environments.
+class ContentionKey(NamedTuple):
+    """One point: k concurrent queries of n streams each."""
 
-    Each plan is compiled once and deployed three times — twice solo (one
-    fresh environment per query, so the baselines are undisturbed) and
-    once into the shared concurrent session — exercising exactly the
-    compile-once lifecycle the deployment plans exist for.
+    queries: int
+    n: int
+    senders: str  # "same": every query sends from node 1; "distinct": query i from 1 + i
+    psets: str  # "shared": every query receives in SHARED_PSET; "disjoint": in SHARED_PSET + i
 
-    Returns the concurrent :class:`~repro.core.multiquery.MultiQueryResult`
-    with each outcome's ``solo_mbps`` baseline attached, so
-    ``outcome.interference`` is the concurrent/solo bandwidth ratio.
-    ``live`` additionally watches the concurrent run with a
-    :class:`~repro.obs.live.LiveSampler`, attached finalized as
-    ``result.live``; the solo baselines stay uninstrumented.
-    """
-    config = EnvironmentConfig().with_seed(seed)
-    payload = n * array_bytes * count
-    plans: Dict[str, DeploymentPlan] = {
-        label: compile_plan(contending_query(sender, n, array_bytes, count))
-        for label, sender in DEFAULT_SENDERS.items()
-    }
-    solo: Dict[str, float] = {}
-    for label, plan in plans.items():
-        env = shared_template(config).fork(seed=config.seed)
-        deployer = Deployer(env)
-        report = deployer.run(plan)
-        deployer.teardown()
-        solo[label] = payload * 8.0 / report.duration / MEGA
-    obs, sampler = live_instrumentation() if live else (None, None)
-    shared_env = shared_template(config).fork(seed=config.seed, obs=obs)
-    session = MultiQuerySession(shared_env)
-    for label, plan in plans.items():
-        session.submit(plan, payload_bytes=payload, label=label)
-    result = session.run()
-    session.teardown()
-    if sampler is not None:
-        sampler.finalize(shared_env.sim.now)
-        result.live = sampler
-    for outcome in result.outcomes:
-        outcome.solo_mbps = solo[outcome.label]
-    return result
+
+#: (k, n, senders, psets): the solo points (k = 1), then k concurrent
+#: queries from one sender into one pset, from distinct senders into one
+#: pset, and into disjoint psets.  Every k·n of a session has its solo point.
+DEFAULT_POINTS: Tuple[Tuple[int, int, str, str], ...] = (
+    *((1, n, "same", "shared") for n in (1, 2, 4, 6, 8)),
+    *((k, n, "same", "shared") for k, n in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (4, 1),
+                                           (4, 2), (8, 1))),
+    *((k, n, "distinct", "shared") for k, n in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 2))),
+    *((2, n, "distinct", "disjoint") for n in (2, 4)),
+)
+DEFAULT_ARRAY_COUNT = 5
+
+
+def contention_specs(
+    points: Sequence[Tuple[int, int, str, str]] = DEFAULT_POINTS,
+    array_bytes: int = PAPER_ARRAY_BYTES,
+    array_count: int = DEFAULT_ARRAY_COUNT,
+) -> List[PointSpec]:
+    """One point per (k, n, senders, psets): a solo point is one query, a
+    concurrent one the session of queries ``qA``, ``qB``, ..."""
+    from repro.core.measurement import PointSpec
+
+    specs = []
+    for key in map(ContentionKey._make, points):
+        queries = tuple(
+            (f"q{chr(ord('A') + i)}", contending_query(
+                1 + i if key.senders == "distinct" else 1, key.n, array_bytes, array_count,
+                SHARED_PSET + i if key.psets == "disjoint" else SHARED_PSET,
+            ))
+            for i in range(key.queries)
+        )
+        specs.append(PointSpec(
+            key=key, query=queries if key.queries > 1 else queries[0][1],
+            payload_bytes=key.n * array_bytes * array_count,
+        ))
+    return specs
+
+
+def query_mbps(point: BandwidthResult, label: str) -> float:
+    """One query's mean Mbps over the repeats of a session point."""
+    return statistics.fmean(report[label].mbps for report in point.reports)
+
+
+def contention_table(result: SweepResult) -> str:
+    """Each point's aggregate Mbps and, for a session, every query's."""
+    lines = [result.sweep.title, f"{result.sweep.row_header}  {'n':>2}  {'senders':>8}  "
+                                 f"{'psets':>8}  {'Mbps':>7}  per query"]
+    for key, point in result.points.items():
+        labels = [o.label for o in point.reports[0].outcomes] if key.queries > 1 else []
+        lines.append((
+            f"{key.queries:>2}  {key.n:>2}  {key.senders:>8}  {key.psets:>8}  "
+            f"{point.mean_mbps:>7.1f}  "
+            + " + ".join(f"{query_mbps(point, label):.1f}" for label in labels)
+        ).rstrip())
+    return "\n".join(lines)

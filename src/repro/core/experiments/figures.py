@@ -11,6 +11,7 @@ from repro.core.experiments.ablations import (
     node_selection_table,
     optimal_buffer,
 )
+from repro.core.experiments.contention import DEFAULT_POINTS, contention_specs, contention_table
 from repro.core.experiments.fig6 import fig6_specs
 from repro.core.experiments.fig8 import balanced_advantage, fig8_specs
 from repro.core.experiments.fig15 import fig15_specs
@@ -114,5 +115,15 @@ FIGURES: Dict[str, Tuple[Sweep, ...]] = {
         columns=("uplink_gbps", "query_number"),
         column="Q{k.query_number}@{k.uplink_gbps:g}G",
         point="scaling Q{k.query_number} io={k.num_io_nodes} uplink={k.uplink_gbps:g}G",
+    ),),
+    "multiquery": (Sweep(
+        specs=contention_specs,
+        # at most four streams in all, at the full 3 MB x 5 arrays the claims' 1 % needs
+        quick={"points": tuple(p for p in DEFAULT_POINTS if p[0] * p[1] <= 4)},
+        title="Concurrent queries: k Query-3-shaped CQs of n streams on one environment (Mbps)",
+        row="queries", row_header=f"{'k':>2}",
+        columns=("n", "senders", "psets"), column="{k.n} {k.senders}/{k.psets}",
+        point="multiquery {k.queries}x{k.n} {k.senders}/{k.psets}",
+        table=contention_table,
     ),),
 }

@@ -8,7 +8,9 @@ low variance in the measurements."
 :func:`measure_points` reproduces that method: it runs each SCSQL query on a
 *fresh* simulated environment per repeat (with a distinct jitter seed),
 divides the known payload volume by the simulated execution time, and
-summarizes the repeats.  It is the only code that builds per-repeat
+summarizes the repeats.  A point may also be a session of labelled
+queries run concurrently on one environment; a repeat then measures the sum
+of their bandwidths.  It is the only code that builds per-repeat
 :class:`~repro.core.parallel.SweepTask` payloads;
 :func:`measure_query_bandwidth` is its one-point form.
 
@@ -32,11 +34,10 @@ from typing import (
 )
 
 from repro.coordinator.deployer import ExecutionReport
-from repro.core.parallel import SELECTORS, SweepExecutor, SweepTask, TaskOutcome
+from repro.core.parallel import SELECTORS, SweepExecutor, SweepTask, TaskOutcome, compile_queries
 from repro.engine.settings import ExecutionSettings
-from repro.hardware.environment import EnvironmentConfig
+from repro.hardware.environment import EnvironmentConfig, shared_template
 from repro.obs.instrument import OBSERVE_NONE, Instrumentation, check_level
-from repro.scsql.plan import DeploymentPlan, compile_plan
 from repro.util.record import Frozen, Record
 from repro.util.stats import MeasurementStats, summarize
 from repro.util.units import MEGA
@@ -44,6 +45,8 @@ from repro.util.units import MEGA
 if TYPE_CHECKING:
     from repro.analysis.diagnostics import AnalysisReport
     from repro.core.experiments.figures import Sweep
+    from repro.core.multiquery import MultiQueryResult
+    from repro.core.parallel import Plans, Queries
 
 #: The paper repeats every experiment five times.
 DEFAULT_REPEATS = 5
@@ -54,8 +57,9 @@ class BandwidthResult(Record):
 
     Attributes:
         mbps: Bandwidth statistics over the repeats, in megabits/second.
-        payload_bytes: The payload volume each run streamed.
-        reports: The raw execution report of every repeat.
+        payload_bytes: The payload volume each run (each session query) streamed.
+        reports: The raw execution report of every repeat; a session point's
+            :class:`~repro.core.multiquery.MultiQueryResult`, one outcome per label.
         observations: One :class:`~repro.obs.Instrumentation` per repeat,
             in seed order, when the measurement was observed (empty
             otherwise); repeat k's frozen metrics are
@@ -66,7 +70,7 @@ class BandwidthResult(Record):
     __slots__ = ("mbps", "payload_bytes", "reports", "observations")
 
     def __init__(self, mbps: MeasurementStats, payload_bytes: int,
-                 reports: Optional[List[ExecutionReport]] = None,
+                 reports: Optional[List[Union[ExecutionReport, MultiQueryResult]]] = None,
                  observations: Optional[List[Instrumentation]] = None) -> None:
         self.mbps = mbps
         self.payload_bytes = payload_bytes
@@ -99,8 +103,9 @@ class PointSpec(Frozen):
     Attributes:
         key: Hashable identity of the point (e.g. ``("fig6", 200, True)``);
             the result table of :func:`measure_points` is keyed by it.
-        query: The SCSQL select query to run.
-        payload_bytes: Payload volume the query streams.
+        query: The SCSQL select query to run, or a session: ``(label, text)``
+            per query, placed in that order and run concurrently on one environment.
+        payload_bytes: Payload volume each query streams.
         settings: Engine settings, or None for defaults.
         selector: Optional node-selector name (ablation path); see
             :data:`repro.core.parallel.SELECTORS`.
@@ -109,14 +114,14 @@ class PointSpec(Frozen):
     """
 
     key: Any
-    query: str
+    query: Queries
     payload_bytes: int
     settings: Optional[ExecutionSettings]
     selector: Optional[str]
     env_config: Optional[EnvironmentConfig]
     __slots__ = ("key", "query", "payload_bytes", "settings", "selector", "env_config")
 
-    def __init__(self, key: Any, query: str, payload_bytes: int,
+    def __init__(self, key: Any, query: Queries, payload_bytes: int,
                  settings: Optional[ExecutionSettings] = None, selector: Optional[str] = None,
                  env_config: Optional[EnvironmentConfig] = None) -> None:
         self._set_fields(key, query, payload_bytes, settings, selector, env_config)
@@ -130,11 +135,13 @@ def key_label(key: Any) -> str:
 
 
 def verify_point(
-    plan: DeploymentPlan, spec: PointSpec, config: EnvironmentConfig, label: str
+    plan: Plans, spec: PointSpec, config: EnvironmentConfig, label: str
 ) -> AnalysisReport:
     """Statically verify one sweep point as it will run: its plan (compiled
     with the point's settings) on the sweep's topology, placed by the
-    point's selector.
+    point's selector.  A session's queries verify in order, each against
+    the nodes the earlier ones hold, so a collision is the ``SCSQ201``
+    that ``MultiQuerySession.submit`` would raise.
 
     :func:`measure_points` raises on a failing report — one
     :class:`~repro.util.errors.PlanVerificationError` naming the malformed
@@ -142,10 +149,30 @@ def verify_point(
     Warnings (capacity bounds) pass; many legitimate sweep points are
     deliberately link-bound.
     """
+    from repro.analysis.diagnostics import AnalysisReport
     from repro.analysis.verifier import verify_plan
+    from repro.coordinator.allocation import NaiveSelector
+    from repro.coordinator.resolver import resolve_placement
 
     selector = SELECTORS[spec.selector]() if spec.selector else None
-    return verify_plan(plan, config=config, label=label, selector=selector)
+    if not isinstance(plan, tuple):
+        return verify_plan(plan, config=config, label=label, selector=selector)
+    env = shared_template(config).fork(seed=config.seed)
+    report = AnalysisReport(label=label)
+    for _query, each in plan:
+        report.extend(verify_plan(each, env=env, label=label))
+        if not report.ok():
+            break
+        resolve_placement(each.graph, env, NaiveSelector())  # holds its nodes
+    env.template.reset()
+    return report
+
+
+def _mbps(report: Union[ExecutionReport, MultiQueryResult], payload_bytes: int) -> float:
+    """One repeat's bandwidth; a session's is the sum of its queries'."""
+    if isinstance(report, ExecutionReport):
+        return payload_bytes * 8.0 / report.duration / MEGA
+    return sum(outcome.mbps for outcome in report.outcomes)
 
 
 def _result_from_outcomes(
@@ -153,9 +180,7 @@ def _result_from_outcomes(
 ) -> BandwidthResult:
     """Assemble one point's :class:`BandwidthResult` from its repeats."""
     return BandwidthResult(
-        mbps=summarize(
-            [payload_bytes * 8.0 / o.report.duration / MEGA for o in outcomes]
-        ),
+        mbps=summarize([_mbps(o.report, payload_bytes) for o in outcomes]),
         payload_bytes=payload_bytes,
         reports=[o.report for o in outcomes],
         observations=[o.observation() for o in outcomes if o.observed],
@@ -183,7 +208,8 @@ def measure_points(
     ``env_config`` (default: the paper's testbed).
 
     ``observe`` is one of :data:`~repro.obs.instrument.OBSERVE_LEVELS`; each
-    repeat's hub lands on its point's ``observations``.  ``"metrics"`` and
+    repeat's hub (a session's queries share it) lands on its point's
+    ``observations``.  ``"metrics"`` and
     ``"trace"`` run in-process whatever ``jobs`` says (see
     :meth:`~repro.core.parallel.SweepExecutor.run`).
 
@@ -202,7 +228,7 @@ def measure_points(
     configs = {spec.key: spec.env_config or default for spec in specs}
     # Compile each point once; its (picklable) plan is shared by all the
     # point's repeat tasks instead of being recompiled per repeat/worker.
-    plans = {spec.key: compile_plan(spec.query, settings=spec.settings) for spec in specs}
+    plans = {spec.key: compile_queries(spec.query, spec.settings) for spec in specs}
     for spec in specs:
         verify_point(
             plans[spec.key], spec, configs[spec.key], key_label(spec.key)

@@ -9,10 +9,10 @@ each under its own rp-prefix namespace so identical plans stay distinct —
 starts them together, drives the shared simulator once, and reports the
 bandwidth every query achieved while the others were running.
 
-Comparing those concurrent bandwidths against solo baselines (same plan,
-fresh environment, same seed) quantifies interference; see
-:func:`repro.core.experiments.contention.run_contention_demo` for the
-canonical two-CQ shared-I/O-node demonstration.
+A sweep point may be such a session
+(:class:`~repro.core.measurement.PointSpec` with labelled queries); the
+``multiquery`` figure (:mod:`repro.core.experiments.contention`) compares
+concurrent queries with solo points of the same protocol.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ class QueryOutcome(Record):
         report: Its full execution report (placements keep the unprefixed
             stream-process ids).
         payload_bytes: Payload volume the query streamed.
-        solo_mbps: Bandwidth of the same plan running alone (when the
-            caller measured one); ``interference`` derives from it.
         total_duration: Session-relative completion time (seconds from the
             session's start to this query's final delivery).  Set by the
             adaptive runtime, where it covers migration downtime and
@@ -48,15 +46,14 @@ class QueryOutcome(Record):
             empty on the classic path.
     """
 
-    __slots__ = ("label", "report", "payload_bytes", "solo_mbps", "total_duration", "migrations")
+    __slots__ = ("label", "report", "payload_bytes", "total_duration", "migrations")
 
     def __init__(self, label: str, report: ExecutionReport, payload_bytes: int,
-                 solo_mbps: Optional[float] = None, total_duration: Optional[float] = None,
+                 total_duration: Optional[float] = None,
                  migrations: Optional[List[object]] = None) -> None:
         self.label = label
         self.report = report
         self.payload_bytes = payload_bytes
-        self.solo_mbps = solo_mbps
         self.total_duration = total_duration
         self.migrations = [] if migrations is None else migrations
 
@@ -69,14 +66,6 @@ class QueryOutcome(Record):
             else self.report.duration
         )
         return self.payload_bytes * 8.0 / duration / MEGA
-
-    @property
-    def interference(self) -> Optional[float]:
-        """Concurrent/solo bandwidth ratio (1.0 = no slowdown), when a
-        solo baseline is attached; None otherwise."""
-        if self.solo_mbps is None:
-            return None
-        return self.mbps / self.solo_mbps
 
 
 class MultiQueryResult(Record):
@@ -99,24 +88,6 @@ class MultiQueryResult(Record):
             if outcome.label == label:
                 return outcome
         raise KeyError(f"no query labelled {label!r}")
-
-    def format_table(self) -> str:
-        """The concurrent run as text: bandwidth (and slowdown) per query."""
-        lines = [
-            "Concurrent continuous queries (one shared environment)",
-            f"{'query':>8}  {'Mbps':>10}  {'solo Mbps':>10}  {'ratio':>6}",
-        ]
-        for outcome in self.outcomes:
-            solo = f"{outcome.solo_mbps:.1f}" if outcome.solo_mbps is not None else "-"
-            ratio = (
-                f"{outcome.interference:.2f}"
-                if outcome.interference is not None
-                else "-"
-            )
-            lines.append(
-                f"{outcome.label:>8}  {outcome.mbps:>10.1f}  {solo:>10}  {ratio:>6}"
-            )
-        return "\n".join(lines)
 
 
 class _Entry(Record):

@@ -28,7 +28,7 @@ Design constraints:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.coordinator.allocation import (
     KnowledgeBasedSelector,
@@ -36,6 +36,7 @@ from repro.coordinator.allocation import (
     NodeSelector,
 )
 from repro.coordinator.deployer import Deployer, ExecutionReport, SelectorPlacement
+from repro.core.multiquery import MultiQueryResult, MultiQuerySession
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import EnvironmentConfig, shared_template
 from repro.obs.flow import FlowRecord, FlowRecorder
@@ -57,6 +58,17 @@ SELECTORS: Dict[str, Type[NodeSelector]] = {
     "knowledge": KnowledgeBasedSelector,
 }
 
+#: A point's query: one SCSQL text or a session's ``(label, text)`` pairs; then compiled.
+Queries = Union[str, Tuple[Tuple[str, str], ...]]
+Plans = Union[DeploymentPlan, Tuple[Tuple[str, DeploymentPlan], ...]]
+
+
+def compile_queries(query: Queries, settings: Optional[ExecutionSettings]) -> Plans:
+    """Compile a point's query, or each query of a session point."""
+    if isinstance(query, str):
+        return compile_plan(query, settings=settings)
+    return tuple((label, compile_plan(text, settings=settings)) for label, text in query)
+
 
 class SweepTask(Frozen):
     """One (sweep-point, repeat) simulation, as a spawn-safe payload.
@@ -65,36 +77,36 @@ class SweepTask(Frozen):
         point_key: Hashable identity of the sweep point; outcomes of the
             same point are grouped under this key by the drivers.
         seed: Jitter seed of this repeat (overrides ``env_config.seed``).
-        query: The SCSQL query text to execute.
-        payload_bytes: Payload volume the query streams (for bandwidth).
+        query: The SCSQL query text to execute, or ``(label, text)`` per
+            query of a session run on one environment.
+        payload_bytes: Payload volume each query streams (for bandwidth).
         settings: Engine settings, or None for defaults.
         env_config: Environment shape/cost model (seed field ignored).
         observe: One of :data:`~repro.obs.instrument.OBSERVE_LEVELS`.
         selector: Optional :data:`SELECTORS` name; when set the query is
             placed by that node-selection algorithm instead of the default
             naive policy (the ablation path).
-        plan: Optional pre-compiled :class:`~repro.scsql.plan.DeploymentPlan`
-            for ``query``.  A sweep compiles each point once and shares the
-            (picklable) plan across all its repeat tasks; without one the
-            worker compiles from ``query`` itself.
+        plan: Optional pre-compiled ``query`` (:func:`compile_queries`).  A
+            sweep compiles each point once and shares the (picklable) plan
+            across all its repeat tasks; without one the worker compiles.
     """
 
     point_key: Any
     seed: int
-    query: str
+    query: Queries
     payload_bytes: int
     settings: Optional[ExecutionSettings]
     env_config: EnvironmentConfig
     observe: str
     selector: Optional[str]
-    plan: Optional[DeploymentPlan]
+    plan: Optional[Plans]
     __slots__ = ("point_key", "seed", "query", "payload_bytes", "settings", "env_config", "observe",
                  "selector", "plan")
 
-    def __init__(self, point_key: Any, seed: int, query: str, payload_bytes: int,
+    def __init__(self, point_key: Any, seed: int, query: Queries, payload_bytes: int,
                  settings: Optional[ExecutionSettings] = None,
                  env_config: EnvironmentConfig = EnvironmentConfig(), observe: str = OBSERVE_NONE,
-                 selector: Optional[str] = None, plan: Optional[DeploymentPlan] = None) -> None:
+                 selector: Optional[str] = None, plan: Optional[Plans] = None) -> None:
         self._set_fields(point_key, seed, query, payload_bytes, settings, env_config, observe,
                          selector, plan)
 
@@ -109,7 +121,7 @@ class TaskOutcome(Record):
     __slots__ = ("point_key", "seed", "report", "flow_records", "observed", "_hub")
     _uncompared = ("_hub",)
 
-    def __init__(self, point_key: Any, seed: int, report: ExecutionReport,
+    def __init__(self, point_key: Any, seed: int, report: Union[ExecutionReport, MultiQueryResult],
                  flow_records: Optional[List[FlowRecord]] = None, observed: bool = False,
                  _hub: Optional[Instrumentation] = None) -> None:
         self.point_key = point_key
@@ -143,7 +155,9 @@ def run_sweep_task(task: SweepTask) -> TaskOutcome:
 
     This is the single execution path for every measurement:
     :class:`SweepExecutor` calls it inline for ``jobs=1`` and ships it to
-    pool workers otherwise.
+    pool workers otherwise.  A session task runs its queries concurrently
+    on the one environment and reports their
+    :class:`~repro.core.multiquery.MultiQueryResult`.
 
     Raises:
         MeasurementError: If the query finishes in non-positive simulated
@@ -152,19 +166,27 @@ def run_sweep_task(task: SweepTask) -> TaskOutcome:
     config = task.env_config.with_seed(task.seed)
     obs = instrumentation_for(task.observe)
     env = shared_template(config).fork(seed=config.seed, obs=obs)
-    plan = task.plan or compile_plan(task.query, settings=task.settings)
-    strategy = (
-        SelectorPlacement(SELECTORS[task.selector]())
-        if task.selector is not None
-        else None
-    )
-    deployer = Deployer(env)
-    report = deployer.run(plan, strategy=strategy, settings=task.settings)
-    assert report is not None  # select queries always report
-    if report.duration <= 0.0:
+    plan = task.plan or compile_queries(task.query, task.settings)
+    if isinstance(plan, tuple):
+        session = MultiQuerySession(env, settings=task.settings)
+        for label, each in plan:
+            session.submit(each, task.payload_bytes, label=label)
+        report = session.run()
+        deployer = session.deployer
+        duration = min(outcome.report.duration for outcome in report.outcomes)
+    else:
+        strategy = (
+            SelectorPlacement(SELECTORS[task.selector]())
+            if task.selector is not None
+            else None
+        )
+        deployer = Deployer(env)
+        report = deployer.run(plan, strategy=strategy, settings=task.settings)
+        duration = report.duration
+    if duration <= 0.0:
         raise MeasurementError(
             f"task {task.point_key!r} (seed {task.seed}) finished in "
-            f"non-positive simulated time ({report.duration!r}); "
+            f"non-positive simulated time ({duration!r}); "
             f"bandwidth is undefined"
         )
     outcome = TaskOutcome(

@@ -271,12 +271,16 @@ class TestSingleQueryPathsAreAudited:
         assert audited == 4  # two session deployments + two solo baselines
 
     def test_contention_demo_audits_the_session_and_the_solo_baselines(self):
-        from repro.core.experiments.contention import run_contention_demo
+        from repro.core.experiments import FIGURES
+        from repro.core.measurement import run_sweep
 
+        (multiquery,) = FIGURES["multiquery"]
+        specs = multiquery.specs(**multiquery.quick)
         audited = self._audited(
-            lambda: run_contention_demo(n=1, array_bytes=200_000, count=2)
+            lambda: run_sweep(multiquery, **multiquery.quick, repeats=1)
         )
-        assert audited == 4  # two session deployments + two solo baselines
+        # one teardown per deployed query: each session's and each solo point's
+        assert audited == sum(spec.key.queries for spec in specs) == 17
 
     def test_top(self, capsys):
         assert self._audited(

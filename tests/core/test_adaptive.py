@@ -31,8 +31,11 @@ from repro.core.adaptive import (
     MIN_FACTOR,
     AdaptiveController,
 )
+from repro.core.experiments import FIGURES
 from repro.core.experiments.adaptive import (
     ADAPTIVE_POINTS,
+    _point_spec,
+    _run_session,
     run_adaptive_point,
     write_health_events,
 )
@@ -203,6 +206,21 @@ class TestFig15Contention:
         assert "speedup" in table and "migration" in table
         for label in DEFAULT_SENDERS:
             assert label in table
+
+
+class TestTwoDriversOneSpec:
+    def test_the_fig15_point_is_the_multiquery_rows_and_reads_the_same(self, quick):
+        """The adaptive fig15 point is the row's distinct-sender, shared-pset
+        point of k = 2, n = 2; its live-watched static run reads the row's
+        Mbps float for float: the live hooks move no simulated time."""
+        (multiquery,) = FIGURES["multiquery"]
+        key = (2, 2, "distinct", "shared")
+        (row_spec,) = [spec for spec in multiquery.specs() if spec.key == key]
+        assert _point_spec("fig15", smoke=False) == row_spec
+        static = _run_session(row_spec, EnvironmentConfig().with_seed(0), None)
+        (session,) = quick(multiquery).at(*key).reports
+        assert [o.mbps for o in static.outcomes] == [o.mbps for o in session.outcomes]
+        assert [round(o.mbps, 1) for o in static.outcomes] == [46.7, 46.7]
 
 
 class TestFig8BusyIntermediate:

@@ -40,8 +40,8 @@ class TestDispatcher:
 
     def test_help_order(self):
         assert list(_subparsers()) == [
-            "fig6", "fig8", "fig15", "ablations", "scaling", "all", "bench",
-            "adaptive", "top", "query", "explain", "multiquery", "analyze",
+            "fig6", "fig8", "fig15", "ablations", "scaling", "multiquery", "all",
+            "bench", "adaptive", "top", "query", "explain", "analyze",
         ]
 
     @pytest.mark.parametrize("command", list(_subparsers()))

@@ -93,16 +93,34 @@ def test_key_label_leaves_a_string_key_alone():
     assert key_label("fig6[B=200,double]") == "fig6[B=200,double]"
 
 
-def test_scaling_fans_out_across_environments_bit_identically(quick):
-    (scaling,) = FIGURES["scaling"]
-    specs = scaling.specs(**scaling.quick)
-    assert len({spec.env_config for spec in specs}) == 4  # 2 partitions x 2 uplinks
-    serial = quick(scaling)
-    parallel = run_sweep(scaling, **scaling.quick, repeats=1, jobs=2)
+@pytest.mark.parametrize("figure", ["scaling", "multiquery"])
+def test_row_fans_out_bit_identically(figure, quick):
+    """Across environments (scaling: 2 partitions x 2 uplinks) and across
+    the sessions of concurrent queries, which cross to the workers whole."""
+    (sweep,) = FIGURES[figure]
+    if figure == "scaling":
+        assert len({spec.env_config for spec in sweep.specs(**sweep.quick)}) == 4
+    serial = quick(sweep)
+    parallel = run_sweep(sweep, **sweep.quick, repeats=1, jobs=2)
     assert list(parallel.points) == list(serial.points)
     for key, point in serial.points.items():
         assert parallel.at(*key).mbps.samples == point.mbps.samples
+        (theirs,), (ours,) = parallel.at(*key).reports, point.reports
+        assert [o.mbps for o in getattr(theirs, "outcomes", ())] == [
+            o.mbps for o in getattr(ours, "outcomes", ())
+        ]
     assert parallel.format_table() == serial.format_table()
+
+
+def test_an_observed_session_point_has_one_hub_per_repeat_with_every_label():
+    (multiquery,) = FIGURES["multiquery"]
+    result = run_sweep(multiquery, points=((2, 1, "distinct", "shared"),), array_bytes=300_000,
+                       array_count=2, repeats=2, observe="flows")
+    (point,) = result.points.values()
+    assert len(point.observations) == 2 and point.observations[0] is not point.observations[1]
+    for hub, session in zip(point.observations, point.reports):
+        labels = {record.stream_id.split("/", 1)[0] for record in hub.flows.completed}
+        assert labels == {"qA", "qB"} == {outcome.label for outcome in session.outcomes}
 
 
 def test_gate_points_are_recorded_in_the_baseline():
@@ -116,10 +134,11 @@ def test_analyze_sweeps_walks_the_table():
     """Every row's specs verify, each labelled by its row's point format."""
     reports = walk_figures()
     labels = [report.label for report in reports]
-    assert len(labels) == 146
+    assert len(labels) == 166
     # a scaling point is labelled by its query, io-node count and uplink
     assert "scaling Q5 io=4 uplink=1G" in labels
     assert "fig6 B=200 double" in labels and "fig8 B=1000 seq/double" in labels
+    assert "multiquery 2x2 distinct/shared" in labels  # a session point, verified as one
     assert [r.format_text() for r in reports if not r.ok()] == []
 
 

@@ -9,7 +9,7 @@ from repro.analysis.verifier import verify_plan
 from repro.bench.baseline import figure_of_metric, load_bench
 from repro.bench.benchmark import bench_points
 from repro.bench.query_stream import DEFAULT_SCALE, SMOKE_SCALE, build_query, query_order
-from repro.core.experiments import FIGURES, ablations, fig6, fig8, fig15, scaling
+from repro.core.experiments import FIGURES, ablations, contention, fig6, fig8, fig15, scaling
 from repro.core.measurement import (
     PointSpec,
     measure_points,
@@ -17,6 +17,7 @@ from repro.core.measurement import (
     run_sweep,
     verify_point,
 )
+from repro.core.parallel import compile_queries
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import EnvironmentConfig
 from repro.obs import Instrumentation, MetricsRegistry
@@ -25,7 +26,7 @@ from repro.scsql.plan import compile_plan
 from repro.util.errors import PlanVerificationError
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-(FIG6,), (FIG8,), (FIG15,), (SELECTOR, BUFFERS), (SCALING,) = FIGURES.values()
+(FIG6,), (FIG8,), (FIG15,), (SELECTOR, BUFFERS), (SCALING,), (MULTIQUERY,) = FIGURES.values()
 
 QUERY = (
     "select extract(b) from sp a, sp b "
@@ -134,7 +135,7 @@ class TestSweepValidation:
         # ran the second spec's plan (result [8] for both).
         compiled = []
         monkeypatch.setattr(
-            "repro.core.measurement.compile_plan",
+            "repro.core.parallel.compile_plan",
             lambda *args, **kwargs: compiled.append(args),
         )
         with pytest.raises(ValueError, match="duplicate sweep point key.*'p'"):
@@ -149,12 +150,20 @@ class TestSweepValidation:
     def test_unknown_observe_level_is_rejected_before_compile(self, monkeypatch):
         compiled = []
         monkeypatch.setattr(
-            "repro.core.measurement.compile_plan",
+            "repro.core.parallel.compile_plan",
             lambda *args, **kwargs: compiled.append(args),
         )
         with pytest.raises(ValueError, match="unknown observe level 'everything'"):
             measure_points([self._spec("p", 2)], repeats=1, jobs=2, observe="everything")
         assert compiled == []
+
+    def test_colliding_session_queries_fail_naming_the_point(self):
+        """Two queries of one session pin the same BlueGene nodes: the
+        second one's SCSQ201, as `MultiQuerySession.submit` would raise."""
+        spec = PointSpec(key="pair", query=(("qA", QUERY), ("qB", QUERY)), payload_bytes=PAYLOAD)
+        with pytest.raises(PlanVerificationError, match="failed for 'pair'") as raised:
+            measure_points([spec], repeats=1)
+        assert {d.code for d in raised.value.diagnostics} == {"SCSQ201"}
 
     @pytest.mark.parametrize("level", OBSERVE_LEVELS)
     def test_each_level_builds_its_hub(self, level):
@@ -174,7 +183,7 @@ def walk_figures():
     default = EnvironmentConfig()
     return [
         verify_point(
-            compile_plan(spec.query, settings=spec.settings), spec,
+            compile_queries(spec.query, spec.settings), spec,
             spec.env_config or default, sweep.point.format(k=spec.key),
         )
         for sweeps in FIGURES.values() for sweep in sweeps
@@ -216,6 +225,10 @@ class TestSweepBuilders:
         pytest.param(BUFFERS, ablations.buffer_choice_specs,
                      {"buffer_sizes": (800, 9000)},
                      id="ablations-run_sweep-buffers"),
+        pytest.param(MULTIQUERY, contention.contention_specs,
+                     {"points": ((2, 1, "same", "shared"),), "array_bytes": 50_000,
+                      "array_count": 2},
+                     id="multiquery-run_sweep"),
     ])
     def test_run_measures_exactly_the_builders_specs(
         self, monkeypatch, sweep, builder, kwargs
@@ -259,7 +272,7 @@ class TestSweepBuilders:
             spec for sweeps in FIGURES.values() for sweep in sweeps
             for spec in sweep.specs()
         ]
-        assert len(reports) == len(specs) == 146
+        assert len(reports) == len(specs) == 166
         labels = [report.label for report in reports]
         assert len(set(labels)) == len(labels)
         # a non-default partition and the knowledge-based selector

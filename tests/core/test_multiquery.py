@@ -3,7 +3,7 @@
 What must hold: every submitted query gets its own rp-prefix namespace
 (identical plans stay distinct), one simulator run drives them all, each
 reports its own bandwidth, and concurrency through a shared I/O-node
-path costs real bandwidth versus the solo baselines.
+path costs real bandwidth versus the solo points of the ``multiquery`` row.
 """
 
 import random
@@ -13,12 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import sanitize
-from repro.core.experiments.contention import (
-    DEFAULT_SENDERS,
-    SHARED_PSET,
-    contending_query,
-    run_contention_demo,
-)
+from repro.core.experiments import FIGURES
+from repro.core.experiments.contention import SHARED_PSET, contending_query
 from repro.core.multiquery import MultiQuerySession
 from repro.hardware.environment import Environment, EnvironmentConfig
 from repro.scsql.plan import compile_plan
@@ -253,29 +249,31 @@ class TestReplace:
 
 
 class TestContentionDemo:
-    def test_shared_io_path_costs_bandwidth(self):
-        result = run_contention_demo(n=N, array_bytes=ARRAY_BYTES, count=COUNT)
-        assert {o.label for o in result.outcomes} == set(DEFAULT_SENDERS)
-        for outcome in result.outcomes:
-            assert outcome.solo_mbps is not None and outcome.solo_mbps > 0.0
-            # Contending for one pset's I/O node must cost real bandwidth.
-            assert outcome.interference is not None
-            assert outcome.interference < 1.0
-            # Receivers really sit inside the contended pset.
-            env = Environment(EnvironmentConfig())
-            pset_nodes = {
-                f"bg:{index}"
-                for index in env.cndb("bg").nodes_in_pset(SHARED_PSET)
-            }
-            receivers = {
-                node
-                for rp_id, node in outcome.report.rp_placements.items()
-                if rp_id.startswith("b[")
-            }
-            assert receivers <= pset_nodes
-        # The table renders both baselines and ratios.
-        table = result.format_table()
-        assert "ratio" in table and "qA" in table and "qB" in table
+    """The ``multiquery`` row: each concurrent point is one session."""
+
+    def test_shared_io_path_costs_bandwidth(self, quick):
+        (multiquery,) = FIGURES["multiquery"]
+        result = quick(multiquery)
+        cndb = Environment(EnvironmentConfig()).cndb("bg")
+        for key, point in result.points.items():
+            if key.queries == 1:
+                continue
+            (session,) = point.reports
+            assert [o.label for o in session.outcomes] == ["qA", "qB", "qC", "qD"][:key.queries]
+            for index, outcome in enumerate(session.outcomes):
+                # Receivers really sit inside the contended pset (or their own).
+                pset = SHARED_PSET + index if key.psets == "disjoint" else SHARED_PSET
+                pset_nodes = {f"bg:{node}" for node in cndb.nodes_in_pset(pset)}
+                receivers = {
+                    node
+                    for rp_id, node in outcome.report.rp_placements.items()
+                    if rp_id.startswith("b[")
+                }
+                assert receivers and receivers <= pset_nodes
+                # Contending for one pset's I/O node must cost real bandwidth.
+                solo = result.at(1, key.n, "same", "shared").mean_mbps
+                if key.psets == "shared":
+                    assert outcome.mbps < solo
 
 
 class TestObservedSessionScales:

@@ -119,24 +119,3 @@ class TestBenchLiveFlags:
         labels = [record["label"] for record in read_jsonl(live)]
         assert labels == sorted(document["series"])
         assert "windowed series" in capsys.readouterr().out
-
-
-class TestMultiqueryLiveFlags:
-    def test_live_table_and_jsonl(self, tmp_path, capsys):
-        live = tmp_path / "mq.jsonl"
-        assert main([
-            "multiquery", "--streams", "1", "--count", "2",
-            "--array-bytes", "500000", "--live-out", str(live),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "cumulative:" in out  # the live table rendered
-        records = read_jsonl(live)
-        assert records[0]["kind"] == "meta"
-        assert records[0]["label"] == "multiquery"
-
-    def test_without_live_flags_nothing_changes(self, capsys):
-        assert main([
-            "multiquery", "--streams", "1", "--count", "2",
-            "--array-bytes", "500000",
-        ]) == 0
-        assert "cumulative:" not in capsys.readouterr().out

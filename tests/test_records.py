@@ -31,7 +31,7 @@ from repro.coordinator.allocation import (
 from repro.coordinator.deployer import ExecutionReport, MigrationRecord, PlacedPlan
 from repro.coordinator.graph import QueryGraph, SPDef
 from repro.coordinator.resolver import Assignment
-from repro.core.experiments.adaptive import AdaptiveComparison, _PointSpec
+from repro.core.experiments.adaptive import AdaptiveComparison
 from repro.core.experiments.scale import ScaleResult
 from repro.core.measurement import BandwidthResult, PointSpec, SweepResult
 from repro.core.multiquery import MultiQueryResult, QueryOutcome, _Entry
@@ -105,7 +105,6 @@ CASES = {
     SPDef: lambda: SPDef("a", "bg", OpSpec("count"), None, SPAN),
     QueryGraph: lambda: QueryGraph({"a": SPDef("a", "bg")}),
     Assignment: lambda: Assignment({}, {"bg": 2}),
-    _PointSpec: lambda: _PointSpec(4, 1000),
     AdaptiveComparison: lambda: AdaptiveComparison("fig15", None, None),
     ScaleResult: lambda: ScaleResult((4, 4, 2), 8, 100, 12.5, 30, 4096),
     BandwidthResult: lambda: BandwidthResult(MeasurementStats((1.0,), 1.0, 0.0, 1.0, 1.0), 100),
@@ -170,7 +169,7 @@ CASES = {
 #: Formerly ``@dataclass(frozen=True)``: hashable, assignment raises.
 FROZEN = {
     Diagnostic, FaultEvent, FaultSchedule, FaultTask, StreamScale, ExplicitNodesSpec, UrrSpec,
-    InPsetSpec, PsetRoundRobinSpec, _PointSpec, ScaleResult, PointSpec, SweepTask, OperatorStats,
+    InPsetSpec, PsetRoundRobinSpec, ScaleResult, PointSpec, SweepTask, OperatorStats,
     StreamStats, RPStatistics, SyntheticArray, TaggedObject, ExecutionSettings, OpSpec,
     BlueGeneConfig, EnvironmentConfig, TopologySnapshot, LinuxClusterConfig, CpuSpec,
     NodeCapabilities, Fragment, WireBuffer, TorusParams, CpuCostParams, EthernetParams, TcpParams,
@@ -345,7 +344,7 @@ REPRS = {
     "QueryOutcome": (
         "QueryOutcome(label='q', report=ExecutionReport(result=[3], duration=0.5, "
         "rp_placements={'a': 'bg:1'}, bytes_sent={'a': 100}, stopped=False, rp_statistics={}), "
-        'payload_bytes=100, solo_mbps=None, total_duration=None, migrations=[])'
+        'payload_bytes=100, total_duration=None, migrations=[])'
     ),
     "RPStatistics": (
         "RPStatistics(rp_id='a', node_id='bg:1', operators=(OperatorStats(name='count', "
@@ -432,7 +431,6 @@ REPRS = {
         'eos=False)'
     ),
     "_Entry": '_Entry(deployment=None, payload_bytes=100, plan=None, replacements=0)',
-    "_PointSpec": '_PointSpec(queries=4, payload_bytes=1000, settings=None)',
 }
 
 CLASSES = sorted(CASES, key=lambda cls: cls.__qualname__)

@@ -1096,6 +1096,22 @@ ROWS: List[Row] = [
         "docs/adaptive.md#The control loop",
     ),
     Row(
+        words("run_contention_demo", "add_multiquery_parser", "solo_mbps", "_PointSpec"),
+        ("src", "tests", "examples", "docs"),
+        "A point may be a session",
+        "concurrent queries are session points of a FIGURES row, measured by measure_points; "
+        "there is no second runner, solo-baseline field or private spec type",
+        "docs/architecture.md#Adding a measured figure",
+    ),
+    Row(
+        Options(("multiquery",), ("--streams", "--array-bytes", "--count", "--seed",
+                                  "--live-out")),
+        MAIN,
+        "A point may be a session",
+        "multiquery is a figure command and takes only the figure flags",
+        "docs/architecture.md#The command line",
+    ),
+    Row(
         Passed(
             exempt=(
                 ("src/repro/core/experiments/", "*_specs",
