@@ -26,8 +26,9 @@ class Sweep(NamedTuple):
     :func:`repro.core.measurement.run_sweep`.
 
     The point key of ``specs`` is a module-level ``NamedTuple`` whose field
-    names are the sweep's axes; ``row``/``columns`` name them, and the two
-    format strings read them as ``k`` (``"Q{k.query_number}"``).
+    names are the sweep's axes; ``row``/``columns`` name them, and the
+    format strings read them as ``k`` (``"Q{k.query_number}"``).  A row
+    with a bespoke ``table`` is not pivoted and declares no columns.
     """
 
     specs: Callable[..., List[PointSpec]]  # the pure builder; its defaults are the full sweep
@@ -35,9 +36,9 @@ class Sweep(NamedTuple):
     title: str  # first line of the table
     row: str  # the axis down the side ...
     row_header: str  # ... and its header, padded to the width of that column
-    columns: Tuple[str, ...]  # the axes across the top, outermost first
-    column: str  # format of one column header
     point: str  # format of one point's label in the observability exports
+    columns: Tuple[str, ...] = ()  # the pivot's axes across the top, outermost first
+    column: str = ""  # format of one pivot column header
     headline: Optional[Callable[[SweepResult], str]] = None  # the line under the table
     table: Optional[Callable[[SweepResult], str]] = None  # a bespoke table instead of the pivot
     gate: Tuple[Mapping[str, Any], ...] = ()  # builder arguments the bench gate samples
@@ -90,7 +91,6 @@ FIGURES: Dict[str, Tuple[Sweep, ...]] = {
             quick={"stream_counts": (4,), "count": 4},
             title="Ablation: automatic node selection (inbound workload, Mbps)",
             row="n", row_header=f"{'n':>3}",
-            columns=("selector_name",), column="{k.selector_name}",
             point="ablation selector={k.selector_name} n={k.n}",
             table=node_selection_table,
         ),
@@ -122,7 +122,6 @@ FIGURES: Dict[str, Tuple[Sweep, ...]] = {
         quick={"points": tuple(p for p in DEFAULT_POINTS if p[0] * p[1] <= 4)},
         title="Concurrent queries: k Query-3-shaped CQs of n streams on one environment (Mbps)",
         row="queries", row_header=f"{'k':>2}",
-        columns=("n", "senders", "psets"), column="{k.n} {k.senders}/{k.psets}",
         point="multiquery {k.queries}x{k.n} {k.senders}/{k.psets}",
         table=contention_table,
     ),),

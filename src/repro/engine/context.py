@@ -29,6 +29,7 @@ class ExecutionContext:
         # Every process of the RP, its operators' sub-processes included:
         # the RP terminates, joins and counts them all.
         self.processes: list = []
+        self.failure = None  # the query's, while it runs: every process's link
 
     def charge_cpu(self, baseline_seconds: float):
         """Occupy one CPU of this node for a (scaled, jittered) cost.
@@ -51,6 +52,7 @@ class ExecutionContext:
     def spawn(self, generator, name: str):
         """Start a process owned by this context's RP."""
         process = self.sim.process(generator, name=name)
+        process.link = self.failure
         self.processes.append(process)
         return process
 

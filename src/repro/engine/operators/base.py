@@ -48,6 +48,11 @@ class Operator:
     #: (min, max) number of input streams; max None = unbounded.
     arity = (0, None)
 
+    #: True for a stop condition: an operator that can end its output
+    #: before its inputs end.  Its RP then cancels the subscriptions still
+    #: live when the result stream completes.
+    stops_early = False
+
     def _validate_arity(self) -> None:
         low, high = self.arity
         n = len(self.inputs)

@@ -54,8 +54,7 @@ class Merge(Operator):
         except Interrupt:
             raise
         except Exception as exc:
-            # run() raises it, so the RP reports it.  (A failure callback on
-            # this process would make its join a two-callback, busy dispatch.)
+            # run() raises it, so the RP reports it as this operator's.
             if not done.triggered:
                 done.fail(exc)
             return
@@ -96,6 +95,7 @@ class First(Operator):
 
     name = "first"
     arity = (1, 1)
+    stops_early = True
 
     def __init__(self, ctx, inputs, output, limit: int):
         super().__init__(ctx, inputs, output)
@@ -116,5 +116,5 @@ class First(Operator):
             yield from self.ctx.charge_cpu(self.ctx.costs.per_object_overhead)
             yield from self.emit(obj)
         yield from self.finish()
-        # Done without draining the input: the RP supervisor notices the
-        # still-live receiver and cancels upstream.
+        # Done without draining the input: the RP notices the still-live
+        # receiver when this process ends and cancels upstream.

@@ -79,7 +79,7 @@ class RunningProcess:
         self._cancellers: list = []
         self._built = False
         self._started = False
-        self._failure = None
+        self._stops_early = False  # the SQEP holds a stop condition (build)
         self._node_released = False
         node.acquire()
 
@@ -93,6 +93,7 @@ class RunningProcess:
             raise QueryExecutionError(f"RP {self.rp_id} already built")
         self._built = True
         self.result_store = self._build_node(self.plan)
+        self._stops_early = any(operator.stops_early for operator in self.operators)
         return self.input_ports
 
     def _build_node(self, spec: OpSpec) -> Store:
@@ -149,15 +150,15 @@ class RunningProcess:
             failure: Optional event to fail with the first exception any of
                 this RP's processes raises (interrupts excluded), so the
                 query's driver can abort promptly instead of deadlocking on
-                a stream that will never end.
+                a stream that will never end (the processes' failure link).
         """
         if not self._built:
             raise QueryExecutionError(f"RP {self.rp_id}: build() before start()")
         if self._started:
             raise QueryExecutionError(f"RP {self.rp_id} already started")
         self._started = True
-        self._failure = failure
         ctx = self.ctx
+        ctx.failure = failure
         for operator in self.operators:
             # Operators are built children-first: the last is the root.
             self._root_process = ctx.spawn(operator.run(), name=f"{self.rp_id}:{operator.name}")
@@ -172,23 +173,11 @@ class RunningProcess:
             ctx.spawn(self._fan_out(), name=f"{self.rp_id}:fanout")
             for sender in self.senders:
                 sender.process = ctx.spawn(sender.run(), name=f"{self.rp_id}:{sender.stream_id}")
-        if self._root_process is not None and self.input_ports:
-            # Stop-condition supervision: when the result stream completes
-            # while subscriptions are still live (e.g. a first() operator),
-            # cancel the leftovers and notify the producers (section 2.2's
-            # control messages).
-            ctx.spawn(self._supervise(), name=f"{self.rp_id}:supervisor")
-        if failure is not None:
-            for process in ctx.processes:
-                process._add_callback(self._report_failure)
-
-    def _report_failure(self, event) -> None:
-        """Forward a process's crash to the query-level failure event."""
-        if event._ok or isinstance(event._value, Interrupt):
-            return
-        event._defused = True  # the failure is handled at query level
-        if self._failure is not None and not self._failure.triggered:
-            self._failure.fail(event._value)
+        if self._stops_early and self.input_ports:
+            # When the result stream completes while subscriptions are still
+            # live, cancel the leftovers and notify the producers (section
+            # 2.2's control messages).
+            self._root_process.callbacks.append(self._supervise)
 
     def _fan_out(self):
         """Copy the result stream to every subscriber's sender feed."""
@@ -208,14 +197,12 @@ class RunningProcess:
     # ------------------------------------------------------------------
     # Stop-condition cancellation (paper section 2.2 control messages)
     # ------------------------------------------------------------------
-    def _supervise(self):
-        """Cancel leftover subscriptions once the result stream completed."""
-        try:
-            yield self._root_process
-        except Interrupt:
-            return  # the whole query was terminated; nothing to supervise
-        except Exception:
-            return  # root failure is routed through the failure event
+    def _supervise(self, root) -> None:
+        """Cancel leftover subscriptions once the result stream completed
+        (a callback on the root process; only the round trip is a process)."""
+        if not root._ok:
+            root._defused = True  # stopped or crashed: the query handles it
+            return
         if self._cancelled:
             return
         live = [
@@ -226,21 +213,24 @@ class RunningProcess:
             and not port.cancelled
         ]
         if live:
-            yield from self._cancel_ports(live)
+            self.ctx.spawn(self._cancel_ports(live), name=f"{self.rp_id}:cancel")
 
     def _cancel_ports(self, ports):
-        """Tear down input subscriptions and notify their producers."""
+        """Tear down input subscriptions now; returns the control round
+        trip that notifies their producers, to run as a process."""
         from repro.engine.control import CONTROL_MESSAGE_LATENCY
 
-        sim = self.ctx.sim
         for port in ports:
             port.cancelled = True
             process = port.driver_process
             if process is not None and process.is_alive:
                 process.interrupt("stop condition")
                 process.defuse()
-        # One control round trip to the producers.
-        yield sim.timeout(CONTROL_MESSAGE_LATENCY)
+        return self._notify_producers(ports, self.ctx.sim.timeout(CONTROL_MESSAGE_LATENCY))
+
+    @staticmethod
+    def _notify_producers(ports, round_trip):
+        yield round_trip
         for port in ports:
             if port.upstream is not None:
                 producer, sender = port.upstream
@@ -279,8 +269,11 @@ class RunningProcess:
             ]
             if live:
                 self._cancellers.append(self.ctx.sim.process(
-                    self._cancel_ports(live), name=f"{self.rp_id}:cascade"
+                    self._cascade(live), name=f"{self.rp_id}:cascade"
                 ))
+
+    def _cascade(self, ports):
+        yield from self._cancel_ports(ports)  # once the interrupts above ran
 
     @staticmethod
     def _drain(store: Store):
@@ -337,7 +330,7 @@ class RunningProcess:
                 pass
         processes.clear()
         self._root_process = None
-        self._failure = None
+        self.ctx.failure = None
         for port in self.input_ports:
             port.driver_process = None
         for sender in self.senders:

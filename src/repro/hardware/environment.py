@@ -38,7 +38,15 @@ FRONTEND = "fe"
 DEFAULT_CLUSTERS = (FRONTEND, BACKEND, BLUEGENE)
 
 
-class EnvironmentConfig(Frozen):
+class _TopologyMemo:
+    """A config's topology key, kept by :func:`shared_template` as a
+    one-item frozenset: it holds its hash, so later lookups with the same
+    config object hash none of the key's seven records."""
+
+    __slots__ = ("_topology",)
+
+
+class EnvironmentConfig(Frozen, _TopologyMemo):
     """Shape and cost model of one simulated environment.
 
     Defaults match the paper's experimental set-up: a BlueGene partition
@@ -246,12 +254,16 @@ TEMPLATE_CACHE_SIZE = 8
 def shared_template(config: EnvironmentConfig) -> EnvironmentTemplate:
     """A per-process cached :class:`EnvironmentTemplate` for ``config``'s
     topology (the template carries seed 0; a fork names its own seed)."""
-    return _template(*_topology_key(config))
+    topology = getattr(config, "_topology", None)
+    if topology is None:
+        topology = frozenset((_topology_key(config),))
+        object.__setattr__(config, "_topology", topology)
+    return _template(topology)
 
 
 @functools.lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
-def _template(bluegene: BlueGeneConfig, backend_nodes: int, frontend_nodes: int,
-              params: NetworkParams) -> EnvironmentTemplate:
+def _template(topology: frozenset) -> EnvironmentTemplate:
+    ((bluegene, backend_nodes, frontend_nodes, params),) = topology
     return EnvironmentTemplate(EnvironmentConfig(bluegene, backend_nodes, frontend_nodes, params))
 
 

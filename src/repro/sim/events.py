@@ -108,13 +108,6 @@ class Event:
         sim._push(sim._now, _NORMAL, self)
         return self
 
-    def _add_callback(self, callback: Callable[["Event"], None]) -> None:
-        if self.callbacks is None:
-            # Already processed: run immediately at the current time.
-            callback(self)
-        else:
-            self.callbacks.append(callback)
-
     def __repr__(self) -> str:
         state = "processed" if self.processed else ("triggered" if self.triggered else "pending")
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
@@ -179,10 +172,13 @@ class Process(Event):
     A process is itself an event that triggers when the generator finishes:
     successfully with the generator's return value, or with the exception
     that escaped it.  Waiting on a process (``yield other_process``) is the
-    join operation.
+    join operation.  A return nobody waits on is no event: the process is
+    processed at once, and a later join resumes without waiting.  ``link``
+    is an optional failure event: a crash (not an :class:`Interrupt`) fails
+    it at once, unless it already failed, and defuses the process.
     """
 
-    __slots__ = ("name", "_generator", "_target")
+    __slots__ = ("name", "_generator", "_target", "link")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = "") -> None:
         # Field-by-field init (no super() chain), as Initialize above.
@@ -196,6 +192,7 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
         self._target: Optional[Event] = Initialize(sim, self)
+        self.link: Optional[Event] = None
         if sim.obs.enabled:
             sim.obs.on_process_created(self)
 
@@ -264,7 +261,10 @@ class Process(Event):
                 self._generator = None  # exhausted: the frame can go now
                 self._ok = True
                 self._value = stop.value
-                sim._push(sim._now, _NORMAL, self)
+                if self.callbacks:
+                    sim._push(sim._now, _NORMAL, self)
+                else:
+                    self.callbacks = None
                 if sim.obs.enabled:
                     sim.obs.on_process_finished(self, ok=True)
                 return
@@ -273,6 +273,11 @@ class Process(Event):
                 self._ok = False
                 self._value = exc
                 sim._push(sim._now, _NORMAL, self)
+                link = self.link
+                if link is not None and not isinstance(exc, Interrupt):
+                    self._defused = True
+                    if link._value is _PENDING:
+                        link.fail(exc)
                 if sim.obs.enabled:
                     sim.obs.on_process_finished(self, ok=False)
                 return

@@ -29,7 +29,7 @@ from tests.counting import frames_entered
 GENERATORS = ("sinusoid_mixture", "_generate")
 
 #: Events one deployment dispatches at env seed 1 (data seed 0, hooks off).
-EVENTS = {"linear-road": 24_153, "signals": 1_761, "grep": 2_321}
+EVENTS = {"linear-road": 24_076, "signals": 1_740, "grep": 2_214}
 
 #: Generator calls while the query is built.
 BUILD_CALLS = {

@@ -77,54 +77,54 @@ def test_a_flush_wait_pays_only_for_what_fires():
 #: ``(kind, flush_interval, env seed, jitter)`` -> ``(repr(duration), result,
 #: physics digest[:16], events_dispatched)`` (data seed 0).
 TIMER_WINS = {
-    ('grep', 5e-05, 1, 0.0): ('0.0076592698927013024', 144, '7dfc8ddc38943f8f', 2375),
-    ('grep', 5e-05, 1, 0.01): ('0.0072038373088030355', 144, 'cd756a6c6d60a891', 2313),
-    ('grep', 5e-05, 2, 0.0): ('0.0076592698927013024', 144, '7dfc8ddc38943f8f', 2375),
-    ('grep', 5e-05, 2, 0.01): ('0.00724187188743984', 144, '16ef977c80d738fa', 2314),
-    ('grep', 0.0001, 1, 0.0): ('0.0069884184641298705', 144, '724a22948a532c7c', 2370),
-    ('grep', 0.0001, 1, 0.01): ('0.007046230943023731', 144, '893f342caeaa8ae8', 2321),
-    ('grep', 0.0001, 2, 0.0): ('0.0069884184641298705', 144, '724a22948a532c7c', 2370),
-    ('grep', 0.0001, 2, 0.01): ('0.007076922722868936', 144, '15de839fb1b5089f', 2322),
-    ('grep', 0.0003, 1, 0.0): ('0.0069884184641298705', 144, '724a22948a532c7c', 2370),
-    ('grep', 0.0003, 1, 0.01): ('0.007046230943023731', 144, '893f342caeaa8ae8', 2321),
-    ('grep', 0.0003, 2, 0.0): ('0.0069884184641298705', 144, '724a22948a532c7c', 2370),
-    ('grep', 0.0003, 2, 0.01): ('0.007076922722868936', 144, '15de839fb1b5089f', 2322),
-    ('grep', 0.001, 1, 0.0): ('0.0069884184641298705', 144, '724a22948a532c7c', 2370),
-    ('grep', 0.001, 1, 0.01): ('0.007046230943023731', 144, '893f342caeaa8ae8', 2321),
-    ('grep', 0.001, 2, 0.0): ('0.0069884184641298705', 144, '724a22948a532c7c', 2370),
-    ('grep', 0.001, 2, 0.01): ('0.007076922722868936', 144, '15de839fb1b5089f', 2322),
-    ('linear-road', 5e-05, 1, 0.0): ('0.0027602104956332934', 18, 'e14c9378536507f2', 27525),
-    ('linear-road', 5e-05, 1, 0.01): ('0.0027627528064339203', 18, '118dde922ab75b3c', 24491),
-    ('linear-road', 5e-05, 2, 0.0): ('0.0027602104956332934', 18, 'e14c9378536507f2', 27525),
-    ('linear-road', 5e-05, 2, 0.01): ('0.0027618083372966283', 18, '97e035063abb15f1', 24490),
-    ('linear-road', 0.0001, 1, 0.0): ('0.0028353196221483057', 18, '08b39eb9ee19e391', 27277),
-    ('linear-road', 0.0001, 1, 0.01): ('0.0028766110708521833', 18, '99acb1a49a70e58e', 24321),
-    ('linear-road', 0.0001, 2, 0.0): ('0.0028353196221483057', 18, '08b39eb9ee19e391', 27277),
-    ('linear-road', 0.0001, 2, 0.01): ('0.0028752267649542083', 18, 'acc12ed52a217656', 24319),
-    ('linear-road', 0.0003, 1, 0.0): ('0.0032418061538274667', 18, '9eb7295568bd523b', 27057),
-    ('linear-road', 0.0003, 1, 0.01): ('0.0032569156106556875', 18, '1bc42a1af5f1b60f', 24165),
-    ('linear-road', 0.0003, 2, 0.0): ('0.0032418061538274667', 18, '9eb7295568bd523b', 27057),
-    ('linear-road', 0.0003, 2, 0.01): ('0.0033115781585751018', 18, '8b2673e418097953', 24163),
-    ('linear-road', 0.001, 1, 0.0): ('0.0032418061538274667', 18, 'b898481473f8508b', 27046),
-    ('linear-road', 0.001, 1, 0.01): ('0.003256931608044017', 18, 'e31a23f7455a37fd', 24153),
-    ('linear-road', 0.001, 2, 0.0): ('0.0032418061538274667', 18, 'b898481473f8508b', 27046),
-    ('linear-road', 0.001, 2, 0.01): ('0.0033305428482254137', 18, 'cc96d9d3c50455c2', 24151),
-    ('signals', 5e-05, 1, 0.0): ('0.009334573451184052', 8, '54d14d2c4c3deb90', 1817),
-    ('signals', 5e-05, 1, 0.01): ('0.009352234803156478', 8, '18d210e9f9e4f4ad', 1761),
-    ('signals', 5e-05, 2, 0.0): ('0.009334573451184052', 8, '54d14d2c4c3deb90', 1817),
-    ('signals', 5e-05, 2, 0.01): ('0.009336588389434937', 8, 'b656ea58fec87e3e', 1767),
-    ('signals', 0.0001, 1, 0.0): ('0.009334573451184052', 8, '54d14d2c4c3deb90', 1817),
-    ('signals', 0.0001, 1, 0.01): ('0.009352234803156478', 8, '18d210e9f9e4f4ad', 1761),
-    ('signals', 0.0001, 2, 0.0): ('0.009334573451184052', 8, '54d14d2c4c3deb90', 1817),
-    ('signals', 0.0001, 2, 0.01): ('0.009336588389434937', 8, 'b656ea58fec87e3e', 1767),
-    ('signals', 0.0003, 1, 0.0): ('0.009334573451184052', 8, '54d14d2c4c3deb90', 1817),
-    ('signals', 0.0003, 1, 0.01): ('0.009352234803156478', 8, '18d210e9f9e4f4ad', 1761),
-    ('signals', 0.0003, 2, 0.0): ('0.009334573451184052', 8, '54d14d2c4c3deb90', 1817),
-    ('signals', 0.0003, 2, 0.01): ('0.009336588389434937', 8, 'b656ea58fec87e3e', 1767),
-    ('signals', 0.001, 1, 0.0): ('0.009334573451184052', 8, '54d14d2c4c3deb90', 1817),
-    ('signals', 0.001, 1, 0.01): ('0.009352234803156478', 8, '18d210e9f9e4f4ad', 1761),
-    ('signals', 0.001, 2, 0.0): ('0.009334573451184052', 8, '54d14d2c4c3deb90', 1817),
-    ('signals', 0.001, 2, 0.01): ('0.009336588389434937', 8, 'b656ea58fec87e3e', 1767),
+    ('grep', 5e-05, 1, 0.0): ('0.0076592698927013024', 144, '7dfc8ddc38943f8f', 2268),
+    ('grep', 5e-05, 1, 0.01): ('0.0072038373088030355', 144, 'cd756a6c6d60a891', 2206),
+    ('grep', 5e-05, 2, 0.0): ('0.0076592698927013024', 144, '7dfc8ddc38943f8f', 2268),
+    ('grep', 5e-05, 2, 0.01): ('0.00724187188743984', 144, '16ef977c80d738fa', 2207),
+    ('grep', 0.0001, 1, 0.0): ('0.0069884184641298705', 144, '724a22948a532c7c', 2263),
+    ('grep', 0.0001, 1, 0.01): ('0.007046230943023731', 144, '893f342caeaa8ae8', 2214),
+    ('grep', 0.0001, 2, 0.0): ('0.0069884184641298705', 144, '724a22948a532c7c', 2263),
+    ('grep', 0.0001, 2, 0.01): ('0.007076922722868936', 144, '15de839fb1b5089f', 2215),
+    ('grep', 0.0003, 1, 0.0): ('0.0069884184641298705', 144, '724a22948a532c7c', 2263),
+    ('grep', 0.0003, 1, 0.01): ('0.007046230943023731', 144, '893f342caeaa8ae8', 2214),
+    ('grep', 0.0003, 2, 0.0): ('0.0069884184641298705', 144, '724a22948a532c7c', 2263),
+    ('grep', 0.0003, 2, 0.01): ('0.007076922722868936', 144, '15de839fb1b5089f', 2215),
+    ('grep', 0.001, 1, 0.0): ('0.0069884184641298705', 144, '724a22948a532c7c', 2263),
+    ('grep', 0.001, 1, 0.01): ('0.007046230943023731', 144, '893f342caeaa8ae8', 2214),
+    ('grep', 0.001, 2, 0.0): ('0.0069884184641298705', 144, '724a22948a532c7c', 2263),
+    ('grep', 0.001, 2, 0.01): ('0.007076922722868936', 144, '15de839fb1b5089f', 2215),
+    ('linear-road', 5e-05, 1, 0.0): ('0.0027602104956332934', 18, 'e14c9378536507f2', 27449),
+    ('linear-road', 5e-05, 1, 0.01): ('0.0027627528064339203', 18, '118dde922ab75b3c', 24414),
+    ('linear-road', 5e-05, 2, 0.0): ('0.0027602104956332934', 18, 'e14c9378536507f2', 27449),
+    ('linear-road', 5e-05, 2, 0.01): ('0.0027618083372966283', 18, '97e035063abb15f1', 24413),
+    ('linear-road', 0.0001, 1, 0.0): ('0.0028353196221483057', 18, '08b39eb9ee19e391', 27200),
+    ('linear-road', 0.0001, 1, 0.01): ('0.0028766110708521833', 18, '99acb1a49a70e58e', 24244),
+    ('linear-road', 0.0001, 2, 0.0): ('0.0028353196221483057', 18, '08b39eb9ee19e391', 27200),
+    ('linear-road', 0.0001, 2, 0.01): ('0.0028752267649542083', 18, 'acc12ed52a217656', 24242),
+    ('linear-road', 0.0003, 1, 0.0): ('0.0032418061538274667', 18, '9eb7295568bd523b', 26980),
+    ('linear-road', 0.0003, 1, 0.01): ('0.0032569156106556875', 18, '1bc42a1af5f1b60f', 24088),
+    ('linear-road', 0.0003, 2, 0.0): ('0.0032418061538274667', 18, '9eb7295568bd523b', 26980),
+    ('linear-road', 0.0003, 2, 0.01): ('0.0033115781585751018', 18, '8b2673e418097953', 24087),
+    ('linear-road', 0.001, 1, 0.0): ('0.0032418061538274667', 18, 'b898481473f8508b', 26969),
+    ('linear-road', 0.001, 1, 0.01): ('0.003256931608044017', 18, 'e31a23f7455a37fd', 24076),
+    ('linear-road', 0.001, 2, 0.0): ('0.0032418061538274667', 18, 'b898481473f8508b', 26969),
+    ('linear-road', 0.001, 2, 0.01): ('0.0033305428482254137', 18, 'cc96d9d3c50455c2', 24075),
+    ('signals', 5e-05, 1, 0.0): ('0.009334573451184052', 8, '54d14d2c4c3deb90', 1796),
+    ('signals', 5e-05, 1, 0.01): ('0.009352234803156478', 8, '18d210e9f9e4f4ad', 1740),
+    ('signals', 5e-05, 2, 0.0): ('0.009334573451184052', 8, '54d14d2c4c3deb90', 1796),
+    ('signals', 5e-05, 2, 0.01): ('0.009336588389434937', 8, 'b656ea58fec87e3e', 1746),
+    ('signals', 0.0001, 1, 0.0): ('0.009334573451184052', 8, '54d14d2c4c3deb90', 1796),
+    ('signals', 0.0001, 1, 0.01): ('0.009352234803156478', 8, '18d210e9f9e4f4ad', 1740),
+    ('signals', 0.0001, 2, 0.0): ('0.009334573451184052', 8, '54d14d2c4c3deb90', 1796),
+    ('signals', 0.0001, 2, 0.01): ('0.009336588389434937', 8, 'b656ea58fec87e3e', 1746),
+    ('signals', 0.0003, 1, 0.0): ('0.009334573451184052', 8, '54d14d2c4c3deb90', 1796),
+    ('signals', 0.0003, 1, 0.01): ('0.009352234803156478', 8, '18d210e9f9e4f4ad', 1740),
+    ('signals', 0.0003, 2, 0.0): ('0.009334573451184052', 8, '54d14d2c4c3deb90', 1796),
+    ('signals', 0.0003, 2, 0.01): ('0.009336588389434937', 8, 'b656ea58fec87e3e', 1746),
+    ('signals', 0.001, 1, 0.0): ('0.009334573451184052', 8, '54d14d2c4c3deb90', 1796),
+    ('signals', 0.001, 1, 0.01): ('0.009352234803156478', 8, '18d210e9f9e4f4ad', 1740),
+    ('signals', 0.001, 2, 0.0): ('0.009334573451184052', 8, '54d14d2c4c3deb90', 1796),
+    ('signals', 0.001, 2, 0.01): ('0.009336588389434937', 8, 'b656ea58fec87e3e', 1746),
 }
 
 

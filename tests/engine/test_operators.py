@@ -69,6 +69,13 @@ class TestRegistry:
         assert {"gen_array", "iota", "count", "sum", "merge", "grep",
                 "fft", "odd", "even", "radixcombine", "receiver"} <= names
 
+    def test_only_first_stops_early(self):
+        """A stop condition ends its output before its inputs end, so its
+        RP supervises the subscriptions left live; no other builtin does,
+        and an RP without one registers no supervision."""
+        early = {name for name in _BUILTINS if operator_class(name).stops_early}
+        assert early == {"first"}
+
     def test_every_operator_is_reachable_from_scsql(self):
         """The compiler emits every operator the package registers, and the
         language reference lists no builtin the test does not compile."""

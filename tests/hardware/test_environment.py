@@ -17,6 +17,7 @@ from repro.net.channels import LatencyChannel, MpiChannel
 from repro.net.ethernet import TcpStreamConnection
 from repro.sim import Store
 from repro.util.errors import HardwareError
+from tests.counting import frames_entered
 
 
 class TestLookup:
@@ -109,3 +110,29 @@ class TestTemplateCache:
     def test_a_seed_shares_its_topology_template(self):
         config = EnvironmentConfig()
         assert shared_template(config.with_seed(7)) is shared_template(config)
+
+    @staticmethod
+    def _hashes(config):
+        """The records whose ``__hash__`` one template lookup and fork ran."""
+        hashes = []
+
+        def on_call(layer, frame):
+            if frame.f_code.co_name == "__hash__":
+                hashes.append(type(frame.f_locals["self"]).__name__)
+
+        frames_entered(lambda: shared_template(config).fork(seed=2),
+                       ["util", "hardware", "net"], on_call)
+        return hashes
+
+    def test_a_second_fork_of_one_config_hashes_nothing(self):
+        """The topology key is seven records (the BlueGene shape, the
+        network parameters and their five sections); a workload forking
+        from one config pays for hashing them on its first lookup only."""
+        config, other = self._configs(2)
+        key = ["BlueGeneConfig", "NetworkParams", "TorusParams", "EthernetParams",
+               "TcpParams", "CpuCostParams", "IONodeParams"]
+        assert sorted(self._hashes(config)) == sorted(key)
+        assert self._hashes(config) == []
+        assert sorted(self._hashes(other)) == sorted(key)
+        assert shared_template(other) is not shared_template(config)
+        assert shared_template(other.with_seed(3)) is shared_template(other)

@@ -69,6 +69,16 @@ refuses to while a physics digest differs) and states the reason here:
   line keeps its value and order, and the flow and JSONL digests are
   unchanged.  The model did not move, but its physics digests cover those
   lines, so the script re-recorded with ``--physics-changed``.
+* A process end nobody waits on is no event, a crash reaches its query
+  through the process's failure link instead of a callback on every
+  process, and stop-condition supervision is a callback on the root of an
+  RP whose plan can stop early instead of a ``:supervisor`` process on
+  every RP with inputs.  ``sim.processes_*`` fell (fig6 14 → 12, fig8
+  22 → 20, fig15 58 → 52), ``sim.events_processed`` fell (fig6
+  2 596 → 2 581, fig8 4 068 → 4 046, fig15 1 554 → 1 486), and the JSONL
+  lost the supervisors' process records.  The flow artifacts and every
+  physics digest are the parent's; the script re-recorded without
+  ``--physics-changed``.
 
 ``test_only_the_event_count_tells_the_kernels_apart`` keeps checking the
 eager kernel against the same code under a scheduler that queues every

@@ -81,6 +81,6 @@ def test_a_run_stopped_mid_stream_counts_exactly_to_that_instant(scheduler):
         "sim.events_processed", "sim.timeouts_created", "sim.processes_started",
     ]
     # The rest of the stream: 10 timeouts fired, 10 created, plus the
-    # start and the process's own completion event.
+    # start.  The process's end is no event: nobody waits on it.
     sim.run()
-    assert _readers(obs) == (12.0, 10.0)
+    assert _readers(obs) == (11.0, 10.0)

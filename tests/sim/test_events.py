@@ -55,12 +55,19 @@ class TestEventLifecycle:
         assert event.value is error
 
     def test_callback_after_processed_runs_immediately(self, sim):
+        """A process that yields a processed event is resumed in the same
+        step, with no event dispatched for it."""
         event = sim.event()
         event.succeed("x")
         sim.run()
         seen = []
-        event._add_callback(lambda e: seen.append(e.value))
-        assert seen == ["x"]
+
+        def late():
+            seen.append((yield event))
+
+        sim.process(late())
+        sim.step()  # the process's start; its end is unheard, so no event
+        assert seen == ["x"] and sim.peek() == float("inf")
 
 
 class TestTimeout:

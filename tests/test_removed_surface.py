@@ -918,6 +918,8 @@ SCOPED = "A run's inputs are scoped"
 SCOPED_DOC = "docs/static-analysis.md#Removed surface"
 LAUNCH = "A launch generates no code"
 LAUNCH_DOC = "docs/performance.md#A launch generates no code"
+UNHEARD = "A process nobody waits on ends without an event"
+UNHEARD_DOC = "docs/performance.md#A process nobody waits on ends without an event"
 
 ROWS: List[Row] = [
     Row(
@@ -1554,6 +1556,12 @@ ROWS: List[Row] = [
         "a frozen record stores its fields through its slots, in source", LAUNCH_DOC),
     Row(Absent(), ("src/repro/util/frozen.py",), LAUNCH,
         "repro.util.record is the one record base", LAUNCH_DOC),
+    Row(words("_report_failure"), ("src", "tests", "examples", "benchmarks"), UNHEARD,
+        "a crash reaches its query through its process's failure link, not through a "
+        "callback that made every process end an event", UNHEARD_DOC),
+    Row(Text(r":supervisor\b", ('name=f"{self.rp_id}:supervisor"',)), PACKAGE, UNHEARD,
+        "stop-condition supervision is a callback on the root of an RP whose plan can "
+        "stop early, not a process on every RP with inputs", UNHEARD_DOC),
     Row(
         Resolves(),
         DOCS,
