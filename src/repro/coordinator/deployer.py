@@ -33,6 +33,7 @@ manager" (paper section 2.2) — :meth:`Deployer.run` is that one-shot form.
 
 from __future__ import annotations
 
+import math
 import sys
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
@@ -43,7 +44,6 @@ from repro.coordinator.allocation import (
 )
 from repro.coordinator.graph import QueryGraph, check_structure
 from repro.coordinator.resolver import placement_failure, resolve_placement
-from repro.engine.control import StopToken
 from repro.engine.monitor import RPStatistics, snapshot
 from repro.engine.objects import END_OF_STREAM
 from repro.engine.rp import RunningProcess
@@ -59,7 +59,7 @@ from repro.util.record import Record
 if TYPE_CHECKING:
     from repro.analysis.diagnostics import AnalysisReport
     from repro.hardware.node import Node
-    from repro.sim.events import Process
+    from repro.sim.events import Event, Process, Timeout
 
 #: Reserved id of the deployment's own collector RP (the client manager's
 #: root plan interpreter).
@@ -280,6 +280,7 @@ class Deployment:
         self._process = None
         self._collector = None
         self._torn_down = False
+        self._stopped = False
         # The resolver's slots pass to the running processes (each acquires
         # its own, for its lifetime); teardown() undoes a partial build.
         self._assignment.release()
@@ -311,24 +312,29 @@ class Deployment:
     def run(self, stop_after: Optional[float] = None) -> ExecutionReport:
         """Run this query to completion on a quiescent simulator.
 
-        Finite queries run until their streams end.  ``stop_after`` arms a
-        user stop at that simulated time — the paper's "explicit user
-        intervention" — terminating every RP; the report then carries the
-        partial result with ``stopped=True``.
+        Finite queries run until their streams end.  ``stop_after`` is a
+        user stop that many simulated seconds after the query starts — the
+        paper's "explicit user intervention" — terminating every RP; the
+        report then carries the partial result with ``stopped=True``.
+
+        Raises:
+            QueryExecutionError: ``stop_after`` is negative or not finite.
         """
-        stop_token = None
+        sim = self.env.sim
+        deadline = None
         if stop_after is not None:
-            stop_token = StopToken(self.env.sim)
-            stop_token.attach(self.rps.values())
-            stop_token.stop_at(stop_after)
-        self.start_time = self.env.sim.now
-        result, finished_at = self.env.sim.run_process(
-            self._drive(stop_token), name=self.rp_prefix + "client-manager"
+            if not 0.0 <= stop_after < math.inf:
+                self.teardown()
+                raise QueryExecutionError(
+                    f"stop_after must be a finite number of seconds >= 0, got {stop_after!r}"
+                )
+            deadline = sim.timeout(stop_after)
+            deadline.callbacks = [self._stop]
+        self.start_time = sim.now
+        result, finished_at = sim.run_process(
+            self._drive(deadline), name=self.rp_prefix + "client-manager"
         )
-        return self._report(
-            result, finished_at,
-            stopped=stop_token is not None and stop_token.stopped,
-        )
+        return self._report(result, finished_at, stopped=self._stopped)
 
     def start(self) -> "Process":
         """Spawn this query's driver process without running the simulator.
@@ -384,17 +390,13 @@ class Deployment:
             rp.terminate()
             rp.release_node()
         self._assignment.rewind(self.env)
-        # Interrupt the collector: an external teardown (fault harness,
-        # migration of a wedged query) would otherwise leave it blocked on
-        # the root result store forever.  Only the collector is interrupted
-        # directly — its failure propagates through _drive's any_of wait,
-        # whose handler unwinds the driver; interrupting _drive as well
-        # would orphan the pending condition event undefused.
-        if self._collector is not None and self._collector.is_alive:
-            self._collector.interrupt("deployment torn down")
-        for process in (self._process, self._collector):
-            if process is not None and process.is_alive:
-                process.defuse()
+        # Only the collector is interrupted directly — its failure
+        # propagates through _drive's any_of wait, whose handler unwinds
+        # the driver; interrupting _drive as well would orphan the pending
+        # condition event undefused.
+        self._end_collector("deployment torn down")
+        if self._process is not None and self._process.is_alive:
+            self._process.defuse()
         # Terminated receivers never consume their EOS, so the in-flight
         # flow records of this deployment's streams would otherwise sit in
         # the recorder's table forever (SAN204 at quiescence).  Dropping is
@@ -469,18 +471,32 @@ class Deployment:
                     ) from None
                 producer.add_subscriber(rp, port.inbox)
 
-    def _drive(self, stop_token: Optional[StopToken] = None) -> Iterator[Any]:
+    def _stop(self, _deadline: "Event") -> None:
+        """The user stop: terminate every RP in the deadline's dispatch."""
+        self._stopped = True
+        for rp in self.rps.values():
+            rp.terminate()
+
+    def _end_collector(self, cause: str) -> None:
+        """Interrupt the collector if it still waits on the root result
+        store: a crashed, stopped or torn-down query ends no stream."""
+        collector = self._collector
+        if collector is not None and collector.is_alive:
+            collector.interrupt(cause)
+            collector.defuse()
+
+    def _drive(self, deadline: Optional["Timeout"] = None) -> Iterator[Any]:
         """Main simulation process: start RPs, collect the root stream."""
         sim = self.env.sim
         if self.setup_latency:
             # bgCC polls the feCC for new subqueries before RPs exist there.
             yield sim.timeout(self.setup_latency)
-        if self._torn_down:
-            # Torn down before the driver's first step (e.g. a same-instant
-            # fault replan): starting the RPs of a dead generation would
+        if self._torn_down or self._stopped:
+            # Torn down or stopped before the RPs exist (a same-instant
+            # fault replan, a deadline inside the poll): starting them would
             # run a zombie query that wedges on its closed inboxes.
-            if stop_token is not None:
-                stop_token.cancel()
+            for rp in self.rps.values():
+                rp.release_node()
             return [], sim.now
         # Any RP process crash fails this event, aborting the query promptly
         # (otherwise a dead operator would leave its subscribers waiting on
@@ -489,32 +505,27 @@ class Deployment:
         for rp in self.rps.values():
             rp.start(failure=failure)
         collected: List[Any] = []
-        collector = sim.process(
-            self._collect(collected), name=self.rp_prefix + "cm-collector"
-        )
         # Tracked so teardown() can interrupt it: a deployment torn down
         # externally (fault harness, migration of a wedged query) must not
         # leave its collector blocked on the root result store forever.
-        self._collector = collector
+        self._collector = collector = sim.process(
+            self._collect(collected), name=self.rp_prefix + "cm-collector"
+        )
         waits = [collector, failure]
-        if stop_token is not None:
-            waits.append(stop_token.event)
+        if deadline is not None:
+            waits.append(deadline)
         try:
             yield sim.any_of(waits)
         except BaseException:
             # An RP crashed: terminate the query and surface the error.
             for rp in self.rps.values():
                 rp.terminate()
-            if collector.is_alive:
-                collector.interrupt("query failed")
-                collector.defuse()
+            self._end_collector("query failed")
             raise
-        if stop_token is not None:
-            if stop_token.stopped and collector.is_alive:
-                collector.interrupt("query stopped")
-                collector.defuse()
-            else:
-                stop_token.cancel()  # completed normally; stand the watchdog down
+        if self._stopped:
+            self._end_collector("query stopped")
+        elif deadline is not None and deadline.callbacks is not None:
+            deadline.callbacks.remove(self._stop)  # completed first: stop nothing
         # The measured query time ends when the result stream completes at
         # the client manager; the flush timers still queued past it (they
         # wake nobody) must not count.

@@ -9,7 +9,6 @@ from repro.util.lazy import lazy_exports
 
 __all__ = [
     "ExecutionContext",
-    "StopToken",
     "RPStatistics",
     "OperatorStats",
     "StreamStats",
@@ -34,7 +33,6 @@ __all__ = [
 
 __getattr__ = lazy_exports(__name__, {
     "repro.engine.context": ("ExecutionContext",),
-    "repro.engine.control": ("StopToken",),
     "repro.engine.drivers": ("ReceiverDriver", "SenderDriver"),
     "repro.engine.inbox": ("Inbox",),
     "repro.engine.monitor": ("OperatorStats", "RPStatistics", "StreamStats", "snapshot"),

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from repro.engine.objects import END_OF_STREAM
 from repro.engine.operators.base import Operator
-from repro.sim import Interrupt
 
 
 class Merge(Operator):
@@ -42,22 +41,15 @@ class Merge(Operator):
         yield from self.finish()
 
     def _forward(self, store, state, done):
-        try:
-            while True:
-                got = store.get()
-                obj = got._value if got.callbacks is None else (yield got)
-                if obj is END_OF_STREAM:
-                    break
-                self.objects_in += 1
-                yield from self.ctx.charge_cpu(self.ctx.costs.per_object_overhead)
-                yield from self.emit(obj)
-        except Interrupt:
-            raise
-        except Exception as exc:
-            # run() raises it, so the RP reports it as this operator's.
-            if not done.triggered:
-                done.fail(exc)
-            return
+        # A crash here fails the query through the forwarder's failure link.
+        while True:
+            got = store.get()
+            obj = got._value if got.callbacks is None else (yield got)
+            if obj is END_OF_STREAM:
+                break
+            self.objects_in += 1
+            yield from self.ctx.charge_cpu(self.ctx.costs.per_object_overhead)
+            yield from self.emit(obj)
         state["live"] -= 1
         if state["live"] == 0:
             done.succeed()

@@ -36,6 +36,10 @@ from repro.util.errors import QueryExecutionError
 #: each subscriber's feed.
 OPERATOR_QUEUE_DEPTH = 4
 
+#: Simulated latency of one inter-RP control message (stop-condition
+#: cancellation, subscriber removal).  Small against any data transfer.
+CONTROL_MESSAGE_LATENCY = 100e-6
+
 
 class InputPort:
     """A subscription of this RP to another stream process's output."""
@@ -200,11 +204,8 @@ class RunningProcess:
     def _supervise(self, root) -> None:
         """Cancel leftover subscriptions once the result stream completed
         (a callback on the root process; only the round trip is a process)."""
-        if not root._ok:
-            root._defused = True  # stopped or crashed: the query handles it
-            return
-        if self._cancelled:
-            return
+        if not root._ok or self._cancelled:
+            return  # crashed (its failure link reports it), stopped or cancelled
         live = [
             port
             for port in self.input_ports
@@ -218,8 +219,6 @@ class RunningProcess:
     def _cancel_ports(self, ports):
         """Tear down input subscriptions now; returns the control round
         trip that notifies their producers, to run as a process."""
-        from repro.engine.control import CONTROL_MESSAGE_LATENCY
-
         for port in ports:
             port.cancelled = True
             process = port.driver_process
@@ -251,17 +250,15 @@ class RunningProcess:
         if process is not None and process.is_alive:
             process.interrupt("subscriber cancelled")
             process.defuse()
-        # Unblock (and keep draining) any pending fan-out put.
-        self._cancellers.append(
-            self.ctx.sim.process(self._drain(sender.source), name=f"{self.rp_id}:drain")
-        )
-        if not self._cancelled and all(s.cancelled for s in self.senders):
+        if not all(s.cancelled for s in self.senders):
+            # Unblock (and keep draining) any pending fan-out put.
+            self._cancellers.append(
+                self.ctx.sim.process(self._drain(sender.source), name=f"{self.rp_id}:drain")
+            )
+        else:
             self._cancelled = True
             # No subscriber left: stop producing and cascade upstream.
-            for proc in self.ctx.processes:
-                if proc is not None and proc.is_alive:
-                    proc.interrupt("no subscribers left")
-                    proc.defuse()
+            self.terminate()
             live = [
                 port
                 for port in self.input_ports

@@ -9,9 +9,8 @@ objects with :mod:`repro.engine.marshal`.
 The paper's RPs "regularly exchange control messages, which are used to
 regulate the stream flow between them and to terminate execution upon a stop
 condition" (section 2.2).  No control message type exists here: flow
-regulation is carried by the bounded buffers themselves (back-pressure),
-end-of-stream by the :attr:`WireBuffer.eos` marker buffer, and stop by
-:mod:`repro.engine.control`.
+regulation is carried by the bounded buffers themselves (back-pressure) and
+end-of-stream by the :attr:`WireBuffer.eos` marker buffer.
 """
 
 from __future__ import annotations

@@ -69,7 +69,7 @@ def add_query_parser(sub: Any) -> None:
     q.add_argument("text", help="the SCSQL statement")
     q.add_argument(
         "--stop-after", type=float, default=None,
-        help="terminate the query at this simulated time (seconds)",
+        help="terminate the query this many simulated seconds after it starts",
     )
     add_observability_flags(q)
     q.set_defaults(func=_query)

@@ -58,9 +58,9 @@ class SCSQSession:
 
         Select queries return an :class:`ExecutionReport`; ``create
         function`` statements register the function and return None.
-        ``stop_after`` terminates the query at that simulated time — needed
-        for unbounded continuous queries (e.g. ``gen_array(n, -1)``), and
-        usable to truncate finite ones.  ``optimize=True`` runs the
+        ``stop_after`` terminates the query that many simulated seconds
+        after the query starts — needed for unbounded continuous queries
+        (e.g. ``gen_array(n, -1)``), and usable to truncate finite ones.  ``optimize=True`` runs the
         cost-based placer over stream processes that carry no explicit
         allocation sequence (user-specified topologies always win).
         """

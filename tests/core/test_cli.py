@@ -114,7 +114,10 @@ class TestExecution:
         (["query", "select extract(a) from sp a where a=sp(iota(1,2), 'bg', 999);"],
          "query: stream process 'a@1' explicitly selects node 999 of cluster "
          "'bg', which does not exist (cluster has nodes 0..31)"),
-    ], ids=["query-parse", "explain-parse", "query-placement"])
+        (["query", "--stop-after", "-1",
+          "select extract(a) from sp a where a=sp(iota(1,2), 'bg');"],
+         "query: stop_after must be a finite number of seconds >= 0, got -1.0"),
+    ], ids=["query-parse", "explain-parse", "query-placement", "query-stop-after"])
     def test_rejected_text_ends_in_one_diagnostic_line(self, argv, line, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -1,8 +1,8 @@
-"""Tests for query termination: stop tokens, unbounded streams, flushing."""
+"""Tests for query termination: user stops, unbounded streams, flushing."""
 
 import pytest
 
-from repro.engine.control import StopToken
+from repro.coordinator.deployer import BG_POLL_INTERVAL
 from repro.engine.settings import ExecutionSettings
 from repro.hardware.environment import Environment, EnvironmentConfig
 from repro.obs import Instrumentation
@@ -78,43 +78,44 @@ class TestUserStop:
         assert all(window == 10 for window in report.result)
 
 
-class TestStopToken:
-    def test_stop_is_idempotent(self, sim):
-        token = StopToken(sim)
-        token.stop()
-        token.stop()
-        assert token.stopped
-        assert token.event.triggered
+class TestStopBeforeTheRPsExist:
+    """A deadline inside the bgCC poll stops the query before its RPs
+    start.  These queries are finite, so a stop that let them start anyway
+    and then joined RPs nothing stops would deadlock, not hang."""
 
-    def test_event_fires_on_stop(self, sim):
-        token = StopToken(sim)
-        seen = []
+    @pytest.mark.parametrize("stop_after", [0.0005, BG_POLL_INTERVAL])
+    def test_a_stop_inside_the_poll_returns_an_empty_result(self, stop_after):
+        session = SCSQSession()
+        report = session.execute(FINITE_QUERY, stop_after=stop_after)
+        assert report.stopped
+        assert report.result == []
+        assert report.duration == BG_POLL_INTERVAL  # noticed when the poll ends
+        assert session.env.node("bg", 0).is_available
+        assert session.env.node("bg", 1).is_available
 
-        def waiter():
-            yield token.event
-            seen.append(sim.now)
+    def test_a_deadline_counts_from_the_query_start(self):
+        """The second stopped query on one session gets its own deadline,
+        not one that passed before it started."""
+        query = """
+        select extract(b) from sp a, sp b
+        where b=sp(winagg(extract(a), 'count', 10, 10), 'bg', 0)
+        and a=sp(gen_array(100000,100), 'bg', 1);
+        """
+        session = SCSQSession()
+        first = session.execute(query, stop_after=0.05)
+        second = session.execute(query, stop_after=0.05)
+        assert first.stopped and second.stopped
+        assert first.result == second.result == [10, 10]
+        assert first.duration == 0.05
+        assert second.duration == pytest.approx(0.05)
 
-        def stopper():
-            yield sim.timeout(2.0)
-            token.stop()
-
-        sim.process(waiter())
-        sim.process(stopper())
-        sim.run()
-        assert seen == [2.0]
-
-    def test_cancel_prevents_the_watchdog(self, sim):
-        token = StopToken(sim)
-        token.stop_at(10.0)
-
-        def canceller():
-            yield sim.timeout(1.0)
-            token.cancel()
-
-        sim.process(canceller())
-        sim.run()
-        assert not token.stopped
-        assert token._watchdog is not None and token._watchdog.triggered
+    @pytest.mark.parametrize("stop_after", [-1.0, float("nan"), float("inf")])
+    def test_a_bad_deadline_is_rejected(self, stop_after):
+        session = SCSQSession()
+        with pytest.raises(QueryExecutionError, match="stop_after"):
+            session.execute(FINITE_QUERY, stop_after=stop_after)
+        assert session.env.node("bg", 0).is_available
+        assert session.env.node("bg", 1).is_available
 
 
 class TestFlushInterval:

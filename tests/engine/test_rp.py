@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.engine.operators.merge import First
 from repro.engine.rp import RunningProcess
 from repro.engine.settings import ExecutionSettings
 from repro.engine.sqep import plan_input, plan_op
-from repro.util.errors import QueryExecutionError
+from repro.util.errors import QueryExecutionError, SimulationError
 
 
 def make_rp(env, plan, node_index=1, rp_id="rp-under-test"):
@@ -101,6 +102,30 @@ class TestWiring:
 
         env.sim.run_process(drain())
         assert env.node("bg", 1).is_available
+
+    def test_an_unlinked_crash_of_a_stop_condition_root_stops_the_run(
+        self, env, monkeypatch
+    ):
+        """An RP started without a failure event has no failure link: a
+        crash of its ``first`` root is unhandled, not swallowed by the
+        stop-condition supervision on that root."""
+
+        def boom(self):
+            raise RuntimeError("boom in first")
+            yield  # pragma: no cover - a generator that raises at once
+
+        monkeypatch.setattr(First, "run", boom)
+        producer = make_rp(env, plan_op("iota", 1, 5), node_index=1, rp_id="p")
+        consumer = make_rp(
+            env, plan_op("first", 2, children=(plan_input("p"),)), node_index=2, rp_id="c"
+        )
+        producer.build()
+        ports = consumer.build()
+        producer.add_subscriber(consumer, ports[0].inbox)
+        producer.start()
+        consumer.start()
+        with pytest.raises(SimulationError, match="boom in first"):
+            env.sim.run()
 
     def test_repr(self, env):
         rp = make_rp(env, plan_op("iota", 1, 2))

@@ -920,6 +920,8 @@ LAUNCH = "A launch generates no code"
 LAUNCH_DOC = "docs/performance.md#A launch generates no code"
 UNHEARD = "A process nobody waits on ends without an event"
 UNHEARD_DOC = "docs/performance.md#A process nobody waits on ends without an event"
+STOP = "A user stop is a deadline the client manager waits on"
+STOP_DOC = "docs/architecture.md#6. Run"
 
 ROWS: List[Row] = [
     Row(
@@ -1180,7 +1182,8 @@ ROWS: List[Row] = [
         words("ControlKind", "ControlMessage"),
         ("src", "tests", "examples", "benchmarks"),
         "The repo's rules about itself are one tested table",
-        "no code sent one: stop is engine/control.py, end-of-stream the WireBuffer.eos marker",
+        "no code sent one: a user stop is a deadline the client manager waits on, "
+        "end-of-stream the WireBuffer.eos marker",
         "docs/static-analysis.md#Removed surface",
     ),
     Row(
@@ -1562,6 +1565,17 @@ ROWS: List[Row] = [
     Row(Text(r":supervisor\b", ('name=f"{self.rp_id}:supervisor"',)), PACKAGE, UNHEARD,
         "stop-condition supervision is a callback on the root of an RP whose plan can "
         "stop early, not a process on every RP with inputs", UNHEARD_DOC),
+    Row(Absent(), ("src/repro/engine/control.py",), STOP,
+        "a user stop is a deadline the client manager's driver waits on beside the "
+        "collector and the failure link, not a module of its own", STOP_DOC),
+    Row(Text(r"\b(?:repro\.engine\.control|StopToken)\b",
+             ("repro.engine.control", "StopToken")),
+        ("src", "tests", "examples", "benchmarks", "docs"), STOP,
+        "the deadline's one callback terminates the RPs; no token keeps its own RP list, "
+        "event and cancel", STOP_DOC),
+    Row(Text(r"stop-watchdog", ('name="stop-watchdog"',)), PACKAGE, STOP,
+        "a stop starts no process: the deadline is a timeout the driver waits on",
+        STOP_DOC),
     Row(
         Resolves(),
         DOCS,
